@@ -13,10 +13,18 @@ Method: a wide synthetic catalog (4 tables x 48 numeric columns, 2M
 rows each) and a 150-query seeded mix vote in >5000 distinct candidate
 indexes.  Each engine gets a **fresh advisor** (cold memos — the claim
 is end-to-end advisor wall-clock, not steady-state), one timed
-``recommend`` call per engine.  Column generation must be at least 3x
-faster, **decision-identical** (same indexes in the same rank order,
-bit-equal predicted and base costs), and must activate under 30% of
-the candidate space while certifying the rest.
+``recommend`` call per engine.  Column generation must be
+**decision-identical** (same indexes in the same rank order, bit-equal
+predicted and base costs), must activate under 30% of the candidate
+space while certifying the rest, and must still be at least 2x faster.
+
+The floor was 3x (~4.5x measured) while the slot pricer kept the scan
+contexts and path groups to itself.  Since the shared scan-context memo
+(``optimizer/paths.py``) the *reference* side, exhaustive ``build_bip``,
+enjoys the same reuse: on one box 53.0 s vs 14.8 s (3.6x) became
+16.2 s vs 5.9 s (2.7x) — both engines faster, the ratio smaller.  The
+gates that matter are identity, the certificate and the activation
+ceiling; the wall-clock floor is what is measured now, with headroom.
 """
 
 import os
@@ -34,9 +42,10 @@ N_ROWS = 2_000_000
 N_QUERIES = 150
 N_CANDIDATES = 5_000
 
-# The claim is >=3x on quiet hardware; CI smoke jobs on shared runners
-# relax the floor (they check decision identity, not magnitude).
-SPEEDUP_FLOOR = float(os.environ.get("COLGEN_SCALE_SPEEDUP_FLOOR", "3.0"))
+# The claim is >=2x on quiet hardware (2.7-3.0x measured); CI smoke jobs
+# on shared runners relax the floor (they check decision identity, not
+# magnitude).
+SPEEDUP_FLOOR = float(os.environ.get("COLGEN_SCALE_SPEEDUP_FLOOR", "2.0"))
 ACTIVATION_CEILING = 0.30
 
 

@@ -11,6 +11,7 @@ once, then evaluates configurations with zero further calls, at least an
 order of magnitude faster than re-optimizing.
 """
 
+import os
 import random
 import time
 
@@ -22,6 +23,11 @@ from repro.whatif import Configuration
 from conftest import print_table
 
 N_CONFIGS = 100
+
+# The claim is an order of magnitude on quiet hardware; CI smoke jobs on
+# shared runners relax the floor (they gate on the call-count
+# invariants and the fidelity bound, not on magnitude).
+SPEEDUP_FLOOR = float(os.environ.get("INUM_SPEEDUP_FLOOR", "10.0"))
 
 
 def make_configs(catalog, workload, n=N_CONFIGS, seed=0):
@@ -89,7 +95,10 @@ def test_claim_inum_speedup(sdss_env, benchmark):
         [(sum(errors) / len(errors), max(errors))],
     )
 
-    assert speedup > 10.0, "INUM must be at least an order of magnitude faster"
+    assert speedup >= SPEEDUP_FLOOR, (
+        "INUM must be at least %.0fx faster than re-optimizing (got %.1fx)"
+        % (SPEEDUP_FLOOR, speedup)
+    )
     assert max(errors) < 0.05, "INUM must stay faithful to the optimizer"
     assert naive_calls >= N_CONFIGS * len(workload) * 0.9
     assert warm_calls < naive_calls / 10

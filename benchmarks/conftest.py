@@ -1,7 +1,7 @@
 """Shared environments for the experiment benchmarks.
 
-Each bench regenerates one artifact of the paper's evaluation (see
-DESIGN.md §4).  Fixtures are session-scoped: the SDSS-lite catalog and
+Each bench regenerates one artifact of the paper's evaluation (see the
+README's experiment table).  Fixtures are session-scoped: the SDSS-lite catalog and
 workload are the common substrate, built once.
 
 ``--json PATH`` additionally writes every table a bench prints to

@@ -1,7 +1,8 @@
 """repro — an automated, yet interactive and portable DB designer.
 
-Reproduction of Alagiannis et al., SIGMOD 2010 (demo).  See DESIGN.md for
-the system inventory and EXPERIMENTS.md for the reproduced evaluation.
+Reproduction of Alagiannis et al., SIGMOD 2010 (demo).  See README.md for
+the system inventory and the reproduced evaluation, ROADMAP.md for the
+architecture notes.
 
 Quickstart::
 

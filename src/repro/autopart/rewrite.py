@@ -8,16 +8,18 @@ natively through the catalog, so these strings are documentation of the
 physical plan, exactly as in the demo UI).
 """
 
-from repro.sql.binder import bind_sql
+from repro.sql.binder import BoundQuery, bind_sql
 
 
 def rewrite_for_layout(sql, catalog, layouts):
     """Rewrite *sql* against fragment tables.
 
-    ``layouts`` maps table name -> :class:`VerticalLayout`.  Tables without
-    a layout are left untouched.  Returns the rewritten SQL text.
+    *sql* is SQL text or an already-bound query (callers that hold one
+    skip the re-parse).  ``layouts`` maps table name ->
+    :class:`VerticalLayout`.  Tables without a layout are left untouched.
+    Returns the rewritten SQL text.
     """
-    bq = bind_sql(sql, catalog)
+    bq = sql if isinstance(sql, BoundQuery) else bind_sql(sql, catalog)
     from_parts = []
     stitch_preds = []
     rename = {}  # (alias, column) -> fragment alias

@@ -103,20 +103,29 @@ class ColumnStats:
     correlation: float = 0.0
     avg_width: int = 4
 
+    # Derived once per stats object, never serialised: a snapshot is
+    # replaced wholesale (``build_stats``/``analyze_values`` make a new
+    # object), so these cannot go stale.
+    mcv_total_freq: float = field(init=False, repr=False, compare=False)
+    _mcv_lookup: object = field(init=False, repr=False, compare=False)
+    _histogram_keys: list = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         self.n_distinct = max(1.0, float(self.n_distinct))
         self.null_frac = clamp(float(self.null_frac), 0.0, 1.0)
         self.correlation = clamp(float(self.correlation), -1.0, 1.0)
         if len(self.mcv_values) != len(self.mcv_freqs):
             raise ValueError("MCV values and frequencies must align")
+        self.mcv_total_freq = min(1.0, sum(self.mcv_freqs))
+        try:
+            self._mcv_lookup = frozenset(self.mcv_values)
+        except TypeError:  # unhashable values: keep the list scan
+            self._mcv_lookup = self.mcv_values
+        self._histogram_keys = None  # float key vector, built on first use
 
     # ------------------------------------------------------------------
     # Fraction helpers consumed by the selectivity estimator.
     # ------------------------------------------------------------------
-
-    @property
-    def mcv_total_freq(self):
-        return min(1.0, sum(self.mcv_freqs))
 
     @property
     def nonnull_frac(self):
@@ -148,22 +157,23 @@ class ColumnStats:
             if below:
                 frac += freq
         histogram_mass = max(0.0, self.nonnull_frac - self.mcv_total_freq)
-        frac += self._histogram_fraction_below(value, inclusive) * histogram_mass
-        if inclusive and histogram_mass > 0.0 and value not in self.mcv_values:
+        frac += self._histogram_fraction_below(value) * histogram_mass
+        if inclusive and histogram_mass > 0.0 and value not in self._mcv_lookup:
             # Closed bound: add the average per-value mass so that integer
             # domains (where P(X = v) is not negligible) estimate correctly.
             remaining_distinct = max(1.0, self.n_distinct - len(self.mcv_values))
             frac += histogram_mass / remaining_distinct
         return clamp(frac, 0.0, 1.0)
 
-    def _histogram_fraction_below(self, value, inclusive):
-        bounds = self.histogram
-        if len(bounds) < 2:
+    def _histogram_fraction_below(self, value):
+        if len(self.histogram) < 2:
             return self._linear_fraction_below(value)
-        keys = [_as_key(b) for b in bounds]
+        keys = self._histogram_keys
+        if keys is None:
+            keys = self._histogram_keys = [_as_key(b) for b in self.histogram]
         key = _as_key(value)
         if key <= keys[0]:
-            return 0.0 if not inclusive or key < keys[0] else 0.0
+            return 0.0
         if key >= keys[-1]:
             return 1.0
         idx = bisect.bisect_right(keys, key) - 1

@@ -16,6 +16,8 @@ class Table:
     row_count: int = 0
 
     _by_name: dict = field(default=None, repr=False, compare=False)
+    _full_width: int = field(default=0, repr=False, compare=False)
+    _pages: tuple = field(default=None, repr=False, compare=False)  # (row_count, pages)
 
     def __post_init__(self):
         if not self.name or not self.name.islower():
@@ -29,6 +31,7 @@ class Table:
             if col.name in self._by_name:
                 raise CatalogError("duplicate column %r in table %r" % (col.name, self.name))
             self._by_name[col.name] = col
+        self._full_width = sum(c.width for c in self.columns)
 
     # ------------------------------------------------------------------
 
@@ -49,14 +52,18 @@ class Table:
     def row_width(self, column_names=None):
         """Average data width of a full row, or of a projection."""
         if column_names is None:
-            cols = self.columns
-        else:
-            cols = [self.column(n) for n in column_names]
-        return sum(c.width for c in cols)
+            return self._full_width
+        return sum(self.column(n).width for n in column_names)
 
     @property
     def pages(self):
-        return pagemodel.heap_pages(self.row_count, self.row_width())
+        cached = self._pages
+        if cached is None or cached[0] != self.row_count:
+            cached = self._pages = (
+                self.row_count,
+                pagemodel.heap_pages(self.row_count, self._full_width),
+            )
+        return cached[1]
 
     def projection_pages(self, column_names):
         """Heap pages a vertical fragment holding *column_names* would use

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.inum.cache import _DesignView
+from repro.optimizer.paths import forget_indexes
 from repro.optimizer.writecost import (
     affected_rows,
     heap_write_cost,
@@ -207,9 +208,12 @@ def build_bip(inum_model, workload, candidates, budget_pages, max_indexes=None):
         max_indexes=max_indexes,
         index_penalties=[0.0] * len(candidates),
     )
+    priced = []  # bound queries whose slots were priced per candidate
+
     def add_query_term(bq_or_sql, weight):
         cache = inum_model.cache_for(bq_or_sql)
         bq = cache.bound_query
+        priced.append(bq)
         term = QueryTerm(weight=weight, plans=[], sql=bq.sql)
         for cached in cache.plans:
             plan_term = PlanTerm(internal_cost=cached.internal_cost, slots=[])
@@ -244,6 +248,11 @@ def build_bip(inum_model, workload, candidates, budget_pages, max_indexes=None):
             )
             continue
         add_query_term(bound, weight)
+    # Repeat pricings are served by the model's slot memo: release the
+    # candidate pool's path groups rather than keep them on every query.
+    pool = set(candidates)
+    for bq in priced:
+        forget_indexes(bq, pool)
     if not any(problem.index_penalties):
         # Read-only workload: every penalty is +0.0, and adding +0.0 is
         # the floating-point identity, so every pricing path can skip

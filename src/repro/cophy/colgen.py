@@ -84,29 +84,19 @@ _BENEFIT_EPS = 1e-9
 
 
 class CandidatePricer:
-    """Exact slot access costs for single-candidate design views, with
-    all candidate-independent work cached per slot (see module doc)."""
+    """Exact slot access costs for single-candidate design views.  Path
+    groups come from the shared scan-context memo (``optimizer/paths``);
+    only the per-slot base assembly is kept here (see module doc)."""
 
     def __init__(self, model):
         self.model = model
         self.settings = model.settings
         self.catalog = model.catalog
         self.default_view = _DesignView(model.catalog, Configuration.empty())
-        self._ctx = {}  # (sql, alias) -> ScanContext
-        self._scan_base = {}  # (sql, slot) -> (paths, arms, interesting)
-        self._param_base = {}  # (sql, slot) -> parameterized base paths
-        self._groups = {}  # (sql, alias, required_order, index) -> group
-        self._ppaths = {}  # (sql, alias, param_columns, index) -> path
+        self._scan_base = {}  # (sql, slot) -> (ctx, paths, arms, interesting)
+        self._param_base = {}  # (sql, slot) -> (ctx, parameterized base paths)
         self._base_sets = {}  # table -> set of base-catalog indexes
         self.pricings = 0
-
-    def _context(self, bq, slot):
-        key = (bq.sql, slot.alias)
-        ctx = self._ctx.get(key)
-        if ctx is None:
-            ctx = P.scan_context(bq, slot.alias, self.default_view)
-            self._ctx[key] = ctx
-        return ctx
 
     def _base_indexes(self, table_name):
         base = self._base_sets.get(table_name)
@@ -124,7 +114,7 @@ class CandidatePricer:
         key = (bq.sql, slot)
         cached = self._scan_base.get(key)
         if cached is None:
-            ctx = self._context(bq, slot)
+            ctx = P.scan_context(bq, slot.alias, self.default_view)
             interesting = (
                 {slot.required_order} if slot.required_order else set()
             )
@@ -137,42 +127,19 @@ class CandidatePricer:
                 if arm is not None:
                     arms.append(arm)
                 paths.extend(group)
-            cached = (paths, arms, interesting)
-            self._scan_base[key] = cached
-        return cached
-
-    def _group(self, bq, slot, index, interesting):
-        key = (bq.sql, slot.alias, slot.required_order, index)
-        cached = self._groups.get(key)
-        if cached is None:
-            cached = self._groups[key] = P.index_path_group(
-                self._context(bq, slot), index, self.settings, interesting
-            )
+            cached = self._scan_base[key] = (ctx, paths, arms, interesting)
         return cached
 
     def _param_state(self, bq, slot):
         key = (bq.sql, slot)
         cached = self._param_base.get(key)
         if cached is None:
-            ctx = self._context(bq, slot)
-            cached = []
-            for ix in self.default_view.indexes_on(slot.table_name):
-                path = P.parameterized_path_for(
-                    ctx, ix, self.settings, slot.param_columns
-                )
-                if path is not None:
-                    cached.append(path)
-            self._param_base[key] = cached
+            ctx = P.scan_context(bq, slot.alias, self.default_view)
+            cached = self._param_base[key] = (ctx, P.probe_paths(
+                ctx, self.default_view.indexes_on(slot.table_name),
+                self.settings, slot.param_columns,
+            ))
         return cached
-
-    def _param_path(self, bq, slot, index):
-        key = (bq.sql, slot.alias, slot.param_columns, index)
-        if key not in self._ppaths:
-            self._ppaths[key] = P.parameterized_path_for(
-                self._context(bq, slot), index, self.settings,
-                slot.param_columns,
-            )
-        return self._ppaths[key]
 
     def price(self, bq, slot, index):
         """``slot``'s cost when exactly ``index`` is added to the base
@@ -184,20 +151,20 @@ class CandidatePricer:
             # the path set — and therefore the winner — is the default's.
             return self.default_cost(bq, slot)
         if slot.param_columns:
-            paths = self._param_state(bq, slot)
-            own = self._param_path(bq, slot, index)
+            ctx, paths = self._param_state(bq, slot)
+            own = P.parameterized_path_for(
+                ctx, index, self.settings, slot.param_columns
+            )
             if own is not None:
                 paths = paths + [own]
             return _best_param_access(slot, paths)
-        base_paths, base_arms, interesting = self._scan_state(bq, slot)
-        group, arm = self._group(bq, slot, index, interesting)
-        paths = base_paths + group
+        ctx, base_paths, base_arms, interesting = self._scan_state(bq, slot)
+        group, arm = P.index_path_group(ctx, index, self.settings, interesting)
+        paths = [*base_paths, *group]
         arms = base_arms if arm is None else base_arms + [arm]
-        and_path = P.bitmap_and_path(
-            self._context(bq, slot), arms, self.settings
-        )
+        and_path = P.bitmap_and_path(ctx, arms, self.settings)
         if and_path is not None:
-            paths = paths + [and_path]
+            paths.append(and_path)
         return _best_scan_access(slot, paths, self.settings)
 
 
@@ -227,6 +194,7 @@ class _Master:
         self.pos_slots = [[] for __ in range(n)]  # pos -> [(sid, cost)]
         self.query_specs = []  # (weight, sql, [(internal, [sid, ...])])
         slot_ids = {}
+        priced = []  # bound queries whose slots the pricer priced
 
         def slot_entry(bq, slot):
             key = (bq.sql, slot)
@@ -250,6 +218,7 @@ class _Master:
         def add_query_spec(bq_or_sql, weight):
             cache = inum_model.cache_for(bq_or_sql)
             bq = cache.bound_query
+            priced.append(bq)
             plans = [
                 (
                     cached.internal_cost,
@@ -291,6 +260,11 @@ class _Master:
             dtype=np.float64,
         )
         self._build_bound_groups()
+        # Every (slot, candidate) price is in slot_entries now: release
+        # the candidate pool's path groups from the shared scan memo.
+        pool = set(self.candidates)
+        for bq in priced:
+            P.forget_indexes(bq, pool)
 
     # -- restricted master ---------------------------------------------
 

@@ -126,9 +126,10 @@ class Designer:
         if config.layouts:
             layout_map = {l.table_name: l for l in config.layouts}
             for sql, __ in workload_pairs(workload):
-                if self.session.base_service.bound(sql).is_write:
+                bound = self.session.base_service.bound(sql)
+                if bound.is_write:
                     continue  # writes are not rewritten onto fragments
-                rewritten = rewrite_for_layout(sql, self.catalog, layout_map)
+                rewritten = rewrite_for_layout(bound, self.catalog, layout_map)
                 if rewritten != sql:
                     rewrites.append(rewritten)
         return DesignEvaluation(

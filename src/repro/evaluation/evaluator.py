@@ -194,6 +194,9 @@ class WorkloadEvaluator(InumCostModel):
         self._slot_costs.pop(cache.bound_query.sql, None)
         self._slot_choices.pop(cache.bound_query.sql, None)
         self._stmt_costs.pop(signature, None)
+        # The scan-pricing memo rides on the bound query, which the bind
+        # cache keeps per distinct SQL text: drop it with the entry.
+        cache.bound_query.scan_memo.clear()
         with self._lock:
             for key in self._compiled_by_sig.pop(signature, ()):
                 compiled = self._compiled.pop(key, None)
@@ -875,6 +878,9 @@ class WorkloadEvaluator(InumCostModel):
             base = self._exact_services.get(Configuration.empty())
             if base is None:
                 base = CostService(self.catalog, self.settings)
+                # One bound query per statement for the exact and the
+                # INUM path alike, so they share one scan-pricing memo.
+                base._bind_cache = self._bound_cache
                 self._exact_services[Configuration.empty()] = base
             if config.is_empty:
                 return base

@@ -390,6 +390,7 @@ def build_cache(bq, catalog, settings):
     interesting-order vector and reduce every plan tree to terms."""
     cache = QueryCache(bound_query=bq)
     seen = set()
+    covering = set()
     for vector in _order_vectors(bq):
         overlay = catalog.clone()
         for alias, order in vector:
@@ -399,14 +400,14 @@ def build_cache(bq, catalog, settings):
             include = tuple(
                 sorted(bq.referenced_columns(alias) - {order})
             )
-            overlay.add_index(
-                Index(
-                    table.name,
-                    (order,),
-                    include=include,
-                    name="%s%s_%s" % (_TMP_PREFIX, alias, order),
-                )
+            index = Index(
+                table.name,
+                (order,),
+                include=include,
+                name="%s%s_%s" % (_TMP_PREFIX, alias, order),
             )
+            overlay.add_index(index)
+            covering.add(index)
         plan = plan_query(bq, overlay, settings)
         cache.build_optimizer_calls += 1
         cached = extract_plan_terms(plan, bq, dict(vector))
@@ -414,6 +415,8 @@ def build_cache(bq, catalog, settings):
         if key not in seen:
             seen.add(key)
             cache.plans.append(cached)
+    # The hypothetical covering indexes never recur after the build.
+    P.forget_indexes(bq, covering)
     return cache
 
 

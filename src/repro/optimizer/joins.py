@@ -56,7 +56,7 @@ def sort_path(child, sort_keys, settings):
         rows=child.rows,
         width=child.width,
         ordering=tuple(sort_keys),
-        children=[child],
+        children=(child,),
         sort_keys=tuple(sort_keys),
         external=external,
     )
@@ -65,17 +65,16 @@ def sort_path(child, sort_keys, settings):
 def materialize_path(child, settings):
     rows = max(1.0, child.rows)
     total = child.total_cost + 2.0 * settings.cpu_operator_cost * rows
-    node = Materialize(
+    if not settings.enable_material:
+        total += DISABLE_COST
+    return Materialize(
         startup_cost=child.startup_cost,
         total_cost=total,
         rows=child.rows,
         width=child.width,
         ordering=child.ordering,
-        children=[child],
+        children=(child,),
     )
-    if not settings.enable_material:
-        node.total_cost += DISABLE_COST
-    return node
 
 
 def nestloop_path(outer, inner, join_clauses, rows_out, settings):
@@ -104,7 +103,7 @@ def nestloop_path(outer, inner, join_clauses, rows_out, settings):
         rows=rows_out,
         width=outer.width + inner.width,
         ordering=outer.ordering,
-        children=[outer, inner],
+        children=(outer, inner),
         join_clauses=tuple(join_clauses),
     )
 
@@ -137,7 +136,7 @@ def hashjoin_path(outer, inner, join_clauses, rows_out, settings):
         rows=rows_out,
         width=outer.width + inner.width,
         ordering=(),
-        children=[outer, inner],
+        children=(outer, inner),
         join_clauses=tuple(join_clauses),
         batches=batches,
     )
@@ -167,7 +166,7 @@ def mergejoin_path(outer, inner, join_clauses, merge_keys_outer, merge_keys_inne
         rows=rows_out,
         width=outer.width + inner.width,
         ordering=outer.ordering,
-        children=[outer, inner],
+        children=(outer, inner),
         join_clauses=tuple(join_clauses),
     )
 
@@ -190,7 +189,7 @@ def aggregate_paths(child, bound_query, groups, settings):
                 total_cost=total,
                 rows=1.0,
                 width=8 * n_aggs,
-                children=[child],
+                children=(child,),
                 strategy="plain",
                 n_aggregates=n_aggs,
             )
@@ -207,7 +206,7 @@ def aggregate_paths(child, bound_query, groups, settings):
             total_cost=hash_total,
             rows=groups,
             width=width,
-            children=[child],
+            children=(child,),
             strategy="hash",
             group_columns=tuple(group_cols),
             n_aggregates=n_aggs,
@@ -226,7 +225,7 @@ def aggregate_paths(child, bound_query, groups, settings):
             rows=groups,
             width=width,
             ordering=group_keys,
-            children=[sorted_child],
+            children=(sorted_child,),
             strategy="sorted",
             group_columns=tuple(group_cols),
             n_aggregates=n_aggs,
@@ -246,6 +245,6 @@ def limit_path(child, count, settings):
         rows=min(float(count), child.rows),
         width=child.width,
         ordering=child.ordering,
-        children=[child],
+        children=(child,),
         count=count,
     )

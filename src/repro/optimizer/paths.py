@@ -18,7 +18,7 @@ the best-case (clustered) and worst-case (random) heap access cost.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.optimizer.plan import (
     AppendScan,
@@ -28,15 +28,11 @@ from repro.optimizer.plan import (
     IndexScan,
     SeqScan,
 )
-from repro.optimizer.selectivity import (
-    conjunction_selectivity,
-    equality_fraction,
-    filter_selectivity,
-)
+from repro.optimizer.selectivity import equality_fraction, filter_selectivity
 from repro.util import ceil_div, clamp
 
 
-@dataclass
+@dataclass(slots=True)
 class RelationGeometry:
     """Physical footprint of one table reference after partition effects."""
 
@@ -122,7 +118,7 @@ def _prune(bound_query, alias, table, horizontal):
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class IndexMatch:
     """Result of matching filters (and join-key probes) to an index prefix."""
 
@@ -141,6 +137,15 @@ def match_index(index, filters, table, param_columns=()):
     prefix; the first range/IN condition closes it.  Everything unmatched
     becomes a residual qual.
     """
+    return _match_index(
+        index, filters, table, param_columns,
+        lambda f: filter_selectivity(f, table),
+    )
+
+
+def _match_index(index, filters, table, param_columns, selectivity):
+    """:func:`match_index` with per-filter selectivities looked up through
+    *selectivity* (a :class:`ScanContext` passes its precomputed ones)."""
     by_column = {}
     for f in filters:
         by_column.setdefault(f.column, []).append(f)
@@ -159,7 +164,7 @@ def match_index(index, filters, table, param_columns=()):
         )
         if eq_filter is not None:
             boundary.append(eq_filter)
-            sel *= filter_selectivity(eq_filter, table)
+            sel *= selectivity(eq_filter)
             eq_prefix += 1
             continue
         if key_col in params_available:
@@ -173,7 +178,7 @@ def match_index(index, filters, table, param_columns=()):
         )
         if closing is not None:
             boundary.append(closing)
-            sel *= filter_selectivity(closing, table)
+            sel *= selectivity(closing)
         closed = True
 
     boundary_set = set(id(f) for f in boundary)
@@ -225,120 +230,222 @@ def _output_width(bound_query, alias):
 # Path construction.
 # ----------------------------------------------------------------------
 
+_MISSING = object()
 
-@dataclass
+
+@dataclass(slots=True)
 class ScanContext:
-    """The per-relation inputs shared by every access path of one table
-    reference: geometry, filter set, and output shape.  Computing it once
-    lets a caller price *per-index* path groups incrementally
-    (:func:`index_path_group`, :func:`parameterized_path_for`) without
-    regenerating the whole view's path set — the seam the lazy CoPhy
-    candidate pricer builds on."""
+    """Everything about pricing one table reference that does not depend
+    on the secondary-index set: geometry, the filter set with per-filter
+    selectivities, and the output shape — a pure function of (bound
+    query, alias, vertical layout, horizontal partitioning).
 
-    bound_query: object
+    The context also owns the memo of what has been priced under it:
+    per planner settings, the sequential path and each index's path
+    group / parameterized probe (:func:`index_path_group` and
+    :func:`parameterized_path_for` are pure per-index functions).  So a
+    fresh configuration only prices the indexes this (query, alias) has
+    never seen.  Memoized plan nodes are shared between plans and
+    configurations and must never be mutated after construction.
+
+    Contexts live in :attr:`BoundQuery.scan_memo` — they are dropped
+    with the bound query — and are re-validated on every lookup against
+    the identity of the :class:`ColumnStats` objects they read
+    (:meth:`is_current`), so re-``ANALYZE``-ing a column re-prices.
+    Bulk pricers of one-shot indexes release them when done
+    (:func:`forget_indexes`).  Extend this memo rather than adding
+    private path caches.
+    """
+
     geometry: RelationGeometry
+    needed: set  # columns the query references (index-only eligibility)
     filters: tuple
+    filter_sel: dict  # BoundFilter -> selectivity, one entry per filter
+    eq_columns: tuple  # columns bound by an equality filter
+    boundary_columns: tuple  # columns with any sargable (eq/range/in) filter
     sel_all: float
     rows_out: float
     width: int
+    _stats: dict  # column -> the ColumnStats object prices derive from
+    _priced: dict = field(default_factory=dict)  # settings -> path memo
 
     @property
     def table(self):
         return self.geometry.table
 
+    def is_current(self):
+        """False once any statistics this context priced from were
+        replaced (``build_stats`` / ``analyze_values`` make new objects)."""
+        column = self.geometry.table.column
+        for name, stats in self._stats.items():
+            if column(name).stats is not stats:
+                return False
+        return True
+
+    def _track(self, columns):
+        missing = [c for c in columns if c not in self._stats]
+        if missing:
+            table = self.geometry.table
+            # Copy-on-write, so a concurrent is_current() never iterates
+            # a dict that is being resized.
+            self._stats = {
+                **self._stats, **{c: table.stats(c) for c in missing}
+            }
+
+    def _memo(self, settings):
+        memo = self._priced.get(settings)
+        if memo is None:
+            memo = self._priced.setdefault(settings, {})
+        return memo
+
 
 def scan_context(bound_query, alias, catalog):
-    """The :class:`ScanContext` for one table reference.
+    """The :class:`ScanContext` for one table reference, memoized on the
+    bound query.
 
     Only the relation geometry depends on *catalog*, and only through
-    vertical layouts / horizontal partitionings — secondary-index-only
-    overlays (a candidate design view) produce the identical context as
-    the base catalog.
+    vertical layouts / horizontal partitionings — so those two are the
+    memo key, and secondary-index-only overlays (a candidate design
+    view) share the base catalog's context.
     """
-    geometry = relation_geometry(bound_query, alias, catalog)
-    filters = bound_query.filters_for(alias)
-    sel_all = conjunction_selectivity(filters, geometry.table)
-    rows_out = max(1.0, geometry.rows * sel_all)
-    width = _output_width(bound_query, alias)
-    return ScanContext(
-        bound_query=bound_query,
-        geometry=geometry,
-        filters=filters,
-        sel_all=sel_all,
-        rows_out=rows_out,
-        width=width,
+    table_name = bound_query.table_for(alias).name
+    key = (
+        alias,
+        catalog.vertical_layout(table_name),
+        catalog.horizontal_partitioning(table_name),
     )
+    memo = bound_query.scan_memo
+    ctx = memo.get(key)
+    if ctx is None or not ctx.is_current():
+        ctx = memo[key] = _build_context(bound_query, alias, catalog, key[2])
+    return ctx
+
+
+def forget_indexes(bound_query, indexes):
+    """Drop what *bound_query*'s scan memo priced for *indexes* (a set).
+
+    For callers that price one-shot hypothetical indexes in bulk — an
+    INUM build's covering indexes, a solver's candidate pool — so the
+    memo keeps what recurs (the contexts, the base design's paths)
+    instead of growing with every candidate ever considered.  It is a
+    cache: forgetting an index that does come back costs one re-price.
+    """
+    # list(...) snapshots: other threads may be pricing into the memo.
+    for ctx in list(bound_query.scan_memo.values()):
+        for memo in list(ctx._priced.values()):
+            for key in list(memo):
+                if (key[0] if type(key) is tuple else key) in indexes:
+                    memo.pop(key, None)
+
+
+def _build_context(bound_query, alias, catalog, horizontal):
+    geometry = relation_geometry(bound_query, alias, catalog)
+    table = geometry.table
+    filters = bound_query.filters_for(alias)
+    filter_sel = {}
+    sel_all = 1.0  # == conjunction_selectivity(filters, table)
+    for f in filters:
+        sel = filter_sel.get(f)
+        if sel is None:
+            sel = filter_sel[f] = filter_selectivity(f, table)
+        sel_all *= sel
+    sel_all = clamp(sel_all, 0.0, 1.0)
+    # No reference back to the bound query: it owns this context, and a
+    # cycle would leave dropped memos to the cyclic collector.
+    ctx = ScanContext(
+        geometry=geometry,
+        needed=bound_query.referenced_columns(alias),
+        filters=filters,
+        filter_sel=filter_sel,
+        eq_columns=tuple(f.column for f in filters if f.kind == "eq"),
+        boundary_columns=tuple(f.column for f in filters if f.sargable),
+        sel_all=sel_all,
+        rows_out=max(1.0, geometry.rows * sel_all),
+        width=_output_width(bound_query, alias),
+        _stats={},
+    )
+    ctx._track(f.column for f in filters)
+    if horizontal is not None:
+        ctx._track((horizontal.column,))
+    return ctx
 
 
 def sequential_path(ctx, settings):
     """The sequential-scan path for one context."""
-    return _sequential_path(
-        ctx.bound_query, ctx.geometry, ctx.filters, settings, ctx.rows_out,
-        ctx.width,
-    )
+    memo = ctx._memo(settings)
+    path = memo.get(None)
+    if path is None:
+        path = memo[None] = _sequential_path(ctx, settings)
+    return path
 
 
 def index_path_group(ctx, index, settings, interesting_columns=()):
     """One index's non-parameterized paths under *ctx*.
 
-    Returns ``(paths, arm)`` where *arm* is the ``(index, match)`` pair
-    usable as a BitmapAnd arm (or ``None``).  Pure per-index function:
-    the group an index contributes to :func:`scan_paths` is independent
-    of which other indexes the catalog holds (only the combining
-    BitmapAnd path couples indexes).
+    Returns ``(paths, arm)`` where *paths* is a tuple and *arm* is the
+    ``(index, match)`` pair usable as a BitmapAnd arm (or ``None``).
+    Pure per-index function: the group an index contributes to
+    :func:`scan_paths` is independent of which other indexes the catalog
+    holds (only the combining BitmapAnd path couples indexes) — which is
+    what lets the context memoize it per (index, settings).
     """
-    match = match_index(index, ctx.filters, ctx.table)
-    useful_order = (
-        match.ordering_columns
-        and match.ordering_columns[0] in interesting_columns
-    )
-    if not match.boundary_filters and not useful_order:
-        return [], None
-    arm = (index, match) if match.boundary_filters else None
-    paths = _index_paths(
-        ctx.bound_query, ctx.geometry, index, match, settings, ctx.rows_out,
-        ctx.width, ctx.sel_all,
-    )
-    return paths, arm
-
-
-def bitmap_and_path(ctx, arm_candidates, settings):
-    """The combining BitmapAnd path over *arm_candidates* (or ``None``)."""
-    return _bitmap_and_path(
-        ctx.bound_query, ctx.geometry, arm_candidates, ctx.filters, settings,
-        ctx.rows_out, ctx.width,
-    )
+    lead = index.columns[0]
+    if lead not in ctx.boundary_columns and lead not in interesting_columns:
+        # No boundary condition and no useful order: nothing to price,
+        # and nothing worth remembering about this index.
+        return (), None
+    memo = ctx._memo(settings)
+    entry = memo.get(index)
+    if entry is None:
+        ctx._track(index.columns)
+        match = _match_index(
+            index, ctx.filters, ctx.table, (), ctx.filter_sel.__getitem__
+        )
+        entry = memo[index] = (
+            tuple(_index_paths(ctx, index, match, settings)),
+            (index, match) if match.boundary_filters else None,
+        )
+    return entry
 
 
 def parameterized_path_for(ctx, index, settings, param_columns):
-    """One index's parameterized probe path under *ctx* (or ``None``)."""
-    match = match_index(
-        index, ctx.filters, ctx.table, param_columns=param_columns
+    """One index's parameterized probe path under *ctx* (or ``None``),
+    memoized per (index, settings, probed columns)."""
+    lead = index.columns[0]
+    if lead not in param_columns and lead not in ctx.eq_columns:
+        return None  # the key prefix closes before reaching a probe column
+    memo = ctx._memo(settings)
+    key = (index, tuple(param_columns))
+    path = memo.get(key, _MISSING)
+    if path is _MISSING:
+        path = memo[key] = _parameterized_path(
+            ctx, index, settings, param_columns
+        )
+    return path
+
+
+def _parameterized_path(ctx, index, settings, param_columns):
+    ctx._track(index.columns)
+    filter_sel = ctx.filter_sel
+    match = _match_index(
+        index, ctx.filters, ctx.table, param_columns, filter_sel.__getitem__
     )
     if not match.param_columns:
         return None
     sel_all = match.boundary_selectivity
     for f in match.residual_filters:
-        sel_all *= filter_selectivity(f, ctx.table)
+        sel_all *= filter_sel[f]
     rows_out = max(1e-9, ctx.geometry.rows * sel_all)
     return _index_scan_cost(
-        ctx.bound_query,
-        ctx.geometry,
-        index,
-        match,
-        settings,
-        rows_out,
-        ctx.width,
-        parameterized=True,
+        ctx, index, match, settings, rows_out, parameterized=True
     )
 
 
-def scan_paths(bound_query, alias, catalog, settings, interesting_columns=()):
-    """All non-parameterized access paths for *alias*."""
-    ctx = scan_context(bound_query, alias, catalog)
+def access_paths(ctx, indexes, settings, interesting_columns=()):
+    """All non-parameterized access paths of *ctx* over *indexes*."""
     paths = [sequential_path(ctx, settings)]
     arm_candidates = []  # (index, match) pairs usable as BitmapAnd arms
-    for index in catalog.indexes_on(ctx.table.name):
+    for index in indexes:
         group, arm = index_path_group(ctx, index, settings, interesting_columns)
         if arm is not None:
             arm_candidates.append(arm)
@@ -349,21 +456,41 @@ def scan_paths(bound_query, alias, catalog, settings, interesting_columns=()):
     return paths
 
 
-def parameterized_paths(bound_query, alias, catalog, settings, param_columns):
-    """Index paths probing *alias* by equality on *param_columns* (inner side
-    of an index nested loop).  Costs and rows are per outer probe."""
+def probe_paths(ctx, indexes, settings, param_columns):
+    """Index paths probing *ctx*'s relation by equality on *param_columns*
+    (inner side of an index nested loop).  Costs and rows are per outer
+    probe."""
     if not param_columns:
         return []
-    ctx = scan_context(bound_query, alias, catalog)
     paths = []
-    for index in catalog.indexes_on(ctx.table.name):
+    for index in indexes:
         path = parameterized_path_for(ctx, index, settings, param_columns)
         if path is not None:
             paths.append(path)
     return paths
 
 
-def _sequential_path(bound_query, geometry, filters, settings, rows_out, width):
+def scan_paths(bound_query, alias, catalog, settings, interesting_columns=()):
+    """All non-parameterized access paths for *alias*."""
+    ctx = scan_context(bound_query, alias, catalog)
+    return access_paths(
+        ctx, catalog.indexes_on(ctx.table.name), settings, interesting_columns
+    )
+
+
+def parameterized_paths(bound_query, alias, catalog, settings, param_columns):
+    """:func:`probe_paths` for *alias* over the catalog's indexes."""
+    if not param_columns:
+        return []
+    ctx = scan_context(bound_query, alias, catalog)
+    return probe_paths(
+        ctx, catalog.indexes_on(ctx.table.name), settings, param_columns
+    )
+
+
+def _sequential_path(ctx, settings):
+    geometry = ctx.geometry
+    filters = ctx.filters
     table = geometry.table
     n_quals = len(filters)
     io = settings.seq_page_cost * geometry.scan_pages * (
@@ -386,8 +513,8 @@ def _sequential_path(bound_query, geometry, filters, settings, rows_out, width):
         return FragmentScan(
             startup_cost=0.0,
             total_cost=total,
-            rows=rows_out,
-            width=width,
+            rows=ctx.rows_out,
+            width=ctx.width,
             table_name=table.name,
             alias=geometry.alias,
             fragments=geometry.fragments,
@@ -397,8 +524,8 @@ def _sequential_path(bound_query, geometry, filters, settings, rows_out, width):
         return AppendScan(
             startup_cost=0.0,
             total_cost=total,
-            rows=rows_out,
-            width=width,
+            rows=ctx.rows_out,
+            width=ctx.width,
             table_name=table.name,
             alias=geometry.alias,
             partitions_scanned=geometry.partitions_scanned,
@@ -407,19 +534,18 @@ def _sequential_path(bound_query, geometry, filters, settings, rows_out, width):
     return SeqScan(
         startup_cost=0.0,
         total_cost=total,
-        rows=rows_out,
-        width=width,
+        rows=ctx.rows_out,
+        width=ctx.width,
         table_name=table.name,
         alias=geometry.alias,
         filters=tuple(filters),
     )
 
 
-def _index_paths(bound_query, geometry, index, match, settings, rows_out, width, sel_all):
+def _index_paths(ctx, index, match, settings):
     paths = []
     plain = _index_scan_cost(
-        bound_query, geometry, index, match, settings, rows_out, width,
-        parameterized=False,
+        ctx, index, match, settings, ctx.rows_out, parameterized=False
     )
     if plain is not None:
         paths.append(plain)
@@ -430,23 +556,19 @@ def _index_paths(bound_query, geometry, index, match, settings, rows_out, width,
                 plain,
                 ordering=tuple((a, c, False) for a, c, __ in plain.ordering),
                 backward=True,
-                children=list(plain.children),
             )
             paths.append(backward)
-    bitmap = _bitmap_path(
-        bound_query, geometry, index, match, settings, rows_out, width
-    )
+    bitmap = _bitmap_path(ctx, index, match, settings)
     if bitmap is not None:
         paths.append(bitmap)
     return paths
 
 
-def _index_scan_cost(
-    bound_query, geometry, index, match, settings, rows_out, width, parameterized
-):
+def _index_scan_cost(ctx, index, match, settings, rows_out, parameterized):
+    geometry = ctx.geometry
     table = geometry.table
     alias = geometry.alias
-    needed = bound_query.referenced_columns(alias)
+    needed = ctx.needed
     sel_index = match.boundary_selectivity
     tuples = max(1e-9, geometry.rows * sel_index)
 
@@ -499,7 +621,7 @@ def _index_scan_cost(
         startup_cost=startup,
         total_cost=total,
         rows=rows_out,
-        width=width,
+        width=ctx.width,
         ordering=ordering,
         table_name=table.name,
         alias=alias,
@@ -512,13 +634,14 @@ def _index_scan_cost(
     )
 
 
-def _bitmap_and_path(bound_query, geometry, arm_candidates, filters, settings,
-                     rows_out, width):
-    """Combine the two most selective single-index arms with a BitmapAnd.
+def bitmap_and_path(ctx, arm_candidates, settings):
+    """Combine the two most selective single-index arms with a BitmapAnd
+    (``None`` when fewer than two arms qualify).
 
     Each arm must bind a *different* leading column, so the combined
     boundary selectivity is the product and the heap is visited once.
     """
+    geometry = ctx.geometry
     arms = []
     seen_columns = set()
     for index, match in sorted(
@@ -530,7 +653,7 @@ def _bitmap_and_path(bound_query, geometry, arm_candidates, filters, settings,
         if lead.column in seen_columns:
             continue
         seen_columns.add(lead.column)
-        arms.append((index, lead, filter_selectivity(lead, geometry.table)))
+        arms.append((index, lead, ctx.filter_sel[lead]))
         if len(arms) == 2:
             break
     if len(arms) < 2:
@@ -565,7 +688,7 @@ def _bitmap_and_path(bound_query, geometry, arm_candidates, filters, settings,
     heap_io = pages_fetched * cost_per_page
 
     arm_columns = {lead.column for __, lead, __ in arms}
-    residual = tuple(f for f in filters if f.column not in arm_columns)
+    residual = tuple(f for f in ctx.filters if f.column not in arm_columns)
     heap_cpu = (
         settings.cpu_tuple_cost * tuples
         + 0.2 * settings.cpu_operator_cost * tuples  # two bitmap passes
@@ -577,8 +700,8 @@ def _bitmap_and_path(bound_query, geometry, arm_candidates, filters, settings,
     return BitmapAndScan(
         startup_cost=index_cost,
         total_cost=total,
-        rows=rows_out,
-        width=width,
+        rows=ctx.rows_out,
+        width=ctx.width,
         table_name=table.name,
         alias=geometry.alias,
         indexes=tuple(index for index, __, __ in arms),
@@ -587,9 +710,10 @@ def _bitmap_and_path(bound_query, geometry, arm_candidates, filters, settings,
     )
 
 
-def _bitmap_path(bound_query, geometry, index, match, settings, rows_out, width):
+def _bitmap_path(ctx, index, match, settings):
     if not match.boundary_filters:
         return None  # a full-index bitmap scan is never useful
+    geometry = ctx.geometry
     table = geometry.table
     sel_index = match.boundary_selectivity
     tuples = max(1e-9, geometry.rows * sel_index)
@@ -623,8 +747,8 @@ def _bitmap_path(bound_query, geometry, index, match, settings, rows_out, width)
     return BitmapHeapScan(
         startup_cost=index_cost,
         total_cost=total,
-        rows=rows_out,
-        width=width,
+        rows=ctx.rows_out,
+        width=ctx.width,
         table_name=table.name,
         alias=geometry.alias,
         index=index,

@@ -7,19 +7,24 @@ Parameterized nodes (inner sides of index nested loops) have costs *per
 probe* and ``is_parameterized`` set.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(slots=True)
 class Plan:
-    """Base plan node."""
+    """Base plan node.
+
+    Nodes are immutable once constructed (derive variants with
+    ``dataclasses.replace``): access paths are memoized per scan context
+    and shared between plans and configurations.
+    """
 
     startup_cost: float = 0.0
     total_cost: float = 0.0
     rows: float = 1.0
     width: int = 8
     ordering: tuple = ()
-    children: list = field(default_factory=list)
+    children: tuple = ()
     is_parameterized: bool = False
 
     @property
@@ -79,7 +84,7 @@ class Plan:
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SeqScan(Plan):
     table_name: str = ""
     alias: str = ""
@@ -95,7 +100,7 @@ class SeqScan(Plan):
         return text
 
 
-@dataclass
+@dataclass(slots=True)
 class IndexScan(Plan):
     table_name: str = ""
     alias: str = ""
@@ -121,7 +126,7 @@ class IndexScan(Plan):
         return text
 
 
-@dataclass
+@dataclass(slots=True)
 class BitmapHeapScan(Plan):
     table_name: str = ""
     alias: str = ""
@@ -136,7 +141,7 @@ class BitmapHeapScan(Plan):
         return text
 
 
-@dataclass
+@dataclass(slots=True)
 class BitmapAndScan(Plan):
     """Heap scan driven by the intersection of several index bitmaps
     (PostgreSQL's BitmapAnd): each index contributes one boundary
@@ -153,7 +158,7 @@ class BitmapAndScan(Plan):
         return "on %s %s via %s" % (self.table_name, self.alias, arms)
 
 
-@dataclass
+@dataclass(slots=True)
 class FragmentScan(Plan):
     """Scan of a vertically partitioned table: reads the chosen fragments
     and stitches them by row id (AutoPart layouts)."""
@@ -168,7 +173,7 @@ class FragmentScan(Plan):
         return "on %s %s fragments %s" % (self.table_name, self.alias, frag_text)
 
 
-@dataclass
+@dataclass(slots=True)
 class AppendScan(Plan):
     """Union of surviving horizontal partitions after pruning."""
 
@@ -191,7 +196,7 @@ class AppendScan(Plan):
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class NestLoop(Plan):
     join_clauses: tuple = ()
 
@@ -201,7 +206,7 @@ class NestLoop(Plan):
         return "on " + " AND ".join(j.describe() for j in self.join_clauses)
 
 
-@dataclass
+@dataclass(slots=True)
 class HashJoin(Plan):
     join_clauses: tuple = ()
     batches: int = 1
@@ -213,7 +218,7 @@ class HashJoin(Plan):
         return text
 
 
-@dataclass
+@dataclass(slots=True)
 class MergeJoin(Plan):
     join_clauses: tuple = ()
 
@@ -226,7 +231,7 @@ class MergeJoin(Plan):
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Sort(Plan):
     sort_keys: tuple = ()
     external: bool = False
@@ -243,13 +248,13 @@ class Sort(Plan):
         return 0.01 * max(1.0, self.rows) if not self.external else self.total_cost - child.total_cost
 
 
-@dataclass
+@dataclass(slots=True)
 class Materialize(Plan):
     def rescan_cost(self):
         return 0.0025 * max(1.0, self.rows)
 
 
-@dataclass
+@dataclass(slots=True)
 class Aggregate(Plan):
     strategy: str = "hash"  # hash | sorted | plain
     group_columns: tuple = ()
@@ -262,7 +267,7 @@ class Aggregate(Plan):
         return "(%s) by %s" % (self.strategy, cols)
 
 
-@dataclass
+@dataclass(slots=True)
 class Limit(Plan):
     count: int = 0
 

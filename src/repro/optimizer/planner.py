@@ -9,11 +9,7 @@ import itertools
 
 from repro.optimizer import joins as J
 from repro.optimizer import paths as P
-from repro.optimizer.selectivity import (
-    conjunction_selectivity,
-    group_count,
-    join_selectivity,
-)
+from repro.optimizer.selectivity import group_count, join_selectivity
 from repro.optimizer.settings import DEFAULT_SETTINGS
 from repro.util import PlanningError
 
@@ -69,18 +65,18 @@ class _PathSet:
 class _Planner:
     def __init__(self, bound_query, catalog, settings):
         self.q = bound_query
-        self.catalog = catalog
         self.settings = settings
         self.aliases = list(bound_query.tables)
-        self._geometry = {
-            alias: P.relation_geometry(bound_query, alias, catalog)
+        # One scan context (geometry + selectivities, memoized on the
+        # bound query) and one index list per alias, shared by the base
+        # paths and every parameterized join probe.
+        self._ctx = {
+            alias: P.scan_context(bound_query, alias, catalog)
             for alias in self.aliases
         }
-        self._filter_sel = {
-            alias: conjunction_selectivity(
-                bound_query.filters_for(alias), bound_query.table_for(alias)
-            )
-            for alias in self.aliases
+        self._indexes = {
+            alias: catalog.indexes_on(ctx.table.name)
+            for alias, ctx in self._ctx.items()
         }
 
     # ------------------------------------------------------------------
@@ -97,7 +93,8 @@ class _Planner:
     def subset_rows(self, subset):
         rows = 1.0
         for alias in subset:
-            rows *= self._geometry[alias].rows * self._filter_sel[alias]
+            ctx = self._ctx[alias]
+            rows *= ctx.geometry.rows * ctx.sel_all
         for clause in self.q.joins:
             if clause.left_alias in subset and clause.right_alias in subset:
                 rows *= join_selectivity(
@@ -130,10 +127,9 @@ class _Planner:
         table_paths = {}
         for alias in self.aliases:
             pset = _PathSet()
-            for path in P.scan_paths(
-                self.q,
-                alias,
-                self.catalog,
+            for path in P.access_paths(
+                self._ctx[alias],
+                self._indexes[alias],
                 self.settings,
                 interesting_columns=self._interesting_columns(alias),
             ):
@@ -203,6 +199,21 @@ class _Planner:
         rows_out = self.subset_rows(subset)
         settings = self.settings
         inner_aliases = self._aliases_of(inner_set)
+        # Parameterized index nested loop: only when the inner side is a
+        # single base relation probed on its join columns.
+        probes = ()
+        if clauses and len(inner_aliases) == 1:
+            inner_alias = next(iter(inner_aliases))
+            probes = P.probe_paths(
+                self._ctx[inner_alias],
+                self._indexes[inner_alias],
+                settings,
+                tuple(
+                    clause.side_for(inner_alias)[0]
+                    for clause in clauses
+                    if clause.involves(inner_alias)
+                ),
+            )
         for outer in outer_set:
             for inner in inner_set:
                 pset.add(J.nestloop_path(outer, inner, clauses, rows_out, settings))
@@ -225,21 +236,10 @@ class _Planner:
                             rows_out, settings,
                         )
                     )
-            # Parameterized index nested loop: only when the inner side is a
-            # single base relation probed on its join columns.
-            if clauses and len(inner_aliases) == 1:
-                inner_alias = next(iter(inner_aliases))
-                param_cols = tuple(
-                    clause.side_for(inner_alias)[0]
-                    for clause in clauses
-                    if clause.involves(inner_alias)
+            for probe in probes:
+                pset.add(
+                    J.nestloop_path(outer, probe, clauses, rows_out, settings)
                 )
-                for param in P.parameterized_paths(
-                    self.q, inner_alias, self.catalog, settings, param_cols
-                ):
-                    pset.add(
-                        J.nestloop_path(outer, param, clauses, rows_out, settings)
-                    )
 
     def _aliases_of(self, path_set_key_or_paths):
         if isinstance(path_set_key_or_paths, frozenset):

@@ -127,6 +127,12 @@ class BoundQuery:
     has_star: bool = False
     _referenced: dict = field(default=None, repr=False)
     _sql: str = field(default=None, repr=False)
+    # Design-invariant scan pricing memo, owned here so it is dropped with
+    # the bound query (bind caches, pool entries): (alias, vertical
+    # layout, horizontal partitioning) -> optimizer.paths.ScanContext.
+    scan_memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def sql(self):

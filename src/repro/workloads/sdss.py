@@ -3,7 +3,7 @@
 The demo evaluates against the Sloan Digital Sky Survey: very wide
 photometric tables with selective sky-coordinate and magnitude predicates,
 joins to the spectroscopic table, and aggregation over object classes.
-This module synthesizes that shape (see DESIGN.md §2, substitution 3):
+This module synthesizes that shape (a substitute for the real SDSS data):
 ``photoobj`` is wide (30 columns) so vertical partitioning pays off,
 ``ra`` is the physical clustering key, magnitudes are normal-distributed,
 and object types are Zipf-skewed.

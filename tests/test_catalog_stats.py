@@ -1,12 +1,14 @@
 """Unit tests for ColumnStats: synthetic construction, fractions, ANALYZE."""
 
+import bisect
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.stats import ColumnStats, Distribution, analyze_values
+from repro.catalog.stats import ColumnStats, Distribution, _as_key, analyze_values
+from repro.util import clamp
 
 
 class TestSyntheticUniform:
@@ -154,6 +156,99 @@ class TestStatsInvariants:
         lo, hi = -200, 200
         actual = sum(1 for v in values if lo <= v <= hi) / len(values)
         assert stats.range_fraction(lo, hi) == pytest.approx(actual, abs=0.25)
+
+
+def reference_fraction_below(stats, value, inclusive=False):
+    """``ColumnStats.fraction_below`` as it was before the key vector,
+    MCV total and MCV set were derived once per stats object: every call
+    re-keys the whole histogram and scans the MCV list."""
+    frac = 0.0
+    for mcv, freq in zip(stats.mcv_values, stats.mcv_freqs):
+        try:
+            below = mcv < value or (inclusive and mcv == value)
+        except TypeError:
+            below = False
+        if below:
+            frac += freq
+    mcv_total = min(1.0, sum(stats.mcv_freqs))
+    histogram_mass = max(0.0, stats.nonnull_frac - mcv_total)
+    if len(stats.histogram) < 2:
+        within_histogram = stats._linear_fraction_below(value)
+    else:
+        keys = [_as_key(b) for b in stats.histogram]
+        key = _as_key(value)
+        if key <= keys[0]:
+            within_histogram = 0.0 if not inclusive or key < keys[0] else 0.0
+        elif key >= keys[-1]:
+            within_histogram = 1.0
+        else:
+            idx = min(bisect.bisect_right(keys, key) - 1, len(keys) - 2)
+            lo, hi = keys[idx], keys[idx + 1]
+            within = 0.5 if hi <= lo else clamp((key - lo) / (hi - lo), 0.0, 1.0)
+            within_histogram = clamp((idx + within) / (len(keys) - 1), 0.0, 1.0)
+    frac += within_histogram * histogram_mass
+    if inclusive and histogram_mass > 0.0 and value not in stats.mcv_values:
+        remaining_distinct = max(1.0, stats.n_distinct - len(stats.mcv_values))
+        frac += histogram_mass / remaining_distinct
+    return clamp(frac, 0.0, 1.0)
+
+
+_NUMBERS = st.one_of(
+    st.integers(-1000, 1000),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+_WORDS = st.text(alphabet="abcxyz é", max_size=10)
+
+
+class TestPrecomputedKeysMatchOldFormula:
+    """The derived key vector / MCV total / MCV set are pure caches:
+    ``fraction_below`` equals the old per-call formula exactly (``==``)."""
+
+    def _check(self, values, probes):
+        for stats in (
+            analyze_values(values, n_buckets=7, mcv_min_freq=0.1),
+            analyze_values(values, n_buckets=100),
+        ):
+            for probe in list(probes) + list(stats.histogram) + stats.mcv_values:
+                for inclusive in (False, True):
+                    # Twice: the first call derives the keys, the second
+                    # reads them back.
+                    for __ in range(2):
+                        assert stats.fraction_below(
+                            probe, inclusive
+                        ) == reference_fraction_below(stats, probe, inclusive)
+
+    @given(st.lists(_NUMBERS, min_size=1, max_size=120), st.lists(_NUMBERS, max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_numeric_histograms(self, values, probes):
+        self._check(values, probes)
+
+    @given(st.lists(_WORDS, min_size=1, max_size=80), st.lists(_WORDS, max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_string_histograms(self, values, probes):
+        self._check(values, probes)
+
+    @given(
+        st.sampled_from(["uniform", "uniform_int", "zipf", "sequence"]),
+        st.lists(_NUMBERS, min_size=1, max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_synthetic_histograms(self, kind, probes):
+        dist = Distribution(kind=kind, low=-50.0, high=750.0, n_values=300)
+        stats = ColumnStats.synthetic(20_000, dist, avg_width=8, n_buckets=25)
+        for probe in probes:
+            for inclusive in (False, True):
+                assert stats.fraction_below(
+                    probe, inclusive
+                ) == reference_fraction_below(stats, probe, inclusive)
+
+    def test_a_new_snapshot_derives_its_own_keys(self):
+        coarse = analyze_values(list(range(100)), n_buckets=2)
+        fine = analyze_values(list(range(100)), n_buckets=50)
+        coarse.fraction_below(31), fine.fraction_below(31)
+        assert len(coarse._histogram_keys) == 3
+        assert len(fine._histogram_keys) == 51
+        assert coarse == analyze_values(list(range(100)), n_buckets=2)
 
 
 class TestDistributionValidation:

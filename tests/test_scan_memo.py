@@ -1,0 +1,457 @@
+"""Design-invariant scan pricing: the scan-context / path-group memo.
+
+Everything in scan pricing that does not depend on the secondary-index
+set is computed once per (bound query, alias, vertical layout,
+horizontal partitioning) and shared (``optimizer/paths.py``:
+``ScanContext``, owned by ``BoundQuery.scan_memo``).  The memo is a pure
+cache, never a different cost model, so this suite pins
+
+(a) memoized == fresh, *exactly*, for every SDSS/TPC-H template under
+    fuzzed index sets, vertical layouts and horizontal partitionings —
+    planner cost, INUM slot cost / slot choice, and colgen's
+    ``CandidatePricer``;
+(b) staleness: new statistics re-price, layouts never share a context;
+(c) the work actually goes away (call counts, no wall clock);
+and that memoized plan nodes, now shared between plans, are never
+mutated after construction.
+"""
+
+import dataclasses
+import random
+import sys
+import threading
+import time
+
+import pytest
+
+from repro.catalog import (
+    HorizontalPartitioning,
+    Index,
+    VerticalFragment,
+    VerticalLayout,
+)
+from repro.catalog import stats as stats_module
+from repro.cophy import candidate_indexes
+from repro.cophy.colgen import CandidatePricer
+from repro.inum import InumCostModel
+from repro.inum.cache import _access_cost, _DesignView
+from repro.optimizer import paths as P
+from repro.optimizer import plan_query
+from repro.optimizer.writecost import locate_query
+from repro.sql.binder import BoundWrite, bind_statement
+from repro.whatif import Configuration
+from repro.workloads import sdss, tpch
+from repro.workloads import sdss_catalog as full_sdss_catalog
+from repro.workloads import tpch_catalog
+
+ENVIRONMENTS = pytest.mark.parametrize(
+    "registry, make_catalog",
+    [
+        (sdss.TEMPLATE_REGISTRY, lambda: full_sdss_catalog(scale=0.05)),
+        (tpch.TEMPLATE_REGISTRY, lambda: tpch_catalog(scale=0.05)),
+    ],
+    ids=["sdss", "tpch"],
+)
+
+# Against the conftest ``sdss_catalog`` fixture (photoobj + specobj).
+TWO_TABLE_SQL = (
+    "SELECT p.objid, s.z FROM photoobj p, specobj s "
+    "WHERE p.objid = s.objid AND p.rmag < 19.5 AND p.type = 3 "
+    "AND s.z BETWEEN 0.1 AND 0.4"
+)
+
+THREE_TABLE_SQL = (
+    "SELECT p.objid, s.z, f.seeing FROM photoobj p, specobj s, field f "
+    "WHERE p.objid = s.bestobjid AND p.fieldid = f.fieldid "
+    "AND s.z BETWEEN 0.1 AND 0.4 AND f.quality = 2 AND p.type = 3 "
+    "AND p.rmag < 19.5"
+)
+
+
+def bind_read(sql, catalog):
+    """A freshly bound read — so with an empty scan memo — for *sql*
+    (writes contribute their locate query)."""
+    bound = bind_statement(sql, catalog)
+    return locate_query(bound) if isinstance(bound, BoundWrite) else bound
+
+
+def read_statements(registry, catalog, seed=23):
+    """One statement per template (pure inserts price no scan)."""
+    rng = random.Random(seed)
+    sqls = [maker(rng) for __, maker in sorted(registry.items())]
+    return [sql for sql in sqls if not sql.upper().startswith("INSERT")]
+
+
+def random_layout(rng, table):
+    columns = list(table.column_names)
+    rng.shuffle(columns)
+    cut = rng.randint(1, len(columns) - 1)
+    return VerticalLayout(
+        table.name,
+        (
+            VerticalFragment(table.name, tuple(columns[:cut])),
+            VerticalFragment(table.name, tuple(columns[cut:])),
+        ),
+    )
+
+
+def random_horizontal(rng, table):
+    numeric = [
+        c.name for c in table.columns
+        if isinstance(table.stats(c.name).min_value, (int, float))
+        and table.stats(c.name).max_value > table.stats(c.name).min_value
+    ]
+    column = rng.choice(numeric)
+    stats = table.stats(column)
+    lo, hi = float(stats.min_value), float(stats.max_value)
+    n = rng.randint(1, 5)
+    bounds = tuple(lo + (hi - lo) * (i + 1) / (n + 1) for i in range(n))
+    return HorizontalPartitioning(table.name, column, bounds)
+
+
+def fuzzed_configurations(rng, catalog, workload, n=10):
+    candidates = candidate_indexes(catalog, workload, max_candidates=16)
+    tables = [t for t in catalog.tables if len(t.column_names) >= 2]
+    configs = [Configuration.empty()]
+    for __ in range(n):
+        indexes = frozenset(
+            rng.sample(candidates, rng.randint(0, min(4, len(candidates))))
+        )
+        layouts = horizontals = ()
+        if rng.random() < 0.5:
+            layouts = (random_layout(rng, rng.choice(tables)),)
+        if rng.random() < 0.5:
+            horizontals = (random_horizontal(rng, rng.choice(tables)),)
+        configs.append(Configuration(
+            indexes=indexes, layouts=layouts, horizontals=horizontals
+        ))
+    return configs
+
+
+# ----------------------------------------------------------------------
+# (a) memoized == fresh.
+# ----------------------------------------------------------------------
+
+
+@ENVIRONMENTS
+def test_planner_memoized_equals_fresh(registry, make_catalog):
+    catalog = make_catalog()
+    sqls = read_statements(registry, catalog)
+    configs = fuzzed_configurations(random.Random(5), catalog, sqls)
+    warm = {sql: bind_read(sql, catalog) for sql in sqls}
+    for config in configs + configs:  # second sweep: every memo is hot
+        overlay = config.apply(catalog)
+        for sql in sqls:
+            hot = plan_query(warm[sql], overlay)
+            cold = plan_query(bind_read(sql, catalog), overlay)
+            assert hot.total_cost == cold.total_cost
+            assert hot.explain() == cold.explain()
+    assert all(bq.scan_memo for bq in warm.values())
+
+
+@ENVIRONMENTS
+def test_slot_pricing_memoized_equals_fresh(registry, make_catalog):
+    catalog = make_catalog()
+    sqls = read_statements(registry, catalog)
+    configs = fuzzed_configurations(random.Random(6), catalog, sqls)
+    model = InumCostModel(catalog)
+    priced = 0
+    for config in configs + configs:
+        view = _DesignView(catalog, config)
+        for sql in sqls:
+            cache = model.cache_for(bind_read(sql, catalog))
+            for cached in cache.plans:
+                for slot in cached.slots:
+                    assert model.slot_cost(
+                        cache.bound_query, slot, view
+                    ) == _access_cost(
+                        slot, bind_read(sql, catalog), view, model.settings
+                    )
+                    assert model.slot_choice(
+                        cache.bound_query, slot, view
+                    ) == _access_cost(
+                        slot, bind_read(sql, catalog), view,
+                        model.settings, want_choice=True,
+                    )
+                    priced += 1
+    assert priced
+
+
+@ENVIRONMENTS
+def test_candidate_pricer_equals_cold_single_index_view(registry, make_catalog):
+    catalog = make_catalog()
+    sqls = read_statements(registry, catalog)
+    candidates = candidate_indexes(catalog, sqls, max_candidates=24)
+    model = InumCostModel(catalog)
+    pricer = CandidatePricer(model)
+    for sql in sqls:
+        cache = model.cache_for(bind_read(sql, catalog))
+        for cached in cache.plans:
+            for slot in cached.slots:
+                for index in candidates:
+                    if index.table_name != slot.table_name:
+                        continue
+                    view = _DesignView(catalog, Configuration.of(index))
+                    assert pricer.price(
+                        cache.bound_query, slot, index
+                    ) == _access_cost(
+                        slot, bind_read(sql, catalog), view, model.settings
+                    )
+    assert pricer.pricings
+    assert not hasattr(pricer, "_ctx") and not hasattr(pricer, "_groups")
+
+
+def test_contexts_are_shared_across_index_only_designs(sdss_catalog):
+    bq = bind_statement(TWO_TABLE_SQL, sdss_catalog)
+    base = P.scan_context(bq, "p", sdss_catalog)
+    overlay = sdss_catalog.clone()
+    overlay.add_index(Index("photoobj", ("rmag",)))
+    assert P.scan_context(bq, "p", overlay) is base
+    view = _DesignView(
+        sdss_catalog, Configuration.of(Index("photoobj", ("type", "rmag")))
+    )
+    assert P.scan_context(bq, "p", view) is base
+    assert len(bq.scan_memo) == 1
+
+
+# ----------------------------------------------------------------------
+# (b) staleness.
+# ----------------------------------------------------------------------
+
+
+def test_new_statistics_reprice(sdss_catalog):
+    sql = "SELECT objid FROM photoobj WHERE rmag < 18.3"
+    catalog = sdss_catalog.clone()
+    catalog.add_index(Index("photoobj", ("rmag",)))
+    bq = bind_statement(sql, catalog)
+    before = plan_query(bq, catalog)
+    ctx = P.scan_context(bq, "photoobj", catalog)
+    assert P.scan_context(bq, "photoobj", catalog) is ctx
+
+    catalog.table("photoobj").build_stats(n_buckets=3)
+    after = plan_query(bq, catalog)
+    fresh = P.scan_context(bq, "photoobj", catalog)
+    assert fresh is not ctx
+    assert fresh.sel_all != ctx.sel_all  # coarser histogram, new estimate
+    assert after.total_cost != before.total_cost
+    assert after.total_cost == plan_query(
+        bind_statement(sql, catalog), catalog
+    ).total_cost
+
+
+def test_replacing_an_index_columns_stats_reprices_its_paths(sdss_catalog):
+    """The context also tracks the statistics its *path groups* read (an
+    index's leading-column correlation), not just the filters'."""
+    sql = "SELECT objid FROM photoobj WHERE ra < 40.0"
+    catalog = sdss_catalog.clone()
+    catalog.add_index(Index("photoobj", ("ra",)))
+    bq = bind_statement(sql, catalog)
+    plan_query(bq, catalog)
+    ctx = P.scan_context(bq, "photoobj", catalog)
+    table = catalog.table("photoobj")
+    table.column("ra").build_stats(table.row_count)
+    assert P.scan_context(bq, "photoobj", catalog) is not ctx
+
+
+def test_layouts_and_partitionings_never_share_a_context(sdss_catalog):
+    bq = bind_statement(TWO_TABLE_SQL, sdss_catalog)
+    table = sdss_catalog.table("photoobj")
+    rng = random.Random(3)
+    layout_a, layout_b = random_layout(rng, table), random_layout(rng, table)
+    assert layout_a != layout_b
+    horizontal = HorizontalPartitioning("photoobj", "rmag", (18.0, 20.0, 22.0))
+
+    def context(**design):
+        return P.scan_context(
+            bq, "p", Configuration(**design).apply(sdss_catalog)
+        )
+
+    contexts = [
+        context(),
+        context(layouts=(layout_a,)),
+        context(layouts=(layout_b,)),
+        context(horizontals=(horizontal,)),
+        context(layouts=(layout_a,), horizontals=(horizontal,)),
+    ]
+    assert len({id(c) for c in contexts}) == len(contexts)
+    assert contexts[1].geometry.fragments != contexts[2].geometry.fragments
+    assert contexts[3].geometry.partitions_total == 4
+    # ... and each is found again under an equal design.
+    assert context(layouts=(layout_a,)) is contexts[1]
+    assert context(horizontals=(horizontal,)) is contexts[3]
+    # The other alias's table has no layout: one shared context.
+    assert len({k for k in bq.scan_memo if k[0] == "s"}) <= 1
+
+
+# ----------------------------------------------------------------------
+# (c) the work goes away: counts, not wall clock.
+# ----------------------------------------------------------------------
+
+
+def test_selectivity_work_is_per_filter_not_per_configuration(monkeypatch):
+    catalog = full_sdss_catalog(scale=0.05)
+    bq = bind_statement(THREE_TABLE_SQL, catalog)
+    assert len(bq.aliases) == 3
+    n_filters = sum(len(bq.filters_for(a)) for a in bq.aliases)
+    candidates = candidate_indexes(catalog, [THREE_TABLE_SQL], max_candidates=30)
+    rng = random.Random(11)
+    configs = [
+        Configuration(indexes=frozenset(rng.sample(candidates, rng.randint(1, 5))))
+        for __ in range(20)
+    ]
+    assert len(set(configs)) > 10
+
+    # Histogram key vectors are derived once per ColumnStats; warm them
+    # so the counter below sees only per-filter work.
+    plan_query(bind_statement(THREE_TABLE_SQL, catalog), catalog)
+
+    calls = {"filter_selectivity": 0, "_as_key": 0}
+    real_selectivity = P.filter_selectivity
+    real_as_key = stats_module._as_key
+
+    def counting_selectivity(bound_filter, table):
+        calls["filter_selectivity"] += 1
+        return real_selectivity(bound_filter, table)
+
+    def counting_as_key(value):
+        calls["_as_key"] += 1
+        return real_as_key(value)
+
+    monkeypatch.setattr(P, "filter_selectivity", counting_selectivity)
+    monkeypatch.setattr(stats_module, "_as_key", counting_as_key)
+
+    costs = [plan_query(bq, c.apply(catalog)).total_cost for c in configs]
+    assert len(set(costs)) > 1  # the designs really differ
+    assert calls["filter_selectivity"] <= n_filters
+    # One key per range bound (<= 2 per filter): O(filters), where the
+    # unmemoized planner paid O(filters x buckets x configurations).
+    assert calls["_as_key"] <= 2 * n_filters
+
+
+def test_fresh_configuration_prices_only_unseen_indexes(monkeypatch):
+    catalog = full_sdss_catalog(scale=0.05)
+    bq = bind_statement(THREE_TABLE_SQL, catalog)
+    candidates = [
+        ix for ix in candidate_indexes(catalog, [THREE_TABLE_SQL], 30)
+        if ix.table_name == "photoobj"
+    ][:6]
+    assert len(candidates) >= 4
+    matched = []
+    real_match = P._match_index
+
+    def counting_match(index, *args):
+        matched.append(index)
+        return real_match(index, *args)
+
+    monkeypatch.setattr(P, "_match_index", counting_match)
+    first = Configuration(indexes=frozenset(candidates[:3]))
+    plan_query(bq, first.apply(catalog))
+    seen = len(matched)
+    assert seen
+    # A superset design: at most the one new index is matched and priced.
+    second = Configuration(indexes=frozenset(candidates[:4]))
+    plan_query(bq, second.apply(catalog))
+    assert set(matched[seen:]) <= {candidates[3]}
+    # Re-planning a seen design matches nothing at all.
+    seen = len(matched)
+    plan_query(bq, first.apply(catalog))
+    assert len(matched) == seen
+
+
+def test_concurrent_planning_forgetting_and_reanalyze_stay_exact():
+    """One bound query priced from more threads than cores while another
+    thread forgets indexes and swaps statistics objects (same values, new
+    identity): every plan still costs exactly what a cold plan costs."""
+    catalog = full_sdss_catalog(scale=0.05)
+    bq = bind_statement(THREE_TABLE_SQL, catalog)
+    candidates = candidate_indexes(catalog, [THREE_TABLE_SQL], 30)
+    rng = random.Random(17)
+    configs = [
+        Configuration(indexes=frozenset(rng.sample(candidates, rng.randint(1, 5))))
+        for __ in range(12)
+    ]
+    overlays = [config.apply(catalog) for config in configs]
+    expected = [
+        plan_query(bind_statement(THREE_TABLE_SQL, catalog), overlay).total_cost
+        for overlay in overlays
+    ]
+    deadline = time.monotonic() + 1.5
+    failures, plans = [], []
+
+    def planner(seed):
+        order = random.Random(seed)
+        count = 0
+        while time.monotonic() < deadline:
+            i = order.randrange(len(overlays))
+            try:
+                cost = plan_query(bq, overlays[i]).total_cost
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(repr(exc))
+                return
+            if cost != expected[i]:
+                failures.append("config %d: %r != %r" % (i, cost, expected[i]))
+                return
+            count += 1
+        plans.append(count)
+
+    def disturber():
+        table = catalog.table("photoobj")
+        pool = set(candidates)
+        while time.monotonic() < deadline:
+            P.forget_indexes(bq, pool)
+            table.column("rmag").build_stats(table.row_count)
+
+    threads = [threading.Thread(target=planner, args=(s,)) for s in range(6)]
+    threads.append(threading.Thread(target=disturber))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[:3]
+    assert len(plans) == 6 and all(plans)
+
+
+# ----------------------------------------------------------------------
+# Shared plan nodes are immutable.
+# ----------------------------------------------------------------------
+
+
+def _tree_snapshot(plan):
+    """Every node's fields by value, its children by identity."""
+    return [
+        (
+            type(node).__name__,
+            [id(child) for child in node.children],
+            {
+                f.name: getattr(node, f.name)
+                for f in dataclasses.fields(node) if f.name != "children"
+            },
+        )
+        for node in plan.walk()
+    ]
+
+
+@ENVIRONMENTS
+def test_first_plan_is_unchanged_by_planning_a_second_design(
+        registry, make_catalog):
+    catalog = make_catalog()
+    sqls = read_statements(registry, catalog)
+    configs = fuzzed_configurations(random.Random(8), catalog, sqls, n=6)
+    model = InumCostModel(catalog)
+    for sql in sqls:
+        bq = bind_read(sql, catalog)
+        first = plan_query(bq, configs[1].apply(catalog))
+        text, cost = first.explain(), first.total_cost
+        snapshot = _tree_snapshot(first)
+        for config in configs[2:]:
+            plan_query(bq, config.apply(catalog))
+            model.cost(bq, config)  # slot pricing shares the same nodes
+        assert first.explain() == text
+        assert first.total_cost == cost
+        assert _tree_snapshot(first) == snapshot
