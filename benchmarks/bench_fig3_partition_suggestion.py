@@ -9,14 +9,27 @@ and a replication-budget sweep.  Expected shape: benefit grows with the
 replication budget and then saturates.
 """
 
+import pytest
+
 from repro.autopart import AutoPartAdvisor
+from repro.evaluation import WorkloadEvaluator
 
 from conftest import print_table
 
 
-def test_fig3_partition_panel(sdss_env, sdss_inum, benchmark):
+@pytest.fixture(scope="module")
+def sdss_evaluator(sdss_env):
+    """AutoPart prices its search on the evaluation backplane, so it
+    takes a (warmed) ``WorkloadEvaluator``, not a plain INUM model."""
     catalog, workload = sdss_env
-    advisor = AutoPartAdvisor(catalog, cost_model=sdss_inum)
+    evaluator = WorkloadEvaluator(catalog)
+    evaluator.warm_up(workload)
+    return evaluator
+
+
+def test_fig3_partition_panel(sdss_env, sdss_evaluator, benchmark):
+    catalog, workload = sdss_env
+    advisor = AutoPartAdvisor(catalog, cost_model=sdss_evaluator)
 
     rec = benchmark(advisor.recommend, workload, 5_000)
 
@@ -51,9 +64,9 @@ def test_fig3_partition_panel(sdss_env, sdss_inum, benchmark):
     assert all(new <= base + 1e-6 for __, base, new in rec.per_query)
 
 
-def test_fig3_replication_budget_sweep(sdss_env, sdss_inum, benchmark):
+def test_fig3_replication_budget_sweep(sdss_env, sdss_evaluator, benchmark):
     catalog, workload = sdss_env
-    advisor = AutoPartAdvisor(catalog, cost_model=sdss_inum)
+    advisor = AutoPartAdvisor(catalog, cost_model=sdss_evaluator)
     table_pages = catalog.table("photoobj").pages
     budgets = [0, table_pages // 8, table_pages // 2, 2 * table_pages]
 

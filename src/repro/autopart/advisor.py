@@ -88,7 +88,23 @@ class AutoPartAdvisor:
 
     def __init__(self, catalog, settings=None, cost_model=None):
         self.catalog = catalog
-        self.cost_model = cost_model or WorkloadEvaluator(catalog, settings)
+        if cost_model is None:
+            cost_model = WorkloadEvaluator(catalog, settings)
+        elif not isinstance(cost_model, WorkloadEvaluator):
+            raise DesignError(
+                "AutoPartAdvisor prices its search as kernel delta batches: "
+                "pass a WorkloadEvaluator as cost_model, not a %s"
+                % type(cost_model).__name__
+            )
+        self.cost_model = cost_model
+
+    def _totals(self, workload, parent, children):
+        """Workload cost of each of *children*, priced as deltas off
+        *parent* — only slots on tables whose design differs re-resolve
+        (and, through the cover-keyed slot memo, only references whose
+        cover changed weight re-price).  Equal to ``workload_cost`` per
+        child, bit for bit."""
+        return self.cost_model.evaluate_deltas(workload, parent, children).totals
 
     # ------------------------------------------------------------------
 
@@ -116,17 +132,17 @@ class AutoPartAdvisor:
         if horizontal:
             config = self._horizontal_phase(workload, config, merge_log)
 
-        base_cost = self.cost_model.workload_cost(workload)
-        new_cost = self.cost_model.workload_cost(workload, config)
-        per_query = []
-        for sql, weight in workload_pairs(workload):
-            per_query.append(
-                (
-                    sql,
-                    weight * self.cost_model.cost(sql),
-                    weight * self.cost_model.cost(sql, config),
-                )
+        report = self.cost_model.evaluate_many(
+            workload, [Configuration.empty(), config]
+        )
+        base_cost, new_cost = report.totals
+        base_row, new_row = report.matrix
+        per_query = [
+            (sql, weight * base, weight * new)
+            for (sql, weight), base, new in zip(
+                workload_pairs(workload), base_row, new_row
             )
+        ]
         return PartitionRecommendation(
             configuration=config,
             base_workload_cost=base_cost,
@@ -181,33 +197,40 @@ class AutoPartAdvisor:
         if not config.layouts:
             return config
 
-        current_cost = self.cost_model.workload_cost(workload, config)
+        (current_cost,) = self._totals(workload, config, [config])
         for round_no in range(max_rounds):
-            best = None  # (cost, new_config, description)
+            # One delta batch per round: every pairwise merge of every
+            # layout, in enumeration order, priced off the current design.
+            merges = []  # (candidate configuration, layout, i, j)
             for layout in config.layouts:
                 frags = layout.fragments
                 for i in range(len(frags)):
                     for j in range(i + 1, len(frags)):
                         merged = self._merge_fragments(layout, i, j)
-                        candidate = config.with_layout(merged)
-                        cost = self.cost_model.workload_cost(workload, candidate)
-                        if cost < current_cost - 1e-9 and (
-                            best is None or cost < best[0]
-                        ):
-                            best = (
-                                cost,
-                                candidate,
-                                "merge %s: {%s}+{%s}"
-                                % (
-                                    layout.table_name,
-                                    ",".join(frags[i].columns),
-                                    ",".join(frags[j].columns),
-                                ),
-                            )
+                        merges.append((config.with_layout(merged), layout, i, j))
+            if not merges:
+                break
+            costs = self._totals(workload, config, [m[0] for m in merges])
+            best = None  # position of the first strictly lowest total
+            for pos, cost in enumerate(costs):
+                if cost < current_cost - 1e-9 and (
+                    best is None or cost < costs[best]
+                ):
+                    best = pos
             if best is None:
                 break
-            current_cost, config, note = best
-            merge_log.append("round %d: %s -> cost %.1f" % (round_no, note, current_cost))
+            current_cost = costs[best]
+            config, layout, i, j = merges[best]
+            merge_log.append(
+                "round %d: merge %s: {%s}+{%s} -> cost %.1f"
+                % (
+                    round_no,
+                    layout.table_name,
+                    ",".join(layout.fragments[i].columns),
+                    ",".join(layout.fragments[j].columns),
+                    current_cost,
+                )
+            )
 
         if replication_budget > 0:
             config, current_cost = self._replication_phase(
@@ -258,7 +281,8 @@ class AutoPartAdvisor:
             )
             if replication > budget:
                 continue
-            cost = self.cost_model.workload_cost(workload, candidate)
+            # Accepts are sequential: a one-child delta off the current design.
+            (cost,) = self._totals(workload, config, [candidate])
             if cost < current_cost - 1e-9:
                 config, current_cost = candidate, cost
                 layout_by_table[table_name] = widened
@@ -282,7 +306,7 @@ class AutoPartAdvisor:
                         counts = stats_by_table.setdefault(table.name, {})
                         counts[f.column] = counts.get(f.column, 0.0) + weight
 
-        current_cost = self.cost_model.workload_cost(workload, config)
+        (current_cost,) = self._totals(workload, config, [config])
         for table_name, counts in sorted(stats_by_table.items()):
             column = max(sorted(counts), key=lambda c: counts[c])
             bounds = self._quantile_bounds(table_name, column)
@@ -291,7 +315,7 @@ class AutoPartAdvisor:
             candidate = config.with_horizontal(
                 HorizontalPartitioning(table_name, column, bounds)
             )
-            cost = self.cost_model.workload_cost(workload, candidate)
+            (cost,) = self._totals(workload, config, [candidate])
             if cost < current_cost - 1e-9:
                 merge_log.append(
                     "horizontal %s on %s (%d parts) -> cost %.1f"

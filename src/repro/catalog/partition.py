@@ -95,28 +95,34 @@ class VerticalLayout:
         Returns the chosen fragments; raises if the columns cannot be
         covered (which :meth:`validate_covers` should have prevented).
         """
-        needed = set(needed_columns)
+        remaining = set(needed_columns)
+        # Only a fragment holding a needed column can ever be chosen, so
+        # the rest drop out up front (the survivors keep their order,
+        # which is what breaks score ties).
+        candidates = []  # (fragment, needed columns it holds, its width)
+        for frag in self.fragments:
+            useful = remaining.intersection(frag.columns)
+            if useful:
+                candidates.append((frag, useful, len(frag.columns)))
         chosen = []
-        remaining = set(needed)
-        candidates = list(self.fragments)
         while remaining:
             best = None
             best_score = None
-            for frag in candidates:
-                gain = len(remaining & set(frag.columns))
+            for pos, (__, useful, width) in enumerate(candidates):
+                gain = len(remaining & useful)
                 if gain == 0:
                     continue
-                score = (len(frag.columns) - gain, len(frag.columns))
+                score = (width - gain, width)
                 if best is None or score < best_score:
-                    best, best_score = frag, score
+                    best, best_score = pos, score
             if best is None:
                 raise CatalogError(
                     "layout of %r cannot cover columns %s"
                     % (self.table_name, sorted(remaining))
                 )
-            chosen.append(best)
-            remaining -= set(best.columns)
-            candidates.remove(best)
+            frag, useful, __ = candidates.pop(best)
+            chosen.append(frag)
+            remaining -= useful
         return chosen
 
 

@@ -18,6 +18,9 @@ class Table:
     _by_name: dict = field(default=None, repr=False, compare=False)
     _full_width: int = field(default=0, repr=False, compare=False)
     _pages: tuple = field(default=None, repr=False, compare=False)  # (row_count, pages)
+    # projected column names -> (row_count, pages); a partition search
+    # asks for the same few fragments' sizes once per candidate layout.
+    _projection_pages: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name or not self.name.islower():
@@ -32,6 +35,7 @@ class Table:
                 raise CatalogError("duplicate column %r in table %r" % (col.name, self.name))
             self._by_name[col.name] = col
         self._full_width = sum(c.width for c in self.columns)
+        self._projection_pages = {}
 
     # ------------------------------------------------------------------
 
@@ -68,8 +72,15 @@ class Table:
     def projection_pages(self, column_names):
         """Heap pages a vertical fragment holding *column_names* would use
         (includes the 8-byte row id that stitches fragments back together)."""
-        width = self.row_width(column_names) + 8
-        return pagemodel.heap_pages(self.row_count, width)
+        key = tuple(column_names)
+        cached = self._projection_pages.get(key)
+        if cached is None or cached[0] != self.row_count:
+            width = self.row_width(key) + 8
+            cached = self._projection_pages[key] = (
+                self.row_count,
+                pagemodel.heap_pages(self.row_count, width),
+            )
+        return cached[1]
 
     # ------------------------------------------------------------------
 

@@ -20,8 +20,13 @@ CoPhy's quality guarantee.
 import math
 from dataclasses import dataclass, field
 
-from repro.inum.cache import _DesignView
-from repro.optimizer.paths import forget_indexes
+from repro.inum.cache import (
+    _DesignView,
+    _best_param_access,
+    _best_scan_access,
+    _slot_key,
+)
+from repro.optimizer import paths as P
 from repro.optimizer.writecost import (
     affected_rows,
     heap_write_cost,
@@ -94,11 +99,14 @@ class BipProblem:
         against the empty-set base state instead of allocating the
         dense batch × options mask — bit-identical, and the mode the
         column-generation solver routes its pricing through."""
+        return self._compiled().evaluate(batch, sparse=sparse)
+
+    def _compiled(self):
         if self._kernel is None:
             from repro.evaluation.kernel import BipKernel
 
             self._kernel = BipKernel(self)
-        return self._kernel.evaluate(batch, sparse=sparse)
+        return self._kernel
 
     def config_costs_delta(self, chosen, extensions):
         """Objective values of ``chosen + [pos]`` for every extension
@@ -108,12 +116,18 @@ class BipProblem:
         Equals ``config_costs([chosen + [pos] for pos in extensions])``
         bit-exactly; *chosen* must be passed in selection order (the
         penalty term replays its set-iteration order)."""
-        if self._kernel is None:
-            from repro.evaluation.kernel import BipKernel
+        kernel = self._compiled()
+        return kernel.evaluate_delta(kernel.delta_state(chosen), extensions)
 
-            self._kernel = BipKernel(self)
-        state = self._kernel.delta_state(chosen)
-        return self._kernel.evaluate_delta(state, extensions)
+    def used_positions(self, chosen_positions):
+        """The members of *chosen_positions* (order kept) whose option
+        wins a slot of some query's cheapest plan under that set — the
+        argmin witness of :meth:`config_cost`.  Dropping the others
+        leaves every query's winning plan and its slot winners in place,
+        so the read cost is bit-identical, the size can only shrink and
+        the write penalties can only fall; the result is its own
+        witness (every kept position is still used)."""
+        return self._compiled().used_positions(chosen_positions)
 
     def config_costs_scalar(self, batch):
         """The scalar reference pricing of a batch of candidate sets —
@@ -186,6 +200,130 @@ class BipProblem:
         return sum(self.sizes[pos] for pos in set(chosen_positions))
 
 
+class CandidatePricer:
+    """Exact slot access costs for single-candidate design views — the
+    one pricer behind ``build_bip`` and column generation.
+
+    For one slot the scan context, sequential path, base-design path
+    groups, BitmapAnd arms and parameterized probes are assembled once
+    (path groups come from the shared scan-context memo in
+    ``optimizer/paths``; only that per-slot base assembly is kept
+    here); pricing candidate *j* then adds only *j*'s own path group and
+    re-runs the same winner functions the INUM memo runs
+    (:func:`~repro.inum.cache._best_scan_access` /
+    ``_best_param_access``).  Single-index design views change neither
+    relation geometry (no layouts or partitionings) nor the path order
+    (base indexes first, *j* appended last, the combining BitmapAnd
+    always last), so every price is **bit-identical** to
+    ``inum_model.slot_cost(bq, slot, _DesignView(catalog,
+    Configuration.of(j)))`` — the tests pin this pair by pair.  Being
+    the same number, it is kept in the same place: the model's slot
+    memo, under the single-index design's key.  A warm model (an online
+    refresh, a second solver over one evaluator) is answered from it,
+    and the interaction analyzer finds the single-index designs priced."""
+
+    def __init__(self, model):
+        self.model = model
+        self.settings = model.settings
+        self.catalog = model.catalog
+        self.default_view = _DesignView(model.catalog, Configuration.empty())
+        self._scan_base = {}  # (sql, slot) -> (ctx, paths, arms, interesting)
+        self._param_base = {}  # (sql, slot) -> (ctx, parameterized base paths)
+        self._base_sets = {}  # table -> set of base-catalog indexes
+        self.pricings = 0
+
+    def _base_indexes(self, table_name):
+        base = self._base_sets.get(table_name)
+        if base is None:
+            base = set(self.catalog.indexes_on(table_name))
+            self._base_sets[table_name] = base
+        return base
+
+    def default_cost(self, bq, slot):
+        """The slot's cost under the base design (through the model's
+        shared memo — every other consumer prices the same entry)."""
+        return self.model.slot_cost(bq, slot, self.default_view)
+
+    def _scan_state(self, bq, slot):
+        key = (bq.sql, slot)
+        cached = self._scan_base.get(key)
+        if cached is None:
+            ctx = P.scan_context(bq, slot.alias, self.default_view)
+            interesting = (
+                {slot.required_order} if slot.required_order else set()
+            )
+            paths = [P.sequential_path(ctx, self.settings)]
+            arms = []
+            for ix in self.default_view.indexes_on(slot.table_name):
+                group, arm = P.index_path_group(
+                    ctx, ix, self.settings, interesting
+                )
+                if arm is not None:
+                    arms.append(arm)
+                paths.extend(group)
+            cached = self._scan_base[key] = (ctx, paths, arms, interesting)
+        return cached
+
+    def _param_state(self, bq, slot):
+        key = (bq.sql, slot)
+        cached = self._param_base.get(key)
+        if cached is None:
+            ctx = P.scan_context(bq, slot.alias, self.default_view)
+            cached = self._param_base[key] = (ctx, P.probe_paths(
+                ctx, self.default_view.indexes_on(slot.table_name),
+                self.settings, slot.param_columns,
+            ))
+        return cached
+
+    def price(self, bq, slot, index):
+        """``slot``'s cost when exactly ``index`` is added to the base
+        design — bit-identical to pricing the single-index design view
+        through the INUM winner logic (``None`` means infeasible).
+
+        An index that is already in the base design (the view
+        deduplicates it) or that offers this slot no path, arm or probe
+        leaves the path set — and therefore the winner — the default's,
+        so most of a candidate pool is answered by the O(1) lead-column
+        check without assembling anything."""
+        self.pricings += 1
+        if index in self._base_indexes(slot.table_name) or not self._offers(
+            bq, slot, index
+        ):
+            return self.default_cost(bq, slot)
+        bucket = self.model.slot_cost_bucket(bq)
+        key = _slot_key(bq, slot, (frozenset((index,)), None, None))
+        if key not in bucket:
+            bucket[key] = self._assemble(bq, slot, index)
+        return bucket[key]
+
+    def _offers(self, bq, slot, index):
+        if slot.param_columns:
+            ctx, __ = self._param_state(bq, slot)
+            return P.offers_probe_path(ctx, index, slot.param_columns)
+        ctx, __, __, interesting = self._scan_state(bq, slot)
+        return P.offers_scan_paths(ctx, index, interesting)
+
+    def _assemble(self, bq, slot, index):
+        """The slot's base paths plus *index*'s own, through the winner
+        function of the slot's kind."""
+        if slot.param_columns:
+            ctx, paths = self._param_state(bq, slot)
+            own = P.parameterized_path_for(
+                ctx, index, self.settings, slot.param_columns
+            )
+            if own is not None:
+                paths = paths + [own]
+            return _best_param_access(slot, paths)
+        ctx, base_paths, base_arms, interesting = self._scan_state(bq, slot)
+        group, arm = P.index_path_group(ctx, index, self.settings, interesting)
+        paths = [*base_paths, *group]
+        arms = base_arms if arm is None else base_arms + [arm]
+        and_path = P.bitmap_and_path(ctx, arms, self.settings)
+        if and_path is not None:
+            paths.append(and_path)
+        return _best_scan_access(slot, paths, self.settings)
+
+
 def build_bip(inum_model, workload, candidates, budget_pages, max_indexes=None):
     """Assemble the BIP for *workload* over *candidates* under a budget."""
     catalog = inum_model.catalog
@@ -196,10 +334,7 @@ def build_bip(inum_model, workload, candidates, budget_pages, max_indexes=None):
     for pos, ix in enumerate(candidates):
         by_table.setdefault(ix.table_name, []).append(pos)
 
-    default_view = _DesignView(catalog, Configuration.empty())
-    single_views = [
-        _DesignView(catalog, Configuration.of(ix)) for ix in candidates
-    ]
+    pricer = CandidatePricer(inum_model)
 
     problem = BipProblem(
         candidates=list(candidates),
@@ -219,15 +354,15 @@ def build_bip(inum_model, workload, candidates, budget_pages, max_indexes=None):
             plan_term = PlanTerm(internal_cost=cached.internal_cost, slots=[])
             feasible = True
             for slot in cached.slots:
-                # Slot pricing goes through the model's memo, so BIP
-                # construction shares per-slot access costs with every
-                # other consumer of the evaluation backplane.
+                # The default goes through the model's slot memo, shared
+                # with every other consumer of the evaluation backplane;
+                # candidates are priced off the slot's base path assembly.
                 options = []
-                default = inum_model.slot_cost(bq, slot, default_view)
+                default = pricer.default_cost(bq, slot)
                 if default is not None:
                     options.append((-1, default))
                 for pos in by_table.get(slot.table_name, ()):
-                    cost = inum_model.slot_cost(bq, slot, single_views[pos])
+                    cost = pricer.price(bq, slot, candidates[pos])
                     if cost is not None and (default is None or cost < default):
                         options.append((pos, cost))
                 if not options:
@@ -248,11 +383,11 @@ def build_bip(inum_model, workload, candidates, budget_pages, max_indexes=None):
             )
             continue
         add_query_term(bound, weight)
-    # Repeat pricings are served by the model's slot memo: release the
+    # Every (slot, candidate) price is an option now: release the
     # candidate pool's path groups rather than keep them on every query.
     pool = set(candidates)
     for bq in priced:
-        forget_indexes(bq, pool)
+        P.forget_indexes(bq, pool)
     if not any(problem.index_penalties):
         # Read-only workload: every penalty is +0.0, and adding +0.0 is
         # the floating-point identity, so every pricing path can skip

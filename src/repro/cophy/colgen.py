@@ -7,18 +7,10 @@ candidate every round — fine at ``max_candidates=60``, a scaling cliff
 at thousands.  :func:`solve_colgen` keeps the *search* exact while
 doing lazy work, in three parts:
 
-* :class:`CandidatePricer` — exact per-(slot, candidate) access costs
-  without per-candidate path regeneration.  For one slot the scan
-  context, sequential path, base-design path groups, BitmapAnd arms and
-  parameterized probes are assembled once; pricing candidate *j* then
-  adds only *j*'s own path group and re-runs the same winner functions
-  the INUM memo runs (:func:`~repro.inum.cache._best_scan_access` /
-  ``_best_param_access``).  Single-index design views change neither
-  relation geometry (no layouts or partitionings) nor the path order
-  (base indexes first, *j* appended last, the combining BitmapAnd
-  always last), so every price is **bit-identical** to
-  ``inum_model.slot_cost(bq, slot, _DesignView(catalog,
-  Configuration.of(j)))`` — the tests pin this pair by pair.
+* :class:`~repro.cophy.bip.CandidatePricer` (shared with ``build_bip``)
+  — exact per-(slot, candidate) access costs without per-candidate path
+  regeneration, **bit-identical** to pricing the single-index design
+  view through the INUM slot memo (its docstring says why).
 
 * a *restricted master*: a :class:`~repro.cophy.bip.BipProblem` over
   the **full** candidate vector whose slot options only mention the
@@ -57,9 +49,14 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.cophy.bip import BipProblem, PlanTerm, QueryTerm, SlotOptions
+from repro.cophy.bip import (
+    BipProblem,
+    CandidatePricer,
+    PlanTerm,
+    QueryTerm,
+    SlotOptions,
+)
 from repro.cophy.solvers import SolveResult, observed_solve
-from repro.inum.cache import _DesignView, _best_param_access, _best_scan_access
 from repro.optimizer import paths as P
 from repro.optimizer.writecost import (
     affected_rows,
@@ -70,7 +67,6 @@ from repro.optimizer.writecost import (
 )
 from repro.sql.binder import BoundWrite
 from repro.util import workload_pairs
-from repro.whatif import Configuration
 
 # Inactive candidates activated per refinement wave, in descending
 # bound-score order.  Small enough not to flood the active set when the
@@ -81,91 +77,6 @@ _WAVE_SIZE = 32
 # Greedy's benefit threshold (a candidate must beat it to be chosen) —
 # shared so the bound prunes against exactly the decision rule.
 _BENEFIT_EPS = 1e-9
-
-
-class CandidatePricer:
-    """Exact slot access costs for single-candidate design views.  Path
-    groups come from the shared scan-context memo (``optimizer/paths``);
-    only the per-slot base assembly is kept here (see module doc)."""
-
-    def __init__(self, model):
-        self.model = model
-        self.settings = model.settings
-        self.catalog = model.catalog
-        self.default_view = _DesignView(model.catalog, Configuration.empty())
-        self._scan_base = {}  # (sql, slot) -> (ctx, paths, arms, interesting)
-        self._param_base = {}  # (sql, slot) -> (ctx, parameterized base paths)
-        self._base_sets = {}  # table -> set of base-catalog indexes
-        self.pricings = 0
-
-    def _base_indexes(self, table_name):
-        base = self._base_sets.get(table_name)
-        if base is None:
-            base = set(self.catalog.indexes_on(table_name))
-            self._base_sets[table_name] = base
-        return base
-
-    def default_cost(self, bq, slot):
-        """The slot's cost under the base design (through the model's
-        shared memo — every other consumer prices the same entry)."""
-        return self.model.slot_cost(bq, slot, self.default_view)
-
-    def _scan_state(self, bq, slot):
-        key = (bq.sql, slot)
-        cached = self._scan_base.get(key)
-        if cached is None:
-            ctx = P.scan_context(bq, slot.alias, self.default_view)
-            interesting = (
-                {slot.required_order} if slot.required_order else set()
-            )
-            paths = [P.sequential_path(ctx, self.settings)]
-            arms = []
-            for ix in self.default_view.indexes_on(slot.table_name):
-                group, arm = P.index_path_group(
-                    ctx, ix, self.settings, interesting
-                )
-                if arm is not None:
-                    arms.append(arm)
-                paths.extend(group)
-            cached = self._scan_base[key] = (ctx, paths, arms, interesting)
-        return cached
-
-    def _param_state(self, bq, slot):
-        key = (bq.sql, slot)
-        cached = self._param_base.get(key)
-        if cached is None:
-            ctx = P.scan_context(bq, slot.alias, self.default_view)
-            cached = self._param_base[key] = (ctx, P.probe_paths(
-                ctx, self.default_view.indexes_on(slot.table_name),
-                self.settings, slot.param_columns,
-            ))
-        return cached
-
-    def price(self, bq, slot, index):
-        """``slot``'s cost when exactly ``index`` is added to the base
-        design — bit-identical to pricing the single-index design view
-        through the INUM winner logic (``None`` means infeasible)."""
-        self.pricings += 1
-        if index in self._base_indexes(slot.table_name):
-            # The design view deduplicates against the base catalog, so
-            # the path set — and therefore the winner — is the default's.
-            return self.default_cost(bq, slot)
-        if slot.param_columns:
-            ctx, paths = self._param_state(bq, slot)
-            own = P.parameterized_path_for(
-                ctx, index, self.settings, slot.param_columns
-            )
-            if own is not None:
-                paths = paths + [own]
-            return _best_param_access(slot, paths)
-        ctx, base_paths, base_arms, interesting = self._scan_state(bq, slot)
-        group, arm = P.index_path_group(ctx, index, self.settings, interesting)
-        paths = [*base_paths, *group]
-        arms = base_arms if arm is None else base_arms + [arm]
-        and_path = P.bitmap_and_path(ctx, arms, self.settings)
-        if and_path is not None:
-            paths.append(and_path)
-        return _best_scan_access(slot, paths, self.settings)
 
 
 class _Master:

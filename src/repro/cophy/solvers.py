@@ -9,7 +9,18 @@
   fast approximate mode that trades quality for execution time.
 
 All backends report the *true* objective of the returned configuration
-(via :meth:`BipProblem.config_cost`) so results are directly comparable.
+(via :meth:`BipProblem.config_cost`) so results are directly comparable,
+and return only indexes that configuration's cheapest plans read
+(:meth:`BipProblem.used_positions`): an index variable the LP left at 1
+without any winning access reading it costs storage and buys nothing.
+
+Only the index variables ``y`` are declared integer.  For any binary
+``y`` the remaining LP over ``(z, x)`` puts each query's unit of ``z``
+mass on its cheapest feasible plan and each slot on its cheapest open
+option, so it has an integral optimum equal to ``config_cost(y)`` —
+branching on ``z``/``x`` can only cost time
+(``tests/test_cophy.py::TestRelaxationIsExact`` checks this with
+``linprog``, independently of the MILP backend).
 """
 
 import math
@@ -55,7 +66,6 @@ class _Matrices:
     a_ub: sparse.csr_matrix
     b_ub: np.ndarray
     n_y: int
-    x_meta: list = field(default_factory=list)  # (var, candidate_pos)
 
 
 def _assemble(problem):
@@ -66,7 +76,6 @@ def _assemble(problem):
             c[pos] = problem.index_penalties[pos]
     eq_rows, eq_cols, eq_vals, b_eq = [], [], [], []
     ub_rows, ub_cols, ub_vals, b_ub = [], [], [], []
-    x_meta = []
     var = n_y
 
     def new_var(coef):
@@ -88,7 +97,6 @@ def _assemble(problem):
                     x = new_var(q.weight * cost)
                     eq_rows.append(row), eq_cols.append(x), eq_vals.append(1.0)
                     if pos != -1:
-                        x_meta.append((x, pos))
                         # x - y_pos <= 0
                         ub_row = len(b_ub)
                         ub_rows.append(ub_row), ub_cols.append(x), ub_vals.append(1.0)
@@ -127,7 +135,6 @@ def _assemble(problem):
         a_ub=a_ub,
         b_ub=np.array(b_ub),
         n_y=n_y,
-        x_meta=x_meta,
     )
 
 
@@ -165,16 +172,18 @@ def solve_bip(problem, time_limit=60.0):
             optimize.LinearConstraint(mats.a_eq, mats.b_eq, mats.b_eq),
             optimize.LinearConstraint(mats.a_ub, -np.inf, mats.b_ub),
         ]
+        integrality = np.zeros(n)
+        integrality[: mats.n_y] = 1
         res = optimize.milp(
             c=mats.c,
             constraints=constraints,
-            integrality=np.ones(n),
+            integrality=integrality,
             bounds=optimize.Bounds(0.0, 1.0),
             options={"time_limit": time_limit},
         )
         if res.x is None:
             raise RuntimeError("MILP solver failed: %s" % (res.message,))
-        chosen = _chosen_from_y(res.x[: mats.n_y])
+        chosen = problem.used_positions(_chosen_from_y(res.x[: mats.n_y]))
         objective = problem.config_cost(chosen)
         return observed_solve(SolveResult(
             chosen_positions=chosen,
@@ -226,9 +235,10 @@ def solve_lp_rounding(problem):
         if used + problem.sizes[pos] <= problem.budget_pages:
             chosen.append(pos)
             used += problem.sizes[pos]
+    chosen = problem.used_positions(chosen)
     objective = problem.config_cost(chosen)
     return observed_solve(SolveResult(
-        chosen_positions=tuple(chosen),
+        chosen_positions=chosen,
         objective=objective,
         lower_bound=float(res.fun) + problem.write_base_cost,
         status="rounded",
@@ -286,9 +296,10 @@ def solve_branch_and_bound(problem, max_nodes=400):
         stack.append((fixed_zero + (frac_pos,), fixed_one))
         stack.append((fixed_zero, fixed_one + (frac_pos,)))
 
-    if not math.isfinite(best_obj):
-        best_chosen = ()
-        best_obj = problem.config_cost(())
+    # No incumbent leaves best_chosen empty, and the empty set's witness
+    # is empty.
+    best_chosen = problem.used_positions(best_chosen)
+    best_obj = problem.config_cost(best_chosen)
     return observed_solve(SolveResult(
         chosen_positions=best_chosen,
         objective=best_obj,

@@ -65,10 +65,19 @@ class BatchEvaluation:
 
     @property
     def totals(self):
-        """Weighted workload cost per configuration."""
-        return [
-            sum(w * c for w, c in zip(self.weights, row)) for row in self.matrix
-        ]
+        """Weighted workload cost per configuration, accumulated left to
+        right onto 0.0 exactly like
+        :meth:`~repro.inum.cache.InumCostModel.workload_cost` — builtin
+        ``sum`` is compensated from CPython 3.12 on and would differ in
+        the last bits, and AutoPart's accept/reject decisions compare
+        these totals."""
+        totals = []
+        for row in self.matrix:
+            total = 0.0
+            for weight, cost in zip(self.weights, row):
+                total += weight * cost
+            totals.append(total)
+        return totals
 
     def best(self):
         """(configuration, total) with the lowest workload cost."""

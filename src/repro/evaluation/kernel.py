@@ -823,6 +823,31 @@ class BipKernel:
             totals = penalties
         return totals.tolist()
 
+    def used_positions(self, chosen_positions):
+        """The members of *chosen_positions*, in the order given, that
+        the argmin witness of :meth:`evaluate` reads: per query the
+        first cheapest plan, per slot of that plan the first cheapest
+        applicable option (numpy first-min == the scalar walk's
+        first-strict-less win)."""
+        chosen = list(chosen_positions)
+        if not chosen or not self.n_slots or not self.plan_starts.size:
+            return ()
+        state = self.delta_state(chosen)
+        mask = np.zeros(self.n_candidates + 1, dtype=bool)
+        mask[self.n_candidates] = True  # the default access
+        mask[chosen] = True
+        masked = np.where(mask[self.opt_col], self.opt_cost, np.inf)
+        # Each slot's first option attaining its minimum (flatnonzero is
+        # ascending, so unique's first occurrence is the first option).
+        hits = np.flatnonzero(masked == state.winners[self.opt_slot])
+        slots, first = np.unique(self.opt_slot[hits], return_index=True)
+        slot_col = np.full(self.n_slots + 1, self.n_candidates, dtype=np.intp)
+        slot_col[slots] = self.opt_col[hits[first]]
+        pad = self._query_plan_pad()
+        plans = pad[np.arange(pad.shape[0]), state.acc[pad].argmin(axis=1)]
+        used = set(slot_col[self.plan_idx[plans]].ravel().tolist())
+        return tuple(pos for pos in chosen if pos in used)
+
     def _base_sparse(self):
         """The resolved ``(winners, acc)`` of the empty candidate set —
         default accesses only.  Kept separate from the single delta

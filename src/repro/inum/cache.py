@@ -231,22 +231,32 @@ class InumCostModel:
     def slot_cost(self, bq, slot, view, design_signature=None):
         """Memoized analytic access cost of *slot* under *view*.
 
-        The memo is keyed by the owning query, the slot, and the
-        per-table design signature, so it is shared across
-        configurations, across evaluate calls, and (through the cached
+        The memo is keyed by the owning query, the slot, and what the
+        cost reads of the per-table design (:func:`_slot_key`), so it is
+        shared across configurations, across evaluate calls, across
+        layouts whose covers weigh the same, and (through the cached
         plan's bound query) across alias-renamed queries that share one
         cache entry.  ``design_signature`` may be passed to avoid
         recomputing it in batched loops.
         """
         if design_signature is None:
             design_signature = view.design_signature(slot.table_name)
-        bucket = self._slot_costs.get(bq.sql)
-        if bucket is None:
-            bucket = self._slot_costs.setdefault(bq.sql, {})
-        key = (slot, design_signature)
+        bucket = self.slot_cost_bucket(bq)
+        key = _slot_key(bq, slot, design_signature)
         if key not in bucket:
             bucket[key] = _access_cost(slot, bq, view, self.settings)
         return bucket[key]
+
+    def slot_cost_bucket(self, bq):
+        """*bq*'s shard of the slot-cost memo, ``{_slot_key(...): cost}``
+        — for pricers that fill the same entries :meth:`slot_cost` would,
+        by a cheaper route (``cophy.bip.CandidatePricer``).  A bucket
+        popped by an eviction while a caller still holds it merely
+        collects lost, benign, writes."""
+        bucket = self._slot_costs.get(bq.sql)
+        if bucket is None:
+            bucket = self._slot_costs.setdefault(bq.sql, {})
+        return bucket
 
     def slot_choice(self, bq, slot, view, design_signature=None):
         """Memoized winning access of *slot* under *view* — the witness
@@ -261,7 +271,7 @@ class InumCostModel:
         bucket = self._slot_choices.get(bq.sql)
         if bucket is None:
             bucket = self._slot_choices.setdefault(bq.sql, {})
-        key = (slot, design_signature)
+        key = _slot_key(bq, slot, design_signature)
         if key not in bucket:
             bucket[key] = _access_cost(
                 slot, bq, view, self.settings, want_choice=True
@@ -565,6 +575,21 @@ class _DesignView:
             self._layouts.get(table_name),
             self._horizontals.get(table_name),
         )
+
+
+def _slot_key(bq, slot, design_signature):
+    """Slot-memo key under one per-table design signature.  Access
+    *costs* (and the indexes backing the winner) read only two numbers
+    of a vertical layout — the pages and fragment count of the cover
+    this reference scans (``relation_geometry``, ``_sequential_path``) —
+    so the layout is replaced by that geometry: a merge that leaves the
+    reference's cover alone, or trades it for one of equal weight,
+    re-prices nothing."""
+    indexes, layout, horizontal = design_signature
+    if layout is None:
+        return (slot, design_signature)
+    geometry = P.layout_cover(bq, slot.alias, layout)[1]
+    return (slot, (indexes, geometry, horizontal))
 
 
 def _consumed(path, slot):

@@ -47,10 +47,35 @@ class RelationGeometry:
     prune_fraction: float = 1.0
 
 
-def relation_geometry(bound_query, alias, catalog):
-    """Compute the effective size of *alias* given partition layouts."""
+def layout_cover(bound_query, alias, layout):
+    """What a scan of *alias* reads of a vertical *layout*: its *cover*
+    ``layout.fragments_for(needed)`` plus the two numbers of the cover
+    that access costs read, as ``(cover, (pages, fragment count))``.
+
+    A layout reaches a table reference only through its cover, so two
+    layouts with the same cover share one :class:`ScanContext`, and two
+    covers with the same geometry price every slot the same
+    (:meth:`~repro.inum.cache.InumCostModel.slot_cost` keys on it).
+    Memoized in :attr:`BoundQuery.scan_memo` per ``(alias, layout)`` —
+    the greedy set cover is the per-layout work that is left.
+    """
+    memo = bound_query.scan_memo
+    key = (alias, layout)
+    entry = memo.get(key)
+    if entry is None:
+        table = bound_query.table_for(alias)
+        needed = bound_query.referenced_columns(alias)
+        cover = tuple(layout.fragments_for(needed or set(table.column_names)))
+        pages = float(sum(f.pages(table) for f in cover))
+        entry = memo[key] = (cover, (pages, len(cover)))
+    return entry
+
+
+def relation_geometry(bound_query, alias, cover, horizontal):
+    """The effective size of *alias* under a vertical layout's
+    :func:`layout_cover` entry (or ``None``) and a horizontal
+    partitioning (or ``None``)."""
     table = bound_query.table_for(alias)
-    needed = bound_query.referenced_columns(alias)
     rows = float(table.row_count)
     scan_pages = float(table.pages)
     fetch_pages = float(table.pages)
@@ -59,14 +84,10 @@ def relation_geometry(bound_query, alias, catalog):
     partitions_total = 0
     prune_fraction = 1.0
 
-    layout = catalog.vertical_layout(table.name)
-    if layout is not None:
-        chosen = tuple(layout.fragments_for(needed or set(table.column_names)))
-        fragments = chosen
-        scan_pages = float(sum(f.pages(table) for f in chosen))
+    if cover is not None:
+        fragments, (scan_pages, __) = cover
         fetch_pages = scan_pages
 
-    horizontal = catalog.horizontal_partitioning(table.name)
     if horizontal is not None:
         prune_fraction, partitions_scanned = _prune(bound_query, alias, table, horizontal)
         partitions_total = horizontal.partition_count
@@ -238,7 +259,7 @@ class ScanContext:
     """Everything about pricing one table reference that does not depend
     on the secondary-index set: geometry, the filter set with per-filter
     selectivities, and the output shape — a pure function of (bound
-    query, alias, vertical layout, horizontal partitioning).
+    query, alias, the vertical layout's cover, horizontal partitioning).
 
     The context also owns the memo of what has been priced under it:
     per planner settings, the sequential path and each index's path
@@ -304,20 +325,26 @@ def scan_context(bound_query, alias, catalog):
     bound query.
 
     Only the relation geometry depends on *catalog*, and only through
-    vertical layouts / horizontal partitionings — so those two are the
-    memo key, and secondary-index-only overlays (a candidate design
-    view) share the base catalog's context.
+    the vertical layout's cover (:func:`layout_cover`) and the
+    horizontal partitioning — so those two are the memo key:
+    secondary-index-only overlays (a candidate design view) share the
+    base catalog's context, and so do layouts that differ only in
+    fragments this reference does not read.  The key is the cover
+    itself, not its geometry, because the memoized plan nodes *name*
+    the fragments.
     """
     table_name = bound_query.table_for(alias).name
+    layout = catalog.vertical_layout(table_name)
+    cover = None if layout is None else layout_cover(bound_query, alias, layout)
     key = (
         alias,
-        catalog.vertical_layout(table_name),
+        None if cover is None else cover[0],
         catalog.horizontal_partitioning(table_name),
     )
     memo = bound_query.scan_memo
     ctx = memo.get(key)
     if ctx is None or not ctx.is_current():
-        ctx = memo[key] = _build_context(bound_query, alias, catalog, key[2])
+        ctx = memo[key] = _build_context(bound_query, alias, cover, key[2])
     return ctx
 
 
@@ -332,14 +359,16 @@ def forget_indexes(bound_query, indexes):
     """
     # list(...) snapshots: other threads may be pricing into the memo.
     for ctx in list(bound_query.scan_memo.values()):
+        if not isinstance(ctx, ScanContext):
+            continue  # a layout_cover entry: nothing priced per index
         for memo in list(ctx._priced.values()):
             for key in list(memo):
                 if (key[0] if type(key) is tuple else key) in indexes:
                     memo.pop(key, None)
 
 
-def _build_context(bound_query, alias, catalog, horizontal):
-    geometry = relation_geometry(bound_query, alias, catalog)
+def _build_context(bound_query, alias, cover, horizontal):
+    geometry = relation_geometry(bound_query, alias, cover, horizontal)
     table = geometry.table
     filters = bound_query.filters_for(alias)
     filter_sel = {}
@@ -379,6 +408,21 @@ def sequential_path(ctx, settings):
     return path
 
 
+def offers_scan_paths(ctx, index, interesting_columns=()):
+    """False when *index* cannot contribute a path or a BitmapAnd arm
+    under *ctx*: its leading column carries no boundary condition and no
+    useful order, so there is nothing to price."""
+    lead = index.columns[0]
+    return lead in ctx.boundary_columns or lead in interesting_columns
+
+
+def offers_probe_path(ctx, index, param_columns):
+    """False when *index*'s key prefix closes before reaching a probe
+    column, so it cannot serve a nested-loop inner on *param_columns*."""
+    lead = index.columns[0]
+    return lead in param_columns or lead in ctx.eq_columns
+
+
 def index_path_group(ctx, index, settings, interesting_columns=()):
     """One index's non-parameterized paths under *ctx*.
 
@@ -389,11 +433,8 @@ def index_path_group(ctx, index, settings, interesting_columns=()):
     holds (only the combining BitmapAnd path couples indexes) — which is
     what lets the context memoize it per (index, settings).
     """
-    lead = index.columns[0]
-    if lead not in ctx.boundary_columns and lead not in interesting_columns:
-        # No boundary condition and no useful order: nothing to price,
-        # and nothing worth remembering about this index.
-        return (), None
+    if not offers_scan_paths(ctx, index, interesting_columns):
+        return (), None  # nothing worth remembering about this index
     memo = ctx._memo(settings)
     entry = memo.get(index)
     if entry is None:
@@ -411,9 +452,8 @@ def index_path_group(ctx, index, settings, interesting_columns=()):
 def parameterized_path_for(ctx, index, settings, param_columns):
     """One index's parameterized probe path under *ctx* (or ``None``),
     memoized per (index, settings, probed columns)."""
-    lead = index.columns[0]
-    if lead not in param_columns and lead not in ctx.eq_columns:
-        return None  # the key prefix closes before reaching a probe column
+    if not offers_probe_path(ctx, index, param_columns):
+        return None
     memo = ctx._memo(settings)
     key = (index, tuple(param_columns))
     path = memo.get(key, _MISSING)

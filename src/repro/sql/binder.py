@@ -128,8 +128,9 @@ class BoundQuery:
     _referenced: dict = field(default=None, repr=False)
     _sql: str = field(default=None, repr=False)
     # Design-invariant scan pricing memo, owned here so it is dropped with
-    # the bound query (bind caches, pool entries): (alias, vertical
-    # layout, horizontal partitioning) -> optimizer.paths.ScanContext.
+    # the bound query (bind caches, pool entries): (alias, layout cover,
+    # horizontal partitioning) -> optimizer.paths.ScanContext, and
+    # (alias, vertical layout) -> optimizer.paths.layout_cover entry.
     scan_memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

@@ -1,0 +1,296 @@
+"""Reference implementations the shipped code is pinned against.
+
+Shipped code has one pricing path per job; the slow, obviously-right
+forms it replaced live here, where only tests can reach them (ROADMAP
+item 3).  Nothing in this file is tuned, batched or memoized on purpose.
+
+* :class:`ScalarAutoPartAdvisor` — AutoPart's merge / replication /
+  horizontal search as it ran before it moved onto the evaluation
+  backplane: one scalar ``workload_cost`` walk per candidate, ``2N + 2``
+  scalar calls for the report.  Works over a plain ``InumCostModel``.
+* :func:`fragments_for_reference` — the greedy fragment set cover
+  without the up-front filtering of useless fragments.
+* :func:`solve_bip_all_integer` / :func:`relaxation_value` — the
+  all-integer MILP and the ``(z, x)`` LP under a fixed binary ``y``,
+  the two ends the y-only MILP is checked against.
+* :func:`used_positions_reference` — the argmin witness of
+  ``config_cost`` as a scalar first-strict-less walk.
+"""
+
+import numpy as np
+from scipy import optimize
+
+from repro.autopart.advisor import (
+    AutoPartAdvisor,
+    PartitionRecommendation,
+    _bound_queries,
+)
+from repro.catalog import HorizontalPartitioning, VerticalFragment, VerticalLayout
+from repro.cophy.solvers import _assemble
+from repro.util import CatalogError, DesignError, workload_pairs
+from repro.whatif import Configuration
+
+
+class ScalarAutoPartAdvisor(AutoPartAdvisor):
+    """The scalar search: candidate enumeration is the shipped class's
+    (``_usage_signatures``, ``_primary_layout``, ``_merge_fragments``,
+    ``_quantile_bounds``); every price is a ``workload_cost`` walk and
+    every selection rule is spelled out again here."""
+
+    def __init__(self, catalog, cost_model):
+        self.catalog = catalog
+        self.cost_model = cost_model  # any InumCostModel
+
+    def recommend(self, workload, replication_budget_pages=0, vertical=True,
+                  horizontal=True, max_merge_rounds=50):
+        workload = list(workload)
+        if not workload:
+            raise DesignError("cannot partition for an empty workload")
+        if replication_budget_pages < 0:
+            raise DesignError("replication budget must be non-negative")
+
+        merge_log = []
+        config = Configuration.empty()
+        if vertical:
+            config = self._vertical_phase(
+                workload, replication_budget_pages, max_merge_rounds, merge_log
+            )
+        if horizontal:
+            config = self._horizontal_phase(workload, config, merge_log)
+
+        base_cost = self.cost_model.workload_cost(workload)
+        new_cost = self.cost_model.workload_cost(workload, config)
+        per_query = []
+        for sql, weight in workload_pairs(workload):
+            per_query.append(
+                (
+                    sql,
+                    weight * self.cost_model.cost(sql),
+                    weight * self.cost_model.cost(sql, config),
+                )
+            )
+        return PartitionRecommendation(
+            configuration=config,
+            base_workload_cost=base_cost,
+            predicted_workload_cost=new_cost,
+            replication_pages=sum(
+                l.replication_pages(self.catalog.table(l.table_name))
+                for l in config.layouts
+            ),
+            per_query=per_query,
+            merge_log=merge_log,
+        )
+
+    def _vertical_phase(self, workload, replication_budget, max_rounds, merge_log):
+        usage = self._usage_signatures(workload)
+        config = Configuration.empty()
+        for table_name, column_usage in sorted(usage.items()):
+            table = self.catalog.table(table_name)
+            layout = self._primary_layout(table, column_usage)
+            if len(layout.fragments) <= 1:
+                continue
+            config = config.with_layout(layout)
+
+        if not config.layouts:
+            return config
+
+        current_cost = self.cost_model.workload_cost(workload, config)
+        for round_no in range(max_rounds):
+            best = None  # (cost, new_config, description)
+            for layout in config.layouts:
+                frags = layout.fragments
+                for i in range(len(frags)):
+                    for j in range(i + 1, len(frags)):
+                        merged = self._merge_fragments(layout, i, j)
+                        candidate = config.with_layout(merged)
+                        cost = self.cost_model.workload_cost(workload, candidate)
+                        if cost < current_cost - 1e-9 and (
+                            best is None or cost < best[0]
+                        ):
+                            best = (
+                                cost,
+                                candidate,
+                                "merge %s: {%s}+{%s}"
+                                % (
+                                    layout.table_name,
+                                    ",".join(frags[i].columns),
+                                    ",".join(frags[j].columns),
+                                ),
+                            )
+            if best is None:
+                break
+            current_cost, config, note = best
+            merge_log.append(
+                "round %d: %s -> cost %.1f" % (round_no, note, current_cost)
+            )
+
+        if replication_budget > 0:
+            config, current_cost = self._replication_phase(
+                workload, config, current_cost, replication_budget, merge_log
+            )
+        kept = tuple(l for l in config.layouts if len(l.fragments) > 1)
+        return Configuration(
+            indexes=config.indexes, layouts=kept, horizontals=config.horizontals
+        )
+
+    def _replication_phase(self, workload, config, current_cost, budget, merge_log):
+        layout_by_table = {l.table_name: l for l in config.layouts}
+        candidates = []
+        for bq, __ in _bound_queries(workload, self.catalog):
+            for alias in bq.aliases:
+                table = bq.table_for(alias)
+                layout = layout_by_table.get(table.name)
+                if layout is None:
+                    continue
+                needed = tuple(sorted(bq.referenced_columns(alias)))
+                if not needed or len(layout.fragments_for(needed)) <= 1:
+                    continue
+                candidates.append((table.name, needed))
+        seen = set()
+        for table_name, needed in candidates:
+            if (table_name, needed) in seen:
+                continue
+            seen.add((table_name, needed))
+            layout = layout_by_table[table_name]
+            extra = VerticalFragment(table_name, needed)
+            widened = VerticalLayout(table_name, layout.fragments + (extra,))
+            candidate = config.with_layout(widened)
+            replication = sum(
+                l.replication_pages(self.catalog.table(l.table_name))
+                for l in candidate.layouts
+            )
+            if replication > budget:
+                continue
+            cost = self.cost_model.workload_cost(workload, candidate)
+            if cost < current_cost - 1e-9:
+                config, current_cost = candidate, cost
+                layout_by_table[table_name] = widened
+                merge_log.append(
+                    "replicate %s: {%s} -> cost %.1f"
+                    % (table_name, ",".join(needed), cost)
+                )
+        return config, current_cost
+
+    def _horizontal_phase(self, workload, config, merge_log):
+        stats_by_table = {}
+        for bq, weight in _bound_queries(workload, self.catalog):
+            for alias in bq.aliases:
+                table = bq.table_for(alias)
+                for f in bq.filters_for(alias):
+                    if f.kind in ("range", "eq"):
+                        counts = stats_by_table.setdefault(table.name, {})
+                        counts[f.column] = counts.get(f.column, 0.0) + weight
+
+        current_cost = self.cost_model.workload_cost(workload, config)
+        for table_name, counts in sorted(stats_by_table.items()):
+            column = max(sorted(counts), key=lambda c: counts[c])
+            bounds = self._quantile_bounds(table_name, column)
+            if len(bounds) < 1:
+                continue
+            candidate = config.with_horizontal(
+                HorizontalPartitioning(table_name, column, bounds)
+            )
+            cost = self.cost_model.workload_cost(workload, candidate)
+            if cost < current_cost - 1e-9:
+                merge_log.append(
+                    "horizontal %s on %s (%d parts) -> cost %.1f"
+                    % (table_name, column, len(bounds) + 1, cost)
+                )
+                config, current_cost = candidate, cost
+        return config
+
+
+def fragments_for_reference(layout, needed_columns):
+    """``VerticalLayout.fragments_for`` as first written: every fragment
+    is re-examined in every greedy step."""
+    chosen = []
+    remaining = set(needed_columns)
+    candidates = list(layout.fragments)
+    while remaining:
+        best = None
+        best_score = None
+        for frag in candidates:
+            gain = len(remaining & set(frag.columns))
+            if gain == 0:
+                continue
+            score = (len(frag.columns) - gain, len(frag.columns))
+            if best is None or score < best_score:
+                best, best_score = frag, score
+        if best is None:
+            raise CatalogError("cannot cover %s" % sorted(remaining))
+        chosen.append(best)
+        remaining -= set(best.columns)
+        candidates.remove(best)
+    return chosen
+
+
+def solve_bip_all_integer(problem):
+    """The BIP with *every* variable declared integer, as ``solve_bip``
+    posed it before only ``y`` was: returns ``(chosen positions, true
+    objective)``."""
+    mats = _assemble(problem)
+    res = optimize.milp(
+        c=mats.c,
+        constraints=[
+            optimize.LinearConstraint(mats.a_eq, mats.b_eq, mats.b_eq),
+            optimize.LinearConstraint(mats.a_ub, -np.inf, mats.b_ub),
+        ],
+        integrality=np.ones(len(mats.c)),
+        bounds=optimize.Bounds(0.0, 1.0),
+    )
+    assert res.x is not None, res.message
+    chosen = tuple(p for p in range(mats.n_y) if res.x[p] > 0.5)
+    return chosen, problem.config_cost(chosen)
+
+
+def relaxation_value(problem, chosen_positions):
+    """Optimum of the LP over ``(z, x)`` with ``y`` fixed to the
+    indicator of *chosen_positions* — plain ``linprog``, no MILP
+    machinery.  Excludes ``write_base_cost`` (a constant outside the
+    matrices), includes the chosen indexes' penalties."""
+    mats = _assemble(problem)
+    n = len(mats.c)
+    lower = np.zeros(n)
+    upper = np.ones(n)
+    upper[: mats.n_y] = 0.0
+    for pos in chosen_positions:
+        lower[pos] = upper[pos] = 1.0
+    res = optimize.linprog(
+        c=mats.c,
+        A_eq=mats.a_eq,
+        b_eq=mats.b_eq,
+        A_ub=mats.a_ub,
+        b_ub=mats.b_ub,
+        bounds=np.column_stack([lower, upper]),
+        method="highs",
+    )
+    assert res.x is not None, res.message
+    return float(res.fun)
+
+
+def used_positions_reference(problem, chosen_positions):
+    """The members of *chosen_positions* some query's first cheapest
+    plan reads, where each slot reads its first cheapest applicable
+    option — the scalar walk ``BipKernel.used_positions`` vectorizes."""
+    chosen = set(chosen_positions)
+    used = set()
+    for query in problem.queries:
+        best, best_reads = None, ()
+        for plan in query.plans:
+            cost, reads = plan.internal_cost, []
+            for slot in plan.slots:
+                winner = None
+                for pos, option_cost in slot.options:
+                    if (pos == -1 or pos in chosen) and (
+                        winner is None or option_cost < winner[0]
+                    ):
+                        winner = (option_cost, pos)
+                if winner is None:
+                    cost = None
+                    break
+                cost += winner[0]
+                reads.append(winner[1])
+            if cost is not None and (best is None or cost < best):
+                best, best_reads = cost, reads
+        used.update(pos for pos in best_reads if pos != -1)
+    return tuple(pos for pos in chosen_positions if pos in used)

@@ -4,8 +4,20 @@ import pytest
 
 from repro.autopart import AutoPartAdvisor, rewrite_for_layout
 from repro.catalog import VerticalFragment, VerticalLayout
+from repro.evaluation import WorkloadEvaluator
+from repro.inum import InumCostModel
 from repro.optimizer import CostService
+from repro.optimizer import paths as P
 from repro.util import DesignError
+from repro.workloads import (
+    sdss_catalog as full_sdss_catalog,
+    sdss_workload,
+    tpch_catalog,
+    tpch_workload,
+)
+
+from oracle import ScalarAutoPartAdvisor
+from test_evaluator_equivalence import make_env
 
 # Queries touching small, distinct column subsets of the wide table —
 # AutoPart's sweet spot.
@@ -152,3 +164,137 @@ class TestQueryRewriting:
             sql, sdss_catalog, {"photoobj": self.make_layout()}
         )
         assert "specobj" in rewritten and "__" not in rewritten
+
+
+# ----------------------------------------------------------------------
+# The search runs on the evaluation backplane: kernel delta batches over
+# cover-keyed slot pricing.  The scalar search it replaced is the oracle.
+# ----------------------------------------------------------------------
+
+
+def assert_same_recommendation(catalog, workload, **knobs):
+    """Backplane search == scalar oracle, field by field, exactly.  The
+    oracle prices over its own plain ``InumCostModel`` (a different slot
+    memo, no kernel), so nothing is shared but the cost model."""
+    shipped = AutoPartAdvisor(
+        catalog, cost_model=WorkloadEvaluator(catalog)
+    ).recommend(workload, **knobs)
+    reference = ScalarAutoPartAdvisor(
+        catalog, InumCostModel(catalog)
+    ).recommend(workload, **knobs)
+    assert shipped.configuration == reference.configuration
+    assert shipped.merge_log == reference.merge_log
+    assert shipped.base_workload_cost == reference.base_workload_cost
+    assert shipped.predicted_workload_cost == reference.predicted_workload_cost
+    assert shipped.per_query == reference.per_query
+    assert shipped.replication_pages == reference.replication_pages
+    return shipped
+
+
+class TestBackplaneSearchEqualsScalarOracle:
+    def test_sdss(self):
+        catalog = full_sdss_catalog(scale=0.05)
+        rec = assert_same_recommendation(
+            catalog, list(sdss_workload(n_queries=30, seed=3))
+        )
+        assert any(line.startswith("round") for line in rec.merge_log)
+
+    def test_tpch(self):
+        catalog = tpch_catalog(scale=0.05)
+        rec = assert_same_recommendation(
+            catalog, list(tpch_workload(n_queries=20, seed=4))
+        )
+        assert rec.merge_log
+
+    def test_mixed_write_workload_with_non_unit_weights(self):
+        catalog = full_sdss_catalog(scale=0.05)
+        workload = list(sdss_workload(
+            n_queries=20, seed=5, write_fraction=0.3, write_weight=5
+        ))
+        assert len({weight for __, weight in workload}) > 1
+        assert_same_recommendation(catalog, workload)
+
+    @pytest.mark.parametrize("budget", [2_000, 100_000])
+    def test_positive_replication_budget(self, sdss_catalog, budget):
+        assert_same_recommendation(
+            sdss_catalog,
+            WORKLOAD + [("SELECT ra, rmag FROM photoobj WHERE dec > 80", 2.0)],
+            replication_budget_pages=budget,
+        )
+
+    def test_an_accepted_replica(self):
+        # The set cover prefers narrow exact fragments, so replicas are
+        # rarely accepted; this fuzzed environment accepts one when the
+        # merge phase is cut short.
+        catalog, workload, __ = make_env(5, write_fraction=0.2)
+        rec = assert_same_recommendation(
+            catalog, workload, replication_budget_pages=10**7,
+            max_merge_rounds=2,
+        )
+        assert any(line.startswith("replicate") for line in rec.merge_log)
+
+    @pytest.mark.parametrize("vertical, horizontal",
+                             [(True, False), (False, True)])
+    def test_each_phase_alone(self, sdss_catalog, vertical, horizontal):
+        assert_same_recommendation(
+            sdss_catalog, WORKLOAD, vertical=vertical, horizontal=horizontal
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_fuzzed_catalogs(self, seed):
+        catalog, workload, __ = make_env(seed, write_fraction=0.2)
+        assert_same_recommendation(
+            catalog, workload, replication_budget_pages=5_000 * (seed % 3)
+        )
+
+
+class TestBackplaneIsRequired:
+    def test_plain_inum_model_is_rejected_up_front(self, sdss_catalog):
+        with pytest.raises(DesignError, match="WorkloadEvaluator"):
+            AutoPartAdvisor(sdss_catalog, cost_model=InumCostModel(sdss_catalog))
+
+    def test_search_never_walks_the_scalar_path(self, sdss_catalog, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scalar workload_cost walk in the search")
+
+        monkeypatch.setattr(WorkloadEvaluator, "workload_cost", forbidden)
+        monkeypatch.setattr(WorkloadEvaluator, "cost", forbidden)
+        rec = AutoPartAdvisor(sdss_catalog).recommend(
+            WORKLOAD, replication_budget_pages=50_000
+        )
+        assert rec.merge_log
+
+    def test_contexts_built_at_most_once_per_distinct_cover(self, monkeypatch):
+        """The count guard: a merge round re-prices only references whose
+        cover changed, so over a whole run ``_build_context`` runs at most
+        once per distinct (statement, alias, cover, partitioning) — not
+        once per (reference, candidate layout)."""
+        catalog = full_sdss_catalog(scale=0.05)
+        workload = list(sdss_workload(n_queries=30, seed=3))
+        built = []
+        covers = set()
+        layouts = set()
+        real_build, real_cover = P._build_context, P.layout_cover
+
+        def counting_build(bq, alias, cover, horizontal):
+            built.append((bq.sql, alias, cover and cover[0], horizontal))
+            return real_build(bq, alias, cover, horizontal)
+
+        def counting_cover(bq, alias, layout):
+            entry = real_cover(bq, alias, layout)
+            covers.add((bq.sql, alias, entry[0]))
+            layouts.add((bq.sql, alias, layout))
+            return entry
+
+        monkeypatch.setattr(P, "_build_context", counting_build)
+        monkeypatch.setattr(P, "layout_cover", counting_cover)
+        evaluator = WorkloadEvaluator(catalog)
+        evaluator.warm_up(workload)
+        built.clear()  # the INUM builds price the base design only
+        AutoPartAdvisor(catalog, cost_model=evaluator).recommend(
+            workload, horizontal=False
+        )
+        assert built and len(built) == len(set(built))
+        assert len(built) <= len(covers)
+        # ... and the covers are far fewer than the layouts tried.
+        assert len(covers) * 3 < len(layouts)

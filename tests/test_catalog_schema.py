@@ -1,5 +1,7 @@
 """Unit tests for Catalog, Table, Index, partitions and the size model."""
 
+import random
+
 import pytest
 
 from repro.catalog import (
@@ -15,6 +17,8 @@ from repro.catalog import (
 )
 from repro.catalog import pagemodel
 from repro.util import CatalogError
+
+from oracle import fragments_for_reference
 
 
 def small_table(name="t", rows=10_000):
@@ -72,6 +76,15 @@ class TestTable:
     def test_projection_pages_smaller_than_full(self):
         t = small_table(rows=100_000)
         assert t.projection_pages(["a"]) < t.pages
+
+    def test_projection_pages_follow_the_row_count(self):
+        t = small_table(rows=100_000)
+        before = t.projection_pages(("a", "b"))
+        assert t.projection_pages(["a", "b"]) == before  # served again
+        t.row_count *= 4
+        assert t.projection_pages(("a", "b")) == pagemodel.heap_pages(
+            t.row_count, t.row_width(("a", "b")) + 8
+        ) > before
 
     def test_unknown_column_raises(self):
         with pytest.raises(CatalogError):
@@ -199,6 +212,33 @@ class TestVerticalLayout:
         layout = self.make_layout()
         with pytest.raises(CatalogError):
             layout.fragments_for({"zzz"})
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fragments_for_equals_the_unfiltered_greedy_cover(self, seed):
+        """Same fragments in the same order as the reference walk, on
+        layouts with replicated columns and score ties."""
+        rng = random.Random(seed)
+        columns = ["c%d" % i for i in range(rng.randint(3, 12))]
+        for __ in range(40):
+            shuffled = rng.sample(columns, len(columns))
+            cuts = sorted(rng.sample(range(1, len(columns)), rng.randint(1, 2)))
+            groups = [
+                tuple(shuffled[a:b])
+                for a, b in zip([0] + cuts, cuts + [len(columns)])
+            ]
+            for __ in range(rng.randint(0, 3)):  # replicas, some duplicated
+                groups.append(tuple(rng.sample(columns, rng.randint(1, 3))))
+            layout = VerticalLayout(
+                "t",
+                tuple(
+                    VerticalFragment("t", cols, name="f%d" % i)
+                    for i, cols in enumerate(groups)
+                ),
+            )
+            needed = set(rng.sample(columns, rng.randint(1, len(columns))))
+            assert layout.fragments_for(needed) == fragments_for_reference(
+                layout, needed
+            )
 
 
 class TestHorizontalPartitioning:

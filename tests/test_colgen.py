@@ -34,6 +34,7 @@ from repro.cophy.colgen import CandidatePricer, _Master
 from repro.evaluation import InumCachePool, WorkloadEvaluator
 from repro.inum import InumCostModel
 from repro.inum.cache import _DesignView
+from repro.optimizer import paths as P
 from repro.optimizer.writecost import locate_query
 from repro.sql.binder import BoundWrite
 from repro.util import workload_pairs
@@ -104,6 +105,9 @@ class TestPricer:
             catalog.add_index(Index("specobj", ("z",)))
         workload = WORKLOAD + WRITES
         model = InumCostModel(catalog)
+        # The pricer files its prices in its model's slot memo, so the
+        # reference prices through a model of its own.
+        reference = InumCostModel(catalog)
         candidates = candidate_indexes(catalog, workload, max_candidates=20)
         pricer = CandidatePricer(model)
         checked = 0
@@ -122,9 +126,120 @@ class TestPricer:
                             continue
                         view = _DesignView(catalog, Configuration.of(ix))
                         assert pricer.price(bq, slot, ix) == \
-                            model.slot_cost(bq, slot, view)
+                            reference.slot_cost(bq, slot, view)
                         checked += 1
         assert checked > 50
+
+    def test_candidates_that_offer_nothing_are_answered_by_the_lead_check(
+            self, sdss_catalog, monkeypatch):
+        """No path group, no arm, no probe: ``price`` is the default cost
+        without assembling or matching anything."""
+        workload = WORKLOAD + WRITES
+        model = InumCostModel(sdss_catalog)
+        candidates = candidate_indexes(sdss_catalog, workload, max_candidates=20)
+        pricer = CandidatePricer(model)
+        slots = []
+        for sql, __ in WORKLOAD:
+            cache = model.cache_for(sql)
+            for plan in cache.plans:
+                slots.extend((cache.bound_query, slot) for slot in plan.slots)
+        for bq, slot in slots:  # warm the per-slot base assembly
+            pricer.price(bq, slot, Index(slot.table_name, ("objid",)))
+            pricer.default_cost(bq, slot)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("matched an index that offers nothing")
+
+        monkeypatch.setattr(P, "_match_index", forbidden)
+        monkeypatch.setattr(P, "bitmap_and_path", forbidden)
+        skipped = 0
+        for bq, slot in slots:
+            ctx = P.scan_context(bq, slot.alias, pricer.default_view)
+            interesting = {slot.required_order} - {None}
+            for ix in candidates:
+                if ix.table_name != slot.table_name:
+                    continue
+                offers = (
+                    P.offers_probe_path(ctx, ix, slot.param_columns)
+                    if slot.param_columns
+                    else P.offers_scan_paths(ctx, ix, interesting)
+                )
+                if not offers:
+                    assert pricer.price(bq, slot, ix) == \
+                        pricer.default_cost(bq, slot)
+                    skipped += 1
+        assert skipped > 20
+
+    def test_a_warm_model_answers_a_second_build_from_its_slot_memo(
+            self, sdss_catalog, monkeypatch):
+        """Prices are filed under the single-index design's slot-memo
+        key: an online refresh over a warm evaluator re-prices nothing,
+        and whoever prices a single-index design next finds it there."""
+        workload = WORKLOAD + WRITES
+        candidates = candidate_indexes(sdss_catalog, workload, max_candidates=14)
+        model = InumCostModel(sdss_catalog)
+        first = build_bip(model, workload, candidates, 40_000)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("re-priced a pair the slot memo holds")
+
+        # build_bip released the pool's path groups, so pricing any pair
+        # again would have to match its index again.
+        monkeypatch.setattr(P, "_match_index", forbidden)
+        second = build_bip(model, workload, candidates, 40_000)
+        assert second.queries == first.queries
+        for ix in candidates:
+            assert model.workload_cost(WORKLOAD, Configuration.of(ix)) > 0
+
+    def test_build_bip_options_are_the_single_index_view_prices(
+            self, sdss_catalog):
+        """``build_bip`` prices through the pricer; its options are still
+        exactly what the single-index design views price cold."""
+        workload = WORKLOAD + WRITES
+        candidates = candidate_indexes(sdss_catalog, workload, max_candidates=14)
+        model = InumCostModel(sdss_catalog)
+        problem = build_bip(model, workload, candidates, 40_000)
+        reference = InumCostModel(sdss_catalog)
+        empty = _DesignView(sdss_catalog, Configuration.empty())
+        views = [
+            _DesignView(sdss_catalog, Configuration.of(ix)) for ix in candidates
+        ]
+        checked = 0
+        reads = []
+        for sql, __ in workload:
+            bound = reference.bound(sql)
+            if not isinstance(bound, BoundWrite):
+                reads.append(bound)
+            elif bound.kind in ("update", "delete"):
+                reads.append(locate_query(bound))
+        assert len(reads) == len(problem.queries)
+        for term, bound in zip(problem.queries, reads):
+            cache = reference.cache_for(bound)
+            bq = cache.bound_query
+            assert bq.sql == term.sql
+            expected_plans = []
+            for cached in cache.plans:
+                slots = []
+                for slot in cached.slots:
+                    default = reference.slot_cost(bq, slot, empty)
+                    options = [] if default is None else [(-1, default)]
+                    for pos, ix in enumerate(candidates):
+                        if ix.table_name != slot.table_name:
+                            continue
+                        cost = reference.slot_cost(bq, slot, views[pos])
+                        if cost is not None and (
+                            default is None or cost < default
+                        ):
+                            options.append((pos, cost))
+                    slots.append(options)
+                if all(slots):
+                    expected_plans.append((cached.internal_cost, slots))
+            assert [
+                (plan.internal_cost, [slot.options for slot in plan.slots])
+                for plan in term.plans
+            ] == expected_plans
+            checked += sum(len(o) for __, slots in expected_plans for o in slots)
+        assert checked > 20
 
     def test_restricted_master_equals_build_bip(self, sdss_catalog):
         """With every candidate active, the restricted problem is the

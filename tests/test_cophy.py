@@ -1,6 +1,10 @@
 """Tests for CoPhy: candidates, BIP construction, solvers, advisor."""
 
+import dataclasses
+import itertools
+
 import pytest
+from hypothesis import given, settings as hsettings
 
 from repro.catalog import Index
 from repro.cophy import (
@@ -12,9 +16,21 @@ from repro.cophy import (
     solve_branch_and_bound,
     solve_lp_rounding,
 )
+from repro.cophy.bip import BipProblem, PlanTerm, QueryTerm, SlotOptions
 from repro.inum import InumCostModel
 from repro.optimizer import CostService
 from repro.util import DesignError
+from repro.workloads import sdss, tpch
+from repro.workloads import sdss_catalog as full_sdss_catalog
+from repro.workloads import tpch_catalog
+
+from oracle import (
+    relaxation_value,
+    solve_bip_all_integer,
+    used_positions_reference,
+)
+from test_backward_and_solver_props import bip_instances
+from test_colgen import template_workload
 
 WORKLOAD = [
     ("SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 12", 1.0),
@@ -125,6 +141,175 @@ class TestSolvers:
         problem = build_bip(inum, WORKLOAD, cands, budget_pages=0)
         for solver in (solve_bip, greedy_select, solve_lp_rounding):
             assert solver(problem).chosen_positions == ()
+
+
+WRITES = [
+    ("UPDATE photoobj SET status = 3 WHERE rmag < 14", 0.5),
+    ("INSERT INTO specobj VALUES (1)", 0.25),
+]
+
+
+def knapsack_trap():
+    """bench_claim_cophy_vs_greedy's constructed instance: one big index
+    with the best ratio blocks two complementary ones."""
+    candidates = [Index("t", (c,)) for c in "abc"]
+    problem = BipProblem(
+        candidates=candidates, sizes=[10.0, 6.0, 6.0], budget_pages=12.0
+    )
+    problem.queries = [
+        QueryTerm(weight=1.0, plans=[PlanTerm(internal_cost=0.0, slots=[
+            SlotOptions(options=[(-1, 100.0), (pos, improved)])
+        ])])
+        for pos, improved in enumerate((5.0, 45.0, 45.0))
+    ]
+    return problem
+
+
+def feasible_sets(problem):
+    """Every binary ``y`` within the budget and the index cap."""
+    for size in range(problem.n_candidates + 1):
+        if problem.max_indexes is not None and size > problem.max_indexes:
+            break
+        for chosen in itertools.combinations(range(problem.n_candidates), size):
+            if problem.config_size(chosen) <= problem.budget_pages:
+                yield chosen
+
+
+class TestRelaxationIsExact:
+    """Only ``y`` is declared integer in ``solve_bip``.  That is exact
+    because, with ``y`` fixed to any feasible binary vector, the LP over
+    ``(z, x)`` already attains ``config_cost(y)`` — checked here with
+    plain ``linprog``, so the argument does not rest on the MILP backend
+    it is meant to justify."""
+
+    @given(problem=bip_instances())
+    @hsettings(max_examples=30, deadline=None)
+    def test_lp_over_z_and_x_equals_config_cost_for_every_feasible_y(
+            self, problem):
+        problem.write_base_cost = 7.5
+        for chosen in feasible_sets(problem):
+            assert relaxation_value(problem, chosen) == pytest.approx(
+                problem.config_cost(chosen) - problem.write_base_cost,
+                rel=1e-9, abs=1e-9,
+            )
+
+    def test_holds_on_a_real_problem_with_write_penalties(
+            self, sdss_catalog, inum):
+        workload = WORKLOAD + WRITES
+        candidates = candidate_indexes(sdss_catalog, workload, max_candidates=14)
+        problem = build_bip(inum, workload, candidates, budget_pages=10**9)
+        assert any(problem.index_penalties)
+        n = problem.n_candidates
+        for size in (0, 1, 2, n):
+            for chosen in itertools.combinations(range(n), size):
+                assert relaxation_value(problem, chosen) == pytest.approx(
+                    problem.config_cost(chosen) - problem.write_base_cost,
+                    rel=1e-9,
+                )
+
+    def test_y_only_objective_equals_all_integer_on_the_fixture(self, problem):
+        assert solve_bip(problem).objective == solve_bip_all_integer(problem)[1]
+
+    def test_y_only_objective_equals_all_integer_on_the_knapsack_trap(self):
+        problem = knapsack_trap()
+        result = solve_bip(problem)
+        assert result.objective == solve_bip_all_integer(problem)[1] == 190.0
+        assert set(result.chosen_positions) == {1, 2}
+
+    def test_y_only_objective_equals_all_integer_with_writes(
+            self, sdss_catalog, inum):
+        workload = WORKLOAD + WRITES
+        candidates = candidate_indexes(sdss_catalog, workload, max_candidates=14)
+        for budget in (0, 5_000, 40_000):
+            problem = build_bip(inum, workload, candidates, budget)
+            assert solve_bip(problem).objective == \
+                solve_bip_all_integer(problem)[1]
+
+    @pytest.mark.parametrize(
+        "registry, make_catalog",
+        [
+            (sdss.TEMPLATE_REGISTRY, lambda: full_sdss_catalog(scale=0.05)),
+            (tpch.TEMPLATE_REGISTRY, lambda: tpch_catalog(scale=0.05)),
+        ],
+        ids=["sdss", "tpch"],
+    )
+    def test_y_only_objective_equals_all_integer_on_every_template(
+            self, registry, make_catalog):
+        catalog = make_catalog()
+        workload = template_workload(registry)
+        candidates = candidate_indexes(catalog, workload, max_candidates=24)
+        total = sum(
+            ix.size_pages(catalog.table(ix.table_name)) for ix in candidates
+        )
+        problem = build_bip(
+            InumCostModel(catalog), workload, candidates, total // 4
+        )
+        assert solve_bip(problem).objective == solve_bip_all_integer(problem)[1]
+
+
+class TestNoDeadWeightIndexes:
+    """Solvers return only indexes the solution's cheapest plans read:
+    with zero objective weight on ``y`` (a read-only workload) the LP is
+    free to leave any affordable ``y`` at 1."""
+
+    def dominated_pair(self):
+        # Both candidates serve the one slot; position 1 is never the
+        # cheapest, and both fit the budget.
+        problem = BipProblem(
+            candidates=[Index("t", ("a",)), Index("t", ("b",))],
+            sizes=[4.0, 4.0], budget_pages=10.0,
+        )
+        problem.queries = [QueryTerm(weight=2.0, plans=[
+            PlanTerm(internal_cost=1.0, slots=[
+                SlotOptions(options=[(-1, 50.0), (0, 5.0), (1, 9.0)]),
+            ]),
+            PlanTerm(internal_cost=30.0, slots=[
+                SlotOptions(options=[(-1, 40.0), (1, 1.0)]),
+            ]),
+        ])]
+        return problem
+
+    def test_a_dominated_index_is_dropped(self):
+        problem = self.dominated_pair()
+        assert problem.used_positions((0, 1)) == (0,)
+        assert problem.used_positions((1, 0)) == (0,)
+        assert problem.used_positions((1,)) == (1,)
+        assert problem.used_positions(()) == ()
+        assert problem.config_cost((0,)) == problem.config_cost((0, 1))
+
+    @pytest.mark.parametrize(
+        "solver", [solve_bip, solve_branch_and_bound, solve_lp_rounding]
+    )
+    def test_every_solver_returns_only_used_indexes(self, solver):
+        for problem in (self.dominated_pair(), knapsack_trap()):
+            result = solver(problem)
+            chosen = result.chosen_positions
+            assert chosen == problem.used_positions(chosen)
+            assert result.objective == problem.config_cost(chosen)
+        assert solver(self.dominated_pair()).chosen_positions == (0,)
+
+    def test_pruning_the_all_integer_solution_keeps_the_objective(self, problem):
+        raw, objective = solve_bip_all_integer(problem)
+        kept = problem.used_positions(raw)
+        assert problem.config_cost(kept) == objective
+        assert problem.config_size(kept) <= problem.config_size(raw)
+        assert problem.used_positions(kept) == kept
+        assert set(kept) <= set(raw)
+
+    @given(problem=bip_instances())
+    @hsettings(max_examples=40, deadline=None)
+    def test_witness_equals_the_scalar_walk_and_never_costs_more(self, problem):
+        read_only = dataclasses.replace(problem, index_penalties=[])
+        for size in range(problem.n_candidates + 1):
+            for chosen in itertools.permutations(
+                    range(problem.n_candidates), size):
+                kept = problem.used_positions(chosen)
+                assert kept == used_positions_reference(problem, chosen)
+                assert problem.used_positions(kept) == kept
+                # Reads are untouched; only unused penalties fall away.
+                assert problem.config_cost(kept) <= problem.config_cost(chosen)
+                assert read_only.config_cost(kept) == \
+                    read_only.config_cost(chosen)
 
 
 class TestAdvisor:

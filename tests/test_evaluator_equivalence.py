@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.catalog import Catalog, Column, DataType, Distribution, Index, Table
-from repro.evaluation import WorkloadEvaluator
+from repro.evaluation import BatchEvaluation, WorkloadEvaluator
 from repro.inum import InumCostModel
 from repro.optimizer import CostService
 from repro.whatif import Configuration
@@ -169,6 +169,37 @@ def test_batched_equals_per_call_inum(seed):
         assert total == pytest.approx(
             per_call.workload_cost(workload, config), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_totals_equal_the_scalar_workload_cost_exactly(seed):
+    """``BatchEvaluation.totals`` is the scalar total bit for bit — with
+    non-unit weights, writes included, on the full and the delta path.
+    AutoPart's accept/reject decisions compare these totals."""
+    catalog, workload, configs = make_env(seed, write_fraction=0.2)
+    workload = [
+        (sql, weight * (0.1 + 0.37 * i))
+        for i, (sql, weight) in enumerate(workload)
+    ]
+    per_call = InumCostModel(catalog)
+    expected = [per_call.workload_cost(workload, c) for c in configs]
+    evaluator = WorkloadEvaluator(catalog)
+    assert evaluator.evaluate_many(workload, configs).totals == expected
+    assert evaluator.evaluate_deltas(
+        workload, configs[1], configs
+    ).totals == expected
+
+
+def test_totals_accumulate_left_to_right_without_compensation():
+    """Builtin ``sum`` is Neumaier-compensated from CPython 3.12 on and
+    would answer 1.0 here; ``total += w * c`` loses the 1.0, and so must
+    ``totals`` to stay equal to ``workload_cost``."""
+    batch = BatchEvaluation(
+        configurations=[None],
+        weights=[1.0, 1.0, 1.0],
+        matrix=[[1e16, 1.0, -1e16]],
+    )
+    assert batch.totals == [0.0]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -10,7 +10,12 @@ cache, never a different cost model, so this suite pins
     fuzzed index sets, vertical layouts and horizontal partitionings —
     planner cost, INUM slot cost / slot choice, and colgen's
     ``CandidatePricer``;
-(b) staleness: new statistics re-price, layouts never share a context;
+(b) staleness: new statistics re-price, different covers never share a
+    context;
+(b') a vertical layout reaches a table reference only through its
+    *cover*: layouts with one cover share one context, covers of one
+    weight share one slot-memo entry, and ``explain`` still names the
+    fragments actually read;
 (c) the work actually goes away (call counts, no wall clock);
 and that memoized plan nodes, now shared between plans, are never
 mutated after construction.
@@ -253,7 +258,7 @@ def test_replacing_an_index_columns_stats_reprices_its_paths(sdss_catalog):
     assert P.scan_context(bq, "photoobj", catalog) is not ctx
 
 
-def test_layouts_and_partitionings_never_share_a_context(sdss_catalog):
+def test_different_covers_and_partitionings_never_share_a_context(sdss_catalog):
     bq = bind_statement(TWO_TABLE_SQL, sdss_catalog)
     table = sdss_catalog.table("photoobj")
     rng = random.Random(3)
@@ -281,6 +286,122 @@ def test_layouts_and_partitionings_never_share_a_context(sdss_catalog):
     assert context(horizontals=(horizontal,)) is contexts[3]
     # The other alias's table has no layout: one shared context.
     assert len({k for k in bq.scan_memo if k[0] == "s"}) <= 1
+
+
+# ----------------------------------------------------------------------
+# (b') contexts key on the cover, slot costs on the cover's geometry.
+# ----------------------------------------------------------------------
+
+# TWO_TABLE_SQL reads objid, rmag and type of photoobj.
+HOT = ("objid", "rmag", "type")
+COLD = (("ra", "dec"), ("gmag", "flags", "status"))
+
+
+def photo_layout(*groups):
+    return VerticalLayout(
+        "photoobj", tuple(VerticalFragment("photoobj", g) for g in groups)
+    )
+
+
+def photo_view(catalog, layout):
+    return _DesignView(catalog, Configuration(layouts=(layout,)))
+
+
+def test_layouts_with_one_cover_share_context_and_slot_memo(sdss_catalog):
+    split = photo_layout(HOT, *COLD)
+    merged = photo_layout(HOT, COLD[0] + COLD[1])  # a merge p never reads
+    assert split != merged
+    model = InumCostModel(sdss_catalog)
+    cache = model.cache_for(bind_statement(TWO_TABLE_SQL, sdss_catalog))
+    bq = cache.bound_query
+    slots = [slot for cached in cache.plans for slot in cached.slots]
+
+    def price(layout):
+        view = photo_view(sdss_catalog, layout)
+        return [
+            (model.slot_cost(bq, slot, view), model.slot_choice(bq, slot, view))
+            for slot in slots
+        ]
+
+    first = price(split)
+    context = P.scan_context(bq, "p", photo_view(sdss_catalog, split))
+    entries = len(model._slot_costs[bq.sql]), len(model._slot_choices[bq.sql])
+    assert price(merged) == first
+    assert P.scan_context(bq, "p", photo_view(sdss_catalog, merged)) is context
+    assert entries == (
+        len(model._slot_costs[bq.sql]), len(model._slot_choices[bq.sql])
+    )
+    # ... and what the shared entries hold is a cold recomputation.
+    view = photo_view(sdss_catalog, merged)
+    for slot, (cost, choice) in zip(slots, first):
+        fresh = bind_statement(TWO_TABLE_SQL, sdss_catalog)
+        assert cost == _access_cost(slot, fresh, view, model.settings)
+        assert choice == _access_cost(
+            slot, fresh, view, model.settings, want_choice=True
+        )
+
+
+def test_covers_of_one_weight_share_slot_costs_but_not_contexts(sdss_catalog):
+    """Costs read only (pages, fragment count) of a cover; contexts hold
+    plan nodes that *name* the fragments, so they key on the cover."""
+    split = photo_layout(HOT, *COLD)
+    reordered = photo_layout(HOT[::-1], *COLD)  # same columns, another fragment
+    model = InumCostModel(sdss_catalog)
+    cache = model.cache_for(bind_statement(TWO_TABLE_SQL, sdss_catalog))
+    bq = cache.bound_query
+    assert P.layout_cover(bq, "p", split)[0] != P.layout_cover(bq, "p", reordered)[0]
+    assert P.layout_cover(bq, "p", split)[1] == P.layout_cover(bq, "p", reordered)[1]
+    slots = [slot for cached in cache.plans for slot in cached.slots]
+    view_a = photo_view(sdss_catalog, split)
+    view_b = photo_view(sdss_catalog, reordered)
+    costs = [model.slot_cost(bq, slot, view_a) for slot in slots]
+    entries = len(model._slot_costs[bq.sql])
+    assert [model.slot_cost(bq, slot, view_b) for slot in slots] == costs
+    assert len(model._slot_costs[bq.sql]) == entries
+    for slot, cost in zip(slots, costs):
+        fresh = bind_statement(TWO_TABLE_SQL, sdss_catalog)
+        assert cost == _access_cost(slot, fresh, view_b, model.settings)
+    assert P.scan_context(bq, "p", view_a) is not P.scan_context(bq, "p", view_b)
+    # A heavier cover is a different key and a different price.
+    heavier = photo_view(sdss_catalog, photo_layout(HOT + COLD[0], COLD[1]))
+    scan = next(s for s in slots if s.alias == "p" and not s.param_columns)
+    assert model.slot_cost(bq, scan, heavier) > model.slot_cost(bq, scan, view_a)
+    assert len(model._slot_costs[bq.sql]) > entries
+
+
+def test_explain_names_the_fragments_of_the_layout_it_planned(sdss_catalog):
+    sql = "SELECT objid, rmag FROM photoobj WHERE type = 3"
+    layouts = [
+        photo_layout(HOT, *COLD),
+        photo_layout(HOT, COLD[0] + COLD[1]),  # same cover
+        photo_layout(HOT[::-1], *COLD),  # same weight, other fragment
+        photo_layout(("objid", "rmag"), ("type",) + COLD[0], COLD[1]),
+    ]
+    bq = bind_statement(sql, sdss_catalog)
+    for layout in layouts + layouts:  # second sweep: every memo is hot
+        overlay = Configuration(layouts=(layout,)).apply(sdss_catalog)
+        hot = plan_query(bq, overlay)
+        cold = plan_query(bind_statement(sql, sdss_catalog), overlay)
+        assert hot.explain() == cold.explain()
+        assert hot.total_cost == cold.total_cost
+        read = layout.fragments_for({"objid", "rmag", "type"})
+        text = ", ".join("{%s}" % ",".join(f.columns) for f in read)
+        assert "fragments %s" % text in hot.explain()
+
+
+def test_forgetting_indexes_skips_cover_entries(sdss_catalog):
+    """``scan_memo`` holds cover entries next to the contexts;
+    ``forget_indexes`` must only walk the contexts."""
+    catalog = sdss_catalog.clone()
+    index = Index("photoobj", ("rmag",))
+    catalog.add_index(index)
+    bq = bind_statement(TWO_TABLE_SQL, catalog)
+    overlay = Configuration(layouts=(photo_layout(HOT, *COLD),)).apply(catalog)
+    before = plan_query(bq, overlay).total_cost
+    kinds = {type(value) for value in bq.scan_memo.values()}
+    assert P.ScanContext in kinds and tuple in kinds
+    P.forget_indexes(bq, {index})
+    assert plan_query(bq, overlay).total_cost == before
 
 
 # ----------------------------------------------------------------------
@@ -359,9 +480,10 @@ def test_fresh_configuration_prices_only_unseen_indexes(monkeypatch):
 
 
 def test_concurrent_planning_forgetting_and_reanalyze_stay_exact():
-    """One bound query priced from more threads than cores while another
-    thread forgets indexes and swaps statistics objects (same values, new
-    identity): every plan still costs exactly what a cold plan costs."""
+    """One bound query priced — under index sets *and* swapped vertical
+    layouts — from more threads than cores while another thread forgets
+    indexes and swaps statistics objects (same values, new identity):
+    every plan still costs exactly what a cold plan costs."""
     catalog = full_sdss_catalog(scale=0.05)
     bq = bind_statement(THREE_TABLE_SQL, catalog)
     candidates = candidate_indexes(catalog, [THREE_TABLE_SQL], 30)
@@ -370,11 +492,40 @@ def test_concurrent_planning_forgetting_and_reanalyze_stay_exact():
         Configuration(indexes=frozenset(rng.sample(candidates, rng.randint(1, 5))))
         for __ in range(12)
     ]
+    # Layout swaps ride along: some designs partition photoobj, pairs of
+    # them with one cover (one shared context), the rest with another.
+    table = catalog.table("photoobj")
+    read = sorted(bq.referenced_columns("p"))
+    rest = [c for c in table.column_names if c not in read]
+    layouts = [
+        None,
+        VerticalLayout("photoobj", (
+            VerticalFragment("photoobj", tuple(read)),
+            VerticalFragment("photoobj", tuple(rest)),
+        )),
+        VerticalLayout("photoobj", (
+            VerticalFragment("photoobj", tuple(read)),
+            VerticalFragment("photoobj", tuple(rest[:3])),
+            VerticalFragment("photoobj", tuple(rest[3:])),
+        )),
+        VerticalLayout("photoobj", (
+            VerticalFragment("photoobj", tuple(read[:2])),
+            VerticalFragment("photoobj", tuple(read[2:] + rest)),
+        )),
+    ]
+    configs = [
+        Configuration(
+            indexes=config.indexes,
+            layouts=() if layouts[i % 4] is None else (layouts[i % 4],),
+        )
+        for i, config in enumerate(configs)
+    ]
     overlays = [config.apply(catalog) for config in configs]
     expected = [
         plan_query(bind_statement(THREE_TABLE_SQL, catalog), overlay).total_cost
         for overlay in overlays
     ]
+    assert len(set(expected)) > 4
     deadline = time.monotonic() + 1.5
     failures, plans = [], []
 
