@@ -102,22 +102,3 @@ def test_claim_batched_eval_speedup(benchmark):
 
     benchmark(batched.evaluate_configurations, workload, configs)
 
-
-def test_claim_batched_eval_parallel_determinism():
-    """Thread fan-out across queries must not change a single cost.
-
-    The parallel leg runs on a *fresh* evaluator so it actually computes
-    (a shared evaluator would serve the sequential run's memo)."""
-    catalog, workload, configs = make_sweep(seed=9)
-    sequential = WorkloadEvaluator(catalog).evaluate_configurations(
-        workload, configs
-    )
-    parallel = WorkloadEvaluator(catalog).evaluate_configurations(
-        workload, configs, parallel=True, max_workers=4
-    )
-    assert sequential.matrix == parallel.matrix
-    print_table(
-        "CL-BATCH: parallel determinism",
-        ("configs", "statements", "identical"),
-        [(len(configs), len(sequential.weights), True)],
-    )

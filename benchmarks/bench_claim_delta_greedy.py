@@ -1,8 +1,9 @@
 """CL-DELTA — delta-kernel pricing of a greedy index-selection sweep.
 
 Greedy advisors spend their rounds pricing one-index extensions of the
-configuration chosen so far — near-identical siblings that the full
-columnar sweep re-prices from scratch every round.  Delta mode
+configuration chosen so far — near-identical siblings that a full
+columnar sweep (``greedy_select_reference`` in ``tests/oracle.py``, the
+baseline here) re-prices from scratch every round.  The shipped sweep
 (:meth:`~repro.evaluation.kernel.BipKernel.evaluate_delta`) captures the
 parent's slot winners and per-plan sums once per round and re-minimizes
 only the statements a candidate actually improves, so each round costs
@@ -30,6 +31,7 @@ from repro.whatif import Configuration
 from repro.workloads import sdss_catalog, sdss_workload
 
 from conftest import print_table
+from oracle import greedy_select_reference
 
 N_QUERIES = 50
 N_CANDIDATES = 64
@@ -70,11 +72,11 @@ def test_claim_delta_greedy_speedup(benchmark):
     # Populate both engines' derived state (compiled kernel, per-position
     # delta plans), then time the steady state of a whole greedy run.
     delta_warm = greedy_select(problem)
-    full_warm = greedy_select(problem, delta=False)
+    full_warm = greedy_select_reference(problem)
     assert delta_warm.chosen_positions == full_warm.chosen_positions
 
     t_delta, delta_result = timed(lambda: greedy_select(problem))
-    t_full, full_result = timed(lambda: greedy_select(problem, delta=False))
+    t_full, full_result = timed(lambda: greedy_select_reference(problem))
 
     speedup = t_full / max(t_delta, 1e-9)
     print_table(
@@ -108,9 +110,10 @@ def test_claim_delta_greedy_speedup(benchmark):
         chosen.without_indexes(candidates[pos])
         for pos in delta_result.chosen_positions
     ]
-    serial = evaluator.workload_cost_with_usage_batch(
-        workload, family, vectorized=False
-    )
+    serial = [
+        evaluator.workload_cost_with_usage(workload, config)
+        for config in family
+    ]
     vectorized = evaluator.workload_cost_with_usage_batch(
         workload, family, parent=chosen
     )

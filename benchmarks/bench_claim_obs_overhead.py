@@ -16,11 +16,11 @@ telemetry is twofold:
   dispatch itself — so the scraped text matches the in-process
   accounting to the unit.
 
-Method: the kernel sweep reuses CL-KERNEL's shape (50 SDSS queries x
-64 configurations, one warmed evaluator, best-of-N steady-state
-sweeps); fleet ingest stands up a fresh two-tenant service per sample
-and times the scheduled run only (warm-up excluded — it is identical
-work in both modes).  Results must be bit-identical across modes.
+Method: the kernel sweep prices a 50 SDSS queries x 64 configurations
+grid (one warmed evaluator, best-of-N steady-state sweeps); fleet
+ingest stands up a fresh two-tenant service per sample and times the
+scheduled run only (warm-up excluded — it is identical work in both
+modes).  Results must be bit-identical across modes.
 """
 
 import gc

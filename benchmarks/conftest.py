@@ -19,9 +19,16 @@ import os
 import platform
 import re
 import subprocess
+import sys
 from datetime import datetime, timezone
 
 import pytest
+
+# The reference implementations benches measure against (full-batch
+# greedy, the serial walks) live with the tests, not in ``src/``.
+sys.path.append(os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"
+))
 
 from repro.inum import InumCostModel
 from repro.workloads import sdss_catalog, sdss_workload, tpch_catalog, tpch_workload

@@ -410,7 +410,7 @@ class ColtTuner:
     def _epoch_cost(self, queries):
         """Epoch scoring: the whole epoch priced under the materialized
         design in one columnar-kernel pass
-        (:meth:`~repro.evaluation.WorkloadEvaluator.evaluate_many`).
+        (:meth:`~repro.evaluation.WorkloadEvaluator.evaluate_deltas`).
 
         This is the paper's cheap-evaluation thesis applied to the
         online loop itself: scoring charges INUM plan-term estimates —
@@ -420,23 +420,17 @@ class ColtTuner:
         scheduler has typically prewarmed.  What-if *probes* (the gain
         refinements driving adoption) stay on the exact path.
 
-        When the evaluator exposes the delta seam
-        (:meth:`~repro.evaluation.WorkloadEvaluator.evaluate_deltas`),
-        scoring routes through it with the materialized design as its
-        own parent: the epoch's resolved state is captured once and
-        memoized, so the re-scoring ``_projected_improvement`` does on
-        a first epoch — same workload, same design — answers from the
-        captured state instead of a second full pass.  Bit-identical
-        either way (the delta seam is pinned against the full pass)."""
+        Scoring routes through the delta seam with the materialized
+        design as its own parent: the epoch's resolved state is
+        captured once and memoized, so the re-scoring
+        ``_projected_improvement`` does on a first epoch — same
+        workload, same design — answers from the captured state instead
+        of a second full pass.  Bit-identical to the full pass (the
+        delta seam is pinned against it)."""
         if not queries:
             return 0.0
-        deltas = getattr(self.evaluator, "evaluate_deltas", None)
-        if deltas is not None:
-            return deltas(
-                list(queries), self.current, [self.current]
-            ).totals[0]
-        return self.evaluator.evaluate_many(
-            list(queries), [self.current]
+        return self.evaluator.evaluate_deltas(
+            list(queries), self.current, [self.current]
         ).totals[0]
 
     def _end_epoch(self):

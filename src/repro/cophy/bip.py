@@ -17,7 +17,6 @@ access costs.  By construction the optimum equals
 CoPhy's quality guarantee.
 """
 
-import math
 from dataclasses import dataclass, field
 
 from repro.inum.cache import (
@@ -71,35 +70,29 @@ class BipProblem:
     # per-candidate maintenance penalty incurred when that index is built.
     write_base_cost: float = 0.0
     index_penalties: list = field(default_factory=list)
-    _prepared: list = field(default=None, repr=False)
     _kernel: object = field(default=None, repr=False)
 
     @property
     def n_candidates(self):
         return len(self.candidates)
 
-    def config_cost(self, chosen_positions, sparse=False):
+    def config_cost(self, chosen_positions):
         """Objective value of a given set of candidate positions — the
         best z/x completion is computed greedily (it decomposes).
         Single pricing implementation: delegates to :meth:`config_costs`
         so exact solvers and the greedy batch path cannot diverge."""
-        return self.config_costs([chosen_positions], sparse=sparse)[0]
+        return self.config_costs([chosen_positions])[0]
 
-    def config_costs(self, batch, sparse=False):
+    def config_costs(self, batch):
         """Objective values for a batch of candidate-position sets,
         priced on the columnar :class:`~repro.evaluation.kernel.BipKernel`:
         per-slot minima over applicable accesses (the default plus the
         chosen candidates), per-plan sums and per-query minima run as
         grouped array reductions over the whole batch at once.  Compiled
         lazily, once — the problem is immutable after ``build_bip``.
-        Results equal :meth:`config_costs_scalar` (and therefore
-        ``config_cost``) bit-exactly.
-
-        ``sparse=True`` prices each member as a footprint scatter
-        against the empty-set base state instead of allocating the
-        dense batch × options mask — bit-identical, and the mode the
-        column-generation solver routes its pricing through."""
-        return self._compiled().evaluate(batch, sparse=sparse)
+        Results equal the scalar BIP walk (``config_costs_reference``
+        in ``tests/oracle.py``) bit-exactly."""
+        return self._compiled().evaluate(batch)
 
     def _compiled(self):
         if self._kernel is None:
@@ -128,73 +121,6 @@ class BipProblem:
         the write penalties can only fall; the result is its own
         witness (every kept position is still used)."""
         return self._compiled().used_positions(chosen_positions)
-
-    def config_costs_scalar(self, batch):
-        """The scalar reference pricing of a batch of candidate sets —
-        what :meth:`config_costs` is pinned bit-identical against.
-
-        The per-slot option lists are preprocessed once per problem —
-        default access cost split from the per-candidate options — so
-        each batch member pays only the chosen-set minimum, not a
-        re-filtering of every option list.
-        """
-        if self._prepared is None:
-            # Lazily computed after build_bip finishes mutating queries;
-            # the problem is immutable from then on.
-            self._prepared = [
-                (
-                    q.weight,
-                    [
-                        (
-                            plan.internal_cost,
-                            [
-                                (
-                                    min(
-                                        (c for pos, c in slot.options
-                                         if pos == -1),
-                                        default=None,
-                                    ),
-                                    [(pos, c) for pos, c in slot.options
-                                     if pos != -1],
-                                )
-                                for slot in plan.slots
-                            ],
-                        )
-                        for plan in q.plans
-                    ],
-                )
-                for q in self.queries
-            ]
-        prepared = self._prepared
-        totals = []
-        for chosen_positions in batch:
-            chosen = set(chosen_positions)
-            total = self.write_base_cost
-            if self.index_penalties:
-                total += sum(self.index_penalties[pos] for pos in chosen)
-            for weight, plans in prepared:
-                best = math.inf
-                for internal, slots in plans:
-                    cost = internal
-                    feasible = True
-                    for default, options in slots:
-                        winner = default
-                        for pos, option_cost in options:
-                            if pos in chosen and (
-                                winner is None or option_cost < winner
-                            ):
-                                winner = option_cost
-                        if winner is None:
-                            feasible = False
-                            break
-                        cost += winner
-                    if feasible and cost < best:
-                        best = cost
-                if not math.isfinite(best):
-                    raise RuntimeError("BIP has an infeasible query term")
-                total += weight * best
-            totals.append(total)
-        return totals
 
     def config_size(self, chosen_positions):
         return sum(self.sizes[pos] for pos in set(chosen_positions))

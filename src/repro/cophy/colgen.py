@@ -329,7 +329,7 @@ def solve_colgen(inum_model, workload, candidates, budget_pages,
         chosen_set = set()
         used = 0.0
         problem = master.build_restricted(active_set)
-        current_cost = problem.config_cost(chosen, sparse=True)
+        current_cost = problem.config_cost(chosen)
         base_cost = current_cost
         evaluations = 1
         rounds = 0

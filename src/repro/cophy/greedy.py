@@ -13,36 +13,27 @@ import time
 from repro.cophy.solvers import SolveResult, observed_solve
 
 
-def greedy_select(problem, by_ratio=True, delta=True, sparse=False):
+def greedy_select(problem, by_ratio=True):
     """Greedy selection over a :class:`~repro.cophy.bip.BipProblem`.
 
     ``by_ratio=True`` ranks candidates by benefit/size (the usual
     knapsack heuristic); ``False`` ranks by raw benefit.
 
-    With ``delta=True`` (the default) each round prices its extensions
-    as single-index deltas off the current ``chosen``
+    Each round prices its extensions as single-index deltas off the
+    current ``chosen``
     (:meth:`~repro.cophy.bip.BipProblem.config_costs_delta`): the
     parent's slot winners and per-plan sums are captured once per round
     and only queries a candidate actually improves are re-minimized.
     The chosen indexes, objective, and round-by-round decisions are
-    bit-identical to the full-batch sweep, which ``delta=False`` keeps
-    available as the reference.
-
-    ``sparse=True`` routes batch pricing (the initial cost and the
-    ``delta=False`` sweeps) through the kernel's sparse footprint mode
-    — bit-identical again, so every combination of the two flags makes
-    the same decisions.
+    bit-identical to the full-batch sweep the tests keep as the
+    reference (``greedy_select_reference`` in ``tests/oracle.py``).
     """
     started = time.perf_counter()
     chosen = []
     used = 0.0
-    current_cost = (
-        problem.config_cost(chosen, sparse=True) if sparse
-        else problem.config_cost(chosen)
-    )
+    current_cost = problem.config_cost(chosen)
     evaluations = 1
     remaining = set(range(problem.n_candidates))
-    delta = delta and hasattr(problem, "config_costs_delta")
 
     while remaining:
         if problem.max_indexes is not None and len(chosen) >= problem.max_indexes:
@@ -53,14 +44,7 @@ def greedy_select(problem, by_ratio=True, delta=True, sparse=False):
             pos for pos in sorted(remaining)
             if used + problem.sizes[pos] <= problem.budget_pages
         ]
-        if delta:
-            costs = problem.config_costs_delta(chosen, feasible)
-        else:
-            children = [chosen + [pos] for pos in feasible]
-            costs = (
-                problem.config_costs(children, sparse=True) if sparse
-                else problem.config_costs(children)
-            )
+        costs = problem.config_costs_delta(chosen, feasible)
         evaluations += len(feasible)
         best_pos = None
         best_score = 0.0

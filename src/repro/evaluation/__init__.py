@@ -12,8 +12,8 @@ interaction analyzer) obtains configuration costs through a
 * :mod:`repro.evaluation.sharded` — the same pool surface partitioned
   across N independently locked shards, for multi-tenant traffic;
 * :mod:`repro.evaluation.evaluator` — the evaluator itself: batched
-  (vectorized, optionally multi-threaded) configuration pricing, a
-  concurrent cache warm-up, plus the exact per-configuration
+  (vectorized) configuration pricing, a concurrent cache warm-up,
+  plus the exact per-configuration
   :class:`~repro.optimizer.CostService` cache;
 * :mod:`repro.evaluation.kernel` — the columnar plan-term kernel:
   cache entries compiled to flat cost/slot arrays, whole workload ×

@@ -12,15 +12,19 @@ configuration at a time.  This module centralizes costing:
   queries across workloads — share INUM plan caches instead of
   rebuilding them, with LRU bounding and exact hit/miss statistics;
 
-* a **vectorized evaluate phase**: :meth:`WorkloadEvaluator.evaluate_many`
-  prices the whole workload × configuration grid on the columnar
-  plan-term kernel (:mod:`repro.evaluation.kernel`) — statement kernels
-  compiled once per pool entry, fused into flat numpy arrays, slot
-  costs resolved once per distinct per-table design — while
-  :meth:`WorkloadEvaluator.evaluate_configurations` with
-  ``kernel=False`` keeps the scalar reference loop (per-slot /
-  per-statement dict memoization, optional ``concurrent.futures``
-  fan-out across queries), pinned bit-identical to the kernel;
+* a **vectorized evaluate phase**, one implementation per job on the
+  columnar plan-term kernel (:mod:`repro.evaluation.kernel`):
+  :meth:`WorkloadEvaluator.evaluate_configurations` prices the whole
+  workload × configuration grid (statement kernels compiled once per
+  pool entry, fused into flat numpy arrays, slot costs resolved once
+  per distinct per-table design), :meth:`WorkloadEvaluator.evaluate_deltas`
+  prices a batch as deltas off a captured parent, and
+  :meth:`WorkloadEvaluator.workload_cost_with_usage_batch` adds argmin
+  witnesses to the delta pass.  Which strategy runs is decided by the
+  job, never by a caller's flag; the independent scalar reference is
+  per-call :meth:`~repro.inum.cache.InumCostModel.cost` over
+  :func:`~repro.inum.cache.evaluate_terms`, which the tests pin every
+  batch against bit for bit;
 
 * the **exact-optimizer path** the what-if session needs: a per
   configuration :class:`~repro.optimizer.CostService` cache
@@ -32,7 +36,6 @@ consumer); single-query evaluation semantics are inherited unchanged,
 which is what the equivalence test suite pins.
 """
 
-import math
 import threading
 import time
 from collections import OrderedDict
@@ -51,8 +54,6 @@ from repro.util import workload_pairs
 from repro.whatif import Configuration
 
 __all__ = ["BatchEvaluation", "WorkloadEvaluator"]
-
-_MISS = object()  # memo sentinel: None is a valid (infeasible) slot cost
 
 
 @dataclass
@@ -87,24 +88,6 @@ class BatchEvaluation:
 
 
 @dataclass
-class _CompiledStatement:
-    weight: float
-    write: object = None  # BoundWrite for write statements
-    plans: tuple = ()  # ((internal_cost, (slot_id, ...)), ...) for reads
-    sql: str = ""
-    signature: object = None  # canonical signature (reads only)
-    tables: tuple = ()  # table names whose design affects this statement
-
-
-@dataclass
-class _CompiledWorkload:
-    statements: list = field(default_factory=list)
-    slots: list = field(default_factory=list)  # slot_id -> (slot, bound_query)
-    tables: tuple = ()  # table names any slot touches
-    signatures: frozenset = frozenset()  # read-statement signatures used
-
-
-@dataclass
 class _KernelWorkload:
     """A workload compiled onto the columnar kernel: per-position
     weights plus either a write statement or the index of the distinct
@@ -115,7 +98,7 @@ class _KernelWorkload:
     signatures: frozenset = frozenset()  # read-statement signatures used
 
 
-_MAX_COMPILED = 16  # compiled-workload memo entries kept (LRU), both flavors
+_MAX_COMPILED = 16  # compiled-workload memo entries kept (LRU)
 _MAX_EXACT_SERVICES = 128  # per-config CostService cache bound (LRU)
 
 
@@ -124,26 +107,15 @@ class WorkloadEvaluator(InumCostModel):
 
     ``pool`` may be shared between evaluators over the same catalog and
     settings (e.g. one pool per deployment, one evaluator per session).
-    ``parallel`` turns on thread fan-out across queries in batched
-    evaluation by default; results are bit-identical either way.
     """
 
-    def __init__(self, catalog, settings=None, pool=None, parallel=False,
-                 max_workers=None, use_kernel=True):
+    def __init__(self, catalog, settings=None, pool=None):
         super().__init__(catalog, settings)
         self.pool = pool if pool is not None else InumCachePool()
         self.pool.attach(self.catalog, self.settings)
         self.pool.subscribe(self._forget)
-        self.parallel = parallel
-        self.max_workers = max_workers
-        # Batched pricing runs on the columnar kernel by default; the
-        # scalar loop survives as the pinned reference (kernel=False).
-        self.use_kernel = use_kernel
         self._signatures = {}  # statement sql -> canonical signature
-        # signature -> {touched-table designs -> cost}; sharded like
-        # _slot_costs so eviction drops one bucket, not a dict rebuild.
-        self._stmt_costs = {}
-        self._compiled = OrderedDict()  # workload key -> _CompiledWorkload
+        self._compiled = OrderedDict()  # workload key -> _KernelWorkload
         # signature -> set of _compiled keys referencing it, so _forget
         # drops dependents without scanning the memo.  Guarded by
         # self._lock together with _compiled itself.
@@ -189,12 +161,12 @@ class WorkloadEvaluator(InumCostModel):
         """Drop memo entries derived from an evicted cache, so a bounded
         pool bounds the memos too (not just the resident plan caches).
 
-        O(1) per eviction: the slot/statement memos are sharded by
-        owning query (one ``pop`` drops the whole bucket — a parallel
-        worker holding a popped bucket merely writes lost, benign,
-        entries into it), and compiled workloads are indexed by
-        contained signature, so dependents are popped directly instead
-        of scanning the memo.  Dropping a compiled workload also drops
+        O(1) per eviction: the slot memos are sharded by owning query
+        (one ``pop`` drops the whole bucket — a concurrent tenant thread
+        holding a popped bucket merely writes lost, benign, entries
+        into it), and compiled workloads are indexed by contained
+        signature, so dependents are popped directly instead of
+        scanning the memo.  Dropping a compiled workload also drops
         its fused kernel and therefore every delta state captured on it.
 
         Called with the pool lock held; the evaluator lock nests inside
@@ -202,7 +174,6 @@ class WorkloadEvaluator(InumCostModel):
         """
         self._slot_costs.pop(cache.bound_query.sql, None)
         self._slot_choices.pop(cache.bound_query.sql, None)
-        self._stmt_costs.pop(signature, None)
         # The scan-pricing memo rides on the bound query, which the bind
         # cache keeps per distinct SQL text: drop it with the entry.
         cache.bound_query.scan_memo.clear()
@@ -235,7 +206,6 @@ class WorkloadEvaluator(InumCostModel):
         with self._lock:
             self._slot_costs.clear()
             self._slot_choices.clear()
-            self._stmt_costs.clear()
             self._compiled.clear()
             self._compiled_by_sig.clear()
             # Statement-level memos too: signature tuples and bound ASTs
@@ -341,26 +311,20 @@ class WorkloadEvaluator(InumCostModel):
     # Batched (vectorized) evaluation.
     # ------------------------------------------------------------------
 
-    def _compile(self, workload, kernel=False):
-        """Flatten a workload into plan terms over deduplicated slots.
-
-        Two flavors share one LRU memo: the scalar reference
-        compilation (plan terms over slot-id tuples, priced by Python
-        loops) and the columnar ``kernel`` compilation (statement
-        kernels fused over a global slot table, priced by numpy
-        reductions).  Compiled workloads are memoized, so repeated
-        sweeps over the same workload — the interaction analyzer prices
-        one batch per index pair — skip straight to the evaluate phase.
+    def _compile(self, workload):
+        """Flatten a workload into plan terms over deduplicated slots:
+        statement kernels fused over a global slot table, priced by
+        numpy reductions.  Compiled workloads are memoized (LRU), so
+        repeated sweeps over the same workload — the interaction
+        analyzer prices one batch per index pair — skip straight to the
+        evaluate phase.
         Entries referencing an evicted cache are dropped by
         :meth:`_forget`, never served stale.
         """
         # Materialize once: workloads may be one-shot iterators, and the
         # memo key must be derived from the same pass that compiles.
         pairs = [(self.bound(q), w) for q, w in workload_pairs(workload)]
-        key = (
-            "kernel" if kernel else "scalar",
-            tuple((bq.sql, w) for bq, w in pairs),
-        )
+        key = tuple((bq.sql, w) for bq, w in pairs)
         with self._lock:
             compiled = self._compiled.get(key)
             if compiled is not None:
@@ -369,10 +333,7 @@ class WorkloadEvaluator(InumCostModel):
         # Build outside the lock (compilation may issue optimizer calls
         # through the pool); concurrent builders of the same workload
         # each produce an equivalent object and the last insert wins.
-        if kernel:
-            compiled = self._compile_kernel_fresh(pairs)
-        else:
-            compiled = self._compile_fresh(pairs)
+        compiled = self._compile_fresh(pairs)
         with self._lock:
             # Memoize only while every underlying cache is still
             # resident: an entry evicted mid-build must not resurrect a
@@ -389,63 +350,11 @@ class WorkloadEvaluator(InumCostModel):
         return compiled
 
     def _compile_fresh(self, pairs):
-        compiled = _CompiledWorkload()
-        slot_ids = {}
-        tables = set()
-        for bq, weight in pairs:
-            if isinstance(bq, BoundWrite):
-                compiled.statements.append(
-                    _CompiledStatement(weight=weight, write=bq, sql=bq.sql)
-                )
-                tables.add(bq.table.name)
-                if bq.kind in ("update", "delete"):
-                    # Warm the locate cache now so the evaluate phase
-                    # issues zero optimizer calls even for writes.
-                    from repro.optimizer.writecost import locate_query
-
-                    self.cache_for(locate_query(bq))
-                continue
-            cache = self.cache_for(bq)
-            cbq = cache.bound_query
-            plans = []
-            touched = set()
-            for internal_cost, slots in cache.plan_terms():
-                ids = []
-                for slot in slots:
-                    key = (cbq.sql, slot)
-                    sid = slot_ids.get(key)
-                    if sid is None:
-                        sid = len(compiled.slots)
-                        slot_ids[key] = sid
-                        compiled.slots.append((slot, cbq))
-                        tables.add(slot.table_name)
-                    ids.append(sid)
-                    touched.add(slot.table_name)
-                plans.append((internal_cost, tuple(ids)))
-            compiled.statements.append(
-                _CompiledStatement(
-                    weight=weight,
-                    plans=tuple(plans),
-                    sql=bq.sql,
-                    signature=self.signature(bq),
-                    tables=tuple(sorted(touched)),
-                )
-            )
-        compiled.tables = tuple(sorted(tables))
-        compiled.signatures = frozenset(
-            stmt.signature
-            for stmt in compiled.statements
-            if stmt.write is None
-        )
-        return compiled
-
-    def _compile_kernel_fresh(self, pairs):
         """Compile a workload onto the columnar kernel: per-statement
         kernels come from the pool (compiled once per resident entry,
         shared across evaluators) and fuse into one
         :class:`~repro.evaluation.kernel.WorkloadKernel` over a global
-        slot table — replacing the scalar compile's per-slot dict
-        memoization with array-column lookups."""
+        slot table."""
         from repro.evaluation.kernel import WorkloadKernel, compile_statement
 
         fused = WorkloadKernel()
@@ -473,42 +382,12 @@ class WorkloadEvaluator(InumCostModel):
         compiled.signatures = frozenset(signatures)
         return compiled
 
-    def evaluate_many(self, workload, configurations, sparse=False):
+    def evaluate_many(self, workload, configurations):
         """Price the whole workload × configuration grid on the
-        columnar kernel (:mod:`repro.evaluation.kernel`): one
-        ``configurations × slots`` access-cost matrix, per-statement
-        numpy reductions, results bit-identical to the scalar batched
-        path and the per-call :meth:`cost`.  This is the batch seam
-        CoPhy sweeps, COLT epoch scoring, and doi prefetch route
-        through.
-
-        ``sparse=True`` skips the dense matrix entirely: each
-        configuration resolves per-table column blocks on demand
-        against the shared base-design state, so memory and resolve
-        work scale with the configuration's active footprint.  Results
-        stay bit-identical (dense remains the pinned reference, same
-        pattern as ``kernel=False``)."""
-        return self.evaluate_configurations(workload, configurations,
-                                            kernel=True, sparse=sparse)
-
-    def _base_view(self):
-        """The design view of the empty configuration — the shared base
-        design sparse kernel passes diff against."""
-        return _DesignView(self.catalog, Configuration.empty())
-
-    def _observe_sparse(self, fused, cells_before, dense_before):
-        """Record one sparse pass's column work: slot cells actually
-        materialized vs. the dense-equivalent count the full matrix
-        would have resolved."""
-        registry = obs.metrics()
-        registry.counter(
-            "repro_sparse_cells_total",
-            "Slot cells materialized by sparse kernel passes",
-        ).inc(fused.sparse_cells - cells_before)
-        registry.counter(
-            "repro_sparse_dense_equiv_cells_total",
-            "Slot cells an equivalent dense pass would have resolved",
-        ).inc(fused.dense_equiv_cells - dense_before)
+        columnar kernel: the in-process consumers' (AutoPart reports,
+        doi prefetch) name for :meth:`evaluate_configurations`, the
+        name every backplane shares, which it delegates to."""
+        return self.evaluate_configurations(workload, configurations)
 
     def _kernel_views(self, compiled, configurations):
         """Per-configuration design views and per-table signatures for
@@ -550,7 +429,7 @@ class WorkloadEvaluator(InumCostModel):
         with self._lock:  # exact even when tenant threads batch at once
             self.evaluations += len(compiled.positions) * n_configs
         # ndarray.tolist() yields the exact same Python floats the
-        # scalar path produces — float64 round-trips losslessly.
+        # per-call walk produces — float64 round-trips losslessly.
         matrix = out.tolist()
         return BatchEvaluation(
             configurations=list(configurations),
@@ -594,25 +473,7 @@ class WorkloadEvaluator(InumCostModel):
         cells.inc(statements * configurations)
         seconds.observe(elapsed)
 
-    def _evaluate_kernel(self, compiled, configurations, sparse=False):
-        """The kernel evaluate phase: views and per-table design
-        signatures once per configuration, then pure array arithmetic
-        (plus the scalar write path — writes are few and analytic)."""
-        views, table_sigs = self._kernel_views(compiled, configurations)
-        fused = compiled.kernel
-        if sparse:
-            cells, dense = fused.sparse_cells, fused.dense_equiv_cells
-            reads = fused.evaluate_many(
-                views, table_sigs, self.slot_cost,
-                sparse=True, base_view=self._base_view(),
-            )
-            self._observe_sparse(fused, cells, dense)
-        else:
-            reads = fused.evaluate_many(views, table_sigs, self.slot_cost)
-        return self._assemble_batch(compiled, configurations, views, reads)
-
-    def evaluate_deltas(self, workload, parent, configurations,
-                        sparse=False):
+    def evaluate_deltas(self, workload, parent, configurations):
         """Price *configurations* as single-design deltas off *parent*.
 
         The seminaïve seam greedy rounds, COLT epoch scoring, and IBG
@@ -621,10 +482,10 @@ class WorkloadEvaluator(InumCostModel):
         it on pool eviction), and each child re-resolves only slots on
         tables whose design differs from the parent's — O(delta) per
         child instead of O(grid).  Results are bit-identical to
-        :meth:`evaluate_many` on the same arguments, which the
-        equivalence suite pins exactly.
+        :meth:`evaluate_configurations` on the same arguments, which
+        the equivalence suite pins exactly.
         """
-        compiled = self._compile(workload, kernel=True)
+        compiled = self._compile(workload)
         configurations = [c or Configuration.empty() for c in configurations]
         parent = parent or Configuration.empty()
         with obs.tracer().span("evaluate.deltas",
@@ -632,217 +493,107 @@ class WorkloadEvaluator(InumCostModel):
             t0 = time.perf_counter()
             state = self._kernel_state(compiled, parent)
             views, table_sigs = self._kernel_views(compiled, configurations)
-            fused = compiled.kernel
-            if sparse:
-                cells, dense = fused.sparse_cells, fused.dense_equiv_cells
-            reads = fused.evaluate_deltas(
-                state, views, table_sigs, self.slot_cost, sparse=sparse
+            reads = compiled.kernel.evaluate_deltas(
+                state, views, table_sigs, self.slot_cost
             )
-            if sparse:
-                self._observe_sparse(fused, cells, dense)
             batch = self._assemble_batch(compiled, configurations, views,
                                          reads)
-            self._observe_batch("delta-sparse" if sparse else "delta",
-                                time.perf_counter() - t0,
+            self._observe_batch("delta", time.perf_counter() - t0,
                                 len(compiled.positions), len(configurations))
             return batch
 
-    def evaluate_configurations(self, workload, configurations, parallel=None,
-                                max_workers=None, kernel=None, sparse=False):
+    def evaluate_configurations(self, workload, configurations):
         """Price all *configurations* against all of *workload* in one pass.
 
         The evaluate phase issues zero optimizer calls (beyond cache
-        warm-up for statements seen for the first time) and shares
-        pricing at three levels: per-slot access costs (the INUM memo),
-        per-statement costs keyed by canonical signature × the design of
-        the tables the statement touches, and the per-table design
-        signatures themselves, computed once per configuration rather
-        than once per slot occurrence.
-
-        ``kernel`` selects the engine: ``True`` prices the grid on the
-        columnar kernel (the default, via :attr:`use_kernel`), ``False``
-        forces the scalar reference loop.  Results are bit-identical
-        either way — the kernel accumulates in scalar order — which
-        ``tests/test_kernel.py`` pins exactly.  With ``parallel=True``
-        the scalar path fans queries out across threads (the kernel
-        path is already vectorized and ignores the flag); the result is
-        deterministic and identical in every mode.
+        warm-up for statements seen for the first time): one
+        ``configurations × slots`` access-cost matrix on the columnar
+        kernel (:mod:`repro.evaluation.kernel`), slot cost columns
+        resolved once per distinct per-table design and per-table
+        design signatures once per configuration, then per-statement
+        numpy reductions (plus the scalar write path — writes are few
+        and analytic).  The kernel accumulates in scalar order, so the
+        grid is bit-identical to per-call :meth:`cost`, which
+        ``tests/test_kernel.py`` pins exactly.  This is the batch seam
+        what-if sweeps, AutoPart reports and doi prefetch route
+        through, and the one signature every backplane (in-process,
+        process pool, remote) shares.
         """
-        if parallel is None:
-            parallel = self.parallel
-        if max_workers is None:
-            max_workers = self.max_workers
-        if kernel is None:
-            kernel = self.use_kernel
         configurations = [c or Configuration.empty() for c in configurations]
-        if sparse:
-            mode = "sparse"
-        else:
-            mode = "kernel" if kernel else "scalar"
-        with obs.tracer().span("evaluate.batch", engine=mode,
+        with obs.tracer().span("evaluate.batch",
                                configurations=len(configurations)):
             t0 = time.perf_counter()
-            if kernel:
-                compiled = self._compile(workload, kernel=True)
-                batch = self._evaluate_kernel(compiled, configurations,
-                                              sparse=sparse)
-                statements = len(compiled.positions)
-            else:
-                compiled = self._compile(workload)
-                batch = self._evaluate_scalar(compiled, configurations,
-                                              parallel, max_workers)
-                statements = len(compiled.statements)
-            self._observe_batch(mode, time.perf_counter() - t0,
-                                statements, len(configurations))
+            compiled = self._compile(workload)
+            views, table_sigs = self._kernel_views(compiled, configurations)
+            reads = compiled.kernel.evaluate_many(
+                views, table_sigs, self.slot_cost
+            )
+            batch = self._assemble_batch(compiled, configurations, views,
+                                         reads)
+            self._observe_batch("kernel", time.perf_counter() - t0,
+                                len(compiled.positions), len(configurations))
             return batch
 
-    def _evaluate_scalar(self, compiled, configurations, parallel,
-                         max_workers):
-        """The scalar reference evaluate phase (``kernel=False``):
-        per-slot / per-statement dict memoization, optional thread
-        fan-out across statements — pinned bit-identical to the kernel."""
-        views = [_DesignView(self.catalog, c) for c in configurations]
-        table_sigs = [
-            {name: view.design_signature(name) for name in compiled.tables}
-            for view in views
-        ]
-        slot_caches = [{} for __ in views]  # slot_id -> cost under view
-
-        def statement_cost(stmt, pos):
-            view = views[pos]
-            if stmt.write is not None:
-                return self._write_cost(stmt.write, view, configurations[pos])
-            sigs = table_sigs[pos]
-            bucket = self._stmt_costs.get(stmt.signature)
-            if bucket is None:
-                bucket = self._stmt_costs.setdefault(stmt.signature, {})
-            key = tuple(sigs[name] for name in stmt.tables)
-            cost = bucket.get(key, _MISS)
-            if cost is not _MISS:
-                return cost
-            slot_costs = slot_caches[pos]
-            best = math.inf
-            for internal, ids in stmt.plans:
-                total = internal
-                feasible = True
-                for sid in ids:
-                    cost = slot_costs.get(sid, _MISS)
-                    if cost is _MISS:
-                        slot, bq = compiled.slots[sid]
-                        cost = self.slot_cost(
-                            bq, slot, view,
-                            design_signature=sigs[slot.table_name],
-                        )
-                        slot_costs[sid] = cost
-                    if cost is None:
-                        feasible = False
-                        break
-                    total += cost
-                if feasible and total < best:
-                    best = total
-            if not math.isfinite(best):
-                raise RuntimeError("INUM cache produced no feasible plan")
-            bucket[key] = best
-            return best
-
-        def column(stmt):
-            return [statement_cost(stmt, pos) for pos in range(len(views))]
-
-        if parallel and len(compiled.statements) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as executor:
-                columns = list(executor.map(column, compiled.statements))
-        else:
-            columns = [column(stmt) for stmt in compiled.statements]
-
-        with self._lock:  # exact even when tenant threads batch at once
-            self.evaluations += len(compiled.statements) * len(configurations)
-        matrix = [
-            [columns[s][c] for s in range(len(compiled.statements))]
-            for c in range(len(configurations))
-        ]
-        return BatchEvaluation(
-            configurations=list(configurations),
-            weights=[stmt.weight for stmt in compiled.statements],
-            matrix=matrix,
-        )
-
-    def workload_costs(self, workload, configurations, parallel=None):
+    def workload_costs(self, workload, configurations):
         """Convenience: just the weighted totals, one per configuration."""
-        return self.evaluate_configurations(
-            workload, configurations, parallel=parallel
-        ).totals
+        return self.evaluate_configurations(workload, configurations).totals
 
     def workload_cost_with_usage_batch(self, workload, configurations,
-                                       parent=None, vectorized=None,
-                                       sparse=False):
+                                       parent=None):
         """Usage-aware evaluation of a batch of configurations.
 
         This is the seam level-wise IBG builds price their frontiers
-        through.  By default it runs as **one vectorized pass** on the
-        columnar kernel's argmin-witness mode: costs come from the same
-        reductions as :meth:`evaluate_many`, and each statement's used
-        set is the winning plan's winning-access indexes (payload
-        columns memoized per (table, design) exactly like cost columns)
-        intersected with the configuration — bit-identical to the
-        serial :meth:`workload_cost_with_usage` walk, which
-        ``vectorized=False`` keeps available as the pinned scalar
-        reference.  Passing *parent* additionally prices the batch as
-        deltas off that configuration (untouched statements inherit
-        both minimum and witness from the captured parent state).
+        through: **one vectorized pass** on the columnar kernel's
+        argmin-witness mode, priced as deltas off *parent* (the empty
+        configuration when not given).  Costs come from the same
+        reductions as :meth:`evaluate_deltas`, untouched statements
+        inherit both minimum and witness from the captured parent
+        state, and each statement's used set is the winning plan's
+        winning-access indexes (payload columns memoized per (table,
+        design) exactly like cost columns) intersected with the
+        configuration — bit-identical to the serial
+        :meth:`workload_cost_with_usage` walk, the pinned reference.
         """
-        if vectorized is None:
-            vectorized = self.use_kernel
-        if not vectorized:
-            return [
-                self.workload_cost_with_usage(workload, config)
-                for config in configurations
-            ]
-        compiled = self._compile(workload, kernel=True)
+        compiled = self._compile(workload)
         configurations = [c or Configuration.empty() for c in configurations]
-        t0 = time.perf_counter()
-        views, table_sigs = self._kernel_views(compiled, configurations)
-        fused = compiled.kernel
-        if sparse:
-            cells, dense = fused.sparse_cells, fused.dense_equiv_cells
-        if parent is not None:
-            state = self._kernel_state(compiled, parent)
-            reads, witnesses = fused.evaluate_deltas_with_usage(
-                state, views, table_sigs, self.slot_cost, self.slot_choice,
-                sparse=sparse,
+        with obs.tracer().span("evaluate.usage",
+                               configurations=len(configurations)):
+            t0 = time.perf_counter()
+            state = self._kernel_state(
+                compiled, parent or Configuration.empty()
             )
-        else:
-            reads, witnesses = fused.evaluate_many_with_usage(
-                views, table_sigs, self.slot_cost, self.slot_choice,
-                sparse=sparse, base_view=self._base_view() if sparse else None,
+            views, table_sigs = self._kernel_views(compiled, configurations)
+            reads, witnesses = compiled.kernel.evaluate_deltas_with_usage(
+                state, views, table_sigs, self.slot_cost, self.slot_choice
             )
-        if sparse:
-            self._observe_sparse(fused, cells, dense)
-        results = []
-        for c, config in enumerate(configurations):
-            # Same accumulation the serial walk runs: weighted costs in
-            # workload order onto 0.0, used sets unioned per statement.
-            total = 0.0
-            used = set()
-            for weight, __, write, read in compiled.positions:
-                if write is None:
-                    cost = float(reads[read][c])
-                    stmt_used = frozenset(
-                        index for index in witnesses[read][c]
-                        if index in config.indexes
-                    )
-                else:
-                    cost, stmt_used = self._write_usage(
-                        write, views[c], config
-                    )
-                total += weight * cost
-                used |= stmt_used
-            results.append((total, frozenset(used)))
-        with self._lock:  # exact even when tenant threads batch at once
-            self.evaluations += len(compiled.positions) * len(configurations)
-        self._observe_batch("usage-sparse" if sparse else "usage",
-                            time.perf_counter() - t0,
-                            len(compiled.positions), len(configurations))
-        return results
+            results = []
+            for c, config in enumerate(configurations):
+                # Same accumulation the serial walk runs: weighted costs
+                # in workload order onto 0.0, used sets unioned per
+                # statement.
+                total = 0.0
+                used = set()
+                for weight, __, write, read in compiled.positions:
+                    if write is None:
+                        cost = float(reads[read][c])
+                        stmt_used = frozenset(
+                            index for index in witnesses[read][c]
+                            if index in config.indexes
+                        )
+                    else:
+                        cost, stmt_used = self._write_usage(
+                            write, views[c], config
+                        )
+                    total += weight * cost
+                    used |= stmt_used
+                results.append((total, frozenset(used)))
+            with self._lock:  # exact even when tenant threads batch at once
+                self.evaluations += (
+                    len(compiled.positions) * len(configurations)
+                )
+            self._observe_batch("usage", time.perf_counter() - t0,
+                                len(compiled.positions), len(configurations))
+            return results
 
     def _write_usage(self, bound_write, view, config):
         """Cost and used-index set of one write statement — the same

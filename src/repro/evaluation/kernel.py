@@ -44,9 +44,13 @@ columns), which is what turns
 — the IBG frontier oracle — from a per-configuration serial walk into
 one vectorized pass.
 
+Each job has exactly one strategy — the dense grid for a full batch,
+deltas off a captured parent for chains and witnesses — chosen by the
+method called, never by a flag.
+
 Results are **bit-identical** to the scalar reference walks
-(:func:`repro.inum.cache.evaluate_terms`,
-:meth:`~repro.cophy.bip.BipProblem.config_costs_scalar`), not merely
+(:func:`repro.inum.cache.evaluate_terms` per call, and the scalar BIP
+walk ``config_costs_reference`` in ``tests/oracle.py``), not merely
 close: every floating-point accumulation runs in exactly the scalar
 order — plan costs accumulate slot by slot via gathered element-wise
 adds (never a reassociating matmul), infeasible slots price as ``+inf``
@@ -86,11 +90,6 @@ _MAX_DELTA_STATES = 8
 # Distinct changed-table sets whose touched read/plan groupings are
 # memoized (greedy extensions cycle through the same few sets).
 _MAX_TOUCH_GROUPS = 256
-
-# The design signature every table carries under the empty configuration
-# (no config indexes, no layout, no partitioning) — the shared base
-# design that sparse evaluation resolves untouched tables through.
-BASE_SIGNATURE = (frozenset(), None, None)
 
 
 class StatementKernel:
@@ -210,12 +209,6 @@ class WorkloadKernel:
         self._payloads = {}  # (table, design signature) -> payload column
         self._delta_states = {}  # sorted table-sig items -> delta state
         self._touch_groups = {}  # changed-table frozenset -> groupings
-        self._sparse_groups = {}  # changed-table frozenset -> _SparseGroup
-        # Monotonic work counters for the sparse path (read by the
-        # evaluator's observability hooks): slot cells actually
-        # materialized vs. what a dense pass would have resolved.
-        self.sparse_cells = 0
-        self.dense_equiv_cells = 0
         # Filled by seal():
         self.plan_internal = None  # np [n_plans_total]
         self.plan_idx = None  # np.intp [n_plans_total, max slots per plan]
@@ -307,17 +300,7 @@ class WorkloadKernel:
             self._columns[(table, signature)] = column
         return column
 
-    def base_state(self, base_view, slot_cost):
-        """The resolved state of the empty configuration — the shared
-        base design sparse evaluation diffs against.  *base_view* must
-        be the design view of the empty configuration over the kernel's
-        own catalog (every table then carries :data:`BASE_SIGNATURE`).
-        Memoized with the other delta states."""
-        sigs = {table: BASE_SIGNATURE for table in self.table_columns}
-        return self.delta_state(base_view, sigs, slot_cost)
-
-    def evaluate_many(self, views, table_sigs, slot_cost, sparse=False,
-                      base_view=None):
+    def evaluate_many(self, views, table_sigs, slot_cost):
         """Price every read statement under every configuration.
 
         ``views`` are the per-configuration
@@ -332,62 +315,7 @@ class WorkloadKernel:
         column is resolved per distinct design, and the full matrix is
         a gather.  Statement pricing is then pure array arithmetic in
         scalar accumulation order.
-
-        With ``sparse=True`` (requires *base_view*) no dense
-        configs × slots matrix is allocated at all: each configuration
-        is priced as a diff against the shared base-design state
-        (:meth:`base_state`) through per-table column blocks, touching
-        only the slots of tables its indexes change — bit-identical to
-        the dense pass, because touched plans re-accumulate through the
-        very same gathered adds and untouched reads inherit base values
-        whose every input is unchanged.
         """
-        if sparse and self.kernels:
-            state = self.base_state(base_view, slot_cost)
-            return self.evaluate_deltas(
-                state, views, table_sigs, slot_cost, sparse=True
-            )
-        best, __ = self._evaluate_full(views, table_sigs, slot_cost)
-        return best
-
-    def evaluate_many_with_usage(self, views, table_sigs, slot_cost,
-                                 slot_choice, sparse=False, base_view=None):
-        """:meth:`evaluate_many` plus argmin witnesses.
-
-        Returns ``(grid, used)`` where ``used[r][c]`` is the *raw*
-        witness set of read ``r`` under configuration ``c``: the union
-        of the winning access path's indexes over the winning plan's
-        slots, **unfiltered** (callers intersect with the
-        configuration's own indexes, like the scalar walk does).
-        ``slot_choice(bq, slot, view, signature)`` returns the winning
-        ``(cost, payload indexes)`` pair for one slot, or ``None`` if
-        infeasible — the same pure function the serial reference calls.
-
-        ``sparse=True`` diffs against the base-design state like
-        :meth:`evaluate_many`.
-        """
-        if sparse and self.kernels:
-            state = self.base_state(base_view, slot_cost)
-            return self.evaluate_deltas_with_usage(
-                state, views, table_sigs, slot_cost, slot_choice,
-                sparse=True,
-            )
-        n_configs = len(views)
-        best, acc = self._evaluate_full(views, table_sigs, slot_cost)
-        used = []
-        for r in range(self.n_reads):
-            s, e = int(self.read_starts[r]), int(self.read_ends[r])
-            # First minimum == the scalar walk's first-strict-less win.
-            args = s + np.argmin(acc[:, s:e], axis=1)
-            used.append([
-                self._witness(
-                    int(args[c]), table_sigs[c], views[c], slot_choice
-                )
-                for c in range(n_configs)
-            ])
-        return best, used
-
-    def _evaluate_full(self, views, table_sigs, slot_cost):
         n_configs = len(views)
         matrix = np.zeros((n_configs, len(self.slots) + 1), dtype=np.float64)
         for table, cols in self.table_columns.items():
@@ -410,7 +338,7 @@ class WorkloadKernel:
             matrix[:, cols] = block[inverse]
 
         if not self.kernels:
-            return np.empty((0, n_configs), dtype=np.float64), None
+            return np.empty((0, n_configs), dtype=np.float64)
         acc = np.broadcast_to(
             self.plan_internal, (n_configs, self.plan_internal.shape[0])
         ).copy()
@@ -423,7 +351,7 @@ class WorkloadKernel:
         best = np.minimum.reduceat(acc, self.read_starts, axis=1)
         if not np.isfinite(best).all():
             raise RuntimeError("INUM cache produced no feasible plan")
-        return best.T.copy(), acc
+        return best.T.copy()
 
     # -- delta (seminaïve) evaluation ----------------------------------
 
@@ -464,36 +392,39 @@ class WorkloadKernel:
         self._delta_states[key] = state
         return state
 
-    def evaluate_deltas(self, state, views, table_sigs, slot_cost,
-                        sparse=False):
+    def evaluate_deltas(self, state, views, table_sigs, slot_cost):
         """Delta counterpart of :meth:`evaluate_many`: price each
         configuration as a diff against *state*'s parent, re-resolving
         only slots on tables whose design changed and re-minimizing
         only the reads whose plans reference them.  Untouched reads
         inherit the parent minimum verbatim — bit-identical, because
-        every input to their plan sums is unchanged.
-
-        With ``sparse=True`` each diff gathers the parent row into a
-        compact per-changed-table-set block instead of copying the full
-        slot row, so resolve work scales with the configuration's
-        active footprint rather than the global slot table."""
+        every input to their plan sums is unchanged."""
         n_configs = len(views)
         if not self.kernels:
             return np.empty((0, n_configs), dtype=np.float64)
         out = np.empty((self.n_reads, n_configs), dtype=np.float64)
         for c in range(n_configs):
             best, __, ___ = self._delta_column(
-                state, views[c], table_sigs[c], slot_cost, compact=sparse
+                state, views[c], table_sigs[c], slot_cost
             )
             out[:, c] = best
         return out
 
     def evaluate_deltas_with_usage(self, state, views, table_sigs,
-                                   slot_cost, slot_choice, sparse=False):
-        """:meth:`evaluate_deltas` plus argmin witnesses (see
-        :meth:`evaluate_many_with_usage`).  Witnesses of untouched
-        reads are resolved once against the parent and cached on the
-        state; touched reads resolve under the child's designs."""
+                                   slot_cost, slot_choice):
+        """:meth:`evaluate_deltas` plus argmin witnesses.
+
+        Returns ``(grid, used)`` where ``used[r][c]`` is the *raw*
+        witness set of read ``r`` under configuration ``c``: the union
+        of the winning access path's indexes over the winning plan's
+        slots, **unfiltered** (callers intersect with the
+        configuration's own indexes, like the scalar walk does).
+        ``slot_choice(bq, slot, view, signature)`` returns the winning
+        ``(cost, payload indexes)`` pair for one slot, or ``None`` if
+        infeasible — the same pure function the serial reference calls.
+        Witnesses of untouched reads are resolved once against the
+        parent and cached on the state; touched reads resolve under the
+        child's designs."""
         n_configs = len(views)
         if not self.kernels:
             return np.empty((0, n_configs), dtype=np.float64), []
@@ -502,7 +433,7 @@ class WorkloadKernel:
         for c in range(n_configs):
             best, argmin, touched = self._delta_column(
                 state, views[c], table_sigs[c], slot_cost,
-                want_argmin=True, compact=sparse,
+                want_argmin=True,
             )
             out[:, c] = best
             for r in range(self.n_reads):
@@ -521,19 +452,11 @@ class WorkloadKernel:
                     used[r][c] = witness
         return out, used
 
-    def _delta_column(self, state, view, sigs, slot_cost, want_argmin=False,
-                      compact=False):
+    def _delta_column(self, state, view, sigs, slot_cost, want_argmin=False):
         """Price one child configuration against the parent *state*.
         Returns ``(best, argmin, touched reads)``; ``argmin`` is only
         computed when requested, and untouched entries of both vectors
-        are the parent's own (their plan sums are bit-identical).
-
-        ``compact`` switches the slot-row representation: instead of
-        copying the parent's full slot row, only the columns the
-        touched plans reference are gathered into a local block and the
-        changed tables' design columns scattered into it.  The plan
-        sums gather the very same values in the very same order, so
-        the result is bit-identical either way."""
+        are the parent's own (their plan sums are bit-identical)."""
         changed = [
             table for table in self.table_columns
             if sigs[table] != state.table_sigs[table]
@@ -543,29 +466,15 @@ class WorkloadKernel:
         reads, plans, starts = self._touched(frozenset(changed))
         if not plans.size:
             return state.best, state.argmin, ()
-        if compact:
-            group = self._sparse_group(frozenset(changed))
-            local_row = state.row[group.ucols]
-            for table in changed:
-                local_row[group.table_pos[table]] = self._design_column(
-                    table, sigs[table], view, slot_cost
-                )
-            self.sparse_cells += group.ucols.size
-            self.dense_equiv_cells += len(self.slots) + 1
-            sub_idx = group.local_idx
-            acc = self.plan_internal[plans].copy()
-            for k in range(sub_idx.shape[1]):
-                acc += local_row[sub_idx[:, k]]
-        else:
-            row = state.row.copy()
-            for table in changed:
-                row[self.table_columns[table]] = self._design_column(
-                    table, sigs[table], view, slot_cost
-                )
-            sub_idx = self.plan_idx[plans]
-            acc = self.plan_internal[plans].copy()
-            for k in range(sub_idx.shape[1]):
-                acc += row[sub_idx[:, k]]
+        row = state.row.copy()
+        for table in changed:
+            row[self.table_columns[table]] = self._design_column(
+                table, sigs[table], view, slot_cost
+            )
+        sub_idx = self.plan_idx[plans]
+        acc = self.plan_internal[plans].copy()
+        for k in range(sub_idx.shape[1]):
+            acc += row[sub_idx[:, k]]
         best_touched = np.minimum.reduceat(acc, starts)
         if not np.isfinite(best_touched).all():
             raise RuntimeError("INUM cache produced no feasible plan")
@@ -579,31 +488,6 @@ class WorkloadKernel:
             s, e = int(bounds[i]), int(bounds[i + 1])
             argmin[r] = int(plans[s + int(np.argmin(acc[s:e]))])
         return best, argmin, set(reads.tolist())
-
-    def _sparse_group(self, changed):
-        """Compact gather maps for one changed-table set (memoized like
-        :meth:`_touched`): the distinct global columns the touched
-        plans reference (``ucols``), the touched plans' slot-index
-        matrix remapped into that local coordinate space, and each
-        changed table's scatter positions.  Every column of a changed
-        table appears in ``ucols`` — its slots all occur in plans of
-        statements referencing the table, and those plans are by
-        definition touched."""
-        group = self._sparse_groups.get(changed)
-        if group is None:
-            __, plans, ___ = self._touched(changed)
-            sub_idx = self.plan_idx[plans]
-            ucols = np.unique(sub_idx)
-            local_idx = np.searchsorted(ucols, sub_idx)
-            table_pos = {
-                table: np.searchsorted(ucols, self.table_columns[table])
-                for table in changed
-            }
-            if len(self._sparse_groups) >= _MAX_TOUCH_GROUPS:
-                self._sparse_groups.clear()
-            group = _SparseGroup(ucols, local_idx, table_pos)
-            self._sparse_groups[changed] = group
-        return group
 
     def _touched(self, changed):
         """Reads whose plans reference any table in *changed*, their
@@ -666,18 +550,6 @@ class WorkloadKernel:
             )
             out.update(column[self._col_pos[g]])
         return frozenset(out)
-
-
-class _SparseGroup:
-    """Compact gather maps for one changed-table set (see
-    :meth:`WorkloadKernel._sparse_group`)."""
-
-    __slots__ = ("ucols", "local_idx", "table_pos")
-
-    def __init__(self, ucols, local_idx, table_pos):
-        self.ucols = ucols
-        self.local_idx = local_idx
-        self.table_pos = table_pos
 
 
 class BipKernel:
@@ -754,33 +626,17 @@ class BipKernel:
         self._qplan_pad = None  # lazy (n_queries, width) padded plan ids
         self._batch_fps = {}  # positions tuple -> _BipBatchFootprint/None
         self._delta_state = None  # (chosen tuple, BipDeltaState)
-        self._base = None  # lazy (winners, acc) of the empty set
-        # Monotonic work counters for the sparse path (option cells
-        # touched vs. the dense masked-matrix equivalent).
-        self.sparse_cells = 0
-        self.dense_equiv_cells = 0
 
-    def evaluate(self, batch, sparse=False):
+    def evaluate(self, batch):
         """Objective values for *batch* (iterables of chosen candidate
-        positions); equals the scalar
-        :meth:`~repro.cophy.bip.BipProblem.config_costs_scalar` exactly
-        — including the base/penalty accumulation, which runs through
-        the very same Python expressions.
-
-        With ``sparse=True`` the dense batch × options masked matrix is
-        never allocated: every member is priced as a footprint scatter
-        against the shared empty-set base state, touching only the
-        slots and plans its candidates offer options on.  Bit-identical
-        to the dense pass — slot winners decompose exactly under min
-        (``min(default options, candidate options)``), touched plans
-        re-accumulate through the same gathered adds, and untouched
-        plans keep base values whose every input is unchanged."""
+        positions); equals the scalar BIP walk
+        (``config_costs_reference`` in ``tests/oracle.py``) exactly —
+        including the base/penalty accumulation, which runs through the
+        very same Python expressions."""
         batch = [list(chosen) for chosen in batch]
         n_batch = len(batch)
         if not n_batch:
             return []
-        if sparse and self.n_slots and self.plan_starts.size:
-            return self._evaluate_sparse(batch)
         chosen_cols = np.zeros(
             (n_batch, self.n_candidates + 1), dtype=bool
         )
@@ -847,80 +703,6 @@ class BipKernel:
         plans = pad[np.arange(pad.shape[0]), state.acc[pad].argmin(axis=1)]
         used = set(slot_col[self.plan_idx[plans]].ravel().tolist())
         return tuple(pos for pos in chosen if pos in used)
-
-    def _base_sparse(self):
-        """The resolved ``(winners, acc)`` of the empty candidate set —
-        default accesses only.  Kept separate from the single delta
-        state memo so sparse batches don't thrash its chain extension.
-        No feasibility check here: a query feasible only through
-        candidate options prices ``+inf`` at base and is checked on the
-        final per-member minima, exactly like the dense pass."""
-        base = self._base
-        if base is None:
-            masked = np.where(
-                self.opt_col == self.n_candidates, self.opt_cost, np.inf
-            )
-            winners = np.minimum.reduceat(masked, self.slot_starts)
-            winners = np.append(winners, 0.0)
-            acc = self.plan_internal.copy()
-            for k in range(self.plan_idx.shape[1]):
-                acc += winners[self.plan_idx[:, k]]
-            base = (winners, acc)
-            self._base = base
-        return base
-
-    def _evaluate_sparse(self, batch):
-        n_batch = len(batch)
-        penalties = np.empty(n_batch, dtype=np.float64)
-        counts = np.empty(n_batch, dtype=np.intp)
-        flat = []
-        for b, chosen_positions in enumerate(batch):
-            chosen = set(chosen_positions)
-            # Scalar-identical base: same expression, same set iteration.
-            total = self.write_base_cost
-            if self.index_penalties:
-                total += sum(self.index_penalties[pos] for pos in chosen)
-            penalties[b] = total
-            flat.extend(chosen_positions)
-            counts[b] = len(chosen_positions)
-        base_winners, base_acc = self._base_sparse()
-        winners = np.broadcast_to(
-            base_winners, (n_batch, base_winners.size)
-        ).copy()
-        acc = np.broadcast_to(base_acc, (n_batch, base_acc.size)).copy()
-        fp = self._footprint()
-        pos_arr = np.asarray(flat, dtype=np.intp)
-        member = np.repeat(np.arange(n_batch, dtype=np.intp), counts)
-        rows0, idx = _span_gather(fp.slot_offsets, fp.slot_sizes, pos_arr)
-        if idx.size:
-            # Child slot winners = min(base winner, each chosen
-            # position's static option minima); minimum.at is unbuffered,
-            # so duplicate (member, slot) hits — one member choosing two
-            # candidates on the same slot — fold exactly.
-            rows = member[rows0]
-            cols = fp.flat_slots[idx]
-            np.minimum.at(winners, (rows, cols), fp.flat_static[idx])
-            prow0, pidx = _span_gather(
-                fp.plan_offsets, fp.plan_sizes, pos_arr
-            )
-            prow = member[prow0]
-            pcol = fp.flat_plans[pidx]
-            # Touched plans re-sum with the same gathered-add order as
-            # the dense pass; duplicate (member, plan) scatter targets
-            # write identical values.
-            vals = self.plan_internal[pcol].copy()
-            for k in range(self.plan_idx.shape[1]):
-                vals += winners[prow, self.plan_idx[pcol, k]]
-            acc[prow, pcol] = vals
-        self.sparse_cells += int(idx.size)
-        self.dense_equiv_cells += n_batch * int(self.opt_cost.size)
-        best = acc[:, self._query_plan_pad()].min(axis=2)
-        if not np.isfinite(best).all():
-            raise RuntimeError("BIP has an infeasible query term")
-        totals = penalties
-        for q in range(self.plan_starts.size):
-            totals += self.weights[q] * best[:, q]
-        return totals.tolist()
 
     # -- delta (seminaïve) evaluation ----------------------------------
 

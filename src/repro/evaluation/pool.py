@@ -9,14 +9,13 @@ hit instead of rebuilding — and so cache memory is bounded under
 long-running multi-workload traffic (LRU eviction).
 
 Compiled statement kernels are derived state owned alongside the
-entries they derive from, and everything the sparse evaluation mode
-hangs off a fused workload kernel — the shared base-design state,
-per-changed-table-set gather groups, per-(table, design) column memos —
-is derived state one level further down: evicting an entry invalidates
-the fused kernels compiled from it, which transitively drops their
-sparse state.  A later evaluate call recompiles and re-resolves from
-scratch, bit-identically (the lifetime tests pin this across
-evictions).
+entries they derive from, and everything delta evaluation hangs off a
+fused workload kernel — captured parent states, per-changed-table-set
+touch groups, per-(table, design) column memos — is derived state one
+level further down: evicting an entry invalidates the fused kernels
+compiled from it, which transitively drops their delta state.  A later
+evaluate call recompiles and re-resolves from scratch, bit-identically
+(the lifetime tests pin this across evictions).
 """
 
 import threading

@@ -78,15 +78,11 @@ class InteractionAnalyzer:
         throughput lever.
 
         With *parent* (an index set the batch's subsets are small edits
-        of) and a delta-capable evaluator, the batch prices through the
-        seminaïve seam
+        of) the batch prices through the seminaïve seam
         (:meth:`~repro.evaluation.WorkloadEvaluator.evaluate_deltas`)
         instead — same numbers, captured-parent state reused.
         """
-        evaluate = getattr(self.inum, "evaluate_many", None)
-        if evaluate is None:
-            evaluate = getattr(self.inum, "evaluate_configurations", None)
-        if evaluate is None:
+        if not hasattr(self.inum, "evaluate_many"):  # a plain model
             return
         missing = [
             key
@@ -95,18 +91,14 @@ class InteractionAnalyzer:
         ]
         if not missing:
             return
-        deltas = (
-            getattr(self.inum, "evaluate_deltas", None)
-            if parent is not None else None
-        )
         configs = [Configuration(indexes=key) for key in missing]
-        if deltas is not None:
-            totals = deltas(
+        if parent is not None:
+            totals = self.inum.evaluate_deltas(
                 self.workload, Configuration(indexes=frozenset(parent)),
                 configs,
             ).totals
         else:
-            totals = evaluate(self.workload, configs).totals
+            totals = self.inum.evaluate_many(self.workload, configs).totals
         for key, total in zip(missing, totals):
             self._cost_cache[key] = total
 
@@ -129,17 +121,13 @@ class InteractionAnalyzer:
                     configs = [
                         Configuration(indexes=frozenset(s)) for s in subsets
                     ]
-                    if hasattr(self.inum, "evaluate_deltas"):
-                        # IBG frontiers are root subsets minus a few used
-                        # indexes: price each level as deltas off the
-                        # root's captured state (bit-identical, and the
-                        # witnesses of untouched statements are reused).
-                        return self.inum.workload_cost_with_usage_batch(
-                            self.workload, configs,
-                            parent=Configuration(indexes=key),
-                        )
+                    # IBG frontiers are root subsets minus a few used
+                    # indexes: price each level as deltas off the
+                    # root's captured state (bit-identical, and the
+                    # witnesses of untouched statements are reused).
                     return self.inum.workload_cost_with_usage_batch(
-                        self.workload, configs
+                        self.workload, configs,
+                        parent=Configuration(indexes=key),
                     )
 
             graph = IndexBenefitGraph.build(oracle, key, oracle_many=oracle_many)

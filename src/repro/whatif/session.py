@@ -176,19 +176,19 @@ class WhatIfSession:
             )
         return report
 
-    def estimate_many(self, workload, configurations, parallel=None):
+    def estimate_many(self, workload, configurations):
         """Batched what-if sweep: price many candidate designs in one
         pass — the interactive "thousands of configurations" path.
 
         Named *estimate* deliberately: these are analytic INUM costs
         (within the cost model's tolerance of the optimizer), unlike
         :meth:`cost`/:meth:`evaluate`, which are exact.  The sweep runs
-        on the evaluator's columnar kernel by default
+        on the evaluator's columnar kernel
         (:mod:`repro.evaluation.kernel`).  Use it to rank a sweep
         cheaply, then confirm the winner on the exact path.
         Returns a :class:`~repro.evaluation.BatchEvaluation`."""
         return self.evaluator.evaluate_configurations(
-            workload, configurations, parallel=parallel
+            workload, configurations
         )
 
     def benefit(self, workload, config):

@@ -15,7 +15,16 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
   the two ends the y-only MILP is checked against.
 * :func:`used_positions_reference` — the argmin witness of
   ``config_cost`` as a scalar first-strict-less walk.
+* :func:`per_call_matrix` — a workload × configuration grid as one
+  ``model.cost`` call per cell (``inum/cache.py:evaluate_terms``), the
+  reference every batched evaluate is pinned against.
+* :func:`config_costs_reference` — the BIP objective as a scalar walk
+  over the option lists, what ``BipKernel.evaluate`` vectorizes.
+* :func:`greedy_select_reference` — greedy selection re-pricing every
+  extension as a full batch each round, what the delta sweep replaced.
 """
+
+import math
 
 import numpy as np
 from scipy import optimize
@@ -26,7 +35,7 @@ from repro.autopart.advisor import (
     _bound_queries,
 )
 from repro.catalog import HorizontalPartitioning, VerticalFragment, VerticalLayout
-from repro.cophy.solvers import _assemble
+from repro.cophy.solvers import SolveResult, _assemble
 from repro.util import CatalogError, DesignError, workload_pairs
 from repro.whatif import Configuration
 
@@ -294,3 +303,88 @@ def used_positions_reference(problem, chosen_positions):
                 best, best_reads = cost, reads
         used.update(pos for pos in best_reads if pos != -1)
     return tuple(pos for pos in chosen_positions if pos in used)
+
+
+def per_call_matrix(model, workload, configurations):
+    """``matrix[c][s]``: one ``model.cost`` call per cell — the shape of
+    ``BatchEvaluation.matrix``, priced without any batch machinery."""
+    statements = [query for query, __ in workload_pairs(workload)]
+    return [[model.cost(q, c) for q in statements] for c in configurations]
+
+
+def config_costs_reference(problem, batch):
+    """Objective values for a batch of candidate-position sets, one
+    scalar walk each: per slot the cheapest applicable option (the
+    default plus the chosen candidates), per plan the sum in slot
+    order, per query the cheapest feasible plan, accumulated onto the
+    write base plus the chosen indexes' penalties."""
+    totals = []
+    for chosen_positions in batch:
+        chosen = set(chosen_positions)
+        total = problem.write_base_cost
+        if problem.index_penalties:
+            total += sum(problem.index_penalties[pos] for pos in chosen)
+        for query in problem.queries:
+            best = math.inf
+            for plan in query.plans:
+                cost = plan.internal_cost
+                for slot in plan.slots:
+                    applicable = [
+                        option_cost for pos, option_cost in slot.options
+                        if pos == -1 or pos in chosen
+                    ]
+                    if not applicable:
+                        cost = math.inf
+                        break
+                    cost += min(applicable)
+                if cost < best:
+                    best = cost
+            if not math.isfinite(best):
+                raise RuntimeError("BIP has an infeasible query term")
+            total += query.weight * best
+        totals.append(total)
+    return totals
+
+
+def greedy_select_reference(problem, by_ratio=True):
+    """``greedy_select`` with every round's extensions priced as a full
+    ``config_costs`` batch of ``chosen + [pos]`` sets instead of deltas
+    off ``chosen`` — same ranking rule, same tie-breaks, same result
+    fields (no telemetry, no timing)."""
+    chosen = []
+    used = 0.0
+    current_cost = problem.config_cost(chosen)
+    evaluations = 1
+    remaining = set(range(problem.n_candidates))
+    while remaining:
+        if problem.max_indexes is not None and len(chosen) >= problem.max_indexes:
+            break
+        feasible = [
+            pos for pos in sorted(remaining)
+            if used + problem.sizes[pos] <= problem.budget_pages
+        ]
+        costs = problem.config_costs([chosen + [pos] for pos in feasible])
+        evaluations += len(feasible)
+        best_pos = None
+        best_score = 0.0
+        best_cost = current_cost
+        for pos, cost in zip(feasible, costs):
+            benefit = current_cost - cost
+            if benefit <= 1e-9:
+                continue
+            score = benefit / problem.sizes[pos] if by_ratio else benefit
+            if score > best_score:
+                best_pos, best_score, best_cost = pos, score, cost
+        if best_pos is None:
+            break
+        chosen.append(best_pos)
+        used += problem.sizes[best_pos]
+        current_cost = best_cost
+        remaining.discard(best_pos)
+    return SolveResult(
+        chosen_positions=tuple(chosen),
+        objective=current_cost,
+        status="heuristic",
+        solver="greedy-%s" % ("ratio" if by_ratio else "benefit"),
+        nodes_explored=evaluations,
+    )

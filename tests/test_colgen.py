@@ -1,20 +1,13 @@
-"""Column-generation CoPhy and sparse slot-block kernels.
+"""Column-generation CoPhy.
 
-Two exactness pins, zero tolerance throughout:
-
-* :func:`repro.cophy.colgen.solve_colgen` must return the identical
-  design and objective as greedy over the exhaustively materialized BIP
-  (``greedy_select(build_bip(...))``) — on every SDSS and TPC-H
-  template, across budgets and ranking modes, on fuzzed environments,
-  and while activating only a fraction of the candidate space.  Its
-  building blocks are pinned too: the slot pricer against the INUM
-  memo's ``slot_cost``, the restricted master (all candidates active)
-  against ``build_bip``.
-
-* ``sparse=True`` pricing must be bit-identical to dense everywhere it
-  is offered — ``evaluate_many``, delta evaluation, usage batches, and
-  ``BipProblem.config_costs`` — including across pool evictions that
-  drop and recompile the sparse state.
+One exactness pin, zero tolerance throughout:
+:func:`repro.cophy.colgen.solve_colgen` must return the identical
+design and objective as greedy over the exhaustively materialized BIP
+(``greedy_select(build_bip(...))``) — on every SDSS and TPC-H template,
+across budgets and ranking modes, on fuzzed environments, and while
+activating only a fraction of the candidate space.  Its building blocks
+are pinned too: the slot pricer against the INUM memo's ``slot_cost``,
+the restricted master (all candidates active) against ``build_bip``.
 """
 
 import random
@@ -31,7 +24,7 @@ from repro.cophy import (
     solve_colgen,
 )
 from repro.cophy.colgen import CandidatePricer, _Master
-from repro.evaluation import InumCachePool, WorkloadEvaluator
+from repro.evaluation import WorkloadEvaluator
 from repro.inum import InumCostModel
 from repro.inum.cache import _DesignView
 from repro.optimizer import paths as P
@@ -418,90 +411,3 @@ class TestCandidateGenerator:
                 ix.table_name, ix.columns, include=ix.include
             )
             assert ix == rebuilt and ix.name == rebuilt.name
-
-
-class TestSparseBitIdentity:
-    """sparse=True == dense everywhere, including across pool eviction."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_evaluate_many(self, seed):
-        catalog, workload, configs = make_env(seed, write_fraction=0.2)
-        dense = WorkloadEvaluator(catalog).evaluate_many(workload, configs)
-        sparse = WorkloadEvaluator(catalog).evaluate_many(
-            workload, configs, sparse=True
-        )
-        assert dense.matrix == sparse.matrix
-        assert dense.totals == sparse.totals
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_evaluate_deltas(self, seed):
-        catalog, workload, configs = make_env(seed, write_fraction=0.2)
-        parent = configs[0]
-        dense = WorkloadEvaluator(catalog).evaluate_deltas(
-            workload, parent, configs
-        )
-        sparse = WorkloadEvaluator(catalog).evaluate_deltas(
-            workload, parent, configs, sparse=True
-        )
-        assert dense.matrix == sparse.matrix
-        assert dense.totals == sparse.totals
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_usage_batches(self, seed):
-        catalog, workload, configs = make_env(seed, write_fraction=0.2)
-        ev_dense = WorkloadEvaluator(catalog)
-        ev_sparse = WorkloadEvaluator(catalog)
-        for parent in (None, configs[0]):
-            dense = ev_dense.workload_cost_with_usage_batch(
-                workload, configs, parent=parent
-            )
-            sparse = ev_sparse.workload_cost_with_usage_batch(
-                workload, configs, parent=parent, sparse=True
-            )
-            assert [total for total, __ in dense] == \
-                [total for total, __ in sparse]
-            assert [used for __, used in dense] == \
-                [used for __, used in sparse]
-
-    def test_bip_kernel_sparse(self, sdss_catalog):
-        workload = WORKLOAD + WRITES
-        candidates = candidate_indexes(
-            sdss_catalog, workload, max_candidates=14
-        )
-        problem = build_bip(
-            InumCostModel(sdss_catalog), workload, candidates, 40_000
-        )
-        rng = random.Random(5)
-        batch = [()] + [
-            tuple(rng.sample(range(len(candidates)), rng.randint(1, 5)))
-            for __ in range(12)
-        ] + [(2, 2, 4)]
-        assert problem.config_costs(batch) == \
-            problem.config_costs(batch, sparse=True)
-
-    def test_sparse_survives_pool_eviction(self):
-        """Evicting cache entries drops compiled kernels and their
-        sparse state; recompiled sparse pricing stays bit-identical."""
-        catalog, workload, configs = make_env(1, write_fraction=0.2)
-        reference = WorkloadEvaluator(catalog).evaluate_many(
-            workload, configs
-        )
-        evaluator = WorkloadEvaluator(catalog, pool=InumCachePool(capacity=2))
-        for __ in range(3):
-            sparse = evaluator.evaluate_many(workload, configs, sparse=True)
-            assert sparse.matrix == reference.matrix
-            assert sparse.totals == reference.totals
-            # Touch other statements so the pool cycles our entries out.
-            for sql, __w in workload:
-                evaluator.cost(sql, configs[1])
-        assert evaluator.pool.stats.evictions > 0
-
-    def test_sparse_counters_surface(self):
-        from repro import obs
-
-        catalog, workload, configs = make_env(0)
-        evaluator = WorkloadEvaluator(catalog)
-        evaluator.evaluate_many(workload, configs, sparse=True)
-        counters = obs.metrics().snapshot()["counters"]
-        assert "repro_sparse_cells_total" in counters
-        assert "repro_sparse_dense_equiv_cells_total" in counters

@@ -7,11 +7,11 @@ and every SDSS/TPC-H template, ``evaluate_deltas`` must equal
 ``evaluate_many`` bit-exactly, the vectorized
 ``workload_cost_with_usage_batch`` must equal the serial reference walk
 exactly (costs and used sets), BIP delta pricing must equal the full
-batch, and delta-mode greedy must reproduce the non-delta run decision
-for decision.  Lifetime tests pin that captured parent states die with
-their compiled workloads on pool eviction, and the concurrency fuzz
-pins the evaluator cache-race fixes (compiled-workload LRU and
-exact-service locking).
+batch, and greedy must reproduce the full-batch sweep
+(``greedy_select_reference`` in ``oracle.py``) decision for decision.
+Lifetime tests pin that captured parent states die with their compiled
+workloads on pool eviction, and the concurrency fuzz pins the evaluator
+cache-race fixes (compiled-workload LRU and exact-service locking).
 """
 
 import random
@@ -27,6 +27,7 @@ from repro.evaluation.evaluator import _MAX_COMPILED
 from repro.whatif import Configuration
 from repro.workloads import sdss, sdss_catalog, tpch, tpch_catalog
 
+from oracle import config_costs_reference, greedy_select_reference
 from test_evaluator_equivalence import make_env
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -99,9 +100,10 @@ def test_every_template_delta_and_usage_identical(registry, make_catalog):
     delta = evaluator.evaluate_deltas(workload, parent, children)
     assert delta.matrix == full.matrix
 
-    serial = evaluator.workload_cost_with_usage_batch(
-        workload, children, vectorized=False
-    )
+    serial = [
+        evaluator.workload_cost_with_usage(workload, child)
+        for child in children
+    ]
     vectorized = evaluator.workload_cost_with_usage_batch(workload, children)
     assert vectorized == serial
     as_deltas = evaluator.workload_cost_with_usage_batch(
@@ -116,9 +118,10 @@ def test_usage_batch_vectorized_equals_serial(seed):
     rng = random.Random(seed + 99)
     parent, children = delta_family(rng, configs)
     evaluator = WorkloadEvaluator(catalog)
-    serial = evaluator.workload_cost_with_usage_batch(
-        workload, children, vectorized=False
-    )
+    serial = [
+        evaluator.workload_cost_with_usage(workload, child)
+        for child in children
+    ]
     vectorized = evaluator.workload_cost_with_usage_batch(workload, children)
     assert vectorized == serial  # exact: costs and used frozensets
     as_deltas = evaluator.workload_cost_with_usage_batch(
@@ -189,8 +192,8 @@ class TestBipDelta:
             )
             delta = problem.config_costs_delta(chosen, extensions)
             assert delta == full
-            scalar = problem.config_costs_scalar(
-                [chosen + [pos] for pos in extensions]
+            scalar = config_costs_reference(
+                problem, [chosen + [pos] for pos in extensions]
             )
             assert delta == scalar
 
@@ -207,7 +210,7 @@ class TestBipDelta:
             evaluator, workload, candidates, budget_pages=sizes // 2
         )
         with_delta = greedy_select(problem, by_ratio=by_ratio)
-        without = greedy_select(problem, by_ratio=by_ratio, delta=False)
+        without = greedy_select_reference(problem, by_ratio=by_ratio)
         assert with_delta.chosen_positions == without.chosen_positions
         assert with_delta.objective == without.objective
         assert with_delta.nodes_explored == without.nodes_explored
@@ -224,7 +227,7 @@ class TestDeltaStateLifetime:
         evaluator = WorkloadEvaluator(catalog)
         parent = configs[1]
         evaluator.evaluate_deltas(workload, parent, configs)
-        compiled = evaluator._compile(workload, kernel=True)
+        compiled = evaluator._compile(workload)
         assert len(compiled.kernel._delta_states) == 1
         evaluator.evaluate_deltas(workload, parent, configs)
         assert len(compiled.kernel._delta_states) == 1  # memo hit
@@ -280,9 +283,10 @@ class TestDeltaStateLifetime:
 
 class TestEvaluatorConcurrency:
     def test_parallel_evaluation_against_concurrent_evictions(self):
-        """Parallel evaluate_configurations while a tiny pool constantly
-        evicts: no lost updates, the compiled LRU never exceeds its
-        bound, and the signature index stays consistent with the memo."""
+        """Threads alternating evaluate_many / evaluate_deltas while a
+        tiny pool constantly evicts: no lost updates, the compiled LRU
+        never exceeds its bound, and the signature index stays
+        consistent with the memo."""
         catalog, workload, configs = make_env(0)
         reference = WorkloadEvaluator(catalog)
         slices = [workload[i:i + 2] for i in range(len(workload) - 1)]
@@ -299,11 +303,13 @@ class TestEvaluatorConcurrency:
             try:
                 barrier.wait(timeout=30)
                 for round_ in range(8):
-                    kernel = (round_ + i) % 2 == 0
-                    got = evaluator.evaluate_configurations(
-                        slices[i], configs, kernel=kernel
-                    ).matrix
-                    assert got == expected[i]
+                    if (round_ + i) % 2 == 0:
+                        got = evaluator.evaluate_many(slices[i], configs)
+                    else:
+                        got = evaluator.evaluate_deltas(
+                            slices[i], configs[0], configs
+                        )
+                    assert got.matrix == expected[i]
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 

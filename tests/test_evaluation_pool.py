@@ -173,21 +173,22 @@ class TestClearCaches:
         evaluator.cost(Q_RA, Configuration.empty())
         workload = [(Q_RA, 1.0), (Q_RMAG, 1.0)]
         evaluator.workload_costs(workload, [Configuration.empty()])
-        # The scalar reference path still populates the statement memo.
-        evaluator.evaluate_configurations(
-            workload, [Configuration.empty()], kernel=False
+        # The delta seam captures a parent state on the compiled kernel.
+        evaluator.evaluate_deltas(
+            workload, Configuration.empty(), [Configuration.empty()]
         )
         assert len(evaluator.pool) > 0
         assert evaluator.pool.kernel_count > 0
-        assert evaluator._slot_costs and evaluator._stmt_costs
+        assert evaluator._slot_costs
         assert evaluator._compiled
+        (compiled,) = evaluator._compiled.values()
+        assert compiled.kernel._delta_states
         before = evaluator.cost(Q_RA)
 
         evaluator.clear_caches()
         assert len(evaluator.pool) == 0
         assert evaluator.pool.kernel_count == 0
         assert not evaluator._slot_costs
-        assert not evaluator._stmt_costs
         assert not evaluator._compiled
         # Costs are rebuilt identically after a clear.
         assert evaluator.cost(Q_RA) == pytest.approx(before, rel=1e-12)

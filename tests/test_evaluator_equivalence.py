@@ -18,6 +18,8 @@ from repro.inum import InumCostModel
 from repro.optimizer import CostService
 from repro.whatif import Configuration
 
+from oracle import per_call_matrix
+
 SEEDS = [0, 1, 2, 3, 4]
 
 
@@ -225,25 +227,6 @@ def test_matches_direct_cost_service_within_tolerance(seed):
         assert estimate == pytest.approx(direct, rel=0.05)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_parallel_determinism(seed):
-    """Fan-out across queries must be bit-identical to sequential."""
-    catalog, workload, configs = make_env(seed)
-    evaluator = WorkloadEvaluator(catalog)
-    sequential = evaluator.evaluate_configurations(
-        workload, configs, parallel=False
-    )
-    parallel = evaluator.evaluate_configurations(
-        workload, configs, parallel=True, max_workers=4
-    )
-    assert sequential.matrix == parallel.matrix
-    assert sequential.totals == parallel.totals
-
-    fresh = WorkloadEvaluator(catalog, parallel=True)
-    assert fresh.evaluate_configurations(workload, configs).matrix \
-        == sequential.matrix
-
-
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_batch_issues_no_optimizer_calls_after_warm(seed):
     catalog, workload, configs = make_env(seed)
@@ -257,21 +240,18 @@ def test_batch_issues_no_optimizer_calls_after_warm(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mixed_read_write_workloads_match_per_call(seed):
     """Write statements (UPDATE/DELETE maintenance + locate pricing) must
-    survive batching and thread fan-out exactly like reads."""
+    survive batching exactly like reads."""
     catalog, workload, configs = make_env(seed, write_fraction=0.4)
     # Guarantee at least one write regardless of the draw.
     workload = list(workload) + [(random_write(random.Random(seed), catalog), 1.0)]
     per_call = InumCostModel(catalog)
     evaluator = WorkloadEvaluator(catalog)
-    sequential = evaluator.evaluate_configurations(workload, configs)
-    for config, total in zip(configs, sequential.totals):
+    batched = evaluator.evaluate_configurations(workload, configs)
+    for config, total in zip(configs, batched.totals):
         assert total == pytest.approx(
             per_call.workload_cost(workload, config), rel=1e-12
         )
-    parallel = evaluator.evaluate_configurations(
-        workload, configs, parallel=True, max_workers=4
-    )
-    assert sequential.matrix == parallel.matrix
+    assert batched.matrix == per_call_matrix(per_call, workload, configs)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])

@@ -3,11 +3,12 @@
 The kernel (:mod:`repro.evaluation.kernel`) is a *compilation* of the
 scalar plan-term walks, never a different cost model: over fuzzed
 catalogs, configurations, and weights — and over every SDSS and TPC-H
-template — kernel ``evaluate_many`` must equal the scalar batched
-evaluator and the per-call :class:`InumCostModel` **bit-exactly**
-(max/min witnesses, zero tolerance).  The same holds for CoPhy's
-:class:`BipKernel` against the scalar ``config_costs_scalar``, and for
-COLT's kernel-scored epochs against per-query INUM costs.
+template — kernel ``evaluate_many`` must equal the per-call
+:class:`InumCostModel` walk (``oracle.per_call_matrix``, a model of its
+own with its own memos) **bit-exactly** (max/min witnesses, zero
+tolerance).  The same holds for CoPhy's :class:`BipKernel` against the
+scalar ``oracle.config_costs_reference``, and for COLT's kernel-scored
+epochs against per-query INUM costs.
 """
 
 import random
@@ -28,47 +29,51 @@ from repro.inum.cache import evaluate_terms
 from repro.whatif import Configuration
 from repro.workloads import sdss, sdss_catalog, tpch, tpch_catalog
 
+from oracle import config_costs_reference, per_call_matrix
 from test_evaluator_equivalence import make_env, random_write
 
 SEEDS = [0, 1, 2, 3, 4]
 
 
-def assert_grids_identical(kernel_grid, reference_grid):
-    """Exact equality pinned via max/min witnesses: the largest absolute
-    deviation is exactly zero and the grid extrema coincide."""
+def assert_grid_equals_per_call(kernel_grid, per_call, workload, configs):
+    """Exact equality with the per-call walk pinned via max/min
+    witnesses: the largest absolute deviation is exactly zero, the grid
+    extrema coincide, and the weighted totals equal ``workload_cost``."""
+    reference = per_call_matrix(per_call, workload, configs)
+    assert kernel_grid.matrix == reference
     deviations = [
         abs(a - b)
-        for row_a, row_b in zip(kernel_grid.matrix, reference_grid.matrix)
+        for row_a, row_b in zip(kernel_grid.matrix, reference)
         for a, b in zip(row_a, row_b)
     ]
     assert deviations, "empty grid compared"
     assert max(deviations) == 0.0
     flat = [c for row in kernel_grid.matrix for c in row]
-    ref = [c for row in reference_grid.matrix for c in row]
+    ref = [c for row in reference for c in row]
     assert (max(flat), min(flat)) == (max(ref), min(ref))
-    assert kernel_grid.totals == reference_grid.totals
+    assert kernel_grid.totals == [
+        per_call.workload_cost(workload, config) for config in configs
+    ]
 
 
 # ----------------------------------------------------------------------
-# Fuzzed environments: kernel == scalar batch == per-call, exactly.
+# Fuzzed environments: kernel == per-call, exactly.
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_kernel_equals_scalar_batch_and_per_call(seed):
+def test_kernel_equals_per_call(seed):
     catalog, workload, configs = make_env(seed)
     rng = random.Random(seed * 31 + 7)
     workload = [(sql, rng.choice([0.5, 1.0, 2.0, 3.5])) for sql, __ in workload]
     evaluator = WorkloadEvaluator(catalog)
     kernel_grid = evaluator.evaluate_many(workload, configs)
-    scalar_grid = evaluator.evaluate_configurations(
-        workload, configs, kernel=False
+    assert_grid_equals_per_call(
+        kernel_grid, InumCostModel(catalog), workload, configs
     )
-    assert_grids_identical(kernel_grid, scalar_grid)
-    per_call = InumCostModel(catalog)
-    for c, config in enumerate(configs):
-        for s, (sql, __) in enumerate(workload):
-            assert kernel_grid.matrix[c][s] == per_call.cost(sql, config)
+    # The evaluator's own inherited per-call path (shared slot memo)
+    # agrees too.
+    assert kernel_grid.matrix == per_call_matrix(evaluator, workload, configs)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
@@ -77,13 +82,9 @@ def test_kernel_handles_writes_exactly(seed):
     workload = list(workload) + [(random_write(random.Random(seed), catalog), 2.0)]
     evaluator = WorkloadEvaluator(catalog)
     kernel_grid = evaluator.evaluate_many(workload, configs)
-    scalar_grid = evaluator.evaluate_configurations(
-        workload, configs, kernel=False
+    assert_grid_equals_per_call(
+        kernel_grid, InumCostModel(catalog), workload, configs
     )
-    assert_grids_identical(kernel_grid, scalar_grid)
-    per_call = InumCostModel(catalog)
-    for config, total in zip(configs, kernel_grid.totals):
-        assert total == per_call.workload_cost(workload, config)
 
 
 @pytest.mark.parametrize(
@@ -95,8 +96,8 @@ def test_kernel_handles_writes_exactly(seed):
     ids=["sdss", "tpch"],
 )
 def test_every_template_prices_identically(registry, make_catalog):
-    """Kernel == scalar batch == per-call for every SDSS/TPC-H template,
-    random weights and random configurations included."""
+    """Kernel == per-call for every SDSS/TPC-H template, random weights
+    and random configurations included."""
     catalog = make_catalog()
     rng = random.Random(23)
     workload = [
@@ -112,14 +113,9 @@ def test_every_template_prices_identically(registry, make_catalog):
     ]
     evaluator = WorkloadEvaluator(catalog)
     kernel_grid = evaluator.evaluate_many(workload, configs)
-    scalar_grid = evaluator.evaluate_configurations(
-        workload, configs, kernel=False
+    assert_grid_equals_per_call(
+        kernel_grid, InumCostModel(catalog), workload, configs
     )
-    assert_grids_identical(kernel_grid, scalar_grid)
-    per_call = InumCostModel(catalog)
-    for c, config in enumerate(configs):
-        for s, (sql, __) in enumerate(workload):
-            assert kernel_grid.matrix[c][s] == per_call.cost(sql, config)
 
 
 def test_kernel_respects_duplicate_statements():
@@ -133,7 +129,7 @@ def test_kernel_respects_duplicate_statements():
     assert grid.weights == [1.0, 3.0, 0.5]
     for row in grid.matrix:
         assert row[0] == row[1] == row[2]
-    compiled = evaluator._compile(repeated, kernel=True)
+    compiled = evaluator._compile(repeated)
     assert compiled.kernel.n_reads == 1
 
 
@@ -296,7 +292,7 @@ class TestBipKernel:
             for __ in range(25)
         )
         vectorized = problem.config_costs(batch)
-        scalar = problem.config_costs_scalar(batch)
+        scalar = config_costs_reference(problem, batch)
         deviations = [abs(a - b) for a, b in zip(vectorized, scalar)]
         assert max(deviations) == 0.0
         assert (max(vectorized), min(vectorized)) == (max(scalar), min(scalar))

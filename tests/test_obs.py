@@ -217,6 +217,55 @@ class TestDisabled:
 
 
 # ----------------------------------------------------------------------
+# Batched evaluation: three pricing jobs, three modes, three spans.
+# ----------------------------------------------------------------------
+
+
+class TestEvaluateModes:
+    def test_modes_and_spans_are_kernel_delta_usage(self, astro_catalog,
+                                                    fresh_registry):
+        from repro.catalog import Index
+        from repro.evaluation import WorkloadEvaluator
+        from repro.whatif import Configuration
+
+        workload = [
+            ("SELECT ra FROM photoobj WHERE ra < 10", 1.0),
+            ("UPDATE photoobj SET status = 3 WHERE rmag < 14", 0.5),
+        ]
+        parent = Configuration.of(Index("photoobj", ("ra",)))
+        configs = [Configuration.empty(), parent]
+        evaluator = WorkloadEvaluator(astro_catalog)
+        evaluator.evaluate_many(workload, configs)
+        evaluator.workload_costs(workload, configs)
+        evaluator.evaluate_deltas(workload, parent, configs)
+        evaluator.workload_cost_with_usage_batch(workload, configs)
+        evaluator.workload_cost_with_usage_batch(
+            workload, configs, parent=parent
+        )
+
+        snapshot = obs.metrics().snapshot()
+        cells = len(workload) * len(configs)
+        for family, per_call in (("repro_evaluate_batches_total", 1),
+                                 ("repro_evaluate_cells_total", cells)):
+            samples = snapshot["counters"][family]["samples"]
+            assert {
+                sample["labels"]["mode"]: sample["value"]
+                for sample in samples
+            } == {"kernel": 2 * per_call, "delta": per_call,
+                  "usage": 2 * per_call}
+        seconds = snapshot["histograms"]["repro_evaluate_seconds"]["samples"]
+        assert {sample["labels"]["mode"]: sample["count"]
+                for sample in seconds} == {"kernel": 2, "delta": 1, "usage": 2}
+
+        names = [s["name"] for s in obs.tracer().export()
+                 if s["name"].startswith("evaluate.")]
+        assert sorted(names) == (
+            ["evaluate.batch"] * 2 + ["evaluate.deltas"]
+            + ["evaluate.usage"] * 2
+        )
+
+
+# ----------------------------------------------------------------------
 # Satellite: scheduler queue-depth reporting.
 # ----------------------------------------------------------------------
 

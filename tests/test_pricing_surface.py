@@ -1,0 +1,136 @@
+"""The pricing surface, pinned by signature.
+
+ROADMAP item 3's exit — "no mode keyword outside tests" — as a test
+instead of a grep: every batch pricing callable takes exactly its data
+arguments (what to price, and for the delta and usage seams the
+``parent`` to price it off), and none of the strategy switches the
+surface used to carry.  Which kernel strategy runs is decided by the
+method called, never by a caller's flag.
+
+The second half reads (never edits) the perf ledger's boundary table:
+``benchmarks/e2e/trace.py`` patches each boundary by
+``vars(owner)[leaf]``, so a renamed or re-parented function would
+otherwise surface only in a traced ledger run.
+"""
+
+import importlib.util
+import inspect
+import os
+import sys
+
+import pytest
+
+from repro.cophy.bip import BipProblem
+from repro.cophy.greedy import greedy_select
+from repro.evaluation import BipKernel, WorkloadEvaluator, WorkloadKernel
+from repro.whatif import WhatIfSession
+
+MODE_KEYWORDS = {
+    "sparse", "kernel", "use_kernel", "vectorized", "parallel",
+    "max_workers", "delta", "compact", "base_view",
+}
+
+# The seven callables the ledger's boundary table wraps.
+BOUNDARY_SURFACE = [
+    (WorkloadEvaluator.evaluate_many, ["workload", "configurations"]),
+    (WorkloadEvaluator.evaluate_deltas,
+     ["workload", "parent", "configurations"]),
+    (WorkloadEvaluator.evaluate_configurations,
+     ["workload", "configurations"]),
+    (WorkloadEvaluator.workload_costs, ["workload", "configurations"]),
+    (WorkloadEvaluator.workload_cost_with_usage_batch,
+     ["workload", "configurations", "parent"]),
+    (BipProblem.config_costs, ["batch"]),
+    (BipProblem.config_costs_delta, ["chosen", "extensions"]),
+]
+
+# Plus their constructors, callers and kernels.
+SURFACE = BOUNDARY_SURFACE + [
+    (WorkloadEvaluator.__init__, ["catalog", "settings", "pool"]),
+    (WhatIfSession.estimate_many, ["workload", "configurations"]),
+    (BipProblem.config_cost, ["chosen_positions"]),
+    (greedy_select, ["problem", "by_ratio"]),
+    (WorkloadKernel.evaluate_many, ["views", "table_sigs", "slot_cost"]),
+    (WorkloadKernel.evaluate_deltas,
+     ["state", "views", "table_sigs", "slot_cost"]),
+    (WorkloadKernel.evaluate_deltas_with_usage,
+     ["state", "views", "table_sigs", "slot_cost", "slot_choice"]),
+    (BipKernel.evaluate, ["batch"]),
+]
+
+
+def _parameters(function):
+    names = list(inspect.signature(function).parameters)
+    return names[1:] if names and names[0] == "self" else names
+
+
+@pytest.mark.parametrize(
+    "function, expected", SURFACE,
+    ids=[function.__qualname__ for function, __ in SURFACE],
+)
+def test_signature_is_exactly_the_data_arguments(function, expected):
+    names = _parameters(function)
+    assert names == expected
+    assert not MODE_KEYWORDS & set(names)
+
+
+def test_every_backplane_shares_one_batch_signature():
+    """The in-process evaluator, the process pool and the remote
+    backplane price a batch through the same ``(workload,
+    configurations)`` call."""
+    from repro.evaluation import ProcessPoolBackplane
+    from repro.net.client import RemoteBackplane
+
+    expected = _parameters(WorkloadEvaluator.evaluate_configurations)
+    for backplane in (ProcessPoolBackplane, RemoteBackplane):
+        assert _parameters(backplane.evaluate_configurations) == expected
+
+
+# ----------------------------------------------------------------------
+# The ledger's boundary table resolves against the program as it is.
+# ----------------------------------------------------------------------
+
+E2E = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "e2e",
+)
+
+
+def _load_e2e(name):
+    """Import ``benchmarks/e2e/<name>.py`` under a private module name
+    (``trace`` would shadow the stdlib module), with the directory on
+    ``sys.path`` only while its ``from common import ...`` runs."""
+    spec = importlib.util.spec_from_file_location(
+        "_e2e_" + name, os.path.join(E2E, name + ".py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    had_common = "common" in sys.modules
+    sys.path.insert(0, E2E)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(E2E)
+        if not had_common:
+            sys.modules.pop("common", None)
+    return module
+
+
+def test_ledger_boundaries_resolve_to_plain_functions():
+    layers = _load_e2e("layers")
+    trace = _load_e2e("trace")
+    seen = set()
+    for module_name, attribute, layer, __ in layers.BOUNDARIES:
+        name = "%s:%s" % (module_name, attribute)
+        assert layer in layers.LAYERS, name
+        owner, leaf, function = trace._resolve(module_name, attribute)
+        # Found in the owner's *own* namespace (an inherited or aliased
+        # method would be patched on the wrong class), and plain: no
+        # staticmethod/classmethod/property wrapper, not already wrapped.
+        assert vars(owner)[leaf] is function, name
+        assert inspect.isfunction(function), name
+        assert not hasattr(function, "__wrapped_boundary__"), name
+        seen.add(name)
+    assert len(seen) == len(layers.BOUNDARIES)  # no duplicate rows
+    # The seven pricing rows this surface freezes are all in the table.
+    for function, __ in BOUNDARY_SURFACE:
+        assert "%s:%s" % (function.__module__, function.__qualname__) in seen
