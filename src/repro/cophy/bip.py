@@ -20,9 +20,11 @@ CoPhy's quality guarantee.
 from dataclasses import dataclass, field
 
 from repro.inum.cache import (
+    _UNPRICED,
     _DesignView,
     _best_param_access,
     _best_scan_access,
+    _slot_interesting,
     _slot_key,
 )
 from repro.optimizer import paths as P
@@ -175,9 +177,7 @@ class CandidatePricer:
         cached = self._scan_base.get(key)
         if cached is None:
             ctx = P.scan_context(bq, slot.alias, self.default_view)
-            interesting = (
-                {slot.required_order} if slot.required_order else set()
-            )
+            interesting = _slot_interesting(slot)
             paths = [P.sequential_path(ctx, self.settings)]
             arms = []
             for ix in self.default_view.indexes_on(slot.table_name):
@@ -207,27 +207,24 @@ class CandidatePricer:
         through the INUM winner logic (``None`` means infeasible).
 
         An index that is already in the base design (the view
-        deduplicates it) or that offers this slot no path, arm or probe
-        leaves the path set — and therefore the winner — the default's,
-        so most of a candidate pool is answered by the O(1) lead-column
-        check without assembling anything."""
+        deduplicates it) leaves the path set — and therefore the winner
+        — the default's.  So does one that offers this slot no path, arm
+        or probe: its single-index design has the empty design's slot
+        key, which is how most of a candidate pool is answered without
+        assembling anything."""
         self.pricings += 1
-        if index in self._base_indexes(slot.table_name) or not self._offers(
-            bq, slot, index
-        ):
+        if index in self._base_indexes(slot.table_name):
             return self.default_cost(bq, slot)
         bucket = self.model.slot_cost_bucket(bq)
-        key = _slot_key(bq, slot, (frozenset((index,)), None, None))
-        if key not in bucket:
-            bucket[key] = self._assemble(bq, slot, index)
-        return bucket[key]
-
-    def _offers(self, bq, slot, index):
-        if slot.param_columns:
-            ctx, __ = self._param_state(bq, slot)
-            return P.offers_probe_path(ctx, index, slot.param_columns)
-        ctx, __, __, interesting = self._scan_state(bq, slot)
-        return P.offers_scan_paths(ctx, index, interesting)
+        state = self._param_state if slot.param_columns else self._scan_state
+        key = _slot_key(
+            bq, slot, self.default_view, ((index,), None, None),
+            state(bq, slot)[0],
+        )
+        cost = bucket.get(key, _UNPRICED)
+        if cost is _UNPRICED:
+            cost = bucket[key] = self._assemble(bq, slot, index)
+        return cost
 
     def _assemble(self, bq, slot, index):
         """The slot's base paths plus *index*'s own, through the winner

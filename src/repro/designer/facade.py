@@ -129,9 +129,13 @@ class Designer:
                 bound = self.session.base_service.bound(sql)
                 if bound.is_write:
                     continue  # writes are not rewritten onto fragments
-                rewritten = rewrite_for_layout(bound, self.catalog, layout_map)
-                if rewritten != sql:
-                    rewrites.append(rewritten)
+                # The rewriter re-renders SQL, so "text changed" says
+                # nothing: a statement is rewritten iff it reads a
+                # re-laid-out table.
+                if any(t.name in layout_map for t in bound.tables.values()):
+                    rewrites.append(
+                        rewrite_for_layout(bound, self.catalog, layout_map)
+                    )
         return DesignEvaluation(
             report=report, interaction_graph=graph, rewritten_queries=rewrites
         )

@@ -304,6 +304,7 @@ class WorkloadEvaluator(InumCostModel):
             pool_size=len(self.pool),
             evaluations=self.evaluations,
             exact_optimizer_calls=self.exact_optimizer_calls,
+            exact_plan_hits=self.exact_plan_hits,
         )
         return merged
 
@@ -658,12 +659,24 @@ class WorkloadEvaluator(InumCostModel):
         """Full-optimizer cost of *query* under *config* (precise path)."""
         return self.exact_service(config).cost(query)
 
-    @property
-    def exact_optimizer_calls(self):
+    def _base_exact_service(self):
         # Locked: every exact_service lookup mutates the LRU
         # (move_to_end/evict) from tenant threads, and an unlocked get
         # races the dict reshuffle.
         with self._lock:
-            base = self._exact_services.get(Configuration.empty())
+            return self._exact_services.get(Configuration.empty())
+
+    @property
+    def exact_optimizer_calls(self):
+        """Full planner invocations of the exact services (they share
+        one counter); a plan-memo hit is not one."""
+        base = self._base_exact_service()
         return base.optimizer_calls if base is not None else 0
+
+    @property
+    def exact_plan_hits(self):
+        """Exact-path plans a fresh service got from the bound queries'
+        plan memo instead of the planner."""
+        base = self._base_exact_service()
+        return base.plan_memo_hits if base is not None else 0
 

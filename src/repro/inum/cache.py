@@ -35,6 +35,7 @@ from repro.whatif import Configuration
 MAX_ORDERS_PER_TABLE = 4
 MAX_VECTORS_PER_QUERY = 32
 _TMP_PREFIX = "inum_tmp_"
+_UNPRICED = object()  # slot-memo miss (None is a price: infeasible)
 
 
 @dataclass(frozen=True)
@@ -234,18 +235,20 @@ class InumCostModel:
         The memo is keyed by the owning query, the slot, and what the
         cost reads of the per-table design (:func:`_slot_key`), so it is
         shared across configurations, across evaluate calls, across
-        layouts whose covers weigh the same, and (through the cached
-        plan's bound query) across alias-renamed queries that share one
-        cache entry.  ``design_signature`` may be passed to avoid
-        recomputing it in batched loops.
+        designs whose indexes reach the slot alike, across layouts whose
+        covers weigh the same, and (through the cached plan's bound
+        query) across alias-renamed queries that share one cache entry.
+        ``design_signature`` may be passed to avoid recomputing it in
+        batched loops.
         """
         if design_signature is None:
             design_signature = view.design_signature(slot.table_name)
         bucket = self.slot_cost_bucket(bq)
-        key = _slot_key(bq, slot, design_signature)
-        if key not in bucket:
-            bucket[key] = _access_cost(slot, bq, view, self.settings)
-        return bucket[key]
+        key = _slot_key(bq, slot, view, design_signature)
+        cost = bucket.get(key, _UNPRICED)
+        if cost is _UNPRICED:
+            cost = bucket[key] = _access_cost(slot, bq, view, self.settings)
+        return cost
 
     def slot_cost_bucket(self, bq):
         """*bq*'s shard of the slot-cost memo, ``{_slot_key(...): cost}``
@@ -271,12 +274,13 @@ class InumCostModel:
         bucket = self._slot_choices.get(bq.sql)
         if bucket is None:
             bucket = self._slot_choices.setdefault(bq.sql, {})
-        key = _slot_key(bq, slot, design_signature)
-        if key not in bucket:
-            bucket[key] = _access_cost(
+        key = _slot_key(bq, slot, view, design_signature)
+        choice = bucket.get(key, _UNPRICED)
+        if choice is _UNPRICED:
+            choice = bucket[key] = _access_cost(
                 slot, bq, view, self.settings, want_choice=True
             )
-        return bucket[key]
+        return choice
 
     def _evaluate(self, cache, view):
         """Price a cache entry under *view* from its plan terms alone.
@@ -577,19 +581,35 @@ class _DesignView:
         )
 
 
-def _slot_key(bq, slot, design_signature):
-    """Slot-memo key under one per-table design signature.  Access
-    *costs* (and the indexes backing the winner) read only two numbers
-    of a vertical layout — the pages and fragment count of the cover
-    this reference scans (``relation_geometry``, ``_sequential_path``) —
-    so the layout is replaced by that geometry: a merge that leaves the
-    reference's cover alone, or trades it for one of equal weight,
-    re-prices nothing."""
+def _slot_interesting(slot):
+    """The one order a scan slot's skeleton can use."""
+    return (slot.required_order,) if slot.required_order else ()
+
+
+def _slot_key(bq, slot, view, design_signature, ctx=None):
+    """Slot-memo key under one per-table design signature of *view*:
+    what an access *cost* (and the indexes backing the winner) reads of
+    the design, no more.  *ctx* is ``scan_context(bq, slot.alias,
+    view)`` when the caller already holds it.
+
+    Of the design's indexes, those that reach the slot
+    (:func:`~repro.optimizer.paths.reaching_indexes`) — the others offer
+    it no path, arm or probe, so a design that adds only those shares
+    the empty design's entry.  Of a vertical layout, two numbers — the
+    pages and fragment count of the cover this reference scans
+    (``relation_geometry``, ``_sequential_path``) — so a merge that
+    leaves the reference's cover alone, or trades it for one of equal
+    weight, re-prices nothing."""
     indexes, layout, horizontal = design_signature
-    if layout is None:
-        return (slot, design_signature)
-    geometry = P.layout_cover(bq, slot.alias, layout)[1]
-    return (slot, (indexes, geometry, horizontal))
+    if indexes:
+        if ctx is None:
+            ctx = P.scan_context(bq, slot.alias, view)
+        indexes = frozenset(P.reaching_indexes(
+            ctx, indexes, _slot_interesting(slot), slot.param_columns
+        ))
+    if layout is not None:
+        layout = P.layout_cover(bq, slot.alias, layout)[1]
+    return (slot, (indexes, layout, horizontal))
 
 
 def _consumed(path, slot):
@@ -635,7 +655,6 @@ def _best_scan_access(slot, raw_paths, settings, want_choice=False):
         return answer(consumed(winner), winner)
     # Btrees read backward at equal cost, so either direction on the
     # required column satisfies an order-expecting skeleton slot.
-    keys = ((slot.alias, slot.required_order, True),)
     satisfying = [
         p for p in paths
         if p.ordering and p.ordering[0][:2] == (slot.alias, slot.required_order)
@@ -649,7 +668,7 @@ def _best_scan_access(slot, raw_paths, settings, want_choice=False):
             return None
         return answer(best, winner)
     cheapest = min(paths, key=lambda p: p.total_cost)
-    sorted_cost = J.sort_path(cheapest, keys, settings).total_cost
+    sorted_cost = J.sort_cost(cheapest, settings)[1]
     if sorted_cost < best:
         return answer(sorted_cost, cheapest)
     return answer(best, winner)
@@ -669,8 +688,9 @@ def _access_cost(slot, bq, catalog, settings, want_choice=False):
         )
         return _best_param_access(slot, candidates, want_choice=want_choice)
 
-    interesting = {slot.required_order} if slot.required_order else set()
-    raw = P.scan_paths(bq, slot.alias, catalog, settings, interesting)
+    raw = P.scan_paths(
+        bq, slot.alias, catalog, settings, _slot_interesting(slot)
+    )
     return _best_scan_access(slot, raw, settings, want_choice=want_choice)
 
 

@@ -195,17 +195,22 @@ class RunnerNode:
             self._accept_thread.join()
 
     def stop(self):
-        """Close the listener and every open connection; idempotent."""
+        """Close the listener and every open connection, and wait for
+        the accept thread to end; idempotent."""
         self._stopping = True
         listener, self._listener = self._listener, None
-        if listener is not None:
-            try:
-                listener.close()
-            except OSError:
-                pass
         with self._lock:
             socks = list(self._open_socks)
-        for sock in socks:
+        for sock in [listener, *socks]:
+            if sock is None:
+                continue
+            # close() from another thread does not wake a thread blocked
+            # in accept()/recv() on Linux; shutdown() does.  Platforms
+            # that refuse it on a listener (ENOTCONN) wake on close().
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 sock.close()
             except OSError:

@@ -34,8 +34,12 @@ def ordering_satisfies(provided, required):
     return tuple(provided[: len(required)]) == tuple(required)
 
 
-def sort_path(child, sort_keys, settings):
-    """Wrap *child* in a Sort producing *sort_keys* ordering."""
+def _always(total_cost, ordering):
+    return True
+
+
+def sort_cost(child, settings):
+    """``(startup_cost, total_cost, external)`` of sorting *child*."""
     rows = max(1.0, child.rows)
     bytes_needed = rows * (child.width + TUPLE_OVERHEAD)
     comparison = 2.0 * settings.cpu_operator_cost
@@ -50,6 +54,12 @@ def sort_path(child, sort_keys, settings):
     startup = child.total_cost + sort_cpu + io
     total = startup + settings.cpu_operator_cost * rows
     total += 0.0 if settings.enable_sort else DISABLE_COST
+    return startup, total, external
+
+
+def sort_path(child, sort_keys, settings):
+    """Wrap *child* in a Sort producing *sort_keys* ordering."""
+    startup, total, external = sort_cost(child, settings)
     return Sort(
         startup_cost=startup,
         total_cost=total,
@@ -77,11 +87,17 @@ def materialize_path(child, settings):
     )
 
 
-def nestloop_path(outer, inner, join_clauses, rows_out, settings):
+def nestloop_path(outer, inner, join_clauses, rows_out, settings,
+                  admits=_always):
     """Nested loop with *inner* rescanned per outer row.
 
     If the inner is parameterized its costs are already per probe; otherwise
     the rescan cost comes from :meth:`Plan.rescan_cost`.
+
+    Like every join constructor here, the candidate is costed first and
+    the node is built only if ``admits(total_cost, ordering)`` — the
+    planner passes its path set's dominance test, so the (many)
+    dominated candidates of join enumeration allocate nothing.
     """
     outer_rows = max(1.0, outer.rows)
     if inner.is_parameterized:
@@ -97,6 +113,8 @@ def nestloop_path(outer, inner, join_clauses, rows_out, settings):
     total = run_cost + clause_cpu + output_cpu
     if not settings.enable_nestloop:
         total += DISABLE_COST
+    if not admits(total, outer.ordering):
+        return None
     return NestLoop(
         startup_cost=outer.startup_cost + inner.startup_cost,
         total_cost=total,
@@ -108,7 +126,8 @@ def nestloop_path(outer, inner, join_clauses, rows_out, settings):
     )
 
 
-def hashjoin_path(outer, inner, join_clauses, rows_out, settings):
+def hashjoin_path(outer, inner, join_clauses, rows_out, settings,
+                  admits=_always):
     """Hash join building on *inner*, probing with *outer*."""
     if not join_clauses:
         return None
@@ -130,6 +149,8 @@ def hashjoin_path(outer, inner, join_clauses, rows_out, settings):
     total = outer.total_cost + inner.total_cost + build_cpu + probe_cpu + output_cpu + io
     if not settings.enable_hashjoin:
         total += DISABLE_COST
+    if not admits(total, ()):
+        return None
     return HashJoin(
         startup_cost=startup,
         total_cost=total,
@@ -143,23 +164,30 @@ def hashjoin_path(outer, inner, join_clauses, rows_out, settings):
 
 
 def mergejoin_path(outer, inner, join_clauses, merge_keys_outer, merge_keys_inner,
-                   rows_out, settings):
-    """Merge join; callers must pass inputs already ordered on the merge keys
-    (use :func:`sort_path` to establish the order)."""
+                   rows_out, settings, admits=_always):
+    """Merge join; an input not already ordered on its merge keys gets an
+    explicit Sort (a Sort keeps its child's rows and width)."""
     if not join_clauses:
         return None
-    if not ordering_satisfies(outer.ordering, merge_keys_outer):
-        outer = sort_path(outer, merge_keys_outer, settings)
-    if not ordering_satisfies(inner.ordering, merge_keys_inner):
-        inner = sort_path(inner, merge_keys_inner, settings)
+    sort_outer = not ordering_satisfies(outer.ordering, merge_keys_outer)
+    sort_inner = not ordering_satisfies(inner.ordering, merge_keys_inner)
+    outer_total = sort_cost(outer, settings)[1] if sort_outer else outer.total_cost
+    inner_total = sort_cost(inner, settings)[1] if sort_inner else inner.total_cost
     outer_rows = max(1.0, outer.rows)
     inner_rows = max(1.0, inner.rows)
     n_clauses = max(1, len(join_clauses))
     scan_cpu = settings.cpu_operator_cost * n_clauses * (outer_rows + inner_rows * 1.1)
     output_cpu = settings.cpu_tuple_cost * max(1.0, rows_out)
-    total = outer.total_cost + inner.total_cost + scan_cpu + output_cpu
+    total = outer_total + inner_total + scan_cpu + output_cpu
     if not settings.enable_mergejoin:
         total += DISABLE_COST
+    ordering = tuple(merge_keys_outer) if sort_outer else outer.ordering
+    if not admits(total, ordering):
+        return None
+    if sort_outer:
+        outer = sort_path(outer, merge_keys_outer, settings)
+    if sort_inner:
+        inner = sort_path(inner, merge_keys_inner, settings)
     return MergeJoin(
         startup_cost=max(outer.startup_cost, inner.startup_cost),
         total_cost=total,

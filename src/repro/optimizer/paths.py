@@ -26,6 +26,7 @@ from repro.optimizer.plan import (
     BitmapHeapScan,
     FragmentScan,
     IndexScan,
+    Plan,
     SeqScan,
 )
 from repro.optimizer.selectivity import equality_fraction, filter_selectivity
@@ -254,12 +255,14 @@ def _output_width(bound_query, alias):
 _MISSING = object()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class ScanContext:
     """Everything about pricing one table reference that does not depend
     on the secondary-index set: geometry, the filter set with per-filter
     selectivities, and the output shape — a pure function of (bound
     query, alias, the vertical layout's cover, horizontal partitioning).
+    Compared and hashed by identity: the plan memo keys on *which*
+    context a plan was priced from (:func:`plan_inputs`).
 
     The context also owns the memo of what has been priced under it:
     per planner settings, the sequential path and each index's path
@@ -273,6 +276,9 @@ class ScanContext:
     with the bound query — and are re-validated on every lookup against
     the identity of the :class:`ColumnStats` objects they read
     (:meth:`is_current`), so re-``ANALYZE``-ing a column re-prices.
+    That includes the alias's join and group-by columns, which no scan
+    path reads but every plan over this context does
+    (``join_selectivity`` / ``group_count``).
     Bulk pricers of one-shot indexes release them when done
     (:func:`forget_indexes`).  Extend this memo rather than adding
     private path caches.
@@ -284,6 +290,9 @@ class ScanContext:
     filter_sel: dict  # BoundFilter -> selectivity, one entry per filter
     eq_columns: tuple  # columns bound by an equality filter
     boundary_columns: tuple  # columns with any sargable (eq/range/in) filter
+    # Columns whose order helps an operator above the scan (ORDER BY,
+    # GROUP BY, merge-joinable): the planner's interesting columns.
+    interesting: frozenset
     sel_all: float
     rows_out: float
     width: int
@@ -344,6 +353,14 @@ def scan_context(bound_query, alias, catalog):
     memo = bound_query.scan_memo
     ctx = memo.get(key)
     if ctx is None or not ctx.is_current():
+        if ctx is not None:
+            # Plans keyed on the replaced context can never be found
+            # again; list(...) snapshots, other threads may be planning.
+            for plan_key, plan in list(memo.items()):
+                if isinstance(plan, Plan) and any(
+                    used is ctx for used, __ in plan_key[1]
+                ):
+                    memo.pop(plan_key, None)
         ctx = memo[key] = _build_context(bound_query, alias, cover, key[2])
     return ctx
 
@@ -360,7 +377,7 @@ def forget_indexes(bound_query, indexes):
     # list(...) snapshots: other threads may be pricing into the memo.
     for ctx in list(bound_query.scan_memo.values()):
         if not isinstance(ctx, ScanContext):
-            continue  # a layout_cover entry: nothing priced per index
+            continue  # a layout_cover entry or a plan: nothing to release
         for memo in list(ctx._priced.values()):
             for key in list(memo):
                 if (key[0] if type(key) is tuple else key) in indexes:
@@ -379,6 +396,11 @@ def _build_context(bound_query, alias, cover, horizontal):
             sel = filter_sel[f] = filter_selectivity(f, table)
         sel_all *= sel
     sel_all = clamp(sel_all, 0.0, 1.0)
+    join_columns = [
+        clause.side_for(alias)[0] for clause in bound_query.joins_for(alias)
+    ]
+    group_columns = [c for a, c in bound_query.group_by if a == alias]
+    order_columns = [c for a, c, __ in bound_query.order_by if a == alias]
     # No reference back to the bound query: it owns this context, and a
     # cycle would leave dropped memos to the cyclic collector.
     ctx = ScanContext(
@@ -388,12 +410,14 @@ def _build_context(bound_query, alias, cover, horizontal):
         filter_sel=filter_sel,
         eq_columns=tuple(f.column for f in filters if f.kind == "eq"),
         boundary_columns=tuple(f.column for f in filters if f.sargable),
+        interesting=frozenset(join_columns + group_columns + order_columns),
         sel_all=sel_all,
         rows_out=max(1.0, geometry.rows * sel_all),
         width=_output_width(bound_query, alias),
         _stats={},
     )
     ctx._track(f.column for f in filters)
+    ctx._track(join_columns + group_columns)
     if horizontal is not None:
         ctx._track((horizontal.column,))
     return ctx
@@ -421,6 +445,55 @@ def offers_probe_path(ctx, index, param_columns):
     column, so it cannot serve a nested-loop inner on *param_columns*."""
     lead = index.columns[0]
     return lead in param_columns or lead in ctx.eq_columns
+
+
+def reaching_indexes(ctx, indexes, interesting_columns=(), param_columns=()):
+    """The members of *indexes*, order kept, that reach *ctx*'s table
+    reference — the set form of the two predicates above.  A probe
+    (*param_columns* given: a nested-loop inner) is reached through
+    :func:`offers_probe_path`, a scan through :func:`offers_scan_paths`.
+
+    An index outside this projection contributes no path, arm or probe,
+    so it cannot change a plan or a slot cost: the planner's plan memo
+    (:func:`plan_inputs`) and INUM's slot memo
+    (``inum/cache.py:_slot_key``) key on the projection, not on the
+    design.  For a whole plan the scan form over ``ctx.interesting``
+    covers the probes as well — every probed column is a join column,
+    hence interesting, and every equality column is a boundary column.
+    """
+    if param_columns:
+        return tuple(
+            ix for ix in indexes if offers_probe_path(ctx, ix, param_columns)
+        )
+    return tuple(
+        ix for ix in indexes
+        if offers_scan_paths(ctx, ix, interesting_columns)
+    )
+
+
+def plan_inputs(bound_query, catalog):
+    """Everything :func:`~repro.optimizer.planner.plan_query` reads of
+    *catalog*: per alias, in ``FROM`` order, the current
+    :class:`ScanContext` and the catalog's indexes that reach it
+    (:func:`reaching_indexes`, catalog order kept — path enumeration
+    order decides cost ties).
+
+    Two designs with equal inputs plan identically, so ``(settings,
+    inputs)`` keys the exact-path plan memo that
+    :meth:`~repro.optimizer.service.CostService.plan` keeps in
+    :attr:`BoundQuery.scan_memo`: a design that adds nothing this
+    statement can use is answered with the very plan object an earlier
+    design produced.  The contexts are keyed by identity and are the
+    current ones by construction, so a hit never outlives the
+    statistics it was planned from.
+    """
+    inputs = []
+    for alias, table in bound_query.tables.items():
+        ctx = scan_context(bound_query, alias, catalog)
+        inputs.append((ctx, reaching_indexes(
+            ctx, catalog.indexes_on(table.name), ctx.interesting
+        )))
+    return tuple(inputs)
 
 
 def index_path_group(ctx, index, settings, interesting_columns=()):

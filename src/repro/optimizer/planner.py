@@ -16,11 +16,15 @@ from repro.util import PlanningError
 MAX_PATHS_PER_SET = 12
 
 
-def plan_query(bound_query, catalog, settings=None):
-    """Plan *bound_query* against *catalog*; returns the cheapest Plan."""
+def plan_query(bound_query, catalog, settings=None, inputs=None):
+    """Plan *bound_query* against *catalog*; returns the cheapest Plan.
+
+    *inputs* is ``paths.plan_inputs(bound_query, catalog)`` when the
+    caller has already resolved it (the plan memo's lookup key)."""
     settings = settings or DEFAULT_SETTINGS
-    planner = _Planner(bound_query, catalog, settings)
-    return planner.plan()
+    if inputs is None:
+        inputs = P.plan_inputs(bound_query, catalog)
+    return _Planner(bound_query, inputs, settings).plan()
 
 
 class _PathSet:
@@ -28,6 +32,18 @@ class _PathSet:
 
     def __init__(self):
         self._paths = []
+
+    def admits(self, total_cost, ordering):
+        """False when a path of this cost and ordering would be dropped
+        by :meth:`add` as dominated — the test join constructors run
+        before building a node."""
+        for existing in self._paths:
+            if (
+                existing.total_cost <= total_cost
+                and J.ordering_satisfies(existing.ordering, ordering)
+            ):
+                return False
+        return True
 
     def add(self, path):
         if path is None:
@@ -63,21 +79,19 @@ class _PathSet:
 
 
 class _Planner:
-    def __init__(self, bound_query, catalog, settings):
+    def __init__(self, bound_query, inputs, settings):
         self.q = bound_query
         self.settings = settings
         self.aliases = list(bound_query.tables)
         # One scan context (geometry + selectivities, memoized on the
-        # bound query) and one index list per alias, shared by the base
-        # paths and every parameterized join probe.
-        self._ctx = {
-            alias: P.scan_context(bound_query, alias, catalog)
-            for alias in self.aliases
-        }
-        self._indexes = {
-            alias: catalog.indexes_on(ctx.table.name)
-            for alias, ctx in self._ctx.items()
-        }
+        # bound query) and one list of the indexes that reach it per
+        # alias, shared by the base paths and every parameterized join
+        # probe.
+        self._ctx = {}
+        self._indexes = {}
+        for alias, (ctx, indexes) in zip(self.aliases, inputs):
+            self._ctx[alias] = ctx
+            self._indexes[alias] = indexes
 
     # ------------------------------------------------------------------
 
@@ -109,29 +123,13 @@ class _Planner:
     # Base relations.
     # ------------------------------------------------------------------
 
-    def _interesting_columns(self, alias):
-        """Columns whose ordering could help upstream operators."""
-        cols = set()
-        for a, c, __ in self.q.order_by:
-            if a == alias:
-                cols.add(c)
-        for a, c in self.q.group_by:
-            if a == alias:
-                cols.add(c)
-        for clause in self.q.joins_for(alias):
-            col, __, __ = clause.side_for(alias)
-            cols.add(col)
-        return cols
-
     def _base_paths(self):
         table_paths = {}
         for alias in self.aliases:
             pset = _PathSet()
+            ctx = self._ctx[alias]
             for path in P.access_paths(
-                self._ctx[alias],
-                self._indexes[alias],
-                self.settings,
-                interesting_columns=self._interesting_columns(alias),
+                ctx, self._indexes[alias], self.settings, ctx.interesting
             ):
                 pset.add(path)
             if not len(pset):
@@ -152,6 +150,7 @@ class _Planner:
             for combo in itertools.combinations(self.aliases, size):
                 subset = frozenset(combo)
                 pset = _PathSet()
+                rows_out = self.subset_rows(subset)
                 found_connected = False
                 for left, right in self._splits(subset):
                     clauses = self._clauses_between(left, right)
@@ -159,13 +158,13 @@ class _Planner:
                         found_connected = True
                     if left not in sets or right not in sets:
                         continue
-                    self._join_pair(sets[left], sets[right], clauses, subset, pset)
+                    self._join_pair(sets, left, right, clauses, rows_out, pset)
                 if not found_connected:
                     # Disconnected join graph: cartesian product as last resort.
                     for left, right in self._splits(subset):
                         if left not in sets or right not in sets:
                             continue
-                        self._join_pair(sets[left], sets[right], (), subset, pset)
+                        self._join_pair(sets, left, right, (), rows_out, pset)
                 if len(pset):
                     sets[subset] = pset
         full = frozenset(self.aliases)
@@ -195,15 +194,18 @@ class _Planner:
             or (c.left_alias in right and c.right_alias in left)
         )
 
-    def _join_pair(self, outer_set, inner_set, clauses, subset, pset):
-        rows_out = self.subset_rows(subset)
+    def _join_pair(self, sets, left, right, clauses, rows_out, pset):
+        """Every join of a *left* path (outer) with a *right* path
+        (inner) into *pset*.  Candidates are costed and tested against
+        the set's dominance rule before a node is built
+        (``admits``)."""
         settings = self.settings
-        inner_aliases = self._aliases_of(inner_set)
+        admits = pset.admits
         # Parameterized index nested loop: only when the inner side is a
         # single base relation probed on its join columns.
         probes = ()
-        if clauses and len(inner_aliases) == 1:
-            inner_alias = next(iter(inner_aliases))
+        if clauses and len(right) == 1:
+            (inner_alias,) = right
             probes = P.probe_paths(
                 self._ctx[inner_alias],
                 self._indexes[inner_alias],
@@ -214,46 +216,41 @@ class _Planner:
                     if clause.involves(inner_alias)
                 ),
             )
-        for outer in outer_set:
-            for inner in inner_set:
-                pset.add(J.nestloop_path(outer, inner, clauses, rows_out, settings))
-                if not inner.is_parameterized and settings.enable_material:
-                    pset.add(
-                        J.nestloop_path(
-                            outer,
-                            J.materialize_path(inner, settings),
-                            clauses,
-                            rows_out,
-                            settings,
-                        )
-                    )
+        inners = [
+            (
+                inner,
+                J.materialize_path(inner, settings)
+                if not inner.is_parameterized and settings.enable_material
+                else None,
+            )
+            for inner in sets[right]
+        ]
+        keys_outer, keys_inner = self._merge_keys(clauses, left)
+        for outer in sets[left]:
+            for inner, materialized in inners:
+                pset.add(J.nestloop_path(
+                    outer, inner, clauses, rows_out, settings, admits
+                ))
+                if materialized is not None:
+                    pset.add(J.nestloop_path(
+                        outer, materialized, clauses, rows_out, settings,
+                        admits,
+                    ))
                 if clauses:
-                    pset.add(J.hashjoin_path(outer, inner, clauses, rows_out, settings))
-                    keys_outer, keys_inner = self._merge_keys(clauses, outer, inner)
-                    pset.add(
-                        J.mergejoin_path(
-                            outer, inner, clauses, keys_outer, keys_inner,
-                            rows_out, settings,
-                        )
-                    )
+                    pset.add(J.hashjoin_path(
+                        outer, inner, clauses, rows_out, settings, admits
+                    ))
+                    pset.add(J.mergejoin_path(
+                        outer, inner, clauses, keys_outer, keys_inner,
+                        rows_out, settings, admits,
+                    ))
             for probe in probes:
-                pset.add(
-                    J.nestloop_path(outer, probe, clauses, rows_out, settings)
-                )
+                pset.add(J.nestloop_path(
+                    outer, probe, clauses, rows_out, settings, admits
+                ))
 
-    def _aliases_of(self, path_set_key_or_paths):
-        if isinstance(path_set_key_or_paths, frozenset):
-            return path_set_key_or_paths
-        aliases = set()
-        for path in path_set_key_or_paths:
-            for node in path.walk():
-                alias = getattr(node, "alias", "")
-                if alias:
-                    aliases.add(alias)
-        return aliases
-
-    def _merge_keys(self, clauses, outer, inner):
-        outer_aliases = self._aliases_of([outer])
+    @staticmethod
+    def _merge_keys(clauses, outer_aliases):
         keys_outer, keys_inner = [], []
         for clause in clauses:
             if clause.left_alias in outer_aliases:

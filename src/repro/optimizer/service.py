@@ -8,6 +8,7 @@ many (expensive) optimizer invocations a designer component issued — the
 quantity INUM's caching is meant to slash.
 """
 
+from repro.optimizer.paths import plan_inputs
 from repro.optimizer.planner import plan_query
 from repro.optimizer.settings import DEFAULT_SETTINGS
 from repro.optimizer.writecost import write_statement_cost
@@ -29,11 +30,18 @@ class CostService:
 
     @property
     def optimizer_calls(self):
-        """Number of full planner invocations issued so far."""
+        """Number of full planner invocations issued so far (a plan
+        memo hit is not one)."""
         return self._counter.calls
 
+    @property
+    def plan_memo_hits(self):
+        """Plans answered from the bound queries' plan memo — requests
+        a design-blind service would have spent a planner call on."""
+        return self._counter.hits
+
     def reset_counter(self):
-        self._counter.calls = 0
+        self._counter.calls = self._counter.hits = 0
 
     # ------------------------------------------------------------------
 
@@ -50,20 +58,36 @@ class CostService:
         raise TypeError("expected SQL text or BoundQuery, got %r" % (type(query),))
 
     def plan(self, query):
-        """Plan *query*, caching by SQL text (cache keys include nothing of
-        the physical design, so a CostService must not outlive catalog
-        design changes — what-if sessions create fresh services)."""
+        """Plan *query*.
+
+        Two caches, neither holding a copy.  This service's own is keyed
+        by SQL text alone — its catalog's design must not change under
+        it; what-if sessions create a fresh service per design.  Behind
+        it, design dependence lives in the bound query's plan memo
+        (:attr:`BoundQuery.scan_memo`, keyed ``(settings,
+        paths.plan_inputs(...))``): every service over the same bound
+        queries whose design offers this statement the same access
+        choices gets the same immutable plan object, and only a miss
+        there is a planner invocation.
+        """
         bq = self.bound(query)
         if isinstance(bq, BoundWrite):
             raise PlanningError(
                 "write statements have no plan tree; use cost() instead"
             )
-        key = bq.sql
-        plan = self._plan_cache.get(key)
+        plan = self._plan_cache.get(bq.sql)
         if plan is None:
-            self._counter.calls += 1
-            plan = plan_query(bq, self.catalog, self.settings)
-            self._plan_cache[key] = plan
+            inputs = plan_inputs(bq, self.catalog)
+            key = (self.settings, inputs)
+            plan = bq.scan_memo.get(key)
+            if plan is None:
+                self._counter.calls += 1
+                plan = bq.scan_memo[key] = plan_query(
+                    bq, self.catalog, self.settings, inputs
+                )
+            else:
+                self._counter.hits += 1
+            self._plan_cache[bq.sql] = plan
         return plan
 
     def cost(self, query):
@@ -108,8 +132,8 @@ class CostService:
 
 
 class _Counter:
-    __slots__ = ("calls",)
+    __slots__ = ("calls", "hits")
 
     def __init__(self):
-        self.calls = 0
+        self.calls = self.hits = 0
 

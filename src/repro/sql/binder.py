@@ -129,8 +129,10 @@ class BoundQuery:
     _sql: str = field(default=None, repr=False)
     # Design-invariant scan pricing memo, owned here so it is dropped with
     # the bound query (bind caches, pool entries): (alias, layout cover,
-    # horizontal partitioning) -> optimizer.paths.ScanContext, and
-    # (alias, vertical layout) -> optimizer.paths.layout_cover entry.
+    # horizontal partitioning) -> optimizer.paths.ScanContext,
+    # (alias, vertical layout) -> optimizer.paths.layout_cover entry, and
+    # (planner settings, optimizer.paths.plan_inputs(...)) -> the exact
+    # plan every design with that projection shares.
     scan_memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

@@ -55,6 +55,49 @@ class TestScenario1:
         assert evaluation.rewritten_queries
         assert any("photoobj__" in sql for sql in evaluation.rewritten_queries)
 
+    def test_only_statements_reading_a_relaid_table_are_rewritten(self):
+        """One ``specobj`` layout on the SDSS-50 workload: the rewriter
+        re-renders SQL, so every statement's text changes, but only the
+        13 that reference ``specobj`` were rewritten for new partitions."""
+        from repro.sql.binder import bind_statement
+        from repro.workloads import sdss_catalog, sdss_workload
+
+        catalog = sdss_catalog(scale=0.05)
+        workload = list(sdss_workload(50, seed=42))
+        columns = catalog.table("specobj").column_names
+        layout = VerticalLayout(
+            "specobj",
+            (
+                VerticalFragment("specobj", tuple(columns[:2])),
+                VerticalFragment("specobj", tuple(columns[2:])),
+            ),
+        )
+        reading = [
+            sql for sql, __ in workload
+            if any(
+                t.name == "specobj"
+                for t in getattr(bind_statement(sql, catalog), "tables", {}).values()
+            )
+        ]
+        assert len(workload) == 50 and len(reading) == 13
+        evaluation = Designer(catalog).evaluate_design(workload, layouts=[layout])
+        assert len(evaluation.rewritten_queries) == 13
+        assert all("specobj__" in sql for sql in evaluation.rewritten_queries)
+
+    def test_untouched_statement_is_never_listed(self, designer):
+        layout = VerticalLayout(
+            "specobj",
+            (
+                VerticalFragment("specobj", ("objid", "z")),
+                VerticalFragment("specobj", ("specid", "zerr", "class")),
+            ),
+        )
+        evaluation = designer.evaluate_design(WORKLOAD, layouts=[layout])
+        # Only the join reads specobj; the three photoobj-only
+        # statements re-render to different text but are not rewrites.
+        assert len(evaluation.rewritten_queries) == 1
+        assert "specobj__" in evaluation.rewritten_queries[0]
+
     def test_empty_workload_rejected(self, designer):
         with pytest.raises(DesignError):
             designer.evaluate_design([], indexes=[Index("photoobj", ("ra",))])

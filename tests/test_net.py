@@ -170,6 +170,52 @@ class TestFrames:
 
 
 # ----------------------------------------------------------------------
+# Runner lifecycle.
+# ----------------------------------------------------------------------
+
+
+class TestRunnerLifecycle:
+    def test_stop_ends_the_accept_thread_promptly(self):
+        """``stop()`` must wake the accept loop, not wait out its join
+        timeout and abandon the thread (closing a listener from another
+        thread does not wake a blocked ``accept()`` on Linux)."""
+        import time
+
+        started = time.monotonic()
+        node = RunnerNode().start()
+        thread = node._accept_thread
+        assert thread.is_alive()
+        node.stop()
+        elapsed = time.monotonic() - started
+        assert not thread.is_alive()
+        assert elapsed < 1.0
+        node.stop()  # idempotent
+
+    def test_stop_ends_connection_threads(self):
+        """An idle client connection is blocked in ``recv`` on the
+        runner; ``stop()`` wakes it too and the peer sees the close."""
+        node = RunnerNode().start()
+        sock = socket.create_connection((node.host, node.port), 5.0)
+        try:
+            deadline = 250
+            while not node.open_connections and deadline:
+                threading.Event().wait(0.02)
+                deadline -= 1
+            assert node.open_connections == 1
+            node.stop()
+            sock.settimeout(5.0)
+            assert sock.recv(1) == b""  # EOF, not a timeout
+            deadline = 250
+            while node.open_connections and deadline:
+                threading.Event().wait(0.02)
+                deadline -= 1
+            assert node.open_connections == 0
+        finally:
+            sock.close()
+            node.stop()
+
+
+# ----------------------------------------------------------------------
 # Handshake / version negotiation.
 # ----------------------------------------------------------------------
 

@@ -17,6 +17,13 @@ cache, never a different cost model, so this suite pins
     weight share one slot-memo entry, and ``explain`` still names the
     fragments actually read;
 (c) the work actually goes away (call counts, no wall clock);
+(d) the two memos keyed on a design's *projection* onto a table
+    reference (``paths.reaching_indexes``): the exact-path plan memo
+    behind ``CostService.plan`` and INUM's slot memo — memoized == cold,
+    an index that cannot reach a statement costs no planner call and
+    returns the identical plan object, and everything a plan reads
+    (statistics of filter, join and group-by columns, planner settings,
+    the cover, index order) is in the key;
 and that memoized plan nodes, now shared between plans, are never
 mutated after construction.
 """
@@ -38,10 +45,16 @@ from repro.catalog import (
 from repro.catalog import stats as stats_module
 from repro.cophy import candidate_indexes
 from repro.cophy.colgen import CandidatePricer
+from repro.evaluation import WorkloadEvaluator
 from repro.inum import InumCostModel
-from repro.inum.cache import _access_cost, _DesignView
+from repro.inum import cache as inum_cache
+from repro.inum.cache import _access_cost, _DesignView, _slot_key
+from repro.optimizer import CostService
 from repro.optimizer import paths as P
 from repro.optimizer import plan_query
+from repro.optimizer.plan import Plan
+from repro.optimizer import service as service_module
+from repro.optimizer.settings import DEFAULT_SETTINGS
 from repro.optimizer.writecost import locate_query
 from repro.sql.binder import BoundWrite, bind_statement
 from repro.whatif import Configuration
@@ -155,31 +168,48 @@ def test_planner_memoized_equals_fresh(registry, make_catalog):
 
 
 @ENVIRONMENTS
-def test_slot_pricing_memoized_equals_fresh(registry, make_catalog):
+def test_slot_pricing_memoized_equals_fresh(registry, make_catalog, monkeypatch):
+    """The slot memo keys on the design's projection onto the slot
+    (``_slot_key``): every price ``==`` a cold ``_access_cost``, and the
+    model prices at most once per distinct projected key."""
     catalog = make_catalog()
     sqls = read_statements(registry, catalog)
     configs = fuzzed_configurations(random.Random(6), catalog, sqls)
     model = InumCostModel(catalog)
+    model_calls = []
+
+    def counting_access_cost(*args, **kwargs):
+        model_calls.append(kwargs.get("want_choice", False))
+        return _access_cost(*args, **kwargs)
+
+    # The model resolves the name at call time; the cold references
+    # below call the original.
+    monkeypatch.setattr(inum_cache, "_access_cost", counting_access_cost)
+    keys, full_signatures = set(), set()
     priced = 0
     for config in configs + configs:
         view = _DesignView(catalog, config)
         for sql in sqls:
             cache = model.cache_for(bind_read(sql, catalog))
+            bq = cache.bound_query
             for cached in cache.plans:
                 for slot in cached.slots:
-                    assert model.slot_cost(
-                        cache.bound_query, slot, view
-                    ) == _access_cost(
+                    signature = view.design_signature(slot.table_name)
+                    keys.add((bq.sql, _slot_key(bq, slot, view, signature)))
+                    full_signatures.add((bq.sql, slot, signature))
+                    assert model.slot_cost(bq, slot, view) == _access_cost(
                         slot, bind_read(sql, catalog), view, model.settings
                     )
-                    assert model.slot_choice(
-                        cache.bound_query, slot, view
-                    ) == _access_cost(
+                    assert model.slot_choice(bq, slot, view) == _access_cost(
                         slot, bind_read(sql, catalog), view,
                         model.settings, want_choice=True,
                     )
                     priced += 1
     assert priced
+    assert model_calls.count(False) <= len(keys)
+    assert model_calls.count(True) <= len(keys)
+    # The projection is what saves the work, not the fuzz being small.
+    assert len(keys) < len(full_signatures)
 
 
 @ENVIRONMENTS
@@ -481,11 +511,13 @@ def test_fresh_configuration_prices_only_unseen_indexes(monkeypatch):
 
 def test_concurrent_planning_forgetting_and_reanalyze_stay_exact():
     """One bound query priced — under index sets *and* swapped vertical
-    layouts — from more threads than cores while another thread forgets
+    layouts, by ``plan_query`` and through fresh exact services' plan
+    memo — from more threads than cores while another thread forgets
     indexes and swaps statistics objects (same values, new identity):
     every plan still costs exactly what a cold plan costs."""
     catalog = full_sdss_catalog(scale=0.05)
-    bq = bind_statement(THREE_TABLE_SQL, catalog)
+    evaluator = WorkloadEvaluator(catalog)
+    bq = evaluator.bound(THREE_TABLE_SQL)
     candidates = candidate_indexes(catalog, [THREE_TABLE_SQL], 30)
     rng = random.Random(17)
     configs = [
@@ -535,7 +567,20 @@ def test_concurrent_planning_forgetting_and_reanalyze_stay_exact():
         while time.monotonic() < deadline:
             i = order.randrange(len(overlays))
             try:
-                cost = plan_query(bq, overlays[i]).total_cost
+                if count % 2:
+                    # The exact path: a design never submitted before
+                    # (so a fresh service), differing from configs[i]
+                    # only by an index THREE_TABLE_SQL cannot use — the
+                    # plan memo projects it away.
+                    noise = Index(
+                        "neighbors", ("distance",),
+                        name="noise_%d_%d" % (seed, count),
+                    )
+                    cost = evaluator.exact_service(
+                        configs[i].with_indexes(noise)
+                    ).plan(bq).total_cost
+                else:
+                    cost = plan_query(bq, overlays[i]).total_cost
             except Exception as exc:  # noqa: BLE001 - reported below
                 failures.append(repr(exc))
                 return
@@ -566,6 +611,198 @@ def test_concurrent_planning_forgetting_and_reanalyze_stay_exact():
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures[:3]
     assert len(plans) == 6 and all(plans)
+    assert evaluator.exact_plan_hits and evaluator.exact_optimizer_calls
+
+
+# ----------------------------------------------------------------------
+# (d) the design-projected plan memo behind CostService.plan.
+# ----------------------------------------------------------------------
+
+GROUPED_JOIN_SQL = (
+    "SELECT s.class, COUNT(*) FROM photoobj p, specobj s "
+    "WHERE p.objid = s.objid AND p.rmag < 19.5 GROUP BY s.class"
+)
+
+
+@pytest.fixture
+def planner_calls(monkeypatch):
+    """Bound queries handed to the planner by ``CostService.plan``."""
+    planned = []
+
+    def counting_plan_query(bound_query, *args, **kwargs):
+        planned.append(bound_query)
+        return plan_query(bound_query, *args, **kwargs)
+
+    monkeypatch.setattr(service_module, "plan_query", counting_plan_query)
+    return planned
+
+
+def fresh_service(base, catalog=None, settings=None):
+    """A service with empty per-service caches over *base*'s bound
+    queries (and so over their plan memo)."""
+    service = base.with_catalog(catalog or base.catalog)
+    return service.with_settings(settings) if settings else service
+
+
+@ENVIRONMENTS
+def test_plan_memo_equals_cold_planner(registry, make_catalog, planner_calls):
+    catalog = make_catalog()
+    sqls = read_statements(registry, catalog)
+    configs = fuzzed_configurations(random.Random(9), catalog, sqls)
+    evaluator = WorkloadEvaluator(catalog)
+    base = evaluator.exact_service()
+    reads = {sql: bind_read(sql, catalog) for sql in sqls}
+    requests = 0
+    for config in configs + configs:  # second sweep: every key is known
+        overlay = config.apply(catalog)
+        service = fresh_service(base, overlay)
+        for sql in sqls:
+            hot = service.plan(reads[sql])
+            cold = plan_query(bind_read(sql, catalog), overlay)
+            assert hot.total_cost == cold.total_cost
+            assert hot.explain() == cold.explain()
+            assert hot.indexes_used() == cold.indexes_used()
+            requests += 1
+    assert len(planner_calls) == evaluator.exact_optimizer_calls
+    assert len(planner_calls) + evaluator.exact_plan_hits == requests
+    # The second sweep planned nothing, and the first not everything.
+    assert len(planner_calls) < requests // 2
+
+
+def test_index_that_cannot_reach_a_statement_costs_no_planner_call(
+        sdss_catalog, planner_calls):
+    sql = "SELECT objid FROM photoobj WHERE rmag < 18.3"
+    evaluator = WorkloadEvaluator(sdss_catalog)
+    base_plan = evaluator.exact_service().plan(sql)
+    assert len(planner_calls) == 1
+    unreaching = [
+        Index("specobj", ("z",)),  # a table the statement never reads
+        Index("photoobj", ("ra", "rmag")),  # lead column: no filter, no order
+        Index("photoobj", ("dec",), include=("objid", "rmag")),  # covering
+    ]
+    for index in unreaching:
+        service = evaluator.exact_service(Configuration.of(index))
+        assert service.plan(sql) is base_plan
+    assert evaluator.exact_service(
+        Configuration(indexes=frozenset(unreaching))
+    ).plan(sql) is base_plan
+    assert len(planner_calls) == 1
+    assert evaluator.stats["exact_optimizer_calls"] == 1
+    assert evaluator.stats["exact_plan_hits"] == 4
+    # An index the statement can use is a different key: one more call,
+    # shared in turn by every design that adds only noise to it.
+    useful = Index("photoobj", ("rmag",))
+    plan = evaluator.exact_service(Configuration.of(useful)).plan(sql)
+    assert plan is not base_plan and useful in plan.indexes_used()
+    assert evaluator.exact_service(
+        Configuration.of(useful, *unreaching)
+    ).plan(sql) is plan
+    assert len(planner_calls) == 2
+
+
+def test_catalog_order_of_reaching_indexes_is_part_of_the_key(
+        sdss_catalog, planner_calls):
+    """Path enumeration order decides cost ties, so the same reaching
+    indexes offered in another order are planned again."""
+    sql = "SELECT objid FROM photoobj WHERE rmag < 18.3 AND type = 3"
+    first, second = sdss_catalog.clone(), sdss_catalog.clone()
+    a, b = Index("photoobj", ("rmag",)), Index("photoobj", ("type", "rmag"))
+    for catalog, order in ((first, (a, b)), (second, (b, a))):
+        for index in order:
+            catalog.add_index(index)
+    base = CostService(sdss_catalog)
+    bq = base.bound(sql)
+    assert P.plan_inputs(bq, first) != P.plan_inputs(bq, second)
+    for catalog in (first, second):
+        plan = fresh_service(base, catalog).plan(sql)
+        cold = plan_query(bind_statement(sql, sdss_catalog), catalog)
+        assert plan.total_cost == cold.total_cost
+        assert plan.explain() == cold.explain()
+    assert len(planner_calls) == 2
+    assert fresh_service(base, second).plan(sql) is plan
+    assert len(planner_calls) == 2
+
+
+@pytest.mark.parametrize(
+    "table_name, column",
+    [("photoobj", "rmag"), ("photoobj", "objid"), ("specobj", "objid"),
+     ("specobj", "class")],
+    ids=["filter", "join-outer", "join-inner", "group-by"],
+)
+def test_reanalyze_of_any_column_a_plan_reads_replans(
+        sdss_catalog, planner_calls, table_name, column):
+    """``join_selectivity`` / ``group_count`` read statistics no scan
+    path reads; the context tracks them too, so the plan key moves."""
+    base = CostService(sdss_catalog)
+    bq = base.bound(GROUPED_JOIN_SQL)
+    alias = {"photoobj": "p", "specobj": "s"}[table_name]
+    first = fresh_service(base).plan(bq)
+    assert fresh_service(base).plan(bq) is first
+    assert len(planner_calls) == 1
+    ctx = P.scan_context(bq, alias, sdss_catalog)
+
+    table = sdss_catalog.table(table_name)
+    table.column(column).build_stats(table.row_count)  # new object
+    assert not ctx.is_current()
+    again = fresh_service(base).plan(bq)
+    assert len(planner_calls) == 2
+    assert again is not first
+    assert again.total_cost == plan_query(
+        bind_statement(GROUPED_JOIN_SQL, sdss_catalog), sdss_catalog
+    ).total_cost
+    assert P.scan_context(bq, alias, sdss_catalog) is not ctx
+    # Plans keyed on the replaced context are dropped with it.
+    assert not any(
+        used is ctx
+        for key, value in bq.scan_memo.items() if isinstance(value, Plan)
+        for used, __ in key[1]
+    )
+    assert fresh_service(base).plan(bq) is again
+    assert len(planner_calls) == 2
+
+
+def test_planner_settings_are_part_of_the_plan_key(sdss_catalog, planner_calls):
+    base = CostService(sdss_catalog)
+    bq = base.bound(TWO_TABLE_SQL)
+    default = fresh_service(base).plan(bq)
+    variants = [
+        DEFAULT_SETTINGS.with_changes(seq_page_cost=2.5),
+        DEFAULT_SETTINGS.with_changes(enable_hashjoin=False),
+    ]
+    for n, settings in enumerate(variants, start=2):
+        plan = fresh_service(base, settings=settings).plan(bq)
+        assert len(planner_calls) == n
+        cold = plan_query(
+            bind_statement(TWO_TABLE_SQL, sdss_catalog), sdss_catalog, settings
+        )
+        assert plan.total_cost == cold.total_cost
+        assert plan.explain() == cold.explain()
+        assert plan.total_cost != default.total_cost
+        assert fresh_service(base, settings=settings).plan(bq) is plan
+    assert "HashJoin" in default.explain() and "HashJoin" not in plan.explain()
+    assert fresh_service(base).plan(bq) is default
+    assert len(planner_calls) == 3
+
+
+def test_plan_memo_hits_on_the_cover_not_the_layout(sdss_catalog, planner_calls):
+    split = photo_layout(HOT, *COLD)
+    merged = photo_layout(HOT, COLD[0] + COLD[1])  # same cover for p
+    reordered = photo_layout(HOT[::-1], *COLD)  # same weight, other fragment
+    evaluator = WorkloadEvaluator(sdss_catalog)
+
+    def plan(layout):
+        return evaluator.exact_service(
+            Configuration(layouts=(layout,))
+        ).plan(TWO_TABLE_SQL)
+
+    first = plan(split)
+    assert plan(merged) is first
+    assert len(planner_calls) == 1
+    other = plan(reordered)
+    assert len(planner_calls) == 2
+    assert other is not first and other.total_cost == first.total_cost
+    assert "{type,rmag,objid}" in other.explain()
+    assert "{objid,rmag,type}" in first.explain()
 
 
 # ----------------------------------------------------------------------
