@@ -18,7 +18,7 @@ PHASE_LENGTH = 20
 
 
 def main():
-    service = TuningService(shards=4, warm_threads=4)
+    service = TuningService(shards=4)
     service.add_backplane("sdss", sdss_catalog(scale=0.05))
     service.add_backplane("tpch", tpch_catalog(scale=0.05))
 
@@ -33,8 +33,8 @@ def main():
     for name, (key, __, ___) in tenants.items():
         service.add_tenant(name, key, recommend_every=30, window=30)
 
-    # Concurrent warm-up: pre-build each distinct query's INUM cache
-    # once per backplane, fanned out across threads.
+    # Warm-up: pre-build each distinct query's INUM cache once per
+    # backplane, before any tenant asks for it.
     for key, phases_fn, seed in {(k, p, s) for k, p, s in tenants.values()}:
         calls = service.warm_up(
             key,

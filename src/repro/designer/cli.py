@@ -6,8 +6,9 @@
     python -m repro online     [--phase-length N] [--epoch N]
     python -m repro stream     [--phase-length N] [--refresh-every N]
     python -m repro serve      [--tenants N] [--shards N] [--state-dir DIR]
-                               [--snapshot-interval N] [--offload N]
-                               [--runners HOST:PORT,...] [--staleness K]
+                               [--snapshot-interval N]
+                               [--offload N | --runners HOST:PORT,...
+                                              [--staleness K]]
     python -m repro runner     [--listen HOST:PORT]
     python -m repro explain    --sql "SELECT ..."
 
@@ -18,9 +19,10 @@ refreshes); ``serve`` simulates the multi-tenant service: a mixed
 SDSS/TPC-H tenant fleet advancing as resumable steps on the cooperative
 scheduler over sharded, shared cache pools — with periodic pause-point
 snapshots (``--snapshot-interval``) and optional offload of INUM cache
-builds, either to worker processes (``--offload``) or across a fleet of
-``runner`` nodes (``--runners``, with a bounded-staleness cache lease
-per node; ``runner`` serves one such node).
+builds through the one fan-out backplane, whose runners are either
+worker processes forked here (``--offload N``) or ``runner`` nodes on
+other machines (``--runners``, with a bounded-staleness cache lease per
+node; ``runner`` serves one such node).
 """
 
 import argparse
@@ -129,7 +131,6 @@ def build_parser():
         "--pool-capacity", type=int, default=None,
         help="global cache-pool entry budget per backplane (default unbounded)",
     )
-    serve.add_argument("--warm-threads", type=int, default=4)
     serve.add_argument("--phase-length", type=int, default=30)
     serve.add_argument("--epoch", type=int, default=25)
     serve.add_argument("--refresh-every", type=int, default=40)
@@ -152,15 +153,16 @@ def build_parser():
     )
     serve.add_argument(
         "--offload", type=int, default=0,
-        help="offload INUM cache builds to N worker processes during "
-        "scheduled ingest (0/1 = build inline; results are identical "
-        "either way)",
+        help="offload INUM cache builds to N runners forked on this "
+        "machine (0/1 = build inline); mutually exclusive with "
+        "--runners; results are identical to inline execution",
     )
     serve.add_argument(
         "--runners", default=None,
-        help="offload INUM cache builds to a fleet of runner nodes "
+        help="offload INUM cache builds to runners on other machines "
         "(comma-separated host:port list, each started with "
-        "'python -m repro runner'); mutually exclusive with --offload; "
+        "'python -m repro runner') — the same backplane as --offload, "
+        "dialled instead of forked; mutually exclusive with it; "
         "results are identical to inline execution",
     )
     serve.add_argument(
@@ -349,7 +351,6 @@ def _dispatch(args, out):
         service = TuningService(
             shards=args.shards,
             pool_capacity=args.pool_capacity,
-            warm_threads=args.warm_threads,
         )
         service.add_backplane("sdss", sdss_catalog(scale=args.scale))
         service.add_backplane("tpch", tpch_catalog(scale=args.scale))

@@ -12,9 +12,8 @@ interaction analyzer) obtains configuration costs through a
 * :mod:`repro.evaluation.sharded` — the same pool surface partitioned
   across N independently locked shards, for multi-tenant traffic;
 * :mod:`repro.evaluation.evaluator` — the evaluator itself: batched
-  (vectorized) configuration pricing, a concurrent cache warm-up,
-  plus the exact per-configuration
-  :class:`~repro.optimizer.CostService` cache;
+  (vectorized) configuration pricing, the cache warm-up, plus the exact
+  per-configuration :class:`~repro.optimizer.CostService` cache;
 * :mod:`repro.evaluation.kernel` — the columnar plan-term kernel:
   cache entries compiled to flat cost/slot arrays, whole workload ×
   configuration grids priced as numpy reductions (bit-identical to the
@@ -25,9 +24,9 @@ interaction analyzer) obtains configuration costs through a
   format for signatures, cache entries reduced to plan terms, and
   tenant/service snapshots (what makes the backplane portable);
   kernels are rebuilt from plan terms on load, never encoded;
-* :mod:`repro.evaluation.process` — the process-pool backplane: cache
-  builds and batch pricing fanned across ``multiprocessing`` workers
-  exchanging wire entries instead of shared memory.
+* :mod:`repro.evaluation.process` — the process backplane: cache
+  builds fanned across forked workers, each a :mod:`repro.net` runner
+  on a socketpair, exchanging wire entries instead of shared memory.
 """
 
 from repro.evaluation.evaluator import BatchEvaluation, WorkloadEvaluator

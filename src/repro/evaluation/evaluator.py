@@ -39,7 +39,6 @@ which is what the equivalence test suite pins.
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,7 +148,7 @@ class WorkloadEvaluator(InumCostModel):
         bq = self.bound(query)
         sig = self.signature(bq)
         # Single-flight lives in the pool: concurrent evaluators (and
-        # warm-up threads) probing the same signature share one build,
+        # tenant threads) probing the same signature share one build,
         # and builds of *different* signatures proceed concurrently.
         # put() inside broadcasts evictions to every subscribed
         # evaluator's _forget, this one included.
@@ -223,9 +222,9 @@ class WorkloadEvaluator(InumCostModel):
 
         Write statements contribute their locate query (pure inserts
         contribute nothing); ``source_sql`` is the statement's original
-        parseable text and ``locate`` marks the rewrite — what the
-        process backplane ships to workers, since locate SQL itself is
-        synthetic.  Shared by the threaded and process warm-up paths so
+        parseable text and ``locate`` marks the rewrite — what a fleet
+        backplane ships to its runners, since locate SQL itself is
+        synthetic.  Shared by the in-process and fleet warm-up paths so
         their pinned equivalence cannot drift.
 
         Dedup is by canonical signature, not SQL text: alias-renamed
@@ -250,34 +249,27 @@ class WorkloadEvaluator(InumCostModel):
                 targets.append((bq, source, locate))
         return targets
 
-    def warm_up(self, workload, threads=None):
-        """Pre-build the INUM caches for every workload statement, with
-        the builds optionally fanned out across *threads* workers.
+    def warm_up(self, workload):
+        """Pre-build the INUM caches for every workload statement.
 
-        Returns the optimizer calls spent, exactly like the sequential
+        Returns the optimizer calls spent, exactly like the
         :meth:`warm` it generalizes.  The delta is read off the shared
         pool's global counter: on a quiet pool it is exactly this call's
         spend; if other evaluators build into the same pool concurrently
         their builds land in the delta too (the work was shared either
-        way).  The resulting pool state is bit-identical either way:
-        each statement's cache is a pure function of its bound query,
-        the pool's single-flight guarantees one build per signature, and
-        binding happens up front on the calling thread (which also keeps
-        workload iteration single-threaded).  Write statements warm
-        their locate query.
+        way).  Each statement's cache is a pure function of its bound
+        query and the pool's single-flight guarantees one build per
+        signature, so the resulting pool state does not depend on who
+        else is building.  Write statements warm their locate query.
+        To spread the builds over processes or machines, warm through a
+        :class:`~repro.net.FleetBackplane` instead.
         """
         before = self.precompute_calls
         targets = [bq for bq, __, __ in self.warm_targets(workload)]
         with obs.tracer().span("evaluator.warm_up",
-                               statements=len(targets),
-                               threads=threads or 1):
-            if threads is not None and threads > 1 and len(targets) > 1:
-                with ThreadPoolExecutor(max_workers=threads) as executor:
-                    # list() propagates the first worker exception, if any.
-                    list(executor.map(self.cache_for, targets))
-            else:
-                for bq in targets:
-                    self.cache_for(bq)
+                               statements=len(targets)):
+            for bq in targets:
+                self.cache_for(bq)
             # Prewarm the compiled columnar kernels too: warm-up's contract
             # is "the first evaluate pays no build work", and the kernel is
             # part of that derived state (compiled once per resident entry,

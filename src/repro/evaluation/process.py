@@ -1,357 +1,127 @@
-"""The process-pool costing backplane: real CPU scaling for warm-up.
+"""The process backplane: the costing fleet on this machine's cores.
 
-Thread fan-out (``WorkloadEvaluator.warm_up(threads=…)``) shares one
-interpreter, so cache builds — pure-Python optimizer planning — stay
-GIL-bound.  :class:`ProcessPoolBackplane` fans the same work across
-``multiprocessing`` workers instead, following the stale-synchronous
-idea of exchanging compact deltas rather than shared memory:
+Cache builds — pure-Python optimizer planning — are GIL-bound inside
+one interpreter.  :class:`ProcessPoolBackplane` moves them into child
+processes with the fleet's one implementation: a process worker is a
+**runner on a socketpair**.  Each worker is a child of this process
+serving :meth:`RunnerNode.serve_connection
+<repro.net.runner.RunnerNode.serve_connection>` — the hello / catalog /
+``warm``-task loop a ``python -m repro runner`` node serves per
+accepted connection — on one end of a ``socket.socketpair()``, and the
+parent drives the other end through
+:class:`~repro.net.client.FleetBackplane` exactly as
+:class:`~repro.net.client.RemoteBackplane` drives a TCP socket: the
+catalog dictionary crosses once, tasks carry SQL texts, results come
+back as wire-format cache entries (:mod:`repro.evaluation.wire`) that
+the parent installs into its pool, and a worker that dies is a dead
+node whose work drains to the survivors or, with none left, is
+finished locally.
 
-* each worker receives the **catalog dictionary** once (via
-  :mod:`repro.catalog.serialize`, in the pool initializer) and rebuilds
-  its own catalog + private :class:`WorkloadEvaluator`; statistics
-  rebuild deterministically, so worker-built plan terms are
-  bit-identical to parent-built ones;
-
-* tasks carry **SQL texts**, results come back as **wire-format cache
-  entries** (:mod:`repro.evaluation.wire`: signature + plan terms, no
-  live plan trees, no catalogs) which the parent re-binds against its
-  own catalog and installs into the shared pool — typically a
-  :class:`~repro.evaluation.ShardedInumCachePool`;
-
-* :meth:`evaluate_configurations` partitions the workload's statements
-  across workers, each pricing its chunk against every configuration;
-  the parent reassembles the same
-  :class:`~repro.evaluation.BatchEvaluation` the in-process path
-  returns, entry for entry.
-
-Results are pinned bit-identical to the single-process path; the pool
-only changes wall-clock time.  With ``processes <= 1`` every call
-degrades to the in-process evaluator and no worker pool is spawned —
-the explicit opt-out for platforms where ``multiprocessing`` is
-unavailable or too expensive.
+Results are pinned bit-identical to the single-process path; the
+workers only change wall-clock time.  With ``processes <= 1`` no worker
+is forked and every call builds in-process — the explicit opt-out for
+platforms where child processes are unavailable or too expensive.
 """
 
 import multiprocessing
 import os
+import socket
 
 from repro import obs
-from repro.catalog.serialize import (
-    catalog_from_dict,
-    catalog_to_dict,
-    configuration_from_dict,
-    configuration_to_dict,
+from repro.net.client import (
+    FleetBackplane,
+    RunnerConnection,
+    catalog_frame_for,
 )
-from repro.evaluation import wire
-from repro.util import DesignError, workload_pairs
+from repro.net.frames import hang_up
+from repro.net.runner import RunnerNode
+from repro.util import TransportError
 
-__all__ = ["ProcessPoolBackplane", "perform_warm", "perform_evaluate"]
-
-# Per-worker-process state, installed once by _init_worker.
-_WORKER_EVALUATOR = None
+__all__ = ["ProcessPoolBackplane"]
 
 
-# ----------------------------------------------------------------------
-# The task-execution seam: what one offloaded task *does*, independent
-# of how it arrived.  Both worker surfaces — the multiprocessing pool
-# below and the network runner (:mod:`repro.net.runner`) — execute
-# tasks through these two functions, so the local and remote backplanes
-# cannot drift in what a warm or evaluate task means.
-# ----------------------------------------------------------------------
-
-
-def perform_warm(evaluator, sql, locate, ctx=None):
-    """Build one statement's INUM cache on *evaluator*.
-
-    ``locate`` marks a shipped write statement whose locate query (the
-    synthetic SELECT pricing UPDATE/DELETE row location) must be
-    re-derived on this side, mirroring ``wire.entry_from_wire``.
-    ``ctx`` is the dispatching span's ``(trace_id, span_id)``, so this
-    worker's spans stitch into the parent's trace.  Returns the built
-    ``(signature, cache)`` pair."""
-    from repro.optimizer.writecost import locate_query
-
-    with obs.tracer().span("worker.warm_up", remote_parent=ctx,
-                           locate=locate):
-        bq = evaluator.bound(sql)
-        if locate:
-            bq = locate_query(bq)
-        cache = evaluator.cache_for(bq)
-        signature = evaluator.signature(bq)
-    return signature, cache
-
-
-def perform_evaluate(evaluator, sqls, configurations, ctx=None):
-    """Price *sqls* against every configuration on *evaluator*.
-
-    Returns ``(columns, built)``: one cost column (cost under each
-    configuration, in configuration order) per statement, plus the
-    signatures of every cache entry this evaluation built — the entries
-    a backplane ships home so the parent's pool is warmed as a side
-    effect, exactly like the in-process path."""
-    with obs.tracer().span("worker.evaluate", remote_parent=ctx,
-                           statements=len(sqls)):
-        before = set(evaluator.pool.signatures())
-        batch = evaluator.evaluate_configurations(sqls, configurations)
-        built = [
-            signature for signature in evaluator.pool.signatures()
-            if signature not in before
-        ]
-        columns = [
-            [batch.matrix[c][s] for c in range(len(configurations))]
-            for s in range(len(sqls))
-        ]
-    return columns, built
-
-
-def _init_worker(catalog_payload, settings, pool_capacity):
-    """Pool initializer: rebuild the catalog from its serialized form
-    (fresh deterministic statistics) and stand up a private evaluator.
-    ``pool_capacity`` mirrors the parent pool's bound, so a memory-capped
-    host stays capped in its long-lived workers too."""
-    global _WORKER_EVALUATOR
-    from repro.evaluation.evaluator import WorkloadEvaluator
-    from repro.evaluation.pool import InumCachePool
-
+def _serve_worker(sock, parent_end):
+    """A process worker's whole life: serve the runner's connection
+    loop on *sock* until the parent hangs up."""
+    # Our copy of the parent's end: while it is open, the parent's death
+    # would never reach this process as EOF.
+    parent_end.close()
     # Fork inherits the parent's telemetry state; start this worker's
     # accounting from zero so shipped deltas never double-count.
     obs.reset()
-    catalog = catalog_from_dict(catalog_payload)
-    _WORKER_EVALUATOR = WorkloadEvaluator(
-        catalog, settings, pool=InumCachePool(capacity=pool_capacity)
-    )
+    RunnerNode(ship_obs=True).serve_connection(sock)
 
 
-def _entries_for(signatures):
-    """Wire-encode the worker-pool entries behind *signatures*."""
-    evaluator = _WORKER_EVALUATOR
-    out = []
-    for signature in signatures:
-        cache = evaluator.pool.get(signature)
-        if cache is not None:
-            out.append(wire.dumps(wire.entry_to_wire(signature, cache)))
-    return out
+class _ForkedRunner(RunnerConnection):
+    """A runner that is a child of this process, reached over a
+    socketpair instead of a dialled address.
+
+    The child is started by the constructor — on the thread that builds
+    the backplane, never on one of its drainer threads: a fork beside
+    live threads of ours could inherit a lock one of them holds.  Fork
+    where available (the cheapest start), else the platform default."""
+
+    def __init__(self, name, catalog_frame):
+        super().__init__(name, catalog_frame)
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            context = multiprocessing.get_context()
+        # Our end waits in _pipe until connect() takes it.
+        self._pipe, theirs = socket.socketpair()
+        self._process = context.Process(
+            target=_serve_worker, args=(theirs, self._pipe), daemon=True
+        )
+        self._process.start()
+        theirs.close()
+
+    def _dial(self):
+        """Hand out the pipe, once: a worker that lost its connection is
+        gone for good — a pipe has no address to dial again, and nothing
+        re-forks it."""
+        sock, self._pipe = self._pipe, None
+        if sock is None:
+            raise TransportError(
+                "process worker %s is gone" % (self.address,)
+            )
+        return sock
+
+    def close(self):
+        """Hang up — the worker exits when its connection closes — and
+        join (reap) it.  Reaping here, not at interpreter exit, is what
+        lands the worker's CPU time in the caller's ``RUSAGE_CHILDREN``
+        by the time the backplane's ``close()`` returns."""
+        super().close()
+        pipe, self._pipe = self._pipe, None
+        if pipe is not None:  # never connected
+            hang_up(pipe)
+        self._process.join()
 
 
-def _obs_shipment():
-    """This worker's telemetry movement since the last task, as wire
-    text — counters, histogram deltas, and finished spans."""
-    return wire.dumps(wire.obs_to_wire(obs.drain_deltas()))
-
-
-def _warm_task(task):
-    """Build one query's INUM cache (via the shared seam); return it as
-    a wire entry plus the worker's telemetry shipment.
-
-    ``task`` is ``(sql, locate, ctx)`` — see :func:`perform_warm`."""
-    sql, locate, ctx = task
-    signature, cache = perform_warm(_WORKER_EVALUATOR, sql, locate, ctx)
-    return wire.dumps(wire.entry_to_wire(signature, cache)), _obs_shipment()
-
-
-def _evaluate_task(task):
-    """Price a chunk of statements against every configuration (via the
-    shared seam).
-
-    Returns ``(start, columns, entries, obs_text)``: the chunk's offset
-    in the statement order, the per-statement cost columns, the wire
-    entries for every cache the chunk built, and the worker's telemetry
-    shipment."""
-    start, sqls, config_payloads, ctx = task
-    configurations = [
-        configuration_from_dict(payload) for payload in config_payloads
-    ]
-    columns, built = perform_evaluate(
-        _WORKER_EVALUATOR, sqls, configurations, ctx
-    )
-    return start, columns, _entries_for(built), _obs_shipment()
-
-
-class ProcessPoolBackplane:
-    """Fan INUM cache builds and batch pricing across worker processes.
+class ProcessPoolBackplane(FleetBackplane):
+    """Fan INUM cache builds across worker processes.
 
     ``evaluator`` is the parent-side :class:`WorkloadEvaluator` whose
     pool receives the shipped entries.  ``processes`` defaults to
-    ``min(4, os.cpu_count())``; ``start_method`` picks the
-    ``multiprocessing`` context (default: ``fork`` where available —
-    cheapest worker start — else the platform default).
-
-    The worker pool is created lazily on first use and reused across
-    calls; use the context-manager form (or :meth:`close`) to reap it.
+    ``min(4, os.cpu_count())``; ``processes <= 1`` means no workers —
+    every build happens in-process.  The workers are forked here and
+    reused across calls; use the context-manager form (or
+    :meth:`close`) to join them.
     """
 
-    def __init__(self, evaluator, processes=None, start_method=None):
+    def __init__(self, evaluator, processes=None):
         if processes is None:
             processes = min(4, os.cpu_count() or 1)
-        self.evaluator = evaluator
-        self.processes = processes
-        self.start_method = start_method
-        self._pool = None
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # Pool lifecycle.
-    # ------------------------------------------------------------------
-
-    def _context(self):
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:
-            return multiprocessing.get_context()
-
-    def _worker_pool(self):
-        self._check_open()
-        if self._pool is None:
-            payload = catalog_to_dict(self.evaluator.catalog)
-            capacity = getattr(self.evaluator.pool, "capacity", None)
-            self._pool = self._context().Pool(
-                processes=self.processes,
-                initializer=_init_worker,
-                initargs=(payload, self.evaluator.settings, capacity),
-            )
-        return self._pool
-
-    def _check_open(self):
-        if self._closed:
-            raise DesignError(
-                "ProcessPoolBackplane is closed (its workers have been "
-                "joined); create a new backplane to fan out more work"
-            )
-
-    @property
-    def closed(self):
-        return self._closed
-
-    def close(self):
-        """Join the workers gracefully and retire the backplane.
-
-        Every dispatched task has completed by the time a public method
-        returns (results are consumed synchronously), so a graceful
-        ``close`` + ``join`` — rather than ``terminate`` — lets workers
-        exit cleanly without risking corruption of in-flight state.
-        Idempotent; any later use raises a clear :class:`DesignError`
-        instead of failing opaquely inside :mod:`multiprocessing`.
-        """
-        self._closed = True
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Warm-up.
-    # ------------------------------------------------------------------
-
-    def _warm_targets(self, workload):
-        """Build targets not already resident in the parent pool, as
-        ``(bq, task)`` pairs: the parent's bound statement plus the
-        ``(sql, locate)`` task shipped to workers.  Target collection
-        itself (write filtering, locate rewriting, dedup) is the
-        evaluator's :meth:`~WorkloadEvaluator.warm_targets`, shared
-        with the in-process warm-up so the two paths cannot drift."""
-        evaluator = self.evaluator
-        return [
-            (bq, (source, locate))
-            for bq, source, locate in evaluator.warm_targets(workload)
-            if evaluator.signature(bq) not in evaluator.pool
-        ]
-
-    def warm_up(self, workload):
-        """Pre-build every workload statement's cache across the worker
-        processes and install the results into the parent pool.
-
-        Returns the optimizer calls spent, like
-        :meth:`WorkloadEvaluator.warm_up`; the installed entries are
-        bit-identical to a single-process warm-up (pinned in the claim
-        benchmark and the wire test suite)."""
-        self._check_open()
-        evaluator = self.evaluator
-        before = evaluator.precompute_calls
-        targets = self._warm_targets(workload)
-        if not targets:
-            return 0
-        if self.processes <= 1:
-            for bq, __ in targets:
-                evaluator.cache_for(bq)
-                evaluator.pool.kernel_for(evaluator.signature(bq))
-            return evaluator.precompute_calls - before
-        pool = self._worker_pool()
-        with obs.tracer().span("process.warm_up", targets=len(targets),
-                               processes=self.processes):
-            ctx = obs.tracer().current_context()
-            tasks = [(sql, locate, ctx) for __, (sql, locate) in targets]
-            for text, obs_text in pool.imap_unordered(
-                _warm_task, tasks, chunksize=1
-            ):
-                # pool= installs the entry *and* rebuilds its columnar
-                # kernel from the shipped plan terms, so offloaded warm-up
-                # prewarms compiled kernels, not just raw caches.
-                wire.loads(text, evaluator.catalog, pool=evaluator.pool)
-                obs.ingest_deltas(wire.loads(obs_text))
-        return evaluator.precompute_calls - before
-
-    # ------------------------------------------------------------------
-    # Batched evaluation.
-    # ------------------------------------------------------------------
-
-    def evaluate_configurations(self, workload, configurations):
-        """Price all *configurations* against all of *workload*, with the
-        statements partitioned across worker processes.
-
-        Returns the same :class:`BatchEvaluation` the in-process
-        evaluator produces (same configuration order, same weights,
-        bit-identical matrix); caches built by workers are shipped back
-        and installed into the parent pool."""
-        from repro.evaluation.evaluator import BatchEvaluation
-        from repro.whatif import Configuration
-
-        self._check_open()
-        evaluator = self.evaluator
-        pairs = [
-            (evaluator.bound(q).sql, w) for q, w in workload_pairs(workload)
-        ]
-        configurations = [c or Configuration.empty() for c in configurations]
-        if self.processes <= 1 or len(pairs) < 2:
-            return evaluator.evaluate_configurations(pairs, configurations)
-        config_payloads = [
-            configuration_to_dict(config) for config in configurations
-        ]
-        chunk = max(1, (len(pairs) + self.processes - 1) // self.processes)
-        columns = [None] * len(pairs)
-        pool = self._worker_pool()
-        with obs.tracer().span("process.evaluate", statements=len(pairs),
-                               configurations=len(configurations),
-                               processes=self.processes):
-            ctx = obs.tracer().current_context()
-            tasks = [
-                (
-                    start,
-                    [sql for sql, __ in pairs[start:start + chunk]],
-                    config_payloads,
-                    ctx,
-                )
-                for start in range(0, len(pairs), chunk)
-            ]
-            for start, chunk_columns, entries, obs_text in \
-                    pool.imap_unordered(_evaluate_task, tasks):
-                for offset, column in enumerate(chunk_columns):
-                    columns[start + offset] = column
-                for text in entries:
-                    wire.loads(text, evaluator.catalog, pool=evaluator.pool)
-                obs.ingest_deltas(wire.loads(obs_text))
-        matrix = [
-            [columns[s][c] for s in range(len(pairs))]
-            for c in range(len(configurations))
-        ]
-        return BatchEvaluation(
-            configurations=list(configurations),
-            weights=[w for __, w in pairs],
-            matrix=matrix,
+        workers = processes if processes > 1 else 0
+        frame = catalog_frame_for(evaluator) if workers else None
+        # retries=0: a pipe cannot be re-dialled, so the first transport
+        # failure is the worker's death.
+        super().__init__(
+            evaluator,
+            [_ForkedRunner("worker-%d" % i, frame) for i in range(workers)],
+            retries=0,
         )
+
+    # Ledger row ``repro.evaluation.process:ProcessPoolBackplane.warm_up``
+    # (resolved by ``vars(owner)[leaf]``; see ``RemoteBackplane.warm_up``).
+    warm_up = FleetBackplane.warm_up

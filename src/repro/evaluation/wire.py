@@ -31,13 +31,15 @@ state a canonical, versioned, JSON-compatible form:
 
 Every payload is stamped with :data:`WIRE_VERSION`; :func:`loads`
 rejects a mismatch with :class:`~repro.util.WireFormatError` instead of
-guessing.  Consumers: the :class:`~repro.evaluation.process.ProcessPoolBackplane`
-ships entries from worker processes to the parent pool (``loads`` with
-``pool=`` installs each entry *and* rebuilds its columnar kernel from
-the just-decoded plan terms — compiled arrays are derived state and
-never encoded, so the format does not move), and
-``python -m repro serve --state-dir`` persists whole-service snapshots
-(periodically, with ``--snapshot-interval``, at scheduler pause points).
+guessing.  Consumers: the costing fleet
+(:class:`~repro.net.client.FleetBackplane` — forked process workers and
+socket runner nodes alike) ships entries from its runners to the parent
+pool as wire text inside result frames (``loads`` with ``pool=``
+installs each entry *and* rebuilds its columnar kernel from the
+just-decoded plan terms — compiled arrays are derived state and never
+encoded), and ``python -m repro serve --state-dir`` persists
+whole-service snapshots (periodically, with ``--snapshot-interval``, at
+scheduler pause points).
 """
 
 import json
@@ -74,6 +76,11 @@ __all__ = [
     "check_version",
 ]
 
+# Version 5: a ``warm`` result frame carries its cache entry as wire
+# *text* (``dumps(entry_to_wire(...))``) instead of a nested payload, so
+# every entry — shipped or read from a file — is installed by
+# ``loads(text, catalog, pool=)``; the ``evaluate`` task op is gone (a
+# runner answers it with its ``unknown task op`` error).
 # Version 4: the network transport's frame kinds (handshake hello,
 # catalog shipment, task, result, error — see :mod:`repro.net.frames`)
 # join the format, so a runner fleet negotiates compatibility at the
@@ -84,7 +91,7 @@ __all__ = [
 # traces stitch across the process backplane.  Version 2 added scheduler
 # state (per-tenant pending event buffers) to service snapshots;
 # version-1 payloads predate the cooperative runtime.
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 KIND_ENTRY = "inum-cache-entry"
 KIND_TENANT = "tenant-session"

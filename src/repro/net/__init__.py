@@ -1,18 +1,24 @@
-"""The network transport: a costing fleet over sockets.
+"""The costing fleet: runners, and the one backplane that drives them.
 
-``repro.net`` extends the wire format across machines: the same
-versioned payloads that move cache entries between processes
-(:mod:`repro.evaluation.wire`) travel here as length-prefixed frames
-(:mod:`repro.net.frames`) between a :class:`RemoteBackplane` and a
-fleet of :class:`RunnerNode` workers — catalog shipped once per
-connection, SQL out, plan terms and telemetry deltas back, wire version
-negotiated at the handshake.  Bounded staleness (per-connection cache
-leases with a configurable epoch budget; ``staleness=0`` is exact
-replay) keeps a long-lived fleet's derived state from drifting
-arbitrarily far from the coordinator's.
+``repro.net`` carries the wire format's payloads
+(:mod:`repro.evaluation.wire`) between a dispatching
+:class:`FleetBackplane` and its runners as length-prefixed frames
+(:mod:`repro.net.frames`) — catalog shipped once per connection, SQL
+out, plan terms and telemetry deltas back, wire version negotiated at
+the handshake.  A runner is reached over a socket either way:
+:class:`RemoteBackplane` dials :class:`RunnerNode` processes on other
+machines, and :class:`~repro.evaluation.ProcessPoolBackplane` forks
+children that serve the same connection loop on a socketpair.  Bounded
+staleness (per-connection cache leases with a configurable epoch
+budget; ``staleness=0`` is exact replay) keeps a long-lived fleet's
+derived state from drifting arbitrarily far from the coordinator's.
 """
 
-from repro.net.client import RemoteBackplane, RunnerConnection
+from repro.net.client import (
+    FleetBackplane,
+    RemoteBackplane,
+    RunnerConnection,
+)
 from repro.net.frames import (
     MAX_FRAME_BYTES,
     TruncatedFrameError,
@@ -23,6 +29,7 @@ from repro.net.frames import (
 from repro.net.runner import RunnerNode, parse_listen_address
 
 __all__ = [
+    "FleetBackplane",
     "MAX_FRAME_BYTES",
     "RemoteBackplane",
     "RunnerConnection",

@@ -1,18 +1,23 @@
 """The client half of the costing fleet: connections and the backplane.
 
-:class:`RunnerConnection` owns one socket to one runner node — dial,
-handshake (wire-version negotiation both ways), one-time catalog
-shipment, then a synchronous task/result request loop with a
-per-request timeout.
+:class:`RunnerConnection` owns one socket to one runner — obtain a
+connected socket (:meth:`RunnerConnection._dial`), handshake
+(wire-version negotiation both ways), one-time catalog shipment, then a
+synchronous task/result request loop with a per-request timeout.
 
-:class:`RemoteBackplane` is the drop-in sibling of
-:class:`~repro.evaluation.process.ProcessPoolBackplane`: the same
-``warm_up`` / ``evaluate_configurations`` / ``close`` surface, the same
-bit-identical results, but the fan-out crosses machines instead of
-forked processes.  Scheduling is a shared work deque drained by one
-thread per live node, so a fast node takes more tasks and a dead node's
-in-flight task is re-queued for the survivors.  Failure handling is
-layered:
+:class:`FleetBackplane` is the fleet's one fan-out implementation:
+``warm_up`` ships one ``warm`` task per statement the parent pool lacks
+and installs the wire entries that come back (a cold grid is
+``warm_up`` followed by the in-process kernel).  Its two faces differ
+only in how a connection obtains its socket: :class:`RemoteBackplane`
+dials runner nodes on other machines, and
+:class:`~repro.evaluation.process.ProcessPoolBackplane` forks children
+that serve the runner's loop on one end of a ``socket.socketpair()``.
+
+Scheduling is a shared work deque drained by one thread per live node
+(the caller's among them), so a fast node takes more tasks and a dead
+node's in-flight task is re-queued for the survivors.  Failure handling
+is layered:
 
 1. a failed request is retried against the *same* node — reconnect
    (fresh handshake + catalog; leases rebuild deterministically) with
@@ -21,8 +26,7 @@ layered:
    the backplane's life; its queued and in-flight work drains to the
    surviving nodes;
 3. with no nodes left, the remainder runs *locally* through the same
-   task seam (:func:`~repro.evaluation.process.perform_warm` /
-   :func:`~repro.evaluation.process.perform_evaluate`) the runners use,
+   task seam (:func:`~repro.net.runner.perform_warm`) the runners use,
    so a fully degraded run still produces exactly the single-node
    answer.
 
@@ -31,14 +35,13 @@ functions of (SQL, catalog, settings) and installation is idempotent,
 so a task that actually completed on a node that *appeared* dead (e.g.
 a timeout on the reply) merely rebuilds an identical entry elsewhere.
 
-Every public call advances the backplane's **epoch**, which task frames
+Every ``warm_up`` advances the backplane's **epoch**, which task frames
 carry to the runners: a lease entry older than the configured staleness
 budget is force-refreshed runner-side before it may serve, and
 ``staleness=0`` pins exact-replay mode (nothing built in an earlier
 epoch is ever reused).  The runners' cache-age accounting comes back on
-every result frame and lands in per-node gauges
-(``repro_remote_cache_age_epochs``,
-``repro_remote_reconcile_lag_epochs``) next to the retry / death /
+every result frame and lands in a per-node gauge
+(``repro_remote_cache_age_epochs``) next to the retry / death /
 fallback counters, so a scrape of ``/metrics`` shows the fleet's
 staleness and health at a glance.
 """
@@ -50,41 +53,53 @@ from collections import deque
 from dataclasses import asdict
 
 from repro import obs
-from repro.catalog.serialize import catalog_to_dict, configuration_to_dict
+from repro.catalog.serialize import catalog_to_dict
 from repro.evaluation import wire
-from repro.evaluation.process import perform_evaluate, perform_warm
-from repro.net.frames import recv_frame, send_frame
-from repro.net.runner import parse_listen_address
-from repro.util import DesignError, TransportError, workload_pairs
+from repro.net.frames import hang_up, recv_frame, send_frame
+from repro.net.runner import parse_listen_address, perform_warm
+from repro.util import DesignError, TransportError, WireFormatError
 
-__all__ = ["RunnerConnection", "RemoteBackplane"]
+__all__ = ["FleetBackplane", "RemoteBackplane", "RunnerConnection"]
 
 
 def _raise_error_frame(frame):
     """Re-raise a runner's error frame as the right client exception:
     format/version failures are fatal (:class:`WireFormatError`),
     everything else is a retryable :class:`TransportError`."""
-    from repro.util import WireFormatError
-
     message = "runner error: %s" % (frame.get("error"),)
     if frame.get("wire_error"):
         raise WireFormatError(message)
     raise TransportError(message)
 
 
-class RunnerConnection:
-    """One dialed runner: handshake, catalog shipment, request loop.
+def catalog_frame_for(evaluator, staleness=0):
+    """The ``KIND_CATALOG`` payload shipped right after the hello
+    exchange — built once per backplane and shared by every connection,
+    so N nodes cost one serialization.  The pool capacity mirrors the
+    parent pool's bound, so a memory-capped host stays capped in its
+    long-lived workers too."""
+    return {
+        "kind": wire.KIND_CATALOG,
+        "catalog": catalog_to_dict(evaluator.catalog),
+        "settings": (
+            asdict(evaluator.settings)
+            if evaluator.settings is not None else None
+        ),
+        "pool_capacity": getattr(evaluator.pool, "capacity", None),
+        "staleness": staleness,
+    }
 
-    ``catalog_frame`` is the ``KIND_CATALOG`` payload shipped right
-    after the hello exchange — built once by the backplane and shared
-    by every connection, so N nodes cost one serialization.  ``timeout``
-    bounds every socket operation (connect, send, receive), turning a
-    hung node into a retryable :class:`TransportError` instead of a
-    stuck backplane."""
+
+class RunnerConnection:
+    """One runner: handshake, catalog shipment, request loop.
+
+    ``address`` names the node (``host:port`` here; it is also the
+    ``node`` label of the fleet's metrics).  ``timeout`` bounds every
+    socket operation (connect, send, receive), turning a hung node into
+    a retryable :class:`TransportError` instead of a stuck backplane."""
 
     def __init__(self, address, catalog_frame, timeout=30.0):
         self.address = str(address)
-        self.host, self.port = parse_listen_address(address)
         self.timeout = timeout
         self._catalog_frame = catalog_frame
         self._sock = None
@@ -93,26 +108,29 @@ class RunnerConnection:
     def connected(self):
         return self._sock is not None
 
-    def connect(self):
-        """Dial, exchange hellos (version negotiation), ship the
-        catalog, and wait for the lease acknowledgement."""
-        self.close()
+    def _dial(self):
+        """A freshly connected socket to the runner — the one thing a
+        kind of runner decides for itself."""
         try:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
+            return socket.create_connection(
+                parse_listen_address(self.address), timeout=self.timeout
             )
         except OSError as exc:
             raise TransportError(
                 "cannot reach runner %s: %s" % (self.address, exc)
             ) from exc
+
+    def connect(self):
+        """Dial, exchange hellos (version negotiation), ship the
+        catalog, and wait for the lease acknowledgement."""
+        sock = self._sock = self._dial()
         try:
+            sock.settimeout(self.timeout)
             send_frame(sock, {"kind": wire.KIND_HELLO, "role": "client"})
             reply = recv_frame(sock)
             if reply.get("kind") == wire.KIND_ERROR:
                 _raise_error_frame(reply)
             if reply.get("kind") != wire.KIND_HELLO:
-                from repro.util import WireFormatError
-
                 raise WireFormatError(
                     "runner %s answered the handshake with %r"
                     % (self.address, reply.get("kind"))
@@ -122,9 +140,8 @@ class RunnerConnection:
             if ack.get("kind") == wire.KIND_ERROR:
                 _raise_error_frame(ack)
         except BaseException:
-            sock.close()
+            self.close()
             raise
-        self._sock = sock
         return self
 
     def request(self, frame):
@@ -138,13 +155,7 @@ class RunnerConnection:
         try:
             send_frame(sock, frame)
             reply = recv_frame(sock)
-        except socket.timeout as exc:
-            self.close()
-            raise TransportError(
-                "runner %s timed out after %.1fs"
-                % (self.address, self.timeout)
-            ) from exc
-        except (TransportError, OSError):
+        except (TransportError, OSError):  # a timeout is an OSError
             self.close()
             raise
         if reply.get("kind") == wire.KIND_ERROR:
@@ -154,53 +165,33 @@ class RunnerConnection:
     def close(self):
         sock, self._sock = self._sock, None
         if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            hang_up(sock)
 
 
-class RemoteBackplane:
-    """Fan costing work across runner nodes; degrade gracefully to
+class FleetBackplane:
+    """Fan INUM cache builds across runners; degrade gracefully to
     local execution.
 
-    ``runners`` is a list of ``host:port`` addresses.  ``staleness`` is
-    the fleet's staleness budget in epochs (``0`` = exact-replay mode).
+    ``evaluator`` is the parent-side
+    :class:`~repro.evaluation.WorkloadEvaluator` whose pool receives the
+    shipped entries; ``connections`` is one :class:`RunnerConnection`
+    per node (none at all means "no workers, build inline").
     ``retries`` bounds per-node reconnect attempts per request, with
     exponential backoff from ``backoff`` capped at ``backoff_cap``
-    seconds.  The surface mirrors
-    :class:`~repro.evaluation.process.ProcessPoolBackplane`: results
-    are pinned bit-identical to the in-process path, whatever subset of
-    the fleet survives."""
+    seconds.  Results are pinned bit-identical to the in-process path,
+    whatever subset of the fleet survives.  Use the context-manager
+    form (or :meth:`close`) to release the nodes."""
 
-    def __init__(self, evaluator, runners, staleness=0, timeout=30.0,
-                 retries=3, backoff=0.05, backoff_cap=1.0):
-        if not runners:
-            raise DesignError("RemoteBackplane needs at least one runner")
+    def __init__(self, evaluator, connections, retries=3, backoff=0.05,
+                 backoff_cap=1.0):
         self.evaluator = evaluator
-        self.staleness = max(0, int(staleness))
-        self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff = backoff
         self.backoff_cap = backoff_cap
         self.epoch = 0
         self._closed = False
-        catalog_frame = {
-            "kind": wire.KIND_CATALOG,
-            "catalog": catalog_to_dict(evaluator.catalog),
-            "settings": (
-                asdict(evaluator.settings)
-                if evaluator.settings is not None else None
-            ),
-            "pool_capacity": getattr(evaluator.pool, "capacity", None),
-            "staleness": self.staleness,
-        }
-        self._connections = [
-            RunnerConnection(address, catalog_frame, timeout=timeout)
-            for address in runners
-        ]
+        self._connections = list(connections)
         self._dead = set()  # addresses declared dead for good
-        self._last_ship_epoch = {}  # address -> epoch of last entry batch
         self._declare_metrics()
 
     # ------------------------------------------------------------------
@@ -243,38 +234,22 @@ class RemoteBackplane:
             "Oldest resident lease entry on each node, in epochs",
             ("node",),
         )
-        self._m_lag = registry.gauge(
-            "repro_remote_reconcile_lag_epochs",
-            "Epochs since each node last shipped entries home",
-            ("node",),
-        )
         for conn in self._connections:
             node = conn.address
-            for op in ("warm", "evaluate"):
-                self._m_tasks.labels(node=node, op=op)
+            self._m_tasks.labels(node=node, op="warm")
             self._m_retries.labels(node=node)
             self._m_deaths.labels(node=node)
             self._m_stale.labels(node=node)
             self._m_age.labels(node=node).set(0)
-            self._m_lag.labels(node=node).set(0)
-        for op in ("warm", "evaluate"):
-            self._m_fallback.labels(op=op)
+        self._m_fallback.labels(op="warm")
 
     def _account_reply(self, conn, reply):
-        """Fold one result frame's fleet accounting into the gauges:
-        the node's cache ages, its refresh total, and its reconcile lag
-        (epochs since it last shipped entries home)."""
-        node = conn.address
+        """Fold one result frame's lease accounting into the node's
+        gauges: its oldest cache age and its refresh total."""
         cache = reply.get("cache") or {}
-        self._m_age.labels(node=node).set(cache.get("age_max", 0))
-        self._m_stale.labels(node=node).set_total(
+        self._m_age.labels(node=conn.address).set(cache.get("age_max", 0))
+        self._m_stale.labels(node=conn.address).set_total(
             cache.get("stale_refreshes", 0)
-        )
-        if reply.get("entry") or reply.get("entries"):
-            self._last_ship_epoch[node] = self.epoch
-        last = self._last_ship_epoch.get(node)
-        self._m_lag.labels(node=node).set(
-            self.epoch - last if last is not None else self.epoch
         )
 
     # ------------------------------------------------------------------
@@ -284,29 +259,32 @@ class RemoteBackplane:
     def _check_open(self):
         if self._closed:
             raise DesignError(
-                "RemoteBackplane is closed (its connections are torn "
-                "down); create a new backplane to fan out more work"
+                "%s is closed (its runners have been released); create "
+                "a new backplane to fan out more work"
+                % (type(self).__name__,)
             )
 
     @property
     def closed(self):
         return self._closed
 
+    def _live(self):
+        return [
+            conn for conn in self._connections
+            if conn.address not in self._dead
+        ]
+
     @property
     def live_nodes(self):
         """Addresses not yet declared dead."""
-        return [
-            conn.address for conn in self._connections
-            if conn.address not in self._dead
-        ]
+        return [conn.address for conn in self._live()]
 
     def close(self):
         """Tear down every connection and retire the backplane.
 
-        Idempotent, like the process backplane's close; later use
-        raises :class:`DesignError`.  Closing is client-side only — the
-        runner nodes keep serving other clients (each connection's
-        lease dies with its socket)."""
+        Idempotent; later use raises :class:`DesignError`.  Closing is
+        client-side only — a runner node keeps serving other clients
+        (each connection's lease dies with its socket)."""
         self._closed = True
         for conn in self._connections:
             conn.close()
@@ -345,85 +323,72 @@ class RemoteBackplane:
                     time.sleep(delay)
                 attempt += 1
 
-    def _request_with_retry(self, conn, frame):
-        return self._with_retry(conn, lambda: conn.request(frame))
-
-    def _fan_out(self, tasks, op):
+    def _fan_out(self, tasks):
         """Drain *tasks* (frame dicts) across the live nodes: a shared
-        deque, one drainer thread per node.  Rounds repeat while live
-        nodes remain, so a task requeued from a dying node's hands is
-        picked up by the survivors even if their drainers had already
-        run dry.  Returns ``(replies, leftovers)`` — completed
-        ``(task, reply)`` pairs plus every task no node could serve,
-        which the caller runs locally."""
+        deque, one drainer per node (the calling thread is one of them).
+        Rounds repeat while live nodes remain, so a task requeued from a
+        dying node's hands is picked up by the survivors even if their
+        drainers had already run dry.  Returns ``(replies, leftovers)``
+        — the result frames plus every task no node could serve, which
+        the caller runs locally."""
         remaining = list(tasks)
         replies = []
         errors = []  # fatal (wire-format) failures, re-raised after join
         lock = threading.Lock()
 
-        def mark_dead(conn):
-            with lock:
-                self._dead.add(conn.address)
-            self._m_deaths.labels(node=conn.address).inc()
-            conn.close()
-
         def drain(conn, queue):
-            # Establish the connection before claiming any work: a dead
-            # node is then *detected* on every fan-out (and its death
-            # counted) even when a faster sibling would have drained
-            # the whole queue first, and a task is never claimed by a
-            # node that cannot serve it.
-            if not conn.connected:
-                try:
+            task = None
+            try:
+                # Establish the connection before claiming any work: a
+                # dead node is then *detected* on every fan-out (and its
+                # death counted) even when a faster sibling would have
+                # drained the whole queue first, and a task is never
+                # claimed by a node that cannot serve it.
+                if not conn.connected:
                     self._with_retry(conn, conn.connect)
-                except TransportError:
-                    mark_dead(conn)
-                    return
-                except Exception as exc:  # incompatible peer: fatal
+                while True:
                     with lock:
-                        errors.append(exc)
-                    conn.close()
-                    return
-            while True:
+                        if not queue:
+                            return
+                        task = queue.popleft()
+                    reply = self._with_retry(
+                        conn, lambda: conn.request(task)
+                    )
+                    self._m_tasks.labels(node=conn.address, op="warm").inc()
+                    self._account_reply(conn, reply)
+                    with lock:
+                        replies.append(reply)
+                    task = None
+            except TransportError:  # retries exhausted (and closed)
                 with lock:
-                    if not queue:
-                        return
-                    task = queue.popleft()
-                try:
-                    reply = self._request_with_retry(conn, task)
-                except TransportError:
+                    self._dead.add(conn.address)
+                self._m_deaths.labels(node=conn.address).inc()
+            except Exception as exc:  # incompatible peer: fatal
+                with lock:
+                    errors.append(exc)
+                conn.close()
+            finally:
+                if task is not None:
                     with lock:
                         queue.append(task)  # survivors pick it up
-                    mark_dead(conn)
-                    return
-                except Exception as exc:  # incompatible peer: fatal
-                    with lock:
-                        queue.append(task)
-                        errors.append(exc)
-                    conn.close()
-                    return
-                self._m_tasks.labels(node=conn.address, op=op).inc()
-                self._account_reply(conn, reply)
-                with lock:
-                    replies.append((task, reply))
 
         while remaining:
-            live = [
-                conn for conn in self._connections
-                if conn.address not in self._dead
-            ]
+            live = self._live()
             if not live:
                 break
             queue = deque(remaining)
+            # The caller drains the first node itself rather than idling
+            # in join(): one thread fewer to start per fan-out.
             threads = [
                 threading.Thread(
                     target=drain, args=(conn, queue),
                     name="repro-remote-%s" % conn.address, daemon=True,
                 )
-                for conn in live
+                for conn in live[1:]
             ]
             for thread in threads:
                 thread.start()
+            drain(live[0], queue)
             for thread in threads:
                 thread.join()
             if errors:
@@ -431,45 +396,35 @@ class RemoteBackplane:
             remaining = list(queue)
         return replies, remaining
 
-    def _install_entry(self, payload):
-        """Install one wire cache entry into the parent pool (idempotent)
-        and rebuild its columnar kernel, exactly like ``wire.loads`` with
-        ``pool=`` does for the process backplane."""
-        pool = self.evaluator.pool
-        signature, cache = wire.entry_from_wire(
-            payload, self.evaluator.catalog
-        )
-        if signature not in pool:
-            pool.put(signature, cache)
-        pool.kernel_for(signature)
-
-    def _ingest_obs(self, reply):
-        payload = reply.get("obs")
-        if payload:
-            obs.ingest_deltas(wire.obs_from_wire(payload))
-
     # ------------------------------------------------------------------
-    # Warm-up.
+    # Warm-up: the fleet's one operation.
     # ------------------------------------------------------------------
 
     def warm_up(self, workload):
-        """Pre-build the workload's caches across the runner fleet and
-        install the shipped entries into the parent pool.  Returns the
-        optimizer calls spent, like the in-process and process-pool
-        warm-ups; entries are bit-identical whichever node (or the
-        local fallback) built them."""
+        """Pre-build the workload's caches across the fleet and install
+        the shipped entries into the parent pool.  Returns the
+        optimizer calls spent, like
+        :meth:`WorkloadEvaluator.warm_up`; entries are bit-identical
+        whichever node (or the local fallback) built them.
+
+        Target collection (write filtering, locate rewriting, dedup) is
+        the evaluator's :meth:`~WorkloadEvaluator.warm_targets`, shared
+        with the in-process warm-up so the two cannot drift; statements
+        already resident in the parent pool ship nothing."""
         self._check_open()
         evaluator = self.evaluator
+        if not self._connections:  # no workers by design: build inline
+            return evaluator.warm_up(workload)
         before = evaluator.precompute_calls
         self.epoch += 1
         targets = [
-            (bq, source, locate)
+            (source, locate)
             for bq, source, locate in evaluator.warm_targets(workload)
             if evaluator.signature(bq) not in evaluator.pool
         ]
         if not targets:
             return 0
-        with obs.tracer().span("remote.warm_up", targets=len(targets),
+        with obs.tracer().span("backplane.warm_up", targets=len(targets),
                                nodes=len(self.live_nodes)):
             ctx = obs.tracer().current_context()
             tasks = [
@@ -481,84 +436,50 @@ class RemoteBackplane:
                     "epoch": self.epoch,
                     "ctx": list(ctx) if ctx else None,
                 }
-                for __, source, locate in targets
+                for source, locate in targets
             ]
-            replies, leftovers = self._fan_out(tasks, "warm")
-            for __, reply in replies:
-                self._install_entry(reply["entry"])
-                self._ingest_obs(reply)
-            for task in leftovers:
+            replies, leftovers = self._fan_out(tasks)
+            for reply in replies:
+                # pool= installs the entry *and* rebuilds its columnar
+                # kernel from the shipped plan terms, so an offloaded
+                # warm-up prewarms compiled kernels, not just raw caches.
+                wire.loads(
+                    reply["entry"], evaluator.catalog, pool=evaluator.pool
+                )
+                if reply.get("obs"):
+                    obs.ingest_deltas(wire.obs_from_wire(reply["obs"]))
+            for task in leftovers:  # no node left: build locally
                 self._m_fallback.labels(op="warm").inc()
-                signature, cache = perform_warm(
+                signature, __ = perform_warm(
                     evaluator, task["sql"], task["locate"], ctx
                 )
                 evaluator.pool.kernel_for(signature)
         return evaluator.precompute_calls - before
 
-    # ------------------------------------------------------------------
-    # Batched evaluation.
-    # ------------------------------------------------------------------
 
-    def evaluate_configurations(self, workload, configurations):
-        """Price all *configurations* against all of *workload* with the
-        statement chunks fanned across the runner fleet.  Returns the
-        same :class:`~repro.evaluation.BatchEvaluation` the in-process
-        evaluator produces — same order, same weights, bit-identical
-        matrix — with every runner-built cache entry shipped home."""
-        from repro.evaluation.evaluator import BatchEvaluation
-        from repro.whatif import Configuration
+class RemoteBackplane(FleetBackplane):
+    """The fleet over sockets: ``runners`` is a list of ``host:port``
+    addresses of runner nodes (``python -m repro runner``).
 
-        self._check_open()
-        evaluator = self.evaluator
-        self.epoch += 1
-        pairs = [
-            (evaluator.bound(q).sql, w) for q, w in workload_pairs(workload)
-        ]
-        configurations = [c or Configuration.empty() for c in configurations]
-        if not pairs or not configurations:
-            return evaluator.evaluate_configurations(pairs, configurations)
-        config_payloads = [
-            configuration_to_dict(config) for config in configurations
-        ]
-        nodes = max(1, len(self.live_nodes))
-        chunk = max(1, (len(pairs) + nodes - 1) // nodes)
-        columns = [None] * len(pairs)
-        with obs.tracer().span("remote.evaluate", statements=len(pairs),
-                               configurations=len(configurations),
-                               nodes=len(self.live_nodes)):
-            ctx = obs.tracer().current_context()
-            tasks = [
-                {
-                    "kind": wire.KIND_TASK,
-                    "op": "evaluate",
-                    "start": start,
-                    "sqls": [sql for sql, __ in pairs[start:start + chunk]],
-                    "configurations": config_payloads,
-                    "epoch": self.epoch,
-                    "ctx": list(ctx) if ctx else None,
-                }
-                for start in range(0, len(pairs), chunk)
-            ]
-            replies, leftovers = self._fan_out(tasks, "evaluate")
-            for task, reply in replies:
-                for offset, column in enumerate(reply["columns"]):
-                    columns[task["start"] + offset] = column
-                for payload in reply.get("entries", ()):
-                    self._install_entry(payload)
-                self._ingest_obs(reply)
-            for task in leftovers:
-                self._m_fallback.labels(op="evaluate").inc()
-                chunk_columns, built = perform_evaluate(
-                    evaluator, task["sqls"], configurations, ctx
-                )
-                for offset, column in enumerate(chunk_columns):
-                    columns[task["start"] + offset] = column
-        matrix = [
-            [columns[s][c] for s in range(len(pairs))]
-            for c in range(len(configurations))
-        ]
-        return BatchEvaluation(
-            configurations=list(configurations),
-            weights=[w for __, w in pairs],
-            matrix=matrix,
+    ``staleness`` is the fleet's staleness budget in epochs (``0`` =
+    exact-replay mode); ``timeout`` bounds every socket operation;
+    ``retries`` / ``backoff`` / ``backoff_cap`` shape the per-request
+    failure handling of :class:`FleetBackplane`."""
+
+    def __init__(self, evaluator, runners, staleness=0, timeout=30.0,
+                 retries=3, backoff=0.05, backoff_cap=1.0):
+        if not runners:
+            raise DesignError("RemoteBackplane needs at least one runner")
+        frame = catalog_frame_for(evaluator, max(0, int(staleness)))
+        super().__init__(
+            evaluator,
+            [RunnerConnection(address, frame, timeout=timeout)
+             for address in runners],
+            retries=retries, backoff=backoff, backoff_cap=backoff_cap,
         )
+
+    # Ledger row ``repro.net.client:RemoteBackplane.warm_up``:
+    # ``benchmarks/e2e/layers.py`` resolves boundaries by
+    # ``vars(owner)[leaf]``, so the one shared function is bound on this
+    # class too until ROADMAP item 1(c) retires the per-class rows.
+    warm_up = FleetBackplane.warm_up

@@ -5,8 +5,9 @@ UTF-8 JSON — a :mod:`repro.evaluation.wire` payload, version-stamped by
 :func:`wire.dumps` like every other payload in the system.  The frame
 kinds (``KIND_HELLO`` / ``KIND_CATALOG`` / ``KIND_TASK`` /
 ``KIND_RESULT`` / ``KIND_ERROR``) live in the wire module so the one
-:data:`~repro.evaluation.wire.WIRE_VERSION` governs files, process
-shipments, and network hops alike.
+:data:`~repro.evaluation.wire.WIRE_VERSION` governs files and every
+hop of the costing fleet — a worker's socketpair or a runner node's TCP
+socket — alike.
 
 Version negotiation is the handshake itself: the first frame each peer
 reads is validated with :func:`wire.check_version`, so a runner speaking
@@ -29,6 +30,7 @@ Failure taxonomy, which the retry logic upstream depends on:
 """
 
 import json
+import socket
 import struct
 
 from repro.evaluation import wire
@@ -40,12 +42,13 @@ __all__ = [
     "send_frame",
     "recv_frame",
     "error_frame",
+    "hang_up",
 ]
 
 _HEADER = struct.Struct("!I")
 
-# A frame is one task or one result: catalogs and evaluate chunks are
-# the largest residents, comfortably below this.  The bound exists so a
+# A frame is one task or one result: catalogs are the largest
+# residents, comfortably below this.  The bound exists so a
 # corrupt length prefix fails loudly instead of attempting a gigabyte
 # allocation.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
@@ -113,6 +116,24 @@ def recv_frame(sock, check_version=True):
     if check_version and payload.get("kind") != wire.KIND_ERROR:
         wire.check_version(payload)
     return payload
+
+
+def hang_up(sock):
+    """``shutdown()`` then ``close()``, ignoring a socket that is
+    already gone.  ``close()`` alone neither wakes a thread blocked in
+    ``accept()``/``recv()`` on Linux nor reaches the peer as EOF while
+    another process still holds a copy of the descriptor (a forked
+    worker inherits the parent-side ends of the pipes opened before
+    it); ``shutdown()`` does both.  Platforms that refuse it on a
+    listener (ENOTCONN) wake on ``close()``."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 def error_frame(message, wire_error=False):

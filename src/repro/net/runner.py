@@ -1,9 +1,12 @@
-"""The runner node: one remote worker in the costing fleet.
+"""The runner: the one worker of the costing fleet.
 
-``python -m repro runner --listen host:port`` runs this loop; a
-:class:`~repro.net.client.RemoteBackplane` on another box connects and
-fans warm-up / batch-evaluation tasks at it.  Per connection the
-protocol is:
+A runner serves one loop per connection — handshake, catalog, tasks —
+and the fleet has no other kind of worker.  ``python -m repro runner
+--listen host:port`` accepts connections on a socket and a
+:class:`~repro.net.client.RemoteBackplane` on another box dials it; a
+:class:`~repro.evaluation.process.ProcessPoolBackplane` forks children
+that each serve the same loop (:meth:`RunnerNode.serve_connection`) on
+one end of a ``socket.socketpair()``.  Per connection the protocol is:
 
 1. **hello** — the client's version-stamped handshake; a mismatched
    wire version is answered with an error frame (``wire_error=True``,
@@ -15,13 +18,12 @@ protocol is:
    deterministically) and stands up a private
    :class:`~repro.evaluation.WorkloadEvaluator` — the connection's
    cache lease;
-3. **tasks** — ``warm`` / ``evaluate`` frames, executed through the
-   same seam the process backplane uses
-   (:func:`~repro.evaluation.process.perform_warm` /
-   :func:`~repro.evaluation.process.perform_evaluate`), each answered
-   with a result frame carrying wire cache entries, the runner's
-   telemetry shipment (``KIND_OBS`` deltas, spans stitched via
-   ``remote_parent``), and the lease's cache-age accounting.
+3. **tasks** — ``warm`` frames, the fleet's one task op: build one
+   statement's INUM cache (:func:`perform_warm`, the seam the client's
+   local fallback shares), answered with a result frame carrying the
+   wire cache entry, the runner's telemetry shipment (``KIND_OBS``
+   deltas, spans stitched via ``remote_parent``), and the lease's
+   cache-age accounting.
 
 **Bounded staleness** (the stale-synchronous trade): every task frame
 carries the client's current *epoch*; a resident entry built more than
@@ -44,16 +46,15 @@ import threading
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.catalog.serialize import catalog_from_dict, configuration_from_dict
+from repro.catalog.serialize import catalog_from_dict
 from repro.evaluation import wire
-from repro.evaluation.process import perform_evaluate, perform_warm
 from repro.inum.cache import build_cache
-from repro.net.frames import error_frame, recv_frame, send_frame
+from repro.net.frames import error_frame, hang_up, recv_frame, send_frame
 from repro.optimizer.settings import PlannerSettings
 from repro.optimizer.writecost import locate_query
 from repro.util import TransportError, WireFormatError
 
-__all__ = ["RunnerNode", "parse_listen_address"]
+__all__ = ["RunnerNode", "parse_listen_address", "perform_warm"]
 
 
 def parse_listen_address(text, default_host="127.0.0.1"):
@@ -69,6 +70,27 @@ def parse_listen_address(text, default_host="127.0.0.1"):
         ) from None
 
 
+def perform_warm(evaluator, sql, locate, ctx=None):
+    """Build one statement's INUM cache on *evaluator* — what a ``warm``
+    task *does*, wherever it runs: on a runner's lease, or on the
+    client's own evaluator when no runner is left to ask.
+
+    ``locate`` marks a shipped write statement whose locate query (the
+    synthetic SELECT pricing UPDATE/DELETE row location) must be
+    re-derived on this side, mirroring ``wire.entry_from_wire``.
+    ``ctx`` is the dispatching span's ``(trace_id, span_id)``, so this
+    worker's spans stitch into the parent's trace.  Returns the built
+    ``(signature, cache)`` pair."""
+    with obs.tracer().span("worker.warm_up", remote_parent=ctx,
+                           locate=locate):
+        bq = evaluator.bound(sql)
+        if locate:
+            bq = locate_query(bq)
+        cache = evaluator.cache_for(bq)
+        signature = evaluator.signature(bq)
+    return signature, cache
+
+
 @dataclass
 class _Lease:
     """One connection's private costing state: the evaluator plus the
@@ -79,55 +101,49 @@ class _Lease:
     entry_epoch: dict = field(default_factory=dict)  # signature -> epoch
     stale_refreshes: int = 0
 
-    def enforce(self, targets, epoch):
-        """Force-refresh every resident entry among *targets* (pairs of
-        ``(sql, locate)``) whose age exceeds the staleness budget.  A
-        rebuilt entry's kernel is dropped by the overwriting ``put``, so
-        derived state never outlives the lease either."""
+    def enforce(self, sql, locate, epoch):
+        """Force-refresh the resident entry of one task's statement if
+        its age exceeds the staleness budget.  A rebuilt entry's kernel
+        is dropped by the overwriting ``put``, so derived state never
+        outlives the lease either."""
         evaluator = self.evaluator
-        for sql, locate in targets:
-            bq = evaluator.bound(sql)
-            if locate:
-                bq = locate_query(bq)
-            signature = evaluator.signature(bq)
-            built = self.entry_epoch.get(signature)
-            if (
-                built is not None
-                and epoch - built > self.staleness
-                and signature in evaluator.pool
-            ):
-                cache = build_cache(
-                    bq, evaluator.catalog, evaluator.settings
-                )
-                evaluator.pool.put(signature, cache)
-                self.entry_epoch[signature] = epoch
-                self.stale_refreshes += 1
-                obs.metrics().counter(
-                    "repro_runner_stale_refresh_total",
-                    "Lease entries rebuilt after exceeding the "
-                    "staleness budget",
-                ).inc()
+        bq = evaluator.bound(sql)
+        if locate:
+            bq = locate_query(bq)
+        signature = evaluator.signature(bq)
+        built = self.entry_epoch.get(signature)
+        if (
+            built is not None
+            and epoch - built > self.staleness
+            and signature in evaluator.pool
+        ):
+            cache = build_cache(bq, evaluator.catalog, evaluator.settings)
+            evaluator.pool.put(signature, cache)
+            self.entry_epoch[signature] = epoch
+            self.stale_refreshes += 1
+            obs.metrics().counter(
+                "repro_runner_stale_refresh_total",
+                "Lease entries rebuilt after exceeding the "
+                "staleness budget",
+            ).inc()
 
-    def stamp(self, signatures, epoch):
-        """Record the build epoch of freshly built entries (existing
-        stamps — older builds still inside the budget — are kept, so
+    def stamp(self, signature, epoch):
+        """Record the build epoch of a freshly built entry (an existing
+        stamp — an older build still inside the budget — is kept, so
         ages keep growing until a refresh resets them)."""
-        for signature in signatures:
-            self.entry_epoch.setdefault(signature, epoch)
+        self.entry_epoch.setdefault(signature, epoch)
 
     def cache_ages(self, epoch):
         """The lease's age accounting at *epoch*, for the result frame:
-        resident-entry count, max/mean age in epochs, refresh total."""
+        the oldest resident entry's age in epochs and the refresh total
+        (what the client's per-node gauges show)."""
         ages = [
             epoch - built
             for signature, built in self.entry_epoch.items()
             if signature in self.evaluator.pool
         ]
-        mean = (sum(ages) / len(ages)) if ages else 0.0
         return {
-            "entries": len(ages),
             "age_max": max(ages, default=0),
-            "age_mean": mean,
             "stale_refreshes": self.stale_refreshes,
         }
 
@@ -137,10 +153,10 @@ class RunnerNode:
 
     ``ship_obs=True`` drains this process's telemetry registry into
     every result frame (counter/histogram deltas + finished spans) — the
-    mode ``python -m repro runner`` uses, where the registry belongs to
-    the runner process alone.  Leave it off for in-process (threaded)
-    runners, whose registry is shared with the host and must not be
-    drained out from under it.
+    mode ``python -m repro runner`` and forked process workers use,
+    where the registry belongs to the runner process alone.  Leave it
+    off for in-process (threaded) runners, whose registry is shared
+    with the host and must not be drained out from under it.
 
     ``fail_after_tasks`` is the failure-injection hook the transport
     tests use: after serving that many task frames (across the node's
@@ -155,7 +171,6 @@ class RunnerNode:
         self.port = port
         self.ship_obs = ship_obs
         self.fail_after_tasks = fail_after_tasks
-        self.connections_served = 0
         self.tasks_served = 0
         self._listener = None
         self._accept_thread = None
@@ -202,19 +217,8 @@ class RunnerNode:
         with self._lock:
             socks = list(self._open_socks)
         for sock in [listener, *socks]:
-            if sock is None:
-                continue
-            # close() from another thread does not wake a thread blocked
-            # in accept()/recv() on Linux; shutdown() does.  Platforms
-            # that refuse it on a listener (ENOTCONN) wake on close().
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+            if sock is not None:
+                hang_up(sock)  # wakes the thread blocked on it
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
             self._accept_thread = None
@@ -252,15 +256,17 @@ class RunnerNode:
                 continue
             with self._lock:
                 self._open_socks.add(sock)
-            self.connections_served += 1
             threading.Thread(
-                target=self._serve_connection,
+                target=self.serve_connection,
                 args=(sock,),
                 name="repro-runner-conn",
                 daemon=True,
             ).start()
 
-    def _serve_connection(self, sock):
+    def serve_connection(self, sock):
+        """Serve one connected peer until it goes away, then close
+        *sock*: the accept loop runs this per connection, and a forked
+        process worker runs it once, on its end of a socketpair."""
         try:
             self._converse(sock)
         except (TransportError, OSError):
@@ -343,56 +349,29 @@ class RunnerNode:
 
     def _handle_task(self, lease, frame):
         op = frame.get("op")
+        if op != "warm":
+            raise WireFormatError("unknown task op %r" % (op,))
         epoch = int(frame.get("epoch", 0))
         ctx = frame.get("ctx")
         if ctx is not None:
             ctx = tuple(ctx)
-        evaluator = lease.evaluator
-        if op == "warm":
-            sql, locate = frame["sql"], bool(frame.get("locate"))
-            lease.enforce([(sql, locate)], epoch)
-            signature, cache = perform_warm(evaluator, sql, locate, ctx)
-            lease.stamp([signature], epoch)
-            reply = {
-                "kind": wire.KIND_RESULT,
-                "op": "warm",
-                "entry": wire.entry_to_wire(signature, cache),
-            }
-        elif op == "evaluate":
-            sqls = list(frame["sqls"])
-            configurations = [
-                configuration_from_dict(payload)
-                for payload in frame["configurations"]
-            ]
-            lease.enforce(
-                [
-                    (source, locate)
-                    for __, source, locate in evaluator.warm_targets(sqls)
-                ],
-                epoch,
-            )
-            columns, built = perform_evaluate(
-                evaluator, sqls, configurations, ctx
-            )
-            lease.stamp(built, epoch)
-            reply = {
-                "kind": wire.KIND_RESULT,
-                "op": "evaluate",
-                "start": frame.get("start", 0),
-                "columns": columns,
-                "entries": [
-                    wire.entry_to_wire(sig, evaluator.pool.get(sig))
-                    for sig in built
-                    if sig in evaluator.pool
-                ],
-            }
-        else:
-            raise WireFormatError("unknown task op %r" % (op,))
-        reply["cache"] = lease.cache_ages(epoch)
-        reply["obs"] = (
-            wire.obs_to_wire(obs.drain_deltas()) if self.ship_obs else None
-        )
-        return reply
+        sql, locate = frame["sql"], bool(frame.get("locate"))
+        lease.enforce(sql, locate, epoch)
+        signature, cache = perform_warm(lease.evaluator, sql, locate, ctx)
+        lease.stamp(signature, epoch)
+        return {
+            "kind": wire.KIND_RESULT,
+            "op": "warm",
+            # Wire *text*, not a nested payload: the client installs it
+            # with ``wire.loads(text, catalog, pool=)``, the one install
+            # path every entry takes (snapshot files included).
+            "entry": wire.dumps(wire.entry_to_wire(signature, cache)),
+            "cache": lease.cache_ages(epoch),
+            "obs": (
+                wire.obs_to_wire(obs.drain_deltas())
+                if self.ship_obs else None
+            ),
+        }
 
     @staticmethod
     def _try_reply(sock, payload):

@@ -1,7 +1,7 @@
 """The cooperative tenant-scheduler runtime.
 
-Replaces the service's thread-per-tenant ``drain()`` loops with an
-explicit, pausable run-queue:
+An explicit, pausable run-queue in place of one blocking ``drain()``
+loop per tenant:
 
 * :mod:`repro.runtime.steps` — :class:`Step` (one resumable unit of
   session work, with prewarm metadata) and :class:`TenantTask` (one
@@ -11,17 +11,17 @@ explicit, pausable run-queue:
   priority-aware dispatch, per-tenant backpressure, pause-point
   snapshots;
 * :mod:`repro.runtime.executor` — the executor seam:
-  :class:`StepExecutor` (inline), :class:`ProcessStepExecutor`
-  (cache builds offloaded to a reusable
-  :class:`~repro.evaluation.ProcessPoolBackplane` per backplane), and
-  :class:`RemoteStepExecutor` (the same builds fanned across a
-  :class:`~repro.net.RunnerNode` fleet with bounded-staleness cache
-  leases).
+  :class:`StepExecutor` (inline) and the one offload executor behind
+  :class:`ProcessStepExecutor` (cache builds shipped to forked workers,
+  a reusable :class:`~repro.evaluation.ProcessPoolBackplane` per
+  backplane) and :class:`RemoteStepExecutor` (the same builds fanned
+  across a :class:`~repro.net.RunnerNode` fleet with bounded-staleness
+  cache leases).
 
 Every step runs inline, so scheduler-driven ingest is bit-identical to
-the thread-loop path; executors only move *cache builds* in time and
-across processes, which is results-neutral by construction (and pinned
-in the test suite).
+draining each tenant's stream in turn (``TenantSession.drain``);
+executors only move *cache builds* in time and across processes, which
+is results-neutral by construction (and pinned in the test suite).
 """
 
 from repro.runtime.executor import (

@@ -1,41 +1,42 @@
 """The scheduler's executor seam: where heavy costing work happens.
 
 Every step ultimately *runs* inline on the scheduler thread — sessions
-are not reentrant, and inline execution is what keeps the scheduler
-path bit-identical to the thread-loop path.  What an executor controls
-is the *preparation* of a step's optimizer-heavy inputs: INUM cache
-builds for the statements a step will price.  Cache builds are pure
-functions of (bound query, catalog, settings), so building them early,
-elsewhere, or not at all never changes a result — only wall-clock time.
+are not reentrant, and inline execution is what keeps a scheduled run
+bit-identical to draining each tenant's stream in turn.  What an
+executor controls is the *preparation* of a step's optimizer-heavy
+inputs: INUM cache builds for the statements a step will price.  Cache
+builds are pure functions of (bound query, catalog, settings), so
+building them early, elsewhere, or not at all never changes a result —
+only wall-clock time.
 
 * :class:`StepExecutor` — the inline default: no preparation; steps
   build caches on demand exactly like a ``drain()`` loop would.
-* :class:`ProcessStepExecutor` — fans cache builds for refill batches
-  and heavy steps across a per-evaluator
-  :class:`~repro.evaluation.ProcessPoolBackplane`, so the pure-Python
+* :class:`ProcessStepExecutor` / :class:`RemoteStepExecutor` — one
+  offload executor, two ways to reach its workers.  Cache builds for
+  refill batches and heavy steps fan out through one reusable
+  :class:`~repro.net.FleetBackplane` per evaluator, so the pure-Python
   optimizer planning that dominates ingest leaves the scheduler thread
   (and the GIL) entirely; wire-format entries come back and land in the
   shared pool — each with its columnar kernel rebuilt from the shipped
-  plan terms — before the step prices them inline, so epoch-closing
-  scoring and refresh sweeps start on prewarmed *compiled* kernels,
-  not raw caches.
-* :class:`RemoteStepExecutor` — the same seam across machines: cache
-  builds fan out to a fleet of :class:`~repro.net.RunnerNode` workers
-  through a per-evaluator :class:`~repro.net.RemoteBackplane`, with a
-  bounded staleness budget on the runners' leases and graceful
-  degradation to inline execution when the fleet dies.  Same
-  bit-identical-results contract: only wall-clock time moves.
+  plan terms — before the step prices them inline.  The constructor
+  says which backplane to build: forked worker processes
+  (:class:`~repro.evaluation.ProcessPoolBackplane`) or a fleet of
+  :class:`~repro.net.RunnerNode` machines
+  (:class:`~repro.net.RemoteBackplane`, with a bounded staleness budget
+  on the runners' leases); dead workers degrade it to the survivors,
+  then to inline execution.  Results are bit-identical either way.
 """
 
 from repro import obs
 from repro.evaluation.process import ProcessPoolBackplane
+from repro.net.client import RemoteBackplane
 
 __all__ = ["StepExecutor", "ProcessStepExecutor", "RemoteStepExecutor"]
 
 
 class StepExecutor:
     """Inline execution: every cache build happens on demand, in the
-    scheduler thread, exactly as in the thread-per-tenant loop."""
+    scheduler thread, exactly as in a per-tenant ``drain()`` loop."""
 
     def refill(self, evaluator, statements):
         """Hook called with each newly buffered batch of statements for
@@ -46,41 +47,36 @@ class StepExecutor:
         to do — the step builds what it needs."""
 
     def close(self):
-        """Release executor resources (worker pools); idempotent."""
+        """Release executor resources (workers, connections);
+        idempotent."""
 
 
-class ProcessStepExecutor(StepExecutor):
-    """Offload INUM cache builds to ``multiprocessing`` workers.
+class _OffloadStepExecutor(StepExecutor):
+    """Offload INUM cache builds through a fan-out backplane.
 
-    One :class:`ProcessPoolBackplane` is kept per distinct evaluator
-    (i.e. per service backplane) and reused across every refill and
-    heavy step of the run — the reusable-pool seam.  ``processes`` and
-    ``start_method`` are passed through.  Close the executor (or let
-    :meth:`TuningService.run_scheduled` close an executor it created)
-    to join the workers gracefully.
+    One backplane is kept per distinct evaluator (i.e. per service
+    backplane) and reused across every refill and heavy step of the
+    run.  ``make_backplane(evaluator)`` builds it on first use.  Close
+    the executor (or let :meth:`TuningService.run_scheduled` close an
+    executor it created) to release the workers gracefully.
     """
 
-    def __init__(self, processes=None, start_method=None):
-        self.processes = processes
-        self.start_method = start_method
-        self._backplanes = {}  # id(evaluator) -> ProcessPoolBackplane
+    def __init__(self, make_backplane):
+        self._make_backplane = make_backplane
+        self._backplanes = {}  # id(evaluator) -> FleetBackplane
 
     def _backplane(self, evaluator):
         backplane = self._backplanes.get(id(evaluator))
         if backplane is None:
-            backplane = ProcessPoolBackplane(
-                evaluator,
-                processes=self.processes,
-                start_method=self.start_method,
-            )
+            backplane = self._make_backplane(evaluator)
             self._backplanes[id(evaluator)] = backplane
         return backplane
 
     def refill(self, evaluator, statements):
         """Warm the caches for a freshly buffered batch of upcoming
-        statements across the worker processes.  Statements already
-        resident in the shared pool are filtered out before any task is
-        shipped, so a warm pool makes this a near no-op."""
+        statements across the workers.  Statements already resident in
+        the shared pool are filtered out before any task is shipped, so
+        a warm pool makes this a near no-op."""
         if statements:
             with obs.tracer().span("executor.refill",
                                    statements=len(statements)):
@@ -110,68 +106,50 @@ class ProcessStepExecutor(StepExecutor):
         self.close()
 
 
-class RemoteStepExecutor(StepExecutor):
-    """Offload INUM cache builds to a fleet of runner nodes.
+# Ledger rows ``repro.runtime.executor:{Process,Remote}StepExecutor.
+# {refill,prepare,close}``: ``benchmarks/e2e/layers.py`` resolves each
+# by ``vars(owner)[leaf]``, so both classes below bind the one shared
+# function under their own name — a binding, not a wrapper: a row run
+# inside another would count ``runtime.refill_wait_s`` twice.  ROADMAP
+# item 1(c) retires the per-class rows.
 
-    The network twin of :class:`ProcessStepExecutor`: one
-    :class:`~repro.net.RemoteBackplane` per distinct evaluator, reused
-    across every refill and heavy step.  ``runners`` is the fleet's
-    ``host:port`` list; ``staleness`` is the per-node cache-lease
-    budget in epochs (``0`` = exact-replay mode); ``timeout`` /
-    ``retries`` shape the per-request failure handling.  A fleet that
-    dies entirely degrades each backplane to local execution, so a
-    scheduled run always completes with the single-node answer.
+
+class ProcessStepExecutor(_OffloadStepExecutor):
+    """Offload to ``processes`` forked workers on this machine (default
+    ``min(4, os.cpu_count())``; ``<= 1`` builds inline)."""
+
+    def __init__(self, processes=None):
+        super().__init__(
+            lambda evaluator: ProcessPoolBackplane(
+                evaluator, processes=processes
+            )
+        )
+
+    refill = _OffloadStepExecutor.refill
+    prepare = _OffloadStepExecutor.prepare
+    close = _OffloadStepExecutor.close
+
+
+class RemoteStepExecutor(_OffloadStepExecutor):
+    """Offload to a fleet of runner nodes.
+
+    ``runners`` is the fleet's ``host:port`` list; ``staleness`` is the
+    per-node cache-lease budget in epochs (``0`` = exact-replay mode);
+    ``timeout`` / ``retries`` shape the per-request failure handling.
+    A fleet that dies entirely degrades each backplane to local
+    execution, so a scheduled run always completes with the single-node
+    answer.
     """
 
     def __init__(self, runners, staleness=0, timeout=30.0, retries=3):
-        self.runners = list(runners)
-        self.staleness = staleness
-        self.timeout = timeout
-        self.retries = retries
-        self._backplanes = {}  # id(evaluator) -> RemoteBackplane
-
-    def _backplane(self, evaluator):
-        backplane = self._backplanes.get(id(evaluator))
-        if backplane is None:
-            from repro.net import RemoteBackplane
-
-            backplane = RemoteBackplane(
-                evaluator,
-                self.runners,
-                staleness=self.staleness,
-                timeout=self.timeout,
-                retries=self.retries,
+        runners = list(runners)
+        super().__init__(
+            lambda evaluator: RemoteBackplane(
+                evaluator, runners, staleness=staleness,
+                timeout=timeout, retries=retries,
             )
-            self._backplanes[id(evaluator)] = backplane
-        return backplane
+        )
 
-    def refill(self, evaluator, statements):
-        """Warm a freshly buffered batch across the runner fleet (the
-        parent-resident statements are filtered inside the backplane's
-        warm-up, so a warm pool ships nothing)."""
-        if statements:
-            with obs.tracer().span("executor.refill",
-                                   statements=len(statements)):
-                self._backplane(evaluator).warm_up(statements)
-
-    def prepare(self, session, step):
-        """Prewarm a heavy step's statements across the fleet — the
-        same residency-check-or-build contract as the process
-        executor's prepare."""
-        if step.heavy and step.prewarm:
-            with obs.tracer().span("executor.prepare", kind=step.kind,
-                                   statements=len(step.prewarm)):
-                self._backplane(session.evaluator).warm_up(
-                    list(step.prewarm)
-                )
-
-    def close(self):
-        for backplane in self._backplanes.values():
-            backplane.close()
-        self._backplanes.clear()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
+    refill = _OffloadStepExecutor.refill
+    prepare = _OffloadStepExecutor.prepare
+    close = _OffloadStepExecutor.close

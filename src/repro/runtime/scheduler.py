@@ -23,7 +23,8 @@ small, explicit, and pausable.
   optimizer-heavy cache builds can move to worker processes
   (:class:`~repro.runtime.ProcessStepExecutor`) or across a runner
   fleet (:class:`~repro.runtime.RemoteStepExecutor`) while every step
-  still runs inline, bit-identical to the thread-loop path.
+  still runs inline, bit-identical to draining each tenant's stream
+  with :meth:`TenantSession.drain`.
 * **Pause-point snapshots** — every ``snapshot_interval`` ingested
   events the scheduler drains in-flight events to their boundaries
   (buffered events untouched) and invokes ``on_snapshot``; the service

@@ -5,10 +5,9 @@ costing backplanes:
 
 * :mod:`repro.service.service` — :class:`TuningService`: backplane
   registry (one sharded INUM cache pool + shared evaluator per
-  catalog), concurrent warm-up, scheduler-driven per-tenant ingest
-  (see :mod:`repro.runtime`; the legacy thread loop survives as
-  :meth:`TuningService.run_streams_threaded`), pause-point snapshots,
-  merged status snapshots;
+  catalog), warm-up, scheduler-driven per-tenant ingest (see
+  :mod:`repro.runtime`), pause-point snapshots, merged status
+  snapshots;
 * :mod:`repro.service.tenant` — :class:`TenantSession`: streaming
   ingest decomposed into resumable steps
   (:meth:`~TenantSession.ingest_steps`), the COLT epoch loop, drift

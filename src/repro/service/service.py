@@ -13,18 +13,18 @@ This module is the long-lived service layer over the same components:
   advancing on its own COLT epochs against the shared, incrementally
   maintained caches (the stale-synchronous idea: tenants never wait for
   a global barrier, they just read whatever derived state is current);
-* **concurrent warm-up** (:meth:`warm_up`) pre-building per-query
-  caches in a thread pool, bit-identical to sequential warm-up;
+* **warm-up** (:meth:`warm_up`) pre-building per-query caches, inline
+  or offloaded through an executor, with identical entries either way;
 * **scheduled ingest** (:meth:`run_scheduled`): every tenant advances
   as resumable steps on the cooperative
   :class:`~repro.runtime.Scheduler` — fair, priority-aware, with
   per-tenant backpressure, pause-point snapshots (``--snapshot-interval``
   in the CLI), and an executor seam that can offload INUM cache builds
-  to a :class:`~repro.evaluation.ProcessPoolBackplane` or across a
-  :class:`~repro.net.RemoteBackplane` runner fleet;
-  :meth:`run_streams` is the thin compatibility shim over it, with
-  results pinned bit-identical to the legacy thread-per-tenant loop
-  (:meth:`run_streams_threaded`);
+  through the one fan-out backplane (:class:`~repro.net.FleetBackplane`:
+  forked worker processes or a fleet of runner nodes);
+  :meth:`run_streams` is the thin shim over it, with results pinned
+  bit-identical to draining each tenant's stream in turn
+  (:meth:`TenantSession.drain`);
 * a mergeable **status surface** (:meth:`status` /
   :meth:`status_text`): per-tenant session snapshots, per-backplane
   pool statistics, and runtime state (queue depths, snapshot age),
@@ -36,7 +36,6 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -59,10 +58,10 @@ class Backplane:
     evaluator: WorkloadEvaluator
     tenants: list = field(default_factory=list)
 
-    def warm_up(self, workload, threads=None):
-        """Pre-build INUM caches for *workload* (thread fan-out when
-        ``threads > 1``); returns the optimizer calls spent."""
-        return self.evaluator.warm_up(workload, threads=threads)
+    def warm_up(self, workload):
+        """Pre-build INUM caches for *workload*; returns the optimizer
+        calls spent."""
+        return self.evaluator.warm_up(workload)
 
     def status(self):
         stats = self.pool.stats
@@ -84,8 +83,7 @@ class TuningService:
     """Hosts many concurrent tenant sessions over shared backplanes.
 
     ``shards`` and ``pool_capacity`` size every backplane's cache pool
-    (``shards=1`` degenerates to the flat single-lock pool);
-    ``warm_threads`` is the default fan-out for :meth:`warm_up`.
+    (``shards=1`` degenerates to the flat single-lock pool).
 
     Typical use::
 
@@ -97,10 +95,9 @@ class TuningService:
         print(service.status_text())
     """
 
-    def __init__(self, shards=4, pool_capacity=None, warm_threads=None):
+    def __init__(self, shards=4, pool_capacity=None):
         self.shards = shards
         self.pool_capacity = pool_capacity
-        self.warm_threads = warm_threads
         self._backplanes = OrderedDict()
         self._tenants = OrderedDict()
         self._lock = threading.RLock()  # guards the two registries
@@ -179,68 +176,36 @@ class TuningService:
     # Warm-up and ingest.
     # ------------------------------------------------------------------
 
-    def warm_up(self, backplane, workload, threads=None, executor=None):
-        """Concurrently pre-build *backplane*'s caches for *workload*.
+    def warm_up(self, backplane, workload, executor=None):
+        """Pre-build *backplane*'s caches for *workload*.
 
         With *executor* (a :class:`~repro.runtime.ProcessStepExecutor`
         or :class:`~repro.runtime.RemoteStepExecutor`) the builds are
         offloaded through the executor's refill seam — across worker
-        processes or the runner fleet — instead of the local thread
-        pool; the installed entries are bit-identical either way.  The
-        trailing inline pass is a residency check that also covers
-        anything the offload could not ship (and returns the optimizer
-        calls it spent, like the plain path)."""
+        processes or the runner fleet — instead of built here; the
+        installed entries are bit-identical either way.  The trailing
+        inline pass is a residency check that also covers anything the
+        offload could not ship (and returns the optimizer calls it
+        spent, like the plain path)."""
         plane = self.backplane(backplane)
         if executor is not None:
             executor.refill(plane.evaluator, list(workload))
-            return plane.warm_up(workload, threads=1)
-        if threads is None:
-            threads = self.warm_threads
-        return plane.warm_up(workload, threads=threads)
+        return plane.warm_up(workload)
 
     def ingest(self, tenant, event):
         """Feed one query event to *tenant* (the streaming entry point)."""
         self.tenant(tenant).ingest(event)
 
-    def run_streams(self, streams, concurrency=None, finish=True):
+    def run_streams(self, streams, finish=True):
         """Drive many tenant streams to completion and return the final
         status snapshot.
 
-        A thin compatibility shim over :meth:`run_scheduled`: tenants
-        advance on the cooperative scheduler as resumable steps instead
-        of one blocking thread each, with per-tenant results pinned
-        bit-identical to the legacy loop (``concurrency`` is accepted
-        for API compatibility; the scheduler interleaves steps from one
-        thread, so it no longer changes anything — use
-        :meth:`run_streams_threaded` for the historical behavior).
+        A thin shim over :meth:`run_scheduled` with its defaults:
+        tenants advance on the cooperative scheduler as resumable steps,
+        interleaved from one thread, with per-tenant results pinned
+        bit-identical to draining each stream in turn.
         """
         return self.run_scheduled(streams, finish=finish)
-
-    def run_streams_threaded(self, streams, concurrency=None, finish=True):
-        """The PR-2 thread-per-tenant ingest loop, kept as the reference
-        implementation the scheduler path is pinned against (and the
-        baseline the scheduler benchmark measures).
-
-        ``streams`` maps tenant name -> iterable of query events.  Each
-        tenant is drained by exactly one worker (sessions are not
-        reentrant), up to ``concurrency`` tenants in flight at once
-        (default: all of them).  The first worker exception propagates.
-        """
-        sessions = [(self.tenant(name), stream)
-                    for name, stream in streams.items()]
-        workers = max(1, min(len(sessions), concurrency or len(sessions)))
-        if workers == 1:
-            for session, stream in sessions:
-                session.drain(stream, finish=finish)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                futures = [
-                    executor.submit(session.drain, stream, finish)
-                    for session, stream in sessions
-                ]
-                for future in futures:
-                    future.result()
-        return self.status()
 
     def run_scheduled(self, streams, executor=None, finish=True,
                       lookahead=None, priorities=None, max_pending=None,
@@ -249,13 +214,13 @@ class TuningService:
         """Drive tenant streams on the cooperative scheduler.
 
         ``executor`` is the heavy-step seam — ``None`` means inline
-        (bit-identical to the thread loop in work *and* placement); a
+        (every build happens where a ``drain()`` loop would do it); a
         :class:`~repro.runtime.ProcessStepExecutor` offloads INUM cache
         builds to worker processes, a
         :class:`~repro.runtime.RemoteStepExecutor` fans them across a
-        runner fleet (both bit-identical in results, faster on spare
-        cores or machines).  An executor created here is closed here; a
-        caller-provided one is left open for reuse.
+        runner fleet (both bit-identical in results).  An executor
+        created here is closed here; a caller-provided one is left open
+        for reuse.
 
         ``priorities`` maps tenant name -> stride weight (default 1.0);
         ``max_pending`` bounds each tenant's event buffer (backpressure);

@@ -19,9 +19,8 @@ builds, exact optimizer plans) flows through the shared backplane
 evaluator, so work one tenant pays for is a cache hit for the next.
 A session is not reentrant: it is advanced by one driver at a time —
 normally the cooperative :class:`~repro.runtime.Scheduler`, one step
-(:meth:`ingest_steps`) after another, or a single legacy ``drain()``
-thread; *different* sessions sharing an evaluator may run
-concurrently.
+(:meth:`ingest_steps`) after another, or a single ``drain()`` loop;
+*different* sessions sharing an evaluator may run concurrently.
 """
 
 import time

@@ -22,9 +22,13 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
   over the option lists, what ``BipKernel.evaluate`` vectorizes.
 * :func:`greedy_select_reference` — greedy selection re-pricing every
   extension as a full batch each round, what the delta sweep replaced.
+* :func:`threaded_warm_up` — not a reference but a vehicle: a warm-up
+  whose builds race on real threads, for the tests that pin the pool's
+  single-flight and shard locking.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import optimize
@@ -388,3 +392,14 @@ def greedy_select_reference(problem, by_ratio=True):
         solver="greedy-%s" % ("ratio" if by_ratio else "benefit"),
         nodes_explored=evaluations,
     )
+
+
+def threaded_warm_up(evaluator, workload, threads=4):
+    """Build *workload*'s caches by calling ``evaluator.cache_for`` from
+    *threads* threads at once; returns the optimizer calls spent, like
+    ``evaluator.warm_up``.  Binding happens up front on this thread."""
+    before = evaluator.precompute_calls
+    targets = [bq for bq, __, __ in evaluator.warm_targets(workload)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(evaluator.cache_for, targets))  # re-raises failures
+    return evaluator.precompute_calls - before

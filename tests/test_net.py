@@ -8,8 +8,9 @@ The ISSUE-10 acceptance pins live here:
   with :class:`WireFormatError` in *both* directions, garbage is never
   best-effort parsed;
 * a :class:`RemoteBackplane` over loopback runner nodes produces
-  **bit-identical** warm-up entries and evaluation matrices to the
-  in-process evaluator;
+  **bit-identical** warm-up entries to the in-process evaluator, and a
+  grid priced over them (``warm_up`` then the in-process kernel — the
+  fleet has one task op) equals the local matrix;
 * a node dying mid-batch degrades gracefully: survivors pick up its
   work (or, with no survivors, the remainder runs locally) and the
   final results are identical, with the retry/death/fallback counters
@@ -45,7 +46,6 @@ from repro.net import (
 from repro.runtime import RemoteStepExecutor, StepExecutor
 from repro.service import TuningService
 from repro.util import DesignError, TransportError, WireFormatError
-from repro.whatif import Configuration
 from repro.workloads import DriftPhase, drifting_stream, sdss
 from repro.workloads import sdss_catalog as make_sdss
 from repro.workloads import sdss_workload
@@ -270,8 +270,8 @@ class TestHandshake:
             conn = backplane._connections[0]
             conn.connect()
             with pytest.raises(WireFormatError):
-                backplane._request_with_retry(
-                    conn, {"kind": "no-such-kind"}
+                backplane._with_retry(
+                    conn, lambda: conn.request({"kind": "no-such-kind"})
                 )
             backplane.close()
 
@@ -300,21 +300,6 @@ class TestRemoteEquivalence:
         for signature in local.pool.signatures():
             assert remote.pool.kernel_for(signature) is not None
 
-    def test_evaluate_matches_local(self, astro_catalog, queries):
-        configurations = [None, Configuration.empty()]
-        with RunnerNode() as node:
-            remote = WorkloadEvaluator(astro_catalog)
-            backplane = RemoteBackplane(remote, [node.address], retries=1)
-            ours = backplane.evaluate_configurations(
-                queries, configurations
-            )
-            backplane.close()
-        local = WorkloadEvaluator(astro_catalog)
-        theirs = local.evaluate_configurations(queries, configurations)
-        assert ours.matrix == theirs.matrix
-        assert ours.weights == theirs.weights
-        assert pool_terms(remote) == pool_terms(local)
-
     def test_second_warm_up_ships_nothing(self, astro_catalog, queries):
         with RunnerNode() as node:
             remote = WorkloadEvaluator(astro_catalog)
@@ -332,8 +317,10 @@ class TestRemoteEquivalence:
 
 
 class TestFailureInjection:
-    def test_node_death_mid_batch_drains_to_survivor(
-            self, astro_catalog, queries):
+    def test_node_death_mid_batch_drains_to_survivor(self, astro_catalog):
+        # Enough statements that the dying node is sure to be handed its
+        # second (fatal) task before the survivor drains the queue.
+        queries = list(sdss_workload(n_queries=24, seed=11))
         dying = RunnerNode(fail_after_tasks=2).start()
         survivor = RunnerNode().start()
         try:
@@ -343,7 +330,6 @@ class TestFailureInjection:
                 retries=1, backoff=0.0,
             )
             backplane.warm_up(queries)
-            batch = backplane.evaluate_configurations(queries, [None])
             assert backplane.live_nodes == [survivor.address]
             backplane.close()
         finally:
@@ -352,7 +338,7 @@ class TestFailureInjection:
 
         local = WorkloadEvaluator(astro_catalog)
         local.warm_up(queries)
-        assert batch.matrix == \
+        assert remote.evaluate_configurations(queries, [None]).matrix == \
             local.evaluate_configurations(queries, [None]).matrix
         assert pool_terms(remote) == pool_terms(local)
 
@@ -377,7 +363,6 @@ class TestFailureInjection:
                 remote, [node.address], retries=0, backoff=0.0,
             )
             calls = backplane.warm_up(queries)
-            batch = backplane.evaluate_configurations(queries, [None])
             assert backplane.live_nodes == []
             backplane.close()
         finally:
@@ -385,7 +370,7 @@ class TestFailureInjection:
 
         local = WorkloadEvaluator(astro_catalog)
         assert calls == local.warm_up(queries)
-        assert batch.matrix == \
+        assert remote.evaluate_configurations(queries, [None]).matrix == \
             local.evaluate_configurations(queries, [None]).matrix
         assert pool_terms(remote) == pool_terms(local)
 
@@ -393,9 +378,6 @@ class TestFailureInjection:
         assert registry.value(
             "repro_remote_fallback_total", op="warm"
         ) == len(pool_terms(local))
-        assert registry.value(
-            "repro_remote_fallback_total", op="evaluate"
-        ) >= 1
 
     def test_unreachable_runner_falls_back(self, astro_catalog, queries):
         # A port nothing listens on: connection refused, retries
@@ -421,19 +403,28 @@ class TestFailureInjection:
 
 class TestBoundedStaleness:
     def _run_epochs(self, catalog, queries, staleness):
+        """Three epochs of the same statements.  The parent pool is
+        cleared after each, so every ``warm_up`` re-ships every task —
+        the parent forgot; the node's lease did not, and must decide
+        whether what it holds may still serve.  Returns the grids priced
+        over the epoch-2 and epoch-3 entries plus the node's counters."""
         with RunnerNode() as node:
             evaluator = WorkloadEvaluator(catalog)
             backplane = RemoteBackplane(
                 evaluator, [node.address], staleness=staleness, retries=1,
             )
-            backplane.warm_up(queries)           # epoch 1: builds
-            first = backplane.evaluate_configurations(queries, [None])
-            second = backplane.evaluate_configurations(queries, [None])
+            grids = []
+            for __ in range(3):  # epoch 1 builds, 2 and 3 re-ship
+                backplane.warm_up(queries)
+                grids.append(
+                    evaluator.evaluate_configurations(queries, [None])
+                )
+                evaluator.pool.clear()
             backplane.close()
             registry = obs.metrics()
             return (
-                first,
-                second,
+                grids[1],
+                grids[2],
                 registry.value(
                     "repro_remote_stale_refresh_total", node=node.address
                 ),
@@ -487,8 +478,6 @@ class TestRemoteClose:
             assert backplane.closed
             with pytest.raises(DesignError, match="closed"):
                 backplane.warm_up(queries)
-            with pytest.raises(DesignError, match="closed"):
-                backplane.evaluate_configurations(queries, [None])
 
     def test_close_is_idempotent_and_leaks_no_connections(
             self, astro_catalog, queries):

@@ -25,6 +25,9 @@ from repro.cophy.greedy import greedy_select
 from repro.evaluation import BipKernel, WorkloadEvaluator, WorkloadKernel
 from repro.whatif import WhatIfSession
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
 MODE_KEYWORDS = {
     "sparse", "kernel", "use_kernel", "vectorized", "parallel",
     "max_workers", "delta", "compact", "base_view",
@@ -74,26 +77,53 @@ def test_signature_is_exactly_the_data_arguments(function, expected):
     assert not MODE_KEYWORDS & set(names)
 
 
-def test_every_backplane_shares_one_batch_signature():
-    """The in-process evaluator, the process pool and the remote
-    backplane price a batch through the same ``(workload,
-    configurations)`` call."""
+FAN_OUT_OPTIONS = {"start_method", "threads", "warm_threads", "concurrency"}
+
+
+def test_fan_out_has_one_implementation():
+    """The process pool and the runner fleet are one backplane and one
+    offload executor — the same function objects under both class names
+    (the ledger's per-class rows are bindings, not copies) — no option
+    selects a deleted path, and either package imports first."""
+    import subprocess
+
     from repro.evaluation import ProcessPoolBackplane
     from repro.net.client import RemoteBackplane
+    from repro.runtime import ProcessStepExecutor, RemoteStepExecutor
+    from repro.service import TuningService
 
-    expected = _parameters(WorkloadEvaluator.evaluate_configurations)
-    for backplane in (ProcessPoolBackplane, RemoteBackplane):
-        assert _parameters(backplane.evaluate_configurations) == expected
+    def own(owner, leaf):
+        return inspect.unwrap(vars(owner)[leaf])
+
+    assert own(ProcessPoolBackplane, "warm_up") \
+        is own(RemoteBackplane, "warm_up")
+    for leaf in ("refill", "prepare", "close"):
+        assert own(ProcessStepExecutor, leaf) \
+            is own(RemoteStepExecutor, leaf), leaf
+
+    for function in (
+        ProcessPoolBackplane.__init__, RemoteBackplane.__init__,
+        ProcessStepExecutor.__init__, RemoteStepExecutor.__init__,
+        WorkloadEvaluator.warm_up, TuningService.__init__,
+        TuningService.warm_up, TuningService.run_streams,
+    ):
+        assert not FAN_OUT_OPTIONS & set(_parameters(function)), \
+            function.__qualname__
+
+    # ``net`` imports ``evaluation`` and ``evaluation`` imports ``net``
+    # (the process backplane is a net client): each must import first.
+    for package in ("repro.net", "repro.evaluation"):
+        subprocess.run(
+            [sys.executable, "-c", "import %s" % package],
+            check=True, env=dict(os.environ, PYTHONPATH=SRC),
+        )
 
 
 # ----------------------------------------------------------------------
 # The ledger's boundary table resolves against the program as it is.
 # ----------------------------------------------------------------------
 
-E2E = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "benchmarks", "e2e",
-)
+E2E = os.path.join(ROOT, "benchmarks", "e2e")
 
 
 def _load_e2e(name):

@@ -3,7 +3,8 @@
 The ISSUE-4 acceptance pins live here:
 
 * scheduler-driven ``run_streams`` produces **bit-identical** per-tenant
-  results to the PR-2 thread-loop path (``run_streams_threaded``) on the
+  results to the loop a thread per tenant used to run —
+  ``TenantSession.drain(stream)``, one tenant after another — on the
   SDSS and TPC-H drift streams;
 * a mid-ingest pause-point snapshot restores to the same subsequent
   recommendations as an uninterrupted run;
@@ -56,11 +57,14 @@ def options():
 
 
 def outcome(session):
-    """The per-tenant result surface the equivalence pins cover."""
+    """The per-tenant result surface the equivalence pins cover, down to
+    the tuner's full dynamic state (EWMAs, probe counters, budgets)."""
     status = session.status()
     return (
         status["configuration"],
-        [(r.at_query, r.trigger, r.indexes) for r in session.recommendations],
+        session.tuner.snapshot_state(),
+        [(r.at_query, r.trigger, r.indexes, r.improvement_pct)
+         for r in session.recommendations],
         [(e.from_phase, e.to_phase, e.at_query) for e in session.drift_events],
         [(e.epoch, e.queries, e.observed_cost, e.build_cost, e.whatif_probes)
          for e in session.report.epochs],
@@ -117,8 +121,10 @@ class TestStepDecomposition:
 
 
 class TestRunStreamsEquivalence:
-    """The acceptance pin: the scheduler shim is bit-identical to the
-    PR-2 thread-per-tenant loop on the SDSS and TPC-H drift streams."""
+    """The acceptance pin: the scheduler shim is bit-identical to
+    draining every tenant's stream in turn (``TenantSession.drain``, the
+    per-tenant loop the thread-per-tenant service ran) on the SDSS and
+    TPC-H drift streams."""
 
     def test_scheduler_matches_thread_loop(self, astro_catalog, dss_catalog):
         specs = [
@@ -142,14 +148,15 @@ class TestRunStreamsEquivalence:
                 for name, __, phases, seed in specs
             }
 
-        threaded = build()
-        threaded.run_streams_threaded(streams())
+        drained = build()
+        for name, stream in streams().items():
+            drained.tenant(name).drain(stream)
         scheduled = build()
         scheduled.run_streams(streams())
 
         for name, __, ___, ____ in specs:
             assert outcome(scheduled.tenant(name)) == \
-                outcome(threaded.tenant(name)), name
+                outcome(drained.tenant(name)), name
 
     def test_priorities_change_order_not_results(self, astro_catalog):
         def run(priorities):
@@ -505,11 +512,6 @@ class TestBackplaneClose:
         assert backplane.closed
         with pytest.raises(DesignError, match="closed"):
             backplane.warm_up(["SELECT dec FROM photoobj WHERE dec < 1"])
-        with pytest.raises(DesignError, match="closed"):
-            backplane.evaluate_configurations(
-                ["SELECT ra FROM photoobj", "SELECT dec FROM photoobj"],
-                [None],
-            )
 
     def test_close_is_idempotent(self):
         catalog = make_sdss(scale=0.01)

