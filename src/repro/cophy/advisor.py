@@ -123,7 +123,8 @@ class CoPhyAdvisor:
             workload = list(compressed)
         if candidates is None:
             candidates = candidate_indexes(
-                self.catalog, workload, max_candidates=max_candidates
+                self.catalog, workload, max_candidates=max_candidates,
+                bind=self.cost_model.bound,
             )
         if solver in _LAZY_SOLVERS:
             # Column generation: no exhaustive BIP — candidates are

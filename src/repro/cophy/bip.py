@@ -148,7 +148,8 @@ class CandidatePricer:
     the same number, it is kept in the same place: the model's slot
     memo, under the single-index design's key.  A warm model (an online
     refresh, a second solver over one evaluator) is answered from it,
-    and the interaction analyzer finds the single-index designs priced."""
+    and the interaction analyzer finds the single-index designs priced.
+    :meth:`slot_options` builds a slot's BIP options on top of it."""
 
     def __init__(self, model):
         self.model = model
@@ -158,7 +159,19 @@ class CandidatePricer:
         self._scan_base = {}  # (sql, slot) -> (ctx, paths, arms, interesting)
         self._param_base = {}  # (sql, slot) -> (ctx, parameterized base paths)
         self._base_sets = {}  # table -> set of base-catalog indexes
-        self.pricings = 0
+        self.pricings = 0  # (slot, candidate) pairs answered
+        self.set_candidates(())
+
+    def set_candidates(self, candidates):
+        """Learn the candidate vector :meth:`slot_options` offers every
+        slot: positions per table and lead column — all the reach rule
+        reads of an index."""
+        self.candidates = candidates
+        self._by_lead = {}  # table -> {lead column: ascending positions}
+        for pos, ix in enumerate(candidates):
+            self._by_lead.setdefault(ix.table_name, {}).setdefault(
+                ix.columns[0], []).append(pos)
+        self._options = {}  # (sql, slot) -> (default, options)
 
     def _base_indexes(self, table_name):
         base = self._base_sets.get(table_name)
@@ -200,6 +213,37 @@ class CandidatePricer:
                 self.settings, slot.param_columns,
             ))
         return cached
+
+    def slot_options(self, bq, slot):
+        """``(default, options)`` for *slot*: its cost under the base
+        design (``None``: infeasible) and, in ascending candidate
+        position, ``(position, cost)`` of every candidate pricing
+        strictly below it; memoized per ``(bq.sql, slot)`` — cached
+        plans share slots.  Only candidates whose lead column reaches
+        the slot (:func:`~repro.optimizer.paths.reach_columns`) are
+        priced: any other's price *is* the default (see :meth:`price`),
+        which ``cost < default`` drops — but ``pricings`` counts it."""
+        key = (bq.sql, slot)
+        entry = self._options.get(key)
+        if entry is None:
+            default = self.default_cost(bq, slot)
+            options = []
+            by_lead = self._by_lead.get(slot.table_name)
+            if by_lead:
+                leads = P.reach_columns(
+                    P.scan_context(bq, slot.alias, self.default_view),
+                    _slot_interesting(slot), slot.param_columns,
+                )
+                reaching = sorted(
+                    pos for lead in set(leads) for pos in by_lead.get(lead, ())
+                )
+                self.pricings += sum(map(len, by_lead.values())) - len(reaching)
+                for pos in reaching:
+                    cost = self.price(bq, slot, self.candidates[pos])
+                    if cost is not None and (default is None or cost < default):
+                        options.append((pos, cost))
+            entry = self._options[key] = (default, options)
+        return entry
 
     def price(self, bq, slot, index):
         """``slot``'s cost when exactly ``index`` is added to the base
@@ -253,11 +297,8 @@ def build_bip(inum_model, workload, candidates, budget_pages, max_indexes=None):
     sizes = [
         float(ix.size_pages(catalog.table(ix.table_name))) for ix in candidates
     ]
-    by_table = {}
-    for pos, ix in enumerate(candidates):
-        by_table.setdefault(ix.table_name, []).append(pos)
-
     pricer = CandidatePricer(inum_model)
+    pricer.set_candidates(candidates)
 
     problem = BipProblem(
         candidates=list(candidates),
@@ -277,17 +318,9 @@ def build_bip(inum_model, workload, candidates, budget_pages, max_indexes=None):
             plan_term = PlanTerm(internal_cost=cached.internal_cost, slots=[])
             feasible = True
             for slot in cached.slots:
-                # The default goes through the model's slot memo, shared
-                # with every other consumer of the evaluation backplane;
-                # candidates are priced off the slot's base path assembly.
-                options = []
-                default = pricer.default_cost(bq, slot)
+                default, options = pricer.slot_options(bq, slot)
                 if default is not None:
-                    options.append((-1, default))
-                for pos in by_table.get(slot.table_name, ()):
-                    cost = pricer.price(bq, slot, candidates[pos])
-                    if cost is not None and (default is None or cost < default):
-                        options.append((pos, cost))
+                    options = [(-1, default), *options]
                 if not options:
                     feasible = False
                     break

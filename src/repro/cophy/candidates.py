@@ -18,39 +18,20 @@ million-key candidate space costs tuples and heap pops, not a
 materialized cross-product of catalog objects.  :func:`candidate_indexes`
 keeps the classic eager facade (``generator.take(max_candidates)``).
 
-Statement binding is memoized per ``(catalog, sql)``
-(:func:`_bound`), so repeated advisor/colgen rounds over the same
-workload never re-parse or re-bind a statement.
+Mining binds each statement once, through ``bind`` — the advisors pass
+their cost model's :meth:`~repro.inum.InumCostModel.bound`, so a
+statement is parsed once per backplane; without one, statements are
+bound afresh and nothing is kept (this module holds no state).
 """
 
 import heapq
-import weakref
+from functools import partial
 
 from repro.catalog import Index
 from repro.sql.binder import BoundWrite, bind_statement
 from repro.util import workload_pairs
 
 MAX_INCLUDE_COLUMNS = 6
-
-# catalog -> {sql: bound statement}; keyed weakly so dropping a catalog
-# drops its bindings.
-_BIND_MEMO = weakref.WeakKeyDictionary()
-
-
-def _bound(sql, catalog):
-    """Memoized :func:`bind_statement` — the default binder candidate
-    mining routes through (callers with their own canonical binder, like
-    the evaluator, pass it in instead)."""
-    try:
-        bucket = _BIND_MEMO.get(catalog)
-    except TypeError:  # un-weakref-able catalog stand-in
-        return bind_statement(sql, catalog)
-    if bucket is None:
-        bucket = _BIND_MEMO[catalog] = {}
-    bq = bucket.get(sql)
-    if bq is None:
-        bq = bucket[sql] = bind_statement(sql, catalog)
-    return bq
 
 
 def _index_name(table_name, columns, include):
@@ -70,6 +51,8 @@ class CandidateGenerator:
     summed vote weight, ties broken by the index's auto-generated name.
     ``take(n)`` memoizes the emitted prefix, so interleaved ``take``
     calls (colgen growing its active set) never re-mine or re-rank.
+    ``bind`` maps a statement to its bound form (a cost model's
+    ``bound``); the default binds against *catalog* and keeps nothing.
     """
 
     def __init__(self, catalog, workload, include_covering=True,
@@ -78,7 +61,7 @@ class CandidateGenerator:
         self.workload = workload
         self.include_covering = include_covering
         self.composite_pairs = composite_pairs
-        self._bind = bind or _bound
+        self._bind = bind or partial(bind_statement, catalog=catalog)
         self._heap = None  # (-score, name, key) entries, heapified
         self._emitted = []  # Index objects in rank order
         self._scores = None  # key -> summed vote weight
@@ -95,7 +78,7 @@ class CandidateGenerator:
             return
         scores = {}
         for sql, weight in workload_pairs(self.workload):
-            bq = self._bind(sql, self.catalog)
+            bq = self._bind(sql)
             if isinstance(bq, BoundWrite):
                 # Writes only spawn locate-helping candidates; the
                 # maintenance penalty side is handled by the BIP's write
@@ -200,6 +183,7 @@ def candidate_indexes(
     max_candidates=60,
     include_covering=True,
     composite_pairs=True,
+    bind=None,
 ):
     """Return candidate :class:`Index` objects, highest-scored first."""
     return CandidateGenerator(
@@ -207,4 +191,5 @@ def candidate_indexes(
         workload,
         include_covering=include_covering,
         composite_pairs=composite_pairs,
+        bind=bind,
     ).take(max_candidates)

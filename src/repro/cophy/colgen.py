@@ -95,9 +95,7 @@ class _Master:
         self.budget_pages = float(budget_pages)
         self.max_indexes = max_indexes
         self.pricer = CandidatePricer(inum_model)
-        by_table = {}
-        for pos, ix in enumerate(self.candidates):
-            by_table.setdefault(ix.table_name, []).append(pos)
+        self.pricer.set_candidates(self.candidates)
 
         self.write_base_cost = 0.0
         self.index_penalties = [0.0] * n
@@ -111,19 +109,11 @@ class _Master:
             key = (bq.sql, slot)
             sid = slot_ids.get(key)
             if sid is None:
-                default = self.pricer.default_cost(bq, slot)
-                options = []
-                for pos in by_table.get(slot.table_name, ()):
-                    cost = self.pricer.price(bq, slot, self.candidates[pos])
-                    if cost is not None and (
-                        default is None or cost < default
-                    ):
-                        options.append((pos, cost))
-                sid = len(self.slot_entries)
-                self.slot_entries.append((default, options))
-                for pos, cost in options:
+                entry = self.pricer.slot_options(bq, slot)
+                sid = slot_ids[key] = len(self.slot_entries)
+                self.slot_entries.append(entry)
+                for pos, cost in entry[1]:
                     self.pos_slots[pos].append((sid, cost))
-                slot_ids[key] = sid
             return sid
 
         def add_query_spec(bq_or_sql, weight):

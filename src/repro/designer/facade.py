@@ -159,10 +159,25 @@ class Designer:
         ``seed_indexes`` lets the DBA steer the search: user-suggested
         candidates are merged into the generated candidate set, the
         paper's "starting point of the search algorithm".
+
+        An identical call on this backplane (every argument; statement
+        order too, float accumulation and greedy ties follow it) gets
+        the earlier result object back: treat it as read-only.
         """
         workload = list(workload)
+        key = (
+            tuple(workload_pairs(workload)), storage_budget_pages, solver,
+            partitions, tuple(seed_indexes), max_candidates, schedule,
+        )
+        return self.evaluator.recommendation(
+            key, lambda: self._recommend(workload, *key[1:])
+        )
+
+    def _recommend(self, workload, storage_budget_pages, solver, partitions,
+                   seed_indexes, max_candidates, schedule):
         candidates = candidate_indexes(
-            self.catalog, workload, max_candidates=max_candidates
+            self.catalog, workload, max_candidates=max_candidates,
+            bind=self.evaluator.bound,
         )
         for seed in seed_indexes:
             if seed not in candidates:

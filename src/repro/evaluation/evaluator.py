@@ -98,6 +98,7 @@ class _KernelWorkload:
 
 
 _MAX_COMPILED = 16  # compiled-workload memo entries kept (LRU)
+_MAX_RECOMMENDATIONS = 32  # recommendation memo entries kept (LRU)
 _MAX_EXACT_SERVICES = 128  # per-config CostService cache bound (LRU)
 
 
@@ -122,6 +123,11 @@ class WorkloadEvaluator(InumCostModel):
         # Configuration -> CostService, LRU-bounded (each service holds a
         # full catalog clone); the empty-config base service is pinned.
         self._exact_services = OrderedDict()
+        # Designer.recommend's arguments -> its result (LRU): a pure
+        # function of (catalog, settings, arguments) that every cache
+        # below reproduces bit for bit, so _forget leaves it alone.
+        self._recommendations = OrderedDict()
+        self._recommend_memo = {"hit": 0, "miss": 0}
         # Guards the exact-service LRU and clear_caches; cache builds are
         # serialized per entry by the pool's own single-flight instead.
         self._lock = threading.RLock()
@@ -192,10 +198,11 @@ class WorkloadEvaluator(InumCostModel):
                     del self._compiled_by_sig[sig]
 
     def clear_caches(self):
-        """Empty the pool, every memo derived from it, and the exact
-        per-configuration services (each holds a catalog clone) in one
-        stroke — the memory-reclaim hook for long-lived evaluators.  The
-        pinned base service survives, so sessions holding it stay valid.
+        """Empty the pool, every memo derived from it, the recommendation
+        memo and the exact per-configuration services (each holds a
+        catalog clone) in one stroke — the memory-reclaim hook for
+        long-lived evaluators.  The pinned base service survives, so
+        sessions holding it stay valid.
         """
         # Pool first, and *outside* our lock: clear() broadcasts drops to
         # _forget, which takes our lock while the pool lock is held —
@@ -211,6 +218,7 @@ class WorkloadEvaluator(InumCostModel):
             # accumulate per distinct SQL text, not per resident cache.
             self._signatures.clear()
             self._bound_cache.clear()
+            self._recommendations.clear()
             base = self._exact_services.get(Configuration.empty())
             self._exact_services.clear()
             if base is not None:
@@ -297,8 +305,33 @@ class WorkloadEvaluator(InumCostModel):
             evaluations=self.evaluations,
             exact_optimizer_calls=self.exact_optimizer_calls,
             exact_plan_hits=self.exact_plan_hits,
+            recommend_memo_hits=self._recommend_memo["hit"],
+            recommend_memo_misses=self._recommend_memo["miss"],
         )
         return merged
+
+    def recommendation(self, key, compute):
+        """``compute()`` for the ``Designer.recommend`` arguments *key*,
+        or the object an earlier identical call on this backplane got
+        (shared read-only).  Computed outside the lock: two tenants
+        racing on one key both compute the same thing."""
+        with self._lock:
+            found = self._recommendations.get(key)
+            result = "miss" if found is None else "hit"
+            self._recommend_memo[result] += 1
+            if found is not None:
+                self._recommendations.move_to_end(key)
+        obs.metrics().counter(
+            "repro_recommend_memo_total",
+            "Designer.recommend calls by memo outcome", ("result",),
+        ).labels(result=result).inc()
+        if found is None:
+            found = compute()
+            with self._lock:
+                self._recommendations[key] = found
+                while len(self._recommendations) > _MAX_RECOMMENDATIONS:
+                    self._recommendations.popitem(last=False)
+        return found
 
     # ------------------------------------------------------------------
     # Batched (vectorized) evaluation.

@@ -471,6 +471,16 @@ def reaching_indexes(ctx, indexes, interesting_columns=(), param_columns=()):
     )
 
 
+def reach_columns(ctx, interesting_columns=(), param_columns=()):
+    """The column form of the same rule, for callers holding indexes
+    keyed by lead column (CoPhy's option builder): ``index.columns[0] in
+    reach_columns(...)`` is :func:`offers_probe_path` for a probe
+    (*param_columns* given), :func:`offers_scan_paths` for a scan."""
+    if param_columns:
+        return (*param_columns, *ctx.eq_columns)
+    return (*ctx.boundary_columns, *interesting_columns)
+
+
 def plan_inputs(bound_query, catalog):
     """Everything :func:`~repro.optimizer.planner.plan_query` reads of
     *catalog*: per alias, in ``FROM`` order, the current

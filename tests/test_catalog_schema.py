@@ -52,6 +52,29 @@ class TestPageModel:
         total, __, leaves = pagemodel.btree_shape(1_000_000, 12)
         assert total > leaves
 
+    def test_btree_shape_memo_equals_the_uncached_function(self):
+        """``btree_shape`` is memoized on its two arguments; the memo
+        must answer exactly (values *and* types) what the function
+        computes, on first sight and on every repeat."""
+        uncached = pagemodel.btree_shape.__wrapped__
+        rng = random.Random(18)
+        cases = [(0, 12), (-5, 12), (1, 1), (1, 0)] + [
+            (rng.choice([rng.randint(-3, 50), rng.randint(1, 10**9)]),
+             rng.choice([rng.randint(0, 64), rng.randint(1, 4000)]))
+            for __ in range(400)
+        ]
+        for rows, width in cases + cases:  # second pass: all memo hits
+            got, expected = pagemodel.btree_shape(rows, width), \
+                uncached(rows, width)
+            assert got == expected
+            assert [type(v) for v in got] == [type(v) for v in expected]
+        # typed: a float row count is its own entry, never an int's.
+        assert pagemodel.btree_shape(1000.0, 12) == uncached(1000.0, 12)
+        assert type(pagemodel.btree_shape(1000.0, 12)[0]) \
+            is type(uncached(1000.0, 12)[0])
+        info = pagemodel.btree_shape.cache_info()
+        assert info.maxsize is not None and info.hits >= len(cases)
+
     def test_ceil_div_rejects_zero(self):
         with pytest.raises(ValueError):
             pagemodel.ceil_div(10, 0)

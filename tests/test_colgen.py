@@ -26,7 +26,7 @@ from repro.cophy import (
 from repro.cophy.colgen import CandidatePricer, _Master
 from repro.evaluation import WorkloadEvaluator
 from repro.inum import InumCostModel
-from repro.inum.cache import _DesignView
+from repro.inum.cache import AccessSlot, CachedPlan, QueryCache, _DesignView
 from repro.optimizer import paths as P
 from repro.optimizer.writecost import locate_query
 from repro.sql.binder import BoundWrite
@@ -84,6 +84,51 @@ def assert_same_solve(catalog, workload, candidates, budget, **kwargs):
     assert result.objective == reference.objective
     assert result.extra["certificate"] == "no-inactive-candidate-improves"
     return reference, result
+
+
+def read_statements(model, workload):
+    """The bound read statements ``build_bip`` makes query terms of:
+    queries, and the locate query of every update/delete."""
+    reads = []
+    for sql, __ in workload_pairs(workload):
+        bound = model.bound(sql)
+        if not isinstance(bound, BoundWrite):
+            reads.append(bound)
+        elif bound.kind in ("update", "delete"):
+            reads.append(locate_query(bound))
+    return reads
+
+
+def reference_terms(catalog, workload, candidates):
+    """``[(sql, [(internal_cost, [options per slot])])]`` from the
+    independent walk: one cold ``slot_cost`` per plan x slot x table
+    candidate through single-index design views."""
+    reference = InumCostModel(catalog)
+    empty = _DesignView(catalog, Configuration.empty())
+    views = [_DesignView(catalog, Configuration.of(ix)) for ix in candidates]
+    terms = []
+    for bound in read_statements(reference, workload):
+        cache = reference.cache_for(bound)
+        bq = cache.bound_query
+        plans = []
+        for cached in cache.plans:
+            slots = []
+            for slot in cached.slots:
+                default = reference.slot_cost(bq, slot, empty)
+                options = [] if default is None else [(-1, default)]
+                for pos, ix in enumerate(candidates):
+                    if ix.table_name != slot.table_name:
+                        continue
+                    cost = reference.slot_cost(bq, slot, views[pos])
+                    if cost is not None and (
+                        default is None or cost < default
+                    ):
+                        options.append((pos, cost))
+                slots.append(options)
+            if all(slots):
+                plans.append((cached.internal_cost, slots))
+        terms.append((bq.sql, plans))
+    return terms
 
 
 class TestPricer:
@@ -233,6 +278,167 @@ class TestPricer:
             ] == expected_plans
             checked += sum(len(o) for __, slots in expected_plans for o in slots)
         assert checked > 20
+
+    @pytest.mark.parametrize(
+        "env", ["fuzz-0", "fuzz-1", "fuzz-6", "fuzz-7", "tpch"]
+    )
+    def test_build_bip_options_hold_on_fuzzed_writes_and_tpch(self, env):
+        """The same independent walk (one ``slot_cost`` per plan x slot
+        x table candidate through single-index design views) on fuzzed
+        catalogs with write statements, base indexes included, and on
+        the TPC-H templates."""
+        if env == "tpch":
+            catalog = tpch_catalog(scale=0.05)
+            workload = template_workload(tpch.TEMPLATE_REGISTRY)
+        else:
+            catalog, workload, configs = make_env(
+                int(env[-1]), write_fraction=0.3
+            )
+            catalog = configs[-1].apply(catalog)  # a non-empty base design
+            assert any(isinstance(InumCostModel(catalog).bound(sql), BoundWrite)
+                       for sql, __ in workload)
+        candidates = candidate_indexes(catalog, workload, max_candidates=24)
+        problem = build_bip(InumCostModel(catalog), workload, candidates, 10**9)
+        expected = reference_terms(catalog, workload, candidates)
+        assert [
+            (term.sql, [
+                (plan.internal_cost, [slot.options for slot in plan.slots])
+                for plan in term.plans
+            ])
+            for term in problem.queries
+        ] == expected
+        assert sum(
+            len(options) for __, plans in expected
+            for __, slots in plans for options in slots
+        ) > 10
+
+    @pytest.mark.parametrize(
+        "registry, make_catalog", TEMPLATE_ENVS, ids=["sdss", "tpch"]
+    )
+    def test_reach_columns_is_the_column_form_of_the_offers_predicates(
+            self, registry, make_catalog):
+        """The reach set the option builder filters by is exactly the
+        two predicates the planner, the slot key and ``price`` apply:
+        column by column, on every slot of every template."""
+        catalog = make_catalog()
+        model = InumCostModel(catalog)
+        view = _DesignView(catalog, Configuration.empty())
+        probes = scans = 0
+        for bound in read_statements(model, template_workload(registry)):
+            cache = model.cache_for(bound)
+            bq = cache.bound_query
+            for slot in {s for plan in cache.plans for s in plan.slots}:
+                ctx = P.scan_context(bq, slot.alias, view)
+                order = {slot.required_order} - {None}
+                leads = P.reach_columns(ctx, order, slot.param_columns)
+                for column in ctx.table.column_names:
+                    ix = Index(slot.table_name, (column,))
+                    offers = (
+                        P.offers_probe_path(ctx, ix, slot.param_columns)
+                        if slot.param_columns
+                        else P.offers_scan_paths(ctx, ix, order)
+                    )
+                    assert (column in leads) == offers, (bq.sql, slot, column)
+                probes += bool(slot.param_columns)
+                scans += not slot.param_columns
+        assert scans > 5
+        assert probes or registry is tpch.TEMPLATE_REGISTRY  # no NL inner
+
+    def test_price_is_entered_once_per_slot_and_reaching_candidate(
+            self, sdss_with_indexes, monkeypatch):
+        """The option builder's work, counted: ``price`` runs once per
+        distinct (statement, slot, candidate whose lead column reaches
+        the slot) — never per cached plan sharing the slot, never for a
+        candidate ``offers_scan_paths`` / ``offers_probe_path`` turn
+        away — while ``pricings`` still counts every pair answered."""
+        catalog = sdss_with_indexes
+        workload = WORKLOAD + WRITES + WORKLOAD[:1]  # one repeated statement
+        candidates = candidate_indexes(catalog, workload, max_candidates=24)
+        model = InumCostModel(catalog)
+        view = _DesignView(catalog, Configuration.empty())
+        entered = []
+        real_price = CandidatePricer.price
+
+        def spy(self, bq, slot, index):
+            entered.append((bq.sql, slot, index))
+            return real_price(self, bq, slot, index)
+
+        monkeypatch.setattr(CandidatePricer, "price", spy)
+        master = _Master(model, workload, candidates, 40_000, None)
+        build_bip(InumCostModel(catalog), workload, candidates, 40_000)
+        expected, answered, visits = set(), 0, 0
+        for bound in read_statements(model, workload):
+            cache = model.cache_for(bound)
+            bq = cache.bound_query
+            visits += sum(len(plan.slots) for plan in cache.plans)
+            for slot in {s for plan in cache.plans for s in plan.slots}:
+                ctx = P.scan_context(bq, slot.alias, view)
+                on_table = [
+                    ix for ix in candidates if ix.table_name == slot.table_name
+                ]
+                if (bq.sql, slot) not in {(q, s) for q, s, __ in expected}:
+                    answered += len(on_table)
+                for ix in on_table:
+                    offers = (
+                        P.offers_probe_path(ctx, ix, slot.param_columns)
+                        if slot.param_columns else P.offers_scan_paths(
+                            ctx, ix, {slot.required_order} - {None}
+                        )
+                    )
+                    if offers:
+                        expected.add((bq.sql, slot, ix))
+        # _Master and build_bip each price every expected triple once.
+        assert sorted(entered, key=repr) == sorted(
+            list(expected) * 2, key=repr
+        )
+        assert master.pricer.pricings == answered
+        assert len(expected) < answered  # some candidates reach nothing
+        assert len({(q, s) for q, s, __ in expected}) < visits  # shared slots
+
+    def test_infeasible_default_with_no_reaching_candidate_drops_the_plan(
+            self, sdss_catalog):
+        """A probe slot no base index serves (``default is None``) whose
+        table candidates all fail the reach rule has no option at all:
+        the plan is dropped, exactly as when every such candidate was
+        priced to ``None``."""
+        sql = WORKLOAD[2][0]
+        lame = [Index("specobj", ("zerr",)), Index("photoobj", ("rmag",))]
+
+        def model_with(plans):
+            model = InumCostModel(sdss_catalog)
+            bq = model.bound(sql)
+            model._caches[bq.sql] = QueryCache.from_plan_terms(bq, plans)
+            return model
+
+        scan = CachedPlan(10.0, (
+            AccessSlot("p", "photoobj"), AccessSlot("s", "specobj"),
+        ), ())
+        probe = CachedPlan(1.0, (
+            AccessSlot("p", "photoobj"),
+            AccessSlot("s", "specobj", param_columns=("objid",), probes=5.0),
+        ), ())
+        pricer = CandidatePricer(model_with([probe]))
+        pricer.set_candidates(lame)
+        default, options = pricer.slot_options(
+            pricer.model.bound(sql), probe.slots[1]
+        )
+        assert (default, options) == (None, [])
+        problem = build_bip(
+            model_with([probe, scan]), [(sql, 1.0)], lame, 40_000
+        )
+        assert [plan.internal_cost for plan in problem.queries[0].plans] \
+            == [10.0]
+        with pytest.raises(RuntimeError, match="no feasible cached plan"):
+            build_bip(model_with([probe]), [(sql, 1.0)], lame, 40_000)
+        # A candidate that does reach the probe brings the plan back.
+        reaching = lame + [Index("specobj", ("objid",))]
+        problem = build_bip(
+            model_with([probe, scan]), [(sql, 1.0)], reaching, 40_000
+        )
+        assert [plan.internal_cost for plan in problem.queries[0].plans] \
+            == [1.0, 10.0]
+        assert [pos for pos, __ in
+                problem.queries[0].plans[0].slots[1].options] == [2]
 
     def test_restricted_master_equals_build_bip(self, sdss_catalog):
         """With every candidate active, the restricted problem is the

@@ -265,6 +265,40 @@ class TestEvaluateModes:
         )
 
 
+class TestRecommendMemoTelemetry:
+    def test_hits_plus_misses_are_the_refreshes(self, astro_catalog,
+                                                fresh_registry):
+        """Twin tenants share a refresh's work through the backplane's
+        recommendation memo; each refresh is still counted and timed as
+        its tenant's own, hit or not."""
+        service = TuningService(shards=2)
+        service.add_backplane("sdss", astro_catalog)
+        for name in ("one", "twin"):
+            service.add_tenant(name, "sdss", colt_settings=COLT,
+                               recommend_every=5, window=6)
+        service.run_scheduled({
+            name: drifting_stream(SDSS_PHASES, seed=2)
+            for name in ("one", "twin")
+        })
+        refreshes = sum(
+            len(service.tenant(name).recommendations)
+            for name in ("one", "twin")
+        )
+        assert refreshes >= 6
+        reg = obs.metrics()
+        hits = reg.value("repro_recommend_memo_total", result="hit")
+        misses = reg.value("repro_recommend_memo_total", result="miss")
+        assert hits == misses == refreshes // 2
+        stats = service.backplane("sdss").evaluator.stats
+        assert (stats["recommend_memo_hits"],
+                stats["recommend_memo_misses"]) == (hits, misses)
+        snapshot = reg.snapshot()
+        by_trigger = snapshot["counters"]["repro_tenant_refreshes_total"]
+        assert sum(s["value"] for s in by_trigger["samples"]) == refreshes
+        seconds = snapshot["histograms"]["repro_tenant_refresh_seconds"]
+        assert [s["count"] for s in seconds["samples"]] == [refreshes]
+
+
 # ----------------------------------------------------------------------
 # Satellite: scheduler queue-depth reporting.
 # ----------------------------------------------------------------------

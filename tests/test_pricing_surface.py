@@ -20,8 +20,9 @@ import sys
 
 import pytest
 
-from repro.cophy.bip import BipProblem
+from repro.cophy.bip import BipProblem, CandidatePricer
 from repro.cophy.greedy import greedy_select
+from repro.designer import Designer
 from repro.evaluation import BipKernel, WorkloadEvaluator, WorkloadKernel
 from repro.whatif import WhatIfSession
 
@@ -47,9 +48,13 @@ BOUNDARY_SURFACE = [
     (BipProblem.config_costs_delta, ["chosen", "extensions"]),
 ]
 
-# Plus their constructors, callers and kernels.
+# Plus their constructors, callers and kernels.  The constructors also
+# say that nothing sizes or switches off the recommendation memo, and
+# that the option builder's pricer takes a model, not a mode.
 SURFACE = BOUNDARY_SURFACE + [
     (WorkloadEvaluator.__init__, ["catalog", "settings", "pool"]),
+    (Designer.__init__, ["catalog", "settings", "evaluator"]),
+    (CandidatePricer.__init__, ["model"]),
     (WhatIfSession.estimate_many, ["workload", "configurations"]),
     (BipProblem.config_cost, ["chosen_positions"]),
     (greedy_select, ["problem", "by_ratio"]),
@@ -117,6 +122,54 @@ def test_fan_out_has_one_implementation():
             [sys.executable, "-c", "import %s" % package],
             check=True, env=dict(os.environ, PYTHONPATH=SRC),
         )
+
+
+def test_build_bip_and_colgen_share_the_one_option_builder(
+        sdss_catalog, monkeypatch):
+    """``build_bip`` and column generation resolve a slot's options
+    through the same function object and hold no candidate loop of
+    their own: every ``price`` / ``default_cost`` call of either happens
+    inside ``CandidatePricer.slot_options``."""
+    from repro.cophy import bip, colgen
+    from repro.cophy.candidates import candidate_indexes
+    from repro.inum import InumCostModel
+
+    assert vars(colgen)["CandidatePricer"] is vars(bip)["CandidatePricer"]
+    pricer = bip.CandidatePricer
+    builder = inspect.unwrap(vars(pricer)["slot_options"])
+    inside, outside, entered = [0], [], [0]
+
+    def counted(self, bq, slot):
+        entered[0] += 1
+        inside[0] += 1
+        try:
+            return builder(self, bq, slot)
+        finally:
+            inside[0] -= 1
+
+    def guarded(real):
+        def call(self, *args):
+            if not inside[0]:
+                outside.append(real.__name__)
+            return real(self, *args)
+        return call
+
+    monkeypatch.setattr(pricer, "slot_options", counted)
+    for leaf in ("price", "default_cost"):
+        monkeypatch.setattr(pricer, leaf, guarded(vars(pricer)[leaf]))
+    catalog = sdss_catalog
+    workload = [
+        ("SELECT ra FROM photoobj WHERE ra < 10 AND type = 1", 1.0),
+        ("SELECT p.ra, s.z FROM photoobj p, specobj s "
+         "WHERE p.objid = s.objid AND s.z > 6.5", 1.0),
+        ("UPDATE photoobj SET status = 3 WHERE rmag < 14", 0.5),
+    ]
+    candidates = candidate_indexes(catalog, workload, max_candidates=12)
+    bip.build_bip(InumCostModel(catalog), workload, candidates, 40_000)
+    from_build_bip = entered[0]
+    colgen.solve_colgen(InumCostModel(catalog), workload, candidates, 40_000)
+    assert 0 < from_build_bip < entered[0]
+    assert outside == []
 
 
 # ----------------------------------------------------------------------
