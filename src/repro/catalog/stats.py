@@ -238,12 +238,13 @@ class ColumnStats:
                 avg_width=avg_width,
             )
         if dist.kind == "normal":
-            from scipy.stats import norm
+            # norm.ppf's arithmetic without scipy.stats' 0.35 s import.
+            from scipy.special import ndtri
 
             qs = [i / n_buckets for i in range(n_buckets + 1)]
             eps = 1.0 / (10.0 * n_buckets)
             bounds = [
-                float(norm.ppf(clamp(q, eps, 1.0 - eps), loc=dist.mu, scale=dist.sigma))
+                float(ndtri(clamp(q, eps, 1.0 - eps)) * dist.sigma + dist.mu)
                 for q in qs
             ]
             return cls(

@@ -430,8 +430,8 @@ def _dispatch(args, out):
             # Warm only backplanes a tenant will actually stream against
             # (--tenants 1 leaves the TPC-H backplane empty).  With an
             # executor the pre-warm builds are offloaded through the
-            # same refill seam run_scheduled uses — across worker
-            # processes or the runner fleet — with identical entries.
+            # same seam run_scheduled uses — across worker processes or
+            # the runner fleet — with identical entries.
             active = {key for key in mixes
                       if service.backplane(key).tenants}
             for key in active:

@@ -13,9 +13,9 @@ parent drives the other end through
 :class:`~repro.net.client.RemoteBackplane` drives a TCP socket: the
 catalog dictionary crosses once, tasks carry SQL texts, results come
 back as wire-format cache entries (:mod:`repro.evaluation.wire`) that
-the parent installs into its pool, and a worker that dies is a dead
-node whose work drains to the survivors or, with none left, is
-finished locally.
+the parent installs into its pool (``submit`` now, ``collect`` when it
+prices them), and a worker that dies is a dead node whose work drains
+to the survivors or, with none left, is finished locally.
 
 Results are pinned bit-identical to the single-process path; the
 workers only change wall-clock time.  With ``processes <= 1`` no worker
@@ -57,9 +57,11 @@ class _ForkedRunner(RunnerConnection):
     socketpair instead of a dialled address.
 
     The child is started by the constructor — on the thread that builds
-    the backplane, never on one of its drainer threads: a fork beside
-    live threads of ours could inherit a lock one of them holds.  Fork
-    where available (the cheapest start), else the platform default."""
+    the backplane, before its drainers exist.  Another backplane's may
+    be alive beside the fork: they only transport, so the one lock the
+    child could inherit held is the telemetry registry's, which
+    ``obs.reset()`` replaces.  Fork where available (the cheapest
+    start), else the platform default."""
 
     def __init__(self, name, catalog_frame):
         super().__init__(name, catalog_frame)

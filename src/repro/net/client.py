@@ -2,40 +2,48 @@
 
 :class:`RunnerConnection` owns one socket to one runner — obtain a
 connected socket (:meth:`RunnerConnection._dial`), handshake
-(wire-version negotiation both ways), one-time catalog shipment, then a
-synchronous task/result request loop with a per-request timeout.
+(wire-version negotiation both ways), one-time catalog shipment, then
+one task/result round trip at a time with a per-request timeout.
 
-:class:`FleetBackplane` is the fleet's one fan-out implementation:
-``warm_up`` ships one ``warm`` task per statement the parent pool lacks
-and installs the wire entries that come back (a cold grid is
-``warm_up`` followed by the in-process kernel).  Its two faces differ
-only in how a connection obtains its socket: :class:`RemoteBackplane`
-dials runner nodes on other machines, and
+:class:`FleetBackplane` is the fleet's one fan-out implementation, in
+two halves so the builds overlap the caller's own work: ``submit`` ships
+one ``warm`` task per statement the parent pool lacks *and the fleet is
+not already building*, and returns; ``collect`` installs every wire
+entry that has come back and blocks only while one its caller named is
+still in flight; ``warm_up`` is ``collect(submit(workload))`` (a cold
+grid is ``warm_up`` followed by the in-process kernel).  Its two faces
+differ only in how a connection obtains its socket:
+:class:`RemoteBackplane` dials runner nodes on other machines, and
 :class:`~repro.evaluation.process.ProcessPoolBackplane` forks children
 that serve the runner's loop on one end of a ``socket.socketpair()``.
 
-Scheduling is a shared work deque drained by one thread per live node
-(the caller's among them), so a fast node takes more tasks and a dead
-node's in-flight task is re-queued for the survivors.  Failure handling
-is layered:
+Tasks wait in one shared deque drained by one persistent daemon thread
+per node (started by the first ``submit``, idle on a condition, joined
+by ``close()``), so a fast node takes more tasks.  A drainer only
+*transports*; installing (``wire.loads(text, catalog, pool=)``), the
+runners' telemetry and the task and lease accounting happen inside
+``collect`` on the caller's thread, so the pool is mutated by one
+thread and a process backplane built later forks beside drainers that
+hold nothing its children use.  ``close()`` abandons whatever is
+queued, in flight or not yet installed.  Failure handling is layered:
 
 1. a failed request is retried against the *same* node — reconnect
    (fresh handshake + catalog; leases rebuild deterministically) with
-   capped exponential backoff;
-2. a node whose retries are exhausted is declared dead for the rest of
-   the backplane's life; its queued and in-flight work drains to the
-   surviving nodes;
-3. with no nodes left, the remainder runs *locally* through the same
-   task seam (:func:`~repro.net.runner.perform_warm`) the runners use,
-   so a fully degraded run still produces exactly the single-node
-   answer.
+   capped exponential backoff that ``close()`` interrupts;
+2. a node whose retries are exhausted (or that ``close()`` finds still
+   failing) is declared dead for the rest of the backplane's life; the
+   task it held goes back to the front of the deque for the survivors;
+3. with no nodes left, ``collect`` builds the remainder *locally*
+   through the same task seam (:func:`~repro.net.runner.perform_warm`)
+   the runners use, so a fully degraded run still produces exactly the
+   single-node answer.
 
 Duplicate work across those layers is harmless: entry builds are pure
 functions of (SQL, catalog, settings) and installation is idempotent,
 so a task that actually completed on a node that *appeared* dead (e.g.
 a timeout on the reply) merely rebuilds an identical entry elsewhere.
 
-Every ``warm_up`` advances the backplane's **epoch**, which task frames
+Every ``submit`` advances the backplane's **epoch**, which task frames
 carry to the runners: a lease entry older than the configured staleness
 budget is force-refreshed runner-side before it may serve, and
 ``staleness=0`` pins exact-replay mode (nothing built in an earlier
@@ -103,10 +111,6 @@ class RunnerConnection:
         self.timeout = timeout
         self._catalog_frame = catalog_frame
         self._sock = None
-
-    @property
-    def connected(self):
-        return self._sock is not None
 
     def _dial(self):
         """A freshly connected socket to the runner — the one thing a
@@ -179,8 +183,10 @@ class FleetBackplane:
     ``retries`` bounds per-node reconnect attempts per request, with
     exponential backoff from ``backoff`` capped at ``backoff_cap``
     seconds.  Results are pinned bit-identical to the in-process path,
-    whatever subset of the fleet survives.  Use the context-manager
-    form (or :meth:`close`) to release the nodes."""
+    whatever subset of the fleet survives.  :meth:`submit`,
+    :meth:`collect` and :meth:`warm_up` belong to one thread (the
+    scheduler's); use the context-manager form (or :meth:`close`) to
+    release the nodes."""
 
     def __init__(self, evaluator, connections, retries=3, backoff=0.05,
                  backoff_cap=1.0):
@@ -189,9 +195,16 @@ class FleetBackplane:
         self.backoff = backoff
         self.backoff_cap = backoff_cap
         self.epoch = 0
-        self._closed = False
         self._connections = list(connections)
+        self._closing = threading.Event()  # set by close(); ends a backoff
+        self._inflight = set()  # submitted, not yet taken for install
+        # Shared with the drainers, guarded by _cond.
+        self._cond = threading.Condition()
+        self._queue = deque()  # (signature, task frame) no node has claimed
+        self._replies = deque()  # (signature, connection, result frame)
         self._dead = set()  # addresses declared dead for good
+        self._fatal = None  # a drainer's non-transport failure
+        self._drainers = []
         self._declare_metrics()
 
     # ------------------------------------------------------------------
@@ -234,6 +247,14 @@ class FleetBackplane:
             "Oldest resident lease entry on each node, in epochs",
             ("node",),
         )
+        self._m_inflight = registry.gauge(
+            "repro_remote_inflight_tasks",
+            "Tasks submitted to the fleet and not yet installed",
+        )
+        self._m_wait = registry.histogram(
+            "repro_remote_collect_wait_seconds",
+            "Time collect() was parked on an entry still being built",
+        )
         for conn in self._connections:
             node = conn.address
             self._m_tasks.labels(node=node, op="warm")
@@ -242,22 +263,15 @@ class FleetBackplane:
             self._m_stale.labels(node=node)
             self._m_age.labels(node=node).set(0)
         self._m_fallback.labels(op="warm")
-
-    def _account_reply(self, conn, reply):
-        """Fold one result frame's lease accounting into the node's
-        gauges: its oldest cache age and its refresh total."""
-        cache = reply.get("cache") or {}
-        self._m_age.labels(node=conn.address).set(cache.get("age_max", 0))
-        self._m_stale.labels(node=conn.address).set_total(
-            cache.get("stale_refreshes", 0)
-        )
+        self._m_inflight.labels()
+        self._m_wait.labels()
 
     # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------
 
     def _check_open(self):
-        if self._closed:
+        if self.closed:
             raise DesignError(
                 "%s is closed (its runners have been released); create "
                 "a new backplane to fan out more work"
@@ -266,28 +280,34 @@ class FleetBackplane:
 
     @property
     def closed(self):
-        return self._closed
-
-    def _live(self):
-        return [
-            conn for conn in self._connections
-            if conn.address not in self._dead
-        ]
+        return self._closing.is_set()
 
     @property
     def live_nodes(self):
         """Addresses not yet declared dead."""
-        return [conn.address for conn in self._live()]
+        return [
+            conn.address for conn in self._connections
+            if conn.address not in self._dead
+        ]
 
     def close(self):
-        """Tear down every connection and retire the backplane.
+        """Abandon what is in flight, tear down every connection, join
+        the drainers and retire the backplane.
 
         Idempotent; later use raises :class:`DesignError`.  Closing is
         client-side only — a runner node keeps serving other clients
         (each connection's lease dies with its socket)."""
-        self._closed = True
+        with self._cond:
+            self._closing.set()
+            self._queue.clear()
+            self._replies.clear()
+            self._cond.notify_all()  # idle drainers
+        self._m_inflight.dec(len(self._inflight))
+        self._inflight.clear()
         for conn in self._connections:
-            conn.close()
+            conn.close()  # wakes a drainer blocked in recv
+        while self._drainers:
+            self._drainers.pop().join()
 
     def __enter__(self):
         return self
@@ -296,165 +316,186 @@ class FleetBackplane:
         self.close()
 
     # ------------------------------------------------------------------
-    # Request plumbing: retry, death, fan-out.
+    # Transport: retry, death, the per-node drainers.
     # ------------------------------------------------------------------
 
     def _with_retry(self, conn, operation):
         """Run *operation* against one node with reconnect-and-retry.
-        Raises :class:`TransportError` once retries are exhausted (the
-        caller declares the node dead); :class:`WireFormatError` — an
-        incompatible peer — propagates immediately, never retried."""
+        Raises :class:`TransportError` once retries are exhausted or
+        ``close()`` finds the node still failing (the caller declares
+        it dead) — the backoff waits on the close signal, so ``close()``
+        never waits one out; :class:`WireFormatError` — an incompatible
+        peer — propagates immediately, never retried."""
         attempt = 0
         while True:
             try:
                 return operation()
             except (TransportError, OSError) as exc:
                 conn.close()
-                if attempt >= self.retries:
-                    raise TransportError(
-                        "runner %s failed after %d retries: %s"
-                        % (conn.address, self.retries, exc)
-                    ) from exc
-                self._m_retries.labels(node=conn.address).inc()
+                self._check_open()  # close() hanging up is no failure
                 delay = min(
                     self.backoff_cap, self.backoff * (2 ** attempt)
                 )
-                if delay > 0:
-                    time.sleep(delay)
+                if attempt >= self.retries or self._closing.wait(delay):
+                    raise TransportError(
+                        "runner %s failed after %d retries: %s"
+                        % (conn.address, attempt, exc)
+                    ) from exc
+                self._m_retries.labels(node=conn.address).inc()
                 attempt += 1
 
-    def _fan_out(self, tasks):
-        """Drain *tasks* (frame dicts) across the live nodes: a shared
-        deque, one drainer per node (the calling thread is one of them).
-        Rounds repeat while live nodes remain, so a task requeued from a
-        dying node's hands is picked up by the survivors even if their
-        drainers had already run dry.  Returns ``(replies, leftovers)``
-        — the result frames plus every task no node could serve, which
-        the caller runs locally."""
-        remaining = list(tasks)
-        replies = []
-        errors = []  # fatal (wire-format) failures, re-raised after join
-        lock = threading.Lock()
-
-        def drain(conn, queue):
-            task = None
-            try:
-                # Establish the connection before claiming any work: a
-                # dead node is then *detected* on every fan-out (and its
-                # death counted) even when a faster sibling would have
-                # drained the whole queue first, and a task is never
-                # claimed by a node that cannot serve it.
-                if not conn.connected:
-                    self._with_retry(conn, conn.connect)
-                while True:
-                    with lock:
-                        if not queue:
-                            return
-                        task = queue.popleft()
-                    reply = self._with_retry(
-                        conn, lambda: conn.request(task)
-                    )
-                    self._m_tasks.labels(node=conn.address, op="warm").inc()
-                    self._account_reply(conn, reply)
-                    with lock:
-                        replies.append(reply)
-                    task = None
-            except TransportError:  # retries exhausted (and closed)
-                with lock:
-                    self._dead.add(conn.address)
-                self._m_deaths.labels(node=conn.address).inc()
-            except Exception as exc:  # incompatible peer: fatal
-                with lock:
-                    errors.append(exc)
-                conn.close()
-            finally:
-                if task is not None:
-                    with lock:
-                        queue.append(task)  # survivors pick it up
-
-        while remaining:
-            live = self._live()
-            if not live:
-                break
-            queue = deque(remaining)
-            # The caller drains the first node itself rather than idling
-            # in join(): one thread fewer to start per fan-out.
-            threads = [
-                threading.Thread(
-                    target=drain, args=(conn, queue),
-                    name="repro-remote-%s" % conn.address, daemon=True,
+    def _drain(self, conn):
+        """One node's drainer, alive from the first :meth:`submit` to
+        :meth:`close`: claim a task, round-trip it, hand the reply to
+        :meth:`collect` — transport only.  A node whose retries are
+        exhausted is declared dead and its claimed task goes back to
+        the *front* of the deque for the survivors."""
+        claimed = None
+        try:
+            # Connect before claiming any work: a dead node is detected
+            # (and counted) even when a faster sibling drains the whole
+            # queue, and never claims a task it cannot serve.
+            self._with_retry(conn, conn.connect)
+            while True:
+                with self._cond:
+                    self._cond.wait_for(lambda: self._queue or self.closed)
+                    if self.closed:
+                        return
+                    claimed = self._queue.popleft()
+                reply = self._with_retry(
+                    conn, lambda: conn.request(claimed[1])
                 )
-                for conn in live[1:]
-            ]
-            for thread in threads:
-                thread.start()
-            drain(live[0], queue)
-            for thread in threads:
-                thread.join()
-            if errors:
-                raise errors[0]
-            remaining = list(queue)
-        return replies, remaining
+                with self._cond:
+                    self._replies.append((claimed[0], conn, reply))
+                    claimed = None
+                    self._cond.notify_all()
+        except DesignError:
+            pass  # a failure observed after close() is shutdown
+        except Exception as exc:
+            with self._cond:
+                if claimed is not None:
+                    self._queue.appendleft(claimed)
+                if isinstance(exc, TransportError):  # retries exhausted
+                    self._dead.add(conn.address)
+                    self._m_deaths.labels(node=conn.address).inc()
+                else:  # incompatible peer: fatal, collect() re-raises it
+                    self._fatal = exc
+                self._cond.notify_all()
+        finally:
+            conn.close()
 
     # ------------------------------------------------------------------
-    # Warm-up: the fleet's one operation.
+    # Warm-up: the fleet's one operation, in two halves.
     # ------------------------------------------------------------------
+
+    def submit(self, workload):
+        """Ship one ``warm`` task per statement of *workload* that is
+        neither resident in the parent pool nor already in flight, and
+        return without waiting: the signatures a :meth:`collect` must
+        see installed before the workload can be priced.  The targets
+        are the evaluator's :meth:`~WorkloadEvaluator.warm_targets`,
+        shared with the in-process warm-up so the two cannot drift."""
+        self._check_open()
+        evaluator = self.evaluator
+        self.epoch += 1
+        ctx = obs.tracer().current_context()
+        wanted, tasks = [], []
+        for bq, source, locate in evaluator.warm_targets(workload):
+            signature = evaluator.signature(bq)
+            if signature in evaluator.pool:
+                continue
+            wanted.append(signature)
+            if signature in self._inflight:
+                continue  # a twin tenant's request: one task, not two
+            self._inflight.add(signature)
+            tasks.append((signature, {
+                "kind": wire.KIND_TASK, "op": "warm", "sql": source,
+                "locate": locate, "epoch": self.epoch,
+                "ctx": list(ctx) if ctx else None,
+            }))
+        if tasks:
+            self._m_inflight.inc(len(tasks))
+            with self._cond:
+                self._queue.extend(tasks)
+                self._cond.notify_all()
+            # First submit only — not the constructor, so every fork of
+            # a process backplane's constructor is behind its drainers.
+            for conn in self._connections[len(self._drainers):]:
+                self._drainers.append(threading.Thread(
+                    target=self._drain, args=(conn,),
+                    name="repro-remote-%s" % conn.address, daemon=True,
+                ))
+                self._drainers[-1].start()
+        return wanted
+
+    def _install(self, park=False):
+        """Install every reply that has come back — asked for or not —
+        on the calling thread; with no node left, build what is still
+        queued through the task seam the runners use.  ``park`` first
+        blocks until there is something to install."""
+        evaluator = self.evaluator
+        with self._cond:
+            if park:
+                started = time.perf_counter()
+                self._cond.wait_for(
+                    lambda: self._replies or self._fatal is not None
+                    or not self.live_nodes or self.closed
+                )
+                self._m_wait.observe(time.perf_counter() - started)
+                self._check_open()
+            if self._fatal is not None:
+                raise self._fatal
+            replies, self._replies = self._replies, deque()
+            leftovers = ()
+            if not self.live_nodes:  # no node left: the caller builds
+                leftovers, self._queue = self._queue, deque()
+        self._inflight.difference_update(item[0] for item in replies)
+        self._inflight.difference_update(item[0] for item in leftovers)
+        self._m_inflight.dec(len(replies) + len(leftovers))
+        for __, conn, reply in replies:
+            # pool= installs the entry *and* rebuilds its columnar
+            # kernel from the shipped plan terms, so an offloaded
+            # warm-up prewarms compiled kernels, not just raw caches.
+            wire.loads(reply["entry"], evaluator.catalog, pool=evaluator.pool)
+            if reply.get("obs"):
+                obs.ingest_deltas(wire.obs_from_wire(reply["obs"]))
+            node, cache = conn.address, reply.get("cache") or {}
+            self._m_tasks.labels(node=node, op="warm").inc()
+            self._m_age.labels(node=node).set(cache.get("age_max", 0))
+            self._m_stale.labels(node=node).set_total(
+                cache.get("stale_refreshes", 0)
+            )
+        for __, task in leftovers:
+            if self._connections:  # no workers by design is no fallback
+                self._m_fallback.labels(op="warm").inc()
+            signature, __ = perform_warm(
+                evaluator, task["sql"], task["locate"], task["ctx"]
+            )
+            evaluator.pool.kernel_for(signature)
+
+    def collect(self, signatures):
+        """Install what the fleet has built and block only while one of
+        *signatures* (a :meth:`submit` result) is still in flight.
+        Returns the optimizer calls the installed entries cost, like
+        :meth:`WorkloadEvaluator.warm_up`; entries are bit-identical
+        whichever node (or the local fallback) built them; a drainer's
+        fatal :class:`WireFormatError` is re-raised here."""
+        self._check_open()
+        before = self.evaluator.precompute_calls
+        self._install()
+        waiting = self._inflight.intersection(signatures)
+        if waiting:
+            with obs.tracer().span("backplane.warm_up", targets=len(waiting),
+                                   nodes=len(self.live_nodes)):
+                while waiting & self._inflight:
+                    self._install(park=True)
+        return self.evaluator.precompute_calls - before
 
     def warm_up(self, workload):
         """Pre-build the workload's caches across the fleet and install
-        the shipped entries into the parent pool.  Returns the
-        optimizer calls spent, like
-        :meth:`WorkloadEvaluator.warm_up`; entries are bit-identical
-        whichever node (or the local fallback) built them.
-
-        Target collection (write filtering, locate rewriting, dedup) is
-        the evaluator's :meth:`~WorkloadEvaluator.warm_targets`, shared
-        with the in-process warm-up so the two cannot drift; statements
-        already resident in the parent pool ship nothing."""
-        self._check_open()
-        evaluator = self.evaluator
-        if not self._connections:  # no workers by design: build inline
-            return evaluator.warm_up(workload)
-        before = evaluator.precompute_calls
-        self.epoch += 1
-        targets = [
-            (source, locate)
-            for bq, source, locate in evaluator.warm_targets(workload)
-            if evaluator.signature(bq) not in evaluator.pool
-        ]
-        if not targets:
-            return 0
-        with obs.tracer().span("backplane.warm_up", targets=len(targets),
-                               nodes=len(self.live_nodes)):
-            ctx = obs.tracer().current_context()
-            tasks = [
-                {
-                    "kind": wire.KIND_TASK,
-                    "op": "warm",
-                    "sql": source,
-                    "locate": locate,
-                    "epoch": self.epoch,
-                    "ctx": list(ctx) if ctx else None,
-                }
-                for source, locate in targets
-            ]
-            replies, leftovers = self._fan_out(tasks)
-            for reply in replies:
-                # pool= installs the entry *and* rebuilds its columnar
-                # kernel from the shipped plan terms, so an offloaded
-                # warm-up prewarms compiled kernels, not just raw caches.
-                wire.loads(
-                    reply["entry"], evaluator.catalog, pool=evaluator.pool
-                )
-                if reply.get("obs"):
-                    obs.ingest_deltas(wire.obs_from_wire(reply["obs"]))
-            for task in leftovers:  # no node left: build locally
-                self._m_fallback.labels(op="warm").inc()
-                signature, __ = perform_warm(
-                    evaluator, task["sql"], task["locate"], ctx
-                )
-                evaluator.pool.kernel_for(signature)
-        return evaluator.precompute_calls - before
+        the shipped entries into the parent pool: :meth:`submit`, then
+        :meth:`collect` what it returned."""
+        return self.collect(self.submit(workload))
 
 
 class RemoteBackplane(FleetBackplane):

@@ -12,19 +12,22 @@ only wall-clock time.
 * :class:`StepExecutor` — the inline default: no preparation; steps
   build caches on demand exactly like a ``drain()`` loop would.
 * :class:`ProcessStepExecutor` / :class:`RemoteStepExecutor` — one
-  offload executor, two ways to reach its workers.  Cache builds for
-  refill batches and heavy steps fan out through one reusable
-  :class:`~repro.net.FleetBackplane` per evaluator, so the pure-Python
-  optimizer planning that dominates ingest leaves the scheduler thread
-  (and the GIL) entirely; wire-format entries come back and land in the
-  shared pool — each with its columnar kernel rebuilt from the shipped
-  plan terms — before the step prices them inline.  The constructor
-  says which backplane to build: forked worker processes
+  offload executor, two ways to reach its workers.  Cache builds go
+  through one reusable :class:`~repro.net.FleetBackplane` per
+  evaluator, so the pure-Python optimizer planning that dominates
+  ingest leaves the scheduler thread (and the GIL) and overlaps it:
+  ``refill`` only *submits* what the scheduler has just buffered,
+  ``prepare`` blocks exactly when the step about to run prices an entry
+  still being built, and installs whatever has come back — each wire
+  entry with its columnar kernel rebuilt from the shipped plan terms —
+  into the shared pool.  The constructor says which backplane to
+  build: forked worker processes
   (:class:`~repro.evaluation.ProcessPoolBackplane`) or a fleet of
   :class:`~repro.net.RunnerNode` machines
   (:class:`~repro.net.RemoteBackplane`, with a bounded staleness budget
   on the runners' leases); dead workers degrade it to the survivors,
-  then to inline execution.  Results are bit-identical either way.
+  then to inline execution; ``close`` abandons what is still in flight.
+  Results are bit-identical either way.
 """
 
 from repro import obs
@@ -73,20 +76,21 @@ class _OffloadStepExecutor(StepExecutor):
         return backplane
 
     def refill(self, evaluator, statements):
-        """Warm the caches for a freshly buffered batch of upcoming
-        statements across the workers.  Statements already resident in
-        the shared pool are filtered out before any task is shipped, so
-        a warm pool makes this a near no-op."""
+        """Submit a freshly buffered batch of upcoming statements to
+        the workers without waiting for the builds.  Statements already
+        resident in the shared pool, or already being built, ship
+        nothing, so a warm pool makes this a near no-op."""
         if statements:
             with obs.tracer().span("executor.refill",
                                    statements=len(statements)):
-                self._backplane(evaluator).warm_up(statements)
+                self._backplane(evaluator).submit(statements)
 
     def prepare(self, session, step):
-        """Heavy steps (drift/interval/final refreshes, epoch-closing
-        observes) prewarm the statements they will price — typically the
-        session's sliding window, making this a residency check except
-        after pool evictions."""
+        """Heavy steps (every observe, drift/interval/final refreshes)
+        wait here for the statements they will price — the one place
+        the scheduler blocks on the fleet.  Usually the entry was
+        submitted ``lookahead`` events ago and is resident or nearly
+        so; a window is a residency check except after evictions."""
         if step.heavy and step.prewarm:
             with obs.tracer().span("executor.prepare", kind=step.kind,
                                    statements=len(step.prewarm)):

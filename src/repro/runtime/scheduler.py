@@ -24,7 +24,10 @@ small, explicit, and pausable.
   (:class:`~repro.runtime.ProcessStepExecutor`) or across a runner
   fleet (:class:`~repro.runtime.RemoteStepExecutor`) while every step
   still runs inline, bit-identical to draining each tenant's stream
-  with :meth:`TenantSession.drain`.
+  with :meth:`TenantSession.drain`.  ``refill`` hands each buffered
+  event over and returns; ``prepare`` waits only for what the step
+  about to run prices — a run-ahead bounded by ``lookahead``, not a
+  barrier per refill, and dispatch order never depends on it.
 * **Pause-point snapshots** — every ``snapshot_interval`` ingested
   events the scheduler drains in-flight events to their boundaries
   (buffered events untouched) and invokes ``on_snapshot``; the service
@@ -50,10 +53,10 @@ class Scheduler:
     """Drive many tenant tasks to completion, one step at a time.
 
     ``lookahead`` is how many events per tenant the refill phase
-    buffers ahead of ingest — the batch the executor may prewarm
-    across worker processes.  ``trace=True`` records every dispatch in
-    ``dispatch_log`` as ``(tenant, step kind)`` pairs (the fairness
-    tests read it; off by default to keep long runs allocation-free).
+    buffers ahead of ingest — how far an executor's builds may run
+    ahead of the step pricing them.  ``trace=True`` records every
+    dispatch in ``dispatch_log`` as ``(tenant, step kind)`` pairs (the
+    fairness tests read it; off by default: no allocation per step).
     """
 
     def __init__(self, executor=None, lookahead=None, snapshot_interval=0,
@@ -148,7 +151,7 @@ class Scheduler:
     def _refill(self):
         """Pull each task's buffer up to ``lookahead`` and hand every
         newly buffered batch to the executor, grouped by evaluator, so
-        one prewarm call covers all tenants sharing a backplane."""
+        one submission covers all tenants sharing a backplane."""
         batches = OrderedDict()  # id(evaluator) -> (evaluator, [sql])
         for task in self._tasks.values():
             if task.done:

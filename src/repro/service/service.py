@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.evaluation import ShardedInumCachePool, WorkloadEvaluator, wire
-from repro.runtime import Scheduler, StepExecutor
+from repro.runtime import Scheduler, Step, StepExecutor
 from repro.service.tenant import TenantSession
 from repro.util import DesignError, WireFormatError
 
@@ -181,15 +181,18 @@ class TuningService:
 
         With *executor* (a :class:`~repro.runtime.ProcessStepExecutor`
         or :class:`~repro.runtime.RemoteStepExecutor`) the builds are
-        offloaded through the executor's refill seam — across worker
-        processes or the runner fleet — instead of built here; the
-        installed entries are bit-identical either way.  The trailing
-        inline pass is a residency check that also covers anything the
-        offload could not ship (and returns the optimizer calls it
-        spent, like the plain path)."""
+        offloaded — across worker processes or the runner fleet — as a
+        heavy step about to price *workload* (``prepare`` returns with
+        every entry resident; ``refill`` would only submit), the
+        entries bit-identical either way.  The trailing inline pass is
+        a residency check that also covers anything the offload could
+        not ship (and returns the optimizer calls it spent, like the
+        plain path)."""
         plane = self.backplane(backplane)
         if executor is not None:
-            executor.refill(plane.evaluator, list(workload))
+            executor.prepare(plane, Step(
+                "warm", run=None, heavy=True, prewarm=tuple(workload),
+            ))
         return plane.warm_up(workload)
 
     def ingest(self, tenant, event):

@@ -285,3 +285,61 @@ class TestHorizontalPartitioning:
         cat.add_table(small_table())
         with pytest.raises(CatalogError):
             cat.set_horizontal_partitioning(HorizontalPartitioning("t", "zzz", (1,)))
+
+
+class TestNormalQuantilesWithoutScipyStats:
+    """``ColumnStats.synthetic`` computes normal quantiles as
+    ``ndtri(q) * sigma + mu`` — ``scipy.stats.norm.ppf``'s own arithmetic
+    without its 0.35 s import (the test may import it; ``src/`` may not)."""
+
+    @staticmethod
+    def reference_bounds(dist, n_buckets=100):
+        from scipy.stats import norm
+
+        eps = 1.0 / (10.0 * n_buckets)
+        return [
+            float(norm.ppf(min(max(i / n_buckets, eps), 1.0 - eps),
+                           loc=dist.mu, scale=dist.sigma))
+            for i in range(n_buckets + 1)
+        ]
+
+    def test_every_normal_catalog_column_equals_norm_ppf(self):
+        from repro import sdss_catalog, tpch_catalog
+
+        checked = 0
+        for catalog in (sdss_catalog(), tpch_catalog()):
+            for table in catalog.tables:
+                for column in table.columns:
+                    dist = column.distribution
+                    if dist is not None and dist.kind == "normal":
+                        assert column.stats.histogram == \
+                            self.reference_bounds(dist), column.name
+                        checked += 1
+        assert checked >= 10  # the SDSS magnitudes, radii, seeing, ...
+
+    def test_fuzzed_normals_equal_norm_ppf(self):
+        from repro.catalog.stats import ColumnStats
+
+        rng = random.Random(19)
+        for __ in range(60):
+            dist = Distribution(
+                kind="normal",
+                mu=rng.uniform(-1e3, 1e3),
+                sigma=rng.choice((1e-6, 1.0, 1e4)) * rng.uniform(0.1, 10.0),
+            )
+            buckets = rng.choice((1, 7, 100))
+            stats = ColumnStats.synthetic(1000, dist, 8, n_buckets=buckets)
+            assert stats.histogram == self.reference_bounds(dist, buckets)
+
+    def test_building_the_catalogs_never_imports_scipy_stats(self):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; repro.sdss_catalog(); repro.tpch_catalog(); "
+             "sys.exit('scipy.stats' in sys.modules)"],
+            check=True, env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        )

@@ -21,7 +21,14 @@ The ISSUE-10 acceptance pins live here:
 * close semantics mirror the process backplane: idempotent, loud
   :class:`DesignError` on use-after-close, no leaked connections;
 * a :class:`RemoteStepExecutor` scheduled run matches inline execution
-  exactly.
+  exactly;
+* the overlap (ISSUE 19): ``submit`` returns while the fleet builds,
+  ``collect`` blocks only for what it was asked for and installs the
+  rest, an in-flight signature ships once, failures between the two
+  halves degrade like failures inside one, ``close()`` abandons what
+  is in flight and joins every drainer.  Those tests speak to a
+  :class:`RunnerNode` over a ``socket.socketpair()`` and hold its
+  replies with an :class:`~threading.Event` — they never sleep.
 """
 
 import json
@@ -35,6 +42,7 @@ from repro import obs
 from repro.colt import ColtSettings
 from repro.evaluation import WorkloadEvaluator, wire
 from repro.net import (
+    FleetBackplane,
     RemoteBackplane,
     RunnerConnection,
     RunnerNode,
@@ -43,6 +51,7 @@ from repro.net import (
     recv_frame,
     send_frame,
 )
+from repro.net.client import catalog_frame_for
 from repro.runtime import RemoteStepExecutor, StepExecutor
 from repro.service import TuningService
 from repro.util import DesignError, TransportError, WireFormatError
@@ -394,6 +403,360 @@ class TestFailureInjection:
         local = WorkloadEvaluator(astro_catalog)
         assert calls == local.warm_up(queries)
         assert pool_terms(remote) == pool_terms(local)
+
+
+# ----------------------------------------------------------------------
+# Overlap: submit / collect over persistent per-node drainers.
+# ----------------------------------------------------------------------
+
+WAIT_S = 30.0  # bound on every wait below; none is ever waited out
+
+
+class HeldNode(RunnerNode):
+    """A runner whose replies wait for ``release`` — the tests' clock.
+    ``arrived`` counts the task frames that have reached it; with
+    ``dies`` it hangs up instead of answering once released."""
+
+    def __init__(self, held=True, dies=False):
+        super().__init__()
+        self.release = threading.Event()
+        self.arrived = threading.Semaphore(0)
+        self.dies = dies
+        if not held:
+            self.release.set()
+
+    def _handle_task(self, lease, frame):
+        self.arrived.release()
+        assert self.release.wait(WAIT_S)
+        if self.dies:
+            raise TransportError("node died mid-task")  # no reply, EOF
+        return super()._handle_task(lease, frame)
+
+
+class PairConnection(RunnerConnection):
+    """A connection whose socket is one end of a ``socketpair()``, the
+    other end served by a thread of *node* — a transport with no
+    listener and no port."""
+
+    def __init__(self, name, catalog_frame, node):
+        super().__init__(name, catalog_frame, timeout=WAIT_S)
+        self.node = node
+
+    def _dial(self):
+        if self.node is None:
+            raise TransportError("runner %s is unreachable" % self.address)
+        ours, theirs = socket.socketpair()
+        threading.Thread(
+            target=self.node.serve_connection, args=(theirs,), daemon=True,
+        ).start()
+        return ours
+
+
+def pair_backplane(evaluator, nodes, **kwargs):
+    """A backplane over one :class:`PairConnection` per node (``None``
+    = a node nothing answers for)."""
+    frame = catalog_frame_for(evaluator)
+    kwargs.setdefault("retries", 0)
+    return FleetBackplane(
+        evaluator,
+        [PairConnection("node-%d" % i, frame, node)
+         for i, node in enumerate(nodes)],
+        **kwargs,
+    )
+
+
+def bounded(function, *args):
+    """Run *function* on a thread and fail — not hang — if it blocks."""
+    outcome = []
+
+    def call():
+        try:
+            outcome.append((function(*args), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(WAIT_S)
+    assert not thread.is_alive(), "%r blocked" % (function,)
+    result, error = outcome[0]
+    if error is not None:
+        raise error
+    return result
+
+
+def drainer_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("repro-remote-")]
+
+
+class TestOverlap:
+    def test_submit_returns_and_unrelated_collect_does_not_block(
+            self, astro_catalog, queries):
+        node = HeldNode()
+        evaluator = WorkloadEvaluator(astro_catalog)
+        evaluator.warm_up(queries[:1])
+        resident = evaluator.signature(queries[0][0])
+        backplane = pair_backplane(evaluator, [node])
+        try:
+            wanted = backplane.submit(queries[1:2])  # returns: reply held
+            assert len(wanted) == 1 and wanted[0] not in evaluator.pool
+            assert node.arrived.acquire(timeout=WAIT_S)
+            registry = obs.metrics()
+            assert registry.value("repro_remote_inflight_tasks") == 1
+            # A resident statement is nothing to wait for, whatever else
+            # is in flight.
+            assert backplane.submit(queries[:1]) == []
+            assert bounded(backplane.collect, [resident]) == 0
+            assert bounded(backplane.warm_up, queries[:1]) == 0
+            assert wanted[0] not in evaluator.pool
+            node.release.set()
+            assert bounded(backplane.collect, wanted) > 0
+            assert wanted[0] in evaluator.pool
+            assert registry.value("repro_remote_inflight_tasks") == 0
+        finally:
+            node.release.set()
+            backplane.close()
+
+    def test_inflight_signature_ships_once(self, astro_catalog, queries):
+        node = HeldNode()
+        evaluator = WorkloadEvaluator(astro_catalog)
+        backplane = pair_backplane(evaluator, [node])
+        try:
+            first = backplane.submit(queries[:2])
+            # The twin tenant's request: same signatures to wait for,
+            # nothing new on the wire.
+            assert backplane.submit(queries[:2]) == first
+            assert backplane.submit(queries[1:3])[0] == first[1]
+            node.release.set()
+            bounded(backplane.warm_up, queries[:3])
+        finally:
+            node.release.set()
+            backplane.close()
+        assert node.tasks_served == 3
+        assert obs.metrics().value(
+            "repro_remote_tasks_total", node="node-0", op="warm") == 3
+
+    def test_collect_installs_replies_it_was_not_asked_for(
+            self, astro_catalog, queries):
+        evaluator = WorkloadEvaluator(astro_catalog)
+        # One node serves in submission order: by the time the last
+        # entry is back, so is every earlier one.
+        backplane = pair_backplane(evaluator, [HeldNode(held=False)])
+        try:
+            wanted = backplane.submit(queries)
+            bounded(backplane.collect, wanted[-1:])
+            assert all(s in evaluator.pool for s in wanted)
+        finally:
+            backplane.close()
+        local = WorkloadEvaluator(astro_catalog)
+        local.warm_up(queries)
+        assert pool_terms(evaluator) == pool_terms(local)
+
+    @pytest.mark.parametrize("survivors", [1, 0])
+    def test_node_failing_between_submit_and_collect(
+            self, astro_catalog, queries, survivors):
+        """The dying node takes a task and hangs up without answering
+        while nobody is collecting.  The survivor — or, with none, the
+        local fallback inside the next ``collect`` — finishes the
+        batch, the dead node's own task included."""
+        nodes = [HeldNode(dies=True)] + [HeldNode()] * survivors
+        evaluator = WorkloadEvaluator(astro_catalog)
+        backplane = pair_backplane(evaluator, nodes)
+        try:
+            wanted = backplane.submit(queries)
+            for node in nodes:  # each holds one claimed task
+                assert node.arrived.acquire(timeout=WAIT_S)
+            for node in nodes:
+                node.release.set()
+            bounded(backplane.collect, wanted)
+            assert backplane.live_nodes == ["node-1"] * survivors
+        finally:
+            for node in nodes:
+                node.release.set()
+            backplane.close()
+        local = WorkloadEvaluator(astro_catalog)
+        local.warm_up(queries)
+        assert pool_terms(evaluator) == pool_terms(local)
+        registry = obs.metrics()
+        assert registry.value(
+            "repro_remote_node_deaths_total", node="node-0") == 1
+        assert registry.value("repro_remote_fallback_total", op="warm") \
+            == (0 if survivors else len(queries))
+
+    def test_unreachable_node_is_detected_and_counted(
+            self, astro_catalog, queries):
+        """Connecting happens on the node's drainer now: a node dead at
+        connect is still declared dead and counted, and never claims a
+        task."""
+        evaluator = WorkloadEvaluator(astro_catalog)
+        backplane = pair_backplane(
+            evaluator, [None, HeldNode(held=False)])
+        try:
+            bounded(backplane.warm_up, queries)
+            thread = next(t for t in backplane._drainers
+                          if t.name == "repro-remote-node-0")
+            thread.join(WAIT_S)
+            assert not thread.is_alive()
+            assert backplane.live_nodes == ["node-1"]
+        finally:
+            backplane.close()
+        registry = obs.metrics()
+        assert registry.value(
+            "repro_remote_node_deaths_total", node="node-0") == 1
+        assert registry.value(
+            "repro_remote_tasks_total", node="node-1", op="warm") \
+            == len(queries)
+        assert registry.value("repro_remote_fallback_total", op="warm") == 0
+
+    def test_fatal_wire_error_surfaces_from_collect(
+            self, astro_catalog, queries):
+        class Incompatible(RunnerNode):
+            def _handle_task(self, lease, frame):
+                raise WireFormatError("speaks another dialect")
+
+        evaluator = WorkloadEvaluator(astro_catalog)
+        backplane = pair_backplane(evaluator, [Incompatible()], retries=3)
+        try:
+            wanted = backplane.submit(queries[:2])  # the drainer fails ...
+            with pytest.raises(WireFormatError, match="dialect"):
+                bounded(backplane.collect, wanted)  # ... the caller hears
+            with pytest.raises(WireFormatError, match="dialect"):
+                bounded(backplane.warm_up, queries[:1])
+        finally:
+            backplane.close()
+        registry = obs.metrics()
+        assert registry.value(
+            "repro_remote_retries_total", node="node-0") == 0
+        assert registry.value(
+            "repro_remote_node_deaths_total", node="node-0") == 0
+
+    def test_many_drainers_lose_and_duplicate_nothing(self, astro_catalog):
+        """More drainers than cores, a hostile switch interval, submits
+        interleaved with collects: every signature is shipped exactly
+        once and ends resident."""
+        import sys
+
+        workload = list(sdss_workload(n_queries=40, seed=23))
+        evaluator = WorkloadEvaluator(astro_catalog)
+        nodes = [HeldNode(held=False) for __ in range(5)]
+        backplane = pair_backplane(evaluator, nodes)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            wanted = []
+            for start in range(0, len(workload), 4):
+                wanted += backplane.submit(workload[start:start + 6])
+                bounded(backplane.collect, wanted[start // 2:start // 2 + 1])
+            bounded(backplane.collect, wanted)
+        finally:
+            sys.setswitchinterval(interval)
+            backplane.close()
+        distinct = len(evaluator.warm_targets(workload))
+        assert len(evaluator.pool) == distinct
+        assert sum(node.tasks_served for node in nodes) == distinct
+        registry = obs.metrics()
+        assert sum(
+            registry.value("repro_remote_tasks_total", node=conn.address,
+                           op="warm")
+            for conn in backplane._connections
+        ) == distinct
+        assert registry.value("repro_remote_inflight_tasks") == 0
+
+    def test_close_abandons_inflight_and_joins_drainers(
+            self, astro_catalog, queries):
+        nodes = [HeldNode(), HeldNode()]
+        evaluator = WorkloadEvaluator(astro_catalog)
+        backplane = pair_backplane(evaluator, nodes)
+        try:
+            wanted = backplane.submit(queries)
+            for node in nodes:  # both drainers are blocked in recv
+                assert node.arrived.acquire(timeout=WAIT_S)
+            assert len(drainer_threads()) == 2
+            bounded(backplane.close)
+            assert drainer_threads() == []
+            assert len(evaluator.pool) == 0
+            for use in (lambda: backplane.submit(queries),
+                        lambda: backplane.collect(wanted),
+                        lambda: backplane.warm_up(queries)):
+                with pytest.raises(DesignError, match="closed"):
+                    use()
+            backplane.close()  # idempotent
+        finally:
+            for node in nodes:
+                node.release.set()
+        registry = obs.metrics()
+        assert registry.value("repro_remote_inflight_tasks") == 0
+        for name in ("node-0", "node-1"):  # a clean close is no death
+            assert registry.value(
+                "repro_remote_node_deaths_total", node=name) == 0
+            assert registry.value(
+                "repro_remote_retries_total", node=name) == 0
+
+
+class SpiedSignal(threading.Event):
+    """The backplane's close signal, recording every backoff that
+    waits on it (``entered`` is set when the first one starts)."""
+
+    def __init__(self, interrupt=False):
+        super().__init__()
+        self.delays = []
+        self.entered = threading.Event()
+        self.interrupt = interrupt
+
+    def wait(self, timeout=None):
+        self.delays.append(timeout)
+        self.entered.set()
+        if self.interrupt:
+            return super().wait(WAIT_S)  # only close() ends it
+        return self.is_set()  # an injected clock: nobody sleeps
+
+
+class TestInterruptibleBackoff:
+    @pytest.fixture(autouse=True)
+    def no_sleeping(self, monkeypatch):
+        import time
+
+        def refuse(seconds):
+            raise AssertionError("slept %r s" % (seconds,))
+
+        monkeypatch.setattr(time, "sleep", refuse)
+
+    def test_backoff_waits_on_the_close_signal(self, astro_catalog):
+        backplane = pair_backplane(
+            WorkloadEvaluator(astro_catalog), [None],
+            retries=3, backoff=0.4, backoff_cap=1.0,
+        )
+        signal = backplane._closing = SpiedSignal()
+        conn = backplane._connections[0]
+        with pytest.raises(TransportError, match="after 3 retries"):
+            backplane._with_retry(conn, conn.connect)
+        assert signal.delays == [0.4, 0.8, 1.0]  # capped, never slept
+        assert obs.metrics().value(
+            "repro_remote_retries_total", node="node-0") == 3
+        backplane.close()
+
+    def test_close_never_waits_a_backoff_out(self, astro_catalog, queries):
+        """``close()`` ends the backoff at once.  The node was failing
+        *before* the close and never came back, so it is counted — a
+        short degraded run still reports its dead node; only a failure
+        observed after ``close()`` (the hang-up itself, see
+        ``test_close_abandons_inflight_and_joins_drainers``) is not."""
+        backplane = pair_backplane(
+            WorkloadEvaluator(astro_catalog), [None],
+            retries=3, backoff=WAIT_S, backoff_cap=WAIT_S,
+        )
+        signal = backplane._closing = SpiedSignal(interrupt=True)
+        backplane.submit(queries[:1])
+        assert signal.entered.wait(WAIT_S)  # its drainer is backing off
+        bounded(backplane.close)  # returns now, not a backoff later
+        assert drainer_threads() == []
+        assert signal.delays == [WAIT_S]
+        registry = obs.metrics()
+        assert registry.value(
+            "repro_remote_node_deaths_total", node="node-0") == 1
+        assert registry.value(
+            "repro_remote_retries_total", node="node-0") == 0
 
 
 # ----------------------------------------------------------------------

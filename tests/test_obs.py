@@ -356,6 +356,61 @@ class TestSchedulerQueueDepth:
 
 
 # ----------------------------------------------------------------------
+# The fleet's overlap is shown, not inferred (ISSUE 19).
+# ----------------------------------------------------------------------
+
+
+class TestFleetOverlapTelemetry:
+    def test_collect_wait_is_inside_prepare_and_inflight_ends_at_zero(
+            self, astro_catalog, fresh_registry):
+        from repro.runtime import ProcessStepExecutor
+
+        service = TuningService(shards=2)
+        service.add_backplane("sdss", astro_catalog)
+        for name in ("a", "b"):
+            service.add_tenant(name, "sdss", colt_settings=COLT,
+                               recommend_every=4)
+        with ProcessStepExecutor(processes=2) as executor:
+            service.run_scheduled(
+                {name: drifting_stream(SDSS_PHASES, seed=seed)
+                 for name, seed in (("a", 2), ("b", 5))},
+                executor=executor, lookahead=3,
+            )
+            inflight_open = obs.metrics().value("repro_remote_inflight_tasks")
+        registry = obs.metrics()
+        snap = registry.snapshot()
+        (wait,) = snap["histograms"][
+            "repro_remote_collect_wait_seconds"]["samples"]
+        spans = obs.tracer().export()
+        assert len(spans) < 4096  # the ring dropped nothing
+        total = {
+            name: sum(s["duration"] for s in spans if s["name"] == name)
+            for name in ("executor.prepare", "executor.refill",
+                         "backplane.warm_up")
+        }
+        count = {
+            name: sum(1 for s in spans if s["name"] == name) for name in total
+        }
+        # Every park happens inside a backplane.warm_up span, which is
+        # opened only by a prepare that has something to wait for:
+        # refills submit and return, window prepares find it resident.
+        assert 0 < wait["sum"] <= total["backplane.warm_up"] \
+            <= total["executor.prepare"]
+        assert 0 < count["backplane.warm_up"] <= wait["count"]
+        assert count["backplane.warm_up"] < count["executor.prepare"]
+        parents = {s["span_id"]: s["name"] for s in spans}
+        assert {parents[s["parent_id"]] for s in spans
+                if s["name"] == "backplane.warm_up"} == {"executor.prepare"}
+        # The run consumed everything it submitted; close() zeroes the
+        # gauge whatever was left.
+        assert inflight_open == 0
+        assert registry.value("repro_remote_inflight_tasks") == 0
+        rendered = registry.render_prometheus()
+        assert "repro_remote_inflight_tasks 0" in rendered
+        assert "repro_remote_collect_wait_seconds_bucket" in rendered
+
+
+# ----------------------------------------------------------------------
 # Satellite: TuningService.status() / status_text() field by field.
 # ----------------------------------------------------------------------
 

@@ -89,22 +89,59 @@ def test_fan_out_has_one_implementation():
     """The process pool and the runner fleet are one backplane and one
     offload executor — the same function objects under both class names
     (the ledger's per-class rows are bindings, not copies) — no option
-    selects a deleted path, and either package imports first."""
+    selects a deleted path, and either package imports first.  The
+    overlap (ISSUE 19) is that one implementation, not a mode of it:
+    ``warm_up`` is ``submit`` then ``collect``, one site starts threads,
+    and nothing grew a parameter to switch or size it."""
+    import argparse
     import subprocess
 
+    from repro.designer.cli import build_parser
     from repro.evaluation import ProcessPoolBackplane
-    from repro.net.client import RemoteBackplane
+    from repro.net import client
+    from repro.net.client import FleetBackplane, RemoteBackplane
     from repro.runtime import ProcessStepExecutor, RemoteStepExecutor
     from repro.service import TuningService
 
     def own(owner, leaf):
         return inspect.unwrap(vars(owner)[leaf])
 
-    assert own(ProcessPoolBackplane, "warm_up") \
-        is own(RemoteBackplane, "warm_up")
+    warm_up = own(FleetBackplane, "warm_up")
+    assert own(ProcessPoolBackplane, "warm_up") is warm_up
+    assert own(RemoteBackplane, "warm_up") is warm_up
+    assert {"submit", "collect"} <= set(warm_up.__code__.co_names)
     for leaf in ("refill", "prepare", "close"):
         assert own(ProcessStepExecutor, leaf) \
             is own(RemoteStepExecutor, leaf), leaf
+    assert inspect.getsource(client).count("threading.Thread(") == 1
+
+    for function, expected in (
+        (FleetBackplane.__init__,
+         ["evaluator", "connections", "retries", "backoff", "backoff_cap"]),
+        (ProcessStepExecutor.__init__, ["processes"]),
+        (RemoteStepExecutor.__init__,
+         ["runners", "staleness", "timeout", "retries"]),
+        (FleetBackplane.warm_up, ["workload"]),
+        (TuningService.run_scheduled,
+         ["streams", "executor", "finish", "lookahead", "priorities",
+          "max_pending", "snapshot_interval", "state_dir", "on_snapshot",
+          "trace"]),
+    ):
+        assert _parameters(function) == expected, function.__qualname__
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    assert sorted(
+        flag for action in commands["serve"]._actions
+        for flag in action.option_strings
+    ) == [
+        "--epoch", "--format", "--help", "--max-events", "--metrics-hold",
+        "--metrics-port", "--offload", "--phase-length", "--pool-capacity",
+        "--refresh-every", "--remote-timeout", "--runners", "--shards",
+        "--snapshot-interval", "--staleness", "--state-dir", "--tenants",
+        "-h",
+    ]
 
     for function in (
         ProcessPoolBackplane.__init__, RemoteBackplane.__init__,

@@ -502,6 +502,75 @@ class TestProcessOffload:
             set(inline_service.backplane("sdss").pool.signatures())
 
 
+    def test_twin_tenants_ship_each_signature_once(self):
+        """Two tenants on one stream buffer the same statement rounds
+        apart: the second request finds it resident or in flight, so
+        the workers build exactly the distinct signatures — and the
+        scheduler thread builds none."""
+        from repro import obs
+
+        catalog = make_sdss(scale=0.01)
+        service = TuningService(shards=2)
+        service.add_backplane("sdss", catalog)
+        for name in ("a", "twin"):
+            service.add_tenant(name, "sdss", **options())
+        obs.reset()
+        try:
+            with ProcessStepExecutor(processes=2) as executor:
+                service.run_scheduled(
+                    {name: drifting_stream(SDSS_PHASES, seed=4)
+                     for name in ("a", "twin")},
+                    executor=executor, lookahead=3,
+                )
+            shipped = sum(
+                sample["value"] for sample in obs.metrics().snapshot()
+                ["counters"]["repro_remote_tasks_total"]["samples"]
+            )
+            fallback = obs.metrics().value(
+                "repro_remote_fallback_total", op="warm")
+        finally:
+            obs.reset()
+        pool = service.backplane("sdss").pool
+        assert outcome(service.tenant("a")) == outcome(service.tenant("twin"))
+        assert shipped == len(pool.signatures())
+        assert pool.stats.misses == 0  # nothing was built inline
+        assert fallback == 0
+
+    def test_service_warm_up_through_an_executor_returns_warm(
+            self, monkeypatch):
+        """``refill`` only submits; the service's pre-warm must come
+        back with every target resident, all of them built by the
+        workers — the trailing inline pass finds nothing to build."""
+        from repro.evaluation import evaluator as evaluator_module
+        from repro.workloads import sdss_workload
+
+        inline_builds = []
+        real = evaluator_module.build_cache
+
+        def spy(bq, catalog, settings):
+            inline_builds.append(bq.sql)
+            return real(bq, catalog, settings)
+
+        monkeypatch.setattr(evaluator_module, "build_cache", spy)
+        catalog = make_sdss(scale=0.01)
+        workload = list(sdss_workload(n_queries=10, seed=3))
+        service = TuningService(shards=2)
+        plane = service.add_backplane("sdss", catalog)
+        with ProcessStepExecutor(processes=2) as executor:
+            assert service.warm_up("sdss", workload, executor=executor) == 0
+            targets = plane.evaluator.warm_targets(workload)
+            assert targets and all(
+                plane.evaluator.signature(bq) in plane.pool
+                for bq, __, __ in targets
+            )
+        assert inline_builds == []
+        # The inline executor's hooks do nothing: the plain path builds.
+        cold = TuningService(shards=2)
+        cold.add_backplane("sdss", catalog)
+        assert cold.warm_up("sdss", workload, executor=StepExecutor()) > 0
+        assert len(inline_builds) == len(targets)
+
+
 class TestBackplaneClose:
     def test_use_after_close_raises_design_error(self):
         catalog = make_sdss(scale=0.01)

@@ -266,6 +266,62 @@ class TestProcessPoolBackplane:
         else:
             assert obs_fallback == 0
 
+    @pytest.mark.parametrize("killed", [1, 2])
+    def test_workers_killed_between_submit_and_collect(self, killed):
+        """The same deaths with the batch submitted and nobody
+        collecting yet: the survivor — or the local fallback inside
+        ``collect`` — still ends with the single-process entries."""
+        obs.reset()
+        catalog = make_sdss(scale=0.01)
+        workload = list(sdss_workload(n_queries=60, seed=13))
+        single = WorkloadEvaluator(catalog)
+        single.warm_up(workload)
+        pooled = WorkloadEvaluator(catalog)
+        backplane = ProcessPoolBackplane(pooled, processes=2)
+        outcome = []
+        try:
+            wanted = backplane.submit(workload)
+            for process in multiprocessing.active_children()[:killed]:
+                os.kill(process.pid, signal.SIGKILL)
+            caller = threading.Thread(
+                target=lambda: outcome.append(backplane.collect(wanted)),
+                daemon=True,
+            )
+            caller.start()
+            caller.join(timeout=60.0)
+            assert not caller.is_alive(), "collect hung on a killed worker"
+        finally:
+            backplane.close()
+        obs_deaths = remote_counter("repro_remote_node_deaths_total")
+        obs_fallback = remote_counter("repro_remote_fallback_total")
+        obs.reset()
+
+        assert outcome, "collect raised"
+        assert_same_entries(pooled, single)
+        assert obs_deaths == killed
+        assert len(backplane.live_nodes) == 2 - killed
+        assert (obs_fallback >= 1) if killed == 2 else (obs_fallback == 0)
+
+    def test_second_backplane_forks_beside_live_drainers(self):
+        """One executor, two service backplanes: the second one's
+        workers are forked while the first one's drainers are blocked
+        on tasks in flight — and both serve."""
+        catalog = make_sdss(scale=0.01)
+        workloads = [list(sdss_workload(n_queries=12, seed=s))
+                     for s in (5, 6)]
+        singles = [WorkloadEvaluator(catalog) for __ in workloads]
+        for single, workload in zip(singles, workloads):
+            single.warm_up(workload)
+        first, second = (WorkloadEvaluator(catalog) for __ in workloads)
+        with ProcessPoolBackplane(first, processes=2) as early:
+            wanted = early.submit(workloads[0])
+            assert wanted and early._drainers
+            with ProcessPoolBackplane(second, processes=2) as late:
+                late.warm_up(workloads[1])
+            early.collect(wanted)
+        assert_same_entries(first, singles[0])
+        assert_same_entries(second, singles[1])
+
     def test_alias_renamed_duplicates_ship_one_task(self):
         """Warm-target dedup is by canonical signature: alias-renamed
         duplicates share one cache entry, so only one build is shipped
