@@ -23,7 +23,7 @@ def greedy_select(problem, by_ratio=True):
     current ``chosen``
     (:meth:`~repro.cophy.bip.BipProblem.config_costs_delta`): the
     parent's slot winners and per-plan sums are captured once per round
-    and only queries a candidate actually improves are re-minimized.
+    and only the plans a candidate offers an option to are re-summed.
     The chosen indexes, objective, and round-by-round decisions are
     bit-identical to the full-batch sweep the tests keep as the
     reference (``greedy_select_reference`` in ``tests/oracle.py``).

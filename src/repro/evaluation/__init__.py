@@ -18,8 +18,9 @@ interaction analyzer) obtains configuration costs through a
   cache entries compiled to flat cost/slot arrays, whole workload ×
   configuration grids priced as numpy reductions (bit-identical to the
   scalar walks), plus CoPhy's BIP pricing surface in the same form;
-  both support delta (seminaïve) evaluation off a captured parent
-  state and argmin-witness extraction for usage-aware batches;
+  both sit on one plan arena, so delta (seminaïve) evaluation off a
+  captured parent state is one mechanism with two slot resolvers, and
+  argmin witnesses for usage-aware batches come from the same sums;
 * :mod:`repro.evaluation.wire` — the versioned, JSON-compatible wire
   format for signatures, cache entries reduced to plan terms, and
   tenant/service snapshots (what makes the backplane portable);

@@ -39,6 +39,7 @@ which is what the equivalence test suite pins.
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -430,14 +431,31 @@ class WorkloadEvaluator(InumCostModel):
 
     def _kernel_state(self, compiled, parent):
         """The parent configuration's captured (memoized) delta state."""
-        parent_view = _DesignView(self.catalog, parent)
-        parent_sigs = {
-            name: parent_view.design_signature(name)
-            for name in compiled.kernel.tables
-        }
-        return compiled.kernel.delta_state(
-            parent_view, parent_sigs, self.slot_cost
+        (view,), (sigs,) = self._kernel_views(
+            compiled, [parent or Configuration.empty()]
         )
+        return compiled.kernel.delta_state(view, sigs, self.slot_cost)
+
+    @contextmanager
+    def _batch_seam(self, span, mode, workload, configurations):
+        """What the three batch seams share, stated once so they cannot
+        time different things: the span and the latency timer open
+        *before* the workload compiles (a cold call's ``pool.build``
+        spans are children of the seam's span, and ``mode`` latencies
+        compare), the evaluation count and the telemetry close them.
+        Yields ``(compiled, configurations, views, table_sigs)``, a
+        ``None`` configuration replaced by the empty one."""
+        configurations = [c or Configuration.empty() for c in configurations]
+        with obs.tracer().span(span, configurations=len(configurations)):
+            t0 = time.perf_counter()
+            compiled = self._compile(workload)
+            views, table_sigs = self._kernel_views(compiled, configurations)
+            yield compiled, configurations, views, table_sigs
+            n_statements = len(compiled.positions)
+            with self._lock:  # exact even when tenant threads batch at once
+                self.evaluations += n_statements * len(configurations)
+            self._observe_batch(mode, time.perf_counter() - t0,
+                                n_statements, len(configurations))
 
     def _assemble_batch(self, compiled, configurations, views, reads):
         """Fold the kernel's read grid plus scalar write costs into a
@@ -452,8 +470,6 @@ class WorkloadEvaluator(InumCostModel):
                     self._write_cost(write, views[pos], configurations[pos])
                     for pos in range(n_configs)
                 ]
-        with self._lock:  # exact even when tenant threads batch at once
-            self.evaluations += len(compiled.positions) * n_configs
         # ndarray.tolist() yields the exact same Python floats the
         # per-call walk produces — float64 round-trips losslessly.
         matrix = out.tolist()
@@ -511,22 +527,15 @@ class WorkloadEvaluator(InumCostModel):
         :meth:`evaluate_configurations` on the same arguments, which
         the equivalence suite pins exactly.
         """
-        compiled = self._compile(workload)
-        configurations = [c or Configuration.empty() for c in configurations]
-        parent = parent or Configuration.empty()
-        with obs.tracer().span("evaluate.deltas",
-                               configurations=len(configurations)):
-            t0 = time.perf_counter()
-            state = self._kernel_state(compiled, parent)
-            views, table_sigs = self._kernel_views(compiled, configurations)
+        with self._batch_seam(
+            "evaluate.deltas", "delta", workload, configurations
+        ) as (compiled, configurations, views, table_sigs):
             reads = compiled.kernel.evaluate_deltas(
-                state, views, table_sigs, self.slot_cost
+                self._kernel_state(compiled, parent), views, table_sigs,
+                self.slot_cost,
             )
-            batch = self._assemble_batch(compiled, configurations, views,
-                                         reads)
-            self._observe_batch("delta", time.perf_counter() - t0,
-                                len(compiled.positions), len(configurations))
-            return batch
+            return self._assemble_batch(compiled, configurations, views,
+                                        reads)
 
     def evaluate_configurations(self, workload, configurations):
         """Price all *configurations* against all of *workload* in one pass.
@@ -545,20 +554,14 @@ class WorkloadEvaluator(InumCostModel):
         through, and the one signature every backplane (in-process,
         process pool, remote) shares.
         """
-        configurations = [c or Configuration.empty() for c in configurations]
-        with obs.tracer().span("evaluate.batch",
-                               configurations=len(configurations)):
-            t0 = time.perf_counter()
-            compiled = self._compile(workload)
-            views, table_sigs = self._kernel_views(compiled, configurations)
+        with self._batch_seam(
+            "evaluate.batch", "kernel", workload, configurations
+        ) as (compiled, configurations, views, table_sigs):
             reads = compiled.kernel.evaluate_many(
                 views, table_sigs, self.slot_cost
             )
-            batch = self._assemble_batch(compiled, configurations, views,
-                                         reads)
-            self._observe_batch("kernel", time.perf_counter() - t0,
-                                len(compiled.positions), len(configurations))
-            return batch
+            return self._assemble_batch(compiled, configurations, views,
+                                        reads)
 
     def workload_costs(self, workload, configurations):
         """Convenience: just the weighted totals, one per configuration."""
@@ -580,17 +583,12 @@ class WorkloadEvaluator(InumCostModel):
         configuration — bit-identical to the serial
         :meth:`workload_cost_with_usage` walk, the pinned reference.
         """
-        compiled = self._compile(workload)
-        configurations = [c or Configuration.empty() for c in configurations]
-        with obs.tracer().span("evaluate.usage",
-                               configurations=len(configurations)):
-            t0 = time.perf_counter()
-            state = self._kernel_state(
-                compiled, parent or Configuration.empty()
-            )
-            views, table_sigs = self._kernel_views(compiled, configurations)
+        with self._batch_seam(
+            "evaluate.usage", "usage", workload, configurations
+        ) as (compiled, configurations, views, table_sigs):
             reads, witnesses = compiled.kernel.evaluate_deltas_with_usage(
-                state, views, table_sigs, self.slot_cost, self.slot_choice
+                self._kernel_state(compiled, parent), views, table_sigs,
+                self.slot_cost, self.slot_choice,
             )
             results = []
             for c, config in enumerate(configurations):
@@ -613,12 +611,6 @@ class WorkloadEvaluator(InumCostModel):
                     total += weight * cost
                     used |= stmt_used
                 results.append((total, frozenset(used)))
-            with self._lock:  # exact even when tenant threads batch at once
-                self.evaluations += (
-                    len(compiled.positions) * len(configurations)
-                )
-            self._observe_batch("usage", time.perf_counter() - t0,
-                                len(compiled.positions), len(configurations))
             return results
 
     def _write_usage(self, bound_write, view, config):

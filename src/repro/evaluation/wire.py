@@ -219,6 +219,10 @@ def entry_from_wire(payload, catalog):
         raise WireFormatError(
             "expected %r payload, got %r" % (KIND_ENTRY, payload.get("kind"))
         )
+    if not payload.get("plans"):
+        # No plan means no cost: the per-call walk would raise on every
+        # lookup, and a compiled workload cannot hold the entry at all.
+        raise WireFormatError("cache entry carries no plans")
     bq = bind_statement(payload["sql"], catalog)
     if payload.get("locate"):
         from repro.optimizer.writecost import locate_query

@@ -153,8 +153,11 @@ class TestClaimSchedule:
 
 
 class TestClaimBatchedEval:
-    """bench_claim_batched_eval: the batched evaluator prices a sweep
-    with zero optimizer calls and exactly the per-call numbers."""
+    """The batched evaluator prices a sweep with zero optimizer calls
+    and the per-call numbers — the invariants of the retired
+    ``bench_claim_batched_eval.py`` (exact equality is
+    ``tests/test_kernel.py``'s; its speed is the ledger's
+    ``evaluation.kernel.cells_per_s``)."""
 
     def test_batched_matches_per_call_with_zero_calls(self, sdss_catalog):
         configs = make_configs(10, seed=4)

@@ -11,21 +11,35 @@ scalar ``oracle.config_costs_reference``, and for COLT's kernel-scored
 epochs against per-query INUM costs.
 """
 
+import dataclasses
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as st
 
+from repro.catalog import Index
 from repro.cophy import candidate_indexes
-from repro.cophy.bip import build_bip
+from repro.cophy.bip import (
+    BipProblem,
+    PlanTerm,
+    QueryTerm,
+    SlotOptions,
+    build_bip,
+)
 from repro.evaluation import (
+    BipDeltaState,
     InumCachePool,
     ShardedInumCachePool,
     WorkloadEvaluator,
     compile_statement,
     wire,
 )
+from repro.evaluation.kernel import _PlanArena
 from repro.inum import InumCostModel
-from repro.inum.cache import evaluate_terms
+from repro.inum.cache import QueryCache, evaluate_terms
 from repro.whatif import Configuration
 from repro.workloads import sdss, sdss_catalog, tpch, tpch_catalog
 
@@ -365,3 +379,291 @@ class TestColtEpochScoring:
             [(sql, 1.0) for sql in stream], [Configuration.empty()]
         )
         assert tuner.report.epochs[-1].observed_cost == baseline.totals[0]
+
+
+# ----------------------------------------------------------------------
+# The one delta core, pinned against a walk that shares none of its code.
+# ----------------------------------------------------------------------
+
+
+def walk(internal, plan_rows, starts, row):
+    """``(cheapest cost, first-strict-less plan)`` per group, as plain
+    Python: each plan adds its slots onto its internal cost in plan
+    order, each group keeps the first plan strictly below its best."""
+    bounds = list(starts) + [len(internal)]
+    out = []
+    for first, end in zip(bounds, bounds[1:]):
+        best, winner = math.inf, first
+        for plan in range(first, end):
+            cost = internal[plan]
+            for slot in plan_rows[plan]:
+                cost += row[slot]
+            if cost < best:
+                best, winner = cost, plan
+        out.append((best, winner))
+    return out
+
+
+@st.composite
+def arena_cases(draw):
+    """A tiny arena (ragged plan rows, groups of ≥ 1 plans, disjoint
+    units), a parent row with ``+inf`` slots, and 0–4 children each
+    rewriting 0–3 units."""
+    n_slots = draw(st.sampled_from([4, 1, 3, 0, 5]))
+    finite = st.floats(0.0, 1e12, allow_nan=False)
+    cost = st.tuples(st.integers(0, 9), finite).map(
+        lambda drawn: math.inf if drawn[0] == 0 else drawn[1]
+    )
+
+    def costs(n):
+        return st.lists(cost, min_size=n, max_size=n)
+
+    def sized(elements, sizes):
+        # Hypothesis favours a sample's first entry and short lists: the
+        # edge sizes are listed, but not first, so they are not most runs.
+        n = draw(st.sampled_from(sizes))
+        return st.lists(elements, min_size=n, max_size=n)
+
+    plan = st.tuples(finite, st.lists(
+        st.integers(0, max(n_slots - 1, 0)), max_size=3 if n_slots else 0,
+    ))
+    groups = draw(sized(
+        st.lists(plan, min_size=1, max_size=3), [3, 1, 2, 0, 4]
+    ))
+    starts, internal, plan_rows = [], [], []
+    for group in groups:
+        starts.append(len(internal))
+        for plan_internal, slots in group:
+            internal.append(plan_internal)
+            plan_rows.append(slots)
+    owner = draw(st.lists(st.sampled_from([-1, 0, 0, 1, 1, 2, 2]),
+                          min_size=n_slots, max_size=n_slots))
+    units = [[s for s in range(n_slots) if owner[s] == u] for u in range(3)]
+    row = draw(costs(n_slots)) + [0.0]
+    children = draw(sized(
+        st.permutations([0, 1, 2]).flatmap(
+            lambda order: st.sampled_from([order[:k] for k in (1, 0, 2, 3)])
+        ),
+        [2, 1, 3, 0, 4],
+    ))
+    pairs = [(c, u) for c, changed in enumerate(children) for u in changed]
+    values = [draw(costs(len(units[u]))) for __, u in pairs]
+    return (internal, plan_rows, starts, n_slots, units, row,
+            len(children), pairs, values)
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(arena_cases())
+def test_arena_price_equals_dense_equals_python_walk(case):
+    """``price`` == ``minima(sums(child rows))`` == the pure-Python
+    walk, bit for bit, and ``argmin`` == first-strict-less — for 1-D
+    and stacked rows, children that change nothing and a batch of none;
+    where the walk finds a group with no feasible plan, both raise."""
+    (internal, plan_rows, starts, n_slots, units, row, n_children, pairs,
+     values) = case
+    arena = _PlanArena(
+        internal, plan_rows, starts, n_slots,
+        np.cumsum([0] + [len(unit) for unit in units]),
+        [slot for unit in units for slot in unit], "nothing feasible",
+    )
+    footprint = arena.footprint(
+        np.asarray([c for c, __ in pairs], dtype=np.intp),
+        np.asarray([u for __, u in pairs], dtype=np.intp),
+    )
+    child_rows = [list(row) for __ in range(n_children)]
+    for (c, u), unit_values in zip(pairs, values):
+        for slot, value in zip(units[u], unit_values):
+            child_rows[c][slot] = value
+    stacked = np.asarray(child_rows, dtype=np.float64).reshape(
+        n_children, n_slots + 1
+    )
+    parent = np.asarray(row, dtype=np.float64)
+
+    def price():
+        return arena.price(
+            parent, arena.sums(parent), n_children, footprint,
+            np.asarray([v for vals in values for v in vals], dtype=np.float64),
+        )
+
+    expected = [walk(internal, plan_rows, starts, r) for r in child_rows]
+    if any(math.isinf(best) for child in expected for best, __ in child):
+        with pytest.raises(RuntimeError, match="nothing feasible"):
+            price()
+        with pytest.raises(RuntimeError, match="nothing feasible"):
+            arena.minima(arena.sums(stacked))
+        return
+    rows, sums, best = price()
+    assert rows.tolist() == child_rows
+    assert sums.tolist() == arena.sums(stacked).tolist()
+    assert best.tolist() == arena.minima(arena.sums(stacked)).tolist()
+    assert best.tolist() == [[b for b, __ in child] for child in expected]
+    assert arena.argmin(sums).tolist() == [
+        [winner for __, winner in child] for child in expected
+    ]
+    for r, child in zip(child_rows, expected):  # one row at a time, 1-D
+        acc = arena.sums(np.asarray(r, dtype=np.float64))
+        assert arena.minima(acc).tolist() == [b for b, __ in child]
+        assert arena.argmin(acc).tolist() == [w for __, w in child]
+
+
+def order_only_env():
+    """An evaluator whose entry for one statement keeps only the plan
+    expecting ``ra`` order under a pipelined LIMIT — no sort can stand
+    in, so it is feasible only with an index on ``ra`` — between two
+    ordinary statements; returns ``(evaluator, workload, sql, with_ra)``."""
+    catalog = sdss_catalog(scale=0.01)
+    evaluator = WorkloadEvaluator(catalog)
+    sql = "SELECT ra FROM photoobj WHERE ra < 10 ORDER BY ra"
+    cache = evaluator.cache_for(sql)
+    plans = [
+        dataclasses.replace(plan, slots=tuple(
+            dataclasses.replace(slot, scale=0.5) for slot in plan.slots
+        ))
+        for plan in cache.plans
+        if any(slot.required_order for slot in plan.slots)
+    ]
+    assert plans
+    evaluator.pool.put(
+        evaluator.signature(sql),
+        QueryCache.from_plan_terms(cache.bound_query, plans),
+    )
+    workload = [
+        ("SELECT z FROM specobj WHERE z > 6.5", 1.0), (sql, 2.0),
+        ("SELECT dec FROM photoobj WHERE dec > 80", 0.5),
+    ]
+    return evaluator, workload, sql, Configuration.of(
+        Index("photoobj", ("ra",))
+    )
+
+
+def needy_bip(plans=None, position=1):
+    """Three query terms; the one at *position* is served only by
+    candidate 1 (no default access), so it is infeasible without it —
+    or holds exactly *plans* when given."""
+    def term(weight, cost):
+        return QueryTerm(weight, [
+            PlanTerm(1.0, [SlotOptions([(-1, cost), (0, cost / 2)])]),
+        ])
+
+    needy = QueryTerm(2.0, [
+        PlanTerm(1.0, [SlotOptions([(1, 3.0)])]),
+        PlanTerm(4.0, [SlotOptions([(1, 1.0)]), SlotOptions([(-1, 1.0)])]),
+    ] if plans is None else plans)
+    queries = [term(1.0, 6.0), term(0.5, 9.0)]
+    queries.insert(position, needy)
+    return BipProblem(candidates=[None, None], sizes=[1.0, 1.0],
+                      budget_pages=10.0, queries=queries)
+
+
+def uncaptured(problem, chosen):
+    """The BIP state of an infeasible *chosen*, built without the
+    capture's own check — what the delta passes must still refuse."""
+    kernel = problem._compiled()
+    __, rows = kernel._resolve([chosen])
+    return kernel, BipDeltaState(
+        list(chosen), rows[0], kernel.arena.sums(rows[0])
+    )
+
+
+def bip_delta(problem):
+    kernel, state = uncaptured(problem, [])
+    return kernel.evaluate_delta(state, [0])
+
+
+def bip_chained_capture(problem):
+    kernel, state = uncaptured(problem, [])
+    kernel._delta_state = state
+    return kernel.delta_state([0])
+
+
+class TestNoFeasiblePlanRaises:
+    """Every pass of both kernels raises the scalar walk's error when
+    all plans of one group price ``+inf`` — and up front when a group
+    has no plans at all, where a grouped reduction would have answered
+    with its neighbour's cost."""
+
+    INUM = "INUM cache produced no feasible plan"
+    BIP = "BIP has an infeasible query term"
+
+    @pytest.mark.parametrize("price", [
+        lambda ev, wl, ok: ev.evaluate_many(wl, [ok, None]),
+        lambda ev, wl, ok: ev.evaluate_deltas(wl, None, [ok]),
+        lambda ev, wl, ok: ev.evaluate_deltas(wl, ok, [ok, None]),
+        lambda ev, wl, ok: ev.workload_cost_with_usage_batch(wl, [ok]),
+        lambda ev, wl, ok: ev.workload_cost_with_usage_batch(
+            wl, [None], parent=ok),
+    ], ids=["dense", "capture", "delta", "usage-capture", "usage-delta"])
+    def test_workload_kernel(self, price):
+        evaluator, workload, sql, with_ra = order_only_env()
+        with pytest.raises(RuntimeError, match=self.INUM):
+            evaluator.cost(sql, Configuration.empty())  # the scalar walk
+        with pytest.raises(RuntimeError, match=self.INUM):
+            price(evaluator, workload, with_ra)
+        # The feasible child still prices, and like the per-call walk.
+        assert evaluator.evaluate_deltas(
+            workload, with_ra, [with_ra]
+        ).matrix == per_call_matrix(evaluator, workload, [with_ra])
+
+    @pytest.mark.parametrize("price", [
+        lambda problem: problem.config_costs([[1], [0]]),
+        lambda problem: problem.config_costs_delta([0], [1]),
+        bip_chained_capture,
+        bip_delta,
+    ], ids=["dense", "capture", "chained-capture", "delta"])
+    def test_bip_kernel(self, price):
+        problem = needy_bip()
+        with pytest.raises(RuntimeError, match=self.BIP):
+            config_costs_reference(problem, [[0]])  # the scalar walk
+        with pytest.raises(RuntimeError, match=self.BIP):
+            price(problem)
+        assert problem.config_costs_delta([1], [0, 1]) \
+            == config_costs_reference(problem, [[1, 0], [1, 1]])
+
+    @pytest.mark.parametrize("position", [0, 1, 2],
+                             ids=["first", "middle", "last"])
+    def test_plan_less_query_term(self, position):
+        problem = needy_bip(plans=[], position=position)
+        with pytest.raises(RuntimeError, match=self.BIP):
+            config_costs_reference(problem, [[], [0]])
+        for price in (
+            lambda: problem.config_costs([[], [0]]),
+            lambda: problem.config_costs_delta([], [0]),
+            lambda: problem.used_positions([0]),
+        ):
+            with pytest.raises(RuntimeError, match=self.BIP):
+                price()
+
+    @pytest.mark.parametrize("position", [0, 1, 2],
+                             ids=["first", "middle", "last"])
+    def test_plan_less_cache_entry(self, position):
+        evaluator, workload, __, with_ra = order_only_env()
+        sql = workload[position][0]
+        evaluator.pool.put(
+            evaluator.signature(sql),
+            QueryCache.from_plan_terms(evaluator.bound(sql), []),
+        )
+        configs = [with_ra, with_ra.with_indexes(Index("specobj", ("z",)))]
+        with pytest.raises(RuntimeError, match=self.INUM):
+            evaluator.cost(sql, with_ra)
+        for price in (
+            lambda: evaluator.evaluate_many(workload, configs),
+            lambda: evaluator.evaluate_deltas(workload, with_ra, configs),
+            lambda: evaluator.workload_cost_with_usage_batch(
+                workload, configs, parent=with_ra),
+        ):
+            with pytest.raises(RuntimeError, match=self.INUM):
+                price()
+
+    def test_option_less_slot_is_an_infeasible_plan(self):
+        """A slot nothing serves prices its plan out, like the scalar
+        walk's empty ``applicable`` list — not as its neighbour slot."""
+        dead = PlanTerm(0.0, [SlotOptions([])])
+        alive = PlanTerm(7.0, [SlotOptions([(-1, 1.0), (1, 0.25)])])
+        problem = needy_bip(plans=[dead, alive])
+        batch = [[], [0], [1], [0, 1]]
+        assert problem.config_costs(batch) \
+            == config_costs_reference(problem, batch)
+        assert problem.config_costs_delta([0], [0, 1]) \
+            == config_costs_reference(problem, [[0, 0], [0, 1]])
+        with pytest.raises(RuntimeError, match=self.BIP):
+            needy_bip(plans=[dead]).config_costs([[0, 1]])

@@ -264,6 +264,36 @@ class TestEvaluateModes:
             + ["evaluate.usage"] * 2
         )
 
+    @pytest.mark.parametrize("seam, span", [
+        ("evaluate_configurations", "evaluate.batch"),
+        ("evaluate_deltas", "evaluate.deltas"),
+        ("workload_cost_with_usage_batch", "evaluate.usage"),
+    ])
+    def test_cold_call_builds_inside_its_seams_span(
+            self, astro_catalog, fresh_registry, seam, span):
+        """All three batch seams time the same thing: a cold call's
+        workload compilation — its ``pool.build`` spans — happens under
+        the seam's own span and timer, not beside them."""
+        from repro.evaluation import WorkloadEvaluator
+        from repro.whatif import Configuration
+
+        workload = [
+            ("SELECT ra FROM photoobj WHERE ra < 10", 1.0),
+            ("SELECT z FROM specobj WHERE z > 6.5", 1.0),
+        ]
+        configs = [Configuration.empty()]
+        evaluator = WorkloadEvaluator(astro_catalog)
+        if seam == "evaluate_deltas":
+            evaluator.evaluate_deltas(workload, None, configs)
+        else:
+            getattr(evaluator, seam)(workload, configs)
+
+        spans = obs.tracer().export()
+        (seam_span,) = [s for s in spans if s["name"] == span]
+        builds = [s for s in spans if s["name"] == "pool.build"]
+        assert len(builds) == len(workload)
+        assert {s["parent_id"] for s in builds} == {seam_span["span_id"]}
+
 
 class TestRecommendMemoTelemetry:
     def test_hits_plus_misses_are_the_refreshes(self, astro_catalog,

@@ -161,6 +161,56 @@ def test_fan_out_has_one_implementation():
         )
 
 
+DELETED_DELTA_HELPERS = {
+    "_delta_column", "_touched", "_touch_groups", "_extend_state",
+    "_pos_delta", "_batch_footprint", "_footprint", "_query_plan_pad",
+    "_BipPosDelta", "_BipBatchFootprint", "_BipFootprint",
+    "_MAX_TOUCH_GROUPS",
+}
+
+
+def test_delta_pricing_has_one_implementation(sdss_catalog):
+    """Both kernels price on the one plan arena (ISSUE 20): the same
+    class under each, none of the two retired delta machineries' helpers
+    left beside it, one infeasibility raise for every pass — its message
+    supplied by the owner — and a core that cannot tell who is calling:
+    what differs between its owners arrives as data."""
+    from repro.cophy.bip import build_bip
+    from repro.cophy.candidates import candidate_indexes
+    from repro.evaluation import kernel
+
+    workload = [
+        ("SELECT ra FROM photoobj WHERE ra < 10 AND type = 1", 1.0),
+        ("SELECT p.ra, s.z FROM photoobj p, specobj s "
+         "WHERE p.objid = s.objid AND s.z > 6.5", 1.0),
+    ]
+    evaluator = WorkloadEvaluator(sdss_catalog)
+    candidates = candidate_indexes(sdss_catalog, workload, max_candidates=6)
+    problem = build_bip(evaluator, workload, candidates, 40_000)
+    arenas = (evaluator._compile(workload).kernel.arena,
+              problem._compiled().arena)
+    assert [type(arena) for arena in arenas] == [kernel._PlanArena] * 2
+
+    for namespace in (WorkloadKernel, BipKernel, kernel._PlanArena, kernel):
+        assert not DELETED_DELTA_HELPERS & set(vars(namespace)), namespace
+    source = inspect.getsource(kernel)
+    for message in ("INUM cache produced no feasible plan",
+                    "BIP has an infeasible query term"):
+        assert source.count(message) == 1, message
+    assert source.count("raise RuntimeError") == 1
+
+    core = inspect.getsource(kernel._PlanArena)
+    assert "isinstance" not in core
+    for operation, expected in (
+        ("sums", ["rows"]), ("minima", ["acc"]), ("argmin", ["acc"]),
+        ("footprint", ["children", "units"]),
+        ("price", ["row", "acc", "n_children", "footprint", "values"]),
+    ):
+        names = _parameters(vars(kernel._PlanArena)[operation])
+        assert names == expected, operation
+        assert not (MODE_KEYWORDS | {"mode", "kind", "owner"}) & set(names)
+
+
 def test_build_bip_and_colgen_share_the_one_option_builder(
         sdss_catalog, monkeypatch):
     """``build_bip`` and column generation resolve a slot's options

@@ -27,6 +27,7 @@ import pytest
 from repro import obs
 from repro.catalog import Index
 from repro.evaluation import (
+    InumCachePool,
     ProcessPoolBackplane,
     WorkloadEvaluator,
     wire,
@@ -184,6 +185,19 @@ class TestVersionRejection:
         __, text = self._entry_text()
         with pytest.raises(WireFormatError, match="catalog"):
             wire.loads(text)
+
+    def test_entry_without_plans_rejected(self):
+        """A runner reply whose entry has no plans stops at the trust
+        boundary: installed, it could never price (per-call ``cost``
+        raises "no feasible plan") and would poison every workload
+        compiled over it."""
+        catalog, text = self._entry_text()
+        payload = json.loads(text)
+        payload["plans"] = []
+        pool = InumCachePool()
+        with pytest.raises(WireFormatError, match="no plans"):
+            wire.loads(json.dumps(payload), catalog, pool=pool)
+        assert len(pool) == 0
 
 
 def assert_same_entries(pooled, single):
