@@ -68,7 +68,7 @@ def catalog_to_dict(catalog):
         "version": FORMAT_VERSION,
         "tables": [_table_to_dict(t) for t in catalog.tables],
         "indexes": [
-            _index_to_dict(ix, stable_id)
+            index_to_dict(ix, stable_id)
             for stable_id, ix in enumerate(
                 sorted(catalog.indexes, key=index_sort_key)
             )
@@ -104,7 +104,7 @@ def catalog_from_dict(payload):
     for tdict in payload.get("tables", ()):
         catalog.add_table(_table_from_dict(tdict).build_stats())
     for ixdict in payload.get("indexes", ()):
-        catalog.add_index(_index_from_dict(ixdict))
+        catalog.add_index(index_from_dict(ixdict))
     for ldict in payload.get("vertical_layouts", ()):
         catalog.set_vertical_layout(_layout_from_dict(ldict))
     for hdict in payload.get("horizontal_partitionings", ()):
@@ -136,7 +136,7 @@ def configuration_to_dict(configuration):
     return {
         "version": FORMAT_VERSION,
         "indexes": [
-            _index_to_dict(ix, stable_id)
+            index_to_dict(ix, stable_id)
             for stable_id, ix in enumerate(
                 sorted(configuration.indexes, key=index_sort_key)
             )
@@ -161,7 +161,7 @@ def configuration_from_dict(payload):
         )
     return Configuration(
         indexes=frozenset(
-            _index_from_dict(d) for d in payload.get("indexes", ())
+            index_from_dict(d) for d in payload.get("indexes", ())
         ),
         layouts=tuple(
             _layout_from_dict(d) for d in payload.get("vertical_layouts", ())
@@ -266,11 +266,6 @@ def index_from_dict(payload):
         unique=payload.get("unique", False),
         name=payload.get("name", ""),
     )
-
-
-# Pre-wire-format private names, kept for compatibility.
-_index_to_dict = index_to_dict
-_index_from_dict = index_from_dict
 
 
 def _layout_to_dict(layout):

@@ -24,7 +24,6 @@ _SOLVERS = {
     "bnb": solve_branch_and_bound,
     "lp-rounding": solve_lp_rounding,
     "greedy": greedy_select,
-    "greedy-benefit": lambda problem: greedy_select(problem, by_ratio=False),
 }
 
 # Solvers that price candidates lazily instead of consuming a fully

@@ -15,6 +15,12 @@ subject to  Σ_e z_qe = 1,  Σ_o x_qeso = z_qe,  x(option j) ≤ y_j, and
 access costs.  By construction the optimum equals
 ``min_config INUM(workload, config)`` over configurations within budget —
 CoPhy's quality guarantee.
+
+The program is stated once: :class:`PricedWorkload` folds the workload
+into terms (priced by :class:`CandidatePricer`) and emits the
+:class:`BipProblem` every solver consumes — ``build_bip`` is its
+``.problem()``, column generation's restricted master its
+``.problem(active)``.
 """
 
 from dataclasses import dataclass, field
@@ -145,8 +151,8 @@ class CandidatePricer:
     always last), so every price is **bit-identical** to
     ``inum_model.slot_cost(bq, slot, _DesignView(catalog,
     Configuration.of(j)))`` — the tests pin this pair by pair.  Being
-    the same number, it is kept in the same place: the model's slot
-    memo, under the single-index design's key.  A warm model (an online
+    the same winner, it is kept in the same place: the model's slot
+    memo, under the single-index design's key, witness included.  A warm model (an online
     refresh, a second solver over one evaluator) is answered from it,
     and the interaction analyzer finds the single-index designs priced.
     :meth:`slot_options` builds a slot's BIP options on top of it."""
@@ -259,20 +265,21 @@ class CandidatePricer:
         self.pricings += 1
         if index in self._base_indexes(slot.table_name):
             return self.default_cost(bq, slot)
-        bucket = self.model.slot_cost_bucket(bq)
+        bucket = self.model.slot_bucket(bq)
         state = self._param_state if slot.param_columns else self._scan_state
         key = _slot_key(
             bq, slot, self.default_view, ((index,), None, None),
             state(bq, slot)[0],
         )
-        cost = bucket.get(key, _UNPRICED)
-        if cost is _UNPRICED:
-            cost = bucket[key] = self._assemble(bq, slot, index)
-        return cost
+        choice = bucket.get(key, _UNPRICED)
+        if choice is _UNPRICED:
+            choice = bucket[key] = self._assemble(bq, slot, index)
+        return None if choice is None else choice[0]
 
     def _assemble(self, bq, slot, index):
         """The slot's base paths plus *index*'s own, through the winner
-        function of the slot's kind."""
+        function of the slot's kind: the ``(cost, winner indexes)``
+        entry the model's memo holds."""
         if slot.param_columns:
             ctx, paths = self._param_state(bq, slot)
             own = P.parameterized_path_for(
@@ -291,96 +298,139 @@ class CandidatePricer:
         return _best_scan_access(slot, paths, self.settings)
 
 
+class PricedWorkload:
+    """The workload folded into BIP terms, once — the one statement of
+    the program ``build_bip`` and column generation both read.
+
+    One walk over the workload through the model's binder: a read — and
+    the *locate* step of an update/delete, so candidate indexes are
+    credited for finding the rows faster — becomes ``(weight, sql,
+    [(internal cost, [slot id, ...])])`` over :attr:`slot_entries`,
+    the ``(default, options)`` of
+    :meth:`CandidatePricer.slot_options` deduplicated per ``(bq.sql,
+    slot)``; a write adds its design-independent base (heap
+    modification plus maintaining the indexes that already exist) and a
+    linear maintenance penalty per candidate it touches.  That makes the
+    objective coincide with INUM's exact mixed-workload cost.
+
+    :meth:`problem` emits the :class:`BipProblem`; every solver, and
+    column generation's restricted master, consumes that one emission.
+    """
+
+    def __init__(self, inum_model, workload, candidates, budget_pages,
+                 max_indexes=None):
+        catalog = inum_model.catalog
+        settings = inum_model.settings
+        self.candidates = list(candidates)
+        self.sizes = [
+            float(ix.size_pages(catalog.table(ix.table_name)))
+            for ix in self.candidates
+        ]
+        self.budget_pages = float(budget_pages)
+        self.max_indexes = max_indexes
+        self.pricer = CandidatePricer(inum_model)
+        self.pricer.set_candidates(self.candidates)
+        self.write_base_cost = 0.0
+        self.index_penalties = [0.0] * len(self.candidates)
+        self.slot_entries = []  # slot id -> (default cost or None, options)
+        self.queries = []  # (weight, sql, [(internal, [slot id, ...])])
+        slot_ids = {}
+        priced = []  # bound queries whose slots the pricer priced
+
+        def slot_id(bq, slot):
+            key = (bq.sql, slot)
+            sid = slot_ids.get(key)
+            if sid is None:
+                sid = slot_ids[key] = len(self.slot_entries)
+                self.slot_entries.append(self.pricer.slot_options(bq, slot))
+            return sid
+
+        def add_read(bq_or_sql, weight):
+            cache = inum_model.cache_for(bq_or_sql)
+            bq = cache.bound_query
+            priced.append(bq)
+            self.queries.append((weight, bq.sql, [
+                (cached.internal_cost,
+                 [slot_id(bq, slot) for slot in cached.slots])
+                for cached in cache.plans
+            ]))
+
+        for sql, weight in workload_pairs(workload):
+            bound = inum_model.bound(sql)
+            if not isinstance(bound, BoundWrite):
+                add_read(bound, weight)
+                continue
+            base = heap_write_cost(bound, settings)
+            base += maintenance_cost(
+                bound, catalog.indexes_on(bound.table.name), settings
+            )
+            self.write_base_cost += weight * base
+            if bound.kind in ("update", "delete"):
+                add_read(locate_query(bound), weight)
+            rows = affected_rows(bound)
+            for pos, index in enumerate(self.candidates):
+                if bound.touches_index(index):
+                    per_row = index_maintenance_cost_per_row(
+                        index, bound.table, settings
+                    )
+                    self.index_penalties[pos] += weight * rows * per_row
+        # Every (slot, candidate) price is in slot_entries now: release
+        # the candidate pool's path groups rather than keep them on
+        # every query's scan memo.
+        pool = set(self.candidates)
+        for bq in priced:
+            P.forget_indexes(bq, pool)
+        if not any(self.index_penalties):
+            # Read-only workload: every penalty is +0.0, and adding +0.0
+            # is the floating-point identity, so every pricing path can
+            # skip the per-configuration penalty sum without changing a
+            # bit.
+            self.index_penalties = []
+
+    def problem(self, active=None):
+        """The :class:`BipProblem` over the full candidate vector whose
+        slot options mention only the *active* positions (all of them
+        when ``None``).  Option lists for a chosen set ``C ⊆ active``
+        are the full problem's — the default plus exactly the options of
+        indexes in ``C`` — so restricted pricing of any such set equals
+        full-problem pricing bit for bit, the write-penalty accumulation
+        included (it iterates the very same global position sets).  A
+        plan with an option-less slot is dropped; a query left without
+        plans raises.  Only the memoized option lists are filtered —
+        nothing is re-priced, the workload is not walked again — and a
+        slot shared by several plans is filtered once."""
+        slots = []
+        for default, options in self.slot_entries:
+            if active is not None:
+                options = [opt for opt in options if opt[0] in active]
+            if default is not None:
+                options = [(-1, default), *options]
+            slots.append(SlotOptions(options=options))
+        queries = []
+        for weight, sql, plans in self.queries:
+            term = QueryTerm(weight=weight, plans=[], sql=sql)
+            for internal, sids in plans:
+                if all(slots[sid].options for sid in sids):
+                    term.plans.append(PlanTerm(
+                        internal_cost=internal,
+                        slots=[slots[sid] for sid in sids],
+                    ))
+            if not term.plans:
+                raise RuntimeError("no feasible cached plan for %r" % (sql,))
+            queries.append(term)
+        return BipProblem(
+            candidates=self.candidates,
+            sizes=self.sizes,
+            budget_pages=self.budget_pages,
+            queries=queries,
+            max_indexes=self.max_indexes,
+            write_base_cost=self.write_base_cost,
+            index_penalties=self.index_penalties,
+        )
+
+
 def build_bip(inum_model, workload, candidates, budget_pages, max_indexes=None):
     """Assemble the BIP for *workload* over *candidates* under a budget."""
-    catalog = inum_model.catalog
-    sizes = [
-        float(ix.size_pages(catalog.table(ix.table_name))) for ix in candidates
-    ]
-    pricer = CandidatePricer(inum_model)
-    pricer.set_candidates(candidates)
-
-    problem = BipProblem(
-        candidates=list(candidates),
-        sizes=sizes,
-        budget_pages=float(budget_pages),
-        max_indexes=max_indexes,
-        index_penalties=[0.0] * len(candidates),
-    )
-    priced = []  # bound queries whose slots were priced per candidate
-
-    def add_query_term(bq_or_sql, weight):
-        cache = inum_model.cache_for(bq_or_sql)
-        bq = cache.bound_query
-        priced.append(bq)
-        term = QueryTerm(weight=weight, plans=[], sql=bq.sql)
-        for cached in cache.plans:
-            plan_term = PlanTerm(internal_cost=cached.internal_cost, slots=[])
-            feasible = True
-            for slot in cached.slots:
-                default, options = pricer.slot_options(bq, slot)
-                if default is not None:
-                    options = [(-1, default), *options]
-                if not options:
-                    feasible = False
-                    break
-                plan_term.slots.append(SlotOptions(options=options))
-            if feasible:
-                term.plans.append(plan_term)
-        if not term.plans:
-            raise RuntimeError("no feasible cached plan for %r" % (term.sql,))
-        problem.queries.append(term)
-
-    for sql, weight in workload_pairs(workload):
-        bound = inum_model.bound(sql)
-        if isinstance(bound, BoundWrite):
-            _add_write_terms(
-                problem, inum_model, bound, weight, candidates, add_query_term
-            )
-            continue
-        add_query_term(bound, weight)
-    # Every (slot, candidate) price is an option now: release the
-    # candidate pool's path groups rather than keep them on every query.
-    pool = set(candidates)
-    for bq in priced:
-        P.forget_indexes(bq, pool)
-    if not any(problem.index_penalties):
-        # Read-only workload: every penalty is +0.0, and adding +0.0 is
-        # the floating-point identity, so every pricing path can skip
-        # the per-configuration penalty sum without changing a bit.
-        problem.index_penalties = []
-    return problem
-
-
-def _add_write_terms(problem, inum_model, bound_write, weight, candidates,
-                     add_query_term):
-    """Fold one write statement into the BIP.
-
-    Three parts, making the BIP objective coincide with INUM's exact
-    mixed-workload cost:
-
-    * the *locate* step of updates/deletes is added as a full query term
-      (so candidate indexes are credited for finding the rows faster);
-    * the design-independent base: heap modification plus maintaining the
-      indexes that already exist;
-    * a linear maintenance penalty per candidate touched by the write.
-    """
-    settings = inum_model.settings
-    base = heap_write_cost(bound_write, settings)
-    base += maintenance_cost(
-        bound_write,
-        inum_model.catalog.indexes_on(bound_write.table.name),
-        settings,
-    )
-    problem.write_base_cost += weight * base
-    if bound_write.kind in ("update", "delete"):
-        add_query_term(locate_query(bound_write), weight)
-
-    rows = affected_rows(bound_write)
-    for pos, index in enumerate(candidates):
-        if bound_write.touches_index(index):
-            per_row = index_maintenance_cost_per_row(
-                index, bound_write.table, settings
-            )
-            problem.index_penalties[pos] += weight * rows * per_row
-
+    return PricedWorkload(
+        inum_model, workload, candidates, budget_pages, max_indexes
+    ).problem()

@@ -5,21 +5,21 @@ The classic pipeline (``build_bip`` + ``greedy_select``) materializes
 one BIP option per (slot, candidate) pair up front and prices every
 candidate every round — fine at ``max_candidates=60``, a scaling cliff
 at thousands.  :func:`solve_colgen` keeps the *search* exact while
-doing lazy work, in three parts:
+doing lazy work.  It states none of the program itself: the workload
+is folded into terms by the one
+:class:`~repro.cophy.bip.PricedWorkload` ``build_bip`` is the
+``.problem()`` of — priced by its
+:class:`~repro.cophy.bip.CandidatePricer`, exact per-(slot, candidate)
+access costs without per-candidate path regeneration — and the round's
+decision is greedy's own :func:`~repro.cophy.greedy.best_extension`.
+Column generation adds two things:
 
-* :class:`~repro.cophy.bip.CandidatePricer` (shared with ``build_bip``)
-  — exact per-(slot, candidate) access costs without per-candidate path
-  regeneration, **bit-identical** to pricing the single-index design
-  view through the INUM slot memo (its docstring says why).
-
-* a *restricted master*: a :class:`~repro.cophy.bip.BipProblem` over
-  the **full** candidate vector whose slot options only mention the
-  currently *active* candidates.  Because option lists for a chosen set
-  ``C ⊆ active`` are identical to the full problem's (the default plus
-  exactly the options of indexes in ``C``), restricted pricing of any
-  such set equals full-problem pricing bit for bit — including the
-  write-penalty accumulation, which iterates the very same global
-  position sets.
+* a *restricted master*: ``PricedWorkload.problem(active)``, the
+  :class:`~repro.cophy.bip.BipProblem` over the **full** candidate
+  vector whose slot options only mention the currently *active*
+  candidates — the same program with a filter, so restricted pricing of
+  any chosen set ``C ⊆ active`` equals full-problem pricing bit for bit
+  (its docstring says why);
 
 * a sound *reduced-benefit bound*: for candidate *j* at chosen state
   ``C``, per query ``benefit_q(j | C) ≤ max_plan Σ_slot max(0,
@@ -27,17 +27,18 @@ doing lazy work, in three parts:
   wins nothing forfeits; the winner of every slot can only improve to
   ``cost_j``).  Slot winners are anti-monotone in ``C``, so the bound
   computed at the current state dominates the benefit at **every**
-  future state — a candidate whose bound falls below greedy's
-  ``1e-9`` benefit threshold is prunable forever, and the final round
-  terminates with the certificate that no inactive candidate could
-  have changed any decision.  The bound is evaluated for all inactive
-  candidates each round as a handful of grouped numpy reductions.
+  future state — a candidate whose bound falls below greedy's benefit
+  threshold (:data:`~repro.cophy.greedy.BENEFIT_EPS`) is prunable
+  forever, and the final round terminates with the certificate that
+  no inactive candidate could have changed any decision.  The bound is
+  evaluated for all inactive candidates each round as a handful of
+  grouped numpy reductions.
 
 The round loop replays :func:`~repro.cophy.greedy.greedy_select`
-exactly — same feasibility filter, same benefit threshold, same
-strict-max tie-breaking over ascending global positions — activating
-(in descending bound-score order) every inactive candidate whose bound
-could still beat the incumbent before committing a round.  Hence the
+exactly — same feasibility filter, the same decision function over
+ascending global positions — activating (in descending bound-score
+order) every inactive candidate whose bound could still beat the
+incumbent before committing a round.  Hence the
 headline property, pinned by ``tests/test_colgen.py``:
 ``solve_colgen`` returns the identical design and objective as greedy
 over the exhaustively-built full BIP, while activating a small
@@ -49,24 +50,9 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.cophy.bip import (
-    BipProblem,
-    CandidatePricer,
-    PlanTerm,
-    QueryTerm,
-    SlotOptions,
-)
+from repro.cophy.bip import PricedWorkload
+from repro.cophy.greedy import BENEFIT_EPS, best_extension
 from repro.cophy.solvers import SolveResult, observed_solve
-from repro.optimizer import paths as P
-from repro.optimizer.writecost import (
-    affected_rows,
-    heap_write_cost,
-    index_maintenance_cost_per_row,
-    locate_query,
-    maintenance_cost,
-)
-from repro.sql.binder import BoundWrite
-from repro.util import workload_pairs
 
 # Inactive candidates activated per refinement wave, in descending
 # bound-score order.  Small enough not to flood the active set when the
@@ -74,140 +60,28 @@ from repro.util import workload_pairs
 # (no incumbent yet) converges in a few waves.
 _WAVE_SIZE = 32
 
-# Greedy's benefit threshold (a candidate must beat it to be chosen) —
-# shared so the bound prunes against exactly the decision rule.
-_BENEFIT_EPS = 1e-9
-
 
 class _Master:
-    """The priced skeleton of the full BIP plus restricted-problem
-    construction and the vectorized reduced-benefit bound."""
+    """What is column generation's own on top of the priced workload:
+    the per-slot winner row under the chosen set and the vectorized
+    reduced-benefit bound over it."""
 
-    def __init__(self, inum_model, workload, candidates, budget_pages,
-                 max_indexes):
-        catalog = inum_model.catalog
-        self.candidates = list(candidates)
-        n = len(self.candidates)
-        self.sizes = [
-            float(ix.size_pages(catalog.table(ix.table_name)))
-            for ix in self.candidates
-        ]
-        self.budget_pages = float(budget_pages)
-        self.max_indexes = max_indexes
-        self.pricer = CandidatePricer(inum_model)
-        self.pricer.set_candidates(self.candidates)
-
-        self.write_base_cost = 0.0
-        self.index_penalties = [0.0] * n
-        self.slot_entries = []  # sid -> (default cost or None, options)
-        self.pos_slots = [[] for __ in range(n)]  # pos -> [(sid, cost)]
-        self.query_specs = []  # (weight, sql, [(internal, [sid, ...])])
-        slot_ids = {}
-        priced = []  # bound queries whose slots the pricer priced
-
-        def slot_entry(bq, slot):
-            key = (bq.sql, slot)
-            sid = slot_ids.get(key)
-            if sid is None:
-                entry = self.pricer.slot_options(bq, slot)
-                sid = slot_ids[key] = len(self.slot_entries)
-                self.slot_entries.append(entry)
-                for pos, cost in entry[1]:
-                    self.pos_slots[pos].append((sid, cost))
-            return sid
-
-        def add_query_spec(bq_or_sql, weight):
-            cache = inum_model.cache_for(bq_or_sql)
-            bq = cache.bound_query
-            priced.append(bq)
-            plans = [
-                (
-                    cached.internal_cost,
-                    [slot_entry(bq, slot) for slot in cached.slots],
-                )
-                for cached in cache.plans
-            ]
-            self.query_specs.append((weight, bq.sql, plans))
-
-        settings = inum_model.settings
-        for sql, weight in workload_pairs(workload):
-            bound = inum_model.bound(sql)
-            if isinstance(bound, BoundWrite):
-                # Same three-part fold as build_bip's _add_write_terms.
-                base = heap_write_cost(bound, settings)
-                base += maintenance_cost(
-                    bound, catalog.indexes_on(bound.table.name), settings
-                )
-                self.write_base_cost += weight * base
-                if bound.kind in ("update", "delete"):
-                    add_query_spec(locate_query(bound), weight)
-                rows = affected_rows(bound)
-                for pos, index in enumerate(self.candidates):
-                    if bound.touches_index(index):
-                        per_row = index_maintenance_cost_per_row(
-                            index, bound.table, settings
-                        )
-                        self.index_penalties[pos] += weight * rows * per_row
-                continue
-            add_query_spec(bound, weight)
-
+    def __init__(self, priced):
+        self.priced = priced
+        self.pos_slots = [[] for __ in priced.candidates]  # pos -> [(sid, cost)]
+        for sid, (__, options) in enumerate(priced.slot_entries):
+            for pos, cost in options:
+                self.pos_slots[pos].append((sid, cost))
         # Current per-slot winners under the chosen set (inf = slot
         # feasible only through a not-yet-chosen candidate's option).
         self.winner = np.asarray(
             [
                 np.inf if default is None else default
-                for default, __ in self.slot_entries
+                for default, __ in priced.slot_entries
             ],
             dtype=np.float64,
         )
         self._build_bound_groups()
-        # Every (slot, candidate) price is in slot_entries now: release
-        # the candidate pool's path groups from the shared scan memo.
-        pool = set(self.candidates)
-        for bq in priced:
-            P.forget_indexes(bq, pool)
-
-    # -- restricted master ---------------------------------------------
-
-    def build_restricted(self, active_set):
-        """The BIP over the full candidate vector with slot options
-        filtered to *active_set* — equal to ``build_bip`` over the full
-        candidate list when every candidate is active (pinned)."""
-        queries = []
-        for weight, sql, plans in self.query_specs:
-            term = QueryTerm(weight=weight, plans=[], sql=sql)
-            for internal, sids in plans:
-                plan_term = PlanTerm(internal_cost=internal, slots=[])
-                feasible = True
-                for sid in sids:
-                    default, options = self.slot_entries[sid]
-                    opts = []
-                    if default is not None:
-                        opts.append((-1, default))
-                    for pos, cost in options:
-                        if pos in active_set:
-                            opts.append((pos, cost))
-                    if not opts:
-                        feasible = False
-                        break
-                    plan_term.slots.append(SlotOptions(options=opts))
-                if feasible:
-                    term.plans.append(plan_term)
-            if not term.plans:
-                raise RuntimeError("no feasible cached plan for %r" % (sql,))
-            queries.append(term)
-        return BipProblem(
-            candidates=self.candidates,
-            sizes=self.sizes,
-            budget_pages=self.budget_pages,
-            queries=queries,
-            max_indexes=self.max_indexes,
-            write_base_cost=self.write_base_cost,
-            index_penalties=(
-                list(self.index_penalties)
-                if any(self.index_penalties) else []
-            ),
-        )
 
     # -- reduced-benefit bound -----------------------------------------
 
@@ -219,11 +93,11 @@ class _Master:
         ent_pos, ent_q, ent_p, ent_sid, ent_cost = [], [], [], [], []
         qweights = []
         pid = 0
-        for qid, (weight, __, plans) in enumerate(self.query_specs):
+        for qid, (weight, __, plans) in enumerate(self.priced.queries):
             qweights.append(weight)
             for internal, sids in plans:
                 for sid in sids:
-                    __, options = self.slot_entries[sid]
+                    __, options = self.priced.slot_entries[sid]
                     for pos, cost in options:
                         ent_pos.append(pos)
                         ent_q.append(qid)
@@ -232,7 +106,9 @@ class _Master:
                         ent_cost.append(cost)
                 pid += 1
         self._qweights = np.asarray(qweights, dtype=np.float64)
-        self._penalty = np.asarray(self.index_penalties, dtype=np.float64)
+        self._penalty = np.asarray(
+            self.priced.index_penalties, dtype=np.float64
+        )
         self.n_entries = len(ent_cost)
         if not self.n_entries:
             self._ent_sid = np.empty(0, dtype=np.intp)
@@ -271,7 +147,7 @@ class _Master:
         anti-monotone in the chosen set).  Includes a relative + absolute
         safety margin so float rounding can never undercut a true
         benefit."""
-        n = len(self.candidates)
+        n = len(self.priced.candidates)
         if not self.n_entries:
             ub = np.zeros(n, dtype=np.float64)
         else:
@@ -296,46 +172,39 @@ class _Master:
 
 
 def solve_colgen(inum_model, workload, candidates, budget_pages,
-                 max_indexes=None, by_ratio=True):
+                 max_indexes=None):
     """Greedy CoPhy selection by column generation: identical design
     and objective to ``greedy_select(build_bip(model, workload,
-    candidates, budget, max_indexes), by_ratio=by_ratio)``, activating
-    only the candidates whose reduced-benefit bound ever threatens a
-    round's incumbent."""
+    candidates, budget, max_indexes))``, activating only the candidates
+    whose reduced-benefit bound ever threatens a round's incumbent."""
     candidates = list(candidates)
     n = len(candidates)
     with obs.tracer().span("cophy.solve_colgen", candidates=n):
         started = time.perf_counter()
-        master = _Master(
+        priced = PricedWorkload(
             inum_model, workload, candidates, budget_pages, max_indexes
         )
-        sizes = master.sizes
-        budget = master.budget_pages
+        master = _Master(priced)
+        sizes = priced.sizes
+        budget = priced.budget_pages
 
-        active = []  # activation order (restricted options grow with it)
-        active_set = set()
+        active = set()  # the restricted master's options grow with it
         pruned = np.zeros(n, dtype=bool)
         chosen = []
-        chosen_set = set()
         used = 0.0
-        problem = master.build_restricted(active_set)
+        problem = priced.problem(active)
         current_cost = problem.config_cost(chosen)
         base_cost = current_cost
         evaluations = 1
         rounds = 0
         waves = 0
 
-        def activate(wave):
-            for pos in wave:
-                active.append(pos)
-                active_set.add(pos)
-
         while len(chosen) < n:
             if max_indexes is not None and len(chosen) >= max_indexes:
                 break
             rounds += 1
             ub = master.upper_bounds()
-            pruned |= ub <= _BENEFIT_EPS
+            pruned |= ub <= BENEFIT_EPS
             round_costs = {}  # global pos -> cost of chosen + [pos]
 
             def price(positions):
@@ -346,44 +215,34 @@ def solve_colgen(inum_model, workload, candidates, budget_pages,
                     round_costs.update(zip(positions, costs))
 
             price([
-                pos for pos in sorted(active_set - chosen_set)
+                pos for pos in sorted(active.difference(chosen))
                 if used + sizes[pos] <= budget
             ])
 
             while True:
-                # Greedy's exact selection over the active feasible set:
-                # ascending global positions, benefit threshold, strict
-                # max (first best wins ties).
-                best_pos = None
-                best_score = 0.0
-                best_cost = current_cost
-                for pos in sorted(round_costs):
-                    benefit = current_cost - round_costs[pos]
-                    if benefit <= _BENEFIT_EPS:
-                        continue
-                    score = benefit / sizes[pos] if by_ratio else benefit
-                    if score > best_score:
-                        best_pos, best_score = pos, score
-                        best_cost = round_costs[pos]
+                # Greedy's exact selection over the active feasible set.
+                best_pos, best_score, best_cost = best_extension(
+                    current_cost, sorted(round_costs.items()), sizes
+                )
                 # Inactive candidates whose bound could still beat (or
                 # tie — ties resolve by position, so they must compete
                 # for real) the incumbent.
                 need = []
                 for pos in np.nonzero(~pruned)[0].tolist():
-                    if pos in active_set:
+                    if pos in active:
                         continue
                     if used + sizes[pos] > budget:
                         continue  # stays infeasible: used only grows
-                    score = ub[pos] / sizes[pos] if by_ratio else ub[pos]
+                    score = ub[pos] / sizes[pos]
                     if best_pos is None or score >= best_score:
                         need.append((score, pos))
                 if not need:
                     break
                 need.sort(key=lambda item: (-item[0], item[1]))
                 wave = [pos for __, pos in need[:_WAVE_SIZE]]
-                activate(wave)
+                active.update(wave)
                 waves += 1
-                problem = master.build_restricted(active_set)
+                problem = priced.problem(active)
                 price([
                     pos for pos in sorted(wave)
                     if used + sizes[pos] <= budget
@@ -392,7 +251,6 @@ def solve_colgen(inum_model, workload, candidates, budget_pages,
             if best_pos is None:
                 break
             chosen.append(best_pos)
-            chosen_set.add(best_pos)
             used += sizes[best_pos]
             current_cost = best_cost
             master.commit(best_pos)
@@ -409,7 +267,7 @@ def solve_colgen(inum_model, workload, candidates, budget_pages,
         registry.counter(
             "repro_colgen_priced_total",
             "Slot-candidate pairs priced by the candidate pricer",
-        ).inc(master.pricer.pricings)
+        ).inc(priced.pricer.pricings)
         return observed_solve(SolveResult(
             chosen_positions=tuple(chosen),
             objective=current_cost,
@@ -424,7 +282,7 @@ def solve_colgen(inum_model, workload, candidates, budget_pages,
                 "waves": waves,
                 "activated": len(active),
                 "n_candidates": n,
-                "priced": master.pricer.pricings,
+                "priced": priced.pricer.pricings,
                 "certificate": "no-inactive-candidate-improves",
             },
         ))

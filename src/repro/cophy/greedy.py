@@ -6,18 +6,42 @@ candidate helps.  It uses the *same* cost oracle as the exact solvers
 (:meth:`BipProblem.config_cost`), so any quality gap measured against the
 BIP optimum is attributable purely to greedy search, not to cost-model
 differences — the comparison the CL-ILP experiment reports.
+
+The round's decision is written once, in :func:`best_extension`:
+:func:`greedy_select` applies it to every feasible extension, column
+generation (:mod:`repro.cophy.colgen`) to the extensions its bound could
+not rule out — which is why the two return the same design.
 """
 
 import time
 
 from repro.cophy.solvers import SolveResult, observed_solve
 
+# A candidate must cut the workload cost by more than this to be chosen;
+# column generation's bound prunes against the same constant.
+BENEFIT_EPS = 1e-9
 
-def greedy_select(problem, by_ratio=True):
+
+def best_extension(current_cost, priced, sizes):
+    """One round's decision over *priced*, ``(position, cost of chosen +
+    [position])`` pairs in ascending position: extensions whose benefit
+    does not exceed :data:`BENEFIT_EPS` are skipped, the rest rank by
+    benefit per page (the usual knapsack heuristic), and the maximum is
+    strict, so the first best wins ties.  Returns ``(position, score,
+    cost)`` — ``(None, 0.0, current_cost)`` when nothing helps."""
+    best_pos, best_score, best_cost = None, 0.0, current_cost
+    for pos, cost in priced:
+        benefit = current_cost - cost
+        if benefit <= BENEFIT_EPS:
+            continue
+        score = benefit / sizes[pos]
+        if score > best_score:
+            best_pos, best_score, best_cost = pos, score, cost
+    return best_pos, best_score, best_cost
+
+
+def greedy_select(problem):
     """Greedy selection over a :class:`~repro.cophy.bip.BipProblem`.
-
-    ``by_ratio=True`` ranks candidates by benefit/size (the usual
-    knapsack heuristic); ``False`` ranks by raw benefit.
 
     Each round prices its extensions as single-index deltas off the
     current ``chosen``
@@ -46,16 +70,9 @@ def greedy_select(problem, by_ratio=True):
         ]
         costs = problem.config_costs_delta(chosen, feasible)
         evaluations += len(feasible)
-        best_pos = None
-        best_score = 0.0
-        best_cost = current_cost
-        for pos, cost in zip(feasible, costs):
-            benefit = current_cost - cost
-            if benefit <= 1e-9:
-                continue
-            score = benefit / problem.sizes[pos] if by_ratio else benefit
-            if score > best_score:
-                best_pos, best_score, best_cost = pos, score, cost
+        best_pos, __, best_cost = best_extension(
+            current_cost, zip(feasible, costs), problem.sizes
+        )
         if best_pos is None:
             break
         chosen.append(best_pos)
@@ -67,7 +84,7 @@ def greedy_select(problem, by_ratio=True):
         chosen_positions=tuple(chosen),
         objective=current_cost,
         status="heuristic",
-        solver="greedy-%s" % ("ratio" if by_ratio else "benefit"),
+        solver="greedy-ratio",
         solve_seconds=time.perf_counter() - started,
         nodes_explored=evaluations,
     ))

@@ -167,7 +167,7 @@ class WorkloadEvaluator(InumCostModel):
         """Drop memo entries derived from an evicted cache, so a bounded
         pool bounds the memos too (not just the resident plan caches).
 
-        O(1) per eviction: the slot memos are sharded by owning query
+        O(1) per eviction: the slot memo is sharded by owning query
         (one ``pop`` drops the whole bucket — a concurrent tenant thread
         holding a popped bucket merely writes lost, benign, entries
         into it), and compiled workloads are indexed by contained
@@ -178,8 +178,7 @@ class WorkloadEvaluator(InumCostModel):
         Called with the pool lock held; the evaluator lock nests inside
         it (pool → evaluator is the one sanctioned order).
         """
-        self._slot_costs.pop(cache.bound_query.sql, None)
-        self._slot_choices.pop(cache.bound_query.sql, None)
+        self._slot_memo.pop(cache.bound_query.sql, None)
         # The scan-pricing memo rides on the bound query, which the bind
         # cache keeps per distinct SQL text: drop it with the entry.
         cache.bound_query.scan_memo.clear()
@@ -211,8 +210,7 @@ class WorkloadEvaluator(InumCostModel):
         # lock order every eviction establishes.
         self.pool.clear()
         with self._lock:
-            self._slot_costs.clear()
-            self._slot_choices.clear()
+            self._slot_memo.clear()
             self._compiled.clear()
             self._compiled_by_sig.clear()
             # Statement-level memos too: signature tuples and bound ASTs
@@ -434,7 +432,7 @@ class WorkloadEvaluator(InumCostModel):
         (view,), (sigs,) = self._kernel_views(
             compiled, [parent or Configuration.empty()]
         )
-        return compiled.kernel.delta_state(view, sigs, self.slot_cost)
+        return compiled.kernel.delta_state(view, sigs, self.slot_choice)
 
     @contextmanager
     def _batch_seam(self, span, mode, workload, configurations):
@@ -532,7 +530,7 @@ class WorkloadEvaluator(InumCostModel):
         ) as (compiled, configurations, views, table_sigs):
             reads = compiled.kernel.evaluate_deltas(
                 self._kernel_state(compiled, parent), views, table_sigs,
-                self.slot_cost,
+                self.slot_choice,
             )
             return self._assemble_batch(compiled, configurations, views,
                                         reads)
@@ -558,7 +556,7 @@ class WorkloadEvaluator(InumCostModel):
             "evaluate.batch", "kernel", workload, configurations
         ) as (compiled, configurations, views, table_sigs):
             reads = compiled.kernel.evaluate_many(
-                views, table_sigs, self.slot_cost
+                views, table_sigs, self.slot_choice
             )
             return self._assemble_batch(compiled, configurations, views,
                                         reads)
@@ -578,8 +576,8 @@ class WorkloadEvaluator(InumCostModel):
         reductions as :meth:`evaluate_deltas`, untouched statements
         inherit both minimum and witness from the captured parent
         state, and each statement's used set is the winning plan's
-        winning-access indexes (payload columns memoized per (table,
-        design) exactly like cost columns) intersected with the
+        winning-access indexes (the payload half of the kernel's
+        memoized (table, design) columns) intersected with the
         configuration — bit-identical to the serial
         :meth:`workload_cost_with_usage` walk, the pinned reference.
         """
@@ -588,7 +586,7 @@ class WorkloadEvaluator(InumCostModel):
         ) as (compiled, configurations, views, table_sigs):
             reads, witnesses = compiled.kernel.evaluate_deltas_with_usage(
                 self._kernel_state(compiled, parent), views, table_sigs,
-                self.slot_cost, self.slot_choice,
+                self.slot_choice,
             )
             results = []
             for c, config in enumerate(configurations):
@@ -612,24 +610,6 @@ class WorkloadEvaluator(InumCostModel):
                     used |= stmt_used
                 results.append((total, frozenset(used)))
             return results
-
-    def _write_usage(self, bound_write, view, config):
-        """Cost and used-index set of one write statement — the same
-        expressions :meth:`~repro.inum.cache.InumCostModel.cost_with_usage`
-        runs on its write branch (maintained indexes plus the locate
-        query's own usage)."""
-        from repro.optimizer.writecost import locate_query
-
-        cost = self._write_cost(bound_write, view, config)
-        used = frozenset(
-            ix for ix in config.indexes if bound_write.touches_index(ix)
-        )
-        if bound_write.kind in ("update", "delete"):
-            __, locate_used = self.cost_with_usage(
-                locate_query(bound_write), config
-            )
-            used |= locate_used
-        return cost, used
 
     # ------------------------------------------------------------------
     # The exact-optimizer side of the backplane (what-if sessions).

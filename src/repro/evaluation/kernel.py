@@ -27,10 +27,11 @@ public classes sit on one private core:
   its two owners travels as data — unit lists and a ``values`` array;
 
 * :class:`WorkloadKernel` — many statement kernels fused over one
-  global slot table.  It resolves a slot by its table's *design*:
-  slot → (table, design) cost columns are memoized, a ``configurations
-  × slots`` matrix is filled per distinct per-table design, and
-  :meth:`~WorkloadKernel.evaluate_many` is ``minima(sums(matrix))``.
+  global slot table.  It resolves a slot by its table's *design*: one
+  ``(cost array, choice list)`` column pair per (table, design) is
+  memoized, a ``configurations × slots`` matrix is filled per distinct
+  per-table design, and :meth:`~WorkloadKernel.evaluate_many` is
+  ``minima(sums(matrix))``.
   Its unit is a table: a child's values are the cost columns of the
   tables whose design differs from the parent's;
 
@@ -57,7 +58,7 @@ re-minimization reproduces the parent's minima there bit for bit; a
 capture extending the previous one by one candidate is that state's
 one child.  The **argmin-with-witness** mode recovers, from the same
 sums, the winning plan per statement and the winning access per slot
-(payload columns memoized per (table, design) like the cost columns),
+(the payload half of the same memoized (table, design) columns),
 which turns
 :meth:`~repro.evaluation.WorkloadEvaluator.workload_cost_with_usage_batch`
 — the IBG frontier oracle — from a per-configuration serial walk into
@@ -97,9 +98,9 @@ __all__ = [
 ]
 
 # Safety valve for long-lived workload kernels sweeping ever-fresh
-# designs: past this many memoized (table, design) cost columns the memo
-# is dropped and rebuilt on demand (each rebuild is a handful of
-# already-memoized slot-cost lookups, so the reset is cheap).
+# designs: past this many memoized (table, design) columns the memo is
+# dropped and rebuilt on demand (each rebuild is a handful of
+# already-memoized slot lookups, so the reset is cheap).
 _MAX_DESIGN_COLUMNS = 4096
 
 # Parent states a workload kernel keeps around for delta pricing; greedy
@@ -361,8 +362,8 @@ class WorkloadKernel:
     operations — one gathered add per slot position, one grouped min —
     regardless of how many statements the workload holds.  What stays
     here is slot bookkeeping: which table a slot belongs to, and the
-    memoized cost and payload columns resolving a table's slots under
-    one design.
+    memoized ``(costs, choices)`` columns resolving a table's slots
+    under one design.
     """
 
     def __init__(self):
@@ -374,8 +375,7 @@ class WorkloadKernel:
         self._plan_rows = []  # per plan: global slot ids, plan order
         self._plan_internal = []
         self._read_starts = []  # first plan index of each read statement
-        self._columns = {}  # (table, design signature) -> cost column
-        self._payloads = {}  # (table, design signature) -> payload column
+        self._columns = {}  # (table, design signature) -> (costs, choices)
         self._delta_states = {}  # sorted table-sig items -> delta state
         # Filled by seal():
         self.arena = None  # _PlanArena: reads are groups, tables units
@@ -436,24 +436,26 @@ class WorkloadKernel:
 
     # ------------------------------------------------------------------
 
-    def _design_column(self, table, signature, view, slot_cost):
-        """Access costs of *table*'s slots under one per-table design —
-        the kernel's slot → (table, candidate-access) cost column,
-        memoized across configurations and across evaluate calls."""
+    def _design_column(self, table, signature, view, slot_choice):
+        """The winning accesses of *table*'s slots under one per-table
+        design, as a ``(cost array, choice list)`` pair — memoized
+        across configurations and across evaluate calls.  An infeasible
+        slot prices +inf (its plans never win, so its ``None`` choice is
+        never read for a payload)."""
         column = self._columns.get((table, signature))
         if column is None:
-            values = []
+            choices = []
             for g in self.table_columns[table]:
                 slot, bq = self.slots[g]
-                cost = slot_cost(bq, slot, view, signature)
-                values.append(np.inf if cost is None else cost)
-            column = np.asarray(values, dtype=np.float64)
+                choices.append(slot_choice(bq, slot, view, signature))
+            costs = [np.inf if c is None else c[0] for c in choices]
+            column = (np.asarray(costs, dtype=np.float64), choices)
             if len(self._columns) >= _MAX_DESIGN_COLUMNS:
                 self._columns.clear()
             self._columns[(table, signature)] = column
         return column
 
-    def _rows(self, views, table_sigs, slot_cost):
+    def _rows(self, views, table_sigs, slot_choice):
         """The ``configurations × slots`` access-cost matrix (sentinel
         column last).  Work scales with *distinct designs*, not
         configurations: each table's designs are factorized across the
@@ -469,31 +471,33 @@ class WorkloadKernel:
             block = np.empty((len(distinct), len(cols)), dtype=np.float64)
             for signature, (u, view) in distinct.items():
                 block[u] = self._design_column(
-                    table, signature, view, slot_cost
-                )
+                    table, signature, view, slot_choice
+                )[0]
             matrix[:, cols] = block[inverse]
         return matrix
 
-    def evaluate_many(self, views, table_sigs, slot_cost):
+    def evaluate_many(self, views, table_sigs, slot_choice):
         """Price every read statement under every configuration.
 
         ``views`` are the per-configuration
         :class:`~repro.inum.cache._DesignView` facades, ``table_sigs``
         the per-configuration ``{table: design signature}`` dicts, and
-        ``slot_cost(bq, slot, view, signature)`` the (memoized) scalar
-        slot pricer — ``None`` meaning infeasible.  Returns an array of
-        shape ``(n_reads, n_configurations)``.
+        ``slot_choice(bq, slot, view, signature)`` the scalar slot
+        pricer — a memo over the pure function the serial reference
+        calls: the winning ``(cost, payload indexes)`` pair, or ``None``
+        if infeasible.  Returns an array of shape ``(n_reads,
+        n_configurations)``.
 
         Statement pricing is pure array arithmetic in scalar
         accumulation order: the arena's sums over the resolved matrix,
         then its grouped minima.
         """
-        rows = self._rows(views, table_sigs, slot_cost)
+        rows = self._rows(views, table_sigs, slot_choice)
         return self.arena.minima(self.arena.sums(rows)).T.copy()
 
     # -- delta (seminaïve) evaluation ----------------------------------
 
-    def delta_state(self, view, table_sigs, slot_cost):
+    def delta_state(self, view, table_sigs, slot_choice):
         """Capture (or fetch the memoized) parent state for *view*.
 
         The parent's slot cost row and per-plan sums are computed by
@@ -505,7 +509,7 @@ class WorkloadKernel:
         state = self._delta_states.get(key)
         if state is not None:
             return state
-        row = self._rows([view], [table_sigs], slot_cost)[0]
+        row = self._rows([view], [table_sigs], slot_choice)[0]
         acc = self.arena.sums(row)
         self.arena.minima(acc)  # an infeasible parent raises here
         state = WorkloadDeltaState(
@@ -516,7 +520,7 @@ class WorkloadKernel:
         self._delta_states[key] = state
         return state
 
-    def _price(self, state, views, table_sigs, slot_cost):
+    def _price(self, state, views, table_sigs, slot_choice):
         """Every configuration as a diff against *state*'s parent, in
         one batched arena pass: a child changes the unit of each table
         whose design differs from the parent's, and its new values are
@@ -529,8 +533,8 @@ class WorkloadKernel:
                     children.append(c)
                     units.append(unit)
                     values.append(self._design_column(
-                        table, sigs[table], views[c], slot_cost
-                    ))
+                        table, sigs[table], views[c], slot_choice
+                    )[0])
         footprint = self.arena.footprint(
             np.asarray(children, dtype=np.intp),
             np.asarray(units, dtype=np.intp),
@@ -541,17 +545,17 @@ class WorkloadKernel:
         )
         return footprint, acc, best
 
-    def evaluate_deltas(self, state, views, table_sigs, slot_cost):
+    def evaluate_deltas(self, state, views, table_sigs, slot_choice):
         """Delta counterpart of :meth:`evaluate_many`: price each
         configuration as a diff against *state*'s parent, re-resolving
         only slots on tables whose design changed and re-summing only
         the plans that read them.  Untouched reads inherit the parent
         minimum verbatim: every input to their plan sums is unchanged."""
-        __, __, best = self._price(state, views, table_sigs, slot_cost)
+        __, __, best = self._price(state, views, table_sigs, slot_choice)
         return best.T.copy()
 
     def evaluate_deltas_with_usage(self, state, views, table_sigs,
-                                   slot_cost, slot_choice):
+                                   slot_choice):
         """:meth:`evaluate_deltas` plus argmin witnesses.
 
         Returns ``(grid, used)`` where ``used[r][c]`` is the *raw*
@@ -559,14 +563,11 @@ class WorkloadKernel:
         of the winning access path's indexes over the winning plan's
         slots, **unfiltered** (callers intersect with the
         configuration's own indexes, like the scalar walk does).
-        ``slot_choice(bq, slot, view, signature)`` returns the winning
-        ``(cost, payload indexes)`` pair for one slot, or ``None`` if
-        infeasible — the same pure function the serial reference calls.
         Witnesses of untouched reads are resolved once against the
         parent and cached on the state; touched reads resolve under the
         child's designs."""
         footprint, acc, best = self._price(
-            state, views, table_sigs, slot_cost
+            state, views, table_sigs, slot_choice
         )
         winners = self.arena.argmin(acc).tolist()
         touched = np.zeros(best.shape, dtype=bool)
@@ -592,23 +593,6 @@ class WorkloadKernel:
 
     # -- argmin witnesses ----------------------------------------------
 
-    def _payload_column(self, table, signature, view, slot_choice):
-        """Winning access payloads of *table*'s slots under one design
-        — the witness twin of :meth:`_design_column`, memoized the same
-        way.  Infeasible slots store an empty payload (their plans
-        price +inf and never win, so the entry is never read)."""
-        column = self._payloads.get((table, signature))
-        if column is None:
-            column = []
-            for g in self.table_columns[table]:
-                slot, bq = self.slots[g]
-                priced = slot_choice(bq, slot, view, signature)
-                column.append(() if priced is None else tuple(priced[1]))
-            if len(self._payloads) >= _MAX_DESIGN_COLUMNS:
-                self._payloads.clear()
-            self._payloads[(table, signature)] = column
-        return column
-
     def _witness(self, plan, table_sigs, view, slot_choice):
         """Raw witness set of one winning *plan*: the union of winning
         access payloads over its slots, exactly the winner list the
@@ -616,10 +600,10 @@ class WorkloadKernel:
         out = set()
         for g in self._plan_rows[plan]:
             table = self.slot_tables[g]
-            column = self._payload_column(
+            __, choices = self._design_column(
                 table, table_sigs[table], view, slot_choice
             )
-            out.update(column[self._col_pos[g]])
+            out.update(choices[self._col_pos[g]][1])
         return frozenset(out)
 
 

@@ -12,11 +12,20 @@ slot with the cheapest matching access path available under the
 configuration (sequential scan, a configuration index, or scan+sort to
 restore a required order) and return the minimum over cached plans.
 Evaluation issues **zero** optimizer calls.
+
+A slot is priced once.  The winner functions (:func:`_access_cost` over
+:func:`_best_scan_access` / :func:`_best_param_access`) always answer
+with the winning access — ``(cost, winner indexes)``, or ``None`` for a
+slot nothing serves — and :meth:`InumCostModel.slot_choice` memoizes
+that one answer per slot and per projection of the design onto it:
+plain evaluation reads its cost half, the usage batch its witness half,
+and CoPhy's candidate pricer fills the same entries.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.catalog import Index
 from repro.optimizer import joins as J
@@ -158,12 +167,10 @@ class InumCostModel:
         self.settings = settings or DEFAULT_SETTINGS
         self._caches = {}
         self._bound_cache = {}
-        # sql -> {(slot, per-table design sig) -> cost}; sharded by owning
-        # query so evicting one cache drops its memo bucket in O(1).
-        self._slot_costs = {}
-        # Same shape for winning-access choices (the witness memo the
-        # vectorized usage path prices through).
-        self._slot_choices = {}
+        # sql -> {_slot_key(...) -> winning access: (cost, winner indexes)
+        # or None}; sharded by owning query so evicting one cache drops
+        # its memo bucket in O(1).
+        self._slot_memo = {}
         self.evaluations = 0
 
     # ------------------------------------------------------------------
@@ -229,73 +236,57 @@ class InumCostModel:
             total += self._evaluate(self.cache_for(locate), view)
         return total
 
-    def slot_cost(self, bq, slot, view, design_signature=None):
-        """Memoized analytic access cost of *slot* under *view*.
+    def slot_choice(self, bq, slot, view, design_signature=None):
+        """Memoized winning access of *slot* under *view*: ``(cost,
+        winner index tuple)``, or ``None`` for an infeasible slot — the
+        one priced fact about a slot; its cost and its witness are the
+        two halves.
 
         The memo is keyed by the owning query, the slot, and what the
-        cost reads of the per-table design (:func:`_slot_key`), so it is
-        shared across configurations, across evaluate calls, across
+        access reads of the per-table design (:func:`_slot_key`), so it
+        is shared across configurations, across evaluate calls, across
         designs whose indexes reach the slot alike, across layouts whose
         covers weigh the same, and (through the cached plan's bound
         query) across alias-renamed queries that share one cache entry.
         ``design_signature`` may be passed to avoid recomputing it in
-        batched loops.
-        """
-        if design_signature is None:
-            design_signature = view.design_signature(slot.table_name)
-        bucket = self.slot_cost_bucket(bq)
-        key = _slot_key(bq, slot, view, design_signature)
-        cost = bucket.get(key, _UNPRICED)
-        if cost is _UNPRICED:
-            cost = bucket[key] = _access_cost(slot, bq, view, self.settings)
-        return cost
-
-    def slot_cost_bucket(self, bq):
-        """*bq*'s shard of the slot-cost memo, ``{_slot_key(...): cost}``
-        — for pricers that fill the same entries :meth:`slot_cost` would,
-        by a cheaper route (``cophy.bip.CandidatePricer``).  A bucket
-        popped by an eviction while a caller still holds it merely
-        collects lost, benign, writes."""
-        bucket = self._slot_costs.get(bq.sql)
-        if bucket is None:
-            bucket = self._slot_costs.setdefault(bq.sql, {})
-        return bucket
-
-    def slot_choice(self, bq, slot, view, design_signature=None):
-        """Memoized winning access of *slot* under *view* — the witness
-        twin of :meth:`slot_cost`: ``(cost, winner index tuple)``, or
-        ``None`` for an infeasible slot.  Keyed and sharded exactly like
-        the cost memo; it calls the same pure :func:`_access_cost` the
-        serial usage walk calls, so memoized witnesses cannot drift from
+        batched loops.  It calls the same pure :func:`_access_cost` the
+        serial usage walk calls, so a memoized entry cannot drift from
         the reference.
         """
         if design_signature is None:
             design_signature = view.design_signature(slot.table_name)
-        bucket = self._slot_choices.get(bq.sql)
-        if bucket is None:
-            bucket = self._slot_choices.setdefault(bq.sql, {})
+        bucket = self.slot_bucket(bq)
         key = _slot_key(bq, slot, view, design_signature)
         choice = bucket.get(key, _UNPRICED)
         if choice is _UNPRICED:
-            choice = bucket[key] = _access_cost(
-                slot, bq, view, self.settings, want_choice=True
-            )
+            choice = bucket[key] = _access_cost(slot, bq, view, self.settings)
         return choice
+
+    def slot_cost(self, bq, slot, view, design_signature=None):
+        """The cost half of :meth:`slot_choice` (``None``: infeasible)."""
+        choice = self.slot_choice(bq, slot, view, design_signature)
+        return None if choice is None else choice[0]
+
+    def slot_bucket(self, bq):
+        """*bq*'s shard of the slot memo, ``{_slot_key(...): choice}`` —
+        for pricers that fill the same entries :meth:`slot_choice` would,
+        by a cheaper route (``cophy.bip.CandidatePricer``).  A bucket
+        popped by an eviction while a caller still holds it merely
+        collects lost, benign, writes."""
+        bucket = self._slot_memo.get(bq.sql)
+        if bucket is None:
+            bucket = self._slot_memo.setdefault(bq.sql, {})
+        return bucket
 
     def _evaluate(self, cache, view):
         """Price a cache entry under *view* from its plan terms alone.
 
         Consumes ``(internal_cost, slots)`` pairs — never live plan
         trees — so an entry deserialized from the wire format evaluates
-        exactly like one built in-process.
+        exactly like one built in-process.  A slot's choice is the
+        ``(cost, payload)`` pair the walk consumes.
         """
-
-        def price(bq, slot):
-            cost = self.slot_cost(bq, slot, view)
-            return None if cost is None else (cost, None)
-
-        best, __ = evaluate_terms(cache, price)
-        return best
+        return evaluate_terms(cache, partial(self.slot_choice, view=view))[0]
 
     # ------------------------------------------------------------------
     # Usage-aware evaluation (feeds the Index Benefit Graph).
@@ -312,21 +303,14 @@ class InumCostModel:
         view = _DesignView(self.catalog, config)
         maybe_write = self.bound(query)
         if isinstance(maybe_write, BoundWrite):
-            cost = self._write_cost(maybe_write, view, config)
             self.evaluations += 1
-            used = frozenset(
-                ix for ix in config.indexes if maybe_write.touches_index(ix)
-            )
-            if maybe_write.kind in ("update", "delete"):
-                __, locate_used = self.cost_with_usage(
-                    locate_query(maybe_write), config
-                )
-                used |= locate_used
-            return cost, used
+            return self._write_usage(maybe_write, view, config)
         cache = self.cache_for(maybe_write)
 
         def price(bq, slot):
-            return _access_cost(slot, bq, view, self.settings, want_choice=True)
+            # Pure and unmemoized: this walk is the reference the
+            # memoized usage batch is pinned against.
+            return _access_cost(slot, bq, view, self.settings)
 
         best, winner_lists = evaluate_terms(cache, price)
         best_used = frozenset(
@@ -337,6 +321,21 @@ class InumCostModel:
         )
         self.evaluations += 1
         return best, best_used
+
+    def _write_usage(self, bound_write, view, config):
+        """Cost and used-index set of one write statement: the
+        configuration indexes it maintains plus the locate query's own
+        usage."""
+        cost = self._write_cost(bound_write, view, config)
+        used = frozenset(
+            ix for ix in config.indexes if bound_write.touches_index(ix)
+        )
+        if bound_write.kind in ("update", "delete"):
+            __, locate_used = self.cost_with_usage(
+                locate_query(bound_write), config
+            )
+            used |= locate_used
+        return cost, used
 
     def workload_cost_with_usage(self, workload, config=None):
         """Workload cost plus the union of used configuration indexes."""
@@ -432,10 +431,6 @@ def build_cache(bq, catalog, settings):
     # The hypothetical covering indexes never recur after the build.
     P.forget_indexes(bq, covering)
     return cache
-
-
-# Backward-compatible alias (pre-wire-format name).
-_build_cache = build_cache
 
 
 def extract_plan_terms(plan, bq, order_by_alias):
@@ -620,13 +615,10 @@ def _consumed(path, slot):
     )
 
 
-def _best_param_access(slot, candidates, want_choice=False):
+def _best_param_access(slot, candidates):
     """Winner logic for a parameterized (nested-loop inner) slot over an
-    already-assembled list of parameterized paths."""
-
-    def answer(cost, path):
-        return (cost, _path_indexes(path)) if want_choice else cost
-
+    already-assembled list of parameterized paths: ``(cost, winner
+    indexes)``, or ``None`` when nothing serves the slot."""
     usable = [
         p for p in candidates
         if set(slot.param_columns) <= set(p.param_columns)
@@ -634,25 +626,23 @@ def _best_param_access(slot, candidates, want_choice=False):
     if not usable:
         return None
     winner = min(usable, key=lambda p: _consumed(p, slot))
-    return answer(_consumed(winner, slot) * slot.probes, winner)
+    return _consumed(winner, slot) * slot.probes, _path_indexes(winner)
 
 
-def _best_scan_access(slot, raw_paths, settings, want_choice=False):
+def _best_scan_access(slot, raw_paths, settings):
     """Winner logic for a scan slot over an already-assembled list of
-    non-parameterized paths (pre DISABLE_COST filtering)."""
+    non-parameterized paths (pre DISABLE_COST filtering): ``(cost,
+    winner indexes)`` or ``None``, like :func:`_best_param_access`."""
 
     def consumed(path):
         return _consumed(path, slot)
-
-    def answer(cost, path):
-        return (cost, _path_indexes(path)) if want_choice else cost
 
     paths = [p for p in raw_paths if p.total_cost < DISABLE_COST / 2]
     if not paths:
         return None
     if slot.required_order is None:
         winner = min(paths, key=consumed)
-        return answer(consumed(winner), winner)
+        return consumed(winner), _path_indexes(winner)
     # Btrees read backward at equal cost, so either direction on the
     # required column satisfies an order-expecting skeleton slot.
     satisfying = [
@@ -666,32 +656,30 @@ def _best_scan_access(slot, raw_paths, settings, want_choice=False):
         # sort cannot substitute for a missing ordered path here.
         if winner is None:
             return None
-        return answer(best, winner)
+        return best, _path_indexes(winner)
     cheapest = min(paths, key=lambda p: p.total_cost)
     sorted_cost = J.sort_cost(cheapest, settings)[1]
     if sorted_cost < best:
-        return answer(sorted_cost, cheapest)
-    return answer(best, winner)
+        return sorted_cost, _path_indexes(cheapest)
+    return best, _path_indexes(winner)
 
 
-def _access_cost(slot, bq, catalog, settings, want_choice=False):
-    """Cheapest access path satisfying *slot* under *catalog*; None if the
-    slot cannot be satisfied (e.g. probe slot with no usable index).
-
-    With ``want_choice`` the return value is ``(cost, winner_indexes)``
-    where the tuple lists the indexes backing the winning path (empty for
-    sequential scans, two entries for a BitmapAnd).
-    """
+def _access_cost(slot, bq, catalog, settings):
+    """Winning access path satisfying *slot* under *catalog*: ``(cost,
+    winner indexes)`` — the tuple lists the indexes backing the winning
+    path (empty for sequential scans, two entries for a BitmapAnd) — or
+    ``None`` if the slot cannot be satisfied (e.g. probe slot with no
+    usable index)."""
     if slot.param_columns:
         candidates = P.parameterized_paths(
             bq, slot.alias, catalog, settings, slot.param_columns
         )
-        return _best_param_access(slot, candidates, want_choice=want_choice)
+        return _best_param_access(slot, candidates)
 
     raw = P.scan_paths(
         bq, slot.alias, catalog, settings, _slot_interesting(slot)
     )
-    return _best_scan_access(slot, raw, settings, want_choice=want_choice)
+    return _best_scan_access(slot, raw, settings)
 
 
 def _path_indexes(path):

@@ -22,6 +22,8 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
   over the option lists, what ``BipKernel.evaluate`` vectorizes.
 * :func:`greedy_select_reference` — greedy selection re-pricing every
   extension as a full batch each round, what the delta sweep replaced.
+* :func:`check_solution` — the program's constraints stated once, the
+  one specification every solver backend's output is held to.
 * :func:`threaded_warm_up` — not a reference but a vehicle: a warm-up
   whose builds race on real threads, for the tests that pin the pool's
   single-flight and shard locking.
@@ -350,7 +352,7 @@ def config_costs_reference(problem, batch):
     return totals
 
 
-def greedy_select_reference(problem, by_ratio=True):
+def greedy_select_reference(problem):
     """``greedy_select`` with every round's extensions priced as a full
     ``config_costs`` batch of ``chosen + [pos]`` sets instead of deltas
     off ``chosen`` — same ranking rule, same tie-breaks, same result
@@ -376,7 +378,7 @@ def greedy_select_reference(problem, by_ratio=True):
             benefit = current_cost - cost
             if benefit <= 1e-9:
                 continue
-            score = benefit / problem.sizes[pos] if by_ratio else benefit
+            score = benefit / problem.sizes[pos]
             if score > best_score:
                 best_pos, best_score, best_cost = pos, score, cost
         if best_pos is None:
@@ -389,9 +391,29 @@ def greedy_select_reference(problem, by_ratio=True):
         chosen_positions=tuple(chosen),
         objective=current_cost,
         status="heuristic",
-        solver="greedy-%s" % ("ratio" if by_ratio else "benefit"),
+        solver="greedy-ratio",
         nodes_explored=evaluations,
     )
+
+
+def check_solution(problem, result):
+    """Assert that *result* is a solution of *problem*: what the BIP's
+    constraints say of the ``y`` variables, plus the reporting contract
+    every backend shares (the objective is the true cost of the returned
+    set, and choosing nothing is always available).  Solver-agnostic —
+    it reads nothing but ``chosen_positions`` and ``objective``."""
+    chosen = list(result.chosen_positions)
+    assert len(set(chosen)) == len(chosen), "duplicate position"
+    assert all(0 <= pos < problem.n_candidates for pos in chosen), \
+        "position out of range"
+    assert sum(problem.sizes[pos] for pos in chosen) <= problem.budget_pages, \
+        "over the storage budget"
+    if problem.max_indexes is not None:
+        assert len(chosen) <= problem.max_indexes, "over max_indexes"
+    assert result.objective == problem.config_cost(chosen), \
+        "objective is not the cost of the chosen set"
+    assert result.objective <= problem.config_cost(()) + 1e-6, \
+        "worse than choosing nothing"
 
 
 def threaded_warm_up(evaluator, workload, threads=4):

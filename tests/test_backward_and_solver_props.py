@@ -1,7 +1,7 @@
 """Backward index scans, plus property-based tests of the BIP solvers on
 randomly generated problem instances."""
 
-import math
+import dataclasses
 
 import pytest
 from hypothesis import given, settings as hsettings
@@ -10,12 +10,19 @@ from hypothesis import strategies as st
 from repro.catalog import Index
 from repro.cophy.bip import BipProblem, PlanTerm, QueryTerm, SlotOptions
 from repro.cophy.greedy import greedy_select
-from repro.cophy.solvers import solve_bip, solve_branch_and_bound, solve_lp_rounding
+from repro.cophy.solvers import (
+    SolveResult,
+    solve_bip,
+    solve_branch_and_bound,
+    solve_lp_rounding,
+)
 from repro.data import generate_database
 from repro.executor import run_query
 from repro.inum import InumCostModel
 from repro.optimizer import CostService
 from repro.whatif import Configuration
+
+from oracle import check_solution
 
 
 class TestBackwardScans:
@@ -68,6 +75,7 @@ def bip_instances(draw):
         candidates=candidates,
         sizes=sizes,
         budget_pages=budget,
+        max_indexes=draw(st.none() | st.integers(0, n_candidates)),
         index_penalties=[
             float(draw(st.integers(0, 30))) for __ in range(n_candidates)
         ],
@@ -93,28 +101,31 @@ def bip_instances(draw):
 
 
 class TestSolverProperties:
+    """Every backend's output is held to the one specification,
+    ``oracle.check_solution`` (``solve_colgen``, which takes a workload
+    rather than a problem, meets it in ``tests/test_colgen.py``)."""
+
     @given(problem=bip_instances())
     @hsettings(max_examples=40, deadline=None)
     def test_milp_feasible_and_dominates_greedy(self, problem):
         milp = solve_bip(problem)
         greedy = greedy_select(problem)
-        assert problem.config_size(milp.chosen_positions) <= problem.budget_pages
+        check_solution(problem, milp)
+        check_solution(problem, greedy)
         assert milp.objective <= greedy.objective + 1e-6
-        assert milp.objective <= problem.config_cost(()) + 1e-6
 
     @given(problem=bip_instances())
     @hsettings(max_examples=25, deadline=None)
     def test_branch_and_bound_matches_milp(self, problem):
         milp = solve_bip(problem)
         bnb = solve_branch_and_bound(problem, max_nodes=600)
+        check_solution(problem, bnb)
         assert bnb.objective == pytest.approx(milp.objective, rel=1e-6, abs=1e-6)
 
     @given(problem=bip_instances())
     @hsettings(max_examples=25, deadline=None)
     def test_lp_rounding_feasible(self, problem):
-        rounded = solve_lp_rounding(problem)
-        assert problem.config_size(rounded.chosen_positions) <= problem.budget_pages
-        assert math.isfinite(rounded.objective)
+        check_solution(problem, solve_lp_rounding(problem))
 
     @given(problem=bip_instances())
     @hsettings(max_examples=25, deadline=None)
@@ -138,3 +149,51 @@ class TestSolverProperties:
             enlarged = problem.config_cost(chosen + [extra])
             penalty = problem.index_penalties[extra]
             assert enlarged <= base + penalty + 1e-6
+
+
+class TestCheckSolutionRejects:
+    """The specification has teeth: one violation each."""
+
+    def problem(self):
+        slot = SlotOptions(options=[(-1, 100.0), (0, 10.0), (1, 20.0), (2, 30.0)])
+        return BipProblem(
+            candidates=[Index("t", ("c%d" % i,)) for i in range(3)],
+            sizes=[5.0, 5.0, 5.0],
+            budget_pages=10.0,
+            max_indexes=2,
+            queries=[QueryTerm(weight=1.0, plans=[PlanTerm(0.0, [slot])])],
+        )
+
+    def result(self, problem, chosen, objective=None):
+        if objective is None:
+            objective = problem.config_cost(chosen)
+        return SolveResult(chosen_positions=tuple(chosen), objective=objective)
+
+    def test_accepts_a_solution(self):
+        problem = self.problem()
+        check_solution(problem, self.result(problem, (0, 1)))
+        check_solution(problem, greedy_select(problem))
+
+    @pytest.mark.parametrize("change, chosen, message", [
+        ({}, (0, 1, 2), "over the storage budget"),
+        ({}, (0, 0), "duplicate position"),
+        ({}, (0, 3), "position out of range"),
+        ({}, (-1,), "position out of range"),
+        ({"budget_pages": 100.0}, (0, 1, 2), "over max_indexes"),
+    ])
+    def test_rejects_an_infeasible_set(self, change, chosen, message):
+        problem = dataclasses.replace(self.problem(), **change)
+        # A stated objective: pricing an out-of-range set would raise
+        # before the constraint under test is reached.
+        with pytest.raises(AssertionError, match=message):
+            check_solution(problem, self.result(problem, chosen, 10.0))
+
+    def test_rejects_a_mis_stated_objective(self):
+        problem = self.problem()
+        with pytest.raises(AssertionError, match="objective is not the cost"):
+            check_solution(problem, self.result(problem, (0,), 9.0))
+        worse = dataclasses.replace(
+            self.problem(), index_penalties=[500.0] * 3
+        )
+        with pytest.raises(AssertionError, match="worse than choosing nothing"):
+            check_solution(worse, self.result(worse, (0,)))

@@ -4,10 +4,10 @@ One exactness pin, zero tolerance throughout:
 :func:`repro.cophy.colgen.solve_colgen` must return the identical
 design and objective as greedy over the exhaustively materialized BIP
 (``greedy_select(build_bip(...))``) — on every SDSS and TPC-H template,
-across budgets and ranking modes, on fuzzed environments, and while
-activating only a fraction of the candidate space.  Its building blocks
-are pinned too: the slot pricer against the INUM memo's ``slot_cost``,
-the restricted master (all candidates active) against ``build_bip``.
+across budgets, on fuzzed environments, and while activating only a
+fraction of the candidate space.  Its building blocks are pinned too:
+the slot pricer against the INUM memo's ``slot_cost``, the restricted
+master (the one fold's ``problem(active)``) against ``build_bip``.
 """
 
 import random
@@ -23,7 +23,7 @@ from repro.cophy import (
     greedy_select,
     solve_colgen,
 )
-from repro.cophy.colgen import CandidatePricer, _Master
+from repro.cophy.bip import CandidatePricer, PricedWorkload
 from repro.evaluation import WorkloadEvaluator
 from repro.inum import InumCostModel
 from repro.inum.cache import AccessSlot, CachedPlan, QueryCache, _DesignView
@@ -34,6 +34,7 @@ from repro.util import workload_pairs
 from repro.whatif import Configuration
 from repro.workloads import sdss, sdss_catalog, tpch, tpch_catalog
 
+from oracle import check_solution
 from test_evaluator_equivalence import make_env, random_write
 
 WORKLOAD = [
@@ -68,21 +69,22 @@ def assert_same_solve(catalog, workload, candidates, budget, **kwargs):
 
     Fresh models on each side so neither solve can warm the other's
     memos into a different (it could never be different — but the test
-    should not even share the machinery it compares).
+    should not even share the machinery it compares).  Column
+    generation's answer is also held to the one solver specification,
+    judged against the exhaustive problem it never built.
     """
     problem = build_bip(
         InumCostModel(catalog), workload, candidates, budget,
         max_indexes=kwargs.get("max_indexes"),
     )
-    reference = greedy_select(
-        problem, by_ratio=kwargs.get("by_ratio", True)
-    )
+    reference = greedy_select(problem)
     result = solve_colgen(
         InumCostModel(catalog), workload, candidates, budget, **kwargs
     )
     assert result.chosen_positions == reference.chosen_positions
     assert result.objective == reference.objective
     assert result.extra["certificate"] == "no-inactive-candidate-improves"
+    check_solution(problem, result)
     return reference, result
 
 
@@ -364,7 +366,7 @@ class TestPricer:
             return real_price(self, bq, slot, index)
 
         monkeypatch.setattr(CandidatePricer, "price", spy)
-        master = _Master(model, workload, candidates, 40_000, None)
+        priced = PricedWorkload(model, workload, candidates, 40_000)
         build_bip(InumCostModel(catalog), workload, candidates, 40_000)
         expected, answered, visits = set(), 0, 0
         for bound in read_statements(model, workload):
@@ -387,11 +389,11 @@ class TestPricer:
                     )
                     if offers:
                         expected.add((bq.sql, slot, ix))
-        # _Master and build_bip each price every expected triple once.
+        # The fold and build_bip each price every expected triple once.
         assert sorted(entered, key=repr) == sorted(
             list(expected) * 2, key=repr
         )
-        assert master.pricer.pricings == answered
+        assert priced.pricer.pricings == answered
         assert len(expected) < answered  # some candidates reach nothing
         assert len({(q, s) for q, s, __ in expected}) < visits  # shared slots
 
@@ -441,8 +443,10 @@ class TestPricer:
                 problem.queries[0].plans[0].slots[1].options] == [2]
 
     def test_restricted_master_equals_build_bip(self, sdss_catalog):
-        """With every candidate active, the restricted problem is the
-        exhaustive one — same structure, same floats, term by term."""
+        """The restricted master is the one fold's ``problem(active)``:
+        with every candidate active it is ``build_bip``'s problem — same
+        structure, same floats, term by term — and for a strict subset
+        it is that problem with the inactive options filtered out."""
         workload = WORKLOAD + WRITES
         candidates = candidate_indexes(
             sdss_catalog, workload, max_candidates=14
@@ -451,21 +455,52 @@ class TestPricer:
         full = build_bip(
             InumCostModel(sdss_catalog), workload, candidates, budget
         )
-        master = _Master(
-            InumCostModel(sdss_catalog), workload, candidates, budget, None
+        priced = PricedWorkload(
+            InumCostModel(sdss_catalog), workload, candidates, budget
         )
-        restricted = master.build_restricted(set(range(len(candidates))))
-        assert restricted.sizes == full.sizes
-        assert restricted.write_base_cost == full.write_base_cost
-        assert restricted.index_penalties == full.index_penalties
-        assert len(restricted.queries) == len(full.queries)
-        for mine, ref in zip(restricted.queries, full.queries):
-            assert (mine.weight, mine.sql) == (ref.weight, ref.sql)
-            assert len(mine.plans) == len(ref.plans)
-            for pm, pr in zip(mine.plans, ref.plans):
-                assert pm.internal_cost == pr.internal_cost
-                assert [s.options for s in pm.slots] == \
-                    [s.options for s in pr.slots]
+
+        def filtered(active):
+            """``full`` without the inactive options, and without the
+            plans that leaves with an option-less slot."""
+            out = []
+            for term in full.queries:
+                plans = [
+                    (plan.internal_cost, [
+                        [(pos, cost) for pos, cost in slot.options
+                         if pos == -1 or pos in active]
+                        for slot in plan.slots
+                    ])
+                    for plan in term.plans
+                ]
+                out.append((term.weight, term.sql, [
+                    (internal, slots) for internal, slots in plans
+                    if all(slots)
+                ]))
+            return out
+
+        def terms(problem):
+            return [
+                (term.weight, term.sql, [
+                    (plan.internal_cost, [slot.options for slot in plan.slots])
+                    for plan in term.plans
+                ])
+                for term in problem.queries
+            ]
+
+        everyone = set(range(len(candidates)))
+        assert priced.problem().queries == full.queries
+        for active in (everyone, set(), {0, 3, 4, 9}):
+            restricted = priced.problem(active)
+            assert restricted.candidates == full.candidates
+            assert restricted.sizes == full.sizes
+            assert restricted.write_base_cost == full.write_base_cost
+            assert restricted.index_penalties == full.index_penalties
+            assert terms(restricted) == filtered(active)
+        assert any(full.index_penalties)
+        dropped = sum(len(term.plans) for term in full.queries) - sum(
+            len(term.plans) for term in priced.problem(set()).queries
+        )
+        assert dropped > 0  # a plan only a candidate serves, filtered away
 
 
 class TestSolveColgen:
@@ -481,14 +516,6 @@ class TestSolveColgen:
         )
         assert_same_solve(
             sdss_catalog, workload, candidates, total // divisor
-        )
-
-    def test_matches_greedy_by_benefit(self, sdss_catalog):
-        candidates = candidate_indexes(
-            sdss_catalog, WORKLOAD, max_candidates=14
-        )
-        assert_same_solve(
-            sdss_catalog, WORKLOAD, candidates, 40_000, by_ratio=False
         )
 
     def test_matches_greedy_with_max_indexes(self, sdss_catalog):

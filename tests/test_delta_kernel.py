@@ -198,8 +198,10 @@ class TestBipDelta:
             assert delta == scalar
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("by_ratio", [True, False])
-    def test_greedy_delta_reproduces_full_run(self, seed, by_ratio):
+    @pytest.mark.parametrize("capped", [True, False])
+    def test_greedy_delta_reproduces_full_run(self, seed, capped):
+        """Decision for decision, with and without a ``max_indexes`` cap
+        cutting the chain of captures short."""
         catalog, workload, __ = make_env(seed, write_fraction=0.2)
         evaluator = WorkloadEvaluator(catalog)
         candidates = candidate_indexes(catalog, workload, max_candidates=8)
@@ -207,13 +209,16 @@ class TestBipDelta:
             ix.size_pages(catalog.table(ix.table_name)) for ix in candidates
         )
         problem = build_bip(
-            evaluator, workload, candidates, budget_pages=sizes // 2
+            evaluator, workload, candidates, budget_pages=sizes // 2,
+            max_indexes=2 if capped else None,
         )
-        with_delta = greedy_select(problem, by_ratio=by_ratio)
-        without = greedy_select_reference(problem, by_ratio=by_ratio)
+        with_delta = greedy_select(problem)
+        without = greedy_select_reference(problem)
         assert with_delta.chosen_positions == without.chosen_positions
         assert with_delta.objective == without.objective
         assert with_delta.nodes_explored == without.nodes_explored
+        if capped:
+            assert len(with_delta.chosen_positions) <= 2
 
 
 # ----------------------------------------------------------------------

@@ -179,7 +179,7 @@ class TestClearCaches:
         )
         assert len(evaluator.pool) > 0
         assert evaluator.pool.kernel_count > 0
-        assert evaluator._slot_costs
+        assert evaluator._slot_memo
         assert evaluator._compiled
         (compiled,) = evaluator._compiled.values()
         assert compiled.kernel._delta_states
@@ -188,7 +188,7 @@ class TestClearCaches:
         evaluator.clear_caches()
         assert len(evaluator.pool) == 0
         assert evaluator.pool.kernel_count == 0
-        assert not evaluator._slot_costs
+        assert not evaluator._slot_memo
         assert not evaluator._compiled
         # Costs are rebuilt identically after a clear.
         assert evaluator.cost(Q_RA) == pytest.approx(before, rel=1e-12)
@@ -251,12 +251,12 @@ class TestExactServiceBound:
         a.cost(Q_RA)  # A holds slot memo for Q_RA
         b.cost(Q_RA)  # B too, via the shared entry
         sql = a.cache_for(Q_RA).bound_query.sql
-        assert sql in a._slot_costs and sql in b._slot_costs
+        assert sql in a._slot_memo and sql in b._slot_memo
         b.cache_for(Q_RMAG)
         b.cache_for(Q_GROUP)  # B evicts Q_RA from the shared pool
         assert a.signature(Q_RA) not in pool
-        assert sql not in a._slot_costs  # A was notified and pruned
-        assert sql not in b._slot_costs
+        assert sql not in a._slot_memo  # A was notified and pruned
+        assert sql not in b._slot_memo
 
     def test_clear_caches_broadcasts_to_sharing_evaluators(self, sdss_catalog):
         pool = InumCachePool()
@@ -265,7 +265,7 @@ class TestExactServiceBound:
         a.cost(Q_RA)
         b.cost(Q_RA)
         sql = a.cache_for(Q_RA).bound_query.sql
-        assert sql in b._slot_costs
+        assert sql in b._slot_memo
         a.clear_caches()
         assert len(pool) == 0
-        assert sql not in b._slot_costs  # B pruned via the clear broadcast
+        assert sql not in b._slot_memo  # B pruned via the clear broadcast

@@ -16,6 +16,7 @@ otherwise surface only in a traced ledger run.
 import importlib.util
 import inspect
 import os
+import re
 import sys
 
 import pytest
@@ -57,12 +58,12 @@ SURFACE = BOUNDARY_SURFACE + [
     (CandidatePricer.__init__, ["model"]),
     (WhatIfSession.estimate_many, ["workload", "configurations"]),
     (BipProblem.config_cost, ["chosen_positions"]),
-    (greedy_select, ["problem", "by_ratio"]),
-    (WorkloadKernel.evaluate_many, ["views", "table_sigs", "slot_cost"]),
+    (greedy_select, ["problem"]),
+    (WorkloadKernel.evaluate_many, ["views", "table_sigs", "slot_choice"]),
     (WorkloadKernel.evaluate_deltas,
-     ["state", "views", "table_sigs", "slot_cost"]),
+     ["state", "views", "table_sigs", "slot_choice"]),
     (WorkloadKernel.evaluate_deltas_with_usage,
-     ["state", "views", "table_sigs", "slot_cost", "slot_choice"]),
+     ["state", "views", "table_sigs", "slot_choice"]),
     (BipKernel.evaluate, ["batch"]),
 ]
 
@@ -221,7 +222,8 @@ def test_build_bip_and_colgen_share_the_one_option_builder(
     from repro.cophy.candidates import candidate_indexes
     from repro.inum import InumCostModel
 
-    assert vars(colgen)["CandidatePricer"] is vars(bip)["CandidatePricer"]
+    assert vars(colgen)["PricedWorkload"] is vars(bip)["PricedWorkload"]
+    assert "CandidatePricer" not in vars(colgen)
     pricer = bip.CandidatePricer
     builder = inspect.unwrap(vars(pricer)["slot_options"])
     inside, outside, entered = [0], [], [0]
@@ -257,6 +259,124 @@ def test_build_bip_and_colgen_share_the_one_option_builder(
     colgen.solve_colgen(InumCostModel(catalog), workload, candidates, 40_000)
     assert 0 < from_build_bip < entered[0]
     assert outside == []
+
+
+def _sources(*parts):
+    """``{path: text}`` of every ``.py`` file under ``src/repro/<parts>``."""
+    found = {}
+    for folder, __, names in os.walk(os.path.join(SRC, "repro", *parts)):
+        for name in names:
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path) as handle:
+                    found[path] = handle.read()
+    return found
+
+
+def test_index_selection_is_written_once(sdss_catalog, monkeypatch):
+    """From slot to decision, one of each (ISSUE 21): ``build_bip`` and
+    ``solve_colgen`` construct the same workload fold, column generation
+    states none of the program itself, one greedy rule over one
+    threshold, one slot memo whose entries carry their witness, and no
+    mode keyword on the functions that price a slot."""
+    from repro.cophy import bip, colgen, greedy
+    from repro.cophy.candidates import candidate_indexes
+    from repro.inum import InumCostModel
+    from repro.inum import cache as inum_cache
+
+    entered = []
+    construct = bip.PricedWorkload.__init__
+
+    def spy(self, *args, **kwargs):
+        entered.append(type(self))
+        return construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(bip.PricedWorkload, "__init__", spy)
+    workload = [
+        ("SELECT ra FROM photoobj WHERE ra < 10 AND type = 1", 1.0),
+        ("UPDATE photoobj SET status = 3 WHERE rmag < 14", 0.5),
+    ]
+    candidates = candidate_indexes(sdss_catalog, workload, max_candidates=8)
+    bip.build_bip(InumCostModel(sdss_catalog), workload, candidates, 40_000)
+    assert entered == [bip.PricedWorkload]
+    colgen.solve_colgen(
+        InumCostModel(sdss_catalog), workload, candidates, 40_000
+    )
+    assert entered == [bip.PricedWorkload] * 2
+
+    source = inspect.getsource(colgen)
+    for stated_by_the_fold in (
+        "heap_write_cost", "index_maintenance_cost_per_row", "QueryTerm(",
+        "forget_indexes", "workload_pairs",
+    ):
+        assert stated_by_the_fold not in source, stated_by_the_fold
+    cophy = "".join(_sources("cophy").values())
+    assert cophy.count("no feasible cached plan") == 1
+    assert cophy.count("workload_pairs(workload)") == 1
+    assert cophy.count("P.forget_indexes(") == 1
+    # The benefit threshold: one constant, one literal, one comparison.
+    assert vars(colgen)["BENEFIT_EPS"] is greedy.BENEFIT_EPS
+    assert len(re.findall(r"BENEFIT_EPS = ", cophy)) == 1
+    assert len(re.findall(r"benefit <= ", cophy)) == 1
+    assert not re.search(r"benefit <= \d", cophy)
+
+    everything = "".join(_sources().values())
+    for deleted in ("want_choice", "_slot_costs", "_slot_choices",
+                    "_payload_column", "self._payloads"):
+        assert everything.count(deleted) == 0, deleted
+    for function, expected in (
+        (inum_cache._access_cost, ["slot", "bq", "catalog", "settings"]),
+        (inum_cache._best_scan_access, ["slot", "raw_paths", "settings"]),
+        (inum_cache._best_param_access, ["slot", "candidates"]),
+    ):
+        assert _parameters(function) == expected, function.__name__
+
+
+def test_a_slot_is_priced_once_for_its_cost_and_its_witness(
+        sdss_catalog, monkeypatch):
+    """The one slot memo: an entry written by the cost path answers a
+    later ``slot_choice`` without a second ``_access_cost`` call, and an
+    entry written by the witness path answers a later ``slot_cost``."""
+    from repro.catalog import Index
+    from repro.inum import InumCostModel
+    from repro.inum import cache as inum_cache
+    from repro.whatif import Configuration
+
+    calls = []
+    real = inum_cache._access_cost
+
+    def counted(slot, bq, catalog, settings):
+        calls.append(slot)
+        return real(slot, bq, catalog, settings)
+
+    monkeypatch.setattr(inum_cache, "_access_cost", counted)
+    model = InumCostModel(sdss_catalog)
+    cache = model.cache_for(
+        "SELECT p.ra, s.z FROM photoobj p, specobj s "
+        "WHERE p.objid = s.objid AND s.z > 6.5"
+    )
+    bq = cache.bound_query
+    slots = list({slot for plan in cache.plans for slot in plan.slots})
+    assert len(slots) > 2
+    designs = [
+        Configuration.of(Index("specobj", ("z",))),
+        Configuration.of(Index("specobj", ("objid",)), Index("photoobj", ("objid",))),
+    ]
+    for first, second in (("slot_cost", "slot_choice"),
+                          ("slot_choice", "slot_cost")):
+        view = inum_cache._DesignView(sdss_catalog, designs.pop())
+        written = [getattr(model, first)(bq, slot, view) for slot in slots]
+        priced = len(calls)
+        assert priced
+        read = [getattr(model, second)(bq, slot, view) for slot in slots]
+        assert len(calls) == priced
+        costs, choices = (
+            (written, read) if first == "slot_cost" else (read, written)
+        )
+        assert costs == [
+            None if choice is None else choice[0] for choice in choices
+        ]
+        assert any(choice and choice[1] for choice in choices)
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,7 @@ from repro.catalog import (
 )
 from repro.catalog import stats as stats_module
 from repro.cophy import candidate_indexes
-from repro.cophy.colgen import CandidatePricer
+from repro.cophy.bip import CandidatePricer
 from repro.evaluation import WorkloadEvaluator
 from repro.inum import InumCostModel
 from repro.inum import cache as inum_cache
@@ -91,6 +91,15 @@ def bind_read(sql, catalog):
     (writes contribute their locate query)."""
     bound = bind_statement(sql, catalog)
     return locate_query(bound) if isinstance(bound, BoundWrite) else bound
+
+
+def cold_cost(slot, bq, view, settings):
+    """The cost half of a cold ``_access_cost`` (``None``: infeasible)."""
+    return cost_of(_access_cost(slot, bq, view, settings))
+
+
+def cost_of(choice):
+    return None if choice is None else choice[0]
 
 
 def read_statements(registry, catalog, seed=23):
@@ -178,9 +187,9 @@ def test_slot_pricing_memoized_equals_fresh(registry, make_catalog, monkeypatch)
     model = InumCostModel(catalog)
     model_calls = []
 
-    def counting_access_cost(*args, **kwargs):
-        model_calls.append(kwargs.get("want_choice", False))
-        return _access_cost(*args, **kwargs)
+    def counting_access_cost(*args):
+        model_calls.append(args)
+        return _access_cost(*args)
 
     # The model resolves the name at call time; the cold references
     # below call the original.
@@ -197,17 +206,15 @@ def test_slot_pricing_memoized_equals_fresh(registry, make_catalog, monkeypatch)
                     signature = view.design_signature(slot.table_name)
                     keys.add((bq.sql, _slot_key(bq, slot, view, signature)))
                     full_signatures.add((bq.sql, slot, signature))
-                    assert model.slot_cost(bq, slot, view) == _access_cost(
+                    cold = _access_cost(
                         slot, bind_read(sql, catalog), view, model.settings
                     )
-                    assert model.slot_choice(bq, slot, view) == _access_cost(
-                        slot, bind_read(sql, catalog), view,
-                        model.settings, want_choice=True,
-                    )
+                    assert model.slot_choice(bq, slot, view) == cold
+                    assert model.slot_cost(bq, slot, view) == cost_of(cold)
                     priced += 1
     assert priced
-    assert model_calls.count(False) <= len(keys)
-    assert model_calls.count(True) <= len(keys)
+    # One memo: the cost and the choice of a key share one pricing.
+    assert len(model_calls) <= len(keys)
     # The projection is what saves the work, not the fuzz being small.
     assert len(keys) < len(full_signatures)
 
@@ -227,11 +234,16 @@ def test_candidate_pricer_equals_cold_single_index_view(registry, make_catalog):
                     if index.table_name != slot.table_name:
                         continue
                     view = _DesignView(catalog, Configuration.of(index))
-                    assert pricer.price(
-                        cache.bound_query, slot, index
-                    ) == _access_cost(
+                    cold = _access_cost(
                         slot, bind_read(sql, catalog), view, model.settings
                     )
+                    assert pricer.price(
+                        cache.bound_query, slot, index
+                    ) == cost_of(cold)
+                    # ... filed where the model looks, witness included.
+                    assert model.slot_choice(
+                        cache.bound_query, slot, view
+                    ) == cold
     assert pricer.pricings
     assert not hasattr(pricer, "_ctx") and not hasattr(pricer, "_groups")
 
@@ -355,20 +367,16 @@ def test_layouts_with_one_cover_share_context_and_slot_memo(sdss_catalog):
 
     first = price(split)
     context = P.scan_context(bq, "p", photo_view(sdss_catalog, split))
-    entries = len(model._slot_costs[bq.sql]), len(model._slot_choices[bq.sql])
+    entries = len(model._slot_memo[bq.sql])
     assert price(merged) == first
     assert P.scan_context(bq, "p", photo_view(sdss_catalog, merged)) is context
-    assert entries == (
-        len(model._slot_costs[bq.sql]), len(model._slot_choices[bq.sql])
-    )
+    assert entries == len(model._slot_memo[bq.sql])
     # ... and what the shared entries hold is a cold recomputation.
     view = photo_view(sdss_catalog, merged)
     for slot, (cost, choice) in zip(slots, first):
         fresh = bind_statement(TWO_TABLE_SQL, sdss_catalog)
-        assert cost == _access_cost(slot, fresh, view, model.settings)
-        assert choice == _access_cost(
-            slot, fresh, view, model.settings, want_choice=True
-        )
+        assert cost == cold_cost(slot, fresh, view, model.settings)
+        assert choice == _access_cost(slot, fresh, view, model.settings)
 
 
 def test_covers_of_one_weight_share_slot_costs_but_not_contexts(sdss_catalog):
@@ -385,18 +393,18 @@ def test_covers_of_one_weight_share_slot_costs_but_not_contexts(sdss_catalog):
     view_a = photo_view(sdss_catalog, split)
     view_b = photo_view(sdss_catalog, reordered)
     costs = [model.slot_cost(bq, slot, view_a) for slot in slots]
-    entries = len(model._slot_costs[bq.sql])
+    entries = len(model._slot_memo[bq.sql])
     assert [model.slot_cost(bq, slot, view_b) for slot in slots] == costs
-    assert len(model._slot_costs[bq.sql]) == entries
+    assert len(model._slot_memo[bq.sql]) == entries
     for slot, cost in zip(slots, costs):
         fresh = bind_statement(TWO_TABLE_SQL, sdss_catalog)
-        assert cost == _access_cost(slot, fresh, view_b, model.settings)
+        assert cost == cold_cost(slot, fresh, view_b, model.settings)
     assert P.scan_context(bq, "p", view_a) is not P.scan_context(bq, "p", view_b)
     # A heavier cover is a different key and a different price.
     heavier = photo_view(sdss_catalog, photo_layout(HOT + COLD[0], COLD[1]))
     scan = next(s for s in slots if s.alias == "p" and not s.param_columns)
     assert model.slot_cost(bq, scan, heavier) > model.slot_cost(bq, scan, view_a)
-    assert len(model._slot_costs[bq.sql]) > entries
+    assert len(model._slot_memo[bq.sql]) > entries
 
 
 def test_explain_names_the_fragments_of_the_layout_it_planned(sdss_catalog):

@@ -266,4 +266,4 @@ class TestShardedAsEvaluatorPool:
             evaluator.workload_cost([(q, 1.0)])
         # Memos derived from evicted caches are gone: at most one
         # slot-cost bucket per resident entry.
-        assert len(evaluator._slot_costs) <= len(pool)
+        assert len(evaluator._slot_memo) <= len(pool)
