@@ -7,8 +7,7 @@
     python -m repro stream     [--phase-length N] [--refresh-every N]
     python -m repro serve      [--tenants N] [--shards N] [--state-dir DIR]
                                [--snapshot-interval N]
-                               [--offload N | --runners HOST:PORT,...
-                                              [--staleness K]]
+                               [--offload N | --runners HOST:PORT,...]
     python -m repro runner     [--listen HOST:PORT]
     python -m repro explain    --sql "SELECT ..."
 
@@ -21,8 +20,7 @@ scheduler over sharded, shared cache pools — with periodic pause-point
 snapshots (``--snapshot-interval``) and optional offload of INUM cache
 builds through the one fan-out backplane, whose runners are either
 worker processes forked here (``--offload N``) or ``runner`` nodes on
-other machines (``--runners``, with a bounded-staleness cache lease per
-node; ``runner`` serves one such node).
+other machines (``--runners``; ``runner`` serves one such node).
 """
 
 import argparse
@@ -164,12 +162,6 @@ def build_parser():
         "'python -m repro runner') — the same backplane as --offload, "
         "dialled instead of forked; mutually exclusive with it; "
         "results are identical to inline execution",
-    )
-    serve.add_argument(
-        "--staleness", type=int, default=0,
-        help="runner cache-lease staleness budget in epochs: entries "
-        "older than this are refreshed before serving (0 = exact-replay "
-        "mode, nothing from an earlier epoch is reused)",
     )
     serve.add_argument(
         "--remote-timeout", type=float, default=30.0,
@@ -419,7 +411,6 @@ def _dispatch(args, out):
             executor = RemoteStepExecutor(
                 [addr.strip() for addr in args.runners.split(",")
                  if addr.strip()],
-                staleness=args.staleness,
                 timeout=args.remote_timeout,
             )
         elif args.offload and args.offload > 1:

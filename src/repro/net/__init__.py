@@ -8,10 +8,11 @@ out, plan terms and telemetry deltas back, wire version negotiated at
 the handshake.  A runner is reached over a socket either way:
 :class:`RemoteBackplane` dials :class:`RunnerNode` processes on other
 machines, and :class:`~repro.evaluation.ProcessPoolBackplane` forks
-children that serve the same connection loop on a socketpair.  Bounded
-staleness (per-connection cache leases with a configurable epoch
-budget; ``staleness=0`` is exact replay) keeps a long-lived fleet's
-derived state from drifting arbitrarily far from the coordinator's.
+children that serve the same connection loop on a socketpair.  A
+connection's evaluator is its cache: entries are pure functions of the
+catalog shipped once, so what a runner holds never goes stale, and
+frames that do not have the shape the loop reads are refused as wire
+errors, never retried.
 """
 
 from repro.net.client import (

@@ -21,14 +21,14 @@ Tasks wait in one shared deque drained by one persistent daemon thread
 per node (started by the first ``submit``, idle on a condition, joined
 by ``close()``), so a fast node takes more tasks.  A drainer only
 *transports*; installing (``wire.loads(text, catalog, pool=)``), the
-runners' telemetry and the task and lease accounting happen inside
+runners' telemetry and the task accounting happen inside
 ``collect`` on the caller's thread, so the pool is mutated by one
 thread and a process backplane built later forks beside drainers that
 hold nothing its children use.  ``close()`` abandons whatever is
 queued, in flight or not yet installed.  Failure handling is layered:
 
 1. a failed request is retried against the *same* node — reconnect
-   (fresh handshake + catalog; leases rebuild deterministically) with
+   (fresh handshake + catalog; its cache rebuilds deterministically) with
    capped exponential backoff that ``close()`` interrupts;
 2. a node whose retries are exhausted (or that ``close()`` finds still
    failing) is declared dead for the rest of the backplane's life; the
@@ -42,16 +42,8 @@ Duplicate work across those layers is harmless: entry builds are pure
 functions of (SQL, catalog, settings) and installation is idempotent,
 so a task that actually completed on a node that *appeared* dead (e.g.
 a timeout on the reply) merely rebuilds an identical entry elsewhere.
-
-Every ``submit`` advances the backplane's **epoch**, which task frames
-carry to the runners: a lease entry older than the configured staleness
-budget is force-refreshed runner-side before it may serve, and
-``staleness=0`` pins exact-replay mode (nothing built in an earlier
-epoch is ever reused).  The runners' cache-age accounting comes back on
-every result frame and lands in a per-node gauge
-(``repro_remote_cache_age_epochs``) next to the retry / death /
-fallback counters, so a scrape of ``/metrics`` shows the fleet's
-staleness and health at a glance.
+The per-node task / retry / death counters and the fallback counter
+show the fleet's shape and health at a scrape of ``/metrics``.
 """
 
 import socket
@@ -80,7 +72,7 @@ def _raise_error_frame(frame):
     raise TransportError(message)
 
 
-def catalog_frame_for(evaluator, staleness=0):
+def catalog_frame_for(evaluator):
     """The ``KIND_CATALOG`` payload shipped right after the hello
     exchange — built once per backplane and shared by every connection,
     so N nodes cost one serialization.  The pool capacity mirrors the
@@ -94,7 +86,6 @@ def catalog_frame_for(evaluator, staleness=0):
             if evaluator.settings is not None else None
         ),
         "pool_capacity": getattr(evaluator.pool, "capacity", None),
-        "staleness": staleness,
     }
 
 
@@ -126,7 +117,7 @@ class RunnerConnection:
 
     def connect(self):
         """Dial, exchange hellos (version negotiation), ship the
-        catalog, and wait for the lease acknowledgement."""
+        catalog, and wait for its acknowledgement."""
         sock = self._sock = self._dial()
         try:
             sock.settimeout(self.timeout)
@@ -194,7 +185,6 @@ class FleetBackplane:
         self.retries = max(0, int(retries))
         self.backoff = backoff
         self.backoff_cap = backoff_cap
-        self.epoch = 0
         self._connections = list(connections)
         self._closing = threading.Event()  # set by close(); ends a backoff
         self._inflight = set()  # submitted, not yet taken for install
@@ -236,17 +226,6 @@ class FleetBackplane:
             "Tasks executed locally because no runner survived",
             ("op",),
         )
-        self._m_stale = registry.counter(
-            "repro_remote_stale_refresh_total",
-            "Lease entries refreshed runner-side after exceeding the "
-            "staleness budget",
-            ("node",),
-        )
-        self._m_age = registry.gauge(
-            "repro_remote_cache_age_epochs",
-            "Oldest resident lease entry on each node, in epochs",
-            ("node",),
-        )
         self._m_inflight = registry.gauge(
             "repro_remote_inflight_tasks",
             "Tasks submitted to the fleet and not yet installed",
@@ -260,8 +239,6 @@ class FleetBackplane:
             self._m_tasks.labels(node=node, op="warm")
             self._m_retries.labels(node=node)
             self._m_deaths.labels(node=node)
-            self._m_stale.labels(node=node)
-            self._m_age.labels(node=node).set(0)
         self._m_fallback.labels(op="warm")
         self._m_inflight.labels()
         self._m_wait.labels()
@@ -296,7 +273,7 @@ class FleetBackplane:
 
         Idempotent; later use raises :class:`DesignError`.  Closing is
         client-side only — a runner node keeps serving other clients
-        (each connection's lease dies with its socket)."""
+        (each connection's cache dies with its socket)."""
         with self._cond:
             self._closing.set()
             self._queue.clear()
@@ -397,7 +374,6 @@ class FleetBackplane:
         shared with the in-process warm-up so the two cannot drift."""
         self._check_open()
         evaluator = self.evaluator
-        self.epoch += 1
         ctx = obs.tracer().current_context()
         wanted, tasks = [], []
         for bq, source, locate in evaluator.warm_targets(workload):
@@ -410,8 +386,7 @@ class FleetBackplane:
             self._inflight.add(signature)
             tasks.append((signature, {
                 "kind": wire.KIND_TASK, "op": "warm", "sql": source,
-                "locate": locate, "epoch": self.epoch,
-                "ctx": list(ctx) if ctx else None,
+                "locate": locate, "ctx": list(ctx) if ctx else None,
             }))
         if tasks:
             self._m_inflight.inc(len(tasks))
@@ -459,12 +434,7 @@ class FleetBackplane:
             wire.loads(reply["entry"], evaluator.catalog, pool=evaluator.pool)
             if reply.get("obs"):
                 obs.ingest_deltas(wire.obs_from_wire(reply["obs"]))
-            node, cache = conn.address, reply.get("cache") or {}
-            self._m_tasks.labels(node=node, op="warm").inc()
-            self._m_age.labels(node=node).set(cache.get("age_max", 0))
-            self._m_stale.labels(node=node).set_total(
-                cache.get("stale_refreshes", 0)
-            )
+            self._m_tasks.labels(node=conn.address, op="warm").inc()
         for __, task in leftovers:
             if self._connections:  # no workers by design is no fallback
                 self._m_fallback.labels(op="warm").inc()
@@ -502,16 +472,15 @@ class RemoteBackplane(FleetBackplane):
     """The fleet over sockets: ``runners`` is a list of ``host:port``
     addresses of runner nodes (``python -m repro runner``).
 
-    ``staleness`` is the fleet's staleness budget in epochs (``0`` =
-    exact-replay mode); ``timeout`` bounds every socket operation;
-    ``retries`` / ``backoff`` / ``backoff_cap`` shape the per-request
-    failure handling of :class:`FleetBackplane`."""
+    ``timeout`` bounds every socket operation; ``retries`` /
+    ``backoff`` / ``backoff_cap`` shape the per-request failure
+    handling of :class:`FleetBackplane`."""
 
-    def __init__(self, evaluator, runners, staleness=0, timeout=30.0,
-                 retries=3, backoff=0.05, backoff_cap=1.0):
+    def __init__(self, evaluator, runners, timeout=30.0, retries=3,
+                 backoff=0.05, backoff_cap=1.0):
         if not runners:
             raise DesignError("RemoteBackplane needs at least one runner")
-        frame = catalog_frame_for(evaluator, max(0, int(staleness)))
+        frame = catalog_frame_for(evaluator)
         super().__init__(
             evaluator,
             [RunnerConnection(address, frame, timeout=timeout)

@@ -13,46 +13,39 @@ one end of a ``socket.socketpair()``.  Per connection the protocol is:
    so the client raises :class:`~repro.util.WireFormatError`) and the
    connection is dropped before any state is built;
 2. **catalog** — shipped exactly once: the serialized catalog dict,
-   planner settings, pool capacity, and the connection's *staleness
-   budget*.  The runner rebuilds its own catalog (statistics rebuild
-   deterministically) and stands up a private
-   :class:`~repro.evaluation.WorkloadEvaluator` — the connection's
-   cache lease;
+   planner settings and pool capacity.  The runner rebuilds its own
+   catalog (statistics rebuild deterministically) and stands up a
+   private :class:`~repro.evaluation.WorkloadEvaluator` — the
+   connection's cache;
 3. **tasks** — ``warm`` frames, the fleet's one task op: build one
    statement's INUM cache (:func:`perform_warm`, the seam the client's
    local fallback shares), answered with a result frame carrying the
-   wire cache entry, the runner's telemetry shipment (``KIND_OBS``
-   deltas, spans stitched via ``remote_parent``), and the lease's
-   cache-age accounting.
+   wire cache entry and the runner's telemetry shipment (``KIND_OBS``
+   deltas, spans stitched via ``remote_parent``).
 
-**Bounded staleness** (the stale-synchronous trade): every task frame
-carries the client's current *epoch*; a resident entry built more than
-``staleness`` epochs ago is force-refreshed before it may serve the
-task, and entries at or under the budget are served as-is.  Entry
-builds are pure functions of (SQL, catalog, settings), so a
-bounded-stale entry prices *bit-identically* to a fresh one here — the
-budget bounds how far the lease may lag a hypothetical
-statistics-refresh cycle, and ``staleness=0`` is the exact-replay mode:
-nothing built in an earlier epoch is ever reused, pinning the run to a
-single-node replay.
+An entry is a pure function of (SQL, catalog, settings) and a
+connection's catalog never changes, so the connection's evaluator simply
+*is* its cache: a statement re-requested while its entry is resident is
+served, not rebuilt.  Both frame shapes are outside input: a malformed
+one, or one whose SQL does not bind to the shipped catalog, is answered
+``wire_error=True`` like a version mismatch — fatal, never retried.
 
-The node serves each connection on its own daemon thread and keeps all
-per-lease state connection-scoped, so concurrent clients (or one client
-with several backplanes) never share caches or epochs.
+The node serves each connection on its own daemon thread and keeps the
+evaluator connection-scoped, so concurrent clients (or one client with
+several backplanes) never share caches.
 """
 
 import socket
 import threading
-from dataclasses import dataclass, field
 
 from repro import obs
 from repro.catalog.serialize import catalog_from_dict
 from repro.evaluation import wire
-from repro.inum.cache import build_cache
 from repro.net.frames import error_frame, hang_up, recv_frame, send_frame
 from repro.optimizer.settings import PlannerSettings
 from repro.optimizer.writecost import locate_query
-from repro.util import TransportError, WireFormatError
+from repro.sql.binder import BoundWrite
+from repro.util import ReproError, TransportError, WireFormatError
 
 __all__ = ["RunnerNode", "parse_listen_address", "perform_warm"]
 
@@ -72,8 +65,8 @@ def parse_listen_address(text, default_host="127.0.0.1"):
 
 def perform_warm(evaluator, sql, locate, ctx=None):
     """Build one statement's INUM cache on *evaluator* — what a ``warm``
-    task *does*, wherever it runs: on a runner's lease, or on the
-    client's own evaluator when no runner is left to ask.
+    task *does*, wherever it runs: on a runner's evaluator, or on the
+    client's own when no runner is left to ask.
 
     ``locate`` marks a shipped write statement whose locate query (the
     synthetic SELECT pricing UPDATE/DELETE row location) must be
@@ -84,68 +77,13 @@ def perform_warm(evaluator, sql, locate, ctx=None):
     with obs.tracer().span("worker.warm_up", remote_parent=ctx,
                            locate=locate):
         bq = evaluator.bound(sql)
+        if locate != isinstance(bq, BoundWrite):
+            raise WireFormatError("locate=%r on %r" % (locate, sql))
         if locate:
             bq = locate_query(bq)
         cache = evaluator.cache_for(bq)
         signature = evaluator.signature(bq)
     return signature, cache
-
-
-@dataclass
-class _Lease:
-    """One connection's private costing state: the evaluator plus the
-    bounded-staleness bookkeeping for every entry it has built."""
-
-    evaluator: object
-    staleness: int = 0
-    entry_epoch: dict = field(default_factory=dict)  # signature -> epoch
-    stale_refreshes: int = 0
-
-    def enforce(self, sql, locate, epoch):
-        """Force-refresh the resident entry of one task's statement if
-        its age exceeds the staleness budget.  A rebuilt entry's kernel
-        is dropped by the overwriting ``put``, so derived state never
-        outlives the lease either."""
-        evaluator = self.evaluator
-        bq = evaluator.bound(sql)
-        if locate:
-            bq = locate_query(bq)
-        signature = evaluator.signature(bq)
-        built = self.entry_epoch.get(signature)
-        if (
-            built is not None
-            and epoch - built > self.staleness
-            and signature in evaluator.pool
-        ):
-            cache = build_cache(bq, evaluator.catalog, evaluator.settings)
-            evaluator.pool.put(signature, cache)
-            self.entry_epoch[signature] = epoch
-            self.stale_refreshes += 1
-            obs.metrics().counter(
-                "repro_runner_stale_refresh_total",
-                "Lease entries rebuilt after exceeding the "
-                "staleness budget",
-            ).inc()
-
-    def stamp(self, signature, epoch):
-        """Record the build epoch of a freshly built entry (an existing
-        stamp — an older build still inside the budget — is kept, so
-        ages keep growing until a refresh resets them)."""
-        self.entry_epoch.setdefault(signature, epoch)
-
-    def cache_ages(self, epoch):
-        """The lease's age accounting at *epoch*, for the result frame:
-        the oldest resident entry's age in epochs and the refresh total
-        (what the client's per-node gauges show)."""
-        ages = [
-            epoch - built
-            for signature, built in self.entry_epoch.items()
-            if signature in self.evaluator.pool
-        ]
-        return {
-            "age_max": max(ages, default=0),
-            "stale_refreshes": self.stale_refreshes,
-        }
 
 
 class RunnerNode:
@@ -271,7 +209,9 @@ class RunnerNode:
             self._converse(sock)
         except (TransportError, OSError):
             pass  # peer went away; nothing to answer
-        except WireFormatError as exc:
+        except ReproError as exc:
+            # A typed error is this frame's deterministic answer (wrong
+            # version or shape, unbindable SQL): a re-send cannot help.
             self._try_reply(sock, error_frame(exc, wire_error=True))
         except Exception as exc:  # never kill the node for one client
             self._try_reply(sock, error_frame(exc))
@@ -303,7 +243,7 @@ class RunnerNode:
             )
         send_frame(sock, {"kind": wire.KIND_HELLO, "role": "runner"})
 
-        lease = self._build_lease(recv_frame(sock))
+        evaluator = self._build_evaluator(recv_frame(sock))
         send_frame(sock, {"kind": wire.KIND_RESULT, "op": "catalog"})
 
         while True:
@@ -318,9 +258,12 @@ class RunnerNode:
                 # Failure injection: die mid-protocol, no reply.
                 sock.close()
                 return
-            send_frame(sock, self._handle_task(lease, frame))
+            send_frame(sock, self._handle_task(evaluator, frame))
 
-    def _build_lease(self, frame):
+    def _build_evaluator(self, frame):
+        """The connection's cache: a private evaluator over the shipped
+        catalog.  Rebuilding from the frame is deterministic, so a
+        failure is the frame's and re-sending it cannot help."""
         if frame.get("kind") != wire.KIND_CATALOG:
             raise WireFormatError(
                 "expected %r frame before any task, got %r"
@@ -329,36 +272,39 @@ class RunnerNode:
         from repro.evaluation.evaluator import WorkloadEvaluator
         from repro.evaluation.pool import InumCachePool
 
-        catalog = catalog_from_dict(frame["catalog"])
-        settings = None
-        if frame.get("settings") is not None:
-            settings = PlannerSettings(**frame["settings"])
-        evaluator = WorkloadEvaluator(
-            catalog,
-            settings,
-            pool=InumCachePool(capacity=frame.get("pool_capacity")),
-        )
-        return _Lease(
-            evaluator=evaluator,
-            staleness=max(0, int(frame.get("staleness", 0))),
-        )
+        try:
+            catalog = catalog_from_dict(frame["catalog"])
+            settings = frame.get("settings")
+            if settings is not None:
+                for name, value in settings.items():
+                    # A non-number would only fail later, inside a plan.
+                    flag = type(getattr(PlannerSettings, name)) is bool
+                    if type(value) not in ((bool,) if flag else (int, float)):
+                        raise TypeError("setting %s=%r" % (name, value))
+                settings = PlannerSettings(**settings)
+            pool = InumCachePool(capacity=frame.get("pool_capacity"))
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise WireFormatError("malformed catalog frame: %r" % exc) from exc
+        return WorkloadEvaluator(catalog, settings, pool=pool)
 
     # ------------------------------------------------------------------
     # Task execution.
     # ------------------------------------------------------------------
 
-    def _handle_task(self, lease, frame):
+    def _handle_task(self, evaluator, frame):
         op = frame.get("op")
         if op != "warm":
             raise WireFormatError("unknown task op %r" % (op,))
-        epoch = int(frame.get("epoch", 0))
-        ctx = frame.get("ctx")
-        if ctx is not None:
-            ctx = tuple(ctx)
-        sql, locate = frame["sql"], bool(frame.get("locate"))
-        lease.enforce(sql, locate, epoch)
-        signature, cache = perform_warm(lease.evaluator, sql, locate, ctx)
-        lease.stamp(signature, epoch)
+        sql, ctx = frame.get("sql"), frame.get("ctx")
+        if not isinstance(sql, str) or not (
+            ctx is None or isinstance(ctx, list) and len(ctx) == 2
+        ):
+            raise WireFormatError(
+                "malformed task frame: sql=%r ctx=%r" % (sql, ctx)
+            )
+        signature, cache = perform_warm(
+            evaluator, sql, bool(frame.get("locate")), ctx and tuple(ctx)
+        )
         return {
             "kind": wire.KIND_RESULT,
             "op": "warm",
@@ -366,7 +312,6 @@ class RunnerNode:
             # with ``wire.loads(text, catalog, pool=)``, the one install
             # path every entry takes (snapshot files included).
             "entry": wire.dumps(wire.entry_to_wire(signature, cache)),
-            "cache": lease.cache_ages(epoch),
             "obs": (
                 wire.obs_to_wire(obs.drain_deltas())
                 if self.ship_obs else None

@@ -15,8 +15,7 @@ loop per tenant:
   :class:`ProcessStepExecutor` (cache builds shipped to forked workers,
   a reusable :class:`~repro.evaluation.ProcessPoolBackplane` per
   backplane) and :class:`RemoteStepExecutor` (the same builds fanned
-  across a :class:`~repro.net.RunnerNode` fleet with bounded-staleness
-  cache leases).
+  across a :class:`~repro.net.RunnerNode` fleet).
 
 Every step runs inline, so scheduler-driven ingest is bit-identical to
 draining each tenant's stream in turn (``TenantSession.drain``);

@@ -24,9 +24,9 @@ only wall-clock time.
   build: forked worker processes
   (:class:`~repro.evaluation.ProcessPoolBackplane`) or a fleet of
   :class:`~repro.net.RunnerNode` machines
-  (:class:`~repro.net.RemoteBackplane`, with a bounded staleness budget
-  on the runners' leases); dead workers degrade it to the survivors,
-  then to inline execution; ``close`` abandons what is still in flight.
+  (:class:`~repro.net.RemoteBackplane`, each connection a cache of what
+  it has built); dead workers degrade it to the survivors, then to
+  inline execution; ``close`` abandons what is still in flight.
   Results are bit-identical either way.
 """
 
@@ -137,20 +137,18 @@ class ProcessStepExecutor(_OffloadStepExecutor):
 class RemoteStepExecutor(_OffloadStepExecutor):
     """Offload to a fleet of runner nodes.
 
-    ``runners`` is the fleet's ``host:port`` list; ``staleness`` is the
-    per-node cache-lease budget in epochs (``0`` = exact-replay mode);
-    ``timeout`` / ``retries`` shape the per-request failure handling.
+    ``runners`` is the fleet's ``host:port`` list; ``timeout`` /
+    ``retries`` shape the per-request failure handling.
     A fleet that dies entirely degrades each backplane to local
     execution, so a scheduled run always completes with the single-node
     answer.
     """
 
-    def __init__(self, runners, staleness=0, timeout=30.0, retries=3):
+    def __init__(self, runners, timeout=30.0, retries=3):
         runners = list(runners)
         super().__init__(
             lambda evaluator: RemoteBackplane(
-                evaluator, runners, staleness=staleness,
-                timeout=timeout, retries=retries,
+                evaluator, runners, timeout=timeout, retries=retries,
             )
         )
 

@@ -15,9 +15,14 @@ The ISSUE-10 acceptance pins live here:
   work (or, with no survivors, the remainder runs locally) and the
   final results are identical, with the retry/death/fallback counters
   visible in the metrics registry;
-* bounded staleness: ``staleness=0`` (exact-replay) force-refreshes
-  lease entries every epoch, a budget of K suppresses refreshes within
-  K epochs, and the per-node cache-age gauges track the lease;
+* a connection is a cache (ISSUE 22, which deleted PR 10's staleness
+  budget): a statement re-requested while resident on the runner is
+  served, not rebuilt, and version-5 peers of the old frame shape
+  still interoperate;
+* the trust boundary (ISSUE 22): a malformed catalog or task frame is
+  answered ``wire_error=True`` — fatal on the client after one request,
+  never retried, the node not counted dead — and a hypothesis fuzz of
+  both frame shapes gets nothing but result or wire-error frames back;
 * close semantics mirror the process backplane: idempotent, loud
   :class:`DesignError` on use-after-close, no leaked connections;
 * a :class:`RemoteStepExecutor` scheduled run matches inline execution
@@ -37,6 +42,8 @@ import struct
 import threading
 
 import pytest
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.colt import ColtSettings
@@ -52,6 +59,7 @@ from repro.net import (
     send_frame,
 )
 from repro.net.client import catalog_frame_for
+from repro.optimizer import PlannerSettings
 from repro.runtime import RemoteStepExecutor, StepExecutor
 from repro.service import TuningService
 from repro.util import DesignError, TransportError, WireFormatError
@@ -441,8 +449,10 @@ class PairConnection(RunnerConnection):
     def __init__(self, name, catalog_frame, node):
         super().__init__(name, catalog_frame, timeout=WAIT_S)
         self.node = node
+        self.dials = 0
 
     def _dial(self):
+        self.dials += 1
         if self.node is None:
             raise TransportError("runner %s is unreachable" % self.address)
         ours, theirs = socket.socketpair()
@@ -760,68 +770,202 @@ class TestInterruptibleBackoff:
 
 
 # ----------------------------------------------------------------------
-# Bounded staleness.
+# A connection is a cache.
 # ----------------------------------------------------------------------
 
 
-class TestBoundedStaleness:
-    def _run_epochs(self, catalog, queries, staleness):
-        """Three epochs of the same statements.  The parent pool is
+class SpiedNode(RunnerNode):
+    """A runner that exposes the evaluator behind its last task."""
+
+    evaluator = None
+
+    def _handle_task(self, evaluator, frame):
+        self.evaluator = evaluator
+        return super()._handle_task(evaluator, frame)
+
+
+class TestConnectionIsACache:
+    def test_resident_re_request_is_served_not_rebuilt(
+            self, astro_catalog, queries):
+        """Three rounds of the same statements.  The parent pool is
         cleared after each, so every ``warm_up`` re-ships every task —
-        the parent forgot; the node's lease did not, and must decide
-        whether what it holds may still serve.  Returns the grids priced
-        over the epoch-2 and epoch-3 entries plus the node's counters."""
-        with RunnerNode() as node:
-            evaluator = WorkloadEvaluator(catalog)
-            backplane = RemoteBackplane(
-                evaluator, [node.address], staleness=staleness, retries=1,
-            )
-            grids = []
-            for __ in range(3):  # epoch 1 builds, 2 and 3 re-ship
-                backplane.warm_up(queries)
+        the parent forgot; the connection did not, and builds nothing
+        it still holds."""
+        node = SpiedNode()
+        evaluator = WorkloadEvaluator(astro_catalog)
+        grids, built = [], []
+        with pair_backplane(evaluator, [node]) as backplane:
+            for __ in range(3):
+                bounded(backplane.warm_up, queries)
                 grids.append(
-                    evaluator.evaluate_configurations(queries, [None])
+                    evaluator.evaluate_configurations(queries, [None]).matrix
                 )
+                built.append(node.evaluator.precompute_calls)
                 evaluator.pool.clear()
+        assert node.tasks_served == 3 * len(queries)
+        assert grids[0] == grids[1] == grids[2]
+        assert built[0] > 0 and built == [built[0]] * 3
+
+    def test_version_5_peers_of_the_old_shape_interoperate(
+            self, astro_catalog, queries):
+        """``WIRE_VERSION`` stayed 5: a client that still sends the
+        staleness budget and the epoch is served (the stray fields are
+        ignored), and a runner that still reports its lease's ages is
+        installed from (so is a reply without them — every other test)."""
+        assert wire.WIRE_VERSION == 5
+
+        class OldRunner(RunnerNode):
+            def _handle_task(self, evaluator, frame):
+                reply = super()._handle_task(evaluator, frame)
+                return dict(reply,
+                            cache={"age_max": 2, "stale_refreshes": 1})
+
+        class OldClientConnection(PairConnection):
+            def request(self, frame):
+                return super().request(dict(frame, epoch=7))
+
+        evaluator = WorkloadEvaluator(astro_catalog)
+        frame = dict(catalog_frame_for(evaluator), staleness=2)
+        with FleetBackplane(
+            evaluator, [OldClientConnection("old", frame, OldRunner())],
+            retries=0,
+        ) as backplane:
+            bounded(backplane.warm_up, queries)
+        local = WorkloadEvaluator(astro_catalog)
+        local.warm_up(queries)
+        assert pool_terms(evaluator) == pool_terms(local)
+        assert obs.metrics().value(
+            "repro_remote_tasks_total", node="old", op="warm"
+        ) == len(queries)
+
+
+# ----------------------------------------------------------------------
+# The trust boundary: malformed frames.
+# ----------------------------------------------------------------------
+
+DROP = object()  # "remove this key"
+TASK = {"kind": wire.KIND_TASK, "op": "warm", "locate": False, "ctx": None,
+        "sql": "SELECT ra FROM photoobj WHERE ra < 5"}
+
+
+def edited(frame, changes):
+    frame = dict(frame, **changes)
+    return {key: value for key, value in frame.items() if value is not DROP}
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("catalog_changes, task_changes", [
+        ({"settings": {"enable_warp_drive": True}}, {}),
+        ({"settings": {"seq_page_cost": "cheap"}}, {}),
+        ({"catalog": DROP}, {}),
+        ({"pool_capacity": 0}, {}),
+        ({}, {"sql": DROP}),
+        ({}, {"locate": True}),  # ... on a SELECT
+        ({}, {"sql": "SELECT nothing FROM nowhere"}),
+    ], ids=["unknown-setting", "setting-type", "no-catalog", "zero-capacity",
+            "no-sql", "locate-mismatch", "unbound-sql"])
+    def test_malformed_frame_is_fatal_after_one_request(
+            self, astro_catalog, catalog_changes, task_changes):
+        """Re-sending the same bad frame cannot help: the runner says
+        ``wire_error``, the client raises instead of reconnecting, and a
+        healthy node is not declared dead."""
+        node = RunnerNode()
+        backplane = pair_backplane(
+            WorkloadEvaluator(astro_catalog), [node], retries=3, backoff=0.0,
+        )
+        conn = backplane._connections[0]
+        conn._catalog_frame = edited(conn._catalog_frame, catalog_changes)
+        try:
+            with pytest.raises(WireFormatError, match="runner error"):
+                backplane._with_retry(
+                    conn, lambda: conn.request(edited(TASK, task_changes))
+                )
+        finally:
             backplane.close()
-            registry = obs.metrics()
-            return (
-                grids[1],
-                grids[2],
-                registry.value(
-                    "repro_remote_stale_refresh_total", node=node.address
-                ),
-                registry.value(
-                    "repro_remote_cache_age_epochs", node=node.address
-                ),
-            )
+        assert conn.dials == 1
+        assert node.tasks_served == (1 if task_changes else 0)
+        registry = obs.metrics()
+        assert registry.value(
+            "repro_remote_retries_total", node="node-0") == 0
+        assert registry.value(
+            "repro_remote_node_deaths_total", node="node-0") == 0
 
-    def test_exact_replay_refreshes_every_epoch(
-            self, astro_catalog, queries):
-        first, second, refreshes, age = self._run_epochs(
-            astro_catalog, queries, staleness=0
-        )
-        # Every resident entry is rebuilt in each later epoch, and the
-        # age gauge pins at 0 — nothing stale ever serves.
-        assert refreshes == 2 * len(queries)
-        assert age == 0
-        assert first.matrix == second.matrix
 
-    def test_budget_suppresses_refreshes_within_k_epochs(
-            self, astro_catalog, queries):
-        first, second, refreshes, age = self._run_epochs(
-            astro_catalog, queries, staleness=5
-        )
-        assert refreshes == 0
-        assert age == 2  # built at epoch 1, last served at epoch 3
-        assert first.matrix == second.matrix
+def json_kind(value):
+    return ("number" if type(value) in (int, float)
+            else type(value).__name__)
 
-    def test_stale_and_exact_replay_price_identically(
-            self, astro_catalog, queries):
-        exact = self._run_epochs(astro_catalog, queries, staleness=0)
-        stale = self._run_epochs(astro_catalog, queries, staleness=5)
-        assert exact[0].matrix == stale[0].matrix
-        assert exact[1].matrix == stale[1].matrix
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mangled(draw, frame, nested=()):
+    """*frame* with keys dropped, values replaced by JSON of another
+    kind and stray keys added; the objects under *nested* keys are
+    mangled the same way, one level down."""
+    out = dict(draw(st.dictionaries(st.text(max_size=6), JSON, max_size=2)))
+    for key, value in frame.items():
+        fate = draw(st.sampled_from(["keep", "keep", "drop", "retype"]))
+        if key in nested and isinstance(value, dict) and fate == "keep":
+            out[key] = draw(mangled(value))
+        elif fate == "keep":
+            out[key] = value
+        elif fate == "retype":
+            out[key] = draw(JSON.filter(
+                lambda other: json_kind(other) != json_kind(value)))
+    return out
+
+
+def converse(node, *frames):
+    """Hello, then *frames* in turn over a socketpair served by *node*,
+    until one is answered with an error; the replies."""
+    ours, theirs = socket.socketpair()
+    server = threading.Thread(
+        target=node.serve_connection, args=(theirs,), daemon=True)
+    server.start()
+    replies = []
+    try:
+        ours.settimeout(WAIT_S)
+        send_frame(ours, {"kind": wire.KIND_HELLO, "role": "client"})
+        assert recv_frame(ours)["kind"] == wire.KIND_HELLO
+        for frame in frames:
+            send_frame(ours, frame)
+            replies.append(recv_frame(ours))
+            if replies[-1]["kind"] == wire.KIND_ERROR:
+                break
+    finally:
+        ours.close()
+        server.join(WAIT_S)
+    assert not server.is_alive()
+    return replies
+
+
+class TestFrameFuzz:
+    @given(data=st.data())
+    @hsettings(max_examples=60, deadline=None)
+    def test_every_reply_is_a_result_or_a_wire_error(
+            self, astro_catalog, data):
+        good = catalog_frame_for(WorkloadEvaluator(
+            astro_catalog, PlannerSettings()))
+        node = RunnerNode()
+        catalog_frame = data.draw(st.just(good) | mangled(
+            good, nested=("catalog", "settings")))
+        task_frame = data.draw(mangled(TASK) | st.builds(
+            lambda sql: dict(TASK, sql=sql), st.text(max_size=30)))
+        for reply in converse(node, catalog_frame, task_frame):
+            assert reply["kind"] == wire.KIND_RESULT or (
+                reply["kind"] == wire.KIND_ERROR and reply["wire_error"]
+            ), reply
+        # Whatever it was just sent, the node still serves.
+        ack, result = converse(node, good, TASK)
+        assert result["kind"] == wire.KIND_RESULT and result["entry"]
 
 
 # ----------------------------------------------------------------------

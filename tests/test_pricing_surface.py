@@ -84,6 +84,9 @@ def test_signature_is_exactly_the_data_arguments(function, expected):
 
 
 FAN_OUT_OPTIONS = {"start_method", "threads", "warm_threads", "concurrency"}
+# Bounded staleness (ISSUE 22): a knob no value of which changed an
+# answer, with its epoch protocol and its three metric families.
+DELETED_STALENESS = r"(?i)staleness|stale_refresh|cache_age|entry_epoch|_lease"
 
 
 def test_fan_out_has_one_implementation():
@@ -93,14 +96,20 @@ def test_fan_out_has_one_implementation():
     selects a deleted path, and either package imports first.  The
     overlap (ISSUE 19) is that one implementation, not a mode of it:
     ``warm_up`` is ``submit`` then ``collect``, one site starts threads,
-    and nothing grew a parameter to switch or size it."""
+    and nothing grew a parameter to switch or size it.  A connection is
+    a cache, not a lease (ISSUE 22): the staleness budget is gone from
+    every constructor, the CLI and the source, replaced by nothing."""
     import argparse
     import subprocess
 
     from repro.designer.cli import build_parser
     from repro.evaluation import ProcessPoolBackplane
     from repro.net import client
-    from repro.net.client import FleetBackplane, RemoteBackplane
+    from repro.net.client import (
+        FleetBackplane,
+        RemoteBackplane,
+        catalog_frame_for,
+    )
     from repro.runtime import ProcessStepExecutor, RemoteStepExecutor
     from repro.service import TuningService
 
@@ -121,7 +130,11 @@ def test_fan_out_has_one_implementation():
          ["evaluator", "connections", "retries", "backoff", "backoff_cap"]),
         (ProcessStepExecutor.__init__, ["processes"]),
         (RemoteStepExecutor.__init__,
-         ["runners", "staleness", "timeout", "retries"]),
+         ["runners", "timeout", "retries"]),
+        (RemoteBackplane.__init__,
+         ["evaluator", "runners", "timeout", "retries", "backoff",
+          "backoff_cap"]),
+        (catalog_frame_for, ["evaluator"]),
         (FleetBackplane.warm_up, ["workload"]),
         (TuningService.run_scheduled,
          ["streams", "executor", "finish", "lookahead", "priorities",
@@ -140,9 +153,10 @@ def test_fan_out_has_one_implementation():
         "--epoch", "--format", "--help", "--max-events", "--metrics-hold",
         "--metrics-port", "--offload", "--phase-length", "--pool-capacity",
         "--refresh-every", "--remote-timeout", "--runners", "--shards",
-        "--snapshot-interval", "--staleness", "--state-dir", "--tenants",
-        "-h",
+        "--snapshot-interval", "--state-dir", "--tenants", "-h",
     ]
+    for path, source in _sources().items():
+        assert not re.search(DELETED_STALENESS, source), path
 
     for function in (
         ProcessPoolBackplane.__init__, RemoteBackplane.__init__,
