@@ -5,6 +5,14 @@ replaces a table's storage with a set of column fragments (each carrying an
 implicit 8-byte row id used to stitch projections back together); a
 :class:`HorizontalPartitioning` splits the rows by ranges of one column so
 the optimizer can prune partitions against predicates.
+
+Fragments and layouts are memo keys on the pricing hot path (the slot
+memo probes ``layout_cover`` once per slot and design), and a frozen
+dataclass re-hashes its whole tuple tree on every probe — so both compute
+their field-tuple hash once, at construction.  The value is the one the
+generated ``__hash__`` would return; equality, ordering and ``repr`` are
+the dataclass's own.  Pickling goes through the constructor, because a
+string hash belongs to the process that computed it.
 """
 
 from dataclasses import dataclass
@@ -31,6 +39,15 @@ class VerticalFragment:
             object.__setattr__(
                 self, "name", "%s__%s" % (self.table_name, "_".join(self.columns))
             )
+        object.__setattr__(
+            self, "_hash", hash((self.table_name, self.columns, self.name))
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.table_name, self.columns, self.name)
 
     def pages(self, table):
         return table.projection_pages(self.columns)
@@ -61,6 +78,15 @@ class VerticalLayout:
                 raise CatalogError(
                     "fragment of %r in layout of %r" % (frag.table_name, self.table_name)
                 )
+        object.__setattr__(
+            self, "_hash", hash((self.table_name, self.fragments))
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.table_name, self.fragments)
 
     def validate_covers(self, table):
         covered = set()

@@ -127,7 +127,12 @@ def build_parser():
     serve.add_argument("--shards", type=int, default=4)
     serve.add_argument(
         "--pool-capacity", type=int, default=None,
-        help="global cache-pool entry budget per backplane (default unbounded)",
+        help="resident cache-pool entries per backplane (default unbounded). "
+        "Bounds the state derived from an entry - scan / plan / slot memos, "
+        "compiled kernels and workloads - not what is kept per distinct "
+        "statement (bound AST, signature, plan terms: an evicted statement "
+        "is decoded from its terms, never re-planned; only clear_caches() "
+        "reclaims those)",
     )
     serve.add_argument("--phase-length", type=int, default=30)
     serve.add_argument("--epoch", type=int, default=25)

@@ -47,7 +47,12 @@ import numpy as np
 from repro import obs
 from repro.evaluation.pool import InumCachePool
 from repro.evaluation.signature import statement_key
-from repro.inum.cache import InumCostModel, _DesignView, build_cache
+from repro.inum.cache import (
+    InumCostModel,
+    QueryCache,
+    _DesignView,
+    build_cache,
+)
 from repro.optimizer import CostService
 from repro.sql.binder import BoundWrite
 from repro.util import workload_pairs
@@ -116,6 +121,23 @@ class WorkloadEvaluator(InumCostModel):
         self.pool.attach(self.catalog, self.settings)
         self.pool.subscribe(self._forget)
         self._signatures = {}  # statement sql -> canonical signature
+        # statement sql -> its plan terms (a tuple of CachedPlan): what
+        # ``build_cache`` answered, kept as long as the statement's bound
+        # AST and signature are, so a pool miss on a seen statement is
+        # decoded (``QueryCache.from_plan_terms``), never planned again.
+        # Keyed by text like ``_signatures`` because slots name aliases:
+        # an alias-renamed twin shares the pool entry, never the terms.
+        # ``_forget`` leaves it alone: ``pool_capacity`` bounds the state
+        # *derived* from an entry (scan / plan / slot memos, compiled
+        # kernels and workloads), not this — ≈ 1.3 kB per distinct
+        # statement, measured, beside an AST that was already kept.
+        # Contract: decoded terms mean what a *resident* entry always
+        # meant — never refreshed while the evaluator lives;
+        # ``clear_caches()`` empties the memo with the other statement-
+        # level ones and is the hook that re-reads statistics.  Not
+        # persisted, like the recommendation memo.
+        self._plan_terms = {}
+        self.plan_term_decodes = 0  # pool misses answered from the memo
         self._compiled = OrderedDict()  # workload key -> _KernelWorkload
         # signature -> set of _compiled keys referencing it, so _forget
         # drops dependents without scanning the memo.  Guarded by
@@ -159,9 +181,33 @@ class WorkloadEvaluator(InumCostModel):
         # and builds of *different* signatures proceed concurrently.
         # put() inside broadcasts evictions to every subscribed
         # evaluator's _forget, this one included.
-        return self.pool.get_or_build(
-            sig, lambda: build_cache(bq, self.catalog, self.settings)
-        )
+        return self.pool.get_or_build(sig, lambda: self._entry(bq))
+
+    def _entry(self, bq):
+        """The pool entry for *bq*, which the pool does not hold: decoded
+        from the statement's remembered plan terms when the optimizer has
+        already answered it (on this evaluator or on a runner of its
+        fleet), planned — once per statement — otherwise."""
+        plans = self._plan_terms.get(bq.sql)
+        if plans is None:
+            cache = build_cache(bq, self.catalog, self.settings)
+            self.remember_terms(cache)
+            return cache
+        with self._lock:  # builds of different signatures run concurrently
+            self.plan_term_decodes += 1
+        return QueryCache.from_plan_terms(bq, plans)
+
+    def remember_terms(self, cache):
+        """Keep *cache*'s plan terms for its statement text, so a later
+        miss on it is a decode: the one ``build_cache`` call records
+        here, and so does a fleet backplane for every entry a runner
+        returns."""
+        self._plan_terms[cache.bound_query.sql] = tuple(cache.plans)
+
+    def knows_terms(self, bq):
+        """Whether a pool miss on *bq* would be decoded, not planned —
+        what a fleet backplane asks before shipping a build."""
+        return bq.sql in self._plan_terms
 
     def _forget(self, signature, cache):
         """Drop memo entries derived from an evicted cache, so a bounded
@@ -213,10 +259,12 @@ class WorkloadEvaluator(InumCostModel):
             self._slot_memo.clear()
             self._compiled.clear()
             self._compiled_by_sig.clear()
-            # Statement-level memos too: signature tuples and bound ASTs
-            # accumulate per distinct SQL text, not per resident cache.
+            # Statement-level memos too: signature tuples, bound ASTs
+            # and plan terms accumulate per distinct SQL text, not per
+            # resident cache.
             self._signatures.clear()
             self._bound_cache.clear()
+            self._plan_terms.clear()
             self._recommendations.clear()
             base = self._exact_services.get(Configuration.empty())
             self._exact_services.clear()
@@ -304,6 +352,7 @@ class WorkloadEvaluator(InumCostModel):
             evaluations=self.evaluations,
             exact_optimizer_calls=self.exact_optimizer_calls,
             exact_plan_hits=self.exact_plan_hits,
+            plan_term_decodes=self.plan_term_decodes,
             recommend_memo_hits=self._recommend_memo["hit"],
             recommend_memo_misses=self._recommend_memo["miss"],
         )

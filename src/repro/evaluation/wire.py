@@ -43,9 +43,11 @@ scheduler pause points).
 """
 
 import json
+import math
 
+from repro.evaluation.signature import statement_key
 from repro.inum.cache import AccessSlot, CachedPlan, QueryCache
-from repro.sql.binder import bind_statement
+from repro.sql.binder import BoundWrite, bind_statement
 from repro.util import WireFormatError
 
 __all__ = [
@@ -154,14 +156,61 @@ def slot_to_wire(slot):
     }
 
 
+# Entries arrive from outside the process (a runner's reply, a file): the
+# decoders below check every field they read, so a malformed payload is a
+# :class:`WireFormatError` here and never an entry that raises — or
+# prices a neighbour's slots — once the kernel has compiled it.  Unknown
+# keys are ignored (peers of either age interoperate).
+
+
+def _object(payload, what):
+    if not isinstance(payload, dict):
+        raise WireFormatError("%s must be a JSON object, got %r"
+                              % (what, type(payload).__name__))
+    return payload
+
+
+def _array(payload, what):
+    if not isinstance(payload, (list, tuple)):
+        raise WireFormatError("%s must be a JSON array, got %r"
+                              % (what, type(payload).__name__))
+    return payload
+
+
+def _name(value, what, optional=False):
+    if not (isinstance(value, str) or optional and value is None):
+        raise WireFormatError("%s must be a string, got %r" % (what, value))
+    return value
+
+
+def _cost(value, what):
+    """A finite, non-negative JSON number (``true`` is not one)."""
+    try:
+        ok = type(value) in (int, float) and 0.0 <= float(value) < math.inf
+    except OverflowError:  # a JSON integer beyond the float range
+        ok = False
+    if not ok:
+        raise WireFormatError(
+            "%s must be a finite non-negative number, got %r" % (what, value)
+        )
+    return value
+
+
 def slot_from_wire(payload):
+    payload = _object(payload, "access slot")
     return AccessSlot(
-        alias=payload["alias"],
-        table_name=payload["table"],
-        required_order=payload.get("required_order"),
-        param_columns=tuple(payload.get("param_columns", ())),
-        probes=payload.get("probes", 1.0),
-        scale=payload.get("scale", 1.0),
+        alias=_name(payload.get("alias"), "slot alias"),
+        table_name=_name(payload.get("table"), "slot table"),
+        required_order=_name(
+            payload.get("required_order"), "slot order", optional=True
+        ),
+        param_columns=tuple(
+            _name(column, "probe column")
+            for column in _array(payload.get("param_columns", ()),
+                                 "probe columns")
+        ),
+        probes=_cost(payload.get("probes", 1.0), "slot probes"),
+        scale=_cost(payload.get("scale", 1.0), "slot scale"),
     )
 
 
@@ -174,12 +223,20 @@ def plan_to_wire(cached):
 
 
 def plan_from_wire(payload):
+    payload = _object(payload, "cached plan")
+    vector = []
+    for pair in _array(payload.get("order_vector", ()), "order vector"):
+        if len(_array(pair, "order vector pair")) != 2:
+            raise WireFormatError("order vector pair %r" % (pair,))
+        vector.append((_name(pair[0], "order vector alias"),
+                       _name(pair[1], "order vector column", optional=True)))
     return CachedPlan(
-        internal_cost=payload["internal_cost"],
-        slots=tuple(slot_from_wire(d) for d in payload["slots"]),
-        order_vector=tuple(
-            tuple(pair) for pair in payload.get("order_vector", ())
+        internal_cost=_cost(payload.get("internal_cost"), "internal cost"),
+        slots=tuple(
+            slot_from_wire(d)
+            for d in _array(payload.get("slots"), "plan slots")
         ),
+        order_vector=tuple(vector),
     )
 
 
@@ -214,26 +271,61 @@ def entry_from_wire(payload, catalog):
 
     Costs are bit-identical to the originating entry: the plan terms are
     carried verbatim (JSON round-trips finite floats exactly), and slot
-    re-pricing depends only on those terms plus the re-bound query."""
+    re-pricing depends only on those terms plus the re-bound query.
+
+    The payload is outside input: anything but a well-formed entry *of
+    the statement it names* — its signature is the re-bound statement's,
+    every slot sits on one of its aliases and reads that alias's table
+    and columns — raises :class:`WireFormatError` (or the binder's typed
+    error for SQL the catalog does not bind)."""
+    payload = _object(payload, "wire payload")
     if payload.get("kind") != KIND_ENTRY:
         raise WireFormatError(
             "expected %r payload, got %r" % (KIND_ENTRY, payload.get("kind"))
         )
-    if not payload.get("plans"):
+    plans = payload.get("plans")
+    if not plans:
         # No plan means no cost: the per-call walk would raise on every
         # lookup, and a compiled workload cannot hold the entry at all.
         raise WireFormatError("cache entry carries no plans")
-    bq = bind_statement(payload["sql"], catalog)
-    if payload.get("locate"):
+    calls = payload.get("build_optimizer_calls", 0)
+    if type(calls) is not int or calls < 0:
+        raise WireFormatError("build_optimizer_calls=%r" % (calls,))
+    bq = bind_statement(_name(payload.get("sql"), "entry sql"), catalog)
+    locate = bool(payload.get("locate"))
+    if locate != (isinstance(bq, BoundWrite)
+                  and bq.kind in ("update", "delete")):
+        raise WireFormatError("locate=%r on %r" % (locate, bq.sql))
+    if locate:
         from repro.optimizer.writecost import locate_query
 
         bq = locate_query(bq)
+    signature = signature_from_wire(payload.get("signature"))
+    if signature != statement_key(bq):
+        raise WireFormatError(
+            "entry signature is not that of its statement %r" % (bq.sql,)
+        )
+    plans = [plan_from_wire(d) for d in _array(plans, "entry plans")]
+    for slot in {slot for cached in plans for slot in cached.slots}:
+        table = bq.tables.get(slot.alias)
+        if table is None or table.name != slot.table_name:
+            raise WireFormatError(
+                "slot on %r (%r) does not belong to %r"
+                % (slot.alias, slot.table_name, bq.sql)
+            )
+        columns = slot.param_columns
+        if slot.required_order is not None:
+            columns += (slot.required_order,)
+        for column in columns:
+            if not table.has_column(column):
+                raise WireFormatError(
+                    "slot on %r reads unknown column %r"
+                    % (slot.alias, column)
+                )
     cache = QueryCache.from_plan_terms(
-        bq,
-        (plan_from_wire(d) for d in payload["plans"]),
-        build_optimizer_calls=payload.get("build_optimizer_calls", 0),
+        bq, plans, build_optimizer_calls=calls
     )
-    return signature_from_wire(payload["signature"]), cache
+    return signature, cache
 
 
 # ----------------------------------------------------------------------
@@ -306,9 +398,7 @@ def dumps(payload, indent=None):
 def check_version(payload):
     """Validate the envelope; raises :class:`WireFormatError` on any
     version mismatch (no silent best-effort parsing of foreign data)."""
-    if not isinstance(payload, dict):
-        raise WireFormatError("wire payload must be a JSON object")
-    version = payload.get("wire_version")
+    version = _object(payload, "wire payload").get("wire_version")
     if version != WIRE_VERSION:
         raise WireFormatError(
             "unsupported wire version %r (this build speaks %d)"
@@ -333,8 +423,11 @@ def loads(text, catalog=None, pool=None):
     never cross the wire — they are derived state, recompiled on the
     receiving side from the plan terms that do — so the encoding is
     unchanged and the wire version does not move."""
-    payload = check_version(json.loads(text))
-    kind = payload.get("kind")
+    try:
+        payload = json.loads(text)
+    except (TypeError, ValueError) as exc:  # not JSON at all
+        raise WireFormatError("wire text is not JSON: %s" % (exc,)) from exc
+    kind = check_version(payload).get("kind")
     if kind == KIND_ENTRY:
         if catalog is None:
             raise WireFormatError(

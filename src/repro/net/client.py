@@ -7,11 +7,14 @@ one task/result round trip at a time with a per-request timeout.
 
 :class:`FleetBackplane` is the fleet's one fan-out implementation, in
 two halves so the builds overlap the caller's own work: ``submit`` ships
-one ``warm`` task per statement the parent pool lacks *and the fleet is
-not already building*, and returns; ``collect`` installs every wire
-entry that has come back and blocks only while one its caller named is
-still in flight; ``warm_up`` is ``collect(submit(workload))`` (a cold
-grid is ``warm_up`` followed by the in-process kernel).  Its two faces
+one ``warm`` task per statement the parent pool lacks, *the fleet is
+not already building* and the parent evaluator cannot decode from plan
+terms it remembers (an evicted statement is never re-requested), and
+returns; ``collect`` installs every wire entry that has come back —
+recording its plan terms with the evaluator — and blocks only while one
+its caller named is still in flight; ``warm_up`` is
+``collect(submit(workload))`` (a cold grid is ``warm_up`` followed by
+the in-process kernel).  Its two faces
 differ only in how a connection obtains its socket:
 :class:`RemoteBackplane` dials runner nodes on other machines, and
 :class:`~repro.evaluation.process.ProcessPoolBackplane` forks children
@@ -367,18 +370,21 @@ class FleetBackplane:
 
     def submit(self, workload):
         """Ship one ``warm`` task per statement of *workload* that is
-        neither resident in the parent pool nor already in flight, and
-        return without waiting: the signatures a :meth:`collect` must
-        see installed before the workload can be priced.  The targets
-        are the evaluator's :meth:`~WorkloadEvaluator.warm_targets`,
-        shared with the in-process warm-up so the two cannot drift."""
+        neither resident in the parent pool, nor already in flight, nor
+        decodable from plan terms the evaluator remembers (an evicted
+        statement: its next ``cache_for`` costs no optimizer call, so
+        there is nothing to ship or wait for), and return without
+        waiting: the signatures a :meth:`collect` must see installed
+        before the workload can be priced.  The targets are the
+        evaluator's :meth:`~WorkloadEvaluator.warm_targets`, shared
+        with the in-process warm-up so the two cannot drift."""
         self._check_open()
         evaluator = self.evaluator
         ctx = obs.tracer().current_context()
         wanted, tasks = [], []
         for bq, source, locate in evaluator.warm_targets(workload):
             signature = evaluator.signature(bq)
-            if signature in evaluator.pool:
+            if signature in evaluator.pool or evaluator.knows_terms(bq):
                 continue
             wanted.append(signature)
             if signature in self._inflight:
@@ -431,7 +437,12 @@ class FleetBackplane:
             # pool= installs the entry *and* rebuilds its columnar
             # kernel from the shipped plan terms, so an offloaded
             # warm-up prewarms compiled kernels, not just raw caches.
-            wire.loads(reply["entry"], evaluator.catalog, pool=evaluator.pool)
+            loaded = wire.loads(
+                reply.get("entry"), evaluator.catalog, pool=evaluator.pool
+            )
+            if not isinstance(loaded, tuple):  # some other wire payload
+                raise WireFormatError("warm result carries no cache entry")
+            evaluator.remember_terms(loaded[1])
             if reply.get("obs"):
                 obs.ingest_deltas(wire.obs_from_wire(reply["obs"]))
             self._m_tasks.labels(node=conn.address, op="warm").inc()

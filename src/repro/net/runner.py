@@ -26,7 +26,10 @@ one end of a ``socket.socketpair()``.  Per connection the protocol is:
 An entry is a pure function of (SQL, catalog, settings) and a
 connection's catalog never changes, so the connection's evaluator simply
 *is* its cache: a statement re-requested while its entry is resident is
-served, not rebuilt.  Both frame shapes are outside input: a malformed
+served, not rebuilt, and one re-requested after the mirrored
+``pool_capacity`` evicted it is decoded from the plan terms the evaluator
+remembers (``WorkloadEvaluator.cache_for``) — the optimizer runs once per
+statement and connection.  Both frame shapes are outside input: a malformed
 one, or one whose SQL does not bind to the shipped catalog, is answered
 ``wire_error=True`` like a version mismatch — fatal, never retried.
 

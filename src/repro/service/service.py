@@ -316,7 +316,10 @@ class TuningService:
         host on restart (they carry the heavyweight live objects), and
         each tenant's snapshot records which backplane key it belongs
         to.  Pool contents are rebuilt on demand — they are a cache,
-        not state.
+        not state — and so are the plan terms the evaluators remember
+        per statement: a snapshot carries no entries to seed them from,
+        so a restored service plans each statement once more, with the
+        same results.
 
         When a scheduler run is active the snapshot also carries the
         scheduler's per-tenant pending buffers (events pulled from the

@@ -1,5 +1,6 @@
 """Unit tests for Catalog, Table, Index, partitions and the size model."""
 
+import pickle
 import random
 
 import pytest
@@ -235,6 +236,45 @@ class TestVerticalLayout:
         layout = self.make_layout()
         with pytest.raises(CatalogError):
             layout.fragments_for({"zzz"})
+
+    def test_hash_is_the_field_hash_computed_once(self):
+        """Layouts, fragments and indexes are memo keys on the pricing
+        hot path: each hashes like the tuple of its fields (so equal
+        objects built separately collide, in sets and in pickles), and
+        probing one re-hashes none of the tree below it."""
+        layout, twin = self.make_layout(), self.make_layout()
+        assert layout is not twin and layout == twin
+        assert hash(layout) == hash(twin) \
+            == hash(("t", layout.fragments))
+        assert len({layout, twin}) == 1
+        fragment = layout.fragments[1]
+        assert hash(fragment) == hash(("t", ("b", "c"), "t__b_c"))
+        index = Index("t", ["a"], include=["b"])
+        assert index == Index("t", ("a",), include=("b",))
+        assert hash(index) == hash(
+            ("t", ("a",), ("b",), False, "ix_t_a_inc_b")
+        )
+        for thing in (layout, fragment, index):
+            copy = pickle.loads(pickle.dumps(thing))
+            assert copy == thing and hash(copy) == hash(thing)
+            assert repr(copy) == repr(thing) and "_hash" not in repr(thing)
+
+        class CountedStr(str):
+            hashed = 0
+
+            def __hash__(self):
+                CountedStr.hashed += 1
+                return str.__hash__(self)
+
+        fragment = VerticalFragment("t", (CountedStr("a"),))
+        layout = VerticalLayout("t", (fragment, VerticalFragment("t", ("b",))))
+        index = Index("t", (CountedStr("c"),))
+        built = CountedStr.hashed
+        assert built
+        table = {layout: 1, fragment: 2, index: 3}
+        for __ in range(5):
+            assert (table[layout], table[fragment], table[index]) == (1, 2, 3)
+        assert CountedStr.hashed == built
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fragments_for_equals_the_unfiltered_greedy_cover(self, seed):

@@ -19,6 +19,11 @@ The ISSUE-10 acceptance pins live here:
   budget): a statement re-requested while resident on the runner is
   served, not rebuilt, and version-5 peers of the old frame shape
   still interoperate;
+* an eviction drops derived state, not the answer (ISSUE 23): the
+  client records the plan terms of every entry a runner returns, so an
+  evicted statement is decoded locally — it ships no task frame, is
+  nothing to wait for, and costs no optimizer call — and a reply whose
+  entry is malformed leaves the pool and that memo as they were;
 * the trust boundary (ISSUE 22): a malformed catalog or task frame is
   answered ``wire_error=True`` — fatal on the client after one request,
   never retried, the node not counted dead — and a hypothesis fuzz of
@@ -47,7 +52,8 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.colt import ColtSettings
-from repro.evaluation import WorkloadEvaluator, wire
+from repro.evaluation import InumCachePool, WorkloadEvaluator, wire
+from repro.evaluation import evaluator as evaluator_module
 from repro.net import (
     FleetBackplane,
     RemoteBackplane,
@@ -787,10 +793,12 @@ class SpiedNode(RunnerNode):
 class TestConnectionIsACache:
     def test_resident_re_request_is_served_not_rebuilt(
             self, astro_catalog, queries):
-        """Three rounds of the same statements.  The parent pool is
-        cleared after each, so every ``warm_up`` re-ships every task —
-        the parent forgot; the connection did not, and builds nothing
-        it still holds."""
+        """Three rounds of the same statements.  The parent's caches
+        are cleared after each (``clear_caches``: the pool *and* the
+        remembered plan terms — an emptied pool alone would be decoded
+        locally and ship nothing), so every ``warm_up`` re-ships every
+        task — the parent forgot; the connection did not, and builds
+        nothing it still holds."""
         node = SpiedNode()
         evaluator = WorkloadEvaluator(astro_catalog)
         grids, built = [], []
@@ -801,7 +809,7 @@ class TestConnectionIsACache:
                     evaluator.evaluate_configurations(queries, [None]).matrix
                 )
                 built.append(node.evaluator.precompute_calls)
-                evaluator.pool.clear()
+                evaluator.clear_caches()
         assert node.tasks_served == 3 * len(queries)
         assert grids[0] == grids[1] == grids[2]
         assert built[0] > 0 and built == [built[0]] * 3
@@ -837,6 +845,93 @@ class TestConnectionIsACache:
         assert obs.metrics().value(
             "repro_remote_tasks_total", node="old", op="warm"
         ) == len(queries)
+
+
+class LyingNode(RunnerNode):
+    """A runner whose result frames carry ``edit(entry payload)`` in
+    place of the entry it built."""
+
+    def __init__(self, edit):
+        super().__init__()
+        self.edit = edit
+
+    def _handle_task(self, evaluator, frame):
+        reply = super()._handle_task(evaluator, frame)
+        payload = self.edit(json.loads(reply["entry"]))
+        return dict(reply, entry=payload and json.dumps(payload))
+
+
+def relabel_slots(payload):
+    for plan in payload["plans"]:
+        for slot in plan["slots"]:
+            slot["alias"] = "nobody"
+    return payload
+
+
+class TestEvictionDropsDerivedStateNotTheAnswer:
+    def test_evicted_statement_ships_no_task_and_is_decoded(
+            self, astro_catalog, queries, monkeypatch):
+        node = HeldNode(held=False)
+        evaluator = WorkloadEvaluator(
+            astro_catalog, pool=InumCachePool(capacity=2))
+        local = WorkloadEvaluator(astro_catalog)
+        reference = local.evaluate_configurations(queries, [None]).matrix
+
+        real = evaluator_module.build_cache
+
+        def runner_only(bq, catalog, settings):
+            # The in-process runner plans over its own, shipped catalog.
+            assert catalog is not astro_catalog, "the parent planned"
+            return real(bq, catalog, settings)
+
+        monkeypatch.setattr(evaluator_module, "build_cache", runner_only)
+        with pair_backplane(evaluator, [node]) as backplane:
+            spent = bounded(backplane.warm_up, queries)
+            assert spent == local.precompute_calls > 0
+            assert len(evaluator.pool) == 2
+            evicted = [
+                pair for pair in queries
+                if evaluator.signature(pair[0]) not in evaluator.pool
+            ]
+            assert len(evicted) == len(queries) - 2
+            # Every entry the runner returned is decodable: nothing to
+            # ship, nothing to wait for, nothing to pay.
+            assert all(evaluator.knows_terms(evaluator.bound(sql))
+                       for sql, __ in queries)
+            assert backplane.submit(evicted) == []
+            assert bounded(backplane.warm_up, queries) == 0
+            assert evaluator.evaluate_configurations(
+                queries, [None]).matrix == reference
+            assert bounded(backplane.warm_up, evicted) == 0
+        assert node.tasks_served == len(queries)
+        registry = obs.metrics()
+        assert registry.value(
+            "repro_remote_tasks_total", node="node-0", op="warm"
+        ) == len(queries)
+        assert registry.value("repro_remote_fallback_total", op="warm") == 0
+        assert evaluator.stats["plan_term_decodes"] >= len(evicted)
+        assert evaluator.precompute_calls == spent
+
+    @pytest.mark.parametrize("edit", [
+        lambda payload: dict(payload, plans="none"),
+        lambda payload: dict(payload, plans=[dict(
+            payload["plans"][0], internal_cost=-1.0)]),
+        relabel_slots,
+        lambda payload: dict(payload, signature=["write", "x"]),
+        lambda payload: dict(payload, kind=wire.KIND_OBS, wire_version=5),
+        lambda payload: None,
+    ], ids=["plans-not-a-list", "negative-cost", "foreign-alias",
+            "foreign-signature", "not-an-entry", "no-entry"])
+    def test_malformed_entry_installs_and_remembers_nothing(
+            self, astro_catalog, queries, edit):
+        evaluator = WorkloadEvaluator(astro_catalog)
+        with pair_backplane(evaluator, [LyingNode(edit)]) as backplane:
+            with pytest.raises(WireFormatError):
+                bounded(backplane.warm_up, queries[:1])
+        assert len(evaluator.pool) == 0 and evaluator.pool.kernel_count == 0
+        assert evaluator.precompute_calls == 0
+        assert not evaluator.knows_terms(evaluator.bound(queries[0][0]))
+        assert obs.metrics().value("repro_remote_inflight_tasks") == 0
 
 
 # ----------------------------------------------------------------------

@@ -619,7 +619,24 @@ def test_concurrent_planning_forgetting_and_reanalyze_stay_exact():
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures[:3]
     assert len(plans) == 6 and all(plans)
-    assert evaluator.exact_plan_hits and evaluator.exact_optimizer_calls
+    assert evaluator.exact_optimizer_calls
+    # "The memo does hit" is asserted here, with the threads joined: in
+    # the race every statistics swap drops the plans keyed on the stale
+    # context, so whether a planner ever *saw* a hit was the scheduler's
+    # verdict, not the code's.  Two fresh services over one projected
+    # design: whatever the first costs, the second is a hit.
+    quiet = [
+        evaluator.exact_service(configs[0].with_indexes(
+            Index("neighbors", ("distance",), name="quiet_%d" % k)
+        ))
+        for k in range(2)
+    ]
+    assert quiet[0] is not quiet[1]
+    first = quiet[0].plan(bq)
+    hits, calls = evaluator.exact_plan_hits, evaluator.exact_optimizer_calls
+    assert quiet[1].plan(bq) is first and first.total_cost == expected[0]
+    assert evaluator.exact_plan_hits == hits + 1
+    assert evaluator.exact_optimizer_calls == calls
 
 
 # ----------------------------------------------------------------------

@@ -10,11 +10,18 @@ The ISSUE-3 acceptance pins live here:
 * process-pool ``warm_up`` results equal single-process results
   entry for entry — also when a worker is killed mid-batch (its work
   drains to the survivor) or every worker is (local fallback);
-* wire payloads with a foreign version are rejected, never guessed at.
+* wire payloads with a foreign version are rejected, never guessed at;
+* the decode seam is a trust boundary (ISSUE 23 put it on the hot path):
+  a hypothesis fuzz of entry payloads — wrong kinds, missing and stray
+  keys, empty or non-list ``plans``, non-finite / negative / oversized
+  numbers, slots on aliases, tables or columns the statement lacks —
+  raises only typed errors and leaves the pool as it was, and whatever
+  it does install prices.
 """
 
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -23,6 +30,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.catalog import Index
@@ -36,7 +45,7 @@ from repro.inum.cache import InumCostModel, _DesignView
 from repro.optimizer.writecost import locate_query
 from repro.service import TuningService
 from repro.sql.binder import BoundWrite
-from repro.util import WireFormatError
+from repro.util import ReproError, WireFormatError
 from repro.whatif import Configuration
 from repro.workloads import sdss, sdss_workload, tpch
 from repro.workloads import sdss_catalog as make_sdss
@@ -198,6 +207,116 @@ class TestVersionRejection:
         with pytest.raises(WireFormatError, match="no plans"):
             wire.loads(json.dumps(payload), catalog, pool=pool)
         assert len(pool) == 0
+
+
+# What a number may be swapped for: nothing here is a cost.
+BAD_NUMBERS = [-1.0, -0.0001, math.inf, -math.inf, math.nan, 10 ** 400,
+               True, "1.0", None]
+# ... and a name: the statement's *other* aliases and tables among them,
+# so the slot/statement cross-check is what rejects, not a lookup.
+BAD_NAMES = ["zz", "", "p", "s", "photoobj", "specobj", 7, None]
+STRAY = st.dictionaries(
+    st.sampled_from(["epoch", "cache", "alias2", "x"]),
+    st.none() | st.integers(-2, 2) | st.text(max_size=3), max_size=1,
+)
+
+
+@st.composite
+def mangled(draw, value, odds=None, key=None):
+    """The JSON tree *value*, each node kept (and descended into),
+    dropped from its object, or — one time in *odds*, drawn once per
+    example so that shallow and deep damage both occur, and none at all
+    — swapped for something its field must reject; objects also collect
+    stray keys.  The signature is one node.  Arrays are kept whole,
+    emptied or retyped, never thinned: an entry that keeps only its
+    probe-only plans is well-formed, and no decoder short of the
+    planner could tell that it prices nothing."""
+    if odds is None:
+        odds = draw(st.sampled_from([0, 150, 40, 10]))
+    swap = odds and not draw(st.integers(0, odds - 1))
+    if key == "signature":
+        return draw(st.sampled_from(
+            [["write", "x"], [], {}, None, 4, value[:1]])) if swap else value
+    if isinstance(value, dict):
+        if swap:
+            return draw(st.sampled_from([None, [], "object", 3]))
+        out = dict(draw(STRAY)) if odds else {}
+        for name, child in value.items():
+            if not odds or draw(st.integers(0, 2 * odds)):  # else: dropped
+                out[name] = draw(mangled(child, odds, name))
+        return out
+    if isinstance(value, list):
+        if swap:
+            return draw(st.sampled_from([[], None, {}, "array", 0]))
+        return [draw(mangled(child, odds, key)) for child in value]
+    if not swap:
+        return value
+    if isinstance(value, str) or value is None:
+        return draw(st.sampled_from(BAD_NAMES).filter(lambda v: v != value))
+    return draw(st.sampled_from(BAD_NUMBERS))
+
+
+class TestEntryFuzz:
+    JOIN = ("SELECT p.ra, s.z FROM photoobj p, specobj s "
+            "WHERE p.objid = s.bestobjid AND s.z > 2.5 ORDER BY p.ra LIMIT 9")
+    WRITE = "UPDATE photoobj SET rmag = 21.5 WHERE objid = 77"
+
+    @pytest.fixture(scope="class")
+    def env(self):
+        catalog = make_sdss(scale=0.01)
+        source = WorkloadEvaluator(catalog)
+        payloads = []
+        for bq, __, __ in source.warm_targets([(self.JOIN, 1), (self.WRITE, 1)]):
+            payloads.append(json.loads(wire.dumps(wire.entry_to_wire(
+                source.signature(bq), source.cache_for(bq)))))
+        assert [p["locate"] for p in payloads] == [False, True]
+        rng = random.Random(5)
+        configs = [None] + [random_configuration(catalog, rng)
+                            for __ in range(3)]
+        workload = [(self.JOIN, 1.0), (self.WRITE, 2.0)]
+        reference = source.evaluate_configurations(workload, configs).matrix
+        return catalog, payloads, workload, configs, reference
+
+    @given(data=st.data())
+    @hsettings(max_examples=300, deadline=None)
+    def test_only_typed_errors_and_nothing_half_installed(self, env, data):
+        catalog, payloads, workload, configs, reference = env
+        payload = data.draw(st.sampled_from(payloads).flatmap(mangled))
+        text = json.dumps(payload)
+        pool = InumCachePool()
+        evaluator = WorkloadEvaluator(catalog, pool=pool)
+        try:  # the seam by itself, without the envelope check
+            wire.entry_from_wire(payload, catalog)
+        except ReproError:
+            pass
+        try:
+            loaded = wire.loads(text, catalog, pool=pool)
+        except ReproError:
+            assert len(pool) == 0 and pool.kernel_count == 0
+            assert pool.stats.as_dict() == InumCachePool().stats.as_dict()
+            return
+        if not isinstance(loaded, tuple):  # retyped into another kind
+            assert len(pool) == 0
+            return
+        signature, cache = loaded
+        assert pool.signatures() == [signature] and pool.kernel_count == 1
+        # It names a statement of the workload, and prices as that
+        # statement's own build does unless a term was really edited
+        # (an optional field dropped): either way the kernel runs.
+        assert signature in [
+            evaluator.signature(bq)
+            for bq, __, __ in evaluator.warm_targets(workload)
+        ]
+        matrix = evaluator.evaluate_configurations(workload, configs).matrix
+        assert all(math.isfinite(cost) for row in matrix for cost in row)
+        original = next(p for p in payloads if p["sql"] == payload["sql"])
+        if payload["plans"] == original["plans"]:
+            assert matrix == reference
+
+    def test_text_that_is_not_json_is_a_wire_error(self, env):
+        for text in ("", "{", "nope", None, b"\xff", 3):
+            with pytest.raises(WireFormatError):
+                wire.loads(text, env[0])
 
 
 def assert_same_entries(pooled, single):
