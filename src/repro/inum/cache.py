@@ -404,6 +404,10 @@ def build_cache(bq, catalog, settings):
     cache = QueryCache(bound_query=bq)
     seen = set()
     covering = set()
+    # Consecutive vectors differ in one alias's covering index, so the
+    # join subsets without that alias are enumerated once for the build
+    # (plan_query's *subsets*); the dict dies with it.
+    subsets = {}
     for vector in _order_vectors(bq):
         overlay = catalog.clone()
         for alias, order in vector:
@@ -421,7 +425,7 @@ def build_cache(bq, catalog, settings):
             )
             overlay.add_index(index)
             covering.add(index)
-        plan = plan_query(bq, overlay, settings)
+        plan = plan_query(bq, overlay, settings, subsets=subsets)
         cache.build_optimizer_calls += 1
         cached = extract_plan_terms(plan, bq, dict(vector))
         key = (round(cached.internal_cost, 6), cached.slots)

@@ -34,10 +34,6 @@ def ordering_satisfies(provided, required):
     return tuple(provided[: len(required)]) == tuple(required)
 
 
-def _always(total_cost, ordering):
-    return True
-
-
 def sort_cost(child, settings):
     """``(startup_cost, total_cost, external)`` of sorting *child*."""
     rows = max(1.0, child.rows)
@@ -72,14 +68,19 @@ def sort_path(child, sort_keys, settings):
     )
 
 
-def materialize_path(child, settings):
+def materialize_cost(child, settings):
+    """Total cost of materializing *child* (its startup is the child's)."""
     rows = max(1.0, child.rows)
     total = child.total_cost + 2.0 * settings.cpu_operator_cost * rows
     if not settings.enable_material:
         total += DISABLE_COST
+    return total
+
+
+def materialize_path(child, settings):
     return Materialize(
         startup_cost=child.startup_cost,
-        total_cost=total,
+        total_cost=materialize_cost(child, settings),
         rows=child.rows,
         width=child.width,
         ordering=child.ordering,
@@ -87,116 +88,268 @@ def materialize_path(child, settings):
     )
 
 
-def nestloop_path(outer, inner, join_clauses, rows_out, settings,
-                  admits=_always):
+# ----------------------------------------------------------------------
+# Join costing: each method's formula, stated once and split into the
+# part that reads one input and the part that reads the pair.
+# ----------------------------------------------------------------------
+
+
+class OuterTerms:
+    """What the join costs read of one outer path
+    (:meth:`JoinCosting.outer`)."""
+
+    __slots__ = (
+        "path",
+        "rows",  # clamped to >= 1, like every row count a cost reads
+        "total",
+        "probe_cpu",  # hash join: one probe per outer row
+        "hash_pages",  # hash join: what a multi-batch join spills
+        "sorts",  # merge join: not ordered on the merge keys
+        "merge_total",  # merge join: the total behind a Sort when it sorts
+        "merge_ordering",  # merge join: the output ordering
+    )
+
+
+class InnerTerms:
+    """What the join costs read of one inner path
+    (:meth:`JoinCosting.inner`; :meth:`JoinCosting.probe` fills the
+    nested-loop terms only)."""
+
+    __slots__ = (
+        "path",
+        "rows",
+        "total",
+        "parameterized",  # costs are per probe
+        "rescan",  # nested loop: one more pass over the inner
+        # Nested loop over the materialized inner: its total and rescan
+        # cost; ``mat_total`` is None when the inner is not materialized
+        # (parameterized, or enable_material off).  The node itself is
+        # built by :meth:`JoinCosting.materialized` when a candidate
+        # over it is admitted.
+        "mat_total",
+        "mat_rescan",
+        "mat_path",
+        "build_cpu",  # hash join: inserting every inner row
+        "hash_bytes",  # hash join: the table's size; > work_mem spills
+        "sorts",
+        "merge_total",
+        "merge_rows",  # merge join: rows scanned, mark/restore included
+    )
+
+
+class JoinCosting:
+    """Costs and builds every join of a path of one relation subset
+    (the outer) with a path of another (the inner): the clauses, the
+    merge keys and the output cardinality are fixed, the paths vary.
+
+    Join enumeration prices every (outer, inner) pair with every method
+    and keeps few, so the split matters: :meth:`outer` / :meth:`inner`
+    derive once per *path* everything a cost reads of that input alone
+    (clamped rows, rescan cost, the materialized variant's totals, hash
+    build CPU and bytes, the merge-sort flag and sorted total, the merge
+    output ordering), the ``*_cost`` methods combine two inputs' terms
+    into one candidate's total, and the node methods run only for a
+    candidate the path set admits.  Each formula appears here and
+    nowhere else; the module-level constructors below are this class
+    applied to a single pair.
+    """
+
+    __slots__ = (
+        "settings", "clauses", "keys_outer", "keys_inner", "rows_out",
+        "clause_cost", "output_cpu",
+    )
+
+    def __init__(self, join_clauses, merge_keys_outer, merge_keys_inner,
+                 rows_out, settings):
+        self.settings = settings
+        self.clauses = tuple(join_clauses)
+        self.keys_outer = tuple(merge_keys_outer)
+        self.keys_inner = tuple(merge_keys_inner)
+        self.rows_out = rows_out
+        # Evaluating the clauses on one pair of rows / emitting the result.
+        self.clause_cost = settings.cpu_operator_cost * max(1, len(self.clauses))
+        self.output_cpu = settings.cpu_tuple_cost * max(1.0, rows_out)
+
+    # -- per path -------------------------------------------------------
+
+    def outer(self, path):
+        settings = self.settings
+        o = OuterTerms()
+        o.path = path
+        o.rows = rows = max(1.0, path.rows)
+        o.total = path.total_cost
+        o.probe_cpu = self.clause_cost * rows
+        o.hash_pages = rows * (path.width + TUPLE_OVERHEAD) / PAGE_BYTES
+        o.sorts = not ordering_satisfies(path.ordering, self.keys_outer)
+        if o.sorts:
+            o.merge_total = sort_cost(path, settings)[1]
+            o.merge_ordering = self.keys_outer
+        else:
+            o.merge_total = path.total_cost
+            o.merge_ordering = path.ordering
+        return o
+
+    def inner(self, path):
+        settings = self.settings
+        i = self.probe(path)  # the nested-loop terms every inner has
+        rows = i.rows
+        if not i.parameterized:
+            i.rescan = path.rescan_cost()
+            if settings.enable_material:
+                i.mat_total = materialize_cost(path, settings)
+                i.mat_rescan = Materialize.rescan_cost_of(path.rows)
+        i.build_cpu = (self.clause_cost + settings.cpu_tuple_cost) * rows
+        i.hash_bytes = rows * (path.width + TUPLE_OVERHEAD)
+        i.sorts = not ordering_satisfies(path.ordering, self.keys_inner)
+        i.merge_total = (
+            sort_cost(path, settings)[1] if i.sorts else path.total_cost
+        )
+        i.merge_rows = rows * 1.1
+        return i
+
+    def probe(self, path):
+        """Terms of an inner that is only ever nested-looped: a
+        parameterized index probe, whose costs are already per outer
+        row."""
+        i = InnerTerms()
+        i.path = path
+        i.rows = max(1.0, path.rows)
+        i.total = path.total_cost
+        i.parameterized = path.is_parameterized
+        i.rescan = i.mat_total = i.mat_rescan = i.mat_path = None
+        return i
+
+    def materialized(self, i):
+        """The Materialize over *i*'s path, one per inner."""
+        if i.mat_path is None:
+            i.mat_path = materialize_path(i.path, self.settings)
+        return i.mat_path
+
+    # -- per pair -------------------------------------------------------
+
+    def nestloop_cost(self, o, i, inner_total, inner_rescan):
+        """Nested loop of *o* over *i* read at (*inner_total*,
+        *inner_rescan*): the inner's own pair or its materialized one.
+        A parameterized inner's costs are already per probe; any other
+        is run once and rescanned per further outer row."""
+        if i.parameterized:
+            run_cost = o.total + o.rows * inner_total
+        else:
+            run_cost = o.total + inner_total + (o.rows - 1.0) * inner_rescan
+        total = run_cost + self.clause_cost * (o.rows * i.rows) + self.output_cpu
+        if not self.settings.enable_nestloop:
+            total += DISABLE_COST
+        return total
+
+    def hashjoin_cost(self, o, i):
+        """Hash join building on *i*, probing with *o*; past ``work_mem``
+        both sides are written out and read back once."""
+        settings = self.settings
+        io = 0.0
+        if i.hash_bytes > settings.work_mem:
+            io = (
+                2.0 * (i.hash_bytes / PAGE_BYTES + o.hash_pages)
+                * settings.seq_page_cost
+            )
+        total = o.total + i.total + i.build_cpu + o.probe_cpu + self.output_cpu + io
+        if not settings.enable_hashjoin:
+            total += DISABLE_COST
+        return total
+
+    def mergejoin_cost(self, o, i):
+        """Merge join; an input not already ordered on its merge keys
+        pays for an explicit Sort."""
+        total = (
+            o.merge_total + i.merge_total
+            + self.clause_cost * (o.rows + i.merge_rows) + self.output_cpu
+        )
+        if not self.settings.enable_mergejoin:
+            total += DISABLE_COST
+        return total
+
+    # -- nodes, for admitted candidates ---------------------------------
+
+    def nestloop(self, o, inner, total):
+        """The NestLoop of *o*'s path over the node *inner*."""
+        outer = o.path
+        return NestLoop(
+            startup_cost=outer.startup_cost + inner.startup_cost,
+            total_cost=total,
+            rows=self.rows_out,
+            width=outer.width + inner.width,
+            ordering=outer.ordering,
+            children=(outer, inner),
+            join_clauses=self.clauses,
+        )
+
+    def hashjoin(self, o, i, total):
+        outer, inner = o.path, i.path
+        work_mem = self.settings.work_mem
+        batches = 1
+        if i.hash_bytes > work_mem:
+            batches = 2 ** math.ceil(math.log2(i.hash_bytes / work_mem))
+        return HashJoin(
+            startup_cost=inner.total_cost + i.build_cpu + outer.startup_cost,
+            total_cost=total,
+            rows=self.rows_out,
+            width=outer.width + inner.width,
+            ordering=(),
+            children=(outer, inner),
+            join_clauses=self.clauses,
+            batches=batches,
+        )
+
+    def mergejoin(self, o, i, total):
+        """A Sort keeps its child's rows and width."""
+        outer, inner = o.path, i.path
+        if o.sorts:
+            outer = sort_path(outer, self.keys_outer, self.settings)
+        if i.sorts:
+            inner = sort_path(inner, self.keys_inner, self.settings)
+        return MergeJoin(
+            startup_cost=max(outer.startup_cost, inner.startup_cost),
+            total_cost=total,
+            rows=self.rows_out,
+            width=outer.width + inner.width,
+            ordering=o.merge_ordering,
+            children=(outer, inner),
+            join_clauses=self.clauses,
+        )
+
+
+def nestloop_path(outer, inner, join_clauses, rows_out, settings):
     """Nested loop with *inner* rescanned per outer row.
 
     If the inner is parameterized its costs are already per probe; otherwise
     the rescan cost comes from :meth:`Plan.rescan_cost`.
-
-    Like every join constructor here, the candidate is costed first and
-    the node is built only if ``admits(total_cost, ordering)`` — the
-    planner passes its path set's dominance test, so the (many)
-    dominated candidates of join enumeration allocate nothing.
     """
-    outer_rows = max(1.0, outer.rows)
-    if inner.is_parameterized:
-        run_cost = outer.total_cost + outer_rows * inner.total_cost
-        pair_evals = outer_rows * max(1.0, inner.rows)
-    else:
-        run_cost = (
-            outer.total_cost + inner.total_cost + (outer_rows - 1.0) * inner.rescan_cost()
-        )
-        pair_evals = outer_rows * max(1.0, inner.rows)
-    clause_cpu = settings.cpu_operator_cost * max(1, len(join_clauses)) * pair_evals
-    output_cpu = settings.cpu_tuple_cost * max(1.0, rows_out)
-    total = run_cost + clause_cpu + output_cpu
-    if not settings.enable_nestloop:
-        total += DISABLE_COST
-    if not admits(total, outer.ordering):
-        return None
-    return NestLoop(
-        startup_cost=outer.startup_cost + inner.startup_cost,
-        total_cost=total,
-        rows=rows_out,
-        width=outer.width + inner.width,
-        ordering=outer.ordering,
-        children=(outer, inner),
-        join_clauses=tuple(join_clauses),
+    costing = JoinCosting(join_clauses, (), (), rows_out, settings)
+    o, i = costing.outer(outer), costing.inner(inner)
+    return costing.nestloop(
+        o, inner, costing.nestloop_cost(o, i, i.total, i.rescan)
     )
 
 
-def hashjoin_path(outer, inner, join_clauses, rows_out, settings,
-                  admits=_always):
+def hashjoin_path(outer, inner, join_clauses, rows_out, settings):
     """Hash join building on *inner*, probing with *outer*."""
     if not join_clauses:
         return None
-    inner_rows = max(1.0, inner.rows)
-    outer_rows = max(1.0, outer.rows)
-    inner_bytes = inner_rows * (inner.width + TUPLE_OVERHEAD)
-    batches = 1
-    io = 0.0
-    if inner_bytes > settings.work_mem:
-        batches = 2 ** math.ceil(math.log2(inner_bytes / settings.work_mem))
-        inner_pages = inner_bytes / PAGE_BYTES
-        outer_pages = outer_rows * (outer.width + TUPLE_OVERHEAD) / PAGE_BYTES
-        io = 2.0 * (inner_pages + outer_pages) * settings.seq_page_cost
-    n_clauses = max(1, len(join_clauses))
-    build_cpu = (settings.cpu_operator_cost * n_clauses + settings.cpu_tuple_cost) * inner_rows
-    probe_cpu = settings.cpu_operator_cost * n_clauses * outer_rows
-    output_cpu = settings.cpu_tuple_cost * max(1.0, rows_out)
-    startup = inner.total_cost + build_cpu + outer.startup_cost
-    total = outer.total_cost + inner.total_cost + build_cpu + probe_cpu + output_cpu + io
-    if not settings.enable_hashjoin:
-        total += DISABLE_COST
-    if not admits(total, ()):
-        return None
-    return HashJoin(
-        startup_cost=startup,
-        total_cost=total,
-        rows=rows_out,
-        width=outer.width + inner.width,
-        ordering=(),
-        children=(outer, inner),
-        join_clauses=tuple(join_clauses),
-        batches=batches,
-    )
+    costing = JoinCosting(join_clauses, (), (), rows_out, settings)
+    o, i = costing.outer(outer), costing.inner(inner)
+    return costing.hashjoin(o, i, costing.hashjoin_cost(o, i))
 
 
 def mergejoin_path(outer, inner, join_clauses, merge_keys_outer, merge_keys_inner,
-                   rows_out, settings, admits=_always):
+                   rows_out, settings):
     """Merge join; an input not already ordered on its merge keys gets an
-    explicit Sort (a Sort keeps its child's rows and width)."""
+    explicit Sort."""
     if not join_clauses:
         return None
-    sort_outer = not ordering_satisfies(outer.ordering, merge_keys_outer)
-    sort_inner = not ordering_satisfies(inner.ordering, merge_keys_inner)
-    outer_total = sort_cost(outer, settings)[1] if sort_outer else outer.total_cost
-    inner_total = sort_cost(inner, settings)[1] if sort_inner else inner.total_cost
-    outer_rows = max(1.0, outer.rows)
-    inner_rows = max(1.0, inner.rows)
-    n_clauses = max(1, len(join_clauses))
-    scan_cpu = settings.cpu_operator_cost * n_clauses * (outer_rows + inner_rows * 1.1)
-    output_cpu = settings.cpu_tuple_cost * max(1.0, rows_out)
-    total = outer_total + inner_total + scan_cpu + output_cpu
-    if not settings.enable_mergejoin:
-        total += DISABLE_COST
-    ordering = tuple(merge_keys_outer) if sort_outer else outer.ordering
-    if not admits(total, ordering):
-        return None
-    if sort_outer:
-        outer = sort_path(outer, merge_keys_outer, settings)
-    if sort_inner:
-        inner = sort_path(inner, merge_keys_inner, settings)
-    return MergeJoin(
-        startup_cost=max(outer.startup_cost, inner.startup_cost),
-        total_cost=total,
-        rows=rows_out,
-        width=outer.width + inner.width,
-        ordering=outer.ordering,
-        children=(outer, inner),
-        join_clauses=tuple(join_clauses),
+    costing = JoinCosting(
+        join_clauses, merge_keys_outer, merge_keys_inner, rows_out, settings
     )
+    o, i = costing.outer(outer), costing.inner(inner)
+    return costing.mergejoin(o, i, costing.mergejoin_cost(o, i))
 
 
 def aggregate_paths(child, bound_query, groups, settings):

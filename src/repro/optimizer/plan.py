@@ -251,7 +251,13 @@ class Sort(Plan):
 @dataclass(slots=True)
 class Materialize(Plan):
     def rescan_cost(self):
-        return 0.0025 * max(1.0, self.rows)
+        return self.rescan_cost_of(self.rows)
+
+    @staticmethod
+    def rescan_cost_of(rows):
+        """Re-reading *rows* stored rows: what join costing charges for
+        a Materialize it has not built yet."""
+        return 0.0025 * max(1.0, rows)
 
 
 @dataclass(slots=True)

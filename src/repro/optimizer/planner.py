@@ -6,6 +6,8 @@ which both merge joins and the INUM cost model rely on.
 """
 
 import itertools
+from bisect import insort_right
+from operator import attrgetter
 
 from repro.optimizer import joins as J
 from repro.optimizer import paths as P
@@ -15,54 +17,73 @@ from repro.util import PlanningError
 
 MAX_PATHS_PER_SET = 12
 
+_total_cost = attrgetter("total_cost")
 
-def plan_query(bound_query, catalog, settings=None, inputs=None):
+
+def plan_query(bound_query, catalog, settings=None, inputs=None, subsets=None):
     """Plan *bound_query* against *catalog*; returns the cheapest Plan.
 
     *inputs* is ``paths.plan_inputs(bound_query, catalog)`` when the
-    caller has already resolved it (the plan memo's lookup key)."""
+    caller has already resolved it (the plan memo's lookup key).
+
+    *subsets* is a dict a caller that plans one statement under several
+    designs (an INUM build: one design per interesting-order vector)
+    passes to each call: the path set of a relation subset is a pure
+    function of the bound query, the settings and the *inputs* entries
+    of its aliases, so it is enumerated once and shared by every design
+    that offers those aliases the same indexes.  The dict holds base
+    relations and proper subsets only, must not outlive one (bound
+    query, settings) pair, and is the caller's to drop."""
     settings = settings or DEFAULT_SETTINGS
     if inputs is None:
         inputs = P.plan_inputs(bound_query, catalog)
-    return _Planner(bound_query, inputs, settings).plan()
+    if subsets is None:
+        subsets = {}
+    return _Planner(bound_query, inputs, settings, subsets).plan()
 
 
 class _PathSet:
-    """Cheapest path per distinct ordering for one relation subset."""
+    """Cheapest path per distinct ordering for one relation subset,
+    ascending in total cost (ties in arrival order)."""
 
     def __init__(self):
         self._paths = []
 
     def admits(self, total_cost, ordering):
         """False when a path of this cost and ordering would be dropped
-        by :meth:`add` as dominated — the test join constructors run
-        before building a node."""
-        for existing in self._paths:
-            if (
-                existing.total_cost <= total_cost
-                and J.ordering_satisfies(existing.ordering, ordering)
-            ):
+        by :meth:`add` as dominated — the test join enumeration runs
+        before building a node.  Only a path that costs no more can
+        dominate, and the paths ascend in cost: the scan ends at the
+        first dearer one, and the cheapest alone answers for a
+        candidate that promises no ordering."""
+        paths = self._paths
+        if not ordering:
+            return not paths or paths[0].total_cost > total_cost
+        for existing in paths:
+            if existing.total_cost > total_cost:
+                break
+            if J.ordering_satisfies(existing.ordering, ordering):
                 return False
         return True
 
     def add(self, path):
-        if path is None:
-            return
+        total_cost, ordering = path.total_cost, path.ordering
+        satisfies = J.ordering_satisfies
         kept = []
         for existing in self._paths:
-            if (
-                existing.total_cost <= path.total_cost
-                and J.ordering_satisfies(existing.ordering, path.ordering)
-            ):
-                return  # dominated: no cheaper and no better ordered
-            if (
-                path.total_cost <= existing.total_cost
-                and J.ordering_satisfies(path.ordering, existing.ordering)
-            ):
-                continue  # existing is dominated, drop it
-            kept.append(existing)
-        kept.append(path)
-        kept.sort(key=lambda p: p.total_cost)
+            if existing.total_cost <= total_cost:
+                if satisfies(existing.ordering, ordering):
+                    return  # dominated: no cheaper and no better ordered
+                # Only an equally cheap path can be dominated in turn.
+                if (
+                    existing.total_cost < total_cost
+                    or not satisfies(ordering, existing.ordering)
+                ):
+                    kept.append(existing)
+            elif not satisfies(ordering, existing.ordering):
+                kept.append(existing)
+        # Where a stable sort puts a late arrival: behind its cost ties.
+        insort_right(kept, path, key=_total_cost)
         del kept[MAX_PATHS_PER_SET:]
         self._paths = kept
 
@@ -79,19 +100,21 @@ class _PathSet:
 
 
 class _Planner:
-    def __init__(self, bound_query, inputs, settings):
+    def __init__(self, bound_query, inputs, settings, subsets):
         self.q = bound_query
         self.settings = settings
         self.aliases = list(bound_query.tables)
         # One scan context (geometry + selectivities, memoized on the
         # bound query) and one list of the indexes that reach it per
         # alias, shared by the base paths and every parameterized join
-        # probe.
+        # probe — all a path set reads of the design, hence the subset
+        # memo's key.
         self._ctx = {}
         self._indexes = {}
         for alias, (ctx, indexes) in zip(self.aliases, inputs):
             self._ctx[alias] = ctx
             self._indexes[alias] = indexes
+        self._subsets = subsets
 
     # ------------------------------------------------------------------
 
@@ -123,17 +146,27 @@ class _Planner:
     # Base relations.
     # ------------------------------------------------------------------
 
+    def _subset_key(self, aliases):
+        """*aliases* (in ``FROM`` order) with everything their path set
+        reads of the design."""
+        ctx, indexes = self._ctx, self._indexes
+        return tuple((alias, ctx[alias], indexes[alias]) for alias in aliases)
+
     def _base_paths(self):
         table_paths = {}
         for alias in self.aliases:
-            pset = _PathSet()
-            ctx = self._ctx[alias]
-            for path in P.access_paths(
-                ctx, self._indexes[alias], self.settings, ctx.interesting
-            ):
-                pset.add(path)
-            if not len(pset):
-                raise PlanningError("no access path for %r" % (alias,))
+            key = self._subset_key((alias,))
+            pset = self._subsets.get(key)
+            if pset is None:
+                pset = _PathSet()
+                ctx = self._ctx[alias]
+                for path in P.access_paths(
+                    ctx, self._indexes[alias], self.settings, ctx.interesting
+                ):
+                    pset.add(path)
+                if not len(pset):
+                    raise PlanningError("no access path for %r" % (alias,))
+                self._subsets[key] = pset
             table_paths[frozenset((alias,))] = pset
         return table_paths
 
@@ -149,28 +182,42 @@ class _Planner:
         for size in range(2, n + 1):
             for combo in itertools.combinations(self.aliases, size):
                 subset = frozenset(combo)
-                pset = _PathSet()
-                rows_out = self.subset_rows(subset)
-                found_connected = False
-                for left, right in self._splits(subset):
-                    clauses = self._clauses_between(left, right)
-                    if clauses:
-                        found_connected = True
-                    if left not in sets or right not in sets:
-                        continue
-                    self._join_pair(sets, left, right, clauses, rows_out, pset)
-                if not found_connected:
-                    # Disconnected join graph: cartesian product as last resort.
-                    for left, right in self._splits(subset):
-                        if left not in sets or right not in sets:
-                            continue
-                        self._join_pair(sets, left, right, (), rows_out, pset)
+                if size == n:
+                    # Distinct per design by construction: never shared.
+                    pset = self._enumerate(sets, subset)
+                else:
+                    key = self._subset_key(combo)
+                    pset = self._subsets.get(key)
+                    if pset is None:
+                        pset = self._subsets[key] = self._enumerate(
+                            sets, subset
+                        )
                 if len(pset):
                     sets[subset] = pset
         full = frozenset(self.aliases)
         if full not in sets:
             raise PlanningError("join search failed to cover all relations")
         return sets[full]
+
+    def _enumerate(self, sets, subset):
+        """The path set of *subset*: every join of two smaller sets."""
+        pset = _PathSet()
+        rows_out = self.subset_rows(subset)
+        found_connected = False
+        for left, right in self._splits(subset):
+            clauses = self._clauses_between(left, right)
+            if clauses:
+                found_connected = True
+            if left not in sets or right not in sets:
+                continue
+            self._join_pair(sets, left, right, clauses, rows_out, pset)
+        if not found_connected:
+            # Disconnected join graph: cartesian product as last resort.
+            for left, right in self._splits(subset):
+                if left not in sets or right not in sets:
+                    continue
+                self._join_pair(sets, left, right, (), rows_out, pset)
+        return pset
 
     def _splits(self, subset):
         members = sorted(subset)
@@ -196,58 +243,60 @@ class _Planner:
 
     def _join_pair(self, sets, left, right, clauses, rows_out, pset):
         """Every join of a *left* path (outer) with a *right* path
-        (inner) into *pset*.  Candidates are costed and tested against
-        the set's dominance rule before a node is built
-        (``admits``)."""
+        (inner) into *pset*.  What a cost reads of one input is derived
+        once per path, before the pair loop; a candidate is priced from
+        those terms and tested against the set's dominance rule
+        (``admits``) before its node is built."""
         settings = self.settings
-        admits = pset.admits
+        admits, add = pset.admits, pset.add
+        keys_outer, keys_inner = self._merge_keys(clauses, left)
+        costing = J.JoinCosting(
+            clauses, keys_outer, keys_inner, rows_out, settings
+        )
+        nestloop_cost = costing.nestloop_cost
         # Parameterized index nested loop: only when the inner side is a
         # single base relation probed on its join columns.
         probes = ()
         if clauses and len(right) == 1:
             (inner_alias,) = right
-            probes = P.probe_paths(
-                self._ctx[inner_alias],
-                self._indexes[inner_alias],
-                settings,
-                tuple(
-                    clause.side_for(inner_alias)[0]
-                    for clause in clauses
-                    if clause.involves(inner_alias)
-                ),
-            )
-        inners = [
-            (
-                inner,
-                J.materialize_path(inner, settings)
-                if not inner.is_parameterized and settings.enable_material
-                else None,
-            )
-            for inner in sets[right]
-        ]
-        keys_outer, keys_inner = self._merge_keys(clauses, left)
+            probes = [
+                costing.probe(path)
+                for path in P.probe_paths(
+                    self._ctx[inner_alias],
+                    self._indexes[inner_alias],
+                    settings,
+                    tuple(
+                        clause.side_for(inner_alias)[0]
+                        for clause in clauses
+                        if clause.involves(inner_alias)
+                    ),
+                )
+            ]
+        inners = [costing.inner(path) for path in sets[right]]
         for outer in sets[left]:
-            for inner, materialized in inners:
-                pset.add(J.nestloop_path(
-                    outer, inner, clauses, rows_out, settings, admits
-                ))
-                if materialized is not None:
-                    pset.add(J.nestloop_path(
-                        outer, materialized, clauses, rows_out, settings,
-                        admits,
-                    ))
+            o = costing.outer(outer)
+            ordering = outer.ordering
+            for i in inners:
+                total = nestloop_cost(o, i, i.total, i.rescan)
+                if admits(total, ordering):
+                    add(costing.nestloop(o, i.path, total))
+                if i.mat_total is not None:
+                    total = nestloop_cost(o, i, i.mat_total, i.mat_rescan)
+                    if admits(total, ordering):
+                        add(costing.nestloop(
+                            o, costing.materialized(i), total
+                        ))
                 if clauses:
-                    pset.add(J.hashjoin_path(
-                        outer, inner, clauses, rows_out, settings, admits
-                    ))
-                    pset.add(J.mergejoin_path(
-                        outer, inner, clauses, keys_outer, keys_inner,
-                        rows_out, settings, admits,
-                    ))
-            for probe in probes:
-                pset.add(J.nestloop_path(
-                    outer, probe, clauses, rows_out, settings, admits
-                ))
+                    total = costing.hashjoin_cost(o, i)
+                    if admits(total, ()):
+                        add(costing.hashjoin(o, i, total))
+                    total = costing.mergejoin_cost(o, i)
+                    if admits(total, o.merge_ordering):
+                        add(costing.mergejoin(o, i, total))
+            for i in probes:
+                total = nestloop_cost(o, i, i.total, i.rescan)
+                if admits(total, ordering):
+                    add(costing.nestloop(o, i.path, total))
 
     @staticmethod
     def _merge_keys(clauses, outer_aliases):

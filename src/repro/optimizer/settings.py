@@ -10,9 +10,18 @@ Disabled paths are not removed — they are penalized with
 exists even when everything relevant is "disabled".
 """
 
+import math
 from dataclasses import dataclass, replace
 
+from repro.util import DesignError
+
 DISABLE_COST = 1.0e10
+
+_COST_CONSTANTS = (
+    "seq_page_cost", "random_page_cost", "cpu_tuple_cost",
+    "cpu_index_tuple_cost", "cpu_operator_cost",
+)
+_FRACTIONS = ("effective_cache_fraction", "index_only_visible_frac")
 
 
 @dataclass(frozen=True)
@@ -20,6 +29,11 @@ class PlannerSettings:
     """Cost model constants and planner toggles.
 
     Defaults are PostgreSQL's shipped values.  ``work_mem`` is in bytes.
+
+    Constants no cost model can mean are refused at construction
+    (:class:`~repro.util.DesignError`): every plan cost must come out
+    finite and non-negative — path sets are kept, and searched, in cost
+    order — and ``work_mem`` divides.
     """
 
     seq_page_cost: float = 1.0
@@ -48,6 +62,21 @@ class PlannerSettings:
     # IO).  Exists purely so the CL-ZSIZE experiment can measure how badly
     # this skews the advisor; never enable it for real tuning.
     assume_zero_size_indexes: bool = False
+
+    def __post_init__(self):
+        for name in _COST_CONSTANTS:
+            if not 0 <= getattr(self, name) < math.inf:
+                self._refuse(name, "finite and >= 0")
+        if not self.work_mem >= 1:
+            self._refuse("work_mem", ">= 1 (bytes)")
+        for name in _FRACTIONS:
+            if not 0 <= getattr(self, name) <= 1:
+                self._refuse(name, "in [0, 1]")
+
+    def _refuse(self, name, rule):
+        raise DesignError(
+            "planner setting %s=%r must be %s" % (name, getattr(self, name), rule)
+        )
 
     def with_changes(self, **kwargs):
         """Return a copy with the given GUCs overridden."""

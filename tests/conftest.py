@@ -1,8 +1,18 @@
 """Shared fixtures: a small SDSS-like catalog used across the test suite."""
 
 import pytest
+from hypothesis import settings as hypothesis_settings
 
 from repro.catalog import Catalog, Column, DataType, Distribution, Index, Table
+
+# Property tests written without ``max_examples`` take their budget from
+# the profile: ``default`` is hypothesis's own 100 examples, ``ci`` ten
+# times that (``--hypothesis-profile=ci``).  No deadline in either: a
+# wall-clock verdict on a shared box is noise, and an example here is a
+# whole planner run.
+hypothesis_settings.register_profile("default", max_examples=100, deadline=None)
+hypothesis_settings.register_profile("ci", max_examples=1000, deadline=None)
+hypothesis_settings.load_profile("default")
 
 
 def make_sdss_catalog(photo_rows=1_000_000, spec_rows=80_000):

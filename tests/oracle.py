@@ -24,6 +24,14 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
   extension as a full batch each round, what the delta sweep replaced.
 * :func:`check_solution` — the program's constraints stated once, the
   one specification every solver backend's output is held to.
+* :class:`PathSetReference` (over :func:`admits_reference`) and
+  :func:`join_pair_reference` — join enumeration as it ran before
+  ISSUE 24: a dominance test that scans the whole set, an ``add`` that
+  appends and re-sorts, and every join method costed from scratch per
+  (outer, inner) pair by its own constructor;
+  :func:`reference_planning` runs the shipped planner over them, every
+  relation subset enumerated afresh per call (:func:`build_with_plans`
+  shows what a build planned, either way).
 * :func:`threaded_warm_up` — not a reference but a vehicle: a warm-up
   whose builds race on real threads, for the tests that pin the pool's
   single-flight and shard locking.
@@ -31,6 +39,7 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 from scipy import optimize
@@ -42,6 +51,12 @@ from repro.autopart.advisor import (
 )
 from repro.catalog import HorizontalPartitioning, VerticalFragment, VerticalLayout
 from repro.cophy.solvers import SolveResult, _assemble
+from repro.inum import cache as inum_cache
+from repro.optimizer import joins as J
+from repro.optimizer import paths as P
+from repro.optimizer import planner
+from repro.optimizer.plan import HashJoin, Materialize, MergeJoin, NestLoop
+from repro.optimizer.settings import DISABLE_COST
 from repro.util import CatalogError, DesignError, workload_pairs
 from repro.whatif import Configuration
 
@@ -414,6 +429,279 @@ def check_solution(problem, result):
         "objective is not the cost of the chosen set"
     assert result.objective <= problem.config_cost(()) + 1e-6, \
         "worse than choosing nothing"
+
+
+# ----------------------------------------------------------------------
+# Join enumeration before ISSUE 24: per-pair costing, full-scan
+# dominance, append-and-sort insertion.
+# ----------------------------------------------------------------------
+
+
+def admits_reference(paths, total_cost, ordering):
+    """False when some member of *paths* costs no more and is ordered
+    no worse — every member is asked, in whatever order they come."""
+    for existing in paths:
+        if (
+            existing.total_cost <= total_cost
+            and J.ordering_satisfies(existing.ordering, ordering)
+        ):
+            return False
+    return True
+
+
+class PathSetReference:
+    """``planner._PathSet`` with nothing read off the order it keeps."""
+
+    def __init__(self):
+        self._paths = []
+
+    def admits(self, total_cost, ordering):
+        return admits_reference(self._paths, total_cost, ordering)
+
+    def add(self, path):
+        if path is None:
+            return
+        kept = []
+        for existing in self._paths:
+            if (
+                existing.total_cost <= path.total_cost
+                and J.ordering_satisfies(existing.ordering, path.ordering)
+            ):
+                return
+            if (
+                path.total_cost <= existing.total_cost
+                and J.ordering_satisfies(path.ordering, existing.ordering)
+            ):
+                continue
+            kept.append(existing)
+        kept.append(path)
+        kept.sort(key=lambda p: p.total_cost)
+        del kept[planner.MAX_PATHS_PER_SET:]
+        self._paths = kept
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self):
+        return len(self._paths)
+
+    def cheapest(self):
+        return self._paths[0]
+
+
+def materialize_reference(child, settings):
+    rows = max(1.0, child.rows)
+    total = child.total_cost + 2.0 * settings.cpu_operator_cost * rows
+    if not settings.enable_material:
+        total += DISABLE_COST
+    return Materialize(
+        startup_cost=child.startup_cost,
+        total_cost=total,
+        rows=child.rows,
+        width=child.width,
+        ordering=child.ordering,
+        children=(child,),
+    )
+
+
+def nestloop_reference(outer, inner, join_clauses, rows_out, settings, admits):
+    outer_rows = max(1.0, outer.rows)
+    if inner.is_parameterized:
+        run_cost = outer.total_cost + outer_rows * inner.total_cost
+        pair_evals = outer_rows * max(1.0, inner.rows)
+    else:
+        run_cost = (
+            outer.total_cost + inner.total_cost
+            + (outer_rows - 1.0) * inner.rescan_cost()
+        )
+        pair_evals = outer_rows * max(1.0, inner.rows)
+    clause_cpu = (
+        settings.cpu_operator_cost * max(1, len(join_clauses)) * pair_evals
+    )
+    output_cpu = settings.cpu_tuple_cost * max(1.0, rows_out)
+    total = run_cost + clause_cpu + output_cpu
+    if not settings.enable_nestloop:
+        total += DISABLE_COST
+    if not admits(total, outer.ordering):
+        return None
+    return NestLoop(
+        startup_cost=outer.startup_cost + inner.startup_cost,
+        total_cost=total,
+        rows=rows_out,
+        width=outer.width + inner.width,
+        ordering=outer.ordering,
+        children=(outer, inner),
+        join_clauses=tuple(join_clauses),
+    )
+
+
+def hashjoin_reference(outer, inner, join_clauses, rows_out, settings, admits):
+    inner_rows = max(1.0, inner.rows)
+    outer_rows = max(1.0, outer.rows)
+    inner_bytes = inner_rows * (inner.width + J.TUPLE_OVERHEAD)
+    batches = 1
+    io = 0.0
+    if inner_bytes > settings.work_mem:
+        batches = 2 ** math.ceil(math.log2(inner_bytes / settings.work_mem))
+        inner_pages = inner_bytes / J.PAGE_BYTES
+        outer_pages = outer_rows * (outer.width + J.TUPLE_OVERHEAD) / J.PAGE_BYTES
+        io = 2.0 * (inner_pages + outer_pages) * settings.seq_page_cost
+    n_clauses = max(1, len(join_clauses))
+    build_cpu = (
+        settings.cpu_operator_cost * n_clauses + settings.cpu_tuple_cost
+    ) * inner_rows
+    probe_cpu = settings.cpu_operator_cost * n_clauses * outer_rows
+    output_cpu = settings.cpu_tuple_cost * max(1.0, rows_out)
+    startup = inner.total_cost + build_cpu + outer.startup_cost
+    total = (
+        outer.total_cost + inner.total_cost + build_cpu + probe_cpu
+        + output_cpu + io
+    )
+    if not settings.enable_hashjoin:
+        total += DISABLE_COST
+    if not admits(total, ()):
+        return None
+    return HashJoin(
+        startup_cost=startup,
+        total_cost=total,
+        rows=rows_out,
+        width=outer.width + inner.width,
+        ordering=(),
+        children=(outer, inner),
+        join_clauses=tuple(join_clauses),
+        batches=batches,
+    )
+
+
+def mergejoin_reference(outer, inner, join_clauses, merge_keys_outer,
+                         merge_keys_inner, rows_out, settings, admits):
+    sort_outer = not J.ordering_satisfies(outer.ordering, merge_keys_outer)
+    sort_inner = not J.ordering_satisfies(inner.ordering, merge_keys_inner)
+    outer_total = (
+        J.sort_cost(outer, settings)[1] if sort_outer else outer.total_cost
+    )
+    inner_total = (
+        J.sort_cost(inner, settings)[1] if sort_inner else inner.total_cost
+    )
+    outer_rows = max(1.0, outer.rows)
+    inner_rows = max(1.0, inner.rows)
+    n_clauses = max(1, len(join_clauses))
+    scan_cpu = (
+        settings.cpu_operator_cost * n_clauses * (outer_rows + inner_rows * 1.1)
+    )
+    output_cpu = settings.cpu_tuple_cost * max(1.0, rows_out)
+    total = outer_total + inner_total + scan_cpu + output_cpu
+    if not settings.enable_mergejoin:
+        total += DISABLE_COST
+    ordering = tuple(merge_keys_outer) if sort_outer else outer.ordering
+    if not admits(total, ordering):
+        return None
+    if sort_outer:
+        outer = J.sort_path(outer, merge_keys_outer, settings)
+    if sort_inner:
+        inner = J.sort_path(inner, merge_keys_inner, settings)
+    return MergeJoin(
+        startup_cost=max(outer.startup_cost, inner.startup_cost),
+        total_cost=total,
+        rows=rows_out,
+        width=outer.width + inner.width,
+        ordering=outer.ordering,
+        children=(outer, inner),
+        join_clauses=tuple(join_clauses),
+    )
+
+
+def join_pair_reference(self, sets, left, right, clauses, rows_out, pset):
+    """``_Planner._join_pair`` as a loop of per-pair constructors:
+    nothing is derived per path, every candidate re-reads both inputs.
+    *self* is the planner (its settings, contexts and reaching
+    indexes)."""
+    settings = self.settings
+    admits = pset.admits
+    probes = ()
+    if clauses and len(right) == 1:
+        (inner_alias,) = right
+        probes = P.probe_paths(
+            self._ctx[inner_alias],
+            self._indexes[inner_alias],
+            settings,
+            tuple(
+                clause.side_for(inner_alias)[0]
+                for clause in clauses
+                if clause.involves(inner_alias)
+            ),
+        )
+    inners = [
+        (
+            inner,
+            materialize_reference(inner, settings)
+            if not inner.is_parameterized and settings.enable_material
+            else None,
+        )
+        for inner in sets[right]
+    ]
+    keys_outer, keys_inner = self._merge_keys(clauses, left)
+    for outer in sets[left]:
+        for inner, materialized in inners:
+            pset.add(nestloop_reference(
+                outer, inner, clauses, rows_out, settings, admits
+            ))
+            if materialized is not None:
+                pset.add(nestloop_reference(
+                    outer, materialized, clauses, rows_out, settings, admits
+                ))
+            if clauses:
+                pset.add(hashjoin_reference(
+                    outer, inner, clauses, rows_out, settings, admits
+                ))
+                pset.add(mergejoin_reference(
+                    outer, inner, clauses, keys_outer, keys_inner,
+                    rows_out, settings, admits,
+                ))
+        for probe in probes:
+            pset.add(nestloop_reference(
+                outer, probe, clauses, rows_out, settings, admits
+            ))
+
+
+@contextmanager
+def reference_planning():
+    """Within the block the shipped planner enumerates joins the old
+    way — :class:`PathSetReference`, :func:`join_pair_reference` — and
+    an INUM build plans every order vector cold (no shared subsets)."""
+    real_set, real_pair = planner._PathSet, planner._Planner._join_pair
+    real_plan = inum_cache.plan_query
+
+    def cold(bq, catalog, settings, subsets=None):
+        return real_plan(bq, catalog, settings)
+
+    planner._PathSet = PathSetReference
+    planner._Planner._join_pair = join_pair_reference
+    inum_cache.plan_query = cold
+    try:
+        yield
+    finally:
+        planner._PathSet, planner._Planner._join_pair = real_set, real_pair
+        inum_cache.plan_query = real_plan
+
+
+def build_with_plans(bq, catalog, settings):
+    """``build_cache`` plus what it planned: ``(cache, [(explain(),
+    total_cost), ...])``, one pair per order vector in planning order —
+    a vehicle for comparing two builds plan by plan as well as term for
+    term."""
+    planned = []
+    real = inum_cache.extract_plan_terms
+
+    def spy(plan, *args):
+        planned.append((plan.explain(), plan.total_cost))
+        return real(plan, *args)
+
+    inum_cache.extract_plan_terms = spy
+    try:
+        return inum_cache.build_cache(bq, catalog, settings), planned
+    finally:
+        inum_cache.extract_plan_terms = real
 
 
 def threaded_warm_up(evaluator, workload, threads=4):

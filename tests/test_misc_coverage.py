@@ -103,6 +103,36 @@ class TestSettingsPlumbing:
         assert settings.scan_penalty(True) == 0.0
         assert settings.scan_penalty(False) == DISABLE_COST
 
+    @pytest.mark.parametrize("absurd", [
+        {"work_mem": 0},  # was a ZeroDivisionError inside hashjoin_path
+        {"work_mem": float("nan")},
+        {"cpu_operator_cost": float("nan")},  # priced every statement nan
+        {"seq_page_cost": -1.0},  # ... and this one negative
+        {"random_page_cost": float("inf")},
+        {"cpu_tuple_cost": -0.01},
+        {"cpu_index_tuple_cost": float("-inf")},
+        {"effective_cache_fraction": 1.5},
+        {"index_only_visible_frac": -0.1},
+        {"index_only_visible_frac": float("nan")},
+    ], ids=lambda absurd: "%s=%s" % next(iter(absurd.items())))
+    def test_absurd_constants_are_refused_at_construction(self, absurd):
+        """Path sets are kept and searched in cost order, so a constant
+        that can make a cost nan, negative or infinite never reaches a
+        plan: a typed error, from the constructor and from
+        ``with_changes`` alike."""
+        (name,) = absurd
+        with pytest.raises(DesignError, match=name):
+            PlannerSettings(**absurd)
+        with pytest.raises(DesignError, match=name):
+            PlannerSettings().with_changes(**absurd)
+
+    def test_boundary_constants_are_accepted(self):
+        free = PlannerSettings(
+            seq_page_cost=0.0, cpu_operator_cost=0, work_mem=1,
+            effective_cache_fraction=1.0, index_only_visible_frac=0.0,
+        )
+        assert free.work_mem == 1
+
     def test_service_with_settings_shares_counter(self, sdss_catalog):
         svc = CostService(sdss_catalog)
         alt = svc.with_settings(PlannerSettings(enable_hashjoin=False))

@@ -1,4 +1,6 @@
-"""Stress tests: 3- and 4-way join planning and execution."""
+"""Stress tests: 3- and 4-way join planning and execution — and the
+heavy INUM build (three aliases, twelve order vectors, one disconnected
+pair) that shares its relation-subset path sets between the vectors."""
 
 import math
 
@@ -8,7 +10,13 @@ from repro.catalog import Catalog, Column, DataType, Distribution, Index, Table
 from repro.data import generate_database
 from repro.executor import run_query
 from repro.optimizer import CostService, PlannerSettings
+from repro.optimizer import paths as P
+from repro.optimizer import planner
+from repro.sql.binder import bind_statement
+from repro.workloads import sdss_catalog as full_sdss_catalog
 from repro.workloads import tpch_catalog
+
+from oracle import build_with_plans, reference_planning
 
 
 def star_catalog(rows=800):
@@ -95,6 +103,101 @@ class TestPlanning:
             "WHERE f.d2 = b.id AND f.d1 = a.id"
         )
         assert a == pytest.approx(b, rel=1e-9)
+
+
+# The ledger's heavy statement (``benchmarks/e2e/workloads.py``): p joins
+# s and n, s and n share no clause — {s, n} exists only as a cartesian
+# product — and the vectors are 3 (p) x 2 (s) x 2 (n).
+CROSS_MATCH = (
+    "SELECT p.objid, s.z, n.distance "
+    "FROM photoobj p, specobj s, neighbors n "
+    "WHERE p.objid = s.bestobjid AND p.objid = n.objid "
+    "AND s.z > 1.250 AND n.distance < 0.0300 AND p.rmag < 20.50 "
+    "ORDER BY p.ra LIMIT 500"
+)
+
+
+class TestOneEnumerationPerBuild:
+    """``build_cache`` hands every ``plan_query`` of a build one dict of
+    subset path sets (ISSUE 24)."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Counts of ``_join_pair`` calls and base-relation
+        enumerations."""
+        seen = {"pairs": 0, "bases": 0}
+
+        def counting(real, key):
+            def wrapper(*args, **kwargs):
+                seen[key] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            planner._Planner, "_join_pair",
+            counting(planner._Planner._join_pair, "pairs"),
+        )
+        monkeypatch.setattr(
+            P, "access_paths", counting(P.access_paths, "bases"))
+        return seen
+
+    def build(self, catalog, settings=None):
+        return build_with_plans(
+            bind_statement(CROSS_MATCH, catalog), catalog,
+            settings or PlannerSettings(),
+        )
+
+    def test_cross_match_enumerates_each_subset_once(self, counted):
+        catalog = full_sdss_catalog(scale=0.05)
+        shared, shared_plans = self.build(catalog)
+        assert shared.build_optimizer_calls == len(shared_plans) == 12
+        # 7 base sets (3 + 2 + 2 distinct inputs) instead of 12 x 3; the
+        # pairs once per distinct input pair — 6 + 6 + 4, the cartesian
+        # {s, n} costing four calls a time — and the full set, never
+        # shared, 12 x 6.
+        assert counted["bases"] == 7
+        assert counted["pairs"] == 6 * 2 + 6 * 2 + 4 * 4 + 12 * 6 == 112
+
+        # What build_cache did before: a fresh search per vector.
+        counted.update(pairs=0, bases=0)
+        with reference_planning():
+            reference, reference_plans = self.build(catalog)
+        assert counted["bases"] == 36 and reference_plans == shared_plans
+        assert shared.plans == reference.plans
+        assert len({
+            tuple(order for __, order in plan.order_vector)
+            for plan in shared.plans
+        }) == len(shared.plans) > 1
+
+    @pytest.mark.parametrize("settings", [
+        PlannerSettings(enable_hashjoin=False),
+        PlannerSettings(enable_mergejoin=False, enable_nestloop=False),
+        PlannerSettings(enable_material=False, enable_sort=False,
+                        work_mem=32 * 1024),
+    ], ids=["no-hash", "hash-only", "no-material-no-sort-small-mem"])
+    def test_cross_match_terms_equal_cold_planning(self, settings):
+        catalog = full_sdss_catalog(scale=0.05)
+        shared, shared_plans = self.build(catalog, settings)
+        with reference_planning():
+            reference, reference_plans = self.build(catalog, settings)
+        assert reference_plans == shared_plans
+        assert shared.plans == reference.plans
+
+    def test_the_dict_is_the_callers_and_dies_with_the_build(self):
+        """``plan_query`` keeps nothing: without *subsets* every call
+        enumerates afresh, with it the caller's dict holds base sets and
+        proper subsets only."""
+        catalog = full_sdss_catalog(scale=0.05)
+        bq = bind_statement(CROSS_MATCH, catalog)
+        subsets = {}
+        first = planner.plan_query(bq, catalog, subsets=subsets)
+        sizes = sorted(len(key) for key in subsets)
+        assert sizes == [1, 1, 1, 2, 2, 2]
+        frozen = {key: list(pset) for key, pset in subsets.items()}
+        again = planner.plan_query(bq, catalog, subsets=subsets)
+        assert again.explain() == first.explain()
+        assert {key: list(pset) for key, pset in subsets.items()} == frozen
+        assert planner.plan_query(bq, catalog).explain() == first.explain()
 
 
 class TestExecution:

@@ -952,12 +952,18 @@ class TestMalformedFrames:
     @pytest.mark.parametrize("catalog_changes, task_changes", [
         ({"settings": {"enable_warp_drive": True}}, {}),
         ({"settings": {"seq_page_cost": "cheap"}}, {}),
+        # Right-typed but absurd (ISSUE 24): refused by PlannerSettings
+        # itself, before a plan can divide by it or price nan.
+        ({"settings": {"work_mem": 0}}, {}),
+        ({"settings": {"cpu_operator_cost": float("nan")}}, {}),
+        ({"settings": {"seq_page_cost": -1.0}}, {}),
         ({"catalog": DROP}, {}),
         ({"pool_capacity": 0}, {}),
         ({}, {"sql": DROP}),
         ({}, {"locate": True}),  # ... on a SELECT
         ({}, {"sql": "SELECT nothing FROM nowhere"}),
-    ], ids=["unknown-setting", "setting-type", "no-catalog", "zero-capacity",
+    ], ids=["unknown-setting", "setting-type", "zero-work-mem", "nan-cost",
+            "negative-cost", "no-catalog", "zero-capacity",
             "no-sql", "locate-mismatch", "unbound-sql"])
     def test_malformed_frame_is_fatal_after_one_request(
             self, astro_catalog, catalog_changes, task_changes):
@@ -1040,6 +1046,21 @@ def converse(node, *frames):
         server.join(WAIT_S)
     assert not server.is_alive()
     return replies
+
+
+def test_absurd_settings_frame_is_a_wire_error_and_the_node_serves_on(
+        astro_catalog):
+    good = catalog_frame_for(WorkloadEvaluator(astro_catalog, PlannerSettings()))
+    node = RunnerNode()
+    for absurd in ({"work_mem": 0}, {"cpu_operator_cost": float("nan")},
+                   {"seq_page_cost": -1.0}):
+        frame = dict(good, settings=dict(good["settings"], **absurd))
+        (reply,) = converse(node, frame, TASK)
+        assert reply["kind"] == wire.KIND_ERROR and reply["wire_error"], reply
+        assert next(iter(absurd)) in reply["error"]
+        # The next connection is served as if nothing had happened.
+        ack, result = converse(node, good, TASK)
+        assert result["kind"] == wire.KIND_RESULT and result["entry"]
 
 
 class TestFrameFuzz:

@@ -9,6 +9,12 @@ invariants of the substrate:
 
 These are exactly the properties every designer component silently
 assumes, so a counterexample here would invalidate everything above.
+
+A third property rides on the same generators (ISSUE 24): an INUM build
+that shares its relation-subset path sets between order vectors emits
+the terms the old enumeration emitted planning every vector cold — on
+self-joins of the fuzzed table, where one covering index reaches every
+alias at once.
 """
 
 import math
@@ -30,8 +36,12 @@ from repro.catalog import (
 )
 from repro.data import generate_database
 from repro.executor import run_query
+from repro.inum.cache import build_cache
 from repro.optimizer import CostService, PlannerSettings
 from repro.optimizer.settings import DISABLE_COST
+from repro.sql.binder import bind_statement
+
+from oracle import reference_planning
 
 COLUMN_POOL = [
     ("k", DataType.INT, Distribution(kind="sequence")),
@@ -189,3 +199,62 @@ class TestDesignInvariance:
         plan = CostService(catalog).plan(sql)
         if "LIMIT" not in sql and "GROUP" not in sql:
             assert plan.rows <= 10_000 * 1.01
+
+
+@st.composite
+def self_join_strategy(draw, column_names):
+    """A two- or three-way self-join of ``t`` — a chain, a star or (one
+    clause dropped) a disconnected pair — with filters, and maybe a
+    grouping or an ordering for the interesting orders to pick up."""
+    aliases = ["x", "y", "z"][: draw(st.integers(2, 3))]
+    joinable = [c for c in column_names if c in ("k", "a", "c", "d")]
+    clauses = []
+    for position, alias in enumerate(aliases[1:], start=1):
+        other = aliases[draw(st.integers(0, position - 1))]
+        clauses.append("%s.%s = %s.%s" % (
+            other, draw(st.sampled_from(joinable)),
+            alias, draw(st.sampled_from(joinable)),
+        ))
+    if len(clauses) == 2 and draw(st.booleans()):
+        clauses.pop()  # the last alias joins nothing: cartesian
+    for __ in range(draw(st.integers(0, 2))):
+        clauses.append("%s.%s < %d" % (
+            draw(st.sampled_from(aliases)),
+            draw(st.sampled_from(column_names)),
+            draw(st.integers(-12, 32)),
+        ))
+    sql = "SELECT x.k FROM %s" % ", ".join("t " + a for a in aliases)
+    if clauses:
+        sql += " WHERE " + " AND ".join(clauses)
+    tail = draw(st.sampled_from(["", "order", "order-limit"]))
+    if tail:
+        sql += " ORDER BY %s.%s" % (
+            draw(st.sampled_from(aliases)), draw(st.sampled_from(column_names))
+        )
+    if tail == "order-limit":
+        sql += " LIMIT %d" % draw(st.integers(1, 50))
+    return sql
+
+
+class TestSharedSubsetsChangeNothing:
+    @given(data=st.data(), n_cols=st.integers(3, 6))
+    def test_build_equals_cold_per_vector_planning(self, data, n_cols):
+        catalog = build_catalog(n_cols, rows=20_000)
+        names = catalog.table("t").column_names
+        sql = data.draw(
+            self_join_strategy(names) | query_strategy(names))
+        designed = apply_design(catalog, data.draw(design_strategy(names)))
+        settings = PlannerSettings(
+            enable_nestloop=data.draw(st.booleans()),
+            enable_hashjoin=data.draw(st.booleans()),
+            enable_mergejoin=data.draw(st.booleans()),
+            enable_material=data.draw(st.booleans()),
+            work_mem=data.draw(st.sampled_from([16 * 1024, 4 * 1024 * 1024])),
+        )
+        shipped = build_cache(
+            bind_statement(sql, designed), designed, settings)
+        with reference_planning():
+            reference = build_cache(
+                bind_statement(sql, designed), designed, settings)
+        assert shipped.plans == reference.plans
+        assert shipped.build_optimizer_calls == reference.build_optimizer_calls

@@ -346,6 +346,60 @@ def test_index_selection_is_written_once(sdss_catalog, monkeypatch):
         assert _parameters(function) == expected, function.__name__
 
 
+def test_join_costing_has_one_implementation():
+    """A join input is costed once per path (ISSUE 24): each method's
+    formula is stated once, in ``joins.JoinCosting``, and reached from
+    one place, ``_Planner._join_pair``; the one-off constructors are
+    that class applied to a pair and test nothing for admission (PR
+    16's ``admits=`` is gone — the planner asks its path set before it
+    builds); and the subset dict an INUM build shares is a data argument
+    of ``plan_query``, its only new parameter."""
+    from repro.optimizer import joins, planner
+
+    for constructor, expected in (
+        (joins.nestloop_path,
+         ["outer", "inner", "join_clauses", "rows_out", "settings"]),
+        (joins.hashjoin_path,
+         ["outer", "inner", "join_clauses", "rows_out", "settings"]),
+        (joins.mergejoin_path,
+         ["outer", "inner", "join_clauses", "merge_keys_outer",
+          "merge_keys_inner", "rows_out", "settings"]),
+    ):
+        assert _parameters(constructor) == expected, constructor.__name__
+    assert _parameters(planner.plan_query) == [
+        "bound_query", "catalog", "settings", "inputs", "subsets"]
+    assert _parameters(planner._Planner._join_pair) == [
+        "sets", "left", "right", "clauses", "rows_out", "pset"]
+
+    sources = _sources()
+    everything = "".join(sources.values())
+    assert "admits=" not in everything and "_always" not in everything
+    # What makes each formula its method's: stated once in src/.
+    for once in (
+        r"\(o\.rows - 1\.0\) \* inner_rescan",  # nested loop: rescans
+        r"i\.build_cpu \+ o\.probe_cpu",  # hash join: build + probe
+        r"o\.rows \+ i\.merge_rows",  # merge join: the two scans
+        r"rows \* 1\.1",
+        r"2\.0 \* settings\.cpu_operator_cost \* rows",  # materialize
+        r"settings\.enable_nestloop", r"settings\.enable_hashjoin",
+        r"settings\.enable_mergejoin",  # one DISABLE_COST branch each
+    ):
+        assert len(re.findall(once, everything)) == 1, once
+    # The cost parts are reached from join enumeration and from the
+    # constructors beside them, nowhere else.
+    users = {
+        os.path.relpath(path, SRC) for path, text in sources.items()
+        if re.search(r"JoinCosting|\b\w+join_cost\(|nestloop_cost\(", text)
+    }
+    assert users == {
+        os.path.join("repro", "optimizer", "joins.py"),
+        os.path.join("repro", "optimizer", "planner.py"),
+    }
+    pair = inspect.getsource(planner._Planner._join_pair)
+    rest = inspect.getsource(planner).replace(pair, "")
+    assert "JoinCosting" in pair and "costing" not in rest.lower()
+
+
 def test_a_slot_is_priced_once_for_its_cost_and_its_witness(
         sdss_catalog, monkeypatch):
     """The one slot memo: an entry written by the cost path answers a
