@@ -43,16 +43,15 @@ def main():
         )
         print("warmed %s backplane: %d optimizer calls" % (key, calls))
 
-    # Scheduled ingest: every tenant advances as resumable steps on the
-    # cooperative scheduler — fair and priority-aware (astro-1 is the
-    # premium tenant here, so it gets twice the dispatch weight while
-    # the others stay starvation-free).  Priorities reorder work in
-    # time; per-tenant results are identical under any schedule.
+    # Scheduled ingest: the cooperative scheduler pulls every tenant's
+    # stream and advances it as resumable steps at an equal share, so no
+    # tenant starves; per-tenant results are identical to draining each
+    # stream on its own.
     streams = {
         name: drifting_stream(phases_fn(PHASE_LENGTH), seed=seed)
         for name, (key, phases_fn, seed) in tenants.items()
     }
-    service.run_scheduled(streams, priorities={"astro-1": 2.0})
+    service.run_scheduled(streams)
 
     print()
     print(service.status_text())

@@ -20,6 +20,7 @@ chosen configuration is stable the budget decays, and any workload shift
 from dataclasses import dataclass, field
 
 from repro.catalog import Index
+from repro.util import WireFormatError
 from repro.whatif import Configuration, WhatIfSession
 
 
@@ -132,6 +133,26 @@ class _CandidateState:
     epoch_maintenance: float = 0.0
     probes: int = 0  # lifetime probe count
     last_seen_epoch: int = 0
+
+
+# The fields :meth:`ColtTuner.restore_state` reads, as a
+# :func:`~repro.evaluation.wire.conform` shape: a snapshot is outside
+# input.  COLT only ever materializes indexes, never partitions.
+_INDEX = {"table": str, "columns": [str], "include": [str], "unique": bool,
+          "name": str}
+_CONFIGURATION = {"version": int, "indexes": [_INDEX],
+                  "vertical_layouts": [], "horizontal_partitionings": []}
+_STATE = {
+    "current": _CONFIGURATION, "pending_alert": (None, _CONFIGURATION),
+    "candidates": [dict(index=_INDEX, ewma_gain=float, epoch_gain=float,
+                        ewma_maintenance=float, epoch_maintenance=float,
+                        probes=int, last_seen_epoch=int)],
+    "report": {"alerts": int, "adoptions": int, "epochs": [dict(
+        epoch=int, queries=int, observed_cost=float, build_cost=float,
+        whatif_probes=int, alert=bool, adopted=bool, configuration=[str])]},
+    "epoch_queries": [str], "epoch_probes": int, "epoch_no": int,
+    "stable_epochs": int, "budget": int,
+}
 
 
 class ColtTuner:
@@ -285,12 +306,18 @@ class ColtTuner:
         """Overwrite the tuner's dynamic state from a
         :meth:`snapshot_state` payload (built over the same catalog and
         settings); the subsequent stream continues exactly as if the
-        process had never stopped."""
+        process had never stopped.  A payload this tuner could not run
+        on raises a :class:`~repro.util.ReproError`."""
         from repro.catalog.serialize import (
             configuration_from_dict,
             index_from_dict,
         )
+        from repro.evaluation import wire
+        from repro.sql.binder import bind_statement
 
+        wire.conform(payload, _STATE, "tuner state")
+        for sql in payload["epoch_queries"]:
+            bind_statement(sql, self.catalog)  # re-priced at epoch end
         self.current = configuration_from_dict(payload["current"])
         pending = payload.get("pending_alert")
         self._pending_alert = (
@@ -331,6 +358,15 @@ class ColtTuner:
         self._epoch_no = payload["epoch_no"]
         self._stable_epochs = payload["stable_epochs"]
         self._budget = payload["budget"]
+        # The tuner only ever holds indexes it harvests itself, each on
+        # a column of this catalog (the overlay raises CatalogError):
+        # any other would fail, or clash with a harvested namesake, once
+        # the run prices it.
+        alert = self._pending_alert or Configuration.empty()
+        held = {*self.current.indexes, *alert.indexes, *self.candidates}
+        if any(ix != Index(ix.table_name, ix.columns[:1]) for ix in held):
+            raise WireFormatError("tuner state holds a non-COLT index")
+        Configuration(indexes=held).apply(self.catalog)
 
     # ------------------------------------------------------------------
 

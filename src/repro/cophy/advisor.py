@@ -29,6 +29,7 @@ _SOLVERS = {
 # Solvers that price candidates lazily instead of consuming a fully
 # materialized BipProblem — the advisor skips build_bip for these.
 _LAZY_SOLVERS = {"colgen"}
+SOLVERS = frozenset(_SOLVERS) | _LAZY_SOLVERS
 
 
 @dataclass
@@ -101,10 +102,9 @@ class CoPhyAdvisor:
         """
         if budget_pages < 0:
             raise DesignError("storage budget must be non-negative")
-        if solver not in _SOLVERS and solver not in _LAZY_SOLVERS:
+        if solver not in SOLVERS:
             raise DesignError(
-                "unknown solver %r (have: %s)"
-                % (solver, sorted(set(_SOLVERS) | _LAZY_SOLVERS))
+                "unknown solver %r (have: %s)" % (solver, sorted(SOLVERS))
             )
         workload = list(workload)
         if not workload:

@@ -323,7 +323,7 @@ def _dispatch(args, out):
             window=args.window,
         )
         stream = drifting_stream(phases_fn(args.phase_length), seed=args.seed)
-        service.run_streams({"tenant-0": stream})
+        service.run_scheduled({"tenant-0": stream})
         print(session.report.to_text(), file=out)
         print("", file=out)
         for rec in session.recommendations:

@@ -26,8 +26,8 @@ state a canonical, versioned, JSON-compatible form:
 * **scheduler state** (wire version 2): the cooperative scheduler's
   per-tenant buffers of pulled-but-not-ingested stream events, encoded
   by :func:`event_to_wire` inside the service snapshot — what makes a
-  pause-point snapshot complete even for push-mode events no replay can
-  re-derive.
+  pause-point snapshot complete: those events have left their stream,
+  so no replay from the stream offset re-derives them.
 
 Every payload is stamped with :data:`WIRE_VERSION`; :func:`loads`
 rejects a mismatch with :class:`~repro.util.WireFormatError` instead of
@@ -44,6 +44,7 @@ scheduler pause points).
 
 import json
 import math
+import sys
 
 from repro.evaluation.signature import statement_key
 from repro.inum.cache import AccessSlot, CachedPlan, QueryCache
@@ -73,6 +74,7 @@ __all__ = [
     "entry_from_wire",
     "event_to_wire",
     "event_from_wire",
+    "conform",
     "dumps",
     "loads",
     "check_version",
@@ -194,6 +196,47 @@ def _cost(value, what):
             "%s must be a finite non-negative number, got %r" % (what, value)
         )
     return value
+
+
+# Session state (service, tenant and tuner snapshots) is checked against
+# a *shape* before anything is built from it: a dict is an object with
+# (at least) those keys, ``{str: s}`` one whose every value is an *s*;
+# ``[s]`` an array of *s*, ``[]`` an empty one; a tuple any one of its
+# shapes; a frozenset the strings allowed; ``int`` a count JSON reads
+# exactly, ``float`` a number a float holds; ``str``, ``bool``, ``None``.
+_LEAVES = {
+    None: lambda value: value is None,
+    bool: lambda value: type(value) is bool,
+    str: lambda value: type(value) is str,
+    int: lambda value: type(value) is int and 0 <= value < 2 ** 53,
+    float: lambda value: (type(value) in (int, float)
+                          and abs(value) <= sys.float_info.max),
+}
+
+
+def conform(payload, shape, what):
+    """Raise :class:`WireFormatError` unless *payload* has *shape*."""
+    if isinstance(shape, dict):
+        _object(payload, what)
+        if list(shape) == [str]:
+            shape = dict.fromkeys(payload, shape[str])
+        for key, inner in shape.items():
+            if key not in payload:
+                raise WireFormatError("%s has no %r" % (what, key))
+            conform(payload[key], inner, "%s.%s" % (what, key))
+    elif isinstance(shape, list):
+        for item in _array(payload, what):
+            conform(item, shape[0] if shape else (), what + "[]")
+    elif isinstance(shape, tuple):  # ``()``: nothing conforms
+        for choice in shape:
+            try:
+                return conform(payload, choice, what)
+            except WireFormatError:
+                pass
+        raise WireFormatError("%s: unexpected %r" % (what, payload))
+    elif not (type(payload) is str and payload in shape
+              if isinstance(shape, frozenset) else _LEAVES[shape](payload)):
+        raise WireFormatError("%s: unexpected %r" % (what, payload))
 
 
 def slot_from_wire(payload):
@@ -344,11 +387,15 @@ def event_to_wire(event):
     return [phase, sql]
 
 
-def event_from_wire(payload):
+def event_from_wire(payload, catalog):
     """Rebuild a stream event from its wire form (always the tuple
-    shape; ``(None, sql)`` is ingest-equivalent to bare SQL)."""
-    phase, sql = payload
-    return (phase, sql)
+    shape; ``(None, sql)`` is ingest-equivalent to bare SQL).  The SQL
+    must bind against *catalog*, the tenant's: it is ingested later."""
+    if len(_array(payload, "stream event")) != 2:
+        raise WireFormatError("stream event %r is not [phase, sql]"
+                              % (payload,))
+    bind_statement(_name(payload[1], "event sql"), catalog)
+    return (_name(payload[0], "event phase", optional=True), payload[1])
 
 
 # ----------------------------------------------------------------------

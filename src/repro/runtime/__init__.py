@@ -5,11 +5,10 @@ loop per tenant:
 
 * :mod:`repro.runtime.steps` — :class:`Step` (one resumable unit of
   session work, with prewarm metadata) and :class:`TenantTask` (one
-  session as a pull- or push-fed state machine with event-boundary
-  pause points);
-* :mod:`repro.runtime.scheduler` — :class:`Scheduler`: stride-fair,
-  priority-aware dispatch, per-tenant backpressure, pause-point
-  snapshots;
+  session as a state machine fed by pulling its stream, with
+  event-boundary pause points);
+* :mod:`repro.runtime.scheduler` — :class:`Scheduler`: equal-share
+  dispatch (fewest steps run goes next) and pause-point snapshots;
 * :mod:`repro.runtime.executor` — the executor seam:
   :class:`StepExecutor` (inline) and the one offload executor behind
   :class:`ProcessStepExecutor` (cache builds shipped to forked workers,

@@ -1,4 +1,4 @@
-"""The cooperative tenant scheduler: a fair, priority-aware run-queue.
+"""The cooperative tenant scheduler: a fair run-queue of pulled streams.
 
 The service's PR-2 ingest model was one blocking ``drain()`` thread per
 tenant: opaque loops the host could neither pace, nor snapshot
@@ -10,14 +10,11 @@ effect (cache builds) flows through the shared backplane as portable
 derived state, while the scheduler keeps the per-tenant control state
 small, explicit, and pausable.
 
-* **Fairness** — stride scheduling: each dispatched step advances the
-  task's pass value by ``1/priority``; the runnable task with the
-  lowest pass runs next (registration order breaks ties).  A tenant
-  with a 10x longer stream cannot starve its neighbors, and a
-  priority-2.0 tenant gets twice the steps of a priority-1.0 one.
-* **Backpressure / admission control** — per-task ``max_pending``
-  bounds the event buffer; push-mode :meth:`submit` refuses events
-  beyond it, and pull-mode refills never read ahead of it.
+* **Fairness** — equal shares: the unfinished task that has run the
+  fewest steps runs next (registration order breaks ties).  Pause-point
+  drains aside, the unfinished tenants' step counts never differ by
+  more than one: a tenant with a 10x longer stream cannot starve its
+  neighbors.
 * **Executor seam** — refill batches and heavy steps are announced to
   the executor (see :mod:`repro.runtime.executor`) before running, so
   optimizer-heavy cache builds can move to worker processes
@@ -54,13 +51,12 @@ class Scheduler:
 
     ``lookahead`` is how many events per tenant the refill phase
     buffers ahead of ingest — how far an executor's builds may run
-    ahead of the step pricing them.  ``trace=True`` records every
-    dispatch in ``dispatch_log`` as ``(tenant, step kind)`` pairs (the
-    fairness tests read it; off by default: no allocation per step).
+    ahead of the step pricing them.  Every dispatch is recorded as a
+    ``scheduler.step`` span tagged with its tenant and step kind.
     """
 
     def __init__(self, executor=None, lookahead=None, snapshot_interval=0,
-                 on_snapshot=None, trace=False):
+                 on_snapshot=None):
         if snapshot_interval < 0:
             raise DesignError(
                 "snapshot_interval must be >= 0, got %r"
@@ -75,7 +71,6 @@ class Scheduler:
         self.steps = 0
         self.snapshots = 0
         self.last_snapshot_time = None
-        self.dispatch_log = [] if trace else None
         self._tasks = OrderedDict()
         self._snapshot_mark = 0
         # Scrape-time mirror of the run-queue shape (queue depths,
@@ -84,46 +79,18 @@ class Scheduler:
         obs.metrics().add_collector(self._collect_obs)
 
     # ------------------------------------------------------------------
-    # Registration and intake.
+    # Registration.
     # ------------------------------------------------------------------
 
-    def add(self, name, session, stream=None, finish=True, priority=1.0,
-            max_pending=None):
-        """Register *session* under *name*.  ``stream`` is the pull-mode
-        event source; omit it for push-mode intake via :meth:`submit` +
-        :meth:`close_intake`."""
+    def add(self, name, session, stream, finish=True):
+        """Register *session* under *name*, fed by pulling *stream*."""
         if name in self._tasks:
             raise DesignError("task %r already scheduled" % (name,))
         task = TenantTask(
-            name, session, stream=stream, finish=finish, priority=priority,
-            max_pending=max_pending, order=len(self._tasks),
+            name, session, stream, finish=finish, order=len(self._tasks),
         )
         self._tasks[name] = task
         return task
-
-    def task(self, name):
-        try:
-            return self._tasks[name]
-        except KeyError:
-            raise DesignError(
-                "unknown task %r (scheduled: %s)"
-                % (name, ", ".join(self._tasks) or "none")
-            ) from None
-
-    def submit(self, name, event):
-        """Push one event to *name*; ``False`` means the tenant's buffer
-        is full (admission refused — retry after :meth:`run`)."""
-        admitted = self.task(name).submit(event)
-        if not admitted:
-            obs.metrics().counter(
-                "repro_scheduler_backpressure_total",
-                "Push-mode events refused by a full tenant buffer",
-                labelnames=("tenant",),
-            ).labels(tenant=name).inc()
-        return admitted
-
-    def close_intake(self, name):
-        self.task(name).close_intake()
 
     @property
     def tasks(self):
@@ -135,7 +102,8 @@ class Scheduler:
 
     def pending_events(self):
         """The buffered events themselves, per tenant — what a snapshot
-        must carry so push-mode (non-replayable) events survive."""
+        must carry: they have already left their stream, so no replay
+        from the stream offset re-derives them."""
         return {
             name: list(task.pending) for name, task in self._tasks.items()
         }
@@ -188,8 +156,6 @@ class Scheduler:
             labelnames=("kind",),
         ).labels(kind=step.kind).observe(elapsed)
         self.steps += 1
-        if self.dispatch_log is not None:
-            self.dispatch_log.append((task.name, step.kind))
         return step
 
     def drain_to_boundaries(self):
@@ -218,16 +184,15 @@ class Scheduler:
             self.on_snapshot(self)
 
     def run(self):
-        """Dispatch until every task is done (or all remaining tasks are
-        idle push-mode intakes awaiting events).  Returns run stats."""
+        """Dispatch until every task is done.  Returns run stats."""
         while True:
             self._refill()
-            runnable = [t for t in self._tasks.values() if t.ready()]
-            if not runnable:
+            unfinished = [t for t in self._tasks.values() if not t.done]
+            if not unfinished:
                 break
-            task = min(runnable, key=lambda t: (t.pass_value, t.order))
+            task = min(unfinished, key=lambda t: (t.steps_run, t.order))
             if task.next_step() is None:
-                continue  # retired (done) or went idle; re-plan
+                continue  # retired (done); re-plan
             self._dispatch(task)
             if (
                 self.snapshot_interval

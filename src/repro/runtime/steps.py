@@ -9,16 +9,16 @@ issue optimizer-heavy INUM cache builds (``heavy``) and which SQL
 statements those builds would serve (``prewarm``), so a process-offload
 executor can warm the shared pool *before* the step runs inline.
 
-A :class:`TenantTask` wraps one session plus its event source and
-exposes the session as an explicit state machine: pull (or accept) an
-event, run its steps one at a time, finish.  Between any two steps the
-task is suspended — that gap is the scheduler's dispatch point, and the
-gap between two *events* (``at_event_boundary``) is the consistent
-pause point where a snapshot of the session can be taken mid-stream.
+A :class:`TenantTask` wraps one session plus its event stream and
+exposes the session as an explicit state machine: pull an event, run
+its steps one at a time, finish.  Between any two steps the task is
+suspended — that gap is the scheduler's dispatch point, and the gap
+between two *events* (``at_event_boundary``) is the consistent pause
+point where a snapshot of the session can be taken mid-stream.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util import DesignError
 
@@ -50,47 +50,24 @@ class Step:
 class TenantTask:
     """One tenant session driven step-by-step by the scheduler.
 
-    Event sources come in two shapes:
-
-    * **pull** — ``stream`` is an iterable; the scheduler refills the
-      task's buffer (``pending``) ahead of ingest, which is what gives
-      the offload executor whole batches of upcoming statements to warm
-      across worker processes;
-    * **push** — ``stream is None``; events arrive via :meth:`submit`
-      (bounded by ``max_pending`` — admission control), and
-      :meth:`close_intake` announces the end of the stream so the
-      session's trailing epoch can be flushed.
-
-    ``priority`` weights the scheduler's stride accounting: a tenant
-    with priority 2.0 receives twice the steps of a priority-1.0 tenant
-    while both are runnable.  The task itself is not thread-safe; the
+    ``stream`` is the tenant's event iterable; the scheduler refills the
+    task's buffer (``pending``) ahead of ingest, which is what gives the
+    offload executor whole batches of upcoming statements to warm
+    across worker processes.  The task itself is not thread-safe; the
     cooperative scheduler drives every task from one thread.
     """
 
-    def __init__(self, name, session, stream=None, finish=True,
-                 priority=1.0, max_pending=None, order=0):
-        if priority <= 0:
-            raise DesignError(
-                "task priority must be positive, got %r" % (priority,)
-            )
-        if max_pending is not None and max_pending < 1:
-            raise DesignError(
-                "max_pending must be at least 1, got %r" % (max_pending,)
-            )
+    def __init__(self, name, session, stream, finish=True, order=0):
         self.name = name
         self.session = session
         self.finish = finish
-        self.priority = priority
-        self.max_pending = max_pending
         self.order = order  # registration index, the fairness tie-break
-        self.stride = 1.0 / priority
-        self.pass_value = 0.0
-        self.pending = deque()  # buffered events, pulled or pushed
+        self.pending = deque()  # pulled events, not yet ingested
         self.done = False
         self.steps_run = 0
         self.events_started = 0
-        self._stream = iter(stream) if stream is not None else None
-        self._source_done = False  # no more events will ever arrive
+        self._stream = iter(stream)
+        self._source_done = False  # the stream is exhausted
         self._gen = None  # active step generator (one event, or finish)
         self._next = None  # staged step, not yet run
         self._finishing = False
@@ -104,37 +81,12 @@ class TenantTask:
         """Events buffered but not yet ingested."""
         return len(self.pending)
 
-    def submit(self, event):
-        """Push one event (push-mode intake).  Returns ``False`` when the
-        per-tenant buffer is full — the backpressure signal; the caller
-        retries after the scheduler has drained some steps."""
-        if self._source_done:
-            raise DesignError(
-                "tenant task %r intake is closed" % (self.name,)
-            )
-        if (
-            self.max_pending is not None
-            and len(self.pending) >= self.max_pending
-        ):
-            return False
-        self.pending.append(event)
-        return True
-
-    def close_intake(self):
-        """No more pushed events: drain what is buffered, then finish."""
-        self._source_done = True
-
     def refill(self, lookahead):
-        """Pull events from the stream until ``lookahead`` are buffered
-        (bounded by ``max_pending``); returns the newly pulled events so
-        the executor can prewarm their caches as one batch."""
+        """Pull events from the stream until ``lookahead`` are buffered;
+        returns the newly pulled events so the executor can prewarm
+        their caches as one batch."""
         pulled = []
-        if self._stream is None or self._source_done:
-            return pulled
-        limit = lookahead
-        if self.max_pending is not None:
-            limit = min(limit, self.max_pending)
-        while len(self.pending) < limit:
+        while not self._source_done and len(self.pending) < lookahead:
             try:
                 event = next(self._stream)
             except StopIteration:
@@ -155,25 +107,13 @@ class TenantTask:
         ingested, every buffered event untouched)."""
         return self._gen is None and self._next is None
 
-    def ready(self):
-        """Can :meth:`next_step` produce a step right now (or retire the
-        task)?  Push-mode tasks with an open intake and nothing buffered
-        are idle, not ready — the scheduler parks them."""
-        if self.done:
-            return False
-        if self._next is not None or self._gen is not None or self.pending:
-            return True
-        if not self._source_done:
-            return self._stream is not None  # pull tasks can refill
-        return True  # source done: finish steps (or retirement) remain
-
     def next_step(self, start_new=True):
         """Stage and return the task's next step, or ``None``.
 
         ``start_new=False`` never begins a new event — it only advances
         an in-flight one — which is how the scheduler drains every task
         to an event boundary before snapshotting.  ``None`` with
-        ``done`` unset means the task is idle (awaiting events)."""
+        ``done`` unset means the task sits at such a boundary."""
         if self.done:
             return None
         if self._next is not None:
@@ -197,10 +137,8 @@ class TenantTask:
                 self._gen = self.session.ingest_steps(event)
                 continue
             if not self._source_done:
-                if self._stream is not None:
-                    self.refill(1)
-                    continue  # pulled one, or the stream just ended
-                return None  # push-mode idle: awaiting submit/close
+                self.refill(1)
+                continue  # pulled one, or the stream just ended
             if self.finish and not self._finishing:
                 self._finishing = True
                 self._gen = self.session.finish_steps()
@@ -210,7 +148,7 @@ class TenantTask:
 
     def run_step(self, executor):
         """Run the staged step inline (after giving *executor* its
-        prewarm shot) and advance the fairness pass."""
+        prewarm shot) and count it — the count is the fairness key."""
         step = self._next
         if step is None:
             raise DesignError(
@@ -220,5 +158,4 @@ class TenantTask:
         executor.prepare(self.session, step)
         step.run()
         self.steps_run += 1
-        self.pass_value += self.stride
         return step

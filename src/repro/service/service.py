@@ -15,16 +15,14 @@ This module is the long-lived service layer over the same components:
   a global barrier, they just read whatever derived state is current);
 * **warm-up** (:meth:`warm_up`) pre-building per-query caches, inline
   or offloaded through an executor, with identical entries either way;
-* **scheduled ingest** (:meth:`run_scheduled`): every tenant advances
-  as resumable steps on the cooperative
-  :class:`~repro.runtime.Scheduler` — fair, priority-aware, with
-  per-tenant backpressure, pause-point snapshots (``--snapshot-interval``
-  in the CLI), and an executor seam that can offload INUM cache builds
-  through the one fan-out backplane (:class:`~repro.net.FleetBackplane`:
-  forked worker processes or a fleet of runner nodes);
-  :meth:`run_streams` is the thin shim over it, with results pinned
-  bit-identical to draining each tenant's stream in turn
-  (:meth:`TenantSession.drain`);
+* **scheduled ingest** (:meth:`run_scheduled`): every tenant's stream
+  is pulled and advanced as resumable steps on the cooperative
+  :class:`~repro.runtime.Scheduler` — equal shares, pause-point
+  snapshots (``--snapshot-interval`` in the CLI), and an executor seam
+  that can offload INUM cache builds through the one fan-out backplane
+  (:class:`~repro.net.FleetBackplane`: forked worker processes or a
+  fleet of runner nodes) — with results pinned bit-identical to
+  draining each tenant's stream in turn (:meth:`TenantSession.drain`);
 * a mergeable **status surface** (:meth:`status` /
   :meth:`status_text`): per-tenant session snapshots, per-backplane
   pool statistics, and runtime state (queue depths, snapshot age),
@@ -45,6 +43,15 @@ from repro.service.tenant import TenantSession
 from repro.util import DesignError, WireFormatError
 
 STATE_FILENAME = "service.json"
+
+# The fields :meth:`TuningService.restore` reads, as a
+# :func:`~repro.evaluation.wire.conform` shape (each session checks its
+# own, each pending event is a ``[phase, sql]`` pair).
+_SNAPSHOT = {
+    "kind": frozenset({wire.KIND_SERVICE}),
+    "tenants": [{"backplane": str, "session": {"name": str}}],
+    "scheduler": {"pending": {str: [[(None, str)]]}},
+}
 
 
 @dataclass
@@ -91,7 +98,7 @@ class TuningService:
         service.add_backplane("sdss", sdss_catalog(scale=0.1))
         service.add_tenant("astro-1", "sdss", recommend_every=50)
         service.warm_up("sdss", first_phase_queries)
-        service.run_streams({"astro-1": drifting_stream(...)})
+        service.run_scheduled({"astro-1": drifting_stream(...)})
         print(service.status_text())
     """
 
@@ -195,26 +202,14 @@ class TuningService:
             ))
         return plane.warm_up(workload)
 
-    def ingest(self, tenant, event):
-        """Feed one query event to *tenant* (the streaming entry point)."""
-        self.tenant(tenant).ingest(event)
-
-    def run_streams(self, streams, finish=True):
-        """Drive many tenant streams to completion and return the final
-        status snapshot.
-
-        A thin shim over :meth:`run_scheduled` with its defaults:
-        tenants advance on the cooperative scheduler as resumable steps,
-        interleaved from one thread, with per-tenant results pinned
-        bit-identical to draining each stream in turn.
-        """
-        return self.run_scheduled(streams, finish=finish)
-
     def run_scheduled(self, streams, executor=None, finish=True,
-                      lookahead=None, priorities=None, max_pending=None,
-                      snapshot_interval=0, state_dir=None, on_snapshot=None,
-                      trace=False):
+                      lookahead=None, snapshot_interval=0, state_dir=None,
+                      on_snapshot=None):
         """Drive tenant streams on the cooperative scheduler.
+
+        Tenants advance as resumable steps, interleaved from one
+        thread, with per-tenant results pinned bit-identical to
+        draining each stream in turn.
 
         ``executor`` is the heavy-step seam — ``None`` means inline
         (every build happens where a ``drain()`` loop would do it); a
@@ -225,8 +220,6 @@ class TuningService:
         created here is closed here; a caller-provided one is left open
         for reuse.
 
-        ``priorities`` maps tenant name -> stride weight (default 1.0);
-        ``max_pending`` bounds each tenant's event buffer (backpressure);
         ``lookahead`` is the per-tenant prewarm read-ahead.  Every
         ``snapshot_interval`` ingested events the scheduler pauses at a
         consistent event boundary and takes :meth:`snapshot` — written
@@ -241,8 +234,11 @@ class TuningService:
         consistency should restart from the last ``snapshot_interval``
         write rather than the post-error in-memory state.
 
-        Returns the final status snapshot, like :meth:`run_streams`.
+        Returns the final status snapshot.
         """
+        # Resolve every name before touching the restored buffers: an
+        # unknown tenant must not cost a known one its pending events.
+        sessions = {name: self.tenant(name) for name in streams}
         owned = executor is None
         executor = executor if executor is not None else StepExecutor()
         hook = None
@@ -253,28 +249,20 @@ class TuningService:
             lookahead=lookahead,
             snapshot_interval=snapshot_interval,
             on_snapshot=hook,
-            trace=trace,
         )
-        priorities = priorities or {}
         for name, stream in streams.items():
-            session = self.tenant(name)
             restored = self._pending.pop(name, None)
             if restored:
                 stream = itertools.chain(restored, stream)
-            scheduler.add(
-                name, session, stream,
-                finish=finish,
-                priority=priorities.get(name, 1.0),
-                max_pending=max_pending,
-            )
+            scheduler.add(name, sessions[name], stream, finish=finish)
         self._runtime = scheduler
         try:
             scheduler.run()
         finally:
             # Re-capture any events still buffered (a run that raised
-            # mid-stream leaves them behind): restored push-mode events
-            # are not replayable, so losing them here would make a
-            # later save_state() silently incomplete.
+            # mid-stream leaves them behind): they have left their
+            # stream, so no replay re-derives them, and losing them here
+            # would make a later save_state() silently incomplete.
             for name, events in scheduler.pending_events().items():
                 if events:
                     self._pending[name] = list(events)
@@ -323,11 +311,10 @@ class TuningService:
 
         When a scheduler run is active the snapshot also carries the
         scheduler's per-tenant pending buffers (events pulled from the
-        stream or pushed by a producer but not yet ingested) — taken at
-        a pause point, this makes a mid-ingest snapshot complete:
-        sessions reflect exactly the ingested prefix, and the buffered
-        events ride along so nothing is lost even when the stream
-        cannot be replayed.
+        stream but not yet ingested) — taken at a pause point, this
+        makes a mid-ingest snapshot complete: sessions reflect exactly
+        the ingested prefix, and the buffered events ride along so
+        nothing is lost even when the stream cannot be replayed.
 
         During an active run, only the scheduler itself may snapshot
         (via ``run_scheduled(snapshot_interval=…)``), because it first
@@ -377,46 +364,48 @@ class TuningService:
         The host must have re-registered (at least) the backplanes the
         snapshot's tenants reference, over equivalent catalogs; restored
         tenants then continue their streams exactly where the snapshot
-        left them.  Returns the restored sessions by name."""
-        if payload.get("kind") != wire.KIND_SERVICE:
-            raise WireFormatError(
-                "expected %r payload, got %r"
-                % (wire.KIND_SERVICE, payload.get("kind"))
-            )
-        entries = list(payload.get("tenants", ()))
+        left them.  Returns the restored sessions by name.  A payload
+        that does not decode raises a :class:`~repro.util.ReproError`
+        and changes nothing."""
+        wire.conform(payload, _SNAPSHOT, "service snapshot")
         with self._lock:
             # All-or-nothing: validate names/backplanes and materialize
-            # every session *before* registering any, so a snapshot with
-            # a missing backplane or one malformed session payload fails
-            # cleanly and the retry — after the operator fixes it —
-            # starts from scratch instead of tripping over a
-            # half-restored service.
-            seen = set()
-            for entry in entries:
-                self.backplane(entry["backplane"])
+            # every session and pending event *before* registering any,
+            # so a snapshot with a missing backplane or one malformed
+            # session payload fails cleanly and the retry — after the
+            # operator fixes it — starts from scratch instead of
+            # tripping over a half-restored service.
+            planes = {}
+            for entry in payload["tenants"]:
+                plane = self.backplane(entry["backplane"])
                 name = entry["session"]["name"]
-                if name in self._tenants or name in seen:
+                if name in self._tenants or name in planes:
                     raise DesignError(
                         "tenant %r already registered" % (name,)
                     )
-                seen.add(name)
-            built = []
-            for entry in entries:
-                plane = self.backplane(entry["backplane"])
-                session = TenantSession.from_snapshot(
-                    entry["session"], plane.catalog, plane.evaluator
-                )
-                built.append((plane, session))
-            restored = {}
-            for plane, session in built:
-                self._tenants[session.name] = session
-                plane.tenants.append(session.name)
-                restored[session.name] = session
-            scheduler_state = payload.get("scheduler") or {}
-            for name, events in scheduler_state.get("pending", {}).items():
-                self._pending[name] = [
-                    wire.event_from_wire(e) for e in events
+                planes[name] = plane
+            pending = {}
+            for name, events in payload["scheduler"]["pending"].items():
+                if name not in planes:
+                    raise WireFormatError(
+                        "pending events for %r, a tenant the snapshot "
+                        "does not restore" % (name,)
+                    )
+                pending[name] = [
+                    wire.event_from_wire(e, planes[name].catalog)
+                    for e in events
                 ]
+            restored = {
+                name: TenantSession.from_snapshot(
+                    entry["session"], planes[name].catalog,
+                    planes[name].evaluator,
+                )
+                for name, entry in zip(planes, payload["tenants"])
+            }
+            for name, session in restored.items():
+                self._tenants[name] = session
+                planes[name].tenants.append(name)
+            self._pending.update(pending)
             return restored
 
     def save_state(self, state_dir):

@@ -25,15 +25,32 @@ normally the cooperative :class:`~repro.runtime.Scheduler`, one step
 
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 from repro import obs
 from repro.colt import ColtSettings
+from repro.cophy.advisor import SOLVERS
 from repro.designer.facade import Designer
 from repro.evaluation import wire
 from repro.runtime.steps import Step
+from repro.sql.binder import bind_statement
 from repro.util import WireFormatError
+
+# The fields :meth:`TenantSession.from_snapshot` reads, as a
+# :func:`~repro.evaluation.wire.conform` shape (the tuner checks its own).
+_COLT = {f.name: f.type for f in fields(ColtSettings)}
+_SNAPSHOT = {
+    "kind": frozenset({wire.KIND_TENANT}), "name": str, "queries": int,
+    "phase": (None, str), "phases_seen": [str], "window_queries": [str],
+    "finished": bool, "tuner": {},
+    "options": dict(colt_settings=_COLT, recommend_every=int, window=int,
+                    budget_pages=int, solver=SOLVERS, refresh_on_drift=bool,
+                    partitions=bool),
+    "drift_events": [dict(at_query=int, from_phase=str, to_phase=str)],
+    "recommendations": [dict(at_query=int, phase=(None, str), trigger=str,
+                             indexes=[str], improvement_pct=float)],
+}
 
 
 @dataclass(frozen=True)
@@ -337,18 +354,21 @@ class TenantSession:
         """Rebuild a session from a :meth:`snapshot` payload over the
         host-provided *catalog* and *evaluator* (state is portable, the
         costing substrate is re-provided — exactly like the INUM cache
-        entries themselves)."""
-        if payload.get("kind") != wire.KIND_TENANT:
-            raise WireFormatError(
-                "expected %r payload, got %r"
-                % (wire.KIND_TENANT, payload.get("kind"))
-            )
+        entries themselves).  A payload the session could not run on
+        raises a :class:`~repro.util.ReproError`."""
+        wire.conform(payload, _SNAPSHOT, "tenant snapshot")
         options = payload["options"]
+        if options["window"] < 1:
+            raise WireFormatError("a tenant window holds at least 1 query")
+        for sql in payload["window_queries"]:
+            bind_statement(sql, catalog)  # every refresh re-prices them
         session = cls(
             name if name is not None else payload["name"],
             catalog,
             evaluator,
-            colt_settings=ColtSettings(**options["colt_settings"]),
+            colt_settings=ColtSettings(**{
+                key: options["colt_settings"][key] for key in _COLT
+            }),
             recommend_every=options["recommend_every"],
             window=options["window"],
             solver=options["solver"],

@@ -268,7 +268,7 @@ class TestClaimServiceThroughput:
                 service.backplane(key).evaluator,
                 [sql for __, sql in stream(key)],
             )
-        service.run_streams({name: stream(key) for name, key in tenants})
+        service.run_scheduled({name: stream(key) for name, key in tenants})
 
         # Identical per-tenant outcomes: sharing never changes results.
         for name, __ in tenants:

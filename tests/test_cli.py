@@ -160,6 +160,28 @@ class TestCommands:
         assert "restored 1 tenant(s)" in text
         assert "      15 " in text
 
+    def test_serve_corrupt_state_file_is_reported(self, tmp_path):
+        """A state file that does not decode is an input error: serve
+        prints ``error:`` and exits 2 instead of raising a traceback."""
+        import json
+        import os
+
+        state = str(tmp_path / "state")
+        args = FAST + ["serve", "--tenants", "1", "--shards", "2",
+                       "--phase-length", "5", "--epoch", "5",
+                       "--refresh-every", "0", "--state-dir", state]
+        code, __ = run_cli(args + ["--max-events", "8"])
+        assert code == 0
+        path = os.path.join(state, "service.json")
+        with open(path) as f:
+            payload = json.load(f)
+        del payload["tenants"][0]["session"]["options"]
+        with open(path, "w") as f:
+            json.dump(payload, f)
+        code, text = run_cli(args)
+        assert code == 2
+        assert "error:" in text and "options" in text
+
     def test_serve_snapshot_interval_requires_state_dir(self):
         code, text = run_cli(
             FAST + ["serve", "--tenants", "1", "--snapshot-interval", "3"]

@@ -342,32 +342,37 @@ class TestSchedulerQueueDepth:
 
     def test_queue_depths_track_intake_and_scrape_mirror(
             self, astro_catalog, fresh_registry):
+        from repro.runtime import StepExecutor
+
         service = TuningService()
         service.add_backplane("sdss", astro_catalog)
-        scheduler = Scheduler()
-        scheduler.add("push", self._session(service, "push"),
-                      max_pending=3, finish=False)
-        events = [sql for __, sql in drifting_stream(SDSS_PHASES, seed=2)]
-        assert scheduler.queue_depths() == {"push": 0}
-        for sql in events[:3]:
-            assert scheduler.submit("push", sql)
-        assert scheduler.queue_depths() == {"push": 3}
-        # Buffer full: admission refused and counted as backpressure.
-        assert not scheduler.submit("push", events[3])
-        assert scheduler.queue_depths() == {"push": 3}
-        assert obs.metrics().value(
-            "repro_scheduler_backpressure_total", tenant="push") == 1
-        # The scrape-time gauge mirrors the same number, exactly.
-        snap = obs.metrics().snapshot()
-        depth = snap["gauges"]["repro_scheduler_queue_depth"]["samples"]
-        assert depth == [{"labels": {"tenant": "push"}, "value": 3}]
-        # Run drains the buffer; both surfaces drop to zero together.
+        seen = []
+
+        def gauge():
+            snap = obs.metrics().snapshot()
+            return {
+                s["labels"]["tenant"]: s["value"]
+                for s in snap["gauges"]["repro_scheduler_queue_depth"]
+                ["samples"]
+            }
+
+        class Probe(StepExecutor):
+            """Mid-run, the scrape-time gauge mirrors the live buffers."""
+
+            def prepare(self, session, step):
+                seen.append((scheduler.queue_depths(), gauge()))
+
+        scheduler = Scheduler(executor=Probe(), lookahead=3)
+        for name, seed in (("a", 2), ("b", 3)):
+            scheduler.add(name, self._session(service, name),
+                          drifting_stream(SDSS_PHASES, seed=seed))
+        assert scheduler.queue_depths() == {"a": 0, "b": 0}
         scheduler.run()
-        assert scheduler.queue_depths() == {"push": 0}
-        assert scheduler.stats()["tenants"]["push"]["queue_depth"] == 0
-        snap = obs.metrics().snapshot()
-        depth = snap["gauges"]["repro_scheduler_queue_depth"]["samples"]
-        assert depth == [{"labels": {"tenant": "push"}, "value": 0}]
+        assert seen and all(depths == scraped for depths, scraped in seen)
+        assert any(sum(depths.values()) > 0 for depths, __ in seen)
+        # Run drains the buffers; both surfaces drop to zero together.
+        assert scheduler.queue_depths() == gauge() == {"a": 0, "b": 0}
+        assert scheduler.stats()["tenants"]["a"]["queue_depth"] == 0
 
     def test_steps_counter_matches_stats(self, astro_catalog,
                                          fresh_registry):

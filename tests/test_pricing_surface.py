@@ -137,9 +137,8 @@ def test_fan_out_has_one_implementation():
         (catalog_frame_for, ["evaluator"]),
         (FleetBackplane.warm_up, ["workload"]),
         (TuningService.run_scheduled,
-         ["streams", "executor", "finish", "lookahead", "priorities",
-          "max_pending", "snapshot_interval", "state_dir", "on_snapshot",
-          "trace"]),
+         ["streams", "executor", "finish", "lookahead", "snapshot_interval",
+          "state_dir", "on_snapshot"]),
     ):
         assert _parameters(function) == expected, function.__qualname__
     commands = next(
@@ -162,7 +161,7 @@ def test_fan_out_has_one_implementation():
         ProcessPoolBackplane.__init__, RemoteBackplane.__init__,
         ProcessStepExecutor.__init__, RemoteStepExecutor.__init__,
         WorkloadEvaluator.warm_up, TuningService.__init__,
-        TuningService.warm_up, TuningService.run_streams,
+        TuningService.warm_up, TuningService.run_scheduled,
     ):
         assert not FAN_OUT_OPTIONS & set(_parameters(function)), \
             function.__qualname__
@@ -174,6 +173,39 @@ def test_fan_out_has_one_implementation():
             [sys.executable, "-c", "import %s" % package],
             check=True, env=dict(os.environ, PYTHONPATH=SRC),
         )
+
+
+# Push-mode intake, admission control, priorities and the dispatch log
+# (ISSUE 25): a tenant is driven one way, by pulling its stream.
+DELETED_INTAKE = (r"close_intake|max_pending|dispatch_log|run_streams|"
+                  r"repro_scheduler_backpressure_total|priorit|pass_value")
+
+
+def test_a_tenant_is_driven_one_way():
+    """The scheduler pulls every tenant's stream at an equal share: no
+    second intake, no knob on dispatch, no log beside the span, and no
+    pass-through entry point beside ``run_scheduled``."""
+    from repro.runtime import Scheduler, TenantTask
+    from repro.service import TuningService
+
+    assert _parameters(Scheduler.add) == ["name", "session", "stream",
+                                          "finish"]
+    assert _parameters(Scheduler.__init__) == [
+        "executor", "lookahead", "snapshot_interval", "on_snapshot"]
+    assert _parameters(TenantTask.__init__) == [
+        "name", "session", "stream", "finish", "order"]
+    for owner, gone in ((Scheduler, ("submit", "close_intake", "task")),
+                        (TenantTask, ("submit", "close_intake", "ready")),
+                        (TuningService, ("run_streams", "ingest"))):
+        for leaf in gone:
+            assert not hasattr(owner, leaf), (owner.__name__, leaf)
+    sources = dict(_sources("runtime"), **_sources("service"))
+    for path, source in sources.items():
+        assert not re.search(DELETED_INTAKE, source), path
+        # The one ``submit`` call left is the offload executor handing a
+        # refill batch to its fan-out backplane, not a tenant intake.
+        rest = source.replace("._backplane(evaluator).submit(", "")
+        assert not re.search(r"def submit\b|\.submit\(", rest), path
 
 
 DELETED_DELTA_HELPERS = {

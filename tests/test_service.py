@@ -192,7 +192,7 @@ class TestServiceEquivalence:
             service.add_backplane("tpch", dss_catalog)
             for name, key, __, ___ in specs:
                 service.add_tenant(name, key, **options())
-            service.run_streams(
+            service.run_scheduled(
                 {
                     name: drifting_stream(phases, seed=seed)
                     for name, __, phases, seed in specs
@@ -218,7 +218,7 @@ class TestServiceEquivalence:
             service.add_backplane("sdss", astro_catalog)
             for name in ("a", "b", "c"):
                 service.add_tenant(name, "sdss", **options())
-            service.run_streams(
+            service.run_scheduled(
                 {
                     name: drifting_stream(SDSS_PHASES, seed=i)
                     for i, name in enumerate(("a", "b", "c"))
@@ -237,7 +237,7 @@ class TestServiceSurface:
         service = TuningService()
         service.add_backplane("sdss", astro_catalog)
         with pytest.raises(DesignError):
-            service.run_streams({"ghost": []})
+            service.run_scheduled({"ghost": []})
 
     def test_warm_up_counts_and_is_hit_by_ingest(self, astro_catalog):
         service = TuningService(shards=2)
@@ -253,7 +253,7 @@ class TestServiceSurface:
         assert raced > 0 and calls > 0
         assert service.warm_up("sdss", queries) == 0  # already resident
         before = service.backplane("sdss").pool.stats.optimizer_calls
-        service.run_streams(
+        service.run_scheduled(
             {"t": drifting_stream(SDSS_PHASES, seed=2)}
         )
         after = service.backplane("sdss").pool.stats.optimizer_calls
@@ -263,7 +263,9 @@ class TestServiceSurface:
         service = TuningService()
         service.add_backplane("sdss", astro_catalog)
         service.add_tenant("alpha", "sdss", **options())
-        service.ingest("alpha", ("positional", "SELECT ra FROM photoobj"))
+        service.tenant("alpha").ingest(
+            ("positional", "SELECT ra FROM photoobj")
+        )
         text = service.status_text()
         assert "alpha" in text
         assert "backplane sdss" in text
@@ -272,5 +274,7 @@ class TestServiceSurface:
         service = TuningService()
         service.add_backplane("sdss", astro_catalog)
         service.add_tenant("t", "sdss", **options())
-        service.ingest("t", ("positional", "SELECT ra FROM photoobj"))
+        service.tenant("t").ingest(
+            ("positional", "SELECT ra FROM photoobj")
+        )
         assert service.tenant("t").queries == 1

@@ -540,12 +540,12 @@ class TestServiceKillRestore:
     def test_restored_run_matches_uninterrupted(self, tmp_path):
         uninterrupted = self.make_service()
         uninterrupted.add_tenant("t0", "sdss", **self.OPTIONS)
-        uninterrupted.run_streams({"t0": self.stream()})
+        uninterrupted.run_scheduled({"t0": self.stream()})
 
         # Kill mid-stream (mid-epoch, mid-phase): 17 of 36 events.
         killed = self.make_service()
         killed.add_tenant("t0", "sdss", **self.OPTIONS)
-        killed.run_streams(
+        killed.run_scheduled(
             {"t0": itertools.islice(self.stream(), 17)}, finish=False
         )
         killed.save_state(tmp_path)
@@ -555,7 +555,9 @@ class TestServiceKillRestore:
         assert set(restored) == {"t0"}
         session = resumed.tenant("t0")
         assert session.queries == 17
-        resumed.run_streams({"t0": itertools.islice(self.stream(), 17, None)})
+        resumed.run_scheduled(
+            {"t0": itertools.islice(self.stream(), 17, None)}
+        )
 
         assert self.fingerprint(session) == self.fingerprint(
             uninterrupted.tenant("t0")
@@ -594,9 +596,46 @@ class TestServiceKillRestore:
         with open(path, "w") as f:
             json.dump(payload, f)
         fresh = self.make_service()
-        with pytest.raises(KeyError):
+        with pytest.raises(WireFormatError, match="epoch_probes"):
             fresh.load_state(tmp_path)
         assert fresh.tenants == []  # t0 was not half-registered
+
+    def _with_pending(self, tmp_path, pending):
+        """A saved two-tenant state file whose scheduler buffers are
+        replaced by *pending*."""
+        service = self.make_service()
+        service.add_tenant("t0", "sdss", **self.OPTIONS)
+        service.add_tenant("t1", "sdss", **self.OPTIONS)
+        path = service.save_state(tmp_path)
+        payload = json.loads(open(path).read())
+        payload["scheduler"]["pending"] = pending
+        with open(path, "w") as f:
+            json.dump(payload, f)
+        return path
+
+    def test_restore_is_all_or_nothing_on_malformed_pending_event(
+            self, tmp_path):
+        """Pending events are parsed before any session is registered: a
+        malformed one raises a typed error with nothing registered, and
+        the retry with a fixed file restores every tenant."""
+        self._with_pending(tmp_path, {"t1": [[None, "SELECT ra FROM "
+                                                    "photoobj"], ["x"]]})
+        fresh = self.make_service()
+        with pytest.raises(WireFormatError, match="stream event"):
+            fresh.load_state(tmp_path)
+        assert fresh.tenants == []
+        self._with_pending(tmp_path, {})
+        assert set(fresh.load_state(tmp_path)) == {"t0", "t1"}
+
+    def test_restore_refuses_pending_for_unrestored_tenant(self, tmp_path):
+        """Buffered events for a tenant the file does not restore would
+        otherwise sit in the service unseen until the next snapshot."""
+        self._with_pending(tmp_path, {"ghost": [[None, "SELECT ra FROM "
+                                                       "photoobj"]]})
+        fresh = self.make_service()
+        with pytest.raises(WireFormatError, match="ghost"):
+            fresh.load_state(tmp_path)
+        assert fresh.tenants == [] and fresh.queue_depths() == {}
 
     def test_state_file_version_checked(self, tmp_path):
         service = self.make_service()
@@ -612,7 +651,7 @@ class TestServiceKillRestore:
     def test_snapshot_is_json_and_versioned(self, tmp_path):
         service = self.make_service()
         service.add_tenant("t0", "sdss", **self.OPTIONS)
-        service.run_streams(
+        service.run_scheduled(
             {"t0": itertools.islice(self.stream(), 5)}, finish=False
         )
         text = wire.dumps(service.snapshot())
