@@ -5,14 +5,14 @@ globally optimal one" (§1).
 
 Method: (a) a constructed instance where benefit-per-page greedy is
 provably trapped by a knapsack interaction, and (b) storage-budget sweeps
-on the SDSS and TPC-H workloads comparing the exact solver, LP rounding
-and greedy, all over the identical INUM cost oracle.
+on the SDSS and TPC-H workloads comparing the exact solver and greedy,
+both over the identical INUM cost oracle.
 
 Expected shape: MILP <= greedy at every budget, with a strict gap on the
 constructed instance (and typically at tight budgets on real workloads).
 """
 
-from repro.cophy import CoPhyAdvisor, greedy_select, solve_bip, solve_lp_rounding
+from repro.cophy import CoPhyAdvisor, greedy_select, solve_bip
 from repro.cophy.bip import BipProblem, PlanTerm, QueryTerm, SlotOptions
 from repro.catalog import Index
 
@@ -80,7 +80,6 @@ def _sweep(catalog, workload, label, budgets):
     for budget in budgets:
         milp = advisor.recommend(workload, budget, solver="milp")
         greedy = advisor.recommend(workload, budget, solver="greedy")
-        rounding = advisor.recommend(workload, budget, solver="lp-rounding")
         gap = (
             100.0
             * (greedy.predicted_workload_cost - milp.predicted_workload_cost)
@@ -92,15 +91,13 @@ def _sweep(catalog, workload, label, budgets):
                 budget,
                 milp.predicted_workload_cost,
                 greedy.predicted_workload_cost,
-                rounding.predicted_workload_cost,
                 gap,
             )
         )
         assert milp.predicted_workload_cost <= greedy.predicted_workload_cost + 1e-6
-        assert milp.predicted_workload_cost <= rounding.predicted_workload_cost + 1e-6
     print_table(
         "CL-ILP: %s budget sweep" % label,
-        ("budget", "milp", "greedy", "lp-round", "greedy gap %"),
+        ("budget", "milp", "greedy", "greedy gap %"),
         rows,
     )
     return worst_gap

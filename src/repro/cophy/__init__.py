@@ -12,7 +12,7 @@ the search space".
 
 from repro.cophy.candidates import CandidateGenerator, candidate_indexes
 from repro.cophy.bip import BipProblem, build_bip
-from repro.cophy.solvers import solve_bip, solve_branch_and_bound, solve_lp_rounding
+from repro.cophy.solvers import solve_bip
 from repro.cophy.greedy import greedy_select
 from repro.cophy.colgen import solve_colgen
 from repro.cophy.advisor import CoPhyAdvisor, Recommendation
@@ -23,8 +23,6 @@ __all__ = [
     "BipProblem",
     "build_bip",
     "solve_bip",
-    "solve_branch_and_bound",
-    "solve_lp_rounding",
     "greedy_select",
     "solve_colgen",
     "CoPhyAdvisor",

@@ -4,9 +4,12 @@ Glues the pipeline together: candidate generation -> INUM warm-up ->
 BIP construction -> solver -> :class:`Recommendation`.  The DBA-facing
 knobs are the storage budget, the candidate cap, and the solver choice
 (CoPhy's "trade off execution time against the quality of the suggested
-solutions").
+solutions"): ``milp`` (HiGHS, optimal), ``greedy`` (benefit-per-page
+rounds over the full program) or ``colgen`` (the same greedy answer,
+pricing candidates lazily instead of building the program).
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -14,22 +17,27 @@ from repro.cophy.bip import build_bip
 from repro.cophy.candidates import candidate_indexes
 from repro.cophy.colgen import solve_colgen
 from repro.cophy.greedy import greedy_select
-from repro.cophy.solvers import solve_bip, solve_branch_and_bound, solve_lp_rounding
+from repro.cophy.solvers import solve_bip
 from repro.evaluation import WorkloadEvaluator
 from repro.util import DesignError
 from repro.whatif import Configuration
 
-_SOLVERS = {
-    "milp": solve_bip,
-    "bnb": solve_branch_and_bound,
-    "lp-rounding": solve_lp_rounding,
-    "greedy": greedy_select,
-}
+# The solvers that consume a materialized BipProblem (plain functions:
+# the perf ledger's tracer patches them in this table); ``colgen`` prices
+# candidates lazily instead, so the advisor skips build_bip for it.
+_SOLVERS = {"milp": solve_bip, "greedy": greedy_select}
+SOLVERS = frozenset(_SOLVERS) | {"colgen"}
 
-# Solvers that price candidates lazily instead of consuming a fully
-# materialized BipProblem — the advisor skips build_bip for these.
-_LAZY_SOLVERS = {"colgen"}
-SOLVERS = frozenset(_SOLVERS) | _LAZY_SOLVERS
+
+def check_budget(budget_pages):
+    """Return *budget_pages*; a :class:`DesignError` unless it is a
+    finite number ≥ 0."""
+    if not (math.isfinite(budget_pages) and budget_pages >= 0):
+        raise DesignError(
+            "storage budget must be finite and non-negative, got %r"
+            % (budget_pages,)
+        )
+    return budget_pages
 
 
 @dataclass
@@ -100,8 +108,11 @@ class CoPhyAdvisor:
         same-shaped statements before building the BIP, shrinking solve
         time for large workloads with repeated templates.
         """
-        if budget_pages < 0:
-            raise DesignError("storage budget must be non-negative")
+        check_budget(budget_pages)
+        if max_indexes is not None and max_indexes < 0:
+            raise DesignError(
+                "max_indexes must be non-negative, got %r" % (max_indexes,)
+            )
         if solver not in SOLVERS:
             raise DesignError(
                 "unknown solver %r (have: %s)" % (solver, sorted(SOLVERS))
@@ -125,7 +136,7 @@ class CoPhyAdvisor:
                 self.catalog, workload, max_candidates=max_candidates,
                 bind=self.cost_model.bound,
             )
-        if solver in _LAZY_SOLVERS:
+        if solver == "colgen":
             # Column generation: no exhaustive BIP — candidates are
             # priced by the slot pricer and activated on demand, so the
             # cross-product of (slot, candidate) options is never fully

@@ -1,16 +1,15 @@
-"""Solver backends for the CoPhy binary program.
+"""The exact solver backend for the CoPhy binary program.
 
-* :func:`solve_bip` — HiGHS branch-and-cut via ``scipy.optimize.milp``
-  (the "sophisticated and mature solver" the paper plugs in),
-* :func:`solve_branch_and_bound` — our own LP-based branch-and-bound on
-  the index variables (used for cross-checking and when exact solves of
-  small instances must be dependency-free),
-* :func:`solve_lp_rounding` — LP relaxation + greedy rounding, CoPhy's
-  fast approximate mode that trades quality for execution time.
+:func:`solve_bip` hands the program to HiGHS branch-and-cut via
+``scipy.optimize.milp`` — the "sophisticated and mature solver" the
+paper plugs in.  The advisor's two other backends are the greedy
+heuristic (:mod:`repro.cophy.greedy`) and column generation
+(:mod:`repro.cophy.colgen`); an LP-bounded branch-and-bound that
+cross-checks HiGHS lives with the test references (``tests/oracle.py``).
 
-All backends report the *true* objective of the returned configuration
+Every backend reports the *true* objective of the returned configuration
 (via :meth:`BipProblem.config_cost`) so results are directly comparable,
-and return only indexes that configuration's cheapest plans read
+and returns only indexes that configuration's cheapest plans read
 (:meth:`BipProblem.used_positions`): an index variable the LP left at 1
 without any winning access reading it costs storage and buys nothing.
 
@@ -31,6 +30,10 @@ import numpy as np
 from scipy import optimize, sparse
 
 from repro import obs
+
+# HiGHS stops here and reports its best incumbent with a non-"optimal"
+# status.
+TIME_LIMIT_S = 60.0
 
 
 @dataclass
@@ -138,14 +141,10 @@ def _assemble(problem):
     )
 
 
-def _chosen_from_y(y_values, threshold=0.5):
-    return tuple(pos for pos, v in enumerate(y_values) if v > threshold)
-
-
 def observed_solve(result):
     """Record one finished solve into the telemetry backplane and pass
-    the result through — every backend (this module's three and the
-    greedy heuristic) reports the same two families, labeled by the
+    the result through — every backend (HiGHS, the greedy heuristic and
+    column generation) reports the same two families, labeled by the
     backend name the result already carries."""
     registry = obs.metrics()
     registry.counter(
@@ -161,7 +160,7 @@ def observed_solve(result):
     return result
 
 
-def solve_bip(problem, time_limit=60.0):
+def solve_bip(problem):
     """Exact solve with HiGHS (scipy.optimize.milp)."""
     with obs.tracer().span("cophy.solve", solver="milp-highs",
                            candidates=problem.n_candidates):
@@ -179,11 +178,13 @@ def solve_bip(problem, time_limit=60.0):
             constraints=constraints,
             integrality=integrality,
             bounds=optimize.Bounds(0.0, 1.0),
-            options={"time_limit": time_limit},
+            options={"time_limit": TIME_LIMIT_S},
         )
         if res.x is None:
             raise RuntimeError("MILP solver failed: %s" % (res.message,))
-        chosen = problem.used_positions(_chosen_from_y(res.x[: mats.n_y]))
+        chosen = problem.used_positions(
+            tuple(pos for pos in range(mats.n_y) if res.x[pos] > 0.5)
+        )
         objective = problem.config_cost(chosen)
         return observed_solve(SolveResult(
             chosen_positions=chosen,
@@ -195,119 +196,3 @@ def solve_bip(problem, time_limit=60.0):
             n_variables=n,
             n_constraints=mats.a_eq.shape[0] + mats.a_ub.shape[0],
         ))
-
-
-def _lp_relax(mats, fixed_zero=(), fixed_one=()):
-    n = len(mats.c)
-    lower = np.zeros(n)
-    upper = np.ones(n)
-    for pos in fixed_zero:
-        upper[pos] = 0.0
-    for pos in fixed_one:
-        lower[pos] = 1.0
-    res = optimize.linprog(
-        c=mats.c,
-        A_eq=mats.a_eq,
-        b_eq=mats.b_eq,
-        A_ub=mats.a_ub,
-        b_ub=mats.b_ub,
-        bounds=np.column_stack([lower, upper]),
-        method="highs",
-    )
-    return res
-
-
-def solve_lp_rounding(problem):
-    """LP relaxation + greedy rounding of the index variables."""
-    started = time.perf_counter()
-    mats = _assemble(problem)
-    res = _lp_relax(mats)
-    if res.x is None:
-        raise RuntimeError("LP relaxation failed: %s" % (res.message,))
-    y = res.x[: mats.n_y]
-    order = sorted(range(mats.n_y), key=lambda p: -y[p])
-    chosen, used = [], 0.0
-    for pos in order:
-        if y[pos] <= 1e-6:
-            break
-        if problem.max_indexes is not None and len(chosen) >= problem.max_indexes:
-            break
-        if used + problem.sizes[pos] <= problem.budget_pages:
-            chosen.append(pos)
-            used += problem.sizes[pos]
-    chosen = problem.used_positions(chosen)
-    objective = problem.config_cost(chosen)
-    return observed_solve(SolveResult(
-        chosen_positions=chosen,
-        objective=objective,
-        lower_bound=float(res.fun) + problem.write_base_cost,
-        status="rounded",
-        solver="lp-rounding",
-        solve_seconds=time.perf_counter() - started,
-        n_variables=len(mats.c),
-        n_constraints=mats.a_eq.shape[0] + mats.a_ub.shape[0],
-    ))
-
-
-def solve_branch_and_bound(problem, max_nodes=400):
-    """Our own branch-and-bound on the y variables, LP-bounded.
-
-    Exists to cross-check the HiGHS backend and to demonstrate the BIP is
-    solvable without any external MILP machinery.
-    """
-    started = time.perf_counter()
-    mats = _assemble(problem)
-
-    best_obj = math.inf
-    best_chosen = ()
-    nodes = 0
-    root_bound = math.nan
-
-    stack = [((), ())]  # (fixed_zero, fixed_one)
-    while stack and nodes < max_nodes:
-        fixed_zero, fixed_one = stack.pop()
-        nodes += 1
-        res = _lp_relax(mats, fixed_zero, fixed_one)
-        if res.x is None:
-            continue  # infeasible branch
-        bound = float(res.fun) + problem.write_base_cost
-        if nodes == 1:
-            root_bound = bound
-        if bound >= best_obj - 1e-9:
-            continue
-        y = res.x[: mats.n_y]
-        frac_pos = None
-        frac_dist = 1.0
-        for pos in range(mats.n_y):
-            if pos in fixed_zero or pos in fixed_one:
-                continue
-            dist = abs(y[pos] - 0.5)
-            if y[pos] > 1e-6 and y[pos] < 1.0 - 1e-6 and dist < frac_dist:
-                frac_pos, frac_dist = pos, dist
-        # Candidate incumbent from this node's (rounded) y.
-        rounded = [pos for pos in range(mats.n_y) if y[pos] > 0.5]
-        count_ok = problem.max_indexes is None or len(rounded) <= problem.max_indexes
-        if count_ok and problem.config_size(rounded) <= problem.budget_pages:
-            obj = problem.config_cost(rounded)
-            if obj < best_obj:
-                best_obj, best_chosen = obj, tuple(rounded)
-        if frac_pos is None:
-            continue  # integral node; incumbent already recorded
-        stack.append((fixed_zero + (frac_pos,), fixed_one))
-        stack.append((fixed_zero, fixed_one + (frac_pos,)))
-
-    # No incumbent leaves best_chosen empty, and the empty set's witness
-    # is empty.
-    best_chosen = problem.used_positions(best_chosen)
-    best_obj = problem.config_cost(best_chosen)
-    return observed_solve(SolveResult(
-        chosen_positions=best_chosen,
-        objective=best_obj,
-        lower_bound=root_bound,
-        status="optimal" if not stack else "node-limit",
-        solver="branch-and-bound",
-        solve_seconds=time.perf_counter() - started,
-        nodes_explored=nodes,
-        n_variables=len(mats.c),
-        n_constraints=mats.a_eq.shape[0] + mats.a_ub.shape[0],
-    ))

@@ -2,7 +2,7 @@
 
     python -m repro describe   [--workload sdss|tpch] [--scale S]
     python -m repro evaluate   --indexes photoobj:ra,dec specobj:z ...
-    python -m repro recommend  [--budget-frac F] [--solver milp|greedy|...]
+    python -m repro recommend  [--budget-frac F] [--solver milp|greedy|colgen]
     python -m repro online     [--phase-length N] [--epoch N]
     python -m repro stream     [--phase-length N] [--refresh-every N]
     python -m repro serve      [--tenants N] [--shards N] [--state-dir DIR]
@@ -31,6 +31,7 @@ import time
 
 from repro.catalog import Index
 from repro.colt import ColtSettings
+from repro.cophy.advisor import SOLVERS, check_budget
 from repro.designer.facade import Designer
 from repro.optimizer import CostService
 from repro.service import TuningService
@@ -85,9 +86,7 @@ def build_parser():
         help="storage budget as a fraction of total table pages",
     )
     recommend.add_argument(
-        "--solver",
-        choices=("milp", "greedy", "lp-rounding", "bnb", "colgen"),
-        default="milp",
+        "--solver", choices=sorted(SOLVERS), default="milp",
     )
     recommend.add_argument(
         "--no-partitions", action="store_true", help="indexes only"
@@ -280,7 +279,9 @@ def _dispatch(args, out):
 
     if args.command == "recommend":
         designer = Designer(catalog)
-        budget = int(sum(t.pages for t in catalog.tables) * args.budget_frac)
+        budget = int(check_budget(
+            sum(t.pages for t in catalog.tables) * args.budget_frac
+        ))
         result = designer.recommend(
             workload,
             storage_budget_pages=budget,

@@ -30,12 +30,19 @@ from functools import partial
 
 from repro import obs
 from repro.colt import ColtSettings
-from repro.cophy.advisor import SOLVERS
 from repro.designer.facade import Designer
 from repro.evaluation import wire
 from repro.runtime.steps import Step
 from repro.sql.binder import bind_statement
 from repro.util import WireFormatError
+
+# The refresh policy every tenant runs: a design review at every phase
+# boundary, index-only greedy selection within a quarter of the
+# catalog's pages.
+REFRESH_ON_DRIFT = True
+BUDGET_FRAC = 0.25
+SOLVER = "greedy"
+PARTITIONS = False
 
 # The fields :meth:`TenantSession.from_snapshot` reads, as a
 # :func:`~repro.evaluation.wire.conform` shape (the tuner checks its own).
@@ -45,12 +52,15 @@ _SNAPSHOT = {
     "phase": (None, str), "phases_seen": [str], "window_queries": [str],
     "finished": bool, "tuner": {},
     "options": dict(colt_settings=_COLT, recommend_every=int, window=int,
-                    budget_pages=int, solver=SOLVERS, refresh_on_drift=bool,
-                    partitions=bool),
+                    budget_pages=int),
     "drift_events": [dict(at_query=int, from_phase=str, to_phase=str)],
     "recommendations": [dict(at_query=int, phase=(None, str), trigger=str,
                              indexes=[str], improvement_pct=float)],
 }
+# Options a snapshot used to carry that are now the constants above: a
+# file may still name them, but only at the value this build runs.
+_CONSTANT_OPTIONS = {"solver": SOLVER, "refresh_on_drift": REFRESH_ON_DRIFT,
+                     "partitions": PARTITIONS}
 
 
 @dataclass(frozen=True)
@@ -82,15 +92,16 @@ class TenantSession:
     caches only dedupe deterministic work, they never change results).
 
     ``recommend_every`` triggers a full-advisor refresh every N ingested
-    queries (0 disables interval refreshes); ``refresh_on_drift`` runs
-    one at every phase boundary; :meth:`finish` always closes with one.
-    The refresh prices the last ``window`` queries within
-    ``budget_frac`` of the catalog's total pages.
+    queries (0 disables interval refreshes); one also runs at every
+    phase boundary, and :meth:`finish` always closes with one.  A
+    refresh prices the last ``window`` queries with the ``SOLVER``
+    index advisor within ``BUDGET_FRAC`` of the catalog's total pages.
     """
 
+    partitions = PARTITIONS  # read by the perf ledger's online workloads
+
     def __init__(self, name, catalog, evaluator, colt_settings=None,
-                 recommend_every=0, window=50, budget_frac=0.25,
-                 solver="greedy", refresh_on_drift=True, partitions=False):
+                 recommend_every=0, window=50):
         self.name = name
         self.catalog = catalog
         self.evaluator = evaluator
@@ -105,11 +116,8 @@ class TenantSession:
         self.recommend_every = recommend_every
         self.window = deque(maxlen=window)
         self.budget_pages = int(
-            sum(t.pages for t in catalog.tables) * budget_frac
+            sum(t.pages for t in catalog.tables) * BUDGET_FRAC
         )
-        self.solver = solver
-        self.refresh_on_drift = refresh_on_drift
-        self.partitions = partitions
         self.queries = 0
         self.drift_events = []
         self.recommendations = []
@@ -148,11 +156,7 @@ class TenantSession:
         else:
             phase, sql = None, event
         if phase is not None and phase != self._phase:
-            heavy = (
-                self._phase is not None
-                and self.refresh_on_drift
-                and bool(self.window)
-            )
+            heavy = self._phase is not None and bool(self.window)
             yield Step(
                 "drift",
                 run=partial(self._drift_step, phase),
@@ -197,7 +201,7 @@ class TenantSession:
             # The host *knows* the mix shifted; skip COLT's discovery
             # lag and review the design the old phase tuned for.
             self.tuner.notify_workload_shift()
-            if self.refresh_on_drift and self.window:
+            if self.window:
                 self._refresh("drift")
 
     def _observe_step(self, sql):
@@ -264,8 +268,8 @@ class TenantSession:
             rec = self.designer.recommend(
                 list(self.window),
                 storage_budget_pages=self.budget_pages,
-                solver=self.solver,
-                partitions=self.partitions,
+                solver=SOLVER,
+                partitions=PARTITIONS,
                 schedule=False,
             )
             elapsed = time.perf_counter() - t0
@@ -302,7 +306,7 @@ class TenantSession:
     def snapshot(self):
         """The session's full state as a wire-format payload.
 
-        Captures the construction knobs (COLT settings, refresh policy,
+        Captures the construction knobs (COLT settings, refresh interval,
         window size, budget) plus every piece of dynamic state — epoch
         counters and candidate EWMAs (via
         :meth:`~repro.colt.ColtTuner.snapshot_state`), the sliding
@@ -319,9 +323,6 @@ class TenantSession:
                 "recommend_every": self.recommend_every,
                 "window": self.window.maxlen,
                 "budget_pages": self.budget_pages,
-                "solver": self.solver,
-                "refresh_on_drift": self.refresh_on_drift,
-                "partitions": self.partitions,
             },
             "queries": self.queries,
             "phase": self._phase,
@@ -360,6 +361,13 @@ class TenantSession:
         options = payload["options"]
         if options["window"] < 1:
             raise WireFormatError("a tenant window holds at least 1 query")
+        for key, value in _CONSTANT_OPTIONS.items():
+            found = options.get(key, value)
+            if type(found) is not type(value) or found != value:
+                raise WireFormatError(
+                    "tenant snapshot option %s=%r: this build runs %r only"
+                    % (key, found, value)
+                )
         for sql in payload["window_queries"]:
             bind_statement(sql, catalog)  # every refresh re-prices them
         session = cls(
@@ -371,9 +379,6 @@ class TenantSession:
             }),
             recommend_every=options["recommend_every"],
             window=options["window"],
-            solver=options["solver"],
-            refresh_on_drift=options["refresh_on_drift"],
-            partitions=options["partitions"],
         )
         session.budget_pages = options["budget_pages"]
         session.queries = payload["queries"]

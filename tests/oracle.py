@@ -22,6 +22,9 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
   over the option lists, what ``BipKernel.evaluate`` vectorizes.
 * :func:`greedy_select_reference` — greedy selection re-pricing every
   extension as a full batch each round, what the delta sweep replaced.
+* :func:`solve_branch_and_bound` — the program solved by an LP-bounded
+  branch-and-bound over ``linprog`` alone, run to completion: the
+  cross-check of the HiGHS backend.
 * :func:`check_solution` — the program's constraints stated once, the
   one specification every solver backend's output is held to.
 * :class:`PathSetReference` (over :func:`admits_reference`) and
@@ -408,6 +411,82 @@ def greedy_select_reference(problem):
         status="heuristic",
         solver="greedy-ratio",
         nodes_explored=evaluations,
+    )
+
+
+def _lp_relax(mats, fixed_zero=(), fixed_one=()):
+    n = len(mats.c)
+    lower = np.zeros(n)
+    upper = np.ones(n)
+    for pos in fixed_zero:
+        upper[pos] = 0.0
+    for pos in fixed_one:
+        lower[pos] = 1.0
+    return optimize.linprog(
+        c=mats.c,
+        A_eq=mats.a_eq,
+        b_eq=mats.b_eq,
+        A_ub=mats.a_ub,
+        b_ub=mats.b_ub,
+        bounds=np.column_stack([lower, upper]),
+        method="highs",
+    )
+
+
+def solve_branch_and_bound(problem):
+    """Depth-first branch-and-bound on the ``y`` variables, bounded by
+    the LP relaxation and run to completion: the program solved with
+    nothing but ``linprog``, the cross-check of ``solve_bip``'s MILP.
+    Branches on the most fractional ``y``; every node's rounded ``y``
+    that fits the budget and the cap is an incumbent candidate."""
+    mats = _assemble(problem)
+    best_obj = math.inf
+    best_chosen = ()
+    nodes = 0
+    root_bound = math.nan
+    stack = [((), ())]  # (fixed_zero, fixed_one)
+    while stack:
+        fixed_zero, fixed_one = stack.pop()
+        nodes += 1
+        res = _lp_relax(mats, fixed_zero, fixed_one)
+        if res.x is None:
+            continue  # infeasible branch
+        bound = float(res.fun) + problem.write_base_cost
+        if nodes == 1:
+            root_bound = bound
+        if bound >= best_obj - 1e-9:
+            continue
+        y = res.x[: mats.n_y]
+        frac_pos = None
+        frac_dist = 1.0
+        for pos in range(mats.n_y):
+            if pos in fixed_zero or pos in fixed_one:
+                continue
+            dist = abs(y[pos] - 0.5)
+            if 1e-6 < y[pos] < 1.0 - 1e-6 and dist < frac_dist:
+                frac_pos, frac_dist = pos, dist
+        rounded = [pos for pos in range(mats.n_y) if y[pos] > 0.5]
+        count_ok = (problem.max_indexes is None
+                    or len(rounded) <= problem.max_indexes)
+        if count_ok and problem.config_size(rounded) <= problem.budget_pages:
+            obj = problem.config_cost(rounded)
+            if obj < best_obj:
+                best_obj, best_chosen = obj, tuple(rounded)
+        if frac_pos is None:
+            continue  # integral node; incumbent already recorded
+        stack.append((fixed_zero + (frac_pos,), fixed_one))
+        stack.append((fixed_zero, fixed_one + (frac_pos,)))
+    # No incumbent leaves best_chosen empty, and the empty set's witness
+    # is empty.
+    best_chosen = problem.used_positions(best_chosen)
+    return SolveResult(
+        chosen_positions=best_chosen,
+        objective=problem.config_cost(best_chosen),
+        lower_bound=root_bound,
+        solver="branch-and-bound",
+        nodes_explored=nodes,
+        n_variables=len(mats.c),
+        n_constraints=mats.a_eq.shape[0] + mats.a_ub.shape[0],
     )
 
 

@@ -73,6 +73,14 @@ class TestCommands:
         assert "Recommended indexes" in text
         assert "storage budget" in text
 
+    @pytest.mark.parametrize("frac", ["nan", "inf", "-0.5"])
+    def test_recommend_bad_budget_is_reported(self, frac):
+        code, text = run_cli(
+            FAST + ["recommend", "--budget-frac", frac, "--no-partitions"]
+        )
+        assert code == 2
+        assert text.startswith("error: storage budget must be finite")
+
     def test_explain(self):
         code, text = run_cli(
             FAST + ["explain", "--sql", "SELECT ra FROM photoobj WHERE ra < 5"]

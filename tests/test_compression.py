@@ -94,7 +94,7 @@ class TestMaxIndexesConstraint:
             ("SELECT rmag FROM photoobj WHERE rmag < 14", 1.0),
         ]
         advisor = CoPhyAdvisor(sdss_catalog)
-        for solver in ("milp", "greedy", "lp-rounding"):
+        for solver in ("milp", "greedy", "colgen"):
             rec = advisor.recommend(
                 workload, budget_pages=10**6, solver=solver, max_indexes=1
             )

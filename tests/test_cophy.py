@@ -13,9 +13,9 @@ from repro.cophy import (
     candidate_indexes,
     greedy_select,
     solve_bip,
-    solve_branch_and_bound,
-    solve_lp_rounding,
 )
+from repro.cophy import advisor as advisor_module
+from repro.cophy.advisor import SOLVERS
 from repro.cophy.bip import BipProblem, PlanTerm, QueryTerm, SlotOptions
 from repro.inum import InumCostModel
 from repro.optimizer import CostService
@@ -25,8 +25,10 @@ from repro.workloads import sdss_catalog as full_sdss_catalog
 from repro.workloads import tpch_catalog
 
 from oracle import (
+    check_solution,
     relaxation_value,
     solve_bip_all_integer,
+    solve_branch_and_bound,
     used_positions_reference,
 )
 from test_backward_and_solver_props import bip_instances
@@ -124,13 +126,9 @@ class TestSolvers:
 
     def test_branch_and_bound_matches_milp(self, problem):
         milp = solve_bip(problem)
-        bnb = solve_branch_and_bound(problem, max_nodes=800)
-        assert bnb.objective == pytest.approx(milp.objective, rel=0.01)
-
-    def test_lp_rounding_feasible(self, problem):
-        result = solve_lp_rounding(problem)
-        assert problem.config_size(result.chosen_positions) <= problem.budget_pages
-        assert result.objective <= problem.config_cost(()) + 1e-6
+        bnb = solve_branch_and_bound(problem)
+        check_solution(problem, bnb)
+        assert bnb.objective == pytest.approx(milp.objective, rel=1e-6)
 
     def test_greedy_improves_over_empty(self, problem):
         result = greedy_select(problem)
@@ -139,7 +137,7 @@ class TestSolvers:
     def test_zero_budget_selects_nothing(self, sdss_catalog, inum):
         cands = candidate_indexes(sdss_catalog, WORKLOAD, max_candidates=8)
         problem = build_bip(inum, WORKLOAD, cands, budget_pages=0)
-        for solver in (solve_bip, greedy_select, solve_lp_rounding):
+        for solver in (solve_bip, greedy_select):
             assert solver(problem).chosen_positions == ()
 
 
@@ -278,7 +276,7 @@ class TestNoDeadWeightIndexes:
         assert problem.config_cost((0,)) == problem.config_cost((0, 1))
 
     @pytest.mark.parametrize(
-        "solver", [solve_bip, solve_branch_and_bound, solve_lp_rounding]
+        "solver", [solve_bip, greedy_select, solve_branch_and_bound]
     )
     def test_every_solver_returns_only_used_indexes(self, solver):
         for problem in (self.dominated_pair(), knapsack_trap()):
@@ -340,6 +338,27 @@ class TestAdvisor:
     def test_negative_budget_rejected(self, sdss_catalog):
         with pytest.raises(DesignError, match="budget"):
             CoPhyAdvisor(sdss_catalog).recommend(WORKLOAD, -5)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("limits, message", [
+        (dict(budget_pages=float("nan")), "budget"),
+        (dict(budget_pages=float("inf")), "budget"),
+        (dict(budget_pages=-float("inf")), "budget"),
+        (dict(budget_pages=1000, max_indexes=-1), "max_indexes"),
+    ])
+    def test_limits_rejected_before_any_candidate(
+            self, sdss_catalog, monkeypatch, solver, limits, message):
+        """The same typed error from every solver, where milp used to
+        raise RuntimeError or OverflowError and greedy / colgen returned
+        the empty design."""
+        def no_candidates(*args, **kwargs):
+            raise AssertionError("candidates generated")
+
+        monkeypatch.setattr(advisor_module, "candidate_indexes", no_candidates)
+        with pytest.raises(DesignError, match=message):
+            CoPhyAdvisor(sdss_catalog).recommend(
+                WORKLOAD, solver=solver, **limits
+            )
 
     def test_budget_sweep_monotone(self, sdss_catalog):
         """Bigger budgets can only help — the CL-ILP experiment's backbone."""

@@ -208,6 +208,42 @@ def test_a_tenant_is_driven_one_way():
         assert not re.search(r"def submit\b|\.submit\(", rest), path
 
 
+def test_only_the_used_solvers_and_tenant_options_ship():
+    """Three solvers, not five: branch-and-bound is the test-side
+    cross-check of HiGHS (``tests/oracle.py``) and LP rounding is gone;
+    ``recommend --solver`` offers exactly the advisor's table.  A tenant
+    sets its stream handling, never its refresh policy, which is four
+    module constants."""
+    import argparse
+
+    from repro.cophy import solvers
+    from repro.cophy.advisor import SOLVERS
+    from repro.designer.cli import build_parser
+    from repro.service import TenantSession, tenant
+
+    assert SOLVERS == {"milp", "greedy", "colgen"}
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    solver_flag = next(action for action in commands["recommend"]._actions
+                       if "--solver" in action.option_strings)
+    assert solver_flag.choices == sorted(SOLVERS)
+    assert _parameters(solvers.solve_bip) == ["problem"]
+    everything = "".join(_sources().values())
+    for gone in ("_lp_relax", "solve_lp_rounding", "solve_branch_and_bound",
+                 "max_nodes", "lp-rounding", '"bnb"'):
+        assert gone not in everything, gone
+
+    assert _parameters(TenantSession.__init__) == [
+        "name", "catalog", "evaluator", "colt_settings", "recommend_every",
+        "window"]
+    assert (tenant.REFRESH_ON_DRIFT, tenant.BUDGET_FRAC, tenant.SOLVER,
+            tenant.PARTITIONS) == (True, 0.25, "greedy", False)
+    assert TenantSession.partitions is False
+    assert "SOLVERS" not in vars(tenant)
+
+
 DELETED_DELTA_HELPERS = {
     "_delta_column", "_touched", "_touch_groups", "_extend_state",
     "_pos_delta", "_batch_footprint", "_footprint", "_query_plan_pad",

@@ -25,6 +25,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import event, example, given
 from hypothesis import strategies as st
 
@@ -34,6 +35,8 @@ from repro.service import TuningService
 from repro.util import ReproError
 from repro.workloads import DriftPhase, drifting_stream, sdss
 from repro.workloads import sdss_catalog as make_sdss
+
+from test_runtime import outcome
 
 PHASES = (
     DriftPhase("positional", 5, ((sdss.template("cone_search"), 1.0),)),
@@ -120,6 +123,23 @@ def mangle(path, action, value):
     return payload
 
 
+# What an earlier build wrote into every session's options for the four
+# tenant options that are now constants (``budget_frac`` was never
+# written): a file that carries them restores iff it names these values.
+PARENT_KEYS = dict(solver="greedy", refresh_on_drift=True, partitions=False)
+
+
+def parent_format(payload, **change):
+    payload = copy.deepcopy(payload)
+    for entry in payload["tenants"]:
+        entry["session"]["options"].update(PARENT_KEYS, **change)
+    return payload
+
+
+OPTIONS_PATH = ("tenants", 0, "session", "options")
+PARENT_OPTIONS = _at(parent_format(BASE), OPTIONS_PATH)
+
+
 def check(payload):
     """Load *payload* as a state file next to a registered bystander;
     returns what happened, for the statistics."""
@@ -172,6 +192,44 @@ def test_base_snapshot_restores_and_finishes():
 # of the same name the tuner harvests later in the run.
 @example(path=("tenants", 1, "session", "tuner", "candidates", 2, "index",
                "unique"), action="replace", value=True)
+# A file naming a tenant option this build runs at one value only.
+@example(path=OPTIONS_PATH, action="replace", value=PARENT_OPTIONS)
+@example(path=OPTIONS_PATH, action="replace",
+         value=dict(PARENT_OPTIONS, refresh_on_drift=False))
+@example(path=OPTIONS_PATH, action="replace",
+         value=dict(PARENT_OPTIONS, solver="milp"))
 def test_mangled_snapshot_fails_typed_or_runs_to_completion(
         path, action, value):
     event(check(mangle(path, action, value)))
+
+
+def test_parent_format_snapshot_restores_to_the_uninterrupted_outcome():
+    """A snapshot written before the tenant options became constants —
+    its options carrying them at their values — resumes to exactly the
+    answer of a run that was never interrupted."""
+    assert not PARENT_KEYS.keys() & _at(BASE, OPTIONS_PATH).keys()
+    uninterrupted = make_service()
+    for name in SEEDS:
+        uninterrupted.add_tenant(name, "sdss", **OPTIONS)
+    uninterrupted.run_scheduled({name: stream(name) for name in SEEDS})
+
+    resumed = make_service()
+    assert set(resumed.restore(parent_format(BASE))) == set(SEEDS)
+    resumed.run_scheduled({
+        name: itertools.islice(stream(name), resumed.stream_offset(name),
+                               None)
+        for name in SEEDS
+    })
+    for name in SEEDS:
+        assert outcome(resumed.tenant(name)) == \
+            outcome(uninterrupted.tenant(name)), name
+
+
+@pytest.mark.parametrize("change", [
+    dict(refresh_on_drift=False), dict(solver="milp"), dict(partitions=True),
+    dict(refresh_on_drift=1), dict(solver="lp-rounding"),
+])
+def test_a_snapshot_naming_another_policy_is_refused(change):
+    """The file names a behaviour this build cannot run: a typed error,
+    with nothing registered (``check`` asserts the bystander is alone)."""
+    assert check(parent_format(BASE, **change)) == "refused: WireFormatError"
