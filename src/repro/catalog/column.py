@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 from repro.catalog.stats import ColumnStats, Distribution
 from repro.catalog.types import DataType
+from repro.util import CatalogError
 
 
 @dataclass
@@ -40,7 +41,7 @@ class Column:
 
     def __post_init__(self):
         if not self.name or not self.name.islower():
-            raise ValueError("column names must be non-empty lower-case: %r" % (self.name,))
+            raise CatalogError("column names must be non-empty lower-case: %r" % (self.name,))
         if self.width <= 0:
             self.width = self.dtype.default_width
 

@@ -1,11 +1,9 @@
 """Catalog (de)serialization to plain JSON-compatible dictionaries.
 
-A portable designer must move designs between machines and sessions: the
-demo saves/restores tuning sessions, and our benchmarks pin workload
-snapshots.  The format captures the logical schema, the generative
-distributions, and the current physical design (indexes + partitions).
-Statistics are *not* serialized — they are derived deterministically from
-the distributions on load, exactly as a fresh ANALYZE would.
+The format captures the logical schema, the generative distributions
+and the physical design (indexes + partitions); statistics are derived
+from the distributions on load, exactly as a fresh ANALYZE would.  A
+payload from outside is checked against its ``wire.SHAPES`` entry first.
 
 Indexes are emitted in a canonical order (the full identity key, not
 just the name) and carry **stable integer ids**: position in that
@@ -17,13 +15,11 @@ byte-for-byte (``dump(load(dump(c))) == dump(c)``).  Vertical
 fragments also carry ids, positional *within their layout*: fragment
 order is preserved, not canonicalized, because it is semantic — the
 greedy set cover in ``fragments_for`` breaks ties by fragment order,
-so reordering would change restored plans.  Today's payloads embed
-objects in full, with the ids fixing their deterministic order
-(:func:`stable_index_ids` keys the tuner's candidate snapshots);
-compact by-id cross-references are what the ids exist to enable.
+so reordering would change restored plans.
 """
 
 import json
+from dataclasses import fields
 
 from repro.catalog.column import Column
 from repro.catalog.index import Index
@@ -36,6 +32,7 @@ from repro.catalog.schema import Catalog
 from repro.catalog.stats import Distribution
 from repro.catalog.table import Table
 from repro.catalog.types import DataType
+from repro.evaluation import wire
 from repro.util import CatalogError
 
 FORMAT_VERSION = 1
@@ -81,38 +78,38 @@ def catalog_to_dict(catalog):
             )
         ],
         "horizontal_partitionings": [
-            {
-                "table": h.table_name,
-                "column": h.column,
-                "bounds": list(h.bounds),
-            }
-            for h in (
-                catalog.horizontal_partitioning(name)
-                for name in catalog.table_names
-            )
+            _horizontal_to_dict(h)
+            for h in map(catalog.horizontal_partitioning, catalog.table_names)
             if h is not None
         ],
     }
 
 
-def catalog_from_dict(payload):
-    """Rebuild a catalog (with fresh synthetic statistics)."""
-    version = payload.get("version")
-    if version != FORMAT_VERSION:
-        raise CatalogError("unsupported catalog format version %r" % (version,))
-    catalog = Catalog()
-    for tdict in payload.get("tables", ()):
-        catalog.add_table(_table_from_dict(tdict).build_stats())
-    for ixdict in payload.get("indexes", ()):
-        catalog.add_index(index_from_dict(ixdict))
-    for ldict in payload.get("vertical_layouts", ()):
-        catalog.set_vertical_layout(_layout_from_dict(ldict))
-    for hdict in payload.get("horizontal_partitionings", ()):
-        catalog.set_horizontal_partitioning(
-            HorizontalPartitioning(
-                hdict["table"], hdict["column"], tuple(hdict["bounds"])
-            )
+def _conformed(payload, kind):
+    """*payload* if it has the *kind* shape (else a WireFormatError) and
+    this format's version."""
+    wire.conform(payload, wire.SHAPES[kind], kind)
+    if payload["version"] != FORMAT_VERSION:
+        raise CatalogError(
+            "unsupported %s format version %r" % (kind, payload["version"])
         )
+    return payload
+
+
+def catalog_from_dict(payload):
+    """Rebuild a catalog (with fresh synthetic statistics).  A payload
+    without the catalog shape raises :class:`~repro.util.WireFormatError`;
+    one whose design does not fit its tables, :class:`CatalogError`."""
+    payload = _conformed(payload, wire.CATALOG)
+    catalog = Catalog()
+    for tdict in payload["tables"]:
+        catalog.add_table(_table_from_dict(tdict).build_stats())
+    for ixdict in payload["indexes"]:
+        catalog.add_index(index_from_dict(ixdict))
+    for ldict in payload["vertical_layouts"]:
+        catalog.set_vertical_layout(_layout_from_dict(ldict))
+    for hdict in payload["horizontal_partitionings"]:
+        catalog.set_horizontal_partitioning(_horizontal_from_dict(hdict))
     return catalog
 
 
@@ -145,8 +142,7 @@ def configuration_to_dict(configuration):
             _layout_to_dict(layout) for layout in configuration.layouts
         ],
         "horizontal_partitionings": [
-            {"table": h.table_name, "column": h.column, "bounds": list(h.bounds)}
-            for h in configuration.horizontals
+            _horizontal_to_dict(h) for h in configuration.horizontals
         ],
     }
 
@@ -154,21 +150,15 @@ def configuration_to_dict(configuration):
 def configuration_from_dict(payload):
     from repro.whatif import Configuration
 
-    version = payload.get("version")
-    if version != FORMAT_VERSION:
-        raise CatalogError(
-            "unsupported configuration format version %r" % (version,)
-        )
+    payload = _conformed(payload, wire.CONFIGURATION)
     return Configuration(
-        indexes=frozenset(
-            index_from_dict(d) for d in payload.get("indexes", ())
-        ),
+        indexes=frozenset(index_from_dict(d) for d in payload["indexes"]),
         layouts=tuple(
-            _layout_from_dict(d) for d in payload.get("vertical_layouts", ())
+            _layout_from_dict(d) for d in payload["vertical_layouts"]
         ),
         horizontals=tuple(
-            HorizontalPartitioning(d["table"], d["column"], tuple(d["bounds"]))
-            for d in payload.get("horizontal_partitionings", ())
+            _horizontal_from_dict(d)
+            for d in payload["horizontal_partitionings"]
         ),
     )
 
@@ -179,37 +169,17 @@ def configuration_from_dict(payload):
 def _distribution_to_dict(dist):
     if dist is None:
         return None
-    return {
-        "kind": dist.kind,
-        "low": dist.low,
-        "high": dist.high,
-        "n_values": dist.n_values,
-        "s": dist.s,
-        "mu": dist.mu,
-        "sigma": dist.sigma,
-        "values": list(dist.values),
-        "probs": list(dist.probs),
-        "correlation": dist.correlation,
-        "null_frac": dist.null_frac,
-    }
+    payload = {f.name: getattr(dist, f.name) for f in fields(Distribution)}
+    return dict(payload, values=list(dist.values), probs=list(dist.probs))
 
 
 def _distribution_from_dict(payload):
     if payload is None:
         return None
-    return Distribution(
-        kind=payload["kind"],
-        low=payload.get("low", 0.0),
-        high=payload.get("high", 1.0),
-        n_values=payload.get("n_values", 0),
-        s=payload.get("s", 1.1),
-        mu=payload.get("mu", 0.0),
-        sigma=payload.get("sigma", 1.0),
-        values=tuple(payload.get("values", ())),
-        probs=tuple(payload.get("probs", ())),
-        correlation=payload.get("correlation", 0.0),
-        null_frac=payload.get("null_frac", 0.0),
-    )
+    return Distribution(**dict(
+        {f.name: payload[f.name] for f in fields(Distribution)},
+        values=tuple(payload["values"]), probs=tuple(payload["probs"]),
+    ))
 
 
 def _table_to_dict(table):
@@ -234,9 +204,9 @@ def _table_from_dict(payload):
         Column(
             cdict["name"],
             DataType(cdict["type"]),
-            distribution=_distribution_from_dict(cdict.get("distribution")),
-            width=cdict.get("width", 0),
-            nullable=cdict.get("nullable", True),
+            distribution=_distribution_from_dict(cdict["distribution"]),
+            width=cdict["width"],
+            nullable=cdict["nullable"],
         )
         for cdict in payload["columns"]
     ]
@@ -262,9 +232,9 @@ def index_from_dict(payload):
     return Index(
         payload["table"],
         tuple(payload["columns"]),
-        include=tuple(payload.get("include", ())),
-        unique=payload.get("unique", False),
-        name=payload.get("name", ""),
+        include=tuple(payload["include"]),
+        unique=payload["unique"],
+        name=payload["name"],
     )
 
 
@@ -281,8 +251,19 @@ def _layout_to_dict(layout):
 def _layout_from_dict(payload):
     fragments = tuple(
         VerticalFragment(
-            payload["table"], tuple(f["columns"]), name=f.get("name", "")
+            payload["table"], tuple(f["columns"]), name=f["name"]
         )
         for f in payload["fragments"]
     )
     return VerticalLayout(payload["table"], fragments)
+
+
+def _horizontal_to_dict(h):
+    return {"table": h.table_name, "column": h.column,
+            "bounds": list(h.bounds)}
+
+
+def _horizontal_from_dict(payload):
+    return HorizontalPartitioning(
+        payload["table"], payload["column"], tuple(payload["bounds"])
+    )

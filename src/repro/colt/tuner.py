@@ -135,26 +135,6 @@ class _CandidateState:
     last_seen_epoch: int = 0
 
 
-# The fields :meth:`ColtTuner.restore_state` reads, as a
-# :func:`~repro.evaluation.wire.conform` shape: a snapshot is outside
-# input.  COLT only ever materializes indexes, never partitions.
-_INDEX = {"table": str, "columns": [str], "include": [str], "unique": bool,
-          "name": str}
-_CONFIGURATION = {"version": int, "indexes": [_INDEX],
-                  "vertical_layouts": [], "horizontal_partitionings": []}
-_STATE = {
-    "current": _CONFIGURATION, "pending_alert": (None, _CONFIGURATION),
-    "candidates": [dict(index=_INDEX, ewma_gain=float, epoch_gain=float,
-                        ewma_maintenance=float, epoch_maintenance=float,
-                        probes=int, last_seen_epoch=int)],
-    "report": {"alerts": int, "adoptions": int, "epochs": [dict(
-        epoch=int, queries=int, observed_cost=float, build_cost=float,
-        whatif_probes=int, alert=bool, adopted=bool, configuration=[str])]},
-    "epoch_queries": [str], "epoch_probes": int, "epoch_no": int,
-    "stable_epochs": int, "budget": int,
-}
-
-
 class ColtTuner:
     """Continuous tuning over one catalog.
 
@@ -315,16 +295,18 @@ class ColtTuner:
         from repro.evaluation import wire
         from repro.sql.binder import bind_statement
 
-        wire.conform(payload, _STATE, "tuner state")
+        # The tenant shape's tuner section: a snapshot is outside input.
+        wire.conform(payload, wire.SHAPES[wire.KIND_TENANT]["tuner"],
+                     "tuner state")
         for sql in payload["epoch_queries"]:
             bind_statement(sql, self.catalog)  # re-priced at epoch end
         self.current = configuration_from_dict(payload["current"])
-        pending = payload.get("pending_alert")
+        pending = payload["pending_alert"]
         self._pending_alert = (
             configuration_from_dict(pending) if pending is not None else None
         )
         self.candidates = {}
-        for entry in payload.get("candidates", ()):
+        for entry in payload["candidates"]:
             index = index_from_dict(entry["index"])
             self.candidates[index] = _CandidateState(
                 index=index,
@@ -335,10 +317,10 @@ class ColtTuner:
                 probes=entry["probes"],
                 last_seen_epoch=entry["last_seen_epoch"],
             )
-        report = payload.get("report", {})
+        report = payload["report"]
         self.report = OnlineReport(
-            alerts=report.get("alerts", 0),
-            adoptions=report.get("adoptions", 0),
+            alerts=report["alerts"],
+            adoptions=report["adoptions"],
             epochs=[
                 EpochRecord(
                     epoch=e["epoch"],
@@ -350,10 +332,10 @@ class ColtTuner:
                     adopted=e["adopted"],
                     configuration=tuple(e["configuration"]),
                 )
-                for e in report.get("epochs", ())
+                for e in report["epochs"]
             ],
         )
-        self._epoch_queries = list(payload.get("epoch_queries", ()))
+        self._epoch_queries = list(payload["epoch_queries"])
         self._epoch_probes = payload["epoch_probes"]
         self._epoch_no = payload["epoch_no"]
         self._stable_epochs = payload["stable_epochs"]

@@ -1,100 +1,58 @@
-"""The portable wire format: plan terms, signatures, and session state.
+"""The portable wire format, and the one table of shapes every payload
+from outside is checked against.
 
-The paper's designer is explicitly *portable* — tuning sessions move
-between machines and survive restarts, and the INUM cache is the unit
-that makes re-costing cheap.  This module gives the backplane's derived
-state a canonical, versioned, JSON-compatible form:
+The paper's designer is *portable*: sessions move between machines and
+survive restarts, and the INUM cache is the unit that makes re-costing
+cheap.  This module gives that state a canonical, versioned JSON form —
+query signatures (the pool's keys), INUM cache entries as *plan terms*
+(per-plan internal cost, :class:`~repro.inum.cache.AccessSlot` records
+and the order vector; the receiver re-binds the SQL and prices
+bit-identically), tuner / tenant / service snapshots with the
+scheduler's buffered stream events, telemetry deltas, and the frames of
+:mod:`repro.net`.  Every payload is stamped with :data:`WIRE_VERSION`,
+and :func:`loads` rejects a mismatch instead of guessing.
 
-* **query signatures** — the cache pool's keys — encoded losslessly
-  (they are nested tuples of primitives; the codec freezes JSON arrays
-  back into tuples so equality and hashing survive the round trip);
-
-* **INUM cache entries** reduced to *plan terms*: per-plan internal
-  cost plus :class:`~repro.inum.cache.AccessSlot` records and the
-  interesting-order vector.  No live :class:`~repro.optimizer.plan.Plan`
-  nodes cross the wire — a deserialized entry re-binds its SQL against
-  the receiving catalog and evaluates with bit-identical costs, because
-  slot pricing is a pure function of the slot fields, the bound query,
-  and the catalog statistics (which rebuild deterministically from the
-  serialized distributions, exactly as a fresh ANALYZE would);
-
-* **tuner / tenant-session state** (epoch counters, COLT candidate
-  EWMAs, the sliding window, the drift phase) — the payloads behind
-  :meth:`TenantSession.snapshot` and :meth:`TuningService.snapshot`,
-  so a service restart resumes tenants mid-stream;
-
-* **scheduler state** (wire version 2): the cooperative scheduler's
-  per-tenant buffers of pulled-but-not-ingested stream events, encoded
-  by :func:`event_to_wire` inside the service snapshot — what makes a
-  pause-point snapshot complete: those events have left their stream,
-  so no replay from the stream offset re-derives them.
-
-Every payload is stamped with :data:`WIRE_VERSION`; :func:`loads`
-rejects a mismatch with :class:`~repro.util.WireFormatError` instead of
-guessing.  Consumers: the costing fleet
-(:class:`~repro.net.client.FleetBackplane` — forked process workers and
-socket runner nodes alike) ships entries from its runners to the parent
-pool as wire text inside result frames (``loads`` with ``pool=``
-installs each entry *and* rebuilds its columnar kernel from the
-just-decoded plan terms — compiled arrays are derived state and never
-encoded), and ``python -m repro serve --state-dir`` persists
-whole-service snapshots (periodically, with ``--snapshot-interval``, at
-scheduler pause points).
+**One validation mechanism.**  :data:`SHAPES` declares, per payload
+kind, everything a receiver reads: the entry, tenant, service and
+telemetry kinds, the five frame kinds, a catalog and a design
+configuration.  Every decoder — here, in :mod:`repro.net`, in
+:mod:`repro.catalog.serialize` and on the restore paths — runs
+:func:`conform` against its kind's shape, then the cross-checks a shape
+cannot state because they need the receiving catalog or registry
+(:func:`located`, :func:`_check_signature`, :func:`_check_slots`,
+:func:`_check_registry`), then plain construction.  Anything else is a
+:class:`~repro.util.WireFormatError`; unknown keys are ignored, so peers
+of either age interoperate.
 """
 
 import json
 import math
 import sys
+from collections import namedtuple
+from dataclasses import fields
 
+from repro import obs
+from repro.catalog.types import DataType
+from repro.colt.tuner import ColtSettings
 from repro.evaluation.signature import statement_key
 from repro.inum.cache import AccessSlot, CachedPlan, QueryCache
+from repro.optimizer.settings import PlannerSettings
+from repro.optimizer.writecost import LOCATE_PREFIX, locate_query
 from repro.sql.binder import BoundWrite, bind_statement
 from repro.util import WireFormatError
 
 __all__ = [
-    "WIRE_VERSION",
-    "KIND_ENTRY",
-    "KIND_TENANT",
-    "KIND_SERVICE",
-    "KIND_OBS",
-    "KIND_HELLO",
-    "KIND_CATALOG",
-    "KIND_TASK",
-    "KIND_RESULT",
-    "KIND_ERROR",
-    "obs_to_wire",
-    "obs_from_wire",
-    "signature_to_wire",
-    "signature_from_wire",
-    "slot_to_wire",
-    "slot_from_wire",
-    "plan_to_wire",
-    "plan_from_wire",
-    "entry_to_wire",
-    "entry_from_wire",
-    "event_to_wire",
-    "event_from_wire",
-    "conform",
-    "dumps",
-    "loads",
-    "check_version",
+    "WIRE_VERSION", "KIND_ENTRY", "KIND_TENANT", "KIND_SERVICE", "KIND_OBS",
+    "KIND_HELLO", "KIND_CATALOG", "KIND_TASK", "KIND_RESULT", "KIND_ERROR",
+    "CATALOG", "CONFIGURATION", "SHAPES", "Default", "number", "conform",
+    "located", "obs_to_wire", "obs_from_wire", "signature_to_wire",
+    "signature_from_wire", "entry_to_wire", "entry_from_wire",
+    "event_to_wire", "event_from_wire", "dumps", "loads", "check_version",
 ]
 
-# Version 5: a ``warm`` result frame carries its cache entry as wire
-# *text* (``dumps(entry_to_wire(...))``) instead of a nested payload, so
-# every entry — shipped or read from a file — is installed by
-# ``loads(text, catalog, pool=)``; the ``evaluate`` task op is gone (a
-# runner answers it with its ``unknown task op`` error).
-# Version 4: the network transport's frame kinds (handshake hello,
-# catalog shipment, task, result, error — see :mod:`repro.net.frames`)
-# join the format, so a runner fleet negotiates compatibility at the
-# handshake: every frame is version-stamped and a mismatched peer is
-# rejected with :class:`WireFormatError` before any task is exchanged.
-# Version 3 made telemetry deltas (counter/histogram movement plus
-# finished spans from worker processes) a first-class payload kind, so
-# traces stitch across the process backplane.  Version 2 added scheduler
-# state (per-tenant pending event buffers) to service snapshots;
-# version-1 payloads predate the cooperative runtime.
+# Version 5: a ``warm`` result carries its entry as wire *text*, which
+# ``loads(text, catalog, pool=)`` installs; 4 added the network frames,
+# 3 telemetry deltas, 2 scheduler state in service snapshots.
 WIRE_VERSION = 5
 
 KIND_ENTRY = "inum-cache-entry"
@@ -102,19 +60,274 @@ KIND_TENANT = "tenant-session"
 KIND_SERVICE = "tuning-service"
 KIND_OBS = "obs-delta"
 
-# Network-transport frame kinds (:mod:`repro.net`).  These never appear
-# inside files — they are connection-scoped messages — but they share
-# the envelope (and therefore the version negotiation) with every other
-# payload, so one WIRE_VERSION governs the whole distributed surface.
+# The frame kinds of :mod:`repro.net`: one WIRE_VERSION governs files
+# and every hop of the fleet alike.
 KIND_HELLO = "net-hello"
 KIND_CATALOG = "net-catalog"
 KIND_TASK = "net-task"
 KIND_RESULT = "net-result"
 KIND_ERROR = "net-error"
 
+# Plain-data payloads of :mod:`repro.catalog.serialize` (no envelope).
+CATALOG = "catalog"
+CONFIGURATION = "configuration"
+
 
 # ----------------------------------------------------------------------
-# Signatures: nested tuples of primitives <-> nested JSON arrays.
+# The shape language.
+# ----------------------------------------------------------------------
+
+
+# An optional key: an object without it conforms, and then reads *value*.
+Default = namedtuple("Default", "shape value")
+
+
+def number(low=-sys.float_info.max, high=sys.float_info.max,
+           types=(int, float)):
+    """The leaf of JSON numbers of *types* in ``[low, high]`` (``true``
+    and ``nan`` are none)."""
+    return lambda value: type(value) in types and low <= value <= high
+
+
+_POSITIVE = number(1, 2 ** 53 - 1, (int,))
+_FRACTION = number(0.0, 1.0)
+_COST = number(0.0)  # finite and non-negative
+
+# A shape is a dict — an object with (at least) those keys, each
+# required unless its value is a :class:`Default`; ``{str: s}`` one
+# whose every value is an *s* — or ``[s]``, an array of *s* (``[]`` an
+# empty one, ``[s, ...]`` a non-empty one, ``[s1, s2]`` a pair); a
+# tuple, any one of its shapes; a frozenset, the strings or booleans
+# allowed; a :func:`number`; or a leaf below.
+_LEAVES = {
+    None: lambda value: value is None,
+    bool: lambda value: type(value) is bool,
+    str: lambda value: type(value) is str,
+    object: lambda value: True,
+    int: number(0, 2 ** 53 - 1, (int,)),  # a count JSON reads exactly
+    float: number(),  # any finite number
+}
+
+
+class _Mismatch(Exception):
+    """A failed check; the keys and positions above it are collected on
+    the way out, innermost first, and formatted only then — as is the
+    offending value: a failed choice of a tuple is routine."""
+
+    def __init__(self, message, value=None, key=None):
+        self.message = message  # None: a required key or item is absent
+        self.value = value
+        self.path = [] if key is None else [key]
+
+    def __str__(self):
+        text = repr(self.value)
+        return self.message % (text if len(text) <= 40 else
+                               text[:37] + "...",)
+
+
+def _walk(value, shape):
+    kind = type(shape)
+    if kind is dict:
+        if not isinstance(value, dict):
+            raise _Mismatch("not an object: %s", value)
+        fill = []
+        for key, inner in (dict.fromkeys(value, shape[str])
+                           if str in shape else shape).items():
+            if type(inner) is Default:
+                if key not in value:
+                    fill.append((key, inner.value))
+                    continue
+                inner = inner.shape
+            elif key not in value:
+                raise _Mismatch(None, key=key)
+            try:
+                _walk(value[key], inner)
+            except _Mismatch as exc:
+                exc.path.append(key)
+                raise
+        if fill:
+            value.update(fill)
+    elif kind is list:
+        if not isinstance(value, (list, tuple)):
+            raise _Mismatch("not an array: %s", value)
+        if len(shape) == 2 and shape[1] is ...:
+            if not value:
+                raise _Mismatch(None)
+            shape = shape[:1]
+        elif len(shape) > 1 and len(value) != len(shape):
+            raise _Mismatch("%%s: %d items, not %d"
+                            % (len(value), len(shape)), value)
+        for position, item in enumerate(value):
+            try:
+                _walk(item, shape[position] if len(shape) > 1
+                      else shape[0] if shape else ())
+            except _Mismatch as exc:
+                exc.path.append(position)
+                raise
+    elif kind is tuple:  # report the choice that got furthest, if any did
+        deepest = None
+        for choice in shape:
+            if type(choice) not in (dict, list, tuple):
+                if _leaf(value, choice):
+                    return
+                continue
+            try:
+                return _walk(value, choice)
+            except _Mismatch as exc:
+                if exc.path and (deepest is None
+                                 or len(exc.path) > len(deepest.path)):
+                    deepest = exc
+        raise deepest or _Mismatch("unexpected %s", value)
+    elif not _leaf(value, shape):
+        raise _Mismatch("unexpected %s", value)
+
+
+def _leaf(value, shape):
+    if type(shape) is frozenset:
+        return type(value) in (str, bool) and value in shape
+    return _LEAVES.get(shape, shape)(value)
+
+
+def conform(payload, shape, what):
+    """Raise :class:`WireFormatError` unless *payload* has *shape*.
+
+    Every object that conforms gets its absent optional keys set to
+    their defaults, so a decoder reads each field by plain indexing.
+    The error names the failing node's path from *what*."""
+    try:
+        _walk(payload, shape)
+    except _Mismatch as exc:
+        path = what + "".join("[%d]" % key if type(key) is int else
+                              "." + key for key in reversed(exc.path))
+        if exc.message is None:  # a required key or item is absent
+            path, __, key = path.rpartition(".")
+            raise WireFormatError("%s has no %s" % (path, key)) from None
+        raise WireFormatError("%s: %s" % (path, exc)) from None
+
+
+# ----------------------------------------------------------------------
+# The table: one shape per payload kind.
+# ----------------------------------------------------------------------
+
+_SLOT = {"alias": str, "table": str, "required_order": (str, None),
+         "param_columns": Default([str], ()), "probes": Default(_COST, 1.0),
+         "scale": Default(_COST, 1.0)}
+_PLAN = {"internal_cost": _COST, "slots": [_SLOT],
+         "order_vector": Default([[str, (str, None)]], ())}
+
+_FAMILY = {"name": str, "help": str, "labelnames": [str]}
+_SPAN = {"name": str, "trace_id": str, "span_id": str,
+         "parent_id": (str, None), "start": float, "duration": float,
+         "tags": {str: object}, "error": (None, str), "pid": int}
+
+_INDEX = {"table": str, "columns": [str], "include": Default([str], ()),
+          "unique": Default(bool, False), "name": Default(str, "")}
+_DESIGN = {
+    "version": Default(object, None),  # checked by the catalog module
+    "indexes": Default([_INDEX], ()),
+    "vertical_layouts": Default([{"table": str, "fragments": [
+        {"columns": [str], "name": Default(str, "")}]}], ()),
+    "horizontal_partitionings": Default([{
+        "table": str, "column": str, "bounds": ([float], [str])}], ()),
+}
+_DISTRIBUTION = dict(
+    kind=frozenset({"uniform", "uniform_int", "zipf", "normal", "sequence"}),
+    low=Default(float, 0.0), high=Default(float, 1.0),
+    n_values=Default(int, 0), s=Default(float, 1.1),
+    mu=Default(float, 0.0), sigma=Default(float, 1.0),
+    values=Default(([float], [str]), ()), probs=Default([_FRACTION], ()),
+    correlation=Default(number(-1.0, 1.0), 0.0),
+    null_frac=Default(number(0.0, math.nextafter(1.0, 0.0)), 0.0),
+)
+_COLUMN = {
+    "name": str, "type": frozenset(t.value for t in DataType),
+    "width": Default(int, 0), "nullable": Default(bool, True),
+    "distribution": Default((None, _DISTRIBUTION, dict(
+        # A categorical distribution *is* its values: min() needs one.
+        _DISTRIBUTION, kind=frozenset({"categorical"}),
+        values=([float, ...], [str, ...]), probs=[_FRACTION, ...],
+    )), None),
+}
+
+_COLT_DESIGN = dict(_DESIGN, vertical_layouts=[],  # COLT only ever builds
+                    horizontal_partitionings=[])  # indexes, no partitions
+_TUNER = {
+    "current": _COLT_DESIGN, "pending_alert": (None, _COLT_DESIGN),
+    "candidates": [dict(index=_INDEX, ewma_gain=float, epoch_gain=float,
+                        ewma_maintenance=float, epoch_maintenance=float,
+                        probes=int, last_seen_epoch=int)],
+    "report": {"alerts": int, "adoptions": int, "epochs": [dict(
+        epoch=int, queries=int, observed_cost=float, build_cost=float,
+        whatif_probes=int, alert=bool, adopted=bool, configuration=[str])]},
+    "epoch_queries": [str], "epoch_probes": int, "epoch_no": int,
+    "stable_epochs": int, "budget": int,
+}
+_TENANT = {
+    "kind": frozenset({KIND_TENANT}), "name": str, "queries": int,
+    "phase": (None, str), "phases_seen": [str], "window_queries": [str],
+    "finished": bool, "tuner": _TUNER,
+    "options": dict(
+        colt_settings={f.name: f.type for f in fields(ColtSettings)},
+        recommend_every=int, window=_POSITIVE, budget_pages=int,
+        # Options earlier builds wrote that are now constants of
+        # repro.service.tenant: a file may name them at those values.
+        solver=Default(frozenset({"greedy"}), "greedy"),
+        refresh_on_drift=Default(frozenset({True}), True),
+        partitions=Default(frozenset({False}), False),
+    ),
+    "drift_events": [dict(at_query=int, from_phase=str, to_phase=str)],
+    "recommendations": [dict(at_query=int, phase=(None, str), trigger=str,
+                             indexes=[str], improvement_pct=float)],
+}
+_EVENT = [(None, str), str]  # a buffered stream event: [phase, sql]
+
+SHAPES = {
+    # Cross-checked by located, _check_signature and _check_slots.
+    KIND_ENTRY: {
+        "kind": frozenset({KIND_ENTRY}), "signature": [object], "sql": str,
+        "locate": Default(bool, False),
+        "build_optimizer_calls": Default(int, 0), "plans": [_PLAN, ...],
+    },
+    KIND_TENANT: _TENANT,
+    KIND_SERVICE: {
+        "kind": frozenset({KIND_SERVICE}),
+        "tenants": [{"backplane": str, "session": _TENANT}],
+        "scheduler": {"pending": {str: [_EVENT]}},
+    },
+    KIND_OBS: {  # cross-checked by _check_registry
+        "kind": frozenset({KIND_OBS}),
+        "counters": [dict(_FAMILY, samples=[[[str], float]])],
+        "histograms": [dict(_FAMILY, buckets=[float],
+                            samples=[[[str], [int], float, int]])],
+        "spans": [_SPAN],
+    },
+    KIND_HELLO: {"kind": frozenset({KIND_HELLO}),
+                 "role": frozenset({"client", "runner"})},
+    KIND_CATALOG: {
+        "kind": frozenset({KIND_CATALOG}),
+        "catalog": dict(_DESIGN, tables=Default([{
+            "name": str, "row_count": int, "columns": [_COLUMN]}], ())),
+        "settings": Default((None, {
+            f.name: f.type for f in fields(PlannerSettings)}), None),
+        "pool_capacity": Default((None, _POSITIVE), None),
+    },
+    KIND_TASK: {"kind": frozenset({KIND_TASK}), "op": frozenset({"warm"}),
+                "sql": str, "locate": Default(bool, False),
+                "ctx": Default((None, [str, str]), None)},
+    KIND_RESULT: {"kind": frozenset({KIND_RESULT}),
+                  "op": frozenset({"catalog", "warm"}),
+                  "entry": Default(str, ""),  # a delta's own decoder,
+                  "obs": Default((None, {}), None)},  # obs_from_wire
+    KIND_ERROR: {"kind": frozenset({KIND_ERROR}), "error": Default(str, ""),
+                 "wire_error": Default(bool, False)},
+    CONFIGURATION: _DESIGN,
+}
+SHAPES[CATALOG] = SHAPES[KIND_CATALOG]["catalog"]
+
+
+# ----------------------------------------------------------------------
+# The codecs: signatures, cache entries, stream events, telemetry, and
+# the version-stamped envelope.
 # ----------------------------------------------------------------------
 
 _PRIMITIVES = (str, int, float, bool, type(None))
@@ -142,159 +355,13 @@ def signature_from_wire(payload):
     return payload
 
 
-# ----------------------------------------------------------------------
-# Plan terms: AccessSlot / CachedPlan / whole cache entries.
-# ----------------------------------------------------------------------
-
-
-def slot_to_wire(slot):
-    return {
-        "alias": slot.alias,
-        "table": slot.table_name,
-        "required_order": slot.required_order,
-        "param_columns": list(slot.param_columns),
-        "probes": slot.probes,
-        "scale": slot.scale,
-    }
-
-
-# Entries arrive from outside the process (a runner's reply, a file): the
-# decoders below check every field they read, so a malformed payload is a
-# :class:`WireFormatError` here and never an entry that raises — or
-# prices a neighbour's slots — once the kernel has compiled it.  Unknown
-# keys are ignored (peers of either age interoperate).
-
-
-def _object(payload, what):
-    if not isinstance(payload, dict):
-        raise WireFormatError("%s must be a JSON object, got %r"
-                              % (what, type(payload).__name__))
-    return payload
-
-
-def _array(payload, what):
-    if not isinstance(payload, (list, tuple)):
-        raise WireFormatError("%s must be a JSON array, got %r"
-                              % (what, type(payload).__name__))
-    return payload
-
-
-def _name(value, what, optional=False):
-    if not (isinstance(value, str) or optional and value is None):
-        raise WireFormatError("%s must be a string, got %r" % (what, value))
-    return value
-
-
-def _cost(value, what):
-    """A finite, non-negative JSON number (``true`` is not one)."""
-    try:
-        ok = type(value) in (int, float) and 0.0 <= float(value) < math.inf
-    except OverflowError:  # a JSON integer beyond the float range
-        ok = False
-    if not ok:
-        raise WireFormatError(
-            "%s must be a finite non-negative number, got %r" % (what, value)
-        )
-    return value
-
-
-# Session state (service, tenant and tuner snapshots) is checked against
-# a *shape* before anything is built from it: a dict is an object with
-# (at least) those keys, ``{str: s}`` one whose every value is an *s*;
-# ``[s]`` an array of *s*, ``[]`` an empty one; a tuple any one of its
-# shapes; a frozenset the strings allowed; ``int`` a count JSON reads
-# exactly, ``float`` a number a float holds; ``str``, ``bool``, ``None``.
-_LEAVES = {
-    None: lambda value: value is None,
-    bool: lambda value: type(value) is bool,
-    str: lambda value: type(value) is str,
-    int: lambda value: type(value) is int and 0 <= value < 2 ** 53,
-    float: lambda value: (type(value) in (int, float)
-                          and abs(value) <= sys.float_info.max),
-}
-
-
-def conform(payload, shape, what):
-    """Raise :class:`WireFormatError` unless *payload* has *shape*."""
-    if isinstance(shape, dict):
-        _object(payload, what)
-        if list(shape) == [str]:
-            shape = dict.fromkeys(payload, shape[str])
-        for key, inner in shape.items():
-            if key not in payload:
-                raise WireFormatError("%s has no %r" % (what, key))
-            conform(payload[key], inner, "%s.%s" % (what, key))
-    elif isinstance(shape, list):
-        for item in _array(payload, what):
-            conform(item, shape[0] if shape else (), what + "[]")
-    elif isinstance(shape, tuple):  # ``()``: nothing conforms
-        for choice in shape:
-            try:
-                return conform(payload, choice, what)
-            except WireFormatError:
-                pass
-        raise WireFormatError("%s: unexpected %r" % (what, payload))
-    elif not (type(payload) is str and payload in shape
-              if isinstance(shape, frozenset) else _LEAVES[shape](payload)):
-        raise WireFormatError("%s: unexpected %r" % (what, payload))
-
-
-def slot_from_wire(payload):
-    payload = _object(payload, "access slot")
-    return AccessSlot(
-        alias=_name(payload.get("alias"), "slot alias"),
-        table_name=_name(payload.get("table"), "slot table"),
-        required_order=_name(
-            payload.get("required_order"), "slot order", optional=True
-        ),
-        param_columns=tuple(
-            _name(column, "probe column")
-            for column in _array(payload.get("param_columns", ()),
-                                 "probe columns")
-        ),
-        probes=_cost(payload.get("probes", 1.0), "slot probes"),
-        scale=_cost(payload.get("scale", 1.0), "slot scale"),
-    )
-
-
-def plan_to_wire(cached):
-    return {
-        "internal_cost": cached.internal_cost,
-        "slots": [slot_to_wire(slot) for slot in cached.slots],
-        "order_vector": [list(pair) for pair in cached.order_vector],
-    }
-
-
-def plan_from_wire(payload):
-    payload = _object(payload, "cached plan")
-    vector = []
-    for pair in _array(payload.get("order_vector", ()), "order vector"):
-        if len(_array(pair, "order vector pair")) != 2:
-            raise WireFormatError("order vector pair %r" % (pair,))
-        vector.append((_name(pair[0], "order vector alias"),
-                       _name(pair[1], "order vector column", optional=True)))
-    return CachedPlan(
-        internal_cost=_cost(payload.get("internal_cost"), "internal cost"),
-        slots=tuple(
-            slot_from_wire(d)
-            for d in _array(payload.get("slots"), "plan slots")
-        ),
-        order_vector=tuple(vector),
-    )
-
-
 def entry_to_wire(signature, cache):
     """One pool entry — ``(signature, QueryCache)`` — as plan terms.
 
-    The bound query travels as SQL text: the receiver re-binds it
-    against its own catalog, which is what makes entries portable
-    across processes and machines (catalogs move independently through
-    :mod:`repro.catalog.serialize`).  Locate queries (the synthetic
-    SELECTs pricing UPDATE/DELETE row location) have no parseable text,
-    so the entry ships the originating write statement with a marker
-    and the receiver re-derives the locate query."""
-    from repro.optimizer.writecost import LOCATE_PREFIX
-
+    The bound query travels as SQL text the receiver re-binds against
+    its own catalog.  A locate query (the synthetic SELECT pricing
+    UPDATE/DELETE row location) has no parseable text, so its entry
+    ships the write statement with ``locate`` set."""
     sql = cache.bound_query.sql
     locate = sql.startswith(LOCATE_PREFIX)
     if locate:
@@ -305,50 +372,41 @@ def entry_to_wire(signature, cache):
         "sql": sql,
         "locate": locate,
         "build_optimizer_calls": cache.build_optimizer_calls,
-        "plans": [plan_to_wire(cached) for cached in cache.plans],
+        "plans": [{
+            "internal_cost": cached.internal_cost,
+            "slots": [{"alias": slot.alias, "table": slot.table_name,
+                       "required_order": slot.required_order,
+                       "param_columns": list(slot.param_columns),
+                       "probes": slot.probes, "scale": slot.scale}
+                      for slot in cached.slots],
+            "order_vector": [list(pair) for pair in cached.order_vector],
+        } for cached in cache.plans],
     }
 
 
-def entry_from_wire(payload, catalog):
-    """Rebuild ``(signature, QueryCache)`` from a wire payload.
-
-    Costs are bit-identical to the originating entry: the plan terms are
-    carried verbatim (JSON round-trips finite floats exactly), and slot
-    re-pricing depends only on those terms plus the re-bound query.
-
-    The payload is outside input: anything but a well-formed entry *of
-    the statement it names* — its signature is the re-bound statement's,
-    every slot sits on one of its aliases and reads that alias's table
-    and columns — raises :class:`WireFormatError` (or the binder's typed
-    error for SQL the catalog does not bind)."""
-    payload = _object(payload, "wire payload")
-    if payload.get("kind") != KIND_ENTRY:
-        raise WireFormatError(
-            "expected %r payload, got %r" % (KIND_ENTRY, payload.get("kind"))
-        )
-    plans = payload.get("plans")
-    if not plans:
-        # No plan means no cost: the per-call walk would raise on every
-        # lookup, and a compiled workload cannot hold the entry at all.
-        raise WireFormatError("cache entry carries no plans")
-    calls = payload.get("build_optimizer_calls", 0)
-    if type(calls) is not int or calls < 0:
-        raise WireFormatError("build_optimizer_calls=%r" % (calls,))
-    bq = bind_statement(_name(payload.get("sql"), "entry sql"), catalog)
-    locate = bool(payload.get("locate"))
+def located(bq, locate):
+    """The statement a shipped entry or task prices: *bq*, or with
+    *locate* the locate query of *bq*, an UPDATE or DELETE — any other
+    pairing is a :class:`WireFormatError`."""
     if locate != (isinstance(bq, BoundWrite)
                   and bq.kind in ("update", "delete")):
         raise WireFormatError("locate=%r on %r" % (locate, bq.sql))
-    if locate:
-        from repro.optimizer.writecost import locate_query
+    return locate_query(bq) if locate else bq
 
-        bq = locate_query(bq)
-    signature = signature_from_wire(payload.get("signature"))
+
+def _check_signature(payload, bq):
+    signature = signature_from_wire(payload["signature"])
     if signature != statement_key(bq):
         raise WireFormatError(
             "entry signature is not that of its statement %r" % (bq.sql,)
         )
-    plans = [plan_from_wire(d) for d in _array(plans, "entry plans")]
+    return signature
+
+
+def _check_slots(plans, bq):
+    """Every slot sits on one of the statement's aliases and reads that
+    alias's table and columns — else the kernel would price a
+    neighbour's slots."""
     for slot in {slot for cached in plans for slot in cached.slots}:
         table = bq.tables.get(slot.alias)
         if table is None or table.name != slot.table_name:
@@ -356,61 +414,54 @@ def entry_from_wire(payload, catalog):
                 "slot on %r (%r) does not belong to %r"
                 % (slot.alias, slot.table_name, bq.sql)
             )
-        columns = slot.param_columns
-        if slot.required_order is not None:
-            columns += (slot.required_order,)
-        for column in columns:
-            if not table.has_column(column):
-                raise WireFormatError(
-                    "slot on %r reads unknown column %r"
-                    % (slot.alias, column)
-                )
+        for column in slot.param_columns + (slot.required_order,):
+            if column is not None and not table.has_column(column):
+                raise WireFormatError("slot on %r reads unknown column %r"
+                                      % (slot.alias, column))
+
+
+def entry_from_wire(payload, catalog):
+    """Rebuild ``(signature, QueryCache)`` from a wire payload, with the
+    originating entry's costs bit for bit (plan terms travel verbatim).
+    Anything but a well-formed entry *of the statement it names* raises
+    :class:`WireFormatError` (or the binder's typed error)."""
+    conform(payload, SHAPES[KIND_ENTRY], "cache entry")
+    bq = located(bind_statement(payload["sql"], catalog), payload["locate"])
+    signature = _check_signature(payload, bq)
+    plans = [CachedPlan(
+        internal_cost=plan["internal_cost"],
+        slots=tuple(AccessSlot(
+            slot["alias"], slot["table"], slot["required_order"],
+            tuple(slot["param_columns"]), slot["probes"], slot["scale"],
+        ) for slot in plan["slots"]),
+        order_vector=tuple(map(tuple, plan["order_vector"])),
+    ) for plan in payload["plans"]]
+    _check_slots(plans, bq)
     cache = QueryCache.from_plan_terms(
-        bq, plans, build_optimizer_calls=calls
+        bq, plans, build_optimizer_calls=payload["build_optimizer_calls"]
     )
     return signature, cache
-
-
-# ----------------------------------------------------------------------
-# Stream events (scheduler pending buffers).
-# ----------------------------------------------------------------------
 
 
 def event_to_wire(event):
     """One tenant stream event — ``(phase, sql)`` or plain SQL — as a
     two-element array.  Plain SQL becomes a null phase, which ingests
     identically (a ``None`` phase never triggers drift handling)."""
-    if isinstance(event, tuple):
-        phase, sql = event
-    else:
-        phase, sql = None, event
-    return [phase, sql]
+    return list(event) if isinstance(event, tuple) else [None, event]
 
 
 def event_from_wire(payload, catalog):
     """Rebuild a stream event from its wire form (always the tuple
     shape; ``(None, sql)`` is ingest-equivalent to bare SQL).  The SQL
     must bind against *catalog*, the tenant's: it is ingested later."""
-    if len(_array(payload, "stream event")) != 2:
-        raise WireFormatError("stream event %r is not [phase, sql]"
-                              % (payload,))
-    bind_statement(_name(payload[1], "event sql"), catalog)
-    return (_name(payload[0], "event phase", optional=True), payload[1])
-
-
-# ----------------------------------------------------------------------
-# Telemetry deltas (worker-process metrics + spans).
-# ----------------------------------------------------------------------
+    conform(payload, _EVENT, "stream event")
+    bind_statement(payload[1], catalog)
+    return tuple(payload)
 
 
 def obs_to_wire(delta):
-    """One :func:`repro.obs.drain_deltas` payload as a wire section.
-
-    The delta is already JSON-safe (counter/histogram samples as plain
-    lists, finished spans as dicts); this stamps the payload kind so
-    :func:`loads` can route it, and the envelope version so a receiver
-    speaking an older telemetry schema rejects it loudly instead of
-    merging garbage into its registry."""
+    """One :func:`repro.obs.drain_deltas` payload as a wire section,
+    stamped with its kind so :func:`loads` can route it."""
     return {
         "kind": KIND_OBS,
         "counters": list(delta.get("counters", ())),
@@ -419,19 +470,34 @@ def obs_to_wire(delta):
     }
 
 
+def _check_registry(payload):
+    """Every family of the delta merges into the live registry: the
+    kind, label names and buckets it is declared with there (or earlier
+    in the delta) are the delta's, and each sample carries one value per
+    label and one count per bucket."""
+    declared = {}
+    for kind in ("counter", "histogram"):
+        for family in payload[kind + "s"]:
+            name, buckets = family["name"], tuple(family.get("buckets", ()))
+            shape = (kind, tuple(family["labelnames"]), buckets)
+            known = declared.setdefault(
+                name, obs.metrics().declared(name) or shape)
+            if known != shape:
+                raise WireFormatError("telemetry family %r is %r here, %r "
+                                      "in the delta" % (name, known, shape))
+            for sample in family["samples"]:
+                if len(sample[0]) != len(shape[1]) or kind == "histogram" \
+                        and len(sample[1]) != len(buckets) + 1:
+                    raise WireFormatError("telemetry sample %r does not "
+                                          "fit family %r" % (sample, name))
+
+
 def obs_from_wire(payload):
-    """Validate and return a telemetry-delta payload — feed the result
-    to :func:`repro.obs.ingest_deltas`."""
-    if payload.get("kind") != KIND_OBS:
-        raise WireFormatError(
-            "expected %r payload, got %r" % (KIND_OBS, payload.get("kind"))
-        )
+    """Validate and return a telemetry-delta payload for
+    :func:`repro.obs.ingest_deltas`."""
+    conform(payload, SHAPES[KIND_OBS], "telemetry delta")
+    _check_registry(payload)
     return payload
-
-
-# ----------------------------------------------------------------------
-# Envelope: version stamping and checked parsing.
-# ----------------------------------------------------------------------
 
 
 def dumps(payload, indent=None):
@@ -445,7 +511,8 @@ def dumps(payload, indent=None):
 def check_version(payload):
     """Validate the envelope; raises :class:`WireFormatError` on any
     version mismatch (no silent best-effort parsing of foreign data)."""
-    version = _object(payload, "wire payload").get("wire_version")
+    conform(payload, {}, "wire payload")
+    version = payload.get("wire_version")
     if version != WIRE_VERSION:
         raise WireFormatError(
             "unsupported wire version %r (this build speaks %d)"
@@ -458,18 +525,13 @@ def loads(text, catalog=None, pool=None):
     """Parse a wire-format JSON string.
 
     Cache-entry payloads need *catalog* and return ``(signature,
-    QueryCache)``; tenant/service payloads return the validated dict —
-    they are materialized by :meth:`TenantSession.from_snapshot` /
-    :meth:`TuningService.restore`, which own the live objects.
-
+    QueryCache)``; tenant/service payloads return the dict, validated
+    and materialized by :meth:`TuningService.restore` and friends.
     With *pool* (an :class:`~repro.evaluation.InumCachePool` or its
-    sharded twin) a cache entry is additionally *installed*: put into
-    the pool if its signature is not already resident, and its columnar
-    kernel rebuilt from the just-loaded plan terms
-    (:meth:`~repro.evaluation.pool.InumCachePool.kernel_for`).  Kernels
-    never cross the wire — they are derived state, recompiled on the
-    receiving side from the plan terms that do — so the encoding is
-    unchanged and the wire version does not move."""
+    sharded twin) the payload must be a cache entry, and it is also
+    *installed*: put into the pool unless resident, and its columnar
+    kernel rebuilt from the just-loaded plan terms (kernels never cross
+    the wire)."""
     try:
         payload = json.loads(text)
     except (TypeError, ValueError) as exc:  # not JSON at all
@@ -486,6 +548,8 @@ def loads(text, catalog=None, pool=None):
                 pool.put(signature, cache)
             pool.kernel_for(signature)
         return signature, cache
+    if pool is not None:
+        raise WireFormatError("a %r payload is no cache entry" % (kind,))
     if kind == KIND_OBS:
         return obs_from_wire(payload)
     if kind in (KIND_TENANT, KIND_SERVICE):

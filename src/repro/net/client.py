@@ -65,14 +65,21 @@ from repro.util import DesignError, TransportError, WireFormatError
 __all__ = ["FleetBackplane", "RemoteBackplane", "RunnerConnection"]
 
 
-def _raise_error_frame(frame):
-    """Re-raise a runner's error frame as the right client exception:
+def _answer(frame, kind=None):
+    """A runner's reply, checked against the *kind* shape if given.  An
+    error frame is raised as the right client exception instead:
     format/version failures are fatal (:class:`WireFormatError`),
     everything else is a retryable :class:`TransportError`."""
-    message = "runner error: %s" % (frame.get("error"),)
-    if frame.get("wire_error"):
-        raise WireFormatError(message)
-    raise TransportError(message)
+    wire.conform(frame, {"kind": str}, "runner reply")
+    if frame["kind"] == wire.KIND_ERROR:
+        wire.conform(frame, wire.SHAPES[wire.KIND_ERROR], "error frame")
+        message = "runner error: %s" % (frame["error"],)
+        if frame["wire_error"]:
+            raise WireFormatError(message)
+        raise TransportError(message)
+    if kind is not None:
+        wire.conform(frame, wire.SHAPES[kind], "%s frame" % (kind,))
+    return frame
 
 
 def catalog_frame_for(evaluator):
@@ -125,18 +132,9 @@ class RunnerConnection:
         try:
             sock.settimeout(self.timeout)
             send_frame(sock, {"kind": wire.KIND_HELLO, "role": "client"})
-            reply = recv_frame(sock)
-            if reply.get("kind") == wire.KIND_ERROR:
-                _raise_error_frame(reply)
-            if reply.get("kind") != wire.KIND_HELLO:
-                raise WireFormatError(
-                    "runner %s answered the handshake with %r"
-                    % (self.address, reply.get("kind"))
-                )
+            _answer(recv_frame(sock), wire.KIND_HELLO)
             send_frame(sock, self._catalog_frame)
-            ack = recv_frame(sock)
-            if ack.get("kind") == wire.KIND_ERROR:
-                _raise_error_frame(ack)
+            _answer(recv_frame(sock), wire.KIND_RESULT)
         except BaseException:
             self.close()
             raise
@@ -144,9 +142,10 @@ class RunnerConnection:
 
     def request(self, frame):
         """One synchronous round trip: send a task frame, return the
-        result payload.  Any transport failure leaves the connection
-        closed (the retry layer reconnects); an error frame is raised
-        as its proper exception."""
+        result frame, unchecked (:meth:`FleetBackplane._install` checks
+        it).  Any transport failure leaves the connection closed (the
+        retry layer reconnects); an error frame is raised as its proper
+        exception."""
         if self._sock is None:
             self.connect()
         sock = self._sock
@@ -156,9 +155,7 @@ class RunnerConnection:
         except (TransportError, OSError):  # a timeout is an OSError
             self.close()
             raise
-        if reply.get("kind") == wire.KIND_ERROR:
-            _raise_error_frame(reply)
-        return reply
+        return _answer(reply)
 
     def close(self):
         sock, self._sock = self._sock, None
@@ -434,17 +431,17 @@ class FleetBackplane:
         self._inflight.difference_update(item[0] for item in leftovers)
         self._m_inflight.dec(len(replies) + len(leftovers))
         for __, conn, reply in replies:
+            _answer(reply, wire.KIND_RESULT)
+            delta = reply["obs"] and wire.obs_from_wire(reply["obs"])
             # pool= installs the entry *and* rebuilds its columnar
             # kernel from the shipped plan terms, so an offloaded
             # warm-up prewarms compiled kernels, not just raw caches.
-            loaded = wire.loads(
-                reply.get("entry"), evaluator.catalog, pool=evaluator.pool
+            __, cache = wire.loads(
+                reply["entry"], evaluator.catalog, pool=evaluator.pool
             )
-            if not isinstance(loaded, tuple):  # some other wire payload
-                raise WireFormatError("warm result carries no cache entry")
-            evaluator.remember_terms(loaded[1])
-            if reply.get("obs"):
-                obs.ingest_deltas(wire.obs_from_wire(reply["obs"]))
+            evaluator.remember_terms(cache)
+            if delta:
+                obs.ingest_deltas(delta)
             self._m_tasks.labels(node=conn.address, op="warm").inc()
         for __, task in leftovers:
             if self._connections:  # no workers by design is no fallback

@@ -1,53 +1,40 @@
 """The runner: the one worker of the costing fleet.
 
-A runner serves one loop per connection — handshake, catalog, tasks —
-and the fleet has no other kind of worker.  ``python -m repro runner
---listen host:port`` accepts connections on a socket and a
-:class:`~repro.net.client.RemoteBackplane` on another box dials it; a
+A runner serves one loop per connection — handshake, catalog, tasks.
+``python -m repro runner --listen host:port`` accepts connections on a
+socket that a :class:`~repro.net.client.RemoteBackplane` dials; a
 :class:`~repro.evaluation.process.ProcessPoolBackplane` forks children
 that each serve the same loop (:meth:`RunnerNode.serve_connection`) on
-one end of a ``socket.socketpair()``.  Per connection the protocol is:
+one end of a ``socket.socketpair()``.  Per connection:
 
-1. **hello** — the client's version-stamped handshake; a mismatched
-   wire version is answered with an error frame (``wire_error=True``,
-   so the client raises :class:`~repro.util.WireFormatError`) and the
-   connection is dropped before any state is built;
-2. **catalog** — shipped exactly once: the serialized catalog dict,
-   planner settings and pool capacity.  The runner rebuilds its own
-   catalog (statistics rebuild deterministically) and stands up a
-   private :class:`~repro.evaluation.WorkloadEvaluator` — the
-   connection's cache;
-3. **tasks** — ``warm`` frames, the fleet's one task op: build one
-   statement's INUM cache (:func:`perform_warm`, the seam the client's
-   local fallback shares), answered with a result frame carrying the
-   wire cache entry and the runner's telemetry shipment (``KIND_OBS``
-   deltas, spans stitched via ``remote_parent``).
+1. **hello** — a mismatched wire version is answered with an error
+   frame (``wire_error=True``: the client raises
+   :class:`~repro.util.WireFormatError`) before any state is built;
+2. **catalog** — shipped once: catalog, planner settings and pool
+   capacity, from which the runner stands up a private
+   :class:`~repro.evaluation.WorkloadEvaluator`, the connection's cache;
+3. **tasks** — ``warm`` frames: build one statement's INUM cache
+   (:func:`perform_warm`, shared with the client's local fallback),
+   answered with the wire entry and the runner's telemetry deltas.
 
-An entry is a pure function of (SQL, catalog, settings) and a
-connection's catalog never changes, so the connection's evaluator simply
-*is* its cache: a statement re-requested while its entry is resident is
-served, not rebuilt, and one re-requested after the mirrored
-``pool_capacity`` evicted it is decoded from the plan terms the evaluator
-remembers (``WorkloadEvaluator.cache_for``) — the optimizer runs once per
-statement and connection.  Both frame shapes are outside input: a malformed
-one, or one whose SQL does not bind to the shipped catalog, is answered
-``wire_error=True`` like a version mismatch — fatal, never retried.
-
-The node serves each connection on its own daemon thread and keeps the
-evaluator connection-scoped, so concurrent clients (or one client with
-several backplanes) never share caches.
+An entry is a pure function of (SQL, catalog, settings), so the
+connection's evaluator *is* its cache: a re-requested statement is
+served, or decoded from plan terms the evaluator remembers, never
+re-planned.  Every frame is checked against its ``wire.SHAPES`` entry;
+one that does not conform, or whose catalog or SQL does not hold
+together, is answered ``wire_error=True`` — fatal, never retried.
+Connections are served on daemon threads and never share caches.
 """
 
 import socket
 import threading
+from dataclasses import fields
 
 from repro import obs
 from repro.catalog.serialize import catalog_from_dict
 from repro.evaluation import wire
 from repro.net.frames import error_frame, hang_up, recv_frame, send_frame
 from repro.optimizer.settings import PlannerSettings
-from repro.optimizer.writecost import locate_query
-from repro.sql.binder import BoundWrite
 from repro.util import ReproError, TransportError, WireFormatError
 
 __all__ = ["RunnerNode", "parse_listen_address", "perform_warm"]
@@ -71,19 +58,13 @@ def perform_warm(evaluator, sql, locate, ctx=None):
     task *does*, wherever it runs: on a runner's evaluator, or on the
     client's own when no runner is left to ask.
 
-    ``locate`` marks a shipped write statement whose locate query (the
-    synthetic SELECT pricing UPDATE/DELETE row location) must be
-    re-derived on this side, mirroring ``wire.entry_from_wire``.
-    ``ctx`` is the dispatching span's ``(trace_id, span_id)``, so this
-    worker's spans stitch into the parent's trace.  Returns the built
-    ``(signature, cache)`` pair."""
+    ``locate`` asks for the locate query of a shipped write statement
+    (:func:`wire.located`); ``ctx`` is the dispatching span's
+    ``(trace_id, span_id)``, so this worker's spans stitch into the
+    parent's trace.  Returns the built ``(signature, cache)`` pair."""
     with obs.tracer().span("worker.warm_up", remote_parent=ctx,
                            locate=locate):
-        bq = evaluator.bound(sql)
-        if locate != isinstance(bq, BoundWrite):
-            raise WireFormatError("locate=%r on %r" % (locate, sql))
-        if locate:
-            bq = locate_query(bq)
+        bq = wire.located(evaluator.bound(sql), locate)
         cache = evaluator.cache_for(bq)
         signature = evaluator.signature(bq)
     return signature, cache
@@ -227,23 +208,13 @@ class RunnerNode:
                 pass
 
     def _converse(self, sock):
-        # Handshake: validate the client's version ourselves so a
-        # mismatch is *answered* (error frame, wire_error) instead of
-        # silently dropped — that reply is what turns into the client's
-        # WireFormatError.
+        # Handshake: check the client's version here, so a mismatch is
+        # *answered* (wire_error) — the client's WireFormatError.
         hello = recv_frame(sock, check_version=False)
         if hello.get("kind") == wire.KIND_ERROR:
             return
-        try:
-            wire.check_version(hello)
-        except WireFormatError as exc:
-            self._try_reply(sock, error_frame(exc, wire_error=True))
-            return
-        if hello.get("kind") != wire.KIND_HELLO:
-            raise WireFormatError(
-                "expected %r handshake, got %r"
-                % (wire.KIND_HELLO, hello.get("kind"))
-            )
+        wire.check_version(hello)
+        wire.conform(hello, wire.SHAPES[wire.KIND_HELLO], "hello frame")
         send_frame(sock, {"kind": wire.KIND_HELLO, "role": "runner"})
 
         evaluator = self._build_evaluator(recv_frame(sock))
@@ -251,11 +222,6 @@ class RunnerNode:
 
         while True:
             frame = recv_frame(sock)  # TransportError on clean EOF
-            if frame.get("kind") != wire.KIND_TASK:
-                raise WireFormatError(
-                    "expected %r frame, got %r"
-                    % (wire.KIND_TASK, frame.get("kind"))
-                )
             self.tasks_served += 1
             if self._dead():
                 # Failure injection: die mid-protocol, no reply.
@@ -267,46 +233,29 @@ class RunnerNode:
         """The connection's cache: a private evaluator over the shipped
         catalog.  Rebuilding from the frame is deterministic, so a
         failure is the frame's and re-sending it cannot help."""
-        if frame.get("kind") != wire.KIND_CATALOG:
-            raise WireFormatError(
-                "expected %r frame before any task, got %r"
-                % (wire.KIND_CATALOG, frame.get("kind"))
-            )
         from repro.evaluation.evaluator import WorkloadEvaluator
         from repro.evaluation.pool import InumCachePool
 
-        try:
-            catalog = catalog_from_dict(frame["catalog"])
-            settings = frame.get("settings")
-            if settings is not None:
-                for name, value in settings.items():
-                    # A non-number would only fail later, inside a plan.
-                    flag = type(getattr(PlannerSettings, name)) is bool
-                    if type(value) not in ((bool,) if flag else (int, float)):
-                        raise TypeError("setting %s=%r" % (name, value))
-                settings = PlannerSettings(**settings)
-            pool = InumCachePool(capacity=frame.get("pool_capacity"))
-        except (AttributeError, LookupError, TypeError, ValueError) as exc:
-            raise WireFormatError("malformed catalog frame: %r" % exc) from exc
-        return WorkloadEvaluator(catalog, settings, pool=pool)
+        wire.conform(frame, wire.SHAPES[wire.KIND_CATALOG], "catalog frame")
+        settings = frame["settings"]
+        if settings is not None:  # PlannerSettings bounds the values
+            settings = PlannerSettings(**{
+                f.name: settings[f.name] for f in fields(PlannerSettings)
+            })
+        return WorkloadEvaluator(
+            catalog_from_dict(frame["catalog"]), settings,
+            pool=InumCachePool(capacity=frame["pool_capacity"]),
+        )
 
     # ------------------------------------------------------------------
     # Task execution.
     # ------------------------------------------------------------------
 
     def _handle_task(self, evaluator, frame):
-        op = frame.get("op")
-        if op != "warm":
-            raise WireFormatError("unknown task op %r" % (op,))
-        sql, ctx = frame.get("sql"), frame.get("ctx")
-        if not isinstance(sql, str) or not (
-            ctx is None or isinstance(ctx, list) and len(ctx) == 2
-        ):
-            raise WireFormatError(
-                "malformed task frame: sql=%r ctx=%r" % (sql, ctx)
-            )
+        wire.conform(frame, wire.SHAPES[wire.KIND_TASK], "task frame")
+        ctx = frame["ctx"]
         signature, cache = perform_warm(
-            evaluator, sql, bool(frame.get("locate")), ctx and tuple(ctx)
+            evaluator, frame["sql"], frame["locate"], ctx and tuple(ctx)
         )
         return {
             "kind": wire.KIND_RESULT,

@@ -253,6 +253,12 @@ class MetricsRegistry:
                   buckets=DEFAULT_BUCKETS):
         return self._family(name, HISTOGRAM, help_text, labelnames, buckets)
 
+    def declared(self, name):
+        """``(kind, labelnames, buckets)`` of the family *name*, or
+        ``None`` before it is declared."""
+        family = self._families.get(name)
+        return family and (family.kind, family.labelnames, family.buckets)
+
     # ------------------------------------------------------------------
     # Collectors.
     # ------------------------------------------------------------------
@@ -528,6 +534,9 @@ class _NullRegistry:
     def histogram(self, name, help_text="", labelnames=(),
                   buckets=DEFAULT_BUCKETS):
         return _NULL_HANDLE
+
+    def declared(self, name):
+        return None
 
     def add_collector(self, callback):
         pass

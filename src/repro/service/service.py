@@ -44,15 +44,6 @@ from repro.util import DesignError, WireFormatError
 
 STATE_FILENAME = "service.json"
 
-# The fields :meth:`TuningService.restore` reads, as a
-# :func:`~repro.evaluation.wire.conform` shape (each session checks its
-# own, each pending event is a ``[phase, sql]`` pair).
-_SNAPSHOT = {
-    "kind": frozenset({wire.KIND_SERVICE}),
-    "tenants": [{"backplane": str, "session": {"name": str}}],
-    "scheduler": {"pending": {str: [[(None, str)]]}},
-}
-
 
 @dataclass
 class Backplane:
@@ -367,7 +358,8 @@ class TuningService:
         left them.  Returns the restored sessions by name.  A payload
         that does not decode raises a :class:`~repro.util.ReproError`
         and changes nothing."""
-        wire.conform(payload, _SNAPSHOT, "service snapshot")
+        wire.conform(payload, wire.SHAPES[wire.KIND_SERVICE],
+                     "service snapshot")
         with self._lock:
             # All-or-nothing: validate names/backplanes and materialize
             # every session and pending event *before* registering any,

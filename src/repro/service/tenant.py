@@ -34,33 +34,16 @@ from repro.designer.facade import Designer
 from repro.evaluation import wire
 from repro.runtime.steps import Step
 from repro.sql.binder import bind_statement
-from repro.util import WireFormatError
 
 # The refresh policy every tenant runs: a design review at every phase
 # boundary, index-only greedy selection within a quarter of the
-# catalog's pages.
+# catalog's pages.  (The tenant shape of ``wire.SHAPES`` accepts these
+# values in snapshots of builds that wrote them as options.)
 REFRESH_ON_DRIFT = True
 BUDGET_FRAC = 0.25
 SOLVER = "greedy"
 PARTITIONS = False
 
-# The fields :meth:`TenantSession.from_snapshot` reads, as a
-# :func:`~repro.evaluation.wire.conform` shape (the tuner checks its own).
-_COLT = {f.name: f.type for f in fields(ColtSettings)}
-_SNAPSHOT = {
-    "kind": frozenset({wire.KIND_TENANT}), "name": str, "queries": int,
-    "phase": (None, str), "phases_seen": [str], "window_queries": [str],
-    "finished": bool, "tuner": {},
-    "options": dict(colt_settings=_COLT, recommend_every=int, window=int,
-                    budget_pages=int),
-    "drift_events": [dict(at_query=int, from_phase=str, to_phase=str)],
-    "recommendations": [dict(at_query=int, phase=(None, str), trigger=str,
-                             indexes=[str], improvement_pct=float)],
-}
-# Options a snapshot used to carry that are now the constants above: a
-# file may still name them, but only at the value this build runs.
-_CONSTANT_OPTIONS = {"solver": SOLVER, "refresh_on_drift": REFRESH_ON_DRIFT,
-                     "partitions": PARTITIONS}
 
 
 @dataclass(frozen=True)
@@ -357,17 +340,9 @@ class TenantSession:
         costing substrate is re-provided — exactly like the INUM cache
         entries themselves).  A payload the session could not run on
         raises a :class:`~repro.util.ReproError`."""
-        wire.conform(payload, _SNAPSHOT, "tenant snapshot")
+        wire.conform(payload, wire.SHAPES[wire.KIND_TENANT],
+                     "tenant snapshot")
         options = payload["options"]
-        if options["window"] < 1:
-            raise WireFormatError("a tenant window holds at least 1 query")
-        for key, value in _CONSTANT_OPTIONS.items():
-            found = options.get(key, value)
-            if type(found) is not type(value) or found != value:
-                raise WireFormatError(
-                    "tenant snapshot option %s=%r: this build runs %r only"
-                    % (key, found, value)
-                )
         for sql in payload["window_queries"]:
             bind_statement(sql, catalog)  # every refresh re-prices them
         session = cls(
@@ -375,7 +350,8 @@ class TenantSession:
             catalog,
             evaluator,
             colt_settings=ColtSettings(**{
-                key: options["colt_settings"][key] for key in _COLT
+                f.name: options["colt_settings"][f.name]
+                for f in fields(ColtSettings)
             }),
             recommend_every=options["recommend_every"],
             window=options["window"],

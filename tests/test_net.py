@@ -24,10 +24,12 @@ The ISSUE-10 acceptance pins live here:
   evicted statement is decoded locally — it ships no task frame, is
   nothing to wait for, and costs no optimizer call — and a reply whose
   entry is malformed leaves the pool and that memo as they were;
-* the trust boundary (ISSUE 22): a malformed catalog or task frame is
-  answered ``wire_error=True`` — fatal on the client after one request,
-  never retried, the node not counted dead — and a hypothesis fuzz of
-  both frame shapes gets nothing but result or wire-error frames back;
+* the trust boundary: a malformed catalog or task frame —
+  catalog contents included — is answered ``wire_error=True``, fatal on
+  the client after one request, never retried, the node not counted
+  dead; a telemetry delta that does not validate merges nothing; and
+  every frame kind is fuzzed from one seed by ``tests/shapes.py``: a
+  frame its ``wire.SHAPES`` entry rejects is always a wire error;
 * close semantics mirror the process backplane: idempotent, loud
   :class:`DesignError` on use-after-close, no leaked connections;
 * a :class:`RemoteStepExecutor` scheduled run matches inline execution
@@ -47,7 +49,7 @@ import struct
 import threading
 
 import pytest
-from hypothesis import given, settings as hsettings
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from repro import obs
@@ -64,14 +66,23 @@ from repro.net import (
     recv_frame,
     send_frame,
 )
-from repro.net.client import catalog_frame_for
+from repro.net.client import _answer, catalog_frame_for
 from repro.optimizer import PlannerSettings
 from repro.runtime import RemoteStepExecutor, StepExecutor
 from repro.service import TuningService
-from repro.util import DesignError, TransportError, WireFormatError
+from repro.util import (
+    DesignError,
+    ReproError,
+    TransportError,
+    WireFormatError,
+)
 from repro.workloads import DriftPhase, drifting_stream, sdss
 from repro.workloads import sdss_catalog as make_sdss
 from repro.workloads import sdss_workload
+
+import shapes
+from shapes import conforms, neighbours
+from test_serialize import MALFORMED_CATALOGS
 
 SDSS_PHASES = (
     DriftPhase("positional", 10, ((sdss.template("cone_search"), 1.0),)),
@@ -112,6 +123,14 @@ def _send_raw(sock, payload):
     foreign-version peer looks on the wire."""
     body = json.dumps(payload).encode("utf-8")
     sock.sendall(struct.pack("!I", len(body)) + body)
+
+
+def _send_any(sock, payload):
+    """Send any JSON value as a frame: an object version-stamped as
+    ``send_frame`` would, anything else as is."""
+    if isinstance(payload, dict):
+        payload = dict(payload, wire_version=wire.WIRE_VERSION)
+    _send_raw(sock, payload)
 
 
 # ----------------------------------------------------------------------
@@ -991,37 +1010,18 @@ class TestMalformedFrames:
         assert registry.value(
             "repro_remote_node_deaths_total", node="node-0") == 0
 
-
-def json_kind(value):
-    return ("number" if type(value) in (int, float)
-            else type(value).__name__)
-
-
-JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=6)
-    | st.floats(allow_nan=False, allow_infinity=False),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-    max_leaves=6,
-)
-
-
-@st.composite
-def mangled(draw, frame, nested=()):
-    """*frame* with keys dropped, values replaced by JSON of another
-    kind and stray keys added; the objects under *nested* keys are
-    mangled the same way, one level down."""
-    out = dict(draw(st.dictionaries(st.text(max_size=6), JSON, max_size=2)))
-    for key, value in frame.items():
-        fate = draw(st.sampled_from(["keep", "keep", "drop", "retype"]))
-        if key in nested and isinstance(value, dict) and fate == "keep":
-            out[key] = draw(mangled(value))
-        elif fate == "keep":
-            out[key] = value
-        elif fate == "retype":
-            out[key] = draw(JSON.filter(
-                lambda other: json_kind(other) != json_kind(value)))
-    return out
+    @pytest.mark.parametrize("path, value", [case[1:] for case in
+                                             MALFORMED_CATALOGS],
+                             ids=[case[0] for case in MALFORMED_CATALOGS])
+    def test_malformed_catalog_contents_are_a_wire_error_and_the_node_serves_on(
+            self, astro_catalog, path, value):
+        good = catalog_frame_for(WorkloadEvaluator(astro_catalog))
+        node = RunnerNode()
+        frame = shapes.edited(good, ("catalog",) + path, value)
+        (reply,) = converse(node, frame, TASK)
+        assert reply["kind"] == wire.KIND_ERROR and reply["wire_error"], reply
+        ack, result = converse(node, good, TASK)
+        assert result["kind"] == wire.KIND_RESULT and result["entry"]
 
 
 def converse(node, *frames):
@@ -1037,7 +1037,7 @@ def converse(node, *frames):
         send_frame(ours, {"kind": wire.KIND_HELLO, "role": "client"})
         assert recv_frame(ours)["kind"] == wire.KIND_HELLO
         for frame in frames:
-            send_frame(ours, frame)
+            _send_any(ours, frame)
             replies.append(recv_frame(ours))
             if replies[-1]["kind"] == wire.KIND_ERROR:
                 break
@@ -1063,25 +1063,155 @@ def test_absurd_settings_frame_is_a_wire_error_and_the_node_serves_on(
         assert result["kind"] == wire.KIND_RESULT and result["entry"]
 
 
+# The seeds every frame kind is fuzzed from (``tests/shapes.py``), built
+# the way the runner and the client build them.
+GOOD = catalog_frame_for(WorkloadEvaluator(make_sdss(scale=0.01),
+                                           PlannerSettings()))
+HELLO = {"kind": wire.KIND_HELLO, "role": "client"}
+
+
+def _seed_delta():
+    """A runner's telemetry shipment: a labelled and a plain counter, a
+    histogram and a span."""
+    obs.reset()
+    with obs.tracer().span("worker.warm_up", locate=False):
+        registry = obs.metrics()
+        registry.counter("repro_ok_total", "ok", ("node",)).labels(
+            node="a").inc(3)
+        registry.counter("repro_other_total", "other").inc()
+        registry.histogram("repro_wait_seconds", "wait").observe(0.01)
+    delta = json.loads(json.dumps(wire.obs_to_wire(obs.drain_deltas())))
+    obs.reset()
+    return delta
+
+
+def _seed_result():
+    evaluator = WorkloadEvaluator(make_sdss(scale=0.01))
+    bq = evaluator.bound(TASK["sql"])
+    return {"kind": wire.KIND_RESULT, "op": "warm", "obs": DELTA,
+            "entry": wire.dumps(wire.entry_to_wire(
+                evaluator.signature(bq), evaluator.cache_for(bq)))}
+
+
+DELTA = _seed_delta()
+RESULT = _seed_result()
+ERROR = {"kind": wire.KIND_ERROR, "error": "no", "wire_error": True}
+
+
+def telemetry():
+    """Counters, histograms and spans — what an ingest may move.  (The
+    in-flight gauge counts a reply as taken whether or not it installs.)"""
+    snapshot = obs.metrics().snapshot()
+    return (snapshot["counters"], snapshot["histograms"],
+            obs.tracer().export())
+
+
+def install(backplane, reply):
+    """Hand *reply* to ``_install`` as a drainer would have."""
+    class Node:
+        address = "node-0"
+
+    backplane._replies.append((None, Node(), reply))
+    backplane._install()
+
+
+@pytest.mark.parametrize("delta", [
+    [1],
+    dict(DELTA, counters=[
+        DELTA["counters"][0],
+        dict(DELTA["counters"][1], samples=[[[], "x"]]),
+    ]),
+    {"spans": [5]},
+], ids=["not-an-object", "second-counter-a-string", "spans-only"])
+def test_a_malformed_delta_merges_nothing(astro_catalog, delta):
+    """All or nothing: a telemetry delta that does not validate is a
+    WireFormatError at install, and no counter, histogram or span of it
+    lands — nor the entry it came with."""
+    evaluator = WorkloadEvaluator(astro_catalog)
+    with FleetBackplane(evaluator, []) as backplane:
+        before = telemetry()
+        with pytest.raises(WireFormatError):
+            install(backplane, dict(RESULT, obs=delta))
+        assert telemetry() == before
+    assert obs.metrics().value("repro_ok_total", node="a") == 0
+    assert len(evaluator.pool) == 0
+
+
 class TestFrameFuzz:
-    @given(data=st.data())
-    @hsettings(max_examples=60, deadline=None)
+    """Every frame kind of ``wire.SHAPES`` — and the telemetry delta a
+    result frame carries — fuzzed from one seed by ``tests/shapes.py``:
+    a frame the shape rejects is always a wire error."""
+
+    @given(catalog_frame=neighbours(GOOD, wire.SHAPES[wire.KIND_CATALOG]),
+           task_frame=neighbours(TASK, wire.SHAPES[wire.KIND_TASK])
+           | st.builds(lambda sql: dict(TASK, sql=sql), st.text(max_size=30)))
     def test_every_reply_is_a_result_or_a_wire_error(
-            self, astro_catalog, data):
-        good = catalog_frame_for(WorkloadEvaluator(
-            astro_catalog, PlannerSettings()))
+            self, catalog_frame, task_frame):
         node = RunnerNode()
-        catalog_frame = data.draw(st.just(good) | mangled(
-            good, nested=("catalog", "settings")))
-        task_frame = data.draw(mangled(TASK) | st.builds(
-            lambda sql: dict(TASK, sql=sql), st.text(max_size=30)))
-        for reply in converse(node, catalog_frame, task_frame):
+        replies = converse(node, catalog_frame, task_frame)
+        for reply in replies:
             assert reply["kind"] == wire.KIND_RESULT or (
                 reply["kind"] == wire.KIND_ERROR and reply["wire_error"]
             ), reply
+        if not conforms(catalog_frame, wire.SHAPES[wire.KIND_CATALOG]):
+            assert len(replies) == 1
+        elif not conforms(task_frame, wire.SHAPES[wire.KIND_TASK]):
+            assert replies[-1]["kind"] == wire.KIND_ERROR
+        event("%d replies, last %s" % (len(replies), replies[-1]["kind"]))
         # Whatever it was just sent, the node still serves.
-        ack, result = converse(node, good, TASK)
+        ack, result = converse(node, GOOD, TASK)
         assert result["kind"] == wire.KIND_RESULT and result["entry"]
+
+    @given(hello=neighbours(HELLO, wire.SHAPES[wire.KIND_HELLO]))
+    def test_a_hello_is_answered_by_a_hello_or_a_wire_error(self, hello):
+        ours, theirs = socket.socketpair()
+        server = threading.Thread(target=RunnerNode().serve_connection,
+                                  args=(theirs,), daemon=True)
+        server.start()
+        try:
+            ours.settimeout(WAIT_S)
+            _send_any(ours, hello)
+            reply = recv_frame(ours)
+        finally:
+            ours.close()
+            server.join(WAIT_S)
+        if conforms(hello, wire.SHAPES[wire.KIND_HELLO]):
+            assert reply["kind"] == wire.KIND_HELLO
+        else:
+            assert reply["kind"] == wire.KIND_ERROR and reply["wire_error"]
+
+    @given(reply=neighbours(RESULT, wire.SHAPES[wire.KIND_RESULT])
+           | neighbours(DELTA, wire.SHAPES[wire.KIND_OBS]).map(
+               lambda delta: dict(RESULT, obs=delta)))
+    def test_a_result_installs_whole_or_not_at_all(
+            self, astro_catalog, reply):
+        evaluator = WorkloadEvaluator(astro_catalog)
+        with FleetBackplane(evaluator, []) as backplane:
+            before = telemetry()
+            try:
+                install(backplane, reply)
+            except ReproError as exc:
+                event("refused: %s" % type(exc).__name__)
+                assert conforms(reply, wire.SHAPES[wire.KIND_RESULT]) \
+                    or isinstance(exc, WireFormatError)
+                assert telemetry() == before and len(evaluator.pool) == 0
+                return
+        event("installed")
+        assert conforms(reply, wire.SHAPES[wire.KIND_RESULT])
+        assert len(evaluator.pool) == 1
+        assert evaluator.evaluate_configurations(
+            [TASK["sql"]], [None]).matrix[0][0] > 0
+
+    @given(frame=neighbours(ERROR, wire.SHAPES[wire.KIND_ERROR]))
+    def test_an_error_frame_raises_its_typed_error(self, frame):
+        """Where a result is awaited, a (mangled) error frame raises: a
+        retryable TransportError only for a well-formed one that says it
+        is no format failure."""
+        with pytest.raises((WireFormatError, TransportError)) as raised:
+            _answer(frame, wire.KIND_RESULT)
+        if not conforms(frame, wire.SHAPES[wire.KIND_ERROR]) \
+                or frame.get("wire_error", False):
+            assert raised.type is WireFormatError
 
 
 # ----------------------------------------------------------------------

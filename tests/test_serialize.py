@@ -1,8 +1,13 @@
-"""Tests for catalog serialization: round trips and compatibility."""
+"""Tests for catalog serialization: round trips and compatibility, and
+catalog contents as a trust boundary (the catalog shape of
+``wire.SHAPES``, fuzzed by ``tests/shapes.py``)."""
 
+import copy
 import json
+import math
 
 import pytest
+from hypothesis import event, given
 
 from repro.catalog import (
     HorizontalPartitioning,
@@ -16,9 +21,12 @@ from repro.catalog.serialize import (
     load_catalog,
     save_catalog,
 )
+from repro.evaluation import wire
 from repro.optimizer import CostService
-from repro.util import CatalogError
+from repro.util import CatalogError, ReproError, WireFormatError
 from repro.workloads import sdss_catalog, sdss_workload, tpch_catalog
+
+from shapes import conforms, edited, neighbours
 
 
 def rich_catalog():
@@ -41,6 +49,24 @@ def rich_catalog():
         HorizontalPartitioning("photoobj", "ra", (90.0, 180.0, 270.0))
     )
     return catalog
+
+
+# Catalog contents a loader used to accept (or fail on untyped): each
+# is one WireFormatError now, on every path a catalog arrives by.
+_DIST = ("tables", 0, "columns", 1, "distribution")
+MALFORMED_CATALOGS = [
+    ("correlation-nan", _DIST + ("correlation",), math.nan),
+    ("correlation-5", _DIST + ("correlation",), 5.0),
+    ("low-nan", _DIST + ("low",), math.nan),
+    ("null-frac-nan", _DIST + ("null_frac",), math.nan),
+    ("width-negative", ("tables", 0, "columns", 1, "width"), -3),
+    ("row-count-bool", ("tables", 0, "row_count"), True),
+    ("row-count-1e300", ("tables", 0, "row_count"), 1e300),
+    ("unknown-type", ("tables", 0, "columns", 1, "type"), "varchar2"),
+    ("string-bounds", ("horizontal_partitionings",),
+     [{"table": "photoobj", "column": "ra", "bounds": "abc"}]),
+    ("not-an-object", (), [1]),
+]
 
 
 class TestRoundTrip:
@@ -99,6 +125,20 @@ class TestValidation:
     def test_missing_version_rejected(self):
         with pytest.raises(CatalogError):
             catalog_from_dict({})
+
+    @pytest.mark.parametrize("path, value", [case[1:] for case in
+                                             MALFORMED_CATALOGS],
+                             ids=[case[0] for case in MALFORMED_CATALOGS])
+    def test_malformed_contents_are_one_typed_error(
+            self, tmp_path, path, value):
+        payload = edited(catalog_to_dict(sdss_catalog(scale=0.01)),
+                         path, value)
+        with pytest.raises(WireFormatError):
+            catalog_from_dict(copy.deepcopy(payload))
+        file = tmp_path / "catalog.json"
+        file.write_text(json.dumps(payload))
+        with pytest.raises((CatalogError, WireFormatError)):
+            load_catalog(file)
 
     def test_stats_rebuilt_on_load(self):
         restored = catalog_from_dict(catalog_to_dict(rich_catalog()))
@@ -170,3 +210,28 @@ class TestStableIds:
         backward = stable_index_ids([three, two, one])
         assert forward == backward
         assert sorted(forward.values()) == [0, 1, 2]
+
+
+RICH = catalog_to_dict(rich_catalog())
+WORKLOAD = list(sdss_workload(n_queries=3, seed=4))
+
+
+class TestCatalogFuzz:
+    @given(payload=neighbours(RICH, wire.SHAPES[wire.CATALOG]))
+    def test_loads_typed_or_prices(self, payload):
+        """A catalog's one-mutation neighbours either fail typed — with a
+        WireFormatError whenever the shape refuses them — or load into a
+        catalog the optimizer prices."""
+        try:
+            catalog = catalog_from_dict(copy.deepcopy(payload))
+        except ReproError as exc:
+            event("refused: %s" % type(exc).__name__)
+            assert conforms(payload, wire.SHAPES[wire.CATALOG]) \
+                or isinstance(exc, WireFormatError)
+            return
+        event("loaded")
+        assert conforms(payload, wire.SHAPES[wire.CATALOG])
+        try:
+            assert CostService(catalog).workload_cost(WORKLOAD) >= 0
+        except ReproError as exc:  # e.g. a table the workload reads dropped
+            event("priced: %s" % type(exc).__name__)

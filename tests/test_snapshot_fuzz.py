@@ -5,15 +5,20 @@ is in that file reaches :meth:`TuningService.restore`,
 :meth:`TenantSession.from_snapshot`, :meth:`ColtTuner.restore_state`
 and :func:`wire.event_from_wire`.  Hypothesis takes a real mid-run
 snapshot of two tenants — one with events still buffered in the
-scheduler — and mangles it at every depth: a field deleted, replaced
-with any JSON value (or one lifted from elsewhere in the file), or an
-unknown key added.  Through ``load_state`` each mangled file must either
+scheduler — and draws its one-mutation neighbours from the service
+shape of ``wire.SHAPES`` (``tests/shapes.py``): a key dropped, a node
+swapped for a value its shape rejects or a leaf for one lifted from
+elsewhere in the file, an unknown key added.  Through ``load_state``
+each file must either
 
 * raise a typed :class:`~repro.util.ReproError` with the service's
   tenants, queue depths and snapshot exactly as before — a retry starts
   clean, and ``serve`` prints ``error:`` instead of a traceback; or
 * restore, after which every restored tenant runs the rest of its
   stream to completion.
+
+A file the shape rejects is always the first branch, with a
+:class:`~repro.util.WireFormatError`.
 
 Example budgets come from the hypothesis profile (``tests/conftest.py``;
 ``--hypothesis-profile=ci`` for ten times more).
@@ -27,7 +32,6 @@ import tempfile
 
 import pytest
 from hypothesis import event, example, given
-from hypothesis import strategies as st
 
 from repro.colt import ColtSettings
 from repro.evaluation import wire
@@ -36,6 +40,7 @@ from repro.util import ReproError
 from repro.workloads import DriftPhase, drifting_stream, sdss
 from repro.workloads import sdss_catalog as make_sdss
 
+from shapes import DROP, conforms, edited, neighbours
 from test_runtime import outcome
 
 PHASES = (
@@ -83,44 +88,13 @@ def _mid_run_snapshot():
 BASE = _mid_run_snapshot()
 
 
-def _paths(node, path=()):
-    yield path
-    items = (node.items() if isinstance(node, dict)
-             else enumerate(node) if isinstance(node, list) else ())
-    for key, child in items:
-        yield from _paths(child, path + (key,))
-
-
 def _at(node, path):
     for key in path:
         node = node[key]
     return node
 
 
-PATHS = list(_paths(BASE))
-LIFTED = [_at(BASE, path) for path in PATHS if path]  # values of the file
-
-JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
-    max_leaves=5,
-)
-
-
-def mangle(path, action, value):
-    payload = copy.deepcopy(BASE)
-    if not path:
-        return value if action == "replace" else payload
-    parent, key = _at(payload, path[:-1]), path[-1]
-    if action == "delete":
-        del parent[key]
-    elif action == "replace":
-        parent[key] = value
-    elif isinstance(parent[key], dict):  # "insert": an unknown key
-        parent[key]["unknown-field"] = value
-    return payload
+SHAPE = wire.SHAPES[wire.KIND_SERVICE]
 
 
 # What an earlier build wrote into every session's options for the four
@@ -167,40 +141,34 @@ def check(payload):
 
 def test_base_snapshot_restores_and_finishes():
     """The unmangled file is the property's second branch."""
-    assert len(PATHS) > 300
     assert BASE["scheduler"]["pending"]["t0"]  # the examples' paths
     assert len(BASE["tenants"][1]["session"]["tuner"]["candidates"]) > 2
-    assert check(mangle((), "keep", None)) == "restored"
+    assert check(copy.deepcopy(BASE)) == "restored"
 
 
-@given(
-    path=st.sampled_from(PATHS),
-    action=st.sampled_from(["delete", "replace", "insert"]),
-    value=JSON | st.sampled_from(LIFTED),
-)
+@given(payload=neighbours(BASE, SHAPE))
 # The cases found before the restore path checked its input: an
 # untyped error after a tenant was registered, or a traceback.
-@example(path=("scheduler", "pending", "t0", 0), action="replace",
-         value=["x"])
-@example(path=("scheduler", "pending", "t0"), action="replace", value="ab")
-@example(path=("tenants", 0, "session", "options"), action="delete",
-         value=None)
-@example(path=("tenants", 1), action="replace", value="x")
-@example(path=("tenants", 0, "session", "queries"), action="replace",
-         value="7")
+@example(payload=edited(BASE, ("scheduler", "pending", "t0", 0), ["x"]))
+@example(payload=edited(BASE, ("scheduler", "pending", "t0"), "ab"))
+@example(payload=edited(BASE, ("tenants", 0, "session", "options"), DROP))
+@example(payload=edited(BASE, ("tenants", 1), "x"))
+@example(payload=edited(BASE, ("tenants", 0, "session", "queries"), "7"))
 # Found by this test: a restored candidate that clashes with the index
 # of the same name the tuner harvests later in the run.
-@example(path=("tenants", 1, "session", "tuner", "candidates", 2, "index",
-               "unique"), action="replace", value=True)
+@example(payload=edited(BASE, ("tenants", 1, "session", "tuner",
+                               "candidates", 2, "index", "unique"), True))
 # A file naming a tenant option this build runs at one value only.
-@example(path=OPTIONS_PATH, action="replace", value=PARENT_OPTIONS)
-@example(path=OPTIONS_PATH, action="replace",
-         value=dict(PARENT_OPTIONS, refresh_on_drift=False))
-@example(path=OPTIONS_PATH, action="replace",
-         value=dict(PARENT_OPTIONS, solver="milp"))
-def test_mangled_snapshot_fails_typed_or_runs_to_completion(
-        path, action, value):
-    event(check(mangle(path, action, value)))
+@example(payload=edited(BASE, OPTIONS_PATH, PARENT_OPTIONS))
+@example(payload=edited(BASE, OPTIONS_PATH,
+                        dict(PARENT_OPTIONS, refresh_on_drift=False)))
+@example(payload=edited(BASE, OPTIONS_PATH,
+                        dict(PARENT_OPTIONS, solver="milp")))
+def test_mangled_snapshot_fails_typed_or_runs_to_completion(payload):
+    result = check(payload)
+    event(result)
+    if not conforms(payload, SHAPE):
+        assert result == "refused: WireFormatError"
 
 
 def test_parent_format_snapshot_restores_to_the_uninterrupted_outcome():

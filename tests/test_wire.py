@@ -12,13 +12,14 @@ The ISSUE-3 acceptance pins live here:
   drains to the survivor) or every worker is (local fallback);
 * wire payloads with a foreign version are rejected, never guessed at;
 * the decode seam is a trust boundary (ISSUE 23 put it on the hot path):
-  a hypothesis fuzz of entry payloads — wrong kinds, missing and stray
-  keys, empty or non-list ``plans``, non-finite / negative / oversized
-  numbers, slots on aliases, tables or columns the statement lacks —
-  raises only typed errors and leaves the pool as it was, and whatever
-  it does install prices.
+  the one-mutation neighbours of real entries (``tests/shapes.py``:
+  keys dropped or added, nodes their shape rejects, slots moved onto
+  another alias or table) raise only typed errors — a
+  :class:`WireFormatError` wherever the shape alone refuses — and leave
+  the pool as it was, and whatever installs prices.
 """
 
+import copy
 import itertools
 import json
 import math
@@ -30,7 +31,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings as hsettings
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from repro import obs
@@ -51,6 +52,10 @@ from repro.workloads import sdss, sdss_workload, tpch
 from repro.workloads import sdss_catalog as make_sdss
 from repro.workloads import tpch_catalog as make_tpch
 from repro.workloads.drift import default_phases, drifting_stream
+
+from shapes import conforms, neighbours
+
+ENTRY = wire.SHAPES[wire.KIND_ENTRY]
 
 
 def random_configuration(catalog, rng, n_indexes=2):
@@ -209,53 +214,6 @@ class TestVersionRejection:
         assert len(pool) == 0
 
 
-# What a number may be swapped for: nothing here is a cost.
-BAD_NUMBERS = [-1.0, -0.0001, math.inf, -math.inf, math.nan, 10 ** 400,
-               True, "1.0", None]
-# ... and a name: the statement's *other* aliases and tables among them,
-# so the slot/statement cross-check is what rejects, not a lookup.
-BAD_NAMES = ["zz", "", "p", "s", "photoobj", "specobj", 7, None]
-STRAY = st.dictionaries(
-    st.sampled_from(["epoch", "cache", "alias2", "x"]),
-    st.none() | st.integers(-2, 2) | st.text(max_size=3), max_size=1,
-)
-
-
-@st.composite
-def mangled(draw, value, odds=None, key=None):
-    """The JSON tree *value*, each node kept (and descended into),
-    dropped from its object, or — one time in *odds*, drawn once per
-    example so that shallow and deep damage both occur, and none at all
-    — swapped for something its field must reject; objects also collect
-    stray keys.  The signature is one node.  Arrays are kept whole,
-    emptied or retyped, never thinned: an entry that keeps only its
-    probe-only plans is well-formed, and no decoder short of the
-    planner could tell that it prices nothing."""
-    if odds is None:
-        odds = draw(st.sampled_from([0, 150, 40, 10]))
-    swap = odds and not draw(st.integers(0, odds - 1))
-    if key == "signature":
-        return draw(st.sampled_from(
-            [["write", "x"], [], {}, None, 4, value[:1]])) if swap else value
-    if isinstance(value, dict):
-        if swap:
-            return draw(st.sampled_from([None, [], "object", 3]))
-        out = dict(draw(STRAY)) if odds else {}
-        for name, child in value.items():
-            if not odds or draw(st.integers(0, 2 * odds)):  # else: dropped
-                out[name] = draw(mangled(child, odds, name))
-        return out
-    if isinstance(value, list):
-        if swap:
-            return draw(st.sampled_from([[], None, {}, "array", 0]))
-        return [draw(mangled(child, odds, key)) for child in value]
-    if not swap:
-        return value
-    if isinstance(value, str) or value is None:
-        return draw(st.sampled_from(BAD_NAMES).filter(lambda v: v != value))
-    return draw(st.sampled_from(BAD_NUMBERS))
-
-
 class TestEntryFuzz:
     JOIN = ("SELECT p.ra, s.z FROM photoobj p, specobj s "
             "WHERE p.objid = s.bestobjid AND s.z > 2.5 ORDER BY p.ra LIMIT 9")
@@ -275,29 +233,27 @@ class TestEntryFuzz:
                             for __ in range(3)]
         workload = [(self.JOIN, 1.0), (self.WRITE, 2.0)]
         reference = source.evaluate_configurations(workload, configs).matrix
-        return catalog, payloads, workload, configs, reference
+        entries = st.one_of([neighbours(p, ENTRY) for p in payloads])
+        return catalog, payloads, workload, configs, reference, entries
 
     @given(data=st.data())
-    @hsettings(max_examples=300, deadline=None)
     def test_only_typed_errors_and_nothing_half_installed(self, env, data):
-        catalog, payloads, workload, configs, reference = env
-        payload = data.draw(st.sampled_from(payloads).flatmap(mangled))
+        catalog, payloads, workload, configs, reference, entries = env
+        payload = data.draw(entries)
         text = json.dumps(payload)
         pool = InumCachePool()
         evaluator = WorkloadEvaluator(catalog, pool=pool)
-        try:  # the seam by itself, without the envelope check
-            wire.entry_from_wire(payload, catalog)
-        except ReproError:
-            pass
+        if not conforms(payload, ENTRY):  # the table alone refuses it
+            with pytest.raises(WireFormatError):
+                wire.entry_from_wire(copy.deepcopy(payload), catalog)
         try:
             loaded = wire.loads(text, catalog, pool=pool)
-        except ReproError:
+        except ReproError as exc:
+            event("refused: %s" % type(exc).__name__)
             assert len(pool) == 0 and pool.kernel_count == 0
             assert pool.stats.as_dict() == InumCachePool().stats.as_dict()
             return
-        if not isinstance(loaded, tuple):  # retyped into another kind
-            assert len(pool) == 0
-            return
+        event("installed")
         signature, cache = loaded
         assert pool.signatures() == [signature] and pool.kernel_count == 1
         # It names a statement of the workload, and prices as that
@@ -310,6 +266,7 @@ class TestEntryFuzz:
         matrix = evaluator.evaluate_configurations(workload, configs).matrix
         assert all(math.isfinite(cost) for row in matrix for cost in row)
         original = next(p for p in payloads if p["sql"] == payload["sql"])
+        wire.conform(payload, ENTRY, "entry")  # its defaults, filled in
         if payload["plans"] == original["plans"]:
             assert matrix == reference
 
@@ -621,7 +578,7 @@ class TestServiceKillRestore:
         self._with_pending(tmp_path, {"t1": [[None, "SELECT ra FROM "
                                                     "photoobj"], ["x"]]})
         fresh = self.make_service()
-        with pytest.raises(WireFormatError, match="stream event"):
+        with pytest.raises(WireFormatError, match=r"pending\.t1\[1\]"):
             fresh.load_state(tmp_path)
         assert fresh.tenants == []
         self._with_pending(tmp_path, {})
