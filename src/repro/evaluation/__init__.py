@@ -11,6 +11,8 @@ interaction analyzer) obtains configuration costs through a
   build single-flight;
 * :mod:`repro.evaluation.sharded` — the same pool surface partitioned
   across N independently locked shards, for multi-tenant traffic;
+* :mod:`repro.evaluation.memos` — every memo the evaluator reaches,
+  declared once with its owner, key, bound and the hooks that drop it;
 * :mod:`repro.evaluation.evaluator` — the evaluator itself: batched
   (vectorized) configuration pricing, the cache warm-up, plus the exact
   per-configuration :class:`~repro.optimizer.CostService` cache;

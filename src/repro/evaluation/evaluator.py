@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
+from repro.evaluation import memos
 from repro.evaluation.pool import InumCachePool
 from repro.evaluation.signature import statement_key
 from repro.inum.cache import (
@@ -103,61 +104,30 @@ class _KernelWorkload:
     signatures: frozenset = frozenset()  # read-statement signatures used
 
 
-_MAX_COMPILED = 16  # compiled-workload memo entries kept (LRU)
-_MAX_RECOMMENDATIONS = 32  # recommendation memo entries kept (LRU)
-_MAX_EXACT_SERVICES = 128  # per-config CostService cache bound (LRU)
-
-
 class WorkloadEvaluator(InumCostModel):
     """Batched, pool-backed INUM evaluation plus exact what-if services.
 
-    ``pool`` may be shared between evaluators over the same catalog and
-    settings (e.g. one pool per deployment, one evaluator per session).
+    ``pool`` has one owner: a second evaluator on it is a ``ValueError``.
+    Every memo this object reaches is a row of :mod:`repro.evaluation.memos`.
     """
 
     def __init__(self, catalog, settings=None, pool=None):
         super().__init__(catalog, settings)
         self.pool = pool if pool is not None else InumCachePool()
-        self.pool.attach(self.catalog, self.settings)
-        self.pool.subscribe(self._forget)
-        self._signatures = {}  # statement sql -> canonical signature
-        # statement sql -> its plan terms (a tuple of CachedPlan): what
-        # ``build_cache`` answered, kept as long as the statement's bound
-        # AST and signature are, so a pool miss on a seen statement is
-        # decoded (``QueryCache.from_plan_terms``), never planned again.
-        # Keyed by text like ``_signatures`` because slots name aliases:
-        # an alias-renamed twin shares the pool entry, never the terms.
-        # ``_forget`` leaves it alone: ``pool_capacity`` bounds the state
-        # *derived* from an entry (scan / plan / slot memos, compiled
-        # kernels and workloads), not this — ≈ 1.3 kB per distinct
-        # statement, measured, beside an AST that was already kept.
-        # Contract: decoded terms mean what a *resident* entry always
-        # meant — never refreshed while the evaluator lives;
-        # ``clear_caches()`` empties the memo with the other statement-
-        # level ones and is the hook that re-reads statistics.  Not
-        # persisted, like the recommendation memo.
+        self.pool.attach(self)
+        self._signatures = {}
         self._plan_terms = {}
         self.plan_term_decodes = 0  # pool misses answered from the memo
         self._compiled = OrderedDict()  # workload key -> _KernelWorkload
-        # signature -> set of _compiled keys referencing it, so _forget
-        # drops dependents without scanning the memo.  Guarded by
-        # self._lock together with _compiled itself.
-        self._compiled_by_sig = {}
-        # Configuration -> CostService, LRU-bounded (each service holds a
-        # full catalog clone); the empty-config base service is pinned.
-        self._exact_services = OrderedDict()
-        # Designer.recommend's arguments -> its result (LRU): a pure
-        # function of (catalog, settings, arguments) that every cache
-        # below reproduces bit for bit, so _forget leaves it alone.
+        self._exact_services = OrderedDict()  # Configuration -> CostService
+        self._base_service = None  # the pinned empty-design CostService
         self._recommendations = OrderedDict()
-        self._recommend_memo = {"hit": 0, "miss": 0}
-        # Guards the exact-service LRU and clear_caches; cache builds are
+        self.recommend_memo_hits = self.recommend_memo_misses = 0
+        # Guards the memos and their counters; cache builds are
         # serialized per entry by the pool's own single-flight instead.
         self._lock = threading.RLock()
-        # (registry, {mode: bound metric handles}) — rebuilt whenever the
-        # active registry changes (obs.reset()/obs.disabled()), so the
-        # per-batch telemetry is three bound calls, not three family
-        # lookups.
+        # (registry, {mode: bound metric handles}), rebuilt when the
+        # active registry changes: per-batch telemetry is three calls.
         self._obs_handles = (None, {})
 
     # ------------------------------------------------------------------
@@ -176,11 +146,8 @@ class WorkloadEvaluator(InumCostModel):
     def cache_for(self, query):
         bq = self.bound(query)
         sig = self.signature(bq)
-        # Single-flight lives in the pool: concurrent evaluators (and
-        # tenant threads) probing the same signature share one build,
-        # and builds of *different* signatures proceed concurrently.
-        # put() inside broadcasts evictions to every subscribed
-        # evaluator's _forget, this one included.
+        # Single-flight lives in the pool: tenant threads probing one
+        # signature share one build; an eviction inside calls _forget.
         return self.pool.get_or_build(sig, lambda: self._entry(bq))
 
     def _entry(self, bq):
@@ -210,66 +177,29 @@ class WorkloadEvaluator(InumCostModel):
         return bq.sql in self._plan_terms
 
     def _forget(self, signature, cache):
-        """Drop memo entries derived from an evicted cache, so a bounded
-        pool bounds the memos too (not just the resident plan caches).
-
-        O(1) per eviction: the slot memo is sharded by owning query
-        (one ``pop`` drops the whole bucket — a concurrent tenant thread
-        holding a popped bucket merely writes lost, benign, entries
-        into it), and compiled workloads are indexed by contained
-        signature, so dependents are popped directly instead of
-        scanning the memo.  Dropping a compiled workload also drops
-        its fused kernel and therefore every delta state captured on it.
-
-        Called with the pool lock held; the evaluator lock nests inside
-        it (pool → evaluator is the one sanctioned order).
-        """
-        self._slot_memo.pop(cache.bound_query.sql, None)
-        # The scan-pricing memo rides on the bound query, which the bind
-        # cache keeps per distinct SQL text: drop it with the entry.
-        cache.bound_query.scan_memo.clear()
+        """Drop what the memo table derives from an evicted pool entry
+        (the rows :data:`~repro.evaluation.memos.EVICT` lists), so a
+        bounded pool bounds the memos too.  Called by the pool with its
+        lock held; pool → evaluator is the one sanctioned lock order."""
+        bq = cache.bound_query
         with self._lock:
-            for key in self._compiled_by_sig.pop(signature, ()):
-                compiled = self._compiled.pop(key, None)
-                if compiled is not None:
-                    self._unindex(key, compiled)
-
-    def _unindex(self, key, compiled):
-        """Remove *key* from the signature index (callers hold the lock)."""
-        for sig in compiled.signatures:
-            bucket = self._compiled_by_sig.get(sig)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._compiled_by_sig[sig]
+            for row in memos.rows(memos.EVICT):
+                owner = bq if row.reach is None else row.owner_in(self)
+                row.forget(getattr(owner, row.attr), signature, bq.sql)
 
     def clear_caches(self):
-        """Empty the pool, every memo derived from it, the recommendation
-        memo and the exact per-configuration services (each holds a
-        catalog clone) in one stroke — the memory-reclaim hook for
-        long-lived evaluators.  The pinned base service survives, so
-        sessions holding it stay valid.
-        """
-        # Pool first, and *outside* our lock: clear() broadcasts drops to
-        # _forget, which takes our lock while the pool lock is held —
-        # holding ours across the call would invert the pool → evaluator
-        # lock order every eviction establishes.
+        """Empty the pool and every row :data:`~repro.evaluation.memos.
+        CLEAR` lists — the memory-reclaim hook, and the one that
+        re-reads statistics.  The pinned base service survives, so
+        sessions holding it stay valid."""
+        # Pool first, outside our lock: clear() calls _forget, which
+        # takes our lock under the pool's (pool → evaluator).
         self.pool.clear()
         with self._lock:
-            self._slot_memo.clear()
-            self._compiled.clear()
-            self._compiled_by_sig.clear()
-            # Statement-level memos too: signature tuples, bound ASTs
-            # and plan terms accumulate per distinct SQL text, not per
-            # resident cache.
-            self._signatures.clear()
-            self._bound_cache.clear()
-            self._plan_terms.clear()
-            self._recommendations.clear()
-            base = self._exact_services.get(Configuration.empty())
-            self._exact_services.clear()
-            if base is not None:
-                self._exact_services[Configuration.empty()] = base
+            for row in memos.rows(memos.CLEAR):
+                owner = row.owner_in(self)
+                if owner is not None:
+                    getattr(owner, row.attr).clear()
 
     def warm_targets(self, workload):
         """The deduplicated statements a warm-up must build, as
@@ -307,17 +237,10 @@ class WorkloadEvaluator(InumCostModel):
     def warm_up(self, workload):
         """Pre-build the INUM caches for every workload statement.
 
-        Returns the optimizer calls spent, exactly like the
-        :meth:`warm` it generalizes.  The delta is read off the shared
-        pool's global counter: on a quiet pool it is exactly this call's
-        spend; if other evaluators build into the same pool concurrently
-        their builds land in the delta too (the work was shared either
-        way).  Each statement's cache is a pure function of its bound
-        query and the pool's single-flight guarantees one build per
-        signature, so the resulting pool state does not depend on who
-        else is building.  Write statements warm their locate query.
-        To spread the builds over processes or machines, warm through a
-        :class:`~repro.net.FleetBackplane` instead.
+        Returns the optimizer calls spent (the pool's counter delta),
+        exactly like the :meth:`warm` it generalizes; write statements
+        warm their locate query.  To spread the builds over processes or
+        machines, warm through a :class:`~repro.net.FleetBackplane`.
         """
         before = self.precompute_calls
         targets = [bq for bq, __, __ in self.warm_targets(workload)]
@@ -325,10 +248,7 @@ class WorkloadEvaluator(InumCostModel):
                                statements=len(targets)):
             for bq in targets:
                 self.cache_for(bq)
-            # Prewarm the compiled columnar kernels too: warm-up's contract
-            # is "the first evaluate pays no build work", and the kernel is
-            # part of that derived state (compiled once per resident entry,
-            # owned by the pool, dropped with it on eviction).
+            # The first evaluate pays no build work: kernels too.
             for bq in targets:
                 self.pool.kernel_for(self.signature(bq))
         return self.precompute_calls - before
@@ -353,8 +273,8 @@ class WorkloadEvaluator(InumCostModel):
             exact_optimizer_calls=self.exact_optimizer_calls,
             exact_plan_hits=self.exact_plan_hits,
             plan_term_decodes=self.plan_term_decodes,
-            recommend_memo_hits=self._recommend_memo["hit"],
-            recommend_memo_misses=self._recommend_memo["miss"],
+            recommend_memo_hits=self.recommend_memo_hits,
+            recommend_memo_misses=self.recommend_memo_misses,
         )
         return merged
 
@@ -365,9 +285,12 @@ class WorkloadEvaluator(InumCostModel):
         racing on one key both compute the same thing."""
         with self._lock:
             found = self._recommendations.get(key)
-            result = "miss" if found is None else "hit"
-            self._recommend_memo[result] += 1
-            if found is not None:
+            if found is None:
+                result = "miss"
+                self.recommend_memo_misses += 1
+            else:
+                result = "hit"
+                self.recommend_memo_hits += 1
                 self._recommendations.move_to_end(key)
         obs.metrics().counter(
             "repro_recommend_memo_total",
@@ -376,9 +299,7 @@ class WorkloadEvaluator(InumCostModel):
         if found is None:
             found = compute()
             with self._lock:
-                self._recommendations[key] = found
-                while len(self._recommendations) > _MAX_RECOMMENDATIONS:
-                    self._recommendations.popitem(last=False)
+                memos.RECOMMENDATIONS.store(self._recommendations, key, found)
         return found
 
     # ------------------------------------------------------------------
@@ -388,12 +309,9 @@ class WorkloadEvaluator(InumCostModel):
     def _compile(self, workload):
         """Flatten a workload into plan terms over deduplicated slots:
         statement kernels fused over a global slot table, priced by
-        numpy reductions.  Compiled workloads are memoized (LRU), so
-        repeated sweeps over the same workload — the interaction
-        analyzer prices one batch per index pair — skip straight to the
-        evaluate phase.
-        Entries referencing an evicted cache are dropped by
-        :meth:`_forget`, never served stale.
+        numpy reductions; memoized (``memos.COMPILED``), so repeated
+        sweeps — the interaction analyzer prices one batch per index
+        pair — skip straight to the evaluate phase.
         """
         # Materialize once: workloads may be one-shot iterators, and the
         # memo key must be derived from the same pass that compiles.
@@ -409,24 +327,15 @@ class WorkloadEvaluator(InumCostModel):
         # each produce an equivalent object and the last insert wins.
         compiled = self._compile_fresh(pairs)
         with self._lock:
-            # Memoize only while every underlying cache is still
-            # resident: an entry evicted mid-build must not resurrect a
-            # compiled workload _forget already swept (the object itself
-            # stays valid for this call — eviction is a memory policy,
-            # not invalidation).
+            # An entry evicted mid-build must not resurrect a workload
+            # _forget already swept (this call may still use it).
             if all(sig in self.pool for sig in compiled.signatures):
-                self._compiled[key] = compiled
-                for sig in compiled.signatures:
-                    self._compiled_by_sig.setdefault(sig, set()).add(key)
-                while len(self._compiled) > _MAX_COMPILED:
-                    old_key, old = self._compiled.popitem(last=False)
-                    self._unindex(old_key, old)
+                memos.COMPILED.store(self._compiled, key, compiled)
         return compiled
 
     def _compile_fresh(self, pairs):
-        """Compile a workload onto the columnar kernel: per-statement
-        kernels come from the pool (compiled once per resident entry,
-        shared across evaluators) and fuse into one
+        """Compile a workload onto the columnar kernel: the pool's
+        statement kernels fuse into one
         :class:`~repro.evaluation.kernel.WorkloadKernel` over a global
         slot table."""
         from repro.evaluation.kernel import WorkloadKernel, compile_statement
@@ -567,12 +476,11 @@ class WorkloadEvaluator(InumCostModel):
 
         The seminaïve seam greedy rounds, COLT epoch scoring, and IBG
         level builds route through: the parent's resolved grid state is
-        captured once (and memoized on the compiled kernel, dying with
-        it on pool eviction), and each child re-resolves only slots on
-        tables whose design differs from the parent's — O(delta) per
-        child instead of O(grid).  Results are bit-identical to
-        :meth:`evaluate_configurations` on the same arguments, which
-        the equivalence suite pins exactly.
+        captured once (``memos.DELTA_STATES``), and each child
+        re-resolves only slots on tables whose design differs from the
+        parent's — O(delta) per child instead of O(grid).  Results are
+        bit-identical to :meth:`evaluate_configurations` on the same
+        arguments, which the equivalence suite pins exactly.
         """
         with self._batch_seam(
             "evaluate.deltas", "delta", workload, configurations
@@ -668,61 +576,43 @@ class WorkloadEvaluator(InumCostModel):
         """A :class:`CostService` seeing *config* overlaid on the catalog.
 
         Services are cached per configuration and share one optimizer
-        call counter and bind cache, exactly like the seed's
-        :class:`WhatIfSession` did — the session now borrows them from
-        here so every component draws costs from one place.
-
-        Locked: tenant sessions sharing one backplane evaluator probe
-        this cache from their own threads, and the LRU mutates on every
-        lookup.
+        call counter and bind cache; the what-if session borrows them
+        from here, so every component draws costs from one place.
+        Locked: tenant threads probe it and the LRU mutates on lookup.
         """
-        config = config or Configuration.empty()
         with self._lock:
+            base = self._base_service
+            if base is None:
+                base = self._base_service = CostService(
+                    self.catalog, self.settings
+                )
+                # One bound query per statement for the exact and the
+                # INUM path alike, so they share its memos.
+                base._bind_cache = self._bound_cache
+            if config is None or config.is_empty:
+                return base
             svc = self._exact_services.get(config)
             if svc is not None:
                 self._exact_services.move_to_end(config)
                 return svc
-            base = self._exact_services.get(Configuration.empty())
-            if base is None:
-                base = CostService(self.catalog, self.settings)
-                # One bound query per statement for the exact and the
-                # INUM path alike, so they share one scan-pricing memo.
-                base._bind_cache = self._bound_cache
-                self._exact_services[Configuration.empty()] = base
-            if config.is_empty:
-                return base
             svc = base.with_catalog(config.apply(self.catalog))
-            self._exact_services[config] = svc
-            while len(self._exact_services) > _MAX_EXACT_SERVICES:
-                oldest = next(iter(self._exact_services))
-                if oldest.is_empty:  # never evict the pinned base service
-                    self._exact_services.move_to_end(oldest)
-                    continue
-                del self._exact_services[oldest]
+            memos.EXACT_SERVICES.store(self._exact_services, config, svc)
             return svc
 
     def exact_cost(self, query, config=None):
         """Full-optimizer cost of *query* under *config* (precise path)."""
         return self.exact_service(config).cost(query)
 
-    def _base_exact_service(self):
-        # Locked: every exact_service lookup mutates the LRU
-        # (move_to_end/evict) from tenant threads, and an unlocked get
-        # races the dict reshuffle.
-        with self._lock:
-            return self._exact_services.get(Configuration.empty())
-
     @property
     def exact_optimizer_calls(self):
         """Full planner invocations of the exact services (they share
         one counter); a plan-memo hit is not one."""
-        base = self._base_exact_service()
+        base = self._base_service
         return base.optimizer_calls if base is not None else 0
 
     @property
     def exact_plan_hits(self):
         """Exact-path plans a fresh service got from the bound queries'
         plan memo instead of the planner."""
-        base = self._base_exact_service()
+        base = self._base_service
         return base.plan_memo_hits if base is not None else 0
-

@@ -77,11 +77,9 @@ order-independent.  ``tests/test_kernel.py`` pins the equality with
 exact max/min witnesses over fuzzed catalogs, configurations, and
 weights, and the arena against a pure-Python walk sharing none of it.
 
-Compiled kernels are *derived* state: the
-:class:`~repro.evaluation.pool.InumCachePool` owns their lifetime
-(compiled on demand, dropped with the entry they derive from) and the
-wire format rebuilds them from plan terms on load — they never cross
-the wire themselves.
+Kernels and their memos are rows of :mod:`repro.evaluation.memos`; the
+wire format rebuilds kernels from plan terms on load — they never
+cross the wire themselves.
 """
 
 from collections import namedtuple
@@ -97,14 +95,10 @@ __all__ = [
     "compile_statement",
 ]
 
-# Safety valve for long-lived workload kernels sweeping ever-fresh
-# designs: past this many memoized (table, design) columns the memo is
-# dropped and rebuilt on demand (each rebuild is a handful of
-# already-memoized slot lookups, so the reset is cheap).
+# Bounds of two WorkloadKernel memos (rows of evaluation/memos.py),
+# reset when full: a reset column is a handful of slot-memo lookups,
+# and greedy / IBG sweeps revisit at most a couple of parents.
 _MAX_DESIGN_COLUMNS = 4096
-
-# Parent states a workload kernel keeps around for delta pricing; greedy
-# and IBG sweeps revisit at most a couple of parents at a time.
 _MAX_DELTA_STATES = 8
 
 # Distinct extension batches whose footprints a BIP kernel memoizes
@@ -332,10 +326,6 @@ class WorkloadDeltaState:
     winning plans follow from them).  ``used`` caches each read's raw
     witness index set lazily — children that leave a read's tables
     untouched inherit both its minimum and its witness verbatim.
-
-    The state is derived data owned by the kernel it was captured from;
-    it dies with the kernel (and therefore with the pool entries the
-    kernel compiles from — eviction drops delta state transitively).
     """
 
     __slots__ = ("table_sigs", "view", "row", "acc", "used")

@@ -1,0 +1,180 @@
+"""Every memo reachable from a :class:`~repro.evaluation.WorkloadEvaluator`,
+declared once: its owner, key, what an entry depends on, the hooks that
+drop entries and its bound.
+
+The hooks walk these rows: ``WorkloadEvaluator._forget`` (a pool entry
+left), ``WorkloadEvaluator.clear_caches`` (memory reclaim, and the one
+hook that re-reads statistics), ``paths.scan_context`` (drops what was
+keyed on a context it replaced) and ``paths.forget_indexes`` (one-shot
+indexes released).  The three evaluator LRUs insert through
+:meth:`Memo.store`, which reads the bound from the row.  Lookups stay
+plain dict probes on the owners.  ``tests/test_memo_inventory.py``
+holds the code to the table.
+"""
+
+import functools
+from dataclasses import dataclass
+
+# What an entry depends on.
+ENTRY, TEXT, STATS = "pool entry", "statement text", "statistics identity"
+INDEXES, SETTINGS, WORKLOAD = "index set", "settings", "workload"
+
+# The hooks that drop entries.
+EVICT = "WorkloadEvaluator._forget"
+CLEAR = "WorkloadEvaluator.clear_caches"
+STALE = "paths.scan_context"  # what is keyed on a replaced context
+RELEASE = "paths.forget_indexes"
+VALIDATE = "every lookup"  # checked against the statistics it read
+POOL = "InumCachePool.put/clear"  # past capacity, or cleared
+OWNER = "its owner"  # dies with the owning object
+
+
+@dataclass(frozen=True)
+class Memo:
+    """``owner.attr``: *key* -> a value derived from *depends*; an int
+    *bound* is an LRU size.  ``reach``: the attribute path from the
+    evaluator to the owner ("" itself, ``None`` none).  ``evict``: how
+    ``_forget`` drops an entry's part (see :meth:`forget`)."""
+
+    owner: str
+    attr: str
+    key: str
+    depends: tuple
+    hooks: tuple
+    bound: object
+    text: str
+    reach: str = None
+    evict: str = None
+
+    def store(self, memo, key, value):
+        """Insert, evicting least recently used entries past the bound
+        (callers hold the owner's lock)."""
+        memo[key] = value
+        while len(memo) > self.bound:
+            memo.popitem(last=False)
+
+    def forget(self, memo, signature, sql):
+        """Drop *memo*'s part derived from pool entry *signature*: pop
+        its text, empty all of a memo on its bound query, or drop the
+        values compiled from its signature."""
+        if self.evict == "all":
+            memo.clear()
+        elif self.evict == "text":
+            memo.pop(sql, None)
+        else:
+            for key in [k for k, v in memo.items()
+                        if signature in v.signatures]:
+                del memo[key]
+
+    def owner_in(self, evaluator):
+        """The owner as reached from *evaluator* (``None``: no reach, or
+        not created yet)."""
+        if self.reach is None:
+            return None
+        return getattr(evaluator, self.reach) if self.reach else evaluator
+
+
+SIGNATURES = Memo("WorkloadEvaluator", "_signatures", "text", (TEXT,),
+                  (CLEAR,), "statements bound", "Signatures.", reach="")
+BOUND_QUERIES = Memo(
+    "InumCostModel", "_bound_cache", "statement text", (TEXT,), (CLEAR,),
+    "statements bound", "Bound statements; the exact services bind through "
+    "it too, so both paths share a bound query and its memos.", reach="")
+PLAN_TERMS = Memo(
+    "WorkloadEvaluator", "_plan_terms", "statement text", (TEXT, STATS),
+    (CLEAR,), "statements bound, ~1.3 kB each", "What build_cache answered, "
+    "so a miss on a seen statement decodes instead of planning.  By text: "
+    "an alias twin shares the entry, never the terms (slots name aliases).",
+    reach="")
+SLOT_MEMO = Memo(
+    "InumCostModel", "_slot_memo", "entry text -> inum.cache._slot_key",
+    (ENTRY, INDEXES, STATS), (EVICT, CLEAR), "resident entries' slots",
+    "(cost, winner indexes) or None; one bucket per entry (a pricer racing "
+    "an eviction may refill one).", reach="", evict="text")
+COMPILED = Memo(
+    "WorkloadEvaluator", "_compiled", "((text, weight), ...)",
+    (ENTRY, WORKLOAD), (EVICT, CLEAR), 16, "Fused workload kernels, kept "
+    "while every entry they read is resident.", reach="", evict="signatures")
+RECOMMENDATIONS = Memo(
+    "WorkloadEvaluator", "_recommendations", "Designer.recommend arguments",
+    (WORKLOAD, SETTINGS), (CLEAR,), 32, "Reproduced bit for bit by the "
+    "memos here, so eviction leaves it alone.", reach="")
+EXACT_SERVICES = Memo("WorkloadEvaluator", "_exact_services", "design",
+                      (INDEXES,), (CLEAR,), 128, "CostService.", reach="")
+BASE_SERVICE = Memo(
+    "WorkloadEvaluator", "_base_service", "-", (), (), "one, pinned",
+    "The empty design's CostService; sessions hold it.", reach="")
+CACHES = Memo(
+    "InumCostModel", "_caches", "statement text", (ENTRY,), (CLEAR,),
+    "empty on an evaluator (its pool holds entries)", "", reach="")
+PLAN_CACHE = Memo(
+    "CostService", "_plan_cache", "statement text", (TEXT, INDEXES, STATS),
+    (CLEAR, OWNER), "statements planned", "Plan memo references for one "
+    "design; nothing re-validates it.", reach="_base_service")
+BIND_CACHE = Memo(
+    "CostService", "_bind_cache", "statement text", (TEXT,), (OWNER,),
+    "statements bound", "An evaluator's services share its _bound_cache.")
+ENTRIES = Memo(
+    "InumCachePool", "_entries", "canonical signature",
+    (TEXT, STATS, SETTINGS), (POOL,), "capacity (LRU)", "INUM entries; one "
+    "that leaves calls the owner's _forget.", reach="pool")
+KERNELS = Memo("InumCachePool", "_kernels", "signature", (ENTRY,), (POOL,),
+               "resident entries", "Statement kernels.", reach="pool")
+FLIGHTS = Memo("InumCachePool", "_flights", "signature", (ENTRY,), (POOL,),
+               "builds running", "Single-flight builds.", reach="pool")
+REFERENCED = Memo("BoundQuery", "_referenced", "alias", (TEXT,), (OWNER,),
+                  "aliases", "Referenced column sets.")
+# _forget empties the evicted entry's own bound query only: an alias twin
+# shares the entry, not the bound query, so the twin's memos live until
+# TWIN_HOOK drops the twin from _bound_cache.
+TWIN_HOOK = CLEAR
+SCAN_CONTEXTS = Memo(
+    "BoundQuery", "scan_contexts", "(alias, layout cover, horizontal)",
+    (ENTRY, STATS), (VALIDATE, EVICT, OWNER), "covers x partitionings",
+    "ScanContext per reference; ScanContext.is_current.", evict="all")
+LAYOUT_COVERS = Memo("BoundQuery", "layout_covers", "(alias, layout)",
+                     (ENTRY,), (EVICT, OWNER), "layouts seen",
+                     "paths.layout_cover.", evict="all")
+PLAN_MEMO = Memo(
+    "BoundQuery", "plan_memo", "(settings, paths.plan_inputs(...))",
+    (ENTRY, STATS, INDEXES, SETTINGS), (STALE, EVICT, OWNER), "projected "
+    "designs", "Keys hold contexts by identity.", evict="all")
+PRICED = Memo(
+    "ScanContext", "_priced", "settings -> index | None | (index, probes)",
+    (SETTINGS, INDEXES), (RELEASE, OWNER), "indexes priced", "Paths; bulk "
+    "pricers release one-shot indexes.")
+CONTEXT_STATS = Memo("ScanContext", "_stats", "column", (STATS,), (OWNER,),
+                     "columns read", "ColumnStats that prices read.")
+FILTER_SEL = Memo("ScanContext", "filter_sel", "BoundFilter", (STATS,),
+                  (OWNER,), "filters", "Per-filter selectivity.")
+DESIGN_COLUMNS = Memo(
+    "WorkloadKernel", "_columns", "(table, design signature)",
+    (INDEXES, STATS), (OWNER,), "kernel._MAX_DESIGN_COLUMNS, then reset",
+    "(costs, choices) slot columns.")
+DELTA_STATES = Memo(
+    "WorkloadKernel", "_delta_states", "sorted table signatures",
+    (INDEXES, STATS), (OWNER,), "kernel._MAX_DELTA_STATES, then reset",
+    "Captured parent states.")
+SUBSETS = Memo(
+    "build_cache", "subsets", "((alias, plan input), ...), proper subsets",
+    (INDEXES, STATS, SETTINGS), (OWNER,), "one build", "Path sets the "
+    "order vectors of one INUM build share (plan_query(subsets=)).")
+PROJECTION_PAGES = Memo(
+    "Table", "_projection_pages", "projected columns", (STATS,),
+    (VALIDATE, OWNER), "projections priced", "(row_count, pages).")
+
+MEMOS = (
+    SIGNATURES, BOUND_QUERIES, PLAN_TERMS, SLOT_MEMO, COMPILED,
+    RECOMMENDATIONS, EXACT_SERVICES, BASE_SERVICE, CACHES, PLAN_CACHE,
+    BIND_CACHE, ENTRIES, KERNELS, FLIGHTS, REFERENCED, SCAN_CONTEXTS,
+    LAYOUT_COVERS, PLAN_MEMO, PRICED, CONTEXT_STATS, FILTER_SEL,
+    DESIGN_COLUMNS, DELTA_STATES, SUBSETS, PROJECTION_PAGES,
+)
+# Dicts on those owners holding what the object was built from.
+INPUTS = (("BoundQuery", "tables"), ("BoundQuery", "filters"))
+
+
+@functools.cache
+def rows(hook):
+    """The rows *hook* drops entries of, in table order."""
+    return tuple(memo for memo in MEMOS if hook in memo.hooks)

@@ -6,16 +6,9 @@ INUM plan caches.  In the seed each component built its own caches;
 the pool makes them a shared, bounded resource keyed by the canonical
 query signature, so alias-renamed duplicates and cross-component reuse
 hit instead of rebuilding — and so cache memory is bounded under
-long-running multi-workload traffic (LRU eviction).
-
-Compiled statement kernels are derived state owned alongside the
-entries they derive from, and everything delta evaluation hangs off a
-fused workload kernel — captured parent states, per-changed-table-set
-touch groups, per-(table, design) column memos — is derived state one
-level further down: evicting an entry invalidates the fused kernels
-compiled from it, which transitively drops their delta state.  A later
-evaluate call recompiles and re-resolves from scratch, bit-identically
-(the lifetime tests pin this across evictions).
+long-running multi-workload traffic (LRU eviction).  A pool has one
+owning evaluator; what it and the state derived from its entries hold,
+and what drops it, is declared in :mod:`repro.evaluation.memos`.
 """
 
 import threading
@@ -90,20 +83,20 @@ class InumCachePool:
     ``capacity=None`` means unbounded (the seed's behavior); a positive
     capacity evicts the least-recently-used entry past the limit.
 
-    ``get``/``put`` are internally synchronized, so one pool may be
-    shared across evaluators on different threads.  Build single-flight
-    is the *pool's* job: :meth:`get_or_build` guarantees one cache
-    construction per missing entry even when concurrent evaluators (or
-    warm-up threads) probe the same signature — the first prober builds,
-    the rest wait for its result instead of duplicating the work.
+    ``get``/``put`` are internally synchronized, so the owner's tenant
+    threads may probe it at once.  Build single-flight is the *pool's*
+    job: :meth:`get_or_build` guarantees one cache construction per
+    missing entry even when concurrent threads probe the same
+    signature — the first prober builds, the rest wait for its result
+    instead of duplicating the work.  What it holds is declared in
+    :mod:`repro.evaluation.memos`.
     """
 
     capacity: int = None
     stats: PoolStats = field(default_factory=PoolStats)
     _entries: OrderedDict = field(default_factory=OrderedDict)
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
-    _owner: tuple = field(default=None, repr=False)  # (catalog, settings)
-    _listeners: list = field(default_factory=list, repr=False)  # weak refs
+    _owner: weakref.ref = field(default=None, repr=False)  # the evaluator
     _flights: dict = field(default_factory=dict, repr=False)  # sig -> _BuildFlight
     _kernels: dict = field(default_factory=dict, repr=False)  # sig -> StatementKernel
 
@@ -111,47 +104,27 @@ class InumCachePool:
         if self.capacity is not None and self.capacity <= 0:
             raise ValueError("pool capacity must be positive or None")
 
-    def attach(self, catalog, settings):
-        """Bind the pool to one (catalog, settings) pair on first attach;
-        reject evaluators over a different catalog — signatures carry no
-        catalog identity, so a mismatch would silently serve wrong costs."""
+    def attach(self, evaluator):
+        """Bind the pool to its one owning evaluator, held weakly (no
+        reference cycle).  Every entry that leaves calls the owner's
+        ``_forget``; a second evaluator is refused, since signatures
+        carry no catalog identity.  A pool nobody attached (a wire
+        replay's) serves alone."""
         with self._lock:
-            if self._owner is None:
-                self._owner = (catalog, settings)
-                return
-            owner_catalog, owner_settings = self._owner
-            if owner_catalog is not catalog or owner_settings != settings:
+            if self._owner is not None:
                 raise ValueError(
-                    "cache pool is already bound to a different catalog or "
-                    "settings; use one pool per (catalog, settings) pair"
+                    "cache pool already has an owning evaluator; use one "
+                    "pool per evaluator"
                 )
+            self._owner = weakref.ref(evaluator)
 
-    def subscribe(self, callback):
-        """Register an eviction listener (``callback(signature, cache)``).
-
-        Every attached evaluator subscribes its memo pruning, so an
-        eviction triggered by one evaluator also bounds the memos of
-        every other evaluator sharing the pool.  Held weakly: a garbage
-        collected subscriber just drops off the list.
-        """
-        with self._lock:
-            self._listeners = [r for r in self._listeners if r() is not None]
-            self._listeners.append(weakref.WeakMethod(callback))
-
-    def _notify(self, dropped):
-        """Broadcast dropped ``(signature, cache)`` pairs to live
-        listeners (callers hold the lock)."""
-        if not dropped or not self._listeners:
-            return
-        live = []
-        for ref in self._listeners:
-            callback = ref()
-            if callback is None:
-                continue
-            live.append(ref)
+    def _dropped(self, dropped):
+        """Hand dropped ``(signature, cache)`` pairs to the owner's
+        ``_forget`` (callers hold the lock: pool → evaluator)."""
+        owner = self._owner() if self._owner is not None else None
+        if owner is not None:
             for signature, cache in dropped:
-                callback(signature, cache)
-        self._listeners = live
+                owner._forget(signature, cache)
 
     def __len__(self):
         return len(self._entries)
@@ -175,13 +148,8 @@ class InumCachePool:
 
     def put(self, signature, cache):
         """Insert a cache; returns the ``(signature, cache)`` pairs evicted
-        to make room, so the owner can drop memo entries derived from
-        them (bounding *total* memory, not just resident caches).
-
-        Compiled kernels are invalidated alongside: overwriting an
-        entry drops its (now stale) kernel, and every eviction takes
-        the evicted entry's kernel with it — compiled arrays never
-        outlive the plan terms they were derived from."""
+        to make room, after handing them to the owner's ``_forget``.  An
+        overwritten or evicted entry's kernel goes with it."""
         with self._lock:
             self._kernels.pop(signature, None)
             self._entries[signature] = cache
@@ -194,19 +162,14 @@ class InumCachePool:
                 self._kernels.pop(dropped[0], None)
                 evicted.append(dropped)
                 self.stats.evictions += 1
-            self._notify(evicted)
+            self._dropped(evicted)
             return evicted
 
     def kernel_for(self, signature):
-        """The compiled columnar kernel for a *resident* entry, built
-        on first request and owned by the pool: ``None`` when the
-        signature is not resident — a kernel never outlives its entry.
-
-        Compilation is a pure function of the entry's plan terms (see
-        :func:`repro.evaluation.kernel.compile_statement`), cheap
-        enough to run under the pool lock; every evaluator sharing the
-        pool then shares one compiled form per entry, exactly like the
-        entries themselves."""
+        """The compiled columnar kernel for a *resident* entry (``None``
+        when absent), built on first request under the pool lock — a
+        pure function of the entry's plan terms
+        (:func:`repro.evaluation.kernel.compile_statement`)."""
         with self._lock:
             cache = self._entries.get(signature)
             if cache is None:
@@ -298,12 +261,12 @@ class InumCachePool:
             return self.stats.copy()
 
     def clear(self):
-        """Drop every entry; broadcasts the drops to subscribed
-        evaluators (so *their* derived memos are pruned too) and returns
-        them as ``(signature, cache)`` pairs.  Not counted as evictions."""
+        """Drop every entry, hand the drops to the owner's ``_forget``
+        and return them as ``(signature, cache)`` pairs.  Not counted as
+        evictions."""
         with self._lock:
             dropped = list(self._entries.items())
             self._entries.clear()
             self._kernels.clear()
-            self._notify(dropped)
+            self._dropped(dropped)
             return dropped

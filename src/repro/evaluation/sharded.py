@@ -75,19 +75,12 @@ class ShardedInumCachePool:
     # The InumCachePool surface, routed or fanned out.
     # ------------------------------------------------------------------
 
-    def attach(self, catalog, settings):
-        """Bind to one (catalog, settings) pair; same contract as the
-        flat pool — signatures carry no catalog identity, so a mismatch
-        would silently serve wrong costs.  Every shard enforces the
-        check, so a mismatched attach raises before any shard serves."""
+    def attach(self, evaluator):
+        """Bind every shard to the one owning evaluator, the flat pool's
+        contract: an eviction on any shard calls its ``_forget``, and a
+        second evaluator is refused by the first shard already."""
         for shard in self._shards:
-            shard.attach(catalog, settings)
-
-    def subscribe(self, callback):
-        """Eviction listeners subscribe to every shard: an eviction on
-        any shard must prune the subscriber's derived memos."""
-        for shard in self._shards:
-            shard.subscribe(callback)
+            shard.attach(evaluator)
 
     def get(self, signature):
         return self.shard_for(signature).get(signature)
@@ -125,8 +118,8 @@ class ShardedInumCachePool:
 
     def clear(self):
         """Drop every entry on every shard; returns the concatenated
-        ``(signature, cache)`` pairs, broadcasting to subscribers as
-        each shard clears."""
+        ``(signature, cache)`` pairs, each shard handing its drops to
+        the owner as it clears."""
         dropped = []
         for shard in self._shards:
             dropped.extend(shard.clear())

@@ -167,10 +167,7 @@ class InumCostModel:
         self.settings = settings or DEFAULT_SETTINGS
         self._caches = {}
         self._bound_cache = {}
-        # sql -> {_slot_key(...) -> winning access: (cost, winner indexes)
-        # or None}; sharded by owning query so evicting one cache drops
-        # its memo bucket in O(1).
-        self._slot_memo = {}
+        self._slot_memo = {}  # rows of repro.evaluation.memos
         self.evaluations = 0
 
     # ------------------------------------------------------------------
@@ -242,12 +239,9 @@ class InumCostModel:
         one priced fact about a slot; its cost and its witness are the
         two halves.
 
-        The memo is keyed by the owning query, the slot, and what the
-        access reads of the per-table design (:func:`_slot_key`), so it
-        is shared across configurations, across evaluate calls, across
-        designs whose indexes reach the slot alike, across layouts whose
-        covers weigh the same, and (through the cached plan's bound
-        query) across alias-renamed queries that share one cache entry.
+        Keyed by what the access reads of the per-table design
+        (:func:`_slot_key`), so designs whose indexes reach the slot
+        alike and layouts whose covers weigh the same share an entry.
         ``design_signature`` may be passed to avoid recomputing it in
         batched loops.  It calls the same pure :func:`_access_cost` the
         serial usage walk calls, so a memoized entry cannot drift from
@@ -270,9 +264,7 @@ class InumCostModel:
     def slot_bucket(self, bq):
         """*bq*'s shard of the slot memo, ``{_slot_key(...): choice}`` —
         for pricers that fill the same entries :meth:`slot_choice` would,
-        by a cheaper route (``cophy.bip.CandidatePricer``).  A bucket
-        popped by an eviction while a caller still holds it merely
-        collects lost, benign, writes."""
+        by a cheaper route (``cophy.bip.CandidatePricer``)."""
         bucket = self._slot_memo.get(bq.sql)
         if bucket is None:
             bucket = self._slot_memo.setdefault(bq.sql, {})
@@ -405,8 +397,7 @@ def build_cache(bq, catalog, settings):
     seen = set()
     covering = set()
     # Consecutive vectors differ in one alias's covering index, so the
-    # join subsets without that alias are enumerated once for the build
-    # (plan_query's *subsets*); the dict dies with it.
+    # join subsets without that alias are enumerated once for the build.
     subsets = {}
     for vector in _order_vectors(bq):
         overlay = catalog.clone()

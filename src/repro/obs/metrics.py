@@ -265,8 +265,8 @@ class MetricsRegistry:
 
     def add_collector(self, callback):
         """Register a scrape-time callback (``callback(registry)``).
-        Bound methods are held weakly (like the pool's eviction
-        listeners); plain callables are held strongly."""
+        Bound methods are held weakly; plain callables are held
+        strongly."""
         import weakref
 
         if hasattr(callback, "__self__"):

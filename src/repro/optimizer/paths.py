@@ -26,7 +26,6 @@ from repro.optimizer.plan import (
     BitmapHeapScan,
     FragmentScan,
     IndexScan,
-    Plan,
     SeqScan,
 )
 from repro.optimizer.selectivity import equality_fraction, filter_selectivity
@@ -57,10 +56,9 @@ def layout_cover(bound_query, alias, layout):
     layouts with the same cover share one :class:`ScanContext`, and two
     covers with the same geometry price every slot the same
     (:meth:`~repro.inum.cache.InumCostModel.slot_cost` keys on it).
-    Memoized in :attr:`BoundQuery.scan_memo` per ``(alias, layout)`` —
-    the greedy set cover is the per-layout work that is left.
+    Memoized in :attr:`BoundQuery.layout_covers`.
     """
-    memo = bound_query.scan_memo
+    memo = bound_query.layout_covers
     key = (alias, layout)
     entry = memo.get(key)
     if entry is None:
@@ -264,24 +262,14 @@ class ScanContext:
     Compared and hashed by identity: the plan memo keys on *which*
     context a plan was priced from (:func:`plan_inputs`).
 
-    The context also owns the memo of what has been priced under it:
-    per planner settings, the sequential path and each index's path
-    group / parameterized probe (:func:`index_path_group` and
-    :func:`parameterized_path_for` are pure per-index functions).  So a
-    fresh configuration only prices the indexes this (query, alias) has
-    never seen.  Memoized plan nodes are shared between plans and
-    configurations and must never be mutated after construction.
-
-    Contexts live in :attr:`BoundQuery.scan_memo` — they are dropped
-    with the bound query — and are re-validated on every lookup against
-    the identity of the :class:`ColumnStats` objects they read
-    (:meth:`is_current`), so re-``ANALYZE``-ing a column re-prices.
-    That includes the alias's join and group-by columns, which no scan
-    path reads but every plan over this context does
-    (``join_selectivity`` / ``group_count``).
-    Bulk pricers of one-shot indexes release them when done
-    (:func:`forget_indexes`).  Extend this memo rather than adding
-    private path caches.
+    The context also memoizes what has been priced under it (pure
+    per-index functions), so a fresh configuration only prices the
+    indexes this (query, alias) has never seen; memoized plan nodes are
+    shared and never mutated.  :meth:`is_current` checks the statistics
+    it read — the alias's join and group-by columns too, which every
+    plan over it reads (``join_selectivity`` / ``group_count``).  Its
+    memos are rows of :mod:`repro.evaluation.memos`: extend those
+    rather than adding private path caches.
     """
 
     geometry: RelationGeometry
@@ -350,38 +338,43 @@ def scan_context(bound_query, alias, catalog):
         None if cover is None else cover[0],
         catalog.horizontal_partitioning(table_name),
     )
-    memo = bound_query.scan_memo
-    ctx = memo.get(key)
+    ctx = bound_query.scan_contexts.get(key)
     if ctx is None or not ctx.is_current():
         if ctx is not None:
-            # Plans keyed on the replaced context can never be found
-            # again; list(...) snapshots, other threads may be planning.
-            for plan_key, plan in list(memo.items()):
-                if isinstance(plan, Plan) and any(
-                    used is ctx for used, __ in plan_key[1]
-                ):
-                    memo.pop(plan_key, None)
-        ctx = memo[key] = _build_context(bound_query, alias, cover, key[2])
+            from repro.evaluation import memos
+
+            # The STALE rows are keyed (settings, plan_inputs(...)): a
+            # plan keyed on the replaced context is never found again.
+            # list(...) snapshots, other threads may be planning.
+            for row in memos.rows(memos.STALE):
+                memo = getattr(bound_query, row.attr)
+                for plan_key in list(memo):
+                    if any(used is ctx for used, __ in plan_key[1]):
+                        memo.pop(plan_key, None)
+        ctx = bound_query.scan_contexts[key] = _build_context(
+            bound_query, alias, cover, key[2]
+        )
     return ctx
 
 
 def forget_indexes(bound_query, indexes):
-    """Drop what *bound_query*'s scan memo priced for *indexes* (a set).
-
-    For callers that price one-shot hypothetical indexes in bulk — an
-    INUM build's covering indexes, a solver's candidate pool — so the
-    memo keeps what recurs (the contexts, the base design's paths)
-    instead of growing with every candidate ever considered.  It is a
-    cache: forgetting an index that does come back costs one re-price.
+    """Drop what *bound_query*'s contexts priced for *indexes* (a set)
+    from the memo table's ``RELEASE`` rows.  For callers that price
+    one-shot hypothetical indexes in bulk — an INUM build's covering
+    indexes, a solver's candidate pool — so the memo keeps what recurs
+    instead of growing with every candidate ever considered; an index
+    that does come back costs one re-price.
     """
+    from repro.evaluation import memos
+
     # list(...) snapshots: other threads may be pricing into the memo.
-    for ctx in list(bound_query.scan_memo.values()):
-        if not isinstance(ctx, ScanContext):
-            continue  # a layout_cover entry or a plan: nothing to release
-        for memo in list(ctx._priced.values()):
-            for key in list(memo):
-                if (key[0] if type(key) is tuple else key) in indexes:
-                    memo.pop(key, None)
+    contexts = list(bound_query.scan_contexts.values())
+    for row in memos.rows(memos.RELEASE):
+        for ctx in contexts:
+            for memo in list(getattr(ctx, row.attr).values()):
+                for key in list(memo):
+                    if (key[0] if type(key) is tuple else key) in indexes:
+                        memo.pop(key, None)
 
 
 def _build_context(bound_query, alias, cover, horizontal):
@@ -491,11 +484,9 @@ def plan_inputs(bound_query, catalog):
     Two designs with equal inputs plan identically, so ``(settings,
     inputs)`` keys the exact-path plan memo that
     :meth:`~repro.optimizer.service.CostService.plan` keeps in
-    :attr:`BoundQuery.scan_memo`: a design that adds nothing this
+    :attr:`BoundQuery.plan_memo`: a design that adds nothing this
     statement can use is answered with the very plan object an earlier
-    design produced.  The contexts are keyed by identity and are the
-    current ones by construction, so a hit never outlives the
-    statistics it was planned from.
+    design produced.
     """
     inputs = []
     for alias, table in bound_query.tables.items():

@@ -31,9 +31,8 @@ def plan_query(bound_query, catalog, settings=None, inputs=None, subsets=None):
     passes to each call: the path set of a relation subset is a pure
     function of the bound query, the settings and the *inputs* entries
     of its aliases, so it is enumerated once and shared by every design
-    that offers those aliases the same indexes.  The dict holds base
-    relations and proper subsets only, must not outlive one (bound
-    query, settings) pair, and is the caller's to drop."""
+    that offers those aliases the same indexes (a row of
+    :mod:`repro.evaluation.memos`: one bound query and settings only)."""
     settings = settings or DEFAULT_SETTINGS
     if inputs is None:
         inputs = P.plan_inputs(bound_query, catalog)

@@ -60,15 +60,13 @@ class CostService:
     def plan(self, query):
         """Plan *query*.
 
-        Two caches, neither holding a copy.  This service's own is keyed
-        by SQL text alone — its catalog's design must not change under
-        it; what-if sessions create a fresh service per design.  Behind
-        it, design dependence lives in the bound query's plan memo
-        (:attr:`BoundQuery.scan_memo`, keyed ``(settings,
-        paths.plan_inputs(...))``): every service over the same bound
-        queries whose design offers this statement the same access
-        choices gets the same immutable plan object, and only a miss
-        there is a planner invocation.
+        Two caches, neither holding a copy: this service's
+        ``_plan_cache`` (by SQL text — its catalog's design must not
+        change under it) in front of the bound query's ``plan_memo``,
+        where every service whose design offers this statement the same
+        access choices gets the same immutable plan object; only a miss
+        there is a planner invocation.  Both are rows of
+        :mod:`repro.evaluation.memos`.
         """
         bq = self.bound(query)
         if isinstance(bq, BoundWrite):
@@ -79,10 +77,10 @@ class CostService:
         if plan is None:
             inputs = plan_inputs(bq, self.catalog)
             key = (self.settings, inputs)
-            plan = bq.scan_memo.get(key)
+            plan = bq.plan_memo.get(key)
             if plan is None:
                 self._counter.calls += 1
-                plan = bq.scan_memo[key] = plan_query(
+                plan = bq.plan_memo[key] = plan_query(
                     bq, self.catalog, self.settings, inputs
                 )
             else:

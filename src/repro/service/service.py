@@ -70,8 +70,6 @@ class Backplane:
             shards=self.pool.n_shards,
             hit_rate=stats.hit_rate,
             shard_stats=self.pool.shard_stats(),
-            # Compiled columnar kernels resident alongside the entries
-            # (pool-owned, dropped with their entry on eviction).
             kernels=self.pool.kernel_count,
         )
         return snapshot

@@ -127,13 +127,14 @@ class BoundQuery:
     has_star: bool = False
     _referenced: dict = field(default=None, repr=False)
     _sql: str = field(default=None, repr=False)
-    # Design-invariant scan pricing memo, owned here so it is dropped with
-    # the bound query (bind caches, pool entries): (alias, layout cover,
-    # horizontal partitioning) -> optimizer.paths.ScanContext,
-    # (alias, vertical layout) -> optimizer.paths.layout_cover entry, and
-    # (planner settings, optimizer.paths.plan_inputs(...)) -> the exact
-    # plan every design with that projection shares.
-    scan_memo: dict = field(
+    # Pricing memos owned by the statement (rows of evaluation/memos.py).
+    scan_contexts: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    layout_covers: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    plan_memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

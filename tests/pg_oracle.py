@@ -1,0 +1,154 @@
+"""PostgreSQL as an oracle that shares no code with the cost model.
+
+A throwaway cluster in a temporary directory (``initdb -A trust``, a
+unix socket only, ``fsync=off``), driven by ``psql -At`` — no Python
+client library.  The tables of a repro catalog are created with PostgreSQL
+types of the same widths, loaded from ``repro.data.generate_database``
+rows with ``COPY`` and ``ANALYZE``d; the same rows are mirrored into the
+catalog's statistics with ``TableData.analyze_into``, so both sides
+estimate from the same data.
+
+Used by ``tests/test_pg_oracle.py``; :func:`find_bindir` is ``None``
+where no PostgreSQL is installed, and the tests skip.
+"""
+
+import glob
+import os
+import re
+import shutil
+import subprocess
+import tempfile
+
+PG_TYPES = {
+    "smallint": "smallint", "int": "integer", "bigint": "bigint",
+    "float": "real", "double": "double precision", "bool": "boolean",
+    "date": "integer", "timestamp": "bigint", "text": "text",
+}
+_ROWS = re.compile(r"rows=(\d+)")
+
+
+def find_bindir():
+    """The newest PostgreSQL server binaries, or ``None``."""
+    found = sorted(glob.glob("/usr/lib/postgresql/*/bin/pg_ctl"))
+    if not found and shutil.which("pg_ctl"):
+        found = [shutil.which("pg_ctl")]
+    return os.path.dirname(found[-1]) if found else None
+
+
+class Cluster:
+    """One throwaway cluster; :meth:`stop` in a ``finally``."""
+
+    def __init__(self, bindir):
+        self.bindir = bindir
+        self.dir = tempfile.mkdtemp(prefix="pg-oracle-")
+        # The server refuses to run as root: hand the directory to the
+        # postgres user and run the server tools as it.
+        self.user = "postgres" if os.geteuid() == 0 else None
+        if self.user:
+            shutil.chown(self.dir, self.user)
+        self.data = os.path.join(self.dir, "data")
+
+    def _tool(self, name, *args):
+        cmd = [os.path.join(self.bindir, name), *args]
+        if self.user:
+            cmd = ["runuser", "-u", self.user, "--", *cmd]
+        subprocess.run(cmd, cwd=self.dir, check=True, capture_output=True,
+                       timeout=60)
+
+    def start(self):
+        self._tool("initdb", "-A", "trust", "-U", "postgres", "--no-sync",
+                   "-D", self.data)
+        options = ("-k %s -c listen_addresses='' -c fsync=off "
+                   "-c full_page_writes=off -c synchronous_commit=off"
+                   % self.dir)
+        self._tool("pg_ctl", "-D", self.data, "-o", options, "-w",
+                   "-l", os.path.join(self.dir, "log"), "start")
+
+    def stop(self):
+        try:
+            self._tool("pg_ctl", "-D", self.data, "-m", "immediate", "stop")
+        finally:
+            shutil.rmtree(self.dir, ignore_errors=True)
+
+    def psql(self, script):
+        """Run *script*; its output lines (``-At``: bare values)."""
+        out = subprocess.run(
+            [os.path.join(self.bindir, "psql"), "-h", self.dir, "-U",
+             "postgres", "-d", "postgres", "-At", "-q", "-v",
+             "ON_ERROR_STOP=1", "-f", "-"],
+            input=script, check=True, capture_output=True, text=True,
+            timeout=60,
+        )
+        return out.stdout.splitlines()
+
+    def load(self, catalog, database):
+        """Create, ``COPY`` and ``ANALYZE`` every table of *catalog* from
+        *database*, and mirror the rows into the catalog's statistics."""
+        script = []
+        for table in catalog.tables:
+            data = database.table(table.name)
+            columns = ", ".join(
+                "%s %s" % (c.name, PG_TYPES[c.dtype.value])
+                for c in table.columns
+            )
+            script.append("CREATE TABLE %s (%s);" % (table.name, columns))
+            script.append("COPY %s FROM STDIN;" % table.name)
+            values = [data.columns[c.name] for c in table.columns]
+            for row in zip(*values):
+                script.append("\t".join(
+                    r"\N" if v is None else repr(v) for v in row
+                ))
+            script.append(r"\.")
+            data.analyze_into(table)
+        script.append("ANALYZE;")
+        self.psql("\n".join(script) + "\n")
+
+    def estimates(self, queries):
+        """``(PostgreSQL's Plan Rows, count(*))`` per ``(table,
+        predicate)`` pair, in one round trip."""
+        script = []
+        for table, predicate in queries:
+            script.append(r"\echo @@")
+            script.append("EXPLAIN SELECT * FROM %s WHERE %s;"
+                          % (table, predicate))
+            script.append("SELECT count(*) FROM %s WHERE %s;"
+                          % (table, predicate))
+        blocks = "\n".join(self.psql("\n".join(script) + "\n")).split("@@")
+        out = []
+        for block in blocks[1:]:
+            lines = block.strip().splitlines()
+            out.append((int(_ROWS.search(lines[0]).group(1)), int(lines[-1])))
+        return out
+
+    def index_pages(self, indexes):
+        """``pg_relation_size / 8192`` of each ``(table, column)`` index."""
+        script = []
+        for n, (table, column) in enumerate(indexes):
+            script.append("CREATE INDEX ix%d ON %s (%s);" % (n, table, column))
+            script.append("SELECT pg_relation_size('ix%d') / 8192;" % n)
+        return [int(line) for line in self.psql("\n".join(script) + "\n")]
+
+
+def predicate(filters):
+    """SQL text of a conjunction of bound filters on one table."""
+    terms = []
+    for f in filters:
+        col = f.column
+        if f.kind == "eq":
+            terms.append("%s = %r" % (col, f.value))
+        elif f.kind == "ne":
+            terms.append("%s <> %r" % (col, f.value))
+        elif f.kind == "in":
+            terms.append("%s IN (%s)" % (col, ", ".join(map(repr, f.values))))
+        elif f.kind == "isnull":
+            terms.append("%s IS NULL" % col)
+        elif f.kind == "notnull":
+            terms.append("%s IS NOT NULL" % col)
+        else:
+            if f.low is not None:
+                terms.append("%s %s %r" % (
+                    col, ">=" if f.low_inclusive else ">", f.low))
+            if f.high is not None:
+                terms.append("%s %s %r" % (
+                    col, "<=" if f.high_inclusive else "<", f.high))
+    return " AND ".join(terms) or "true"

@@ -22,8 +22,7 @@ import pytest
 from repro.cophy import candidate_indexes
 from repro.cophy.bip import build_bip
 from repro.cophy.greedy import greedy_select
-from repro.evaluation import InumCachePool, WorkloadEvaluator
-from repro.evaluation.evaluator import _MAX_COMPILED
+from repro.evaluation import InumCachePool, WorkloadEvaluator, memos
 from repro.whatif import Configuration
 from repro.workloads import sdss, sdss_catalog, tpch, tpch_catalog
 
@@ -276,7 +275,6 @@ class TestDeltaStateLifetime:
         evaluator.clear_caches()
         with evaluator._lock:
             assert not evaluator._compiled
-            assert not evaluator._compiled_by_sig
         again = evaluator.evaluate_deltas(workload, parent, configs)
         assert again.matrix == reference.matrix
 
@@ -290,8 +288,8 @@ class TestEvaluatorConcurrency:
     def test_parallel_evaluation_against_concurrent_evictions(self):
         """Threads alternating evaluate_many / evaluate_deltas while a
         tiny pool constantly evicts: no lost updates, the compiled LRU
-        never exceeds its bound, and the signature index stays
-        consistent with the memo."""
+        never exceeds its bound, and every compiled workload reads only
+        resident entries."""
         catalog, workload, configs = make_env(0)
         reference = WorkloadEvaluator(catalog)
         slices = [workload[i:i + 2] for i in range(len(workload) - 1)]
@@ -328,12 +326,9 @@ class TestEvaluatorConcurrency:
             t.join(timeout=120)
         assert not errors, errors
         with evaluator._lock:
-            assert len(evaluator._compiled) <= _MAX_COMPILED
-            for key, compiled in evaluator._compiled.items():
-                for sig in compiled.signatures:
-                    assert key in evaluator._compiled_by_sig[sig]
-            for sig, keys in evaluator._compiled_by_sig.items():
-                assert keys <= set(evaluator._compiled)
+            assert len(evaluator._compiled) <= memos.COMPILED.bound
+            for compiled in evaluator._compiled.values():
+                assert all(sig in pool for sig in compiled.signatures)
 
     def test_exact_service_counter_under_concurrent_lookups(self):
         """exact_optimizer_calls is read while tenant threads churn the

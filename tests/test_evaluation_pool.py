@@ -209,27 +209,51 @@ class TestPoolOwnership:
         with pytest.raises(ValueError):
             WorkloadEvaluator(sdss_catalog.clone(), pool=pool)
 
-    def test_shared_pool_accepts_same_catalog_and_settings(self, sdss_catalog):
+    def test_second_owner_is_refused(self, sdss_catalog):
         pool = InumCachePool()
-        a = WorkloadEvaluator(sdss_catalog, pool=pool)
-        b = WorkloadEvaluator(sdss_catalog, pool=pool)
-        a.cache_for(Q_RA)
-        assert b.cache_for(Q_RA) is a.cache_for(Q_RA)  # shared entry
+        owner = WorkloadEvaluator(sdss_catalog, pool=pool)
+        with pytest.raises(ValueError):
+            WorkloadEvaluator(sdss_catalog, pool=pool)
+        owner.cache_for(Q_RA)  # the first owner keeps serving
+        assert owner.signature(Q_RA) in pool
+
+    def test_ownerless_pool_serves_alone(self, sdss_catalog):
+        """A pool nobody attached (a wire replay's) evicts and clears
+        without an owner to tell."""
+        source = WorkloadEvaluator(sdss_catalog)
+        pool = InumCachePool(capacity=1)
+        pool.put("a", source.cache_for(Q_RA))
+        pool.put("b", source.cache_for(Q_RMAG))
+        assert pool.signatures() == ["b"]
+        assert len(pool.clear()) == 1
+
+    def test_pool_holds_its_owner_weakly(self, sdss_catalog):
+        import gc
+        import weakref
+
+        pool = InumCachePool(capacity=1)
+        owner = WorkloadEvaluator(sdss_catalog, pool=pool)
+        owner.cache_for(Q_RA)
+        ref = weakref.ref(owner)
+        del owner
+        gc.collect()
+        assert ref() is None
+        pool.put("other", pool.get(pool.signatures()[0]))  # evicts, no owner
 
 
 class TestExactServiceBound:
     def test_exact_services_are_lru_bounded_with_pinned_base(self, sdss_catalog):
         from repro.catalog import Index
-        from repro.evaluation.evaluator import _MAX_EXACT_SERVICES
+        from repro.evaluation import memos
 
         evaluator = WorkloadEvaluator(sdss_catalog)
         base = evaluator.exact_service()
-        for i in range(_MAX_EXACT_SERVICES + 20):
+        for i in range(memos.EXACT_SERVICES.bound + 20):
             config = Configuration.of(
                 Index("photoobj", ("ra",), name="ix_tmp_%d" % i)
             )
             evaluator.exact_service(config)
-        assert len(evaluator._exact_services) <= _MAX_EXACT_SERVICES
+        assert len(evaluator._exact_services) == memos.EXACT_SERVICES.bound
         assert evaluator.exact_service() is base  # base never evicted
 
     def test_clear_caches_keeps_base_service(self, sdss_catalog):
@@ -240,32 +264,50 @@ class TestExactServiceBound:
         evaluator.exact_service(Configuration.of(Index("photoobj", ("ra",))))
         evaluator.clear_caches()
         assert evaluator.exact_service() is base
-        assert len(evaluator._exact_services) == 1
+        assert not evaluator._exact_services
 
-    def test_eviction_prunes_memos_of_all_sharing_evaluators(self, sdss_catalog):
-        """One evaluator's eviction must bound the memos of every
-        evaluator sharing the pool, not just its own."""
+    def test_clear_caches_re_reads_statistics_on_the_exact_path(self):
+        """The pinned base service survives ``clear_caches`` but its
+        plan cache does not: after re-ANALYZE plus a clear, the exact
+        cost is a fresh evaluator's and the INUM cost."""
+        from repro.workloads import sdss_catalog
+
+        catalog = sdss_catalog(scale=0.05)
+        sql = ("SELECT objid, ra, dec, zmag, zerr FROM photoobj "
+               "WHERE zmag < 14.52 AND type = 5")
+        evaluator = WorkloadEvaluator(catalog)
+        base = evaluator.exact_service()
+        before = evaluator.exact_cost(sql)
+        assert before == evaluator.cost(sql)
+        table = catalog.table("photoobj")
+        table.row_count *= 10
+        table.build_stats()
+        evaluator.clear_caches()
+        after = evaluator.exact_cost(sql)
+        assert evaluator.exact_service() is base
+        assert after != before
+        assert after == WorkloadEvaluator(catalog).exact_cost(sql)
+        assert after == evaluator.cost(sql)
+
+    def test_eviction_prunes_the_owners_memos(self, sdss_catalog):
+        """An eviction reaches the owner's memos through the pool's
+        direct call, whichever code path triggered it."""
         pool = InumCachePool(capacity=2)
-        a = WorkloadEvaluator(sdss_catalog, pool=pool)
-        b = WorkloadEvaluator(sdss_catalog, pool=pool)
-        a.cost(Q_RA)  # A holds slot memo for Q_RA
-        b.cost(Q_RA)  # B too, via the shared entry
-        sql = a.cache_for(Q_RA).bound_query.sql
-        assert sql in a._slot_memo and sql in b._slot_memo
-        b.cache_for(Q_RMAG)
-        b.cache_for(Q_GROUP)  # B evicts Q_RA from the shared pool
-        assert a.signature(Q_RA) not in pool
-        assert sql not in a._slot_memo  # A was notified and pruned
-        assert sql not in b._slot_memo
+        evaluator = WorkloadEvaluator(sdss_catalog, pool=pool)
+        evaluator.cost(Q_RA)
+        sql = evaluator.cache_for(Q_RA).bound_query.sql
+        assert sql in evaluator._slot_memo
+        pool.put("x", evaluator.cache_for(Q_RMAG))
+        pool.put("y", evaluator.cache_for(Q_GROUP))  # evicts Q_RA
+        assert evaluator.signature(Q_RA) not in pool
+        assert sql not in evaluator._slot_memo
 
-    def test_clear_caches_broadcasts_to_sharing_evaluators(self, sdss_catalog):
+    def test_pool_clear_prunes_the_owners_memos(self, sdss_catalog):
         pool = InumCachePool()
-        a = WorkloadEvaluator(sdss_catalog, pool=pool)
-        b = WorkloadEvaluator(sdss_catalog, pool=pool)
-        a.cost(Q_RA)
-        b.cost(Q_RA)
-        sql = a.cache_for(Q_RA).bound_query.sql
-        assert sql in b._slot_memo
-        a.clear_caches()
+        evaluator = WorkloadEvaluator(sdss_catalog, pool=pool)
+        evaluator.cost(Q_RA)
+        sql = evaluator.cache_for(Q_RA).bound_query.sql
+        assert sql in evaluator._slot_memo
+        pool.clear()  # not through clear_caches
         assert len(pool) == 0
-        assert sql not in b._slot_memo  # B pruned via the clear broadcast
+        assert sql not in evaluator._slot_memo

@@ -1,0 +1,153 @@
+"""The cost model's inputs against PostgreSQL, an oracle sharing no code.
+
+(i)  Cardinalities: per single-table filter of every SDSS and TPC-H
+     template, our row estimate, PostgreSQL's ``Plan Rows`` and the
+     ``count(*)`` truth, over the same generated rows.
+(ii) Index sizes: ``pg_relation_size / 8192`` of a single-column btree
+     on every filtered column against ``catalog/pagemodel.py``.
+
+Every threshold below is the first run's observed value widened by a
+margin; every comparison beyond its threshold is listed by name with
+its cause in ``KNOWN_GAPS``, and the test fails when that list is
+wrong in either direction.  (iii) costs and (iv) executed work are not
+compared yet.  Skips when no PostgreSQL server is installed.
+"""
+
+import os
+import pwd
+import random
+import shutil
+import statistics
+
+import pytest
+
+from repro.catalog import Index
+from repro.data import generate_database
+from repro.optimizer import paths as P
+from repro.sql.binder import bind_statement
+from repro.workloads import sdss, sdss_catalog, tpch, tpch_catalog
+
+from pg_oracle import Cluster, find_bindir, predicate
+
+# Small enough that ANALYZE reads every row (its sample is 30 000), so
+# PostgreSQL's statistics, like ours, are deterministic.
+ENVIRONMENTS = (
+    (sdss, lambda: sdss_catalog(scale=0.01)),
+    (tpch, lambda: tpch_catalog(scale=0.005)),
+)
+
+Q_PG = 1.25  # ours vs PostgreSQL's estimate (observed 1.20)
+Q_TRUTH = 1.35  # ours vs count(*) (observed 1.29 outside KNOWN_GAPS)
+Q_VS_PG = 1.05  # our q-error over PostgreSQL's (observed 1.01)
+INDEX_RATIO = (1.0, 1.45)  # our pages / PostgreSQL's (observed 1.0-1.39)
+
+_FEW = ("two or fewer qualifying rows, so one row is a 2x q-error; "
+        "PostgreSQL's estimate is as far off")
+_DEDUP = ("PostgreSQL 13+ btree deduplication stores a run of equal keys "
+          "once; pagemodel.btree_shape sizes one leaf tuple per row")
+KNOWN_GAPS = {
+    "rows:color_cut/photoobj": _FEW,
+    "rows:spec_quality_join/s": _FEW,
+    "rows:part_supplier/p": _FEW,
+    "index:customer.c_mktsegment": _DEDUP,
+    "index:lineitem.l_shipdate": _DEDUP,
+    "index:orders.o_orderdate": _DEDUP,
+    "index:part.p_brand": _DEDUP,
+    "index:part.p_size": _DEDUP,
+    "index:photoobj.mode": _DEDUP,
+    "index:photoobj.type": _DEDUP,
+    "index:specobj.specclass": _DEDUP,
+    # Inside INDEX_RATIO, but it is why the ratio sits near 1.4.
+    "index:*": "Index.key_width adds the 6-byte heap TID on top of the "
+               "8-byte IndexTupleData header that already holds it: 28 "
+               "instead of 20 bytes per leaf tuple of an 8-byte key",
+}
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    bindir = find_bindir()
+    if bindir is None:
+        pytest.skip("no PostgreSQL server binaries installed")
+    if os.geteuid() == 0:
+        try:
+            pwd.getpwnam("postgres")
+        except KeyError:
+            pytest.skip("running as root without a postgres user")
+        if shutil.which("runuser") is None:
+            pytest.skip("running as root without runuser")
+    cluster = Cluster(bindir)
+    try:
+        cluster.start()
+        envs = []
+        for module, make in ENVIRONMENTS:
+            catalog = make()
+            cluster.load(catalog, generate_database(catalog, seed=1))
+            envs.append((module, catalog))
+        yield cluster, envs
+    finally:
+        cluster.stop()
+
+
+def filters(envs):
+    """``(name, catalog, bound query, alias, table)`` per filtered table
+    reference of one statement per read template."""
+    out = []
+    for module, catalog in envs:
+        rng = random.Random(7)
+        for maker, __ in module.TEMPLATES:
+            bq = bind_statement(maker(rng), catalog)
+            for alias, table in bq.tables.items():
+                if bq.filters_for(alias):
+                    name = "%s/%s" % (maker.__name__.lstrip("_"), alias)
+                    out.append((name, catalog, bq, alias, table))
+    return out
+
+
+def q_error(a, b):
+    a, b = max(a, 1.0), max(b, 1.0)
+    return max(a / b, b / a)
+
+
+def test_cardinalities_agree_with_postgresql_and_the_truth(oracle):
+    cluster, envs = oracle
+    cases = filters(envs)
+    measured = cluster.estimates(
+        [(table.name, predicate(bq.filters_for(alias)))
+         for __, __, bq, alias, table in cases]
+    )
+    assert len(cases) >= 15
+    gaps = set()
+    for (name, catalog, bq, alias, __), (pg, truth) in zip(cases, measured):
+        ours = P.scan_context(bq, alias, catalog).rows_out
+        assert q_error(ours, pg) <= Q_PG, (name, ours, pg)
+        assert q_error(ours, truth) <= Q_VS_PG * q_error(pg, truth), (
+            name, ours, pg, truth)
+        if q_error(ours, truth) > Q_TRUTH:
+            gaps.add("rows:" + name)
+    assert gaps == {gap for gap in KNOWN_GAPS if gap.startswith("rows:")}
+
+
+def test_index_sizes_agree_with_the_page_model(oracle):
+    cluster, envs = oracle
+    columns = sorted({
+        (table.name, f.column): catalog
+        for __, catalog, bq, alias, table in filters(envs)
+        for f in bq.filters_for(alias)
+    }.items())
+    pages = cluster.index_pages([key for key, __ in columns])
+    gaps, ratios = set(), []
+    for ((table, column), catalog), pg in zip(columns, pages):
+        ours = Index(table, (column,)).size_pages(catalog.table(table))
+        ratio = ours / pg
+        assert ratio >= INDEX_RATIO[0], (table, column, ours, pg)
+        if ratio > INDEX_RATIO[1]:
+            gaps.add("index:%s.%s" % (table, column))
+        else:
+            ratios.append(ratio)
+    listed = {gap for gap in KNOWN_GAPS
+              if gap.startswith("index:") and gap != "index:*"}
+    assert gaps == listed
+    # The TID gap: the typical ratio is what it says (fixing the page
+    # model must update KNOWN_GAPS and INDEX_RATIO).
+    assert 1.3 <= statistics.median(ratios) <= INDEX_RATIO[1]

@@ -28,8 +28,7 @@ from repro.catalog import Index
 from repro.colt import ColtSettings
 from repro.cophy import candidate_indexes
 from repro.designer import Designer
-from repro.evaluation import WorkloadEvaluator
-from repro.evaluation.evaluator import _MAX_RECOMMENDATIONS
+from repro.evaluation import WorkloadEvaluator, memos
 from repro.service import TenantSession, TuningService
 from repro.sql import binder
 from repro.workloads import (
@@ -159,12 +158,12 @@ class TestRecommendMemo:
             )
 
         first = refresh(0)
-        for i in range(1, 4 * _MAX_RECOMMENDATIONS):
+        for i in range(1, 4 * memos.RECOMMENDATIONS.bound):
             refresh(i)
             if i % 7 == 0:
                 assert refresh(0) is first  # kept alive by use
-            assert len(memo) <= _MAX_RECOMMENDATIONS
-        assert len(memo) == _MAX_RECOMMENDATIONS
+            assert len(memo) <= memos.RECOMMENDATIONS.bound
+        assert len(memo) == memos.RECOMMENDATIONS.bound
         assert refresh(0) is first
         __, misses = memo_counts(designer.evaluator)
         refresh(1)  # long evicted: recomputed
@@ -186,7 +185,8 @@ class TestRecommendMemo:
         interval every call is counted exactly once, every caller gets
         its own key's value, and the bound holds throughout."""
         evaluator = WorkloadEvaluator(sdss_catalog)
-        keys = 3 * _MAX_RECOMMENDATIONS
+        bound = memos.RECOMMENDATIONS.bound
+        keys = 3 * bound
         calls_per_thread, wrong, oversize = 2000, [], []
 
         def tenant(seed):
@@ -197,7 +197,7 @@ class TestRecommendMemo:
                         != ("rec", key):
                     wrong.append(key)
                 with evaluator._lock:  # between calls, as _forget sees it
-                    if len(evaluator._recommendations) > _MAX_RECOMMENDATIONS:
+                    if len(evaluator._recommendations) > bound:
                         oversize.append(key)
 
         threads = [threading.Thread(target=tenant, args=(s,)) for s in range(6)]

@@ -3,7 +3,7 @@
 Everything in scan pricing that does not depend on the secondary-index
 set is computed once per (bound query, alias, vertical layout,
 horizontal partitioning) and shared (``optimizer/paths.py``:
-``ScanContext``, owned by ``BoundQuery.scan_memo``).  The memo is a pure
+``ScanContext``, owned by ``BoundQuery.scan_contexts``).  The memo is a pure
 cache, never a different cost model, so this suite pins
 
 (a) memoized == fresh, *exactly*, for every SDSS/TPC-H template under
@@ -52,7 +52,6 @@ from repro.inum.cache import _access_cost, _DesignView, _slot_key
 from repro.optimizer import CostService
 from repro.optimizer import paths as P
 from repro.optimizer import plan_query
-from repro.optimizer.plan import Plan
 from repro.optimizer import service as service_module
 from repro.optimizer.settings import DEFAULT_SETTINGS
 from repro.optimizer.writecost import locate_query
@@ -173,7 +172,7 @@ def test_planner_memoized_equals_fresh(registry, make_catalog):
             cold = plan_query(bind_read(sql, catalog), overlay)
             assert hot.total_cost == cold.total_cost
             assert hot.explain() == cold.explain()
-    assert all(bq.scan_memo for bq in warm.values())
+    assert all(bq.scan_contexts for bq in warm.values())
 
 
 @ENVIRONMENTS
@@ -258,7 +257,7 @@ def test_contexts_are_shared_across_index_only_designs(sdss_catalog):
         sdss_catalog, Configuration.of(Index("photoobj", ("type", "rmag")))
     )
     assert P.scan_context(bq, "p", view) is base
-    assert len(bq.scan_memo) == 1
+    assert len(bq.scan_contexts) == 1
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +326,7 @@ def test_different_covers_and_partitionings_never_share_a_context(sdss_catalog):
     assert context(layouts=(layout_a,)) is contexts[1]
     assert context(horizontals=(horizontal,)) is contexts[3]
     # The other alias's table has no layout: one shared context.
-    assert len({k for k in bq.scan_memo if k[0] == "s"}) <= 1
+    assert len({k for k in bq.scan_contexts if k[0] == "s"}) <= 1
 
 
 # ----------------------------------------------------------------------
@@ -428,17 +427,18 @@ def test_explain_names_the_fragments_of_the_layout_it_planned(sdss_catalog):
 
 
 def test_forgetting_indexes_skips_cover_entries(sdss_catalog):
-    """``scan_memo`` holds cover entries next to the contexts;
-    ``forget_indexes`` must only walk the contexts."""
+    """Cover entries live beside the contexts; ``forget_indexes``
+    releases the index from the contexts and leaves the covers."""
     catalog = sdss_catalog.clone()
     index = Index("photoobj", ("rmag",))
     catalog.add_index(index)
     bq = bind_statement(TWO_TABLE_SQL, catalog)
     overlay = Configuration(layouts=(photo_layout(HOT, *COLD),)).apply(catalog)
     before = plan_query(bq, overlay).total_cost
-    kinds = {type(value) for value in bq.scan_memo.values()}
-    assert P.ScanContext in kinds and tuple in kinds
+    assert bq.scan_contexts and bq.layout_covers
+    covers = dict(bq.layout_covers)
     P.forget_indexes(bq, {index})
+    assert bq.layout_covers == covers
     assert plan_query(bq, overlay).total_cost == before
 
 
@@ -779,8 +779,7 @@ def test_reanalyze_of_any_column_a_plan_reads_replans(
     # Plans keyed on the replaced context are dropped with it.
     assert not any(
         used is ctx
-        for key, value in bq.scan_memo.items() if isinstance(value, Plan)
-        for used, __ in key[1]
+        for key in bq.plan_memo for used, __ in key[1]
     )
     assert fresh_service(base).plan(bq) is again
     assert len(planner_calls) == 2

@@ -81,22 +81,18 @@ class TestSingleFlight:
         assert again is first
         assert pool.stats.hits == 1 and pool.stats.misses == 1
 
-    def test_evaluators_sharing_a_pool_never_double_build(self, sdss_catalog):
-        """The documented race this PR closes: two evaluators, one pool,
-        same query from many threads — one build total."""
+    def test_tenant_threads_never_double_build(self, sdss_catalog):
+        """Six tenant threads probing one statement on one evaluator's
+        pool: one build total."""
         pool = InumCachePool()
-        a = WorkloadEvaluator(sdss_catalog, pool=pool)
-        b = WorkloadEvaluator(sdss_catalog, pool=pool)
+        evaluator = WorkloadEvaluator(sdss_catalog, pool=pool)
         gate = threading.Event()
 
-        def probe(evaluator):
+        def probe():
             gate.wait(timeout=5)
             evaluator.cache_for(Q_JOIN)
 
-        threads = [
-            threading.Thread(target=probe, args=(ev,))
-            for ev in (a, b, a, b, a, b)
-        ]
+        threads = [threading.Thread(target=probe) for __ in range(6)]
         for t in threads:
             t.start()
         gate.set()
@@ -248,6 +244,13 @@ class TestShardedAsEvaluatorPool:
             # A clone is a *different* catalog object; signatures carry
             # no catalog identity, so the pool must refuse it.
             WorkloadEvaluator(sdss_catalog.clone(), pool=pool)
+
+    def test_second_owner_is_refused(self, sdss_catalog):
+        pool = ShardedInumCachePool(shards=2)
+        owner = WorkloadEvaluator(sdss_catalog, pool=pool)
+        with pytest.raises(ValueError):
+            WorkloadEvaluator(sdss_catalog, pool=pool)
+        assert all(shard._owner() is owner for shard in pool._shards)
 
     def test_warm_up_concurrent_equals_sequential(self, sdss_catalog):
         flat, sharded = self._evaluators(sdss_catalog)
