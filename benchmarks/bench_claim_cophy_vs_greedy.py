@@ -8,8 +8,10 @@ provably trapped by a knapsack interaction, and (b) storage-budget sweeps
 on the SDSS and TPC-H workloads comparing the exact solver and greedy,
 both over the identical INUM cost oracle.
 
-Expected shape: MILP <= greedy at every budget, with a strict gap on the
-constructed instance (and typically at tight budgets on real workloads).
+Expected shape: MILP's proven lower bound <= greedy at every budget and
+its returned design within HiGHS's 1e-4 relative gap of greedy's, with a
+strict gap on the constructed instance (and typically at tight budgets
+on real workloads).
 """
 
 from repro.cophy import CoPhyAdvisor, greedy_select, solve_bip
@@ -73,6 +75,12 @@ def test_claim_greedy_trapped_on_constructed_instance(benchmark):
     assert greedy.chosen_positions == (0,)
 
 
+# HiGHS stops once its incumbent is within this relative gap of its
+# dual bound, so the exact solver's *incumbent* may trail greedy by that
+# much; its bound may not trail greedy at all.
+MIP_REL_GAP = 1e-4
+
+
 def _sweep(catalog, workload, label, budgets):
     advisor = CoPhyAdvisor(catalog)
     rows = []
@@ -92,12 +100,18 @@ def _sweep(catalog, workload, label, budgets):
                 milp.predicted_workload_cost,
                 greedy.predicted_workload_cost,
                 gap,
+                "%.1e" % milp.stats["gap"],
+                milp.stats["nodes"],
             )
         )
-        assert milp.predicted_workload_cost <= greedy.predicted_workload_cost + 1e-6
+        assert milp.stats["lower_bound"] <= greedy.predicted_workload_cost + 1e-6
+        assert milp.predicted_workload_cost <= (
+            greedy.predicted_workload_cost * (1 + MIP_REL_GAP)
+        )
     print_table(
         "CL-ILP: %s budget sweep" % label,
-        ("budget", "milp", "greedy", "greedy gap %"),
+        ("budget", "milp", "greedy", "greedy gap %", "milp proven gap",
+         "milp nodes"),
         rows,
     )
     return worst_gap

@@ -8,10 +8,13 @@ index ``j`` with analytic access cost.  Decision variables:
 
 * ``y_j``      — build candidate index j
 * ``z_qe``     — query q executes cached plan e
-* ``x_qeso``   — slot s of (q, e) uses option o
+* ``x_qso``    — slot s of query q uses option o
 
-subject to  Σ_e z_qe = 1,  Σ_o x_qeso = z_qe,  x(option j) ≤ y_j, and
-Σ_j size_j · y_j ≤ budget.  The objective sums weighted internal and
+subject to  Σ_e z_qe = 1,  Σ_o x_qso = Σ_{e ∋ s} z_qe,  x(option j) ≤ y_j,
+and Σ_j size_j · y_j ≤ budget.  A slot is one row of its query however
+many cached plans read it (plans share their ``SlotOptions`` objects),
+so whichever plan carries the query's ``z`` mass, the slot puts it on
+its cheapest open option.  The objective sums weighted internal and
 access costs.  By construction the optimum equals
 ``min_config INUM(workload, config)`` over configurations within budget —
 CoPhy's quality guarantee.

@@ -13,6 +13,15 @@ and returns only indexes that configuration's cheapest plans read
 (:meth:`BipProblem.used_positions`): an index variable the LP left at 1
 without any winning access reading it costs storage and buys nothing.
 
+A query has one equality row per distinct slot,
+``Σ_o x_qso − Σ_{e ∋ s} z_qe = 0``, and one option column per (slot,
+option) with its ``x_qso ≤ y_o`` row: :func:`_assemble` keys a query's
+rows by ``SlotOptions`` object, which every plan reading the slot
+shares, rather than restating the slot for each cached plan.  One
+``x ≤ y`` row then bounds the slot's whole mass, not each plan's
+share, so the LP relaxation is at least as tight as the per-(plan,
+slot) form (``tests/oracle.py:assemble_reference``) on a smaller model.
+
 Only the index variables ``y`` are declared integer.  For any binary
 ``y`` the remaining LP over ``(z, x)`` puts each query's unit of ``z``
 mass on its cheapest feasible plan and each slot on its cheapest open
@@ -20,6 +29,10 @@ option, so it has an integral optimum equal to ``config_cost(y)`` —
 branching on ``z``/``x`` can only cost time
 (``tests/test_cophy.py::TestRelaxationIsExact`` checks this with
 ``linprog``, independently of the MILP backend).
+
+:attr:`SolveResult.lower_bound` is HiGHS's dual bound, which may trail
+the objective by its relative gap (1e-4); ``nodes_explored`` is its
+branch-and-bound node count (0 when presolve solved the program).
 """
 
 import math
@@ -89,23 +102,32 @@ def _assemble(problem):
 
     for q in problem.queries:
         z_vars = []
+        # One row per distinct slot of the query: plans that read the same
+        # SlotOptions object share its row and its option columns.  A slot
+        # a plan reads k times occupies k rows, its first k occurrences.
+        rows = {}  # (id(slot), occurrence within the plan) -> row
         for plan in q.plans:
             z = new_var(q.weight * plan.internal_cost)
             z_vars.append(z)
+            seen = {}
             for slot in plan.slots:
-                row = len(b_eq)
-                # sum_o x - z = 0
+                key = (id(slot), seen.get(id(slot), -1) + 1)
+                seen[id(slot)] = key[1]
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = len(b_eq)
+                    b_eq.append(0.0)
+                    for pos, cost in slot.options:
+                        x = new_var(q.weight * cost)
+                        eq_rows.append(row), eq_cols.append(x), eq_vals.append(1.0)
+                        if pos != -1:
+                            # x - y_pos <= 0
+                            ub_row = len(b_ub)
+                            ub_rows.append(ub_row), ub_cols.append(x), ub_vals.append(1.0)
+                            ub_rows.append(ub_row), ub_cols.append(pos), ub_vals.append(-1.0)
+                            b_ub.append(0.0)
+                # sum_o x - sum of the z of the plans reading the slot = 0
                 eq_rows.append(row), eq_cols.append(z), eq_vals.append(-1.0)
-                for pos, cost in slot.options:
-                    x = new_var(q.weight * cost)
-                    eq_rows.append(row), eq_cols.append(x), eq_vals.append(1.0)
-                    if pos != -1:
-                        # x - y_pos <= 0
-                        ub_row = len(b_ub)
-                        ub_rows.append(ub_row), ub_cols.append(x), ub_vals.append(1.0)
-                        ub_rows.append(ub_row), ub_cols.append(pos), ub_vals.append(-1.0)
-                        b_ub.append(0.0)
-                b_eq.append(0.0)
         row = len(b_eq)
         for z in z_vars:
             eq_rows.append(row), eq_cols.append(z), eq_vals.append(1.0)
@@ -189,10 +211,11 @@ def solve_bip(problem):
         return observed_solve(SolveResult(
             chosen_positions=chosen,
             objective=objective,
-            lower_bound=float(res.fun) + problem.write_base_cost,
+            lower_bound=float(res.mip_dual_bound) + problem.write_base_cost,
             status="optimal" if res.success else str(res.status),
             solver="milp-highs",
             solve_seconds=time.perf_counter() - started,
+            nodes_explored=int(res.mip_node_count),
             n_variables=n,
             n_constraints=mats.a_eq.shape[0] + mats.a_ub.shape[0],
         ))

@@ -7,7 +7,9 @@ from repro.catalog import Catalog, Column, DataType, Distribution, Index, Table
 
 # Property tests written without ``max_examples`` take their budget from
 # the profile: ``default`` is hypothesis's own 100 examples, ``ci`` ten
-# times that (``--hypothesis-profile=ci``).  No deadline in either: a
+# times that (``--hypothesis-profile=ci``); the BIP property tests state
+# theirs as a ``share()`` of it (``test_backward_and_solver_props.py``),
+# so they scale with the profile too.  No deadline in either: a
 # wall-clock verdict on a shared box is noise, and an example here is a
 # whole planner run.
 hypothesis_settings.register_profile("default", max_examples=100, deadline=None)

@@ -10,9 +10,14 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
   scalar calls for the report.  Works over a plain ``InumCostModel``.
 * :func:`fragments_for_reference` — the greedy fragment set cover
   without the up-front filtering of useless fragments.
-* :func:`solve_bip_all_integer` / :func:`relaxation_value` — the
-  all-integer MILP and the ``(z, x)`` LP under a fixed binary ``y``,
-  the two ends the y-only MILP is checked against.
+* :func:`assemble_reference` — the BIP's matrices as ``solve_bip``
+  stated them before a query's plans shared slot rows: one equality row
+  and one set of option columns per (plan, slot) pair.
+* :func:`solve_bip_all_integer` — the all-integer MILP over
+  :func:`assemble_reference`, one end the y-only MILP is checked
+  against; :func:`relaxation_value` — the ``(z, x)`` LP of the *shipped*
+  matrices under a fixed binary ``y``, the exactness proof of the
+  shared-row form.
 * :func:`used_positions_reference` — the argmin witness of
   ``config_cost`` as a scalar first-strict-less walk.
 * :func:`per_call_matrix` — a workload × configuration grid as one
@@ -23,10 +28,11 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
 * :func:`greedy_select_reference` — greedy selection re-pricing every
   extension as a full batch each round, what the delta sweep replaced.
 * :func:`solve_branch_and_bound` — the program solved by an LP-bounded
-  branch-and-bound over ``linprog`` alone, run to completion: the
-  cross-check of the HiGHS backend.
+  branch-and-bound over ``linprog`` alone on :func:`assemble_reference`,
+  run to completion: the cross-check of the HiGHS backend.
 * :func:`check_solution` — the program's constraints stated once, the
-  one specification every solver backend's output is held to.
+  one specification every solver backend's output is held to;
+  :func:`check_milp_bound` — what HiGHS's dual bound proves of it.
 * :class:`PathSetReference` (over :func:`admits_reference`) and
   :func:`join_pair_reference` — join enumeration as it ran before
   ISSUE 24: a dominance test that scans the whole set, an ``add`` that
@@ -45,7 +51,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from repro.autopart.advisor import (
     AutoPartAdvisor,
@@ -53,7 +59,7 @@ from repro.autopart.advisor import (
     _bound_queries,
 )
 from repro.catalog import HorizontalPartitioning, VerticalFragment, VerticalLayout
-from repro.cophy.solvers import SolveResult, _assemble
+from repro.cophy.solvers import SolveResult, _assemble, _Matrices
 from repro.inum import cache as inum_cache
 from repro.optimizer import joins as J
 from repro.optimizer import paths as P
@@ -257,11 +263,70 @@ def fragments_for_reference(layout, needed_columns):
     return chosen
 
 
+def assemble_reference(problem):
+    """The program in matrix form with a row per (plan, slot) pair:
+    ``Σ_o x_qeso − z_qe = 0`` and ``x_qeso ≤ y_o`` for every slot of
+    every plan, however many plans of the query read the same slot."""
+    n_y = problem.n_candidates
+    c = [0.0] * n_y
+    if problem.index_penalties:
+        for pos in range(n_y):
+            c[pos] = problem.index_penalties[pos]
+    eq_rows, eq_cols, eq_vals, b_eq = [], [], [], []
+    ub_rows, ub_cols, ub_vals, b_ub = [], [], [], []
+
+    def new_var(coef):
+        c.append(coef)
+        return len(c) - 1
+
+    for q in problem.queries:
+        z_vars = []
+        for plan in q.plans:
+            z = new_var(q.weight * plan.internal_cost)
+            z_vars.append(z)
+            for slot in plan.slots:
+                row = len(b_eq)
+                eq_rows.append(row), eq_cols.append(z), eq_vals.append(-1.0)
+                for pos, cost in slot.options:
+                    x = new_var(q.weight * cost)
+                    eq_rows.append(row), eq_cols.append(x), eq_vals.append(1.0)
+                    if pos != -1:
+                        ub_row = len(b_ub)
+                        ub_rows.append(ub_row), ub_cols.append(x), ub_vals.append(1.0)
+                        ub_rows.append(ub_row), ub_cols.append(pos), ub_vals.append(-1.0)
+                        b_ub.append(0.0)
+                b_eq.append(0.0)
+        row = len(b_eq)
+        for z in z_vars:
+            eq_rows.append(row), eq_cols.append(z), eq_vals.append(1.0)
+        b_eq.append(1.0)
+
+    ub_row = len(b_ub)
+    for pos in range(n_y):
+        ub_rows.append(ub_row), ub_cols.append(pos), ub_vals.append(problem.sizes[pos])
+    b_ub.append(problem.budget_pages)
+    if problem.max_indexes is not None:
+        ub_row = len(b_ub)
+        for pos in range(n_y):
+            ub_rows.append(ub_row), ub_cols.append(pos), ub_vals.append(1.0)
+        b_ub.append(float(problem.max_indexes))
+
+    n = len(c)
+    return _Matrices(
+        c=np.array(c),
+        a_eq=sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(len(b_eq), n)),
+        b_eq=np.array(b_eq),
+        a_ub=sparse.csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(len(b_ub), n)),
+        b_ub=np.array(b_ub),
+        n_y=n_y,
+    )
+
+
 def solve_bip_all_integer(problem):
     """The BIP with *every* variable declared integer, as ``solve_bip``
-    posed it before only ``y`` was: returns ``(chosen positions, true
-    objective)``."""
-    mats = _assemble(problem)
+    posed it before only ``y`` was, over the per-(plan, slot) matrices:
+    returns ``(chosen positions, true objective)``."""
+    mats = assemble_reference(problem)
     res = optimize.milp(
         c=mats.c,
         constraints=[
@@ -277,10 +342,11 @@ def solve_bip_all_integer(problem):
 
 
 def relaxation_value(problem, chosen_positions):
-    """Optimum of the LP over ``(z, x)`` with ``y`` fixed to the
-    indicator of *chosen_positions* — plain ``linprog``, no MILP
-    machinery.  Excludes ``write_base_cost`` (a constant outside the
-    matrices), includes the chosen indexes' penalties."""
+    """Optimum of the LP over ``(z, x)`` of ``solve_bip``'s own matrices
+    with ``y`` fixed to the indicator of *chosen_positions* — plain
+    ``linprog``, no MILP machinery.  Excludes ``write_base_cost`` (a
+    constant outside the matrices), includes the chosen indexes'
+    penalties."""
     mats = _assemble(problem)
     n = len(mats.c)
     lower = np.zeros(n)
@@ -438,8 +504,9 @@ def solve_branch_and_bound(problem):
     the LP relaxation and run to completion: the program solved with
     nothing but ``linprog``, the cross-check of ``solve_bip``'s MILP.
     Branches on the most fractional ``y``; every node's rounded ``y``
-    that fits the budget and the cap is an incumbent candidate."""
-    mats = _assemble(problem)
+    that fits the budget and the cap is an incumbent candidate.  Runs on
+    :func:`assemble_reference`, not the shipped matrices."""
+    mats = assemble_reference(problem)
     best_obj = math.inf
     best_chosen = ()
     nodes = 0
@@ -488,6 +555,22 @@ def solve_branch_and_bound(problem):
         n_variables=len(mats.c),
         n_constraints=mats.a_eq.shape[0] + mats.a_ub.shape[0],
     )
+
+
+# HiGHS's default relative gap: ``solve_bip`` may stop once its
+# incumbent is within this of its dual bound.
+MIP_REL_GAP = 1e-4
+
+
+def check_milp_bound(result):
+    """Assert what ``solve_bip`` reports of the proof behind *result*:
+    HiGHS's dual bound lies below the returned objective by at most the
+    relative gap HiGHS stops at (plus float slack — ``used_positions``
+    can only lower the objective)."""
+    assert result.lower_bound <= result.objective * (1 + 1e-9), \
+        "bound above the objective"
+    if result.lower_bound > 0:
+        assert -1e-9 <= result.gap <= MIP_REL_GAP + 1e-6, result.gap
 
 
 def check_solution(problem, result):

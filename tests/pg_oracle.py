@@ -13,6 +13,7 @@ where no PostgreSQL is installed, and the tests skip.
 """
 
 import glob
+import json
 import os
 import re
 import shutil
@@ -121,12 +122,64 @@ class Cluster:
         return out
 
     def index_pages(self, indexes):
-        """``pg_relation_size / 8192`` of each ``(table, column)`` index."""
+        """``pg_relation_size / 8192`` of each ``(table, column)`` index;
+        each is dropped once measured, so no later query sees it."""
         script = []
         for n, (table, column) in enumerate(indexes):
             script.append("CREATE INDEX ix%d ON %s (%s);" % (n, table, column))
             script.append("SELECT pg_relation_size('ix%d') / 8192;" % n)
+            script.append("DROP INDEX ix%d;" % n)
         return [int(line) for line in self.psql("\n".join(script) + "\n")]
+
+    def scan_choices(self, settings, cases):
+        """Per ``(table, predicate, column)``: ``(scan class, total cost
+        without the index, total cost with it)`` of ``SELECT *`` under
+        PostgreSQL's planner, its cost GUCs set to *settings*' constants
+        and parallel plans off.  The single-column btree on *column*
+        exists only inside a rolled-back transaction, so it is the one
+        index the planner sees."""
+        script = guc_script(settings)
+        for table, pred, column in cases:
+            query = "EXPLAIN (FORMAT JSON) SELECT * FROM %s WHERE %s;" % (
+                table, pred)
+            script += [r"\echo @@", query, "BEGIN;",
+                       "CREATE INDEX oracle_scan ON %s (%s);" % (table, column),
+                       r"\echo ##", query, "ROLLBACK;"]
+        blocks = "\n".join(self.psql("\n".join(script) + "\n")).split("@@")
+        out = []
+        for block in blocks[1:]:
+            without, with_index = (json.loads(part)[0]["Plan"]
+                                   for part in block.split("##"))
+            out.append((SCAN_CLASSES[with_index["Node Type"]],
+                        without["Total Cost"], with_index["Total Cost"]))
+        return out
+
+
+# PostgreSQL node type -> the scan class both planners are compared on.
+SCAN_CLASSES = {
+    "Seq Scan": "seq", "Index Scan": "index", "Index Only Scan": "index",
+    "Bitmap Heap Scan": "bitmap",
+}
+
+
+def guc_script(settings):
+    """``SET`` lines giving PostgreSQL *settings*' cost constants and
+    ``enable_*`` flags.  ``effective_cache_size`` keeps its default
+    (4GB): above every table here, PostgreSQL's ``index_pages_fetched``
+    is the plain Mackert–Lohman estimate ``paths.mackert_lohman_pages``
+    states.  This planner has no parallel plans, so neither may
+    PostgreSQL."""
+    lines = ["SET %s = %r;" % (name, getattr(settings, name)) for name in (
+        "seq_page_cost", "random_page_cost", "cpu_tuple_cost",
+        "cpu_index_tuple_cost", "cpu_operator_cost")]
+    lines += ["SET %s = %s;" % (name, "on" if getattr(settings, name)
+                                else "off") for name in (
+        "enable_seqscan", "enable_indexscan", "enable_indexonlyscan",
+        "enable_bitmapscan", "enable_nestloop", "enable_hashjoin",
+        "enable_mergejoin", "enable_sort", "enable_material")]
+    lines += ["SET work_mem = '%dkB';" % (settings.work_mem // 1024),
+              "SET max_parallel_workers_per_gather = 0;"]
+    return lines
 
 
 def predicate(filters):

@@ -17,6 +17,7 @@ from repro.cophy import (
 from repro.cophy import advisor as advisor_module
 from repro.cophy.advisor import SOLVERS
 from repro.cophy.bip import BipProblem, PlanTerm, QueryTerm, SlotOptions
+from repro.cophy.solvers import _assemble
 from repro.inum import InumCostModel
 from repro.optimizer import CostService
 from repro.util import DesignError
@@ -25,13 +26,15 @@ from repro.workloads import sdss_catalog as full_sdss_catalog
 from repro.workloads import tpch_catalog
 
 from oracle import (
+    assemble_reference,
+    check_milp_bound,
     check_solution,
     relaxation_value,
     solve_bip_all_integer,
     solve_branch_and_bound,
     used_positions_reference,
 )
-from test_backward_and_solver_props import bip_instances
+from test_backward_and_solver_props import bip_instances, share
 from test_colgen import template_workload
 
 WORKLOAD = [
@@ -122,7 +125,31 @@ class TestSolvers:
 
     def test_lower_bound_sound(self, problem):
         result = solve_bip(problem)
-        assert result.lower_bound <= result.objective + 1e-6
+        check_milp_bound(result)
+        assert result.nodes_explored >= 1
+
+    def test_bound_and_nodes_are_what_highs_proved(
+            self, sdss_catalog, inum, monkeypatch):
+        """The reported bound is HiGHS's dual bound, not its incumbent
+        (``res.fun``), and the node count is its own."""
+        from repro.cophy import solvers
+
+        seen = []
+        real = solvers.optimize.milp
+
+        def spy(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(solvers.optimize, "milp", spy)
+        workload = WORKLOAD + WRITES
+        candidates = candidate_indexes(sdss_catalog, workload, max_candidates=14)
+        problem = build_bip(inum, workload, candidates, 5_000)
+        result = solve_bip(problem)
+        (res,) = seen
+        assert result.lower_bound == \
+            res.mip_dual_bound + problem.write_base_cost
+        assert result.nodes_explored == res.mip_node_count >= 1
 
     def test_branch_and_bound_matches_milp(self, problem):
         milp = solve_bip(problem)
@@ -181,7 +208,7 @@ class TestRelaxationIsExact:
     it is meant to justify."""
 
     @given(problem=bip_instances())
-    @hsettings(max_examples=30, deadline=None)
+    @hsettings(max_examples=share(0.3), deadline=None)
     def test_lp_over_z_and_x_equals_config_cost_for_every_feasible_y(
             self, problem):
         problem.write_base_cost = 7.5
@@ -205,6 +232,63 @@ class TestRelaxationIsExact:
                     rel=1e-9,
                 )
 
+    def test_a_slot_repeated_within_a_plan_takes_a_row_per_occurrence(self):
+        """``PricedWorkload`` never emits one, but ``config_cost`` prices
+        a slot a plan reads twice twice — and so do the matrices: its
+        k-th occurrence in a plan is the slot's k-th row, so the two
+        reads can take different options, as two slots would."""
+        twice = SlotOptions(options=[(-1, 100.0), (0, 10.0), (1, 30.0)])
+        problem = BipProblem(
+            candidates=[Index("t", ("a",)), Index("t", ("b",))],
+            sizes=[5.0, 5.0], budget_pages=10.0, max_indexes=1,
+        )
+        problem.queries = [QueryTerm(weight=1.0, plans=[
+            PlanTerm(internal_cost=1.0, slots=[twice, twice]),
+            PlanTerm(internal_cost=15.0, slots=[twice]),
+        ])]
+        mats = _assemble(problem)
+        assert mats.a_eq.shape[0] == 2 + 1
+        assert len(mats.c) == 2 + 2 + 2 * 3
+        for chosen in feasible_sets(problem):
+            assert relaxation_value(problem, chosen) == pytest.approx(
+                problem.config_cost(chosen), rel=1e-9)
+        result = solve_bip(problem)
+        assert result.chosen_positions == (0,)
+        assert result.objective == solve_bip_all_integer(problem)[1] == 21.0
+
+    def test_a_query_has_one_row_per_distinct_slot(self, sdss_catalog, inum):
+        """The shipped matrices on a real program: one equality row and
+        one set of option columns per distinct (query, slot object),
+        however many cached plans read the slot — a statement listed
+        twice shares its slot objects yet gets rows of its own — where
+        the reference form has one per (plan, slot) pair."""
+        workload = WORKLOAD + WRITES + [WORKLOAD[2]]
+        candidates = candidate_indexes(sdss_catalog, workload, max_candidates=14)
+        problem = build_bip(inum, workload, candidates, 40_000)
+        pairs = distinct = options = plans = 0
+        owners = {}
+        for n, query in enumerate(problem.queries):
+            slots = {}
+            for plan in query.plans:
+                # PricedWorkload never repeats a slot within one plan.
+                assert len({id(s) for s in plan.slots}) == len(plan.slots)
+                slots.update((id(s), s) for s in plan.slots)
+                pairs += len(plan.slots)
+            plans += len(query.plans)
+            distinct += len(slots)
+            options += sum(len(s.options) for s in slots.values())
+            for key in slots:
+                owners.setdefault(key, set()).add(n)
+        assert pairs > distinct
+        assert any(len(queries) > 1 for queries in owners.values())
+        n_queries = len(problem.queries)
+        mats = _assemble(problem)
+        assert mats.a_eq.shape[0] == distinct + n_queries
+        assert len(mats.c) == problem.n_candidates + plans + options
+        assert assemble_reference(problem).a_eq.shape[0] == pairs + n_queries
+        result = solve_bip(problem)
+        assert result.n_variables == len(mats.c)
+
     def test_y_only_objective_equals_all_integer_on_the_fixture(self, problem):
         assert solve_bip(problem).objective == solve_bip_all_integer(problem)[1]
 
@@ -220,8 +304,10 @@ class TestRelaxationIsExact:
         candidates = candidate_indexes(sdss_catalog, workload, max_candidates=14)
         for budget in (0, 5_000, 40_000):
             problem = build_bip(inum, workload, candidates, budget)
-            assert solve_bip(problem).objective == \
-                solve_bip_all_integer(problem)[1]
+            result = solve_bip(problem)
+            check_milp_bound(result)
+            assert result.nodes_explored >= 1
+            assert result.objective == solve_bip_all_integer(problem)[1]
 
     @pytest.mark.parametrize(
         "registry, make_catalog",
@@ -242,7 +328,10 @@ class TestRelaxationIsExact:
         problem = build_bip(
             InumCostModel(catalog), workload, candidates, total // 4
         )
-        assert solve_bip(problem).objective == solve_bip_all_integer(problem)[1]
+        result = solve_bip(problem)
+        check_milp_bound(result)
+        assert result.nodes_explored >= 1
+        assert result.objective == solve_bip_all_integer(problem)[1]
 
 
 class TestNoDeadWeightIndexes:
