@@ -9,13 +9,14 @@ on the SDSS and TPC-H workloads comparing the exact solver and greedy,
 both over the identical INUM cost oracle.
 
 Expected shape: MILP's proven lower bound <= greedy at every budget and
-its returned design within HiGHS's 1e-4 relative gap of greedy's, with a
+its returned design within HiGHS's relative gap of greedy's, with a
 strict gap on the constructed instance (and typically at tight budgets
 on real workloads).
 """
 
 from repro.cophy import CoPhyAdvisor, greedy_select, solve_bip
 from repro.cophy.bip import BipProblem, PlanTerm, QueryTerm, SlotOptions
+from repro.cophy.solvers import MIP_REL_GAP
 from repro.catalog import Index
 
 from conftest import print_table
@@ -75,12 +76,6 @@ def test_claim_greedy_trapped_on_constructed_instance(benchmark):
     assert greedy.chosen_positions == (0,)
 
 
-# HiGHS stops once its incumbent is within this relative gap of its
-# dual bound, so the exact solver's *incumbent* may trail greedy by that
-# much; its bound may not trail greedy at all.
-MIP_REL_GAP = 1e-4
-
-
 def _sweep(catalog, workload, label, budgets):
     advisor = CoPhyAdvisor(catalog)
     rows = []
@@ -104,6 +99,9 @@ def _sweep(catalog, workload, label, budgets):
                 milp.stats["nodes"],
             )
         )
+        # HiGHS stops once its incumbent is within MIP_REL_GAP of its dual
+        # bound, so the incumbent may trail greedy by that much; the bound
+        # may not trail greedy at all.
         assert milp.stats["lower_bound"] <= greedy.predicted_workload_cost + 1e-6
         assert milp.predicted_workload_cost <= (
             greedy.predicted_workload_cost * (1 + MIP_REL_GAP)

@@ -31,8 +31,9 @@ branching on ``z``/``x`` can only cost time
 ``linprog``, independently of the MILP backend).
 
 :attr:`SolveResult.lower_bound` is HiGHS's dual bound, which may trail
-the objective by its relative gap (1e-4); ``nodes_explored`` is its
-branch-and-bound node count (0 when presolve solved the program).
+the objective by its relative gap (:data:`MIP_REL_GAP`);
+``nodes_explored`` is its branch-and-bound node count (0 when presolve
+solved the program, or when there are no candidates to branch on).
 """
 
 import math
@@ -47,6 +48,10 @@ from repro import obs
 # HiGHS stops here and reports its best incumbent with a non-"optimal"
 # status.
 TIME_LIMIT_S = 60.0
+
+# HiGHS's default relative MIP gap, not passed as an option: it may stop
+# once its incumbent is within this of its dual bound.
+MIP_REL_GAP = 1e-4
 
 
 @dataclass
@@ -208,14 +213,17 @@ def solve_bip(problem):
             tuple(pos for pos in range(mats.n_y) if res.x[pos] > 0.5)
         )
         objective = problem.config_cost(chosen)
+        # Without candidates nothing is integer and HiGHS solves an LP,
+        # which reports no dual bound or node count: its optimum is exact.
+        bound = res.fun if res.mip_dual_bound is None else res.mip_dual_bound
         return observed_solve(SolveResult(
             chosen_positions=chosen,
             objective=objective,
-            lower_bound=float(res.mip_dual_bound) + problem.write_base_cost,
+            lower_bound=float(bound) + problem.write_base_cost,
             status="optimal" if res.success else str(res.status),
             solver="milp-highs",
             solve_seconds=time.perf_counter() - started,
-            nodes_explored=int(res.mip_node_count),
+            nodes_explored=int(res.mip_node_count or 0),
             n_variables=n,
             n_constraints=mats.a_eq.shape[0] + mats.a_ub.shape[0],
         ))

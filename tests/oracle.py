@@ -59,7 +59,7 @@ from repro.autopart.advisor import (
     _bound_queries,
 )
 from repro.catalog import HorizontalPartitioning, VerticalFragment, VerticalLayout
-from repro.cophy.solvers import SolveResult, _assemble, _Matrices
+from repro.cophy.solvers import MIP_REL_GAP, SolveResult, _assemble, _Matrices
 from repro.inum import cache as inum_cache
 from repro.optimizer import joins as J
 from repro.optimizer import paths as P
@@ -555,11 +555,6 @@ def solve_branch_and_bound(problem):
         n_variables=len(mats.c),
         n_constraints=mats.a_eq.shape[0] + mats.a_ub.shape[0],
     )
-
-
-# HiGHS's default relative gap: ``solve_bip`` may stop once its
-# incumbent is within this of its dual bound.
-MIP_REL_GAP = 1e-4
 
 
 def check_milp_bound(result):

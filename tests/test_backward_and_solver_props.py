@@ -17,12 +17,7 @@ from repro.inum import InumCostModel
 from repro.optimizer import CostService
 from repro.whatif import Configuration
 
-from oracle import (
-    MIP_REL_GAP,
-    check_milp_bound,
-    check_solution,
-    solve_branch_and_bound,
-)
+from oracle import check_milp_bound, check_solution, solve_branch_and_bound
 
 
 class TestBackwardScans:
@@ -77,7 +72,7 @@ def bip_instances(draw):
     ``PricedWorkload.problem()`` shares them — by a later plan of the
     same query, and by another query (two statements of one text) —
     and, beyond what it emits, repeated within one plan."""
-    n_candidates = draw(st.integers(1, 5))
+    n_candidates = draw(st.integers(0, 5))
     candidates = [Index("t", ("c%d" % i,)) for i in range(n_candidates)]
     sizes = [float(draw(st.integers(1, 20))) for __ in range(n_candidates)]
     budget = float(draw(st.integers(0, 40)))
@@ -129,10 +124,8 @@ class TestSolverProperties:
         check_solution(problem, milp)
         check_solution(problem, greedy)
         check_milp_bound(milp)
-        # What is proven: HiGHS's bound, and its incumbent within the
-        # relative gap it stops at.
         assert milp.lower_bound <= greedy.objective + 1e-6
-        assert milp.objective <= greedy.objective * (1 + MIP_REL_GAP)
+        assert milp.objective <= greedy.objective + 1e-6
 
     @given(problem=bip_instances())
     @hsettings(max_examples=share(0.25), deadline=None)

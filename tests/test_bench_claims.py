@@ -20,7 +20,7 @@ from repro.interaction import schedule_naive, schedule_optimal
 from repro.optimizer import CostService
 from repro.whatif import Configuration, WhatIfSession
 
-from oracle import MIP_REL_GAP, threaded_warm_up
+from oracle import threaded_warm_up
 
 WORKLOAD = [
     ("SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 12", 1.0),
@@ -112,9 +112,9 @@ class TestClaimZeroSizeWhatIf:
 
 
 class TestClaimCophyVsGreedy:
-    """bench_claim_cophy_vs_greedy: the exact solver's proven lower
-    bound is never above the greedy heuristic's cost on the same
-    problem, and its design is within HiGHS's relative gap of it."""
+    """bench_claim_cophy_vs_greedy: neither the exact solver's design
+    nor its proven lower bound is above the greedy heuristic's cost on
+    the same problem."""
 
     @pytest.mark.parametrize("budget_divisor", [2, 4])
     def test_milp_dominates_greedy(self, sdss_catalog, budget_divisor):
@@ -132,7 +132,7 @@ class TestClaimCophyVsGreedy:
         assert milp.stats["lower_bound"] \
             <= greedy.predicted_workload_cost + 1e-6
         assert milp.predicted_workload_cost \
-            <= greedy.predicted_workload_cost * (1 + MIP_REL_GAP)
+            <= greedy.predicted_workload_cost + 1e-6
 
 
 class TestClaimSchedule:

@@ -124,9 +124,7 @@ class TestSolvers:
         )
 
     def test_lower_bound_sound(self, problem):
-        result = solve_bip(problem)
-        check_milp_bound(result)
-        assert result.nodes_explored >= 1
+        check_milp_bound(solve_bip(problem))
 
     def test_bound_and_nodes_are_what_highs_proved(
             self, sdss_catalog, inum, monkeypatch):
@@ -149,7 +147,19 @@ class TestSolvers:
         (res,) = seen
         assert result.lower_bound == \
             res.mip_dual_bound + problem.write_base_cost
-        assert result.nodes_explored == res.mip_node_count >= 1
+        assert result.nodes_explored == res.mip_node_count
+
+    def test_no_candidates_is_an_empty_exact_design(self, sdss_catalog):
+        """With nothing to branch on HiGHS solves an LP and reports no
+        dual bound or node count; the result is then exact."""
+        rec = CoPhyAdvisor(sdss_catalog).recommend(
+            WORKLOAD, 5_000, candidates=[], solver="milp"
+        )
+        assert rec.configuration.indexes == frozenset()
+        assert rec.stats["lower_bound"] == pytest.approx(
+            rec.predicted_workload_cost, rel=1e-9
+        )
+        assert rec.stats["nodes"] == 0
 
     def test_branch_and_bound_matches_milp(self, problem):
         milp = solve_bip(problem)
@@ -306,7 +316,6 @@ class TestRelaxationIsExact:
             problem = build_bip(inum, workload, candidates, budget)
             result = solve_bip(problem)
             check_milp_bound(result)
-            assert result.nodes_explored >= 1
             assert result.objective == solve_bip_all_integer(problem)[1]
 
     @pytest.mark.parametrize(
@@ -330,7 +339,6 @@ class TestRelaxationIsExact:
         )
         result = solve_bip(problem)
         check_milp_bound(result)
-        assert result.nodes_explored >= 1
         assert result.objective == solve_bip_all_integer(problem)[1]
 
 
