@@ -37,7 +37,7 @@ import random
 import time
 
 from repro.catalog import Catalog, Column, DataType, Distribution, Table
-from repro.cophy import CandidateGenerator, CoPhyAdvisor
+from repro.cophy import CoPhyAdvisor, candidate_indexes
 
 from conftest import print_table
 
@@ -97,12 +97,12 @@ def seeded_workload(seed=17):
 def test_claim_colgen_scale():
     catalog = wide_catalog()
     workload = seeded_workload()
-    generator = CandidateGenerator(catalog, workload)
-    assert generator.n_candidates >= N_CANDIDATES, (
+    space = candidate_indexes(catalog, workload, max_candidates=None)
+    assert len(space) >= N_CANDIDATES, (
         "scale claim needs a >=%d-candidate space (got %d)"
-        % (N_CANDIDATES, generator.n_candidates)
+        % (N_CANDIDATES, len(space))
     )
-    candidates = generator.take(N_CANDIDATES)
+    candidates = space[:N_CANDIDATES]
     budget = sum(
         ix.size_pages(catalog.table(ix.table_name)) for ix in candidates
     ) // 40

@@ -50,7 +50,8 @@ class PartitionRecommendation:
             return 0.0
         return 100.0 * self.benefit / self.base_workload_cost
 
-    def to_text(self, max_rows=12):
+    def to_text(self):
+        max_rows = 12
         lines = ["Suggested partitions:"]
         for layout in self.configuration.layouts:
             lines.append("  table %s:" % layout.table_name)

@@ -5,17 +5,16 @@ and the physical design (indexes + partitions); statistics are derived
 from the distributions on load, exactly as a fresh ANALYZE would.  A
 payload from outside is checked against its ``wire.SHAPES`` entry first.
 
-Indexes are emitted in a canonical order (the full identity key, not
-just the name) and carry **stable integer ids**: position in that
-canonical order.  Index *names* are only unique per catalog — a
+Indexes are emitted in a canonical order: their full identity key, not
+just the name, because index *names* are only unique per catalog — a
 configuration (or a tenant snapshot) may legally hold same-named
-indexes on different tables — so the ids give every index a
-collision-proof, content-derived identity that survives round-trips
-byte-for-byte (``dump(load(dump(c))) == dump(c)``).  Vertical
-fragments also carry ids, positional *within their layout*: fragment
-order is preserved, not canonicalized, because it is semantic — the
+indexes on different tables.  So a dump is a function of the content,
+never of insertion order, and survives round-trips byte-for-byte
+(``dump(load(dump(c))) == dump(c)``).  Vertical fragments keep their
+order within a layout, not canonicalized, because it is semantic — the
 greedy set cover in ``fragments_for`` breaks ties by fragment order,
-so reordering would change restored plans.
+so reordering would change restored plans.  Files written when indexes
+and fragments carried an ``"id"`` still load: no decoder reads one.
 """
 
 import json
@@ -39,9 +38,9 @@ FORMAT_VERSION = 1
 
 
 def index_sort_key(index):
-    """Canonical ordering key: the index's full identity, so ordering —
-    and therefore the assigned ids — never depends on insertion order or
-    on name uniqueness across tables."""
+    """Canonical ordering key: the index's full identity, so ordering
+    never depends on insertion order or on name uniqueness across
+    tables."""
     return (
         index.table_name,
         index.name,
@@ -51,24 +50,14 @@ def index_sort_key(index):
     )
 
 
-def stable_index_ids(indexes):
-    """Map each index to a stable integer id (position in canonical
-    order).  Deterministic for any iteration order of *indexes*; ids are
-    unique even when names collide across tables."""
-    ordered = sorted(indexes, key=index_sort_key)
-    return {index: position for position, index in enumerate(ordered)}
-
-
 def catalog_to_dict(catalog):
     """Serializable snapshot of *catalog*."""
     return {
         "version": FORMAT_VERSION,
         "tables": [_table_to_dict(t) for t in catalog.tables],
         "indexes": [
-            index_to_dict(ix, stable_id)
-            for stable_id, ix in enumerate(
-                sorted(catalog.indexes, key=index_sort_key)
-            )
+            index_to_dict(ix)
+            for ix in sorted(catalog.indexes, key=index_sort_key)
         ],
         "vertical_layouts": [
             _layout_to_dict(layout)
@@ -133,10 +122,8 @@ def configuration_to_dict(configuration):
     return {
         "version": FORMAT_VERSION,
         "indexes": [
-            index_to_dict(ix, stable_id)
-            for stable_id, ix in enumerate(
-                sorted(configuration.indexes, key=index_sort_key)
-            )
+            index_to_dict(ix)
+            for ix in sorted(configuration.indexes, key=index_sort_key)
         ],
         "vertical_layouts": [
             _layout_to_dict(layout) for layout in configuration.layouts
@@ -213,19 +200,15 @@ def _table_from_dict(payload):
     return Table(payload["name"], columns, row_count=payload["row_count"])
 
 
-def index_to_dict(index, stable_id=None):
-    """Self-contained index payload; ``stable_id`` is the canonical-order
-    position assigned by the enclosing catalog/configuration dump."""
-    payload = {
+def index_to_dict(index):
+    """Self-contained index payload."""
+    return {
         "table": index.table_name,
         "columns": list(index.columns),
         "include": list(index.include),
         "unique": index.unique,
         "name": index.name,
     }
-    if stable_id is not None:
-        payload["id"] = stable_id
-    return payload
 
 
 def index_from_dict(payload):
@@ -242,8 +225,8 @@ def _layout_to_dict(layout):
     return {
         "table": layout.table_name,
         "fragments": [
-            {"columns": list(f.columns), "name": f.name, "id": position}
-            for position, f in enumerate(layout.fragments)
+            {"columns": list(f.columns), "name": f.name}
+            for f in layout.fragments
         ],
     }
 

@@ -38,7 +38,7 @@ class OracleResult:
         return self.stream_cost + self.build_cost
 
 
-def static_oracle(catalog, stream, space_budget_pages, max_candidates=40):
+def static_oracle(catalog, stream, space_budget_pages):
     """Best static configuration in hindsight for the whole stream."""
     statements = [
         item[1] if isinstance(item, tuple) else item for item in stream
@@ -47,7 +47,7 @@ def static_oracle(catalog, stream, space_budget_pages, max_candidates=40):
     compressed, __ = compress_workload(catalog, workload)
     advisor = CoPhyAdvisor(catalog)
     recommendation = advisor.recommend(
-        compressed, space_budget_pages, max_candidates=max_candidates
+        compressed, space_budget_pages, max_candidates=40
     )
     config = recommendation.configuration
     session = WhatIfSession(catalog)

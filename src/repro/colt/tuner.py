@@ -17,10 +17,11 @@ chosen configuration is stable the budget decays, and any workload shift
 (new candidate columns appearing) restores it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from repro.catalog import Index
-from repro.util import WireFormatError
+from repro.util import DesignError, WireFormatError
 from repro.whatif import Configuration, WhatIfSession
 
 
@@ -36,6 +37,25 @@ class ColtSettings:
     adopt_threshold: float = 0.05  # min relative improvement to alert
     amortization_epochs: int = 10  # horizon over which build cost must pay off
     auto_adopt: bool = True
+
+    def __post_init__(self):
+        """Refuse values the tuner cannot run on: an alpha above 1 makes
+        the EWMAs extrapolate, and a floor above the probe budget makes
+        the throttle raise it."""
+        for name, ok, rule in (
+            ("epoch_length", self.epoch_length >= 1, ">= 1"),
+            ("ewma_alpha", 0 < self.ewma_alpha <= 1, "in (0, 1]"),
+            ("min_whatif_budget",
+             0 <= self.min_whatif_budget <= self.whatif_budget,
+             "in [0, whatif_budget=%r]" % (self.whatif_budget,)),
+            ("space_budget_pages", self.space_budget_pages >= 0, ">= 0"),
+            ("amortization_epochs", self.amortization_epochs >= 1, ">= 1"),
+            ("adopt_threshold", 0 <= self.adopt_threshold < math.inf,
+             "finite and >= 0"),
+        ):
+            if not ok:
+                raise DesignError("COLT setting %s=%r must be %s"
+                                  % (name, getattr(self, name), rule))
 
 
 @dataclass
@@ -94,7 +114,8 @@ class OnlineReport:
             for v in values
         )
 
-    def to_text(self, max_rows=30):
+    def to_text(self):
+        max_rows = 30
         lines = [
             "%-6s %8s %12s %12s %7s %6s  %s"
             % ("epoch", "queries", "observed", "build", "probes", "alert", "configuration")
@@ -232,10 +253,8 @@ class ColtTuner:
             configuration_to_dict,
             index_sort_key,
             index_to_dict,
-            stable_index_ids,
         )
 
-        ids = stable_index_ids(self.candidates)
         return {
             "current": configuration_to_dict(self.current),
             "pending_alert": (
@@ -245,7 +264,7 @@ class ColtTuner:
             ),
             "candidates": [
                 {
-                    "index": index_to_dict(state.index, ids[state.index]),
+                    "index": index_to_dict(state.index),
                     "ewma_gain": state.ewma_gain,
                     "epoch_gain": state.epoch_gain,
                     "ewma_maintenance": state.ewma_maintenance,

@@ -10,7 +10,7 @@ the paper's introduction criticizes for "pruning away large fractions of
 the search space".
 """
 
-from repro.cophy.candidates import CandidateGenerator, candidate_indexes
+from repro.cophy.candidates import candidate_indexes
 from repro.cophy.bip import BipProblem, build_bip
 from repro.cophy.solvers import solve_bip
 from repro.cophy.greedy import greedy_select
@@ -18,7 +18,6 @@ from repro.cophy.colgen import solve_colgen
 from repro.cophy.advisor import CoPhyAdvisor, Recommendation
 
 __all__ = [
-    "CandidateGenerator",
     "candidate_indexes",
     "BipProblem",
     "build_bip",

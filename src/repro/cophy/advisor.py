@@ -99,14 +99,13 @@ class CoPhyAdvisor:
         solver="milp",
         max_candidates=60,
         max_indexes=None,
-        compress=False,
     ):
         """Suggest indexes for *workload* within *budget_pages* of storage.
 
         ``max_indexes`` caps how many indexes may be chosen (a common DBA
-        constraint next to raw storage).  ``compress=True`` clusters
-        same-shaped statements before building the BIP, shrinking solve
-        time for large workloads with repeated templates.
+        constraint next to raw storage).  A large workload of repeated
+        templates is best handed over through
+        :func:`~repro.cophy.compression.compress_workload` first.
         """
         check_budget(budget_pages)
         if max_indexes is not None and max_indexes < 0:
@@ -123,14 +122,6 @@ class CoPhyAdvisor:
 
         started = time.perf_counter()
         calls_before = self.cost_model.precompute_calls
-        compression_stats = None
-        if compress:
-            from repro.cophy.compression import compress_workload
-
-            compressed, compression_stats = compress_workload(
-                self.catalog, workload
-            )
-            workload = list(compressed)
         if candidates is None:
             candidates = candidate_indexes(
                 self.catalog, workload, max_candidates=max_candidates,
@@ -181,7 +172,6 @@ class CoPhyAdvisor:
                 "gap": result.gap,
                 "status": result.status,
                 "nodes": result.nodes_explored,
-                "compression": compression_stats,
                 "solve_extra": dict(result.extra) or None,
             },
         )

@@ -84,42 +84,27 @@ def query_signature(bound_query):
     )
 
 
-def compress_workload(catalog, workload, max_statements=None):
+def compress_workload(catalog, workload):
     """Cluster by shape; returns ``(compressed_workload, stats)``.
 
     The representative of each cluster is its highest-weight member; the
-    representative's weight is the cluster's total.  With
-    ``max_statements`` set, only the heaviest clusters are kept (their
-    weights are scaled up so the total workload weight is preserved).
+    representative's weight is the cluster's total.
     """
     clusters = {}  # signature -> [total_weight, best_sql, best_weight]
-    order = []  # first-seen signatures, to keep output deterministic
-    total_weight = 0.0
     n_original = 0
     for entry in workload:
         sql, weight = entry if isinstance(entry, tuple) else (entry, 1.0)
         n_original += 1
-        total_weight += weight
         signature = query_signature(bind_statement(sql, catalog))
-        if signature not in clusters:
-            clusters[signature] = [0.0, sql, -1.0]
-            order.append(signature)
-        bucket = clusters[signature]
+        # First-seen order keeps the output deterministic.
+        bucket = clusters.setdefault(signature, [0.0, sql, -1.0])
         bucket[0] += weight
         if weight > bucket[2]:
             bucket[1], bucket[2] = sql, weight
 
-    chosen = order
-    if max_statements is not None and len(order) > max_statements:
-        chosen = sorted(order, key=lambda s: -clusters[s][0])[:max_statements]
-        chosen.sort(key=order.index)
-
-    kept_weight = sum(clusters[s][0] for s in chosen)
-    scale = total_weight / kept_weight if kept_weight > 0 else 1.0
     compressed = Workload()
-    for signature in chosen:
-        cluster_weight, sql, __ = clusters[signature]
-        compressed.add(sql, cluster_weight * scale)
+    for cluster_weight, sql, __ in clusters.values():
+        compressed.add(sql, cluster_weight)
     stats = CompressionStats(
         original_statements=n_original,
         compressed_statements=len(compressed),

@@ -104,11 +104,9 @@ def generate_table(table, seed=0):
     return TableData(name=table.name, columns=columns, row_count=table.row_count)
 
 
-def generate_database(catalog, seed=0, only_tables=None):
+def generate_database(catalog, seed=0):
     db = Database()
     for table in catalog.tables:
-        if only_tables is not None and table.name not in only_tables:
-            continue
         db.tables[table.name] = generate_table(table, seed=seed)
     return db
 

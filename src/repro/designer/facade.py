@@ -254,9 +254,9 @@ class Designer:
     # Design hygiene: drop suggestions.
     # ------------------------------------------------------------------
 
-    def suggest_drops(self, workload, configuration=None):
-        """Existing indexes no plan would touch under the given (or empty)
-        hypothetical configuration — candidates for DROP INDEX.
+    def suggest_drops(self, workload):
+        """Existing indexes no plan of *workload* touches — candidates
+        for DROP INDEX.
 
         Returns ``[(index, pages_reclaimed), ...]`` sorted by reclaimed
         space.  Complements Scenario 2: commercial advisors flag unused
@@ -265,8 +265,7 @@ class Designer:
         workload = list(workload)
         if not workload:
             raise DesignError("provide a workload to judge index usage against")
-        config = configuration or Configuration.empty()
-        service = self.session.service_for(config)
+        service = self.session.service_for(Configuration.empty())
         used = set()
         for sql, __ in workload_pairs(workload):
             if service.bound(sql).is_write:

@@ -9,7 +9,7 @@ Two indexes *a*, *b* interact when the benefit of *a* depends on whether
 
 where S is the candidate set under analysis and cost() is the workload
 cost.  The subset maximization is exponential, so we enumerate exactly up
-to ``exact_limit`` context indexes and fall back to seeded random subset
+to ``EXACT_LIMIT`` context indexes and fall back to seeded random subset
 sampling beyond that.  Costs come from INUM, so each subset evaluation is
 analytic — this is precisely why the demo can visualize interactions
 interactively.
@@ -23,6 +23,13 @@ import networkx as nx
 
 from repro.whatif import Configuration
 
+# Context sets of up to EXACT_LIMIT other indexes (2^8 subsets) are
+# enumerated; larger ones are the empty and full contexts plus SAMPLES
+# random subsets drawn from a generator seeded with SAMPLE_SEED.
+EXACT_LIMIT = 8
+SAMPLES = 40
+SAMPLE_SEED = 17
+
 
 class InteractionAnalyzer:
     """Computes doi values and interaction graphs over one workload.
@@ -35,15 +42,11 @@ class InteractionAnalyzer:
       own approach.
     """
 
-    def __init__(self, inum_model, workload, exact_limit=8, samples=40, seed=17,
-                 method="subsets"):
+    def __init__(self, inum_model, workload, method="subsets"):
         if method not in ("subsets", "ibg"):
             raise ValueError("method must be 'subsets' or 'ibg', got %r" % (method,))
         self.inum = inum_model
         self.workload = list(workload)
-        self.exact_limit = exact_limit
-        self.samples = samples
-        self.seed = seed
         self.method = method
         self._cost_cache = {}
         self._ibg_cache = {}
@@ -160,14 +163,14 @@ class InteractionAnalyzer:
         return best
 
     def _contexts(self, others):
-        if len(others) <= self.exact_limit:
+        if len(others) <= EXACT_LIMIT:
             for r in range(len(others) + 1):
                 yield from itertools.combinations(others, r)
             return
-        rng = random.Random(self.seed)
+        rng = random.Random(SAMPLE_SEED)
         yield ()
         yield tuple(others)
-        for __ in range(self.samples):
+        for __ in range(SAMPLES):
             r = rng.randint(0, len(others))
             yield tuple(rng.sample(others, r))
 
@@ -221,14 +224,14 @@ class InteractionGraph:
         """The demo's dynamic filter: show only the k strongest interactions."""
         return self.edges_by_weight()[:k]
 
-    def to_text(self, max_edges=15):
+    def to_text(self):
         lines = ["Index interaction graph (%d indexes):" % self.graph.number_of_nodes()]
         for name in sorted(self.graph.nodes):
             lines.append(
                 "  [%s] standalone benefit %.1f"
                 % (name, self.graph.nodes[name]["benefit"])
             )
-        edges = self.top_edges(max_edges)
+        edges = self.top_edges(15)
         if not edges:
             lines.append("  (no interactions above threshold)")
         for a, b, w in edges:

@@ -21,6 +21,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+# The subset DP prices 2^n designs; past this many indexes
+# schedule_optimal returns the greedy schedule instead.
+MAX_EXACT = 12
+
 
 @dataclass
 class Schedule:
@@ -104,15 +108,16 @@ def schedule_greedy(indexes, cost_fn, catalog):
     return evaluate_schedule(order, cost_fn, catalog, method="greedy-interaction")
 
 
-def schedule_optimal(indexes, cost_fn, catalog, max_exact=12):
+def schedule_optimal(indexes, cost_fn, catalog):
     """Exact minimum-area schedule by DP over subsets.
 
     State: the set of already-built indexes; transition: which index to
-    build next.  Falls back to the greedy schedule beyond *max_exact*.
+    build next.  Falls back to the greedy schedule beyond
+    :data:`MAX_EXACT` indexes.
     """
     indexes = sorted(set(indexes), key=lambda i: i.name)
     n = len(indexes)
-    if n > max_exact:
+    if n > MAX_EXACT:
         return schedule_greedy(indexes, cost_fn, catalog)
     if n == 0:
         return evaluate_schedule([], cost_fn, catalog, method="optimal-dp")

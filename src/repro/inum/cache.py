@@ -256,9 +256,9 @@ class InumCostModel:
             choice = bucket[key] = _access_cost(slot, bq, view, self.settings)
         return choice
 
-    def slot_cost(self, bq, slot, view, design_signature=None):
+    def slot_cost(self, bq, slot, view):
         """The cost half of :meth:`slot_choice` (``None``: infeasible)."""
-        choice = self.slot_choice(bq, slot, view, design_signature)
+        choice = self.slot_choice(bq, slot, view)
         return None if choice is None else choice[0]
 
     def slot_bucket(self, bq):

@@ -40,13 +40,12 @@ from repro.util import ReproError, TransportError, WireFormatError
 __all__ = ["RunnerNode", "parse_listen_address", "perform_warm"]
 
 
-def parse_listen_address(text, default_host="127.0.0.1"):
-    """``host:port`` (or bare ``:port`` / ``port``) -> ``(host, port)``."""
-    host, sep, port = str(text).rpartition(":")
-    if not sep:
-        host, port = default_host, text
+def parse_listen_address(text):
+    """``host:port`` (or bare ``:port`` / ``port``, on the loopback
+    address) -> ``(host, port)``."""
+    host, __, port = str(text).rpartition(":")
     try:
-        return (host or default_host), int(port)
+        return (host or "127.0.0.1"), int(port)
     except (TypeError, ValueError):
         raise WireFormatError(
             "bad listen address %r (expected host:port)" % (text,)

@@ -14,8 +14,8 @@ into a live run, in the spirit of the paper's interactive designer:
 
 ``port=0`` binds an ephemeral port (tests); the bound port is on
 :attr:`MetricsServer.port` after :meth:`start`.  Registry and tracer
-default to the process-wide :mod:`repro.obs` state, resolved per
-request so ``obs.reset()`` / ``obs.disabled()`` take effect live.
+are the process-wide :mod:`repro.obs` state, resolved per request so
+``obs.reset()`` / ``obs.disabled()`` take effect live.
 """
 
 import json
@@ -31,29 +31,12 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 class MetricsServer:
     """Serve the telemetry backplane over HTTP from a daemon thread."""
 
-    def __init__(self, registry=None, tracer=None, host="127.0.0.1",
-                 port=0, status_fn=None):
-        self.registry = registry
-        self.tracer = tracer
+    def __init__(self, host="127.0.0.1", port=0, status_fn=None):
         self.host = host
         self.port = port
         self.status_fn = status_fn
         self._server = None
         self._thread = None
-
-    def _registry(self):
-        if self.registry is not None:
-            return self.registry
-        from repro import obs
-
-        return obs.metrics()
-
-    def _tracer(self):
-        if self.tracer is not None:
-            return self.tracer
-        from repro import obs
-
-        return obs.tracer()
 
     @property
     def url(self):
@@ -103,11 +86,13 @@ class MetricsServer:
     # ------------------------------------------------------------------
 
     def _handle(self, request):
+        from repro import obs
+
         parsed = urlparse(request.path)
         route = parsed.path.rstrip("/") or "/"
         try:
             if route == "/metrics":
-                body = self._registry().render_prometheus()
+                body = obs.metrics().render_prometheus()
                 self._reply(request, 200, PROMETHEUS_CONTENT_TYPE, body)
             elif route == "/trace":
                 limit = None
@@ -115,7 +100,7 @@ class MetricsServer:
                 if raw:
                     limit = max(1, int(raw[0]))
                 body = json.dumps(
-                    {"spans": self._tracer().export(limit=limit)}
+                    {"spans": obs.tracer().export(limit=limit)}
                 )
                 self._reply(request, 200, "application/json", body)
             elif route == "/status" and self.status_fn is not None:

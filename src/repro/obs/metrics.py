@@ -107,13 +107,10 @@ class _Handle:
         self.inc(-amount)
 
     def set(self, value):
+        """Set a gauge, or mirror an external monotonic counter (collector
+        use): the series reports *value* as its cumulative total."""
         with self._registry._lock:
             self._child.value = value
-
-    def set_total(self, value):
-        """Mirror an external monotonic counter (collector use): the
-        series reports *value* as its cumulative total."""
-        self.set(value)
 
     # Histogram surface.
 
@@ -195,9 +192,6 @@ class _Family:
 
     def set(self, value):
         self._default_handle().set(value)
-
-    def set_total(self, value):
-        self._default_handle().set_total(value)
 
     def observe(self, value):
         self._default_handle().observe(value)
@@ -302,10 +296,9 @@ class MetricsRegistry:
     # Reading: snapshots, deltas, Prometheus text.
     # ------------------------------------------------------------------
 
-    def snapshot(self, collect=True):
+    def snapshot(self):
         """A consistent, JSON-safe dump of every family."""
-        if collect:
-            self.collect()
+        self.collect()
         out = {"counters": {}, "gauges": {}, "histograms": {}}
         with self._lock:
             for name, family in sorted(self._families.items()):
@@ -421,10 +414,9 @@ class MetricsRegistry:
                     child.sum += total
                     child.count += count
 
-    def render_prometheus(self, collect=True):
+    def render_prometheus(self):
         """The registry in Prometheus text exposition format 0.0.4."""
-        if collect:
-            self.collect()
+        self.collect()
         lines = []
         with self._lock:
             for name, family in sorted(self._families.items()):
@@ -506,9 +498,6 @@ class _NullHandle:
     def set(self, value):
         pass
 
-    def set_total(self, value):
-        pass
-
     def observe(self, value):
         pass
 
@@ -544,7 +533,7 @@ class _NullRegistry:
     def collect(self):
         pass
 
-    def snapshot(self, collect=True):
+    def snapshot(self):
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
     def value(self, name, **labels):
@@ -556,7 +545,7 @@ class _NullRegistry:
     def apply_deltas(self, payload):
         pass
 
-    def render_prometheus(self, collect=True):
+    def render_prometheus(self):
         return ""
 
 

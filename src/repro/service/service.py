@@ -471,17 +471,17 @@ class TuningService:
             labelnames=("backplane",))
         for key, plane in planes:
             stats = plane.pool.stats
-            hits.labels(backplane=key).set_total(stats.hits)
-            misses.labels(backplane=key).set_total(stats.misses)
-            evictions.labels(backplane=key).set_total(stats.evictions)
-            builds.labels(backplane=key).set_total(stats.optimizer_calls)
+            hits.labels(backplane=key).set(stats.hits)
+            misses.labels(backplane=key).set(stats.misses)
+            evictions.labels(backplane=key).set(stats.evictions)
+            builds.labels(backplane=key).set(stats.optimizer_calls)
             entries.labels(backplane=key).set(len(plane.pool))
             kernels.labels(backplane=key).set(plane.pool.kernel_count)
         queries = registry.counter(
             "repro_tenant_queries_total", "Query events ingested per tenant",
             labelnames=("tenant",))
         for name, session in sessions:
-            queries.labels(tenant=name).set_total(session.queries)
+            queries.labels(tenant=name).set(session.queries)
 
     def status(self):
         """Mergeable point-in-time snapshot of every tenant and pool."""

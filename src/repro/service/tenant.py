@@ -227,12 +227,12 @@ class TenantSession:
             for step in self.ingest_steps(event):
                 step.run()
 
-    def drain(self, stream, finish=True):
-        """Ingest an entire event stream (the blocking convenience)."""
+    def drain(self, stream):
+        """Ingest an entire event stream and finish (the blocking
+        convenience)."""
         for event in stream:
             self.ingest(event)
-        if finish:
-            self.finish()
+        self.finish()
         return self
 
     def finish(self):
@@ -334,7 +334,7 @@ class TenantSession:
         }
 
     @classmethod
-    def from_snapshot(cls, payload, catalog, evaluator, name=None):
+    def from_snapshot(cls, payload, catalog, evaluator):
         """Rebuild a session from a :meth:`snapshot` payload over the
         host-provided *catalog* and *evaluator* (state is portable, the
         costing substrate is re-provided — exactly like the INUM cache
@@ -346,7 +346,7 @@ class TenantSession:
         for sql in payload["window_queries"]:
             bind_statement(sql, catalog)  # every refresh re-prices them
         session = cls(
-            name if name is not None else payload["name"],
+            payload["name"],
             catalog,
             evaluator,
             colt_settings=ColtSettings(**{

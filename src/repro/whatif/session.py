@@ -70,7 +70,8 @@ class WhatIfReport:
     def average_improvement_pct(self):
         return _improvement_pct(self.base_total, self.new_total)
 
-    def to_text(self, max_rows=20):
+    def to_text(self):
+        max_rows = 20
         lines = [
             "What-if evaluation of:",
             _indent(self.configuration.describe()),

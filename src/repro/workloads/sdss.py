@@ -296,7 +296,7 @@ def template(name):
         ) from None
 
 
-def sdss_workload(n_queries=20, seed=42, templates=None, write_fraction=0.0,
+def sdss_workload(n_queries=20, seed=42, write_fraction=0.0,
                   write_weight=1.0):
     """A seeded mix of astronomy queries.
 
@@ -306,9 +306,8 @@ def sdss_workload(n_queries=20, seed=42, templates=None, write_fraction=0.0,
     analysis queries, which is what makes index maintenance matter.
     """
     rng = random.Random(seed)
-    chosen_templates = templates or TEMPLATES
-    makers = [t for t, __ in chosen_templates]
-    weights = [w for __, w in chosen_templates]
+    makers = [t for t, __ in TEMPLATES]
+    weights = [w for __, w in TEMPLATES]
     write_makers = [t for t, __ in WRITE_TEMPLATES]
     write_weights = [w for __, w in WRITE_TEMPLATES]
     workload = Workload()

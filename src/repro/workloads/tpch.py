@@ -215,12 +215,11 @@ def template(name):
         ) from None
 
 
-def tpch_workload(n_queries=15, seed=7, templates=None):
+def tpch_workload(n_queries=15, seed=7):
     """A seeded TPC-H-style decision-support mix."""
     rng = random.Random(seed)
-    chosen = templates or TEMPLATES
-    makers = [t for t, __ in chosen]
-    weights = [w for __, w in chosen]
+    makers = [t for t, __ in TEMPLATES]
+    weights = [w for __, w in TEMPLATES]
     workload = Workload()
     for __ in range(n_queries):
         maker = rng.choices(makers, weights=weights, k=1)[0]

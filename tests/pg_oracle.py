@@ -4,9 +4,11 @@ A throwaway cluster in a temporary directory (``initdb -A trust``, a
 unix socket only, ``fsync=off``), driven by ``psql -At`` — no Python
 client library.  The tables of a repro catalog are created with PostgreSQL
 types of the same widths, loaded from ``repro.data.generate_database``
-rows with ``COPY`` and ``ANALYZE``d; the same rows are mirrored into the
-catalog's statistics with ``TableData.analyze_into``, so both sides
-estimate from the same data.
+rows with ``COPY`` and ``VACUUM ANALYZE``d (the vacuum sets the
+visibility map, without which PostgreSQL costs an index-only scan as
+heap fetches); the same rows are mirrored into the catalog's statistics
+with ``TableData.analyze_into``, so both sides estimate from the same
+data.
 
 Used by ``tests/test_pg_oracle.py``; :func:`find_bindir` is ``None``
 where no PostgreSQL is installed, and the tests skip.
@@ -83,7 +85,7 @@ class Cluster:
         return out.stdout.splitlines()
 
     def load(self, catalog, database):
-        """Create, ``COPY`` and ``ANALYZE`` every table of *catalog* from
+        """Create, ``COPY`` and ``VACUUM ANALYZE`` every table of *catalog* from
         *database*, and mirror the rows into the catalog's statistics."""
         script = []
         for table in catalog.tables:
@@ -101,7 +103,7 @@ class Cluster:
                 ))
             script.append(r"\.")
             data.analyze_into(table)
-        script.append("ANALYZE;")
+        script.append("VACUUM ANALYZE;")
         self.psql("\n".join(script) + "\n")
 
     def estimates(self, queries):
@@ -153,6 +155,24 @@ class Cluster:
             out.append((SCAN_CLASSES[with_index["Node Type"]],
                         without["Total Cost"], with_index["Total Cost"]))
         return out
+
+    def design_costs(self, settings, cases):
+        """Per ``(sql, indexes)``: PostgreSQL's total cost of *sql* with
+        no index, then with each ``(table, columns, include)`` of
+        *indexes* alone, its cost GUCs set as in :meth:`scan_choices`.
+        Each index exists only inside a rolled-back transaction."""
+        script = guc_script(settings)
+        for sql, indexes in cases:
+            query = "EXPLAIN (FORMAT JSON) %s;" % sql
+            script += [r"\echo @@", query]
+            for table, columns, include in indexes:
+                ddl = "CREATE INDEX oracle_rank ON %s (%s)%s;" % (
+                    table, ", ".join(columns),
+                    " INCLUDE (%s)" % ", ".join(include) if include else "")
+                script += ["BEGIN;", ddl, r"\echo ##", query, "ROLLBACK;"]
+        blocks = "\n".join(self.psql("\n".join(script) + "\n")).split("@@")
+        return [[json.loads(part)[0]["Plan"]["Total Cost"]
+                 for part in block.split("##")] for block in blocks[1:]]
 
 
 # PostgreSQL node type -> the scan class both planners are compared on.

@@ -95,6 +95,12 @@ class TestCommands:
         assert code == 0
         assert "epoch" in text and "saved" in text
 
+    @pytest.mark.parametrize("epoch", ["0", "-5"])
+    def test_online_bad_epoch_is_reported(self, epoch):
+        code, text = run_cli(FAST + ["online", "--epoch", epoch])
+        assert code == 2
+        assert text.startswith("error: COLT setting epoch_length=")
+
     def test_online_alert_only(self):
         code, text = run_cli(
             FAST + ["online", "--phase-length", "10", "--epoch", "5",

@@ -16,7 +16,6 @@ import pytest
 
 from repro.catalog import Index
 from repro.cophy import (
-    CandidateGenerator,
     CoPhyAdvisor,
     build_bip,
     candidate_indexes,
@@ -568,8 +567,7 @@ class TestSolveColgen:
         """With many near-duplicate candidates the bound must keep most
         of them out of the master (the acceptance criterion's shape —
         the full 5k-candidate version runs in the claim benchmark)."""
-        gen = CandidateGenerator(sdss_catalog, WORKLOAD)
-        mined = gen.take(gen.n_candidates)
+        mined = candidate_indexes(sdss_catalog, WORKLOAD, max_candidates=None)
         extra = []
         for ix in mined:
             table = sdss_catalog.table(ix.table_name)
@@ -622,24 +620,17 @@ class TestSolveColgen:
         assert "repro_colgen_priced_total" in names
 
 
-class TestCandidateGenerator:
-    def test_take_is_a_prefix_stream(self, sdss_catalog):
-        gen = CandidateGenerator(sdss_catalog, WORKLOAD)
-        first = gen.take(3)
-        assert gen.take(7)[:3] == first
-        assert candidate_indexes(
-            sdss_catalog, WORKLOAD, max_candidates=7
-        ) == gen.take(7)
-
-    def test_iteration_never_materializes_more_than_asked(self, sdss_catalog):
-        gen = CandidateGenerator(sdss_catalog, WORKLOAD)
-        for count, ix in enumerate(gen):
-            if count >= 2:
-                break
-        assert len(gen.take(2)) == 2
+class TestCandidateIndexes:
+    def test_a_cap_is_a_prefix_of_the_ranked_space(self, sdss_catalog):
+        space = candidate_indexes(sdss_catalog, WORKLOAD, max_candidates=None)
+        assert len(space) > 10
+        for cap in (0, 3, 7, len(space), len(space) + 5):
+            assert candidate_indexes(
+                sdss_catalog, WORKLOAD, max_candidates=cap
+            ) == space[:cap]
 
     def test_emitted_names_match_index_autonames(self, sdss_catalog):
-        for ix in CandidateGenerator(sdss_catalog, WORKLOAD).take(10):
+        for ix in candidate_indexes(sdss_catalog, WORKLOAD, max_candidates=10):
             rebuilt = Index(
                 ix.table_name, ix.columns, include=ix.include
             )

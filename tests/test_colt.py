@@ -3,6 +3,7 @@
 import pytest
 
 from repro.colt import ColtSettings, ColtTuner
+from repro.util import DesignError
 from repro.workloads.drift import DriftPhase, drifting_stream
 from repro.workloads import sdss
 
@@ -160,6 +161,25 @@ class TestWritesInStream:
         assert state is not None
         assert state.ewma_maintenance > 0
         assert status_ix not in tuner.current.indexes
+
+
+class TestSettingsBounds:
+    @pytest.mark.parametrize("change", [
+        dict(epoch_length=0), dict(ewma_alpha=1.5),
+        dict(ewma_alpha=float("nan")), dict(min_whatif_budget=-1),
+        dict(whatif_budget=4),  # below the default floor of 8
+        dict(space_budget_pages=-1), dict(amortization_epochs=0),
+        dict(adopt_threshold=float("inf")),
+    ])
+    def test_refused(self, change):
+        with pytest.raises(DesignError):
+            ColtSettings(**change)
+
+    def test_edges_accepted(self):
+        ColtSettings(epoch_length=1, ewma_alpha=1.0, whatif_budget=8,
+                     min_whatif_budget=8, space_budget_pages=0,
+                     amortization_epochs=1, adopt_threshold=0.0)
+        ColtSettings(whatif_budget=0, min_whatif_budget=0)
 
 
 class TestSelfRegulation:

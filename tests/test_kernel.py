@@ -348,7 +348,7 @@ class TestColtEpochScoring:
         catalog = sdss_catalog(scale=0.05)
         tuner = ColtTuner(
             catalog,
-            ColtSettings(epoch_length=8, whatif_budget=4,
+            ColtSettings(epoch_length=8, whatif_budget=4, min_whatif_budget=2,
                          space_budget_pages=100_000),
         )
         rng = random.Random(11)
@@ -365,6 +365,7 @@ class TestColtEpochScoring:
 
         catalog = sdss_catalog(scale=0.05)
         settings = ColtSettings(epoch_length=5, whatif_budget=4,
+                                min_whatif_budget=2,
                                 space_budget_pages=100_000)
         tuner = ColtTuner(catalog, settings)
         rng = random.Random(3)

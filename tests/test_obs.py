@@ -110,7 +110,7 @@ class TestRegistry:
 
         class Owner:
             def mirror(self, registry):
-                registry.counter("mirrored_total").set_total(42)
+                registry.counter("mirrored_total").set(42)
 
         owner = Owner()
         reg.add_collector(owner.mirror)

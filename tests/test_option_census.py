@@ -1,0 +1,139 @@
+"""The option census in tier-1 (``tests/option_census.py``): every
+option nothing outside ``tests/`` sets has a reason in
+``tests/data/options.json``, and no entry there is stale."""
+
+import os
+
+import option_census
+
+CLI = '''
+import argparse
+
+
+def build_parser():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--scale", type=float, default=0.1)
+    sub = parser.add_subparsers(dest="command")
+    serve = sub.add_parser("serve")
+    serve.add_argument("--tenants", type=int, default=4)
+    return parser
+'''
+
+MODULE = '''
+def f(x, knob=1, *, flag=False):
+    return x
+
+
+def _private(x, knob=1):
+    return x
+
+
+class Base:
+    def __init__(self, a, b=2):
+        self.a = a
+
+    def run(self, x, y=3):
+        return x
+
+    def _hidden(self, z=4):
+        return z
+
+
+class Child(Base):
+    pass
+
+
+class _Private:
+    def __init__(self, c=5):
+        self.c = c
+'''
+
+
+def tree(tmp_path, callers, tests=""):
+    """A checkout holding MODULE, CLI, *callers* under ``benchmarks/`` and
+    *tests* under ``tests/``."""
+    for path, text in (("src/repro/mod.py", MODULE),
+                       ("src/repro/designer/cli.py", CLI),
+                       ("benchmarks/bench_x.py", callers),
+                       ("tests/test_x.py", tests)):
+        path = tmp_path / path
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return str(tmp_path)
+
+
+def test_the_checkout_agrees_with_its_reasons():
+    assert option_census.problems(option_census.census(),
+                                  option_census.load()) == []
+
+
+def test_the_file_is_one_sorted_entry_per_line():
+    """What ``--write`` renders, so its length is the entry count."""
+    with open(option_census.RECORDED) as handle:
+        assert handle.read() == option_census.render(option_census.load())
+
+
+def test_options_are_public_defaulted_parameters_and_flags(tmp_path):
+    found = option_census.census(tree(tmp_path, ""))
+    assert sorted(found) == [
+        "cli --scale", "cli serve --tenants",
+        "repro.mod:Base.__init__.b", "repro.mod:Base.run.y",
+        "repro.mod:f.flag", "repro.mod:f.knob",
+    ]
+
+
+def test_a_call_sets_an_option_by_keyword_or_position(tmp_path):
+    found = option_census.census(tree(tmp_path, (
+        "f(1, 2)\n"
+        "Child(1, b=2).run(0)\n"
+        "Base(0).run(1, 2)\n"
+        "main(['--scale=0.5', 'serve'])\n"
+    )))
+    assert found == {
+        "cli --scale": {"benchmarks": 1},
+        "cli serve --tenants": {},
+        "repro.mod:Base.__init__.b": {"benchmarks": 1},
+        "repro.mod:Base.run.y": {"benchmarks": 1},
+        "repro.mod:f.flag": {},
+        "repro.mod:f.knob": {"benchmarks": 1},
+    }
+
+
+def test_a_new_option_nothing_sets_needs_a_reason(tmp_path):
+    """A test setting it does not count; an empty reason is no reason."""
+    root = tree(tmp_path, "Base(1, 2).run(1, 2)\n",
+                tests="f(1, 2, flag=True)\n"
+                      "main(['serve', '--tenants', '2'])\n")
+    found = option_census.census(root)
+    reasons = {"cli --scale": "a DBA knob", "repro.mod:f.flag": " "}
+    assert option_census.problems(found, reasons) == [
+        "cli serve --tenants: nothing sets it and no reason says why it "
+        "stays",
+        "repro.mod:f.flag: nothing sets it and no reason says why it stays",
+        "repro.mod:f.knob: nothing sets it and no reason says why it stays",
+    ]
+
+
+def test_an_entry_is_stale_once_its_option_is_set_or_gone(tmp_path):
+    found = option_census.census(tree(tmp_path, "f(1, knob=2)\n"))
+    reasons = {option: "kept" for option in found}
+    reasons["repro.mod:gone.knob"] = "kept"
+    assert option_census.problems(found, reasons) == [
+        "repro.mod:f.knob: set in benchmarks 1; drop its entry",
+        "repro.mod:gone.knob: no such option; drop its entry",
+    ]
+
+
+def test_write_keeps_reasons_and_adds_new_options_empty(tmp_path,
+                                                        monkeypatch):
+    root = tree(tmp_path, "")
+    recorded = os.path.join(root, "options.json")
+    with open(recorded, "w") as handle:
+        handle.write(option_census.render({"repro.mod:f.knob": "kept"}))
+    monkeypatch.setattr(option_census, "ROOT", root)
+    monkeypatch.setattr(option_census, "RECORDED", recorded)
+    assert option_census.main(["--write"]) == 0
+    written = option_census.load(recorded)
+    assert written["repro.mod:f.knob"] == "kept"
+    assert written["cli serve --tenants"] == ""
+    assert option_census.main([]) == 1  # the empty reasons are refused

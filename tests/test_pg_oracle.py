@@ -9,7 +9,9 @@
      one of its filtered columns, the scan class (seq, index or bitmap)
      each planner picks for ``SELECT *`` with that index alone, and the
      sign and size of the index's benefit, under the same cost
-     constants.
+     constants; and per statement of each read template, how the two
+     planners rank its designs — the empty one and each of its top five
+     candidate indexes alone — by Spearman correlation.
 
 Every threshold below is the first run's observed value widened by a
 margin; every comparison beyond its threshold is listed by name with
@@ -25,8 +27,10 @@ import shutil
 import statistics
 
 import pytest
+from scipy.stats import spearmanr
 
 from repro.catalog import Index
+from repro.cophy import candidate_indexes
 from repro.data import generate_database
 from repro.optimizer import paths as P
 from repro.optimizer.planner import plan_query
@@ -50,11 +54,21 @@ INDEX_RATIO = (1.0, 1.45)  # our pages / PostgreSQL's (observed 1.0-1.39)
 # |our relative benefit - PostgreSQL's| where both pick the same scan
 # class (observed 0.127: specobj.specclass, a 3-value key).
 BENEFIT_DIFF = 0.15
+# Spearman correlation of the two sides' costs over one statement's
+# designs (observed 0.725 outside KNOWN_GAPS: shipping_window).
+RANK_RHO = 0.7
 
 _FEW = ("two or fewer qualifying rows, so one row is a 2x q-error; "
         "PostgreSQL's estimate is as far off")
 _DEDUP = ("PostgreSQL 13+ btree deduplication stores a run of equal keys "
           "once; pagemodel.btree_shape sizes one leaf tuple per row")
+_STREAMING = ("GROUP BY ... LIMIT over an index in group order: "
+              "PostgreSQL's GroupAggregate streams, so LIMIT pays only for "
+              "the groups it returns; our sorted Aggregate "
+              "(joins.aggregate_paths) starts after its whole input, so "
+              "LIMIT cannot cut that index scan short and the index looks "
+              "useless (big_spenders + ix_lineitem_l_orderkey: 697 vs 55; "
+              "order_lineitem_join's plan also needs an incremental sort)")
 KNOWN_GAPS = {
     "rows:color_cut/photoobj": _FEW,
     "rows:spec_quality_join/s": _FEW,
@@ -67,6 +81,8 @@ KNOWN_GAPS = {
     "index:photoobj.mode": _DEDUP,
     "index:photoobj.type": _DEDUP,
     "index:specobj.specclass": _DEDUP,
+    "rank:big_spenders": _STREAMING,
+    "rank:order_lineitem_join": _STREAMING,
     "scan:color_cut/photoobj+mode": (
         "mode = 1 keeps 65 % of the rows, so a bitmap scan and the seq "
         "scan are within 5 % on both sides and land on opposite sides: "
@@ -215,3 +231,40 @@ def test_scan_choice_agrees_with_postgresql(oracle):
     # Not vacuous: the agreeing cases span all three classes.
     assert classes == {"seq", "index", "bitmap"}
     assert gaps == {gap for gap in KNOWN_GAPS if gap.startswith("scan:")}
+
+
+def test_design_ranks_agree_with_postgresql(oracle):
+    """Per statement, one of each read template: its total cost under
+    the empty design and under each of its top five candidate indexes
+    alone, planned exactly by both sides; the two rankings of those six
+    designs agree to a Spearman correlation of at least RANK_RHO."""
+    cluster, envs = oracle
+    cases = []
+    for module, catalog in envs:
+        rng = random.Random(7)
+        for maker, __ in module.TEMPLATES:
+            sql = maker(rng)
+            cases.append((maker.__name__.lstrip("_"), catalog, sql,
+                          candidate_indexes(catalog, [sql], max_candidates=5)))
+    measured = cluster.design_costs(DEFAULT_SETTINGS, [
+        (sql, [(ix.table_name, ix.columns, ix.include) for ix in indexes])
+        for __, __, sql, indexes in cases
+    ])
+    assert len(cases) == 15
+    gaps, rhos = set(), []
+    for (name, catalog, sql, indexes), theirs in zip(cases, measured):
+        ours = [plan_query(bind_statement(sql, catalog), catalog).total_cost]
+        for ix in indexes:
+            design = catalog.clone()
+            design.add_index(ix)
+            ours.append(
+                plan_query(bind_statement(sql, design), design).total_cost)
+        if len(set(ours)) == len(set(theirs)) == 1:
+            continue  # no candidate changes either side's plan: a tie
+        rho = spearmanr(ours, theirs)[0]
+        if rho < RANK_RHO:
+            gaps.add("rank:" + name)
+        rhos.append(rho)
+    # Not vacuous: most statements have designs to rank, most agree.
+    assert len(rhos) >= 12 and statistics.median(rhos) >= 0.9
+    assert gaps == {gap for gap in KNOWN_GAPS if gap.startswith("rank:")}

@@ -147,25 +147,13 @@ class TestValidation:
         assert stats.histogram
 
 
-class TestStableIds:
-    """Indexes and fragments carry stable integer ids (canonical-order
-    positions), so wire-format references survive round-trips even when
-    index names collide across tables."""
-
-    def test_catalog_indexes_carry_unique_sequential_ids(self):
-        payload = catalog_to_dict(rich_catalog())
-        ids = [entry["id"] for entry in payload["indexes"]]
-        assert ids == list(range(len(ids)))
-
-    def test_fragments_carry_ids(self):
-        payload = catalog_to_dict(rich_catalog())
-        for layout in payload["vertical_layouts"]:
-            ids = [f["id"] for f in layout["fragments"]]
-            assert ids == list(range(len(ids)))
+class TestCanonicalDump:
+    """A dump is a function of the content — indexes in their canonical
+    order — even when index names collide across tables."""
 
     def test_dump_is_stable_across_round_trips(self):
-        """dump(load(dump(c))) == dump(c): ids and ordering are a
-        function of the content, not of insertion order."""
+        """dump(load(dump(c))) == dump(c): ordering is a function of the
+        content, not of insertion order."""
         first = catalog_to_dict(rich_catalog())
         second = catalog_to_dict(catalog_from_dict(first))
         assert first == second
@@ -194,22 +182,23 @@ class TestStableIds:
         collide_b = Index("specobj", ("z",), name="k")
         config = Configuration.of(collide_a, collide_b)
         payload = configuration_to_dict(config)
-        ids = [entry["id"] for entry in payload["indexes"]]
-        assert sorted(ids) == [0, 1]
+        assert [entry["table"] for entry in payload["indexes"]] == \
+            ["photoobj", "specobj"]
         restored = configuration_from_dict(payload)
         assert restored.indexes == config.indexes
         assert configuration_to_dict(restored) == payload
 
-    def test_stable_index_ids_iteration_order_invariant(self):
-        from repro.catalog.serialize import stable_index_ids
-
-        one = Index("photoobj", ("ra",), name="k")
-        two = Index("specobj", ("z",), name="k")
-        three = Index("photoobj", ("dec",))
-        forward = stable_index_ids([one, two, three])
-        backward = stable_index_ids([three, two, one])
-        assert forward == backward
-        assert sorted(forward.values()) == [0, 1, 2]
+    def test_a_dump_with_ids_still_loads(self):
+        """Files written when indexes and fragments carried an ``"id"``:
+        nothing reads it, and the catalog is the same."""
+        payload = catalog_to_dict(rich_catalog())
+        legacy = copy.deepcopy(payload)
+        for position, entry in enumerate(legacy["indexes"]):
+            entry["id"] = position
+        for layout in legacy["vertical_layouts"]:
+            for position, fragment in enumerate(layout["fragments"]):
+                fragment["id"] = position
+        assert catalog_to_dict(catalog_from_dict(legacy)) == payload
 
 
 RICH = catalog_to_dict(rich_catalog())

@@ -201,3 +201,24 @@ def test_a_snapshot_naming_another_policy_is_refused(change):
     """The file names a behaviour this build cannot run: a typed error,
     with nothing registered (``check`` asserts the bystander is alone)."""
     assert check(parent_format(BASE, **change)) == "refused: WireFormatError"
+
+
+@pytest.mark.parametrize("change, error", [
+    (dict(epoch_length=0), "DesignError"),
+    (dict(ewma_alpha=7.5), "DesignError"),
+    (dict(ewma_alpha=0.0), "DesignError"),
+    (dict(min_whatif_budget=41), "DesignError"),
+    (dict(amortization_epochs=0), "DesignError"),
+    (dict(adopt_threshold=-0.5), "DesignError"),
+    # A count field of the shape is a non-negative integer already.
+    (dict(epoch_length=-3), "WireFormatError"),
+    (dict(space_budget_pages=-1), "WireFormatError"),
+])
+def test_colt_settings_the_tuner_cannot_run_on_are_refused(change, error):
+    """COLT settings outside their bounds (``whatif_budget`` is 40): a
+    typed error, nothing registered."""
+    payload = copy.deepcopy(BASE)
+    settings = _at(payload, OPTIONS_PATH)["colt_settings"]
+    assert settings["whatif_budget"] == 40
+    settings.update(change)
+    assert check(payload) == "refused: " + error
