@@ -7,7 +7,7 @@ partitions.
 """
 
 from repro.catalog.types import DataType
-from repro.catalog.stats import ColumnStats, Distribution, analyze_values
+from repro.catalog.stats import ColumnStats, Distribution
 from repro.catalog.column import Column
 from repro.catalog.table import Table
 from repro.catalog.index import Index
@@ -18,7 +18,6 @@ __all__ = [
     "DataType",
     "ColumnStats",
     "Distribution",
-    "analyze_values",
     "Column",
     "Table",
     "Index",

@@ -39,9 +39,6 @@ class Catalog:
         except KeyError:
             raise CatalogError("no table named %r" % (name,)) from None
 
-    def has_table(self, name):
-        return name in self._tables
-
     @property
     def tables(self):
         return list(self._tables.values())

@@ -17,7 +17,6 @@ so reordering would change restored plans.  Files written when indexes
 and fragments carried an ``"id"`` still load: no decoder reads one.
 """
 
-import json
 from dataclasses import fields
 
 from repro.catalog.column import Column
@@ -100,16 +99,6 @@ def catalog_from_dict(payload):
     for hdict in payload["horizontal_partitionings"]:
         catalog.set_horizontal_partitioning(_horizontal_from_dict(hdict))
     return catalog
-
-
-def save_catalog(catalog, path):
-    with open(path, "w") as f:
-        json.dump(catalog_to_dict(catalog), f, indent=2, sort_keys=True)
-
-
-def load_catalog(path):
-    with open(path) as f:
-        return catalog_from_dict(json.load(f))
 
 
 def configuration_to_dict(configuration):

@@ -8,7 +8,7 @@ expected speedup justifies the materialization cost.  Adoption is the
 DBA's call — the tuner raises *alerts*; `auto_adopt` makes it autonomous.
 """
 
-from repro.colt.baselines import OracleResult, no_tuning_cost, static_oracle
+from repro.colt.baselines import OracleResult, static_oracle
 from repro.colt.tuner import ColtSettings, ColtTuner, EpochRecord, OnlineReport
 
 __all__ = [
@@ -17,6 +17,5 @@ __all__ = [
     "EpochRecord",
     "OnlineReport",
     "OracleResult",
-    "no_tuning_cost",
     "static_oracle",
 ]

@@ -1,12 +1,10 @@
-"""Baselines for judging online tuning quality.
+"""A baseline for judging online tuning quality.
 
-* :func:`no_tuning_cost` — leave the database alone (the demo's "before"
-  picture);
-* :func:`static_oracle` — the best *static* design chosen with hindsight
-  over the whole stream (an offline CoPhy run on the full trace).  An
-  online tuner cannot beat a clairvoyant static design on a static
-  workload, but on a drifting one it can, because no single configuration
-  fits all phases — exactly the regime Scenario 3 demonstrates.
+:func:`static_oracle` is the best *static* design chosen with hindsight
+over the whole stream (an offline CoPhy run on the full trace).  An
+online tuner cannot beat a clairvoyant static design on a static
+workload, but on a drifting one it can, because no single configuration
+fits all phases — exactly the regime Scenario 3 demonstrates.
 """
 
 from dataclasses import dataclass
@@ -15,16 +13,6 @@ from repro.cophy import CoPhyAdvisor
 from repro.cophy.compression import compress_workload
 from repro.whatif import WhatIfSession
 from repro.workloads.workload import Workload
-
-
-def no_tuning_cost(catalog, stream):
-    """Total cost of the stream with the existing design untouched."""
-    session = WhatIfSession(catalog)
-    total = 0.0
-    for item in stream:
-        sql = item[1] if isinstance(item, tuple) else item
-        total += session.cost(sql)
-    return total
 
 
 @dataclass

@@ -150,8 +150,7 @@ class JoinCosting:
     output ordering), the ``*_cost`` methods combine two inputs' terms
     into one candidate's total, and the node methods run only for a
     candidate the path set admits.  Each formula appears here and
-    nowhere else; the module-level constructors below are this class
-    applied to a single pair.
+    nowhere else.
     """
 
     __slots__ = (
@@ -315,41 +314,6 @@ class JoinCosting:
             children=(outer, inner),
             join_clauses=self.clauses,
         )
-
-
-def nestloop_path(outer, inner, join_clauses, rows_out, settings):
-    """Nested loop with *inner* rescanned per outer row.
-
-    If the inner is parameterized its costs are already per probe; otherwise
-    the rescan cost comes from :meth:`Plan.rescan_cost`.
-    """
-    costing = JoinCosting(join_clauses, (), (), rows_out, settings)
-    o, i = costing.outer(outer), costing.inner(inner)
-    return costing.nestloop(
-        o, inner, costing.nestloop_cost(o, i, i.total, i.rescan)
-    )
-
-
-def hashjoin_path(outer, inner, join_clauses, rows_out, settings):
-    """Hash join building on *inner*, probing with *outer*."""
-    if not join_clauses:
-        return None
-    costing = JoinCosting(join_clauses, (), (), rows_out, settings)
-    o, i = costing.outer(outer), costing.inner(inner)
-    return costing.hashjoin(o, i, costing.hashjoin_cost(o, i))
-
-
-def mergejoin_path(outer, inner, join_clauses, merge_keys_outer, merge_keys_inner,
-                   rows_out, settings):
-    """Merge join; an input not already ordered on its merge keys gets an
-    explicit Sort."""
-    if not join_clauses:
-        return None
-    costing = JoinCosting(
-        join_clauses, merge_keys_outer, merge_keys_inner, rows_out, settings
-    )
-    o, i = costing.outer(outer), costing.inner(inner)
-    return costing.mergejoin(o, i, costing.mergejoin_cost(o, i))
 
 
 def aggregate_paths(child, bound_query, groups, settings):

@@ -150,22 +150,15 @@ class IndexMatch:
     ordering_columns: tuple  # key columns that still order the output
 
 
-def match_index(index, filters, table, param_columns=()):
+def _match_index(index, filters, table, param_columns, selectivity):
     """Greedy prefix match of sargable *filters* against *index*.
 
     Equality conditions (including parameterized join probes) extend the
     prefix; the first range/IN condition closes it.  Everything unmatched
-    becomes a residual qual.
+    becomes a residual qual.  Per-filter selectivities are looked up
+    through *selectivity* (a :class:`ScanContext` passes its precomputed
+    ones).
     """
-    return _match_index(
-        index, filters, table, param_columns,
-        lambda f: filter_selectivity(f, table),
-    )
-
-
-def _match_index(index, filters, table, param_columns, selectivity):
-    """:func:`match_index` with per-filter selectivities looked up through
-    *selectivity* (a :class:`ScanContext` passes its precomputed ones)."""
     by_column = {}
     for f in filters:
         by_column.setdefault(f.column, []).append(f)
@@ -293,7 +286,7 @@ class ScanContext:
 
     def is_current(self):
         """False once any statistics this context priced from were
-        replaced (``build_stats`` / ``analyze_values`` make new objects)."""
+        replaced (``build_stats`` or an ``ANALYZE`` makes new objects)."""
         column = self.geometry.table.column
         for name, stats in self._stats.items():
             if column(name).stats is not stats:

@@ -40,9 +40,6 @@ class CostService:
         a design-blind service would have spent a planner call on."""
         return self._counter.hits
 
-    def reset_counter(self):
-        self._counter.calls = self._counter.hits = 0
-
     # ------------------------------------------------------------------
 
     def bound(self, query):

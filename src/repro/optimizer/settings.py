@@ -82,13 +82,6 @@ class PlannerSettings:
         """Return a copy with the given GUCs overridden."""
         return replace(self, **kwargs)
 
-    def join_methods_enabled(self):
-        return {
-            "nestloop": self.enable_nestloop,
-            "hashjoin": self.enable_hashjoin,
-            "mergejoin": self.enable_mergejoin,
-        }
-
     def scan_penalty(self, flag):
         """0 when *flag* is on, :data:`DISABLE_COST` otherwise."""
         return 0.0 if flag else DISABLE_COST

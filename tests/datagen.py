@@ -1,17 +1,25 @@
-"""Seeded row generators matching :class:`~repro.catalog.stats.Distribution`.
+"""Row generation and ``ANALYZE``: the data the executor oracle runs on.
 
-The ``correlation`` knob is honored by rank blending: row *i*'s value rank
-is a convex combination of the storage position and an independent uniform
-draw, which yields a Spearman correlation close to the requested value —
-the same quantity ``ANALYZE`` measures and the index cost model consumes.
+Tests materialize tables that honor the catalog's distributions to check
+that (a) plans are semantically correct — every plan shape returns the
+same rows (``tests/executor.py``) — and (b) the synthetic statistics
+track reality closely enough for the cost model to be trusted.
+
+The generators are seeded and match
+:class:`~repro.catalog.stats.Distribution`.  The ``correlation`` knob is
+honored by rank blending: row *i*'s value rank is a convex combination
+of the storage position and an independent uniform draw, which yields a
+Spearman correlation close to the requested value — the same quantity
+:func:`analyze_values` (our ``ANALYZE``) measures and the index cost
+model consumes.
 """
 
 import math
 import random
 from dataclasses import dataclass, field
 
-from repro.catalog.stats import analyze_values
-from repro.util import DesignError
+from repro.catalog.stats import ColumnStats, _as_key
+from repro.util import DesignError, clamp
 
 
 @dataclass
@@ -161,3 +169,95 @@ def _apply_correlation(values, correlation, rng):
 
 def _sort_key(v):
     return (v is None, v)
+
+
+# ----------------------------------------------------------------------
+
+
+def analyze_values(values, avg_width=None, n_buckets=100, n_mcvs=10, mcv_min_freq=0.02):
+    """Compute :class:`ColumnStats` from actual column values (``ANALYZE``).
+
+    ``values`` may contain ``None`` for NULLs.  Physical correlation is the
+    Spearman-style correlation between storage position and value rank, the
+    same quantity PostgreSQL stores.
+    """
+    values = list(values)
+    total = len(values)
+    if total == 0:
+        return ColumnStats(avg_width=avg_width or 4)
+    nonnull = [v for v in values if v is not None]
+    null_frac = 1.0 - len(nonnull) / total
+    if not nonnull:
+        return ColumnStats(null_frac=1.0, avg_width=avg_width or 4)
+
+    counts = {}
+    for v in nonnull:
+        counts[v] = counts.get(v, 0) + 1
+    n_distinct = len(counts)
+
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], _as_key(kv[0])))
+    mcvs = [(v, c / total) for v, c in ranked[:n_mcvs] if c / total >= mcv_min_freq and c > 1]
+    mcv_values = [v for v, __ in mcvs]
+    mcv_freqs = [f for __, f in mcvs]
+    mcv_set = set(mcv_values)
+
+    tail = sorted((v for v in nonnull if v not in mcv_set), key=_as_key)
+    histogram = []
+    if len(tail) >= 2:
+        buckets = min(n_buckets, max(1, len(tail) - 1))
+        histogram = [tail[round(i * (len(tail) - 1) / buckets)] for i in range(buckets + 1)]
+
+    correlation = _physical_correlation(values)
+    if avg_width is None:
+        avg_width = max(1, round(sum(_value_width(v) for v in nonnull) / len(nonnull)))
+    return ColumnStats(
+        n_distinct=n_distinct,
+        null_frac=null_frac,
+        min_value=min(nonnull, key=_as_key),
+        max_value=max(nonnull, key=_as_key),
+        mcv_values=mcv_values,
+        mcv_freqs=mcv_freqs,
+        histogram=histogram,
+        correlation=correlation,
+        avg_width=avg_width,
+    )
+
+
+def _value_width(value):
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, int):
+        return 4 if -2**31 <= value < 2**31 else 8
+    if isinstance(value, float):
+        return 8
+    if isinstance(value, str):
+        return len(value) + 1
+    return 8
+
+
+def _physical_correlation(values):
+    """Correlation between physical position and value order, ignoring NULLs."""
+    pairs = [(pos, _as_key(v)) for pos, v in enumerate(values) if v is not None]
+    if len(pairs) < 2:
+        return 0.0
+    n = len(pairs)
+    mean_pos = sum(p for p, __ in pairs) / n
+    # Rank the values (average ranks for ties) and correlate with position.
+    order = sorted(range(n), key=lambda i: pairs[i][1])
+    ranks = [0.0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and pairs[order[j + 1]][1] == pairs[order[i]][1]:
+            j += 1
+        avg_rank = (i + j) / 2.0
+        for k in range(i, j + 1):
+            ranks[order[k]] = avg_rank
+        i = j + 1
+    mean_rank = sum(ranks) / n
+    cov = sum((pairs[i][0] - mean_pos) * (ranks[i] - mean_rank) for i in range(n))
+    var_pos = sum((pairs[i][0] - mean_pos) ** 2 for i in range(n))
+    var_rank = sum((r - mean_rank) ** 2 for r in ranks)
+    if var_pos <= 0.0 or var_rank <= 0.0:
+        return 0.0
+    return clamp(cov / math.sqrt(var_pos * var_rank), -1.0, 1.0)

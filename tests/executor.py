@@ -1,4 +1,10 @@
-"""Plan execution over :class:`~repro.data.generator.Database` instances.
+"""Iterator-style executor: runs optimizer plans against generated data.
+
+This is the validation substrate: tests execute the *same* query under
+different physical designs (hence different plan shapes) and assert the
+result rows are identical, and compare estimated vs actual cardinalities.
+It runs plans over :class:`~datagen.Database` instances
+(``tests/datagen.py``).
 
 Rows flow through the tree as dictionaries keyed by ``(alias, column)`` so
 self-joins stay unambiguous.  Aggregate outputs use ``("#agg", i)`` keys
@@ -17,6 +23,8 @@ from repro.optimizer.planner import plan_query
 from repro.optimizer.settings import DEFAULT_SETTINGS
 from repro.sql.binder import bind_sql
 from repro.util import PlanningError
+
+from datagen import encode_key
 
 
 def run_query(query, catalog, database, settings=None):
@@ -198,8 +206,6 @@ class _Executor:
         if range_filter is not None:
             consumed.add(range_filter.column)
         deep_filters = [f for f in index_filters if f.column not in consumed]
-
-        from repro.data import encode_key
 
         if any(v is None for v in prefix):
             return []  # equality against NULL never matches

@@ -24,6 +24,19 @@ Calls are matched by the callee's name alone (``f(...)``,
 ``obj.f(...)``; ``Class(...)`` and ``super().__init__(...)`` for an
 ``__init__``), and ``*args`` / ``**kwargs`` at a call count as setting
 everything they could reach, so the census errs towards "set".
+
+Two more rules keep ``src/`` the shipped designer and nothing else,
+with no exemptions:
+
+* every public module-level ``def`` or ``class`` of ``src/repro`` is
+  named — as a name, an attribute or an import — somewhere in
+  ``src/``, ``benchmarks/`` or ``examples/`` outside its own definition
+  and a package ``__init__``'s re-export of it
+  (:func:`reached_only_by_tests`); code only tests reach belongs in
+  ``tests/``;
+* no ``src/repro`` module reads ``os.environ`` or ``os.getenv``
+  (:func:`environment_reads`): a setting is a parameter or a flag,
+  which the census above counts.
 """
 
 import argparse
@@ -253,6 +266,71 @@ def census(root=ROOT):
     return found
 
 
+def _names(tree, reexports):
+    """``(name, line)`` for every name, attribute and imported name in
+    *tree*; a package ``__init__`` (*reexports*) does not name what it
+    imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom) and not reexports:
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+def reached_only_by_tests(root=ROOT):
+    """``module:name`` per public module-level ``def`` or ``class`` in
+    ``src/repro`` that nothing in ``src/``, ``benchmarks/`` or
+    ``examples/`` names outside its own definition."""
+    named = {}
+    for top in CALLER_DIRS:
+        for path in _python_files(root, top):
+            reexports = os.path.basename(path) == "__init__.py"
+            for name, line in _names(_parse(path), reexports):
+                named.setdefault(name, []).append((path, line))
+
+    def named_elsewhere(node, path):
+        return any(where != path or not
+                   node.lineno <= line <= node.end_lineno
+                   for where, line in named.get(node.name, ()))
+
+    out = []
+    for path in _python_files(root, PACKAGE):
+        module = _module_name(root, path)
+        if not all(map(_public, module.split("."))):
+            continue
+        out += ["%s:%s" % (module, node.name) for node in _parse(path).body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and _public(node.name) and not named_elsewhere(node, path)]
+    return out
+
+
+ENVIRONMENT = ("environ", "getenv")
+
+
+def _reads_environment(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr in ENVIRONMENT and isinstance(node.value, ast.Name) \
+            and node.value.id == "os"
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(
+            alias.name in ENVIRONMENT for alias in node.names)
+    return False
+
+
+def environment_reads(root=ROOT):
+    """``path:line`` per read of ``os.environ`` or ``os.getenv`` in
+    ``src/repro``, by attribute or by ``from os import``."""
+    out = []
+    for path in _python_files(root, PACKAGE):
+        lines = {node.lineno for node in ast.walk(_parse(path))
+                 if _reads_environment(node)}
+        out += ["%s:%d" % (os.path.relpath(path, root), line)
+                for line in sorted(lines)]
+    return out
+
+
 def load(path=RECORDED):
     with open(path) as handle:
         return json.load(handle)
@@ -304,9 +382,13 @@ def main(argv=None):
             handle.write(render({option: reasons.get(option, "")
                                  for option in unset}))
         return 0
-    lines = problems(found, reasons)
+    lines = ["STALE " + line for line in problems(found, reasons)]
+    lines += ["TEST-ONLY %s: only tests name it; move it to tests/" % name
+              for name in reached_only_by_tests(ROOT)]
+    lines += ["ENVIRON %s: reads the environment" % where
+              for where in environment_reads(ROOT)]
     for line in lines:
-        print("STALE " + line)
+        print(line)
     return 1 if lines else 0
 
 

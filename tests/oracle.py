@@ -38,6 +38,9 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
   ISSUE 24: a dominance test that scans the whole set, an ``add`` that
   appends and re-sorts, and every join method costed from scratch per
   (outer, inner) pair by its own constructor;
+  :func:`nestloop_path`, :func:`hashjoin_path` and
+  :func:`mergejoin_path` are the shipped ``joins.JoinCosting`` applied
+  to one pair, held to those references bit for bit;
   :func:`reference_planning` runs the shipped planner over them, every
   relation subset enumerated afresh per call (:func:`build_with_plans`
   shows what a build planned, either way).
@@ -769,6 +772,41 @@ def mergejoin_reference(outer, inner, join_clauses, merge_keys_outer,
         children=(outer, inner),
         join_clauses=tuple(join_clauses),
     )
+
+
+def nestloop_path(outer, inner, join_clauses, rows_out, settings):
+    """Nested loop with *inner* rescanned per outer row.
+
+    If the inner is parameterized its costs are already per probe; otherwise
+    the rescan cost comes from :meth:`Plan.rescan_cost`.
+    """
+    costing = J.JoinCosting(join_clauses, (), (), rows_out, settings)
+    o, i = costing.outer(outer), costing.inner(inner)
+    return costing.nestloop(
+        o, inner, costing.nestloop_cost(o, i, i.total, i.rescan)
+    )
+
+
+def hashjoin_path(outer, inner, join_clauses, rows_out, settings):
+    """Hash join building on *inner*, probing with *outer*."""
+    if not join_clauses:
+        return None
+    costing = J.JoinCosting(join_clauses, (), (), rows_out, settings)
+    o, i = costing.outer(outer), costing.inner(inner)
+    return costing.hashjoin(o, i, costing.hashjoin_cost(o, i))
+
+
+def mergejoin_path(outer, inner, join_clauses, merge_keys_outer, merge_keys_inner,
+                   rows_out, settings):
+    """Merge join; an input not already ordered on its merge keys gets an
+    explicit Sort."""
+    if not join_clauses:
+        return None
+    costing = J.JoinCosting(
+        join_clauses, merge_keys_outer, merge_keys_inner, rows_out, settings
+    )
+    o, i = costing.outer(outer), costing.inner(inner)
+    return costing.mergejoin(o, i, costing.mergejoin_cost(o, i))
 
 
 def join_pair_reference(self, sets, left, right, clauses, rows_out, pset):

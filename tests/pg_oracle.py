@@ -3,12 +3,12 @@
 A throwaway cluster in a temporary directory (``initdb -A trust``, a
 unix socket only, ``fsync=off``), driven by ``psql -At`` — no Python
 client library.  The tables of a repro catalog are created with PostgreSQL
-types of the same widths, loaded from ``repro.data.generate_database``
-rows with ``COPY`` and ``VACUUM ANALYZE``d (the vacuum sets the
-visibility map, without which PostgreSQL costs an index-only scan as
-heap fetches); the same rows are mirrored into the catalog's statistics
-with ``TableData.analyze_into``, so both sides estimate from the same
-data.
+types of the same widths, loaded from ``datagen.generate_database``
+rows (``tests/datagen.py``) with ``COPY`` and ``VACUUM ANALYZE``d (the
+vacuum sets the visibility map, without which PostgreSQL costs an
+index-only scan as heap fetches); the same rows are mirrored into the
+catalog's statistics with ``datagen.TableData.analyze_into``, our
+``ANALYZE``, so both sides estimate from the same data.
 
 Used by ``tests/test_pg_oracle.py``; :func:`find_bindir` is ``None``
 where no PostgreSQL is installed, and the tests skip.

@@ -11,12 +11,12 @@ from repro.catalog import Index
 from repro.cophy.bip import BipProblem, PlanTerm, QueryTerm, SlotOptions
 from repro.cophy.greedy import greedy_select
 from repro.cophy.solvers import SolveResult, solve_bip
-from repro.data import generate_database
-from repro.executor import run_query
 from repro.inum import InumCostModel
 from repro.optimizer import CostService
 from repro.whatif import Configuration
 
+from datagen import generate_database
+from executor import run_query
 from oracle import check_milp_bound, check_solution, solve_branch_and_bound
 
 

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.catalog import Catalog, Column, DataType, Distribution, Index, Table
-from repro.data import generate_database
 from repro.evaluation import WorkloadEvaluator
-from repro.executor import run_query
 from repro.inum import InumCostModel
 from repro.interaction import InteractionAnalyzer
 from repro.optimizer import CostService, PlannerSettings
 from repro.whatif import Configuration
+
+from datagen import generate_database
+from executor import run_query
 
 
 def node_types(plan):

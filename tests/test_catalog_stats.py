@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.stats import ColumnStats, Distribution, _as_key, analyze_values
+from repro.catalog.stats import ColumnStats, Distribution, _as_key
 from repro.util import clamp
+
+from datagen import analyze_values
 
 
 class TestSyntheticUniform:

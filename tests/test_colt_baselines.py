@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.colt import ColtSettings, ColtTuner, no_tuning_cost, static_oracle
+from repro.colt import ColtSettings, ColtTuner, static_oracle
+from repro.whatif import WhatIfSession
 from repro.workloads import sdss
 from repro.workloads.drift import DriftPhase, drifting_stream
 
@@ -12,10 +13,19 @@ def stream(n=30, seed=5):
     return drifting_stream(phases, seed=seed)
 
 
+def no_tuning_cost(catalog, stream):
+    """Total cost of the stream with the existing design untouched (the
+    demo's "before" picture), the floor the static oracle must beat."""
+    session = WhatIfSession(catalog)
+    total = 0.0
+    for item in stream:
+        sql = item[1] if isinstance(item, tuple) else item
+        total += session.cost(sql)
+    return total
+
+
 class TestNoTuning:
     def test_matches_sum_of_costs(self, sdss_catalog):
-        from repro.whatif import WhatIfSession
-
         session = WhatIfSession(sdss_catalog)
         expected = sum(session.cost(sql) for __, sql in stream())
         assert no_tuning_cost(sdss_catalog, stream()) == pytest.approx(expected)

@@ -16,9 +16,11 @@ from repro.catalog import (
     VerticalFragment,
     VerticalLayout,
 )
-from repro.data import generate_database, generate_table
-from repro.executor import run_query
 from repro.optimizer import PlannerSettings
+
+from datagen import analyze_values, generate_database, generate_table
+from executor import run_query
+from test_backward_and_solver_props import share
 
 
 def exec_catalog(rows=3000):
@@ -192,8 +194,6 @@ class TestDataGenerator:
         assert a.columns != c.columns
 
     def test_correlation_target_roughly_met(self):
-        from repro.catalog.stats import analyze_values
-
         catalog = exec_catalog(rows=2000)
         data = generate_table(catalog.table("t"), seed=1)
         measured = analyze_values(data.columns["a"]).correlation
@@ -219,7 +219,7 @@ class TestExecutorProperties:
         span=st.integers(0, 20),
         seed=st.integers(0, 3),
     )
-    @hsettings(max_examples=25, deadline=None)
+    @hsettings(max_examples=share(0.25), deadline=None)
     def test_index_scan_equals_filter_scan(self, low, span, seed):
         catalog = exec_catalog(rows=800)
         database = generate_database(catalog, seed=seed)
@@ -231,7 +231,7 @@ class TestExecutorProperties:
         assert rows_equal(expected, actual)
 
     @given(value=st.integers(-5, 55))
-    @hsettings(max_examples=20, deadline=None)
+    @hsettings(max_examples=share(0.2), deadline=None)
     def test_equality_probe_matches_scan(self, value):
         catalog = exec_catalog(rows=800)
         database = generate_database(catalog, seed=1)

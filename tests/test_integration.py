@@ -9,14 +9,15 @@ import pytest
 
 from repro.catalog import Catalog, Column, DataType, Distribution, Index, Table
 from repro.cophy import CoPhyAdvisor
-from repro.data import generate_database
 from repro.designer import Designer
-from repro.executor import run_query
 from repro.inum import InumCostModel
 from repro.optimizer import CostService
 from repro.util import DesignError
 from repro.whatif import Configuration
 from repro.workloads import Workload, sdss_catalog, sdss_workload, tpch_catalog, tpch_workload
+
+from datagen import generate_database
+from executor import run_query
 
 
 class TestSdssPipeline:

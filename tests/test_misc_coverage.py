@@ -93,11 +93,6 @@ class TestSettingsPlumbing:
         assert changed.random_page_cost == 2.0
         assert base.random_page_cost == 4.0
 
-    def test_join_methods_enabled_map(self):
-        settings = PlannerSettings(enable_hashjoin=False)
-        flags = settings.join_methods_enabled()
-        assert flags["hashjoin"] is False and flags["nestloop"] is True
-
     def test_scan_penalty(self):
         settings = PlannerSettings()
         assert settings.scan_penalty(True) == 0.0

@@ -7,8 +7,6 @@ import math
 import pytest
 
 from repro.catalog import Catalog, Column, DataType, Distribution, Index, Table
-from repro.data import generate_database
-from repro.executor import run_query
 from repro.optimizer import CostService, PlannerSettings
 from repro.optimizer import paths as P
 from repro.optimizer import planner
@@ -16,6 +14,8 @@ from repro.sql.binder import bind_statement
 from repro.workloads import sdss_catalog as full_sdss_catalog
 from repro.workloads import tpch_catalog
 
+from datagen import generate_database
+from executor import run_query
 from oracle import build_with_plans, reference_planning
 
 

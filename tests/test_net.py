@@ -59,6 +59,7 @@ from repro.colt import ColtSettings
 from repro.evaluation import InumCachePool, WorkloadEvaluator, wire
 from repro.evaluation import evaluator as evaluator_module
 from repro.net import (
+    MAX_FRAME_BYTES,
     FleetBackplane,
     RemoteBackplane,
     RunnerConnection,
@@ -1214,6 +1215,57 @@ class TestFrameFuzz:
         if not conforms(frame, wire.SHAPES[wire.KIND_ERROR]) \
                 or frame.get("wire_error", False):
             assert raised.type is WireFormatError
+
+    # The codec itself: any bytes a peer writes before it hangs up.
+    BODIES = st.one_of(
+        st.sampled_from([HELLO, TASK, RESULT, ERROR]).map(
+            lambda frame: wire.dumps(frame).encode("utf-8")),
+        st.binary(max_size=64),  # mostly neither UTF-8 nor JSON
+        st.text(max_size=32).map(str.encode),  # mostly not JSON
+        st.binary(max_size=16).map(lambda tail: b"\xff" + tail),
+        st.recursive(st.none() | st.booleans() | st.integers() | st.text(
+            max_size=8), lambda inner: st.lists(inner, max_size=3),
+            max_leaves=6).map(lambda value: json.dumps(value).encode()),
+        st.dictionaries(st.text(max_size=8), st.integers(), max_size=3).map(
+            lambda value: json.dumps(value).encode()),  # no version
+    )
+
+    @given(body=BODIES, data=st.data(),
+           length=st.none() | st.integers(0, 80) | st.integers(0, 2**32 - 1)
+           | st.sampled_from([MAX_FRAME_BYTES, MAX_FRAME_BYTES + 1]))
+    def test_any_bytes_are_a_payload_or_a_typed_error(self, body, data,
+                                                      length):
+        """A 4-byte length (the body's own, or any), a body, the stream
+        torn anywhere and the connection closed: ``recv_frame`` returns
+        a dict or raises the failure its docstring classifies, and
+        nothing else escapes."""
+        if length is None:
+            length = len(body)
+        stream = struct.pack("!I", length) + body
+        torn = data.draw(st.just(len(stream))
+                         | st.integers(0, len(stream)), label="torn at")
+        ours, theirs = socket.socketpair()
+        try:
+            theirs.settimeout(WAIT_S)
+            ours.sendall(stream[:torn])
+            ours.close()
+            try:
+                payload = recv_frame(theirs)
+            except (WireFormatError, TransportError) as exc:
+                outcome = type(exc)
+            else:
+                assert isinstance(payload, dict)
+                outcome = dict
+        finally:
+            ours.close()
+            theirs.close()
+        event(outcome.__name__)
+        if torn == 0:
+            assert outcome is TransportError  # closed between frames
+        elif torn < 4 or length <= MAX_FRAME_BYTES and torn < 4 + length:
+            assert outcome is TruncatedFrameError
+        else:  # an oversized header or a whole frame: never retryable
+            assert outcome in (dict, WireFormatError)
 
     # Nesting bombs: JSON nested deeper than a decoder recurses.
     BOMB = "[" * 100_000

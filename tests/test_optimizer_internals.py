@@ -15,7 +15,16 @@ from repro.optimizer.planner import _PathSet
 from repro.optimizer.plan import Plan
 from repro.sql import bind_sql
 
+from oracle import hashjoin_path
+
 SETTINGS = PlannerSettings()
+
+
+def match_index(index, filters, table, param_columns=()):
+    """``paths._match_index`` with each filter's selectivity computed
+    afresh, as a planner without a scan context would."""
+    return P._match_index(index, filters, table, param_columns,
+                          lambda f: S.filter_selectivity(f, table))
 
 
 @pytest.fixture
@@ -96,26 +105,26 @@ class TestSelectivity:
 class TestIndexMatching:
     def test_eq_prefix_then_range(self, catalog, table):
         __, fs = filters_for(catalog, "a = 5 AND b < 0.2")
-        match = P.match_index(Index("t", ("a", "b")), fs, table)
+        match = match_index(Index("t", ("a", "b")), fs, table)
         assert len(match.boundary_filters) == 2
         assert match.eq_prefix == 1
         assert match.residual_filters == ()
 
     def test_range_closes_prefix(self, catalog, table):
         __, fs = filters_for(catalog, "a < 50 AND b < 0.2")
-        match = P.match_index(Index("t", ("a", "b")), fs, table)
+        match = match_index(Index("t", ("a", "b")), fs, table)
         assert len(match.boundary_filters) == 1  # only the range on a
         assert [f.column for f in match.residual_filters] == ["b"]
 
     def test_wrong_leading_column_matches_nothing(self, catalog, table):
         __, fs = filters_for(catalog, "b < 0.2")
-        match = P.match_index(Index("t", ("a", "b")), fs, table)
+        match = match_index(Index("t", ("a", "b")), fs, table)
         assert not match.boundary_filters
         assert match.boundary_selectivity == 1.0
 
     def test_param_column_extends_prefix(self, catalog, table):
         __, fs = filters_for(catalog, "b < 0.2")
-        match = P.match_index(
+        match = match_index(
             Index("t", ("a", "b")), fs, table, param_columns=("a",)
         )
         assert match.param_columns == ("a",)
@@ -124,7 +133,7 @@ class TestIndexMatching:
 
     def test_ordering_columns_drop_eq_prefix(self, catalog, table):
         __, fs = filters_for(catalog, "a = 5")
-        match = P.match_index(Index("t", ("a", "b", "c")), fs, table)
+        match = match_index(Index("t", ("a", "b", "c")), fs, table)
         assert match.ordering_columns == ("b", "c")
 
 
@@ -196,11 +205,11 @@ class TestHashJoinCosting:
         from repro.sql.binder import BoundJoin
 
         clause = BoundJoin("x", "t", "a", "y", "t", "a")
-        small = J.hashjoin_path(
+        small = hashjoin_path(
             self.outer(1000), Plan(total_cost=500, rows=1000, width=16),
             (clause,), 1000, SETTINGS,
         )
-        huge = J.hashjoin_path(
+        huge = hashjoin_path(
             self.outer(1000), Plan(total_cost=500, rows=10_000_000, width=64),
             (clause,), 1000, SETTINGS,
         )
@@ -208,7 +217,7 @@ class TestHashJoinCosting:
         assert huge.batches > 1
 
     def test_no_clauses_returns_none(self):
-        assert J.hashjoin_path(self.outer(10), self.outer(10), (), 100, SETTINGS) is None
+        assert hashjoin_path(self.outer(10), self.outer(10), (), 100, SETTINGS) is None
 
 
 class TestPathSetPruning:

@@ -137,3 +137,58 @@ def test_write_keeps_reasons_and_adds_new_options_empty(tmp_path,
     assert written["repro.mod:f.knob"] == "kept"
     assert written["cli serve --tenants"] == ""
     assert option_census.main([]) == 1  # the empty reasons are refused
+
+
+def test_src_holds_no_code_only_tests_name():
+    """Code nothing shipped reaches lives in ``tests/`` (the executor,
+    the row generator, the reference implementations), not in ``src/``;
+    there is no exemption list."""
+    assert option_census.reached_only_by_tests() == []
+
+
+def test_src_reads_no_environment_variable():
+    assert option_census.environment_reads() == []
+
+
+EXTRA = '''
+def recurse(n):
+    return recurse(n - 1) if n else 0
+
+
+class Node:
+    def copy(self):
+        return Node()
+
+
+def _helper():
+    return 0
+'''
+
+
+def test_a_definition_named_only_by_itself_or_tests_is_test_only(tmp_path):
+    """A re-export in a package ``__init__`` and a name inside the
+    definition itself do not count; a subclass, a call or an import
+    elsewhere does."""
+    root = tree(tmp_path, "build_parser()\nChild(1)\n",
+                tests="f(1)\nrecurse(2)\n")
+    (tmp_path / "src/repro/extra.py").write_text(EXTRA)
+    (tmp_path / "src/repro/__init__.py").write_text(
+        "from repro.extra import Node, recurse\nfrom repro.mod import f\n"
+        "__all__ = ['Node', 'f', 'recurse']\n")
+    assert sorted(option_census.reached_only_by_tests(root)) == [
+        "repro.extra:Node", "repro.extra:recurse", "repro.mod:f"]
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples/demo.py").write_text(
+        "from repro.extra import recurse\nimport repro\nrepro.f(1)\n")
+    assert option_census.reached_only_by_tests(root) == ["repro.extra:Node"]
+
+
+def test_an_environment_read_in_src_is_refused(tmp_path):
+    root = tree(tmp_path, "import os\nos.environ.get('X')\n")
+    assert option_census.environment_reads(root) == []
+    (tmp_path / "src/repro/env.py").write_text(
+        "import os\nfrom os import getenv\n\n"
+        "LEVEL = os.environ.get('LEVEL')\nDEBUG = os.getenv('DEBUG')\n")
+    assert option_census.environment_reads(root) == [
+        os.path.join("src", "repro", "env.py") + ":%d" % line
+        for line in (2, 4, 5)]

@@ -31,13 +31,13 @@ from scipy.stats import spearmanr
 
 from repro.catalog import Index
 from repro.cophy import candidate_indexes
-from repro.data import generate_database
 from repro.optimizer import paths as P
 from repro.optimizer.planner import plan_query
 from repro.optimizer.settings import DEFAULT_SETTINGS
 from repro.sql.binder import bind_statement
 from repro.workloads import sdss, sdss_catalog, tpch, tpch_catalog
 
+from datagen import generate_database
 from pg_oracle import Cluster, find_bindir, predicate
 
 # Small enough that ANALYZE reads every row (its sample is 30 000), so

@@ -34,13 +34,13 @@ from repro.catalog import (
     VerticalFragment,
     VerticalLayout,
 )
-from repro.data import generate_database
-from repro.executor import run_query
 from repro.inum.cache import build_cache
 from repro.optimizer import CostService, PlannerSettings
 from repro.optimizer.settings import DISABLE_COST
 from repro.sql.binder import bind_statement
 
+from datagen import generate_database
+from executor import run_query
 from oracle import reference_planning
 
 COLUMN_POOL = [

@@ -432,19 +432,22 @@ def test_index_selection_is_written_once(sdss_catalog, monkeypatch):
 def test_join_costing_has_one_implementation():
     """A join input is costed once per path (ISSUE 24): each method's
     formula is stated once, in ``joins.JoinCosting``, and reached from
-    one place, ``_Planner._join_pair``; the one-off constructors are
-    that class applied to a pair and test nothing for admission (PR
-    16's ``admits=`` is gone — the planner asks its path set before it
-    builds); and the subset dict an INUM build shares is a data argument
-    of ``plan_query``, its only new parameter."""
-    from repro.optimizer import joins, planner
+    one place, ``_Planner._join_pair``; the one-off constructors
+    (``tests/oracle.py``) are that class applied to a pair and test
+    nothing for admission (their old ``admits=`` is gone — the
+    planner asks its path set before it builds); and the subset dict
+    an INUM build shares is a data argument of ``plan_query``, its only
+    new parameter."""
+    from repro.optimizer import planner
+
+    from oracle import hashjoin_path, mergejoin_path, nestloop_path
 
     for constructor, expected in (
-        (joins.nestloop_path,
+        (nestloop_path,
          ["outer", "inner", "join_clauses", "rows_out", "settings"]),
-        (joins.hashjoin_path,
+        (hashjoin_path,
          ["outer", "inner", "join_clauses", "rows_out", "settings"]),
-        (joins.mergejoin_path,
+        (mergejoin_path,
          ["outer", "inner", "join_clauses", "merge_keys_outer",
           "merge_keys_inner", "rows_out", "settings"]),
     ):
@@ -468,8 +471,8 @@ def test_join_costing_has_one_implementation():
         r"settings\.enable_mergejoin",  # one DISABLE_COST branch each
     ):
         assert len(re.findall(once, everything)) == 1, once
-    # The cost parts are reached from join enumeration and from the
-    # constructors beside them, nowhere else.
+    # The cost parts are reached from join enumeration, nowhere else in
+    # src/ (the one-pair constructors are the tests').
     users = {
         os.path.relpath(path, SRC) for path, text in sources.items()
         if re.search(r"JoinCosting|\b\w+join_cost\(|nestloop_cost\(", text)
