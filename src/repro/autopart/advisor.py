@@ -4,17 +4,19 @@ from dataclasses import dataclass, field
 
 from repro.catalog import HorizontalPartitioning, VerticalFragment, VerticalLayout
 from repro.evaluation import WorkloadEvaluator
-from repro.sql.binder import BoundWrite, bind_statement
+from repro.sql.binder import BoundWrite
 from repro.util import DesignError, workload_pairs
 from repro.whatif import Configuration
 
 
-def _bound_queries(workload, catalog):
+def _bound_queries(workload, bind):
     """Yield ``(bound_query, weight)`` for read statements only — writes
     affect partitioning decisions through the cost model, not through the
-    attribute-usage analysis."""
+    attribute-usage analysis.  ``bind(sql)`` binds one statement: the
+    advisor passes its backplane's ``bound``, which has already bound
+    every statement the search prices."""
     for sql, weight in workload_pairs(workload):
-        bound = bind_statement(sql, catalog)
+        bound = bind(sql)
         if not isinstance(bound, BoundWrite):
             yield bound, weight
 
@@ -163,7 +165,8 @@ class AutoPartAdvisor:
     def _usage_signatures(self, workload):
         """Per table: column -> frozenset of query ids referencing it."""
         usage = {}
-        for qid, (bq, __) in enumerate(_bound_queries(workload, self.catalog)):
+        bound = _bound_queries(workload, self.cost_model.bound)
+        for qid, (bq, __) in enumerate(bound):
             for alias in bq.aliases:
                 table = bq.table_for(alias)
                 per_table = usage.setdefault(table.name, {})
@@ -257,7 +260,8 @@ class AutoPartAdvisor:
         """Add replicated composite fragments for queries spanning fragments."""
         layout_by_table = {l.table_name: l for l in config.layouts}
         candidates = []
-        for qid, (bq, __) in enumerate(_bound_queries(workload, self.catalog)):
+        bound = _bound_queries(workload, self.cost_model.bound)
+        for qid, (bq, __) in enumerate(bound):
             for alias in bq.aliases:
                 table = bq.table_for(alias)
                 layout = layout_by_table.get(table.name)
@@ -299,7 +303,7 @@ class AutoPartAdvisor:
 
     def _horizontal_phase(self, workload, config, merge_log):
         stats_by_table = {}
-        for bq, weight in _bound_queries(workload, self.catalog):
+        for bq, weight in _bound_queries(workload, self.cost_model.bound):
             for alias in bq.aliases:
                 table = bq.table_for(alias)
                 for f in bq.filters_for(alias):

@@ -10,7 +10,6 @@ at construction, like the partition objects' (``catalog/partition.py``).
 
 from dataclasses import dataclass
 
-from repro.catalog import pagemodel
 from repro.util import CatalogError
 
 
@@ -75,7 +74,7 @@ class Index:
             raise CatalogError(
                 "index on %r sized against table %r" % (self.table_name, table.name)
             )
-        return pagemodel.btree_shape(table.row_count, self.key_width(table))
+        return table.index_shape(self)
 
     def size_pages(self, table):
         return self.shape(table)[0]

@@ -81,12 +81,32 @@ class VerticalLayout:
         object.__setattr__(
             self, "_hash", hash((self.table_name, self.fragments))
         )
+        # Referenced columns -> (table, row_count, cover entry): see
+        # cover().  Dies with the layout, as a search's candidates do.
+        object.__setattr__(self, "_covers", {})
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
         return type(self), (self.table_name, self.fragments)
+
+    def cover(self, table, needed):
+        """``(cover, (pages, fragment count))``: the fragments a scan of
+        *table* reading the columns *needed* (a frozenset; empty reads
+        every column) stitches — :meth:`fragments_for` — and the two
+        numbers of the cover that access costs read.  Memoized by
+        *needed*, so the statements of one template share one set
+        cover, and validated against the table and its row count."""
+        cached = self._covers.get(needed)
+        if cached is None or cached[0] is not table \
+                or cached[1] != table.row_count:
+            cover = tuple(self.fragments_for(needed or table.column_names))
+            pages = float(sum(f.pages(table) for f in cover))
+            cached = self._covers[needed] = (
+                table, table.row_count, (cover, (pages, len(cover))),
+            )
+        return cached[2]
 
     def validate_covers(self, table):
         covered = set()

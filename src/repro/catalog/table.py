@@ -21,6 +21,9 @@ class Table:
     # projected column names -> (row_count, pages); a partition search
     # asks for the same few fragments' sizes once per candidate layout.
     _projection_pages: dict = field(default=None, repr=False, compare=False)
+    # index columns -> (row_count, btree shape); an index's size reads
+    # nothing else, so indexes minted per probe share an entry.
+    _index_shapes: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name or not self.name.islower():
@@ -36,6 +39,7 @@ class Table:
             self._by_name[col.name] = col
         self._full_width = sum(c.width for c in self.columns)
         self._projection_pages = {}
+        self._index_shapes = {}
 
     # ------------------------------------------------------------------
 
@@ -79,6 +83,18 @@ class Table:
             cached = self._projection_pages[key] = (
                 self.row_count,
                 pagemodel.heap_pages(self.row_count, width),
+            )
+        return cached[1]
+
+    def index_shape(self, index):
+        """``(total_pages, height, leaf_pages)`` of *index* on this
+        table (``pagemodel.btree_shape`` of its key width)."""
+        key = index.all_columns
+        cached = self._index_shapes.get(key)
+        if cached is None or cached[0] != self.row_count:
+            cached = self._index_shapes[key] = (
+                self.row_count,
+                pagemodel.btree_shape(self.row_count, index.key_width(self)),
             )
         return cached[1]
 

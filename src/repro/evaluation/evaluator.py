@@ -54,6 +54,11 @@ from repro.inum.cache import (
     build_cache,
 )
 from repro.optimizer import CostService
+from repro.optimizer.writecost import (
+    heap_write_cost,
+    locate_query,
+    maintenance_cost,
+)
 from repro.sql.binder import BoundWrite
 from repro.util import workload_pairs
 from repro.whatif import Configuration
@@ -94,13 +99,15 @@ class BatchEvaluation:
 
 @dataclass
 class _KernelWorkload:
-    """A workload compiled onto the columnar kernel: per-position
-    weights plus either a write statement or the index of the distinct
-    read block inside the fused :class:`~repro.evaluation.kernel.WorkloadKernel`."""
+    """A workload compiled onto the columnar kernel: per position its
+    weight, its write statement (``None`` for a read) and the index of
+    its read block inside the fused
+    :class:`~repro.evaluation.kernel.WorkloadKernel` — a write's is its
+    locate query's (``None`` for an INSERT)."""
 
     positions: list = field(default_factory=list)  # (weight, sql, write, read)
     kernel: object = None  # WorkloadKernel
-    signatures: frozenset = frozenset()  # read-statement signatures used
+    signatures: frozenset = frozenset()  # signatures of the fused reads
 
 
 class WorkloadEvaluator(InumCostModel):
@@ -216,8 +223,6 @@ class WorkloadEvaluator(InumCostModel):
         processes would pay the full build twice for one installable
         result.
         """
-        from repro.optimizer.writecost import locate_query
-
         targets, seen = [], set()
         for query, __ in workload_pairs(workload):
             bq = self.bound(query)
@@ -342,24 +347,25 @@ class WorkloadEvaluator(InumCostModel):
         fused = WorkloadKernel()
         compiled = _KernelWorkload(kernel=fused)
         signatures = set()
-        for bq, weight in pairs:
-            if isinstance(bq, BoundWrite):
-                compiled.positions.append((weight, bq.sql, bq, None))
-                if bq.kind in ("update", "delete"):
-                    # Warm the locate cache now so the evaluate phase
-                    # issues zero optimizer calls even for writes.
-                    from repro.optimizer.writecost import locate_query
 
-                    self.cache_for(locate_query(bq))
-                continue
+        def fuse(bq):
             cache = self.cache_for(bq)
             signature = self.signature(bq)
             stmt_kernel = self.pool.kernel_for(signature)
             if stmt_kernel is None:  # evicted between calls: compile inline
                 stmt_kernel = compile_statement(cache)
-            read = fused.add_statement(stmt_kernel)
             signatures.add(signature)
-            compiled.positions.append((weight, bq.sql, None, read))
+            return fused.add_statement(stmt_kernel)
+
+        for bq, weight in pairs:
+            if not isinstance(bq, BoundWrite):
+                compiled.positions.append((weight, bq.sql, None, fuse(bq)))
+                continue
+            # A write's locate query is an ordinary read of the grid.
+            read = None
+            if bq.kind in ("update", "delete"):
+                read = fuse(locate_query(bq))
+            compiled.positions.append((weight, bq.sql, bq, read))
         fused.seal()
         compiled.signatures = frozenset(signatures)
         return compiled
@@ -406,18 +412,31 @@ class WorkloadEvaluator(InumCostModel):
                                 n_statements, len(configurations))
 
     def _assemble_batch(self, compiled, configurations, views, reads):
-        """Fold the kernel's read grid plus scalar write costs into a
-        :class:`BatchEvaluation` (shared by the full and delta paths)."""
-        n_configs = len(views)
-        out = np.empty((n_configs, len(compiled.positions)), dtype=np.float64)
+        """Fold the kernel's read grid plus write costs into a
+        :class:`BatchEvaluation` (shared by the full and delta paths).
+
+        A write costs what :meth:`_write_cost` adds up, in its order:
+        heap, plus maintenance — once per distinct index set of the
+        written table — plus its locate query's grid row."""
+        out = np.empty((len(views), len(compiled.positions)),
+                       dtype=np.float64)
         for s, (weight, __, write, read) in enumerate(compiled.positions):
             if write is None:
                 out[:, s] = reads[read]
-            else:
-                out[:, s] = [
-                    self._write_cost(write, views[pos], configurations[pos])
-                    for pos in range(n_configs)
-                ]
+                continue
+            table = write.table.name
+            heap = heap_write_cost(write, self.settings)
+            fixed = {}  # index set on the table -> heap + maintenance
+            for pos, view in enumerate(views):
+                key = view.design_signature(table)[0]
+                cost = fixed.get(key)
+                if cost is None:
+                    cost = fixed[key] = heap + maintenance_cost(
+                        write, view.indexes_on(table), self.settings
+                    )
+                out[pos, s] = cost
+            if read is not None:
+                out[:, s] += reads[read]
         # ndarray.tolist() yields the exact same Python floats the
         # per-call walk produces — float64 round-trips losslessly.
         matrix = out.tolist()
@@ -498,8 +517,9 @@ class WorkloadEvaluator(InumCostModel):
         kernel (:mod:`repro.evaluation.kernel`), slot cost columns
         resolved once per distinct per-table design and per-table
         design signatures once per configuration, then per-statement
-        numpy reductions (plus the scalar write path — writes are few
-        and analytic).  The kernel accumulates in scalar order, so the
+        numpy reductions; a write adds its analytic heap and
+        maintenance cost, once per index set of its table, to its
+        locate query's row.  The kernel accumulates in scalar order, so the
         grid is bit-identical to per-call :meth:`cost`, which
         ``tests/test_kernel.py`` pins exactly.  This is the batch seam
         what-if sweeps, AutoPart reports and doi prefetch route

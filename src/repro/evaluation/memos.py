@@ -132,9 +132,6 @@ SCAN_CONTEXTS = Memo(
     "BoundQuery", "scan_contexts", "(alias, layout cover, horizontal)",
     (ENTRY, STATS), (VALIDATE, EVICT, OWNER), "covers x partitionings",
     "ScanContext per reference; ScanContext.is_current.", evict="all")
-LAYOUT_COVERS = Memo("BoundQuery", "layout_covers", "(alias, layout)",
-                     (ENTRY,), (EVICT, OWNER), "layouts seen",
-                     "paths.layout_cover.", evict="all")
 PLAN_MEMO = Memo(
     "BoundQuery", "plan_memo", "(settings, paths.plan_inputs(...))",
     (ENTRY, STATS, INDEXES, SETTINGS), (STALE, EVICT, OWNER), "projected "
@@ -162,13 +159,20 @@ SUBSETS = Memo(
 PROJECTION_PAGES = Memo(
     "Table", "_projection_pages", "projected columns", (STATS,),
     (VALIDATE, OWNER), "projections priced", "(row_count, pages).")
+LAYOUT_COVERS = Memo(
+    "VerticalLayout", "_covers", "referenced columns", (STATS,),
+    (VALIDATE, OWNER), "column sets read", "(table, row_count, "
+    "paths.layout_cover entry); a template's statements share one.")
+INDEX_SHAPES = Memo(
+    "Table", "_index_shapes", "index columns", (STATS,), (VALIDATE, OWNER),
+    "column lists sized", "(row_count, Index.shape); no per-Index state.")
 
 MEMOS = (
     SIGNATURES, BOUND_QUERIES, PLAN_TERMS, SLOT_MEMO, COMPILED,
     RECOMMENDATIONS, EXACT_SERVICES, BASE_SERVICE, CACHES, PLAN_CACHE,
     BIND_CACHE, ENTRIES, KERNELS, FLIGHTS, REFERENCED, SCAN_CONTEXTS,
-    LAYOUT_COVERS, PLAN_MEMO, PRICED, CONTEXT_STATS, FILTER_SEL,
-    DESIGN_COLUMNS, DELTA_STATES, SUBSETS, PROJECTION_PAGES,
+    PLAN_MEMO, PRICED, CONTEXT_STATS, FILTER_SEL, DESIGN_COLUMNS,
+    DELTA_STATES, SUBSETS, PROJECTION_PAGES, LAYOUT_COVERS, INDEX_SHAPES,
 )
 # Dicts on those owners holding what the object was built from.
 INPUTS = (("BoundQuery", "tables"), ("BoundQuery", "filters"))

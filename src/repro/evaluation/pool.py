@@ -118,10 +118,14 @@ class InumCachePool:
                 )
             self._owner = weakref.ref(evaluator)
 
+    def owner(self):
+        """The owning evaluator (``None``: unattached, or collected)."""
+        return self._owner() if self._owner is not None else None
+
     def _dropped(self, dropped):
         """Hand dropped ``(signature, cache)`` pairs to the owner's
         ``_forget`` (callers hold the lock: pool → evaluator)."""
-        owner = self._owner() if self._owner is not None else None
+        owner = self.owner()
         if owner is not None:
             for signature, cache in dropped:
                 owner._forget(signature, cache)

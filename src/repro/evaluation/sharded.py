@@ -82,6 +82,9 @@ class ShardedInumCachePool:
         for shard in self._shards:
             shard.attach(evaluator)
 
+    def owner(self):
+        return self._shards[0].owner()
+
     def get(self, signature):
         return self.shard_for(signature).get(signature)
 

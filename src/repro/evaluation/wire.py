@@ -30,6 +30,7 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import fields
+from functools import partial
 
 from repro import obs
 from repro.catalog.types import DataType
@@ -428,13 +429,14 @@ def _check_slots(plans, bq):
                                       % (slot.alias, column))
 
 
-def entry_from_wire(payload, catalog):
+def entry_from_wire(payload, bind):
     """Rebuild ``(signature, QueryCache)`` from a wire payload, with the
-    originating entry's costs bit for bit (plan terms travel verbatim).
-    Anything but a well-formed entry *of the statement it names* raises
+    originating entry's costs bit for bit (plan terms travel verbatim);
+    ``bind(sql)`` binds the statement it names.  Anything but a
+    well-formed entry *of that statement* raises
     :class:`WireFormatError` (or the binder's typed error)."""
     conform(payload, SHAPES[KIND_ENTRY], "cache entry")
-    bq = located(bind_statement(payload["sql"], catalog), payload["locate"])
+    bq = located(bind(payload["sql"]), payload["locate"])
     signature = _check_signature(payload, bq)
     plans = [CachedPlan(
         internal_cost=plan["internal_cost"],
@@ -539,7 +541,9 @@ def loads(text, catalog=None, pool=None):
     sharded twin) the payload must be a cache entry, and it is also
     *installed*: put into the pool unless resident, and its columnar
     kernel rebuilt from the just-loaded plan terms (kernels never cross
-    the wire)."""
+    the wire).  A pool whose owner prices *catalog* binds the entry's
+    SQL through the owner's ``known_bound``: the statement the owner
+    already bound, never remembering one it did not."""
     try:
         payload = json.loads(text)
     except (TypeError, ValueError, RecursionError) as exc:  # not JSON at all
@@ -550,7 +554,12 @@ def loads(text, catalog=None, pool=None):
             raise WireFormatError(
                 "deserializing a cache entry requires a catalog"
             )
-        signature, cache = entry_from_wire(payload, catalog)
+        owner = pool.owner() if pool is not None else None
+        if owner is not None and owner.catalog is catalog:
+            bind = owner.known_bound
+        else:
+            bind = partial(bind_statement, catalog=catalog)
+        signature, cache = entry_from_wire(payload, bind)
         if pool is not None:
             if signature not in pool:
                 pool.put(signature, cache)

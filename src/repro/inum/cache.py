@@ -185,6 +185,15 @@ class InumCostModel:
             self._bound_cache[query] = cached
         return cached
 
+    def known_bound(self, sql):
+        """:meth:`bound` for *sql* as a lookup that never inserts: the
+        statement this model bound, or a fresh binding it does not
+        remember (text it never asked for plants nothing)."""
+        cached = self._bound_cache.get(sql)
+        if cached is None:
+            cached = bind_statement(sql, self.catalog)
+        return cached
+
     def cache_for(self, query):
         key = query if isinstance(query, str) else query.sql
         cache = self._caches.get(key)

@@ -18,7 +18,7 @@ the best-case (clustered) and worst-case (random) heap access cost.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.optimizer.plan import (
     AppendScan,
@@ -56,18 +56,13 @@ def layout_cover(bound_query, alias, layout):
     layouts with the same cover share one :class:`ScanContext`, and two
     covers with the same geometry price every slot the same
     (:meth:`~repro.inum.cache.InumCostModel.slot_cost` keys on it).
-    Memoized in :attr:`BoundQuery.layout_covers`.
+    The cover reads only the table and the referenced columns, so it is
+    memoized on the layout by those (:meth:`~repro.catalog.VerticalLayout.
+    cover`): the statements of one template share one set cover.
     """
-    memo = bound_query.layout_covers
-    key = (alias, layout)
-    entry = memo.get(key)
-    if entry is None:
-        table = bound_query.table_for(alias)
-        needed = bound_query.referenced_columns(alias)
-        cover = tuple(layout.fragments_for(needed or set(table.column_names)))
-        pages = float(sum(f.pages(table) for f in cover))
-        entry = memo[key] = (cover, (pages, len(cover)))
-    return entry
+    return layout.cover(
+        bound_query.table_for(alias), bound_query.referenced_columns(alias)
+    )
 
 
 def relation_geometry(bound_query, alias, cover, horizontal):
@@ -659,12 +654,24 @@ def _index_paths(ctx, index, match, settings):
         if plain.ordering:
             # Btrees scan backward at the same cost: offer the descending
             # ordering too (serves ORDER BY ... DESC without a sort).
-            backward = replace(
-                plain,
+            # Built field by field: dataclasses.replace re-reads every
+            # field through introspection, on a path priced per index.
+            paths.append(IndexScan(
+                startup_cost=plain.startup_cost,
+                total_cost=plain.total_cost,
+                rows=plain.rows,
+                width=plain.width,
                 ordering=tuple((a, c, False) for a, c, __ in plain.ordering),
+                table_name=plain.table_name,
+                alias=plain.alias,
+                index=index,
+                index_filters=plain.index_filters,
+                heap_filters=plain.heap_filters,
+                index_only=plain.index_only,
+                is_parameterized=plain.is_parameterized,
+                param_columns=plain.param_columns,
                 backward=True,
-            )
-            paths.append(backward)
+            ))
     bitmap = _bitmap_path(ctx, index, match, settings)
     if bitmap is not None:
         paths.append(bitmap)

@@ -123,9 +123,6 @@ class BoundQuery:
     scan_contexts: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    layout_covers: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     plan_memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -187,7 +184,11 @@ class BoundQuery:
             refs[alias].add(column)
         for alias, column, __ in self.order_by:
             refs[alias].add(column)
-        self._referenced = refs
+        # Frozen: a column set keys the layout's cover memo
+        # (VerticalLayout.cover), and a frozenset hashes once.
+        self._referenced = {
+            alias: frozenset(columns) for alias, columns in refs.items()
+        }
 
 
 @dataclass

@@ -72,6 +72,7 @@ from repro.optimizer import paths as P
 from repro.optimizer import planner
 from repro.optimizer.plan import HashJoin, Materialize, MergeJoin, NestLoop
 from repro.optimizer.settings import DISABLE_COST
+from repro.sql.binder import bind_statement
 from repro.util import CatalogError, DesignError, workload_pairs
 from repro.whatif import Configuration
 
@@ -85,6 +86,11 @@ class ScalarAutoPartAdvisor(AutoPartAdvisor):
     def __init__(self, catalog, cost_model):
         self.catalog = catalog
         self.cost_model = cost_model  # any InumCostModel
+
+    def _bind(self, sql):
+        # The reference binds afresh against the catalog, sharing no
+        # bound query with the backplane it is compared with.
+        return bind_statement(sql, self.catalog)
 
     def recommend(self, workload, replication_budget_pages=0, vertical=True,
                   horizontal=True, max_merge_rounds=50):
@@ -181,7 +187,7 @@ class ScalarAutoPartAdvisor(AutoPartAdvisor):
     def _replication_phase(self, workload, config, current_cost, budget, merge_log):
         layout_by_table = {l.table_name: l for l in config.layouts}
         candidates = []
-        for bq, __ in _bound_queries(workload, self.catalog):
+        for bq, __ in _bound_queries(workload, self._bind):
             for alias in bq.aliases:
                 table = bq.table_for(alias)
                 layout = layout_by_table.get(table.name)
@@ -218,7 +224,7 @@ class ScalarAutoPartAdvisor(AutoPartAdvisor):
 
     def _horizontal_phase(self, workload, config, merge_log):
         stats_by_table = {}
-        for bq, weight in _bound_queries(workload, self.catalog):
+        for bq, weight in _bound_queries(workload, self._bind):
             for alias in bq.aliases:
                 table = bq.table_for(alias)
                 for f in bq.filters_for(alias):

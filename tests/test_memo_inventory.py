@@ -195,6 +195,11 @@ def test_reanalyze_misses_every_self_validating_row():
     fragment = layout.fragments[0]
     pages = fragment.pages(table)
     assert table._projection_pages
+    cover = P.layout_cover(bq, "photoobj", layout)
+    assert layout._covers
+    index = Index("photoobj", ("rmag",))
+    shape = index.shape(table)
+    assert table._index_shapes
 
     reanalyze(table)
 
@@ -203,6 +208,9 @@ def test_reanalyze_misses_every_self_validating_row():
             lambda: P.scan_context(bq, "photoobj", catalog) is not ctx,
         memos.PLAN_MEMO: lambda: plan_key not in bq.plan_memo,
         memos.PROJECTION_PAGES: lambda: fragment.pages(table) != pages,
+        memos.LAYOUT_COVERS:
+            lambda: P.layout_cover(bq, "photoobj", layout) != cover,
+        memos.INDEX_SHAPES: lambda: index.shape(table) != shape,
     }
     declared = {row for row in memos.MEMOS
                 if memos.VALIDATE in row.hooks or memos.STALE in row.hooks}
@@ -287,10 +295,11 @@ def test_every_dict_on_a_designer_run_is_declared():
 def test_every_row_names_a_real_attribute():
     catalog = sdss_catalog(scale=0.05)
     evaluator = WorkloadEvaluator(catalog)
-    exercise(evaluator, [Q_JOIN])
+    __, configs = exercise(evaluator, [Q_JOIN])
     bq = evaluator.bound(Q_JOIN)
     (compiled,) = evaluator._compiled.values()
     samples = {
+        "VerticalLayout": configs[2].layouts[0],
         "WorkloadEvaluator": evaluator, "InumCostModel": evaluator,
         "InumCachePool": evaluator.pool,
         "CostService": evaluator.exact_service(),

@@ -24,17 +24,23 @@ cache, never a different cost model, so this suite pins
     returns the identical plan object, and everything a plan reads
     (statistics of filter, join and group-by columns, planner settings,
     the cover, index order) is in the key;
+(e) the set cover of a table reference is memoized on the layout by
+    the referenced columns: the statements of one template share one,
+    and it is each statement's own ``fragments_for``;
 and that memoized plan nodes, now shared between plans, are never
 mutated after construction.
 """
 
 import dataclasses
+import functools
 import random
 import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.catalog import (
     HorizontalPartitioning,
@@ -427,18 +433,19 @@ def test_explain_names_the_fragments_of_the_layout_it_planned(sdss_catalog):
 
 
 def test_forgetting_indexes_skips_cover_entries(sdss_catalog):
-    """Cover entries live beside the contexts; ``forget_indexes``
-    releases the index from the contexts and leaves the covers."""
+    """Cover entries live on the layout; ``forget_indexes`` releases the
+    index from the contexts and leaves the covers."""
     catalog = sdss_catalog.clone()
     index = Index("photoobj", ("rmag",))
     catalog.add_index(index)
     bq = bind_statement(TWO_TABLE_SQL, catalog)
-    overlay = Configuration(layouts=(photo_layout(HOT, *COLD),)).apply(catalog)
+    layout = photo_layout(HOT, *COLD)
+    overlay = Configuration(layouts=(layout,)).apply(catalog)
     before = plan_query(bq, overlay).total_cost
-    assert bq.scan_contexts and bq.layout_covers
-    covers = dict(bq.layout_covers)
+    assert bq.scan_contexts and layout._covers
+    covers = dict(layout._covers)
     P.forget_indexes(bq, {index})
-    assert bq.layout_covers == covers
+    assert layout._covers == covers
     assert plan_query(bq, overlay).total_cost == before
 
 
@@ -867,3 +874,64 @@ def test_first_plan_is_unchanged_by_planning_a_second_design(
         assert first.explain() == text
         assert first.total_cost == cost
         assert _tree_snapshot(first) == snapshot
+
+
+# ----------------------------------------------------------------------
+# (e) one set cover per template: the table owns the cover memo.
+# ----------------------------------------------------------------------
+
+
+@functools.cache
+def cover_env():
+    """Full SDSS schema and three instances of every template, bound."""
+    catalog = full_sdss_catalog(scale=0.05)
+    rng = random.Random(23)
+    bound = []
+    for __, maker in sorted(sdss.TEMPLATE_REGISTRY.items()):
+        for __ in range(3):
+            bq = bind_statement(maker(rng), catalog)
+            bound.append(locate_query(bq) if isinstance(bq, BoundWrite)
+                         and bq.kind != "insert" else bq)
+    return catalog, [bq for bq in bound if not isinstance(bq, BoundWrite)]
+
+
+@st.composite
+def fuzzed_layouts(draw, table):
+    """Columns dealt into one to four fragments, plus up to two
+    replicated fragments drawn from any columns."""
+    columns = table.column_names
+    homes = draw(st.lists(st.integers(0, 3), min_size=len(columns),
+                          max_size=len(columns)))
+    groups = {}
+    for column, home in zip(columns, homes):
+        groups.setdefault(home, []).append(column)
+    fragments = [tuple(cols) for __, cols in sorted(groups.items())]
+    for __ in range(draw(st.integers(0, 2))):
+        fragments.append(tuple(draw(st.lists(
+            st.sampled_from(columns), unique=True, min_size=1, max_size=6))))
+    fragments = list(dict.fromkeys(fragments))  # a fragment appears once
+    return VerticalLayout(table.name, tuple(
+        VerticalFragment(table.name, cols) for cols in fragments))
+
+
+@given(data=st.data())
+def test_the_shared_cover_is_each_statements_own_cover(data):
+    """``layout_cover`` answers every statement from the layout's memo:
+    the cover ``fragments_for`` picks for its referenced columns and
+    that cover's pages, and statements referencing the same columns get
+    the one entry."""
+    catalog, bound = cover_env()
+    name = data.draw(st.sampled_from(["photoobj", "specobj", "neighbors"]))
+    table = catalog.table(name)
+    layout = data.draw(fuzzed_layouts(table))
+    seen = {}
+    for bq in bound:
+        for alias in bq.aliases:
+            if bq.table_for(alias) is not table:
+                continue
+            needed = bq.referenced_columns(alias)
+            entry = P.layout_cover(bq, alias, layout)
+            cover = tuple(layout.fragments_for(needed or table.column_names))
+            pages = float(sum(f.pages(table) for f in cover))
+            assert entry == (cover, (pages, len(cover)))
+            assert seen.setdefault(needed, entry) is entry

@@ -245,7 +245,8 @@ class TestEntryFuzz:
         evaluator = WorkloadEvaluator(catalog, pool=pool)
         if not conforms(payload, ENTRY):  # the table alone refuses it
             with pytest.raises(WireFormatError):
-                wire.entry_from_wire(copy.deepcopy(payload), catalog)
+                wire.entry_from_wire(copy.deepcopy(payload),
+                                     evaluator.known_bound)
         try:
             loaded = wire.loads(text, catalog, pool=pool)
         except ReproError as exc:
@@ -288,6 +289,67 @@ class TestEntryFuzz:
         assert len(pool) == 0
 
 
+class TestInstallBindsThroughTheOwner:
+    """``loads(text, catalog, pool=)`` on an owned pool takes the entry's
+    bound query from the owner's binder and never inserts into it."""
+
+    SUBMITTED = "SELECT ra, dec FROM photoobj WHERE rmag < 16.5"
+    UNKNOWN = ("SELECT p.ra, s.z FROM photoobj p, specobj s "
+               "WHERE p.objid = s.bestobjid AND s.z > 4.5")
+    UPDATE = "UPDATE photoobj SET status = 3 WHERE run = 756"
+
+    def shipped(self, catalog, sql):
+        """*sql*'s entry as a runner returns it: built elsewhere, text."""
+        source = WorkloadEvaluator(catalog)
+        (bq, __, __), = source.warm_targets([(sql, 1.0)])
+        return source, wire.dumps(wire.entry_to_wire(
+            source.signature(bq), source.cache_for(bq)))
+
+    def test_a_submitted_statement_is_not_bound_again(self):
+        catalog = make_sdss(scale=0.05)
+        evaluator = WorkloadEvaluator(catalog)
+        bq = evaluator.bound(self.SUBMITTED)
+        before = dict(evaluator._bound_cache)
+        __, text = self.shipped(catalog, self.SUBMITTED)
+        __, cache = wire.loads(text, catalog, pool=evaluator.pool)
+        assert cache.bound_query is bq
+        assert evaluator._bound_cache == before
+
+    def test_an_unknown_reply_installs_bit_identically_and_plants_nothing(
+            self):
+        catalog = make_sdss(scale=0.05)
+        evaluator = WorkloadEvaluator(catalog)
+        evaluator.bound(self.SUBMITTED)
+        before = dict(evaluator._bound_cache)
+        rng = random.Random(3)
+        configs = [None] + [random_configuration(catalog, rng)
+                            for __ in range(4)]
+        sources = []
+        for sql in (self.UNKNOWN, self.UPDATE):
+            source, text = self.shipped(catalog, sql)
+            signature, cache = wire.loads(text, catalog, pool=evaluator.pool)
+            assert evaluator._bound_cache == before
+            assert evaluator.pool.get(signature) is cache
+            assert evaluator.pool.kernel_for(signature) is not None
+            sources.append((sql, source))
+        calls = evaluator.precompute_calls
+        for sql, source in sources:
+            workload = [(sql, 2.0)]
+            assert evaluator.evaluate_many(workload, configs).matrix == \
+                source.evaluate_many(workload, configs).matrix
+        assert evaluator.precompute_calls == calls  # priced as installed
+
+    def test_another_catalog_binds_against_its_own(self):
+        catalog = make_sdss(scale=0.05)
+        evaluator = WorkloadEvaluator(catalog)
+        bq = evaluator.bound(self.SUBMITTED)
+        __, text = self.shipped(catalog, self.SUBMITTED)
+        other = catalog.clone()
+        __, cache = wire.loads(text, other, pool=evaluator.pool)
+        assert cache.bound_query is not bq
+        assert cache.bound_query.sql == bq.sql
+
+
 def assert_same_entries(pooled, single):
     """The two evaluators' pools hold the same entries, term for term."""
     assert set(pooled.pool.signatures()) == set(single.pool.signatures())
@@ -322,6 +384,15 @@ class TestProcessPoolBackplane:
             pooled_calls = backplane.warm_up(workload)
         assert pooled_calls == single_calls
         assert_same_entries(pooled, single)
+        # The install bound nothing warm_up had not, and each installed
+        # read whose shipped text (its unparse) is the text the
+        # evaluator bound shares the evaluator's bound query.
+        assert set(pooled._bound_cache) == set(workload)
+        shared = [sql for sql in workload if pooled.bound(sql).sql == sql
+                  and not isinstance(pooled.bound(sql), BoundWrite)]
+        assert shared
+        for sql in shared:
+            assert pooled.cache_for(sql).bound_query is pooled.bound(sql)
 
     @pytest.mark.parametrize("killed", [1, 2])
     def test_killed_workers_do_not_hang_the_batch(self, killed):

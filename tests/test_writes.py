@@ -1,10 +1,16 @@
 """Tests for write statements: parsing, binding, costing, and the
 index-maintenance tradeoff through the whole designer stack."""
 
-import pytest
+import functools
+import random
 
-from repro.catalog import Index
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.catalog import Index, VerticalFragment, VerticalLayout
 from repro.cophy import CoPhyAdvisor
+from repro.evaluation import WorkloadEvaluator
 from repro.inum import InumCostModel
 from repro.optimizer import CostService
 from repro.optimizer.writecost import (
@@ -342,3 +348,116 @@ class TestGeneratorWrites:
         catalog = full_catalog(scale=0.01)
         wl = sdss_workload(n_queries=20, seed=3, write_fraction=0.4, write_weight=10.0)
         assert CostService(catalog).workload_cost(wl) > 0
+
+
+# ----------------------------------------------------------------------
+# Writes on the kernel: the batch seams equal the scalar walk.
+# ----------------------------------------------------------------------
+
+
+@functools.cache
+def kernel_env():
+    """The full SDSS schema, one statement per template plus hand-made
+    deletes, updates and inserts on the tables the index pool covers,
+    a batch evaluator and an independent per-call reference model."""
+    from repro.workloads import sdss
+    from repro.workloads import sdss_catalog as full_catalog
+
+    catalog = full_catalog(scale=0.05)
+    rng = random.Random(11)
+    statements = [maker(rng) for __, maker in sorted(sdss.TEMPLATE_REGISTRY.items())]
+    statements += [
+        "DELETE FROM specobj WHERE z < 0.05",
+        "DELETE FROM photoobj WHERE run = 752 AND camcol = 3",
+        "UPDATE specobj SET zerr = 0.5 WHERE z > 6.5",
+        "UPDATE photoobj SET rmag = 18.5 WHERE objid = 1234",
+        "INSERT INTO specobj VALUES (1, 2, 0.5, 0.01, 0.9, 1, 266, 51630, 9.5)",
+        "UPDATE neighbors SET distance = 0.1",
+    ]
+    pool = [
+        Index("photoobj", ("run",)), Index("photoobj", ("objid",)),
+        Index("photoobj", ("status",)), Index("photoobj", ("rmag",)),
+        Index("photoobj", ("ra", "dec")), Index("specobj", ("z",)),
+        Index("specobj", ("zerr",)), Index("specobj", ("bestobjid",)),
+        Index("neighbors", ("objid",)), Index("neighbors", ("distance",)),
+    ]
+    return (catalog, statements, pool, WorkloadEvaluator(catalog),
+            InumCostModel(catalog))
+
+
+@st.composite
+def layouts(draw, table):
+    """A vertical layout of *table*: columns dealt into one to three
+    fragments, and maybe a replicated fragment on top."""
+    columns = table.column_names
+    homes = draw(st.lists(st.integers(0, 2), min_size=len(columns),
+                          max_size=len(columns)))
+    groups = {}
+    for column, home in zip(columns, homes):
+        groups.setdefault(home, []).append(column)
+    fragments = [VerticalFragment(table.name, tuple(cols))
+                 for __, cols in sorted(groups.items())]
+    replica = draw(st.lists(st.sampled_from(columns), unique=True,
+                            max_size=4))
+    if replica:
+        fragments.append(VerticalFragment(table.name, tuple(replica)))
+    return VerticalLayout(table.name, tuple(fragments))
+
+
+@st.composite
+def kernel_cases(draw):
+    catalog, statements, pool, __, __ = kernel_env()
+    workload = draw(st.lists(
+        st.tuples(st.sampled_from(statements),
+                  st.sampled_from([1.0, 0.5, 3.0, 1000.0, 1e-3])),
+        min_size=1, max_size=8,
+    ))
+    configs = []
+    for __ in range(draw(st.integers(1, 4))):
+        indexes = draw(st.frozensets(st.sampled_from(pool), max_size=4))
+        chosen = draw(st.lists(st.sampled_from(["photoobj", "specobj"]),
+                               unique=True, max_size=2))
+        configs.append(Configuration(
+            indexes=indexes,
+            layouts=tuple(draw(layouts(catalog.table(name)))
+                          for name in chosen),
+        ))
+    return workload, configs
+
+
+class TestWritesPricedOnTheKernel:
+    """``evaluate_many`` and ``evaluate_deltas`` price a write as heap,
+    plus maintenance per index set of the written table, plus its
+    locate query's kernel row — in ``_write_cost``'s addition order, so
+    every cell and total equals the per-call walk bit for bit."""
+
+    @given(case=kernel_cases())
+    def test_batches_equal_the_per_call_walk(self, case):
+        workload, configs = case
+        __, __, __, evaluator, reference = kernel_env()
+        per_call = [[reference.cost(sql, config) for sql, __ in workload]
+                    for config in configs]
+        totals = [reference.workload_cost(workload, config)
+                  for config in configs]
+        full = evaluator.evaluate_many(workload, configs)
+        delta = evaluator.evaluate_deltas(workload, configs[0], configs)
+        for batch in (full, delta):
+            assert batch.matrix == per_call
+            assert batch.totals == totals
+
+    def test_locate_queries_are_kernel_reads(self):
+        catalog, statements, __, __, __ = kernel_env()
+        evaluator = WorkloadEvaluator(catalog)
+        compiled = evaluator._compile([(sql, 1.0) for sql in statements])
+        kinds = set()
+        for sql, (__, __, write, read) in zip(statements, compiled.positions):
+            bq = evaluator.bound(sql)
+            assert write is (bq if bq.is_write else None)
+            kinds.add(bq.kind if bq.is_write else "select")
+            if bq.is_write and bq.kind == "insert":
+                assert read is None
+                continue
+            read_bq = compiled.kernel.kernels[read].bound_query
+            expected = locate_query(bq).sql if bq.is_write else bq.sql
+            assert read_bq.sql == expected
+        assert kinds == {"select", "insert", "update", "delete"}
