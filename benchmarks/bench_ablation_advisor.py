@@ -13,6 +13,7 @@ import time
 
 from repro.cophy import CoPhyAdvisor, candidate_indexes
 from repro.cophy.compression import compress_workload
+from repro.evaluation import WorkloadEvaluator
 from repro.workloads import sdss_workload
 
 from conftest import print_table
@@ -30,7 +31,7 @@ def recommend_compressed(advisor, workload, budget):
 
 def test_ablation_candidate_cap(sdss_env, benchmark):
     catalog, workload = sdss_env
-    advisor = CoPhyAdvisor(catalog)
+    advisor = CoPhyAdvisor(WorkloadEvaluator(catalog))
     budget = sum(t.pages for t in catalog.tables) // 4
 
     rows = []
@@ -54,7 +55,7 @@ def test_ablation_candidate_cap(sdss_env, benchmark):
 
 def test_ablation_candidate_classes(sdss_env):
     catalog, workload = sdss_env
-    advisor = CoPhyAdvisor(catalog)
+    advisor = CoPhyAdvisor(WorkloadEvaluator(catalog))
     budget = sum(t.pages for t in catalog.tables) // 4
 
     variants = [
@@ -81,7 +82,7 @@ def test_ablation_candidate_classes(sdss_env):
 def test_ablation_workload_compression(sdss_env, benchmark):
     catalog, __ = sdss_env
     big_workload = sdss_workload(n_queries=120, seed=5)
-    advisor = CoPhyAdvisor(catalog)
+    advisor = CoPhyAdvisor(WorkloadEvaluator(catalog))
     budget = sum(t.pages for t in catalog.tables) // 4
 
     full = advisor.recommend(big_workload, budget)
@@ -102,7 +103,7 @@ def test_ablation_workload_compression(sdss_env, benchmark):
     assert compressed_seconds < full.solve_seconds
     # Quality check on the *full* workload: the compressed choice must be
     # within a few percent of the full-workload choice.
-    inum = advisor.cost_model
+    inum = advisor.evaluator
     cost_full_choice = inum.workload_cost(big_workload, full.configuration)
     cost_comp_choice = inum.workload_cost(big_workload, compressed.configuration)
     print_table(

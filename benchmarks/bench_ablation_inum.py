@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.cophy import candidate_indexes
-from repro.inum import InumCostModel
+from repro.evaluation import WorkloadEvaluator
 from repro.inum import cache as inum_cache
 from repro.optimizer import CostService
 from repro.whatif import Configuration
@@ -45,8 +45,8 @@ def test_ablation_order_vector_cap(sdss_env, benchmark, monkeypatch):
     rows = []
     for cap in (1, 2, 4, 32):
         monkeypatch.setattr(inum_cache, "MAX_VECTORS_PER_QUERY", cap)
-        model = InumCostModel(catalog)
-        warm_calls = model.warm(workload)
+        model = WorkloadEvaluator(catalog)
+        warm_calls = model.warm_up(workload)
         estimates = [model.workload_cost(workload, c) for c in configs]
         errs = [abs(e - t) / t for e, t in zip(estimates, truth)]
         rows.append((cap, warm_calls, sum(errs) / len(errs), max(errs)))
@@ -63,8 +63,8 @@ def test_ablation_order_vector_cap(sdss_env, benchmark, monkeypatch):
     assert max_err[-1] < 0.05
 
     monkeypatch.setattr(inum_cache, "MAX_VECTORS_PER_QUERY", 32)
-    model = InumCostModel(catalog)
-    model.warm(workload)
+    model = WorkloadEvaluator(catalog)
+    model.warm_up(workload)
     benchmark(lambda: [model.workload_cost(workload, c) for c in configs[:10]])
 
 
@@ -73,8 +73,8 @@ def test_ablation_slot_cache(sdss_env):
     catalog, workload = sdss_env
     configs = make_configs(catalog, workload)
 
-    model = InumCostModel(catalog)
-    model.warm(workload)
+    model = WorkloadEvaluator(catalog)
+    model.warm_up(workload)
     t0 = time.perf_counter()
     for c in configs:
         model.workload_cost(workload, c)

@@ -38,6 +38,7 @@ import time
 
 from repro.catalog import Catalog, Column, DataType, Distribution, Table
 from repro.cophy import CoPhyAdvisor, candidate_indexes
+from repro.evaluation import WorkloadEvaluator
 
 from conftest import print_table
 
@@ -108,13 +109,13 @@ def test_claim_colgen_scale():
     ) // 40
 
     t0 = time.perf_counter()
-    full = CoPhyAdvisor(catalog).recommend(
+    full = CoPhyAdvisor(WorkloadEvaluator(catalog)).recommend(
         workload, budget, candidates=candidates, solver="greedy",
     )
     t_full = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    colgen = CoPhyAdvisor(catalog).recommend(
+    colgen = CoPhyAdvisor(WorkloadEvaluator(catalog)).recommend(
         workload, budget, candidates=candidates, solver="colgen",
     )
     t_colgen = time.perf_counter() - t0

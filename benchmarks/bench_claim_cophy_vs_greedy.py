@@ -17,6 +17,7 @@ on real workloads).
 from repro.cophy import CoPhyAdvisor, greedy_select, solve_bip
 from repro.cophy.bip import BipProblem, PlanTerm, QueryTerm, SlotOptions
 from repro.cophy.solvers import MIP_REL_GAP
+from repro.evaluation import WorkloadEvaluator
 from repro.catalog import Index
 
 from conftest import print_table
@@ -77,7 +78,7 @@ def test_claim_greedy_trapped_on_constructed_instance(benchmark):
 
 
 def _sweep(catalog, workload, label, budgets):
-    advisor = CoPhyAdvisor(catalog)
+    advisor = CoPhyAdvisor(WorkloadEvaluator(catalog))
     rows = []
     worst_gap = 0.0
     for budget in budgets:
@@ -122,7 +123,7 @@ def test_claim_milp_dominates_on_sdss(sdss_env, benchmark):
     worst_gap = _sweep(catalog, workload, "SDSS", budgets)
     print_table("CL-ILP: SDSS worst greedy gap", ("gap %",), [(worst_gap,)])
 
-    advisor = CoPhyAdvisor(catalog)
+    advisor = CoPhyAdvisor(WorkloadEvaluator(catalog))
     benchmark(advisor.recommend, workload, pages // 10, None, "milp")
 
 
@@ -132,5 +133,5 @@ def test_claim_milp_dominates_on_tpch(tpch_env, benchmark):
     budgets = [pages // 20, pages // 8, pages // 2]
     _sweep(catalog, workload, "TPC-H", budgets)
 
-    advisor = CoPhyAdvisor(catalog)
+    advisor = CoPhyAdvisor(WorkloadEvaluator(catalog))
     benchmark(advisor.recommend, workload, pages // 8, None, "milp")

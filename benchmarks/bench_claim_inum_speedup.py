@@ -16,7 +16,7 @@ import random
 import time
 
 from repro.cophy import candidate_indexes
-from repro.inum import InumCostModel
+from repro.evaluation import WorkloadEvaluator
 from repro.optimizer import CostService
 from repro.whatif import Configuration
 
@@ -65,9 +65,9 @@ def test_claim_inum_speedup(sdss_env, benchmark):
     t_naive = time.perf_counter() - t0
 
     # --- INUM: warm once, then analytic evaluations ---------------------
-    model = InumCostModel(catalog)
+    model = WorkloadEvaluator(catalog)
     t0 = time.perf_counter()
-    warm_calls = model.warm(workload)
+    warm_calls = model.warm_up(workload)
     t_warm = time.perf_counter() - t0
     inum_eval(model, workload, configs)  # populate slot cache
     t0 = time.perf_counter()
@@ -109,8 +109,8 @@ def test_claim_inum_speedup(sdss_env, benchmark):
 def test_claim_inum_calls_scale_with_orders_not_configs(sdss_env):
     """Optimizer-call accounting: warm-up cost is per query, not per config."""
     catalog, workload = sdss_env
-    model = InumCostModel(catalog)
-    warm_calls = model.warm(workload)
+    model = WorkloadEvaluator(catalog)
+    warm_calls = model.warm_up(workload)
     before = model.precompute_calls
     for config in make_configs(catalog, workload, n=50, seed=3):
         model.workload_cost(workload, config)

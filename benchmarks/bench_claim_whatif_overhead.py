@@ -14,6 +14,7 @@ pages; materialization is billions of cost units (hours of page writes).
 import time
 
 from repro.catalog import Index
+from repro.evaluation import WorkloadEvaluator
 from repro.whatif import Configuration, WhatIfSession
 
 from conftest import print_table
@@ -31,7 +32,7 @@ def test_claim_whatif_vs_build(sdss_env, benchmark):
     catalog, workload = sdss_env
     config = candidate_config()
 
-    session = WhatIfSession(catalog)
+    session = WhatIfSession(WorkloadEvaluator(catalog))
     t0 = time.perf_counter()
     report = session.evaluate(workload, config)
     t_whatif = time.perf_counter() - t0
@@ -61,14 +62,14 @@ def test_claim_whatif_vs_build(sdss_env, benchmark):
     assert build_pages > 1000, "the design is physically substantial"
     assert report.average_improvement_pct > 0
 
-    fresh = WhatIfSession(catalog)
+    fresh = WhatIfSession(WorkloadEvaluator(catalog))
     benchmark(fresh.evaluate, workload, config)
 
 
 def test_claim_whatif_catalog_isolation(sdss_env):
     """What-if exploration must not leak into the real catalog."""
     catalog, workload = sdss_env
-    session = WhatIfSession(catalog)
+    session = WhatIfSession(WorkloadEvaluator(catalog))
     before = set(ix.name for ix in catalog.indexes)
     for ix in candidate_config().indexes:
         session.evaluate(workload, Configuration.of(ix))
@@ -79,7 +80,7 @@ def test_claim_join_whatif_component(sdss_env, benchmark):
     """The what-if *join* sub-component: costing designs under altered
     join-method availability without touching the server config."""
     catalog, workload = sdss_env
-    base = WhatIfSession(catalog)
+    base = WhatIfSession(WorkloadEvaluator(catalog))
 
     def evaluate_join_matrix():
         rows = []

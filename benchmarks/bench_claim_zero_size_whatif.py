@@ -19,7 +19,7 @@ in true cost.
 import pytest
 
 from repro.cophy import CoPhyAdvisor
-from repro.inum import InumCostModel
+from repro.evaluation import WorkloadEvaluator
 from repro.optimizer import PlannerSettings
 
 from conftest import print_table
@@ -37,14 +37,14 @@ def test_claim_zero_size_whatif_misleads(sdss_env, benchmark):
     ]
     budget = sum(t.pages for t in catalog.tables)  # room for every candidate
 
-    honest_model = InumCostModel(catalog)
-    honest = CoPhyAdvisor(catalog, cost_model=honest_model).recommend(
+    honest_model = WorkloadEvaluator(catalog)
+    honest = CoPhyAdvisor(honest_model).recommend(
         workload, budget
     )
 
     zero_settings = PlannerSettings(assume_zero_size_indexes=True)
-    zero_model = InumCostModel(catalog, zero_settings)
-    zero = CoPhyAdvisor(catalog, cost_model=zero_model).recommend(
+    zero_model = WorkloadEvaluator(catalog, zero_settings)
+    zero = CoPhyAdvisor(zero_model).recommend(
         workload, budget
     )
 
@@ -93,7 +93,7 @@ def test_claim_zero_size_whatif_misleads(sdss_env, benchmark):
     assert true_cost_honest <= true_cost_zero + 1e-6
 
     benchmark.pedantic(
-        lambda: CoPhyAdvisor(catalog, cost_model=InumCostModel(catalog)).recommend(
+        lambda: CoPhyAdvisor(WorkloadEvaluator(catalog)).recommend(
             workload, budget
         ),
         rounds=1,
@@ -109,8 +109,8 @@ def test_claim_zero_size_inflates_per_query_benefit(sdss_env):
     from repro.whatif import Configuration
 
     config = Configuration.of(Index("photoobj", ("dec",)))
-    honest = InumCostModel(catalog)
-    zero = InumCostModel(catalog, PlannerSettings(assume_zero_size_indexes=True))
+    honest = WorkloadEvaluator(catalog)
+    zero = WorkloadEvaluator(catalog, PlannerSettings(assume_zero_size_indexes=True))
 
     sql = "SELECT ra, dec FROM photoobj WHERE dec BETWEEN 10 AND 30"
     honest_gain = honest.cost(sql) - honest.cost(sql, config)

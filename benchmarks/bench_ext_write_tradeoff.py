@@ -18,7 +18,7 @@ cost is always <= the read-only design's under the same mixed workload
 import pytest
 
 from repro.cophy import CoPhyAdvisor
-from repro.inum import InumCostModel
+from repro.evaluation import WorkloadEvaluator
 from repro.whatif import Configuration
 from repro.workloads import sdss_catalog, sdss_workload
 
@@ -106,8 +106,8 @@ def recommended_designs(advisor, budget):
 
 def test_ext_write_weight_sweep(benchmark):
     catalog = sdss_catalog(scale=0.1)
-    inum = InumCostModel(catalog)
-    advisor = CoPhyAdvisor(catalog, cost_model=inum)
+    inum = WorkloadEvaluator(catalog)
+    advisor = CoPhyAdvisor(inum)
     budget = sum(t.pages for t in catalog.tables)
 
     rows = check_sweep(inum, recommended_designs(advisor, budget))
@@ -129,8 +129,8 @@ def test_ext_sweep_rejects_a_design_that_ignores_maintenance():
     at the heaviest weight keeps the full unit write bill, which breaks
     its monotonicity."""
     catalog = sdss_catalog(scale=0.1)
-    inum = InumCostModel(catalog)
-    advisor = CoPhyAdvisor(catalog, cost_model=inum)
+    inum = WorkloadEvaluator(catalog)
+    advisor = CoPhyAdvisor(inum)
     designs = recommended_designs(advisor, sum(t.pages for t in catalog.tables))
     with pytest.raises(AssertionError, match="unit write bill rises"):
         check_sweep(inum, designs[:-1] + [designs[0]])
@@ -140,8 +140,8 @@ def test_ext_advisor_respects_maintenance(sdss_env):
     """Choosing the read-only design for a mixed workload must cost at
     least as much as the advisor's own choice (it internalizes writes)."""
     catalog = sdss_catalog(scale=0.1)
-    inum = InumCostModel(catalog)
-    advisor = CoPhyAdvisor(catalog, cost_model=inum)
+    inum = WorkloadEvaluator(catalog)
+    advisor = CoPhyAdvisor(inum)
     budget = sum(t.pages for t in catalog.tables)
 
     mixed = mixed_workload(50_000.0)

@@ -16,7 +16,7 @@ from conftest import print_table
 
 def test_fig3_partition_panel(sdss_env, sdss_evaluator, benchmark):
     catalog, workload = sdss_env
-    advisor = AutoPartAdvisor(catalog, cost_model=sdss_evaluator)
+    advisor = AutoPartAdvisor(sdss_evaluator)
 
     rec = benchmark(advisor.recommend, workload, 5_000)
 
@@ -53,7 +53,7 @@ def test_fig3_partition_panel(sdss_env, sdss_evaluator, benchmark):
 
 def test_fig3_replication_budget_sweep(sdss_env, sdss_evaluator, benchmark):
     catalog, workload = sdss_env
-    advisor = AutoPartAdvisor(catalog, cost_model=sdss_evaluator)
+    advisor = AutoPartAdvisor(sdss_evaluator)
     table_pages = catalog.table("photoobj").pages
     budgets = [0, table_pages // 8, table_pages // 2, 2 * table_pages]
 

@@ -11,6 +11,7 @@ alerts fire in every phase.
 """
 
 from repro.colt import ColtSettings, ColtTuner
+from repro.evaluation import WorkloadEvaluator
 from repro.whatif import WhatIfSession
 from repro.workloads.drift import default_phases, drifting_stream
 
@@ -27,7 +28,7 @@ def run_colt(catalog):
         space_budget_pages=int(sum(t.pages for t in catalog.tables) * 0.6),
         whatif_budget=40,
     )
-    tuner = ColtTuner(catalog, settings)
+    tuner = ColtTuner(WorkloadEvaluator(catalog), settings)
     report = tuner.run(drifting_stream(default_phases(PHASE_LEN), seed=SEED))
     return report
 
@@ -55,7 +56,7 @@ def test_scenario3_drifting_stream(sdss_env, benchmark):
         rows,
     )
 
-    session = WhatIfSession(catalog)
+    session = WhatIfSession(WorkloadEvaluator(catalog))
     untuned = sum(
         session.cost(sql)
         for __, sql in drifting_stream(default_phases(PHASE_LEN), seed=SEED)
@@ -125,7 +126,7 @@ def test_scenario3_probe_budget_self_regulates(sdss_env, benchmark):
             epoch_length=20, whatif_budget=32, min_whatif_budget=4,
             space_budget_pages=100_000,
         )
-        tuner = ColtTuner(catalog, settings)
+        tuner = ColtTuner(WorkloadEvaluator(catalog), settings)
         phases = (DriftPhase("pos", 200, ((sdss.template("cone_search"), 1.0),)),)
         return tuner.run(drifting_stream(phases, seed=SEED))
 

@@ -48,9 +48,8 @@ def sdss_env():
 
 @pytest.fixture(scope="session")
 def sdss_evaluator(sdss_env):
-    """A warmed ``WorkloadEvaluator`` over ``sdss_env``: the interaction
-    analyzer and AutoPart price on the evaluation backplane, so they
-    take one, not a plain INUM model."""
+    """A warmed ``WorkloadEvaluator`` over ``sdss_env``, shared by the
+    benches whose components price on a warm backplane."""
     catalog, workload = sdss_env
     evaluator = WorkloadEvaluator(catalog)
     evaluator.warm_up(workload)

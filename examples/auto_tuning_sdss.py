@@ -29,7 +29,7 @@ def main():
     # the greedy heuristic commercial tools use, and column generation —
     # greedy's answer with candidates priced on demand.
     print("\n=== Solver comparison at this budget ===")
-    advisor = CoPhyAdvisor(catalog, cost_model=designer.cost_model)
+    advisor = CoPhyAdvisor(designer.evaluator)
     for solver in ("milp", "greedy", "colgen"):
         rec = advisor.recommend(workload, budget, solver=solver)
         print("  %-12s -> cost %10.1f (%.1f%% better), %d indexes, %.2fs"

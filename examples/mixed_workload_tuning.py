@@ -8,13 +8,19 @@ recommendation while purely-read-serving indexes survive.
 Run:  python examples/mixed_workload_tuning.py
 """
 
-from repro import CoPhyAdvisor, CostService, InumCostModel, sdss_catalog, sdss_workload
+from repro import (
+    CoPhyAdvisor,
+    CostService,
+    WorkloadEvaluator,
+    sdss_catalog,
+    sdss_workload,
+)
 
 
 def main():
     catalog = sdss_catalog(scale=0.1)
-    inum = InumCostModel(catalog)
-    advisor = CoPhyAdvisor(catalog, cost_model=inum)
+    inum = WorkloadEvaluator(catalog)
+    advisor = CoPhyAdvisor(inum)
     budget = sum(t.pages for t in catalog.tables)
 
     reads = list(sdss_workload(n_queries=15, seed=42))

@@ -8,7 +8,7 @@ The output compares against leaving the database untuned.
 Run:  python examples/online_tuning.py
 """
 
-from repro import ColtSettings, Designer, sdss_catalog
+from repro import ColtSettings, Designer, WorkloadEvaluator, sdss_catalog
 from repro.whatif import WhatIfSession
 from repro.workloads.drift import default_phases, drifting_stream
 
@@ -26,7 +26,7 @@ def main():
     report = designer.continuous(drifting_stream(phases, seed=11), settings)
     print(report.to_text())
 
-    session = WhatIfSession(catalog)
+    session = WhatIfSession(WorkloadEvaluator(catalog))
     untuned = sum(
         session.cost(sql) for __, sql in drifting_stream(phases, seed=11)
     )

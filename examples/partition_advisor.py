@@ -7,14 +7,19 @@ onto the fragment tables.
 Run:  python examples/partition_advisor.py
 """
 
-from repro import AutoPartAdvisor, sdss_catalog, sdss_workload
+from repro import (
+    AutoPartAdvisor,
+    WorkloadEvaluator,
+    sdss_catalog,
+    sdss_workload,
+)
 from repro.autopart import rewrite_for_layout
 
 
 def main():
     catalog = sdss_catalog(scale=0.1)
     workload = sdss_workload(n_queries=20, seed=42)
-    advisor = AutoPartAdvisor(catalog)
+    advisor = AutoPartAdvisor(WorkloadEvaluator(catalog))
 
     table = catalog.table("photoobj")
     print("photoobj: %d columns, %d rows, %d pages\n"

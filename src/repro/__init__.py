@@ -28,7 +28,6 @@ from repro.catalog import (
 )
 from repro.optimizer import CostService, PlannerSettings
 from repro.whatif import Configuration, WhatIfSession
-from repro.inum import InumCostModel
 from repro.evaluation import (
     InumCachePool,
     ProcessPoolBackplane,
@@ -67,7 +66,6 @@ __all__ = [
     "PlannerSettings",
     "Configuration",
     "WhatIfSession",
-    "InumCostModel",
     "InumCachePool",
     "ProcessPoolBackplane",
     "ShardedInumCachePool",

@@ -3,7 +3,6 @@
 from dataclasses import dataclass, field
 
 from repro.catalog import HorizontalPartitioning, VerticalFragment, VerticalLayout
-from repro.evaluation import WorkloadEvaluator
 from repro.sql.binder import BoundWrite
 from repro.util import DesignError, workload_pairs
 from repro.whatif import Configuration
@@ -87,19 +86,13 @@ class PartitionRecommendation:
 
 
 class AutoPartAdvisor:
-    """Workload-driven partition designer for one catalog."""
+    """Workload-driven partition designer over one
+    :class:`~repro.evaluation.WorkloadEvaluator`, which prices its search
+    as kernel delta batches."""
 
-    def __init__(self, catalog, settings=None, cost_model=None):
-        self.catalog = catalog
-        if cost_model is None:
-            cost_model = WorkloadEvaluator(catalog, settings)
-        elif not isinstance(cost_model, WorkloadEvaluator):
-            raise DesignError(
-                "AutoPartAdvisor prices its search as kernel delta batches: "
-                "pass a WorkloadEvaluator as cost_model, not a %s"
-                % type(cost_model).__name__
-            )
-        self.cost_model = cost_model
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.catalog = evaluator.catalog
 
     def _totals(self, workload, parent, children):
         """Workload cost of each of *children*, priced as deltas off
@@ -107,7 +100,7 @@ class AutoPartAdvisor:
         (and, through the cover-keyed slot memo, only references whose
         cover changed weight re-price).  Equal to ``workload_cost`` per
         child, bit for bit."""
-        return self.cost_model.evaluate_deltas(workload, parent, children).totals
+        return self.evaluator.evaluate_deltas(workload, parent, children).totals
 
     # ------------------------------------------------------------------
 
@@ -135,7 +128,7 @@ class AutoPartAdvisor:
         if horizontal:
             config = self._horizontal_phase(workload, config, merge_log)
 
-        report = self.cost_model.evaluate_many(
+        report = self.evaluator.evaluate_many(
             workload, [Configuration.empty(), config]
         )
         base_cost, new_cost = report.totals
@@ -165,7 +158,7 @@ class AutoPartAdvisor:
     def _usage_signatures(self, workload):
         """Per table: column -> frozenset of query ids referencing it."""
         usage = {}
-        bound = _bound_queries(workload, self.cost_model.bound)
+        bound = _bound_queries(workload, self.evaluator.bound)
         for qid, (bq, __) in enumerate(bound):
             for alias in bq.aliases:
                 table = bq.table_for(alias)
@@ -260,7 +253,7 @@ class AutoPartAdvisor:
         """Add replicated composite fragments for queries spanning fragments."""
         layout_by_table = {l.table_name: l for l in config.layouts}
         candidates = []
-        bound = _bound_queries(workload, self.cost_model.bound)
+        bound = _bound_queries(workload, self.evaluator.bound)
         for qid, (bq, __) in enumerate(bound):
             for alias in bq.aliases:
                 table = bq.table_for(alias)
@@ -303,7 +296,7 @@ class AutoPartAdvisor:
 
     def _horizontal_phase(self, workload, config, merge_log):
         stats_by_table = {}
-        for bq, weight in _bound_queries(workload, self.cost_model.bound):
+        for bq, weight in _bound_queries(workload, self.evaluator.bound):
             for alias in bq.aliases:
                 table = bq.table_for(alias)
                 for f in bq.filters_for(alias):

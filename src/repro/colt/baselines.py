@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from repro.cophy import CoPhyAdvisor
 from repro.cophy.compression import compress_workload
+from repro.evaluation import WorkloadEvaluator
 from repro.whatif import WhatIfSession
 from repro.workloads.workload import Workload
 
@@ -33,12 +34,13 @@ def static_oracle(catalog, stream, space_budget_pages):
     ]
     workload = Workload((sql, 1.0) for sql in statements)
     compressed, __ = compress_workload(catalog, workload)
-    advisor = CoPhyAdvisor(catalog)
+    evaluator = WorkloadEvaluator(catalog)
+    advisor = CoPhyAdvisor(evaluator)
     recommendation = advisor.recommend(
         compressed, space_budget_pages, max_candidates=40
     )
     config = recommendation.configuration
-    session = WhatIfSession(catalog)
+    session = WhatIfSession(evaluator)
     stream_cost = sum(session.cost(sql, config) for sql in statements)
     return OracleResult(
         configuration=config,

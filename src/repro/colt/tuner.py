@@ -164,14 +164,13 @@ class ColtTuner:
     be enabled or disabled" — disabled means simply not calling observe.
     """
 
-    def __init__(self, catalog, settings=None, planner_settings=None,
-                 evaluator=None):
-        self.catalog = catalog
+    def __init__(self, evaluator, settings=None):
+        self.evaluator = evaluator
+        self.catalog = evaluator.catalog
         self.settings = settings or ColtSettings()
         # All probe/observation costs flow through the (possibly shared)
         # WorkloadEvaluator backplane behind the what-if session.
-        self.session = WhatIfSession(catalog, planner_settings, evaluator=evaluator)
-        self.evaluator = self.session.evaluator
+        self.session = WhatIfSession(evaluator)
         self.current = Configuration.empty()
         self.candidates = {}  # Index -> _CandidateState
         self.report = OnlineReport()
@@ -373,7 +372,7 @@ class ColtTuner:
 
     def _harvest_candidates(self, sql):
         bq = self.session.base_service.bound(sql)
-        if getattr(bq, "is_write", False):
+        if bq.is_write:
             self._charge_maintenance(bq)
             return
         fresh = False
@@ -425,7 +424,7 @@ class ColtTuner:
         if self._epoch_probes >= self._budget:
             return
         bq = self.session.base_service.bound(sql)
-        if getattr(bq, "is_write", False):
+        if bq.is_write:
             return  # probing refines read gains only
         tables = {t.name for t in bq.tables.values()}
         relevant = [

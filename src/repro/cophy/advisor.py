@@ -18,7 +18,6 @@ from repro.cophy.candidates import candidate_indexes
 from repro.cophy.colgen import solve_colgen
 from repro.cophy.greedy import greedy_select
 from repro.cophy.solvers import solve_bip
-from repro.evaluation import WorkloadEvaluator
 from repro.util import DesignError
 from repro.whatif import Configuration
 
@@ -85,11 +84,13 @@ class Recommendation:
 
 
 class CoPhyAdvisor:
-    """Offline index advisor for one catalog."""
+    """Offline index advisor over one
+    :class:`~repro.evaluation.WorkloadEvaluator`: candidates are mined
+    on, and priced by, that evaluator's catalog."""
 
-    def __init__(self, catalog, settings=None, cost_model=None):
-        self.catalog = catalog
-        self.cost_model = cost_model or WorkloadEvaluator(catalog, settings)
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.catalog = evaluator.catalog
 
     def recommend(
         self,
@@ -121,11 +122,11 @@ class CoPhyAdvisor:
             raise DesignError("cannot tune an empty workload")
 
         started = time.perf_counter()
-        calls_before = self.cost_model.precompute_calls
+        calls_before = self.evaluator.precompute_calls
         if candidates is None:
             candidates = candidate_indexes(
                 self.catalog, workload, max_candidates=max_candidates,
-                bind=self.cost_model.bound,
+                bind=self.evaluator.bound,
             )
         if solver == "colgen":
             # Column generation: no exhaustive BIP — candidates are
@@ -133,7 +134,7 @@ class CoPhyAdvisor:
             # cross-product of (slot, candidate) options is never fully
             # materialized into a problem object.
             result = solve_colgen(
-                self.cost_model, workload, candidates, budget_pages,
+                self.evaluator, workload, candidates, budget_pages,
                 max_indexes=max_indexes,
             )
             base_cost = result.extra["base_cost"]
@@ -145,7 +146,7 @@ class CoPhyAdvisor:
             )
         else:
             problem = build_bip(
-                self.cost_model, workload, candidates, budget_pages,
+                self.evaluator, workload, candidates, budget_pages,
                 max_indexes=max_indexes,
             )
             result = _SOLVERS[solver](problem)
@@ -163,7 +164,7 @@ class CoPhyAdvisor:
             budget_pages=int(budget_pages),
             solver=result.solver,
             solve_seconds=time.perf_counter() - started,
-            optimizer_calls=self.cost_model.precompute_calls - calls_before,
+            optimizer_calls=self.evaluator.precompute_calls - calls_before,
             stats={
                 "n_candidates": len(candidates),
                 "n_variables": result.n_variables,

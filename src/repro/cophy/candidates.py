@@ -16,8 +16,8 @@ built only for the candidates returned — a large candidate space costs
 tuples, not a materialized cross-product of catalog objects.
 
 Mining binds each statement once, through ``bind`` — the advisors pass
-their cost model's :meth:`~repro.inum.InumCostModel.bound`, so a
-statement is parsed once per backplane; without one, statements are
+their evaluator's :meth:`~repro.evaluation.WorkloadEvaluator.bound`, so
+a statement is parsed once per backplane; without one, statements are
 bound afresh and nothing is kept (this module holds no state).
 """
 

@@ -33,6 +33,7 @@ from repro.catalog import Index
 from repro.colt import ColtSettings
 from repro.cophy.advisor import SOLVERS, check_budget
 from repro.designer.facade import Designer
+from repro.evaluation import WorkloadEvaluator
 from repro.optimizer import CostService
 from repro.service import TuningService
 from repro.util import ReproError
@@ -494,6 +495,6 @@ def _dispatch(args, out):
 
 
 def _untuned_cost(catalog, args):
-    session = WhatIfSession(catalog)
+    session = WhatIfSession(WorkloadEvaluator(catalog))
     stream = drifting_stream(default_phases(args.phase_length), seed=args.seed)
     return sum(session.cost(sql) for __, sql in stream)

@@ -3,7 +3,7 @@
 from dataclasses import dataclass, field
 
 from repro.autopart import AutoPartAdvisor, rewrite_for_layout
-from repro.colt import ColtSettings, ColtTuner
+from repro.colt import ColtTuner
 from repro.cophy import CoPhyAdvisor, candidate_indexes
 from repro.evaluation import WorkloadEvaluator
 from repro.interaction import (
@@ -91,17 +91,22 @@ class FullRecommendation:
 class Designer:
     """The automated, interactive, portable physical designer."""
 
-    def __init__(self, catalog, settings=None, evaluator=None):
+    def __init__(self, catalog, evaluator=None):
+        if evaluator is None:
+            evaluator = WorkloadEvaluator(catalog)
+        elif evaluator.catalog is not catalog:
+            raise DesignError(
+                "catalog conflict: the evaluator prices a different "
+                "catalog than the designer's"
+            )
         self.catalog = catalog
-        self.settings = settings
         # One WorkloadEvaluator is the costing backplane for every
         # component: the advisors share its INUM cache pool, the what-if
         # session its exact per-configuration services.
-        self.evaluator = evaluator or WorkloadEvaluator(catalog, settings)
-        self.cost_model = self.evaluator
-        self.session = WhatIfSession(catalog, settings, evaluator=self.evaluator)
-        self._index_advisor = CoPhyAdvisor(catalog, cost_model=self.evaluator)
-        self._partition_advisor = AutoPartAdvisor(catalog, cost_model=self.evaluator)
+        self.evaluator = evaluator
+        self.session = WhatIfSession(evaluator)
+        self._index_advisor = CoPhyAdvisor(evaluator)
+        self._partition_advisor = AutoPartAdvisor(evaluator)
 
     # ------------------------------------------------------------------
     # Scenario 1: interactive what-if evaluation.
@@ -120,7 +125,7 @@ class Designer:
         report = self.session.evaluate(workload, config)
         graph = None
         if len(config.indexes) >= 2:
-            analyzer = InteractionAnalyzer(self.cost_model, workload)
+            analyzer = InteractionAnalyzer(self.evaluator, workload)
             graph = analyzer.interaction_graph(config.indexes)
         rewrites = []
         if config.layouts:
@@ -212,13 +217,13 @@ class Designer:
         graph = None
         sched = naive = None
         if len(index_rec.indexes) >= 2:
-            analyzer = InteractionAnalyzer(self.cost_model, workload)
+            analyzer = InteractionAnalyzer(self.evaluator, workload)
             graph = analyzer.interaction_graph(index_rec.indexes)
             if schedule:
                 sched = schedule_optimal(index_rec.indexes, analyzer.cost, self.catalog)
                 naive = schedule_naive(index_rec.indexes, analyzer.cost, self.catalog)
         elif schedule and index_rec.indexes:
-            analyzer = InteractionAnalyzer(self.cost_model, workload)
+            analyzer = InteractionAnalyzer(self.evaluator, workload)
             sched = schedule_greedy(index_rec.indexes, analyzer.cost, self.catalog)
 
         return FullRecommendation(
@@ -243,12 +248,7 @@ class Designer:
     def continuous_tuner(self, colt_settings=None):
         """A live tuner for feed-as-you-go use (alerts stay pending until
         the DBA adopts them when ``auto_adopt=False``)."""
-        return ColtTuner(
-            self.catalog,
-            colt_settings or ColtSettings(),
-            planner_settings=self.settings,
-            evaluator=self.evaluator,
-        )
+        return ColtTuner(self.evaluator, colt_settings)
 
     # ------------------------------------------------------------------
     # Design hygiene: drop suggestions.

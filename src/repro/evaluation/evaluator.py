@@ -1,16 +1,22 @@
-"""The WorkloadEvaluator: the single costing backplane of the designer.
+"""The WorkloadEvaluator: the one cost model of the designer.
 
 The paper's headline claim is that INUM-style plan caching makes what-if
 evaluation cheap enough to explore thousands of configurations
-interactively.  The seed honored the claim per component: CoPhy, the
-interaction analyzer, COLT and the partition advisor each owned an
-:class:`~repro.inum.InumCostModel` and queried it one query and one
-configuration at a time.  This module centralizes costing:
+interactively.  Every designer component — the what-if session, CoPhy,
+AutoPart, the interaction analyzer and COLT — takes one
+:class:`WorkloadEvaluator` and reads the catalog and planner settings
+off it.  It holds:
 
 * one **shared cache pool** (:class:`~repro.evaluation.pool.InumCachePool`)
   keyed by canonical query signatures, so components — and alias-renamed
   queries across workloads — share INUM plan caches instead of
   rebuilding them, with LRU bounding and exact hit/miss statistics;
+
+* the **per-call walk**: :meth:`WorkloadEvaluator.cost` prices one
+  statement under one design over
+  :func:`~repro.inum.cache.evaluate_terms`, each slot through the one
+  slot memo (:meth:`WorkloadEvaluator.slot_choice`) — the independent
+  scalar reference the tests pin every batch against bit for bit;
 
 * a **vectorized evaluate phase**, one implementation per job on the
   columnar plan-term kernel (:mod:`repro.evaluation.kernel`):
@@ -20,19 +26,12 @@ configuration at a time.  This module centralizes costing:
   per distinct per-table design), and
   :meth:`WorkloadEvaluator.evaluate_deltas` prices a batch as deltas
   off a captured parent.  Which strategy runs is decided by the job,
-  never by a caller's flag; the independent scalar reference is
-  per-call :meth:`~repro.inum.cache.InumCostModel.cost` over
-  :func:`~repro.inum.cache.evaluate_terms`, which the tests pin every
-  batch against bit for bit;
+  never by a caller's flag;
 
 * the **exact-optimizer path** the what-if session needs: a per
   configuration :class:`~repro.optimizer.CostService` cache
   (:meth:`exact_service`), so "precise but slow" and "cached and fast"
   costing share one backplane and one accounting surface.
-
-The evaluator *is* an :class:`InumCostModel` (drop-in for every seed
-consumer); single-query evaluation semantics are inherited unchanged,
-which is what the equivalence test suite pins.
 """
 
 import threading
@@ -40,6 +39,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -48,18 +48,22 @@ from repro.evaluation import memos
 from repro.evaluation.pool import InumCachePool
 from repro.evaluation.signature import statement_key
 from repro.inum.cache import (
-    InumCostModel,
+    _UNPRICED,
     QueryCache,
+    _access_cost,
     _DesignView,
+    _slot_key,
     build_cache,
+    evaluate_terms,
 )
 from repro.optimizer import CostService
+from repro.optimizer.settings import DEFAULT_SETTINGS
 from repro.optimizer.writecost import (
     heap_write_cost,
     locate_query,
     maintenance_cost,
 )
-from repro.sql.binder import BoundWrite
+from repro.sql.binder import BoundQuery, BoundWrite, bind_statement
 from repro.util import workload_pairs
 from repro.whatif import Configuration
 
@@ -78,7 +82,7 @@ class BatchEvaluation:
     def totals(self):
         """Weighted workload cost per configuration, accumulated left to
         right onto 0.0 exactly like
-        :meth:`~repro.inum.cache.InumCostModel.workload_cost` — builtin
+        :meth:`WorkloadEvaluator.workload_cost` — builtin
         ``sum`` is compensated from CPython 3.12 on and would differ in
         the last bits, and AutoPart's accept/reject decisions compare
         these totals."""
@@ -110,15 +114,20 @@ class _KernelWorkload:
     signatures: frozenset = frozenset()  # signatures of the fused reads
 
 
-class WorkloadEvaluator(InumCostModel):
-    """Batched, pool-backed INUM evaluation plus exact what-if services.
+class WorkloadEvaluator:
+    """The INUM cost model over one catalog: per-call and batched
+    evaluation on a shared cache pool, plus exact what-if services.
 
     ``pool`` has one owner: a second evaluator on it is a ``ValueError``.
     Every memo this object reaches is a row of :mod:`repro.evaluation.memos`.
     """
 
     def __init__(self, catalog, settings=None, pool=None):
-        super().__init__(catalog, settings)
+        self.catalog = catalog
+        self.settings = settings or DEFAULT_SETTINGS
+        self._bound_cache = {}
+        self._slot_memo = {}
+        self.evaluations = 0
         self.pool = pool if pool is not None else InumCachePool()
         self.pool.attach(self)
         self._signatures = {}
@@ -135,6 +144,162 @@ class WorkloadEvaluator(InumCostModel):
         # (registry, {mode: bound metric handles}), rebuilt when the
         # active registry changes: per-batch telemetry is three calls.
         self._obs_handles = (None, {})
+
+    # ------------------------------------------------------------------
+    # Binding and the per-call walk.
+    # ------------------------------------------------------------------
+
+    def bound(self, query):
+        if isinstance(query, (BoundQuery, BoundWrite)):
+            return query
+        cached = self._bound_cache.get(query)
+        if cached is None:
+            cached = bind_statement(query, self.catalog)
+            self._bound_cache[query] = cached
+        return cached
+
+    def known_bound(self, sql):
+        """:meth:`bound` for *sql* as a lookup that never inserts: the
+        statement this model bound, or a fresh binding it does not
+        remember (text it never asked for plants nothing)."""
+        cached = self._bound_cache.get(sql)
+        if cached is None:
+            cached = bind_statement(sql, self.catalog)
+        return cached
+
+    def cost(self, query, config=None):
+        """INUM cost of *query* under *config* (no optimizer calls)."""
+        config = config or Configuration.empty()
+        view = _DesignView(self.catalog, config)
+        bq = self.bound(query)
+        self.evaluations += 1
+        if isinstance(bq, BoundWrite):
+            return self._write_cost(bq, view, config)
+        return self._evaluate(self.cache_for(bq), view)
+
+    def workload_cost(self, workload, config=None):
+        config = config or Configuration.empty()
+        view = _DesignView(self.catalog, config)
+        total = 0.0
+        for query, weight in workload_pairs(workload):
+            bq = self.bound(query)
+            self.evaluations += 1
+            if isinstance(bq, BoundWrite):
+                total += weight * self._write_cost(bq, view, config)
+            else:
+                total += weight * self._evaluate(self.cache_for(bq), view)
+        return total
+
+    def _write_cost(self, bound_write, view, config):
+        """Write statements: analytic maintenance + INUM-priced locate."""
+        total = heap_write_cost(bound_write, self.settings)
+        total += maintenance_cost(
+            bound_write,
+            view.indexes_on(bound_write.table.name),
+            self.settings,
+        )
+        if bound_write.kind in ("update", "delete"):
+            locate = locate_query(bound_write)
+            total += self._evaluate(self.cache_for(locate), view)
+        return total
+
+    def slot_choice(self, bq, slot, view, design_signature=None):
+        """Memoized winning access of *slot* under *view*: ``(cost,
+        winner index tuple)``, or ``None`` for an infeasible slot — the
+        one priced fact about a slot; its cost and its witness are the
+        two halves.
+
+        Keyed by what the access reads of the per-table design
+        (:func:`~repro.inum.cache._slot_key`), so designs whose indexes
+        reach the slot alike and layouts whose covers weigh the same
+        share an entry.  ``design_signature`` may be passed to avoid
+        recomputing it in batched loops.  It calls the same pure
+        :func:`~repro.inum.cache._access_cost` the serial usage walk
+        calls, so a memoized entry cannot drift from the reference.
+        """
+        if design_signature is None:
+            design_signature = view.design_signature(slot.table_name)
+        bucket = self.slot_bucket(bq)
+        key = _slot_key(bq, slot, view, design_signature)
+        choice = bucket.get(key, _UNPRICED)
+        if choice is _UNPRICED:
+            choice = bucket[key] = _access_cost(slot, bq, view, self.settings)
+        return choice
+
+    def slot_cost(self, bq, slot, view):
+        """The cost half of :meth:`slot_choice` (``None``: infeasible)."""
+        choice = self.slot_choice(bq, slot, view)
+        return None if choice is None else choice[0]
+
+    def slot_bucket(self, bq):
+        """*bq*'s shard of the slot memo, ``{_slot_key(...): choice}`` —
+        for pricers that fill the same entries :meth:`slot_choice` would,
+        by a cheaper route (``cophy.bip.CandidatePricer``)."""
+        bucket = self._slot_memo.get(bq.sql)
+        if bucket is None:
+            bucket = self._slot_memo.setdefault(bq.sql, {})
+        return bucket
+
+    def _evaluate(self, cache, view):
+        """Price a cache entry under *view* from its plan terms alone.
+
+        Consumes ``(internal_cost, slots)`` pairs — never live plan
+        trees — so an entry deserialized from the wire format evaluates
+        exactly like one built in-process.  A slot's choice is the
+        ``(cost, payload)`` pair the walk consumes.
+        """
+        return evaluate_terms(cache, partial(self.slot_choice, view=view))[0]
+
+    def cost_with_usage(self, query, config=None):
+        """Like :meth:`cost` but also returns the set of configuration
+        indexes the winning cached plan's access slots would use.
+
+        For writes, "used" means maintained: the configuration indexes
+        whose presence changes the statement's cost.
+        """
+        config = config or Configuration.empty()
+        view = _DesignView(self.catalog, config)
+        maybe_write = self.bound(query)
+        if isinstance(maybe_write, BoundWrite):
+            # The indexes a write maintains, plus its locate query's.
+            self.evaluations += 1
+            cost = self._write_cost(maybe_write, view, config)
+            used = frozenset(
+                ix for ix in config.indexes if maybe_write.touches_index(ix)
+            )
+            if maybe_write.kind in ("update", "delete"):
+                __, locate_used = self.cost_with_usage(
+                    locate_query(maybe_write), config
+                )
+                used |= locate_used
+            return cost, used
+        cache = self.cache_for(maybe_write)
+
+        def price(bq, slot):
+            # Pure and unmemoized: this walk is the reference the
+            # slot memo is pinned against.
+            return _access_cost(slot, bq, view, self.settings)
+
+        best, winner_lists = evaluate_terms(cache, price)
+        best_used = frozenset(
+            index
+            for winners in winner_lists
+            for index in winners
+            if index in config.indexes
+        )
+        self.evaluations += 1
+        return best, best_used
+
+    def workload_cost_with_usage(self, workload, config=None):
+        """Workload cost plus the union of used configuration indexes."""
+        config = config or Configuration.empty()
+        total = 0.0
+        used = set()
+        for query, weight in workload_pairs(workload):
+            cost, q_used = self.cost_with_usage(query, config)
+            total += weight * cost
+            used |= q_used
+        return total, frozenset(used)
 
     # ------------------------------------------------------------------
     # Pool-backed cache management.
@@ -241,10 +406,10 @@ class WorkloadEvaluator(InumCostModel):
     def warm_up(self, workload):
         """Pre-build the INUM caches for every workload statement.
 
-        Returns the optimizer calls spent (the pool's counter delta),
-        exactly like the :meth:`warm` it generalizes; write statements
-        warm their locate query.  To spread the builds over processes or
-        machines, warm through a :class:`~repro.net.FleetBackplane`.
+        Returns the optimizer calls spent (the pool's counter delta);
+        write statements warm their locate query.  To spread the builds
+        over processes or machines, warm through a
+        :class:`~repro.net.FleetBackplane`.
         """
         before = self.precompute_calls
         targets = [bq for bq, __, __ in self.warm_targets(workload)]
@@ -267,7 +432,7 @@ class WorkloadEvaluator(InumCostModel):
 
         Pool counters are lock-exact.  ``evaluations`` is exact for
         batched calls; concurrent *per-call* costing from tenant threads
-        may undercount it (unsynchronized increments on the inherited
+        may undercount it (unsynchronized increments on the per-call
         hot path) — treat it as advisory on a shared backplane.
         """
         merged = self.pool.stats.as_dict()

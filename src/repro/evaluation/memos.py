@@ -77,7 +77,7 @@ class Memo:
 SIGNATURES = Memo("WorkloadEvaluator", "_signatures", "text", (TEXT,),
                   (CLEAR,), "statements bound", "Signatures.", reach="")
 BOUND_QUERIES = Memo(
-    "InumCostModel", "_bound_cache", "statement text", (TEXT,), (CLEAR,),
+    "WorkloadEvaluator", "_bound_cache", "statement text", (TEXT,), (CLEAR,),
     "statements bound", "Bound statements; the exact services bind through "
     "it too, so both paths share a bound query and its memos.", reach="")
 PLAN_TERMS = Memo(
@@ -87,7 +87,7 @@ PLAN_TERMS = Memo(
     "an alias twin shares the entry, never the terms (slots name aliases).",
     reach="")
 SLOT_MEMO = Memo(
-    "InumCostModel", "_slot_memo", "entry text -> inum.cache._slot_key",
+    "WorkloadEvaluator", "_slot_memo", "entry text -> inum.cache._slot_key",
     (ENTRY, INDEXES, STATS), (EVICT, CLEAR), "resident entries' slots",
     "(cost, winner indexes) or None; one bucket per entry (a pricer racing "
     "an eviction may refill one).", reach="", evict="text")
@@ -104,9 +104,6 @@ EXACT_SERVICES = Memo("WorkloadEvaluator", "_exact_services", "design",
 BASE_SERVICE = Memo(
     "WorkloadEvaluator", "_base_service", "-", (), (), "one, pinned",
     "The empty design's CostService; sessions hold it.", reach="")
-CACHES = Memo(
-    "InumCostModel", "_caches", "statement text", (ENTRY,), (CLEAR,),
-    "empty on an evaluator (its pool holds entries)", "", reach="")
 PLAN_CACHE = Memo(
     "CostService", "_plan_cache", "statement text", (TEXT, INDEXES, STATS),
     (CLEAR, OWNER), "statements planned", "Plan memo references for one "
@@ -169,7 +166,7 @@ INDEX_SHAPES = Memo(
 
 MEMOS = (
     SIGNATURES, BOUND_QUERIES, PLAN_TERMS, SLOT_MEMO, COMPILED,
-    RECOMMENDATIONS, EXACT_SERVICES, BASE_SERVICE, CACHES, PLAN_CACHE,
+    RECOMMENDATIONS, EXACT_SERVICES, BASE_SERVICE, PLAN_CACHE,
     BIND_CACHE, ENTRIES, KERNELS, FLIGHTS, REFERENCED, SCAN_CONTEXTS,
     PLAN_MEMO, PRICED, CONTEXT_STATS, FILTER_SEL, DESIGN_COLUMNS,
     DELTA_STATES, SUBSETS, PROJECTION_PAGES, LAYOUT_COVERS, INDEX_SHAPES,

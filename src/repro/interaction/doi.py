@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from repro.evaluation import WorkloadEvaluator
-from repro.util import DesignError
 from repro.whatif import Configuration
 
 # Context sets of up to EXACT_LIMIT other indexes (2^8 subsets) are
@@ -36,17 +34,12 @@ SAMPLE_SEED = 17
 class InteractionAnalyzer:
     """Computes doi values and interaction graphs over one workload.
 
-    Subset costs are batch-priced on the evaluation backplane, so the
-    cost model must be a :class:`~repro.evaluation.WorkloadEvaluator`.
+    Subset costs are batch-priced on the
+    :class:`~repro.evaluation.WorkloadEvaluator` it is given.
     """
 
-    def __init__(self, inum_model, workload):
-        if not isinstance(inum_model, WorkloadEvaluator):
-            raise DesignError(
-                "InteractionAnalyzer batch-prices index subsets: pass a "
-                "WorkloadEvaluator, not a %s" % type(inum_model).__name__
-            )
-        self.inum = inum_model
+    def __init__(self, evaluator, workload):
+        self.evaluator = evaluator
         self.workload = list(workload)
         self._cost_cache = {}
 
@@ -57,7 +50,7 @@ class InteractionAnalyzer:
         key = frozenset(index_set)
         cached = self._cost_cache.get(key)
         if cached is None:
-            cached = self.inum.workload_cost(
+            cached = self.evaluator.workload_cost(
                 self.workload, Configuration(indexes=key)
             )
             self._cost_cache[key] = cached
@@ -88,12 +81,12 @@ class InteractionAnalyzer:
             return
         configs = [Configuration(indexes=key) for key in missing]
         if parent is not None:
-            totals = self.inum.evaluate_deltas(
+            totals = self.evaluator.evaluate_deltas(
                 self.workload, Configuration(indexes=frozenset(parent)),
                 configs,
             ).totals
         else:
-            totals = self.inum.evaluate_many(self.workload, configs).totals
+            totals = self.evaluator.evaluate_many(self.workload, configs).totals
         for key, total in zip(missing, totals):
             self._cost_cache[key] = total
 

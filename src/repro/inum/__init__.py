@@ -16,7 +16,6 @@ horizontal partitions are priced by the same analytic path generator.
 from repro.inum.cache import (
     AccessSlot,
     CachedPlan,
-    InumCostModel,
     QueryCache,
     build_cache,
     extract_plan_terms,
@@ -25,7 +24,6 @@ from repro.inum.cache import (
 __all__ = [
     "AccessSlot",
     "CachedPlan",
-    "InumCostModel",
     "QueryCache",
     "build_cache",
     "extract_plan_terms",

@@ -1,45 +1,40 @@
-"""The INUM plan cache and configuration cost evaluator.
+"""The INUM plan cache: building entries and the walk that prices them.
 
-Build phase (once per query): enumerate interesting-order vectors —
-one entry per table: unordered, or ordered by one join/grouping/ordering
-column.  For each vector, plan the query against a catalog holding a
-hypothetical covering index per ordered table, and split the resulting
-cost into ``internal`` (joins, sorts, aggregation) plus per-table *access
-slots*.
+Build phase (once per query, :func:`build_cache`): enumerate
+interesting-order vectors — one entry per table: unordered, or ordered
+by one join/grouping/ordering column.  For each vector, plan the query
+against a catalog holding a hypothetical covering index per ordered
+table, and split the resulting cost into ``internal`` (joins, sorts,
+aggregation) plus per-table *access slots*.
 
-Evaluate phase (per configuration): for every cached plan, re-price each
-slot with the cheapest matching access path available under the
-configuration (sequential scan, a configuration index, or scan+sort to
-restore a required order) and return the minimum over cached plans.
-Evaluation issues **zero** optimizer calls.
+Evaluate phase (per configuration, :func:`evaluate_terms`): for every
+cached plan, re-price each slot with the cheapest matching access path
+available under the configuration (sequential scan, a configuration
+index, or scan+sort to restore a required order) and return the minimum
+over cached plans.  Evaluation issues **zero** optimizer calls.
 
 A slot is priced once.  The winner functions (:func:`_access_cost` over
 :func:`_best_scan_access` / :func:`_best_param_access`) always answer
 with the winning access — ``(cost, winner indexes)``, or ``None`` for a
-slot nothing serves — and :meth:`InumCostModel.slot_choice` memoizes
-that one answer per slot and per projection of the design onto it:
-plain evaluation and the columnar kernel read its cost half, and
-CoPhy's candidate pricer fills the same entries.
+slot nothing serves — and
+:meth:`~repro.evaluation.WorkloadEvaluator.slot_choice` memoizes that
+one answer per slot and per projection of the design onto it: plain
+evaluation and the columnar kernel read its cost half, and CoPhy's
+candidate pricer fills the same entries.  The cost model that owns the
+entries, the bound statements and that memo is the
+:class:`~repro.evaluation.WorkloadEvaluator`.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 from repro.catalog import Index
 from repro.optimizer import joins as J
 from repro.optimizer import paths as P
 from repro.optimizer.planner import plan_query
-from repro.optimizer.settings import DEFAULT_SETTINGS, DISABLE_COST
-from repro.optimizer.writecost import (
-    heap_write_cost,
-    locate_query,
-    maintenance_cost,
-)
-from repro.sql.binder import BoundQuery, BoundWrite, bind_statement
-from repro.util import workload_pairs
-from repro.whatif import Configuration
+from repro.optimizer.settings import DISABLE_COST
+from repro.sql.binder import BoundQuery
 
 MAX_ORDERS_PER_TABLE = 4
 MAX_VECTORS_PER_QUERY = 32
@@ -130,8 +125,8 @@ def evaluate_terms(cache, price_slot):
     order.  Raises when no cached plan is feasible.
 
     This is the *single* scalar consumer of plan terms: plain
-    evaluation (:meth:`InumCostModel._evaluate`) and usage-aware
-    evaluation (:meth:`InumCostModel.cost_with_usage`) are both thin
+    evaluation (``WorkloadEvaluator._evaluate``) and usage-aware
+    evaluation (``WorkloadEvaluator.cost_with_usage``) are both thin
     wrappers, and the columnar kernel
     (:mod:`repro.evaluation.kernel`) is pinned bit-identical to this
     walk — so the three consumers cannot drift.
@@ -157,206 +152,6 @@ def evaluate_terms(cache, price_slot):
     if not math.isfinite(best):
         raise RuntimeError("INUM cache produced no feasible plan")
     return best, best_payloads
-
-
-class InumCostModel:
-    """Workload-level INUM: lazy per-query caches over one base catalog."""
-
-    def __init__(self, catalog, settings=None):
-        self.catalog = catalog
-        self.settings = settings or DEFAULT_SETTINGS
-        self._caches = {}
-        self._bound_cache = {}
-        self._slot_memo = {}  # rows of repro.evaluation.memos
-        self.evaluations = 0
-
-    # ------------------------------------------------------------------
-
-    @property
-    def precompute_calls(self):
-        return sum(c.build_optimizer_calls for c in self._caches.values())
-
-    def bound(self, query):
-        if isinstance(query, (BoundQuery, BoundWrite)):
-            return query
-        cached = self._bound_cache.get(query)
-        if cached is None:
-            cached = bind_statement(query, self.catalog)
-            self._bound_cache[query] = cached
-        return cached
-
-    def known_bound(self, sql):
-        """:meth:`bound` for *sql* as a lookup that never inserts: the
-        statement this model bound, or a fresh binding it does not
-        remember (text it never asked for plants nothing)."""
-        cached = self._bound_cache.get(sql)
-        if cached is None:
-            cached = bind_statement(sql, self.catalog)
-        return cached
-
-    def cache_for(self, query):
-        key = query if isinstance(query, str) else query.sql
-        cache = self._caches.get(key)
-        if cache is None:
-            bq = self.bound(query)
-            cache = build_cache(bq, self.catalog, self.settings)
-            self._caches[key] = cache
-            self._caches[bq.sql] = cache
-        return cache
-
-    # ------------------------------------------------------------------
-
-    def cost(self, query, config=None):
-        """INUM cost of *query* under *config* (no optimizer calls)."""
-        config = config or Configuration.empty()
-        view = _DesignView(self.catalog, config)
-        bq = self.bound(query)
-        self.evaluations += 1
-        if isinstance(bq, BoundWrite):
-            return self._write_cost(bq, view, config)
-        return self._evaluate(self.cache_for(bq), view)
-
-    def workload_cost(self, workload, config=None):
-        config = config or Configuration.empty()
-        view = _DesignView(self.catalog, config)
-        total = 0.0
-        for query, weight in workload_pairs(workload):
-            bq = self.bound(query)
-            self.evaluations += 1
-            if isinstance(bq, BoundWrite):
-                total += weight * self._write_cost(bq, view, config)
-            else:
-                total += weight * self._evaluate(self.cache_for(bq), view)
-        return total
-
-    def _write_cost(self, bound_write, view, config):
-        """Write statements: analytic maintenance + INUM-priced locate."""
-        total = heap_write_cost(bound_write, self.settings)
-        total += maintenance_cost(
-            bound_write,
-            view.indexes_on(bound_write.table.name),
-            self.settings,
-        )
-        if bound_write.kind in ("update", "delete"):
-            locate = locate_query(bound_write)
-            total += self._evaluate(self.cache_for(locate), view)
-        return total
-
-    def slot_choice(self, bq, slot, view, design_signature=None):
-        """Memoized winning access of *slot* under *view*: ``(cost,
-        winner index tuple)``, or ``None`` for an infeasible slot — the
-        one priced fact about a slot; its cost and its witness are the
-        two halves.
-
-        Keyed by what the access reads of the per-table design
-        (:func:`_slot_key`), so designs whose indexes reach the slot
-        alike and layouts whose covers weigh the same share an entry.
-        ``design_signature`` may be passed to avoid recomputing it in
-        batched loops.  It calls the same pure :func:`_access_cost` the
-        serial usage walk calls, so a memoized entry cannot drift from
-        the reference.
-        """
-        if design_signature is None:
-            design_signature = view.design_signature(slot.table_name)
-        bucket = self.slot_bucket(bq)
-        key = _slot_key(bq, slot, view, design_signature)
-        choice = bucket.get(key, _UNPRICED)
-        if choice is _UNPRICED:
-            choice = bucket[key] = _access_cost(slot, bq, view, self.settings)
-        return choice
-
-    def slot_cost(self, bq, slot, view):
-        """The cost half of :meth:`slot_choice` (``None``: infeasible)."""
-        choice = self.slot_choice(bq, slot, view)
-        return None if choice is None else choice[0]
-
-    def slot_bucket(self, bq):
-        """*bq*'s shard of the slot memo, ``{_slot_key(...): choice}`` —
-        for pricers that fill the same entries :meth:`slot_choice` would,
-        by a cheaper route (``cophy.bip.CandidatePricer``)."""
-        bucket = self._slot_memo.get(bq.sql)
-        if bucket is None:
-            bucket = self._slot_memo.setdefault(bq.sql, {})
-        return bucket
-
-    def _evaluate(self, cache, view):
-        """Price a cache entry under *view* from its plan terms alone.
-
-        Consumes ``(internal_cost, slots)`` pairs — never live plan
-        trees — so an entry deserialized from the wire format evaluates
-        exactly like one built in-process.  A slot's choice is the
-        ``(cost, payload)`` pair the walk consumes.
-        """
-        return evaluate_terms(cache, partial(self.slot_choice, view=view))[0]
-
-    # ------------------------------------------------------------------
-    # Usage-aware evaluation: which configuration indexes a plan reads.
-    # ------------------------------------------------------------------
-
-    def cost_with_usage(self, query, config=None):
-        """Like :meth:`cost` but also returns the set of configuration
-        indexes the winning cached plan's access slots would use.
-
-        For writes, "used" means maintained: the configuration indexes
-        whose presence changes the statement's cost.
-        """
-        config = config or Configuration.empty()
-        view = _DesignView(self.catalog, config)
-        maybe_write = self.bound(query)
-        if isinstance(maybe_write, BoundWrite):
-            # The indexes a write maintains, plus its locate query's.
-            self.evaluations += 1
-            cost = self._write_cost(maybe_write, view, config)
-            used = frozenset(
-                ix for ix in config.indexes if maybe_write.touches_index(ix)
-            )
-            if maybe_write.kind in ("update", "delete"):
-                __, locate_used = self.cost_with_usage(
-                    locate_query(maybe_write), config
-                )
-                used |= locate_used
-            return cost, used
-        cache = self.cache_for(maybe_write)
-
-        def price(bq, slot):
-            # Pure and unmemoized: this walk is the reference the
-            # slot memo is pinned against.
-            return _access_cost(slot, bq, view, self.settings)
-
-        best, winner_lists = evaluate_terms(cache, price)
-        best_used = frozenset(
-            index
-            for winners in winner_lists
-            for index in winners
-            if index in config.indexes
-        )
-        self.evaluations += 1
-        return best, best_used
-
-    def workload_cost_with_usage(self, workload, config=None):
-        """Workload cost plus the union of used configuration indexes."""
-        config = config or Configuration.empty()
-        total = 0.0
-        used = set()
-        for query, weight in workload_pairs(workload):
-            cost, q_used = self.cost_with_usage(query, config)
-            total += weight * cost
-            used |= q_used
-        return total, frozenset(used)
-
-    def warm(self, workload):
-        """Precompute caches for every workload statement; returns the
-        number of optimizer calls spent (INUM's one-off investment).
-        Write statements warm the cache of their locate query."""
-        before = self.precompute_calls
-        for query, __ in workload_pairs(workload):
-            bq = self.bound(query)
-            if isinstance(bq, BoundWrite):
-                if bq.kind in ("update", "delete"):
-                    self.cache_for(locate_query(bq))
-            else:
-                self.cache_for(bq)
-        return self.precompute_calls - before
 
 
 # ----------------------------------------------------------------------

@@ -64,6 +64,11 @@ from repro.util import DesignError, TransportError, WireFormatError
 
 __all__ = ["FleetBackplane", "RemoteBackplane", "RunnerConnection"]
 
+# A failed request's n-th retry waits BACKOFF * 2**n seconds, capped at
+# BACKOFF_CAP, on the close signal (``close()`` ends the wait at once).
+BACKOFF = 0.05
+BACKOFF_CAP = 1.0
+
 
 def _answer(frame, kind=None):
     """A runner's reply, checked against the *kind* shape if given.  An
@@ -172,19 +177,16 @@ class FleetBackplane:
     shipped entries; ``connections`` is one :class:`RunnerConnection`
     per node (none at all means "no workers, build inline").
     ``retries`` bounds per-node reconnect attempts per request, with
-    exponential backoff from ``backoff`` capped at ``backoff_cap``
+    exponential backoff from ``BACKOFF`` capped at ``BACKOFF_CAP``
     seconds.  Results are pinned bit-identical to the in-process path,
     whatever subset of the fleet survives.  :meth:`submit`,
     :meth:`collect` and :meth:`warm_up` belong to one thread (the
     scheduler's); use the context-manager form (or :meth:`close`) to
     release the nodes."""
 
-    def __init__(self, evaluator, connections, retries=3, backoff=0.05,
-                 backoff_cap=1.0):
+    def __init__(self, evaluator, connections, retries=3):
         self.evaluator = evaluator
         self.retries = max(0, int(retries))
-        self.backoff = backoff
-        self.backoff_cap = backoff_cap
         self._connections = list(connections)
         self._closing = threading.Event()  # set by close(); ends a backoff
         self._inflight = set()  # submitted, not yet taken for install
@@ -310,9 +312,7 @@ class FleetBackplane:
             except (TransportError, OSError) as exc:
                 conn.close()
                 self._check_open()  # close() hanging up is no failure
-                delay = min(
-                    self.backoff_cap, self.backoff * (2 ** attempt)
-                )
+                delay = min(BACKOFF_CAP, BACKOFF * (2 ** attempt))
                 if attempt >= self.retries or self._closing.wait(delay):
                     raise TransportError(
                         "runner %s failed after %d retries: %s"
@@ -480,12 +480,10 @@ class RemoteBackplane(FleetBackplane):
     """The fleet over sockets: ``runners`` is a list of ``host:port``
     addresses of runner nodes (``python -m repro runner``).
 
-    ``timeout`` bounds every socket operation; ``retries`` /
-    ``backoff`` / ``backoff_cap`` shape the per-request failure
-    handling of :class:`FleetBackplane`."""
+    ``timeout`` bounds every socket operation; ``retries`` shapes the
+    per-request failure handling of :class:`FleetBackplane`."""
 
-    def __init__(self, evaluator, runners, timeout=30.0, retries=3,
-                 backoff=0.05, backoff_cap=1.0):
+    def __init__(self, evaluator, runners, timeout=30.0, retries=3):
         if not runners:
             raise DesignError("RemoteBackplane needs at least one runner")
         frame = catalog_frame_for(evaluator)
@@ -493,7 +491,7 @@ class RemoteBackplane(FleetBackplane):
             evaluator,
             [RunnerConnection(address, frame, timeout=timeout)
              for address in runners],
-            retries=retries, backoff=backoff, backoff_cap=backoff_cap,
+            retries=retries,
         )
 
     # Ledger row ``repro.net.client:RemoteBackplane.warm_up``:

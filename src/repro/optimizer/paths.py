@@ -55,7 +55,7 @@ def layout_cover(bound_query, alias, layout):
     A layout reaches a table reference only through its cover, so two
     layouts with the same cover share one :class:`ScanContext`, and two
     covers with the same geometry price every slot the same
-    (:meth:`~repro.inum.cache.InumCostModel.slot_cost` keys on it).
+    (:meth:`~repro.evaluation.WorkloadEvaluator.slot_cost` keys on it).
     The cover reads only the table and the referenced columns, so it is
     memoized on the layout by those (:meth:`~repro.catalog.VerticalLayout.
     cover`): the statements of one template share one set cover.

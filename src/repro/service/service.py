@@ -148,9 +148,7 @@ class TuningService:
             if name in self._tenants:
                 raise DesignError("tenant %r already registered" % (name,))
             plane = self.backplane(backplane)
-            session = TenantSession(
-                name, plane.catalog, plane.evaluator, **session_options
-            )
+            session = TenantSession(name, plane.evaluator, **session_options)
             self._tenants[name] = session
             plane.tenants.append(name)
             return session
@@ -387,8 +385,7 @@ class TuningService:
                 ]
             restored = {
                 name: TenantSession.from_snapshot(
-                    entry["session"], planes[name].catalog,
-                    planes[name].evaluator,
+                    entry["session"], planes[name].evaluator
                 )
                 for name, entry in zip(planes, payload["tenants"])
             }

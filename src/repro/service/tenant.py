@@ -83,12 +83,12 @@ class TenantSession:
 
     partitions = PARTITIONS  # read by the perf ledger's online workloads
 
-    def __init__(self, name, catalog, evaluator, colt_settings=None,
+    def __init__(self, name, evaluator, colt_settings=None,
                  recommend_every=0, window=50):
         self.name = name
-        self.catalog = catalog
+        self.catalog = catalog = evaluator.catalog
         self.evaluator = evaluator
-        self.designer = Designer(catalog, evaluator=evaluator)
+        self.designer = Designer(catalog, evaluator)
         if colt_settings is None:
             colt_settings = ColtSettings(
                 space_budget_pages=int(
@@ -334,9 +334,9 @@ class TenantSession:
         }
 
     @classmethod
-    def from_snapshot(cls, payload, catalog, evaluator):
+    def from_snapshot(cls, payload, evaluator):
         """Rebuild a session from a :meth:`snapshot` payload over the
-        host-provided *catalog* and *evaluator* (state is portable, the
+        host-provided *evaluator* and its catalog (state is portable, the
         costing substrate is re-provided — exactly like the INUM cache
         entries themselves).  A payload the session could not run on
         raises a :class:`~repro.util.ReproError`."""
@@ -344,10 +344,10 @@ class TenantSession:
                      "tenant snapshot")
         options = payload["options"]
         for sql in payload["window_queries"]:
-            bind_statement(sql, catalog)  # every refresh re-prices them
+            # Checked now: every refresh re-prices them.
+            bind_statement(sql, evaluator.catalog)
         session = cls(
             payload["name"],
-            catalog,
             evaluator,
             colt_settings=ColtSettings(**{
                 f.name: options["colt_settings"][f.name]

@@ -9,7 +9,7 @@ structure".
 
 from dataclasses import dataclass, field
 
-from repro.util import DesignError, workload_pairs
+from repro.util import workload_pairs
 from repro.whatif.config import Configuration
 
 
@@ -108,24 +108,10 @@ class WhatIfSession:
     sweeps over many designs go through :meth:`estimate_many`.
     """
 
-    def __init__(self, catalog, settings=None, evaluator=None):
-        # Imported here: repro.evaluation itself imports repro.whatif.
-        from repro.evaluation.evaluator import WorkloadEvaluator
-
-        if evaluator is not None:
-            if evaluator.catalog is not catalog:
-                raise DesignError(
-                    "catalog conflict: the provided evaluator prices a "
-                    "different catalog than this session's"
-                )
-            if settings is not None and settings != evaluator.settings:
-                raise DesignError(
-                    "settings conflict: the provided evaluator was built "
-                    "with different planner settings; pass one or the other"
-                )
-        self.catalog = catalog
-        self.evaluator = evaluator or WorkloadEvaluator(catalog, settings)
-        self.base_service = self.evaluator.exact_service()
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.catalog = evaluator.catalog
+        self.base_service = evaluator.exact_service()
 
     # ------------------------------------------------------------------
 
@@ -140,8 +126,11 @@ class WhatIfSession:
     def with_join_methods(self, **enable_flags):
         """What-if join control: a session whose optimizer has the given
         ``enable_*`` flags overridden (e.g. ``enable_hashjoin=False``)."""
-        settings = self.base_service.settings.with_changes(**enable_flags)
-        return WhatIfSession(self.catalog, settings)
+        # Imported here: repro.evaluation itself imports repro.whatif.
+        from repro.evaluation.evaluator import WorkloadEvaluator
+
+        settings = self.evaluator.settings.with_changes(**enable_flags)
+        return WhatIfSession(WorkloadEvaluator(self.catalog, settings))
 
     # ------------------------------------------------------------------
 

@@ -4,10 +4,14 @@ Shipped code has one pricing path per job; the slow, obviously-right
 forms it replaced live here, where only tests can reach them (ROADMAP
 item 3).  Nothing in this file is tuned, batched or memoized on purpose.
 
+* :class:`PerTextEvaluator` — the per-call route without the pool: an
+  evaluator whose ``cache_for`` builds one entry per statement text
+  with ``build_cache``, sharing nothing between alias twins and
+  decoding nothing.  Equivalence pins price their reference on it.
 * :class:`ScalarAutoPartAdvisor` — AutoPart's merge / replication /
   horizontal search as it ran before it moved onto the evaluation
   backplane: one scalar ``workload_cost`` walk per candidate, ``2N + 2``
-  scalar calls for the report.  Works over a plain ``InumCostModel``.
+  scalar calls for the report.
 * :func:`fragments_for_reference` — the greedy fragment set cover
   without the up-front filtering of useless fragments.
 * :func:`assemble_reference` — the BIP's matrices as ``solve_bip``
@@ -21,8 +25,9 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
 * :func:`used_positions_reference` — the argmin witness of
   ``config_cost`` as a scalar first-strict-less walk.
 * :func:`per_call_matrix` — a workload × configuration grid as one
-  ``model.cost`` call per cell (``inum/cache.py:evaluate_terms``), the
-  reference every batched evaluate is pinned against.
+  ``model.cost`` call per cell (``inum/cache.py:evaluate_terms``) on a
+  :class:`PerTextEvaluator`, the reference every batched evaluate is
+  pinned against.
 * :func:`config_costs_reference` — the BIP objective as a scalar walk
   over the option lists, what ``BipKernel.evaluate`` vectorizes.
 * :func:`greedy_select_reference` — greedy selection re-pricing every
@@ -66,6 +71,7 @@ from repro.autopart.advisor import (
 )
 from repro.catalog import HorizontalPartitioning, VerticalFragment, VerticalLayout
 from repro.cophy.solvers import MIP_REL_GAP, SolveResult, _assemble, _Matrices
+from repro.evaluation import WorkloadEvaluator
 from repro.inum import cache as inum_cache
 from repro.optimizer import joins as J
 from repro.optimizer import paths as P
@@ -77,15 +83,37 @@ from repro.util import CatalogError, DesignError, workload_pairs
 from repro.whatif import Configuration
 
 
+class PerTextEvaluator(WorkloadEvaluator):
+    """An evaluator whose entries never touch its pool: ``cache_for``
+    calls ``build_cache`` once per statement text and keeps the entry
+    here — no signature sharing between alias twins, no plan-term
+    decode, no kernel.  The per-call walk (``cost``, ``workload_cost``,
+    ``cost_with_usage``) and the slot memo are the shipped ones."""
+
+    def __init__(self, catalog, settings=None):
+        super().__init__(catalog, settings)
+        self._caches = {}
+
+    def cache_for(self, query):
+        key = query if isinstance(query, str) else query.sql
+        cache = self._caches.get(key)
+        if cache is None:
+            bq = self.bound(query)
+            cache = inum_cache.build_cache(bq, self.catalog, self.settings)
+            self._caches[key] = cache
+            self._caches[bq.sql] = cache
+        return cache
+
+    @property
+    def precompute_calls(self):
+        return sum(c.build_optimizer_calls for c in self._caches.values())
+
+
 class ScalarAutoPartAdvisor(AutoPartAdvisor):
     """The scalar search: candidate enumeration is the shipped class's
     (``_usage_signatures``, ``_primary_layout``, ``_merge_fragments``,
     ``_quantile_bounds``); every price is a ``workload_cost`` walk and
     every selection rule is spelled out again here."""
-
-    def __init__(self, catalog, cost_model):
-        self.catalog = catalog
-        self.cost_model = cost_model  # any InumCostModel
 
     def _bind(self, sql):
         # The reference binds afresh against the catalog, sharing no
@@ -109,15 +137,15 @@ class ScalarAutoPartAdvisor(AutoPartAdvisor):
         if horizontal:
             config = self._horizontal_phase(workload, config, merge_log)
 
-        base_cost = self.cost_model.workload_cost(workload)
-        new_cost = self.cost_model.workload_cost(workload, config)
+        base_cost = self.evaluator.workload_cost(workload)
+        new_cost = self.evaluator.workload_cost(workload, config)
         per_query = []
         for sql, weight in workload_pairs(workload):
             per_query.append(
                 (
                     sql,
-                    weight * self.cost_model.cost(sql),
-                    weight * self.cost_model.cost(sql, config),
+                    weight * self.evaluator.cost(sql),
+                    weight * self.evaluator.cost(sql, config),
                 )
             )
         return PartitionRecommendation(
@@ -145,7 +173,7 @@ class ScalarAutoPartAdvisor(AutoPartAdvisor):
         if not config.layouts:
             return config
 
-        current_cost = self.cost_model.workload_cost(workload, config)
+        current_cost = self.evaluator.workload_cost(workload, config)
         for round_no in range(max_rounds):
             best = None  # (cost, new_config, description)
             for layout in config.layouts:
@@ -154,7 +182,7 @@ class ScalarAutoPartAdvisor(AutoPartAdvisor):
                     for j in range(i + 1, len(frags)):
                         merged = self._merge_fragments(layout, i, j)
                         candidate = config.with_layout(merged)
-                        cost = self.cost_model.workload_cost(workload, candidate)
+                        cost = self.evaluator.workload_cost(workload, candidate)
                         if cost < current_cost - 1e-9 and (
                             best is None or cost < best[0]
                         ):
@@ -212,7 +240,7 @@ class ScalarAutoPartAdvisor(AutoPartAdvisor):
             )
             if replication > budget:
                 continue
-            cost = self.cost_model.workload_cost(workload, candidate)
+            cost = self.evaluator.workload_cost(workload, candidate)
             if cost < current_cost - 1e-9:
                 config, current_cost = candidate, cost
                 layout_by_table[table_name] = widened
@@ -232,7 +260,7 @@ class ScalarAutoPartAdvisor(AutoPartAdvisor):
                         counts = stats_by_table.setdefault(table.name, {})
                         counts[f.column] = counts.get(f.column, 0.0) + weight
 
-        current_cost = self.cost_model.workload_cost(workload, config)
+        current_cost = self.evaluator.workload_cost(workload, config)
         for table_name, counts in sorted(stats_by_table.items()):
             column = max(sorted(counts), key=lambda c: counts[c])
             bounds = self._quantile_bounds(table_name, column)
@@ -241,7 +269,7 @@ class ScalarAutoPartAdvisor(AutoPartAdvisor):
             candidate = config.with_horizontal(
                 HorizontalPartitioning(table_name, column, bounds)
             )
-            cost = self.cost_model.workload_cost(workload, candidate)
+            cost = self.evaluator.workload_cost(workload, candidate)
             if cost < current_cost - 1e-9:
                 merge_log.append(
                     "horizontal %s on %s (%d parts) -> cost %.1f"
@@ -922,7 +950,7 @@ def threaded_warm_up(evaluator, workload, threads=4):
 class IndexBenefitGraph:
     """The Index Benefit Graph (Schnaitter et al., PVLDB 2009, §3) of a
     workload over a candidate set S, built on the serial
-    ``InumCostModel.workload_cost_with_usage`` walk, one call per node.
+    ``WorkloadEvaluator.workload_cost_with_usage`` walk, one call per node.
 
     A DAG over index subsets: the root is S; node Y holds ``(cost(Y),
     used(Y))``, ``used`` being the members of Y the winning plans read;

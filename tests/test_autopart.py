@@ -5,7 +5,6 @@ import pytest
 from repro.autopart import AutoPartAdvisor, rewrite_for_layout
 from repro.catalog import VerticalFragment, VerticalLayout
 from repro.evaluation import WorkloadEvaluator
-from repro.inum import InumCostModel
 from repro.optimizer import CostService
 from repro.optimizer import paths as P
 from repro.util import DesignError
@@ -31,7 +30,7 @@ WORKLOAD = [
 
 @pytest.fixture
 def advisor(sdss_catalog):
-    return AutoPartAdvisor(sdss_catalog)
+    return AutoPartAdvisor(WorkloadEvaluator(sdss_catalog))
 
 
 class TestVerticalRecommendation:
@@ -174,14 +173,14 @@ class TestQueryRewriting:
 
 def assert_same_recommendation(catalog, workload, **knobs):
     """Backplane search == scalar oracle, field by field, exactly.  The
-    oracle prices over its own plain ``InumCostModel`` (a different slot
+    oracle prices per call on an evaluator of its own (a different slot
     memo, no kernel), so nothing is shared but the cost model."""
-    shipped = AutoPartAdvisor(
-        catalog, cost_model=WorkloadEvaluator(catalog)
-    ).recommend(workload, **knobs)
-    reference = ScalarAutoPartAdvisor(
-        catalog, InumCostModel(catalog)
-    ).recommend(workload, **knobs)
+    shipped = AutoPartAdvisor(WorkloadEvaluator(catalog)).recommend(
+        workload, **knobs
+    )
+    reference = ScalarAutoPartAdvisor(WorkloadEvaluator(catalog)).recommend(
+        workload, **knobs
+    )
     assert shipped.configuration == reference.configuration
     assert shipped.merge_log == reference.merge_log
     assert shipped.base_workload_cost == reference.base_workload_cost
@@ -249,17 +248,13 @@ class TestBackplaneSearchEqualsScalarOracle:
 
 
 class TestBackplaneIsRequired:
-    def test_plain_inum_model_is_rejected_up_front(self, sdss_catalog):
-        with pytest.raises(DesignError, match="WorkloadEvaluator"):
-            AutoPartAdvisor(sdss_catalog, cost_model=InumCostModel(sdss_catalog))
-
     def test_search_never_walks_the_scalar_path(self, sdss_catalog, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("scalar workload_cost walk in the search")
 
         monkeypatch.setattr(WorkloadEvaluator, "workload_cost", forbidden)
         monkeypatch.setattr(WorkloadEvaluator, "cost", forbidden)
-        rec = AutoPartAdvisor(sdss_catalog).recommend(
+        rec = AutoPartAdvisor(WorkloadEvaluator(sdss_catalog)).recommend(
             WORKLOAD, replication_budget_pages=50_000
         )
         assert rec.merge_log
@@ -291,7 +286,7 @@ class TestBackplaneIsRequired:
         evaluator = WorkloadEvaluator(catalog)
         evaluator.warm_up(workload)
         built.clear()  # the INUM builds price the base design only
-        AutoPartAdvisor(catalog, cost_model=evaluator).recommend(
+        AutoPartAdvisor(evaluator).recommend(
             workload, horizontal=False
         )
         assert built and len(built) == len(set(built))

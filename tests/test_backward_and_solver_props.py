@@ -11,7 +11,7 @@ from repro.catalog import Index
 from repro.cophy.bip import BipProblem, PlanTerm, QueryTerm, SlotOptions
 from repro.cophy.greedy import greedy_select
 from repro.cophy.solvers import SolveResult, solve_bip
-from repro.inum import InumCostModel
+from repro.evaluation import WorkloadEvaluator
 from repro.optimizer import CostService
 from repro.whatif import Configuration
 
@@ -36,7 +36,7 @@ class TestBackwardScans:
 
     def test_inum_exact_on_desc_queries(self, sdss_catalog):
         config = Configuration.of(Index("photoobj", ("ra",)))
-        inum = InumCostModel(sdss_catalog)
+        inum = WorkloadEvaluator(sdss_catalog)
         real = CostService(config.apply(sdss_catalog)).cost(self.DESC_SQL)
         assert inum.cost(self.DESC_SQL, config) == pytest.approx(real, rel=0.02)
 

@@ -15,12 +15,11 @@ import pytest
 from repro.catalog import Index
 from repro.cophy import CoPhyAdvisor, candidate_indexes
 from repro.evaluation import WorkloadEvaluator
-from repro.inum import InumCostModel
 from repro.interaction import schedule_naive, schedule_optimal
 from repro.optimizer import CostService
 from repro.whatif import Configuration, WhatIfSession
 
-from oracle import threaded_warm_up
+from oracle import PerTextEvaluator, threaded_warm_up
 
 WORKLOAD = [
     ("SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 12", 1.0),
@@ -65,8 +64,8 @@ class TestClaimInumSpeedup:
             naive_costs.append(service.workload_cost(WORKLOAD))
             naive_calls += service.optimizer_calls
 
-        model = InumCostModel(sdss_catalog)
-        warm_calls = model.warm(WORKLOAD)
+        model = WorkloadEvaluator(sdss_catalog)
+        warm_calls = model.warm_up(WORKLOAD)
         inum_costs = [model.workload_cost(WORKLOAD, c) for c in configs]
 
         assert warm_calls < naive_calls / 2  # one-off investment, amortized
@@ -81,7 +80,7 @@ class TestClaimWhatIfOverhead:
     the real catalog."""
 
     def test_call_budget_and_isolation(self, sdss_catalog):
-        session = WhatIfSession(sdss_catalog)
+        session = WhatIfSession(WorkloadEvaluator(sdss_catalog))
         config = Configuration(indexes=frozenset(CANDIDATES[:3]))
         before = {ix.name for ix in sdss_catalog.indexes}
         report = session.evaluate(WORKLOAD, config)
@@ -95,7 +94,7 @@ class TestClaimZeroSizeWhatIf:
     recommendation within budget (ignoring sizes is what misleads)."""
 
     def test_recommendation_respects_budget(self, sdss_catalog):
-        advisor = CoPhyAdvisor(sdss_catalog)
+        advisor = CoPhyAdvisor(WorkloadEvaluator(sdss_catalog))
         total = sum(
             ix.size_pages(sdss_catalog.table(ix.table_name)) for ix in CANDIDATES
         )
@@ -106,7 +105,7 @@ class TestClaimZeroSizeWhatIf:
         assert rec.size_pages <= budget
         # Predicted impact agrees with the cost model's own account.
         assert rec.predicted_workload_cost == pytest.approx(
-            advisor.cost_model.workload_cost(WORKLOAD, rec.configuration),
+            advisor.evaluator.workload_cost(WORKLOAD, rec.configuration),
             rel=1e-6,
         )
 
@@ -122,7 +121,7 @@ class TestClaimCophyVsGreedy:
             ix.size_pages(sdss_catalog.table(ix.table_name)) for ix in CANDIDATES
         )
         budget = total // budget_divisor
-        advisor = CoPhyAdvisor(sdss_catalog)
+        advisor = CoPhyAdvisor(WorkloadEvaluator(sdss_catalog))
         milp = advisor.recommend(
             WORKLOAD, budget, candidates=list(CANDIDATES), solver="milp"
         )
@@ -164,9 +163,9 @@ class TestClaimBatchedEval:
 
     def test_batched_matches_per_call_with_zero_calls(self, sdss_catalog):
         configs = make_configs(10, seed=4)
-        per_call = InumCostModel(sdss_catalog)
+        per_call = PerTextEvaluator(sdss_catalog)
         evaluator = WorkloadEvaluator(sdss_catalog)
-        evaluator.warm(WORKLOAD)
+        evaluator.warm_up(WORKLOAD)
         before = evaluator.precompute_calls
         totals = evaluator.workload_costs(WORKLOAD, configs)
         assert evaluator.precompute_calls == before
@@ -181,7 +180,7 @@ class TestClaimBatchedEval:
         from repro.designer import Designer
 
         designer = Designer(sdss_catalog)
-        designer.evaluator.warm(WORKLOAD)
+        designer.evaluator.warm_up(WORKLOAD)
         built = designer.evaluator.precompute_calls
         designer.evaluate_design(WORKLOAD, indexes=[CANDIDATES[0], CANDIDATES[5]])
         rec = designer.recommend(
@@ -253,7 +252,7 @@ class TestClaimServiceThroughput:
             evaluator = WorkloadEvaluator(catalogs[key])
             evaluator.warm_up([sql for __, sql in stream(key)])
             session = TenantSession(
-                name, catalogs[key], evaluator, **self._options()
+                name, evaluator, **self._options()
             )
             session.drain(stream(key))
             alone[name] = session

@@ -4,7 +4,6 @@ import pytest
 
 from repro.catalog import Catalog, Column, DataType, Distribution, Index, Table
 from repro.evaluation import WorkloadEvaluator
-from repro.inum import InumCostModel
 from repro.interaction import InteractionAnalyzer
 from repro.optimizer import CostService, PlannerSettings
 from repro.whatif import Configuration
@@ -65,7 +64,7 @@ class TestInumWithBitmapAnd:
         config = Configuration.of(
             Index("photoobj", ("dec",)), Index("photoobj", ("rmag",))
         )
-        inum = InumCostModel(sdss_catalog)
+        inum = WorkloadEvaluator(sdss_catalog)
         real = CostService(config.apply(sdss_catalog)).cost(AND_SQL)
         assert inum.cost(AND_SQL, config) == pytest.approx(real, rel=0.01)
 
@@ -73,7 +72,7 @@ class TestInumWithBitmapAnd:
         config = Configuration.of(
             Index("photoobj", ("dec",)), Index("photoobj", ("rmag",))
         )
-        inum = InumCostModel(sdss_catalog)
+        inum = WorkloadEvaluator(sdss_catalog)
         __, used = inum.cost_with_usage(AND_SQL, config)
         assert used == config.indexes
 

@@ -24,7 +24,6 @@ from repro.cophy import (
 )
 from repro.cophy.bip import CandidatePricer, PricedWorkload
 from repro.evaluation import WorkloadEvaluator
-from repro.inum import InumCostModel
 from repro.inum.cache import AccessSlot, CachedPlan, QueryCache, _DesignView
 from repro.optimizer import paths as P
 from repro.optimizer.writecost import locate_query
@@ -73,12 +72,12 @@ def assert_same_solve(catalog, workload, candidates, budget, **kwargs):
     judged against the exhaustive problem it never built.
     """
     problem = build_bip(
-        InumCostModel(catalog), workload, candidates, budget,
+        WorkloadEvaluator(catalog), workload, candidates, budget,
         max_indexes=kwargs.get("max_indexes"),
     )
     reference = greedy_select(problem)
     result = solve_colgen(
-        InumCostModel(catalog), workload, candidates, budget, **kwargs
+        WorkloadEvaluator(catalog), workload, candidates, budget, **kwargs
     )
     assert result.chosen_positions == reference.chosen_positions
     assert result.objective == reference.objective
@@ -104,7 +103,7 @@ def reference_terms(catalog, workload, candidates):
     """``[(sql, [(internal_cost, [options per slot])])]`` from the
     independent walk: one cold ``slot_cost`` per plan x slot x table
     candidate through single-index design views."""
-    reference = InumCostModel(catalog)
+    reference = WorkloadEvaluator(catalog)
     empty = _DesignView(catalog, Configuration.empty())
     views = [_DesignView(catalog, Configuration.of(ix)) for ix in candidates]
     terms = []
@@ -143,10 +142,10 @@ class TestPricer:
             catalog.add_index(Index("photoobj", ("ra",)))
             catalog.add_index(Index("specobj", ("z",)))
         workload = WORKLOAD + WRITES
-        model = InumCostModel(catalog)
+        model = WorkloadEvaluator(catalog)
         # The pricer files its prices in its model's slot memo, so the
         # reference prices through a model of its own.
-        reference = InumCostModel(catalog)
+        reference = WorkloadEvaluator(catalog)
         candidates = candidate_indexes(catalog, workload, max_candidates=20)
         pricer = CandidatePricer(model)
         checked = 0
@@ -174,7 +173,7 @@ class TestPricer:
         """No path group, no arm, no probe: ``price`` is the default cost
         without assembling or matching anything."""
         workload = WORKLOAD + WRITES
-        model = InumCostModel(sdss_catalog)
+        model = WorkloadEvaluator(sdss_catalog)
         candidates = candidate_indexes(sdss_catalog, workload, max_candidates=20)
         pricer = CandidatePricer(model)
         slots = []
@@ -216,7 +215,7 @@ class TestPricer:
         and whoever prices a single-index design next finds it there."""
         workload = WORKLOAD + WRITES
         candidates = candidate_indexes(sdss_catalog, workload, max_candidates=14)
-        model = InumCostModel(sdss_catalog)
+        model = WorkloadEvaluator(sdss_catalog)
         first = build_bip(model, workload, candidates, 40_000)
 
         def forbidden(*args, **kwargs):
@@ -236,9 +235,9 @@ class TestPricer:
         exactly what the single-index design views price cold."""
         workload = WORKLOAD + WRITES
         candidates = candidate_indexes(sdss_catalog, workload, max_candidates=14)
-        model = InumCostModel(sdss_catalog)
+        model = WorkloadEvaluator(sdss_catalog)
         problem = build_bip(model, workload, candidates, 40_000)
-        reference = InumCostModel(sdss_catalog)
+        reference = WorkloadEvaluator(sdss_catalog)
         empty = _DesignView(sdss_catalog, Configuration.empty())
         views = [
             _DesignView(sdss_catalog, Configuration.of(ix)) for ix in candidates
@@ -296,10 +295,10 @@ class TestPricer:
                 int(env[-1]), write_fraction=0.3
             )
             catalog = configs[-1].apply(catalog)  # a non-empty base design
-            assert any(isinstance(InumCostModel(catalog).bound(sql), BoundWrite)
+            assert any(isinstance(WorkloadEvaluator(catalog).bound(sql), BoundWrite)
                        for sql, __ in workload)
         candidates = candidate_indexes(catalog, workload, max_candidates=24)
-        problem = build_bip(InumCostModel(catalog), workload, candidates, 10**9)
+        problem = build_bip(WorkloadEvaluator(catalog), workload, candidates, 10**9)
         expected = reference_terms(catalog, workload, candidates)
         assert [
             (term.sql, [
@@ -322,7 +321,7 @@ class TestPricer:
         two predicates the planner, the slot key and ``price`` apply:
         column by column, on every slot of every template."""
         catalog = make_catalog()
-        model = InumCostModel(catalog)
+        model = WorkloadEvaluator(catalog)
         view = _DesignView(catalog, Configuration.empty())
         probes = scans = 0
         for bound in read_statements(model, template_workload(registry)):
@@ -355,7 +354,7 @@ class TestPricer:
         catalog = sdss_with_indexes
         workload = WORKLOAD + WRITES + WORKLOAD[:1]  # one repeated statement
         candidates = candidate_indexes(catalog, workload, max_candidates=24)
-        model = InumCostModel(catalog)
+        model = WorkloadEvaluator(catalog)
         view = _DesignView(catalog, Configuration.empty())
         entered = []
         real_price = CandidatePricer.price
@@ -366,7 +365,7 @@ class TestPricer:
 
         monkeypatch.setattr(CandidatePricer, "price", spy)
         priced = PricedWorkload(model, workload, candidates, 40_000)
-        build_bip(InumCostModel(catalog), workload, candidates, 40_000)
+        build_bip(WorkloadEvaluator(catalog), workload, candidates, 40_000)
         expected, answered, visits = set(), 0, 0
         for bound in read_statements(model, workload):
             cache = model.cache_for(bound)
@@ -406,9 +405,12 @@ class TestPricer:
         lame = [Index("specobj", ("zerr",)), Index("photoobj", ("rmag",))]
 
         def model_with(plans):
-            model = InumCostModel(sdss_catalog)
+            model = WorkloadEvaluator(sdss_catalog)
             bq = model.bound(sql)
-            model._caches[bq.sql] = QueryCache.from_plan_terms(bq, plans)
+            model.pool.get_or_build(
+                model.signature(bq),
+                lambda: QueryCache.from_plan_terms(bq, plans),
+            )
             return model
 
         scan = CachedPlan(10.0, (
@@ -452,10 +454,10 @@ class TestPricer:
         )
         budget = 40_000
         full = build_bip(
-            InumCostModel(sdss_catalog), workload, candidates, budget
+            WorkloadEvaluator(sdss_catalog), workload, candidates, budget
         )
         priced = PricedWorkload(
-            InumCostModel(sdss_catalog), workload, candidates, budget
+            WorkloadEvaluator(sdss_catalog), workload, candidates, budget
         )
 
         def filtered(active):
@@ -589,11 +591,11 @@ class TestSolveColgen:
         assert result.extra["activated"] < len(candidates)
 
     def test_advisor_colgen_equals_greedy(self, sdss_catalog):
-        greedy = CoPhyAdvisor(sdss_catalog).recommend(
+        greedy = CoPhyAdvisor(WorkloadEvaluator(sdss_catalog)).recommend(
             WORKLOAD + WRITES, budget_pages=40_000, solver="greedy",
             max_candidates=14,
         )
-        colgen = CoPhyAdvisor(sdss_catalog).recommend(
+        colgen = CoPhyAdvisor(WorkloadEvaluator(sdss_catalog)).recommend(
             WORKLOAD + WRITES, budget_pages=40_000, solver="colgen",
             max_candidates=14,
         )
@@ -612,7 +614,7 @@ class TestSolveColgen:
             sdss_catalog, WORKLOAD, max_candidates=10
         )
         solve_colgen(
-            InumCostModel(sdss_catalog), WORKLOAD, candidates, 40_000
+            WorkloadEvaluator(sdss_catalog), WORKLOAD, candidates, 40_000
         )
         names = set(obs.metrics().snapshot()["counters"])
         assert "repro_colgen_rounds_total" in names

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.colt import ColtSettings, ColtTuner
+from repro.evaluation import WorkloadEvaluator
 from repro.util import DesignError
 from repro.workloads.drift import DriftPhase, drifting_stream
 from repro.workloads import sdss
@@ -26,12 +27,12 @@ def positional_stream(n, seed=5):
 
 class TestEpochMechanics:
     def test_epoch_boundaries(self, sdss_catalog):
-        tuner = ColtTuner(sdss_catalog, small_settings())
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), small_settings())
         report = tuner.run(positional_stream(35))
         assert [e.queries for e in report.epochs] == [10, 10, 10, 5]
 
     def test_flush_idempotent(self, sdss_catalog):
-        tuner = ColtTuner(sdss_catalog, small_settings())
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), small_settings())
         for __, sql in positional_stream(12):
             tuner.observe(sql)
         tuner.flush()
@@ -40,21 +41,21 @@ class TestEpochMechanics:
 
     def test_probe_budget_respected(self, sdss_catalog):
         settings = small_settings(whatif_budget=5, min_whatif_budget=2)
-        tuner = ColtTuner(sdss_catalog, settings)
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), settings)
         report = tuner.run(positional_stream(30))
         assert all(e.whatif_probes <= 5 for e in report.epochs)
 
 
 class TestAdaptation:
     def test_steady_workload_adopts_helpful_index(self, sdss_catalog):
-        tuner = ColtTuner(sdss_catalog, small_settings())
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), small_settings())
         report = tuner.run(positional_stream(40))
         assert report.adoptions >= 1
         final = report.epochs[-1].configuration
         assert any("ra" in name or "dec" in name for name in final)
 
     def test_adopted_design_reduces_observed_cost(self, sdss_catalog):
-        tuner = ColtTuner(sdss_catalog, small_settings())
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), small_settings())
         report = tuner.run(positional_stream(60))
         first, last = report.epochs[0], report.epochs[-1]
         assert last.observed_cost < first.observed_cost
@@ -72,7 +73,7 @@ class TestAdaptation:
             DriftPhase("pos", 30, ((sdss.template("cone_search"), 1.0),)),
             DriftPhase("mag", 30, ((rmag_cut, 1.0),)),
         )
-        tuner = ColtTuner(sdss_catalog, small_settings())
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), small_settings())
         report = tuner.run(drifting_stream(phases, seed=5))
         adopted_epochs = [e.epoch for e in report.epochs if e.adopted]
         # Adoption must happen both before and after the phase switch.
@@ -81,13 +82,13 @@ class TestAdaptation:
 
     def test_space_budget_limits_configuration(self, sdss_catalog):
         settings = small_settings(space_budget_pages=10)
-        tuner = ColtTuner(sdss_catalog, settings)
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), settings)
         report = tuner.run(positional_stream(30))
         assert report.adoptions == 0
         assert report.epochs[-1].configuration == ()
 
     def test_build_cost_charged_on_adoption(self, sdss_catalog):
-        tuner = ColtTuner(sdss_catalog, small_settings())
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), small_settings())
         report = tuner.run(positional_stream(40))
         adopted = [e for e in report.epochs if e.adopted]
         assert adopted and all(e.build_cost > 0 for e in adopted)
@@ -96,7 +97,7 @@ class TestAdaptation:
 class TestAlertingMode:
     def test_manual_mode_raises_alert_without_adopting(self, sdss_catalog):
         settings = small_settings(auto_adopt=False)
-        tuner = ColtTuner(sdss_catalog, settings)
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), settings)
         report = tuner.run(positional_stream(40))
         assert report.alerts >= 1
         assert report.adoptions == 0
@@ -104,7 +105,7 @@ class TestAlertingMode:
         assert tuner.current.is_empty
 
     def test_candidates_are_single_column(self, sdss_catalog):
-        tuner = ColtTuner(sdss_catalog, small_settings())
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), small_settings())
         tuner.run(positional_stream(20))
         assert all(len(ix.columns) == 1 for ix in tuner.candidates)
 
@@ -124,7 +125,7 @@ class TestWritesInStream:
                 yield ("read", sdss.template("cone_search")(rng))
 
     def test_writes_observed_and_charged(self, sdss_catalog):
-        tuner = ColtTuner(sdss_catalog, small_settings())
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), small_settings())
         report = tuner.run(self.mixed_stream(30))
         assert report.observed_cost > 0
         assert len(report.epochs) == 3
@@ -152,7 +153,7 @@ class TestWritesInStream:
                            "WHERE ra BETWEEN %.1f AND %.1f"
                            % (rng.randint(0, 255), lo, lo + 36.0))
 
-        tuner = ColtTuner(sdss_catalog, small_settings())
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), small_settings())
         tuner.run(stream())
         from repro.catalog import Index
 
@@ -185,14 +186,14 @@ class TestSettingsBounds:
 class TestSelfRegulation:
     def test_budget_decays_when_stable(self, sdss_catalog):
         settings = small_settings(whatif_budget=16, min_whatif_budget=2)
-        tuner = ColtTuner(sdss_catalog, settings)
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), settings)
         tuner.run(positional_stream(200))
         # Long steady stream: probing should have throttled down.
         late = tuner.report.epochs[-1]
         assert late.whatif_probes < 16
 
     def test_report_totals_consistent(self, sdss_catalog):
-        tuner = ColtTuner(sdss_catalog, small_settings())
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), small_settings())
         report = tuner.run(positional_stream(30))
         assert report.total_cost == pytest.approx(
             report.observed_cost + report.build_cost

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.colt import ColtSettings, ColtTuner, static_oracle
+from repro.evaluation import WorkloadEvaluator
 from repro.whatif import WhatIfSession
 from repro.workloads import sdss
 from repro.workloads.drift import DriftPhase, drifting_stream
@@ -16,7 +17,7 @@ def stream(n=30, seed=5):
 def no_tuning_cost(catalog, stream):
     """Total cost of the stream with the existing design untouched (the
     demo's "before" picture), the floor the static oracle must beat."""
-    session = WhatIfSession(catalog)
+    session = WhatIfSession(WorkloadEvaluator(catalog))
     total = 0.0
     for item in stream:
         sql = item[1] if isinstance(item, tuple) else item
@@ -26,7 +27,7 @@ def no_tuning_cost(catalog, stream):
 
 class TestNoTuning:
     def test_matches_sum_of_costs(self, sdss_catalog):
-        session = WhatIfSession(sdss_catalog)
+        session = WhatIfSession(WorkloadEvaluator(sdss_catalog))
         expected = sum(session.cost(sql) for __, sql in stream())
         assert no_tuning_cost(sdss_catalog, stream()) == pytest.approx(expected)
 
@@ -56,14 +57,16 @@ class TestStaticOracle:
 class TestSparkline:
     def test_sparkline_length_matches_epochs(self, sdss_catalog):
         tuner = ColtTuner(
-            sdss_catalog, ColtSettings(epoch_length=10, space_budget_pages=100_000)
+            WorkloadEvaluator(sdss_catalog),
+            ColtSettings(epoch_length=10, space_budget_pages=100_000),
         )
         report = tuner.run(stream(35))
         assert len(report.sparkline()) == len(report.epochs)
 
     def test_sparkline_in_text_report(self, sdss_catalog):
         tuner = ColtTuner(
-            sdss_catalog, ColtSettings(epoch_length=10, space_budget_pages=100_000)
+            WorkloadEvaluator(sdss_catalog),
+            ColtSettings(epoch_length=10, space_budget_pages=100_000),
         )
         report = tuner.run(stream(20))
         assert "per epoch" in report.to_text()

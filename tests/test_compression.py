@@ -4,6 +4,7 @@ import pytest
 
 from repro.cophy import CoPhyAdvisor
 from repro.cophy.compression import compress_workload, query_signature
+from repro.evaluation import WorkloadEvaluator
 from repro.sql.binder import bind_sql
 from repro.workloads import Workload
 
@@ -63,7 +64,7 @@ class TestCompression:
 
     def test_compressed_recommendation_close_to_full(self, sdss_catalog):
         workload = self.make_workload()
-        advisor = CoPhyAdvisor(sdss_catalog)
+        advisor = CoPhyAdvisor(WorkloadEvaluator(sdss_catalog))
         full = advisor.recommend(workload, budget_pages=50_000)
         compressed_workload, stats = compress_workload(sdss_catalog, workload)
         compressed = advisor.recommend(compressed_workload, budget_pages=50_000)
@@ -85,7 +86,7 @@ class TestMaxIndexesConstraint:
             ("SELECT dec FROM photoobj WHERE dec > 80", 1.0),
             ("SELECT rmag FROM photoobj WHERE rmag < 14", 1.0),
         ]
-        advisor = CoPhyAdvisor(sdss_catalog)
+        advisor = CoPhyAdvisor(WorkloadEvaluator(sdss_catalog))
         for solver in ("milp", "greedy", "colgen"):
             rec = advisor.recommend(
                 workload, budget_pages=10**6, solver=solver, max_indexes=1
@@ -94,7 +95,7 @@ class TestMaxIndexesConstraint:
 
     def test_cap_of_zero_selects_nothing(self, sdss_catalog):
         workload = [("SELECT ra FROM photoobj WHERE ra BETWEEN 1 AND 2", 1.0)]
-        rec = CoPhyAdvisor(sdss_catalog).recommend(
+        rec = CoPhyAdvisor(WorkloadEvaluator(sdss_catalog)).recommend(
             workload, budget_pages=10**6, max_indexes=0
         )
         assert rec.indexes == []

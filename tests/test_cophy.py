@@ -18,7 +18,7 @@ from repro.cophy import advisor as advisor_module
 from repro.cophy.advisor import SOLVERS
 from repro.cophy.bip import BipProblem, PlanTerm, QueryTerm, SlotOptions
 from repro.cophy.solvers import _assemble
-from repro.inum import InumCostModel
+from repro.evaluation import WorkloadEvaluator
 from repro.optimizer import CostService
 from repro.util import DesignError
 from repro.workloads import sdss, tpch
@@ -48,7 +48,7 @@ WORKLOAD = [
 
 @pytest.fixture
 def inum(sdss_catalog):
-    return InumCostModel(sdss_catalog)
+    return WorkloadEvaluator(sdss_catalog)
 
 
 @pytest.fixture
@@ -152,7 +152,7 @@ class TestSolvers:
     def test_no_candidates_is_an_empty_exact_design(self, sdss_catalog):
         """With nothing to branch on HiGHS solves an LP and reports no
         dual bound or node count; the result is then exact."""
-        rec = CoPhyAdvisor(sdss_catalog).recommend(
+        rec = CoPhyAdvisor(WorkloadEvaluator(sdss_catalog)).recommend(
             WORKLOAD, 5_000, candidates=[], solver="milp"
         )
         assert rec.configuration.indexes == frozenset()
@@ -335,7 +335,7 @@ class TestRelaxationIsExact:
             ix.size_pages(catalog.table(ix.table_name)) for ix in candidates
         )
         problem = build_bip(
-            InumCostModel(catalog), workload, candidates, total // 4
+            WorkloadEvaluator(catalog), workload, candidates, total // 4
         )
         result = solve_bip(problem)
         check_milp_bound(result)
@@ -409,7 +409,7 @@ class TestNoDeadWeightIndexes:
 
 class TestAdvisor:
     def test_recommendation_fields(self, sdss_catalog):
-        advisor = CoPhyAdvisor(sdss_catalog)
+        advisor = CoPhyAdvisor(WorkloadEvaluator(sdss_catalog))
         rec = advisor.recommend(WORKLOAD, budget_pages=20_000, solver="milp")
         assert rec.predicted_workload_cost <= rec.base_workload_cost
         assert rec.size_pages <= rec.budget_pages
@@ -417,7 +417,7 @@ class TestAdvisor:
         assert "CREATE INDEX" in rec.to_text() or "none" in rec.to_text()
 
     def test_predicted_cost_matches_real_optimizer(self, sdss_catalog):
-        advisor = CoPhyAdvisor(sdss_catalog)
+        advisor = CoPhyAdvisor(WorkloadEvaluator(sdss_catalog))
         rec = advisor.recommend(WORKLOAD, budget_pages=20_000, solver="milp")
         real = CostService(rec.configuration.apply(sdss_catalog)).workload_cost(
             WORKLOAD
@@ -426,15 +426,19 @@ class TestAdvisor:
 
     def test_unknown_solver_rejected(self, sdss_catalog):
         with pytest.raises(DesignError, match="solver"):
-            CoPhyAdvisor(sdss_catalog).recommend(WORKLOAD, 1000, solver="magic")
+            CoPhyAdvisor(WorkloadEvaluator(sdss_catalog)).recommend(
+                WORKLOAD, 1000, solver="magic"
+            )
 
     def test_empty_workload_rejected(self, sdss_catalog):
         with pytest.raises(DesignError, match="empty"):
-            CoPhyAdvisor(sdss_catalog).recommend([], 1000)
+            CoPhyAdvisor(WorkloadEvaluator(sdss_catalog)).recommend([], 1000)
 
     def test_negative_budget_rejected(self, sdss_catalog):
         with pytest.raises(DesignError, match="budget"):
-            CoPhyAdvisor(sdss_catalog).recommend(WORKLOAD, -5)
+            CoPhyAdvisor(WorkloadEvaluator(sdss_catalog)).recommend(
+                WORKLOAD, -5
+            )
 
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
     @pytest.mark.parametrize("limits, message", [
@@ -453,13 +457,13 @@ class TestAdvisor:
 
         monkeypatch.setattr(advisor_module, "candidate_indexes", no_candidates)
         with pytest.raises(DesignError, match=message):
-            CoPhyAdvisor(sdss_catalog).recommend(
+            CoPhyAdvisor(WorkloadEvaluator(sdss_catalog)).recommend(
                 WORKLOAD, solver=solver, **limits
             )
 
     def test_budget_sweep_monotone(self, sdss_catalog):
         """Bigger budgets can only help — the CL-ILP experiment's backbone."""
-        advisor = CoPhyAdvisor(sdss_catalog)
+        advisor = CoPhyAdvisor(WorkloadEvaluator(sdss_catalog))
         costs = [
             advisor.recommend(WORKLOAD, budget_pages=b, solver="milp"
                               ).predicted_workload_cost
@@ -470,7 +474,7 @@ class TestAdvisor:
 
     def test_seeded_candidates_used(self, sdss_catalog):
         designer_seed = Index("photoobj", ("dec", "ra"))
-        advisor = CoPhyAdvisor(sdss_catalog)
+        advisor = CoPhyAdvisor(WorkloadEvaluator(sdss_catalog))
         rec = advisor.recommend(
             WORKLOAD, budget_pages=50_000, candidates=[designer_seed], solver="milp"
         )

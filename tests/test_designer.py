@@ -5,6 +5,7 @@ import pytest
 from repro.catalog import Index, VerticalFragment, VerticalLayout
 from repro.colt import ColtSettings
 from repro.designer import Designer
+from repro.evaluation import WorkloadEvaluator
 from repro.optimizer import CostService
 from repro.util import DesignError
 from repro.workloads.drift import DriftPhase, drifting_stream
@@ -173,3 +174,19 @@ class TestMaterialize:
         for ix in rec.index_recommendation.indexes:
             assert new_catalog.has_index(ix)
         assert not sdss_catalog.has_index(rec.index_recommendation.indexes[0])
+
+
+class TestOneEvaluator:
+    def test_mismatched_catalog_with_evaluator_rejected(self, sdss_catalog):
+        """The designer is where a catalog meets an evaluator: one that
+        prices another catalog is refused there, before any component
+        is built on it; one that prices this catalog is every
+        component's."""
+        evaluator = WorkloadEvaluator(sdss_catalog.clone())
+        with pytest.raises(DesignError, match="catalog conflict"):
+            Designer(sdss_catalog, evaluator=evaluator)
+        designer = Designer(evaluator.catalog, evaluator)
+        for component in (designer.session, designer._index_advisor,
+                          designer._partition_advisor,
+                          designer.continuous_tuner()):
+            assert component.evaluator is evaluator

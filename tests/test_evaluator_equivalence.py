@@ -3,9 +3,9 @@
 The batched evaluator must be a *refactoring* of the seed's per-call
 INUM evaluation, never a different cost model: for randomized schemas,
 workloads and configuration sweeps, batched costs equal per-query
-:class:`InumCostModel` costs exactly, stay within INUM's fidelity
-tolerance of the real optimizer on small cases, and are bit-identical
-with thread fan-out on and off.
+costs on the pool-free ``oracle.PerTextEvaluator`` exactly, stay
+within INUM's fidelity tolerance of the real optimizer on small cases,
+and are bit-identical with thread fan-out on and off.
 """
 
 import random
@@ -14,11 +14,10 @@ import pytest
 
 from repro.catalog import Catalog, Column, DataType, Distribution, Index, Table
 from repro.evaluation import BatchEvaluation, WorkloadEvaluator
-from repro.inum import InumCostModel
 from repro.optimizer import CostService
 from repro.whatif import Configuration
 
-from oracle import per_call_matrix
+from oracle import PerTextEvaluator, per_call_matrix
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -164,7 +163,7 @@ def make_env(seed, write_fraction=0.0):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batched_equals_per_call_inum(seed):
     catalog, workload, configs = make_env(seed)
-    per_call = InumCostModel(catalog)
+    per_call = PerTextEvaluator(catalog)
     evaluator = WorkloadEvaluator(catalog)
     batched = evaluator.workload_costs(workload, configs)
     for config, total in zip(configs, batched):
@@ -183,7 +182,7 @@ def test_totals_equal_the_scalar_workload_cost_exactly(seed):
         (sql, weight * (0.1 + 0.37 * i))
         for i, (sql, weight) in enumerate(workload)
     ]
-    per_call = InumCostModel(catalog)
+    per_call = PerTextEvaluator(catalog)
     expected = [per_call.workload_cost(workload, c) for c in configs]
     evaluator = WorkloadEvaluator(catalog)
     assert evaluator.evaluate_many(workload, configs).totals == expected
@@ -207,7 +206,7 @@ def test_totals_accumulate_left_to_right_without_compensation():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_single_query_costs_equal_per_call(seed):
     catalog, workload, configs = make_env(seed)
-    per_call = InumCostModel(catalog)
+    per_call = PerTextEvaluator(catalog)
     evaluator = WorkloadEvaluator(catalog)
     for sql, __ in workload:
         for config in configs[:3]:
@@ -231,7 +230,7 @@ def test_matches_direct_cost_service_within_tolerance(seed):
 def test_batch_issues_no_optimizer_calls_after_warm(seed):
     catalog, workload, configs = make_env(seed)
     evaluator = WorkloadEvaluator(catalog)
-    evaluator.warm(workload)
+    evaluator.warm_up(workload)
     before = evaluator.precompute_calls
     evaluator.evaluate_configurations(workload, configs)
     assert evaluator.precompute_calls == before
@@ -244,7 +243,7 @@ def test_mixed_read_write_workloads_match_per_call(seed):
     catalog, workload, configs = make_env(seed, write_fraction=0.4)
     # Guarantee at least one write regardless of the draw.
     workload = list(workload) + [(random_write(random.Random(seed), catalog), 1.0)]
-    per_call = InumCostModel(catalog)
+    per_call = PerTextEvaluator(catalog)
     evaluator = WorkloadEvaluator(catalog)
     batched = evaluator.evaluate_configurations(workload, configs)
     for config, total in zip(configs, batched.totals):
@@ -266,7 +265,7 @@ def test_mixed_workload_matches_cost_service(seed):
 
 def test_usage_oracle_matches_per_call():
     catalog, workload, configs = make_env(7)
-    per_call = InumCostModel(catalog)
+    per_call = PerTextEvaluator(catalog)
     evaluator = WorkloadEvaluator(catalog)
     batch = evaluator.workload_cost_with_usage_batch(workload, configs)
     for config, (cost, used) in zip(configs, batch):

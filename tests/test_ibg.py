@@ -23,12 +23,10 @@ from repro.cophy import candidate_indexes
 from repro.evaluation import WorkloadEvaluator
 from repro.interaction import InteractionAnalyzer
 from repro.interaction.doi import EXACT_LIMIT
-from repro.inum import InumCostModel
-from repro.util import DesignError
 from repro.whatif import Configuration
 from repro.workloads import sdss_catalog, sdss_workload, tpch_catalog, tpch_workload
 
-from oracle import IndexBenefitGraph
+from oracle import IndexBenefitGraph, PerTextEvaluator
 from test_backward_and_solver_props import share
 
 WORKLOAD = [
@@ -52,7 +50,7 @@ CANDIDATES = [
 def inum(request):
     from tests.conftest import make_sdss_catalog
 
-    return InumCostModel(make_sdss_catalog())
+    return PerTextEvaluator(make_sdss_catalog())
 
 
 @pytest.fixture(scope="module")
@@ -109,11 +107,6 @@ class TestCostOracle:
         assert ibg.cost(CANDIDATES) <= ibg.cost(()) + 1e-6
 
 
-def test_the_analyzer_prices_on_an_evaluator(inum):
-    with pytest.raises(DesignError, match="WorkloadEvaluator"):
-        InteractionAnalyzer(inum, WORKLOAD)
-
-
 def test_non_interacting_pair_is_zero(inum):
     ra, z = CANDIDATES[0], CANDIDATES[2]
     assert IndexBenefitGraph(inum, WORKLOAD, CANDIDATES).doi(ra, z) < 0.01
@@ -121,7 +114,8 @@ def test_non_interacting_pair_is_zero(inum):
 
 def test_the_oracle_is_one_graph_on_an_evaluator_and_a_plain_model(ibg, inum):
     """The evaluator's usage walk — pooled caches, memoized slots —
-    builds the graph the plain model builds, node for node."""
+    builds the graph the pool-free per-text reference builds, node for
+    node."""
     pooled = IndexBenefitGraph(
         WorkloadEvaluator(inum.catalog), WORKLOAD, CANDIDATES
     )

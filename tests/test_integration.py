@@ -10,7 +10,7 @@ import pytest
 from repro.catalog import Catalog, Column, DataType, Distribution, Index, Table
 from repro.cophy import CoPhyAdvisor
 from repro.designer import Designer
-from repro.inum import InumCostModel
+from repro.evaluation import WorkloadEvaluator
 from repro.optimizer import CostService
 from repro.util import DesignError
 from repro.whatif import Configuration
@@ -129,7 +129,7 @@ class TestExecutorBackedRecommendation:
 
     def test_recommendation_preserves_results(self, env):
         catalog, workload, database = env
-        advisor = CoPhyAdvisor(catalog)
+        advisor = CoPhyAdvisor(WorkloadEvaluator(catalog))
         rec = advisor.recommend(workload, budget_pages=10_000)
         assert rec.indexes, "this workload clearly wants indexes"
         tuned = rec.configuration.apply(catalog)
@@ -140,7 +140,7 @@ class TestExecutorBackedRecommendation:
 
     def test_plans_change_shape_under_recommendation(self, env):
         catalog, workload, database = env
-        advisor = CoPhyAdvisor(catalog)
+        advisor = CoPhyAdvisor(WorkloadEvaluator(catalog))
         rec = advisor.recommend(workload, budget_pages=10_000)
         tuned = rec.configuration.apply(catalog)
         base_kinds = [
@@ -153,8 +153,8 @@ class TestExecutorBackedRecommendation:
 
     def test_inum_agrees_with_optimizer_on_recommended_config(self, env):
         catalog, workload, __ = env
-        inum = InumCostModel(catalog)
-        advisor = CoPhyAdvisor(catalog, cost_model=inum)
+        inum = WorkloadEvaluator(catalog)
+        advisor = CoPhyAdvisor(inum)
         rec = advisor.recommend(workload, budget_pages=10_000)
         real = CostService(rec.configuration.apply(catalog)).workload_cost(workload)
         assert inum.workload_cost(workload, rec.configuration) == pytest.approx(

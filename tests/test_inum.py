@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.catalog import Index, VerticalFragment, VerticalLayout
-from repro.inum import InumCostModel
+from repro.evaluation import WorkloadEvaluator
 from repro.optimizer import CostService
 from repro.whatif import Configuration
 
@@ -29,15 +29,15 @@ CANDIDATES = [
 
 @pytest.fixture
 def inum(sdss_catalog):
-    return InumCostModel(sdss_catalog)
+    return WorkloadEvaluator(sdss_catalog)
 
 
 class TestBuildPhase:
     def test_warm_counts_calls(self, inum):
-        calls = inum.warm([(q, 1.0) for q in QUERIES])
+        calls = inum.warm_up([(q, 1.0) for q in QUERIES])
         assert calls > 0
         # Warming again costs nothing.
-        assert inum.warm([(q, 1.0) for q in QUERIES]) == 0
+        assert inum.warm_up([(q, 1.0) for q in QUERIES]) == 0
 
     def test_cache_has_plans(self, inum):
         cache = inum.cache_for(QUERIES[2])
@@ -74,7 +74,7 @@ class TestExactness:
 
     def test_no_optimizer_calls_during_evaluation(self, sdss_catalog, inum):
         workload = [(q, 1.0) for q in QUERIES]
-        inum.warm(workload)
+        inum.warm_up(workload)
         before = inum.precompute_calls
         for ix in CANDIDATES:
             inum.workload_cost(workload, Configuration.of(ix))

@@ -3,10 +3,10 @@
 The kernel (:mod:`repro.evaluation.kernel`) is a *compilation* of the
 scalar plan-term walks, never a different cost model: over fuzzed
 catalogs, configurations, and weights — and over every SDSS and TPC-H
-template — kernel ``evaluate_many`` must equal the per-call
-:class:`InumCostModel` walk (``oracle.per_call_matrix``, a model of its
-own with its own memos) **bit-exactly** (max/min witnesses, zero
-tolerance).  The same holds for CoPhy's :class:`BipKernel` against the
+template — kernel ``evaluate_many`` must equal the per-call walk
+(``oracle.per_call_matrix`` on an ``oracle.PerTextEvaluator``, a model
+of its own with its own memos and no pool) **bit-exactly** (max/min
+witnesses, zero tolerance).  The same holds for CoPhy's :class:`BipKernel` against the
 scalar ``oracle.config_costs_reference``, and for COLT's kernel-scored
 epochs against per-query INUM costs.
 """
@@ -38,12 +38,11 @@ from repro.evaluation import (
     wire,
 )
 from repro.evaluation.kernel import _PlanArena
-from repro.inum import InumCostModel
 from repro.inum.cache import QueryCache, evaluate_terms
 from repro.whatif import Configuration
 from repro.workloads import sdss, sdss_catalog, tpch, tpch_catalog
 
-from oracle import config_costs_reference, per_call_matrix
+from oracle import PerTextEvaluator, config_costs_reference, per_call_matrix
 from test_evaluator_equivalence import make_env, random_write
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -83,7 +82,7 @@ def test_kernel_equals_per_call(seed):
     evaluator = WorkloadEvaluator(catalog)
     kernel_grid = evaluator.evaluate_many(workload, configs)
     assert_grid_equals_per_call(
-        kernel_grid, InumCostModel(catalog), workload, configs
+        kernel_grid, PerTextEvaluator(catalog), workload, configs
     )
     # The evaluator's own inherited per-call path (shared slot memo)
     # agrees too.
@@ -97,7 +96,7 @@ def test_kernel_handles_writes_exactly(seed):
     evaluator = WorkloadEvaluator(catalog)
     kernel_grid = evaluator.evaluate_many(workload, configs)
     assert_grid_equals_per_call(
-        kernel_grid, InumCostModel(catalog), workload, configs
+        kernel_grid, PerTextEvaluator(catalog), workload, configs
     )
 
 
@@ -128,7 +127,7 @@ def test_every_template_prices_identically(registry, make_catalog):
     evaluator = WorkloadEvaluator(catalog)
     kernel_grid = evaluator.evaluate_many(workload, configs)
     assert_grid_equals_per_call(
-        kernel_grid, InumCostModel(catalog), workload, configs
+        kernel_grid, PerTextEvaluator(catalog), workload, configs
     )
 
 
@@ -151,7 +150,7 @@ def test_evaluate_terms_is_the_reference_walk():
     """The shared scalar walk prices exactly like the model's public
     cost path and surfaces the winning plan's slot payloads."""
     catalog, workload, configs = make_env(4)
-    model = InumCostModel(catalog)
+    model = PerTextEvaluator(catalog)
     sql = workload[0][0]
     config = configs[1]
     cache = model.cache_for(sql)
@@ -347,7 +346,7 @@ class TestColtEpochScoring:
 
         catalog = sdss_catalog(scale=0.05)
         tuner = ColtTuner(
-            catalog,
+            WorkloadEvaluator(catalog),
             ColtSettings(epoch_length=8, whatif_budget=4, min_whatif_budget=2,
                          space_budget_pages=100_000),
         )
@@ -367,7 +366,7 @@ class TestColtEpochScoring:
         settings = ColtSettings(epoch_length=5, whatif_budget=4,
                                 min_whatif_budget=2,
                                 space_budget_pages=100_000)
-        tuner = ColtTuner(catalog, settings)
+        tuner = ColtTuner(WorkloadEvaluator(catalog), settings)
         rng = random.Random(3)
         stream = [sdss.template("magnitude_cut")(rng) for __ in range(5)]
         for sql in stream:

@@ -156,7 +156,7 @@ def test_clear_caches_empties_every_evaluator_owned_row():
     designer.recommend(workload, 40_000, solver="greedy", partitions=False,
                        schedule=False, max_candidates=20)
     base = evaluator.exact_service()
-    always_empty = {memos.CACHES, memos.FLIGHTS}
+    always_empty = {memos.FLIGHTS}
     for row in evaluator_rows():
         owner = row.owner_in(evaluator)
         assert bool(getattr(owner, row.attr)) != (row in always_empty), row
@@ -300,7 +300,7 @@ def test_every_row_names_a_real_attribute():
     (compiled,) = evaluator._compiled.values()
     samples = {
         "VerticalLayout": configs[2].layouts[0],
-        "WorkloadEvaluator": evaluator, "InumCostModel": evaluator,
+        "WorkloadEvaluator": evaluator,
         "InumCachePool": evaluator.pool,
         "CostService": evaluator.exact_service(),
         "BoundQuery": bq, "ScanContext": next(iter(bq.scan_contexts.values())),

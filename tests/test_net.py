@@ -309,9 +309,8 @@ class TestHandshake:
         wire-error reply surfaces as WireFormatError immediately."""
         with RunnerNode() as node:
             evaluator = WorkloadEvaluator(astro_catalog)
-            backplane = RemoteBackplane(
-                evaluator, [node.address], retries=3, backoff=0.0,
-            )
+            backplane = RemoteBackplane(evaluator, [node.address], retries=3)
+            backplane._closing = SpiedSignal()
             conn = backplane._connections[0]
             conn.connect()
             with pytest.raises(WireFormatError):
@@ -371,9 +370,9 @@ class TestFailureInjection:
         try:
             remote = WorkloadEvaluator(astro_catalog)
             backplane = RemoteBackplane(
-                remote, [dying.address, survivor.address],
-                retries=1, backoff=0.0,
+                remote, [dying.address, survivor.address], retries=1,
             )
+            backplane._closing = SpiedSignal()
             backplane.warm_up(queries)
             assert backplane.live_nodes == [survivor.address]
             backplane.close()
@@ -404,9 +403,8 @@ class TestFailureInjection:
         node = RunnerNode(fail_after_tasks=0).start()
         try:
             remote = WorkloadEvaluator(astro_catalog)
-            backplane = RemoteBackplane(
-                remote, [node.address], retries=0, backoff=0.0,
-            )
+            backplane = RemoteBackplane(remote, [node.address], retries=0)
+            backplane._closing = SpiedSignal()
             calls = backplane.warm_up(queries)
             assert backplane.live_nodes == []
             backplane.close()
@@ -431,9 +429,8 @@ class TestFailureInjection:
         port = probe.getsockname()[1]
         probe.close()
         remote = WorkloadEvaluator(astro_catalog)
-        backplane = RemoteBackplane(
-            remote, ["127.0.0.1:%d" % port], retries=1, backoff=0.0,
-        )
+        backplane = RemoteBackplane(remote, ["127.0.0.1:%d" % port], retries=1)
+        backplane._closing = SpiedSignal()
         calls = backplane.warm_up(queries)
         backplane.close()
         local = WorkloadEvaluator(astro_catalog)
@@ -761,18 +758,26 @@ class TestInterruptibleBackoff:
         monkeypatch.setattr(time, "sleep", refuse)
 
     def test_backoff_waits_on_the_close_signal(self, astro_catalog):
+        assert self._backoffs(astro_catalog, 3) == [0.05, 0.1, 0.2]
+
+    def test_backoff_doubles_up_to_its_cap(self, astro_catalog):
+        assert self._backoffs(astro_catalog, 6) == [
+            0.05, 0.1, 0.2, 0.4, 0.8, 1.0]
+
+    @staticmethod
+    def _backoffs(catalog, retries):
+        """The delays one request's retries wait, recorded, never slept."""
         backplane = pair_backplane(
-            WorkloadEvaluator(astro_catalog), [None],
-            retries=3, backoff=0.4, backoff_cap=1.0,
+            WorkloadEvaluator(catalog), [None], retries=retries,
         )
         signal = backplane._closing = SpiedSignal()
         conn = backplane._connections[0]
-        with pytest.raises(TransportError, match="after 3 retries"):
+        with pytest.raises(TransportError, match="after %d retries" % retries):
             backplane._with_retry(conn, conn.connect)
-        assert signal.delays == [0.4, 0.8, 1.0]  # capped, never slept
         assert obs.metrics().value(
-            "repro_remote_retries_total", node="node-0") == 3
+            "repro_remote_retries_total", node="node-0") == retries
         backplane.close()
+        return signal.delays
 
     def test_close_never_waits_a_backoff_out(self, astro_catalog, queries):
         """``close()`` ends the backoff at once.  The node was failing
@@ -781,15 +786,14 @@ class TestInterruptibleBackoff:
         observed after ``close()`` (the hang-up itself, see
         ``test_close_abandons_inflight_and_joins_drainers``) is not."""
         backplane = pair_backplane(
-            WorkloadEvaluator(astro_catalog), [None],
-            retries=3, backoff=WAIT_S, backoff_cap=WAIT_S,
+            WorkloadEvaluator(astro_catalog), [None], retries=3,
         )
         signal = backplane._closing = SpiedSignal(interrupt=True)
         backplane.submit(queries[:1])
         assert signal.entered.wait(WAIT_S)  # its drainer is backing off
         bounded(backplane.close)  # returns now, not a backoff later
         assert drainer_threads() == []
-        assert signal.delays == [WAIT_S]
+        assert signal.delays == [0.05]
         registry = obs.metrics()
         assert registry.value(
             "repro_remote_node_deaths_total", node="node-0") == 1
@@ -994,8 +998,9 @@ class TestMalformedFrames:
         healthy node is not declared dead."""
         node = RunnerNode()
         backplane = pair_backplane(
-            WorkloadEvaluator(astro_catalog), [node], retries=3, backoff=0.0,
+            WorkloadEvaluator(astro_catalog), [node], retries=3,
         )
+        backplane._closing = SpiedSignal()
         conn = backplane._connections[0]
         conn._catalog_frame = edited(conn._catalog_frame, catalog_changes)
         try:

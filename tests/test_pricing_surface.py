@@ -54,7 +54,7 @@ BOUNDARY_SURFACE = [
 # that the option builder's pricer takes a model, not a mode.
 SURFACE = BOUNDARY_SURFACE + [
     (WorkloadEvaluator.__init__, ["catalog", "settings", "pool"]),
-    (Designer.__init__, ["catalog", "settings", "evaluator"]),
+    (Designer.__init__, ["catalog", "evaluator"]),
     (CandidatePricer.__init__, ["model"]),
     (WhatIfSession.estimate_many, ["workload", "configurations"]),
     (BipProblem.config_cost, ["chosen_positions"]),
@@ -79,6 +79,46 @@ def test_signature_is_exactly_the_data_arguments(function, expected):
     names = _parameters(function)
     assert names == expected
     assert not MODE_KEYWORDS & set(names)
+
+
+def test_every_component_takes_the_one_evaluator():
+    """One cost model, handed over one way: every component takes the
+    :class:`WorkloadEvaluator` and reads the catalog and the planner
+    settings off it, so nothing can pair one catalog with a model of
+    another.  ``ColtTuner``'s ``settings`` are COLT's own knobs."""
+    import repro
+    import repro.inum
+    from repro.autopart import AutoPartAdvisor
+    from repro.colt import ColtTuner
+    from repro.cophy import CoPhyAdvisor
+    from repro.interaction import InteractionAnalyzer
+    from repro.service import TenantSession
+
+    for function, expected in (
+        (CoPhyAdvisor.__init__, ["evaluator"]),
+        (AutoPartAdvisor.__init__, ["evaluator"]),
+        (WhatIfSession.__init__, ["evaluator"]),
+        (ColtTuner.__init__, ["evaluator", "settings"]),
+        (InteractionAnalyzer.__init__, ["evaluator", "workload"]),
+        (TenantSession.__init__,
+         ["name", "evaluator", "colt_settings", "recommend_every", "window"]),
+        (TenantSession.from_snapshot, ["payload", "evaluator"]),
+    ):
+        names = _parameters(function)
+        assert names == expected, function.__qualname__
+        assert not {"catalog", "cost_model", "planner_settings"} & set(names)
+    # One cost-model class: nothing else exported holds INUM entries or
+    # prices slots, and the pool-free warm-up is gone with its dict.
+    for package in (repro, repro.inum):
+        assert not hasattr(package, "InumCostModel"), package.__name__
+        models = {
+            name for name in package.__all__
+            if isinstance(getattr(package, name), type)
+            and {"cache_for", "slot_choice"} & set(dir(getattr(package, name)))
+        }
+        assert models <= {"WorkloadEvaluator"}, (package.__name__, models)
+    assert not hasattr(WorkloadEvaluator, "warm")
+    assert WorkloadEvaluator.__bases__ == (object,)
 
 
 FAN_OUT_OPTIONS = {"start_method", "threads", "warm_threads", "concurrency"}
@@ -124,14 +164,12 @@ def test_fan_out_has_one_implementation():
     assert inspect.getsource(client).count("threading.Thread(") == 1
 
     for function, expected in (
-        (FleetBackplane.__init__,
-         ["evaluator", "connections", "retries", "backoff", "backoff_cap"]),
+        (FleetBackplane.__init__, ["evaluator", "connections", "retries"]),
         (ProcessStepExecutor.__init__, ["processes"]),
         (RemoteStepExecutor.__init__,
          ["runners", "timeout", "retries"]),
         (RemoteBackplane.__init__,
-         ["evaluator", "runners", "timeout", "retries", "backoff",
-          "backoff_cap"]),
+         ["evaluator", "runners", "timeout", "retries"]),
         (catalog_frame_for, ["evaluator"]),
         (FleetBackplane.warm_up, ["workload"]),
         (TuningService.run_scheduled,
@@ -234,8 +272,7 @@ def test_only_the_used_solvers_and_tenant_options_ship():
         assert gone not in everything, gone
 
     assert _parameters(TenantSession.__init__) == [
-        "name", "catalog", "evaluator", "colt_settings", "recommend_every",
-        "window"]
+        "name", "evaluator", "colt_settings", "recommend_every", "window"]
     assert (tenant.REFRESH_ON_DRIFT, tenant.BUDGET_FRAC, tenant.SOLVER,
             tenant.PARTITIONS) == (True, 0.25, "greedy", False)
     assert TenantSession.partitions is False
@@ -317,7 +354,6 @@ def test_build_bip_and_colgen_share_the_one_option_builder(
     inside ``CandidatePricer.slot_options``."""
     from repro.cophy import bip, colgen
     from repro.cophy.candidates import candidate_indexes
-    from repro.inum import InumCostModel
 
     assert vars(colgen)["PricedWorkload"] is vars(bip)["PricedWorkload"]
     assert "CandidatePricer" not in vars(colgen)
@@ -351,9 +387,10 @@ def test_build_bip_and_colgen_share_the_one_option_builder(
         ("UPDATE photoobj SET status = 3 WHERE rmag < 14", 0.5),
     ]
     candidates = candidate_indexes(catalog, workload, max_candidates=12)
-    bip.build_bip(InumCostModel(catalog), workload, candidates, 40_000)
+    bip.build_bip(WorkloadEvaluator(catalog), workload, candidates, 40_000)
     from_build_bip = entered[0]
-    colgen.solve_colgen(InumCostModel(catalog), workload, candidates, 40_000)
+    colgen.solve_colgen(WorkloadEvaluator(catalog), workload, candidates,
+                        40_000)
     assert 0 < from_build_bip < entered[0]
     assert outside == []
 
@@ -378,7 +415,6 @@ def test_index_selection_is_written_once(sdss_catalog, monkeypatch):
     mode keyword on the functions that price a slot."""
     from repro.cophy import bip, colgen, greedy
     from repro.cophy.candidates import candidate_indexes
-    from repro.inum import InumCostModel
     from repro.inum import cache as inum_cache
 
     entered = []
@@ -394,10 +430,11 @@ def test_index_selection_is_written_once(sdss_catalog, monkeypatch):
         ("UPDATE photoobj SET status = 3 WHERE rmag < 14", 0.5),
     ]
     candidates = candidate_indexes(sdss_catalog, workload, max_candidates=8)
-    bip.build_bip(InumCostModel(sdss_catalog), workload, candidates, 40_000)
+    bip.build_bip(WorkloadEvaluator(sdss_catalog), workload, candidates,
+                  40_000)
     assert entered == [bip.PricedWorkload]
     colgen.solve_colgen(
-        InumCostModel(sdss_catalog), workload, candidates, 40_000
+        WorkloadEvaluator(sdss_catalog), workload, candidates, 40_000
     )
     assert entered == [bip.PricedWorkload] * 2
 
@@ -492,7 +529,7 @@ def test_a_slot_is_priced_once_for_its_cost_and_its_witness(
     later ``slot_choice`` without a second ``_access_cost`` call, and an
     entry written by the witness path answers a later ``slot_cost``."""
     from repro.catalog import Index
-    from repro.inum import InumCostModel
+    from repro.evaluation import evaluator as evaluator_module
     from repro.inum import cache as inum_cache
     from repro.whatif import Configuration
 
@@ -503,8 +540,8 @@ def test_a_slot_is_priced_once_for_its_cost_and_its_witness(
         calls.append(slot)
         return real(slot, bq, catalog, settings)
 
-    monkeypatch.setattr(inum_cache, "_access_cost", counted)
-    model = InumCostModel(sdss_catalog)
+    monkeypatch.setattr(evaluator_module, "_access_cost", counted)
+    model = WorkloadEvaluator(sdss_catalog)
     cache = model.cache_for(
         "SELECT p.ra, s.z FROM photoobj p, specobj s "
         "WHERE p.objid = s.objid AND s.z > 6.5"

@@ -246,7 +246,7 @@ def alone(astro_catalog):
     sessions = {}
     for name, seed in TENANTS.items():
         session = TenantSession(
-            name, astro_catalog, WorkloadEvaluator(astro_catalog), **options()
+            name, WorkloadEvaluator(astro_catalog), **options()
         )
         sessions[name] = session.drain(drifting_stream(PHASES, seed=seed))
     return sessions

@@ -74,7 +74,7 @@ def outcome(session):
 def session_for(catalog, name="t", **overrides):
     opts = options()
     opts.update(overrides)
-    return TenantSession(name, catalog, WorkloadEvaluator(catalog), **opts)
+    return TenantSession(name, WorkloadEvaluator(catalog), **opts)
 
 
 class TestStepDecomposition:

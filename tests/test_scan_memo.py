@@ -52,8 +52,7 @@ from repro.catalog import stats as stats_module
 from repro.cophy import candidate_indexes
 from repro.cophy.bip import CandidatePricer
 from repro.evaluation import WorkloadEvaluator
-from repro.inum import InumCostModel
-from repro.inum import cache as inum_cache
+from repro.evaluation import evaluator as evaluator_module
 from repro.inum.cache import _access_cost, _DesignView, _slot_key
 from repro.optimizer import CostService
 from repro.optimizer import paths as P
@@ -189,7 +188,7 @@ def test_slot_pricing_memoized_equals_fresh(registry, make_catalog, monkeypatch)
     catalog = make_catalog()
     sqls = read_statements(registry, catalog)
     configs = fuzzed_configurations(random.Random(6), catalog, sqls)
-    model = InumCostModel(catalog)
+    model = WorkloadEvaluator(catalog)
     model_calls = []
 
     def counting_access_cost(*args):
@@ -198,7 +197,7 @@ def test_slot_pricing_memoized_equals_fresh(registry, make_catalog, monkeypatch)
 
     # The model resolves the name at call time; the cold references
     # below call the original.
-    monkeypatch.setattr(inum_cache, "_access_cost", counting_access_cost)
+    monkeypatch.setattr(evaluator_module, "_access_cost", counting_access_cost)
     keys, full_signatures = set(), set()
     priced = 0
     for config in configs + configs:
@@ -229,7 +228,7 @@ def test_candidate_pricer_equals_cold_single_index_view(registry, make_catalog):
     catalog = make_catalog()
     sqls = read_statements(registry, catalog)
     candidates = candidate_indexes(catalog, sqls, max_candidates=24)
-    model = InumCostModel(catalog)
+    model = WorkloadEvaluator(catalog)
     pricer = CandidatePricer(model)
     for sql in sqls:
         cache = model.cache_for(bind_read(sql, catalog))
@@ -358,7 +357,7 @@ def test_layouts_with_one_cover_share_context_and_slot_memo(sdss_catalog):
     split = photo_layout(HOT, *COLD)
     merged = photo_layout(HOT, COLD[0] + COLD[1])  # a merge p never reads
     assert split != merged
-    model = InumCostModel(sdss_catalog)
+    model = WorkloadEvaluator(sdss_catalog)
     cache = model.cache_for(bind_statement(TWO_TABLE_SQL, sdss_catalog))
     bq = cache.bound_query
     slots = [slot for cached in cache.plans for slot in cached.slots]
@@ -389,7 +388,7 @@ def test_covers_of_one_weight_share_slot_costs_but_not_contexts(sdss_catalog):
     plan nodes that *name* the fragments, so they key on the cover."""
     split = photo_layout(HOT, *COLD)
     reordered = photo_layout(HOT[::-1], *COLD)  # same columns, another fragment
-    model = InumCostModel(sdss_catalog)
+    model = WorkloadEvaluator(sdss_catalog)
     cache = model.cache_for(bind_statement(TWO_TABLE_SQL, sdss_catalog))
     bq = cache.bound_query
     assert P.layout_cover(bq, "p", split)[0] != P.layout_cover(bq, "p", reordered)[0]
@@ -862,7 +861,7 @@ def test_first_plan_is_unchanged_by_planning_a_second_design(
     catalog = make_catalog()
     sqls = read_statements(registry, catalog)
     configs = fuzzed_configurations(random.Random(8), catalog, sqls, n=6)
-    model = InumCostModel(catalog)
+    model = WorkloadEvaluator(catalog)
     for sql in sqls:
         bq = bind_read(sql, catalog)
         first = plan_query(bq, configs[1].apply(catalog))

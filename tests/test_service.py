@@ -88,7 +88,7 @@ class TestRegistration:
 class TestTenantSession:
     def test_drift_events_fire_at_phase_boundaries(self, astro_catalog):
         session = TenantSession(
-            "t", astro_catalog, WorkloadEvaluator(astro_catalog), **options()
+            "t", WorkloadEvaluator(astro_catalog), **options()
         )
         session.drain(drifting_stream(SDSS_PHASES, seed=2))
         assert [(e.from_phase, e.to_phase) for e in session.drift_events] == [
@@ -99,7 +99,7 @@ class TestTenantSession:
 
     def test_drift_restores_colt_probe_budget(self, astro_catalog):
         session = TenantSession(
-            "t", astro_catalog, WorkloadEvaluator(astro_catalog),
+            "t", WorkloadEvaluator(astro_catalog),
             colt_settings=ColtSettings(
                 epoch_length=2, whatif_budget=16, min_whatif_budget=2,
                 space_budget_pages=50_000,
@@ -115,7 +115,7 @@ class TestTenantSession:
 
     def test_refresh_triggers(self, astro_catalog):
         session = TenantSession(
-            "t", astro_catalog, WorkloadEvaluator(astro_catalog), **options()
+            "t", WorkloadEvaluator(astro_catalog), **options()
         )
         session.drain(drifting_stream(SDSS_PHASES, seed=2))
         triggers = [r.trigger for r in session.recommendations]
@@ -127,7 +127,7 @@ class TestTenantSession:
 
     def test_plain_sql_events_have_no_phase(self, astro_catalog):
         session = TenantSession(
-            "t", astro_catalog, WorkloadEvaluator(astro_catalog),
+            "t", WorkloadEvaluator(astro_catalog),
             colt_settings=COLT,
         )
         session.ingest("SELECT ra FROM photoobj WHERE ra < 5")
@@ -136,7 +136,7 @@ class TestTenantSession:
 
     def test_finish_is_idempotent(self, astro_catalog):
         session = TenantSession(
-            "t", astro_catalog, WorkloadEvaluator(astro_catalog), **options()
+            "t", WorkloadEvaluator(astro_catalog), **options()
         )
         session.drain(drifting_stream((SDSS_PHASES[0],), seed=2))
         recs = len(session.recommendations)
@@ -146,7 +146,7 @@ class TestTenantSession:
 
     def test_status_snapshot_shape(self, astro_catalog):
         session = TenantSession(
-            "t", astro_catalog, WorkloadEvaluator(astro_catalog), **options()
+            "t", WorkloadEvaluator(astro_catalog), **options()
         )
         session.drain(drifting_stream(SDSS_PHASES, seed=2))
         status = session.status()
@@ -176,7 +176,7 @@ class TestServiceEquivalence:
         alone = {}
         for name, key, phases, seed in specs:
             session = TenantSession(
-                name, catalogs[key], WorkloadEvaluator(catalogs[key]),
+                name, WorkloadEvaluator(catalogs[key]),
                 **options()
             )
             session.drain(drifting_stream(phases, seed=seed))

@@ -8,6 +8,7 @@ from repro.catalog import (
     VerticalFragment,
     VerticalLayout,
 )
+from repro.evaluation import WorkloadEvaluator
 from repro.util import DesignError
 from repro.whatif import Configuration, WhatIfSession
 
@@ -74,12 +75,12 @@ class TestConfiguration:
 
 class TestWhatIfSession:
     def test_index_benefit_positive(self, sdss_catalog):
-        session = WhatIfSession(sdss_catalog)
+        session = WhatIfSession(WorkloadEvaluator(sdss_catalog))
         wl = [("SELECT ra FROM photoobj WHERE ra BETWEEN 10 AND 11", 1.0)]
         assert session.benefit(wl, Configuration.of(ra_index())) > 0
 
     def test_config_never_hurts(self, sdss_catalog):
-        session = WhatIfSession(sdss_catalog)
+        session = WhatIfSession(WorkloadEvaluator(sdss_catalog))
         wl = [
             ("SELECT ra FROM photoobj WHERE ra BETWEEN 10 AND 11", 1.0),
             ("SELECT dec FROM photoobj WHERE dec > 80", 1.0),
@@ -88,7 +89,7 @@ class TestWhatIfSession:
         assert session.benefit(wl, config) >= -1e-6
 
     def test_evaluate_report_fields(self, sdss_catalog):
-        session = WhatIfSession(sdss_catalog)
+        session = WhatIfSession(WorkloadEvaluator(sdss_catalog))
         wl = [("SELECT ra FROM photoobj WHERE ra BETWEEN 10 AND 11", 2.0)]
         report = session.evaluate(wl, Configuration.of(ra_index()))
         [qb] = report.per_query
@@ -98,7 +99,7 @@ class TestWhatIfSession:
         assert "workload" in report.to_text()
 
     def test_service_cache_reused(self, sdss_catalog):
-        session = WhatIfSession(sdss_catalog)
+        session = WhatIfSession(WorkloadEvaluator(sdss_catalog))
         cfg = Configuration.of(ra_index())
         assert session.service_for(cfg) is session.service_for(cfg)
 
@@ -106,13 +107,13 @@ class TestWhatIfSession:
         sql = (
             "SELECT p.ra, s.z FROM photoobj p, specobj s WHERE p.objid = s.objid"
         )
-        base = WhatIfSession(sdss_catalog)
+        base = WhatIfSession(WorkloadEvaluator(sdss_catalog))
         no_hash = base.with_join_methods(enable_hashjoin=False)
         assert base.plan(sql).node_type == "HashJoin"
         assert no_hash.plan(sql).node_type != "HashJoin"
 
     def test_partition_whatif(self, sdss_catalog):
-        session = WhatIfSession(sdss_catalog)
+        session = WhatIfSession(WorkloadEvaluator(sdss_catalog))
         layout = VerticalLayout(
             "photoobj",
             (
@@ -127,7 +128,7 @@ class TestWhatIfSession:
         assert session.benefit(wl, config) > 0
 
     def test_horizontal_whatif(self, sdss_catalog):
-        session = WhatIfSession(sdss_catalog)
+        session = WhatIfSession(WorkloadEvaluator(sdss_catalog))
         horizontal = HorizontalPartitioning(
             "photoobj", "ra", tuple(float(b) for b in range(40, 360, 40))
         )
@@ -136,7 +137,7 @@ class TestWhatIfSession:
         assert session.benefit(wl, config) > 0
 
     def test_bad_workload_entries_rejected(self, sdss_catalog):
-        session = WhatIfSession(sdss_catalog)
+        session = WhatIfSession(WorkloadEvaluator(sdss_catalog))
         with pytest.raises(TypeError):
             session.cost(12345)
 
@@ -179,23 +180,21 @@ class TestSessionBackplane:
     """The session draws exact services from the shared evaluator."""
 
     def test_services_come_from_evaluator(self, sdss_catalog):
-        session = WhatIfSession(sdss_catalog)
+        session = WhatIfSession(WorkloadEvaluator(sdss_catalog))
         config = Configuration.of(ra_index())
         svc = session.service_for(config)
         assert svc is session.evaluator.exact_service(config)
         assert session.base_service is session.evaluator.exact_service()
 
     def test_shared_evaluator_shares_exact_services(self, sdss_catalog):
-        from repro.evaluation import WorkloadEvaluator
-
         evaluator = WorkloadEvaluator(sdss_catalog)
-        one = WhatIfSession(sdss_catalog, evaluator=evaluator)
-        two = WhatIfSession(sdss_catalog, evaluator=evaluator)
+        one = WhatIfSession(evaluator)
+        two = WhatIfSession(evaluator)
         config = Configuration.of(ra_index())
         assert one.service_for(config) is two.service_for(config)
 
     def test_estimate_many_matches_per_config_costs(self, sdss_catalog):
-        session = WhatIfSession(sdss_catalog)
+        session = WhatIfSession(WorkloadEvaluator(sdss_catalog))
         wl = [("SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 12", 1.0)]
         configs = [Configuration.empty(), Configuration.of(ra_index())]
         batch = session.estimate_many(wl, configs)
@@ -204,18 +203,22 @@ class TestSessionBackplane:
         ]
         assert batch.totals == pytest.approx(per_call)
 
-    def test_conflicting_settings_with_evaluator_rejected(self, sdss_catalog):
-        from repro.evaluation import WorkloadEvaluator
+    def test_catalog_and_settings_come_from_the_evaluator(self, sdss_catalog):
+        """The session has no catalog or settings of its own to conflict
+        with its evaluator's: it reads both off the evaluator, and a
+        join-method session is a fresh evaluator's."""
         from repro.optimizer.settings import DEFAULT_SETTINGS
-        from repro.util import DesignError
 
-        evaluator = WorkloadEvaluator(sdss_catalog)
         changed = DEFAULT_SETTINGS.with_changes(enable_hashjoin=False)
-        with pytest.raises(DesignError):
-            WhatIfSession(sdss_catalog, changed, evaluator=evaluator)
-        # Equal settings (or None) are fine.
-        WhatIfSession(sdss_catalog, DEFAULT_SETTINGS, evaluator=evaluator)
-        WhatIfSession(sdss_catalog, evaluator=evaluator)
+        evaluator = WorkloadEvaluator(sdss_catalog, changed)
+        session = WhatIfSession(evaluator)
+        assert session.catalog is sdss_catalog
+        assert session.base_service.settings == changed
+        hashless = WhatIfSession(WorkloadEvaluator(sdss_catalog)) \
+            .with_join_methods(enable_hashjoin=False)
+        assert hashless.evaluator.catalog is sdss_catalog
+        assert hashless.evaluator.settings == changed
+        assert hashless.base_service.settings == changed
 
     def test_report_average_matches_query_convention(self):
         from repro.whatif import QueryBenefit, WhatIfReport
@@ -229,12 +232,3 @@ class TestSessionBackplane:
             sql="SELECT 1", base_cost=0.0, new_cost=0.0
         )
         assert report.average_improvement_pct == 0.0
-
-    def test_mismatched_catalog_with_evaluator_rejected(self, sdss_catalog):
-        from repro.evaluation import WorkloadEvaluator
-        from repro.util import DesignError
-
-        other = sdss_catalog.clone()
-        evaluator = WorkloadEvaluator(other)
-        with pytest.raises(DesignError):
-            WhatIfSession(sdss_catalog, evaluator=evaluator)

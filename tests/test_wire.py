@@ -42,7 +42,7 @@ from repro.evaluation import (
     WorkloadEvaluator,
     wire,
 )
-from repro.inum.cache import InumCostModel, _DesignView
+from repro.inum.cache import _DesignView
 from repro.optimizer.writecost import locate_query
 from repro.service import TuningService
 from repro.sql.binder import BoundWrite
@@ -53,6 +53,7 @@ from repro.workloads import sdss_catalog as make_sdss
 from repro.workloads import tpch_catalog as make_tpch
 from repro.workloads.drift import default_phases, drifting_stream
 
+from oracle import PerTextEvaluator
 from shapes import conforms, neighbours
 
 ENTRY = wire.SHAPES[wire.KIND_ENTRY]
@@ -75,7 +76,7 @@ def random_configuration(catalog, rng, n_indexes=2):
 def read_statements(catalog, registry, rng):
     """One bound read statement per template (writes contribute their
     locate query; pure inserts have no cached plans to serialize)."""
-    model = InumCostModel(catalog)
+    model = WorkloadEvaluator(catalog)
     statements = []
     for name in sorted(registry):
         maker = registry[name]
@@ -120,8 +121,8 @@ class TestEntryRoundTrip:
     def test_costs_bit_identical(self, make_catalog, registry, seed):
         catalog = make_catalog(scale=0.01)
         rng = random.Random(seed)
-        original = InumCostModel(catalog)
-        restored = InumCostModel(catalog)
+        original = PerTextEvaluator(catalog)
+        restored = PerTextEvaluator(catalog)
         evaluator = WorkloadEvaluator(catalog)
         configurations = [Configuration.empty()] + [
             random_configuration(catalog, rng) for __ in range(3)
@@ -154,7 +155,7 @@ class TestEntryRoundTrip:
 
     def test_dumps_is_deterministic_json(self):
         catalog = make_sdss(scale=0.01)
-        model = InumCostModel(catalog)
+        model = WorkloadEvaluator(catalog)
         evaluator = WorkloadEvaluator(catalog)
         sql = sdss.template("cone_search")(random.Random(1))
         cache = model.cache_for(sql)
@@ -168,7 +169,7 @@ class TestEntryRoundTrip:
 class TestVersionRejection:
     def _entry_text(self):
         catalog = make_sdss(scale=0.01)
-        model = InumCostModel(catalog)
+        model = WorkloadEvaluator(catalog)
         evaluator = WorkloadEvaluator(catalog)
         sql = sdss.template("magnitude_cut")(random.Random(2))
         return catalog, wire.dumps(

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.catalog import Index, VerticalFragment, VerticalLayout
 from repro.cophy import CoPhyAdvisor
 from repro.evaluation import WorkloadEvaluator
-from repro.inum import InumCostModel
 from repro.optimizer import CostService
 from repro.optimizer.writecost import (
     affected_rows,
@@ -162,7 +161,7 @@ class TestInumWrites:
         config = Configuration.of(
             Index("photoobj", ("ra",)), Index("specobj", ("z",))
         )
-        inum = InumCostModel(sdss_catalog)
+        inum = WorkloadEvaluator(sdss_catalog)
         svc = CostService(config.apply(sdss_catalog))
         for sql in statements:
             assert inum.cost(sql, config) == pytest.approx(svc.cost(sql), rel=0.01)
@@ -171,7 +170,7 @@ class TestInumWrites:
         config = Configuration.of(
             Index("photoobj", ("status",)), Index("photoobj", ("ra",))
         )
-        inum = InumCostModel(sdss_catalog)
+        inum = WorkloadEvaluator(sdss_catalog)
         __, used = inum.cost_with_usage(
             "UPDATE photoobj SET status = 1 WHERE ra BETWEEN 0 AND 1", config
         )
@@ -185,7 +184,7 @@ class TestInumWrites:
             Index("photoobj", ("ra",)),
             Index("specobj", ("z",)),
         )
-        inum = InumCostModel(sdss_catalog)
+        inum = WorkloadEvaluator(sdss_catalog)
         __, used = inum.cost_with_usage(
             "UPDATE photoobj SET status = 1 WHERE ra BETWEEN 0 AND 1", config
         )
@@ -198,7 +197,7 @@ class TestInumWrites:
         config = Configuration.of(
             Index("photoobj", ("ra",)), Index("specobj", ("z",))
         )
-        __, used = InumCostModel(sdss_catalog).cost_with_usage(
+        __, used = WorkloadEvaluator(sdss_catalog).cost_with_usage(
             "INSERT INTO specobj VALUES (1, 2, 0.5, 0.01, 1)", config
         )
         assert used == {Index("specobj", ("z",))}
@@ -212,7 +211,7 @@ class TestInumWrites:
         config = Configuration.of(
             Index("photoobj", ("ra",)), Index("specobj", ("z",))
         )
-        inum = InumCostModel(sdss_catalog)
+        inum = WorkloadEvaluator(sdss_catalog)
         cost, __ = inum.cost_with_usage(sql, config)
         assert cost == inum.cost(sql, config)
 
@@ -227,7 +226,7 @@ class TestAdvisorWriteTradeoff:
         writes = [
             ("UPDATE photoobj SET status = 1, flags = 2 WHERE objid = 7", 50_000.0),
         ]
-        advisor = CoPhyAdvisor(sdss_catalog)
+        advisor = CoPhyAdvisor(WorkloadEvaluator(sdss_catalog))
         budget = 10**6
         read_only = advisor.recommend(reads, budget)
         mixed = advisor.recommend(reads + writes, budget)
@@ -246,7 +245,7 @@ class TestAdvisorWriteTradeoff:
             ("SELECT objid FROM photoobj WHERE status = 17", 1.0),
             ("UPDATE photoobj SET status = 1 WHERE objid = 7", 100.0),
         ]
-        inum = InumCostModel(sdss_catalog)
+        inum = WorkloadEvaluator(sdss_catalog)
         candidates = candidate_indexes(sdss_catalog, workload, max_candidates=8)
         problem = build_bip(inum, workload, candidates, budget_pages=10**6)
         assert problem.write_base_cost > 0
@@ -264,7 +263,7 @@ class TestAdvisorWriteTradeoff:
             ("SELECT objid FROM photoobj WHERE status = 17", 1.0),
             ("UPDATE photoobj SET status = 1 WHERE objid = 7", 100.0),
         ]
-        inum = InumCostModel(sdss_catalog)
+        inum = WorkloadEvaluator(sdss_catalog)
         candidates = candidate_indexes(sdss_catalog, workload, max_candidates=8)
         problem = build_bip(inum, workload, candidates, budget_pages=10**6)
         target = next(
@@ -297,7 +296,7 @@ class TestBipInumEquivalence:
             ("DELETE FROM specobj WHERE z > 6.99", 10.0),
             ("INSERT INTO specobj VALUES (1, 2, 0.5, 0.01, 1)", 25.0),
         ]
-        inum = InumCostModel(sdss_catalog)
+        inum = WorkloadEvaluator(sdss_catalog)
         candidates = candidate_indexes(sdss_catalog, workload, max_candidates=10)
         problem = build_bip(inum, workload, candidates, budget_pages=10**7)
 
@@ -316,7 +315,7 @@ class TestBipInumEquivalence:
             ("SELECT objid FROM photoobj WHERE status = 17", 1.0),
             ("UPDATE photoobj SET status = 1 WHERE ra BETWEEN 0 AND 2", 40.0),
         ]
-        advisor = CoPhyAdvisor(sdss_catalog)
+        advisor = CoPhyAdvisor(WorkloadEvaluator(sdss_catalog))
         rec = advisor.recommend(workload, budget_pages=10**6)
         real = CostService(rec.configuration.apply(sdss_catalog)).workload_cost(
             workload
@@ -382,7 +381,7 @@ def kernel_env():
         Index("neighbors", ("objid",)), Index("neighbors", ("distance",)),
     ]
     return (catalog, statements, pool, WorkloadEvaluator(catalog),
-            InumCostModel(catalog))
+            WorkloadEvaluator(catalog))
 
 
 @st.composite
