@@ -23,8 +23,8 @@ class Column:
     dtype:
         A :class:`~repro.catalog.types.DataType`.
     distribution:
-        Optional generative spec.  When present, synthetic statistics are
-        derived from it; otherwise callers must attach stats explicitly.
+        Optional generative spec.  :meth:`build_stats` derives the
+        column's ``stats`` from it, or guesses them without one.
     width:
         Average on-disk width override (defaults to the type's width).
     nullable:
@@ -37,7 +37,7 @@ class Column:
     distribution: Distribution = None
     width: int = 0
     nullable: bool = True
-    stats: ColumnStats = field(default=None, repr=False)
+    stats: ColumnStats = field(default=None, repr=False, init=False)
 
     def __post_init__(self):
         if not self.name or not self.name.islower():

@@ -68,11 +68,6 @@ class Catalog:
         self._indexes[index.name] = index
         return index
 
-    def drop_index(self, name):
-        if name not in self._indexes:
-            raise CatalogError("no index named %r" % (name,))
-        del self._indexes[name]
-
     def index(self, name):
         try:
             return self._indexes[name]

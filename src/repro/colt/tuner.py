@@ -17,12 +17,18 @@ chosen configuration is stable the budget decays, and any workload shift
 (new candidate columns appearing) restores it.
 """
 
-import math
 from dataclasses import dataclass, field
 
 from repro.catalog import Index
 from repro.util import DesignError, WireFormatError
 from repro.whatif import Configuration, WhatIfSession
+
+# Weight of the closing epoch in each candidate's smoothed gain.
+EWMA_ALPHA = 0.35
+# Minimum projected relative improvement that raises an alert.
+ADOPT_THRESHOLD = 0.05
+# Epochs over which an index's build cost must pay off.
+AMORTIZATION_EPOCHS = 10
 
 
 @dataclass(frozen=True)
@@ -33,25 +39,17 @@ class ColtSettings:
     space_budget_pages: int = 50_000
     whatif_budget: int = 40  # probes per epoch at full throttle
     min_whatif_budget: int = 8
-    ewma_alpha: float = 0.35
-    adopt_threshold: float = 0.05  # min relative improvement to alert
-    amortization_epochs: int = 10  # horizon over which build cost must pay off
     auto_adopt: bool = True
 
     def __post_init__(self):
-        """Refuse values the tuner cannot run on: an alpha above 1 makes
-        the EWMAs extrapolate, and a floor above the probe budget makes
-        the throttle raise it."""
+        """Refuse values the tuner cannot run on: a floor above the
+        probe budget makes the throttle raise it."""
         for name, ok, rule in (
             ("epoch_length", self.epoch_length >= 1, ">= 1"),
-            ("ewma_alpha", 0 < self.ewma_alpha <= 1, "in (0, 1]"),
             ("min_whatif_budget",
              0 <= self.min_whatif_budget <= self.whatif_budget,
              "in [0, whatif_budget=%r]" % (self.whatif_budget,)),
             ("space_budget_pages", self.space_budget_pages >= 0, ">= 0"),
-            ("amortization_epochs", self.amortization_epochs >= 1, ">= 1"),
-            ("adopt_threshold", 0 <= self.adopt_threshold < math.inf,
-             "finite and >= 0"),
         ):
             if not ok:
                 raise DesignError("COLT setting %s=%r must be %s"
@@ -473,7 +471,7 @@ class ColtTuner:
         settings = self.settings
         observed = self._epoch_cost(self._epoch_queries)
 
-        alpha = settings.ewma_alpha
+        alpha = EWMA_ALPHA
         for state in self.candidates.values():
             state.ewma_gain = alpha * state.epoch_gain + (1 - alpha) * state.ewma_gain
             state.epoch_gain = 0.0
@@ -486,7 +484,7 @@ class ColtTuner:
         alert, adopted, build_cost = False, False, 0.0
         if proposal != self.current:
             improvement = self._projected_improvement(proposal)
-            if improvement > settings.adopt_threshold:
+            if improvement > ADOPT_THRESHOLD:
                 alert = True
                 self.report.alerts += 1
                 self._pending_alert = proposal
@@ -533,7 +531,7 @@ class ColtTuner:
             index = state.index
             size = index.size_pages(self.catalog.table(index.table_name))
             net_gain = state.ewma_gain - state.ewma_maintenance
-            horizon_gain = net_gain * settings.amortization_epochs
+            horizon_gain = net_gain * AMORTIZATION_EPOCHS
             if index not in self.current.indexes:
                 horizon_gain -= index.build_cost(
                     self.catalog.table(index.table_name)

@@ -50,6 +50,8 @@ import time
 import numpy as np
 
 from repro import obs
+from repro.obs.catalogue import (
+    COLGEN_ACTIVATED, COLGEN_PRICED, COLGEN_ROUNDS, SPAN_COPHY_SOLVE_COLGEN)
 from repro.cophy.bip import PricedWorkload
 from repro.cophy.greedy import BENEFIT_EPS, best_extension
 from repro.cophy.solvers import SolveResult, observed_solve
@@ -179,7 +181,7 @@ def solve_colgen(inum_model, workload, candidates, budget_pages,
     whose reduced-benefit bound ever threatens a round's incumbent."""
     candidates = list(candidates)
     n = len(candidates)
-    with obs.tracer().span("cophy.solve_colgen", candidates=n):
+    with obs.tracer().span(SPAN_COPHY_SOLVE_COLGEN, candidates=n):
         started = time.perf_counter()
         priced = PricedWorkload(
             inum_model, workload, candidates, budget_pages, max_indexes
@@ -256,18 +258,9 @@ def solve_colgen(inum_model, workload, candidates, budget_pages,
             master.commit(best_pos)
 
         registry = obs.metrics()
-        registry.counter(
-            "repro_colgen_rounds_total",
-            "Column-generation greedy rounds",
-        ).inc(rounds)
-        registry.counter(
-            "repro_colgen_activated_total",
-            "Candidates activated into the restricted master",
-        ).inc(len(active))
-        registry.counter(
-            "repro_colgen_priced_total",
-            "Slot-candidate pairs priced by the candidate pricer",
-        ).inc(priced.pricer.pricings)
+        registry.family(COLGEN_ROUNDS).inc(rounds)
+        registry.family(COLGEN_ACTIVATED).inc(len(active))
+        registry.family(COLGEN_PRICED).inc(priced.pricer.pricings)
         return observed_solve(SolveResult(
             chosen_positions=tuple(chosen),
             objective=current_cost,

@@ -44,6 +44,7 @@ import numpy as np
 from scipy import optimize, sparse
 
 from repro import obs
+from repro.obs.catalogue import BIP_SOLVES, BIP_SOLVE_SECONDS, SPAN_COPHY_SOLVE
 
 # HiGHS stops here and reports its best incumbent with a non-"optimal"
 # status.
@@ -174,22 +175,15 @@ def observed_solve(result):
     column generation) reports the same two families, labeled by the
     backend name the result already carries."""
     registry = obs.metrics()
-    registry.counter(
-        "repro_bip_solves_total",
-        "Physical-design solves by solver backend",
-        labelnames=("solver",),
-    ).labels(solver=result.solver).inc()
-    registry.histogram(
-        "repro_bip_solve_seconds",
-        "Physical-design solve latency",
-        labelnames=("solver",),
-    ).labels(solver=result.solver).observe(result.solve_seconds)
+    registry.family(BIP_SOLVES).labels(solver=result.solver).inc()
+    registry.family(BIP_SOLVE_SECONDS).labels(
+        solver=result.solver).observe(result.solve_seconds)
     return result
 
 
 def solve_bip(problem):
     """Exact solve with HiGHS (scipy.optimize.milp)."""
-    with obs.tracer().span("cophy.solve", solver="milp-highs",
+    with obs.tracer().span(SPAN_COPHY_SOLVE, solver="milp-highs",
                            candidates=problem.n_candidates):
         started = time.perf_counter()
         mats = _assemble(problem)

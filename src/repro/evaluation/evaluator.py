@@ -44,6 +44,9 @@ from functools import partial
 import numpy as np
 
 from repro import obs
+from repro.obs.catalogue import (
+    EVALUATE_BATCHES, EVALUATE_CELLS, EVALUATE_SECONDS, RECOMMEND_MEMO,
+    SPAN_EVALUATE_BATCH, SPAN_EVALUATE_DELTAS, SPAN_EVALUATOR_WARM_UP)
 from repro.evaluation import memos
 from repro.evaluation.pool import InumCachePool
 from repro.evaluation.signature import statement_key
@@ -413,7 +416,7 @@ class WorkloadEvaluator:
         """
         before = self.precompute_calls
         targets = [bq for bq, __, __ in self.warm_targets(workload)]
-        with obs.tracer().span("evaluator.warm_up",
+        with obs.tracer().span(SPAN_EVALUATOR_WARM_UP,
                                statements=len(targets)):
             for bq in targets:
                 self.cache_for(bq)
@@ -461,10 +464,8 @@ class WorkloadEvaluator:
                 result = "hit"
                 self.recommend_memo_hits += 1
                 self._recommendations.move_to_end(key)
-        obs.metrics().counter(
-            "repro_recommend_memo_total",
-            "Designer.recommend calls by memo outcome", ("result",),
-        ).labels(result=result).inc()
+        obs.metrics().family(RECOMMEND_MEMO).labels(
+            result=result).inc()
         if found is None:
             found = compute()
             with self._lock:
@@ -625,21 +626,9 @@ class WorkloadEvaluator:
         handles = by_mode.get(mode)
         if handles is None:
             handles = (
-                registry.counter(
-                    "repro_evaluate_batches_total",
-                    "Batched evaluate calls",
-                    labelnames=("mode",),
-                ).labels(mode=mode),
-                registry.counter(
-                    "repro_evaluate_cells_total",
-                    "Workload-cost cells priced by batched evaluation",
-                    labelnames=("mode",),
-                ).labels(mode=mode),
-                registry.histogram(
-                    "repro_evaluate_seconds",
-                    "Batched evaluate latency",
-                    labelnames=("mode",),
-                ).labels(mode=mode),
+                registry.family(EVALUATE_BATCHES).labels(mode=mode),
+                registry.family(EVALUATE_CELLS).labels(mode=mode),
+                registry.family(EVALUATE_SECONDS).labels(mode=mode),
             )
             by_mode[mode] = handles
         batches, cells, seconds = handles
@@ -660,7 +649,7 @@ class WorkloadEvaluator:
         equivalence suite pins exactly.
         """
         with self._batch_seam(
-            "evaluate.deltas", "delta", workload, configurations
+            SPAN_EVALUATE_DELTAS, "delta", workload, configurations
         ) as (compiled, configurations, views, table_sigs):
             # The parent's captured state is memoized on the kernel.
             (view,), (sigs,) = self._kernel_views(
@@ -692,7 +681,7 @@ class WorkloadEvaluator:
         process pool, remote) shares.
         """
         with self._batch_seam(
-            "evaluate.batch", "kernel", workload, configurations
+            SPAN_EVALUATE_BATCH, "kernel", workload, configurations
         ) as (compiled, configurations, views, table_sigs):
             reads = compiled.kernel.evaluate_many(
                 views, table_sigs, self.slot_choice
@@ -743,10 +732,6 @@ class WorkloadEvaluator:
             svc = base.with_catalog(config.apply(self.catalog))
             memos.EXACT_SERVICES.store(self._exact_services, config, svc)
             return svc
-
-    def exact_cost(self, query, config=None):
-        """Full-optimizer cost of *query* under *config* (precise path)."""
-        return self.exact_service(config).cost(query)
 
     @property
     def exact_optimizer_calls(self):

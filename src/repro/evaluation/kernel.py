@@ -363,10 +363,6 @@ class WorkloadKernel:
         """Tables whose design any slot depends on (sorted)."""
         return tuple(sorted(self.table_columns))
 
-    @property
-    def n_reads(self):
-        return len(self.kernels)
-
     def add_statement(self, kernel):
         """Register *kernel* (deduplicated by its bound query's SQL);
         returns the read index its cost row lives at."""

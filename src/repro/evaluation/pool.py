@@ -18,6 +18,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.obs.catalogue import (
+    KERNEL_COMPILES, KERNEL_COMPILE_SECONDS, POOL_BUILD_SECONDS,
+    SPAN_KERNEL_COMPILE, SPAN_POOL_BUILD)
+from repro.util import DesignError
 
 
 @dataclass
@@ -93,7 +97,7 @@ class InumCachePool:
     """
 
     capacity: int = None
-    stats: PoolStats = field(default_factory=PoolStats)
+    stats: PoolStats = field(default_factory=PoolStats, init=False)
     _entries: OrderedDict = field(default_factory=OrderedDict)
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
     _owner: weakref.ref = field(default=None, repr=False)  # the evaluator
@@ -102,7 +106,7 @@ class InumCachePool:
 
     def __post_init__(self):
         if self.capacity is not None and self.capacity <= 0:
-            raise ValueError("pool capacity must be positive or None")
+            raise DesignError("pool capacity must be positive or None")
 
     def attach(self, evaluator):
         """Bind the pool to its one owning evaluator, held weakly (no
@@ -182,21 +186,16 @@ class InumCachePool:
             if kernel is None:
                 from repro.evaluation.kernel import compile_statement
 
-                with obs.tracer().span("kernel.compile",
+                with obs.tracer().span(SPAN_KERNEL_COMPILE,
                                        plans=len(cache.plans)):
                     t0 = time.perf_counter()
                     kernel = compile_statement(cache)
                     elapsed = time.perf_counter() - t0
                 self._kernels[signature] = kernel
                 registry = obs.metrics()
-                registry.counter(
-                    "repro_kernel_compiles_total",
-                    "Columnar statement kernels compiled",
-                ).inc()
-                registry.histogram(
-                    "repro_kernel_compile_seconds",
-                    "Kernel compilation latency",
-                ).observe(elapsed)
+                registry.family(KERNEL_COMPILES).inc()
+                registry.family(KERNEL_COMPILE_SECONDS).observe(
+                    elapsed)
             return kernel
 
     @property
@@ -236,13 +235,11 @@ class InumCachePool:
                 raise flight.error
             return flight.cache
         try:
-            with obs.tracer().span("pool.build"):
+            with obs.tracer().span(SPAN_POOL_BUILD):
                 t0 = time.perf_counter()
                 cache = builder()
-                obs.metrics().histogram(
-                    "repro_pool_build_seconds",
-                    "INUM cache build latency (single-flight leaders only)",
-                ).observe(time.perf_counter() - t0)
+                obs.metrics().family(POOL_BUILD_SECONDS).observe(
+                    time.perf_counter() - t0)
             flight.cache = cache
             # Publish before retiring the flight: a prober arriving after
             # the flight is gone must find the entry resident.

@@ -17,6 +17,7 @@ against the pool seam) takes either interchangeably.
 """
 
 from repro.evaluation.pool import InumCachePool, PoolStats
+from repro.util import DesignError
 
 
 class ShardedInumCachePool:
@@ -34,12 +35,12 @@ class ShardedInumCachePool:
 
     def __init__(self, shards=4, capacity=None):
         if shards <= 0:
-            raise ValueError("shard count must be positive")
+            raise DesignError("shard count must be positive")
         if capacity is not None:
             if capacity <= 0:
-                raise ValueError("pool capacity must be positive or None")
+                raise DesignError("pool capacity must be positive or None")
             if capacity < shards:
-                raise ValueError(
+                raise DesignError(
                     "global capacity %d cannot give each of %d shards an "
                     "entry; lower the shard count" % (capacity, shards)
                 )

@@ -18,11 +18,12 @@ telemetry kinds, the five frame kinds, a catalog and a design
 configuration.  Every decoder — here, in :mod:`repro.net`, in
 :mod:`repro.catalog.serialize` and on the restore paths — runs
 :func:`conform` against its kind's shape, then the cross-checks a shape
-cannot state because they need the receiving catalog or registry
-(:func:`located`, :func:`_check_signature`, :func:`_check_slots`,
-:func:`_check_registry`), then plain construction.  Anything else is a
-:class:`~repro.util.WireFormatError`; unknown keys are ignored, so peers
-of either age interoperate.
+cannot state because they need the receiving catalog or the telemetry
+catalogue (:func:`located`, :func:`_check_signature`,
+:func:`_check_slots`, :func:`_check_registry`), then plain construction.
+Anything else is a :class:`~repro.util.WireFormatError`; unknown keys
+are ignored and a retired setting is still written at its value, so
+peers and files of either age interoperate.
 """
 
 import json
@@ -32,11 +33,17 @@ from collections import namedtuple
 from dataclasses import fields
 from functools import partial
 
-from repro import obs
 from repro.catalog.types import DataType
-from repro.colt.tuner import ColtSettings
+from repro.colt.tuner import (
+    ADOPT_THRESHOLD,
+    AMORTIZATION_EPOCHS,
+    EWMA_ALPHA,
+    ColtSettings,
+)
 from repro.evaluation.signature import statement_key
 from repro.inum.cache import AccessSlot, CachedPlan, QueryCache
+from repro.obs.catalogue import FAMILIES
+from repro.optimizer.paths import INDEX_ONLY_VISIBLE_FRAC
 from repro.optimizer.settings import PlannerSettings
 from repro.optimizer.writecost import LOCATE_PREFIX, locate_query
 from repro.sql.binder import BoundWrite, bind_statement
@@ -88,6 +95,25 @@ def number(low=-sys.float_info.max, high=sys.float_info.max,
     """The leaf of JSON numbers of *types* in ``[low, high]`` (``true``
     and ``nan`` are none)."""
     return lambda value: type(value) in types and low <= value <= high
+
+
+# Settings earlier builds wrote that are now constants.  Every payload
+# still names each at its value, so an earlier build reads it, and a
+# payload may name each at that value only.
+RETIRED_COLT_SETTINGS = {"ewma_alpha": EWMA_ALPHA,
+                         "adopt_threshold": ADOPT_THRESHOLD,
+                         "amortization_epochs": AMORTIZATION_EPOCHS}
+RETIRED_PLANNER_SETTINGS = {  # a no-op, and a constant of paths.py
+    "effective_cache_fraction": 0.0,
+    "index_only_visible_frac": INDEX_ONLY_VISIBLE_FRAC}
+
+
+def _with_retired(cls, retired):
+    """*cls*'s fields, plus each *retired* setting at its value only."""
+    shape = {f.name: f.type for f in fields(cls)}
+    shape.update((name, Default(number(value, value, (type(value),)), value))
+                 for name, value in retired.items())
+    return shape
 
 
 _POSITIVE = number(1, 2 ** 53 - 1, (int,))
@@ -273,7 +299,7 @@ _TENANT = {
     "phase": (None, str), "phases_seen": [str], "window_queries": [str],
     "finished": bool, "tuner": _TUNER,
     "options": dict(
-        colt_settings={f.name: f.type for f in fields(ColtSettings)},
+        colt_settings=_with_retired(ColtSettings, RETIRED_COLT_SETTINGS),
         recommend_every=int, window=_POSITIVE, budget_pages=int,
         # Options earlier builds wrote that are now constants of
         # repro.service.tenant: a file may name them at those values.
@@ -313,8 +339,8 @@ SHAPES = {
         "kind": frozenset({KIND_CATALOG}),
         "catalog": dict(_DESIGN, tables=Default([{
             "name": str, "row_count": int, "columns": [_COLUMN]}], ())),
-        "settings": Default((None, {
-            f.name: f.type for f in fields(PlannerSettings)}), None),
+        "settings": Default((None, _with_retired(
+            PlannerSettings, RETIRED_PLANNER_SETTINGS)), None),
         "pool_capacity": Default((None, _POSITIVE), None),
     },
     KIND_TASK: {"kind": frozenset({KIND_TASK}), "op": frozenset({"warm"}),
@@ -481,23 +507,27 @@ def obs_to_wire(delta):
 
 
 def _check_registry(payload):
-    """Every family of the delta merges into the live registry: the
-    kind, label names and buckets it is declared with there (or earlier
-    in the delta) are the delta's, and each sample carries one value per
-    label and one count per bucket."""
-    declared = {}
+    """Every family of the delta is one the telemetry catalogue
+    declares, shipped as declared (kind, help, label names, buckets),
+    and each sample carries one value per label and one count per
+    bucket."""
     for kind in ("counter", "histogram"):
         for family in payload[kind + "s"]:
-            name, buckets = family["name"], tuple(family.get("buckets", ()))
-            shape = (kind, tuple(family["labelnames"]), buckets)
-            known = declared.setdefault(
-                name, obs.metrics().declared(name) or shape)
-            if known != shape:
-                raise WireFormatError("telemetry family %r is %r here, %r "
-                                      "in the delta" % (name, known, shape))
+            name = family["name"]
+            spec = FAMILIES.get(name)
+            if spec is None:
+                raise WireFormatError("telemetry family %r is not declared"
+                                      % (name,))
+            declared = (spec.kind, spec.help, spec.labelnames, spec.buckets)
+            shipped = (kind, family["help"], tuple(family["labelnames"]),
+                       tuple(family.get("buckets", ())))
+            if shipped != declared:
+                raise WireFormatError("telemetry family %r is declared %r, "
+                                      "shipped %r" % (name, declared, shipped))
             for sample in family["samples"]:
-                if len(sample[0]) != len(shape[1]) or kind == "histogram" \
-                        and len(sample[1]) != len(buckets) + 1:
+                if len(sample[0]) != len(spec.labelnames) \
+                        or kind == "histogram" \
+                        and len(sample[1]) != len(spec.buckets) + 1:
                     raise WireFormatError("telemetry sample %r does not "
                                           "fit family %r" % (sample, name))
 

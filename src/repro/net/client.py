@@ -56,6 +56,9 @@ from collections import deque
 from dataclasses import asdict
 
 from repro import obs
+from repro.obs.catalogue import (
+    REMOTE_COLLECT_WAIT, REMOTE_FALLBACK, REMOTE_INFLIGHT, REMOTE_NODE_DEATHS,
+    REMOTE_RETRIES, REMOTE_TASKS, SPAN_BACKPLANE_WARM_UP)
 from repro.catalog.serialize import catalog_to_dict
 from repro.evaluation import wire
 from repro.net.frames import hang_up, recv_frame, send_frame
@@ -97,7 +100,7 @@ def catalog_frame_for(evaluator):
         "kind": wire.KIND_CATALOG,
         "catalog": catalog_to_dict(evaluator.catalog),
         "settings": (
-            asdict(evaluator.settings)
+            dict(asdict(evaluator.settings), **wire.RETIRED_PLANNER_SETTINGS)
             if evaluator.settings is not None else None
         ),
         "pool_capacity": getattr(evaluator.pool, "capacity", None),
@@ -208,34 +211,12 @@ class FleetBackplane:
         node's children, so a scrape shows every node at zero before
         the first task (and a dashboard sees the fleet's shape)."""
         registry = obs.metrics()
-        self._m_tasks = registry.counter(
-            "repro_remote_tasks_total",
-            "Tasks completed by each runner node",
-            ("node", "op"),
-        )
-        self._m_retries = registry.counter(
-            "repro_remote_retries_total",
-            "Per-node reconnect-and-retry attempts",
-            ("node",),
-        )
-        self._m_deaths = registry.counter(
-            "repro_remote_node_deaths_total",
-            "Nodes declared dead after exhausting retries",
-            ("node",),
-        )
-        self._m_fallback = registry.counter(
-            "repro_remote_fallback_total",
-            "Tasks executed locally because no runner survived",
-            ("op",),
-        )
-        self._m_inflight = registry.gauge(
-            "repro_remote_inflight_tasks",
-            "Tasks submitted to the fleet and not yet installed",
-        )
-        self._m_wait = registry.histogram(
-            "repro_remote_collect_wait_seconds",
-            "Time collect() was parked on an entry still being built",
-        )
+        self._m_tasks = registry.family(REMOTE_TASKS)
+        self._m_retries = registry.family(REMOTE_RETRIES)
+        self._m_deaths = registry.family(REMOTE_NODE_DEATHS)
+        self._m_fallback = registry.family(REMOTE_FALLBACK)
+        self._m_inflight = registry.family(REMOTE_INFLIGHT)
+        self._m_wait = registry.family(REMOTE_COLLECT_WAIT)
         for conn in self._connections:
             node = conn.address
             self._m_tasks.labels(node=node, op="warm")
@@ -463,7 +444,8 @@ class FleetBackplane:
         self._install()
         waiting = self._inflight.intersection(signatures)
         if waiting:
-            with obs.tracer().span("backplane.warm_up", targets=len(waiting),
+            with obs.tracer().span(SPAN_BACKPLANE_WARM_UP,
+                                   targets=len(waiting),
                                    nodes=len(self.live_nodes)):
                 while waiting & self._inflight:
                     self._install(park=True)
@@ -486,6 +468,9 @@ class RemoteBackplane(FleetBackplane):
     def __init__(self, evaluator, runners, timeout=30.0, retries=3):
         if not runners:
             raise DesignError("RemoteBackplane needs at least one runner")
+        if not timeout > 0:
+            raise DesignError("runner timeout must be positive, got %r"
+                              % (timeout,))
         frame = catalog_frame_for(evaluator)
         super().__init__(
             evaluator,

@@ -31,6 +31,7 @@ import threading
 from dataclasses import fields
 
 from repro import obs
+from repro.obs.catalogue import SPAN_WORKER_WARM_UP
 from repro.catalog.serialize import catalog_from_dict
 from repro.evaluation import wire
 from repro.net.frames import error_frame, hang_up, recv_frame, send_frame
@@ -61,7 +62,7 @@ def perform_warm(evaluator, sql, locate, ctx=None):
     (:func:`wire.located`); ``ctx`` is the dispatching span's
     ``(trace_id, span_id)``, so this worker's spans stitch into the
     parent's trace.  Returns the built ``(signature, cache)`` pair."""
-    with obs.tracer().span("worker.warm_up", remote_parent=ctx,
+    with obs.tracer().span(SPAN_WORKER_WARM_UP, remote_parent=ctx,
                            locate=locate):
         bq = wire.located(evaluator.bound(sql), locate)
         cache = evaluator.cache_for(bq)
@@ -149,11 +150,6 @@ class RunnerNode:
 
     def __exit__(self, *exc_info):
         self.stop()
-
-    @property
-    def open_connections(self):
-        with self._lock:
-            return len(self._open_socks)
 
     def _dead(self):
         return (

@@ -5,7 +5,9 @@ cooperative scheduler, tenant sessions, BIP solves, the process
 backplane — reports into the state this module owns:
 
 * :func:`metrics` — the current :class:`~repro.obs.metrics.MetricsRegistry`
-  (counters, gauges, log-bucket histograms, scrape-time collectors);
+  (counters, gauges, log-bucket histograms, scrape-time collectors),
+  whose families are the ones :mod:`repro.obs.catalogue` declares, as
+  are the span names;
 * :func:`tracer` — the current :class:`~repro.obs.trace.Tracer`
   (context-propagated spans with parent ids, stitched across process
   boundaries via the wire format);
@@ -19,8 +21,8 @@ backplane — reports into the state this module owns:
   (:func:`repro.evaluation.wire.obs_to_wire`).  Both the process
   backplane and the network runner fleet (:mod:`repro.net`) ship
   through this seam, so remote spans stitch into the coordinator's
-  traces and the fleet's health (``repro_remote_*`` counters, per-node
-  cache-age and reconcile-lag gauges) lands in one registry.
+  traces and the fleet's health (the ``repro_remote_*`` families)
+  lands in one registry.
 
 Instrumentation always resolves the state *at call time*
 (``obs.metrics()`` / ``obs.tracer()``), never caches it at import, so
@@ -33,22 +35,16 @@ Exports live in :mod:`repro.obs.export` (`/metrics` Prometheus text,
 from contextlib import contextmanager
 
 from repro.obs.export import MetricsServer
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    NULL_REGISTRY,
-    MetricsRegistry,
-)
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Span, Tracer
 
 __all__ = [
-    "DEFAULT_BUCKETS",
     "MetricsRegistry",
     "MetricsServer",
     "Span",
     "Tracer",
     "disabled",
     "drain_deltas",
-    "enabled",
     "ingest_deltas",
     "metrics",
     "reset",
@@ -67,11 +63,6 @@ def metrics():
 def tracer():
     """The process-wide tracer (or its no-op twin)."""
     return _tracer
-
-
-def enabled():
-    """Is telemetry currently recording?"""
-    return _metrics is not NULL_REGISTRY
 
 
 @contextmanager

@@ -30,19 +30,9 @@ full BIP solve land in distinct buckets without per-metric tuning.
 import threading
 from bisect import bisect_left
 
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "MetricsRegistry",
-    "NULL_REGISTRY",
-]
+from repro.obs.catalogue import COUNTER, HISTOGRAM, Family
 
-# Powers of 4 from ~0.95us to ~67s: 13 finite upper bounds (+Inf is
-# implicit), a fixed log-scale ladder shared by every histogram.
-DEFAULT_BUCKETS = tuple(9.5367431640625e-07 * (4 ** i) for i in range(13))
-
-COUNTER = "counter"
-GAUGE = "gauge"
-HISTOGRAM = "histogram"
+__all__ = ["MetricsRegistry", "NULL_REGISTRY"]
 
 
 class _Child:
@@ -121,12 +111,6 @@ class _Handle:
             child.sum += value
             child.count += 1
 
-    @property
-    def raw(self):
-        """The child's current value (counters/gauges) — test hook."""
-        with self._registry._lock:
-            return self._child.value
-
 
 class _Family:
     """One named metric: type, help text, label names, children."""
@@ -134,12 +118,12 @@ class _Family:
     __slots__ = ("name", "kind", "help", "labelnames", "buckets",
                  "children", "_registry", "_default")
 
-    def __init__(self, registry, name, kind, help_text, labelnames, buckets):
-        self.name = name
-        self.kind = kind
-        self.help = help_text
-        self.labelnames = tuple(labelnames)
-        self.buckets = tuple(buckets) if kind == HISTOGRAM else ()
+    def __init__(self, registry, spec):
+        self.name = spec.name
+        self.kind = spec.kind
+        self.help = spec.help
+        self.labelnames = tuple(spec.labelnames)
+        self.buckets = spec.buckets
         self.children = {}  # label-values tuple -> child
         self._registry = registry
         self._default = None  # handle for the empty-label child
@@ -200,15 +184,15 @@ class _Family:
 class MetricsRegistry:
     """Thread-safe named metrics plus scrape-time collectors.
 
-    ``counter`` / ``gauge`` / ``histogram`` create-or-return a family;
-    re-declaring a name with a different type or label set raises (one
-    name, one meaning).  ``add_collector`` registers a callback run at
-    the start of every :meth:`snapshot` / :meth:`render_prometheus`;
-    collectors mirror externally owned counters (pool stats, scheduler
-    queue depths) into the registry at read time, which keeps the hot
-    paths untouched and the mirrored values exact.  Bound-method
-    collectors are held weakly, so a garbage-collected owner simply
-    drops off the scrape.
+    :meth:`family` creates-or-returns the family a
+    :class:`~repro.obs.catalogue.Family` declares (the shipped ones are
+    the constants of :mod:`repro.obs.catalogue`).  ``add_collector``
+    registers a callback run at the start of every :meth:`snapshot` /
+    :meth:`render_prometheus`; collectors mirror externally owned
+    counters (pool stats, scheduler queue depths) into the registry at
+    read time, which keeps the hot paths untouched and the mirrored
+    values exact.  Bound-method collectors are held weakly, so a
+    garbage-collected owner simply drops off the scrape.
     """
 
     def __init__(self):
@@ -216,42 +200,13 @@ class MetricsRegistry:
         self._families = {}
         self._collectors = []  # weakref.WeakMethod | callable
 
-    # ------------------------------------------------------------------
-    # Declaration.
-    # ------------------------------------------------------------------
-
-    def _family(self, name, kind, help_text, labelnames, buckets=()):
+    def family(self, spec):
+        """The family *spec* declares, created on its first touch."""
         with self._lock:
-            family = self._families.get(name)
+            family = self._families.get(spec.name)
             if family is None:
-                family = _Family(
-                    self, name, kind, help_text, labelnames, buckets
-                )
-                self._families[name] = family
-                return family
-        if family.kind != kind or family.labelnames != tuple(labelnames):
-            raise ValueError(
-                "metric %r already registered as %s%r, re-declared as %s%r"
-                % (name, family.kind, family.labelnames, kind,
-                   tuple(labelnames))
-            )
-        return family
-
-    def counter(self, name, help_text="", labelnames=()):
-        return self._family(name, COUNTER, help_text, labelnames)
-
-    def gauge(self, name, help_text="", labelnames=()):
-        return self._family(name, GAUGE, help_text, labelnames)
-
-    def histogram(self, name, help_text="", labelnames=(),
-                  buckets=DEFAULT_BUCKETS):
-        return self._family(name, HISTOGRAM, help_text, labelnames, buckets)
-
-    def declared(self, name):
-        """``(kind, labelnames, buckets)`` of the family *name*, or
-        ``None`` before it is declared."""
-        family = self._families.get(name)
-        return family and (family.kind, family.labelnames, family.buckets)
+                family = self._families[spec.name] = _Family(self, spec)
+            return family
 
     # ------------------------------------------------------------------
     # Collectors.
@@ -393,19 +348,16 @@ class MetricsRegistry:
         """Fold a :meth:`drain_deltas` payload (typically from a worker
         process, via the wire format) into this registry."""
         for entry in payload.get("counters", ()):
-            family = self.counter(
-                entry["name"], entry.get("help", ""),
-                tuple(entry.get("labelnames", ())),
-            )
+            family = self.family(Family(
+                entry["name"], COUNTER, entry.get("help", ""),
+                tuple(entry.get("labelnames", ()))))
             with self._lock:
                 for values, delta in entry["samples"]:
                     family._child(tuple(values)).value += delta
         for entry in payload.get("histograms", ()):
-            family = self.histogram(
-                entry["name"], entry.get("help", ""),
-                tuple(entry.get("labelnames", ())),
-                buckets=tuple(entry.get("buckets", DEFAULT_BUCKETS)),
-            )
+            family = self.family(Family(
+                entry["name"], HISTOGRAM, entry.get("help", ""),
+                tuple(entry.get("labelnames", ()))))
             with self._lock:
                 for values, counts, total, count in entry["samples"]:
                     child = family._child(tuple(values))
@@ -501,10 +453,6 @@ class _NullHandle:
     def observe(self, value):
         pass
 
-    @property
-    def raw(self):
-        return 0
-
 
 _NULL_HANDLE = _NullHandle()
 
@@ -514,18 +462,8 @@ class _NullRegistry:
 
     __slots__ = ()
 
-    def counter(self, name, help_text="", labelnames=()):
+    def family(self, spec):
         return _NULL_HANDLE
-
-    def gauge(self, name, help_text="", labelnames=()):
-        return _NULL_HANDLE
-
-    def histogram(self, name, help_text="", labelnames=(),
-                  buckets=DEFAULT_BUCKETS):
-        return _NULL_HANDLE
-
-    def declared(self, name):
-        return None
 
     def add_collector(self, callback):
         pass

@@ -91,8 +91,7 @@ class Tracer:
     """Context-propagated spans over a bounded finished-span buffer."""
 
     def __init__(self, limit=_DEFAULT_LIMIT):
-        self._current = contextvars.ContextVar("repro_obs_span",
-                                               default=None)
+        self._current = contextvars.ContextVar("current_span", default=None)
         self._lock = threading.Lock()  # leaf lock, like the registry's
         self._finished = deque(maxlen=limit)
         self._ids = itertools.count(1)

@@ -31,6 +31,9 @@ from repro.optimizer.plan import (
 from repro.optimizer.selectivity import equality_fraction, filter_selectivity
 from repro.util import ceil_div, clamp
 
+# Fraction of heap pages an index-only scan assumes all-visible.
+INDEX_ONLY_VISIBLE_FRAC = 0.95
+
 
 @dataclass(slots=True)
 class RelationGeometry:
@@ -595,9 +598,7 @@ def _sequential_path(ctx, settings):
     filters = ctx.filters
     table = geometry.table
     n_quals = len(filters)
-    io = settings.seq_page_cost * geometry.scan_pages * (
-        1.0 - settings.effective_cache_fraction
-    )
+    io = settings.seq_page_cost * geometry.scan_pages
     cpu = (
         settings.cpu_tuple_cost * geometry.rows
         + settings.cpu_operator_cost * n_quals * geometry.rows
@@ -704,10 +705,10 @@ def _index_scan_cost(ctx, index, match, settings, rows_out, parameterized):
         # Heap fetches happen only for tuples on pages the visibility map
         # does not mark all-visible — cap the Mackert-Lohman estimate by
         # that page fraction, as PostgreSQL's cost_index does.
-        invisible = tuples * (1.0 - settings.index_only_visible_frac)
+        invisible = tuples * (1.0 - INDEX_ONLY_VISIBLE_FRAC)
         heap_pages = min(
             mackert_lohman_pages(geometry.fetch_pages, invisible),
-            (1.0 - settings.index_only_visible_frac) * geometry.fetch_pages + 1.0,
+            (1.0 - INDEX_ONLY_VISIBLE_FRAC) * geometry.fetch_pages + 1.0,
         )
         heap_io = heap_pages * settings.random_page_cost
         flag = settings.enable_indexonlyscan and settings.enable_indexscan
@@ -727,7 +728,6 @@ def _index_scan_cost(ctx, index, match, settings, rows_out, parameterized):
     ) * tuples
 
     total = startup + index_io + index_cpu + heap_io + heap_cpu
-    total *= (1.0 - settings.effective_cache_fraction * 0.5)
     total += settings.scan_penalty(flag)
 
     ordering = tuple((alias, col, True) for col in match.ordering_columns)
@@ -809,7 +809,6 @@ def bitmap_and_path(ctx, arm_candidates, settings):
         + settings.cpu_operator_cost * len(residual) * tuples
     )
     total = index_cost + heap_io + heap_cpu
-    total *= (1.0 - settings.effective_cache_fraction * 0.5)
     total += settings.scan_penalty(settings.enable_bitmapscan)
     return BitmapAndScan(
         startup_cost=index_cost,
@@ -856,7 +855,6 @@ def _bitmap_path(ctx, index, match, settings):
     )
 
     total = index_cost + heap_io + heap_cpu
-    total *= (1.0 - settings.effective_cache_fraction * 0.5)
     total += settings.scan_penalty(settings.enable_bitmapscan)
     return BitmapHeapScan(
         startup_cost=index_cost,

@@ -120,11 +120,6 @@ class CostService:
         svc._bind_cache = self._bind_cache  # binding only reads logical schema
         return svc
 
-    def with_settings(self, settings):
-        svc = CostService(self.catalog, settings, shared_counter=self._counter)
-        svc._bind_cache = self._bind_cache
-        return svc
-
 
 class _Counter:
     __slots__ = ("calls", "hits")

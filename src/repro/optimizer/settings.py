@@ -21,7 +21,6 @@ _COST_CONSTANTS = (
     "seq_page_cost", "random_page_cost", "cpu_tuple_cost",
     "cpu_index_tuple_cost", "cpu_operator_cost",
 )
-_FRACTIONS = ("effective_cache_fraction", "index_only_visible_frac")
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,6 @@ class PlannerSettings:
     cpu_index_tuple_cost: float = 0.005
     cpu_operator_cost: float = 0.0025
     work_mem: int = 4 * 1024 * 1024
-    effective_cache_fraction: float = 0.0  # fraction of heap assumed cached
 
     enable_seqscan: bool = True
     enable_indexscan: bool = True
@@ -53,9 +51,6 @@ class PlannerSettings:
     enable_mergejoin: bool = True
     enable_sort: bool = True
     enable_material: bool = True
-
-    # Fraction of heap pages assumed all-visible for index-only scans.
-    index_only_visible_frac: float = 0.95
 
     # Reproduces the flaw the paper's §2 attributes to Monteiro et al.:
     # cost what-if indexes as if they had zero size (no descent, no leaf
@@ -69,9 +64,6 @@ class PlannerSettings:
                 self._refuse(name, "finite and >= 0")
         if not self.work_mem >= 1:
             self._refuse("work_mem", ">= 1 (bytes)")
-        for name in _FRACTIONS:
-            if not 0 <= getattr(self, name) <= 1:
-                self._refuse(name, "in [0, 1]")
 
     def _refuse(self, name, rule):
         raise DesignError(

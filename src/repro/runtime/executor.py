@@ -31,6 +31,7 @@ only wall-clock time.
 """
 
 from repro import obs
+from repro.obs.catalogue import SPAN_EXECUTOR_PREPARE, SPAN_EXECUTOR_REFILL
 from repro.evaluation.process import ProcessPoolBackplane
 from repro.net.client import RemoteBackplane
 
@@ -81,7 +82,7 @@ class _OffloadStepExecutor(StepExecutor):
         resident in the shared pool, or already being built, ship
         nothing, so a warm pool makes this a near no-op."""
         if statements:
-            with obs.tracer().span("executor.refill",
+            with obs.tracer().span(SPAN_EXECUTOR_REFILL,
                                    statements=len(statements)):
                 self._backplane(evaluator).submit(statements)
 
@@ -92,7 +93,8 @@ class _OffloadStepExecutor(StepExecutor):
         submitted ``lookahead`` events ago and is resident or nearly
         so; a window is a residency check except after evictions."""
         if step.heavy and step.prewarm:
-            with obs.tracer().span("executor.prepare", kind=step.kind,
+            with obs.tracer().span(SPAN_EXECUTOR_PREPARE,
+                                   kind=step.kind,
                                    statements=len(step.prewarm)):
                 self._backplane(session.evaluator).warm_up(
                     list(step.prewarm)

@@ -37,6 +37,10 @@ import time
 from collections import OrderedDict
 
 from repro import obs
+from repro.obs.catalogue import (
+    SCHEDULER_EVENTS_STARTED, SCHEDULER_QUEUE_DEPTH, SCHEDULER_SNAPSHOTS,
+    SCHEDULER_SNAPSHOT_AGE, SCHEDULER_STEPS, SCHEDULER_STEP_SECONDS,
+    SPAN_SCHEDULER_STEP)
 from repro.runtime.executor import StepExecutor
 from repro.runtime.steps import TenantTask, event_sql
 from repro.util import DesignError
@@ -137,7 +141,8 @@ class Scheduler:
             self.executor.refill(evaluator, statements)
 
     def _dispatch(self, task):
-        with obs.tracer().span("scheduler.step", tenant=task.name) as span:
+        with obs.tracer().span(SPAN_SCHEDULER_STEP,
+                               tenant=task.name) as span:
             t0 = time.perf_counter()
             step = task.run_step(self.executor)
             elapsed = time.perf_counter() - t0
@@ -145,16 +150,9 @@ class Scheduler:
             # advances; tag it in before the span closes.
             span.set_tag("kind", step.kind)
         registry = obs.metrics()
-        registry.counter(
-            "repro_scheduler_steps_total",
-            "Scheduler steps dispatched",
-            labelnames=("kind",),
-        ).labels(kind=step.kind).inc()
-        registry.histogram(
-            "repro_scheduler_step_seconds",
-            "Step dispatch latency",
-            labelnames=("kind",),
-        ).labels(kind=step.kind).observe(elapsed)
+        registry.family(SCHEDULER_STEPS).labels(kind=step.kind).inc()
+        registry.family(SCHEDULER_STEP_SECONDS).labels(
+            kind=step.kind).observe(elapsed)
         self.steps += 1
         return step
 
@@ -176,10 +174,7 @@ class Scheduler:
         # (NTP slew, DST) — this timestamp is only ever differenced.
         self.last_snapshot_time = time.monotonic()
         self._snapshot_mark = self.events_started
-        obs.metrics().counter(
-            "repro_scheduler_snapshots_total",
-            "Pause-point snapshots taken",
-        ).inc()
+        obs.metrics().family(SCHEDULER_SNAPSHOTS).inc()
         if self.on_snapshot is not None:
             self.on_snapshot(self)
 
@@ -206,22 +201,14 @@ class Scheduler:
         """Scrape-time mirror: per-tenant queue depth plus run-queue
         totals as gauges — exact for the instant of the scrape, zero
         cost on the dispatch path."""
-        depth = registry.gauge(
-            "repro_scheduler_queue_depth",
-            "Buffered-but-not-ingested events per tenant",
-            labelnames=("tenant",),
-        )
+        depth = registry.family(SCHEDULER_QUEUE_DEPTH)
         for name, task in self._tasks.items():
             depth.labels(tenant=name).set(task.queue_depth)
-        registry.gauge(
-            "repro_scheduler_events_started",
-            "Events whose ingest has started",
-        ).set(self.events_started)
+        registry.family(SCHEDULER_EVENTS_STARTED).set(
+            self.events_started)
         if self.last_snapshot_time is not None:
-            registry.gauge(
-                "repro_scheduler_snapshot_age_seconds",
-                "Seconds since the last pause-point snapshot",
-            ).set(time.monotonic() - self.last_snapshot_time)
+            registry.family(SCHEDULER_SNAPSHOT_AGE).set(
+                time.monotonic() - self.last_snapshot_time)
 
     def stats(self):
         return {

@@ -37,6 +37,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.obs.catalogue import (
+    POOL_ENTRIES, POOL_EVICTIONS, POOL_HITS, POOL_KERNELS, POOL_MISSES,
+    POOL_OPTIMIZER_CALLS, TENANT_QUERIES)
 from repro.evaluation import ShardedInumCachePool, WorkloadEvaluator, wire
 from repro.runtime import Scheduler, Step, StepExecutor
 from repro.service.tenant import TenantSession
@@ -54,7 +57,7 @@ class Backplane:
     settings: object
     pool: ShardedInumCachePool
     evaluator: WorkloadEvaluator
-    tenants: list = field(default_factory=list)
+    tenants: list = field(default_factory=list, init=False)
 
     def warm_up(self, workload):
         """Pre-build INUM caches for *workload*; returns the optimizer
@@ -447,25 +450,12 @@ class TuningService:
         with self._lock:
             planes = list(self._backplanes.items())
             sessions = list(self._tenants.items())
-        hits = registry.counter(
-            "repro_pool_hits_total", "INUM cache pool hits",
-            labelnames=("backplane",))
-        misses = registry.counter(
-            "repro_pool_misses_total", "INUM cache pool misses",
-            labelnames=("backplane",))
-        evictions = registry.counter(
-            "repro_pool_evictions_total", "INUM cache pool evictions",
-            labelnames=("backplane",))
-        builds = registry.counter(
-            "repro_pool_optimizer_calls_total",
-            "Optimizer calls spent building pool entries",
-            labelnames=("backplane",))
-        entries = registry.gauge(
-            "repro_pool_entries", "Resident INUM cache entries",
-            labelnames=("backplane",))
-        kernels = registry.gauge(
-            "repro_pool_kernels", "Compiled columnar kernels resident",
-            labelnames=("backplane",))
+        hits = registry.family(POOL_HITS)
+        misses = registry.family(POOL_MISSES)
+        evictions = registry.family(POOL_EVICTIONS)
+        builds = registry.family(POOL_OPTIMIZER_CALLS)
+        entries = registry.family(POOL_ENTRIES)
+        kernels = registry.family(POOL_KERNELS)
         for key, plane in planes:
             stats = plane.pool.stats
             hits.labels(backplane=key).set(stats.hits)
@@ -474,9 +464,7 @@ class TuningService:
             builds.labels(backplane=key).set(stats.optimizer_calls)
             entries.labels(backplane=key).set(len(plane.pool))
             kernels.labels(backplane=key).set(plane.pool.kernel_count)
-        queries = registry.counter(
-            "repro_tenant_queries_total", "Query events ingested per tenant",
-            labelnames=("tenant",))
+        queries = registry.family(TENANT_QUERIES)
         for name, session in sessions:
             queries.labels(tenant=name).set(session.queries)
 

@@ -29,11 +29,15 @@ from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 from repro import obs
+from repro.obs.catalogue import (
+    SPAN_TENANT_INGEST, SPAN_TENANT_REFRESH, TENANT_DRIFT, TENANT_EVENTS,
+    TENANT_REFRESHES, TENANT_REFRESH_SECONDS)
 from repro.colt import ColtSettings
 from repro.designer.facade import Designer
 from repro.evaluation import wire
 from repro.runtime.steps import Step
 from repro.sql.binder import bind_statement
+from repro.util import DesignError
 
 # The refresh policy every tenant runs: a design review at every phase
 # boundary, index-only greedy selection within a quarter of the
@@ -85,6 +89,9 @@ class TenantSession:
 
     def __init__(self, name, evaluator, colt_settings=None,
                  recommend_every=0, window=50):
+        if window < 1:
+            raise DesignError("a refresh window needs at least one query, "
+                              "got %r" % (window,))
         self.name = name
         self.catalog = catalog = evaluator.catalog
         self.evaluator = evaluator
@@ -169,11 +176,8 @@ class TenantSession:
         self._phase = phase
         self._phases_seen.append(phase)
         if previous is not None:
-            obs.metrics().counter(
-                "repro_tenant_drift_total",
-                "Phase boundaries observed per tenant",
-                labelnames=("tenant",),
-            ).labels(tenant=self.name).inc()
+            obs.metrics().family(TENANT_DRIFT).labels(
+                tenant=self.name).inc()
             self.drift_events.append(
                 DriftEvent(
                     at_query=self.queries,
@@ -193,11 +197,8 @@ class TenantSession:
         # Counts exactly what ``queries`` counts — the scrape-time
         # mirror in the service sets repro_tenant_queries_total from
         # the attribute, this one moves with the event itself.
-        obs.metrics().counter(
-            "repro_tenant_events_total",
-            "Observe steps run per tenant",
-            labelnames=("tenant",),
-        ).labels(tenant=self.name).inc()
+        obs.metrics().family(TENANT_EVENTS).labels(
+            tenant=self.name).inc()
         self.tuner.observe(sql)
 
     def finish_steps(self):
@@ -223,7 +224,7 @@ class TenantSession:
 
     def ingest(self, event):
         """Consume one query event: ``(phase, sql)`` or plain SQL."""
-        with obs.tracer().span("tenant.ingest", tenant=self.name):
+        with obs.tracer().span(SPAN_TENANT_INGEST, tenant=self.name):
             for step in self.ingest_steps(event):
                 step.run()
 
@@ -245,7 +246,7 @@ class TenantSession:
     # ------------------------------------------------------------------
 
     def _refresh(self, trigger):
-        with obs.tracer().span("tenant.refresh", tenant=self.name,
+        with obs.tracer().span(SPAN_TENANT_REFRESH, tenant=self.name,
                                trigger=trigger):
             t0 = time.perf_counter()
             rec = self.designer.recommend(
@@ -257,15 +258,9 @@ class TenantSession:
             )
             elapsed = time.perf_counter() - t0
         registry = obs.metrics()
-        registry.counter(
-            "repro_tenant_refreshes_total",
-            "Full-advisor refreshes by trigger",
-            labelnames=("trigger",),
-        ).labels(trigger=trigger).inc()
-        registry.histogram(
-            "repro_tenant_refresh_seconds",
-            "Full-advisor refresh latency",
-        ).observe(elapsed)
+        registry.family(TENANT_REFRESHES).labels(
+            trigger=trigger).inc()
+        registry.family(TENANT_REFRESH_SECONDS).observe(elapsed)
         self.last_recommendation = rec
         self.recommendations.append(
             RecommendationRecord(
@@ -302,7 +297,8 @@ class TenantSession:
             "kind": wire.KIND_TENANT,
             "name": self.name,
             "options": {
-                "colt_settings": asdict(self.tuner.settings),
+                "colt_settings": dict(asdict(self.tuner.settings),
+                                      **wire.RETIRED_COLT_SETTINGS),
                 "recommend_every": self.recommend_every,
                 "window": self.window.maxlen,
                 "budget_pages": self.budget_pages,

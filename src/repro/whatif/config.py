@@ -73,13 +73,6 @@ class Configuration:
             horizontals=self.horizontals,
         )
 
-    def without_indexes(self, *indexes):
-        return Configuration(
-            indexes=self.indexes - frozenset(indexes),
-            layouts=self.layouts,
-            horizontals=self.horizontals,
-        )
-
     def with_layout(self, layout):
         others = tuple(l for l in self.layouts if l.table_name != layout.table_name)
         return Configuration(

@@ -52,7 +52,7 @@ class WhatIfReport:
     """Workload-level what-if comparison (the demo's benefit panels)."""
 
     configuration: Configuration
-    per_query: list = field(default_factory=list)
+    per_query: list = field(default_factory=list, init=False)
 
     @property
     def base_total(self):
@@ -105,7 +105,8 @@ class WhatIfSession:
     come from the evaluator's per-configuration :class:`CostService`
     cache, so repeated probes of the same design (COLT does many) cost
     nothing extra beyond the underlying plan cache; batched analytic
-    sweeps over many designs go through :meth:`estimate_many`.
+    sweeps over many designs go through the evaluator's
+    :meth:`~repro.evaluation.WorkloadEvaluator.evaluate_configurations`.
     """
 
     def __init__(self, evaluator):
@@ -161,21 +162,6 @@ class WhatIfSession:
                 )
             )
         return report
-
-    def estimate_many(self, workload, configurations):
-        """Batched what-if sweep: price many candidate designs in one
-        pass — the interactive "thousands of configurations" path.
-
-        Named *estimate* deliberately: these are analytic INUM costs
-        (within the cost model's tolerance of the optimizer), unlike
-        :meth:`cost`/:meth:`evaluate`, which are exact.  The sweep runs
-        on the evaluator's columnar kernel
-        (:mod:`repro.evaluation.kernel`).  Use it to rank a sweep
-        cheaply, then confirm the winner on the exact path.
-        Returns a :class:`~repro.evaluation.BatchEvaluation`."""
-        return self.evaluator.evaluate_configurations(
-            workload, configurations
-        )
 
     def benefit(self, workload, config):
         """Workload benefit of *config* over the base design."""

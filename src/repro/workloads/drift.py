@@ -15,6 +15,7 @@ same service, each catalog on its own costing backplane.
 import random
 from dataclasses import dataclass
 
+from repro.util import DesignError
 from repro.workloads import sdss, tpch
 
 
@@ -25,6 +26,11 @@ class DriftPhase:
     name: str
     length: int
     templates: tuple  # ((maker, weight), ...)
+
+    def __post_init__(self):
+        if self.length < 1:
+            raise DesignError("drift phase %r needs at least one query, "
+                              "got length %r" % (self.name, self.length))
 
 
 def default_phases(length=200):

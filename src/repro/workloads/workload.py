@@ -40,10 +40,6 @@ class Workload:
     def statements(self):
         return [sql for sql, __ in self._entries]
 
-    @property
-    def total_weight(self):
-        return sum(w for __, w in self._entries)
-
     def subset(self, indices):
         picked = Workload()
         for i in indices:

@@ -2,11 +2,13 @@
 
 An *option* is a defaulted parameter of a public ``def`` in
 ``src/repro`` — a function or method, ``__init__`` included, whose
-module, class and own name have no leading underscore — or an
-``add_argument`` flag of ``designer/cli.py``.  A caller *sets* one when
-a call in ``src/``, ``benchmarks/`` or ``examples/`` passes it, by
-keyword or by position, or, for a flag, when a string there (not a
-docstring) names it.
+module, class and own name have no leading underscore — a defaulted
+``__init__`` field of a public ``@dataclass`` that writes no
+``__init__`` (a field whose name has a leading underscore is state, not
+an option), or an ``add_argument`` flag of ``designer/cli.py``.  A
+caller *sets* one when a call in ``src/``, ``benchmarks/`` or
+``examples/`` passes it, by keyword or by position, or, for a flag,
+when a string there (not a docstring) names it.
 ``tests/`` is never scanned: a test does not justify an option.
 
 Every option nothing sets needs one line of reason in
@@ -21,28 +23,38 @@ unset option an empty one, which ``tests/test_option_census.py``
 rejects: a change that adds an option nothing sets says why.
 
 Calls are matched by the callee's name alone (``f(...)``,
-``obj.f(...)``; ``Class(...)`` and ``super().__init__(...)`` for an
-``__init__``), and ``*args`` / ``**kwargs`` at a call count as setting
-everything they could reach, so the census errs towards "set".
+``obj.f(...)``; ``Class(...)``, ``cls(...)`` inside the class and
+``super().__init__(...)`` for an ``__init__`` or a field, also of a
+subclass inheriting it), and ``*args`` / ``**kwargs`` at a call count
+as setting everything they could reach, so the census errs towards
+"set" — except a ``**`` splat rebuilt from ``fields(Cls)``, which only
+decodes what an earlier build encoded.
 
-Two more rules keep ``src/`` the shipped designer and nothing else,
+Three more rules keep ``src/`` the shipped designer and nothing else,
 with no exemptions:
 
-* every public module-level ``def`` or ``class`` of ``src/repro`` is
-  named — as a name, an attribute or an import — somewhere in
-  ``src/``, ``benchmarks/`` or ``examples/`` outside its own definition
-  and a package ``__init__``'s re-export of it
-  (:func:`reached_only_by_tests`); code only tests reach belongs in
-  ``tests/``;
+* every public module-level ``def`` or ``class`` of ``src/repro``, and
+  every public method of such a class, is named — as a name, an
+  attribute or an import, and a method also by a ledger boundary string
+  ``module:Class.method`` — somewhere in ``src/``, ``benchmarks/`` or
+  ``examples/`` outside its own definition and a package
+  ``__init__``'s re-export of it (:func:`reached_only_by_tests`); a
+  docstring or other prose names nothing.  Code only tests reach
+  belongs in ``tests/``.  The methods of a class
+  extending a base class from outside ``src/repro`` (an HTTP handler's
+  ``do_GET``) are that library's to call;
 * no ``src/repro`` module reads ``os.environ`` or ``os.getenv``
-  (:func:`environment_reads`): a setting is a parameter or a flag,
-  which the census above counts.
+  (:func:`environment_reads`): a setting is a parameter, a field or a
+  flag, which the census above counts;
+* every metric family or span name literal in ``src/repro`` is one
+  :mod:`repro.obs.catalogue` declares (:func:`undeclared_names`).
 """
 
 import argparse
 import ast
 import json
 import os
+import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -50,6 +62,7 @@ PACKAGE = os.path.join("src", "repro")
 CLI = os.path.join(PACKAGE, "designer", "cli.py")
 CALLER_DIRS = ("src", "benchmarks", "examples")
 RECORDED = os.path.join(ROOT, "tests", "data", "options.json")
+BOUNDARY = re.compile(r"(?:[\w.]+:)?[A-Z]\w*\.([A-Za-z_]\w*)")
 
 
 def _python_files(root, top):
@@ -160,34 +173,120 @@ def declared(root):
     return out
 
 
+def _is_dataclass(node):
+    targets = (decorator.func if isinstance(decorator, ast.Call)
+               else decorator for decorator in node.decorator_list)
+    return any(isinstance(target, ast.Name) and target.id == "dataclass"
+               for target in targets)
+
+
+def _init_fields(node):
+    """``(name, defaulted)`` per ``__init__`` field a dataclass body
+    declares, in order (``ClassVar`` and ``init=False`` are not)."""
+    out = []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)) \
+                or "ClassVar" in ast.unparse(item.annotation):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
+                and value.func.id == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = "default" in keywords or "default_factory" in keywords
+        else:
+            defaulted = value is not None
+        out.append((item.target.id, defaulted))
+    return out
+
+
+def dataclass_fields(root):
+    """Every defaulted ``__init__`` field of a public ``@dataclass`` in
+    ``src/repro`` that writes no ``__init__`` of its own, under its
+    declaring class; a field whose name is private is state, not an
+    option.  A call to the class, or to a dataclass inheriting the
+    field, sets it."""
+    modules = [(path, _parse(path)) for path in _python_files(root, PACKAGE)]
+    dataclasses = {
+        node.name: (node, path) for path, tree in modules
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        and not any(isinstance(item, ast.FunctionDef)
+                    and item.name == "__init__" for item in node.body)
+    }
+
+    def inherited(node):
+        bases = [dataclasses[base][0] for base in _bases(node)
+                 if base in dataclasses]
+        return [entry for base in bases for entry in
+                inherited(base) + _init_fields(base)]
+
+    heirs = {name: {name} for name in dataclasses}
+    for name, (node, __) in dataclasses.items():
+        stack = list(_bases(node))
+        while stack:
+            base = stack.pop()
+            if base in dataclasses:
+                heirs[base].add(name)
+                stack += _bases(dataclasses[base][0])
+    out = []
+    for name, (node, path) in dataclasses.items():
+        module = _module_name(root, path)
+        if not (_public(name) and all(map(_public, module.split(".")))):
+            continue
+        first = len(inherited(node))
+        out += [_Parameter("%s:%s.%s" % (module, name, field), heirs[name],
+                           first + pos, 0)
+                for pos, (field, defaulted) in enumerate(_init_fields(node))
+                if defaulted and _public(field)]
+    return out
+
+
 def _calls(tree):
-    """``(call, bases of the enclosing class or None)`` for every call."""
-    def walk(node, bases):
+    """``(call, enclosing class or None)`` for every call."""
+    def walk(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
-                yield child, bases
-            yield from walk(child, _bases(child)
-                            if isinstance(child, ast.ClassDef) else bases)
+                yield child, owner
+            yield from walk(child, child if isinstance(child, ast.ClassDef)
+                            else owner)
     return walk(tree, None)
 
 
-def _callees(call, bases):
+def _callees(call, owner):
     """``(name, leading positionals that are not the callee's)`` per
-    name the call goes by; ``super().__init__(...)`` and
-    ``Base.__init__(self, ...)`` go by the enclosing class's bases."""
+    name the call goes by; ``cls(...)`` goes by the enclosing class,
+    ``super().__init__(...)`` and ``Base.__init__(self, ...)`` by its
+    bases."""
     func = call.func
     if isinstance(func, ast.Name):
+        if func.id == "cls" and owner is not None:
+            return [(owner.name, 0)]
         return [(func.id, 0)]
     if not isinstance(func, ast.Attribute):
         return []
-    if func.attr == "__init__" and bases is not None:
-        owner = func.value
-        if isinstance(owner, ast.Call) and isinstance(owner.func, ast.Name) \
-                and owner.func.id == "super":
+    if func.attr == "__init__" and owner is not None:
+        bases = _bases(owner)
+        target = func.value
+        if isinstance(target, ast.Call) and isinstance(target.func, ast.Name) \
+                and target.func.id == "super":
             return [(base, 0) for base in bases]
-        if isinstance(owner, ast.Name) and owner.id in bases:
-            return [(owner.id, 1)]
+        if isinstance(target, ast.Name) and target.id in bases:
+            return [(target.id, 1)]
     return [(func.attr, 0)]
+
+
+def _decodes(value):
+    """Whether a ``**`` splat is rebuilt from ``fields(Cls)``: it only
+    decodes values an earlier build encoded, and sets nothing."""
+    return any(isinstance(node, ast.comprehension)
+               and isinstance(node.iter, ast.Call)
+               and isinstance(node.iter.func, ast.Name)
+               and node.iter.func.id == "fields"
+               for node in ast.walk(value))
 
 
 def _sets(call, extra, parameter):
@@ -198,8 +297,19 @@ def _sets(call, extra, parameter):
             parameter.position - parameter.skip < len(positional)
             or any(isinstance(arg, ast.Starred) for arg in positional)):
         return True
-    return any(keyword.arg in (None, parameter.name)
+    return any(keyword.arg == parameter.name or keyword.arg is None
+               and not _decodes(keyword.value)
                for keyword in call.keywords)
+
+
+def _strings(tree):
+    """``(node, text)`` per string constant of *tree* that is no
+    docstring."""
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr)}
+    return [(node, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings]
 
 
 def flags(root):
@@ -230,7 +340,7 @@ def flags(root):
 def census(root=ROOT):
     """Option -> ``{caller directory: call sites there that set it}``
     (empty when nothing does)."""
-    parameters = declared(root)
+    parameters = declared(root) + dataclass_fields(root)
     by_callee = {}
     for parameter in parameters:
         for name in parameter.callees:
@@ -245,21 +355,15 @@ def census(root=ROOT):
     for top in CALLER_DIRS:
         for path in _python_files(root, top):
             tree = _parse(path)
-            for call, bases in _calls(tree):
-                for name, extra in _callees(call, bases):
+            for call, owner in _calls(tree):
+                for name, extra in _callees(call, owner):
                     for parameter in by_callee.get(name, ()):
                         if _sets(call, extra, parameter):
                             count(parameter.option, top)
             if path == os.path.join(root, CLI):
                 continue
-            docstrings = {id(node.value) for node in ast.walk(tree)
-                          if isinstance(node, ast.Expr)}
-            words = {word.split("=", 1)[0]
-                     for node in ast.walk(tree)
-                     if isinstance(node, ast.Constant)
-                     and isinstance(node.value, str)
-                     and id(node) not in docstrings
-                     for word in node.value.split()}
+            words = {word.split("=", 1)[0] for __, text in _strings(tree)
+                     for word in text.split()}
             for option, flag in cli_flags:
                 if flag in words:
                     count(option, top)
@@ -279,30 +383,105 @@ def _names(tree, reexports):
             yield from ((alias.name, node.lineno) for alias in node.names)
 
 
+def _boundaries(tree):
+    """``(method, line)`` per string of *tree* shaped like a ledger
+    boundary, ``[module:]Class.method``: the ledger wraps that method by
+    name.  Docstrings and other prose name nothing."""
+    for node, text in _strings(tree):
+        match = BOUNDARY.fullmatch(text)
+        if match:
+            yield match.group(1), node.lineno
+
+
+def _extends_a_library(node, classes):
+    """Whether class *node* has a base class defined outside
+    ``src/repro`` (an HTTP handler, a thread): that library calls its
+    methods (``do_GET``, ``log_message``), where the census cannot see."""
+    for base in node.bases:
+        if isinstance(base, ast.Name) and base.id in classes:
+            if _extends_a_library(classes[base.id], classes):
+                return True
+        elif not (isinstance(base, ast.Name) and base.id == "object"):
+            return True
+    return False
+
+
 def reached_only_by_tests(root=ROOT):
     """``module:name`` per public module-level ``def`` or ``class`` in
-    ``src/repro`` that nothing in ``src/``, ``benchmarks/`` or
-    ``examples/`` names outside its own definition."""
-    named = {}
+    ``src/repro``, and ``module:Class.name`` per public method of such a
+    class, that nothing in ``src/``, ``benchmarks/`` or ``examples/``
+    names in code outside its own definition (a method also counts as
+    named by a ledger boundary string, :func:`_boundaries`); the methods
+    of a class extending a library's class are that library's to call."""
+    named, wrapped = {}, {}
     for top in CALLER_DIRS:
         for path in _python_files(root, top):
+            tree = _parse(path)
             reexports = os.path.basename(path) == "__init__.py"
-            for name, line in _names(_parse(path), reexports):
+            for name, line in _names(tree, reexports):
                 named.setdefault(name, []).append((path, line))
+            for name, line in _boundaries(tree):
+                wrapped.setdefault(name, []).append((path, line))
 
-    def named_elsewhere(node, path):
+    def named_elsewhere(node, path, names=named):
         return any(where != path or not
                    node.lineno <= line <= node.end_lineno
-                   for where, line in named.get(node.name, ()))
+                   for where, line in names.get(node.name, ()))
 
+    modules = [(path, _parse(path)) for path in _python_files(root, PACKAGE)]
+    classes = {node.name: node for __, tree in modules
+               for node in tree.body if isinstance(node, ast.ClassDef)}
     out = []
-    for path in _python_files(root, PACKAGE):
+    for path, tree in modules:
         module = _module_name(root, path)
         if not all(map(_public, module.split("."))):
             continue
-        out += ["%s:%s" % (module, node.name) for node in _parse(path).body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and _public(node.name) and not named_elsewhere(node, path)]
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and _public(node.name)):
+                continue
+            if not named_elsewhere(node, path):
+                out.append("%s:%s" % (module, node.name))
+            if isinstance(node, ast.ClassDef) \
+                    and not _extends_a_library(node, classes):
+                out += ["%s:%s.%s" % (module, node.name, item.name)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and _public(item.name)
+                        and not named_elsewhere(item, path)
+                        and not named_elsewhere(item, path, wrapped)]
+    return out
+
+
+CATALOGUE = os.path.join(PACKAGE, "obs", "catalogue.py")
+FAMILY_NAME = re.compile(r"repro_[a-z0-9_]+")
+
+
+def telemetry_names(tree):
+    """``(line, name)`` per metric family or span name literal of
+    *tree*: a string shaped ``repro_…``, or the first argument of a
+    ``.span(...)`` call."""
+    spans = {id(node.args[0]) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "span" and node.args}
+    return [(node.lineno, text) for node, text in _strings(tree)
+            if FAMILY_NAME.fullmatch(text) or id(node) in spans]
+
+
+def undeclared_names(root=ROOT):
+    """``path:line name`` per metric or span name literal in
+    ``src/repro`` that :mod:`repro.obs.catalogue` does not declare."""
+    catalogue = os.path.join(root, CATALOGUE)
+    declared = {text for __, text in _strings(_parse(catalogue))} \
+        if os.path.exists(catalogue) else set()
+    out = []
+    for path in _python_files(root, PACKAGE):
+        if path == catalogue:
+            continue
+        out += ["%s:%d %s" % (os.path.relpath(path, root), line, name)
+                for line, name in telemetry_names(_parse(path))
+                if name not in declared]
     return out
 
 
@@ -374,8 +553,10 @@ def main(argv=None):
     unset = sorted(option for option, callers in found.items()
                    if not callers)
     n_flags = sum(option.startswith("cli") for option in found)
-    print("options: %d defaulted parameters, %d CLI flags; %d set by "
-          "nothing" % (len(found) - n_flags, n_flags, len(unset)))
+    n_fields = len(dataclass_fields(ROOT))
+    print("options: %d defaulted parameters, %d CLI flags, %d dataclass "
+          "fields; %d set by nothing" % (len(found) - n_flags - n_fields,
+                                         n_flags, n_fields, len(unset)))
     if args.write:
         os.makedirs(os.path.dirname(RECORDED), exist_ok=True)
         with open(RECORDED, "w") as handle:
@@ -387,6 +568,8 @@ def main(argv=None):
               for name in reached_only_by_tests(ROOT)]
     lines += ["ENVIRON %s: reads the environment" % where
               for where in environment_reads(ROOT)]
+    lines += ["UNDECLARED %s: not in the telemetry catalogue" % where
+              for where in undeclared_names(ROOT)]
     for line in lines:
         print(line)
     return 1 if lines else 0

@@ -16,6 +16,10 @@ Arrays are never thinned: a decoder cannot tell a shortened plan list
 from a real one.  :func:`conforms` says whether a drawn payload has its
 shape, so a fuzzer can demand a :class:`WireFormatError` for every one
 that does not.
+
+A telemetry delta also has to name families the catalogue declares:
+:func:`telemetry_deltas` draws them from :mod:`repro.obs.catalogue`, so
+most drawn deltas run, and mixes in names it does not declare.
 """
 
 import copy
@@ -24,6 +28,7 @@ import math
 from hypothesis import strategies as st
 
 from repro.evaluation import wire
+from repro.obs.catalogue import COUNTER, FAMILIES, HISTOGRAM
 from repro.util import WireFormatError
 
 DROP = object()  # an :func:`edited` value: delete the key
@@ -106,3 +111,44 @@ def neighbours(seed, shape):
         lambda site: st.sampled_from(site[1]).map(
             lambda value: edited(seed, site[0], value)))
     return st.builds(copy.deepcopy, st.just(seed)) | mutated
+
+
+# Family names no catalogue entry has: a gauge shipped as a counter, a
+# typo, a deleted family.
+UNDECLARED = ["repro_pool_entries", "repro_pool_hit_total",
+              "repro_sparse_cells_total", ""]
+
+
+def _family(spec, name):
+    """One shipped family of *spec*'s shape, named *name*."""
+    labels = st.lists(st.sampled_from(["a", "b", "worker-0"]),
+                      min_size=len(spec.labelnames),
+                      max_size=len(spec.labelnames))
+    if spec.kind == HISTOGRAM:
+        sample = st.tuples(labels, st.lists(
+            st.integers(0, 3), min_size=len(spec.buckets) + 1,
+            max_size=len(spec.buckets) + 1), st.floats(0, 10), st.integers(1, 9))
+    else:
+        sample = st.tuples(labels, st.floats(0.5, 10))
+    body = {"name": name, "help": spec.help,
+            "labelnames": list(spec.labelnames)}
+    if spec.kind == HISTOGRAM:
+        body["buckets"] = list(spec.buckets)
+    return st.lists(sample.map(list), min_size=1, max_size=2).map(
+        lambda samples: dict(body, samples=samples))
+
+
+def telemetry_deltas():
+    """A strategy: ``KIND_OBS`` payloads whose families the catalogue
+    declares, shipped as declared, now and then one renamed to a name in
+    :data:`UNDECLARED`."""
+    def families(kind):
+        specs = [spec for spec in FAMILIES.values() if spec.kind == kind]
+        return st.lists(st.sampled_from(specs).flatmap(
+            lambda spec: st.sampled_from([spec.name] * 4 + UNDECLARED)
+            .flatmap(lambda name: _family(spec, name))), max_size=3)
+
+    return st.builds(lambda counters, histograms: {
+        "kind": wire.KIND_OBS, "counters": counters,
+        "histograms": histograms, "spans": []},
+        families(COUNTER), families(HISTOGRAM))

@@ -177,15 +177,6 @@ class TestCatalog:
         cat.add_index(Index("t", ("a",)))
         assert len(cat.indexes) == 1
 
-    def test_drop_index(self):
-        cat = Catalog()
-        cat.add_table(small_table())
-        ix = cat.add_index(Index("t", ("a",)))
-        cat.drop_index(ix.name)
-        assert not cat.indexes
-        with pytest.raises(CatalogError):
-            cat.drop_index(ix.name)
-
     def test_clone_isolates_design(self):
         cat = Catalog()
         cat.add_table(small_table())

@@ -101,6 +101,23 @@ class TestCommands:
         assert code == 2
         assert text.startswith("error: COLT setting epoch_length=")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["serve", "--pool-capacity", "0"], "pool capacity"),
+        (["serve", "--shards", "0"], "shard count"),
+        (["serve", "--runners", "127.0.0.1:9", "--remote-timeout", "-1"],
+         "timeout must be positive"),
+        (["online", "--phase-length", "0"], "at least one query"),
+        (["stream", "--phase-length", "0"], "at least one query"),
+        (["stream", "--window", "0"], "window"),
+    ], ids=["pool-capacity", "shards", "remote-timeout", "online-phase",
+            "stream-phase", "window"])
+    def test_out_of_range_input_is_reported(self, argv, message):
+        """A value no run can use is an input error: ``error:`` and exit
+        2, not a traceback."""
+        code, text = run_cli(FAST + argv)
+        assert code == 2
+        assert text.startswith("error: ") and message in text, text
+
     def test_online_alert_only(self):
         code, text = run_cli(
             FAST + ["online", "--phase-length", "10", "--epoch", "5",

@@ -14,7 +14,6 @@ def small_settings(**overrides):
         epoch_length=10,
         space_budget_pages=100_000,
         whatif_budget=20,
-        amortization_epochs=8,
     )
     defaults.update(overrides)
     return ColtSettings(**defaults)
@@ -166,20 +165,17 @@ class TestWritesInStream:
 
 class TestSettingsBounds:
     @pytest.mark.parametrize("change", [
-        dict(epoch_length=0), dict(ewma_alpha=1.5),
-        dict(ewma_alpha=float("nan")), dict(min_whatif_budget=-1),
+        dict(epoch_length=0), dict(min_whatif_budget=-1),
         dict(whatif_budget=4),  # below the default floor of 8
-        dict(space_budget_pages=-1), dict(amortization_epochs=0),
-        dict(adopt_threshold=float("inf")),
+        dict(space_budget_pages=-1),
     ])
     def test_refused(self, change):
         with pytest.raises(DesignError):
             ColtSettings(**change)
 
     def test_edges_accepted(self):
-        ColtSettings(epoch_length=1, ewma_alpha=1.0, whatif_budget=8,
-                     min_whatif_budget=8, space_budget_pages=0,
-                     amortization_epochs=1, adopt_threshold=0.0)
+        ColtSettings(epoch_length=1, whatif_budget=8,
+                     min_whatif_budget=8, space_budget_pages=0)
         ColtSettings(whatif_budget=0, min_whatif_budget=0)
 
 

@@ -60,7 +60,8 @@ class TestCompression:
     def test_weight_preserved(self, sdss_catalog):
         workload = self.make_workload()
         compressed, __ = compress_workload(sdss_catalog, workload)
-        assert compressed.total_weight == pytest.approx(workload.total_weight)
+        assert sum(w for __, w in compressed) == pytest.approx(
+            sum(w for __, w in workload))
 
     def test_compressed_recommendation_close_to_full(self, sdss_catalog):
         workload = self.make_workload()

@@ -13,6 +13,7 @@ cache-race fixes (compiled-workload LRU and exact-service locking).
 
 import random
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -41,7 +42,7 @@ def delta_family(rng, configs):
     )
     for ix in pool[:3]:
         children.append(parent.with_indexes(ix))
-        children.append(parent.without_indexes(ix))
+        children.append(replace(parent, indexes=parent.indexes - {ix}))
     return parent, children
 
 
@@ -272,7 +273,7 @@ class TestEvaluatorConcurrency:
         def churn():
             try:
                 for config in configs * 5:
-                    evaluator.exact_cost(sql, config)
+                    evaluator.exact_service(config).cost(sql)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 

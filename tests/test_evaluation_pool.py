@@ -5,6 +5,7 @@ import pytest
 
 from repro.evaluation import InumCachePool, WorkloadEvaluator, query_signature
 from repro.sql.binder import bind_statement
+from repro.util import DesignError
 from repro.whatif import Configuration
 
 Q_RA = "SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 12"
@@ -127,7 +128,7 @@ class TestLru:
         assert evaluator.precompute_calls > calls  # cumulative, not resident
 
     def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DesignError):
             InumCachePool(capacity=0)
 
 
@@ -277,16 +278,16 @@ class TestExactServiceBound:
                "WHERE zmag < 14.52 AND type = 5")
         evaluator = WorkloadEvaluator(catalog)
         base = evaluator.exact_service()
-        before = evaluator.exact_cost(sql)
+        before = evaluator.exact_service().cost(sql)
         assert before == evaluator.cost(sql)
         table = catalog.table("photoobj")
         table.row_count *= 10
         table.build_stats()
         evaluator.clear_caches()
-        after = evaluator.exact_cost(sql)
+        after = evaluator.exact_service().cost(sql)
         assert evaluator.exact_service() is base
         assert after != before
-        assert after == WorkloadEvaluator(catalog).exact_cost(sql)
+        assert after == WorkloadEvaluator(catalog).exact_service().cost(sql)
         assert after == evaluator.cost(sql)
 
     def test_eviction_prunes_the_owners_memos(self, sdss_catalog):

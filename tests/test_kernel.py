@@ -143,7 +143,7 @@ def test_kernel_respects_duplicate_statements():
     for row in grid.matrix:
         assert row[0] == row[1] == row[2]
     compiled = evaluator._compile(repeated)
-    assert compiled.kernel.n_reads == 1
+    assert len(compiled.kernel.kernels) == 1
 
 
 def test_evaluate_terms_is_the_reference_walk():

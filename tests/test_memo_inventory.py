@@ -78,7 +78,7 @@ def exercise(evaluator, statements):
     evaluator.evaluate_deltas(workload, configs[0], configs[1:])
     for config in configs:
         for sql in statements:
-            evaluator.exact_cost(sql, config)
+            evaluator.exact_service(config).cost(sql)
     return workload, configs
 
 
@@ -229,17 +229,17 @@ def test_reanalyze_plus_clear_caches_answers_like_a_fresh_evaluator():
     budget = dict(storage_budget_pages=40_000, solver="greedy",
                   partitions=False, schedule=False, max_candidates=20)
     designer.recommend(statements, **budget)
-    stale = evaluator.exact_cost(Q_ZMAG)
+    stale = evaluator.exact_service().cost(Q_ZMAG)
     for name in ("photoobj", "specobj"):
         reanalyze(catalog.table(name))
     evaluator.clear_caches()
     fresh = Designer(catalog)
-    assert evaluator.exact_cost(Q_ZMAG) != stale
+    assert evaluator.exact_service().cost(Q_ZMAG) != stale
     for sql in statements:
         assert evaluator.cost(sql) == fresh.evaluator.cost(sql)
         for config in configs:
-            assert evaluator.exact_cost(sql, config) == \
-                fresh.evaluator.exact_cost(sql, config)
+            assert evaluator.exact_service(config).cost(sql) == \
+                fresh.evaluator.exact_service(config).cost(sql)
     assert evaluator.evaluate_configurations(workload, configs).matrix == \
         fresh.evaluator.evaluate_configurations(workload, configs).matrix
     assert designer.recommend(statements, **budget).to_text() == \
@@ -340,7 +340,7 @@ def test_eviction_racing_pricing_stays_exact_and_clears_clean():
     cells = [(sql, i) for sql in statements for i in range(len(configs))]
     expected_cost = {(sql, i): reference.cost(sql, configs[i])
                      for sql, i in cells}
-    expected_exact = {(sql, i): reference.exact_cost(sql, configs[i])
+    expected_exact = {(sql, i): reference.exact_service(configs[i]).cost(sql)
                       for sql, i in cells}
     evaluator = WorkloadEvaluator(catalog, pool=InumCachePool(capacity=1))
     base = evaluator.exact_service()
@@ -357,7 +357,7 @@ def test_eviction_racing_pricing_stays_exact_and_clears_clean():
                 assert got.matrix == expected_grid[w]
                 sql, i = rng.choice(statements), rng.randrange(len(configs))
                 assert evaluator.cost(sql, configs[i]) == expected_cost[sql, i]
-                assert evaluator.exact_cost(sql, configs[i]) == \
+                assert evaluator.exact_service(configs[i]).cost(sql) == \
                     expected_exact[sql, i]
         except Exception as exc:  # pragma: no cover - failure path
             failures.append(exc)

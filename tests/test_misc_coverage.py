@@ -106,9 +106,6 @@ class TestSettingsPlumbing:
         {"random_page_cost": float("inf")},
         {"cpu_tuple_cost": -0.01},
         {"cpu_index_tuple_cost": float("-inf")},
-        {"effective_cache_fraction": 1.5},
-        {"index_only_visible_frac": -0.1},
-        {"index_only_visible_frac": float("nan")},
     ], ids=lambda absurd: "%s=%s" % next(iter(absurd.items())))
     def test_absurd_constants_are_refused_at_construction(self, absurd):
         """Path sets are kept and searched in cost order, so a constant
@@ -124,16 +121,8 @@ class TestSettingsPlumbing:
     def test_boundary_constants_are_accepted(self):
         free = PlannerSettings(
             seq_page_cost=0.0, cpu_operator_cost=0, work_mem=1,
-            effective_cache_fraction=1.0, index_only_visible_frac=0.0,
         )
         assert free.work_mem == 1
-
-    def test_service_with_settings_shares_counter(self, sdss_catalog):
-        svc = CostService(sdss_catalog)
-        alt = svc.with_settings(PlannerSettings(enable_hashjoin=False))
-        svc.cost("SELECT ra FROM photoobj")
-        alt.cost("SELECT dec FROM photoobj")
-        assert svc.optimizer_calls == 2
 
     def test_higher_random_page_cost_discourages_index(self, sdss_with_indexes):
         sql = "SELECT ra, rmag FROM photoobj WHERE ra BETWEEN 10 AND 40"

@@ -70,6 +70,13 @@ from repro.net import (
     send_frame,
 )
 from repro.net.client import _answer, catalog_frame_for
+from repro.obs.catalogue import (
+    COLGEN_ROUNDS,
+    FAMILIES,
+    POOL_BUILD_SECONDS,
+    REMOTE_RETRIES,
+    SPAN_WORKER_WARM_UP,
+)
 from repro.optimizer import PlannerSettings
 from repro.runtime import RemoteStepExecutor, StepExecutor
 from repro.service import TuningService
@@ -119,6 +126,12 @@ def pool_terms(evaluator):
         signature: evaluator.pool.get(signature).plans
         for signature in evaluator.pool.signatures()
     }
+
+
+def open_connections(node):
+    """How many client connections *node* is serving right now."""
+    with node._lock:
+        return len(node._open_socks)
 
 
 def _send_raw(sock, payload):
@@ -243,18 +256,18 @@ class TestRunnerLifecycle:
         sock = socket.create_connection((node.host, node.port), 5.0)
         try:
             deadline = 250
-            while not node.open_connections and deadline:
+            while not open_connections(node) and deadline:
                 threading.Event().wait(0.02)
                 deadline -= 1
-            assert node.open_connections == 1
+            assert open_connections(node) == 1
             node.stop()
             sock.settimeout(5.0)
             assert sock.recv(1) == b""  # EOF, not a timeout
             deadline = 250
-            while node.open_connections and deadline:
+            while open_connections(node) and deadline:
                 threading.Event().wait(0.02)
                 deadline -= 1
-            assert node.open_connections == 0
+            assert open_connections(node) == 0
         finally:
             sock.close()
             node.stop()
@@ -1071,6 +1084,36 @@ def test_absurd_settings_frame_is_a_wire_error_and_the_node_serves_on(
         assert result["kind"] == wire.KIND_RESULT and result["entry"]
 
 
+PARENT_PLANNER = dict(effective_cache_fraction=0.0, index_only_visible_frac=0.95)
+
+
+@pytest.mark.parametrize("retired, served", [
+    (None, True),
+    (dict(effective_cache_fraction=0.5), False),
+    (dict(index_only_visible_frac=0.9), False),
+])
+def test_a_catalog_frame_names_the_retired_settings_at_their_values(
+        astro_catalog, retired, served):
+    """The two planner settings that are now constants are still
+    shipped, at the values an earlier runner requires; a frame without
+    them is served the same, and one naming other values is refused."""
+    good = catalog_frame_for(WorkloadEvaluator(astro_catalog, PlannerSettings()))
+    assert {name: good["settings"][name] for name in PARENT_PLANNER} == \
+        PARENT_PLANNER
+    if retired is None:
+        settings = {name: value for name, value in good["settings"].items()
+                    if name not in PARENT_PLANNER}
+    else:
+        settings = dict(good["settings"], **retired)
+    replies = converse(RunnerNode(), dict(good, settings=settings), TASK)
+    if served:
+        assert replies == converse(RunnerNode(), good, TASK)
+    else:
+        assert replies[-1]["kind"] == wire.KIND_ERROR, replies
+        assert replies[-1]["wire_error"] and next(iter(retired)) in \
+            replies[-1]["error"]
+
+
 # The seeds every frame kind is fuzzed from (``tests/shapes.py``), built
 # the way the runner and the client build them.
 GOOD = catalog_frame_for(WorkloadEvaluator(make_sdss(scale=0.01),
@@ -1082,12 +1125,11 @@ def _seed_delta():
     """A runner's telemetry shipment: a labelled and a plain counter, a
     histogram and a span."""
     obs.reset()
-    with obs.tracer().span("worker.warm_up", locate=False):
+    with obs.tracer().span(SPAN_WORKER_WARM_UP, locate=False):
         registry = obs.metrics()
-        registry.counter("repro_ok_total", "ok", ("node",)).labels(
-            node="a").inc(3)
-        registry.counter("repro_other_total", "other").inc()
-        registry.histogram("repro_wait_seconds", "wait").observe(0.01)
+        registry.family(REMOTE_RETRIES).labels(node="a").inc(3)
+        registry.family(COLGEN_ROUNDS).inc()
+        registry.family(POOL_BUILD_SECONDS).observe(0.01)
     delta = json.loads(json.dumps(wire.obs_to_wire(obs.drain_deltas())))
     obs.reset()
     return delta
@@ -1141,8 +1183,26 @@ def test_a_malformed_delta_merges_nothing(astro_catalog, delta):
         with pytest.raises(WireFormatError):
             install(backplane, dict(RESULT, obs=delta))
         assert telemetry() == before
-    assert obs.metrics().value("repro_ok_total", node="a") == 0
+    assert obs.metrics().value(REMOTE_RETRIES.name, node="a") == 0
     assert len(evaluator.pool) == 0
+
+
+@given(delta=shapes.telemetry_deltas())
+def test_a_delta_merges_iff_the_catalogue_declares_its_families(delta):
+    """A worker's delta names families of the telemetry catalogue,
+    shipped as declared; any other name is a wire error."""
+    declared = all(
+        family["name"] in FAMILIES
+        and FAMILIES[family["name"]].kind + "s" == kind
+        for kind in ("counters", "histograms") for family in delta[kind])
+    try:
+        wire.obs_from_wire(copy.deepcopy(delta))
+    except WireFormatError:
+        event("refused")
+        assert not declared
+        return
+    event("runs")
+    assert declared
 
 
 class TestFrameFuzz:
@@ -1189,7 +1249,8 @@ class TestFrameFuzz:
             assert reply["kind"] == wire.KIND_ERROR and reply["wire_error"]
 
     @given(reply=neighbours(RESULT, wire.SHAPES[wire.KIND_RESULT])
-           | neighbours(DELTA, wire.SHAPES[wire.KIND_OBS]).map(
+           | (neighbours(DELTA, wire.SHAPES[wire.KIND_OBS])
+              | shapes.telemetry_deltas()).map(
                lambda delta: dict(RESULT, obs=delta)))
     def test_a_result_installs_whole_or_not_at_all(
             self, astro_catalog, reply):
@@ -1395,16 +1456,16 @@ class TestRemoteClose:
                 WorkloadEvaluator(astro_catalog), [node.address], retries=1,
             )
             backplane.warm_up(queries[:2])
-            assert node.open_connections == 1
+            assert open_connections(node) == 1
             backplane.close()
             backplane.close()
             deadline = 50
-            while node.open_connections and deadline:
+            while open_connections(node) and deadline:
                 import time
 
                 time.sleep(0.02)
                 deadline -= 1
-            assert node.open_connections == 0
+            assert open_connections(node) == 0
 
     def test_executor_close_closes_backplanes(self, astro_catalog):
         with RunnerNode() as node:

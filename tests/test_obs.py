@@ -20,8 +20,18 @@ from repro import obs
 from repro.colt import ColtSettings
 from repro.evaluation import wire
 from repro.obs import MetricsRegistry, MetricsServer, Tracer
+from repro.obs.catalogue import (
+    COUNTER,
+    GAUGE,
+    HISTOGRAM,
+    REMOTE_FALLBACK,
+    SPAN_WORKER_WARM_UP,
+    Family,
+)
+from repro.obs.metrics import NULL_REGISTRY
 from repro.runtime import Scheduler
 from repro.service import TuningService
+from repro.util import WireFormatError
 from repro.workloads import DriftPhase, drifting_stream, sdss
 from repro.workloads import sdss_catalog as make_sdss
 
@@ -31,6 +41,11 @@ SDSS_PHASES = (
 )
 
 COLT = ColtSettings(epoch_length=5, space_budget_pages=50_000)
+
+
+def family(name, kind=COUNTER, *labelnames, help_text=""):
+    """A family of a test's own, declared outside the catalogue."""
+    return Family(name, kind, help_text, labelnames)
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +71,11 @@ def fresh_registry():
 class TestRegistry:
     def test_counter_gauge_histogram_roundtrip(self):
         reg = MetricsRegistry()
-        reg.counter("c_total", "a counter").inc()
-        reg.counter("c_total").inc(2)
-        reg.gauge("g", "a gauge").set(7)
-        reg.gauge("g").dec(2)
-        hist = reg.histogram("h_seconds", "a histogram")
+        reg.family(family("c_total", help_text="a counter")).inc()
+        reg.family(family("c_total")).inc(2)
+        reg.family(family("g", GAUGE, help_text="a gauge")).set(7)
+        reg.family(family("g", GAUGE)).dec(2)
+        hist = reg.family(family("h_seconds", HISTOGRAM))
         hist.observe(0.001)
         hist.observe(0.001)
         assert reg.value("c_total") == 3
@@ -73,28 +88,34 @@ class TestRegistry:
 
     def test_labels_create_distinct_series(self):
         reg = MetricsRegistry()
-        fam = reg.counter("x_total", "", labelnames=("mode",))
+        fam = reg.family(family("x_total", COUNTER, "mode"))
         fam.labels(mode="a").inc()
         fam.labels(mode="b").inc(5)
         assert reg.value("x_total", mode="a") == 1
         assert reg.value("x_total", mode="b") == 5
         assert reg.value("x_total", mode="absent") == 0
 
-    def test_redeclare_with_different_shape_raises(self):
+    def test_a_family_is_created_once_and_checks_its_labels(self):
         reg = MetricsRegistry()
-        reg.counter("dup_total", "", labelnames=("a",))
+        spec = family("dup_total", COUNTER, "a")
+        assert reg.family(spec) is reg.family(spec)
         with pytest.raises(ValueError):
-            reg.gauge("dup_total")
+            reg.family(spec).labels(b=1)
         with pytest.raises(ValueError):
-            reg.counter("dup_total", "", labelnames=("b",))
-        with pytest.raises(ValueError):
-            reg.counter("dup_total", "", labelnames=("a",)).labels(b=1)
+            reg.family(spec).inc()  # labeled: no default child
+
+    def test_reading_an_undeclared_name_is_zero(self):
+        """The ledger still reads families earlier builds deleted."""
+        reg = MetricsRegistry()
+        assert reg.value("repro_sparse_cells_total") == 0
+        assert "repro_sparse_cells_total" not in reg.snapshot()["counters"]
 
     def test_prometheus_rendering(self):
         reg = MetricsRegistry()
-        reg.counter("r_total", "requests", labelnames=("code",)) \
+        reg.family(family("r_total", COUNTER, "code", help_text="requests")) \
             .labels(code=200).inc(3)
-        reg.histogram("l_seconds", "latency").observe(0.5)
+        reg.family(family("l_seconds", HISTOGRAM, help_text="latency")) \
+            .observe(0.5)
         text = reg.render_prometheus()
         assert '# TYPE r_total counter' in text
         assert 'r_total{code="200"} 3' in text
@@ -110,7 +131,7 @@ class TestRegistry:
 
         class Owner:
             def mirror(self, registry):
-                registry.counter("mirrored_total").set(42)
+                registry.family(family("mirrored_total")).set(42)
 
         owner = Owner()
         reg.add_collector(owner.mirror)
@@ -123,8 +144,8 @@ class TestRegistry:
 
     def test_drain_deltas_ship_only_movement(self):
         reg = MetricsRegistry()
-        reg.counter("c_total", "", labelnames=("k",)).labels(k="x").inc(3)
-        reg.histogram("h_seconds").observe(0.25)
+        reg.family(family("c_total", COUNTER, "k")).labels(k="x").inc(3)
+        reg.family(family("h_seconds", HISTOGRAM)).observe(0.25)
         first = reg.drain_deltas()
         assert first["counters"][0]["samples"] == [[["x"], 3]]
         assert first["histograms"][0]["samples"][0][3] == 1
@@ -186,14 +207,23 @@ class TestTracer:
 
     def test_obs_wire_roundtrip(self):
         obs.reset()
-        obs.metrics().counter("shipped_total").inc(2)
-        with obs.tracer().span("worker.step"):
+        obs.metrics().family(REMOTE_FALLBACK).labels(op="warm").inc(2)
+        with obs.tracer().span(SPAN_WORKER_WARM_UP):
             pass
         text = wire.dumps(wire.obs_to_wire(obs.drain_deltas()))
         obs.reset()
         obs.ingest_deltas(wire.loads(text))
-        assert obs.metrics().value("shipped_total") == 2
-        assert obs.tracer().export()[-1]["name"] == "worker.step"
+        assert obs.metrics().value(REMOTE_FALLBACK.name, op="warm") == 2
+        assert obs.tracer().export()[-1]["name"] == SPAN_WORKER_WARM_UP
+
+    def test_a_delta_naming_an_undeclared_family_is_refused(self):
+        obs.reset()
+        obs.metrics().family(family("shipped_total")).inc(2)
+        text = wire.dumps(wire.obs_to_wire(obs.drain_deltas()))
+        obs.reset()
+        with pytest.raises(WireFormatError, match="not declared"):
+            wire.loads(text)
+        assert obs.metrics().value("shipped_total") == 0
 
 
 # ----------------------------------------------------------------------
@@ -204,16 +234,16 @@ class TestTracer:
 class TestDisabled:
     def test_disabled_records_nothing_and_restores(self, fresh_registry):
         reg = obs.metrics()
-        assert obs.enabled()
+        assert reg is not NULL_REGISTRY
         with obs.disabled():
-            assert not obs.enabled()
-            obs.metrics().counter("ghost_total").inc()
+            assert obs.metrics() is NULL_REGISTRY
+            obs.metrics().family(REMOTE_FALLBACK).labels(op="x").inc()
             with obs.tracer().span("ghost") as span:
                 span.set_tag("k", 1)  # must be a no-op, not an error
             assert obs.tracer().export() == []
             assert obs.metrics().render_prometheus() == ""
         assert obs.metrics() is reg
-        assert reg.value("ghost_total") == 0
+        assert reg.value(REMOTE_FALLBACK.name, op="x") == 0
 
 
 # ----------------------------------------------------------------------
@@ -571,8 +601,8 @@ class TestConcurrentSnapshots:
     def test_snapshot_never_tears_under_fuzz(self):
         reg = MetricsRegistry()
         n_threads, n_ops = 4, 1500
-        counter = reg.counter("fuzz_total", "", labelnames=("t",))
-        hist = reg.histogram("fuzz_seconds", "", labelnames=("t",))
+        counter = reg.family(family("fuzz_total", COUNTER, "t"))
+        hist = reg.family(family("fuzz_seconds", HISTOGRAM, "t"))
         start = threading.Barrier(n_threads + 1)
 
         def hammer(tid):
@@ -616,7 +646,7 @@ class TestConcurrentSnapshots:
         done = threading.Event()
 
         def writer():
-            c = source.counter("moved_total")
+            c = source.family(family("moved_total"))
             for __ in range(n_ops):
                 c.inc()
             done.set()

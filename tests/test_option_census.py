@@ -169,18 +169,78 @@ def test_a_definition_named_only_by_itself_or_tests_is_test_only(tmp_path):
     """A re-export in a package ``__init__`` and a name inside the
     definition itself do not count; a subclass, a call or an import
     elsewhere does."""
-    root = tree(tmp_path, "build_parser()\nChild(1)\n",
+    root = tree(tmp_path, "build_parser()\nChild(1).run(0)\n",
                 tests="f(1)\nrecurse(2)\n")
     (tmp_path / "src/repro/extra.py").write_text(EXTRA)
     (tmp_path / "src/repro/__init__.py").write_text(
         "from repro.extra import Node, recurse\nfrom repro.mod import f\n"
         "__all__ = ['Node', 'f', 'recurse']\n")
     assert sorted(option_census.reached_only_by_tests(root)) == [
-        "repro.extra:Node", "repro.extra:recurse", "repro.mod:f"]
+        "repro.extra:Node", "repro.extra:Node.copy", "repro.extra:recurse",
+        "repro.mod:f"]
     (tmp_path / "examples").mkdir()
     (tmp_path / "examples/demo.py").write_text(
         "from repro.extra import recurse\nimport repro\nrepro.f(1)\n")
-    assert option_census.reached_only_by_tests(root) == ["repro.extra:Node"]
+    assert option_census.reached_only_by_tests(root) == [
+        "repro.extra:Node", "repro.extra:Node.copy"]
+
+
+HANDLER = '''
+from http.server import BaseHTTPRequestHandler
+
+
+class Handler(BaseHTTPRequestHandler):
+    def do_GET(self):
+        return self.extra()
+
+    def log_message(self, *args):
+        pass
+
+    def extra(self):
+        return 0
+
+
+class Plain:
+    def used(self):
+        return 0
+
+    def lonely(self):
+        return 1
+'''
+
+
+def test_a_method_named_only_by_tests_is_test_only(tmp_path):
+    """A method is reached like a function — by a call or an attribute
+    — or by a ledger boundary string; a docstring or a prose string
+    naming it does not reach it.  The methods of a class extending a
+    library's class are reached by that library."""
+    root = tree(tmp_path, "build_parser()\nHandler\nPlain().used()\n"
+                          "Child(1)\nf\nSTEP = 'mod:Base.run'\n"
+                          "NOTE = 'use Plain.lonely'\n",
+                tests="Plain().lonely()\n")
+    (tmp_path / "src/repro/handler.py").write_text(
+        HANDLER + '\n\ndef doc():\n    """See :meth:`Plain.lonely`."""\n')
+    assert option_census.reached_only_by_tests(root) == [
+        "repro.handler:Plain.lonely", "repro.handler:doc"]
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples/ledger.py").write_text(
+        "doc()\nBOUNDARY = 'repro.handler:Plain.lonely'\n")
+    assert option_census.reached_only_by_tests(root) == []
+
+
+def test_a_docstring_or_string_does_not_reach_a_function(tmp_path):
+    """The module-level rule counts code only: a test-only function or
+    class that a ``src`` docstring or string mentions is still
+    test-only, even in a boundary-shaped string."""
+    root = tree(tmp_path, '"""Call f or Child.run; see helper()."""\n'
+                          "build_parser()\nChild(1).run(0)\n"
+                          "NOTE = 'helper is for tests'\n"
+                          "WRAP = 'repro.extra:Extra.helper'\n",
+                tests="helper()\n")
+    (tmp_path / "src/repro/extra.py").write_text(
+        "def helper():\n    return 0\n")
+    assert option_census.reached_only_by_tests(root) == [
+        "repro.extra:helper", "repro.mod:f"]
 
 
 def test_an_environment_read_in_src_is_refused(tmp_path):
@@ -192,3 +252,72 @@ def test_an_environment_read_in_src_is_refused(tmp_path):
     assert option_census.environment_reads(root) == [
         os.path.join("src", "repro", "env.py") + ":%d" % line
         for line in (2, 4, 5)]
+
+
+SETTINGS = '''
+from dataclasses import dataclass, field, fields
+
+
+@dataclass(frozen=True)
+class Knobs:
+    size: int
+    cost: float = 1.0
+    flag: bool = False
+    seen: list = field(default_factory=list, init=False)
+    _state: dict = field(default_factory=dict)
+
+    @classmethod
+    def cheap(cls):
+        return cls(1, 0.5)
+
+
+@dataclass
+class MoreKnobs(Knobs):
+    extra: int = 0
+
+
+def decode(payload):
+    return Knobs(**{f.name: payload[f.name] for f in fields(Knobs)})
+'''
+
+
+def test_defaulted_dataclass_fields_are_options(tmp_path):
+    """Set by keyword, by position, through ``cls(...)`` or a subclass;
+    a splat rebuilt from ``fields(Cls)`` only decodes and sets nothing;
+    ``init=False`` and private fields are no options."""
+    root = tree(tmp_path, "MoreKnobs(1, extra=2)\n")
+    (tmp_path / "src/repro/knobs.py").write_text(SETTINGS)
+    assert sorted(p.option for p in option_census.dataclass_fields(root)) == [
+        "repro.knobs:Knobs.cost", "repro.knobs:Knobs.flag",
+        "repro.knobs:MoreKnobs.extra"]
+    found = option_census.census(root)
+    assert found["repro.knobs:Knobs.cost"] == {"src": 1}  # cls(1, 0.5)
+    assert found["repro.knobs:Knobs.flag"] == {}
+    assert found["repro.knobs:MoreKnobs.extra"] == {"benchmarks": 1}
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples/demo.py").write_text("MoreKnobs(1, 2.0, True)\n")
+    assert option_census.census(root)["repro.knobs:Knobs.flag"] == {
+        "examples": 1}
+
+
+def test_src_names_only_declared_telemetry():
+    assert option_census.undeclared_names() == []
+
+
+def test_an_undeclared_metric_or_span_name_is_refused(tmp_path):
+    root = tree(tmp_path, "")
+    (tmp_path / "src/repro/obs").mkdir()
+    (tmp_path / "src/repro/obs/catalogue.py").write_text(
+        "HITS = _family(COUNTER, 'repro_hits_total', 'Hits')\n"
+        "SPAN_STEP = _span('step')\n")
+    (tmp_path / "src/repro/use.py").write_text(
+        '"""Names ``repro_docs_total`` in a docstring: not a literal."""\n'
+        "registry.family(HITS)\n"
+        "tracer.span(SPAN_STEP)\n"
+        "tracer.span('step')\n"
+        "tracer.span('other.step', tag=1)\n"
+        "registry.value('repro_hits_total')\n"
+        "registry.value('repro_misses_total')\n")
+    assert option_census.undeclared_names(root) == [
+        os.path.join("src", "repro", "use.py") + ":5 other.step",
+        os.path.join("src", "repro", "use.py") + ":7 repro_misses_total"]

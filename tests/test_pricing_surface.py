@@ -56,7 +56,6 @@ SURFACE = BOUNDARY_SURFACE + [
     (WorkloadEvaluator.__init__, ["catalog", "settings", "pool"]),
     (Designer.__init__, ["catalog", "evaluator"]),
     (CandidatePricer.__init__, ["model"]),
-    (WhatIfSession.estimate_many, ["workload", "configurations"]),
     (BipProblem.config_cost, ["chosen_positions"]),
     (greedy_select, ["problem"]),
     (WorkloadKernel.evaluate_many, ["views", "table_sigs", "slot_choice"]),

@@ -671,8 +671,9 @@ def planner_calls(monkeypatch):
 def fresh_service(base, catalog=None, settings=None):
     """A service with empty per-service caches over *base*'s bound
     queries (and so over their plan memo)."""
-    service = base.with_catalog(catalog or base.catalog)
-    return service.with_settings(settings) if settings else service
+    if settings:
+        return CostService(base.catalog, settings)
+    return base.with_catalog(catalog or base.catalog)
 
 
 @ENVIRONMENTS

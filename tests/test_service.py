@@ -144,6 +144,21 @@ class TestTenantSession:
         assert len(session.recommendations) == recs
         assert session.status()["finished"]
 
+    def test_a_window_below_one_query_is_refused(self, astro_catalog):
+        """A session it could not load back is never built."""
+        with pytest.raises(DesignError, match="window"):
+            TenantSession("t", WorkloadEvaluator(astro_catalog),
+                          **dict(options(), window=0))
+
+    def test_a_one_query_window_round_trips(self, astro_catalog):
+        evaluator = WorkloadEvaluator(astro_catalog)
+        session = TenantSession("t", evaluator, **dict(options(), window=1))
+        session.drain(drifting_stream((SDSS_PHASES[0],), seed=2))
+        restored = TenantSession.from_snapshot(session.snapshot(), evaluator)
+        assert restored.snapshot() == session.snapshot()
+        assert list(restored.window) == list(session.window)
+        assert len(restored.window) == 1
+
     def test_status_snapshot_shape(self, astro_catalog):
         session = TenantSession(
             "t", WorkloadEvaluator(astro_catalog), **options()

@@ -13,6 +13,7 @@ from repro.evaluation import (
     ShardedInumCachePool,
     WorkloadEvaluator,
 )
+from repro.util import DesignError
 from repro.whatif import Configuration
 
 from oracle import threaded_warm_up
@@ -130,11 +131,11 @@ class TestShardedRouting:
         assert len(pool.shard_for("sig")) == 1
 
     def test_invalid_shapes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DesignError):
             ShardedInumCachePool(shards=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DesignError):
             ShardedInumCachePool(shards=4, capacity=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DesignError):
             # A bounded pool must give each shard at least one entry.
             ShardedInumCachePool(shards=4, capacity=3)
 

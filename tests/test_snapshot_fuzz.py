@@ -101,6 +101,10 @@ SHAPE = wire.SHAPES[wire.KIND_SERVICE]
 # tenant options that are now constants (``budget_frac`` was never
 # written): a file that carries them restores iff it names these values.
 PARENT_KEYS = dict(solver="greedy", refresh_on_drift=True, partitions=False)
+# The three COLT settings that are now constants of ``repro.colt.tuner``
+# are still written, at the values an earlier build requires.
+PARENT_COLT = dict(ewma_alpha=0.35, adopt_threshold=0.05,
+                   amortization_epochs=10)
 
 
 def parent_format(payload, **change):
@@ -182,6 +186,8 @@ def test_parent_format_snapshot_restores_to_the_uninterrupted_outcome():
     its options carrying them at their values — resumes to exactly the
     answer of a run that was never interrupted."""
     assert not PARENT_KEYS.keys() & _at(BASE, OPTIONS_PATH).keys()
+    written = _at(BASE, OPTIONS_PATH)["colt_settings"]
+    assert {name: written[name] for name in PARENT_COLT} == PARENT_COLT
     uninterrupted = make_service()
     for name in SEEDS:
         uninterrupted.add_tenant(name, "sdss", **OPTIONS)
@@ -211,11 +217,12 @@ def test_a_snapshot_naming_another_policy_is_refused(change):
 
 @pytest.mark.parametrize("change, error", [
     (dict(epoch_length=0), "DesignError"),
-    (dict(ewma_alpha=7.5), "DesignError"),
-    (dict(ewma_alpha=0.0), "DesignError"),
     (dict(min_whatif_budget=41), "DesignError"),
-    (dict(amortization_epochs=0), "DesignError"),
-    (dict(adopt_threshold=-0.5), "DesignError"),
+    # A retired setting is accepted at its constant's value only.
+    (dict(ewma_alpha=7.5), "WireFormatError"),
+    (dict(ewma_alpha=0.0), "WireFormatError"),
+    (dict(amortization_epochs=0), "WireFormatError"),
+    (dict(adopt_threshold=-0.5), "WireFormatError"),
     # A count field of the shape is a non-negative integer already.
     (dict(epoch_length=-3), "WireFormatError"),
     (dict(space_budget_pages=-1), "WireFormatError"),

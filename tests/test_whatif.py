@@ -1,5 +1,7 @@
 """Tests for the what-if component: configurations, sessions, join control."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.catalog import (
@@ -34,7 +36,7 @@ class TestConfiguration:
     def test_with_and_without_indexes(self):
         cfg = Configuration.empty().with_indexes(ra_index())
         assert ra_index() in cfg.indexes
-        assert cfg.without_indexes(ra_index()).is_empty
+        assert replace(cfg, indexes=cfg.indexes - {ra_index()}).is_empty
 
     def test_union_merges_layouts(self):
         layout = VerticalLayout(
@@ -192,16 +194,6 @@ class TestSessionBackplane:
         two = WhatIfSession(evaluator)
         config = Configuration.of(ra_index())
         assert one.service_for(config) is two.service_for(config)
-
-    def test_estimate_many_matches_per_config_costs(self, sdss_catalog):
-        session = WhatIfSession(WorkloadEvaluator(sdss_catalog))
-        wl = [("SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 12", 1.0)]
-        configs = [Configuration.empty(), Configuration.of(ra_index())]
-        batch = session.estimate_many(wl, configs)
-        per_call = [
-            session.evaluator.workload_cost(wl, config) for config in configs
-        ]
-        assert batch.totals == pytest.approx(per_call)
 
     def test_catalog_and_settings_come_from_the_evaluator(self, sdss_catalog):
         """The session has no catalog or settings of its own to conflict

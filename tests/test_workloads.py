@@ -36,10 +36,6 @@ class TestWorkloadContainer:
         merged = sub.merged(Workload(["SELECT d FROM t"]))
         assert len(merged) == 3
 
-    def test_total_weight(self):
-        wl = Workload([("SELECT a FROM t", 2.0), ("SELECT b FROM t", 3.0)])
-        assert wl.total_weight == 5.0
-
 
 class TestSdssGenerator:
     def test_catalog_shape(self):
