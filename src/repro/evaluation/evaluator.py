@@ -66,7 +66,7 @@ from repro.optimizer.writecost import (
     locate_query,
     maintenance_cost,
 )
-from repro.sql.binder import BoundQuery, BoundWrite, bind_statement
+from repro.sql.binder import BoundWrite, bind_statement
 from repro.util import workload_pairs
 from repro.whatif import Configuration
 
@@ -128,17 +128,16 @@ class WorkloadEvaluator:
     def __init__(self, catalog, settings=None, pool=None):
         self.catalog = catalog
         self.settings = settings or DEFAULT_SETTINGS
-        self._bound_cache = {}
         self._slot_memo = {}
         self.evaluations = 0
         self.pool = pool if pool is not None else InumCachePool()
         self.pool.attach(self)
-        self._signatures = {}
-        self._plan_terms = {}
         self.plan_term_decodes = 0  # pool misses answered from the memo
         self._compiled = OrderedDict()  # workload key -> _KernelWorkload
         self._exact_services = OrderedDict()  # Configuration -> CostService
-        self._base_service = None  # the pinned empty-design CostService
+        # The pinned empty-design CostService; its statement records
+        # are this model's, and every exact service shares them.
+        self._base_service = CostService(catalog, self.settings)
         self._recommendations = OrderedDict()
         self.recommend_memo_hits = self.recommend_memo_misses = 0
         # Guards the memos and their counters; cache builds are
@@ -153,22 +152,17 @@ class WorkloadEvaluator:
     # ------------------------------------------------------------------
 
     def bound(self, query):
-        if isinstance(query, (BoundQuery, BoundWrite)):
-            return query
-        cached = self._bound_cache.get(query)
-        if cached is None:
-            cached = bind_statement(query, self.catalog)
-            self._bound_cache[query] = cached
-        return cached
+        """One bound statement per text, the exact services' too."""
+        return self._base_service.bound(query)
 
     def known_bound(self, sql):
         """:meth:`bound` for *sql* as a lookup that never inserts: the
         statement this model bound, or a fresh binding it does not
         remember (text it never asked for plants nothing)."""
-        cached = self._bound_cache.get(sql)
-        if cached is None:
-            cached = bind_statement(sql, self.catalog)
-        return cached
+        record = self._base_service.statements.get(sql)
+        if record is None or record.bound is None:
+            return bind_statement(sql, self.catalog)
+        return record.bound
 
     def cost(self, query, config=None):
         """INUM cost of *query* under *config* (no optimizer calls)."""
@@ -311,11 +305,10 @@ class WorkloadEvaluator:
     def signature(self, query):
         """Canonical signature of *query* (memoized by SQL text)."""
         bq = self.bound(query)
-        sig = self._signatures.get(bq.sql)
-        if sig is None:
-            sig = statement_key(bq)
-            self._signatures[bq.sql] = sig
-        return sig
+        record = self._base_service.statement(bq.sql)
+        if record.signature is None:
+            record.signature = statement_key(bq)
+        return record.signature
 
     def cache_for(self, query):
         bq = self.bound(query)
@@ -329,7 +322,7 @@ class WorkloadEvaluator:
         from the statement's remembered plan terms when the optimizer has
         already answered it (on this evaluator or on a runner of its
         fleet), planned — once per statement — otherwise."""
-        plans = self._plan_terms.get(bq.sql)
+        plans = self._base_service.statement(bq.sql).terms
         if plans is None:
             cache = build_cache(bq, self.catalog, self.settings)
             self.remember_terms(cache)
@@ -343,12 +336,14 @@ class WorkloadEvaluator:
         miss on it is a decode: the one ``build_cache`` call records
         here, and so does a fleet backplane for every entry a runner
         returns."""
-        self._plan_terms[cache.bound_query.sql] = tuple(cache.plans)
+        record = self._base_service.statement(cache.bound_query.sql)
+        record.terms = tuple(cache.plans)
 
     def knows_terms(self, bq):
         """Whether a pool miss on *bq* would be decoded, not planned —
         what a fleet backplane asks before shipping a build."""
-        return bq.sql in self._plan_terms
+        record = self._base_service.statements.get(bq.sql)
+        return record is not None and record.terms is not None
 
     def _forget(self, signature, cache):
         """Drop what the memo table derives from an evicted pool entry
@@ -371,9 +366,7 @@ class WorkloadEvaluator:
         self.pool.clear()
         with self._lock:
             for row in memos.rows(memos.CLEAR):
-                owner = row.owner_in(self)
-                if owner is not None:
-                    getattr(owner, row.attr).clear()
+                getattr(row.owner_in(self), row.attr).clear()
 
     def warm_targets(self, workload):
         """The deduplicated statements a warm-up must build, as
@@ -710,26 +703,20 @@ class WorkloadEvaluator:
         """A :class:`CostService` seeing *config* overlaid on the catalog.
 
         Services are cached per configuration and share one optimizer
-        call counter and bind cache; the what-if session borrows them
-        from here, so every component draws costs from one place.
-        Locked: tenant threads probe it and the LRU mutates on lookup.
+        call counter and the statement records, so the exact and the
+        INUM path share one bound query per text and its memos; the
+        what-if session borrows them from here, so every component
+        draws costs from one place.  Locked past the empty design:
+        tenant threads probe it and the LRU mutates on lookup.
         """
+        if config is None or config.is_empty:
+            return self._base_service
         with self._lock:
-            base = self._base_service
-            if base is None:
-                base = self._base_service = CostService(
-                    self.catalog, self.settings
-                )
-                # One bound query per statement for the exact and the
-                # INUM path alike, so they share its memos.
-                base._bind_cache = self._bound_cache
-            if config is None or config.is_empty:
-                return base
             svc = self._exact_services.get(config)
             if svc is not None:
                 self._exact_services.move_to_end(config)
                 return svc
-            svc = base.with_catalog(config.apply(self.catalog))
+            svc = self._base_service.with_catalog(config.apply(self.catalog))
             memos.EXACT_SERVICES.store(self._exact_services, config, svc)
             return svc
 
@@ -737,12 +724,10 @@ class WorkloadEvaluator:
     def exact_optimizer_calls(self):
         """Full planner invocations of the exact services (they share
         one counter); a plan-memo hit is not one."""
-        base = self._base_service
-        return base.optimizer_calls if base is not None else 0
+        return self._base_service.optimizer_calls
 
     @property
     def exact_plan_hits(self):
         """Exact-path plans a fresh service got from the bound queries'
         plan memo instead of the planner."""
-        base = self._base_service
-        return base.plan_memo_hits if base is not None else 0
+        return self._base_service.plan_memo_hits

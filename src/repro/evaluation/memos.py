@@ -67,25 +67,20 @@ class Memo:
                 del memo[key]
 
     def owner_in(self, evaluator):
-        """The owner as reached from *evaluator* (``None``: no reach, or
-        not created yet)."""
+        """The owner as reached from *evaluator* (``None``: no reach)."""
         if self.reach is None:
             return None
         return getattr(evaluator, self.reach) if self.reach else evaluator
 
 
-SIGNATURES = Memo("WorkloadEvaluator", "_signatures", "text", (TEXT,),
-                  (CLEAR,), "statements bound", "Signatures.", reach="")
-BOUND_QUERIES = Memo(
-    "WorkloadEvaluator", "_bound_cache", "statement text", (TEXT,), (CLEAR,),
-    "statements bound", "Bound statements; the exact services bind through "
-    "it too, so both paths share a bound query and its memos.", reach="")
-PLAN_TERMS = Memo(
-    "WorkloadEvaluator", "_plan_terms", "statement text", (TEXT, STATS),
-    (CLEAR,), "statements bound, ~1.3 kB each", "What build_cache answered, "
-    "so a miss on a seen statement decodes instead of planning.  By text: "
-    "an alias twin shares the entry, never the terms (slots name aliases).",
-    reach="")
+STATEMENTS = Memo(
+    "CostService", "statements", "statement text", (TEXT, STATS), (CLEAR,),
+    "statements seen, ~1.3 kB each with terms", "One record per text: the "
+    "bound statement (every exact service binds through it, so both paths "
+    "share its memos), its signature and what build_cache answered, so a "
+    "miss on a seen statement decodes instead of planning.  By text: an "
+    "alias twin shares the entry, never the terms (slots name aliases).",
+    reach="_base_service")
 SLOT_MEMO = Memo(
     "WorkloadEvaluator", "_slot_memo", "entry text -> inum.cache._slot_key",
     (ENTRY, INDEXES, STATS), (EVICT, CLEAR), "resident entries' slots",
@@ -108,9 +103,6 @@ PLAN_CACHE = Memo(
     "CostService", "_plan_cache", "statement text", (TEXT, INDEXES, STATS),
     (CLEAR, OWNER), "statements planned", "Plan memo references for one "
     "design; nothing re-validates it.", reach="_base_service")
-BIND_CACHE = Memo(
-    "CostService", "_bind_cache", "statement text", (TEXT,), (OWNER,),
-    "statements bound", "An evaluator's services share its _bound_cache.")
 ENTRIES = Memo(
     "InumCachePool", "_entries", "canonical signature",
     (TEXT, STATS, SETTINGS), (POOL,), "capacity (LRU)", "INUM entries; one "
@@ -123,7 +115,7 @@ REFERENCED = Memo("BoundQuery", "_referenced", "alias", (TEXT,), (OWNER,),
                   "aliases", "Referenced column sets.")
 # _forget empties the evicted entry's own bound query only: an alias twin
 # shares the entry, not the bound query, so the twin's memos live until
-# TWIN_HOOK drops the twin from _bound_cache.
+# TWIN_HOOK drops the twin's record from STATEMENTS.
 TWIN_HOOK = CLEAR
 SCAN_CONTEXTS = Memo(
     "BoundQuery", "scan_contexts", "(alias, layout cover, horizontal)",
@@ -165,11 +157,11 @@ INDEX_SHAPES = Memo(
     "column lists sized", "(row_count, Index.shape); no per-Index state.")
 
 MEMOS = (
-    SIGNATURES, BOUND_QUERIES, PLAN_TERMS, SLOT_MEMO, COMPILED,
-    RECOMMENDATIONS, EXACT_SERVICES, BASE_SERVICE, PLAN_CACHE,
-    BIND_CACHE, ENTRIES, KERNELS, FLIGHTS, REFERENCED, SCAN_CONTEXTS,
-    PLAN_MEMO, PRICED, CONTEXT_STATS, FILTER_SEL, DESIGN_COLUMNS,
-    DELTA_STATES, SUBSETS, PROJECTION_PAGES, LAYOUT_COVERS, INDEX_SHAPES,
+    STATEMENTS, SLOT_MEMO, COMPILED, RECOMMENDATIONS, EXACT_SERVICES,
+    BASE_SERVICE, PLAN_CACHE, ENTRIES, KERNELS, FLIGHTS, REFERENCED,
+    SCAN_CONTEXTS, PLAN_MEMO, PRICED, CONTEXT_STATS, FILTER_SEL,
+    DESIGN_COLUMNS, DELTA_STATES, SUBSETS, PROJECTION_PAGES, LAYOUT_COVERS,
+    INDEX_SHAPES,
 )
 # Dicts on those owners holding what the object was built from.
 INPUTS = (("BoundQuery", "tables"), ("BoundQuery", "filters"))

@@ -22,7 +22,7 @@ class CostService:
     def __init__(self, catalog, settings=None, shared_counter=None):
         self.catalog = catalog
         self.settings = settings or DEFAULT_SETTINGS
-        self._bind_cache = {}
+        self.statements = {}  # text -> _Statement; with_catalog shares it
         self._plan_cache = {}
         self._counter = shared_counter if shared_counter is not None else _Counter()
 
@@ -42,16 +42,23 @@ class CostService:
 
     # ------------------------------------------------------------------
 
+    def statement(self, sql):
+        """*sql*'s statement record, created empty on first ask."""
+        record = self.statements.get(sql)
+        if record is None:
+            record = self.statements.setdefault(sql, _Statement())
+        return record
+
     def bound(self, query):
         """Accept SQL text or an already-bound statement."""
+        if isinstance(query, str):
+            record = self.statements.get(query)
+            if record is None or record.bound is None:
+                record = self.statement(query)
+                record.bound = bind_statement(query, self.catalog)
+            return record.bound
         if isinstance(query, (BoundQuery, BoundWrite)):
             return query
-        if isinstance(query, str):
-            cached = self._bind_cache.get(query)
-            if cached is None:
-                cached = bind_statement(query, self.catalog)
-                self._bind_cache[query] = cached
-            return cached
         raise TypeError("expected SQL text or BoundQuery, got %r" % (type(query),))
 
     def plan(self, query):
@@ -113,12 +120,23 @@ class CostService:
         """A service against a different (e.g. hypothetical) catalog.
 
         Shares the optimizer-call counter so experiments see the total
-        spend across what-if explorations, but not the plan cache (plans
-        depend on the physical design).
+        spend across what-if explorations, and the statement records
+        (binding only reads the logical schema), but not the plan cache
+        (plans depend on the physical design).
         """
         svc = CostService(catalog, self.settings, shared_counter=self._counter)
-        svc._bind_cache = self._bind_cache  # binding only reads logical schema
+        svc.statements = self.statements
         return svc
+
+
+class _Statement:
+    """What one statement text is, once known: its binding, its
+    canonical signature and the plan terms the optimizer answered."""
+
+    __slots__ = ("bound", "signature", "terms")
+
+    def __init__(self):
+        self.bound = self.signature = self.terms = None
 
 
 class _Counter:

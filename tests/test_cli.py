@@ -106,11 +106,14 @@ class TestCommands:
         (["serve", "--shards", "0"], "shard count"),
         (["serve", "--runners", "127.0.0.1:9", "--remote-timeout", "-1"],
          "timeout must be positive"),
+        # Zero would put the sockets in non-blocking mode.
+        (["serve", "--runners", "127.0.0.1:9", "--remote-timeout", "0"],
+         "timeout must be positive"),
         (["online", "--phase-length", "0"], "at least one query"),
         (["stream", "--phase-length", "0"], "at least one query"),
         (["stream", "--window", "0"], "window"),
-    ], ids=["pool-capacity", "shards", "remote-timeout", "online-phase",
-            "stream-phase", "window"])
+    ], ids=["pool-capacity", "shards", "remote-timeout", "remote-timeout-0",
+            "online-phase", "stream-phase", "window"])
     def test_out_of_range_input_is_reported(self, argv, message):
         """A value no run can use is an input error: ``error:`` and exit
         2, not a traceback."""

@@ -267,6 +267,30 @@ class TestExactServiceBound:
         assert evaluator.exact_service() is base
         assert not evaluator._exact_services
 
+    def test_both_paths_share_one_record_per_statement(self):
+        """Per text one bound statement, whichever path binds it first;
+        ``clear_caches`` empties the records and keeps the service."""
+        import random
+
+        from repro.catalog import Index
+        from repro.workloads import sdss, sdss_catalog
+
+        evaluator = WorkloadEvaluator(sdss_catalog(scale=0.05))
+        base = evaluator.exact_service()
+        design = Configuration.of(Index("photoobj", ("ra",)),
+                                  Index("specobj", ("z",)))
+        for i, name in enumerate(sorted(sdss.TEMPLATE_REGISTRY)):
+            inum_first = sdss.template(name)(random.Random(i))
+            exact_first = sdss.template(name)(random.Random(i + 100))
+            assert evaluator.bound(inum_first) is \
+                evaluator.exact_service(design).bound(inum_first)
+            assert evaluator.exact_service(design).bound(exact_first) is \
+                evaluator.bound(exact_first)
+        assert base.statements
+        evaluator.clear_caches()
+        assert evaluator.exact_service() is base
+        assert not base.statements
+
     def test_clear_caches_re_reads_statistics_on_the_exact_path(self):
         """The pinned base service survives ``clear_caches`` but its
         plan cache does not: after re-ANALYZE plus a clear, the exact

@@ -136,6 +136,38 @@ class TestScheduling:
         t_z = Z.build_cost(sdss_catalog.table("specobj"))
         assert schedule.area == pytest.approx(c0 * t_ra + c1 * t_z, rel=1e-6)
 
+    def test_greedy_prices_each_index_on_what_is_built(self, sdss_catalog):
+        """Two redundant indexes save the same alone and nothing more
+        together; a third saves less alone.  Interaction-aware greedy
+        builds the third before the redundant twin, for a smaller area
+        than the order pricing each index alone would pick."""
+        twins, third = (RA, RA_DEC), Z
+
+        def build_time(ix):
+            return ix.build_cost(sdss_catalog.table(ix.table_name))
+
+        saving = 1000.0
+        # Per build second the third gains less than either twin.
+        third_saving = (0.5 * saving * build_time(third)
+                        / max(map(build_time, twins)))
+
+        def cost_fn(design):
+            design = frozenset(design)
+            cost = 10 * saving
+            if design & set(twins):
+                cost -= saving
+            if third in design:
+                cost -= third_saving
+            return cost
+
+        greedy = schedule_greedy([*twins, third], cost_fn, sdss_catalog)
+        first = greedy.order[0]
+        assert first in twins
+        twin = twins[1] if first == twins[0] else twins[0]
+        assert greedy.order == [first, third, twin]
+        blind = evaluate_schedule([first, twin, third], cost_fn, sdss_catalog)
+        assert greedy.area < blind.area
+
     def test_empty_schedule(self, analyzer, sdss_catalog):
         schedule = schedule_optimal([], analyzer.cost, sdss_catalog)
         assert schedule.order == [] and schedule.area == 0.0

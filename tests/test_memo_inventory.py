@@ -268,11 +268,12 @@ def test_every_dict_on_a_designer_run_is_declared():
     first = designs(catalog)[0]
     designer.evaluate_design(workload, indexes=first.indexes)
 
-    bound = set(map(id, evaluator._bound_cache.values()))
+    bindings = [record.bound for record
+                in evaluator.exact_service().statements.values()]
+    bound = set(map(id, bindings))
     objects = [evaluator, evaluator.pool, evaluator.exact_service()]
     objects += list(evaluator._exact_services.values())
-    objects += [bq for bq in evaluator._bound_cache.values()
-                if isinstance(bq, BoundQuery)]
+    objects += [bq for bq in bindings if isinstance(bq, BoundQuery)]
     objects += [evaluator.pool.get(sig).bound_query
                 for sig in evaluator.pool.signatures()
                 if id(evaluator.pool.get(sig).bound_query) not in bound]

@@ -126,6 +126,15 @@ class TestRegistry:
         assert 'l_seconds_count 1' in text
         assert 'l_seconds_sum 0.5' in text
 
+    def test_label_values_are_escaped(self):
+        """Text format 0.0.4: a label value escapes backslash, double
+        quote and line feed as ``\\\\``, ``\\"`` and ``\\n``."""
+        reg = MetricsRegistry()
+        reg.family(family("esc_total", COUNTER, "path")) \
+            .labels(path='a"b\\c\nd').inc()
+        lines = reg.render_prometheus().splitlines()
+        assert r'esc_total{path="a\"b\\c\nd"} 1' in lines
+
     def test_collector_weakref_dies_with_owner(self):
         reg = MetricsRegistry()
 

@@ -290,6 +290,13 @@ class TestEntryFuzz:
         assert len(pool) == 0
 
 
+def bindings(evaluator):
+    """Text -> bound statement, for every text *evaluator* has bound."""
+    return {sql: record.bound for sql, record
+            in evaluator.exact_service().statements.items()
+            if record.bound is not None}
+
+
 class TestInstallBindsThroughTheOwner:
     """``loads(text, catalog, pool=)`` on an owned pool takes the entry's
     bound query from the owner's binder and never inserts into it."""
@@ -310,18 +317,18 @@ class TestInstallBindsThroughTheOwner:
         catalog = make_sdss(scale=0.05)
         evaluator = WorkloadEvaluator(catalog)
         bq = evaluator.bound(self.SUBMITTED)
-        before = dict(evaluator._bound_cache)
+        before = bindings(evaluator)
         __, text = self.shipped(catalog, self.SUBMITTED)
         __, cache = wire.loads(text, catalog, pool=evaluator.pool)
         assert cache.bound_query is bq
-        assert evaluator._bound_cache == before
+        assert bindings(evaluator) == before
 
     def test_an_unknown_reply_installs_bit_identically_and_plants_nothing(
             self):
         catalog = make_sdss(scale=0.05)
         evaluator = WorkloadEvaluator(catalog)
         evaluator.bound(self.SUBMITTED)
-        before = dict(evaluator._bound_cache)
+        before = bindings(evaluator)
         rng = random.Random(3)
         configs = [None] + [random_configuration(catalog, rng)
                             for __ in range(4)]
@@ -329,7 +336,7 @@ class TestInstallBindsThroughTheOwner:
         for sql in (self.UNKNOWN, self.UPDATE):
             source, text = self.shipped(catalog, sql)
             signature, cache = wire.loads(text, catalog, pool=evaluator.pool)
-            assert evaluator._bound_cache == before
+            assert bindings(evaluator) == before
             assert evaluator.pool.get(signature) is cache
             assert evaluator.pool.kernel_for(signature) is not None
             sources.append((sql, source))
@@ -388,7 +395,7 @@ class TestProcessPoolBackplane:
         # The install bound nothing warm_up had not, and each installed
         # read whose shipped text (its unparse) is the text the
         # evaluator bound shares the evaluator's bound query.
-        assert set(pooled._bound_cache) == set(workload)
+        assert set(bindings(pooled)) == set(workload)
         shared = [sql for sql in workload if pooled.bound(sql).sql == sql
                   and not isinstance(pooled.bound(sql), BoundWrite)]
         assert shared
