@@ -154,6 +154,24 @@ class _CandidateState:
     last_seen_epoch: int = 0
 
 
+def _harvest(bq):
+    """A template part: the single-column candidates a read statement
+    proposes — per alias, one index per sargable filter or join column —
+    in the order the tuner meets them."""
+    harvest = []
+    for alias in bq.aliases:
+        table = bq.table_for(alias)
+        columns = set()
+        for f in bq.filters_for(alias):
+            if f.sargable:
+                columns.add(f.column)
+        for clause in bq.joins_for(alias):
+            col, __, __ = clause.side_for(alias)
+            columns.add(col)
+        harvest.extend(Index(table.name, (col,)) for col in columns)
+    return tuple(harvest)
+
+
 class ColtTuner:
     """Continuous tuning over one catalog.
 
@@ -374,24 +392,15 @@ class ColtTuner:
             self._charge_maintenance(bq)
             return
         fresh = False
-        for alias in bq.aliases:
-            table = bq.table_for(alias)
-            columns = set()
-            for f in bq.filters_for(alias):
-                if f.sargable:
-                    columns.add(f.column)
-            for clause in bq.joins_for(alias):
-                col, __, __ = clause.side_for(alias)
-                columns.add(col)
-            for col in columns:
-                index = Index(table.name, (col,))
-                if index not in self.candidates:
-                    self.candidates[index] = _CandidateState(
-                        index=index, last_seen_epoch=self._epoch_no
-                    )
-                    fresh = True
-                else:
-                    self.candidates[index].last_seen_epoch = self._epoch_no
+        for index in bq.template.part(_harvest, bq):
+            state = self.candidates.get(index)
+            if state is None:
+                self.candidates[index] = _CandidateState(
+                    index=index, last_seen_epoch=self._epoch_no
+                )
+                fresh = True
+            else:
+                state.last_seen_epoch = self._epoch_no
         if fresh:
             # Workload shift detected: restore the full probing budget.
             self._budget = self.settings.whatif_budget

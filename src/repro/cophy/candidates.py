@@ -13,7 +13,9 @@ Candidates are scored by the summed weight of the queries they could
 serve.  Votes are counted on lightweight ``(table, columns, include)``
 keys and ranked as keys, so :class:`~repro.catalog.Index` objects are
 built only for the candidates returned — a large candidate space costs
-tuples, not a materialized cross-product of catalog objects.
+tuples, not a materialized cross-product of catalog objects.  The keys
+a statement votes for read no constant, so they are a part of its
+template (:mod:`repro.sql.template`): listed once per statement shape.
 
 Mining binds each statement once, through ``bind`` — the advisors pass
 their evaluator's :meth:`~repro.evaluation.WorkloadEvaluator.bound`, so
@@ -41,68 +43,77 @@ def _index_name(table_name, columns, include):
     return "ix_%s_%s" % (table_name, suffix)
 
 
+def _vote_keys(bq, include_covering, composite_pairs):
+    """A template part: the ``(table, columns, include)`` keys one
+    statement votes for, in voting order, repeats kept."""
+    keys = []
+
+    def vote(table_name, columns, include=()):
+        keys.append((table_name, tuple(columns), tuple(include)))
+
+    if isinstance(bq, BoundWrite):
+        # Writes only spawn locate-helping candidates; the maintenance
+        # penalty side is handled by the BIP's write terms.
+        for f in bq.filters:
+            if f.sargable:
+                vote(bq.table.name, (f.column,))
+        return tuple(keys)
+    for alias in bq.aliases:
+        table = bq.table_for(alias)
+        referenced = bq.referenced_columns(alias)
+        eq_cols, range_cols = [], []
+        for f in bq.filters_for(alias):
+            if not f.sargable:
+                continue
+            bucket = eq_cols if f.kind in ("eq", "in") else range_cols
+            if f.column not in bucket:
+                bucket.append(f.column)
+        join_cols = []
+        for clause in bq.joins_for(alias):
+            col, __, __ = clause.side_for(alias)
+            if col not in join_cols:
+                join_cols.append(col)
+        other_cols = []
+        for a, c in bq.group_by:
+            if a == alias and c not in other_cols:
+                other_cols.append(c)
+        for a, c, __ in bq.order_by:
+            if a == alias and c not in other_cols:
+                other_cols.append(c)
+
+        for col in eq_cols + range_cols + join_cols + other_cols:
+            vote(table.name, (col,))
+
+        if composite_pairs:
+            for eq in eq_cols:
+                for second in range_cols + join_cols + other_cols:
+                    if second != eq:
+                        vote(table.name, (eq, second))
+            for i, eq1 in enumerate(eq_cols):
+                for eq2 in eq_cols[i + 1:]:
+                    vote(table.name, (eq1, eq2))
+            for join_col in join_cols:
+                for second in range_cols:
+                    vote(table.name, (join_col, second))
+
+        if include_covering and len(referenced) <= MAX_INCLUDE_COLUMNS + 1:
+            for col in eq_cols + range_cols + join_cols:
+                rest = tuple(sorted(referenced - {col}))
+                if rest:
+                    vote(table.name, (col,), include=rest)
+    return tuple(keys)
+
+
 def _votes(statements, bind, include_covering, composite_pairs):
     """``(table, columns, include)`` -> summed weight of the *statements*
     (a workload) voting for it."""
     scores = {}
-
-    def vote(table_name, columns, weight, include=()):
-        key = (table_name, tuple(columns), tuple(include))
-        scores[key] = scores.get(key, 0.0) + weight
-
     for sql, weight in workload_pairs(statements):
         bq = bind(sql)
-        if isinstance(bq, BoundWrite):
-            # Writes only spawn locate-helping candidates; the
-            # maintenance penalty side is handled by the BIP's write
-            # terms.
-            for f in bq.filters:
-                if f.sargable:
-                    vote(bq.table.name, (f.column,), weight)
-            continue
-        for alias in bq.aliases:
-            table = bq.table_for(alias)
-            referenced = bq.referenced_columns(alias)
-            eq_cols, range_cols = [], []
-            for f in bq.filters_for(alias):
-                if not f.sargable:
-                    continue
-                bucket = eq_cols if f.kind in ("eq", "in") else range_cols
-                if f.column not in bucket:
-                    bucket.append(f.column)
-            join_cols = []
-            for clause in bq.joins_for(alias):
-                col, __, __ = clause.side_for(alias)
-                if col not in join_cols:
-                    join_cols.append(col)
-            other_cols = []
-            for a, c in bq.group_by:
-                if a == alias and c not in other_cols:
-                    other_cols.append(c)
-            for a, c, __ in bq.order_by:
-                if a == alias and c not in other_cols:
-                    other_cols.append(c)
-
-            for col in eq_cols + range_cols + join_cols + other_cols:
-                vote(table.name, (col,), weight)
-
-            if composite_pairs:
-                for eq in eq_cols:
-                    for second in range_cols + join_cols + other_cols:
-                        if second != eq:
-                            vote(table.name, (eq, second), weight)
-                for i, eq1 in enumerate(eq_cols):
-                    for eq2 in eq_cols[i + 1:]:
-                        vote(table.name, (eq1, eq2), weight)
-                for join_col in join_cols:
-                    for second in range_cols:
-                        vote(table.name, (join_col, second), weight)
-
-            if include_covering and len(referenced) <= MAX_INCLUDE_COLUMNS + 1:
-                for col in eq_cols + range_cols + join_cols:
-                    rest = tuple(sorted(referenced - {col}))
-                    if rest:
-                        vote(table.name, (col,), weight, include=rest)
+        for key in bq.template.part(
+            _vote_keys, bq, include_covering, composite_pairs
+        ):
+            scores[key] = scores.get(key, 0.0) + weight
     return scores
 
 

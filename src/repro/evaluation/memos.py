@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 # What an entry depends on.
 ENTRY, TEXT, STATS = "pool entry", "statement text", "statistics identity"
+SHAPE = "text shape"  # a statement's tokens, literals masked to their kind
 INDEXES, SETTINGS, WORKLOAD = "index set", "settings", "workload"
 
 # The hooks that drop entries.
@@ -81,6 +82,18 @@ STATEMENTS = Memo(
     "miss on a seen statement decodes instead of planning.  By text: an "
     "alias twin shares the entry, never the terms (slots name aliases).",
     reach="_base_service")
+TEMPLATES = Memo(
+    "CostService", "templates", "token stream, each literal masked to its "
+    "kind", (SHAPE, STATS), (CLEAR,), "as STATEMENTS: at most one per "
+    "statement seen", "One StatementTemplate per text shape (repro.sql."
+    "template): bind_statement runs once per template and a record's "
+    "binding points at its template.  A template holds what reads no "
+    "constant — the referenced columns, and as parts the scan shapes with "
+    "their index-match structures and reach sets, the INUM build's order "
+    "vectors and covering indexes, the signature skeleton, CoPhy's vote "
+    "keys and COLT's harvest — all dropped with it; every instance's "
+    "binding, filter selectivities and selectivity products are its own "
+    "numbers pass, equal to binding its text afresh.", reach="_base_service")
 SLOT_MEMO = Memo(
     "WorkloadEvaluator", "_slot_memo", "entry text -> inum.cache._slot_key",
     (ENTRY, INDEXES, STATS), (EVICT, CLEAR), "resident entries' slots",
@@ -111,8 +124,6 @@ KERNELS = Memo("InumCachePool", "_kernels", "signature", (ENTRY,), (POOL,),
                "resident entries", "Statement kernels.", reach="pool")
 FLIGHTS = Memo("InumCachePool", "_flights", "signature", (ENTRY,), (POOL,),
                "builds running", "Single-flight builds.", reach="pool")
-REFERENCED = Memo("BoundQuery", "_referenced", "alias", (TEXT,), (OWNER,),
-                  "aliases", "Referenced column sets.")
 # _forget empties the evicted entry's own bound query only: an alias twin
 # shares the entry, not the bound query, so the twin's memos live until
 # TWIN_HOOK drops the twin's record from STATEMENTS.
@@ -131,8 +142,6 @@ PRICED = Memo(
     "pricers release one-shot indexes.")
 CONTEXT_STATS = Memo("ScanContext", "_stats", "column", (STATS,), (OWNER,),
                      "columns read", "ColumnStats that prices read.")
-FILTER_SEL = Memo("ScanContext", "filter_sel", "BoundFilter", (STATS,),
-                  (OWNER,), "filters", "Per-filter selectivity.")
 DESIGN_COLUMNS = Memo(
     "WorkloadKernel", "_columns", "(table, design signature)",
     (INDEXES, STATS), (OWNER,), "kernel._MAX_DESIGN_COLUMNS, then reset",
@@ -157,11 +166,10 @@ INDEX_SHAPES = Memo(
     "column lists sized", "(row_count, Index.shape); no per-Index state.")
 
 MEMOS = (
-    STATEMENTS, SLOT_MEMO, COMPILED, RECOMMENDATIONS, EXACT_SERVICES,
-    BASE_SERVICE, PLAN_CACHE, ENTRIES, KERNELS, FLIGHTS, REFERENCED,
-    SCAN_CONTEXTS, PLAN_MEMO, PRICED, CONTEXT_STATS, FILTER_SEL,
-    DESIGN_COLUMNS, DELTA_STATES, SUBSETS, PROJECTION_PAGES, LAYOUT_COVERS,
-    INDEX_SHAPES,
+    STATEMENTS, TEMPLATES, SLOT_MEMO, COMPILED, RECOMMENDATIONS,
+    EXACT_SERVICES, BASE_SERVICE, PLAN_CACHE, ENTRIES, KERNELS, FLIGHTS,
+    SCAN_CONTEXTS, PLAN_MEMO, PRICED, CONTEXT_STATS, DESIGN_COLUMNS,
+    DELTA_STATES, SUBSETS, PROJECTION_PAGES, LAYOUT_COVERS, INDEX_SHAPES,
 )
 # Dicts on those owners holding what the object was built from.
 INPUTS = (("BoundQuery", "tables"), ("BoundQuery", "filters"))

@@ -51,45 +51,62 @@ def _aggregate_sig(agg, alias_rank):
     return (agg.name.upper(), arg_sig, bool(getattr(agg, "distinct", False)))
 
 
-def _local_descriptor(bq, alias):
-    """What one table reference looks like, described without alias names."""
-    table = bq.table_for(alias)
-    joins = []
-    for clause in bq.joins_for(alias):
-        column, other_alias, other_column = clause.side_for(alias)
-        joins.append((column, bq.table_for(other_alias).name, other_column))
-    return (
-        table.name,
-        tuple(sorted(_filter_sig(f) for f in bq.filters_for(alias))),
-        tuple(sorted(bq.referenced_columns(alias))),
-        tuple(sorted(joins)),
-        tuple(sorted(c for a, c in bq.group_by if a == alias)),
-        tuple(sorted((c, asc) for a, c, asc in bq.order_by if a == alias)),
-    )
+def _skeleton(bq):
+    """A template part: per alias, its table name and the rest of its
+    local descriptor — referenced columns, join endpoints described by
+    table rather than alias, grouping, ordering — with the signature's
+    alias-ranked tail memoized per ranking (``tails``)."""
+    rest = {}
+    for alias in bq.aliases:
+        joins = []
+        for clause in bq.joins_for(alias):
+            column, other_alias, other_column = clause.side_for(alias)
+            joins.append((column, bq.table_for(other_alias).name, other_column))
+        rest[alias] = (bq.table_for(alias).name, (
+            tuple(sorted(bq.referenced_columns(alias))),
+            tuple(sorted(joins)),
+            tuple(sorted(c for a, c in bq.group_by if a == alias)),
+            tuple(sorted((c, asc) for a, c, asc in bq.order_by if a == alias)),
+        ))
+    return rest, {}
 
 
-def query_signature(bq):
-    """A hashable, alias-invariant signature of a bound SELECT query."""
-    descriptors = {alias: _local_descriptor(bq, alias) for alias in bq.aliases}
-    ordered = sorted(bq.aliases, key=lambda a: descriptors[a])
+def _tail(bq, ordered):
+    """The signature's parts after the descriptors, under the alias
+    ranking *ordered*: joins, select, aggregates, grouping, ordering."""
     rank = {alias: i for i, alias in enumerate(ordered)}
-
     joins = []
     for j in bq.joins:
         left = (rank[j.left_alias], j.left_column)
         right = (rank[j.right_alias], j.right_column)
         joins.append(tuple(sorted((left, right))))
-
     return (
-        tuple(descriptors[a] for a in ordered),
         tuple(sorted(joins)),
         tuple(sorted((rank[a], c) for a, c in bq.select_columns)),
         tuple(sorted(_aggregate_sig(agg, rank) for agg in bq.aggregates)),
         tuple(sorted((rank[a], c) for a, c in bq.group_by)),
         # ORDER BY is positional: keep clause order, canonicalize aliases.
         tuple((rank[a], c, asc) for a, c, asc in bq.order_by),
-        bq.limit,
-        bq.has_star,
+    )
+
+
+def query_signature(bq):
+    """A hashable, alias-invariant signature of a bound SELECT query:
+    per alias, its local descriptor (what one table reference looks
+    like, described without alias names: the template's skeleton plus
+    the instance's filter fingerprints), the aliases ranked by it."""
+    rest, tails = bq.template.part(_skeleton, bq)
+    descriptors = {
+        alias: (name, tuple(sorted(_filter_sig(f)
+                                   for f in bq.filters_for(alias))), *more)
+        for alias, (name, more) in rest.items()
+    }
+    ordered = tuple(sorted(bq.aliases, key=descriptors.__getitem__))
+    tail = tails.get(ordered)
+    if tail is None:
+        tail = tails[ordered] = _tail(bq, ordered)
+    return (
+        tuple(descriptors[a] for a in ordered), *tail, bq.limit, bq.has_star
     )
 
 

@@ -178,15 +178,31 @@ def _interesting_orders(bq, alias):
 
 
 def _order_vectors(bq):
-    per_alias = [
-        [(alias, order) for order in _interesting_orders(bq, alias)]
-        for alias in bq.aliases
-    ]
-    vectors = list(itertools.product(*per_alias))
-    # Prefer vectors with fewer ordered tables (they generalize best),
-    # then truncate to the cap.
+    """A template part: the order vectors a build plans, fewest ordered
+    tables first (they generalize best) and cut at the cap, each with
+    the hypothetical covering indexes — one per ordered table, its order
+    column as key and the alias's other referenced columns included —
+    its overlay adds."""
+    orders = {alias: _interesting_orders(bq, alias) for alias in bq.aliases}
+    vectors = list(itertools.product(*(
+        [(alias, order) for order in alias_orders]
+        for alias, alias_orders in orders.items()
+    )))
     vectors.sort(key=lambda v: sum(1 for __, o in v if o is not None))
-    return vectors[:MAX_VECTORS_PER_QUERY]
+    covering = {}
+    for alias, alias_orders in orders.items():
+        for order in alias_orders[1:]:
+            covering[alias, order] = Index(
+                bq.table_for(alias).name,
+                (order,),
+                include=tuple(sorted(bq.referenced_columns(alias) - {order})),
+                name="%s%s_%s" % (_TMP_PREFIX, alias, order),
+            )
+    return tuple(
+        (vector, tuple(covering[alias, order]
+                       for alias, order in vector if order is not None))
+        for vector in vectors[:MAX_VECTORS_PER_QUERY]
+    )
 
 
 def build_cache(bq, catalog, settings):
@@ -198,23 +214,11 @@ def build_cache(bq, catalog, settings):
     # Consecutive vectors differ in one alias's covering index, so the
     # join subsets without that alias are enumerated once for the build.
     subsets = {}
-    for vector in _order_vectors(bq):
+    for vector, indexes in bq.template.part(_order_vectors, bq):
         overlay = catalog.clone()
-        for alias, order in vector:
-            if order is None:
-                continue
-            table = bq.table_for(alias)
-            include = tuple(
-                sorted(bq.referenced_columns(alias) - {order})
-            )
-            index = Index(
-                table.name,
-                (order,),
-                include=include,
-                name="%s%s_%s" % (_TMP_PREFIX, alias, order),
-            )
+        for index in indexes:
             overlay.add_index(index)
-            covering.add(index)
+        covering.update(indexes)
         plan = plan_query(bq, overlay, settings, subsets=subsets)
         cache.build_optimizer_calls += 1
         cached = extract_plan_terms(plan, bq, dict(vector))

@@ -146,62 +146,97 @@ class IndexMatch:
     eq_prefix: int  # leading key columns bound by equality
     boundary_selectivity: float
     ordering_columns: tuple  # key columns that still order the output
+    boundary_positions: tuple  # of the boundary filters in the context's
+    residual_positions: tuple  # ... and of the residual ones
 
 
-def _match_index(index, filters, table, param_columns, selectivity):
-    """Greedy prefix match of sargable *filters* against *index*.
+@dataclass(slots=True, frozen=True)
+class _Match:
+    """What :func:`_match_index` reads of no constant, per (alias of a
+    template, index columns, probed columns): filter positions, probes
+    and the order of the selectivity product's factors — ``(position,
+    None)`` a filter's, ``(None, column)`` a probe's."""
 
-    Equality conditions (including parameterized join probes) extend the
-    prefix; the first range/IN condition closes it.  Everything unmatched
-    becomes a residual qual.  Per-filter selectivities are looked up
-    through *selectivity* (a :class:`ScanContext` passes its precomputed
-    ones).
-    """
+    boundary: tuple
+    params: tuple
+    residual: tuple
+    eq_prefix: int
+    factors: tuple
+    ordering: tuple
+
+
+def _match_shape(filter_shape, index_columns, param_columns):
+    """Greedy prefix match of sargable filters — ``(column, kind)`` per
+    filter — against *index_columns*: equality conditions (including
+    parameterized join probes) extend the prefix; the first range/IN
+    condition closes it.  Everything unmatched becomes a residual."""
     by_column = {}
-    for f in filters:
-        by_column.setdefault(f.column, []).append(f)
+    for pos, (column, kind) in enumerate(filter_shape):
+        by_column.setdefault(column, []).append((pos, kind))
     params_available = set(param_columns)
 
     boundary = []
     used_params = []
+    factors = []
     eq_prefix = 0
-    sel = 1.0
-    closed = False
-    for key_col in index.columns:
-        if closed:
-            break
-        eq_filter = next(
-            (f for f in by_column.get(key_col, ()) if f.kind == "eq"), None
-        )
-        if eq_filter is not None:
-            boundary.append(eq_filter)
-            sel *= selectivity(eq_filter)
+    for key_col in index_columns:
+        candidates = by_column.get(key_col, ())
+        eq = next((pos for pos, kind in candidates if kind == "eq"), None)
+        if eq is not None:
+            boundary.append(eq)
+            factors.append((eq, None))
             eq_prefix += 1
             continue
         if key_col in params_available:
             used_params.append(key_col)
-            sel *= equality_fraction(table, key_col)
+            factors.append((None, key_col))
             eq_prefix += 1
             continue
         closing = next(
-            (f for f in by_column.get(key_col, ()) if f.kind in ("range", "in")),
-            None,
+            (pos for pos, kind in candidates if kind in ("range", "in")), None
         )
         if closing is not None:
             boundary.append(closing)
-            sel *= selectivity(closing)
-        closed = True
-
-    boundary_set = set(id(f) for f in boundary)
-    residual = tuple(f for f in filters if id(f) not in boundary_set)
-    ordering = tuple(index.columns[eq_prefix:])
-    return IndexMatch(
-        boundary_filters=tuple(boundary),
-        param_columns=tuple(used_params),
-        residual_filters=residual,
+            factors.append((closing, None))
+        break
+    return _Match(
+        boundary=tuple(boundary),
+        params=tuple(used_params),
+        residual=tuple(
+            pos for pos in range(len(filter_shape)) if pos not in boundary
+        ),
         eq_prefix=eq_prefix,
+        factors=tuple(factors),
+        ordering=tuple(index_columns[eq_prefix:]),
+    )
+
+
+def _match_index(ctx, index, param_columns):
+    """*index* matched against *ctx*'s filters (and join-key probes on
+    *param_columns*): the template's match structure, memoized on the
+    scan shape, filled with this context's filters and selectivities —
+    the product taken in the order the match consumed them."""
+    shape = ctx.shape
+    key = (index.columns, param_columns)
+    match = shape.matches.get(key)
+    if match is None:
+        match = shape.matches[key] = _match_shape(
+            shape.filters, index.columns, param_columns
+        )
+    sels, filters = ctx.sels, ctx.filters
+    sel = 1.0
+    for pos, column in match.factors:
+        sel *= (sels[pos] if column is None
+                else equality_fraction(ctx.geometry.table, column))
+    return IndexMatch(
+        boundary_filters=tuple([filters[pos] for pos in match.boundary]),
+        param_columns=match.params,
+        residual_filters=tuple([filters[pos] for pos in match.residual]),
+        eq_prefix=match.eq_prefix,
         boundary_selectivity=clamp(sel, 0.0, 1.0),
-        ordering_columns=ordering,
+        ordering_columns=match.ordering,
+        boundary_positions=match.boundary,
+        residual_positions=match.residual,
     )
 
 
@@ -250,6 +285,9 @@ class ScanContext:
     on the secondary-index set: geometry, the filter set with per-filter
     selectivities, and the output shape — a pure function of (bound
     query, alias, the vertical layout's cover, horizontal partitioning).
+    The fields that read no constant (``needed``, ``eq_columns``,
+    ``boundary_columns``, ``interesting``, ``width``) are the template's
+    :class:`_ScanShape`, shared by every instance of the statement.
     Compared and hashed by identity: the plan memo keys on *which*
     context a plan was priced from (:func:`plan_inputs`).
 
@@ -264,9 +302,10 @@ class ScanContext:
     """
 
     geometry: RelationGeometry
-    needed: set  # columns the query references (index-only eligibility)
+    shape: object  # the template's _ScanShape for this alias
+    needed: frozenset  # columns the query references (index-only eligibility)
     filters: tuple
-    filter_sel: dict  # BoundFilter -> selectivity, one entry per filter
+    sels: tuple  # each filter's selectivity, by position
     eq_columns: tuple  # columns bound by an equality filter
     boundary_columns: tuple  # columns with any sargable (eq/range/in) filter
     # Columns whose order helps an operator above the scan (ORDER BY,
@@ -368,40 +407,75 @@ def forget_indexes(bound_query, indexes):
                         memo.pop(key, None)
 
 
-def _build_context(bound_query, alias, cover, horizontal):
-    geometry = relation_geometry(bound_query, alias, cover, horizontal)
-    table = geometry.table
+@dataclass(slots=True, eq=False)
+class _ScanShape:
+    """The half of a :class:`ScanContext` that reads no constant, per
+    alias of a statement template, with what is derived from it alone:
+    :func:`_match_index`'s structures and :func:`reach_columns`' lead
+    sets."""
+
+    needed: frozenset
+    filters: tuple  # (column, kind) per filter, in filter order
+    eq_columns: tuple
+    boundary_columns: tuple
+    interesting: frozenset
+    width: int
+    tracked: tuple  # columns whose statistics every plan over it reads
+    matches: dict  # (index columns, probed columns) -> _Match
+    leads: dict  # (interesting columns, probed columns) -> lead columns
+
+
+def _scan_shape(bound_query, alias):
+    """A template part: *alias*'s :class:`_ScanShape`."""
     filters = bound_query.filters_for(alias)
-    filter_sel = {}
-    sel_all = 1.0  # == conjunction_selectivity(filters, table)
-    for f in filters:
-        sel = filter_sel.get(f)
-        if sel is None:
-            sel = filter_sel[f] = filter_selectivity(f, table)
-        sel_all *= sel
-    sel_all = clamp(sel_all, 0.0, 1.0)
     join_columns = [
         clause.side_for(alias)[0] for clause in bound_query.joins_for(alias)
     ]
     group_columns = [c for a, c in bound_query.group_by if a == alias]
     order_columns = [c for a, c, __ in bound_query.order_by if a == alias]
+    columns = [f.column for f in filters]
+    return _ScanShape(
+        needed=bound_query.referenced_columns(alias),
+        filters=tuple((f.column, f.kind) for f in filters),
+        eq_columns=tuple(f.column for f in filters if f.kind == "eq"),
+        boundary_columns=tuple(f.column for f in filters if f.sargable),
+        interesting=frozenset(join_columns + group_columns + order_columns),
+        width=_output_width(bound_query, alias),
+        tracked=tuple(dict.fromkeys(columns + join_columns + group_columns)),
+        matches={},
+        leads={},
+    )
+
+
+def _build_context(bound_query, alias, cover, horizontal):
+    """The numbers pass of a context: geometry and per-filter
+    selectivities over the template's scan shape."""
+    shape = bound_query.template.part(_scan_shape, bound_query, alias)
+    geometry = relation_geometry(bound_query, alias, cover, horizontal)
+    table = geometry.table
+    filters = bound_query.filters_for(alias)
+    sels = tuple([filter_selectivity(f, table) for f in filters])
+    sel_all = 1.0  # == conjunction_selectivity(filters, table)
+    for sel in sels:
+        sel_all *= sel
+    sel_all = clamp(sel_all, 0.0, 1.0)
     # No reference back to the bound query: it owns this context, and a
     # cycle would leave dropped memos to the cyclic collector.
     ctx = ScanContext(
         geometry=geometry,
-        needed=bound_query.referenced_columns(alias),
+        shape=shape,
+        needed=shape.needed,
         filters=filters,
-        filter_sel=filter_sel,
-        eq_columns=tuple(f.column for f in filters if f.kind == "eq"),
-        boundary_columns=tuple(f.column for f in filters if f.sargable),
-        interesting=frozenset(join_columns + group_columns + order_columns),
+        sels=sels,
+        eq_columns=shape.eq_columns,
+        boundary_columns=shape.boundary_columns,
+        interesting=shape.interesting,
         sel_all=sel_all,
         rows_out=max(1.0, geometry.rows * sel_all),
-        width=_output_width(bound_query, alias),
+        width=shape.width,
         _stats={},
     )
-    ctx._track(f.column for f in filters)
-    ctx._track(join_columns + group_columns)
+    ctx._track(shape.tracked)
     if horizontal is not None:
         ctx._track((horizontal.column,))
     return ctx
@@ -445,24 +519,28 @@ def reaching_indexes(ctx, indexes, interesting_columns=(), param_columns=()):
     covers the probes as well — every probed column is a join column,
     hence interesting, and every equality column is a boundary column.
     """
-    if param_columns:
-        return tuple(
-            ix for ix in indexes if offers_probe_path(ctx, ix, param_columns)
-        )
-    return tuple(
-        ix for ix in indexes
-        if offers_scan_paths(ctx, ix, interesting_columns)
-    )
+    leads = reach_columns(ctx, interesting_columns, param_columns)
+    return tuple([ix for ix in indexes if ix.columns[0] in leads])
 
 
 def reach_columns(ctx, interesting_columns=(), param_columns=()):
     """The column form of the same rule, for callers holding indexes
     keyed by lead column (CoPhy's option builder): ``index.columns[0] in
     reach_columns(...)`` is :func:`offers_probe_path` for a probe
-    (*param_columns* given), :func:`offers_scan_paths` for a scan."""
-    if param_columns:
-        return (*param_columns, *ctx.eq_columns)
-    return (*ctx.boundary_columns, *interesting_columns)
+    (*param_columns* given), :func:`offers_scan_paths` for a scan.  The
+    set reads no constant, so the template's scan shape keeps it."""
+    key = (
+        frozenset(interesting_columns) if type(interesting_columns) is set
+        else interesting_columns,
+        tuple(param_columns),
+    )
+    leads = ctx.shape.leads.get(key)
+    if leads is None:
+        leads = ctx.shape.leads[key] = frozenset(
+            (*param_columns, *ctx.eq_columns) if param_columns
+            else (*ctx.boundary_columns, *interesting_columns)
+        )
+    return leads
 
 
 def plan_inputs(bound_query, catalog):
@@ -504,9 +582,7 @@ def index_path_group(ctx, index, settings, interesting_columns=()):
     entry = memo.get(index)
     if entry is None:
         ctx._track(index.columns)
-        match = _match_index(
-            index, ctx.filters, ctx.table, (), ctx.filter_sel.__getitem__
-        )
+        match = _match_index(ctx, index, ())
         entry = memo[index] = (
             tuple(_index_paths(ctx, index, match, settings)),
             (index, match) if match.boundary_filters else None,
@@ -531,15 +607,13 @@ def parameterized_path_for(ctx, index, settings, param_columns):
 
 def _parameterized_path(ctx, index, settings, param_columns):
     ctx._track(index.columns)
-    filter_sel = ctx.filter_sel
-    match = _match_index(
-        index, ctx.filters, ctx.table, param_columns, filter_sel.__getitem__
-    )
+    match = _match_index(ctx, index, tuple(param_columns))
     if not match.param_columns:
         return None
+    sels = ctx.sels
     sel_all = match.boundary_selectivity
-    for f in match.residual_filters:
-        sel_all *= filter_sel[f]
+    for pos in match.residual_positions:
+        sel_all *= sels[pos]
     rows_out = max(1e-9, ctx.geometry.rows * sel_all)
     return _index_scan_cost(
         ctx, index, match, settings, rows_out, parameterized=True
@@ -767,7 +841,7 @@ def bitmap_and_path(ctx, arm_candidates, settings):
         if lead.column in seen_columns:
             continue
         seen_columns.add(lead.column)
-        arms.append((index, lead, ctx.filter_sel[lead]))
+        arms.append((index, lead, ctx.sels[match.boundary_positions[0]]))
         if len(arms) == 2:
             break
     if len(arms) < 2:

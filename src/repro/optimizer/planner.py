@@ -202,20 +202,13 @@ class _Planner:
         """The path set of *subset*: every join of two smaller sets."""
         pset = _PathSet()
         rows_out = self.subset_rows(subset)
-        found_connected = False
+        # A split no join clause crosses is a cartesian pair (empty
+        # clauses): a disconnected join graph still gets every product.
         for left, right in self._splits(subset):
-            clauses = self._clauses_between(left, right)
-            if clauses:
-                found_connected = True
             if left not in sets or right not in sets:
                 continue
-            self._join_pair(sets, left, right, clauses, rows_out, pset)
-        if not found_connected:
-            # Disconnected join graph: cartesian product as last resort.
-            for left, right in self._splits(subset):
-                if left not in sets or right not in sets:
-                    continue
-                self._join_pair(sets, left, right, (), rows_out, pset)
+            self._join_pair(sets, left, right,
+                            self._clauses_between(left, right), rows_out, pset)
         return pset
 
     def _splits(self, subset):

@@ -13,6 +13,8 @@ from repro.optimizer.planner import plan_query
 from repro.optimizer.settings import DEFAULT_SETTINGS
 from repro.optimizer.writecost import write_statement_cost
 from repro.sql.binder import BoundQuery, BoundWrite, bind_statement
+from repro.sql.lexer import Lexer
+from repro.sql.template import template_key
 from repro.util import PlanningError, workload_pairs
 
 
@@ -23,6 +25,7 @@ class CostService:
         self.catalog = catalog
         self.settings = settings or DEFAULT_SETTINGS
         self.statements = {}  # text -> _Statement; with_catalog shares it
+        self.templates = {}  # template key -> StatementTemplate; shared too
         self._plan_cache = {}
         self._counter = shared_counter if shared_counter is not None else _Counter()
 
@@ -55,11 +58,24 @@ class CostService:
             record = self.statements.get(query)
             if record is None or record.bound is None:
                 record = self.statement(query)
-                record.bound = bind_statement(query, self.catalog)
+                record.bound = self._bind(query)
             return record.bound
         if isinstance(query, (BoundQuery, BoundWrite)):
             return query
         raise TypeError("expected SQL text or BoundQuery, got %r" % (type(query),))
+
+    def _bind(self, sql):
+        """*sql* bound through its template: the numbers pass when one
+        is known for the text's key, else ``bind_statement``, whose
+        template is kept (:mod:`repro.sql.template`)."""
+        tokens = Lexer(sql).tokens()
+        key = template_key(tokens)
+        template = self.templates.get(key)
+        if template is not None:
+            return template.instance(tokens)
+        bound = bind_statement(sql, self.catalog)
+        self.templates[key] = bound.template.keyed(tokens)
+        return bound
 
     def plan(self, query):
         """Plan *query*.
@@ -120,18 +136,20 @@ class CostService:
         """A service against a different (e.g. hypothetical) catalog.
 
         Shares the optimizer-call counter so experiments see the total
-        spend across what-if explorations, and the statement records
-        (binding only reads the logical schema), but not the plan cache
-        (plans depend on the physical design).
+        spend across what-if explorations, and the statement records and
+        templates (binding only reads the logical schema), but not the
+        plan cache (plans depend on the physical design).
         """
         svc = CostService(catalog, self.settings, shared_counter=self._counter)
         svc.statements = self.statements
+        svc.templates = self.templates
         return svc
 
 
 class _Statement:
-    """What one statement text is, once known: its binding, its
-    canonical signature and the plan terms the optimizer answered."""
+    """What one statement text is, once known: its binding (which points
+    at its template), its canonical signature and the plan terms the
+    optimizer answered."""
 
     __slots__ = ("bound", "signature", "terms")
 

@@ -19,6 +19,7 @@ from dataclasses import replace as dc_replace
 
 from repro.optimizer.selectivity import conjunction_selectivity
 from repro.sql.binder import BoundQuery
+from repro.sql.template import StatementTemplate
 
 # Amortized page-write charges (fractions of a random page write per row).
 HEAP_DIRTY_PER_ROW = 0.05
@@ -32,17 +33,29 @@ LOCATE_PREFIX = "<locate> "
 
 
 def locate_query(bound_write):
-    """The SELECT-equivalent used to price finding the affected rows."""
+    """The SELECT-equivalent used to price finding the affected rows,
+    an instance of the locate template of the write's template."""
+    template = bound_write.template.part(_locate_template, bound_write)
+    bound = _locate(bound_write, template.bound.select_columns)
+    bound.template = template
+    return bound
+
+
+def _locate_template(bound_write):
     table = bound_write.table
-    alias = table.name
     referenced = {f.column for f in bound_write.filters}
     referenced.update(bound_write.set_columns)
     if not referenced:
         referenced = {table.column_names[0]}
-    select_columns = tuple((alias, c) for c in sorted(referenced))
+    select_columns = tuple((table.name, c) for c in sorted(referenced))
+    return StatementTemplate(_locate(bound_write, select_columns), None, ())
+
+
+def _locate(bound_write, select_columns):
+    alias = bound_write.table.name
     return BoundQuery(
         query=None,
-        tables={alias: table},
+        tables={alias: bound_write.table},
         filters={alias: tuple(bound_write.filters)},
         joins=(),
         select_columns=select_columns,

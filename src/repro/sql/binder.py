@@ -24,6 +24,7 @@ from repro.sql.astnodes import (
     UpdateStatement,
 )
 from repro.sql.parser import parse, parse_statement
+from repro.sql.template import StatementTemplate
 from repro.util import BindError
 
 
@@ -117,8 +118,11 @@ class BoundQuery:
     order_by: tuple  # ((alias, column, ascending), ...)
     limit: int = None
     has_star: bool = False
-    _referenced: dict = field(default=None, repr=False)
     _sql: str = field(default=None, repr=False)
+    # The StatementTemplate this binding is an instance of.
+    template: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
     # Pricing memos owned by the statement (rows of evaluation/memos.py).
     scan_contexts: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -160,35 +164,7 @@ class BoundQuery:
     def referenced_columns(self, alias):
         """Columns of *alias* the query touches (select, filters, joins,
         grouping, ordering).  Star queries reference every column."""
-        if self._referenced is None:
-            self._compute_referenced()
-        return self._referenced[alias]
-
-    def _compute_referenced(self):
-        refs = {alias: set() for alias in self.tables}
-        if self.has_star:
-            for alias, table in self.tables.items():
-                refs[alias].update(table.column_names)
-        for alias, column in self.select_columns:
-            refs[alias].add(column)
-        for agg in self.aggregates:
-            if isinstance(agg.arg, ColumnRef) and agg.arg.table:
-                refs[agg.arg.table].add(agg.arg.column)
-        for alias, flist in self.filters.items():
-            for f in flist:
-                refs[alias].add(f.column)
-        for join in self.joins:
-            refs[join.left_alias].add(join.left_column)
-            refs[join.right_alias].add(join.right_column)
-        for alias, column in self.group_by:
-            refs[alias].add(column)
-        for alias, column, __ in self.order_by:
-            refs[alias].add(column)
-        # Frozen: a column set keys the layout's cover memo
-        # (VerticalLayout.cover), and a frozenset hashes once.
-        self._referenced = {
-            alias: frozenset(columns) for alias, columns in refs.items()
-        }
+        return self.template.referenced[alias]
 
 
 @dataclass
@@ -205,6 +181,9 @@ class BoundWrite:
     set_columns: tuple = ()  # columns assigned (update)
     n_rows: int = 1  # rows inserted (insert)
     _sql: str = field(default=None, repr=False)
+    template: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def sql(self):
@@ -229,58 +208,51 @@ def bind_sql(sql, catalog):
 
 
 def bind_statement(sql, catalog):
-    """Parse and bind any statement: returns BoundQuery or BoundWrite."""
+    """Parse and bind any statement: returns BoundQuery or BoundWrite,
+    the first instance of its own
+    :class:`~repro.sql.template.StatementTemplate`."""
     node = parse_statement(sql)
-    if isinstance(node, UpdateStatement):
+    if isinstance(node, InsertStatement):
+        table = catalog.table(node.table.name)
+        bound = BoundWrite(
+            kind="insert", table=table, n_rows=node.n_rows, _sql=node.unparse()
+        )
+        StatementTemplate(bound, node, ())
+        return bound
+    if isinstance(node, (UpdateStatement, DeleteStatement)):
+        kind = "update" if isinstance(node, UpdateStatement) else "delete"
         table = catalog.table(node.table.name)
         alias = node.table.effective_alias
         resolver = _Resolver({alias: table})
         set_columns = []
-        for column, __ in node.assignments:
+        for column, __ in getattr(node, "assignments", ()):
             if not table.has_column(column):
                 raise BindError(
                     "no column %r in table %r" % (column, table.name)
                 )
             set_columns.append(column)
-        filters = []
+        filters, sites = [], []
         for pred in node.predicates:
-            bound = _bind_predicate(pred, resolver)
-            if isinstance(bound, BoundJoin):
-                raise BindError("joins are not allowed in UPDATE")
-            filters.append(bound)
-        return BoundWrite(
-            kind="update",
+            site = _site(pred, resolver)
+            if isinstance(site, BoundJoin):
+                raise BindError("joins are not allowed in %s" % kind.upper())
+            filters.append(bind_filter(pred, *site))
+            sites.append(site)
+        bound = BoundWrite(
+            kind=kind,
             table=table,
-            filters=_merge_ranges(filters, alias),
+            filters=merge_ranges(filters, alias),
             set_columns=tuple(set_columns),
             _sql=node.unparse(),
         )
-    if isinstance(node, InsertStatement):
-        table = catalog.table(node.table.name)
-        return BoundWrite(
-            kind="insert", table=table, n_rows=node.n_rows, _sql=node.unparse()
-        )
-    if isinstance(node, DeleteStatement):
-        table = catalog.table(node.table.name)
-        alias = node.table.effective_alias
-        resolver = _Resolver({alias: table})
-        filters = []
-        for pred in node.predicates:
-            bound = _bind_predicate(pred, resolver)
-            if isinstance(bound, BoundJoin):
-                raise BindError("joins are not allowed in DELETE")
-            filters.append(bound)
-        return BoundWrite(
-            kind="delete",
-            table=table,
-            filters=_merge_ranges(filters, alias),
-            _sql=node.unparse(),
-        )
+        StatementTemplate(bound, node, tuple(sites))
+        return bound
     return bind(node, catalog)
 
 
 def bind(query, catalog):
-    """Resolve *query* against *catalog*, returning a :class:`BoundQuery`."""
+    """Resolve *query* against *catalog*, returning a :class:`BoundQuery`
+    (the first instance of its own template)."""
     tables = {}
     for tref in query.tables:
         alias = tref.effective_alias
@@ -292,12 +264,15 @@ def bind(query, catalog):
 
     filters = {alias: [] for alias in tables}
     joins = []
+    sites = []
     for pred in query.predicates:
-        bound = _bind_predicate(pred, resolver)
-        if isinstance(bound, BoundJoin):
-            joins.append(bound)
+        site = _site(pred, resolver)
+        if isinstance(site, BoundJoin):
+            joins.append(site)
+            sites.append(None)
         else:
-            filters[bound.alias].append(bound)
+            filters[site[0]].append(bind_filter(pred, *site))
+            sites.append(site)
 
     select_columns = []
     aggregates = []
@@ -330,9 +305,9 @@ def bind(query, catalog):
     )
 
     normalized = {
-        alias: _merge_ranges(flist, alias) for alias, flist in filters.items()
+        alias: merge_ranges(flist, alias) for alias, flist in filters.items()
     }
-    return BoundQuery(
+    bound = BoundQuery(
         query=query,
         tables=tables,
         filters=normalized,
@@ -344,6 +319,8 @@ def bind(query, catalog):
         limit=query.limit,
         has_star=has_star,
     )
+    StatementTemplate(bound, query, tuple(sites))
+    return bound
 
 
 class _Resolver:
@@ -382,7 +359,10 @@ class _Resolver:
 _RANGE_OPS = {"<": ("high", False), "<=": ("high", True), ">": ("low", False), ">=": ("low", True)}
 
 
-def _bind_predicate(pred, resolver):
+def _site(pred, resolver):
+    """The half of binding a conjunct that reads no value: a
+    :class:`BoundJoin`, or the ``(alias, table name, column)`` of a
+    single-table filter."""
     if isinstance(pred, Comparison):
         left_alias, left_col = resolver.resolve(pred.left)
         left_table = resolver.table(left_alias)
@@ -399,42 +379,46 @@ def _bind_predicate(pred, resolver):
                 left_alias, left_table.name, left_col,
                 right_alias, right_table.name, right_col,
             )
+        return left_alias, left_table.name, left_col
+    if isinstance(pred, (BetweenPredicate, InPredicate, IsNullPredicate)):
+        alias, col = resolver.resolve(pred.column)
+        return alias, resolver.table(alias).name, col
+    raise BindError("unsupported predicate %r" % (pred,))
+
+
+def bind_filter(pred, alias, table_name, column):
+    """The half that reads the values: the :class:`BoundFilter` *pred*
+    states on its site — a step a template's numbers pass repeats."""
+    if isinstance(pred, Comparison):
         value = pred.right.value
         if value is None:
             raise BindError("comparisons with NULL are never true; use IS NULL")
         if pred.op == "=":
-            return BoundFilter(left_alias, left_table.name, left_col, "eq", value=value)
+            return BoundFilter(alias, table_name, column, "eq", value=value)
         if pred.op == "<>":
-            return BoundFilter(left_alias, left_table.name, left_col, "ne", value=value)
+            return BoundFilter(alias, table_name, column, "ne", value=value)
         side, inclusive = _RANGE_OPS[pred.op]
         kwargs = {"low": None, "high": None}
         kwargs[side] = value
         return BoundFilter(
-            left_alias, left_table.name, left_col, "range",
+            alias, table_name, column, "range",
             low=kwargs["low"], high=kwargs["high"],
             low_inclusive=inclusive if side == "low" else True,
             high_inclusive=inclusive if side == "high" else True,
         )
     if isinstance(pred, BetweenPredicate):
-        alias, col = resolver.resolve(pred.column)
-        table = resolver.table(alias)
-        low, high = pred.low.value, pred.high.value
-        return BoundFilter(alias, table.name, col, "range", low=low, high=high)
+        return BoundFilter(alias, table_name, column, "range",
+                           low=pred.low.value, high=pred.high.value)
     if isinstance(pred, InPredicate):
-        alias, col = resolver.resolve(pred.column)
-        table = resolver.table(alias)
         if not pred.values:
             raise BindError("empty IN list")
-        return BoundFilter(alias, table.name, col, "in", values=tuple(pred.values))
-    if isinstance(pred, IsNullPredicate):
-        alias, col = resolver.resolve(pred.column)
-        table = resolver.table(alias)
-        kind = "notnull" if pred.negated else "isnull"
-        return BoundFilter(alias, table.name, col, kind)
-    raise BindError("unsupported predicate %r" % (pred,))
+        return BoundFilter(alias, table_name, column, "in",
+                           values=tuple(pred.values))
+    kind = "notnull" if pred.negated else "isnull"
+    return BoundFilter(alias, table_name, column, kind)
 
 
-def _merge_ranges(filters, alias):
+def merge_ranges(filters, alias):
     """Combine multiple range conjuncts on the same column into one filter,
     e.g. ``x > 5 AND x <= 9`` becomes a single [5, 9] range."""
     merged = {}

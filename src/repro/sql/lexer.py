@@ -1,6 +1,6 @@
 """Hand-written lexer for the SQL subset."""
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.util import ParseError
 
@@ -37,10 +37,11 @@ _OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">")
 _PUNCT = "(),.*+-"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token: ``kind`` is ``keyword``, ``ident``, ``number``,
-    ``string``, ``op``, ``punct`` or ``eof``."""
+    ``string``, ``op``, ``punct`` or ``eof``.  A named tuple, the
+    cheapest immutable record to build: every statement text is lexed
+    for its template key, most of them for nothing else."""
 
     kind: str
     value: object

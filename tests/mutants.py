@@ -1,8 +1,9 @@
-"""Declared mutants: one-line changes to ``src/repro`` that named tests
+"""Declared mutants: small changes to ``src/repro`` that named tests
 must fail ("kill").
 
 Each entry of :data:`MUTANTS` names a file under ``src/``, the exact
-text to replace (it must occur there once), its replacement and the
+text to replace (a line or a few; it must occur there once), its
+replacement and the
 pytest ids that must kill it.  The runner copies ``src/`` to a temporary
 directory, checks that the named tests pass on the copy, then applies
 one mutant at a time and runs only that mutant's tests against it —
@@ -81,6 +82,60 @@ MUTANTS = (
         "plans = self._base_service.statement(bq.sql).terms",
         "plans = None",
         ("tests/test_plan_term_memo.py",),
+    ),
+    Mutant(
+        "write-sum-reassociated",
+        "repro/evaluation/evaluator.py",
+        "out[:, s] += reads[read]",
+        "out[:, s] = heap + ((out[:, s] - heap) + reads[read])",
+        ("tests/test_writes.py::TestWritesPricedOnTheKernel",),
+    ),
+    Mutant(
+        "write-index-set-key-collapsed",
+        "repro/evaluation/evaluator.py",
+        "key = view.design_signature(table)[0]",
+        "key = table",
+        ("tests/test_writes.py::TestWritesPricedOnTheKernel",),
+    ),
+    Mutant(
+        "layout-cover-key-collapsed",
+        "repro/catalog/partition.py",
+        "cached = self._covers.get(needed)\n",
+        "cached = self._covers.get(needed) or next(\n"
+        "            iter(self._covers.values()), None)\n",
+        ("tests/test_scan_memo.py::"
+         "test_the_shared_cover_is_each_statements_own_cover",),
+    ),
+    Mutant(
+        "designer-accepts-a-foreign-evaluator",
+        "repro/designer/facade.py",
+        "elif evaluator.catalog is not catalog:",
+        "elif False:",
+        ("tests/test_designer.py::TestOneEvaluator::"
+         "test_mismatched_catalog_with_evaluator_rejected",),
+    ),
+    Mutant(
+        "remote-backoff-cap-halved",
+        "repro/net/client.py",
+        "BACKOFF_CAP = 1.0",
+        "BACKOFF_CAP = 0.5",
+        ("tests/test_net.py::TestInterruptibleBackoff::"
+         "test_backoff_doubles_up_to_its_cap",),
+    ),
+    Mutant(
+        "template-key-drops-literal-kind",
+        "repro/sql/template.py",
+        '''_MASKS = {"number": "0", "string": "\'\'"}''',
+        '''_MASKS = {"number": "0", "string": "0"}''',
+        ("tests/test_statement_templates.py",),
+    ),
+    Mutant(
+        "instance-reuses-first-range-merge",
+        "repro/sql/template.py",
+        "filters={alias: binder.merge_ranges(flist, alias)\n"
+        "                         for alias, flist in filters.items()},",
+        "filters=first.filters,",
+        ("tests/test_statement_templates.py",),
     ),
 )
 

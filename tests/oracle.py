@@ -49,6 +49,16 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
   :func:`reference_planning` runs the shipped planner over them, every
   relation subset enumerated afresh per call (:func:`build_with_plans`
   shows what a build planned, either way).
+* the per-text forms of what a statement template
+  (``repro/sql/template.py``) holds once per shape, each computed from
+  one bound statement alone: :func:`referenced_reference`,
+  :func:`scan_context_reference` (every ``ScanContext`` field),
+  :func:`match_index_reference` (``_match_index`` over filter objects
+  and a selectivity callback), :func:`reaching_reference` (one
+  ``offers_*`` predicate call per index), :func:`order_vectors_reference`
+  with :func:`build_cache_reference`, :func:`query_signature_reference`,
+  :func:`candidate_indexes_reference` and :func:`harvest_reference`;
+  ``tests/test_statement_templates.py`` holds the template path to them.
 * :class:`IndexBenefitGraph` — the interaction paper's own exact
   degree of interaction, maximized over the graph's node contexts; the
   shipped subset enumeration (``interaction/doi.py``) is held to it.
@@ -57,6 +67,7 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
   single-flight and shard locking.
 """
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -69,7 +80,9 @@ from repro.autopart.advisor import (
     PartitionRecommendation,
     _bound_queries,
 )
-from repro.catalog import HorizontalPartitioning, VerticalFragment, VerticalLayout
+from repro.catalog import (
+    HorizontalPartitioning, Index, VerticalFragment, VerticalLayout)
+from repro.cophy.candidates import MAX_INCLUDE_COLUMNS
 from repro.cophy.solvers import MIP_REL_GAP, SolveResult, _assemble, _Matrices
 from repro.evaluation import WorkloadEvaluator
 from repro.inum import cache as inum_cache
@@ -77,7 +90,9 @@ from repro.optimizer import joins as J
 from repro.optimizer import paths as P
 from repro.optimizer import planner
 from repro.optimizer.plan import HashJoin, Materialize, MergeJoin, NestLoop
+from repro.optimizer.selectivity import equality_fraction, filter_selectivity
 from repro.optimizer.settings import DISABLE_COST
+from repro.sql.astnodes import ColumnRef
 from repro.sql.binder import bind_statement
 from repro.util import CatalogError, DesignError, workload_pairs
 from repro.whatif import Configuration
@@ -945,6 +960,328 @@ def threaded_warm_up(evaluator, workload, threads=4):
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(evaluator.cache_for, targets))  # re-raises failures
     return evaluator.precompute_calls - before
+
+
+# ----------------------------------------------------------------------
+# Per-text references of the statement template (repro/sql/template.py).
+# Each computes from one bound statement alone, as the shipped code did
+# before a template held what reads no constant.
+# ----------------------------------------------------------------------
+
+
+def referenced_reference(bq, alias):
+    """The columns of *alias* a query touches, recomputed."""
+    refs = set()
+    table = bq.table_for(alias)
+    if bq.has_star:
+        refs.update(table.column_names)
+    refs.update(c for a, c in bq.select_columns if a == alias)
+    for agg in bq.aggregates:
+        if isinstance(agg.arg, ColumnRef) and agg.arg.table == alias:
+            refs.add(agg.arg.column)
+    refs.update(f.column for f in bq.filters_for(alias))
+    for join in bq.joins:
+        if join.left_alias == alias:
+            refs.add(join.left_column)
+        if join.right_alias == alias:
+            refs.add(join.right_column)
+    refs.update(c for a, c in bq.group_by if a == alias)
+    refs.update(c for a, c, __ in bq.order_by if a == alias)
+    return frozenset(refs)
+
+
+def scan_context_reference(bq, alias, catalog):
+    """Every field of ``paths.scan_context(bq, alias, catalog)`` but the
+    memos, computed from *bq* alone: a dict by field name."""
+    table = bq.table_for(alias)
+    layout = catalog.vertical_layout(table.name)
+    cover = None if layout is None else layout.cover(
+        table, referenced_reference(bq, alias))
+    horizontal = catalog.horizontal_partitioning(table.name)
+    geometry = P.relation_geometry(bq, alias, cover, horizontal)
+    filters = bq.filters_for(alias)
+    filter_sel, sel_all = {}, 1.0
+    for f in filters:
+        sel = filter_sel.get(f)
+        if sel is None:
+            sel = filter_sel[f] = filter_selectivity(f, table)
+        sel_all *= sel
+    sel_all = max(0.0, min(1.0, sel_all))
+    needed = referenced_reference(bq, alias)
+    join_columns = [c.side_for(alias)[0] for c in bq.joins_for(alias)]
+    return dict(
+        geometry=geometry,
+        needed=needed,
+        filters=filters,
+        sels=tuple(filter_sel[f] for f in filters),
+        eq_columns=tuple(f.column for f in filters if f.kind == "eq"),
+        boundary_columns=tuple(f.column for f in filters if f.sargable),
+        interesting=frozenset(
+            join_columns
+            + [c for a, c in bq.group_by if a == alias]
+            + [c for a, c, __ in bq.order_by if a == alias]
+        ),
+        sel_all=sel_all,
+        rows_out=max(1.0, geometry.rows * sel_all),
+        width=max(1, table.row_width(sorted(needed))) if needed else 8,
+    )
+
+
+def match_index_reference(index, filters, table, param_columns, selectivity):
+    """Greedy prefix match of sargable *filters* against *index*, each
+    filter's selectivity through *selectivity*: equality conditions
+    (including parameterized join probes) extend the prefix; the first
+    range/IN condition closes it; everything unmatched is residual."""
+    by_column = {}
+    for f in filters:
+        by_column.setdefault(f.column, []).append(f)
+    params_available = set(param_columns)
+
+    boundary = []
+    used_params = []
+    eq_prefix = 0
+    sel = 1.0
+    closed = False
+    for key_col in index.columns:
+        if closed:
+            break
+        eq_filter = next(
+            (f for f in by_column.get(key_col, ()) if f.kind == "eq"), None
+        )
+        if eq_filter is not None:
+            boundary.append(eq_filter)
+            sel *= selectivity(eq_filter)
+            eq_prefix += 1
+            continue
+        if key_col in params_available:
+            used_params.append(key_col)
+            sel *= equality_fraction(table, key_col)
+            eq_prefix += 1
+            continue
+        closing = next(
+            (f for f in by_column.get(key_col, ()) if f.kind in ("range", "in")),
+            None,
+        )
+        if closing is not None:
+            boundary.append(closing)
+            sel *= selectivity(closing)
+        closed = True
+
+    def position(f):
+        return next(i for i, g in enumerate(filters) if g is f)
+
+    boundary_set = set(id(f) for f in boundary)
+    residual = tuple(f for f in filters if id(f) not in boundary_set)
+    return P.IndexMatch(
+        boundary_filters=tuple(boundary),
+        param_columns=tuple(used_params),
+        residual_filters=residual,
+        eq_prefix=eq_prefix,
+        boundary_selectivity=max(0.0, min(1.0, sel)),
+        ordering_columns=tuple(index.columns[eq_prefix:]),
+        boundary_positions=tuple(map(position, boundary)),
+        residual_positions=tuple(map(position, residual)),
+    )
+
+
+def reaching_reference(ctx, indexes, interesting_columns=(), param_columns=()):
+    """``paths.reaching_indexes`` as one predicate call per index."""
+    if param_columns:
+        return tuple(ix for ix in indexes
+                     if P.offers_probe_path(ctx, ix, param_columns))
+    return tuple(ix for ix in indexes
+                 if P.offers_scan_paths(ctx, ix, interesting_columns))
+
+
+def interesting_orders_reference(bq, alias):
+    """Candidate order columns for one table reference."""
+    orders = []
+    for clause in bq.joins_for(alias):
+        col, __, __ = clause.side_for(alias)
+        if col not in orders:
+            orders.append(col)
+    for a, c in bq.group_by:
+        if a == alias and c not in orders:
+            orders.append(c)
+            break
+    for a, c, __ in bq.order_by:
+        if a == alias and c not in orders:
+            orders.append(c)
+            break
+    return [None] + orders[: inum_cache.MAX_ORDERS_PER_TABLE - 1]
+
+
+def order_vectors_reference(bq):
+    """The order vectors an INUM build plans, each with the covering
+    indexes its overlay adds, built afresh per vector."""
+    per_alias = [
+        [(alias, order) for order in interesting_orders_reference(bq, alias)]
+        for alias in bq.aliases
+    ]
+    vectors = list(itertools.product(*per_alias))
+    vectors.sort(key=lambda v: sum(1 for __, o in v if o is not None))
+    out = []
+    for vector in vectors[:inum_cache.MAX_VECTORS_PER_QUERY]:
+        indexes = []
+        for alias, order in vector:
+            if order is None:
+                continue
+            table = bq.table_for(alias)
+            include = tuple(sorted(referenced_reference(bq, alias) - {order}))
+            indexes.append(Index(
+                table.name, (order,), include=include,
+                name="%s%s_%s" % (inum_cache._TMP_PREFIX, alias, order),
+            ))
+        out.append((vector, tuple(indexes)))
+    return tuple(out)
+
+
+def build_cache_reference(bq, catalog, settings):
+    """An INUM build over :func:`order_vectors_reference`, planning every
+    vector cold: the cache's plan terms, in build order."""
+    plans, seen = [], set()
+    for vector, indexes in order_vectors_reference(bq):
+        overlay = catalog.clone()
+        for index in indexes:
+            overlay.add_index(index)
+        cached = inum_cache.extract_plan_terms(
+            planner.plan_query(bq, overlay, settings), bq, dict(vector))
+        key = (round(cached.internal_cost, 6), cached.slots)
+        if key not in seen:
+            seen.add(key)
+            plans.append(cached)
+    return plans
+
+
+def _filter_sig(f):
+    return (f.column, f.kind, f.value, f.low, f.high, f.low_inclusive,
+            f.high_inclusive, tuple(f.values or ()))
+
+
+def query_signature_reference(bq):
+    """The alias-invariant signature of a bound SELECT, every part
+    recomputed from *bq*."""
+    def descriptor(alias):
+        joins = []
+        for clause in bq.joins_for(alias):
+            column, other_alias, other_column = clause.side_for(alias)
+            joins.append((column, bq.table_for(other_alias).name, other_column))
+        return (
+            bq.table_for(alias).name,
+            tuple(sorted(_filter_sig(f) for f in bq.filters_for(alias))),
+            tuple(sorted(referenced_reference(bq, alias))),
+            tuple(sorted(joins)),
+            tuple(sorted(c for a, c in bq.group_by if a == alias)),
+            tuple(sorted((c, asc) for a, c, asc in bq.order_by if a == alias)),
+        )
+
+    descriptors = {alias: descriptor(alias) for alias in bq.aliases}
+    ordered = sorted(bq.aliases, key=lambda a: descriptors[a])
+    rank = {alias: i for i, alias in enumerate(ordered)}
+
+    def aggregate(agg):
+        arg = agg.arg
+        if isinstance(arg, ColumnRef) and arg.table:
+            arg_sig = (rank.get(arg.table, -1), arg.column)
+        else:
+            arg_sig = ("*",)
+        return (agg.name.upper(), arg_sig, bool(agg.distinct))
+
+    return (
+        tuple(descriptors[a] for a in ordered),
+        tuple(sorted(
+            tuple(sorted(((rank[j.left_alias], j.left_column),
+                          (rank[j.right_alias], j.right_column))))
+            for j in bq.joins
+        )),
+        tuple(sorted((rank[a], c) for a, c in bq.select_columns)),
+        tuple(sorted(aggregate(agg) for agg in bq.aggregates)),
+        tuple(sorted((rank[a], c) for a, c in bq.group_by)),
+        tuple((rank[a], c, asc) for a, c, asc in bq.order_by),
+        bq.limit,
+        bq.has_star,
+    )
+
+
+def candidate_indexes_reference(catalog, workload, max_candidates=60,
+                                include_covering=True, composite_pairs=True):
+    """Candidate mining with each statement bound afresh and its votes
+    counted as it is walked, ranked like ``candidate_indexes``."""
+    scores = {}
+
+    def vote(table_name, columns, weight, include=()):
+        key = (table_name, tuple(columns), tuple(include))
+        scores[key] = scores.get(key, 0.0) + weight
+
+    for sql, weight in workload_pairs(workload):
+        bq = bind_statement(sql, catalog)
+        if bq.is_write:
+            for f in bq.filters:
+                if f.sargable:
+                    vote(bq.table.name, (f.column,), weight)
+            continue
+        for alias in bq.aliases:
+            table = bq.table_for(alias)
+            referenced = referenced_reference(bq, alias)
+            eq_cols, range_cols = [], []
+            for f in bq.filters_for(alias):
+                if not f.sargable:
+                    continue
+                bucket = eq_cols if f.kind in ("eq", "in") else range_cols
+                if f.column not in bucket:
+                    bucket.append(f.column)
+            join_cols = []
+            for clause in bq.joins_for(alias):
+                col, __, __ = clause.side_for(alias)
+                if col not in join_cols:
+                    join_cols.append(col)
+            other_cols = []
+            for a, c in [*bq.group_by, *((a, c) for a, c, __ in bq.order_by)]:
+                if a == alias and c not in other_cols:
+                    other_cols.append(c)
+            for col in eq_cols + range_cols + join_cols + other_cols:
+                vote(table.name, (col,), weight)
+            if composite_pairs:
+                for eq in eq_cols:
+                    for second in range_cols + join_cols + other_cols:
+                        if second != eq:
+                            vote(table.name, (eq, second), weight)
+                for i, eq1 in enumerate(eq_cols):
+                    for eq2 in eq_cols[i + 1:]:
+                        vote(table.name, (eq1, eq2), weight)
+                for join_col in join_cols:
+                    for second in range_cols:
+                        vote(table.name, (join_col, second), weight)
+            if include_covering and len(referenced) <= MAX_INCLUDE_COLUMNS + 1:
+                for col in eq_cols + range_cols + join_cols:
+                    rest = tuple(sorted(referenced - {col}))
+                    if rest:
+                        vote(table.name, (col,), weight, include=rest)
+    ranked = sorted(
+        (-score, Index(table, columns, include=include).name,
+         (table, columns, include))
+        for (table, columns, include), score in scores.items()
+    )
+    if max_candidates is not None:
+        ranked = ranked[:max_candidates]
+    return [Index(table, columns, include=include, name=name)
+            for __, name, (table, columns, include) in ranked]
+
+
+def harvest_reference(bq):
+    """COLT's single-column candidates of a read statement, in the
+    order the tuner meets them."""
+    harvest = []
+    for alias in bq.aliases:
+        columns = set()
+        for f in bq.filters_for(alias):
+            if f.sargable:
+                columns.add(f.column)
+        for clause in bq.joins_for(alias):
+            columns.add(clause.side_for(alias)[0])
+        harvest.extend(Index(bq.table_for(alias).name, (col,))
+                       for col in columns)
+    return tuple(harvest)
 
 
 class IndexBenefitGraph:

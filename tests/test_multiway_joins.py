@@ -153,10 +153,10 @@ class TestOneEnumerationPerBuild:
         assert shared.build_optimizer_calls == len(shared_plans) == 12
         # 7 base sets (3 + 2 + 2 distinct inputs) instead of 12 x 3; the
         # pairs once per distinct input pair — 6 + 6 + 4, the cartesian
-        # {s, n} costing four calls a time — and the full set, never
+        # {s, n} costing its two splits a time — and the full set, never
         # shared, 12 x 6.
         assert counted["bases"] == 7
-        assert counted["pairs"] == 6 * 2 + 6 * 2 + 4 * 4 + 12 * 6 == 112
+        assert counted["pairs"] == 6 * 2 + 6 * 2 + 4 * 2 + 12 * 6 == 104
 
         # What build_cache did before: a fresh search per vector.
         counted.update(pairs=0, bases=0)

@@ -20,11 +20,11 @@ from oracle import hashjoin_path
 SETTINGS = PlannerSettings()
 
 
-def match_index(index, filters, table, param_columns=()):
-    """``paths._match_index`` with each filter's selectivity computed
-    afresh, as a planner without a scan context would."""
-    return P._match_index(index, filters, table, param_columns,
-                          lambda f: S.filter_selectivity(f, table))
+def match_index(bq, catalog, index, param_columns=()):
+    """``paths._match_index`` of *index* under *bq*'s scan context of
+    ``t`` (the reference form is ``tests/oracle.py``'s)."""
+    return P._match_index(P.scan_context(bq, "t", catalog), index,
+                          param_columns)
 
 
 @pytest.fixture
@@ -104,36 +104,36 @@ class TestSelectivity:
 
 class TestIndexMatching:
     def test_eq_prefix_then_range(self, catalog, table):
-        __, fs = filters_for(catalog, "a = 5 AND b < 0.2")
-        match = match_index(Index("t", ("a", "b")), fs, table)
+        bq, __ = filters_for(catalog, "a = 5 AND b < 0.2")
+        match = match_index(bq, catalog, Index("t", ("a", "b")))
         assert len(match.boundary_filters) == 2
         assert match.eq_prefix == 1
         assert match.residual_filters == ()
 
     def test_range_closes_prefix(self, catalog, table):
-        __, fs = filters_for(catalog, "a < 50 AND b < 0.2")
-        match = match_index(Index("t", ("a", "b")), fs, table)
+        bq, __ = filters_for(catalog, "a < 50 AND b < 0.2")
+        match = match_index(bq, catalog, Index("t", ("a", "b")))
         assert len(match.boundary_filters) == 1  # only the range on a
         assert [f.column for f in match.residual_filters] == ["b"]
 
     def test_wrong_leading_column_matches_nothing(self, catalog, table):
-        __, fs = filters_for(catalog, "b < 0.2")
-        match = match_index(Index("t", ("a", "b")), fs, table)
+        bq, __ = filters_for(catalog, "b < 0.2")
+        match = match_index(bq, catalog, Index("t", ("a", "b")))
         assert not match.boundary_filters
         assert match.boundary_selectivity == 1.0
 
     def test_param_column_extends_prefix(self, catalog, table):
-        __, fs = filters_for(catalog, "b < 0.2")
+        bq, __ = filters_for(catalog, "b < 0.2")
         match = match_index(
-            Index("t", ("a", "b")), fs, table, param_columns=("a",)
+            bq, catalog, Index("t", ("a", "b")), param_columns=("a",)
         )
         assert match.param_columns == ("a",)
         assert match.eq_prefix == 1
         assert len(match.boundary_filters) == 1  # the range on b
 
     def test_ordering_columns_drop_eq_prefix(self, catalog, table):
-        __, fs = filters_for(catalog, "a = 5")
-        match = match_index(Index("t", ("a", "b", "c")), fs, table)
+        bq, __ = filters_for(catalog, "a = 5")
+        match = match_index(bq, catalog, Index("t", ("a", "b", "c")))
         assert match.ordering_columns == ("b", "c")
 
 

@@ -504,9 +504,9 @@ def test_fresh_configuration_prices_only_unseen_indexes(monkeypatch):
     matched = []
     real_match = P._match_index
 
-    def counting_match(index, *args):
+    def counting_match(ctx, index, *args):
         matched.append(index)
-        return real_match(index, *args)
+        return real_match(ctx, index, *args)
 
     monkeypatch.setattr(P, "_match_index", counting_match)
     first = Configuration(indexes=frozenset(candidates[:3]))

@@ -444,6 +444,24 @@ class TestWritesPricedOnTheKernel:
             assert batch.matrix == per_call
             assert batch.totals == totals
 
+    def test_each_write_under_each_index_set_is_its_walk(self):
+        """Every write under the empty design, each pool index alone and
+        the whole pool.  The last holds cells where heap + (maintenance
+        + locate) is not (heap + maintenance) + locate, so a batch that
+        adds in another order fails here on every run, not only when
+        the draws above happen to reach such a cell."""
+        __, statements, pool, evaluator, reference = kernel_env()
+        writes = [(sql, 1.0) for sql in statements
+                  if reference.bound(sql).is_write]
+        configs = [Configuration.empty(),
+                   *(Configuration(indexes=frozenset([ix])) for ix in pool),
+                   Configuration(indexes=frozenset(pool))]
+        per_call = [[reference.cost(sql, config) for sql, __ in writes]
+                    for config in configs]
+        assert evaluator.evaluate_many(writes, configs).matrix == per_call
+        assert evaluator.evaluate_deltas(
+            writes, configs[0], configs).matrix == per_call
+
     def test_locate_queries_are_kernel_reads(self):
         catalog, statements, __, __, __ = kernel_env()
         evaluator = WorkloadEvaluator(catalog)
