@@ -127,12 +127,13 @@ def build_parser():
     serve.add_argument("--shards", type=int, default=4)
     serve.add_argument(
         "--pool-capacity", type=int, default=None,
-        help="resident cache-pool entries per backplane (default unbounded). "
-        "Bounds the state derived from an entry - scan / plan / slot memos, "
-        "compiled kernels and workloads - not what is kept per distinct "
-        "statement (bound AST, signature, plan terms: an evicted statement "
-        "is decoded from its terms, never re-planned; only clear_caches() "
-        "reclaims those)",
+        help="resident cache-pool entries per backplane (default unbounded), "
+        "one per distinct statement text, routed to a shard by a hash of "
+        "the text. Bounds the state derived from an entry - scan / plan / "
+        "slot memos, compiled kernels and workloads - not what is kept per "
+        "text (bound AST and plan terms: an evicted statement is decoded "
+        "from its terms, never re-planned; only clear_caches() reclaims "
+        "those)",
     )
     serve.add_argument("--phase-length", type=int, default=30)
     serve.add_argument("--epoch", type=int, default=25)
@@ -300,8 +301,7 @@ def _dispatch(args, out):
             space_budget_pages=int(sum(t.pages for t in catalog.tables) * 0.5),
             auto_adopt=not args.no_adopt,
         )
-        stream = drifting_stream(default_phases(args.phase_length), seed=args.seed)
-        report = designer.continuous(stream, settings)
+        report = designer.continuous(_stream(args), settings)
         print(report.to_text(), file=out)
         untuned = _untuned_cost(catalog, args)
         saved = 100.0 * (untuned - report.total_cost) / untuned
@@ -309,7 +309,6 @@ def _dispatch(args, out):
         return 0
 
     if args.command == "stream":
-        phases_fn = default_phases if args.workload == "sdss" else tpch_phases
         service = TuningService()
         service.add_backplane(args.workload, catalog)
         session = service.add_tenant(
@@ -324,8 +323,7 @@ def _dispatch(args, out):
             recommend_every=args.refresh_every,
             window=args.window,
         )
-        stream = drifting_stream(phases_fn(args.phase_length), seed=args.seed)
-        service.run_scheduled({"tenant-0": stream})
+        service.run_scheduled({"tenant-0": _stream(args)})
         print(session.report.to_text(), file=out)
         print("", file=out)
         for rec in session.recommendations:
@@ -494,7 +492,13 @@ def _dispatch(args, out):
     raise ReproError("unknown command %r" % (args.command,))
 
 
+def _stream(args):
+    """The drifting stream ``online`` and ``stream`` replay: the phases
+    of ``--workload``."""
+    phases = default_phases if args.workload == "sdss" else tpch_phases
+    return drifting_stream(phases(args.phase_length), seed=args.seed)
+
+
 def _untuned_cost(catalog, args):
     session = WhatIfSession(WorkloadEvaluator(catalog))
-    stream = drifting_stream(default_phases(args.phase_length), seed=args.seed)
-    return sum(session.cost(sql) for __, sql in stream)
+    return sum(session.cost(sql) for __, sql in _stream(args))

@@ -4,11 +4,10 @@ Every designer component (what-if session, CoPhy, AutoPart, COLT, the
 interaction analyzer) obtains configuration costs through a
 :class:`WorkloadEvaluator` instead of building private caches:
 
-* :mod:`repro.evaluation.signature` — canonical, alias-invariant query
-  signatures, the pool's cache keys;
-* :mod:`repro.evaluation.pool` — the shared, LRU-bounded INUM cache pool
-  with exact hit/miss/eviction/optimizer-call statistics and per-entry
-  build single-flight;
+* :mod:`repro.evaluation.pool` — the shared, LRU-bounded INUM cache pool,
+  one entry per bound statement text, with exact
+  hit/miss/eviction/optimizer-call statistics and per-entry build
+  single-flight;
 * :mod:`repro.evaluation.sharded` — the same pool surface partitioned
   across N independently locked shards, for multi-tenant traffic;
 * :mod:`repro.evaluation.memos` — every memo the evaluator reaches,
@@ -23,7 +22,8 @@ interaction analyzer) obtains configuration costs through a
   both sit on one plan arena, so delta (seminaïve) evaluation off a
   captured parent state is one mechanism with two slot resolvers;
 * :mod:`repro.evaluation.wire` — the versioned, JSON-compatible wire
-  format for signatures, cache entries reduced to plan terms, and
+  format for cache entries reduced to plan terms (filed under the text
+  the receiver re-binds), and
   tenant/service snapshots (what makes the backplane portable);
   kernels are rebuilt from plan terms on load, never encoded;
 * :mod:`repro.evaluation.process` — the process backplane: cache
@@ -43,7 +43,6 @@ from repro.evaluation.kernel import (
 from repro.evaluation.pool import InumCachePool, PoolStats
 from repro.evaluation.process import ProcessPoolBackplane
 from repro.evaluation.sharded import ShardedInumCachePool
-from repro.evaluation.signature import query_signature, statement_key
 
 __all__ = [
     "BatchEvaluation",
@@ -58,6 +57,4 @@ __all__ = [
     "PoolStats",
     "ProcessPoolBackplane",
     "ShardedInumCachePool",
-    "query_signature",
-    "statement_key",
 ]

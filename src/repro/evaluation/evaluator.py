@@ -8,9 +8,9 @@ AutoPart, the interaction analyzer and COLT — takes one
 off it.  It holds:
 
 * one **shared cache pool** (:class:`~repro.evaluation.pool.InumCachePool`)
-  keyed by canonical query signatures, so components — and alias-renamed
-  queries across workloads — share INUM plan caches instead of
-  rebuilding them, with LRU bounding and exact hit/miss statistics;
+  keyed by bound statement text, so components share INUM plan caches
+  instead of rebuilding them, with LRU bounding and exact hit/miss
+  statistics;
 
 * the **per-call walk**: :meth:`WorkloadEvaluator.cost` prices one
   statement under one design over
@@ -49,7 +49,6 @@ from repro.obs.catalogue import (
     SPAN_EVALUATE_BATCH, SPAN_EVALUATE_DELTAS, SPAN_EVALUATOR_WARM_UP)
 from repro.evaluation import memos
 from repro.evaluation.pool import InumCachePool
-from repro.evaluation.signature import statement_key
 from repro.inum.cache import (
     _UNPRICED,
     QueryCache,
@@ -114,7 +113,7 @@ class _KernelWorkload:
 
     positions: list = field(default_factory=list)  # (weight, sql, write, read)
     kernel: object = None  # WorkloadKernel
-    signatures: frozenset = frozenset()  # signatures of the fused reads
+    reads: frozenset = frozenset()  # pool keys (texts) of the fused reads
 
 
 class WorkloadEvaluator:
@@ -302,20 +301,13 @@ class WorkloadEvaluator:
     # Pool-backed cache management.
     # ------------------------------------------------------------------
 
-    def signature(self, query):
-        """Canonical signature of *query* (memoized by SQL text)."""
-        bq = self.bound(query)
-        record = self._base_service.statement(bq.sql)
-        if record.signature is None:
-            record.signature = statement_key(bq)
-        return record.signature
-
     def cache_for(self, query):
+        """*query*'s pool entry, filed under its bound text ``bq.sql``
+        (the ``STATEMENTS`` key): built or decoded on a miss."""
         bq = self.bound(query)
-        sig = self.signature(bq)
         # Single-flight lives in the pool: tenant threads probing one
-        # signature share one build; an eviction inside calls _forget.
-        return self.pool.get_or_build(sig, lambda: self._entry(bq))
+        # text share one build; an eviction inside calls _forget.
+        return self.pool.get_or_build(bq.sql, lambda: self._entry(bq))
 
     def _entry(self, bq):
         """The pool entry for *bq*, which the pool does not hold: decoded
@@ -327,7 +319,7 @@ class WorkloadEvaluator:
             cache = build_cache(bq, self.catalog, self.settings)
             self.remember_terms(cache)
             return cache
-        with self._lock:  # builds of different signatures run concurrently
+        with self._lock:  # builds of different texts run concurrently
             self.plan_term_decodes += 1
         return QueryCache.from_plan_terms(bq, plans)
 
@@ -345,16 +337,17 @@ class WorkloadEvaluator:
         record = self._base_service.statements.get(bq.sql)
         return record is not None and record.terms is not None
 
-    def _forget(self, signature, cache):
-        """Drop what the memo table derives from an evicted pool entry
-        (the rows :data:`~repro.evaluation.memos.EVICT` lists), so a
-        bounded pool bounds the memos too.  Called by the pool with its
-        lock held; pool → evaluator is the one sanctioned lock order."""
+    def _forget(self, sql, cache):
+        """Drop what the memo table derives from the pool entry filed
+        under *sql*, which left (the rows :data:`~repro.evaluation.memos.
+        EVICT` lists), so a bounded pool bounds the memos too.  Called by
+        the pool with its lock held; pool → evaluator is the one
+        sanctioned lock order."""
         bq = cache.bound_query
         with self._lock:
             for row in memos.rows(memos.EVICT):
                 owner = bq if row.reach is None else row.owner_in(self)
-                row.forget(getattr(owner, row.attr), signature, bq.sql)
+                row.forget(getattr(owner, row.attr), sql)
 
     def clear_caches(self):
         """Empty the pool and every row :data:`~repro.evaluation.memos.
@@ -379,10 +372,8 @@ class WorkloadEvaluator:
         synthetic.  Shared by the in-process and fleet warm-up paths so
         their pinned equivalence cannot drift.
 
-        Dedup is by canonical signature, not SQL text: alias-renamed
-        duplicates share one cache entry, so shipping both to worker
-        processes would pay the full build twice for one installable
-        result.
+        Dedup is by bound text, the pool key: a statement named twice
+        is shipped and built once.
         """
         targets, seen = [], set()
         for query, __ in workload_pairs(workload):
@@ -393,9 +384,8 @@ class WorkloadEvaluator:
                     continue
                 locate = True
                 bq = self.bound(locate_query(bq))
-            signature = self.signature(bq)
-            if signature not in seen:
-                seen.add(signature)
+            if bq.sql not in seen:
+                seen.add(bq.sql)
                 targets.append((bq, source, locate))
         return targets
 
@@ -415,7 +405,7 @@ class WorkloadEvaluator:
                 self.cache_for(bq)
             # The first evaluate pays no build work: kernels too.
             for bq in targets:
-                self.pool.kernel_for(self.signature(bq))
+                self.pool.kernel_for(bq.sql)
         return self.precompute_calls - before
 
     @property
@@ -492,7 +482,7 @@ class WorkloadEvaluator:
         with self._lock:
             # An entry evicted mid-build must not resurrect a workload
             # _forget already swept (this call may still use it).
-            if all(sig in self.pool for sig in compiled.signatures):
+            if all(sql in self.pool for sql in compiled.reads):
                 memos.COMPILED.store(self._compiled, key, compiled)
         return compiled
 
@@ -505,15 +495,14 @@ class WorkloadEvaluator:
 
         fused = WorkloadKernel()
         compiled = _KernelWorkload(kernel=fused)
-        signatures = set()
+        reads = set()
 
         def fuse(bq):
             cache = self.cache_for(bq)
-            signature = self.signature(bq)
-            stmt_kernel = self.pool.kernel_for(signature)
+            stmt_kernel = self.pool.kernel_for(bq.sql)
             if stmt_kernel is None:  # evicted between calls: compile inline
                 stmt_kernel = compile_statement(cache)
-            signatures.add(signature)
+            reads.add(bq.sql)
             return fused.add_statement(stmt_kernel)
 
         for bq, weight in pairs:
@@ -526,7 +515,7 @@ class WorkloadEvaluator:
                 read = fuse(locate_query(bq))
             compiled.positions.append((weight, bq.sql, bq, read))
         fused.seal()
-        compiled.signatures = frozenset(signatures)
+        compiled.reads = frozenset(reads)
         return compiled
 
     def evaluate_many(self, workload, configurations):

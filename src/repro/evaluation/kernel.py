@@ -331,10 +331,10 @@ class WorkloadKernel:
     """Distinct statement kernels fused over one global slot table.
 
     The global access-cost matrix has one column per distinct
-    ``(statement, slot)`` pair (two alias-renamed duplicates share one
-    statement kernel and therefore one column block) plus the arena's
-    sentinel column, last, that always prices 0.0 — the padding target
-    for plans with fewer slots than the widest plan.
+    ``(statement, slot)`` pair (a statement named twice in a workload
+    shares one statement kernel and therefore one column block) plus the
+    arena's sentinel column, last, that always prices 0.0 — the padding
+    target for plans with fewer slots than the widest plan.
 
     All statements' plans are flattened into *one* global plan arena at
     :meth:`seal` time, so an evaluate call is a fixed handful of array

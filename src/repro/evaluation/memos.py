@@ -54,17 +54,16 @@ class Memo:
         while len(memo) > self.bound:
             memo.popitem(last=False)
 
-    def forget(self, memo, signature, sql):
-        """Drop *memo*'s part derived from pool entry *signature*: pop
-        its text, empty all of a memo on its bound query, or drop the
-        values compiled from its signature."""
+    def forget(self, memo, sql):
+        """Drop *memo*'s part derived from the pool entry filed under
+        *sql*: pop its text, empty all of a memo on its bound query, or
+        drop the values compiled from it."""
         if self.evict == "all":
             memo.clear()
         elif self.evict == "text":
             memo.pop(sql, None)
         else:
-            for key in [k for k, v in memo.items()
-                        if signature in v.signatures]:
+            for key in [k for k, v in memo.items() if sql in v.reads]:
                 del memo[key]
 
     def owner_in(self, evaluator):
@@ -78,9 +77,9 @@ STATEMENTS = Memo(
     "CostService", "statements", "statement text", (TEXT, STATS), (CLEAR,),
     "statements seen, ~1.3 kB each with terms", "One record per text: the "
     "bound statement (every exact service binds through it, so both paths "
-    "share its memos), its signature and what build_cache answered, so a "
-    "miss on a seen statement decodes instead of planning.  By text: an "
-    "alias twin shares the entry, never the terms (slots name aliases).",
+    "share its memos) and what build_cache answered, so a miss on a seen "
+    "statement decodes instead of planning.  Its text is the statement's "
+    "one key: the pool, kernels and flights file it under the same.",
     reach="_base_service")
 TEMPLATES = Memo(
     "CostService", "templates", "token stream, each literal masked to its "
@@ -90,8 +89,8 @@ TEMPLATES = Memo(
     "binding points at its template.  A template holds what reads no "
     "constant — the referenced columns, and as parts the scan shapes with "
     "their index-match structures and reach sets, the INUM build's order "
-    "vectors and covering indexes, the signature skeleton, CoPhy's vote "
-    "keys and COLT's harvest — all dropped with it; every instance's "
+    "vectors and covering indexes, CoPhy's vote keys and COLT's harvest "
+    "— all dropped with it; every instance's "
     "binding, filter selectivities and selectivity products are its own "
     "numbers pass, equal to binding its text afresh.", reach="_base_service")
 SLOT_MEMO = Memo(
@@ -102,7 +101,7 @@ SLOT_MEMO = Memo(
 COMPILED = Memo(
     "WorkloadEvaluator", "_compiled", "((text, weight), ...)",
     (ENTRY, WORKLOAD), (EVICT, CLEAR), 16, "Fused workload kernels, kept "
-    "while every entry they read is resident.", reach="", evict="signatures")
+    "while every entry they read is resident.", reach="", evict="reads")
 RECOMMENDATIONS = Memo(
     "WorkloadEvaluator", "_recommendations", "Designer.recommend arguments",
     (WORKLOAD, SETTINGS), (CLEAR,), 32, "Reproduced bit for bit by the "
@@ -117,17 +116,15 @@ PLAN_CACHE = Memo(
     (CLEAR, OWNER), "statements planned", "Plan memo references for one "
     "design; nothing re-validates it.", reach="_base_service")
 ENTRIES = Memo(
-    "InumCachePool", "_entries", "canonical signature",
+    "InumCachePool", "_entries", "statement text",
     (TEXT, STATS, SETTINGS), (POOL,), "capacity (LRU)", "INUM entries; one "
     "that leaves calls the owner's _forget.", reach="pool")
-KERNELS = Memo("InumCachePool", "_kernels", "signature", (ENTRY,), (POOL,),
-               "resident entries", "Statement kernels.", reach="pool")
-FLIGHTS = Memo("InumCachePool", "_flights", "signature", (ENTRY,), (POOL,),
-               "builds running", "Single-flight builds.", reach="pool")
-# _forget empties the evicted entry's own bound query only: an alias twin
-# shares the entry, not the bound query, so the twin's memos live until
-# TWIN_HOOK drops the twin's record from STATEMENTS.
-TWIN_HOOK = CLEAR
+KERNELS = Memo("InumCachePool", "_kernels", "statement text", (ENTRY,),
+               (POOL,), "resident entries", "Statement kernels.",
+               reach="pool")
+FLIGHTS = Memo("InumCachePool", "_flights", "statement text", (ENTRY,),
+               (POOL,), "builds running", "Single-flight builds.",
+               reach="pool")
 SCAN_CONTEXTS = Memo(
     "BoundQuery", "scan_contexts", "(alias, layout cover, horizontal)",
     (ENTRY, STATS), (VALIDATE, EVICT, OWNER), "covers x partitionings",

@@ -3,10 +3,10 @@
 Every designer component (CoPhy, AutoPart, COLT, the interaction
 analyzer, the what-if session) prices configurations against per-query
 INUM plan caches.  In the seed each component built its own caches;
-the pool makes them a shared, bounded resource keyed by the canonical
-query signature, so alias-renamed duplicates and cross-component reuse
-hit instead of rebuilding — and so cache memory is bounded under
-long-running multi-workload traffic (LRU eviction).  A pool has one
+the pool makes them a shared, bounded resource keyed by the bound
+statement text (``bq.sql``, the key of the statement's record), so
+cross-component reuse hits instead of rebuilding — and so cache memory
+is bounded under long-running multi-workload traffic (LRU eviction).  A pool has one
 owning evaluator; what it and the state derived from its entries hold,
 and what drops it, is declared in :mod:`repro.evaluation.memos`.
 """
@@ -82,7 +82,7 @@ class _BuildFlight:
 
 @dataclass
 class InumCachePool:
-    """LRU-bounded map from canonical query signature to QueryCache.
+    """LRU-bounded map from bound statement text to QueryCache.
 
     ``capacity=None`` means unbounded (the seed's behavior); a positive
     capacity evicts the least-recently-used entry past the limit.
@@ -91,7 +91,7 @@ class InumCachePool:
     threads may probe it at once.  Build single-flight is the *pool's*
     job: :meth:`get_or_build` guarantees one cache construction per
     missing entry even when concurrent threads probe the same
-    signature — the first prober builds, the rest wait for its result
+    text — the first prober builds, the rest wait for its result
     instead of duplicating the work.  What it holds is declared in
     :mod:`repro.evaluation.memos`.
     """
@@ -101,8 +101,8 @@ class InumCachePool:
     _entries: OrderedDict = field(default_factory=OrderedDict)
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
     _owner: weakref.ref = field(default=None, repr=False)  # the evaluator
-    _flights: dict = field(default_factory=dict, repr=False)  # sig -> _BuildFlight
-    _kernels: dict = field(default_factory=dict, repr=False)  # sig -> StatementKernel
+    _flights: dict = field(default_factory=dict, repr=False)  # sql -> _BuildFlight
+    _kernels: dict = field(default_factory=dict, repr=False)  # sql -> StatementKernel
 
     def __post_init__(self):
         if self.capacity is not None and self.capacity <= 0:
@@ -111,8 +111,8 @@ class InumCachePool:
     def attach(self, evaluator):
         """Bind the pool to its one owning evaluator, held weakly (no
         reference cycle).  Every entry that leaves calls the owner's
-        ``_forget``; a second evaluator is refused, since signatures
-        carry no catalog identity.  A pool nobody attached (a wire
+        ``_forget``; a second evaluator is refused, since keys carry no
+        catalog identity.  A pool nobody attached (a wire
         replay's) serves alone."""
         with self._lock:
             if self._owner is not None:
@@ -127,41 +127,46 @@ class InumCachePool:
         return self._owner() if self._owner is not None else None
 
     def _dropped(self, dropped):
-        """Hand dropped ``(signature, cache)`` pairs to the owner's
+        """Hand dropped ``(sql, cache)`` pairs to the owner's
         ``_forget`` (callers hold the lock: pool → evaluator)."""
         owner = self.owner()
         if owner is not None:
-            for signature, cache in dropped:
-                owner._forget(signature, cache)
+            for sql, cache in dropped:
+                owner._forget(sql, cache)
 
     def __len__(self):
         return len(self._entries)
 
-    def __contains__(self, signature):
-        return signature in self._entries
+    def __contains__(self, sql):
+        return sql in self._entries
 
-    def signatures(self):
-        """Signatures in LRU order (least recently used first)."""
+    def keys(self):
+        """Resident statement texts in LRU order (least recently used
+        first)."""
         return list(self._entries)
 
-    def get(self, signature):
+    # The perf ledger's wire replay (benchmarks/e2e) calls the old name.
+    signatures = keys
+
+    def get(self, sql):
         with self._lock:
-            cache = self._entries.get(signature)
+            cache = self._entries.get(sql)
             if cache is None:
                 self.stats.misses += 1
                 return None
-            self._entries.move_to_end(signature)
+            self._entries.move_to_end(sql)
             self.stats.hits += 1
             return cache
 
-    def put(self, signature, cache):
-        """Insert a cache; returns the ``(signature, cache)`` pairs evicted
-        to make room, after handing them to the owner's ``_forget``.  An
-        overwritten or evicted entry's kernel goes with it."""
+    def put(self, sql, cache):
+        """Insert a cache under *sql*; returns the ``(sql, cache)`` pairs
+        evicted to make room, after handing them to the owner's
+        ``_forget``.  An overwritten or evicted entry's kernel goes with
+        it."""
         with self._lock:
-            self._kernels.pop(signature, None)
-            self._entries[signature] = cache
-            self._entries.move_to_end(signature)
+            self._kernels.pop(sql, None)
+            self._entries[sql] = cache
+            self._entries.move_to_end(sql)
             self.stats.optimizer_calls += cache.build_optimizer_calls
             evicted = []
             while self.capacity is not None \
@@ -173,16 +178,16 @@ class InumCachePool:
             self._dropped(evicted)
             return evicted
 
-    def kernel_for(self, signature):
+    def kernel_for(self, sql):
         """The compiled columnar kernel for a *resident* entry (``None``
         when absent), built on first request under the pool lock — a
         pure function of the entry's plan terms
         (:func:`repro.evaluation.kernel.compile_statement`)."""
         with self._lock:
-            cache = self._entries.get(signature)
+            cache = self._entries.get(sql)
             if cache is None:
                 return None
-            kernel = self._kernels.get(signature)
+            kernel = self._kernels.get(sql)
             if kernel is None:
                 from repro.evaluation.kernel import compile_statement
 
@@ -191,7 +196,7 @@ class InumCachePool:
                     t0 = time.perf_counter()
                     kernel = compile_statement(cache)
                     elapsed = time.perf_counter() - t0
-                self._kernels[signature] = kernel
+                self._kernels[sql] = kernel
                 registry = obs.metrics()
                 registry.family(KERNEL_COMPILES).inc()
                 registry.family(KERNEL_COMPILE_SECONDS).observe(
@@ -204,13 +209,13 @@ class InumCachePool:
         with self._lock:
             return len(self._kernels)
 
-    def get_or_build(self, signature, builder):
-        """The cache for *signature*, built (via ``builder()``) at most
+    def get_or_build(self, sql, builder):
+        """The cache for *sql*, built (via ``builder()``) at most
         once across concurrent probers.
 
         The first prober to miss becomes the flight's leader and runs the
         (expensive) build outside the pool lock; concurrent probers of
-        the same signature wait for the leader's result instead of
+        the same text wait for the leader's result instead of
         constructing a duplicate.  Statistics stay exact: every prober
         that finds no resident entry records one miss, leader and waiters
         alike, and nobody double-counts a hit on the flight's result.  A
@@ -218,17 +223,17 @@ class InumCachePool:
         the next prober retries fresh.
         """
         with self._lock:
-            cache = self._entries.get(signature)
+            cache = self._entries.get(sql)
             if cache is not None:
-                self._entries.move_to_end(signature)
+                self._entries.move_to_end(sql)
                 self.stats.hits += 1
                 return cache
             self.stats.misses += 1
-            flight = self._flights.get(signature)
+            flight = self._flights.get(sql)
             leader = flight is None
             if leader:
                 flight = _BuildFlight()
-                self._flights[signature] = flight
+                self._flights[sql] = flight
         if not leader:
             flight.done.wait()
             if flight.error is not None:
@@ -243,14 +248,14 @@ class InumCachePool:
             flight.cache = cache
             # Publish before retiring the flight: a prober arriving after
             # the flight is gone must find the entry resident.
-            self.put(signature, cache)
+            self.put(sql, cache)
             return cache
         except BaseException as exc:
             flight.error = exc
             raise
         finally:
             with self._lock:
-                self._flights.pop(signature, None)
+                self._flights.pop(sql, None)
             flight.done.set()
 
     def stats_snapshot(self):
@@ -263,7 +268,7 @@ class InumCachePool:
 
     def clear(self):
         """Drop every entry, hand the drops to the owner's ``_forget``
-        and return them as ``(signature, cache)`` pairs.  Not counted as
+        and return them as ``(sql, cache)`` pairs.  Not counted as
         evictions."""
         with self._lock:
             dropped = list(self._entries.items())

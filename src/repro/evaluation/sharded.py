@@ -4,7 +4,7 @@ One :class:`~repro.evaluation.pool.InumCachePool` serializes every probe
 behind a single lock — fine for one advisor, a bottleneck when a tuning
 service hosts many tenant sessions hammering one costing backplane.
 :class:`ShardedInumCachePool` partitions entries across N independent
-shards by a hash of the canonical query signature, so probes of
+shards by a hash of the bound statement text, so probes of
 different shards never contend: each shard keeps its own lock, its own
 LRU order, and its own build flights (single-flight per entry is
 inherited from the shard).  A global memory budget is split across the
@@ -26,8 +26,10 @@ class ShardedInumCachePool:
     ``capacity`` is the *global* entry budget, split as evenly as
     possible across the shards (each shard holds at least one entry, so
     a bounded pool needs ``capacity >= shards``).  Partitioning uses the
-    builtin signature hash: stable within a process, which is all
-    correctness needs — an entry always routes to the same shard.
+    builtin hash of the text: stable within a process, which is all
+    correctness needs — an entry always routes to the same shard — and,
+    a ``str`` hash depending on ``PYTHONHASHSEED`` alone, the same from
+    run to run under a pinned seed.
 
     ``stats`` is a merged snapshot (recomputed per read); per-shard
     counters are available via :meth:`shard_stats`.
@@ -65,12 +67,12 @@ class ShardedInumCachePool:
     def n_shards(self):
         return len(self._shards)
 
-    def shard_index(self, signature):
-        """Which shard holds *signature* (stable within the process)."""
-        return hash(signature) % len(self._shards)
+    def shard_index(self, sql):
+        """Which shard holds the entry filed under *sql*."""
+        return hash(sql) % len(self._shards)
 
-    def shard_for(self, signature):
-        return self._shards[self.shard_index(signature)]
+    def shard_for(self, sql):
+        return self._shards[self.shard_index(sql)]
 
     # ------------------------------------------------------------------
     # The InumCachePool surface, routed or fanned out.
@@ -86,19 +88,19 @@ class ShardedInumCachePool:
     def owner(self):
         return self._shards[0].owner()
 
-    def get(self, signature):
-        return self.shard_for(signature).get(signature)
+    def get(self, sql):
+        return self.shard_for(sql).get(sql)
 
-    def put(self, signature, cache):
-        return self.shard_for(signature).put(signature, cache)
+    def put(self, sql, cache):
+        return self.shard_for(sql).put(sql, cache)
 
-    def get_or_build(self, signature, builder):
-        return self.shard_for(signature).get_or_build(signature, builder)
+    def get_or_build(self, sql, builder):
+        return self.shard_for(sql).get_or_build(sql, builder)
 
-    def kernel_for(self, signature):
+    def kernel_for(self, sql):
         """Compiled columnar kernel for a resident entry (built, owned
         and invalidated by the owning shard; ``None`` when absent)."""
-        return self.shard_for(signature).kernel_for(signature)
+        return self.shard_for(sql).kernel_for(sql)
 
     @property
     def kernel_count(self):
@@ -108,21 +110,24 @@ class ShardedInumCachePool:
     def __len__(self):
         return sum(len(shard) for shard in self._shards)
 
-    def __contains__(self, signature):
-        return signature in self.shard_for(signature)
+    def __contains__(self, sql):
+        return sql in self.shard_for(sql)
 
-    def signatures(self):
-        """All resident signatures; LRU order holds *within* a shard
-        (global recency across shards is deliberately untracked — that
-        independence is what removes the cross-tenant lock)."""
+    def keys(self):
+        """All resident statement texts; LRU order holds *within* a
+        shard (global recency across shards is deliberately untracked —
+        that independence is what removes the cross-tenant lock)."""
         out = []
         for shard in self._shards:
-            out.extend(shard.signatures())
+            out.extend(shard.keys())
         return out
+
+    # The perf ledger's wire replay (benchmarks/e2e) calls the old name.
+    signatures = keys
 
     def clear(self):
         """Drop every entry on every shard; returns the concatenated
-        ``(signature, cache)`` pairs, each shard handing its drops to
+        ``(sql, cache)`` pairs, each shard handing its drops to
         the owner as it clears."""
         dropped = []
         for shard in self._shards:

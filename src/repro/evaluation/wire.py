@@ -4,10 +4,10 @@ from outside is checked against.
 The paper's designer is *portable*: sessions move between machines and
 survive restarts, and the INUM cache is the unit that makes re-costing
 cheap.  This module gives that state a canonical, versioned JSON form —
-query signatures (the pool's keys), INUM cache entries as *plan terms*
-(per-plan internal cost, :class:`~repro.inum.cache.AccessSlot` records
-and the order vector; the receiver re-binds the SQL and prices
-bit-identically), tuner / tenant / service snapshots with the
+INUM cache entries as *plan terms* (per-plan internal cost,
+:class:`~repro.inum.cache.AccessSlot` records and the order vector; the
+receiver re-binds the SQL, files the entry under the text it bound and
+prices bit-identically), tuner / tenant / service snapshots with the
 scheduler's buffered stream events, telemetry deltas, and the frames of
 :mod:`repro.net`.  Every payload is stamped with :data:`WIRE_VERSION`,
 and :func:`loads` rejects a mismatch instead of guessing.
@@ -19,8 +19,8 @@ configuration.  Every decoder — here, in :mod:`repro.net`, in
 :mod:`repro.catalog.serialize` and on the restore paths — runs
 :func:`conform` against its kind's shape, then the cross-checks a shape
 cannot state because they need the receiving catalog or the telemetry
-catalogue (:func:`located`, :func:`_check_signature`,
-:func:`_check_slots`, :func:`_check_registry`), then plain construction.
+catalogue (:func:`located`, :func:`_check_slots`,
+:func:`_check_registry`), then plain construction.
 Anything else is a :class:`~repro.util.WireFormatError`; unknown keys
 are ignored and a retired setting is still written at its value, so
 peers and files of either age interoperate.
@@ -40,7 +40,6 @@ from repro.colt.tuner import (
     EWMA_ALPHA,
     ColtSettings,
 )
-from repro.evaluation.signature import statement_key
 from repro.inum.cache import AccessSlot, CachedPlan, QueryCache
 from repro.obs.catalogue import FAMILIES
 from repro.optimizer.paths import INDEX_ONLY_VISIBLE_FRAC
@@ -53,8 +52,8 @@ __all__ = [
     "WIRE_VERSION", "KIND_ENTRY", "KIND_TENANT", "KIND_SERVICE", "KIND_OBS",
     "KIND_HELLO", "KIND_CATALOG", "KIND_TASK", "KIND_RESULT", "KIND_ERROR",
     "CATALOG", "CONFIGURATION", "SHAPES", "Default", "number", "conform",
-    "located", "obs_to_wire", "obs_from_wire", "signature_to_wire",
-    "signature_from_wire", "entry_to_wire", "entry_from_wire",
+    "located", "obs_to_wire", "obs_from_wire", "entry_to_wire",
+    "entry_from_wire",
     "event_to_wire", "event_from_wire", "dumps", "loads", "check_version",
 ]
 
@@ -314,9 +313,10 @@ _TENANT = {
 _EVENT = [(None, str), str]  # a buffered stream event: [phase, sql]
 
 SHAPES = {
-    # Cross-checked by located, _check_signature and _check_slots.
+    # Cross-checked by located and _check_slots.  Filed under the text
+    # the receiver binds; a "signature" an older build writes is ignored.
     KIND_ENTRY: {
-        "kind": frozenset({KIND_ENTRY}), "signature": [object], "sql": str,
+        "kind": frozenset({KIND_ENTRY}), "sql": str,
         "locate": Default(bool, False),
         "build_optimizer_calls": Default(int, 0), "plans": [_PLAN, ...],
     },
@@ -358,49 +358,24 @@ SHAPES[CATALOG] = SHAPES[KIND_CATALOG]["catalog"]
 
 
 # ----------------------------------------------------------------------
-# The codecs: signatures, cache entries, stream events, telemetry, and
-# the version-stamped envelope.
+# The codecs: cache entries, stream events, telemetry, and the
+# version-stamped envelope.
 # ----------------------------------------------------------------------
 
-_PRIMITIVES = (str, int, float, bool, type(None))
 
+def entry_to_wire(sql, cache):
+    """One pool entry — ``(sql, QueryCache)``, *sql* the bound text it
+    is filed under — as plan terms.
 
-def signature_to_wire(signature):
-    """Encode a canonical query signature (nested tuples of primitives)
-    as nested JSON arrays.  Signatures contain no native lists, so the
-    tuple<->array mapping is bijective."""
-    if isinstance(signature, tuple):
-        return [signature_to_wire(part) for part in signature]
-    if isinstance(signature, frozenset):
-        raise WireFormatError("signatures never contain sets")
-    if not isinstance(signature, _PRIMITIVES):
-        raise WireFormatError(
-            "non-primitive %r in signature" % (type(signature).__name__,)
-        )
-    return signature
-
-
-def signature_from_wire(payload):
-    """Freeze nested JSON arrays back into the original tuple shape."""
-    if isinstance(payload, list):
-        return tuple(signature_from_wire(part) for part in payload)
-    return payload
-
-
-def entry_to_wire(signature, cache):
-    """One pool entry — ``(signature, QueryCache)`` — as plan terms.
-
-    The bound query travels as SQL text the receiver re-binds against
-    its own catalog.  A locate query (the synthetic SELECT pricing
-    UPDATE/DELETE row location) has no parseable text, so its entry
-    ships the write statement with ``locate`` set."""
-    sql = cache.bound_query.sql
+    The statement travels as that text, which the receiver re-binds
+    against its own catalog.  A locate query (the synthetic SELECT
+    pricing UPDATE/DELETE row location) has no parseable text, so its
+    entry ships the write statement with ``locate`` set."""
     locate = sql.startswith(LOCATE_PREFIX)
     if locate:
         sql = sql[len(LOCATE_PREFIX):]
     return {
         "kind": KIND_ENTRY,
-        "signature": signature_to_wire(signature),
         "sql": sql,
         "locate": locate,
         "build_optimizer_calls": cache.build_optimizer_calls,
@@ -426,18 +401,6 @@ def located(bq, locate):
     return locate_query(bq) if locate else bq
 
 
-def _check_signature(payload, bq):
-    try:
-        signature = signature_from_wire(payload["signature"])
-    except RecursionError:
-        raise WireFormatError("signature nests too deeply") from None
-    if signature != statement_key(bq):
-        raise WireFormatError(
-            "entry signature is not that of its statement %r" % (bq.sql,)
-        )
-    return signature
-
-
 def _check_slots(plans, bq):
     """Every slot sits on one of the statement's aliases and reads that
     alias's table and columns — else the kernel would price a
@@ -456,14 +419,14 @@ def _check_slots(plans, bq):
 
 
 def entry_from_wire(payload, bind):
-    """Rebuild ``(signature, QueryCache)`` from a wire payload, with the
+    """Rebuild ``(sql, QueryCache)`` from a wire payload, with the
     originating entry's costs bit for bit (plan terms travel verbatim);
-    ``bind(sql)`` binds the statement it names.  Anything but a
-    well-formed entry *of that statement* raises
+    ``bind(sql)`` binds the statement it names, and the entry's key is
+    the text of that binding — never one the sender chose.  Anything but
+    a well-formed entry *of that statement* raises
     :class:`WireFormatError` (or the binder's typed error)."""
     conform(payload, SHAPES[KIND_ENTRY], "cache entry")
     bq = located(bind(payload["sql"]), payload["locate"])
-    signature = _check_signature(payload, bq)
     plans = [CachedPlan(
         internal_cost=plan["internal_cost"],
         slots=tuple(AccessSlot(
@@ -476,7 +439,7 @@ def entry_from_wire(payload, bind):
     cache = QueryCache.from_plan_terms(
         bq, plans, build_optimizer_calls=payload["build_optimizer_calls"]
     )
-    return signature, cache
+    return bq.sql, cache
 
 
 def event_to_wire(event):
@@ -564,7 +527,7 @@ def check_version(payload):
 def loads(text, catalog=None, pool=None):
     """Parse a wire-format JSON string.
 
-    Cache-entry payloads need *catalog* and return ``(signature,
+    Cache-entry payloads need *catalog* and return ``(sql,
     QueryCache)``; tenant/service payloads return the dict, validated
     and materialized by :meth:`TuningService.restore` and friends.
     With *pool* (an :class:`~repro.evaluation.InumCachePool` or its
@@ -589,12 +552,12 @@ def loads(text, catalog=None, pool=None):
             bind = owner.known_bound
         else:
             bind = partial(bind_statement, catalog=catalog)
-        signature, cache = entry_from_wire(payload, bind)
+        sql, cache = entry_from_wire(payload, bind)
         if pool is not None:
-            if signature not in pool:
-                pool.put(signature, cache)
-            pool.kernel_for(signature)
-        return signature, cache
+            if sql not in pool:
+                pool.put(sql, cache)
+            pool.kernel_for(sql)
+        return sql, cache
     if pool is not None:
         raise WireFormatError("a %r payload is no cache entry" % (kind,))
     if kind == KIND_OBS:

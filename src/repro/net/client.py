@@ -195,8 +195,8 @@ class FleetBackplane:
         self._inflight = set()  # submitted, not yet taken for install
         # Shared with the drainers, guarded by _cond.
         self._cond = threading.Condition()
-        self._queue = deque()  # (signature, task frame) no node has claimed
-        self._replies = deque()  # (signature, connection, result frame)
+        self._queue = deque()  # (sql, task frame) no node has claimed
+        self._replies = deque()  # (sql, connection, result frame)
         self._dead = set()  # addresses declared dead for good
         self._fatal = None  # a drainer's non-transport failure
         self._drainers = []
@@ -352,7 +352,7 @@ class FleetBackplane:
         decodable from plan terms the evaluator remembers (an evicted
         statement: its next ``cache_for`` costs no optimizer call, so
         there is nothing to ship or wait for), and return without
-        waiting: the signatures a :meth:`collect` must see installed
+        waiting: the bound texts a :meth:`collect` must see installed
         before the workload can be priced.  The targets are the
         evaluator's :meth:`~WorkloadEvaluator.warm_targets`, shared
         with the in-process warm-up so the two cannot drift."""
@@ -361,14 +361,13 @@ class FleetBackplane:
         ctx = obs.tracer().current_context()
         wanted, tasks = [], []
         for bq, source, locate in evaluator.warm_targets(workload):
-            signature = evaluator.signature(bq)
-            if signature in evaluator.pool or evaluator.knows_terms(bq):
+            if bq.sql in evaluator.pool or evaluator.knows_terms(bq):
                 continue
-            wanted.append(signature)
-            if signature in self._inflight:
+            wanted.append(bq.sql)
+            if bq.sql in self._inflight:
                 continue  # a twin tenant's request: one task, not two
-            self._inflight.add(signature)
-            tasks.append((signature, {
+            self._inflight.add(bq.sql)
+            tasks.append((bq.sql, {
                 "kind": wire.KIND_TASK, "op": "warm", "sql": source,
                 "locate": locate, "ctx": list(ctx) if ctx else None,
             }))
@@ -427,14 +426,14 @@ class FleetBackplane:
         for __, task in leftovers:
             if self._connections:  # no workers by design is no fallback
                 self._m_fallback.labels(op="warm").inc()
-            signature, __ = perform_warm(
+            sql, __ = perform_warm(
                 evaluator, task["sql"], task["locate"], task["ctx"]
             )
-            evaluator.pool.kernel_for(signature)
+            evaluator.pool.kernel_for(sql)
 
-    def collect(self, signatures):
+    def collect(self, texts):
         """Install what the fleet has built and block only while one of
-        *signatures* (a :meth:`submit` result) is still in flight.
+        *texts* (a :meth:`submit` result) is still in flight.
         Returns the optimizer calls the installed entries cost, like
         :meth:`WorkloadEvaluator.warm_up`; entries are bit-identical
         whichever node (or the local fallback) built them; a drainer's
@@ -442,7 +441,7 @@ class FleetBackplane:
         self._check_open()
         before = self.evaluator.precompute_calls
         self._install()
-        waiting = self._inflight.intersection(signatures)
+        waiting = self._inflight.intersection(texts)
         if waiting:
             with obs.tracer().span(SPAN_BACKPLANE_WARM_UP,
                                    targets=len(waiting),

@@ -61,13 +61,13 @@ def perform_warm(evaluator, sql, locate, ctx=None):
     ``locate`` asks for the locate query of a shipped write statement
     (:func:`wire.located`); ``ctx`` is the dispatching span's
     ``(trace_id, span_id)``, so this worker's spans stitch into the
-    parent's trace.  Returns the built ``(signature, cache)`` pair."""
+    parent's trace.  Returns the built entry as ``(bound text, cache)``,
+    the pool's key and value."""
     with obs.tracer().span(SPAN_WORKER_WARM_UP, remote_parent=ctx,
                            locate=locate):
         bq = wire.located(evaluator.bound(sql), locate)
         cache = evaluator.cache_for(bq)
-        signature = evaluator.signature(bq)
-    return signature, cache
+    return bq.sql, cache
 
 
 class RunnerNode:
@@ -249,7 +249,7 @@ class RunnerNode:
     def _handle_task(self, evaluator, frame):
         wire.conform(frame, wire.SHAPES[wire.KIND_TASK], "task frame")
         ctx = frame["ctx"]
-        signature, cache = perform_warm(
+        key, cache = perform_warm(
             evaluator, frame["sql"], frame["locate"], ctx and tuple(ctx)
         )
         return {
@@ -258,7 +258,7 @@ class RunnerNode:
             # Wire *text*, not a nested payload: the client installs it
             # with ``wire.loads(text, catalog, pool=)``, the one install
             # path every entry takes (snapshot files included).
-            "entry": wire.dumps(wire.entry_to_wire(signature, cache)),
+            "entry": wire.dumps(wire.entry_to_wire(key, cache)),
             "obs": (
                 wire.obs_to_wire(obs.drain_deltas())
                 if self.ship_obs else None

@@ -148,13 +148,12 @@ class CostService:
 
 class _Statement:
     """What one statement text is, once known: its binding (which points
-    at its template), its canonical signature and the plan terms the
-    optimizer answered."""
+    at its template) and the plan terms the optimizer answered."""
 
-    __slots__ = ("bound", "signature", "terms")
+    __slots__ = ("bound", "terms")
 
     def __init__(self):
-        self.bound = self.signature = self.terms = None
+        self.bound = self.terms = None
 
 
 class _Counter:

@@ -14,8 +14,8 @@ only the binder steps that read a value — the filters built from them,
 Consumers hang what they derive from structure alone on the template
 through :meth:`StatementTemplate.part`: the scan shapes and index-match
 structures of :mod:`repro.optimizer.paths`, the INUM build's order
-vectors and covering indexes, the signature skeleton, CoPhy's vote keys
-and COLT's harvested candidates.
+vectors and covering indexes, CoPhy's vote keys and COLT's harvested
+candidates.
 
 The contract, pinned against the per-text references of
 ``tests/oracle.py`` by ``tests/test_statement_templates.py``: for every

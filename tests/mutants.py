@@ -137,6 +137,31 @@ MUTANTS = (
         "filters=first.filters,",
         ("tests/test_statement_templates.py",),
     ),
+    Mutant(
+        "pool-keys-by-template",
+        "repro/evaluation/evaluator.py",
+        "return self.pool.get_or_build(bq.sql, lambda: self._entry(bq))",
+        "return self.pool.get_or_build(bq.template,\n"
+        "                                      lambda: self._entry(bq))",
+        ("tests/test_evaluation_pool.py::TestOneKeyPerStatement::"
+         "test_instances_of_one_template_get_their_own_entries_and_costs",),
+    ),
+    Mutant(
+        "kernel-slot-costs-rounded",
+        "repro/evaluation/kernel.py",
+        "costs.append(np.inf if choice is None else choice[0])",
+        "costs.append(np.inf if choice is None\n"
+        "                             else float(np.float32(choice[0])))",
+        ("tests/test_kernel.py::test_kernel_equals_per_call",),
+    ),
+    Mutant(
+        "delta-child-costs-rounded",
+        "repro/evaluation/kernel.py",
+        "rows[footprint.slot_child, footprint.slots] = values",
+        "rows[footprint.slot_child, footprint.slots] = values.astype(\n"
+        "            np.float32)",
+        ("tests/test_delta_kernel.py::test_delta_equals_full_grid",),
+    ),
 )
 
 

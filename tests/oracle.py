@@ -6,8 +6,8 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
 
 * :class:`PerTextEvaluator` — the per-call route without the pool: an
   evaluator whose ``cache_for`` builds one entry per statement text
-  with ``build_cache``, sharing nothing between alias twins and
-  decoding nothing.  Equivalence pins price their reference on it.
+  with ``build_cache``, keeping nothing in the pool and decoding
+  nothing.  Equivalence pins price their reference on it.
 * :class:`ScalarAutoPartAdvisor` — AutoPart's merge / replication /
   horizontal search as it ran before it moved onto the evaluation
   backplane: one scalar ``workload_cost`` walk per candidate, ``2N + 2``
@@ -56,7 +56,7 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
   :func:`match_index_reference` (``_match_index`` over filter objects
   and a selectivity callback), :func:`reaching_reference` (one
   ``offers_*`` predicate call per index), :func:`order_vectors_reference`
-  with :func:`build_cache_reference`, :func:`query_signature_reference`,
+  with :func:`build_cache_reference`,
   :func:`candidate_indexes_reference` and :func:`harvest_reference`;
   ``tests/test_statement_templates.py`` holds the template path to them.
 * :class:`IndexBenefitGraph` — the interaction paper's own exact
@@ -101,9 +101,9 @@ from repro.whatif import Configuration
 class PerTextEvaluator(WorkloadEvaluator):
     """An evaluator whose entries never touch its pool: ``cache_for``
     calls ``build_cache`` once per statement text and keeps the entry
-    here — no signature sharing between alias twins, no plan-term
-    decode, no kernel.  The per-call walk (``cost``, ``workload_cost``,
-    ``cost_with_usage``) and the slot memo are the shipped ones."""
+    here — no pool, no plan-term decode, no kernel.  The per-call walk
+    (``cost``, ``workload_cost``, ``cost_with_usage``) and the slot memo
+    are the shipped ones."""
 
     def __init__(self, catalog, settings=None):
         super().__init__(catalog, settings)
@@ -1151,56 +1151,6 @@ def build_cache_reference(bq, catalog, settings):
             seen.add(key)
             plans.append(cached)
     return plans
-
-
-def _filter_sig(f):
-    return (f.column, f.kind, f.value, f.low, f.high, f.low_inclusive,
-            f.high_inclusive, tuple(f.values or ()))
-
-
-def query_signature_reference(bq):
-    """The alias-invariant signature of a bound SELECT, every part
-    recomputed from *bq*."""
-    def descriptor(alias):
-        joins = []
-        for clause in bq.joins_for(alias):
-            column, other_alias, other_column = clause.side_for(alias)
-            joins.append((column, bq.table_for(other_alias).name, other_column))
-        return (
-            bq.table_for(alias).name,
-            tuple(sorted(_filter_sig(f) for f in bq.filters_for(alias))),
-            tuple(sorted(referenced_reference(bq, alias))),
-            tuple(sorted(joins)),
-            tuple(sorted(c for a, c in bq.group_by if a == alias)),
-            tuple(sorted((c, asc) for a, c, asc in bq.order_by if a == alias)),
-        )
-
-    descriptors = {alias: descriptor(alias) for alias in bq.aliases}
-    ordered = sorted(bq.aliases, key=lambda a: descriptors[a])
-    rank = {alias: i for i, alias in enumerate(ordered)}
-
-    def aggregate(agg):
-        arg = agg.arg
-        if isinstance(arg, ColumnRef) and arg.table:
-            arg_sig = (rank.get(arg.table, -1), arg.column)
-        else:
-            arg_sig = ("*",)
-        return (agg.name.upper(), arg_sig, bool(agg.distinct))
-
-    return (
-        tuple(descriptors[a] for a in ordered),
-        tuple(sorted(
-            tuple(sorted(((rank[j.left_alias], j.left_column),
-                          (rank[j.right_alias], j.right_column))))
-            for j in bq.joins
-        )),
-        tuple(sorted((rank[a], c) for a, c in bq.select_columns)),
-        tuple(sorted(aggregate(agg) for agg in bq.aggregates)),
-        tuple(sorted((rank[a], c) for a, c in bq.group_by)),
-        tuple((rank[a], c, asc) for a, c, asc in bq.order_by),
-        bq.limit,
-        bq.has_star,
-    )
 
 
 def candidate_indexes_reference(catalog, workload, max_candidates=60,

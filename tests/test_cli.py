@@ -95,6 +95,16 @@ class TestCommands:
         assert code == 0
         assert "epoch" in text and "saved" in text
 
+    def test_online_tpch(self):
+        """``online`` replays the phases of ``--workload``, as
+        ``stream`` does: TPC-H statements on the TPC-H catalog."""
+        code, text = run_cli(
+            ["--workload", "tpch"] + FAST
+            + ["online", "--phase-length", "6", "--epoch", "5"]
+        )
+        assert code == 0, text
+        assert "epoch" in text and "saved" in text
+
     @pytest.mark.parametrize("epoch", ["0", "-5"])
     def test_online_bad_epoch_is_reported(self, epoch):
         code, text = run_cli(FAST + ["online", "--epoch", epoch])

@@ -408,7 +408,7 @@ class TestPricer:
             model = WorkloadEvaluator(sdss_catalog)
             bq = model.bound(sql)
             model.pool.get_or_build(
-                model.signature(bq),
+                bq.sql,
                 lambda: QueryCache.from_plan_terms(bq, plans),
             )
             return model

@@ -177,22 +177,22 @@ class TestDeltaStateLifetime:
         evaluator.evaluate_deltas(workload[:2], parent, configs)
         with evaluator._lock:
             assert evaluator._compiled
-        # Evicting every member signature sweeps the compiled workload
+        # Evicting every member's entry sweeps the compiled workload
         # (and the delta states captured on its kernel) transitively.
         for sql, __ in workload[2:]:
             evaluator.cache_for(sql)
         for sql, __ in short:
-            if evaluator.signature(sql) not in pool:
+            if evaluator.bound(sql).sql not in pool:
                 break
         else:
             pytest.skip("capacity did not force an eviction")
         with evaluator._lock:
-            live_sigs = {
-                sig
+            live = {
+                sql
                 for compiled in evaluator._compiled.values()
-                for sig in compiled.signatures
+                for sql in compiled.reads
             }
-        assert all(sig in pool for sig in live_sigs)
+        assert all(sql in pool for sql in live)
         # Pricing again recompiles and recaptures, identically.
         assert evaluator.evaluate_deltas(
             short, parent, configs
@@ -259,7 +259,7 @@ class TestEvaluatorConcurrency:
         with evaluator._lock:
             assert len(evaluator._compiled) <= memos.COMPILED.bound
             for compiled in evaluator._compiled.values():
-                assert all(sig in pool for sig in compiled.signatures)
+                assert all(sql in pool for sql in compiled.reads)
 
     def test_exact_service_counter_under_concurrent_lookups(self):
         """exact_optimizer_calls is read while tenant threads churn the

@@ -1,12 +1,14 @@
-"""Cache-behavior tests for the shared INUM pool: LRU order, signature
-collisions for alias-renamed queries, and exact statistics counters."""
+"""Cache-behavior tests for the shared INUM pool: one entry per bound
+statement text, LRU order, and exact statistics counters."""
 
 import pytest
 
-from repro.evaluation import InumCachePool, WorkloadEvaluator, query_signature
-from repro.sql.binder import bind_statement
+from repro.catalog import Index
+from repro.evaluation import InumCachePool, WorkloadEvaluator
 from repro.util import DesignError
 from repro.whatif import Configuration
+
+from oracle import PerTextEvaluator
 
 Q_RA = "SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 12"
 Q_RMAG = "SELECT rmag FROM photoobj WHERE rmag < 15 AND type = 1"
@@ -25,62 +27,82 @@ Q_JOIN_SWAPPED = (
 )
 
 
-class TestSignatures:
-    def test_alias_renaming_collides(self, sdss_catalog):
-        a = query_signature(bind_statement(Q_JOIN, sdss_catalog))
-        b = query_signature(bind_statement(Q_JOIN_RENAMED, sdss_catalog))
-        assert a == b
+def pool_keys_of(catalog, *texts):
+    """The pool's keys after building an entry for each of *texts*."""
+    evaluator = WorkloadEvaluator(catalog)
+    for sql in texts:
+        evaluator.cache_for(sql)
+    return evaluator.pool.keys()
 
-    def test_table_order_is_canonicalized(self, sdss_catalog):
-        a = query_signature(bind_statement(Q_JOIN, sdss_catalog))
-        b = query_signature(bind_statement(Q_JOIN_SWAPPED, sdss_catalog))
-        assert a == b
+
+class TestOneKeyPerStatement:
+    def test_instances_of_one_template_get_their_own_entries_and_costs(
+            self, sdss_catalog):
+        """Two texts of one shape (a constant apart) are two statements:
+        two pool entries, each priced by its own numbers."""
+        evaluator = WorkloadEvaluator(sdss_catalog)
+        narrow = "SELECT ra FROM photoobj WHERE rmag < 14"
+        wide = "SELECT ra FROM photoobj WHERE rmag < 22"
+        assert evaluator.bound(narrow).template is \
+            evaluator.bound(wide).template
+        first, second = evaluator.cache_for(narrow), evaluator.cache_for(wide)
+        assert first is not second
+        assert evaluator.pool.keys() == [narrow, wide]
+        assert evaluator.pool.stats.misses == 2
+        config = Configuration.of(Index("photoobj", ("rmag",)))
+        for sql in (narrow, wide):
+            assert evaluator.cost(sql, config) == \
+                PerTextEvaluator(sdss_catalog).cost(sql, config)
+        assert evaluator.cost(narrow, config) < evaluator.cost(wide, config)
+
+    def test_the_key_is_the_bound_text(self, sdss_catalog):
+        evaluator = WorkloadEvaluator(sdss_catalog)
+        spaced = "SELECT  ra FROM photoobj   WHERE ra < 10"
+        bq = evaluator.bound(spaced)
+        evaluator.cache_for(spaced)
+        assert evaluator.pool.keys() == [bq.sql] and bq.sql != spaced
 
     def test_different_constants_do_not_collide(self, sdss_catalog):
-        a = query_signature(
-            bind_statement("SELECT ra FROM photoobj WHERE ra < 10", sdss_catalog)
-        )
-        b = query_signature(
-            bind_statement("SELECT ra FROM photoobj WHERE ra < 20", sdss_catalog)
-        )
-        assert a != b
+        a = "SELECT ra FROM photoobj WHERE ra < 10"
+        b = "SELECT ra FROM photoobj WHERE ra < 20"
+        assert pool_keys_of(sdss_catalog, a, b) == [a, b]
 
     def test_different_projections_do_not_collide(self, sdss_catalog):
-        a = query_signature(
-            bind_statement("SELECT ra FROM photoobj WHERE ra < 10", sdss_catalog)
-        )
-        b = query_signature(
-            bind_statement(
-                "SELECT ra, dec FROM photoobj WHERE ra < 10", sdss_catalog
-            )
-        )
-        assert a != b
+        a = "SELECT ra FROM photoobj WHERE ra < 10"
+        b = "SELECT ra, dec FROM photoobj WHERE ra < 10"
+        assert pool_keys_of(sdss_catalog, a, b) == [a, b]
 
     def test_limit_and_order_matter(self, sdss_catalog):
         base = "SELECT ra FROM photoobj WHERE dec > 85"
-        a = query_signature(bind_statement(base, sdss_catalog))
-        b = query_signature(
-            bind_statement(base + " ORDER BY ra LIMIT 5", sdss_catalog)
-        )
-        assert a != b
+        ordered = base + " ORDER BY ra LIMIT 5"
+        assert pool_keys_of(sdss_catalog, base, ordered) == [base, ordered]
+
+    def test_table_order_is_its_own_statement(self, sdss_catalog):
+        """Listing the tables the other way round is another text, so
+        another entry, priced as its own build prices it."""
+        evaluator = WorkloadEvaluator(sdss_catalog)
+        first = evaluator.cache_for(Q_JOIN)
+        swapped = evaluator.cache_for(Q_JOIN_SWAPPED)
+        assert swapped is not first and len(evaluator.pool) == 2
+        config = Configuration.of(Index("specobj", ("z",)))
+        assert evaluator.cost(Q_JOIN_SWAPPED, config) == \
+            PerTextEvaluator(sdss_catalog).cost(Q_JOIN_SWAPPED, config)
 
 
-class TestAliasRenamedSharing:
-    def test_renamed_query_hits_shared_entry(self, sdss_catalog):
+class TestAliasRenamedQueries:
+    def test_renamed_query_builds_its_own_entry(self, sdss_catalog):
         evaluator = WorkloadEvaluator(sdss_catalog)
         first = evaluator.cache_for(Q_JOIN)
         calls_after_first = evaluator.precompute_calls
         second = evaluator.cache_for(Q_JOIN_RENAMED)
-        assert second is first  # one shared pool entry
-        assert evaluator.precompute_calls == calls_after_first
-        assert len(evaluator.pool) == 1
-        assert evaluator.pool.stats.hits == 1
-        assert evaluator.pool.stats.misses == 1
+        assert second is not first
+        assert evaluator.precompute_calls > calls_after_first
+        assert evaluator.pool.keys() == [Q_JOIN, Q_JOIN_RENAMED]
+        assert evaluator.pool.stats.hits == 0
+        assert evaluator.pool.stats.misses == 2
 
     def test_renamed_queries_cost_identically(self, sdss_catalog):
         evaluator = WorkloadEvaluator(sdss_catalog)
-        from repro.catalog import Index
-
         config = Configuration.of(Index("specobj", ("z",)))
         assert evaluator.cost(Q_JOIN, config) == pytest.approx(
             evaluator.cost(Q_JOIN_RENAMED, config), rel=1e-12
@@ -95,14 +117,12 @@ class TestLru:
         evaluator = self._evaluator(sdss_catalog, capacity=2)
         evaluator.cache_for(Q_RA)
         evaluator.cache_for(Q_RMAG)
-        sig_ra = evaluator.signature(Q_RA)
-        sig_rmag = evaluator.signature(Q_RMAG)
-        assert evaluator.pool.signatures() == [sig_ra, sig_rmag]
+        assert evaluator.pool.keys() == [Q_RA, Q_RMAG]
 
         evaluator.cache_for(Q_GROUP)  # evicts Q_RA (oldest)
         assert evaluator.pool.stats.evictions == 1
-        assert sig_ra not in evaluator.pool
-        assert sig_rmag in evaluator.pool
+        assert Q_RA not in evaluator.pool
+        assert Q_RMAG in evaluator.pool
 
     def test_access_refreshes_recency(self, sdss_catalog):
         evaluator = self._evaluator(sdss_catalog, capacity=2)
@@ -110,8 +130,8 @@ class TestLru:
         evaluator.cache_for(Q_RMAG)
         evaluator.cache_for(Q_RA)  # Q_RA becomes most recent
         evaluator.cache_for(Q_GROUP)  # now Q_RMAG is the LRU victim
-        assert evaluator.signature(Q_RA) in evaluator.pool
-        assert evaluator.signature(Q_RMAG) not in evaluator.pool
+        assert evaluator.bound(Q_RA).sql in evaluator.pool
+        assert evaluator.bound(Q_RMAG).sql not in evaluator.pool
 
     def test_evicted_entry_is_rebuilt_and_costs_are_stable(self, sdss_catalog):
         evaluator = self._evaluator(sdss_catalog, capacity=1)
@@ -216,7 +236,7 @@ class TestPoolOwnership:
         with pytest.raises(ValueError):
             WorkloadEvaluator(sdss_catalog, pool=pool)
         owner.cache_for(Q_RA)  # the first owner keeps serving
-        assert owner.signature(Q_RA) in pool
+        assert owner.bound(Q_RA).sql in pool
 
     def test_ownerless_pool_serves_alone(self, sdss_catalog):
         """A pool nobody attached (a wire replay's) evicts and clears
@@ -225,7 +245,7 @@ class TestPoolOwnership:
         pool = InumCachePool(capacity=1)
         pool.put("a", source.cache_for(Q_RA))
         pool.put("b", source.cache_for(Q_RMAG))
-        assert pool.signatures() == ["b"]
+        assert pool.keys() == ["b"]
         assert len(pool.clear()) == 1
 
     def test_pool_holds_its_owner_weakly(self, sdss_catalog):
@@ -239,7 +259,7 @@ class TestPoolOwnership:
         del owner
         gc.collect()
         assert ref() is None
-        pool.put("other", pool.get(pool.signatures()[0]))  # evicts, no owner
+        pool.put("other", pool.get(pool.keys()[0]))  # evicts, no owner
 
 
 class TestExactServiceBound:
@@ -324,7 +344,7 @@ class TestExactServiceBound:
         assert sql in evaluator._slot_memo
         pool.put("x", evaluator.cache_for(Q_RMAG))
         pool.put("y", evaluator.cache_for(Q_GROUP))  # evicts Q_RA
-        assert evaluator.signature(Q_RA) not in pool
+        assert evaluator.bound(Q_RA).sql not in pool
         assert sql not in evaluator._slot_memo
 
     def test_pool_clear_prunes_the_owners_memos(self, sdss_catalog):

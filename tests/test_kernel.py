@@ -178,12 +178,12 @@ class TestKernelLifetime:
         pool = InumCachePool()
         evaluator = WorkloadEvaluator(catalog, pool=pool)
         sql = workload[0][0]
-        signature = evaluator.signature(sql)
-        assert pool.kernel_for(signature) is None  # not resident yet
+        key = evaluator.bound(sql).sql
+        assert pool.kernel_for(key) is None  # not resident yet
         evaluator.cache_for(sql)
-        kernel = pool.kernel_for(signature)
+        kernel = pool.kernel_for(key)
         assert kernel is not None
-        assert pool.kernel_for(signature) is kernel  # memoized
+        assert pool.kernel_for(key) is kernel  # memoized
         assert pool.kernel_count == 1
 
     def test_eviction_invalidates_kernel(self):
@@ -192,11 +192,11 @@ class TestKernelLifetime:
         evaluator = WorkloadEvaluator(catalog, pool=pool)
         first, second = workload[0][0], workload[1][0]
         evaluator.cache_for(first)
-        sig_first = evaluator.signature(first)
-        assert pool.kernel_for(sig_first) is not None
+        first_key = evaluator.bound(first).sql
+        assert pool.kernel_for(first_key) is not None
         evaluator.cache_for(second)  # evicts the first entry
-        assert sig_first not in pool
-        assert pool.kernel_for(sig_first) is None
+        assert first_key not in pool
+        assert pool.kernel_for(first_key) is None
         assert pool.kernel_count <= 1
 
     def test_overwrite_drops_stale_kernel(self):
@@ -205,10 +205,10 @@ class TestKernelLifetime:
         evaluator = WorkloadEvaluator(catalog, pool=pool)
         sql = workload[0][0]
         cache = evaluator.cache_for(sql)
-        signature = evaluator.signature(sql)
-        stale = pool.kernel_for(signature)
-        pool.put(signature, cache)  # reinstall: compiled form must renew
-        fresh = pool.kernel_for(signature)
+        key = evaluator.bound(sql).sql
+        stale = pool.kernel_for(key)
+        pool.put(key, cache)  # reinstall: compiled form must renew
+        fresh = pool.kernel_for(key)
         assert fresh is not stale
         assert fresh.internal.tolist() == stale.internal.tolist()
 
@@ -228,7 +228,7 @@ class TestKernelLifetime:
         built = evaluator.warm_up([sql for sql, __ in workload])
         assert built > 0
         for sql, __ in workload:
-            assert pool.kernel_for(evaluator.signature(sql)) is not None
+            assert pool.kernel_for(evaluator.bound(sql).sql) is not None
         assert pool.kernel_count == len(pool)
 
 
@@ -243,16 +243,16 @@ class TestWireRebuild:
         source = WorkloadEvaluator(catalog)
         sql = workload[0][0]
         cache = source.cache_for(sql)
-        signature = source.signature(sql)
-        text = wire.dumps(wire.entry_to_wire(signature, cache))
+        key = source.bound(sql).sql
+        text = wire.dumps(wire.entry_to_wire(key, cache))
 
         receiver = WorkloadEvaluator(catalog.clone(), pool=InumCachePool())
-        loaded_sig, loaded = wire.loads(
+        loaded_key, loaded = wire.loads(
             text, receiver.catalog, pool=receiver.pool
         )
-        assert loaded_sig == signature
-        assert loaded_sig in receiver.pool
-        assert receiver.pool.kernel_for(loaded_sig) is not None
+        assert loaded_key == key
+        assert loaded_key in receiver.pool
+        assert receiver.pool.kernel_for(loaded_key) is not None
         # The rebuilt kernel prices identically to the source's.
         grid = receiver.evaluate_many([(sql, 1.0)], configs)
         reference = source.evaluate_many([(sql, 1.0)], configs)
@@ -263,10 +263,10 @@ class TestWireRebuild:
         source = WorkloadEvaluator(catalog)
         sql = workload[0][0]
         cache = source.cache_for(sql)
-        signature = source.signature(sql)
-        text = wire.dumps(wire.entry_to_wire(signature, cache))
-        loaded_sig, loaded = wire.loads(text, catalog.clone())
-        assert loaded_sig == signature
+        key = source.bound(sql).sql
+        text = wire.dumps(wire.entry_to_wire(key, cache))
+        loaded_key, loaded = wire.loads(text, catalog.clone())
+        assert loaded_key == key
         assert len(loaded.plans) == len(cache.plans)
 
     def test_compile_statement_pure_function_of_terms(self):
@@ -274,8 +274,8 @@ class TestWireRebuild:
         source = WorkloadEvaluator(catalog)
         sql = workload[0][0]
         cache = source.cache_for(sql)
-        signature = source.signature(sql)
-        text = wire.dumps(wire.entry_to_wire(signature, cache))
+        key = source.bound(sql).sql
+        text = wire.dumps(wire.entry_to_wire(key, cache))
         __, loaded = wire.loads(text, catalog.clone())
         a = compile_statement(cache)
         b = compile_statement(loaded)
@@ -524,7 +524,7 @@ def order_only_env():
     ]
     assert plans
     evaluator.pool.put(
-        evaluator.signature(sql),
+        evaluator.bound(sql).sql,
         QueryCache.from_plan_terms(cache.bound_query, plans),
     )
     workload = [
@@ -637,7 +637,7 @@ class TestNoFeasiblePlanRaises:
         evaluator, workload, __, with_ra = order_only_env()
         sql = workload[position][0]
         evaluator.pool.put(
-            evaluator.signature(sql),
+            evaluator.bound(sql).sql,
             QueryCache.from_plan_terms(evaluator.bound(sql), []),
         )
         configs = [with_ra, with_ra.with_indexes(Index("specobj", ("z",)))]

@@ -3,8 +3,7 @@ reachable from a ``WorkloadEvaluator``, and this module holds the code
 to the declaration.
 
 (a) After an eviction nothing derived from the evicted entry's bound
-    query survives, and an alias twin's own memos go by the hook the
-    table names.
+    query survives.
 (b) After ``clear_caches()`` every evaluator-owned row is empty except
     the pinned base service.
 (c) After re-ANALYZE the self-validating rows miss; after re-ANALYZE
@@ -44,13 +43,6 @@ Q_ZMAG = (
     "SELECT objid, ra, dec, zmag, zerr FROM photoobj "
     "WHERE zmag < 14.52 AND type = 5"
 )
-
-# Hooks the tests can fire by name.
-HOOKS = {
-    memos.CLEAR: lambda evaluator: evaluator.clear_caches(),
-    memos.EVICT: lambda evaluator: evaluator.pool.clear(),
-}
-
 
 def designs(catalog):
     """An index design and a layout design over photoobj."""
@@ -97,45 +89,46 @@ def test_eviction_drops_everything_derived_from_the_entry():
     evaluator = WorkloadEvaluator(catalog, pool=InumCachePool(capacity=1))
     exercise(evaluator, [Q_JOIN])
     bq = evaluator.bound(Q_JOIN)
-    signature = evaluator.signature(Q_JOIN)
     assert evaluator.cache_for(Q_JOIN).bound_query is bq
     rows = memos.rows(memos.EVICT)
-    assert {row.evict for row in rows} == {"text", "all", "signatures"}
+    assert {row.evict for row in rows} == {"text", "all", "reads"}
     for row in rows:
         assert memo_of(row, evaluator, bq), row.attr  # filled first
     evaluator.cost(Q_OTHER)  # evicts Q_JOIN's entry
-    assert signature not in evaluator.pool
-    assert signature not in evaluator.pool._kernels
+    assert bq.sql not in evaluator.pool
+    assert bq.sql not in evaluator.pool._kernels
     for row in rows:
         memo = memo_of(row, evaluator, bq)
         assert bq.sql not in memo, row.attr
         assert not any(
-            signature in getattr(value, "signatures", ())
-            for value in memo.values()
+            bq.sql in getattr(value, "reads", ()) for value in memo.values()
         ), row.attr
         if row.evict == "all":
             assert not memo, row.attr
 
 
-def test_an_alias_twins_own_memos_go_by_the_declared_hook():
-    """A twin shares the pool entry, not the bound query: eviction
-    leaves the twin's exact-path memos, and the hook the table names
-    for them drops the bound query that holds them."""
+def test_an_alias_twin_is_its_own_entry_and_keeps_its_memos():
+    """Texts that differ in their aliases alone are two entries with two
+    bound queries: evicting one drops its derived state and leaves the
+    twin's."""
     catalog = sdss_catalog(scale=0.05)
-    evaluator = WorkloadEvaluator(catalog)
+    evaluator = WorkloadEvaluator(catalog, pool=InumCachePool(capacity=2))
     exercise(evaluator, [Q_JOIN, Q_TWIN])
     entry_bq, twin = evaluator.bound(Q_JOIN), evaluator.bound(Q_TWIN)
-    assert evaluator.cache_for(Q_TWIN).bound_query is entry_bq
-    twin_rows = [r for r in memos.MEMOS if r.owner == "BoundQuery"
-                 and r.evict is not None]
-    assert all(memos.OWNER in row.hooks for row in twin_rows)
-    HOOKS[memos.EVICT](evaluator)
-    for row in twin_rows:
-        assert not getattr(entry_bq, row.attr), row.attr
-    assert twin.scan_contexts and twin.plan_memo
+    assert evaluator.cache_for(Q_TWIN).bound_query is twin is not entry_bq
+    assert evaluator.pool.keys() == [Q_JOIN, Q_TWIN]
+    rows = [row for row in memos.rows(memos.EVICT) if row.evict != "reads"]
+    for row in rows:
+        assert memo_of(row, evaluator, twin), row.attr  # filled first
+    evaluator.cost(Q_OTHER)  # evicts Q_JOIN's entry, the LRU one
+    assert evaluator.pool.keys() == [Q_TWIN, Q_OTHER]
+    for row in rows:
+        assert entry_bq.sql not in memo_of(row, evaluator, entry_bq), row.attr
+        if row.reach is None:  # the twin's own bound query
+            assert memo_of(row, evaluator, twin), row.attr
+        elif row.evict == "text":
+            assert twin.sql in memo_of(row, evaluator, twin), row.attr
     assert evaluator.bound(Q_TWIN) is twin
-    HOOKS[memos.TWIN_HOOK](evaluator)
-    assert evaluator.bound(Q_TWIN) is not twin  # dropped with its memos
 
 
 # ----------------------------------------------------------------------
@@ -274,9 +267,9 @@ def test_every_dict_on_a_designer_run_is_declared():
     objects = [evaluator, evaluator.pool, evaluator.exact_service()]
     objects += list(evaluator._exact_services.values())
     objects += [bq for bq in bindings if isinstance(bq, BoundQuery)]
-    objects += [evaluator.pool.get(sig).bound_query
-                for sig in evaluator.pool.signatures()
-                if id(evaluator.pool.get(sig).bound_query) not in bound]
+    objects += [evaluator.pool.get(sql).bound_query
+                for sql in evaluator.pool.keys()
+                if id(evaluator.pool.get(sql).bound_query) not in bound]
     objects += [ctx for obj in list(objects) if isinstance(obj, BoundQuery)
                 for ctx in obj.scan_contexts.values()]
     kinds = {type(obj) for obj in objects}

@@ -36,7 +36,7 @@ The ISSUE-10 acceptance pins live here:
   exactly;
 * the overlap (ISSUE 19): ``submit`` returns while the fleet builds,
   ``collect`` blocks only for what it was asked for and installs the
-  rest, an in-flight signature ships once, failures between the two
+  rest, an in-flight statement ships once, failures between the two
   halves degrade like failures inside one, ``close()`` abandons what
   is in flight and joins every drainer.  Those tests speak to a
   :class:`RunnerNode` over a ``socket.socketpair()`` and hold its
@@ -123,8 +123,7 @@ def pool_terms(evaluator):
     """The pool's contents as a comparable mapping — the bit-identity
     surface (plan terms compare exactly; floats are carried verbatim)."""
     return {
-        signature: evaluator.pool.get(signature).plans
-        for signature in evaluator.pool.signatures()
+        sql: evaluator.pool.get(sql).plans for sql in evaluator.pool.keys()
     }
 
 
@@ -354,8 +353,8 @@ class TestRemoteEquivalence:
         assert remote_calls == local_calls
         assert pool_terms(remote) == pool_terms(local)
         # Kernels were rebuilt on install, like the process backplane's.
-        for signature in local.pool.signatures():
-            assert remote.pool.kernel_for(signature) is not None
+        for sql in local.pool.keys():
+            assert remote.pool.kernel_for(sql) is not None
 
     def test_second_warm_up_ships_nothing(self, astro_catalog, queries):
         with RunnerNode() as node:
@@ -544,7 +543,7 @@ class TestOverlap:
         node = HeldNode()
         evaluator = WorkloadEvaluator(astro_catalog)
         evaluator.warm_up(queries[:1])
-        resident = evaluator.signature(queries[0][0])
+        resident = evaluator.bound(queries[0][0]).sql
         backplane = pair_backplane(evaluator, [node])
         try:
             wanted = backplane.submit(queries[1:2])  # returns: reply held
@@ -572,7 +571,7 @@ class TestOverlap:
         backplane = pair_backplane(evaluator, [node])
         try:
             first = backplane.submit(queries[:2])
-            # The twin tenant's request: same signatures to wait for,
+            # The twin tenant's request: same texts to wait for,
             # nothing new on the wire.
             assert backplane.submit(queries[:2]) == first
             assert backplane.submit(queries[1:3])[0] == first[1]
@@ -681,7 +680,7 @@ class TestOverlap:
 
     def test_many_drainers_lose_and_duplicate_nothing(self, astro_catalog):
         """More drainers than cores, a hostile switch interval, submits
-        interleaved with collects: every signature is shipped exactly
+        interleaved with collects: every statement is shipped exactly
         once and ends resident."""
         import sys
 
@@ -857,14 +856,19 @@ class TestConnectionIsACache:
             self, astro_catalog, queries):
         """``WIRE_VERSION`` stayed 5: a client that still sends the
         staleness budget and the epoch is served (the stray fields are
-        ignored), and a runner that still reports its lease's ages is
-        installed from (so is a reply without them — every other test)."""
+        ignored), and a runner that still reports its lease's ages, and
+        still writes each entry's alias-invariant signature, is installed
+        from — each entry under the text the client re-binds, whatever
+        the signature says (so is a reply without them — every other
+        test)."""
         assert wire.WIRE_VERSION == 5
 
         class OldRunner(RunnerNode):
             def _handle_task(self, evaluator, frame):
                 reply = super()._handle_task(evaluator, frame)
-                return dict(reply,
+                entry = dict(json.loads(reply["entry"]),
+                             signature=[[["photoobj", []]], None, False])
+                return dict(reply, entry=json.dumps(entry),
                             cache={"age_max": 2, "stale_refreshes": 1})
 
         class OldClientConnection(PairConnection):
@@ -881,6 +885,8 @@ class TestConnectionIsACache:
         local = WorkloadEvaluator(astro_catalog)
         local.warm_up(queries)
         assert pool_terms(evaluator) == pool_terms(local)
+        assert sorted(evaluator.pool.keys()) == sorted(
+            bq.sql for bq, __, __ in evaluator.warm_targets(queries))
         assert obs.metrics().value(
             "repro_remote_tasks_total", node="old", op="warm"
         ) == len(queries)
@@ -930,7 +936,7 @@ class TestEvictionDropsDerivedStateNotTheAnswer:
             assert len(evaluator.pool) == 2
             evicted = [
                 pair for pair in queries
-                if evaluator.signature(pair[0]) not in evaluator.pool
+                if evaluator.bound(pair[0]).sql not in evaluator.pool
             ]
             assert len(evicted) == len(queries) - 2
             # Every entry the runner returned is decodable: nothing to
@@ -956,11 +962,12 @@ class TestEvictionDropsDerivedStateNotTheAnswer:
         lambda payload: dict(payload, plans=[dict(
             payload["plans"][0], internal_cost=-1.0)]),
         relabel_slots,
-        lambda payload: dict(payload, signature=["write", "x"]),
+        lambda payload: dict(payload, sql=["write", "x"]),
+        lambda payload: {k: v for k, v in payload.items() if k != "sql"},
         lambda payload: dict(payload, kind=wire.KIND_OBS, wire_version=5),
         lambda payload: None,
     ], ids=["plans-not-a-list", "negative-cost", "foreign-alias",
-            "foreign-signature", "not-an-entry", "no-entry"])
+            "sql-not-text", "no-sql", "not-an-entry", "no-entry"])
     def test_malformed_entry_installs_and_remembers_nothing(
             self, astro_catalog, queries, edit):
         evaluator = WorkloadEvaluator(astro_catalog)
@@ -1140,7 +1147,7 @@ def _seed_result():
     bq = evaluator.bound(TASK["sql"])
     return {"kind": wire.KIND_RESULT, "op": "warm", "obs": DELTA,
             "entry": wire.dumps(wire.entry_to_wire(
-                evaluator.signature(bq), evaluator.cache_for(bq)))}
+                bq.sql, evaluator.cache_for(bq)))}
 
 
 DELTA = _seed_delta()

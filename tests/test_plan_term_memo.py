@@ -1,7 +1,7 @@
 """An eviction drops derived state, not the answer (ISSUE 23).
 
 The evaluator keeps each statement's plan terms for as long as it keeps
-the statement's bound AST and signature, so a pool miss on a statement
+the statement's bound AST, so a pool miss on a statement
 the optimizer has already answered is *decoded*
 (``QueryCache.from_plan_terms``), never planned again.  Pinned here:
 
@@ -10,8 +10,9 @@ the optimizer has already answered is *decoded*
   the planner zero times and leaves ``PoolStats.optimizer_calls`` where
   it was, and ``evaluate_many`` / ``evaluate_deltas`` on fuzzed designs
   are bit-identical to an unbounded evaluator;
-* the memo is keyed by statement text: two texts with one signature but
-  different aliases share the pool entry, never the terms;
+* the memo is keyed by statement text, as the pool is: two texts that
+  differ in their aliases alone are two entries, each with its own
+  terms;
 * ``clear_caches()`` empties it — the next request plans again;
 * a ``TuningService`` with ``pool_capacity=8`` emits what the unbounded
   run emits and calls ``build_cache`` once per distinct statement.
@@ -96,29 +97,23 @@ def test_an_evicted_statement_is_decoded_not_replanned(
     assert len(planned) == calls and stats.optimizer_calls == spent
 
 
-def test_alias_variants_share_an_entry_never_terms(sdss_catalog, planned):
+def test_alias_variants_are_two_entries_with_their_own_terms(
+        sdss_catalog, planned):
     evaluator = WorkloadEvaluator(sdss_catalog, pool=InumCachePool(capacity=1))
     original = evaluator.cache_for(Q_JOIN)
-    assert evaluator.cache_for(Q_JOIN_RENAMED) is original  # one signature
-    assert evaluator.knows_terms(evaluator.bound(Q_JOIN))
-    assert not evaluator.knows_terms(evaluator.bound(Q_JOIN_RENAMED))
-    evaluator.cache_for(Q_RA)  # evicts the join
     calls = len(planned)
-    renamed = evaluator.cache_for(Q_JOIN_RENAMED)
-    # Its text was never planned, so it is now — Q_JOIN's terms name
-    # aliases this text does not have.
-    assert len(planned) > calls and evaluator.stats["plan_term_decodes"] == 0
-    aliases = {slot.alias for plan in renamed.plans for slot in plan.slots}
-    assert aliases == {"alpha", "beta"}
+    renamed = evaluator.cache_for(Q_JOIN_RENAMED)  # evicts the join
+    assert len(planned) > calls and renamed is not original
     assert {s.alias for p in original.plans for s in p.slots} == {"p", "s"}
+    assert {s.alias for p in renamed.plans for s in p.slots} == \
+        {"alpha", "beta"}
     assert renamed.plans == build_cache(
         bind_statement(Q_JOIN_RENAMED, sdss_catalog), sdss_catalog,
         evaluator.settings,
     ).plans
-    evaluator.cache_for(Q_RA)  # a decode itself by now
     calls = len(planned)
-    assert evaluator.cache_for(Q_JOIN_RENAMED).plans == renamed.plans
-    assert len(planned) == calls and evaluator.stats["plan_term_decodes"] == 2
+    assert evaluator.cache_for(Q_JOIN).plans == original.plans  # decoded
+    assert len(planned) == calls and evaluator.stats["plan_term_decodes"] == 1
     config = Configuration.empty()
     assert evaluator.cost(Q_JOIN, config) == evaluator.cost(
         Q_JOIN_RENAMED, config)

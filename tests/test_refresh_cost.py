@@ -305,7 +305,7 @@ class TestTwinTenants:
         # The final windows were all evicted from under the memo ...
         final = list(service.tenant("a").window)
         assert not all(
-            plane.evaluator.signature(sql) in plane.pool for sql in final
+            plane.evaluator.bound(sql).sql in plane.pool for sql in final
         )
         # ... and it still answers them, with the very object.
         again = service.tenant("b").designer.recommend(

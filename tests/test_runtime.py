@@ -423,7 +423,7 @@ class TestProcessOffload:
 
     def test_offload_prewarms_ahead_of_steps(self):
         """After an offloaded run, the evaluator's pool was fed by wire
-        entries built in workers — the same signatures the inline path
+        entries built in workers — the same statements the inline path
         builds locally."""
         catalog = make_sdss(scale=0.01)
         inline_service = TuningService(shards=1)
@@ -441,14 +441,14 @@ class TestProcessOffload:
                 {"t": drifting_stream(SDSS_PHASES, seed=3)},
                 executor=executor, lookahead=6,
             )
-        assert set(pooled_service.backplane("sdss").pool.signatures()) == \
-            set(inline_service.backplane("sdss").pool.signatures())
+        assert set(pooled_service.backplane("sdss").pool.keys()) == \
+            set(inline_service.backplane("sdss").pool.keys())
 
 
     def test_twin_tenants_ship_each_signature_once(self):
         """Two tenants on one stream buffer the same statement rounds
         apart: the second request finds it resident or in flight, so
-        the workers build exactly the distinct signatures — and the
+        the workers build exactly the distinct statements — and the
         scheduler thread builds none."""
         from repro import obs
 
@@ -475,7 +475,7 @@ class TestProcessOffload:
             obs.reset()
         pool = service.backplane("sdss").pool
         assert outcome(service.tenant("a")) == outcome(service.tenant("twin"))
-        assert shipped == len(pool.signatures())
+        assert shipped == len(pool.keys())
         assert pool.stats.misses == 0  # nothing was built inline
         assert fallback == 0
 
@@ -503,7 +503,7 @@ class TestProcessOffload:
             assert service.warm_up("sdss", workload, executor=executor) == 0
             targets = plane.evaluator.warm_targets(workload)
             assert targets and all(
-                plane.evaluator.signature(bq) in plane.pool
+                bq.sql in plane.pool
                 for bq, __, __ in targets
             )
         assert inline_builds == []

@@ -2,6 +2,10 @@
 routing stability, the global budget split, merged statistics, and the
 one-build-per-entry guarantee under concurrency."""
 
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -100,7 +104,7 @@ class TestSingleFlight:
         for t in threads:
             t.join()
         assert len(pool) == 1
-        built = pool.get(pool.signatures()[0]).build_optimizer_calls
+        built = pool.get(pool.keys()[0]).build_optimizer_calls
         assert pool.stats.optimizer_calls == built  # paid exactly once
 
 
@@ -111,16 +115,43 @@ class _FakeCache:
 class TestShardedRouting:
     def test_routing_is_stable_and_total(self):
         pool = ShardedInumCachePool(shards=4)
-        for i in range(40):
-            sig = ("sig", i)
-            assert pool.shard_index(sig) == pool.shard_index(sig)
-            assert 0 <= pool.shard_index(sig) < 4
-            pool.put(sig, _FakeCache())
+        texts = ["SELECT ra FROM photoobj WHERE ra < %d" % i
+                 for i in range(40)]
+        for sql in texts:
+            assert pool.shard_index(sql) == pool.shard_index(sql)
+            assert 0 <= pool.shard_index(sql) < 4
+            pool.put(sql, _FakeCache())
         assert len(pool) == 40
         assert sum(size for size, __ in pool.shard_stats()) == 40
-        assert sorted(pool.signatures()) == sorted(
-            ("sig", i) for i in range(40)
+        assert sorted(pool.keys()) == sorted(texts)
+
+    def test_routing_is_the_same_in_every_interpreter(self):
+        """Under a pinned ``PYTHONHASHSEED`` two fresh interpreters route
+        every key of a generated workload to the same shard, with
+        address randomisation left on: the key is the statement text,
+        whose hash holds no address (``hash(None)`` did before Python
+        3.12)."""
+        script = (
+            "import json\n"
+            "from repro.evaluation import ShardedInumCachePool, "
+            "WorkloadEvaluator\n"
+            "from repro.workloads import sdss_catalog, sdss_workload\n"
+            "pool = ShardedInumCachePool(shards=4)\n"
+            "evaluator = WorkloadEvaluator(sdss_catalog(scale=0.01), "
+            "pool=pool)\n"
+            "workload = sdss_workload(n_queries=60, seed=11)\n"
+            "print(json.dumps([pool.shard_index(bq.sql) for bq, __, __ "
+            "in evaluator.warm_targets(workload)]))\n"
         )
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+        runs = [json.loads(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout) for __ in range(2)]
+        assert len(runs[0]) > 20 and len(set(runs[0])) == 4
+        assert runs[0] == runs[1]
 
     def test_get_put_contains_route_to_one_shard(self):
         pool = ShardedInumCachePool(shards=4)
@@ -198,9 +229,9 @@ class TestShardedStats:
             for lane in range(4):
                 def work(lane=lane):
                     for i in range(200):
-                        signature = ("sig", lane, i)
-                        if pool.get(signature) is None:
-                            pool.put(signature, _FakeCache())
+                        sql = "SELECT %d FROM lane%d" % (i, lane)
+                        if pool.get(sql) is None:
+                            pool.put(sql, _FakeCache())
                 workers = workers + [threading.Thread(target=work)]
             for w in workers:
                 w.start()
@@ -242,7 +273,7 @@ class TestShardedAsEvaluatorPool:
         pool = ShardedInumCachePool(shards=2)
         WorkloadEvaluator(sdss_catalog, pool=pool)
         with pytest.raises(ValueError):
-            # A clone is a *different* catalog object; signatures carry
+            # A clone is a *different* catalog object; keys carry
             # no catalog identity, so the pool must refuse it.
             WorkloadEvaluator(sdss_catalog.clone(), pool=pool)
 
@@ -260,7 +291,7 @@ class TestShardedAsEvaluatorPool:
         calls_par = threaded_warm_up(sharded, workload, threads=4)
         assert calls_seq == calls_par
         assert len(flat.pool) == len(sharded.pool)
-        assert set(flat.pool.signatures()) == set(sharded.pool.signatures())
+        assert set(flat.pool.keys()) == set(sharded.pool.keys())
         assert flat.workload_cost(workload) == sharded.workload_cost(workload)
 
     def test_eviction_broadcast_prunes_evaluator_memos(self, sdss_catalog):

@@ -14,8 +14,8 @@ per-text reference in ``tests/oracle.py``, computed from
 ``bind_statement`` of that one text alone: the bound statement, every
 ``ScanContext`` field, ``_match_index``, ``reaching_indexes`` over drawn
 index sets, the order vectors with their covering indexes,
-``candidate_indexes``, ``query_signature``, COLT's harvest, write
-statements' locate queries and the INUM plan terms.  Where the
+``candidate_indexes``, COLT's harvest, write statements' locate queries
+and the INUM plan terms.  Where the
 reference raises, the template path raises the same error.
 """
 
@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from repro.catalog import Index
 from repro.colt import tuner as colt_tuner
 from repro.cophy import candidate_indexes
-from repro.evaluation import query_signature
 from repro.inum import cache as inum_cache
 from repro.optimizer import CostService, PlannerSettings
 from repro.optimizer import paths as P
@@ -45,7 +44,6 @@ from oracle import (
     harvest_reference,
     match_index_reference,
     order_vectors_reference,
-    query_signature_reference,
     reaching_reference,
     referenced_reference,
     scan_context_reference,
@@ -200,8 +198,6 @@ def check_read(service, got, want, draw_indexes):
                 reaching_reference(cold, chosen, (), params)
     assert got.template.part(inum_cache._order_vectors, got) == \
         order_vectors_reference(want)
-    assert outcome(lambda: query_signature(got)) == \
-        outcome(lambda: query_signature_reference(want))
     assert got.template.part(colt_tuner._harvest, got) == harvest_reference(want)
 
 

@@ -89,23 +89,6 @@ def read_statements(catalog, registry, rng):
     return statements
 
 
-class TestSignatureCodec:
-    def test_round_trip_through_json(self):
-        catalog = make_sdss(scale=0.01)
-        evaluator = WorkloadEvaluator(catalog)
-        rng = random.Random(3)
-        for name, bq in read_statements(catalog, sdss.TEMPLATE_REGISTRY, rng):
-            signature = evaluator.signature(bq)
-            encoded = json.loads(json.dumps(wire.signature_to_wire(signature)))
-            decoded = wire.signature_from_wire(encoded)
-            assert decoded == signature, name
-            assert hash(decoded) == hash(signature), name
-
-    def test_non_primitive_rejected(self):
-        with pytest.raises(WireFormatError):
-            wire.signature_to_wire((object(),))
-
-
 class TestEntryRoundTrip:
     """``loads(dumps(entry))`` reproduces slot_cost/cost bit-identically
     for every SDSS and TPC-H template under random configurations."""
@@ -123,16 +106,14 @@ class TestEntryRoundTrip:
         rng = random.Random(seed)
         original = PerTextEvaluator(catalog)
         restored = PerTextEvaluator(catalog)
-        evaluator = WorkloadEvaluator(catalog)
         configurations = [Configuration.empty()] + [
             random_configuration(catalog, rng) for __ in range(3)
         ]
         for name, bq in read_statements(catalog, registry, rng):
             cache = original.cache_for(bq)
-            signature = evaluator.signature(bq)
-            text = wire.dumps(wire.entry_to_wire(signature, cache))
-            signature2, cache2 = wire.loads(text, catalog)
-            assert signature2 == signature, name
+            text = wire.dumps(wire.entry_to_wire(bq.sql, cache))
+            key, cache2 = wire.loads(text, catalog)
+            assert key == bq.sql, name
             assert cache2.build_optimizer_calls == cache.build_optimizer_calls
             assert cache2.plans == cache.plans, name
             # Install the deserialized entry in a second model and pin
@@ -156,12 +137,11 @@ class TestEntryRoundTrip:
     def test_dumps_is_deterministic_json(self):
         catalog = make_sdss(scale=0.01)
         model = WorkloadEvaluator(catalog)
-        evaluator = WorkloadEvaluator(catalog)
         sql = sdss.template("cone_search")(random.Random(1))
         cache = model.cache_for(sql)
-        signature = evaluator.signature(sql)
-        first = wire.dumps(wire.entry_to_wire(signature, cache))
-        second = wire.dumps(wire.entry_to_wire(signature, cache))
+        key = model.bound(sql).sql
+        first = wire.dumps(wire.entry_to_wire(key, cache))
+        second = wire.dumps(wire.entry_to_wire(key, cache))
         assert first == second
         assert json.loads(first)["wire_version"] == wire.WIRE_VERSION
 
@@ -170,10 +150,9 @@ class TestVersionRejection:
     def _entry_text(self):
         catalog = make_sdss(scale=0.01)
         model = WorkloadEvaluator(catalog)
-        evaluator = WorkloadEvaluator(catalog)
         sql = sdss.template("magnitude_cut")(random.Random(2))
         return catalog, wire.dumps(
-            wire.entry_to_wire(evaluator.signature(sql), model.cache_for(sql))
+            wire.entry_to_wire(model.bound(sql).sql, model.cache_for(sql))
         )
 
     def test_version_mismatch_rejected(self):
@@ -227,7 +206,7 @@ class TestEntryFuzz:
         payloads = []
         for bq, __, __ in source.warm_targets([(self.JOIN, 1), (self.WRITE, 1)]):
             payloads.append(json.loads(wire.dumps(wire.entry_to_wire(
-                source.signature(bq), source.cache_for(bq)))))
+                bq.sql, source.cache_for(bq)))))
         assert [p["locate"] for p in payloads] == [False, True]
         rng = random.Random(5)
         configs = [None] + [random_configuration(catalog, rng)
@@ -256,14 +235,13 @@ class TestEntryFuzz:
             assert pool.stats.as_dict() == InumCachePool().stats.as_dict()
             return
         event("installed")
-        signature, cache = loaded
-        assert pool.signatures() == [signature] and pool.kernel_count == 1
+        key, cache = loaded
+        assert pool.keys() == [key] and pool.kernel_count == 1
         # It names a statement of the workload, and prices as that
         # statement's own build does unless a term was really edited
         # (an optional field dropped): either way the kernel runs.
-        assert signature in [
-            evaluator.signature(bq)
-            for bq, __, __ in evaluator.warm_targets(workload)
+        assert key in [
+            bq.sql for bq, __, __ in evaluator.warm_targets(workload)
         ]
         matrix = evaluator.evaluate_configurations(workload, configs).matrix
         assert all(math.isfinite(cost) for row in matrix for cost in row)
@@ -272,22 +250,26 @@ class TestEntryFuzz:
         if payload["plans"] == original["plans"]:
             assert matrix == reference
 
+    @pytest.mark.parametrize("signature", [
+        [[["photoobj", []]], None, False],
+        json.loads("[" * 600 + "]" * 600),
+    ], ids=["foreign", "nested-deeply"])
+    def test_a_signature_an_older_build_writes_is_ignored(
+            self, env, signature):
+        """Entries an older build wrote still carry an alias-invariant
+        signature; whatever it holds, the entry is filed under the text
+        the receiver binds."""
+        catalog, payloads = env[:2]
+        text = json.dumps(dict(payloads[0], signature=signature))
+        pool = InumCachePool()
+        key, cache = wire.loads(text, catalog, pool=pool)
+        assert key == cache.bound_query.sql == payloads[0]["sql"]
+        assert pool.keys() == [key] and pool.kernel_count == 1
+
     def test_text_that_is_not_json_is_a_wire_error(self, env):
         for text in ("", "{", "nope", None, b"\xff", 3, "[" * 100_000):
             with pytest.raises(WireFormatError):
                 wire.loads(text, env[0])
-
-    def test_a_signature_nested_too_deeply_is_a_wire_error(self, env):
-        """JSON decodes it, the shape admits it (a signature is any
-        array), and turning it back into tuples recurses too deep."""
-        catalog, payloads = env[:2]
-        deep = "[" * 600 + "]" * 600
-        text = json.dumps(dict(payloads[0], signature=[]))
-        text = text.replace('"signature": []', '"signature": ' + deep)
-        pool = InumCachePool()
-        with pytest.raises(WireFormatError, match="nests too deeply"):
-            wire.loads(text, catalog, pool=pool)
-        assert len(pool) == 0
 
 
 def bindings(evaluator):
@@ -311,7 +293,7 @@ class TestInstallBindsThroughTheOwner:
         source = WorkloadEvaluator(catalog)
         (bq, __, __), = source.warm_targets([(sql, 1.0)])
         return source, wire.dumps(wire.entry_to_wire(
-            source.signature(bq), source.cache_for(bq)))
+            bq.sql, source.cache_for(bq)))
 
     def test_a_submitted_statement_is_not_bound_again(self):
         catalog = make_sdss(scale=0.05)
@@ -335,10 +317,10 @@ class TestInstallBindsThroughTheOwner:
         sources = []
         for sql in (self.UNKNOWN, self.UPDATE):
             source, text = self.shipped(catalog, sql)
-            signature, cache = wire.loads(text, catalog, pool=evaluator.pool)
+            key, cache = wire.loads(text, catalog, pool=evaluator.pool)
             assert bindings(evaluator) == before
-            assert evaluator.pool.get(signature) is cache
-            assert evaluator.pool.kernel_for(signature) is not None
+            assert evaluator.pool.get(key) is cache
+            assert evaluator.pool.kernel_for(key) is not None
             sources.append((sql, source))
         calls = evaluator.precompute_calls
         for sql, source in sources:
@@ -360,10 +342,10 @@ class TestInstallBindsThroughTheOwner:
 
 def assert_same_entries(pooled, single):
     """The two evaluators' pools hold the same entries, term for term."""
-    assert set(pooled.pool.signatures()) == set(single.pool.signatures())
-    for signature in single.pool.signatures():
-        a = pooled.pool.get(signature)
-        b = single.pool.get(signature)
+    assert set(pooled.pool.keys()) == set(single.pool.keys())
+    for key in single.pool.keys():
+        a = pooled.pool.get(key)
+        b = single.pool.get(key)
         assert a.plans == b.plans
         assert a.build_optimizer_calls == b.build_optimizer_calls
         assert a.bound_query.sql == b.bound_query.sql
@@ -503,20 +485,23 @@ class TestProcessPoolBackplane:
         assert_same_entries(first, singles[0])
         assert_same_entries(second, singles[1])
 
-    def test_alias_renamed_duplicates_ship_one_task(self):
-        """Warm-target dedup is by canonical signature: alias-renamed
-        duplicates share one cache entry, so only one build is shipped
-        to the workers."""
+    def test_duplicate_texts_ship_one_task(self):
+        """Warm-target dedup is by bound text, the pool key: a statement
+        named twice, or spelled with other spacing, is one entry and one
+        shipped build; an alias-renamed text is a statement of its
+        own."""
+        obs.reset()
         catalog = make_sdss(scale=0.01)
-        workload = [
-            "SELECT p.objid FROM photoobj p WHERE p.rmag < 20",
-            "SELECT x.objid FROM photoobj x WHERE x.rmag < 20",
-        ]
+        sql = "SELECT p.objid FROM photoobj p WHERE p.rmag < 20"
+        renamed = "SELECT x.objid FROM photoobj x WHERE x.rmag < 20"
+        workload = [sql, sql, sql.replace(" WHERE", "   WHERE"), renamed]
         evaluator = WorkloadEvaluator(catalog)
-        assert len(evaluator.warm_targets(workload)) == 1
+        assert [bq.sql for bq, __, __ in evaluator.warm_targets(workload)] \
+            == [evaluator.bound(sql).sql, evaluator.bound(renamed).sql]
         with ProcessPoolBackplane(evaluator, processes=2) as backplane:
             backplane.warm_up(workload)
-        assert len(evaluator.pool) == 1
+        assert len(evaluator.pool) == 2
+        assert remote_counter("repro_remote_tasks_total") == 2
 
     def test_warm_up_skips_resident_entries(self):
         catalog = make_sdss(scale=0.01)

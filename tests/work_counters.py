@@ -10,11 +10,18 @@ off) — and compares the digest and the counters below with
 ``tests/data/work_counters.json``.  ``benchmarks/e2e/`` is imported,
 never edited.
 
-    python tests/work_counters.py          # compare; exit 1 on any drift
-    python tests/work_counters.py --write  # regenerate the file
+    python tests/work_counters.py            # compare; exit 1 on any drift
+    python tests/work_counters.py --write    # regenerate the file
+    python tests/work_counters.py --base DIR # against a base checkout
 
 A change that means to change the work rewrites the file in the same
-diff and says why.  A digest holds float results bit for bit, so the
+diff and says why.  ``--base DIR`` takes a checkout of the commit the
+change is based on (CI makes one with ``git worktree add``), records
+that commit's work *here* by running its own copy of this script with
+``--write`` there, and compares this checkout against it: a value this
+checkout's file changes from the base's committed file is the drift
+the change declares, and is reported, not failed; any other drift
+fails.  A digest holds float results bit for bit, so the
 file also names the interpreter and numeric libraries it was recorded
 under; ``tests/test_work_counters.py`` runs the comparison in tier-1
 where they match and skips, naming both, where they do not.
@@ -25,6 +32,7 @@ import importlib.util
 import json
 import os
 import platform
+import subprocess
 import sys
 
 import numpy
@@ -96,8 +104,8 @@ def measure():
     return {"environment": environment(), "workloads": workloads}
 
 
-def load():
-    with open(EXPECTED) as handle:
+def load(path=EXPECTED):
+    with open(path) as handle:
         return json.load(handle)
 
 
@@ -105,45 +113,86 @@ def render(record):
     return json.dumps(record, indent=1, sort_keys=True) + "\n"
 
 
+def values(record):
+    """``(workload, name) -> value`` for every digest and counter."""
+    out = {}
+    for workload, entry in record["workloads"].items():
+        out[workload, "result_digest"] = entry.get("result_digest")
+        for name, value in entry.get("counters", {}).items():
+            out[workload, name] = value
+    return out
+
+
+def changes(expected, found):
+    """``(key, expected value, found value)`` per differing value."""
+    want, got = values(expected), values(found)
+    return [(key, want.get(key), got.get(key))
+            for key in sorted(set(want) | set(got))
+            if want.get(key) != got.get(key)]
+
+
+def describe(change):
+    (workload, name), want, got = change
+    return "%s %s: expected %r, found %r" % (workload, name, want, got)
+
+
 def drift(expected, found):
     """One line per workload value that differs between two records."""
-    lines = []
-    want_all, got_all = expected["workloads"], found["workloads"]
-    for workload in sorted(set(want_all) | set(got_all)):
-        want = want_all.get(workload, {})
-        got = got_all.get(workload, {})
-        pairs = [("result_digest", want.get("result_digest"),
-                  got.get("result_digest"))]
-        counters_want = want.get("counters", {})
-        counters_got = got.get("counters", {})
-        pairs += [(name, counters_want.get(name), counters_got.get(name))
-                  for name in sorted(set(counters_want) | set(counters_got))]
-        lines += ["%s %s: expected %r, found %r" % (workload, key, a, b)
-                  for key, a, b in pairs if a != b]
-    return lines
+    return [describe(change) for change in changes(expected, found)]
+
+
+def record_base(base):
+    """``(committed, measured)``: the base checkout's own file, and its
+    work measured in this environment by its own script (whose
+    ``--write`` overwrites that file)."""
+    path = os.path.join(base, "tests", "data", "work_counters.json")
+    committed = load(path)
+    subprocess.run(
+        [sys.executable, os.path.join("tests", "work_counters.py"),
+         "--write"],
+        cwd=base, check=True,
+        env=dict(os.environ, PYTHONPATH=os.path.join(base, "src")),
+    )
+    return committed, load(path)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true",
                         help="regenerate %s" % os.path.relpath(EXPECTED, ROOT))
+    parser.add_argument("--base", metavar="DIR",
+                        help="compare with a base checkout's work measured "
+                        "here, allowing the values this file edits")
     args = parser.parse_args(argv)
-    found = measure()
     if args.write:
         os.makedirs(os.path.dirname(EXPECTED), exist_ok=True)
         with open(EXPECTED, "w") as handle:
-            handle.write(render(found))
+            handle.write(render(measure()))
         return 0
-    expected = load()
+    declared = set()  # the values this checkout's file edits
+    if args.base:
+        committed, expected = record_base(args.base)
+        declared = {key for key, __, __ in changes(committed, load())}
+    else:
+        expected = load()
+    found = measure()
     if expected["environment"] != found["environment"]:
         print("note: recorded under %s, running under %s"
               % (expected["environment"], found["environment"]))
-    lines = drift(expected, found)
-    for line in lines:
-        print("DRIFT " + line)
-    print("work counters: %s" % ("%d drifted" % len(lines) if lines
-                                 else "identical on every workload"))
-    return 1 if lines else 0
+    drifted = 0
+    for change in changes(expected, found):
+        edited = change[0] in declared
+        drifted += not edited
+        print("%s %s" % ("EDITED" if edited else "DRIFT", describe(change)))
+    if drifted:
+        verdict = "%d drifted" % drifted
+    elif declared:
+        verdict = "no drift besides the %d value(s) the file edits" \
+            % len(declared)
+    else:
+        verdict = "identical on every workload"
+    print("work counters: " + verdict)
+    return 1 if drifted else 0
 
 
 if __name__ == "__main__":
