@@ -9,6 +9,7 @@ optimizer that sees simulated indexes and partitioned tables.
 from repro.catalog.index import Index
 from repro.catalog.partition import HorizontalPartitioning, VerticalLayout
 from repro.catalog.table import Table
+from repro.catalog.types import DataType
 from repro.util import CatalogError
 
 
@@ -111,6 +112,11 @@ class Catalog:
             raise CatalogError(
                 "partition column %r not in table %r" % (part.column, table.name)
             )
+        # Bounds are compared with the column's filter values.
+        if table.column(part.column).dtype is not DataType.TEXT and any(
+                isinstance(bound, str) for bound in part.bounds):
+            raise CatalogError("text bounds on number column %r"
+                               % (part.column,))
         self._horizontals[part.table_name] = part
         return part
 

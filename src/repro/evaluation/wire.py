@@ -104,7 +104,13 @@ RETIRED_COLT_SETTINGS = {"ewma_alpha": EWMA_ALPHA,
                          "amortization_epochs": AMORTIZATION_EPOCHS}
 RETIRED_PLANNER_SETTINGS = {  # a no-op, and a constant of paths.py
     "effective_cache_fraction": 0.0,
-    "index_only_visible_frac": INDEX_ONLY_VISIBLE_FRAC}
+    "index_only_visible_frac": INDEX_ONLY_VISIBLE_FRAC,
+    # PostgreSQL's scan, sort and materialize toggles: always on.
+    "enable_seqscan": True,
+    "enable_indexscan": True,
+    "enable_indexonlyscan": True,
+    "enable_sort": True,
+    "enable_material": True}
 
 
 def _with_retired(cls, retired):
@@ -524,7 +530,7 @@ def check_version(payload):
     return payload
 
 
-def loads(text, catalog=None, pool=None):
+def loads(text, catalog=None, pool=None, key=None):
     """Parse a wire-format JSON string.
 
     Cache-entry payloads need *catalog* and return ``(sql,
@@ -536,7 +542,9 @@ def loads(text, catalog=None, pool=None):
     kernel rebuilt from the just-loaded plan terms (kernels never cross
     the wire).  A pool whose owner prices *catalog* binds the entry's
     SQL through the owner's ``known_bound``: the statement the owner
-    already bound, never remembering one it did not."""
+    already bound, never remembering one it did not.  With *key* (the
+    text a fleet task asked for), an entry that re-binds to another
+    text is refused before anything is put."""
     try:
         payload = json.loads(text)
     except (TypeError, ValueError, RecursionError) as exc:  # not JSON at all
@@ -553,6 +561,8 @@ def loads(text, catalog=None, pool=None):
         else:
             bind = partial(bind_statement, catalog=catalog)
         sql, cache = entry_from_wire(payload, bind)
+        if key is not None and sql != key:
+            raise WireFormatError("an entry of %r answers %r" % (sql, key))
         if pool is not None:
             if sql not in pool:
                 pool.put(sql, cache)

@@ -23,8 +23,8 @@ that serve the runner's loop on one end of a ``socket.socketpair()``.
 Tasks wait in one shared deque drained by one persistent daemon thread
 per node (started by the first ``submit``, idle on a condition, joined
 by ``close()``), so a fast node takes more tasks.  A drainer only
-*transports*; installing (``wire.loads(text, catalog, pool=)``), the
-runners' telemetry and the task accounting happen inside
+*transports*; installing (``wire.loads(text, catalog, pool=, key=)``),
+the runners' telemetry and the task accounting happen inside
 ``collect`` on the caller's thread, so the pool is mutated by one
 thread and a process backplane built later forks beside drainers that
 hold nothing its children use.  ``close()`` abandons whatever is
@@ -410,15 +410,15 @@ class FleetBackplane:
         self._inflight.difference_update(item[0] for item in replies)
         self._inflight.difference_update(item[0] for item in leftovers)
         self._m_inflight.dec(len(replies) + len(leftovers))
-        for __, conn, reply in replies:
+        for key, conn, reply in replies:
             _answer(reply, wire.KIND_RESULT)
             delta = reply["obs"] and wire.obs_from_wire(reply["obs"])
             # pool= installs the entry *and* rebuilds its columnar
             # kernel from the shipped plan terms, so an offloaded
-            # warm-up prewarms compiled kernels, not just raw caches.
-            __, cache = wire.loads(
-                reply["entry"], evaluator.catalog, pool=evaluator.pool
-            )
+            # warm-up prewarms compiled kernels, not just raw caches;
+            # key= refuses an entry of another statement than the task's.
+            __, cache = wire.loads(reply["entry"], evaluator.catalog,
+                                   pool=evaluator.pool, key=key)
             evaluator.remember_terms(cache)
             if delta:
                 obs.ingest_deltas(delta)

@@ -256,8 +256,8 @@ class RunnerNode:
             "kind": wire.KIND_RESULT,
             "op": "warm",
             # Wire *text*, not a nested payload: the client installs it
-            # with ``wire.loads(text, catalog, pool=)``, the one install
-            # path every entry takes (snapshot files included).
+            # with ``wire.loads(text, catalog, pool=, key=)``, the one
+            # install path every entry takes (snapshot files included).
             "entry": wire.dumps(wire.entry_to_wire(key, cache)),
             "obs": (
                 wire.obs_to_wire(obs.drain_deltas())

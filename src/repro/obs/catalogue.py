@@ -93,14 +93,15 @@ SCHEDULER_STEPS = _family(COUNTER, "repro_scheduler_steps_total",
 SCHEDULER_STEP_SECONDS = _family(HISTOGRAM, "repro_scheduler_step_seconds",
                                  "Step dispatch latency", "kind")
 SCHEDULER_SNAPSHOTS = _family(COUNTER, "repro_scheduler_snapshots_total",
-                              "Pause-point snapshots taken")
+                              "Service snapshots taken (pause points and "
+                              "save_state)")
 SCHEDULER_QUEUE_DEPTH = _family(GAUGE, "repro_scheduler_queue_depth",
                                 "Buffered-but-not-ingested events per tenant",
                                 "tenant")
 SCHEDULER_EVENTS_STARTED = _family(GAUGE, "repro_scheduler_events_started",
                                    "Events whose ingest has started")
 SCHEDULER_SNAPSHOT_AGE = _family(GAUGE, "repro_scheduler_snapshot_age_seconds",
-                                 "Seconds since the last pause-point snapshot")
+                                 "Seconds since the last service snapshot")
 
 # Tenant sessions.
 TENANT_QUERIES = _family(COUNTER, "repro_tenant_queries_total",

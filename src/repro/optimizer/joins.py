@@ -49,7 +49,6 @@ def sort_cost(child, settings):
         io = 2.0 * pages * passes * settings.seq_page_cost * 0.75
     startup = child.total_cost + sort_cpu + io
     total = startup + settings.cpu_operator_cost * rows
-    total += 0.0 if settings.enable_sort else DISABLE_COST
     return startup, total, external
 
 
@@ -71,10 +70,7 @@ def sort_path(child, sort_keys, settings):
 def materialize_cost(child, settings):
     """Total cost of materializing *child* (its startup is the child's)."""
     rows = max(1.0, child.rows)
-    total = child.total_cost + 2.0 * settings.cpu_operator_cost * rows
-    if not settings.enable_material:
-        total += DISABLE_COST
-    return total
+    return child.total_cost + 2.0 * settings.cpu_operator_cost * rows
 
 
 def materialize_path(child, settings):
@@ -122,8 +118,8 @@ class InnerTerms:
         "parameterized",  # costs are per probe
         "rescan",  # nested loop: one more pass over the inner
         # Nested loop over the materialized inner: its total and rescan
-        # cost; ``mat_total`` is None when the inner is not materialized
-        # (parameterized, or enable_material off).  The node itself is
+        # cost; ``mat_total`` is None when the inner is parameterized,
+        # and so never materialized.  The node itself is
         # built by :meth:`JoinCosting.materialized` when a candidate
         # over it is admitted.
         "mat_total",
@@ -194,9 +190,8 @@ class JoinCosting:
         rows = i.rows
         if not i.parameterized:
             i.rescan = path.rescan_cost()
-            if settings.enable_material:
-                i.mat_total = materialize_cost(path, settings)
-                i.mat_rescan = Materialize.rescan_cost_of(path.rows)
+            i.mat_total = materialize_cost(path, settings)
+            i.mat_rescan = Materialize.rescan_cost_of(path.rows)
         i.build_cpu = (self.clause_cost + settings.cpu_tuple_cost) * rows
         i.hash_bytes = rows * (path.width + TUPLE_OVERHEAD)
         i.sorts = not ordering_satisfies(path.ordering, self.keys_inner)

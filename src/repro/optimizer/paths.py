@@ -29,6 +29,7 @@ from repro.optimizer.plan import (
     SeqScan,
 )
 from repro.optimizer.selectivity import equality_fraction, filter_selectivity
+from repro.optimizer.settings import DISABLE_COST
 from repro.util import ceil_div, clamp
 
 # Fraction of heap pages an index-only scan assumes all-visible.
@@ -684,7 +685,7 @@ def _sequential_path(ctx, settings):
         stitch = (
             settings.cpu_operator_cost * (len(geometry.fragments) - 1) * geometry.rows
         )
-    total = io + cpu + stitch + settings.scan_penalty(settings.enable_seqscan)
+    total = io + cpu + stitch
 
     if geometry.fragments:
         return FragmentScan(
@@ -785,7 +786,6 @@ def _index_scan_cost(ctx, index, match, settings, rows_out, parameterized):
             (1.0 - INDEX_ONLY_VISIBLE_FRAC) * geometry.fetch_pages + 1.0,
         )
         heap_io = heap_pages * settings.random_page_cost
-        flag = settings.enable_indexonlyscan and settings.enable_indexscan
     else:
         T = geometry.fetch_pages
         max_pages = mackert_lohman_pages(T, tuples)
@@ -795,14 +795,12 @@ def _index_scan_cost(ctx, index, match, settings, rows_out, parameterized):
         corr = table.stats(index.columns[0]).correlation
         c2 = corr * corr
         heap_io = c2 * min_io + (1.0 - c2) * max_io
-        flag = settings.enable_indexscan
 
     heap_cpu = settings.cpu_tuple_cost * tuples + settings.cpu_operator_cost * len(
         match.residual_filters
     ) * tuples
 
     total = startup + index_io + index_cpu + heap_io + heap_cpu
-    total += settings.scan_penalty(flag)
 
     ordering = tuple((alias, col, True) for col in match.ordering_columns)
     return IndexScan(
@@ -883,7 +881,8 @@ def bitmap_and_path(ctx, arm_candidates, settings):
         + settings.cpu_operator_cost * len(residual) * tuples
     )
     total = index_cost + heap_io + heap_cpu
-    total += settings.scan_penalty(settings.enable_bitmapscan)
+    if not settings.enable_bitmapscan:
+        total += DISABLE_COST
     return BitmapAndScan(
         startup_cost=index_cost,
         total_cost=total,
@@ -929,7 +928,8 @@ def _bitmap_path(ctx, index, match, settings):
     )
 
     total = index_cost + heap_io + heap_cpu
-    total += settings.scan_penalty(settings.enable_bitmapscan)
+    if not settings.enable_bitmapscan:
+        total += DISABLE_COST
     return BitmapHeapScan(
         startup_cost=index_cost,
         total_cost=total,

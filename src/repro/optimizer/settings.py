@@ -1,9 +1,10 @@
-"""Planner cost constants and enable flags (PostgreSQL GUC equivalents).
+"""Planner cost constants and join control (PostgreSQL GUC equivalents).
 
-The ``enable_*`` flags implement the paper's *what-if join component*: the
-designer toggles join methods (and scan types) to steer the optimizer while
-exploring hypothetical designs, exactly like setting ``enable_hashjoin``
-and friends on a real PostgreSQL.
+The join ``enable_*`` flags implement the paper's *what-if join
+component*: the designer toggles join methods to steer the optimizer
+while exploring hypothetical designs, exactly like setting
+``enable_hashjoin`` and friends on a real PostgreSQL (and the cost-model
+ablation, ``enable_bitmapscan``).
 
 Disabled paths are not removed — they are penalized with
 :data:`DISABLE_COST`, matching PostgreSQL's behaviour so a plan always
@@ -11,7 +12,7 @@ exists even when everything relevant is "disabled".
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.util import DesignError
 
@@ -25,9 +26,10 @@ _COST_CONSTANTS = (
 
 @dataclass(frozen=True)
 class PlannerSettings:
-    """Cost model constants and planner toggles.
+    """Cost model constants, ``work_mem`` and join control.
 
     Defaults are PostgreSQL's shipped values.  ``work_mem`` is in bytes.
+    A variant is ``dataclasses.replace(settings, ...)``.
 
     Constants no cost model can mean are refused at construction
     (:class:`~repro.util.DesignError`): every plan cost must come out
@@ -42,15 +44,10 @@ class PlannerSettings:
     cpu_operator_cost: float = 0.0025
     work_mem: int = 4 * 1024 * 1024
 
-    enable_seqscan: bool = True
-    enable_indexscan: bool = True
-    enable_indexonlyscan: bool = True
     enable_bitmapscan: bool = True
     enable_nestloop: bool = True
     enable_hashjoin: bool = True
     enable_mergejoin: bool = True
-    enable_sort: bool = True
-    enable_material: bool = True
 
     # Reproduces the flaw the paper's §2 attributes to Monteiro et al.:
     # cost what-if indexes as if they had zero size (no descent, no leaf
@@ -69,14 +66,6 @@ class PlannerSettings:
         raise DesignError(
             "planner setting %s=%r must be %s" % (name, getattr(self, name), rule)
         )
-
-    def with_changes(self, **kwargs):
-        """Return a copy with the given GUCs overridden."""
-        return replace(self, **kwargs)
-
-    def scan_penalty(self, flag):
-        """0 when *flag* is on, :data:`DISABLE_COST` otherwise."""
-        return 0.0 if flag else DISABLE_COST
 
 
 DEFAULT_SETTINGS = PlannerSettings()

@@ -92,7 +92,7 @@ class _OffloadStepExecutor(StepExecutor):
         the scheduler blocks on the fleet.  Usually the entry was
         submitted ``lookahead`` events ago and is resident or nearly
         so; a window is a residency check except after evictions."""
-        if step.heavy and step.prewarm:
+        if step.prewarm:
             with obs.tracer().span(SPAN_EXECUTOR_PREPARE,
                                    kind=step.kind,
                                    statements=len(step.prewarm)):

@@ -38,9 +38,8 @@ from collections import OrderedDict
 
 from repro import obs
 from repro.obs.catalogue import (
-    SCHEDULER_EVENTS_STARTED, SCHEDULER_QUEUE_DEPTH, SCHEDULER_SNAPSHOTS,
-    SCHEDULER_SNAPSHOT_AGE, SCHEDULER_STEPS, SCHEDULER_STEP_SECONDS,
-    SPAN_SCHEDULER_STEP)
+    SCHEDULER_EVENTS_STARTED, SCHEDULER_QUEUE_DEPTH, SCHEDULER_STEPS,
+    SCHEDULER_STEP_SECONDS, SPAN_SCHEDULER_STEP)
 from repro.runtime.executor import StepExecutor
 from repro.runtime.steps import TenantTask, event_sql
 from repro.util import DesignError
@@ -73,8 +72,6 @@ class Scheduler:
         self.snapshot_interval = snapshot_interval
         self.on_snapshot = on_snapshot
         self.steps = 0
-        self.snapshots = 0
-        self.last_snapshot_time = None
         self._tasks = OrderedDict()
         self._snapshot_mark = 0
         # Scrape-time mirror of the run-queue shape (queue depths,
@@ -169,12 +166,7 @@ class Scheduler:
     def snapshot_now(self):
         """Drain to boundaries and invoke the snapshot callback."""
         self.drain_to_boundaries()
-        self.snapshots += 1
-        # Monotonic: snapshot age must survive wall-clock adjustments
-        # (NTP slew, DST) — this timestamp is only ever differenced.
-        self.last_snapshot_time = time.monotonic()
         self._snapshot_mark = self.events_started
-        obs.metrics().family(SCHEDULER_SNAPSHOTS).inc()
         if self.on_snapshot is not None:
             self.on_snapshot(self)
 
@@ -206,15 +198,11 @@ class Scheduler:
             depth.labels(tenant=name).set(task.queue_depth)
         registry.family(SCHEDULER_EVENTS_STARTED).set(
             self.events_started)
-        if self.last_snapshot_time is not None:
-            registry.family(SCHEDULER_SNAPSHOT_AGE).set(
-                time.monotonic() - self.last_snapshot_time)
 
     def stats(self):
         return {
             "steps": self.steps,
             "events": self.events_started,
-            "snapshots": self.snapshots,
             "tenants": {
                 name: {
                     "steps": task.steps_run,

@@ -4,10 +4,10 @@ A :class:`Step` is one small, non-reentrant piece of a tenant session's
 ingest/epoch/refresh machinery — produced by
 :meth:`~repro.service.tenant.TenantSession.ingest_steps` and
 :meth:`~repro.service.tenant.TenantSession.finish_steps` — together
-with the metadata the scheduler needs to place it: whether the step may
-issue optimizer-heavy INUM cache builds (``heavy``) and which SQL
-statements those builds would serve (``prewarm``), so a process-offload
-executor can warm the shared pool *before* the step runs inline.
+with the metadata the scheduler needs to place it: the SQL statements
+whose optimizer-heavy INUM cache builds the step may issue
+(``prewarm``; empty for a light step), so a process-offload executor
+can warm the shared pool *before* the step runs inline.
 
 A :class:`TenantTask` wraps one session plus its event stream and
 exposes the session as an explicit state machine: pull an event, run
@@ -34,16 +34,15 @@ def event_sql(event):
 class Step:
     """One resumable unit of tenant work.
 
-    ``run`` performs the step (bound to the owning session); ``heavy``
-    marks steps that may issue optimizer-heavy cache builds; ``prewarm``
-    lists the SQL whose INUM caches the step will price, so an executor
-    can build them out-of-process first (results-neutral: caches are
-    pure functions of the bound query, catalog, and settings).
+    ``run`` performs the step (bound to the owning session); ``prewarm``
+    lists the SQL whose INUM caches the step will price — empty when it
+    issues no optimizer-heavy cache build — so an executor can build
+    them out-of-process first (results-neutral: caches are pure
+    functions of the bound query, catalog, and settings).
     """
 
     kind: str  # "drift" | "observe" | "refresh" | "flush" | "final"
     run: object  # zero-argument callable
-    heavy: bool = False
     prewarm: tuple = ()
 
 
@@ -57,7 +56,7 @@ class TenantTask:
     cooperative scheduler drives every task from one thread.
     """
 
-    def __init__(self, name, session, stream, finish=True, order=0):
+    def __init__(self, name, session, stream, finish, order):
         self.name = name
         self.session = session
         self.finish = finish

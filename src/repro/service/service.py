@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.obs.catalogue import (
     POOL_ENTRIES, POOL_EVICTIONS, POOL_HITS, POOL_KERNELS, POOL_MISSES,
-    POOL_OPTIMIZER_CALLS, TENANT_QUERIES)
+    POOL_OPTIMIZER_CALLS, SCHEDULER_SNAPSHOT_AGE, SCHEDULER_SNAPSHOTS,
+    TENANT_QUERIES)
 from repro.evaluation import ShardedInumCachePool, WorkloadEvaluator, wire
 from repro.runtime import Scheduler, Step, StepExecutor
 from repro.service.tenant import TenantSession
@@ -103,12 +104,12 @@ class TuningService:
         self._runtime = None  # the active Scheduler during run_scheduled
         self._pause_point = False  # inside the scheduler's snapshot hook
         self._pending = {}  # tenant -> restored not-yet-ingested events
-        self._snapshots = 0
+        self._snapshots = 0  # pause points and save_state: the one count
         self._last_snapshot_time = None
-        # Scrape-time mirror of pool statistics and tenant counters:
-        # the registry's counters match PoolStats to the unit because
-        # they are *set from* PoolStats at collect time, never counted
-        # separately.  Held weakly; dies with the service.
+        # Scrape-time mirror of pool statistics, tenant counters and
+        # snapshots: the registry's counters match PoolStats to the unit
+        # because they are *set from* PoolStats at collect time, never
+        # counted separately.  Held weakly; dies with the service.
         obs.metrics().add_collector(self._collect_obs)
 
     # ------------------------------------------------------------------
@@ -188,7 +189,7 @@ class TuningService:
         plane = self.backplane(backplane)
         if executor is not None:
             executor.prepare(plane, Step(
-                "warm", run=None, heavy=True, prewarm=tuple(workload),
+                "warm", run=None, prewarm=tuple(workload),
             ))
         return plane.warm_up(workload)
 
@@ -440,7 +441,7 @@ class TuningService:
                 for name in self._tenants}
 
     def _collect_obs(self, registry):
-        """Scrape-time mirror of pool and tenant accounting.
+        """Scrape-time mirror of pool, tenant and snapshot accounting.
 
         Counter families are *set* from the same lock-exact
         :class:`~repro.evaluation.pool.PoolStats` snapshots
@@ -467,6 +468,10 @@ class TuningService:
         queries = registry.family(TENANT_QUERIES)
         for name, session in sessions:
             queries.labels(tenant=name).set(session.queries)
+        if self._last_snapshot_time is not None:
+            registry.family(SCHEDULER_SNAPSHOTS).set(self._snapshots)
+            registry.family(SCHEDULER_SNAPSHOT_AGE).set(
+                time.monotonic() - self._last_snapshot_time)
 
     def status(self):
         """Mergeable point-in-time snapshot of every tenant and pool."""

@@ -146,12 +146,10 @@ class TenantSession:
         else:
             phase, sql = None, event
         if phase is not None and phase != self._phase:
-            heavy = self._phase is not None and bool(self.window)
             yield Step(
                 "drift",
                 run=partial(self._drift_step, phase),
-                heavy=heavy,
-                prewarm=tuple(self.window) if heavy else (),
+                prewarm=tuple(self.window) if self._phase is not None else (),
             )
         prewarm = (sql,)
         if self.tuner.will_end_epoch:
@@ -160,14 +158,12 @@ class TenantSession:
         yield Step(
             "observe",
             run=partial(self._observe_step, sql),
-            heavy=True,
             prewarm=prewarm,
         )
         if self.recommend_every and self.queries % self.recommend_every == 0:
             yield Step(
                 "refresh",
                 run=partial(self._refresh, "interval"),
-                heavy=True,
                 prewarm=tuple(self.window),
             )
 
@@ -210,14 +206,12 @@ class TenantSession:
         yield Step(
             "flush",
             run=self.tuner.flush,
-            heavy=bool(self.tuner.pending_queries),
             prewarm=self.tuner.pending_queries,
         )
         if self.window:
             yield Step(
                 "final",
                 run=partial(self._refresh, "final"),
-                heavy=True,
                 prewarm=tuple(self.window),
             )
         self._finished = True

@@ -7,7 +7,8 @@ Three sub-components, as in the paper:
   (:class:`Configuration`),
 * **what-if table** — hypothetical vertical/horizontal partitions in the
   same overlay,
-* **what-if join** — GUC-style join-method control
+* **what-if join** — GUC-style join-method control, the planner's
+  ``enable_nestloop`` / ``enable_hashjoin`` / ``enable_mergejoin``
   (:meth:`WhatIfSession.with_join_methods`).
 
 All other designer components attach to this one, mirroring Figure 1.

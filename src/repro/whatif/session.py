@@ -7,7 +7,7 @@ paper's claim that "we escape the cost of explicitly building a
 structure".
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.util import workload_pairs
 from repro.whatif.config import Configuration
@@ -126,11 +126,11 @@ class WhatIfSession:
 
     def with_join_methods(self, **enable_flags):
         """What-if join control: a session whose optimizer has the given
-        ``enable_*`` flags overridden (e.g. ``enable_hashjoin=False``)."""
+        join flags overridden (e.g. ``enable_hashjoin=False``)."""
         # Imported here: repro.evaluation itself imports repro.whatif.
         from repro.evaluation.evaluator import WorkloadEvaluator
 
-        settings = self.evaluator.settings.with_changes(**enable_flags)
+        settings = replace(self.evaluator.settings, **enable_flags)
         return WhatIfSession(WorkloadEvaluator(self.catalog, settings))
 
     # ------------------------------------------------------------------

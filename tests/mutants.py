@@ -162,6 +162,47 @@ MUTANTS = (
         "            np.float32)",
         ("tests/test_delta_kernel.py::test_delta_equals_full_grid",),
     ),
+    Mutant(
+        "arena-sums-reassociated",
+        "repro/evaluation/kernel.py",
+        "acc[...] = self.internal\n"
+        "        for col in self.cols:\n"
+        "            acc += rows[..., col]\n"
+        "        return acc",
+        "return self.internal + rows[..., self.cols].sum(axis=-2)",
+        ("tests/test_kernel.py::"
+         "test_arena_price_equals_dense_equals_python_walk",),
+    ),
+    Mutant(
+        "arena-delta-resum-reassociated",
+        "repro/evaluation/kernel.py",
+        "vals = footprint.internal.copy()\n"
+        "        for col in footprint.cols:\n"
+        "            vals += rows[footprint.plan_child, col]",
+        "vals = footprint.internal + rows[\n"
+        "            footprint.plan_child, footprint.cols].sum(axis=0)",
+        ("tests/test_kernel.py::"
+         "test_arena_price_equals_dense_equals_python_walk",),
+    ),
+    Mutant(
+        "retired-planner-toggle-accepts-false",
+        "repro/evaluation/wire.py",
+        "Default(number(value, value, (type(value),)), value)",
+        "Default(number(False if value is True else value, value,\n"
+        "                                   (type(value),)), value)",
+        tuple("tests/test_net.py::test_a_catalog_frame_names_the_retired_"
+              "settings_at_their_values[retired%d-False]" % case
+              for case in range(3, 8)),
+    ),
+    Mutant(
+        "fleet-installs-another-statement",
+        "repro/evaluation/wire.py",
+        "if key is not None and sql != key:",
+        "if False:",
+        ("tests/test_net.py::TestEvictionDropsDerivedStateNotTheAnswer::"
+         "test_malformed_entry_installs_and_remembers_nothing"
+         "[another-statement]",),
+    ),
 )
 
 

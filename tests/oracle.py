@@ -704,8 +704,6 @@ class PathSetReference:
 def materialize_reference(child, settings):
     rows = max(1.0, child.rows)
     total = child.total_cost + 2.0 * settings.cpu_operator_cost * rows
-    if not settings.enable_material:
-        total += DISABLE_COST
     return Materialize(
         startup_cost=child.startup_cost,
         total_cost=total,
@@ -882,8 +880,7 @@ def join_pair_reference(self, sets, left, right, clauses, rows_out, pset):
         (
             inner,
             materialize_reference(inner, settings)
-            if not inner.is_parameterized and settings.enable_material
-            else None,
+            if not inner.is_parameterized else None,
         )
         for inner in sets[right]
     ]

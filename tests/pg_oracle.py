@@ -184,7 +184,9 @@ SCAN_CLASSES = {
 
 def guc_script(settings):
     """``SET`` lines giving PostgreSQL *settings*' cost constants and
-    ``enable_*`` flags.  ``effective_cache_size`` keeps its default
+    ``enable_*`` flags; the scan, sort and materialize flags this
+    planner does not have keep PostgreSQL's default, on.
+    ``effective_cache_size`` keeps its default
     (4GB): above every table here, PostgreSQL's ``index_pages_fetched``
     is the plain Mackert–Lohman estimate ``paths.mackert_lohman_pages``
     states.  This planner has no parallel plans, so neither may
@@ -194,9 +196,8 @@ def guc_script(settings):
         "cpu_index_tuple_cost", "cpu_operator_cost")]
     lines += ["SET %s = %s;" % (name, "on" if getattr(settings, name)
                                 else "off") for name in (
-        "enable_seqscan", "enable_indexscan", "enable_indexonlyscan",
         "enable_bitmapscan", "enable_nestloop", "enable_hashjoin",
-        "enable_mergejoin", "enable_sort", "enable_material")]
+        "enable_mergejoin")]
     lines += ["SET work_mem = '%dkB';" % (settings.work_mem // 1024),
               "SET max_parallel_workers_per_gather = 0;"]
     return lines

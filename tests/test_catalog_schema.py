@@ -317,6 +317,16 @@ class TestHorizontalPartitioning:
         with pytest.raises(CatalogError):
             cat.set_horizontal_partitioning(HorizontalPartitioning("t", "zzz", (1,)))
 
+    def test_catalog_refuses_text_bounds_on_a_number_column(self):
+        """Bounds are compared with the column's filter values: text
+        bounds on a number column are refused, not a TypeError when a
+        statement is priced."""
+        cat = Catalog()
+        cat.add_table(small_table())
+        with pytest.raises(CatalogError, match="text bounds"):
+            cat.set_horizontal_partitioning(
+                HorizontalPartitioning("t", "a", ("x", "y")))
+
 
 class TestNormalQuantilesWithoutScipyStats:
     """``ColumnStats.synthetic`` computes normal quantiles as

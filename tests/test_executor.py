@@ -101,8 +101,7 @@ class TestPlanEquivalence:
             PlannerSettings(enable_hashjoin=False),
             PlannerSettings(enable_nestloop=False),
             PlannerSettings(enable_hashjoin=False, enable_nestloop=False),
-            PlannerSettings(enable_seqscan=False),
-            PlannerSettings(enable_bitmapscan=False, enable_indexscan=False),
+            PlannerSettings(enable_bitmapscan=False),
         ],
     )
     def test_join_method_toggles_preserve_results(self, env, settings):

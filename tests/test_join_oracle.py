@@ -123,8 +123,6 @@ SETTINGS = st.builds(
     enable_nestloop=st.booleans(),
     enable_hashjoin=st.booleans(),
     enable_mergejoin=st.booleans(),
-    enable_sort=st.booleans(),
-    enable_material=st.booleans(),
     work_mem=st.sampled_from([1, 64 * 1024, 4 * 1024 * 1024]),
 )
 
@@ -262,7 +260,7 @@ class TestJoinPair:
         assert J.sort_cost(big, tight)[2]
         off = PlannerSettings(
             enable_nestloop=False, enable_hashjoin=False,
-            enable_mergejoin=False, enable_sort=False,
+            enable_mergejoin=False,
         )
         small = Plan(total_cost=10.0, rows=37.0)
         keys = ((("p", "objid", True),),) * 2
@@ -295,8 +293,8 @@ def assert_build_equals_reference(sql, catalog, settings):
 @pytest.mark.parametrize("settings", [
     PlannerSettings(),
     PlannerSettings(enable_hashjoin=False, work_mem=64 * 1024),
-    PlannerSettings(enable_nestloop=False, enable_material=False),
-], ids=["default", "no-hash-small-mem", "no-nestloop-no-material"])
+    PlannerSettings(enable_nestloop=False),
+], ids=["default", "no-hash-small-mem", "no-nestloop"])
 def test_every_template_builds_as_it_did(registry, make_catalog, settings):
     catalog = make_catalog()
     sqls = read_statements(registry, catalog)

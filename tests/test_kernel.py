@@ -17,7 +17,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hsettings
+from hypothesis import example, given, settings as hsettings
 from hypothesis import strategies as st
 
 from repro.catalog import Index
@@ -454,6 +454,10 @@ def arena_cases(draw):
 
 @hsettings(max_examples=300, deadline=None)
 @given(arena_cases())
+# One plan of internal cost 1e16 over two slots of 1.0: summed in the
+# walk's order each 1.0 rounds away; re-associated, 1.0 + 1.0 does not.
+@example(([1e16], [[0, 1]], [0], 2, [[0, 1], [], []], [1.0, 1.0, 0.0], 1,
+          [(0, 0)], [[1.0, 1.0]]))
 def test_arena_price_equals_dense_equals_python_walk(case):
     """``price`` == ``minima(sums(child rows))`` == the pure-Python
     walk, bit for bit, and ``argmin`` == first-strict-less — for 1-D

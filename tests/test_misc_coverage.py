@@ -2,13 +2,13 @@
 plumbing, utility helpers, and small error paths."""
 
 import io
+from dataclasses import replace
 
 import pytest
 
 from repro.catalog import Index
 from repro.designer.cli import main as cli_main
 from repro.optimizer import CostService, PlannerSettings
-from repro.optimizer.settings import DISABLE_COST
 from repro.util import align8, ceil_div, clamp, safe_log2
 from repro.util.errors import (
     BindError,
@@ -87,16 +87,11 @@ class TestExplainRendering:
 
 
 class TestSettingsPlumbing:
-    def test_with_changes_returns_new_object(self):
+    def test_replace_returns_new_object(self):
         base = PlannerSettings()
-        changed = base.with_changes(random_page_cost=2.0)
+        changed = replace(base, random_page_cost=2.0)
         assert changed.random_page_cost == 2.0
         assert base.random_page_cost == 4.0
-
-    def test_scan_penalty(self):
-        settings = PlannerSettings()
-        assert settings.scan_penalty(True) == 0.0
-        assert settings.scan_penalty(False) == DISABLE_COST
 
     @pytest.mark.parametrize("absurd", [
         {"work_mem": 0},  # was a ZeroDivisionError inside hashjoin_path
@@ -111,12 +106,12 @@ class TestSettingsPlumbing:
         """Path sets are kept and searched in cost order, so a constant
         that can make a cost nan, negative or infinite never reaches a
         plan: a typed error, from the constructor and from
-        ``with_changes`` alike."""
+        ``dataclasses.replace`` alike."""
         (name,) = absurd
         with pytest.raises(DesignError, match=name):
             PlannerSettings(**absurd)
         with pytest.raises(DesignError, match=name):
-            PlannerSettings().with_changes(**absurd)
+            replace(PlannerSettings(), **absurd)
 
     def test_boundary_constants_are_accepted(self):
         free = PlannerSettings(

@@ -172,9 +172,8 @@ class TestOneEnumerationPerBuild:
     @pytest.mark.parametrize("settings", [
         PlannerSettings(enable_hashjoin=False),
         PlannerSettings(enable_mergejoin=False, enable_nestloop=False),
-        PlannerSettings(enable_material=False, enable_sort=False,
-                        work_mem=32 * 1024),
-    ], ids=["no-hash", "hash-only", "no-material-no-sort-small-mem"])
+        PlannerSettings(work_mem=32 * 1024),
+    ], ids=["no-hash", "hash-only", "small-mem"])
     def test_cross_match_terms_equal_cold_planning(self, settings):
         catalog = full_sdss_catalog(scale=0.05)
         shared, shared_plans = self.build(catalog, settings)

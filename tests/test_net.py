@@ -45,6 +45,7 @@ The ISSUE-10 acceptance pins live here:
 
 import copy
 import json
+import re
 import socket
 import struct
 import sys
@@ -856,14 +857,25 @@ class TestConnectionIsACache:
             self, astro_catalog, queries):
         """``WIRE_VERSION`` stayed 5: a client that still sends the
         staleness budget and the epoch is served (the stray fields are
-        ignored), and a runner that still reports its lease's ages, and
-        still writes each entry's alias-invariant signature, is installed
-        from — each entry under the text the client re-binds, whatever
-        the signature says (so is a reply without them — every other
+        ignored); the catalog frame still names every retired planner
+        setting, so a runner that reads them builds its settings; and
+        a runner that still reports its lease's ages, and still writes
+        each entry's alias-invariant signature, is installed from —
+        each entry under the text the client re-binds, whatever the
+        signature says (so is a reply without them — every other
         test)."""
         assert wire.WIRE_VERSION == 5
 
+        read = []
+
         class OldRunner(RunnerNode):
+            def _build_evaluator(self, frame):
+                # An earlier build's PlannerSettings reads every field
+                # it has, the retired ones included.
+                read.append({name: frame["settings"][name]
+                             for name in PARENT_PLANNER})
+                return super()._build_evaluator(frame)
+
             def _handle_task(self, evaluator, frame):
                 reply = super()._handle_task(evaluator, frame)
                 entry = dict(json.loads(reply["entry"]),
@@ -882,6 +894,7 @@ class TestConnectionIsACache:
             retries=0,
         ) as backplane:
             bounded(backplane.warm_up, queries)
+        assert read == [PARENT_PLANNER]
         local = WorkloadEvaluator(astro_catalog)
         local.warm_up(queries)
         assert pool_terms(evaluator) == pool_terms(local)
@@ -904,6 +917,16 @@ class LyingNode(RunnerNode):
         reply = super()._handle_task(evaluator, frame)
         payload = self.edit(json.loads(reply["entry"]))
         return dict(reply, entry=payload and json.dumps(payload))
+
+
+def another_statement(payload):
+    """The entry re-labelled as the same text with one literal moved:
+    a statement of the same tables and columns, so every slot check
+    passes."""
+    sql = re.sub(r"\d+\.\d+", lambda m: "%.2f" % (float(m.group()) + 1),
+                 payload["sql"], count=1)
+    assert sql != payload["sql"]
+    return dict(payload, sql=sql)
 
 
 def relabel_slots(payload):
@@ -966,8 +989,10 @@ class TestEvictionDropsDerivedStateNotTheAnswer:
         lambda payload: {k: v for k, v in payload.items() if k != "sql"},
         lambda payload: dict(payload, kind=wire.KIND_OBS, wire_version=5),
         lambda payload: None,
+        another_statement,
     ], ids=["plans-not-a-list", "negative-cost", "foreign-alias",
-            "sql-not-text", "no-sql", "not-an-entry", "no-entry"])
+            "sql-not-text", "no-sql", "not-an-entry", "no-entry",
+            "another-statement"])
     def test_malformed_entry_installs_and_remembers_nothing(
             self, astro_catalog, queries, edit):
         evaluator = WorkloadEvaluator(astro_catalog)
@@ -1091,17 +1116,23 @@ def test_absurd_settings_frame_is_a_wire_error_and_the_node_serves_on(
         assert result["kind"] == wire.KIND_RESULT and result["entry"]
 
 
-PARENT_PLANNER = dict(effective_cache_fraction=0.0, index_only_visible_frac=0.95)
+PARENT_PLANNER = dict(
+    effective_cache_fraction=0.0, index_only_visible_frac=0.95,
+    enable_seqscan=True, enable_indexscan=True, enable_indexonlyscan=True,
+    enable_sort=True, enable_material=True)
 
 
 @pytest.mark.parametrize("retired, served", [
     (None, True),
     (dict(effective_cache_fraction=0.5), False),
     (dict(index_only_visible_frac=0.9), False),
+    *((dict.fromkeys([name], False), False) for name in (
+        "enable_seqscan", "enable_indexscan", "enable_indexonlyscan",
+        "enable_sort", "enable_material")),
 ])
 def test_a_catalog_frame_names_the_retired_settings_at_their_values(
         astro_catalog, retired, served):
-    """The two planner settings that are now constants are still
+    """The planner settings that are now constants, or gone, are still
     shipped, at the values an earlier runner requires; a frame without
     them is served the same, and one naming other values is refused."""
     good = catalog_frame_for(WorkloadEvaluator(astro_catalog, PlannerSettings()))

@@ -139,12 +139,6 @@ class TestJoinControl:
         plan = CostService(sdss_catalog, settings).plan(self.JOIN_SQL)
         assert plan is not None
 
-    def test_disable_seqscan_prefers_index(self, sdss_with_indexes):
-        settings = PlannerSettings(enable_seqscan=False)
-        svc = CostService(sdss_with_indexes, settings)
-        plan = svc.plan("SELECT ra FROM photoobj WHERE ra BETWEEN 0 AND 350")
-        assert plan.node_type != "SeqScan"
-
     def test_force_mergejoin(self, sdss_catalog):
         settings = PlannerSettings(enable_hashjoin=False, enable_nestloop=False)
         plan = CostService(sdss_catalog, settings).plan(self.JOIN_SQL)

@@ -162,10 +162,10 @@ class TestPlannerNeverBreaks:
         names = catalog.table("t").column_names
         sql = data.draw(query_strategy(names))
         settings = PlannerSettings(
-            enable_seqscan=data.draw(st.booleans()),
-            enable_indexscan=data.draw(st.booleans()),
             enable_bitmapscan=data.draw(st.booleans()),
-            enable_sort=data.draw(st.booleans()),
+            enable_nestloop=data.draw(st.booleans()),
+            enable_hashjoin=data.draw(st.booleans()),
+            enable_mergejoin=data.draw(st.booleans()),
         )
         plan = CostService(catalog, settings).plan(sql)
         assert math.isfinite(plan.total_cost)
@@ -248,7 +248,6 @@ class TestSharedSubsetsChangeNothing:
             enable_nestloop=data.draw(st.booleans()),
             enable_hashjoin=data.draw(st.booleans()),
             enable_mergejoin=data.draw(st.booleans()),
-            enable_material=data.draw(st.booleans()),
             work_mem=data.draw(st.sampled_from([16 * 1024, 4 * 1024 * 1024])),
         )
         shipped = build_cache(

@@ -15,9 +15,11 @@ The ISSUE-4 acceptance pins live here:
 """
 
 import itertools
+import time
 
 import pytest
 
+from repro import obs
 from repro.colt import ColtSettings
 from repro.evaluation import ProcessPoolBackplane, WorkloadEvaluator, wire
 from repro.runtime import ProcessStepExecutor, Scheduler, StepExecutor
@@ -101,7 +103,7 @@ class TestStepDecomposition:
             for step in session.ingest_steps(event):
                 kinds.append(step.kind)
                 if step.kind == "observe":
-                    assert step.heavy and step.prewarm[0] == event[1]
+                    assert step.prewarm[0] == event[1]
                 step.run()
         # First event carries the phase tag -> a (light) drift step;
         # every 2nd event triggers an interval refresh; the boundary at
@@ -389,6 +391,37 @@ class TestPausePointSnapshots:
         # The periodic writes landed in the state dir and are loadable.
         fresh = self.make_service()
         assert set(fresh.load_state(tmp_path)) == {"t0"}
+
+    def test_metrics_and_status_keep_one_snapshot_account(self, tmp_path):
+        """/metrics reads the service's snapshot count and age, as
+        /status does: after the run the age gauge keeps growing, equal
+        to /status's age, and save_state moves both counts."""
+        registry = obs.reset()
+        service = self.make_service()
+        service.add_tenant("t0", "sdss", **self.OPTIONS)
+        service.run_scheduled(
+            {"t0": itertools.islice(self.stream(), 10)},
+            finish=False,
+            snapshot_interval=4,
+            state_dir=str(tmp_path),
+        )
+
+        def scrape():
+            registry.collect()
+            return (registry.value("repro_scheduler_snapshots_total"),
+                    registry.value("repro_scheduler_snapshot_age_seconds"),
+                    service.status()["runtime"])
+
+        count, age, runtime = scrape()
+        assert count == runtime["snapshots"] >= 2
+        time.sleep(0.2)
+        count, later, runtime = scrape()
+        assert later >= age + 0.2
+        assert later == pytest.approx(runtime["last_snapshot_age"], abs=0.05)
+        service.save_state(str(tmp_path))
+        saved, age, runtime = scrape()
+        assert saved == runtime["snapshots"] == count + 1
+        assert age < later
 
 
 class TestProcessOffload:

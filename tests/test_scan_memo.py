@@ -797,8 +797,8 @@ def test_planner_settings_are_part_of_the_plan_key(sdss_catalog, planner_calls):
     bq = base.bound(TWO_TABLE_SQL)
     default = fresh_service(base).plan(bq)
     variants = [
-        DEFAULT_SETTINGS.with_changes(seq_page_cost=2.5),
-        DEFAULT_SETTINGS.with_changes(enable_hashjoin=False),
+        dataclasses.replace(DEFAULT_SETTINGS, seq_page_cost=2.5),
+        dataclasses.replace(DEFAULT_SETTINGS, enable_hashjoin=False),
     ]
     for n, settings in enumerate(variants, start=2):
         plan = fresh_service(base, settings=settings).plan(bq)

@@ -201,7 +201,7 @@ class TestSessionBackplane:
         join-method session is a fresh evaluator's."""
         from repro.optimizer.settings import DEFAULT_SETTINGS
 
-        changed = DEFAULT_SETTINGS.with_changes(enable_hashjoin=False)
+        changed = replace(DEFAULT_SETTINGS, enable_hashjoin=False)
         evaluator = WorkloadEvaluator(sdss_catalog, changed)
         session = WhatIfSession(evaluator)
         assert session.catalog is sdss_catalog
