@@ -4,6 +4,9 @@ The format captures the logical schema, the generative distributions
 and the physical design (indexes + partitions); statistics are derived
 from the distributions on load, exactly as a fresh ANALYZE would.  A
 payload from outside is checked against its ``wire.SHAPES`` entry first.
+A catalog or a design travels only inside a wire envelope, whose
+version :func:`repro.evaluation.wire.check_version` checks, so it
+carries no version of its own.
 
 Indexes are emitted in a canonical order: their full identity key, not
 just the name, because index *names* are only unique per catalog — a
@@ -31,9 +34,6 @@ from repro.catalog.stats import Distribution
 from repro.catalog.table import Table
 from repro.catalog.types import DataType
 from repro.evaluation import wire
-from repro.util import CatalogError
-
-FORMAT_VERSION = 1
 
 
 def index_sort_key(index):
@@ -52,7 +52,6 @@ def index_sort_key(index):
 def catalog_to_dict(catalog):
     """Serializable snapshot of *catalog*."""
     return {
-        "version": FORMAT_VERSION,
         "tables": [_table_to_dict(t) for t in catalog.tables],
         "indexes": [
             index_to_dict(ix)
@@ -73,22 +72,12 @@ def catalog_to_dict(catalog):
     }
 
 
-def _conformed(payload, kind):
-    """*payload* if it has the *kind* shape (else a WireFormatError) and
-    this format's version."""
-    wire.conform(payload, wire.SHAPES[kind], kind)
-    if payload["version"] != FORMAT_VERSION:
-        raise CatalogError(
-            "unsupported %s format version %r" % (kind, payload["version"])
-        )
-    return payload
-
-
 def catalog_from_dict(payload):
     """Rebuild a catalog (with fresh synthetic statistics).  A payload
     without the catalog shape raises :class:`~repro.util.WireFormatError`;
-    one whose design does not fit its tables, :class:`CatalogError`."""
-    payload = _conformed(payload, wire.CATALOG)
+    one whose design does not fit its tables,
+    :class:`~repro.util.CatalogError`."""
+    wire.conform(payload, wire.SHAPES[wire.CATALOG], wire.CATALOG)
     catalog = Catalog()
     for tdict in payload["tables"]:
         catalog.add_table(_table_from_dict(tdict).build_stats())
@@ -109,7 +98,6 @@ def configuration_to_dict(configuration):
     same-named indexes on different tables, and the dump must still be
     deterministic and loss-free."""
     return {
-        "version": FORMAT_VERSION,
         "indexes": [
             index_to_dict(ix)
             for ix in sorted(configuration.indexes, key=index_sort_key)
@@ -126,7 +114,8 @@ def configuration_to_dict(configuration):
 def configuration_from_dict(payload):
     from repro.whatif import Configuration
 
-    payload = _conformed(payload, wire.CONFIGURATION)
+    wire.conform(payload, wire.SHAPES[wire.CONFIGURATION],
+                 wire.CONFIGURATION)
     return Configuration(
         indexes=frozenset(index_from_dict(d) for d in payload["indexes"]),
         layouts=tuple(

@@ -6,10 +6,9 @@ interaction analyzer) obtains configuration costs through a
 
 * :mod:`repro.evaluation.pool` — the shared, LRU-bounded INUM cache pool,
   one entry per bound statement text, with exact
-  hit/miss/eviction/optimizer-call statistics and per-entry build
-  single-flight;
+  hit/miss/eviction/optimizer-call statistics;
 * :mod:`repro.evaluation.sharded` — the same pool surface partitioned
-  across N independently locked shards, for multi-tenant traffic;
+  across N independently locked shards;
 * :mod:`repro.evaluation.memos` — every memo the evaluator reaches,
   declared once with its owner, key, bound and the hooks that drop it;
 * :mod:`repro.evaluation.evaluator` — the evaluator itself: batched

@@ -96,12 +96,6 @@ class BatchEvaluation:
             totals.append(total)
         return totals
 
-    def best(self):
-        """(configuration, total) with the lowest workload cost."""
-        totals = self.totals
-        pos = min(range(len(totals)), key=totals.__getitem__)
-        return self.configurations[pos], totals[pos]
-
 
 @dataclass
 class _KernelWorkload:
@@ -139,8 +133,10 @@ class WorkloadEvaluator:
         self._base_service = CostService(catalog, self.settings)
         self._recommendations = OrderedDict()
         self.recommend_memo_hits = self.recommend_memo_misses = 0
-        # Guards the memos and their counters; cache builds are
-        # serialized per entry by the pool's own single-flight instead.
+        # Guards the memos and their counters.  Shipped code drives an
+        # evaluator from one thread (the scheduler's, or a runner
+        # connection's); the lock keeps them exact for a library
+        # caller pricing from several threads at once.
         self._lock = threading.RLock()
         # (registry, {mode: bound metric handles}), rebuilt when the
         # active registry changes: per-batch telemetry is three calls.
@@ -305,8 +301,7 @@ class WorkloadEvaluator:
         """*query*'s pool entry, filed under its bound text ``bq.sql``
         (the ``STATEMENTS`` key): built or decoded on a miss."""
         bq = self.bound(query)
-        # Single-flight lives in the pool: tenant threads probing one
-        # text share one build; an eviction inside calls _forget.
+        # An eviction inside calls _forget.
         return self.pool.get_or_build(bq.sql, lambda: self._entry(bq))
 
     def _entry(self, bq):
@@ -319,7 +314,7 @@ class WorkloadEvaluator:
             cache = build_cache(bq, self.catalog, self.settings)
             self.remember_terms(cache)
             return cache
-        with self._lock:  # builds of different texts run concurrently
+        with self._lock:  # a library caller's threads may build at once
             self.plan_term_decodes += 1
         return QueryCache.from_plan_terms(bq, plans)
 
@@ -417,9 +412,9 @@ class WorkloadEvaluator:
         """One merged statistics surface: pool + evaluation accounting.
 
         Pool counters are lock-exact.  ``evaluations`` is exact for
-        batched calls; concurrent *per-call* costing from tenant threads
-        may undercount it (unsynchronized increments on the per-call
-        hot path) — treat it as advisory on a shared backplane.
+        batched calls; concurrent *per-call* costing from a library
+        caller's threads may undercount it (unsynchronized increments
+        on the per-call hot path) — treat it as advisory there.
         """
         merged = self.pool.stats.as_dict()
         merged.update(
@@ -436,7 +431,7 @@ class WorkloadEvaluator:
     def recommendation(self, key, compute):
         """``compute()`` for the ``Designer.recommend`` arguments *key*,
         or the object an earlier identical call on this backplane got
-        (shared read-only).  Computed outside the lock: two tenants
+        (shared read-only).  Computed outside the lock: two threads
         racing on one key both compute the same thing."""
         with self._lock:
             found = self._recommendations.get(key)
@@ -554,7 +549,7 @@ class WorkloadEvaluator:
             views, table_sigs = self._kernel_views(compiled, configurations)
             yield compiled, configurations, views, table_sigs
             n_statements = len(compiled.positions)
-            with self._lock:  # exact even when tenant threads batch at once
+            with self._lock:  # exact even when threads batch at once
                 self.evaluations += n_statements * len(configurations)
             self._observe_batch(mode, time.perf_counter() - t0,
                                 n_statements, len(configurations))
@@ -695,8 +690,8 @@ class WorkloadEvaluator:
         call counter and the statement records, so the exact and the
         INUM path share one bound query per text and its memos; the
         what-if session borrows them from here, so every component
-        draws costs from one place.  Locked past the empty design:
-        tenant threads probe it and the LRU mutates on lookup.
+        draws costs from one place.  Locked past the empty design: the
+        LRU mutates on lookup.
         """
         if config is None or config.is_empty:
             return self._base_service

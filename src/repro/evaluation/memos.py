@@ -79,7 +79,7 @@ STATEMENTS = Memo(
     "bound statement (every exact service binds through it, so both paths "
     "share its memos) and what build_cache answered, so a miss on a seen "
     "statement decodes instead of planning.  Its text is the statement's "
-    "one key: the pool, kernels and flights file it under the same.",
+    "one key: the pool and its kernels file it under the same.",
     reach="_base_service")
 TEMPLATES = Memo(
     "CostService", "templates", "token stream, each literal masked to its "
@@ -122,9 +122,6 @@ ENTRIES = Memo(
 KERNELS = Memo("InumCachePool", "_kernels", "statement text", (ENTRY,),
                (POOL,), "resident entries", "Statement kernels.",
                reach="pool")
-FLIGHTS = Memo("InumCachePool", "_flights", "statement text", (ENTRY,),
-               (POOL,), "builds running", "Single-flight builds.",
-               reach="pool")
 SCAN_CONTEXTS = Memo(
     "BoundQuery", "scan_contexts", "(alias, layout cover, horizontal)",
     (ENTRY, STATS), (VALIDATE, EVICT, OWNER), "covers x partitionings",
@@ -164,7 +161,7 @@ INDEX_SHAPES = Memo(
 
 MEMOS = (
     STATEMENTS, TEMPLATES, SLOT_MEMO, COMPILED, RECOMMENDATIONS,
-    EXACT_SERVICES, BASE_SERVICE, PLAN_CACHE, ENTRIES, KERNELS, FLIGHTS,
+    EXACT_SERVICES, BASE_SERVICE, PLAN_CACHE, ENTRIES, KERNELS,
     SCAN_CONTEXTS, PLAN_MEMO, PRICED, CONTEXT_STATS, DESIGN_COLUMNS,
     DELTA_STATES, SUBSETS, PROJECTION_PAGES, LAYOUT_COVERS, INDEX_SHAPES,
 )

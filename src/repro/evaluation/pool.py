@@ -68,18 +68,6 @@ class PoolStats:
         return total
 
 
-class _BuildFlight:
-    """One in-progress cache construction: the leader publishes here,
-    losers of the build race wait on ``done``."""
-
-    __slots__ = ("done", "cache", "error")
-
-    def __init__(self):
-        self.done = threading.Event()
-        self.cache = None
-        self.error = None
-
-
 @dataclass
 class InumCachePool:
     """LRU-bounded map from bound statement text to QueryCache.
@@ -87,13 +75,11 @@ class InumCachePool:
     ``capacity=None`` means unbounded (the seed's behavior); a positive
     capacity evicts the least-recently-used entry past the limit.
 
-    ``get``/``put`` are internally synchronized, so the owner's tenant
-    threads may probe it at once.  Build single-flight is the *pool's*
-    job: :meth:`get_or_build` guarantees one cache construction per
-    missing entry even when concurrent threads probe the same
-    text — the first prober builds, the rest wait for its result
-    instead of duplicating the work.  What it holds is declared in
-    :mod:`repro.evaluation.memos`.
+    One thread builds and installs: the scheduler's, or a runner
+    connection's over its private pool.  The lock is for readers on
+    other threads — the metrics server scrapes :attr:`stats`, ``len``
+    and :attr:`kernel_count` while that thread installs.  What it holds
+    is declared in :mod:`repro.evaluation.memos`.
     """
 
     capacity: int = None
@@ -101,7 +87,6 @@ class InumCachePool:
     _entries: OrderedDict = field(default_factory=OrderedDict)
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
     _owner: weakref.ref = field(default=None, repr=False)  # the evaluator
-    _flights: dict = field(default_factory=dict, repr=False)  # sql -> _BuildFlight
     _kernels: dict = field(default_factory=dict, repr=False)  # sql -> StatementKernel
 
     def __post_init__(self):
@@ -210,58 +195,24 @@ class InumCachePool:
             return len(self._kernels)
 
     def get_or_build(self, sql, builder):
-        """The cache for *sql*, built (via ``builder()``) at most
-        once across concurrent probers.
-
-        The first prober to miss becomes the flight's leader and runs the
-        (expensive) build outside the pool lock; concurrent probers of
-        the same text wait for the leader's result instead of
-        constructing a duplicate.  Statistics stay exact: every prober
-        that finds no resident entry records one miss, leader and waiters
-        alike, and nobody double-counts a hit on the flight's result.  A
-        failed build raises the leader's exception in every waiter, and
-        the next prober retries fresh.
-        """
-        with self._lock:
-            cache = self._entries.get(sql)
-            if cache is not None:
-                self._entries.move_to_end(sql)
-                self.stats.hits += 1
-                return cache
-            self.stats.misses += 1
-            flight = self._flights.get(sql)
-            leader = flight is None
-            if leader:
-                flight = _BuildFlight()
-                self._flights[sql] = flight
-        if not leader:
-            flight.done.wait()
-            if flight.error is not None:
-                raise flight.error
-            return flight.cache
-        try:
-            with obs.tracer().span(SPAN_POOL_BUILD):
-                t0 = time.perf_counter()
-                cache = builder()
-                obs.metrics().family(POOL_BUILD_SECONDS).observe(
-                    time.perf_counter() - t0)
-            flight.cache = cache
-            # Publish before retiring the flight: a prober arriving after
-            # the flight is gone must find the entry resident.
-            self.put(sql, cache)
+        """The cache for *sql*: the resident entry (a hit), or
+        ``builder()``'s, put and returned (a miss).  A build that raises
+        puts nothing, so the next probe builds afresh."""
+        cache = self.get(sql)
+        if cache is not None:
             return cache
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
-            with self._lock:
-                self._flights.pop(sql, None)
-            flight.done.set()
+        with obs.tracer().span(SPAN_POOL_BUILD):
+            t0 = time.perf_counter()
+            cache = builder()
+            obs.metrics().family(POOL_BUILD_SECONDS).observe(
+                time.perf_counter() - t0)
+        self.put(sql, cache)
+        return cache
 
     def stats_snapshot(self):
         """A consistent point-in-time copy of the counters, taken under
-        the pool lock — no torn reads while builders and evictors run on
-        other threads.  Sharded pools merge these (in fixed shard order)
+        the pool lock — no torn reads while the installing thread puts
+        and evicts.  Sharded pools merge these (in fixed shard order)
         so stats-based assertions never depend on thread timing."""
         with self._lock:
             return self.stats.copy()

@@ -1,15 +1,13 @@
 """A sharded INUM cache pool for multi-tenant traffic.
 
-One :class:`~repro.evaluation.pool.InumCachePool` serializes every probe
-behind a single lock — fine for one advisor, a bottleneck when a tuning
-service hosts many tenant sessions hammering one costing backplane.
-:class:`ShardedInumCachePool` partitions entries across N independent
-shards by a hash of the bound statement text, so probes of
-different shards never contend: each shard keeps its own lock, its own
-LRU order, and its own build flights (single-flight per entry is
-inherited from the shard).  A global memory budget is split across the
-shards, and statistics merge into one exact
-:class:`~repro.evaluation.pool.PoolStats` snapshot.
+:class:`ShardedInumCachePool` partitions entries across N
+:class:`~repro.evaluation.pool.InumCachePool` shards by a hash of the
+bound statement text: each shard keeps its own lock and its own LRU
+order.  A global memory budget is split across the shards, and
+statistics merge into one exact
+:class:`~repro.evaluation.pool.PoolStats` snapshot.  ``serve --shards``
+sets the count; the service's one scheduler thread builds into every
+shard.
 
 The surface mirrors ``InumCachePool`` exactly, so a
 :class:`~repro.evaluation.WorkloadEvaluator` (and anything else written

@@ -21,9 +21,10 @@ configuration.  Every decoder — here, in :mod:`repro.net`, in
 cannot state because they need the receiving catalog or the telemetry
 catalogue (:func:`located`, :func:`_check_slots`,
 :func:`_check_registry`), then plain construction.
-Anything else is a :class:`~repro.util.WireFormatError`; unknown keys
-are ignored and a retired setting is still written at its value, so
-peers and files of either age interoperate.
+Anything else is a :class:`~repro.util.WireFormatError`, and unknown
+keys are ignored.  Peers and state files are of this build's version
+only: :func:`check_version` (and the runner's hello) refuses any other
+before a shape is read.
 """
 
 import json
@@ -34,15 +35,9 @@ from dataclasses import fields
 from functools import partial
 
 from repro.catalog.types import DataType
-from repro.colt.tuner import (
-    ADOPT_THRESHOLD,
-    AMORTIZATION_EPOCHS,
-    EWMA_ALPHA,
-    ColtSettings,
-)
+from repro.colt.tuner import ColtSettings
 from repro.inum.cache import AccessSlot, CachedPlan, QueryCache
 from repro.obs.catalogue import FAMILIES
-from repro.optimizer.paths import INDEX_ONLY_VISIBLE_FRAC
 from repro.optimizer.settings import PlannerSettings
 from repro.optimizer.writecost import LOCATE_PREFIX, locate_query
 from repro.sql.binder import BoundWrite, bind_statement
@@ -57,10 +52,12 @@ __all__ = [
     "event_to_wire", "event_from_wire", "dumps", "loads", "check_version",
 ]
 
-# Version 5: a ``warm`` result carries its entry as wire *text*, which
-# ``loads(text, catalog, pool=)`` installs; 4 added the network frames,
-# 3 telemetry deltas, 2 scheduler state in service snapshots.
-WIRE_VERSION = 5
+# Version 6: settings carry their dataclass's fields only, tenant
+# options no constant, and a catalog or design no stamp of its own; 5
+# made a ``warm`` result carry its entry as wire *text*, 4 added the
+# network frames, 3 telemetry deltas, 2 scheduler state in service
+# snapshots.
+WIRE_VERSION = 6
 
 KIND_ENTRY = "inum-cache-entry"
 KIND_TENANT = "tenant-session"
@@ -96,29 +93,9 @@ def number(low=-sys.float_info.max, high=sys.float_info.max,
     return lambda value: type(value) in types and low <= value <= high
 
 
-# Settings earlier builds wrote that are now constants.  Every payload
-# still names each at its value, so an earlier build reads it, and a
-# payload may name each at that value only.
-RETIRED_COLT_SETTINGS = {"ewma_alpha": EWMA_ALPHA,
-                         "adopt_threshold": ADOPT_THRESHOLD,
-                         "amortization_epochs": AMORTIZATION_EPOCHS}
-RETIRED_PLANNER_SETTINGS = {  # a no-op, and a constant of paths.py
-    "effective_cache_fraction": 0.0,
-    "index_only_visible_frac": INDEX_ONLY_VISIBLE_FRAC,
-    # PostgreSQL's scan, sort and materialize toggles: always on.
-    "enable_seqscan": True,
-    "enable_indexscan": True,
-    "enable_indexonlyscan": True,
-    "enable_sort": True,
-    "enable_material": True}
-
-
-def _with_retired(cls, retired):
-    """*cls*'s fields, plus each *retired* setting at its value only."""
-    shape = {f.name: f.type for f in fields(cls)}
-    shape.update((name, Default(number(value, value, (type(value),)), value))
-                 for name, value in retired.items())
-    return shape
+def _settings(cls):
+    """The shape of a settings dataclass: each field, of its type."""
+    return {f.name: f.type for f in fields(cls)}
 
 
 _POSITIVE = number(1, 2 ** 53 - 1, (int,))
@@ -260,7 +237,6 @@ _SPAN = {"name": str, "trace_id": str, "span_id": str,
 _INDEX = {"table": str, "columns": [str], "include": Default([str], ()),
           "unique": Default(bool, False), "name": Default(str, "")}
 _DESIGN = {
-    "version": Default(object, None),  # checked by the catalog module
     "indexes": Default([_INDEX], ()),
     "vertical_layouts": Default([{"table": str, "fragments": [
         {"columns": [str], "name": Default(str, "")}]}], ()),
@@ -304,13 +280,8 @@ _TENANT = {
     "phase": (None, str), "phases_seen": [str], "window_queries": [str],
     "finished": bool, "tuner": _TUNER,
     "options": dict(
-        colt_settings=_with_retired(ColtSettings, RETIRED_COLT_SETTINGS),
+        colt_settings=_settings(ColtSettings),
         recommend_every=int, window=_POSITIVE, budget_pages=int,
-        # Options earlier builds wrote that are now constants of
-        # repro.service.tenant: a file may name them at those values.
-        solver=Default(frozenset({"greedy"}), "greedy"),
-        refresh_on_drift=Default(frozenset({True}), True),
-        partitions=Default(frozenset({False}), False),
     ),
     "drift_events": [dict(at_query=int, from_phase=str, to_phase=str)],
     "recommendations": [dict(at_query=int, phase=(None, str), trigger=str,
@@ -320,7 +291,7 @@ _EVENT = [(None, str), str]  # a buffered stream event: [phase, sql]
 
 SHAPES = {
     # Cross-checked by located and _check_slots.  Filed under the text
-    # the receiver binds; a "signature" an older build writes is ignored.
+    # the receiver binds.
     KIND_ENTRY: {
         "kind": frozenset({KIND_ENTRY}), "sql": str,
         "locate": Default(bool, False),
@@ -345,8 +316,7 @@ SHAPES = {
         "kind": frozenset({KIND_CATALOG}),
         "catalog": dict(_DESIGN, tables=Default([{
             "name": str, "row_count": int, "columns": [_COLUMN]}], ())),
-        "settings": Default((None, _with_retired(
-            PlannerSettings, RETIRED_PLANNER_SETTINGS)), None),
+        "settings": Default((None, _settings(PlannerSettings)), None),
         "pool_capacity": Default((None, _POSITIVE), None),
     },
     KIND_TASK: {"kind": frozenset({KIND_TASK}), "op": frozenset({"warm"}),

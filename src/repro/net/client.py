@@ -99,10 +99,8 @@ def catalog_frame_for(evaluator):
     return {
         "kind": wire.KIND_CATALOG,
         "catalog": catalog_to_dict(evaluator.catalog),
-        "settings": (
-            dict(asdict(evaluator.settings), **wire.RETIRED_PLANNER_SETTINGS)
-            if evaluator.settings is not None else None
-        ),
+        "settings": (asdict(evaluator.settings)
+                     if evaluator.settings is not None else None),
         "pool_capacity": getattr(evaluator.pool, "capacity", None),
     }
 

@@ -70,7 +70,7 @@ POOL_KERNELS = _family(GAUGE, "repro_pool_kernels",
                        "Compiled columnar kernels resident", "backplane")
 POOL_BUILD_SECONDS = _family(
     HISTOGRAM, "repro_pool_build_seconds",
-    "INUM cache build latency (single-flight leaders only)")
+    "INUM cache build latency (one per pool miss)")
 KERNEL_COMPILES = _family(COUNTER, "repro_kernel_compiles_total",
                           "Columnar statement kernels compiled")
 KERNEL_COMPILE_SECONDS = _family(HISTOGRAM, "repro_kernel_compile_seconds",
@@ -146,7 +146,6 @@ REMOTE_COLLECT_WAIT = _family(
 
 # Spans, outermost first where they nest.
 SPAN_SCHEDULER_STEP = _span("scheduler.step")
-SPAN_TENANT_INGEST = _span("tenant.ingest")
 SPAN_TENANT_REFRESH = _span("tenant.refresh")
 SPAN_EVALUATE_BATCH = _span("evaluate.batch")
 SPAN_EVALUATE_DELTAS = _span("evaluate.deltas")

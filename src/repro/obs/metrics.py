@@ -295,17 +295,6 @@ class MetricsRegistry:
                     }
         return out
 
-    def value(self, name, **labels):
-        """Current value of one counter/gauge series (0 when absent) —
-        the assertion hook tests and benches read."""
-        with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                return 0
-            values = tuple(str(labels[n]) for n in family.labelnames)
-            child = family.children.get(values)
-            return child.value if child is not None else 0
-
     def drain_deltas(self):
         """Counter and histogram movement since the previous drain, as a
         JSON-safe payload :meth:`apply_deltas` consumes.  Gauges are
@@ -473,9 +462,6 @@ class _NullRegistry:
 
     def snapshot(self):
         return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def value(self, name, **labels):
-        return 0
 
     def drain_deltas(self):
         return {"counters": [], "histograms": []}

@@ -1,7 +1,6 @@
 """The cooperative tenant-scheduler runtime.
 
-An explicit, pausable run-queue in place of one blocking ``drain()``
-loop per tenant:
+An explicit, pausable run-queue of tenant sessions:
 
 * :mod:`repro.runtime.steps` — :class:`Step` (one resumable unit of
   session work, with prewarm metadata) and :class:`TenantTask` (one
@@ -17,7 +16,7 @@ loop per tenant:
   across a :class:`~repro.net.RunnerNode` fleet).
 
 Every step runs inline, so scheduler-driven ingest is bit-identical to
-draining each tenant's stream in turn (``TenantSession.drain``);
+running each tenant's steps to exhaustion, one tenant after another;
 executors only move *cache builds* in time and across processes, which
 is results-neutral by construction (and pinned in the test suite).
 """

@@ -10,7 +10,7 @@ building them early, elsewhere, or not at all never changes a result —
 only wall-clock time.
 
 * :class:`StepExecutor` — the inline default: no preparation; steps
-  build caches on demand exactly like a ``drain()`` loop would.
+  build caches on demand, in the step that prices them.
 * :class:`ProcessStepExecutor` / :class:`RemoteStepExecutor` — one
   offload executor, two ways to reach its workers.  Cache builds go
   through one reusable :class:`~repro.net.FleetBackplane` per
@@ -40,7 +40,7 @@ __all__ = ["StepExecutor", "ProcessStepExecutor", "RemoteStepExecutor"]
 
 class StepExecutor:
     """Inline execution: every cache build happens on demand, in the
-    scheduler thread, exactly as in a per-tenant ``drain()`` loop."""
+    scheduler thread, in the step that prices it."""
 
     def refill(self, evaluator, statements):
         """Hook called with each newly buffered batch of statements for

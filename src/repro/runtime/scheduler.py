@@ -20,8 +20,8 @@ small, explicit, and pausable.
   optimizer-heavy cache builds can move to worker processes
   (:class:`~repro.runtime.ProcessStepExecutor`) or across a runner
   fleet (:class:`~repro.runtime.RemoteStepExecutor`) while every step
-  still runs inline, bit-identical to draining each tenant's stream
-  with :meth:`TenantSession.drain`.  ``refill`` hands each buffered
+  still runs inline, bit-identical to running each tenant's steps to
+  exhaustion, one tenant after another.  ``refill`` hands each buffered
   event over and returns; ``prepare`` waits only for what the step
   about to run prices — a run-ahead bounded by ``lookahead``, not a
   barrier per refill, and dispatch order never depends on it.

@@ -22,7 +22,7 @@ This module is the long-lived service layer over the same components:
   that can offload INUM cache builds through the one fan-out backplane
   (:class:`~repro.net.FleetBackplane`: forked worker processes or a
   fleet of runner nodes) — with results pinned bit-identical to
-  draining each tenant's stream in turn (:meth:`TenantSession.drain`);
+  running each tenant's steps to exhaustion in turn;
 * a mergeable **status surface** (:meth:`status` /
   :meth:`status_text`): per-tenant session snapshots, per-backplane
   pool statistics, and runtime state (queue depths, snapshot age),
@@ -203,7 +203,7 @@ class TuningService:
         draining each stream in turn.
 
         ``executor`` is the heavy-step seam — ``None`` means inline
-        (every build happens where a ``drain()`` loop would do it); a
+        (every build happens in the step that prices it); a
         :class:`~repro.runtime.ProcessStepExecutor` offloads INUM cache
         builds to worker processes, a
         :class:`~repro.runtime.RemoteStepExecutor` fans them across a

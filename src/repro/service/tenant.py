@@ -17,10 +17,10 @@ every query — and adds what a long-lived service needs on top:
 Tenants advance on their own epochs; everything expensive (INUM cache
 builds, exact optimizer plans) flows through the shared backplane
 evaluator, so work one tenant pays for is a cache hit for the next.
-A session is not reentrant: it is advanced by one driver at a time —
-normally the cooperative :class:`~repro.runtime.Scheduler`, one step
-(:meth:`ingest_steps`) after another, or a single ``drain()`` loop;
-*different* sessions sharing an evaluator may run concurrently.
+A session is advanced as resumable steps (:meth:`ingest_steps`,
+:meth:`finish_steps`) by the cooperative
+:class:`~repro.runtime.Scheduler`, which runs every session sharing an
+evaluator from its one thread.
 """
 
 import time
@@ -30,8 +30,8 @@ from functools import partial
 
 from repro import obs
 from repro.obs.catalogue import (
-    SPAN_TENANT_INGEST, SPAN_TENANT_REFRESH, TENANT_DRIFT, TENANT_EVENTS,
-    TENANT_REFRESHES, TENANT_REFRESH_SECONDS)
+    SPAN_TENANT_REFRESH, TENANT_DRIFT, TENANT_EVENTS, TENANT_REFRESHES,
+    TENANT_REFRESH_SECONDS)
 from repro.colt import ColtSettings
 from repro.designer.facade import Designer
 from repro.evaluation import wire
@@ -41,8 +41,7 @@ from repro.util import DesignError
 
 # The refresh policy every tenant runs: a design review at every phase
 # boundary, index-only greedy selection within a quarter of the
-# catalog's pages.  (The tenant shape of ``wire.SHAPES`` accepts these
-# values in snapshots of builds that wrote them as options.)
+# catalog's pages.
 REFRESH_ON_DRIFT = True
 BUDGET_FRAC = 0.25
 SOLVER = "greedy"
@@ -80,7 +79,7 @@ class TenantSession:
 
     ``recommend_every`` triggers a full-advisor refresh every N ingested
     queries (0 disables interval refreshes); one also runs at every
-    phase boundary, and :meth:`finish` always closes with one.  A
+    phase boundary, and the closing steps end with one.  A
     refresh prices the last ``window`` queries with the ``SOLVER``
     index advisor within ``BUDGET_FRAC`` of the catalog's total pages.
     """
@@ -122,8 +121,8 @@ class TenantSession:
 
     def ingest_steps(self, event):
         """One event's ingest as a lazy sequence of resumable
-        :class:`~repro.runtime.Step`\\ s — the scheduler's view of
-        :meth:`ingest`, with an explicit pause point between steps.
+        :class:`~repro.runtime.Step`\\ s, with an explicit pause point
+        between steps.
 
         Steps for a ``(phase, sql)`` event, in order:
 
@@ -137,9 +136,9 @@ class TenantSession:
            the window.
 
         Each condition is evaluated when the *previous* step has run
-        (generators advance lazily), so driving the steps to exhaustion
-        is exactly :meth:`ingest` — the compatibility shim literally
-        does that, which is what pins the two paths bit-identical.
+        (generators advance lazily), so the scheduler may run other
+        sessions' steps between two of them and the event still ingests
+        as if its steps ran back to back.
         """
         if isinstance(event, tuple):
             phase, sql = event
@@ -200,7 +199,7 @@ class TenantSession:
     def finish_steps(self):
         """The closing steps — flush the trailing COLT epoch, run the
         final design review — as resumable steps.  Empty when already
-        finished, mirroring :meth:`finish`'s idempotence."""
+        finished."""
         if self._finished:
             return
         yield Step(
@@ -215,25 +214,6 @@ class TenantSession:
                 prewarm=tuple(self.window),
             )
         self._finished = True
-
-    def ingest(self, event):
-        """Consume one query event: ``(phase, sql)`` or plain SQL."""
-        with obs.tracer().span(SPAN_TENANT_INGEST, tenant=self.name):
-            for step in self.ingest_steps(event):
-                step.run()
-
-    def drain(self, stream):
-        """Ingest an entire event stream and finish (the blocking
-        convenience)."""
-        for event in stream:
-            self.ingest(event)
-        self.finish()
-        return self
-
-    def finish(self):
-        """Close the trailing COLT epoch and run a final design review."""
-        for step in self.finish_steps():
-            step.run()
 
     # ------------------------------------------------------------------
     # Design refreshes.
@@ -291,8 +271,7 @@ class TenantSession:
             "kind": wire.KIND_TENANT,
             "name": self.name,
             "options": {
-                "colt_settings": dict(asdict(self.tuner.settings),
-                                      **wire.RETIRED_COLT_SETTINGS),
+                "colt_settings": asdict(self.tuner.settings),
                 "recommend_every": self.recommend_every,
                 "window": self.window.maxlen,
                 "budget_pages": self.budget_pages,

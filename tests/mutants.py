@@ -66,8 +66,8 @@ MUTANTS = (
         "repro/colt/tuner.py",
         "ADOPT_THRESHOLD = 0.05",
         "ADOPT_THRESHOLD = 0.5",
-        ("tests/test_snapshot_fuzz.py::"
-         "test_parent_format_snapshot_restores_to_the_uninterrupted_outcome",),
+        ("tests/test_colt.py::TestAlertingMode::"
+         "test_a_moderate_projected_gain_is_alerted_and_adopted",),
     ),
     Mutant(
         "evicted-statement-ships-again",
@@ -185,16 +185,6 @@ MUTANTS = (
          "test_arena_price_equals_dense_equals_python_walk",),
     ),
     Mutant(
-        "retired-planner-toggle-accepts-false",
-        "repro/evaluation/wire.py",
-        "Default(number(value, value, (type(value),)), value)",
-        "Default(number(False if value is True else value, value,\n"
-        "                                   (type(value),)), value)",
-        tuple("tests/test_net.py::test_a_catalog_frame_names_the_retired_"
-              "settings_at_their_values[retired%d-False]" % case
-              for case in range(3, 8)),
-    ),
-    Mutant(
         "fleet-installs-another-statement",
         "repro/evaluation/wire.py",
         "if key is not None and sql != key:",
@@ -202,6 +192,33 @@ MUTANTS = (
         ("tests/test_net.py::TestEvictionDropsDerivedStateNotTheAnswer::"
          "test_malformed_entry_installs_and_remembers_nothing"
          "[another-statement]",),
+    ),
+    Mutant(
+        "bip-witness-keeps-every-position",
+        "repro/cophy/bip.py",
+        "return self._compiled().used_positions(chosen_positions)",
+        "return list(chosen_positions)",
+        ("tests/test_cophy.py::TestSolvers::test_zero_budget_selects_nothing",),
+    ),
+    Mutant(
+        "plan-key-sorts-reaching-indexes",
+        "repro/optimizer/paths.py",
+        "inputs.append((ctx, reaching_indexes(\n"
+        "            ctx, catalog.indexes_on(table.name), ctx.interesting\n"
+        "        )))",
+        "inputs.append((ctx, tuple(sorted(reaching_indexes(\n"
+        "            ctx, catalog.indexes_on(table.name), ctx.interesting\n"
+        "        ), key=lambda ix: ix.name))))",
+        ("tests/test_scan_memo.py::"
+         "test_catalog_order_of_reaching_indexes_is_part_of_the_key",),
+    ),
+    Mutant(
+        "path-set-admits-stops-at-equal-cost",
+        "repro/optimizer/planner.py",
+        "if existing.total_cost > total_cost:",
+        "if existing.total_cost >= total_cost:",
+        ("tests/test_join_oracle.py::TestPathSet::"
+         "test_add_and_admits_equal_the_references",),
     ),
 )
 

@@ -64,7 +64,13 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
   shipped subset enumeration (``interaction/doi.py``) is held to it.
 * :func:`threaded_warm_up` — not a reference but a vehicle: a warm-up
   whose builds race on real threads, for the tests that pin the pool's
-  single-flight and shard locking.
+  and the shards' locking.
+* :func:`ingest`, :func:`finish` and :func:`drain` — a tenant session
+  driven without the scheduler, each event's steps run back to back:
+  the reference scheduled ingest is pinned against.
+* :func:`best` — a batch's cheapest configuration, and
+  :func:`metric_value` — one series of a registry, read off its
+  ``snapshot()``: what tests assert on.
 """
 
 import itertools
@@ -957,6 +963,50 @@ def threaded_warm_up(evaluator, workload, threads=4):
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(evaluator.cache_for, targets))  # re-raises failures
     return evaluator.precompute_calls - before
+
+
+def ingest(session, event):
+    """Ingest one ``(phase, sql)`` event (or plain SQL) into *session*:
+    its steps run back to back."""
+    for step in session.ingest_steps(event):
+        step.run()
+
+
+def finish(session):
+    """Close *session*'s trailing COLT epoch and run its final design
+    review (nothing once finished)."""
+    for step in session.finish_steps():
+        step.run()
+
+
+def drain(session, stream):
+    """Ingest every event of *stream* into *session*, then finish it;
+    returns *session*."""
+    for event in stream:
+        ingest(session, event)
+    finish(session)
+    return session
+
+
+def best(batch):
+    """``(configuration, total)`` of a ``BatchEvaluation`` with the
+    lowest workload cost (the first of equal ones)."""
+    totals = batch.totals
+    pos = min(range(len(totals)), key=totals.__getitem__)
+    return batch.configurations[pos], totals[pos]
+
+
+def metric_value(registry, name, **labels):
+    """The current value of the counter or gauge series *name* with
+    *labels* (0 when absent), read off ``registry.snapshot()`` — so
+    the registry's collectors run first."""
+    snap = registry.snapshot()
+    family = snap["counters"].get(name) or snap["gauges"].get(name)
+    wanted = {key: str(value) for key, value in labels.items()}
+    for sample in family["samples"] if family else ():
+        if sample["labels"] == wanted:
+            return sample["value"]
+    return 0
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.interaction import schedule_naive, schedule_optimal
 from repro.optimizer import CostService
 from repro.whatif import Configuration, WhatIfSession
 
-from oracle import PerTextEvaluator, threaded_warm_up
+from oracle import PerTextEvaluator, drain, threaded_warm_up
 
 WORKLOAD = [
     ("SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 12", 1.0),
@@ -254,7 +254,7 @@ class TestClaimServiceThroughput:
             session = TenantSession(
                 name, evaluator, **self._options()
             )
-            session.drain(stream(key))
+            drain(session, stream(key))
             alone[name] = session
             alone_builds += evaluator.pool.stats.optimizer_calls
 
@@ -264,8 +264,8 @@ class TestClaimServiceThroughput:
         for name, key in tenants:
             service.add_tenant(name, key, **self._options())
         for key in catalogs:
-            # Warmed from four racing threads: the dedupe below is the
-            # sharded pool's single-flight, not an accident of ordering.
+            # Warmed from four threads: warm_targets dedupes the stream
+            # first, so no two threads ever build one statement.
             threaded_warm_up(
                 service.backplane(key).evaluator,
                 [sql for __, sql in stream(key)],

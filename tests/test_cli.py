@@ -226,6 +226,33 @@ class TestCommands:
         assert code == 2
         assert "error:" in text and "options" in text
 
+    def test_serve_refuses_an_older_builds_state_file(self, tmp_path):
+        """A state file stamped with wire version 5 is refused loudly:
+        serve prints the version, exits 2, restores no tenant and
+        leaves the file byte-for-byte as it was."""
+        import json
+        import os
+
+        state = str(tmp_path / "state")
+        args = FAST + ["serve", "--tenants", "1", "--shards", "2",
+                       "--phase-length", "5", "--epoch", "5",
+                       "--refresh-every", "0", "--state-dir", state]
+        code, __ = run_cli(args + ["--max-events", "8"])
+        assert code == 0
+        path = os.path.join(state, "service.json")
+        with open(path) as f:
+            payload = json.load(f)
+        with open(path, "w") as f:
+            json.dump(dict(payload, wire_version=5), f)
+        with open(path, "rb") as f:
+            written = f.read()
+        code, text = run_cli(args)
+        assert code == 2
+        assert "error: unsupported wire version 5" in text
+        assert "restored" not in text
+        with open(path, "rb") as f:
+            assert f.read() == written
+
     def test_serve_snapshot_interval_requires_state_dir(self):
         code, text = run_cli(
             FAST + ["serve", "--tenants", "1", "--snapshot-interval", "3"]

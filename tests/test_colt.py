@@ -1,5 +1,7 @@
 """Tests for COLT continuous tuning."""
 
+import random
+
 import pytest
 
 from repro.colt import ColtSettings, ColtTuner
@@ -22,6 +24,15 @@ def small_settings(**overrides):
 def positional_stream(n, seed=5):
     phases = (DriftPhase("pos", n, ((sdss.template("cone_search"), 1.0),)),)
     return drifting_stream(phases, seed=seed)
+
+
+def mixed_epoch(seed=3):
+    """One 10-query epoch: five cone searches an index on ``ra``/``dec``
+    helps, each followed by a full-table GROUP BY none does."""
+    rng = random.Random(seed)
+    cone = sdss.template("cone_search")
+    return [sql for __ in range(5) for sql in (
+        cone(rng), "SELECT type, COUNT(*) FROM photoobj GROUP BY type")]
 
 
 class TestEpochMechanics:
@@ -102,6 +113,44 @@ class TestAlertingMode:
         assert report.adoptions == 0
         assert tuner.pending_alert is not None
         assert tuner.current.is_empty
+
+    def test_a_moderate_projected_gain_is_alerted_and_adopted(
+            self, sdss_catalog):
+        """Half the epoch a cone search an index on ``ra``/``dec`` helps,
+        half a full-table GROUP BY none does: the projected improvement
+        lies well inside (5 %, 50 %), above ``ADOPT_THRESHOLD``, so the
+        epoch alerts and adopts."""
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), small_settings())
+        projected = []
+        real = tuner._projected_improvement
+
+        def spy(proposal):
+            projected.append(real(proposal))
+            return projected[-1]
+
+        tuner._projected_improvement = spy
+        report = tuner.run(mixed_epoch())
+        (improvement,) = projected
+        assert 0.1 < improvement < 0.4, improvement
+        (record,) = report.epochs
+        assert record.alert and record.adopted and record.configuration
+
+    @pytest.mark.parametrize("improvement, alerted", [
+        (0.0, False), (0.049, False), (0.05, False),
+        (0.051, True), (0.275, True), (0.9, True),
+    ])
+    def test_a_proposal_alerts_iff_its_projection_exceeds_five_percent(
+            self, sdss_catalog, improvement, alerted):
+        """Whatever the epoch proposes is alerted, and auto-adopted,
+        exactly when its projected improvement is strictly above 5 %;
+        otherwise the design stays as it was."""
+        tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), small_settings())
+        tuner._projected_improvement = lambda proposal: improvement
+        report = tuner.run(mixed_epoch())
+        (record,) = report.epochs
+        assert (record.alert, record.adopted) == (alerted, alerted)
+        assert bool(record.configuration) is alerted
+        assert report.alerts == report.adoptions == int(alerted)
 
     def test_candidates_are_single_column(self, sdss_catalog):
         tuner = ColtTuner(WorkloadEvaluator(sdss_catalog), small_settings())

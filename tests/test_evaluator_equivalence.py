@@ -17,7 +17,7 @@ from repro.evaluation import BatchEvaluation, WorkloadEvaluator
 from repro.optimizer import CostService
 from repro.whatif import Configuration
 
-from oracle import PerTextEvaluator, per_call_matrix
+from oracle import PerTextEvaluator, best, per_call_matrix
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -278,7 +278,7 @@ def test_batch_evaluation_best_picks_minimum():
     catalog, workload, configs = make_env(3)
     evaluator = WorkloadEvaluator(catalog)
     result = evaluator.evaluate_configurations(workload, configs)
-    best_config, best_total = result.best()
+    best_config, best_total = best(result)
     assert best_total == min(result.totals)
     assert best_config is result.configurations[
         result.totals.index(best_total)

@@ -263,10 +263,3 @@ class TestConfigurationSerialization:
         )
         restored = configuration_from_dict(configuration_to_dict(config))
         assert restored == config
-
-    def test_version_check(self):
-        from repro.catalog.serialize import configuration_from_dict
-        from repro.util import CatalogError
-
-        with pytest.raises(CatalogError):
-            configuration_from_dict({"version": 0})

@@ -17,8 +17,8 @@ The ISSUE-10 acceptance pins live here:
   visible in the metrics registry;
 * a connection is a cache (ISSUE 22, which deleted PR 10's staleness
   budget): a statement re-requested while resident on the runner is
-  served, not rebuilt, and version-5 peers of the old frame shape
-  still interoperate;
+  served, not rebuilt; a version-5 peer is refused, naming its
+  version;
 * an eviction drops derived state, not the answer (ISSUE 23): the
   client records the plan terms of every entry a runner returns, so an
   evicted statement is decoded locally — it ships no task frame, is
@@ -44,12 +44,14 @@ The ISSUE-10 acceptance pins live here:
 """
 
 import copy
+import itertools
 import json
 import re
 import socket
 import struct
 import sys
 import threading
+from dataclasses import fields
 
 import pytest
 from hypothesis import event, given
@@ -71,6 +73,8 @@ from repro.net import (
     send_frame,
 )
 from repro.net.client import _answer, catalog_frame_for
+from repro.catalog import Index
+from repro.catalog.serialize import catalog_to_dict, configuration_to_dict
 from repro.obs.catalogue import (
     COLGEN_ROUNDS,
     FAMILIES,
@@ -81,6 +85,7 @@ from repro.obs.catalogue import (
 from repro.optimizer import PlannerSettings
 from repro.runtime import RemoteStepExecutor, StepExecutor
 from repro.service import TuningService
+from repro.service.service import STATE_FILENAME
 from repro.util import (
     DesignError,
     ReproError,
@@ -89,10 +94,12 @@ from repro.util import (
 )
 from repro.workloads import DriftPhase, drifting_stream, sdss
 from repro.workloads import sdss_catalog as make_sdss
+from repro.whatif import Configuration
 from repro.workloads import sdss_workload
 
 import shapes
 from shapes import conforms, neighbours
+from oracle import metric_value
 from test_serialize import MALFORMED_CATALOGS
 
 SDSS_PHASES = (
@@ -400,14 +407,14 @@ class TestFailureInjection:
         assert pool_terms(remote) == pool_terms(local)
 
         registry = obs.metrics()
-        assert registry.value(
+        assert metric_value(registry,
             "repro_remote_node_deaths_total", node=dying.address
         ) == 1
-        assert registry.value(
+        assert metric_value(registry,
             "repro_remote_retries_total", node=dying.address
         ) >= 1
         # The survivor absorbed the dead node's work: no local fallback.
-        assert registry.value(
+        assert metric_value(registry,
             "repro_remote_fallback_total", op="warm"
         ) == 0
 
@@ -431,7 +438,7 @@ class TestFailureInjection:
         assert pool_terms(remote) == pool_terms(local)
 
         registry = obs.metrics()
-        assert registry.value(
+        assert metric_value(registry,
             "repro_remote_fallback_total", op="warm"
         ) == len(pool_terms(local))
 
@@ -551,7 +558,7 @@ class TestOverlap:
             assert len(wanted) == 1 and wanted[0] not in evaluator.pool
             assert node.arrived.acquire(timeout=WAIT_S)
             registry = obs.metrics()
-            assert registry.value("repro_remote_inflight_tasks") == 1
+            assert metric_value(registry, "repro_remote_inflight_tasks") == 1
             # A resident statement is nothing to wait for, whatever else
             # is in flight.
             assert backplane.submit(queries[:1]) == []
@@ -561,7 +568,7 @@ class TestOverlap:
             node.release.set()
             assert bounded(backplane.collect, wanted) > 0
             assert wanted[0] in evaluator.pool
-            assert registry.value("repro_remote_inflight_tasks") == 0
+            assert metric_value(registry, "repro_remote_inflight_tasks") == 0
         finally:
             node.release.set()
             backplane.close()
@@ -582,7 +589,7 @@ class TestOverlap:
             node.release.set()
             backplane.close()
         assert node.tasks_served == 3
-        assert obs.metrics().value(
+        assert metric_value(obs.metrics(),
             "repro_remote_tasks_total", node="node-0", op="warm") == 3
 
     def test_collect_installs_replies_it_was_not_asked_for(
@@ -627,10 +634,10 @@ class TestOverlap:
         local.warm_up(queries)
         assert pool_terms(evaluator) == pool_terms(local)
         registry = obs.metrics()
-        assert registry.value(
+        assert metric_value(registry,
             "repro_remote_node_deaths_total", node="node-0") == 1
-        assert registry.value("repro_remote_fallback_total", op="warm") \
-            == (0 if survivors else len(queries))
+        assert metric_value(registry, "repro_remote_fallback_total",
+                            op="warm") == (0 if survivors else len(queries))
 
     def test_unreachable_node_is_detected_and_counted(
             self, astro_catalog, queries):
@@ -650,12 +657,13 @@ class TestOverlap:
         finally:
             backplane.close()
         registry = obs.metrics()
-        assert registry.value(
+        assert metric_value(registry,
             "repro_remote_node_deaths_total", node="node-0") == 1
-        assert registry.value(
+        assert metric_value(registry,
             "repro_remote_tasks_total", node="node-1", op="warm") \
             == len(queries)
-        assert registry.value("repro_remote_fallback_total", op="warm") == 0
+        assert metric_value(registry, "repro_remote_fallback_total",
+                            op="warm") == 0
 
     def test_fatal_wire_error_surfaces_from_collect(
             self, astro_catalog, queries):
@@ -674,9 +682,9 @@ class TestOverlap:
         finally:
             backplane.close()
         registry = obs.metrics()
-        assert registry.value(
+        assert metric_value(registry,
             "repro_remote_retries_total", node="node-0") == 0
-        assert registry.value(
+        assert metric_value(registry,
             "repro_remote_node_deaths_total", node="node-0") == 0
 
     def test_many_drainers_lose_and_duplicate_nothing(self, astro_catalog):
@@ -705,11 +713,11 @@ class TestOverlap:
         assert sum(node.tasks_served for node in nodes) == distinct
         registry = obs.metrics()
         assert sum(
-            registry.value("repro_remote_tasks_total", node=conn.address,
-                           op="warm")
+            metric_value(registry, "repro_remote_tasks_total",
+                         node=conn.address, op="warm")
             for conn in backplane._connections
         ) == distinct
-        assert registry.value("repro_remote_inflight_tasks") == 0
+        assert metric_value(registry, "repro_remote_inflight_tasks") == 0
 
     def test_close_abandons_inflight_and_joins_drainers(
             self, astro_catalog, queries):
@@ -734,11 +742,11 @@ class TestOverlap:
             for node in nodes:
                 node.release.set()
         registry = obs.metrics()
-        assert registry.value("repro_remote_inflight_tasks") == 0
+        assert metric_value(registry, "repro_remote_inflight_tasks") == 0
         for name in ("node-0", "node-1"):  # a clean close is no death
-            assert registry.value(
+            assert metric_value(registry,
                 "repro_remote_node_deaths_total", node=name) == 0
-            assert registry.value(
+            assert metric_value(registry,
                 "repro_remote_retries_total", node=name) == 0
 
 
@@ -787,7 +795,7 @@ class TestInterruptibleBackoff:
         conn = backplane._connections[0]
         with pytest.raises(TransportError, match="after %d retries" % retries):
             backplane._with_retry(conn, conn.connect)
-        assert obs.metrics().value(
+        assert metric_value(obs.metrics(),
             "repro_remote_retries_total", node="node-0") == retries
         backplane.close()
         return signal.delays
@@ -808,9 +816,9 @@ class TestInterruptibleBackoff:
         assert drainer_threads() == []
         assert signal.delays == [0.05]
         registry = obs.metrics()
-        assert registry.value(
+        assert metric_value(registry,
             "repro_remote_node_deaths_total", node="node-0") == 1
-        assert registry.value(
+        assert metric_value(registry,
             "repro_remote_retries_total", node="node-0") == 0
 
 
@@ -852,57 +860,6 @@ class TestConnectionIsACache:
         assert node.tasks_served == 3 * len(queries)
         assert grids[0] == grids[1] == grids[2]
         assert built[0] > 0 and built == [built[0]] * 3
-
-    def test_version_5_peers_of_the_old_shape_interoperate(
-            self, astro_catalog, queries):
-        """``WIRE_VERSION`` stayed 5: a client that still sends the
-        staleness budget and the epoch is served (the stray fields are
-        ignored); the catalog frame still names every retired planner
-        setting, so a runner that reads them builds its settings; and
-        a runner that still reports its lease's ages, and still writes
-        each entry's alias-invariant signature, is installed from —
-        each entry under the text the client re-binds, whatever the
-        signature says (so is a reply without them — every other
-        test)."""
-        assert wire.WIRE_VERSION == 5
-
-        read = []
-
-        class OldRunner(RunnerNode):
-            def _build_evaluator(self, frame):
-                # An earlier build's PlannerSettings reads every field
-                # it has, the retired ones included.
-                read.append({name: frame["settings"][name]
-                             for name in PARENT_PLANNER})
-                return super()._build_evaluator(frame)
-
-            def _handle_task(self, evaluator, frame):
-                reply = super()._handle_task(evaluator, frame)
-                entry = dict(json.loads(reply["entry"]),
-                             signature=[[["photoobj", []]], None, False])
-                return dict(reply, entry=json.dumps(entry),
-                            cache={"age_max": 2, "stale_refreshes": 1})
-
-        class OldClientConnection(PairConnection):
-            def request(self, frame):
-                return super().request(dict(frame, epoch=7))
-
-        evaluator = WorkloadEvaluator(astro_catalog)
-        frame = dict(catalog_frame_for(evaluator), staleness=2)
-        with FleetBackplane(
-            evaluator, [OldClientConnection("old", frame, OldRunner())],
-            retries=0,
-        ) as backplane:
-            bounded(backplane.warm_up, queries)
-        assert read == [PARENT_PLANNER]
-        local = WorkloadEvaluator(astro_catalog)
-        local.warm_up(queries)
-        assert pool_terms(evaluator) == pool_terms(local)
-        assert sorted(evaluator.pool.keys()) == sorted(
-            bq.sql for bq, __, __ in evaluator.warm_targets(queries))
-        assert obs.metrics().value(
-            "repro_remote_tasks_total", node="old", op="warm"
-        ) == len(queries)
 
 
 class LyingNode(RunnerNode):
@@ -973,10 +930,11 @@ class TestEvictionDropsDerivedStateNotTheAnswer:
             assert bounded(backplane.warm_up, evicted) == 0
         assert node.tasks_served == len(queries)
         registry = obs.metrics()
-        assert registry.value(
+        assert metric_value(registry,
             "repro_remote_tasks_total", node="node-0", op="warm"
         ) == len(queries)
-        assert registry.value("repro_remote_fallback_total", op="warm") == 0
+        assert metric_value(registry, "repro_remote_fallback_total",
+                            op="warm") == 0
         assert evaluator.stats["plan_term_decodes"] >= len(evicted)
         assert evaluator.precompute_calls == spent
 
@@ -1002,7 +960,7 @@ class TestEvictionDropsDerivedStateNotTheAnswer:
         assert len(evaluator.pool) == 0 and evaluator.pool.kernel_count == 0
         assert evaluator.precompute_calls == 0
         assert not evaluator.knows_terms(evaluator.bound(queries[0][0]))
-        assert obs.metrics().value("repro_remote_inflight_tasks") == 0
+        assert metric_value(obs.metrics(), "repro_remote_inflight_tasks") == 0
 
 
 # ----------------------------------------------------------------------
@@ -1058,9 +1016,9 @@ class TestMalformedFrames:
         assert conn.dials == 1
         assert node.tasks_served == (1 if task_changes else 0)
         registry = obs.metrics()
-        assert registry.value(
+        assert metric_value(registry,
             "repro_remote_retries_total", node="node-0") == 0
-        assert registry.value(
+        assert metric_value(registry,
             "repro_remote_node_deaths_total", node="node-0") == 0
 
     @pytest.mark.parametrize("path, value", [case[1:] for case in
@@ -1116,40 +1074,209 @@ def test_absurd_settings_frame_is_a_wire_error_and_the_node_serves_on(
         assert result["kind"] == wire.KIND_RESULT and result["entry"]
 
 
-PARENT_PLANNER = dict(
+# What a version-5 build wrote beside this build's fields: the planner
+# and COLT settings that became constants, and a catalog's or design's
+# own format stamp.
+V5_PLANNER = dict(
     effective_cache_fraction=0.0, index_only_visible_frac=0.95,
     enable_seqscan=True, enable_indexscan=True, enable_indexonlyscan=True,
     enable_sort=True, enable_material=True)
+V5_COLT = dict(ewma_alpha=0.35, adopt_threshold=0.05, amortization_epochs=10)
 
 
-@pytest.mark.parametrize("retired, served", [
-    (None, True),
-    (dict(effective_cache_fraction=0.5), False),
-    (dict(index_only_visible_frac=0.9), False),
-    *((dict.fromkeys([name], False), False) for name in (
-        "enable_seqscan", "enable_indexscan", "enable_indexonlyscan",
-        "enable_sort", "enable_material")),
-])
-def test_a_catalog_frame_names_the_retired_settings_at_their_values(
-        astro_catalog, retired, served):
-    """The planner settings that are now constants, or gone, are still
-    shipped, at the values an earlier runner requires; a frame without
-    them is served the same, and one naming other values is refused."""
-    good = catalog_frame_for(WorkloadEvaluator(astro_catalog, PlannerSettings()))
-    assert {name: good["settings"][name] for name in PARENT_PLANNER} == \
-        PARENT_PLANNER
-    if retired is None:
-        settings = {name: value for name, value in good["settings"].items()
-                    if name not in PARENT_PLANNER}
-    else:
-        settings = dict(good["settings"], **retired)
-    replies = converse(RunnerNode(), dict(good, settings=settings), TASK)
-    if served:
-        assert replies == converse(RunnerNode(), good, TASK)
-    else:
-        assert replies[-1]["kind"] == wire.KIND_ERROR, replies
-        assert replies[-1]["wire_error"] and next(iter(retired)) in \
-            replies[-1]["error"]
+def _runner_refuses(*frames, builds=0):
+    """Send *frames* as written, each stamped by its own
+    ``wire_version``, to a runner over a socketpair until one is
+    answered with an error; that error as the client raises it.  The
+    runner must build *builds* evaluators and serve no task."""
+    built, served = [], []
+
+    class Node(RunnerNode):
+        def _build_evaluator(self, frame):
+            built.append(frame)
+            return super()._build_evaluator(frame)
+
+        def _handle_task(self, evaluator, frame):
+            served.append(frame)
+            return super()._handle_task(evaluator, frame)
+
+    ours, theirs = socket.socketpair()
+    server = threading.Thread(target=Node().serve_connection, args=(theirs,),
+                              daemon=True)
+    server.start()
+    try:
+        ours.settimeout(WAIT_S)
+        for frame in frames:
+            _send_raw(ours, frame)
+            reply = recv_frame(ours)
+            if reply["kind"] == wire.KIND_ERROR:
+                break
+    finally:
+        ours.close()
+        server.join(WAIT_S)
+    assert not server.is_alive()
+    assert len(built) == builds and served == []
+    _answer(reply)
+
+
+V6_HELLO = {"kind": wire.KIND_HELLO, "role": "client",
+            "wire_version": wire.WIRE_VERSION}
+
+
+def _v5_hello(catalog, tmp_path):
+    _runner_refuses(dict(V6_HELLO, wire_version=5))
+
+
+def _v5_catalog_frame(catalog, tmp_path):
+    frame = catalog_frame_for(WorkloadEvaluator(catalog, PlannerSettings()))
+    frame["catalog"]["version"] = 1
+    frame["settings"].update(V5_PLANNER)
+    _runner_refuses(V6_HELLO, dict(frame, wire_version=5))
+
+
+def _v5_task_frame(catalog, tmp_path):
+    frame = catalog_frame_for(WorkloadEvaluator(catalog, PlannerSettings()))
+    _runner_refuses(V6_HELLO, dict(frame, wire_version=wire.WIRE_VERSION),
+                    dict(TASK, wire_version=5), builds=1)
+
+
+def _v5_entry_text(catalog, tmp_path):
+    """A current result frame carrying an entry a version-5 runner
+    wrote, alias-invariant signature included: the client installs,
+    remembers and ingests nothing of it."""
+    entry = dict(json.loads(RESULT["entry"]), wire_version=5,
+                 signature=[[["photoobj", []]], None, False])
+    evaluator = WorkloadEvaluator(catalog)
+    with FleetBackplane(evaluator, []) as backplane:
+        before = telemetry()
+        try:
+            install(backplane, dict(RESULT, entry=json.dumps(entry)))
+        finally:
+            assert telemetry() == before
+            assert len(evaluator.pool) == 0
+            assert evaluator.pool.kernel_count == 0
+            assert not evaluator.knows_terms(evaluator.bound(TASK["sql"]))
+
+
+def _service(catalog, tenant):
+    built = TuningService(shards=1)
+    built.add_backplane("sdss", catalog)
+    built.add_tenant(tenant, "sdss", recommend_every=4, window=5,
+                     colt_settings=ColtSettings(epoch_length=3))
+    return built
+
+
+def _v5_service_payload(catalog):
+    """A mid-run service snapshot as a version-5 build wrote it: the
+    retired COLT settings in every session's options and a format stamp
+    on every tuner design."""
+    written = _service(catalog, "t0")
+    written.run_scheduled({"t0": itertools.islice(
+        drifting_stream(SDSS_PHASES, seed=3), 7)}, finish=False)
+    payload = json.loads(wire.dumps(written.snapshot()))
+    for entry in payload["tenants"]:
+        session = entry["session"]
+        session["options"]["colt_settings"].update(V5_COLT)
+        tuner = session["tuner"]
+        for design in (tuner["current"], tuner["pending_alert"]):
+            if design is not None:
+                design["version"] = 1
+    return dict(payload, wire_version=5)
+
+
+def _v5_service_file(catalog, tmp_path):
+    path = str(tmp_path / STATE_FILENAME)
+    with open(path, "w") as f:
+        json.dump(_v5_service_payload(catalog), f, sort_keys=True)
+    with open(path, "rb") as f:
+        written_bytes = f.read()
+    reader = _service(catalog, "bystander")
+    before = (reader.queue_depths(), reader.snapshot())
+    try:
+        reader.load_state(str(tmp_path))
+    finally:
+        assert [s.name for s in reader.tenants] == ["bystander"]
+        assert (reader.queue_depths(), reader.snapshot()) == before
+        with open(path, "rb") as f:
+            assert f.read() == written_bytes
+
+
+def _v5_service_text(catalog, tmp_path):
+    wire.loads(json.dumps(_v5_service_payload(catalog)))
+
+
+def _v5_tenant_text(catalog, tmp_path):
+    (entry,) = _v5_service_payload(catalog)["tenants"]
+    wire.loads(json.dumps(dict(entry["session"], wire_version=5)))
+
+
+def _v5_telemetry_text(catalog, tmp_path):
+    wire.loads(json.dumps(dict(DELTA, wire_version=5)))
+
+
+V5_LOADS = {
+    "hello": _v5_hello, "catalog-frame": _v5_catalog_frame,
+    "task-frame": _v5_task_frame, "entry-text": _v5_entry_text,
+    "service-file": _v5_service_file, "service-text": _v5_service_text,
+    "tenant-text": _v5_tenant_text, "telemetry-text": _v5_telemetry_text,
+}
+
+
+@pytest.mark.parametrize("load", V5_LOADS.values(), ids=V5_LOADS.keys())
+def test_a_version_5_payload_is_refused_naming_its_version(
+        astro_catalog, tmp_path, load):
+    """A payload of a version-5 build's exact shape — a hello, a
+    catalog frame naming the retired planner toggles, a task frame, a
+    cache entry, a service file or text carrying the retired COLT
+    settings, a tenant snapshot, a telemetry delta — is a typed error
+    naming version 5: the runner builds nothing it was not sent at
+    version 6 and serves nothing, the client installs nothing, the
+    service restores nothing and leaves the file as it was."""
+    with pytest.raises(WireFormatError, match="wire version 5 "):
+        load(astro_catalog, tmp_path)
+
+
+def _planner_settings(catalog):
+    frame = catalog_frame_for(WorkloadEvaluator(catalog, PlannerSettings()))
+    return frame["settings"], {f.name for f in fields(PlannerSettings)}
+
+
+def _tenant_options(catalog):
+    options = _service(catalog, "t0").tenant("t0").snapshot()["options"]
+    return options, set(wire.SHAPES[wire.KIND_TENANT]["options"])
+
+
+def _colt_settings(catalog):
+    options, __ = _tenant_options(catalog)
+    return options["colt_settings"], {f.name for f in fields(ColtSettings)}
+
+
+def _catalog(catalog):
+    return catalog_to_dict(catalog), set(wire.SHAPES[wire.CATALOG])
+
+
+def _design(catalog):
+    design = Configuration(indexes=frozenset(
+        [Index("photoobj", ("ra", "dec"))]))
+    return (configuration_to_dict(design),
+            set(wire.SHAPES[wire.CONFIGURATION]))
+
+
+WRITTEN = {
+    "planner-settings": _planner_settings, "tenant-options": _tenant_options,
+    "colt-settings": _colt_settings, "catalog": _catalog, "design": _design,
+}
+
+
+@pytest.mark.parametrize("write", WRITTEN.values(), ids=WRITTEN.keys())
+def test_a_payload_names_exactly_the_fields_its_reader_reads(
+        astro_catalog, write):
+    """A settings payload is its dataclass's fields, tenant options are
+    the options a session has, and a catalog or design is its shape's
+    keys: no retired setting or option, and no format stamp of its
+    own."""
+    written, read = write(astro_catalog)
+    assert set(written) == read
 
 
 # The seeds every frame kind is fuzzed from (``tests/shapes.py``), built
@@ -1221,7 +1348,7 @@ def test_a_malformed_delta_merges_nothing(astro_catalog, delta):
         with pytest.raises(WireFormatError):
             install(backplane, dict(RESULT, obs=delta))
         assert telemetry() == before
-    assert obs.metrics().value(REMOTE_RETRIES.name, node="a") == 0
+    assert metric_value(obs.metrics(), REMOTE_RETRIES.name, node="a") == 0
     assert len(evaluator.pool) == 0
 
 

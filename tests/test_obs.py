@@ -35,6 +35,8 @@ from repro.util import WireFormatError
 from repro.workloads import DriftPhase, drifting_stream, sdss
 from repro.workloads import sdss_catalog as make_sdss
 
+from oracle import metric_value
+
 SDSS_PHASES = (
     DriftPhase("positional", 6, ((sdss.template("cone_search"), 1.0),)),
     DriftPhase("photometric", 6, ((sdss.template("magnitude_cut"), 1.0),)),
@@ -78,8 +80,8 @@ class TestRegistry:
         hist = reg.family(family("h_seconds", HISTOGRAM))
         hist.observe(0.001)
         hist.observe(0.001)
-        assert reg.value("c_total") == 3
-        assert reg.value("g") == 5
+        assert metric_value(reg, "c_total") == 3
+        assert metric_value(reg, "g") == 5
         snap = reg.snapshot()
         sample = snap["histograms"]["h_seconds"]["samples"][0]
         assert sample["count"] == 2
@@ -91,9 +93,9 @@ class TestRegistry:
         fam = reg.family(family("x_total", COUNTER, "mode"))
         fam.labels(mode="a").inc()
         fam.labels(mode="b").inc(5)
-        assert reg.value("x_total", mode="a") == 1
-        assert reg.value("x_total", mode="b") == 5
-        assert reg.value("x_total", mode="absent") == 0
+        assert metric_value(reg, "x_total", mode="a") == 1
+        assert metric_value(reg, "x_total", mode="b") == 5
+        assert metric_value(reg, "x_total", mode="absent") == 0
 
     def test_a_family_is_created_once_and_checks_its_labels(self):
         reg = MetricsRegistry()
@@ -107,7 +109,7 @@ class TestRegistry:
     def test_reading_an_undeclared_name_is_zero(self):
         """The ledger still reads families earlier builds deleted."""
         reg = MetricsRegistry()
-        assert reg.value("repro_sparse_cells_total") == 0
+        assert metric_value(reg, "repro_sparse_cells_total") == 0
         assert "repro_sparse_cells_total" not in reg.snapshot()["counters"]
 
     def test_prometheus_rendering(self):
@@ -145,11 +147,11 @@ class TestRegistry:
         owner = Owner()
         reg.add_collector(owner.mirror)
         assert reg.snapshot()["counters"]["mirrored_total"]
-        assert reg.value("mirrored_total") == 42
+        assert metric_value(reg, "mirrored_total") == 42
         del owner
         # The dead collector drops off; the last mirrored value stays.
         reg.snapshot()
-        assert reg.value("mirrored_total") == 42
+        assert metric_value(reg, "mirrored_total") == 42
 
     def test_drain_deltas_ship_only_movement(self):
         reg = MetricsRegistry()
@@ -164,7 +166,7 @@ class TestRegistry:
         # Folding into a fresh registry reproduces the totals.
         target = MetricsRegistry()
         target.apply_deltas(first)
-        assert target.value("c_total", k="x") == 3
+        assert metric_value(target, "c_total", k="x") == 3
         snap = target.snapshot()["histograms"]["h_seconds"]["samples"][0]
         assert snap["count"] == 1 and snap["sum"] == pytest.approx(0.25)
 
@@ -222,7 +224,8 @@ class TestTracer:
         text = wire.dumps(wire.obs_to_wire(obs.drain_deltas()))
         obs.reset()
         obs.ingest_deltas(wire.loads(text))
-        assert obs.metrics().value(REMOTE_FALLBACK.name, op="warm") == 2
+        assert metric_value(obs.metrics(), REMOTE_FALLBACK.name,
+                            op="warm") == 2
         assert obs.tracer().export()[-1]["name"] == SPAN_WORKER_WARM_UP
 
     def test_a_delta_naming_an_undeclared_family_is_refused(self):
@@ -232,7 +235,7 @@ class TestTracer:
         obs.reset()
         with pytest.raises(WireFormatError, match="not declared"):
             wire.loads(text)
-        assert obs.metrics().value("shipped_total") == 0
+        assert metric_value(obs.metrics(), "shipped_total") == 0
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +255,7 @@ class TestDisabled:
             assert obs.tracer().export() == []
             assert obs.metrics().render_prometheus() == ""
         assert obs.metrics() is reg
-        assert reg.value(REMOTE_FALLBACK.name, op="x") == 0
+        assert metric_value(reg, REMOTE_FALLBACK.name, op="x") == 0
 
 
 # ----------------------------------------------------------------------
@@ -348,8 +351,8 @@ class TestRecommendMemoTelemetry:
         )
         assert refreshes >= 6
         reg = obs.metrics()
-        hits = reg.value("repro_recommend_memo_total", result="hit")
-        misses = reg.value("repro_recommend_memo_total", result="miss")
+        hits = metric_value(reg, "repro_recommend_memo_total", result="hit")
+        misses = metric_value(reg, "repro_recommend_memo_total", result="miss")
         assert hits == misses == refreshes // 2
         stats = service.backplane("sdss").evaluator.stats
         assert (stats["recommend_memo_hits"],
@@ -418,7 +421,7 @@ class TestSchedulerQueueDepth:
         snap = reg.snapshot()
         steps = snap["counters"]["repro_scheduler_steps_total"]["samples"]
         assert sum(s["value"] for s in steps) == stats["steps"]
-        assert reg.value("repro_scheduler_events_started") \
+        assert metric_value(reg, "repro_scheduler_events_started") \
             == stats["events"]
 
 
@@ -443,7 +446,8 @@ class TestFleetOverlapTelemetry:
                  for name, seed in (("a", 2), ("b", 5))},
                 executor=executor, lookahead=3,
             )
-            inflight_open = obs.metrics().value("repro_remote_inflight_tasks")
+            inflight_open = metric_value(obs.metrics(),
+                                         "repro_remote_inflight_tasks")
         registry = obs.metrics()
         snap = registry.snapshot()
         (wait,) = snap["histograms"][
@@ -471,7 +475,7 @@ class TestFleetOverlapTelemetry:
         # The run consumed everything it submitted; close() zeroes the
         # gauge whatever was left.
         assert inflight_open == 0
-        assert registry.value("repro_remote_inflight_tasks") == 0
+        assert metric_value(registry, "repro_remote_inflight_tasks") == 0
         rendered = registry.render_prometheus()
         assert "repro_remote_inflight_tasks 0" in rendered
         assert "repro_remote_collect_wait_seconds_bucket" in rendered
@@ -643,7 +647,7 @@ class TestConcurrentSnapshots:
         for t in threads:
             t.join()
         for tid in range(n_threads):
-            assert reg.value("fuzz_total", t=tid) == n_ops
+            assert metric_value(reg, "fuzz_total", t=tid) == n_ops
         final = reg.snapshot()["histograms"]["fuzz_seconds"]["samples"]
         assert sum(s["count"] for s in final) == n_threads * n_ops
 
@@ -666,4 +670,4 @@ class TestConcurrentSnapshots:
             target.apply_deltas(source.drain_deltas())
         thread.join()
         target.apply_deltas(source.drain_deltas())
-        assert target.value("moved_total") == n_ops
+        assert metric_value(target, "moved_total") == n_ops

@@ -40,6 +40,7 @@ from repro.workloads import (
     sdss_workload,
 )
 
+from oracle import drain
 from test_colgen import TEMPLATE_ENVS, template_workload
 
 WORKLOAD = [
@@ -249,7 +250,7 @@ def alone(astro_catalog):
         session = TenantSession(
             name, WorkloadEvaluator(astro_catalog), **options()
         )
-        sessions[name] = session.drain(drifting_stream(PHASES, seed=seed))
+        sessions[name] = drain(session, drifting_stream(PHASES, seed=seed))
     return sessions
 
 

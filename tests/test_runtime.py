@@ -4,7 +4,7 @@ The ISSUE-4 acceptance pins live here:
 
 * scheduler-driven ``run_scheduled`` produces **bit-identical**
   per-tenant results to the loop a thread per tenant used to run —
-  ``TenantSession.drain(stream)``, one tenant after another — on the
+  ``oracle.drain(session, stream)``, one tenant after another — on the
   SDSS and TPC-H drift streams;
 * a mid-ingest pause-point snapshot restores to the same subsequent
   recommendations as an uninterrupted run;
@@ -28,6 +28,8 @@ from repro.util import DesignError
 from repro.workloads import DriftPhase, drifting_stream, sdss, tpch
 from repro.workloads import sdss_catalog as make_sdss
 from repro.workloads.drift import default_phases
+
+from oracle import drain, metric_value
 
 SDSS_PHASES = (
     DriftPhase("positional", 10, ((sdss.template("cone_search"), 1.0),)),
@@ -80,11 +82,11 @@ def session_for(catalog, name="t", **overrides):
 
 
 class TestStepDecomposition:
-    """ingest()/finish() and the step generators are the same machine."""
+    """``oracle.drain`` and the step generators are the same machine."""
 
     def test_step_driven_ingest_equals_drain(self, astro_catalog):
         loop = session_for(astro_catalog)
-        loop.drain(drifting_stream(SDSS_PHASES, seed=2))
+        drain(loop, drifting_stream(SDSS_PHASES, seed=2))
 
         stepped = session_for(astro_catalog)
         for event in drifting_stream(SDSS_PHASES, seed=2):
@@ -117,13 +119,13 @@ class TestStepDecomposition:
 
     def test_finish_steps_idempotent(self, astro_catalog):
         session = session_for(astro_catalog)
-        session.drain(drifting_stream((SDSS_PHASES[0],), seed=2))
+        drain(session, drifting_stream((SDSS_PHASES[0],), seed=2))
         assert list(session.finish_steps()) == []
 
 
 class TestRunStreamsEquivalence:
     """The acceptance pin: the scheduler shim is bit-identical to
-    draining every tenant's stream in turn (``TenantSession.drain``, the
+    draining every tenant's stream in turn (``oracle.drain``, the
     per-tenant loop the thread-per-tenant service ran) on the SDSS and
     TPC-H drift streams."""
 
@@ -151,7 +153,7 @@ class TestRunStreamsEquivalence:
 
         drained = build()
         for name, stream in streams().items():
-            drained.tenant(name).drain(stream)
+            drain(drained.tenant(name), stream)
         scheduled = build()
         scheduled.run_scheduled(streams())
 
@@ -408,8 +410,10 @@ class TestPausePointSnapshots:
 
         def scrape():
             registry.collect()
-            return (registry.value("repro_scheduler_snapshots_total"),
-                    registry.value("repro_scheduler_snapshot_age_seconds"),
+            return (metric_value(registry,
+                                 "repro_scheduler_snapshots_total"),
+                    metric_value(registry,
+                                 "repro_scheduler_snapshot_age_seconds"),
                     service.status()["runtime"])
 
         count, age, runtime = scrape()
@@ -502,7 +506,7 @@ class TestProcessOffload:
                 sample["value"] for sample in obs.metrics().snapshot()
                 ["counters"]["repro_remote_tasks_total"]["samples"]
             )
-            fallback = obs.metrics().value(
+            fallback = metric_value(obs.metrics(),
                 "repro_remote_fallback_total", op="warm")
         finally:
             obs.reset()

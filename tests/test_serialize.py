@@ -117,14 +117,6 @@ class TestRoundTrip:
 
 
 class TestValidation:
-    def test_unknown_version_rejected(self):
-        with pytest.raises(CatalogError, match="version"):
-            catalog_from_dict({"version": 99})
-
-    def test_missing_version_rejected(self):
-        with pytest.raises(CatalogError):
-            catalog_from_dict({})
-
     @pytest.mark.parametrize("path, value", [case[1:] for case in
                                              MALFORMED_CATALOGS],
                              ids=[case[0] for case in MALFORMED_CATALOGS])

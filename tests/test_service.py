@@ -11,7 +11,7 @@ from repro.service import TenantSession, TuningService
 from repro.util import DesignError
 from repro.workloads import DriftPhase, drifting_stream, sdss, tpch
 
-from oracle import threaded_warm_up
+from oracle import drain, finish, ingest, threaded_warm_up
 
 SDSS_PHASES = (
     DriftPhase("positional", 10, ((sdss.template("cone_search"), 1.0),)),
@@ -90,7 +90,7 @@ class TestTenantSession:
         session = TenantSession(
             "t", WorkloadEvaluator(astro_catalog), **options()
         )
-        session.drain(drifting_stream(SDSS_PHASES, seed=2))
+        drain(session, drifting_stream(SDSS_PHASES, seed=2))
         assert [(e.from_phase, e.to_phase) for e in session.drift_events] == [
             ("positional", "photometric")
         ]
@@ -107,9 +107,9 @@ class TestTenantSession:
         )
         # One template, many epochs: the stable design throttles probing.
         for __, sql in drifting_stream((SDSS_PHASES[0],), seed=2):
-            session.ingest(("positional", sql))
+            ingest(session, ("positional", sql))
         assert session.tuner._budget < 16
-        session.ingest(("photometric", sdss.template("magnitude_cut")(
+        ingest(session, ("photometric", sdss.template("magnitude_cut")(
             __import__("random").Random(5))))
         assert session.tuner._budget == 16  # restored at the boundary
 
@@ -117,7 +117,7 @@ class TestTenantSession:
         session = TenantSession(
             "t", WorkloadEvaluator(astro_catalog), **options()
         )
-        session.drain(drifting_stream(SDSS_PHASES, seed=2))
+        drain(session, drifting_stream(SDSS_PHASES, seed=2))
         triggers = [r.trigger for r in session.recommendations]
         # 20 events, refresh every 8, one drift boundary, one final.
         assert triggers == ["interval", "drift", "interval", "final"]
@@ -130,7 +130,7 @@ class TestTenantSession:
             "t", WorkloadEvaluator(astro_catalog),
             colt_settings=COLT,
         )
-        session.ingest("SELECT ra FROM photoobj WHERE ra < 5")
+        ingest(session, "SELECT ra FROM photoobj WHERE ra < 5")
         assert session.status()["phase"] is None
         assert session.drift_events == []
 
@@ -138,9 +138,9 @@ class TestTenantSession:
         session = TenantSession(
             "t", WorkloadEvaluator(astro_catalog), **options()
         )
-        session.drain(drifting_stream((SDSS_PHASES[0],), seed=2))
+        drain(session, drifting_stream((SDSS_PHASES[0],), seed=2))
         recs = len(session.recommendations)
-        session.finish()
+        finish(session)
         assert len(session.recommendations) == recs
         assert session.status()["finished"]
 
@@ -153,7 +153,7 @@ class TestTenantSession:
     def test_a_one_query_window_round_trips(self, astro_catalog):
         evaluator = WorkloadEvaluator(astro_catalog)
         session = TenantSession("t", evaluator, **dict(options(), window=1))
-        session.drain(drifting_stream((SDSS_PHASES[0],), seed=2))
+        drain(session, drifting_stream((SDSS_PHASES[0],), seed=2))
         restored = TenantSession.from_snapshot(session.snapshot(), evaluator)
         assert restored.snapshot() == session.snapshot()
         assert list(restored.window) == list(session.window)
@@ -163,7 +163,7 @@ class TestTenantSession:
         session = TenantSession(
             "t", WorkloadEvaluator(astro_catalog), **options()
         )
-        session.drain(drifting_stream(SDSS_PHASES, seed=2))
+        drain(session, drifting_stream(SDSS_PHASES, seed=2))
         status = session.status()
         assert status["queries"] == 20
         assert status["epochs"] == 4
@@ -194,7 +194,7 @@ class TestServiceEquivalence:
                 name, WorkloadEvaluator(catalogs[key]),
                 **options()
             )
-            session.drain(drifting_stream(phases, seed=seed))
+            drain(session, drifting_stream(phases, seed=seed))
             alone[name] = session
 
         alone_builds = sum(
@@ -278,7 +278,7 @@ class TestServiceSurface:
         service = TuningService()
         service.add_backplane("sdss", astro_catalog)
         service.add_tenant("alpha", "sdss", **options())
-        service.tenant("alpha").ingest(
+        ingest(service.tenant("alpha"),
             ("positional", "SELECT ra FROM photoobj")
         )
         text = service.status_text()
@@ -289,7 +289,7 @@ class TestServiceSurface:
         service = TuningService()
         service.add_backplane("sdss", astro_catalog)
         service.add_tenant("t", "sdss", **options())
-        service.tenant("t").ingest(
+        ingest(service.tenant("t"),
             ("positional", "SELECT ra FROM photoobj")
         )
         assert service.tenant("t").queries == 1

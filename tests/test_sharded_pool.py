@@ -1,22 +1,23 @@
-"""Tests for the sharded cache pool and pool-level build single-flight:
-routing stability, the global budget split, merged statistics, and the
-one-build-per-entry guarantee under concurrency."""
+"""Tests for the cache pool's get-or-build and the sharded pool:
+routing stability, the global budget split, merged statistics, and
+locking under concurrent eviction and warm-up."""
 
 import json
 import os
 import subprocess
 import sys
 import threading
-import time
 
 import pytest
 
+from repro import obs
 from repro.evaluation import (
     InumCachePool,
     PoolStats,
     ShardedInumCachePool,
     WorkloadEvaluator,
 )
+from repro.obs.catalogue import POOL_BUILD_SECONDS
 from repro.util import DesignError
 from repro.whatif import Configuration
 
@@ -32,53 +33,36 @@ Q_JOIN = (
 QUERIES = [Q_RA, Q_RMAG, Q_GROUP, Q_JOIN]
 
 
-class TestSingleFlight:
-    def test_concurrent_probes_build_once(self):
-        pool = InumCachePool()
-        built = []
+POOLS = {"pool": InumCachePool,
+         "sharded": lambda: ShardedInumCachePool(shards=2)}
 
-        def slow_builder():
-            # Publish only after every prober has registered its miss, so
-            # the stats assertions below are deterministic, not a race.
-            deadline = time.monotonic() + 5
-            while pool.stats.misses < 8 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            built.append(object())
-            return _FakeCache()
 
-        results = []
-        threads = [
-            threading.Thread(
-                target=lambda: results.append(
-                    pool.get_or_build("sig", slow_builder)
-                )
-            )
-            for __ in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(built) == 1  # one leader, seven waiters
-        assert len(set(map(id, results))) == 1  # everyone got the same cache
-        # Stats stay exact: every prober missed once; nothing double-hits.
-        assert pool.stats.misses == 8
-        assert pool.stats.hits == 0
+def _exploding():
+    raise RuntimeError("boom")
 
-    def test_failed_build_propagates_and_next_prober_retries(self):
-        pool = InumCachePool()
 
-        def exploding():
-            raise RuntimeError("boom")
+def _builds_timed():
+    """How many builds ``repro_pool_build_seconds`` has observed."""
+    family = obs.metrics().snapshot()["histograms"].get(
+        POOL_BUILD_SECONDS.name)
+    return sum(sample["count"] for sample in family["samples"]) \
+        if family else 0
 
+
+@pytest.mark.parametrize("make_pool", POOLS.values(), ids=POOLS.keys())
+class TestGetOrBuild:
+    def test_failed_build_propagates_and_next_prober_retries(
+            self, make_pool):
+        pool = make_pool()
         with pytest.raises(RuntimeError):
-            pool.get_or_build("sig", exploding)
+            pool.get_or_build("sig", _exploding)
+        assert "sig" not in pool  # a failed build puts nothing
         cache = pool.get_or_build("sig", _FakeCache)
         assert isinstance(cache, _FakeCache)
         assert "sig" in pool
 
-    def test_resident_entry_is_a_plain_hit(self):
-        pool = InumCachePool()
+    def test_resident_entry_is_a_plain_hit(self, make_pool):
+        pool = make_pool()
         first = pool.get_or_build("sig", _FakeCache)
         again = pool.get_or_build(
             "sig", lambda: pytest.fail("must not rebuild")
@@ -86,26 +70,22 @@ class TestSingleFlight:
         assert again is first
         assert pool.stats.hits == 1 and pool.stats.misses == 1
 
-    def test_tenant_threads_never_double_build(self, sdss_catalog):
-        """Six tenant threads probing one statement on one evaluator's
-        pool: one build total."""
-        pool = InumCachePool()
-        evaluator = WorkloadEvaluator(sdss_catalog, pool=pool)
-        gate = threading.Event()
-
-        def probe():
-            gate.wait(timeout=5)
-            evaluator.cache_for(Q_JOIN)
-
-        threads = [threading.Thread(target=probe) for __ in range(6)]
-        for t in threads:
-            t.start()
-        gate.set()
-        for t in threads:
-            t.join()
-        assert len(pool) == 1
-        built = pool.get(pool.keys()[0]).build_optimizer_calls
-        assert pool.stats.optimizer_calls == built  # paid exactly once
+    def test_each_completed_build_is_timed_once(self, make_pool):
+        """``repro_pool_build_seconds`` observes one latency per miss
+        whose build returned: none for a hit, none for a build that
+        raised."""
+        obs.reset()
+        try:
+            pool = make_pool()
+            with pytest.raises(RuntimeError):
+                pool.get_or_build("a", _exploding)
+            assert _builds_timed() == 0
+            for sql in ("a", "a", "b", "a"):
+                pool.get_or_build(sql, _FakeCache)
+            assert _builds_timed() == 2
+            assert pool.stats.misses == 3 and pool.stats.hits == 2
+        finally:
+            obs.reset()
 
 
 class _FakeCache:

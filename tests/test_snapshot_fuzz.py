@@ -97,25 +97,7 @@ def _at(node, path):
 SHAPE = wire.SHAPES[wire.KIND_SERVICE]
 
 
-# What an earlier build wrote into every session's options for the four
-# tenant options that are now constants (``budget_frac`` was never
-# written): a file that carries them restores iff it names these values.
-PARENT_KEYS = dict(solver="greedy", refresh_on_drift=True, partitions=False)
-# The three COLT settings that are now constants of ``repro.colt.tuner``
-# are still written, at the values an earlier build requires.
-PARENT_COLT = dict(ewma_alpha=0.35, adopt_threshold=0.05,
-                   amortization_epochs=10)
-
-
-def parent_format(payload, **change):
-    payload = copy.deepcopy(payload)
-    for entry in payload["tenants"]:
-        entry["session"]["options"].update(PARENT_KEYS, **change)
-    return payload
-
-
 OPTIONS_PATH = ("tenants", 0, "session", "options")
-PARENT_OPTIONS = _at(parent_format(BASE), OPTIONS_PATH)
 
 
 def check(payload, dump=json.dumps):
@@ -168,12 +150,6 @@ def test_a_nesting_bomb_state_file_is_refused_typed():
 # of the same name the tuner harvests later in the run.
 @example(payload=edited(BASE, ("tenants", 1, "session", "tuner",
                                "candidates", 2, "index", "unique"), True))
-# A file naming a tenant option this build runs at one value only.
-@example(payload=edited(BASE, OPTIONS_PATH, PARENT_OPTIONS))
-@example(payload=edited(BASE, OPTIONS_PATH,
-                        dict(PARENT_OPTIONS, refresh_on_drift=False)))
-@example(payload=edited(BASE, OPTIONS_PATH,
-                        dict(PARENT_OPTIONS, solver="milp")))
 def test_mangled_snapshot_fails_typed_or_runs_to_completion(payload):
     result = check(payload)
     event(result)
@@ -181,20 +157,17 @@ def test_mangled_snapshot_fails_typed_or_runs_to_completion(payload):
         assert result == "refused: WireFormatError"
 
 
-def test_parent_format_snapshot_restores_to_the_uninterrupted_outcome():
-    """A snapshot written before the tenant options became constants —
-    its options carrying them at their values — resumes to exactly the
-    answer of a run that was never interrupted."""
-    assert not PARENT_KEYS.keys() & _at(BASE, OPTIONS_PATH).keys()
-    written = _at(BASE, OPTIONS_PATH)["colt_settings"]
-    assert {name: written[name] for name in PARENT_COLT} == PARENT_COLT
+def test_a_snapshot_resumes_to_the_uninterrupted_outcome():
+    """A mid-run snapshot, restored into a fresh service, runs the rest
+    of every stream to exactly the answer of a run that was never
+    interrupted."""
     uninterrupted = make_service()
     for name in SEEDS:
         uninterrupted.add_tenant(name, "sdss", **OPTIONS)
     uninterrupted.run_scheduled({name: stream(name) for name in SEEDS})
 
     resumed = make_service()
-    assert set(resumed.restore(parent_format(BASE))) == set(SEEDS)
+    assert set(resumed.restore(copy.deepcopy(BASE))) == set(SEEDS)
     resumed.run_scheduled({
         name: itertools.islice(stream(name), resumed.stream_offset(name),
                                None)
@@ -205,24 +178,9 @@ def test_parent_format_snapshot_restores_to_the_uninterrupted_outcome():
             outcome(uninterrupted.tenant(name)), name
 
 
-@pytest.mark.parametrize("change", [
-    dict(refresh_on_drift=False), dict(solver="milp"), dict(partitions=True),
-    dict(refresh_on_drift=1), dict(solver="lp-rounding"),
-])
-def test_a_snapshot_naming_another_policy_is_refused(change):
-    """The file names a behaviour this build cannot run: a typed error,
-    with nothing registered (``check`` asserts the bystander is alone)."""
-    assert check(parent_format(BASE, **change)) == "refused: WireFormatError"
-
-
 @pytest.mark.parametrize("change, error", [
     (dict(epoch_length=0), "DesignError"),
     (dict(min_whatif_budget=41), "DesignError"),
-    # A retired setting is accepted at its constant's value only.
-    (dict(ewma_alpha=7.5), "WireFormatError"),
-    (dict(ewma_alpha=0.0), "WireFormatError"),
-    (dict(amortization_epochs=0), "WireFormatError"),
-    (dict(adopt_threshold=-0.5), "WireFormatError"),
     # A count field of the shape is a non-negative integer already.
     (dict(epoch_length=-3), "WireFormatError"),
     (dict(space_budget_pages=-1), "WireFormatError"),
