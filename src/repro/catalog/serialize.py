@@ -20,8 +20,6 @@ so reordering would change restored plans.  Files written when indexes
 and fragments carried an ``"id"`` still load: no decoder reads one.
 """
 
-from dataclasses import fields
-
 from repro.catalog.column import Column
 from repro.catalog.index import Index
 from repro.catalog.partition import (
@@ -131,22 +129,6 @@ def configuration_from_dict(payload):
 # ----------------------------------------------------------------------
 
 
-def _distribution_to_dict(dist):
-    if dist is None:
-        return None
-    payload = {f.name: getattr(dist, f.name) for f in fields(Distribution)}
-    return dict(payload, values=list(dist.values), probs=list(dist.probs))
-
-
-def _distribution_from_dict(payload):
-    if payload is None:
-        return None
-    return Distribution(**dict(
-        {f.name: payload[f.name] for f in fields(Distribution)},
-        values=tuple(payload["values"]), probs=tuple(payload["probs"]),
-    ))
-
-
 def _table_to_dict(table):
     return {
         "name": table.name,
@@ -157,7 +139,8 @@ def _table_to_dict(table):
                 "type": col.dtype.value,
                 "width": col.width,
                 "nullable": col.nullable,
-                "distribution": _distribution_to_dict(col.distribution),
+                "distribution": (None if col.distribution is None else
+                                 wire.record_to_wire(col.distribution)),
             }
             for col in table.columns
         ],
@@ -169,7 +152,9 @@ def _table_from_dict(payload):
         Column(
             cdict["name"],
             DataType(cdict["type"]),
-            distribution=_distribution_from_dict(cdict["distribution"]),
+            distribution=(None if cdict["distribution"] is None else
+                          wire.record_from_wire(Distribution,
+                                                cdict["distribution"])),
             width=cdict["width"],
             nullable=cdict["nullable"],
         )

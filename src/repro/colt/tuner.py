@@ -17,7 +17,7 @@ chosen configuration is stable the budget decays, and any workload shift
 (new candidate columns appearing) restores it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.catalog import Index
 from repro.util import DesignError, WireFormatError
@@ -67,7 +67,7 @@ class EpochRecord:
     whatif_probes: int
     alert: bool
     adopted: bool
-    configuration: tuple  # index names materialized at epoch end
+    configuration: tuple[str, ...]  # index names materialized at epoch end
 
     @property
     def total_cost(self):
@@ -78,9 +78,9 @@ class EpochRecord:
 class OnlineReport:
     """Stream-level outcome: per-epoch records plus totals."""
 
-    epochs: list = field(default_factory=list)
-    alerts: int = 0
-    adoptions: int = 0
+    epochs: list[EpochRecord]
+    alerts: int
+    adoptions: int
 
     @property
     def observed_cost(self):
@@ -143,6 +143,27 @@ class OnlineReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class DriftEvent:
+    """A phase boundary observed in a tuning-service tenant's stream."""
+
+    at_query: int  # events ingested when the boundary was seen
+    from_phase: str
+    to_phase: str
+
+
+@dataclass(frozen=True)
+class RecommendationRecord:
+    """One tenant's Designer.recommend refresh, summarized for the
+    service's status panel."""
+
+    at_query: int
+    phase: str | None
+    trigger: str  # "interval" | "drift" | "final"
+    indexes: tuple[str, ...]  # sorted index names
+    improvement_pct: float
+
+
 @dataclass
 class _CandidateState:
     index: Index
@@ -189,7 +210,7 @@ class ColtTuner:
         self.session = WhatIfSession(evaluator)
         self.current = Configuration.empty()
         self.candidates = {}  # Index -> _CandidateState
-        self.report = OnlineReport()
+        self.report = OnlineReport([], 0, 0)
         self._epoch_queries = []
         self._epoch_probes = 0
         self._epoch_no = 0
@@ -269,6 +290,7 @@ class ColtTuner:
             index_sort_key,
             index_to_dict,
         )
+        from repro.evaluation import wire
 
         return {
             "current": configuration_to_dict(self.current),
@@ -278,37 +300,13 @@ class ColtTuner:
                 else None
             ),
             "candidates": [
-                {
-                    "index": index_to_dict(state.index),
-                    "ewma_gain": state.ewma_gain,
-                    "epoch_gain": state.epoch_gain,
-                    "ewma_maintenance": state.ewma_maintenance,
-                    "epoch_maintenance": state.epoch_maintenance,
-                    "probes": state.probes,
-                    "last_seen_epoch": state.last_seen_epoch,
-                }
+                wire.record_to_wire(state, index=index_to_dict)
                 for state in sorted(
                     self.candidates.values(),
                     key=lambda s: index_sort_key(s.index),
                 )
             ],
-            "report": {
-                "alerts": self.report.alerts,
-                "adoptions": self.report.adoptions,
-                "epochs": [
-                    {
-                        "epoch": e.epoch,
-                        "queries": e.queries,
-                        "observed_cost": e.observed_cost,
-                        "build_cost": e.build_cost,
-                        "whatif_probes": e.whatif_probes,
-                        "alert": e.alert,
-                        "adopted": e.adopted,
-                        "configuration": list(e.configuration),
-                    }
-                    for e in self.report.epochs
-                ],
-            },
+            "report": wire.record_to_wire(self.report),
             "epoch_queries": list(self._epoch_queries),
             "epoch_probes": self._epoch_probes,
             "epoch_no": self._epoch_no,
@@ -341,34 +339,10 @@ class ColtTuner:
         )
         self.candidates = {}
         for entry in payload["candidates"]:
-            index = index_from_dict(entry["index"])
-            self.candidates[index] = _CandidateState(
-                index=index,
-                ewma_gain=entry["ewma_gain"],
-                epoch_gain=entry["epoch_gain"],
-                ewma_maintenance=entry["ewma_maintenance"],
-                epoch_maintenance=entry["epoch_maintenance"],
-                probes=entry["probes"],
-                last_seen_epoch=entry["last_seen_epoch"],
-            )
-        report = payload["report"]
-        self.report = OnlineReport(
-            alerts=report["alerts"],
-            adoptions=report["adoptions"],
-            epochs=[
-                EpochRecord(
-                    epoch=e["epoch"],
-                    queries=e["queries"],
-                    observed_cost=e["observed_cost"],
-                    build_cost=e["build_cost"],
-                    whatif_probes=e["whatif_probes"],
-                    alert=e["alert"],
-                    adopted=e["adopted"],
-                    configuration=tuple(e["configuration"]),
-                )
-                for e in report["epochs"]
-            ],
-        )
+            state = wire.record_from_wire(_CandidateState, entry,
+                                          index=index_from_dict)
+            self.candidates[state.index] = state
+        self.report = wire.record_from_wire(OnlineReport, payload["report"])
         self._epoch_queries = list(payload["epoch_queries"])
         self._epoch_probes = payload["epoch_probes"]
         self._epoch_no = payload["epoch_no"]

@@ -25,17 +25,28 @@ Anything else is a :class:`~repro.util.WireFormatError`, and unknown
 keys are ignored.  Peers and state files are of this build's version
 only: :func:`check_version` (and the runner's hello) refuses any other
 before a shape is read.
+
+**One record codec.**  A dataclass that crosses the wire — planner and
+COLT settings, COLT's candidate states and report, a tenant's drift
+events and recommendation records, a column's distribution — is
+written, read and shaped from its own fields: :func:`record_to_wire`,
+:func:`record_from_wire` and ``_record``.  Cache entries, indexes,
+layouts and catalogs keep codecs of their own: their payload keys are
+not their attribute names (``table``, not ``table_name``).
 """
 
 import json
 import math
 import sys
+import typing
 from collections import namedtuple
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from functools import partial
 
 from repro.catalog.types import DataType
-from repro.colt.tuner import ColtSettings
+from repro.colt.tuner import (
+    ColtSettings, DriftEvent, OnlineReport, RecommendationRecord,
+    _CandidateState)
 from repro.inum.cache import AccessSlot, CachedPlan, QueryCache
 from repro.obs.catalogue import FAMILIES
 from repro.optimizer.settings import PlannerSettings
@@ -47,8 +58,8 @@ __all__ = [
     "WIRE_VERSION", "KIND_ENTRY", "KIND_TENANT", "KIND_SERVICE", "KIND_OBS",
     "KIND_HELLO", "KIND_CATALOG", "KIND_TASK", "KIND_RESULT", "KIND_ERROR",
     "CATALOG", "CONFIGURATION", "SHAPES", "Default", "number", "conform",
-    "located", "obs_to_wire", "obs_from_wire", "entry_to_wire",
-    "entry_from_wire",
+    "located", "record_to_wire", "record_from_wire", "obs_to_wire",
+    "obs_from_wire", "entry_to_wire", "entry_from_wire",
     "event_to_wire", "event_from_wire", "dumps", "loads", "check_version",
 ]
 
@@ -91,11 +102,6 @@ def number(low=-sys.float_info.max, high=sys.float_info.max,
     """The leaf of JSON numbers of *types* in ``[low, high]`` (``true``
     and ``nan`` are none)."""
     return lambda value: type(value) in types and low <= value <= high
-
-
-def _settings(cls):
-    """The shape of a settings dataclass: each field, of its type."""
-    return {f.name: f.type for f in fields(cls)}
 
 
 _POSITIVE = number(1, 2 ** 53 - 1, (int,))
@@ -220,6 +226,71 @@ def conform(payload, shape, what):
 
 
 # ----------------------------------------------------------------------
+# Records: a dataclass's wire form, reader and shape are its fields.
+# ----------------------------------------------------------------------
+
+
+def record_to_wire(value, **nested):
+    """A record (a dataclass) as JSON data: each field under its own
+    name, nested records and lists recursed into, tuples written as
+    arrays.  *nested* maps a field name to the writer of a value with a
+    codec of its own (an index's payload keys are not its attributes)."""
+    return {f.name: (nested.get(f.name) or _to_wire)(getattr(value, f.name))
+            for f in fields(value)}
+
+
+def _to_wire(value):
+    if is_dataclass(value):
+        return record_to_wire(value)
+    if isinstance(value, (list, tuple)):
+        return [_to_wire(item) for item in value]
+    return value
+
+
+def record_from_wire(cls, payload, **nested):
+    """Build *cls* from its :func:`record_to_wire` form.  Exactly its
+    fields are read, other keys ignored; arrays become tuples where the
+    field is a tuple, and records where it holds records.  *nested*
+    maps a field name to the reader of a value with a codec of its own.
+    The object is built through the dataclass, so its ``__post_init__``
+    checks raise their typed errors."""
+    return cls(**{f.name: nested[f.name](payload[f.name]) if f.name in nested
+                  else _from_wire(f.type, payload[f.name])
+                  for f in fields(cls)})
+
+
+def _from_wire(hint, value):
+    origin = typing.get_origin(hint) or hint
+    if is_dataclass(origin):
+        return record_from_wire(origin, value)
+    if origin in (list, tuple):
+        args = typing.get_args(hint)
+        return origin(_from_wire(args[0], item) for item in value) \
+            if args else origin(value)
+    return value
+
+
+def _record(cls, **nested):
+    """The shape of *cls*'s wire form, read off its annotations:
+    ``tuple[str, ...]`` is ``[str]``, ``str | None`` is ``(str, None)``
+    and a record nests.  *nested* names the shape of a field whose value
+    has a codec of its own."""
+    return {f.name: nested[f.name] if f.name in nested else _shape(f.type)
+            for f in fields(cls)}
+
+
+def _shape(hint):
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (list, tuple):
+        return [_shape(args[0])]
+    if args:  # a union
+        return tuple(_shape(arg) for arg in args)
+    if hint is type(None):
+        return None
+    return _record(hint) if is_dataclass(hint) else hint
+
+
+# ----------------------------------------------------------------------
 # The table: one shape per payload kind.
 # ----------------------------------------------------------------------
 
@@ -266,12 +337,8 @@ _COLT_DESIGN = dict(_DESIGN, vertical_layouts=[],  # COLT only ever builds
                     horizontal_partitionings=[])  # indexes, no partitions
 _TUNER = {
     "current": _COLT_DESIGN, "pending_alert": (None, _COLT_DESIGN),
-    "candidates": [dict(index=_INDEX, ewma_gain=float, epoch_gain=float,
-                        ewma_maintenance=float, epoch_maintenance=float,
-                        probes=int, last_seen_epoch=int)],
-    "report": {"alerts": int, "adoptions": int, "epochs": [dict(
-        epoch=int, queries=int, observed_cost=float, build_cost=float,
-        whatif_probes=int, alert=bool, adopted=bool, configuration=[str])]},
+    "candidates": [_record(_CandidateState, index=_INDEX)],
+    "report": _record(OnlineReport),
     "epoch_queries": [str], "epoch_probes": int, "epoch_no": int,
     "stable_epochs": int, "budget": int,
 }
@@ -280,12 +347,11 @@ _TENANT = {
     "phase": (None, str), "phases_seen": [str], "window_queries": [str],
     "finished": bool, "tuner": _TUNER,
     "options": dict(
-        colt_settings=_settings(ColtSettings),
+        colt_settings=_record(ColtSettings),
         recommend_every=int, window=_POSITIVE, budget_pages=int,
     ),
-    "drift_events": [dict(at_query=int, from_phase=str, to_phase=str)],
-    "recommendations": [dict(at_query=int, phase=(None, str), trigger=str,
-                             indexes=[str], improvement_pct=float)],
+    "drift_events": [_record(DriftEvent)],
+    "recommendations": [_record(RecommendationRecord)],
 }
 _EVENT = [(None, str), str]  # a buffered stream event: [phase, sql]
 
@@ -316,7 +382,7 @@ SHAPES = {
         "kind": frozenset({KIND_CATALOG}),
         "catalog": dict(_DESIGN, tables=Default([{
             "name": str, "row_count": int, "columns": [_COLUMN]}], ())),
-        "settings": Default((None, _settings(PlannerSettings)), None),
+        "settings": Default((None, _record(PlannerSettings)), None),
         "pool_capacity": Default((None, _POSITIVE), None),
     },
     KIND_TASK: {"kind": frozenset({KIND_TASK}), "op": frozenset({"warm"}),

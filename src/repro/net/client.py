@@ -53,7 +53,6 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import asdict
 
 from repro import obs
 from repro.obs.catalogue import (
@@ -99,7 +98,7 @@ def catalog_frame_for(evaluator):
     return {
         "kind": wire.KIND_CATALOG,
         "catalog": catalog_to_dict(evaluator.catalog),
-        "settings": (asdict(evaluator.settings)
+        "settings": (wire.record_to_wire(evaluator.settings)
                      if evaluator.settings is not None else None),
         "pool_capacity": getattr(evaluator.pool, "capacity", None),
     }

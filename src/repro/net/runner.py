@@ -28,7 +28,6 @@ Connections are served on daemon threads and never share caches.
 
 import socket
 import threading
-from dataclasses import fields
 
 from repro import obs
 from repro.obs.catalogue import SPAN_WORKER_WARM_UP
@@ -234,9 +233,7 @@ class RunnerNode:
         wire.conform(frame, wire.SHAPES[wire.KIND_CATALOG], "catalog frame")
         settings = frame["settings"]
         if settings is not None:  # PlannerSettings bounds the values
-            settings = PlannerSettings(**{
-                f.name: settings[f.name] for f in fields(PlannerSettings)
-            })
+            settings = wire.record_from_wire(PlannerSettings, settings)
         return WorkloadEvaluator(
             catalog_from_dict(frame["catalog"]), settings,
             pool=InumCachePool(capacity=frame["pool_capacity"]),

@@ -332,7 +332,6 @@ class TuningService:
                         pending[name] = events
             return {
                 "kind": wire.KIND_SERVICE,
-                "backplanes": list(self._backplanes),
                 "tenants": [
                     {
                         "backplane": tenant_keys[name],
@@ -409,12 +408,21 @@ class TuningService:
         return path
 
     def _write_state(self, state_dir, payload):
+        # The new bytes are on disk before the rename publishes them, and
+        # the rename is on disk before the write is reported done.
         os.makedirs(state_dir, exist_ok=True)
         path = os.path.join(state_dir, STATE_FILENAME)
         scratch = path + ".tmp"
         with open(scratch, "w") as f:
             f.write(wire.dumps(payload, indent=2))
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(scratch, path)
+        directory = os.open(state_dir, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
         return path
 
     def load_state(self, state_dir):

@@ -25,14 +25,13 @@ evaluator from its one thread.
 
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 from repro import obs
 from repro.obs.catalogue import (
     SPAN_TENANT_REFRESH, TENANT_DRIFT, TENANT_EVENTS, TENANT_REFRESHES,
     TENANT_REFRESH_SECONDS)
-from repro.colt import ColtSettings
+from repro.colt.tuner import ColtSettings, DriftEvent, RecommendationRecord
 from repro.designer.facade import Designer
 from repro.evaluation import wire
 from repro.runtime.steps import Step
@@ -46,27 +45,6 @@ REFRESH_ON_DRIFT = True
 BUDGET_FRAC = 0.25
 SOLVER = "greedy"
 PARTITIONS = False
-
-
-
-@dataclass(frozen=True)
-class DriftEvent:
-    """A phase boundary observed in the tenant's stream."""
-
-    at_query: int  # events ingested when the boundary was seen
-    from_phase: str
-    to_phase: str
-
-
-@dataclass(frozen=True)
-class RecommendationRecord:
-    """One Designer.recommend refresh, summarized for the status panel."""
-
-    at_query: int
-    phase: str
-    trigger: str  # "interval" | "drift" | "final"
-    indexes: tuple  # sorted index names
-    improvement_pct: float
 
 
 class TenantSession:
@@ -271,7 +249,7 @@ class TenantSession:
             "kind": wire.KIND_TENANT,
             "name": self.name,
             "options": {
-                "colt_settings": asdict(self.tuner.settings),
+                "colt_settings": wire.record_to_wire(self.tuner.settings),
                 "recommend_every": self.recommend_every,
                 "window": self.window.maxlen,
                 "budget_pages": self.budget_pages,
@@ -281,24 +259,10 @@ class TenantSession:
             "phases_seen": list(self._phases_seen),
             "window_queries": list(self.window),
             "finished": self._finished,
-            "drift_events": [
-                {
-                    "at_query": e.at_query,
-                    "from_phase": e.from_phase,
-                    "to_phase": e.to_phase,
-                }
-                for e in self.drift_events
-            ],
-            "recommendations": [
-                {
-                    "at_query": r.at_query,
-                    "phase": r.phase,
-                    "trigger": r.trigger,
-                    "indexes": list(r.indexes),
-                    "improvement_pct": r.improvement_pct,
-                }
-                for r in self.recommendations
-            ],
+            "drift_events": [wire.record_to_wire(e)
+                             for e in self.drift_events],
+            "recommendations": [wire.record_to_wire(r)
+                                for r in self.recommendations],
             "tuner": self.tuner.snapshot_state(),
         }
 
@@ -318,10 +282,8 @@ class TenantSession:
         session = cls(
             payload["name"],
             evaluator,
-            colt_settings=ColtSettings(**{
-                f.name: options["colt_settings"][f.name]
-                for f in fields(ColtSettings)
-            }),
+            colt_settings=wire.record_from_wire(ColtSettings,
+                                                options["colt_settings"]),
             recommend_every=options["recommend_every"],
             window=options["window"],
         )
@@ -331,22 +293,10 @@ class TenantSession:
         session._phases_seen = list(payload["phases_seen"])
         session.window.extend(payload["window_queries"])
         session._finished = payload["finished"]
-        session.drift_events = [
-            DriftEvent(
-                at_query=e["at_query"],
-                from_phase=e["from_phase"],
-                to_phase=e["to_phase"],
-            )
-            for e in payload["drift_events"]
-        ]
+        session.drift_events = [wire.record_from_wire(DriftEvent, e)
+                                for e in payload["drift_events"]]
         session.recommendations = [
-            RecommendationRecord(
-                at_query=r["at_query"],
-                phase=r["phase"],
-                trigger=r["trigger"],
-                indexes=tuple(r["indexes"]),
-                improvement_pct=r["improvement_pct"],
-            )
+            wire.record_from_wire(RecommendationRecord, r)
             for r in payload["recommendations"]
         ]
         session.tuner.restore_state(payload["tuner"])

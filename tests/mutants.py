@@ -62,6 +62,23 @@ MUTANTS = (
         ("tests/test_wire.py::TestVersionRejection",),
     ),
     Mutant(
+        "recommendation-record-written-rounded",
+        "repro/service/tenant.py",
+        "[wire.record_to_wire(r)\n",
+        "[dict(wire.record_to_wire(r), improvement_pct=round("
+        "r.improvement_pct, 6))\n",
+        ("tests/test_cli.py::"
+         "test_a_version_6_state_file_re_dumps_byte_identical_and_resumes",),
+    ),
+    Mutant(
+        "inum-internal-cost-one-and-a-half-percent-high",
+        "repro/inum/cache.py",
+        "internal = max(0.0, internal)",
+        "internal = max(0.0, internal) * 1.015",
+        ("tests/test_inum_exact.py::"
+         "test_inum_prices_drawn_indexes_as_the_planner_does",),
+    ),
+    Mutant(
         "colt-adopt-threshold-tenfold",
         "repro/colt/tuner.py",
         "ADOPT_THRESHOLD = 0.05",

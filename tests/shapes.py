@@ -102,6 +102,29 @@ def _sites(node, shape, path, lifted):
                               path + (position,), lifted)
 
 
+def stray_keys(node, shape, path=()):
+    """``(path, keys)`` for every object of *node* whose keys are not
+    its *shape*'s: the keys written that the shape lacks or the shape
+    names that were not written.  A ``{str: s}`` object's keys are free;
+    its values are checked."""
+    if type(shape) is wire.Default:
+        shape = shape.shape
+    if type(shape) is tuple:  # the choice the node takes
+        shape = next(choice for choice in shape if conforms(node, choice))
+    if type(shape) is dict:
+        if str in shape:
+            shape = dict.fromkeys(node, shape[str])
+        elif set(node) != set(shape):
+            yield path, sorted(set(node) ^ set(shape))
+        for key in node.keys() & shape.keys():
+            yield from stray_keys(node[key], shape[key], path + (key,))
+    elif type(shape) is list and shape:
+        positional = len(shape) > 1 and shape[1] is not ...
+        for position, item in enumerate(node):
+            yield from stray_keys(item, shape[position if positional else 0],
+                                  path + (position,))
+
+
 def neighbours(seed, shape):
     """A strategy: *seed* (a copy) or one of its one-mutation
     neighbours.  *seed* must have *shape*."""

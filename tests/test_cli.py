@@ -1,13 +1,25 @@
 """Tests for the command-line interface."""
 
 import io
+import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.designer.cli import main, parse_index_spec
+from repro.evaluation import wire
+from repro.service import TuningService
 from repro.util import ReproError
+from repro.workloads import sdss_catalog, tpch_catalog
 
 FAST = ["--scale", "0.01", "--queries", "6", "--seed", "1"]
+# A version-6 state file as ``serve`` wrote it with these flags and
+# ``--max-events 8``: both tenants stopped mid-stream.
+GOLDEN_STATE = Path(__file__).parent / "data" / "service_v6.json"
+GOLDEN_SERVE = FAST + ["serve", "--tenants", "2", "--shards", "2",
+                       "--phase-length", "5", "--epoch", "5",
+                       "--refresh-every", "0"]
 
 
 def run_cli(argv):
@@ -259,3 +271,28 @@ class TestCommands:
         )
         assert code == 2
         assert "--state-dir" in text
+
+
+def test_a_version_6_state_file_re_dumps_byte_identical_and_resumes(
+        tmp_path):
+    """A state file an earlier version-6 build wrote restores and
+    re-dumps to the same bytes, and its tenants, resumed, finish as an
+    uninterrupted run does."""
+    text = GOLDEN_STATE.read_text()
+    service = TuningService(shards=2)
+    service.add_backplane("sdss", sdss_catalog(scale=0.01))
+    service.add_backplane("tpch", tpch_catalog(scale=0.01))
+    service.restore(wire.loads(text))
+    assert wire.dumps(service.snapshot(), indent=2) == text
+
+    state = tmp_path / "state"
+    state.mkdir()
+    shutil.copy(GOLDEN_STATE, state / "service.json")
+    code, resumed = run_cli(GOLDEN_SERVE + ["--state-dir", str(state),
+                                            "--format", "json"])
+    assert code == 0 and "restored 2 tenant(s)" in resumed
+    code, reference = run_cli(GOLDEN_SERVE + ["--format", "json"])
+    assert code == 0
+    tenants = [json.loads(out.splitlines()[-1])["tenants"]
+               for out in (resumed, reference)]
+    assert tenants[0] == tenants[1]

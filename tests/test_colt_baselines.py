@@ -74,4 +74,4 @@ class TestSparkline:
     def test_empty_report_sparkline(self):
         from repro.colt import OnlineReport
 
-        assert OnlineReport().sparkline() == ""
+        assert OnlineReport([], 0, 0).sparkline() == ""

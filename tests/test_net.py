@@ -1236,47 +1236,84 @@ def test_a_version_5_payload_is_refused_naming_its_version(
         load(astro_catalog, tmp_path)
 
 
+def _fields(cls):
+    """The keys a record's reader reads: its dataclass's fields."""
+    return dict.fromkeys((f.name for f in fields(cls)), object)
+
+
 def _planner_settings(catalog):
     frame = catalog_frame_for(WorkloadEvaluator(catalog, PlannerSettings()))
-    return frame["settings"], {f.name for f in fields(PlannerSettings)}
+    return frame["settings"], _fields(PlannerSettings)
 
 
 def _tenant_options(catalog):
     options = _service(catalog, "t0").tenant("t0").snapshot()["options"]
-    return options, set(wire.SHAPES[wire.KIND_TENANT]["options"])
+    return options, wire.SHAPES[wire.KIND_TENANT]["options"]
 
 
 def _colt_settings(catalog):
     options, __ = _tenant_options(catalog)
-    return options["colt_settings"], {f.name for f in fields(ColtSettings)}
+    return options["colt_settings"], _fields(ColtSettings)
 
 
 def _catalog(catalog):
-    return catalog_to_dict(catalog), set(wire.SHAPES[wire.CATALOG])
+    return catalog_to_dict(catalog), wire.SHAPES[wire.CATALOG]
 
 
 def _design(catalog):
     design = Configuration(indexes=frozenset(
         [Index("photoobj", ("ra", "dec"))]))
-    return (configuration_to_dict(design),
-            set(wire.SHAPES[wire.CONFIGURATION]))
+    return configuration_to_dict(design), wire.SHAPES[wire.CONFIGURATION]
+
+
+def _service_snapshot(catalog):
+    """A pause-point snapshot past a drift, with epochs, candidates and
+    refreshes in it."""
+    service = _service(catalog, "t0")
+    taken = []
+    service.run_scheduled({"t0": itertools.islice(
+        drifting_stream(SDSS_PHASES, seed=3), 14)}, finish=False,
+        snapshot_interval=13, on_snapshot=taken.append)
+    (payload,) = taken
+    session = payload["tenants"][0]["session"]
+    assert session["drift_events"] and session["recommendations"]
+    assert session["tuner"]["candidates"]
+    assert session["tuner"]["report"]["epochs"]
+    return json.loads(json.dumps(payload))
+
+
+def _service_payload(catalog):
+    return _service_snapshot(catalog), wire.SHAPES[wire.KIND_SERVICE]
+
+
+def _tenant(catalog):
+    (entry,) = _service_snapshot(catalog)["tenants"]
+    return entry["session"], wire.SHAPES[wire.KIND_TENANT]
+
+
+def _tuner(catalog):
+    session, shape = _tenant(catalog)
+    return session["tuner"], shape["tuner"]
 
 
 WRITTEN = {
     "planner-settings": _planner_settings, "tenant-options": _tenant_options,
     "colt-settings": _colt_settings, "catalog": _catalog, "design": _design,
+    "service": _service_payload, "tenant": _tenant, "tuner": _tuner,
 }
 
 
 @pytest.mark.parametrize("write", WRITTEN.values(), ids=WRITTEN.keys())
 def test_a_payload_names_exactly_the_fields_its_reader_reads(
         astro_catalog, write):
-    """A settings payload is its dataclass's fields, tenant options are
-    the options a session has, and a catalog or design is its shape's
-    keys: no retired setting or option, and no format stamp of its
-    own."""
-    written, read = write(astro_catalog)
-    assert set(written) == read
+    """Every object a writer emits has exactly its shape's keys: a
+    settings payload is its dataclass's fields, tenant options are the
+    options a session has, a catalog or design is its shape, and so is
+    each node of a service, tenant or tuner snapshot — no retired
+    setting or option, no format stamp of its own, and no key that
+    nothing reads."""
+    written, shape = write(astro_catalog)
+    assert list(shapes.stray_keys(written, shape)) == []
 
 
 # The seeds every frame kind is fuzzed from (``tests/shapes.py``), built

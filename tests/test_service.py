@@ -3,6 +3,9 @@ ingest, drift detection, status snapshots, and the load-bearing
 equivalence — shared backplanes dedupe work but never change any
 tenant's outcome."""
 
+import os
+import stat
+
 import pytest
 
 from repro.colt import ColtSettings
@@ -293,3 +296,32 @@ class TestServiceSurface:
             ("positional", "SELECT ra FROM photoobj")
         )
         assert service.tenant("t").queries == 1
+
+
+def test_a_state_file_is_on_disk_before_the_rename_publishes_it(
+        astro_catalog, tmp_path, monkeypatch):
+    """``save_state`` fsyncs the new file, then renames it over the old
+    one, then fsyncs the directory: a crash at any point leaves the
+    last good snapshot or the new one, never a torn file."""
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def recorded_fsync(fd):
+        info = os.fstat(fd)
+        calls.append(("fsync", "directory" if stat.S_ISDIR(info.st_mode)
+                      else info.st_ino))
+        fsync(fd)
+
+    def recorded_replace(source, target):
+        calls.append(("replace", os.stat(source).st_ino))
+        replace(source, target)
+
+    monkeypatch.setattr(os, "fsync", recorded_fsync)
+    monkeypatch.setattr(os, "replace", recorded_replace)
+    service = TuningService(shards=1)
+    service.add_backplane("sdss", astro_catalog)
+    service.add_tenant("t0", "sdss", **options())
+    path = service.save_state(str(tmp_path))
+    written = os.stat(path).st_ino
+    assert calls == [("fsync", written), ("replace", written),
+                     ("fsync", "directory")]
