@@ -21,7 +21,7 @@ them from actual rows (``ANALYZE``) is the tests' job, done in
 import bisect
 from dataclasses import dataclass, field
 
-from repro.util import clamp
+from repro.util import clamp, ndtri
 
 
 @dataclass(frozen=True)
@@ -235,13 +235,11 @@ class ColumnStats:
                 avg_width=avg_width,
             )
         if dist.kind == "normal":
-            # norm.ppf's arithmetic without scipy.stats' 0.35 s import.
-            from scipy.special import ndtri
-
+            # norm.ppf's arithmetic, on the in-repo Cephes ndtri.
             qs = [i / n_buckets for i in range(n_buckets + 1)]
             eps = 1.0 / (10.0 * n_buckets)
             bounds = [
-                float(ndtri(clamp(q, eps, 1.0 - eps)) * dist.sigma + dist.mu)
+                ndtri(clamp(q, eps, 1.0 - eps)) * dist.sigma + dist.mu
                 for q in qs
             ]
             return cls(

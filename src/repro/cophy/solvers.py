@@ -34,6 +34,17 @@ branching on ``z``/``x`` can only cost time
 the objective by its relative gap (:data:`MIP_REL_GAP`);
 ``nodes_explored`` is its branch-and-bound node count (0 when presolve
 solved the program, or when there are no candidates to branch on).
+
+Before HiGHS runs, :func:`_dominated` fixes ``y_j = 0`` for every
+candidate another candidate dominates: one no larger, with no higher
+write penalty, that offers an option at no higher cost on every slot
+where *j* offers one.  Swapping *j* for its dominator (or dropping *j*
+when the dominator is chosen too) keeps a design under the budget and
+the cap and costs no more, so the optimum is unchanged; HiGHS only has
+less bound to prove.
+
+scipy is imported by the first solve, not by ``import repro``: only
+this backend uses it.
 """
 
 import math
@@ -41,7 +52,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, sparse
 
 from repro import obs
 from repro.obs.catalogue import BIP_SOLVES, BIP_SOLVE_SECONDS, SPAN_COPHY_SOLVE
@@ -83,14 +93,16 @@ class _Matrices:
     """The BIP in matrix form plus the variable layout."""
 
     c: np.ndarray
-    a_eq: sparse.csr_matrix
+    a_eq: object  # CSR matrix
     b_eq: np.ndarray
-    a_ub: sparse.csr_matrix
+    a_ub: object  # CSR matrix
     b_ub: np.ndarray
     n_y: int
 
 
 def _assemble(problem):
+    from scipy import sparse
+
     n_y = problem.n_candidates
     c = [0.0] * n_y
     if problem.index_penalties:
@@ -181,8 +193,44 @@ def observed_solve(result):
     return result
 
 
+def _dominated(problem):
+    """Positions of the candidates that another candidate dominates: it
+    is no larger, has no higher write penalty and, on every slot where
+    the dominated one has an option, has one at no higher cost.  Of two
+    identical candidates the one at the lower position stays."""
+    n = problem.n_candidates
+    sizes = problem.sizes
+    penalties = problem.index_penalties or [0.0] * n
+    offers = [{} for __ in range(n)]  # pos -> {id(slot): cheapest cost}
+    seen = set()
+    for q in problem.queries:
+        for plan in q.plans:
+            for slot in plan.slots:
+                if id(slot) in seen:
+                    continue
+                seen.add(id(slot))
+                for pos, cost in slot.options:
+                    if pos != -1 and cost < offers[pos].get(id(slot), math.inf):
+                        offers[pos][id(slot)] = cost
+
+    def covers(i, j):
+        mine, theirs = offers[i], offers[j]
+        return (sizes[i] <= sizes[j] and penalties[i] <= penalties[j]
+                and theirs.keys() <= mine.keys()
+                and all(mine[slot] <= cost for slot, cost in theirs.items()))
+
+    return [
+        j for j in range(n)
+        if any(i != j and covers(i, j) and (i < j or not covers(j, i))
+               for i in range(n))
+    ]
+
+
 def solve_bip(problem):
-    """Exact solve with HiGHS (scipy.optimize.milp)."""
+    """Exact solve with HiGHS (scipy.optimize.milp), dominated
+    candidates fixed to 0 first."""
+    from scipy import optimize
+
     with obs.tracer().span(SPAN_COPHY_SOLVE, solver="milp-highs",
                            candidates=problem.n_candidates):
         started = time.perf_counter()
@@ -194,11 +242,13 @@ def solve_bip(problem):
         ]
         integrality = np.zeros(n)
         integrality[: mats.n_y] = 1
+        upper = np.ones(n)
+        upper[_dominated(problem)] = 0.0
         res = optimize.milp(
             c=mats.c,
             constraints=constraints,
             integrality=integrality,
-            bounds=optimize.Bounds(0.0, 1.0),
+            bounds=optimize.Bounds(0.0, upper),
             options={"time_limit": TIME_LIMIT_S},
         )
         if res.x is None:

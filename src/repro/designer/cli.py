@@ -353,7 +353,7 @@ def _dispatch(args, out):
         service.add_backplane("tpch", tpch_catalog(scale=args.scale))
         metrics_server = None
         if args.metrics_port is not None:
-            from repro.obs import MetricsServer
+            from repro.obs.export import MetricsServer
 
             metrics_server = MetricsServer(
                 port=args.metrics_port, status_fn=service.status

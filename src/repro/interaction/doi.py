@@ -19,8 +19,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.whatif import Configuration
 
 # Context sets of up to EXACT_LIMIT other indexes (2^8 subsets) are
@@ -130,44 +128,60 @@ class InteractionAnalyzer:
     def interaction_graph(self, candidate_set, min_doi=1e-9):
         """The Figure-2 graph: one vertex per index, edges weighted by doi."""
         candidate_set = sorted(set(candidate_set), key=lambda i: i.name)
-        graph = nx.Graph()
         # Singles are one-index edits of the empty design: delta-priced
         # off the empty parent.
         self.prefetch(
             [frozenset()] + [frozenset((ix,)) for ix in candidate_set],
             parent=frozenset(),
         )
-        for ix in candidate_set:
-            graph.add_node(ix.name, index=ix, benefit=self.benefit(ix, ()))
+        benefits = {ix.name: self.benefit(ix, ()) for ix in candidate_set}
+        dois = {}
         for a, b in itertools.combinations(candidate_set, 2):
             weight = self.doi(a, b, candidate_set)
             if weight > min_doi:
-                graph.add_edge(a.name, b.name, doi=weight)
-        return InteractionGraph(graph)
+                dois[a.name, b.name] = weight
+        return InteractionGraph(benefits, dois)
 
     def stable_partition(self, candidate_set, threshold=0.01):
         """Partition indexes into groups with no cross-group interaction
         above *threshold* (Schnaitter's stable partitions): the connected
-        components of the thresholded interaction graph."""
-        graph = self.interaction_graph(candidate_set, min_doi=threshold).graph
+        components of the thresholded interaction graph, in the order of
+        their first member by name."""
+        graph = self.interaction_graph(candidate_set, min_doi=threshold)
+        parent = {name: name for name in graph.benefits}
+
+        def root(name):
+            while parent[name] != name:
+                parent[name] = parent[parent[name]]
+                name = parent[name]
+            return name
+
+        for a, b in graph.dois:
+            parent[root(b)] = root(a)
         name_to_index = {ix.name: ix for ix in candidate_set}
-        return [
-            sorted((name_to_index[n] for n in component), key=lambda i: i.name)
-            for component in nx.connected_components(graph)
-        ]
+        components = {}
+        for name in graph.benefits:
+            components.setdefault(root(name), []).append(name_to_index[name])
+        return [sorted(members, key=lambda i: i.name)
+                for members in components.values()]
 
 
 @dataclass
 class InteractionGraph:
-    """Presentation wrapper around the networkx interaction graph."""
+    """The interaction graph: a standalone benefit per index name (the
+    vertices, by name) and a doi per interacting name pair (the edges,
+    ``(a, b)`` with *a* first by name, in name order)."""
 
-    graph: nx.Graph
+    benefits: dict
+    dois: dict
     _edge_cache: list = field(default=None, repr=False)
 
     def edges_by_weight(self):
+        """``(a, b, doi)`` per edge, strongest first."""
         if self._edge_cache is None:
             self._edge_cache = sorted(
-                self.graph.edges(data="doi"), key=lambda e: -e[2]
+                ((a, b, w) for (a, b), w in self.dois.items()),
+                key=lambda e: -e[2],
             )
         return self._edge_cache
 
@@ -176,11 +190,10 @@ class InteractionGraph:
         return self.edges_by_weight()[:k]
 
     def to_text(self):
-        lines = ["Index interaction graph (%d indexes):" % self.graph.number_of_nodes()]
-        for name in sorted(self.graph.nodes):
+        lines = ["Index interaction graph (%d indexes):" % len(self.benefits)]
+        for name in sorted(self.benefits):
             lines.append(
-                "  [%s] standalone benefit %.1f"
-                % (name, self.graph.nodes[name]["benefit"])
+                "  [%s] standalone benefit %.1f" % (name, self.benefits[name])
             )
         edges = self.top_edges(15)
         if not edges:
@@ -195,7 +208,7 @@ class InteractionGraph:
         if max_edges is not None:
             edges = edges[:max_edges]
         lines = ["graph interactions {"]
-        for name in sorted(self.graph.nodes):
+        for name in sorted(self.benefits):
             lines.append('  "%s";' % name)
         max_w = max((w for __, __, w in edges), default=1.0) or 1.0
         for a, b, w in edges:

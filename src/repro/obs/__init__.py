@@ -28,19 +28,18 @@ Instrumentation always resolves the state *at call time*
 (``obs.metrics()`` / ``obs.tracer()``), never caches it at import, so
 :func:`disabled` and :func:`reset` take effect everywhere at once.
 Exports live in :mod:`repro.obs.export` (`/metrics` Prometheus text,
-``/trace`` JSON) and in :meth:`TuningService.status`, which merges
+``/trace`` JSON; not imported here, so ``http.server`` loads only where
+a server is started) and in :meth:`TuningService.status`, which merges
 :meth:`MetricsRegistry.snapshot` into its payload.
 """
 
 from contextlib import contextmanager
 
-from repro.obs.export import MetricsServer
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Span, Tracer
 
 __all__ = [
     "MetricsRegistry",
-    "MetricsServer",
     "Span",
     "Tracer",
     "disabled",

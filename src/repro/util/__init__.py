@@ -10,7 +10,7 @@ from repro.util.errors import (
     WireFormatError,
     TransportError,
 )
-from repro.util.maths import align8, ceil_div, clamp, safe_log2
+from repro.util.maths import align8, ceil_div, clamp, ndtri, safe_log2
 
 
 def workload_pairs(workload):
@@ -40,5 +40,6 @@ __all__ = [
     "align8",
     "ceil_div",
     "clamp",
+    "ndtri",
     "safe_log2",
 ]

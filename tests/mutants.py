@@ -237,6 +237,31 @@ MUTANTS = (
         ("tests/test_join_oracle.py::TestPathSet::"
          "test_add_and_admits_equal_the_references",),
     ),
+    Mutant(
+        "scipy-imported-with-repro",
+        "repro/cophy/solvers.py",
+        "import numpy as np\n\nfrom repro import obs",
+        "import numpy as np\nfrom scipy import optimize, sparse\n\n"
+        "from repro import obs",
+        ("tests/test_lean_import.py::test_only_a_milp_solve_loads_scipy",),
+    ),
+    Mutant(
+        "ndtri-coefficient-digit",
+        "repro/util/maths.py",
+        "-1.23916583867381258016E0)",
+        "-1.23916583867381358016E0)",
+        ("tests/test_catalog_schema.py::TestNormalQuantilesWithoutScipyStats::"
+         "test_ndtri_equals_scipy_on_every_synthetic_quantile",
+         "tests/test_catalog_schema.py::TestNormalQuantilesWithoutScipyStats::"
+         "test_ndtri_equals_scipy_on_drawn_probabilities"),
+    ),
+    Mutant(
+        "dominance-ignores-size",
+        "repro/cophy/solvers.py",
+        "return (sizes[i] <= sizes[j] and penalties[i] <= penalties[j]",
+        "return (penalties[i] <= penalties[j]",
+        ("tests/test_backward_and_solver_props.py::TestDominancePresolve",),
+    ),
 )
 
 

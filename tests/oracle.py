@@ -35,6 +35,9 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
 * :func:`solve_branch_and_bound` — the program solved by an LP-bounded
   branch-and-bound over ``linprog`` alone on :func:`assemble_reference`,
   run to completion: the cross-check of the HiGHS backend.
+* :func:`dominated_reference` — the candidates ``solve_bip``'s
+  presolve may fix to 0, from the dominance rule over every (plan,
+  slot) occurrence, the pair test run both ways.
 * :func:`check_solution` — the program's constraints stated once, the
   one specification every solver backend's output is held to;
   :func:`check_milp_bound` — what HiGHS's dual bound proves of it.
@@ -616,6 +619,34 @@ def solve_branch_and_bound(problem):
         n_variables=len(mats.c),
         n_constraints=mats.a_eq.shape[0] + mats.a_ub.shape[0],
     )
+
+
+def dominated_reference(problem):
+    """Positions *j* some other candidate *i* dominates: *i* is no
+    larger, has no higher write penalty and, for every option of *j* on
+    any slot of any plan, has an option on that slot at no higher cost.
+    When *i* and *j* dominate each other only the higher position is
+    dominated."""
+    n = problem.n_candidates
+    penalties = problem.index_penalties or [0.0] * n
+    slots = [slot for query in problem.queries for plan in query.plans
+             for slot in plan.slots]
+
+    def dominates(i, j):
+        if problem.sizes[i] > problem.sizes[j] or penalties[i] > penalties[j]:
+            return False
+        return all(
+            any(other == i and other_cost <= cost
+                for other, other_cost in slot.options)
+            for slot in slots
+            for pos, cost in slot.options
+            if pos == j
+        )
+
+    return {
+        j for j in range(n) for i in range(n)
+        if i != j and dominates(i, j) and (i < j or not dominates(j, i))
+    }
 
 
 def check_milp_bound(result):

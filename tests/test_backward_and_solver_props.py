@@ -10,14 +10,19 @@ from hypothesis import strategies as st
 from repro.catalog import Index
 from repro.cophy.bip import BipProblem, PlanTerm, QueryTerm, SlotOptions
 from repro.cophy.greedy import greedy_select
-from repro.cophy.solvers import SolveResult, solve_bip
+from repro.cophy.solvers import MIP_REL_GAP, SolveResult, _dominated, solve_bip
 from repro.evaluation import WorkloadEvaluator
 from repro.optimizer import CostService
 from repro.whatif import Configuration
 
 from datagen import generate_database
 from executor import run_query
-from oracle import check_milp_bound, check_solution, solve_branch_and_bound
+from oracle import (
+    check_milp_bound,
+    check_solution,
+    dominated_reference,
+    solve_branch_and_bound,
+)
 
 
 class TestBackwardScans:
@@ -156,6 +161,41 @@ class TestSolverProperties:
             enlarged = problem.config_cost(chosen + [extra])
             penalty = problem.index_penalties[extra]
             assert enlarged <= base + penalty + 1e-6
+
+
+def with_twin(problem, pos):
+    """*problem* with one more candidate identical to *pos*: same size,
+    same penalty, an option at the same cost on every slot *pos* has
+    one on."""
+    twin = problem.n_candidates
+    problem.candidates.append(Index("t", ("twin",)))
+    problem.sizes.append(problem.sizes[pos])
+    problem.index_penalties.append(problem.index_penalties[pos])
+    slots = {id(slot): slot for query in problem.queries
+             for plan in query.plans for slot in plan.slots}
+    for slot in slots.values():
+        slot.options.extend(
+            [(twin, cost) for option, cost in slot.options if option == pos])
+    return problem
+
+
+class TestDominancePresolve:
+    """``solve_bip`` fixes every dominated candidate's ``y`` to 0 before
+    HiGHS runs; the optimum is still the program's."""
+
+    @given(problem=bip_instances(), twin=st.booleans())
+    @hsettings(max_examples=share(0.4), deadline=None)
+    def test_optimum_kept_and_nothing_dominated_chosen(self, problem, twin):
+        if twin and problem.n_candidates:
+            problem = with_twin(problem, 0)
+        dominated = dominated_reference(problem)
+        assert set(_dominated(problem)) == dominated
+        milp = solve_bip(problem)
+        check_solution(problem, milp)
+        reference = solve_branch_and_bound(problem)
+        assert milp.objective == pytest.approx(
+            reference.objective, rel=MIP_REL_GAP, abs=1e-6)
+        assert not dominated & set(milp.chosen_positions)
 
 
 class TestCheckSolutionRejects:

@@ -4,6 +4,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.catalog import (
     Catalog,
@@ -17,7 +18,7 @@ from repro.catalog import (
     VerticalLayout,
 )
 from repro.catalog import pagemodel
-from repro.util import CatalogError
+from repro.util import CatalogError, clamp, ndtri
 
 from oracle import fragments_for_reference
 
@@ -331,7 +332,8 @@ class TestHorizontalPartitioning:
 class TestNormalQuantilesWithoutScipyStats:
     """``ColumnStats.synthetic`` computes normal quantiles as
     ``ndtri(q) * sigma + mu`` — ``scipy.stats.norm.ppf``'s own arithmetic
-    without its 0.35 s import (the test may import it; ``src/`` may not)."""
+    — on the in-repo port of Cephes ``ndtri`` (the test may import
+    scipy; ``src/`` may not outside the MILP solver)."""
 
     @staticmethod
     def reference_bounds(dist, n_buckets=100):
@@ -372,15 +374,25 @@ class TestNormalQuantilesWithoutScipyStats:
             stats = ColumnStats.synthetic(1000, dist, 8, n_buckets=buckets)
             assert stats.histogram == self.reference_bounds(dist, buckets)
 
-    def test_building_the_catalogs_never_imports_scipy_stats(self):
-        import os
-        import subprocess
-        import sys
+    def test_ndtri_equals_scipy_on_every_synthetic_quantile(self):
+        """Every clamped quantile ``synthetic`` asks for with 1 to 1000
+        buckets."""
+        from scipy.special import ndtri as reference
 
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        subprocess.run(
-            [sys.executable, "-c",
-             "import sys, repro; repro.sdss_catalog(); repro.tpch_catalog(); "
-             "sys.exit('scipy.stats' in sys.modules)"],
-            check=True, env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
-        )
+        qs = set()
+        for n_buckets in range(1, 1001):
+            eps = 1.0 / (10.0 * n_buckets)
+            qs.update(clamp(i / n_buckets, eps, 1.0 - eps)
+                      for i in range(n_buckets + 1))
+        qs = sorted(qs)
+        assert [ndtri(q) for q in qs] == reference(qs).tolist()
+
+    @given(q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+           # below exp(-32), about 1.27e-14, on either side: the third
+           # coefficient table
+           | st.floats(0.0, 1e-14, exclude_min=True)
+           | st.floats(1.0 - 1e-14, 1.0, exclude_max=True))
+    def test_ndtri_equals_scipy_on_drawn_probabilities(self, q):
+        from scipy.special import ndtri as reference
+
+        assert ndtri(q) == float(reference(q))

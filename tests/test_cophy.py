@@ -130,16 +130,16 @@ class TestSolvers:
             self, sdss_catalog, inum, monkeypatch):
         """The reported bound is HiGHS's dual bound, not its incumbent
         (``res.fun``), and the node count is its own."""
-        from repro.cophy import solvers
+        from scipy import optimize
 
         seen = []
-        real = solvers.optimize.milp
+        real = optimize.milp
 
         def spy(*args, **kwargs):
             seen.append(real(*args, **kwargs))
             return seen[-1]
 
-        monkeypatch.setattr(solvers.optimize, "milp", spy)
+        monkeypatch.setattr(optimize, "milp", spy)
         workload = WORKLOAD + WRITES
         candidates = candidate_indexes(sdss_catalog, workload, max_candidates=14)
         problem = build_bip(inum, workload, candidates, 5_000)

@@ -128,7 +128,7 @@ def test_the_interaction_graph_has_the_oracles_edges(inum):
     evaluator = WorkloadEvaluator(inum.catalog)
     graph = InteractionAnalyzer(evaluator, WORKLOAD).interaction_graph(
         CANDIDATES
-    ).graph
+    )
     oracle = IndexBenefitGraph(evaluator, WORKLOAD, CANDIDATES)
     expected = {}
     for a, b in itertools.combinations(
@@ -136,9 +136,9 @@ def test_the_interaction_graph_has_the_oracles_edges(inum):
         doi = oracle.doi(a, b)
         if doi > 1e-9:
             expected[frozenset((a.name, b.name))] = doi
-    assert {frozenset((u, v)): doi for u, v, doi in graph.edges(data="doi")} \
-        == expected
-    assert graph.has_edge(CANDIDATES[0].name, CANDIDATES[1].name)
+    edges = {frozenset(pair): doi for pair, doi in graph.dois.items()}
+    assert edges == expected
+    assert frozenset((CANDIDATES[0].name, CANDIDATES[1].name)) in edges
 
 
 # ----------------------------------------------------------------------

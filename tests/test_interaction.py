@@ -75,12 +75,12 @@ class TestDegreeOfInteraction:
 class TestInteractionGraph:
     def test_nodes_and_benefits(self, analyzer):
         graph = analyzer.interaction_graph([RA, RA_DEC, Z])
-        assert set(graph.graph.nodes) == {RA.name, RA_DEC.name, Z.name}
-        assert graph.graph.nodes[RA.name]["benefit"] > 0
+        assert set(graph.benefits) == {RA.name, RA_DEC.name, Z.name}
+        assert graph.benefits[RA.name] > 0
 
     def test_edge_between_interacting_pair(self, analyzer):
         graph = analyzer.interaction_graph([RA, RA_DEC, Z])
-        assert graph.graph.has_edge(RA.name, RA_DEC.name)
+        assert (RA.name, RA_DEC.name) in graph.dois
 
     def test_top_edges_filter(self, analyzer):
         graph = analyzer.interaction_graph([RA, RA_DEC, Z])

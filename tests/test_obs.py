@@ -19,7 +19,7 @@ import pytest
 from repro import obs
 from repro.colt import ColtSettings
 from repro.evaluation import wire
-from repro.obs import MetricsRegistry, MetricsServer, Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.obs.catalogue import (
     COUNTER,
     GAUGE,
@@ -28,6 +28,7 @@ from repro.obs.catalogue import (
     SPAN_WORKER_WARM_UP,
     Family,
 )
+from repro.obs.export import MetricsServer
 from repro.obs.metrics import NULL_REGISTRY
 from repro.runtime import Scheduler
 from repro.service import TuningService

@@ -89,10 +89,8 @@ def summary(rec):
         rec.base_workload_cost,
         rec.combined_workload_cost,
         rec.combined_configuration,
-        graph and sorted(
-            (sorted((a, b)), doi) for a, b, doi in graph.graph.edges(data="doi")
-        ),
-        graph and sorted(graph.graph.nodes(data="benefit")),
+        graph and sorted(graph.dois.items()),
+        graph and sorted(graph.benefits.items()),
         rec.schedule and (
             [ix.name for ix in rec.schedule.order], rec.schedule.area
         ),
