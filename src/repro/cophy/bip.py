@@ -272,11 +272,12 @@ class CandidatePricer:
         state = self._param_state if slot.param_columns else self._scan_state
         key = _slot_key(
             bq, slot, self.default_view, ((index,), None, None),
-            state(bq, slot)[0],
+            self.model._shared, state(bq, slot)[0],
         )
         choice = bucket.get(key, _UNPRICED)
         if choice is _UNPRICED:
-            choice = bucket[key] = self._assemble(bq, slot, index)
+            choice = bucket[key] = self.model._shared_choice(
+                self._assemble(bq, slot, index))
         return None if choice is None else choice[0]
 
     def _assemble(self, bq, slot, index):

@@ -122,6 +122,8 @@ class WorkloadEvaluator:
         self.catalog = catalog
         self.settings = settings or DEFAULT_SETTINGS
         self._slot_memo = {}
+        # One object per index set and winner tuple the memos hold.
+        self._shared = {}
         self.evaluations = 0
         self.pool = pool if pool is not None else InumCachePool()
         self.pool.attach(self)
@@ -212,11 +214,22 @@ class WorkloadEvaluator:
         if design_signature is None:
             design_signature = view.design_signature(slot.table_name)
         bucket = self.slot_bucket(bq)
-        key = _slot_key(bq, slot, view, design_signature)
+        key = _slot_key(bq, slot, view, design_signature, self._shared)
         choice = bucket.get(key, _UNPRICED)
         if choice is _UNPRICED:
-            choice = bucket[key] = _access_cost(slot, bq, view, self.settings)
+            choice = bucket[key] = self._shared_choice(
+                _access_cost(slot, bq, view, self.settings))
         return choice
+
+    def _shared_choice(self, choice):
+        """A winner ``(cost, witness)`` with its witness the sharing
+        table's tuple (row ``SHARED``); ``None``, an infeasible slot, as
+        is.  Threads racing on one value may keep equal copies, never an
+        unequal one."""
+        if choice is None:
+            return None
+        witness = choice[1]
+        return choice[0], self._shared.setdefault(witness, witness)
 
     def slot_cost(self, bq, slot, view):
         """The cost half of :meth:`slot_choice` (``None``: infeasible)."""
@@ -522,15 +535,19 @@ class WorkloadEvaluator:
 
     def _kernel_views(self, compiled, configurations):
         """Per-configuration design views and per-table signatures for
-        the fused kernel's tables."""
+        the fused kernel's tables, each index set the sharing table's
+        object: the kernel's column and delta-state keys hold that one
+        object, not a copy each."""
         views = [_DesignView(self.catalog, c) for c in configurations]
-        table_sigs = [
-            {
-                name: view.design_signature(name)
-                for name in compiled.kernel.tables
-            }
-            for view in views
-        ]
+        shared = self._shared
+        table_sigs = []
+        for view in views:
+            sigs = {}
+            for name in compiled.kernel.tables:
+                indexes, layout, horizontal = view.design_signature(name)
+                sigs[name] = (shared.setdefault(indexes, indexes), layout,
+                              horizontal)
+            table_sigs.append(sigs)
         return views, table_sigs
 
     @contextmanager

@@ -75,7 +75,9 @@ class Memo:
 
 STATEMENTS = Memo(
     "CostService", "statements", "statement text", (TEXT, STATS), (CLEAR,),
-    "statements seen, ~1.3 kB each with terms", "One record per text: the "
+    "statements seen: a record with its terms 0.7-1.2 kB, its binding "
+    "(scan contexts and plan memo included) 3.5-5.2 kB more, on "
+    "online_ingest", "One record per text: the "
     "bound statement (every exact service binds through it, so both paths "
     "share its memos) and what build_cache answered, so a miss on a seen "
     "statement decodes instead of planning.  Its text is the statement's "
@@ -94,10 +96,24 @@ TEMPLATES = Memo(
     "binding, filter selectivities and selectivity products are its own "
     "numbers pass, equal to binding its text afresh.", reach="_base_service")
 SLOT_MEMO = Memo(
-    "WorkloadEvaluator", "_slot_memo", "entry text -> inum.cache._slot_key",
-    (ENTRY, INDEXES, STATS), (EVICT, CLEAR), "resident entries' slots",
-    "(cost, winner indexes) or None; one bucket per entry (a pricer racing "
-    "an eviction may refill one).", reach="", evict="text")
+    "WorkloadEvaluator", "_slot_memo", "entry text -> (slot, indexes, "
+    "cover, horizontal)", (ENTRY, INDEXES, STATS), (EVICT, CLEAR),
+    "resident entries' slots", "(cost, winner indexes) or None; one bucket "
+    "per entry (a pricer racing an eviction may refill one).  The key's "
+    "index set and the winner tuple are SHARED's objects, so an entry "
+    "owns its key tuple and its (cost, winner) pair only: about 190 B a "
+    "key, 2.6-3.3 kB per resident statement on online_ingest (6.7-8.3 "
+    "kB when every key held a set of its own).", reach="", evict="text")
+SHARED = Memo(
+    "WorkloadEvaluator", "_shared", "index set (frozenset) or winner tuple",
+    (INDEXES,), (CLEAR,), "distinct index sets and winners seen",
+    "Each value to itself: the one resident object equal to it, which "
+    "the slot memo keeps as key projections and witnesses and the "
+    "kernel's keys as design-signature sets.  Entries derive from "
+    "indexes, not from one statement, so eviction leaves them; they "
+    "level off at what the candidate indexes allow: 149 entries (27 kB) "
+    "on online_ingest's busier backplane at 1x, 2x, 4x and 8x its "
+    "--seconds 10 length.", reach="")
 COMPILED = Memo(
     "WorkloadEvaluator", "_compiled", "((text, weight), ...)",
     (ENTRY, WORKLOAD), (EVICT, CLEAR), 16, "Fused workload kernels, kept "
@@ -160,7 +176,7 @@ INDEX_SHAPES = Memo(
     "column lists sized", "(row_count, Index.shape); no per-Index state.")
 
 MEMOS = (
-    STATEMENTS, TEMPLATES, SLOT_MEMO, COMPILED, RECOMMENDATIONS,
+    STATEMENTS, TEMPLATES, SLOT_MEMO, SHARED, COMPILED, RECOMMENDATIONS,
     EXACT_SERVICES, BASE_SERVICE, PLAN_CACHE, ENTRIES, KERNELS,
     SCAN_CONTEXTS, PLAN_MEMO, PRICED, CONTEXT_STATS, DESIGN_COLUMNS,
     DELTA_STATES, SUBSETS, PROJECTION_PAGES, LAYOUT_COVERS, INDEX_SHAPES,

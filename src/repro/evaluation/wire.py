@@ -47,7 +47,7 @@ from repro.catalog.types import DataType
 from repro.colt.tuner import (
     ColtSettings, DriftEvent, OnlineReport, RecommendationRecord,
     _CandidateState)
-from repro.inum.cache import AccessSlot, CachedPlan, QueryCache
+from repro.inum.cache import AccessSlot, QueryCache, _shared_plan, _sharing
 from repro.obs.catalogue import FAMILIES
 from repro.optimizer.settings import PlannerSettings
 from repro.optimizer.writecost import LOCATE_PREFIX, locate_query
@@ -469,13 +469,14 @@ def entry_from_wire(payload, bind):
     :class:`WireFormatError` (or the binder's typed error)."""
     conform(payload, SHAPES[KIND_ENTRY], "cache entry")
     bq = located(bind(payload["sql"]), payload["locate"])
-    plans = [CachedPlan(
-        internal_cost=plan["internal_cost"],
-        slots=tuple(AccessSlot(
+    one = _sharing()
+    plans = [_shared_plan(
+        one, plan["internal_cost"],
+        (AccessSlot(
             slot["alias"], slot["table"], slot["required_order"],
             tuple(slot["param_columns"]), slot["probes"], slot["scale"],
         ) for slot in plan["slots"]),
-        order_vector=tuple(map(tuple, plan["order_vector"])),
+        map(tuple, plan["order_vector"]),
     ) for plan in payload["plans"]]
     _check_slots(plans, bq)
     cache = QueryCache.from_plan_terms(

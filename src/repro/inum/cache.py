@@ -42,7 +42,7 @@ _TMP_PREFIX = "inum_tmp_"
 _UNPRICED = object()  # slot-memo miss (None is a price: infeasible)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessSlot:
     """One base-table access in a cached plan skeleton.
 
@@ -61,7 +61,7 @@ class AccessSlot:
     scale: float = 1.0  # fraction consumed (LIMIT early termination)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CachedPlan:
     """One plan's *terms*: internal (access-independent) cost plus
     access slots — everything evaluation needs, with no reference to
@@ -214,6 +214,7 @@ def build_cache(bq, catalog, settings):
     # Consecutive vectors differ in one alias's covering index, so the
     # join subsets without that alias are enumerated once for the build.
     subsets = {}
+    one = _sharing()
     for vector, indexes in bq.template.part(_order_vectors, bq):
         overlay = catalog.clone()
         for index in indexes:
@@ -225,10 +226,28 @@ def build_cache(bq, catalog, settings):
         key = (round(cached.internal_cost, 6), cached.slots)
         if key not in seen:
             seen.add(key)
-            cache.plans.append(cached)
+            cache.plans.append(_shared_plan(
+                one, cached.internal_cost, cached.slots, cached.order_vector))
     # The hypothetical covering indexes never recur after the build.
     P.forget_indexes(bq, covering)
     return cache
+
+
+def _sharing():
+    """A fresh ``one(value)``: the first object equal to *value* that
+    this ``one`` was given.  A build, and one decoded wire entry
+    (``wire.entry_from_wire``), make all their plans through a single
+    ``one`` (:func:`_shared_plan`): the order vectors plan most
+    references alike."""
+    shared = {}
+    return lambda value: shared.setdefault(value, value)
+
+
+def _shared_plan(one, internal_cost, slots, order_vector):
+    """A :class:`CachedPlan` whose access slots, slot tuple and
+    ``(alias, order)`` pairs are *one*'s objects."""
+    return CachedPlan(internal_cost, one(tuple(map(one, slots))),
+                      tuple(map(one, order_vector)))
 
 
 def extract_plan_terms(plan, bq, order_by_alias):
@@ -367,6 +386,10 @@ class _DesignView:
         )
 
     def design_signature(self, table_name):
+        """``(indexes, layout, horizontal)`` of the design on one table,
+        its index set a fresh frozenset: the evaluator swaps in its
+        sharing table's object before a kernel key keeps one
+        (``WorkloadEvaluator._kernel_views``)."""
         return (
             frozenset(self._by_table.get(table_name, ())),
             self._layouts.get(table_name),
@@ -379,20 +402,25 @@ def _slot_interesting(slot):
     return (slot.required_order,) if slot.required_order else ()
 
 
-def _slot_key(bq, slot, view, design_signature, ctx=None):
+def _slot_key(bq, slot, view, design_signature, shared, ctx=None):
     """Slot-memo key under one per-table design signature of *view*:
     what an access *cost* (and the indexes backing the winner) reads of
-    the design, no more.  *ctx* is ``scan_context(bq, slot.alias,
-    view)`` when the caller already holds it.
+    the design, no more — the flat tuple ``(slot, indexes, cover,
+    horizontal)``.  *shared* is the evaluator's sharing table (row
+    ``SHARED`` of ``evaluation/memos.py``); *ctx* is
+    ``scan_context(bq, slot.alias, view)`` when the caller already
+    holds it.
 
-    Of the design's indexes, those that reach the slot
-    (:func:`~repro.optimizer.paths.reaching_indexes`) — the others offer
-    it no path, arm or probe, so a design that adds only those shares
-    the empty design's entry.  Of a vertical layout, two numbers — the
-    pages and fragment count of the cover this reference scans
-    (``relation_geometry``, ``_sequential_path``) — so a merge that
-    leaves the reference's cover alone, or trades it for one of equal
-    weight, re-prices nothing."""
+    ``indexes``: of the design's indexes, the frozenset of those that
+    reach the slot (:func:`~repro.optimizer.paths.reaching_indexes`) —
+    the others offer it no path, arm or probe, so a design that adds
+    only those shares the empty design's entry.  The set is *shared*'s
+    object: keys with one projection hold one set.  ``cover``: of a
+    vertical layout, two numbers — the pages and fragment count of the
+    cover this reference scans (``relation_geometry``,
+    ``_sequential_path``) — so a merge that leaves the reference's cover
+    alone, or trades it for one of equal weight, re-prices nothing;
+    ``None`` without a layout."""
     indexes, layout, horizontal = design_signature
     if indexes:
         if ctx is None:
@@ -400,9 +428,10 @@ def _slot_key(bq, slot, view, design_signature, ctx=None):
         indexes = frozenset(P.reaching_indexes(
             ctx, indexes, _slot_interesting(slot), slot.param_columns
         ))
+    indexes = shared.setdefault(indexes, indexes)
     if layout is not None:
         layout = P.layout_cover(bq, slot.alias, layout)[1]
-    return (slot, (indexes, layout, horizontal))
+    return (slot, indexes, layout, horizontal)
 
 
 def _consumed(path, slot):

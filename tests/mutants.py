@@ -262,6 +262,56 @@ MUTANTS = (
         "return (penalties[i] <= penalties[j]",
         ("tests/test_backward_and_solver_props.py::TestDominancePresolve",),
     ),
+    Mutant(
+        "slot-key-projection-copied",
+        "repro/inum/cache.py",
+        "indexes = shared.setdefault(indexes, indexes)",
+        "indexes = frozenset(list(indexes))",
+        ("tests/test_scan_memo.py::"
+         "test_memo_keys_witnesses_and_signatures_are_shared_objects",),
+    ),
+    Mutant(
+        "slot-key-ignores-reach",
+        "repro/inum/cache.py",
+        "indexes = frozenset(P.reaching_indexes(\n"
+        "            ctx, indexes, _slot_interesting(slot), slot.param_columns\n"
+        "        ))",
+        "indexes = frozenset(indexes)",
+        ("tests/test_scan_memo.py::"
+         "test_an_index_no_slot_can_use_adds_no_slot_memo_entry",),
+    ),
+    Mutant(
+        "slot-key-drops-cover",
+        "repro/inum/cache.py",
+        "return (slot, indexes, layout, horizontal)",
+        "return (slot, indexes, None, horizontal)",
+        ("tests/test_scan_memo.py::"
+         "test_covers_of_one_weight_share_slot_costs_but_not_contexts",),
+    ),
+    Mutant(
+        "slot-memo-witness-copied",
+        "repro/evaluation/evaluator.py",
+        "choice = bucket[key] = self._shared_choice(",
+        "choice = bucket[key] = (",
+        ("tests/test_scan_memo.py::"
+         "test_memo_keys_witnesses_and_signatures_are_shared_objects",),
+    ),
+    Mutant(
+        "kernel-signature-copied",
+        "repro/evaluation/evaluator.py",
+        "sigs[name] = (shared.setdefault(indexes, indexes), layout,",
+        "sigs[name] = (frozenset(list(indexes)), layout,",
+        ("tests/test_scan_memo.py::"
+         "test_memo_keys_witnesses_and_signatures_are_shared_objects",),
+    ),
+    Mutant(
+        "build-copies-slots",
+        "repro/inum/cache.py",
+        "return CachedPlan(internal_cost, one(tuple(map(one, slots))),",
+        "return CachedPlan(internal_cost, tuple(slots),",
+        ("tests/test_scan_memo.py::"
+         "test_a_build_and_a_decoded_entry_share_their_slots",),
+    ),
 )
 
 

@@ -27,6 +27,11 @@ cache, never a different cost model, so this suite pins
 (e) the set cover of a table reference is memoized on the layout by
     the referenced columns: the statements of one template share one,
     and it is each statement's own ``fragments_for``;
+(f) what the memos keep of a design exists once: every slot-memo key's
+    index set, every witness and every kernel design-signature set is
+    the evaluator's sharing table's object (``memos.SHARED``), and one
+    INUM build, or one decoded wire entry, holds one object per
+    distinct access slot and slot tuple;
 and that memoized plan nodes, now shared between plans, are never
 mutated after construction.
 """
@@ -50,10 +55,16 @@ from repro.catalog import (
 )
 from repro.catalog import stats as stats_module
 from repro.cophy import candidate_indexes
-from repro.cophy.bip import CandidatePricer
-from repro.evaluation import WorkloadEvaluator
+from repro.cophy.bip import CandidatePricer, build_bip
+from repro.evaluation import WorkloadEvaluator, wire
 from repro.evaluation import evaluator as evaluator_module
-from repro.inum.cache import _access_cost, _DesignView, _slot_key
+from repro.inum.cache import (
+    AccessSlot,
+    _access_cost,
+    _DesignView,
+    _slot_key,
+    build_cache,
+)
 from repro.optimizer import CostService
 from repro.optimizer import paths as P
 from repro.optimizer import plan_query
@@ -208,7 +219,8 @@ def test_slot_pricing_memoized_equals_fresh(registry, make_catalog, monkeypatch)
             for cached in cache.plans:
                 for slot in cached.slots:
                     signature = view.design_signature(slot.table_name)
-                    keys.add((bq.sql, _slot_key(bq, slot, view, signature)))
+                    keys.add((bq.sql, _slot_key(bq, slot, view, signature,
+                                                model._shared)))
                     full_signatures.add((bq.sql, slot, signature))
                     cold = _access_cost(
                         slot, bind_read(sql, catalog), view, model.settings
@@ -935,3 +947,90 @@ def test_the_shared_cover_is_each_statements_own_cover(data):
             pages = float(sum(f.pages(table) for f in cover))
             assert entry == (cover, (pages, len(cover)))
             assert seen.setdefault(needed, entry) is entry
+
+
+# ----------------------------------------------------------------------
+# (f) one resident object per value.
+# ----------------------------------------------------------------------
+
+
+def one_object_per_value(values):
+    """As many distinct objects among *values* as distinct values (and
+    more than one value, so the check is not vacuous)."""
+    values = list(values)
+    distinct = set(values)
+    return len(distinct) > 1 and len({id(v) for v in values}) == len(distinct)
+
+
+@ENVIRONMENTS
+def test_memo_keys_witnesses_and_signatures_are_shared_objects(
+    registry, make_catalog
+):
+    """Priced every way the memos fill — per call, the kernel grid and
+    its deltas, CoPhy's candidate pricer — the slot memo's keys are flat
+    ``(slot, indexes, cover, horizontal)`` tuples, and their index sets,
+    the witnesses and the kernel's design-signature sets are each the
+    sharing table's one object per value.  ``clear_caches`` empties the
+    table."""
+    catalog = make_catalog()
+    sqls = read_statements(registry, catalog)
+    configs = fuzzed_configurations(random.Random(7), catalog, sqls)
+    model = WorkloadEvaluator(catalog)
+    workload = [(sql, 1.0) for sql in sqls]
+    for config in configs:
+        for sql in sqls:
+            model.cost(sql, config)
+    model.evaluate_configurations(workload, configs)
+    model.evaluate_deltas(workload, configs[0], configs[1:])
+    candidates = candidate_indexes(catalog, sqls, max_candidates=24)
+    build_bip(model, workload, candidates, 40_000)
+
+    buckets = list(model._slot_memo.values())
+    keys = [key for bucket in buckets for key in bucket]
+    assert all(len(key) == 4 and isinstance(key[0], AccessSlot)
+               for key in keys)
+    witnesses = [choice[1] for bucket in buckets
+                 for choice in bucket.values() if choice is not None]
+    signatures = []
+    for compiled in model._compiled.values():
+        kernel = compiled.kernel
+        signatures += [sig for __, sig in kernel._columns]
+        signatures += [sig for key in kernel._delta_states
+                       for __, sig in key]
+    sets = [key[1] for key in keys] + [sig[0] for sig in signatures]
+    for values in (sets, witnesses):
+        assert one_object_per_value(values)
+        assert all(model._shared[value] is value for value in values)
+    model.clear_caches()
+    assert not model._shared
+
+
+def test_an_index_no_slot_can_use_adds_no_slot_memo_entry(sdss_catalog):
+    """The projection keeps only indexes that reach the slot: a design
+    whose one index leads with a column the statement neither filters,
+    joins nor orders on shares every entry of the empty design."""
+    model = WorkloadEvaluator(sdss_catalog)
+    bq = model.bound(TWO_TABLE_SQL)
+    empty = model.cost(TWO_TABLE_SQL)
+    entries = len(model._slot_memo[bq.sql])
+    unused = Configuration.of(Index("photoobj", ("ra",)))
+    assert model.cost(TWO_TABLE_SQL, unused) == empty
+    assert len(model._slot_memo[bq.sql]) == entries
+
+
+def test_a_build_and_a_decoded_entry_share_their_slots():
+    """Order vectors of one build re-plan most references alike: equal
+    access slots, slot tuples and order pairs are one object each, in
+    the build and in its wire round trip."""
+    catalog = full_sdss_catalog(scale=0.05)
+    cache = build_cache(bind_statement(THREE_TABLE_SQL, catalog), catalog,
+                        DEFAULT_SETTINGS)
+    __, decoded = wire.loads(
+        wire.dumps(wire.entry_to_wire(THREE_TABLE_SQL, cache)), catalog)
+    assert decoded.plans == cache.plans
+    for entry in (cache, decoded):
+        plans = entry.plans
+        assert one_object_per_value(s for p in plans for s in p.slots)
+        assert one_object_per_value(p.slots for p in plans)
+        assert one_object_per_value(
+            pair for p in plans for pair in p.order_vector)
