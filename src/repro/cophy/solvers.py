@@ -1,11 +1,13 @@
 """The exact solver backend for the CoPhy binary program.
 
-:func:`solve_bip` hands the program to HiGHS branch-and-cut via
-``scipy.optimize.milp`` — the "sophisticated and mature solver" the
-paper plugs in.  The advisor's two other backends are the greedy
-heuristic (:mod:`repro.cophy.greedy`) and column generation
-(:mod:`repro.cophy.colgen`); an LP-bounded branch-and-bound that
-cross-checks HiGHS lives with the test references (``tests/oracle.py``).
+:func:`solve_bip` hands the program to HiGHS branch-and-cut — the
+"sophisticated and mature solver" the paper plugs in — through HiGHS's
+own pybind11 binding, the copy scipy ships as
+``scipy.optimize._highspy._core``.  The advisor's two other backends
+are the greedy heuristic (:mod:`repro.cophy.greedy`) and column
+generation (:mod:`repro.cophy.colgen`); an LP-bounded branch-and-bound
+that cross-checks HiGHS lives with the test references
+(``tests/oracle.py``).
 
 Every backend reports the *true* objective of the returned configuration
 (via :meth:`BipProblem.config_cost`) so results are directly comparable,
@@ -43,13 +45,23 @@ when the dominator is chosen too) keeps a design under the budget and
 the cap and costs no more, so the optimum is unchanged; HiGHS only has
 less bound to prove.
 
-scipy is imported by the first solve, not by ``import repro``: only
-this backend uses it.
+The binding is loaded by the first solve, not by ``import repro``, and
+from its own file (:func:`_highs`): ``scipy/optimize/__init__``, which
+would load ``scipy.sparse``, ``scipy.linalg`` and some 300 more modules
+for this one call, never runs.  :func:`_assemble` writes the matrix
+HiGHS reads, column-wise, with numpy, and the options are those
+``scipy.optimize.milp`` passed (``tests/oracle.py:milp_reference``,
+held equal to :func:`solve_bip` in answer, bound and node count).
 """
 
+import importlib.util
 import math
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
 
 import numpy as np
 
@@ -63,6 +75,9 @@ TIME_LIMIT_S = 60.0
 # HiGHS's default relative MIP gap, not passed as an option: it may stop
 # once its incumbent is within this of its dual bound.
 MIP_REL_GAP = 1e-4
+
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+_LOAD_LOCK = threading.Lock()
 
 
 @dataclass
@@ -90,19 +105,21 @@ class SolveResult:
 
 @dataclass
 class _Matrices:
-    """The BIP in matrix form plus the variable layout."""
+    """The BIP as HiGHS reads it: one column-wise matrix whose first
+    ``n_eq`` rows are the equalities and the rest the ``≤`` rows, with
+    each row's bounds, plus the variable layout."""
 
     c: np.ndarray
-    a_eq: object  # CSR matrix
-    b_eq: np.ndarray
-    a_ub: object  # CSR matrix
-    b_ub: np.ndarray
+    start: np.ndarray  # column j's entries are start[j]:start[j + 1]
+    index: np.ndarray  # their rows, ascending within a column
+    value: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    n_eq: int
     n_y: int
 
 
 def _assemble(problem):
-    from scipy import sparse
-
     n_y = problem.n_candidates
     c = [0.0] * n_y
     if problem.index_penalties:
@@ -164,19 +181,22 @@ def _assemble(problem):
             ub_rows.append(ub_row), ub_cols.append(pos), ub_vals.append(1.0)
         b_ub.append(float(problem.max_indexes))
 
-    n = var
-    a_eq = sparse.csr_matrix(
-        (eq_vals, (eq_rows, eq_cols)), shape=(len(b_eq), n)
-    )
-    a_ub = sparse.csr_matrix(
-        (ub_vals, (ub_rows, ub_cols)), shape=(len(b_ub), n)
-    )
+    # The <= rows follow the equalities; each column lists its rows in
+    # ascending order, the canonical form of a compressed sparse column.
+    n_eq = len(b_eq)
+    rows = np.array(eq_rows + [n_eq + row for row in ub_rows], dtype=np.int32)
+    cols = np.array(eq_cols + ub_cols, dtype=np.int32)
+    order = np.lexsort((rows, cols))
+    start = np.zeros(var + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=var), out=start[1:])
     return _Matrices(
         c=np.array(c),
-        a_eq=a_eq,
-        b_eq=np.array(b_eq),
-        a_ub=a_ub,
-        b_ub=np.array(b_ub),
+        start=start,
+        index=rows[order],
+        value=np.array(eq_vals + ub_vals)[order],
+        row_lower=np.array(b_eq + [-np.inf] * len(b_ub)),
+        row_upper=np.array(b_eq + b_ub),
+        n_eq=n_eq,
         n_y=n_y,
     )
 
@@ -226,48 +246,106 @@ def _dominated(problem):
     ]
 
 
-def solve_bip(problem):
-    """Exact solve with HiGHS (scipy.optimize.milp), dominated
-    candidates fixed to 0 first."""
-    from scipy import optimize
+def _load_extension(name, directory):
+    """Load the extension module *name* from its file in *directory*,
+    running no ``__init__`` of the packages it sits in, and register it
+    under *name* so a later ``import`` of that package reuses it."""
+    spec = PathFinder.find_spec(name, [directory])
+    if spec is None:
+        raise ImportError("no %s extension in %s" % (name, directory),
+                          name=name, path=directory)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
 
+
+def _highs():
+    """HiGHS's pybind11 binding as scipy ships it, loaded from its own
+    file: ``scipy/optimize/__init__`` (and with it ``scipy.sparse``,
+    ``scipy.linalg`` and the rest) never runs.  The binding registers
+    its types once per process, so it is loaded once and reused from
+    ``sys.modules`` — also when ``scipy.optimize`` loaded it first."""
+    with _LOAD_LOCK:
+        core = sys.modules.get(_HIGHS_CORE)
+        if core is None:
+            scipy = importlib.util.find_spec("scipy")
+            if scipy is None:
+                raise ImportError("the MILP solver needs scipy's HiGHS "
+                                  "binding, and scipy is not installed")
+            core = _load_extension(_HIGHS_CORE, os.path.join(
+                scipy.submodule_search_locations[0], "optimize", "_highspy"))
+        return core
+
+
+def solve_bip(problem):
+    """Exact solve with HiGHS, dominated candidates fixed to 0 first."""
+    highs = _highs()
     with obs.tracer().span(SPAN_COPHY_SOLVE, solver="milp-highs",
                            candidates=problem.n_candidates):
         started = time.perf_counter()
         mats = _assemble(problem)
-        n = len(mats.c)
-        constraints = [
-            optimize.LinearConstraint(mats.a_eq, mats.b_eq, mats.b_eq),
-            optimize.LinearConstraint(mats.a_ub, -np.inf, mats.b_ub),
-        ]
-        integrality = np.zeros(n)
-        integrality[: mats.n_y] = 1
+        n, m = len(mats.c), len(mats.row_upper)
+        lp = highs.HighsLp()
+        lp.num_col_, lp.num_row_ = n, m
+        lp.col_cost_ = mats.c
+        lp.col_lower_ = np.zeros(n)
         upper = np.ones(n)
         upper[_dominated(problem)] = 0.0
-        res = optimize.milp(
-            c=mats.c,
-            constraints=constraints,
-            integrality=integrality,
-            bounds=optimize.Bounds(0.0, upper),
-            options={"time_limit": TIME_LIMIT_S},
-        )
-        if res.x is None:
-            raise RuntimeError("MILP solver failed: %s" % (res.message,))
+        lp.col_upper_ = upper
+        lp.row_lower_, lp.row_upper_ = mats.row_lower, mats.row_upper
+        matrix = lp.a_matrix_
+        matrix.format_ = highs.MatrixFormat.kColwise
+        matrix.num_col_, matrix.num_row_ = n, m
+        matrix.start_, matrix.index_, matrix.value_ = (
+            mats.start, mats.index, mats.value)
+        lp.integrality_ = (
+            [highs.HighsVarType.kInteger] * mats.n_y
+            + [highs.HighsVarType.kContinuous] * (n - mats.n_y))
+        options = highs.HighsOptions()
+        options.log_to_console = False
+        options.time_limit = TIME_LIMIT_S
+        solver = highs._Highs()
+        solver.passOptions(options)
+        solved = (solver.passModel(lp) != highs.HighsStatus.kError
+                  and solver.run() != highs.HighsStatus.kError)
+        status = solver.getModelStatus()
+        info = solver.getInfo()
+        # Each limit's status as scipy.optimize.milp reported it.
+        limits = {highs.HighsModelStatus.kTimeLimit: "1",
+                  highs.HighsModelStatus.kIterationLimit: "1",
+                  highs.HighsModelStatus.kSolutionLimit: "4"}
+        if mats.n_y and status in limits:
+            # A limit stops a MILP with its incumbent, if it has one.
+            solved = solved and info.objective_function_value != highs.kHighsInf
+        else:
+            solved = solved and status == highs.HighsModelStatus.kOptimal
+        if not solved:
+            raise RuntimeError("MILP solver failed: model status is %s"
+                               % solver.modelStatusToString(status))
+        x = solver.getSolution().col_value
         chosen = problem.used_positions(
-            tuple(pos for pos in range(mats.n_y) if res.x[pos] > 0.5)
+            tuple(pos for pos in range(mats.n_y) if x[pos] > 0.5)
         )
         objective = problem.config_cost(chosen)
         # Without candidates nothing is integer and HiGHS solves an LP,
         # which reports no dual bound or node count: its optimum is exact.
-        bound = res.fun if res.mip_dual_bound is None else res.mip_dual_bound
+        if mats.n_y:
+            bound, nodes = info.mip_dual_bound, info.mip_node_count
+        else:
+            bound, nodes = info.objective_function_value, 0
         return observed_solve(SolveResult(
             chosen_positions=chosen,
             objective=objective,
             lower_bound=float(bound) + problem.write_base_cost,
-            status="optimal" if res.success else str(res.status),
+            status=limits.get(status, "optimal"),
             solver="milp-highs",
             solve_seconds=time.perf_counter() - started,
-            nodes_explored=int(res.mip_node_count or 0),
+            nodes_explored=int(nodes),
             n_variables=n,
-            n_constraints=mats.a_eq.shape[0] + mats.a_ub.shape[0],
+            n_constraints=m,
         ))

@@ -246,6 +246,21 @@ MUTANTS = (
         ("tests/test_lean_import.py::test_only_a_milp_solve_loads_scipy",),
     ),
     Mutant(
+        "milp-imports-scipy-optimize",
+        "repro/cophy/solvers.py",
+        "    highs = _highs()\n",
+        "    from scipy import optimize  # noqa: F401\n    highs = _highs()\n",
+        ("tests/test_lean_import.py::test_only_a_milp_solve_loads_scipy",),
+    ),
+    Mutant(
+        "ub-rows-without-their-offset",
+        "repro/cophy/solvers.py",
+        "[n_eq + row for row in ub_rows]",
+        "ub_rows",
+        ("tests/test_backward_and_solver_props.py::TestSolverProperties::"
+         "test_milp_feasible_and_dominates_greedy",),
+    ),
+    Mutant(
         "ndtri-coefficient-digit",
         "repro/util/maths.py",
         "-1.23916583867381258016E0)",

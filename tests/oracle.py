@@ -16,12 +16,17 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
   without the up-front filtering of useless fragments.
 * :func:`assemble_reference` — the BIP's matrices as ``solve_bip``
   stated them before a query's plans shared slot rows: one equality row
-  and one set of option columns per (plan, slot) pair.
+  and one set of option columns per (plan, slot) pair; with
+  ``shared_slots`` the shipped program, row by row, as two scipy blocks.
+* :func:`milp_reference` — ``solve_bip`` as ``scipy.optimize.milp`` ran
+  it on those blocks; :func:`solve_bip_held` runs ``solve_bip`` and
+  asserts that HiGHS got the same matrix and gave the same answer,
+  bound and node count.
 * :func:`solve_bip_all_integer` — the all-integer MILP over
   :func:`assemble_reference`, one end the y-only MILP is checked
   against; :func:`relaxation_value` — the ``(z, x)`` LP of the *shipped*
-  matrices under a fixed binary ``y``, the exactness proof of the
-  shared-row form.
+  matrices (read back into row blocks by :func:`row_blocks`) under a
+  fixed binary ``y``, the exactness proof of the shared-row form.
 * :func:`used_positions_reference` — the argmin witness of
   ``config_cost`` as a scalar first-strict-less walk.
 * :func:`per_call_matrix` — a workload × configuration grid as one
@@ -78,6 +83,7 @@ item 3).  Nothing in this file is tuned, batched or memoized on purpose.
 
 import itertools
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -92,7 +98,8 @@ from repro.autopart.advisor import (
 from repro.catalog import (
     HorizontalPartitioning, Index, VerticalFragment, VerticalLayout)
 from repro.cophy.candidates import MAX_INCLUDE_COLUMNS
-from repro.cophy.solvers import MIP_REL_GAP, SolveResult, _assemble, _Matrices
+from repro.cophy import solvers
+from repro.cophy.solvers import MIP_REL_GAP, SolveResult
 from repro.evaluation import WorkloadEvaluator
 from repro.inum import cache as inum_cache
 from repro.optimizer import joins as J
@@ -327,10 +334,22 @@ def fragments_for_reference(layout, needed_columns):
     return chosen
 
 
-def assemble_reference(problem):
+Program = namedtuple("Program", "c a_eq b_eq a_ub b_ub n_y")
+Program.__doc__ = """The BIP as two row-wise blocks, ``a_eq x = b_eq`` and
+``a_ub x <= b_ub`` (scipy sparse matrices), the form ``linprog`` and
+``milp`` take."""
+
+
+def assemble_reference(problem, shared_slots=False):
     """The program in matrix form with a row per (plan, slot) pair:
     ``Σ_o x_qeso − z_qe = 0`` and ``x_qeso ≤ y_o`` for every slot of
-    every plan, however many plans of the query read the same slot."""
+    every plan, however many plans of the query read the same slot.
+
+    With *shared_slots* a query's plans share the row and option columns
+    of a slot object they read (its k-th occurrence in a plan takes the
+    slot's k-th row): the program ``solvers._assemble`` writes, stated
+    row by row, and stacked by ``milp`` into the same column-wise matrix
+    (``solve_bip_held`` checks both)."""
     n_y = problem.n_candidates
     c = [0.0] * n_y
     if problem.index_penalties:
@@ -345,21 +364,29 @@ def assemble_reference(problem):
 
     for q in problem.queries:
         z_vars = []
-        for plan in q.plans:
+        rows = {}
+        for i, plan in enumerate(q.plans):
             z = new_var(q.weight * plan.internal_cost)
             z_vars.append(z)
-            for slot in plan.slots:
-                row = len(b_eq)
+            occurrences = {}
+            for j, slot in enumerate(plan.slots):
+                key = (i, j)
+                if shared_slots:
+                    occurrences[id(slot)] = occurrences.get(id(slot), -1) + 1
+                    key = (id(slot), occurrences[id(slot)])
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = len(b_eq)
+                    for pos, cost in slot.options:
+                        x = new_var(q.weight * cost)
+                        eq_rows.append(row), eq_cols.append(x), eq_vals.append(1.0)
+                        if pos != -1:
+                            ub_row = len(b_ub)
+                            ub_rows.append(ub_row), ub_cols.append(x), ub_vals.append(1.0)
+                            ub_rows.append(ub_row), ub_cols.append(pos), ub_vals.append(-1.0)
+                            b_ub.append(0.0)
+                    b_eq.append(0.0)
                 eq_rows.append(row), eq_cols.append(z), eq_vals.append(-1.0)
-                for pos, cost in slot.options:
-                    x = new_var(q.weight * cost)
-                    eq_rows.append(row), eq_cols.append(x), eq_vals.append(1.0)
-                    if pos != -1:
-                        ub_row = len(b_ub)
-                        ub_rows.append(ub_row), ub_cols.append(x), ub_vals.append(1.0)
-                        ub_rows.append(ub_row), ub_cols.append(pos), ub_vals.append(-1.0)
-                        b_ub.append(0.0)
-                b_eq.append(0.0)
         row = len(b_eq)
         for z in z_vars:
             eq_rows.append(row), eq_cols.append(z), eq_vals.append(1.0)
@@ -376,7 +403,7 @@ def assemble_reference(problem):
         b_ub.append(float(problem.max_indexes))
 
     n = len(c)
-    return _Matrices(
+    return Program(
         c=np.array(c),
         a_eq=sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(len(b_eq), n)),
         b_eq=np.array(b_eq),
@@ -384,6 +411,80 @@ def assemble_reference(problem):
         b_ub=np.array(b_ub),
         n_y=n_y,
     )
+
+
+def row_blocks(mats):
+    """``solvers._assemble``'s column-wise matrix as a :class:`Program`:
+    its first ``n_eq`` rows are the equalities, the rest the ``≤``
+    rows."""
+    a = sparse.csc_array((mats.value, mats.index, mats.start),
+                         shape=(len(mats.row_upper), len(mats.c)))
+    n_eq = mats.n_eq
+    return Program(c=mats.c, a_eq=a[:n_eq], b_eq=mats.row_upper[:n_eq],
+                   a_ub=a[n_eq:], b_ub=mats.row_upper[n_eq:], n_y=mats.n_y)
+
+
+def milp_reference(problem):
+    """``solve_bip`` as ``scipy.optimize.milp`` ran it: the shared-slot
+    program of :func:`assemble_reference`, only ``y`` integer, every
+    candidate of :func:`dominated_reference` fixed to 0 and HiGHS's time
+    limit; the result read as ``solve_bip`` reads it."""
+    mats = assemble_reference(problem, shared_slots=True)
+    n = len(mats.c)
+    integrality = np.zeros(n)
+    integrality[: mats.n_y] = 1
+    upper = np.ones(n)
+    upper[sorted(dominated_reference(problem))] = 0.0
+    res = optimize.milp(
+        c=mats.c,
+        constraints=[
+            optimize.LinearConstraint(mats.a_eq, mats.b_eq, mats.b_eq),
+            optimize.LinearConstraint(mats.a_ub, -np.inf, mats.b_ub),
+        ],
+        integrality=integrality,
+        bounds=optimize.Bounds(0.0, upper),
+        options={"time_limit": solvers.TIME_LIMIT_S},
+    )
+    if res.x is None:
+        raise RuntimeError("MILP solver failed: %s" % (res.message,))
+    chosen = problem.used_positions(
+        tuple(pos for pos in range(mats.n_y) if res.x[pos] > 0.5))
+    bound = res.fun if res.mip_dual_bound is None else res.mip_dual_bound
+    return SolveResult(
+        chosen_positions=chosen,
+        objective=problem.config_cost(chosen),
+        lower_bound=float(bound) + problem.write_base_cost,
+        status="optimal" if res.success else str(res.status),
+        solver="milp-highs",
+        nodes_explored=int(res.mip_node_count or 0),
+        n_variables=n,
+        n_constraints=mats.a_eq.shape[0] + mats.a_ub.shape[0],
+    )
+
+
+def solve_bip_held(problem):
+    """``solvers.solve_bip(problem)``, held to :func:`milp_reference`:
+    HiGHS is handed the same matrix (``_assemble``'s columns equal the
+    reference's stacked rows, entry for entry, with the same row
+    bounds) and reports the same answer, bound, node count and status."""
+    mats = solvers._assemble(problem)
+    reference = assemble_reference(problem, shared_slots=True)
+    stacked = sparse.csc_array(sparse.vstack([reference.a_eq, reference.a_ub]))
+    assert np.array_equal(mats.start, stacked.indptr)
+    assert np.array_equal(mats.index, stacked.indices)
+    assert np.array_equal(mats.value, stacked.data)
+    assert np.array_equal(mats.c, reference.c)
+    assert np.array_equal(mats.row_upper,
+                          np.concatenate([reference.b_eq, reference.b_ub]))
+    assert np.array_equal(mats.row_lower, np.concatenate(
+        [reference.b_eq, np.full(len(reference.b_ub), -np.inf)]))
+    result = solvers.solve_bip(problem)
+    expected = milp_reference(problem)
+    fields = ("chosen_positions", "objective", "lower_bound",
+              "nodes_explored", "status", "n_variables", "n_constraints")
+    assert [getattr(result, name) for name in fields] == \
+        [getattr(expected, name) for name in fields]
+    return result
 
 
 def solve_bip_all_integer(problem):
@@ -411,7 +512,7 @@ def relaxation_value(problem, chosen_positions):
     ``linprog``, no MILP machinery.  Excludes ``write_base_cost`` (a
     constant outside the matrices), includes the chosen indexes'
     penalties."""
-    mats = _assemble(problem)
+    mats = row_blocks(solvers._assemble(problem))
     n = len(mats.c)
     lower = np.zeros(n)
     upper = np.ones(n)

@@ -1,0 +1,116 @@
+"""Alternating pairs: the working tree's ledger numbers against a revision's.
+
+    python tests/pairs.py --base HEAD --workload recommend_offline
+    python tests/pairs.py --base main \\
+        --workload recommend_offline --workload online_ingest
+
+The base is the committed tree of a revision, exported with ``git
+archive`` into a temporary directory; the head is the working tree.
+Each of :data:`PAIRS` pairs runs driver-mode ``benchmarks/e2e/run.py
+--workload W --seed 42 --seconds 10 --trace 0`` (the ledger's protocol)
+once on each side, one after the other, and the side that goes first
+alternates from pair to pair, so a drift of the machine over the run
+falls on both sides alike.
+
+Prints every run's metrics, then per workload and metric the two
+medians, the base's quartiles and the head's wins out of the pairs (a
+win is a strictly better value than the base's in the same pair, in
+the direction ``BENCHMARK.json`` declares), plus the attempted and
+failed operations of both sides.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The ledger's protocol: pairs per workload, and each run's arguments.
+PAIRS = 10
+SEED = 42
+SECONDS = 10
+
+
+def export(revision, directory):
+    """The committed files of *revision* under *directory*."""
+    archive = subprocess.run(
+        ["git", "-C", ROOT, "archive", "--format=tar", revision],
+        check=True, capture_output=True).stdout
+    os.makedirs(directory)
+    subprocess.run(["tar", "-x", "-C", directory], input=archive, check=True)
+    return directory
+
+
+def run_once(tree, workload):
+    """One driver-mode run in *tree*: its last stdout line, parsed."""
+    out = subprocess.run(
+        [sys.executable, os.path.join("benchmarks", "e2e", "run.py"),
+         "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=tree, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def run_pairs(trees, workload):
+    """``{side: [result, ...]}`` over :data:`PAIRS` alternating pairs."""
+    runs = {side: [] for side in trees}
+    for n in range(PAIRS):
+        order = ("base", "head") if n % 2 == 0 else ("head", "base")
+        for side in order:
+            result = run_once(trees[side], workload)
+            runs[side].append(result)
+            print(json.dumps({"workload": workload, "pair": n, "side": side,
+                              "first": side == order[0], **result}),
+                  flush=True)
+    return runs
+
+
+def summary(workload, runs, metrics):
+    """One line per metric: medians, the base's quartiles, wins."""
+    lines = ["%s: attempted %s / %s, failed %s / %s (base / head)" % (
+        workload,
+        sum(r["attempted"] for r in runs["base"]),
+        sum(r["attempted"] for r in runs["head"]),
+        sum(r["failed"] for r in runs["base"]),
+        sum(r["failed"] for r in runs["head"]))]
+    lines.append("  %-12s %12s %12s %25s %6s" % (
+        "metric", "base median", "head median", "base quartiles", "wins"))
+    for name, better in metrics:
+        base = [r["metrics"][name]["value"] for r in runs["base"]]
+        head = [r["metrics"][name]["value"] for r in runs["head"]]
+        sign = 1 if better == "lower" else -1
+        wins = sum(sign * h < sign * b for b, h in zip(base, head))
+        q1, __, q3 = (statistics.quantiles(base, n=4) if len(base) > 1
+                      else (base[0],) * 3)
+        lines.append("  %-12s %12.4g %12.4g %12.4g .. %-10.4g %2d/%d" % (
+            name, statistics.median(base), statistics.median(head),
+            q1, q3, wins, len(base)))
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", default="HEAD",
+                        help="revision measured against (default HEAD)")
+    parser.add_argument("--workload", action="append", required=True)
+    args = parser.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+        metrics = [(m["name"], m["better"])
+                   for m in json.load(handle)["end_to_end"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"base": export(args.base, os.path.join(tmp, "base")),
+                 "head": ROOT}
+        report = []
+        for workload in args.workload:
+            runs = run_pairs(trees, workload)
+            report.extend(summary(workload, runs, metrics))
+    print("\n".join(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

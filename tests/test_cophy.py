@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings as hsettings
@@ -15,6 +16,7 @@ from repro.cophy import (
     solve_bip,
 )
 from repro.cophy import advisor as advisor_module
+from repro.cophy import solvers
 from repro.cophy.advisor import SOLVERS
 from repro.cophy.bip import BipProblem, PlanTerm, QueryTerm, SlotOptions
 from repro.cophy.solvers import _assemble
@@ -31,6 +33,7 @@ from oracle import (
     check_solution,
     relaxation_value,
     solve_bip_all_integer,
+    solve_bip_held,
     solve_branch_and_bound,
     used_positions_reference,
 )
@@ -109,45 +112,72 @@ class TestBipProblem:
 
 class TestSolvers:
     def test_milp_respects_budget(self, problem):
-        result = solve_bip(problem)
+        result = solve_bip_held(problem)
         assert problem.config_size(result.chosen_positions) <= problem.budget_pages
 
     def test_milp_no_worse_than_greedy(self, problem):
-        milp = solve_bip(problem)
+        milp = solve_bip_held(problem)
         greedy = greedy_select(problem)
         assert milp.objective <= greedy.objective + 1e-6
 
     def test_milp_objective_is_true_cost(self, problem):
-        result = solve_bip(problem)
+        result = solve_bip_held(problem)
         assert result.objective == pytest.approx(
             problem.config_cost(result.chosen_positions)
         )
 
     def test_lower_bound_sound(self, problem):
-        check_milp_bound(solve_bip(problem))
+        check_milp_bound(solve_bip_held(problem))
 
-    def test_bound_and_nodes_are_what_highs_proved(
-            self, sdss_catalog, inum, monkeypatch):
-        """The reported bound is HiGHS's dual bound, not its incumbent
-        (``res.fun``), and the node count is its own."""
-        from scipy import optimize
-
-        seen = []
-        real = optimize.milp
-
-        def spy(*args, **kwargs):
-            seen.append(real(*args, **kwargs))
-            return seen[-1]
-
-        monkeypatch.setattr(optimize, "milp", spy)
+    def test_bound_and_nodes_are_what_highs_proved(self, sdss_catalog, inum):
+        """The reported bound is HiGHS's dual bound, not its incumbent,
+        and the node count is its own: both equal what
+        ``scipy.optimize.milp`` reports on the same program."""
         workload = WORKLOAD + WRITES
         candidates = candidate_indexes(sdss_catalog, workload, max_candidates=14)
         problem = build_bip(inum, workload, candidates, 5_000)
+        solve_bip_held(problem)
+
+    @pytest.mark.parametrize("limit, status", [
+        ("kTimeLimit", "1"), ("kIterationLimit", "1"),
+        ("kSolutionLimit", "4"),
+    ])
+    def test_a_limit_returns_the_incumbent(self, monkeypatch, limit, status):
+        """Stopped at a limit with an incumbent, the solve returns it,
+        with the status ``scipy.optimize.milp`` gave that limit."""
+        problem = knapsack_trap()
+        incumbent = (1, 2)
+        solver = stopped_highs(monkeypatch, limit,
+                               problem.config_cost(incumbent) - 1.0, incumbent)
         result = solve_bip(problem)
-        (res,) = seen
-        assert result.lower_bound == \
-            res.mip_dual_bound + problem.write_base_cost
-        assert result.nodes_explored == res.mip_node_count
+        assert result.status == status
+        assert result.chosen_positions == incumbent
+        assert result.objective == problem.config_cost(incumbent)
+        assert result.lower_bound == 1.5 + problem.write_base_cost
+        assert result.nodes_explored == 7
+        assert solver.options.time_limit == solvers.TIME_LIMIT_S
+
+    def test_a_time_limit_without_an_incumbent_fails(self, monkeypatch):
+        """Stopped by its time limit before it found any incumbent, the
+        solve raises."""
+        monkeypatch.setattr(solvers, "TIME_LIMIT_S", 0.0)
+        highs = solvers._highs()
+        solver = stopped_highs(monkeypatch, "kTimeLimit", highs.kHighsInf, ())
+        with pytest.raises(RuntimeError, match="MILP solver failed"):
+            solve_bip(knapsack_trap())
+        assert solver.options.time_limit == 0.0
+
+    def test_the_binding_is_loaded_from_its_file_or_named_missing(
+            self, tmp_path):
+        with pytest.raises(ImportError) as missing:
+            solvers._load_extension(solvers._HIGHS_CORE, str(tmp_path))
+        assert str(tmp_path) in str(missing.value)
+        assert missing.value.path == str(tmp_path)
+
+    def test_the_gap_is_the_bindings_default(self):
+        """``MIP_REL_GAP`` is not passed to HiGHS; it states the default
+        HiGHS stops at."""
+        assert solvers.MIP_REL_GAP == solvers._highs().HighsOptions().mip_rel_gap
 
     def test_no_candidates_is_an_empty_exact_design(self, sdss_catalog):
         """With nothing to branch on HiGHS solves an LP and reports no
@@ -162,7 +192,7 @@ class TestSolvers:
         assert rec.stats["nodes"] == 0
 
     def test_branch_and_bound_matches_milp(self, problem):
-        milp = solve_bip(problem)
+        milp = solve_bip_held(problem)
         bnb = solve_branch_and_bound(problem)
         check_solution(problem, bnb)
         assert bnb.objective == pytest.approx(milp.objective, rel=1e-6)
@@ -174,7 +204,7 @@ class TestSolvers:
     def test_zero_budget_selects_nothing(self, sdss_catalog, inum):
         cands = candidate_indexes(sdss_catalog, WORKLOAD, max_candidates=8)
         problem = build_bip(inum, WORKLOAD, cands, budget_pages=0)
-        for solver in (solve_bip, greedy_select):
+        for solver in (solve_bip_held, greedy_select):
             assert solver(problem).chosen_positions == ()
 
 
@@ -182,6 +212,46 @@ WRITES = [
     ("UPDATE photoobj SET status = 3 WHERE rmag < 14", 0.5),
     ("INSERT INTO specobj VALUES (1)", 0.25),
 ]
+
+
+def stopped_highs(monkeypatch, limit, objective, incumbent):
+    """Make ``solve_bip`` meet a HiGHS that stops at *limit* (a
+    ``HighsModelStatus`` name) with an incumbent of value *objective*
+    choosing *incumbent*, a dual bound of 1.5 and 7 nodes; return the
+    fake solver, which keeps the options it was passed."""
+    highs = solvers._highs()
+
+    class Stopped:
+        def passOptions(self, options):
+            self.options = options
+            return highs.HighsStatus.kOk
+
+        def passModel(self, lp):
+            self.n = lp.num_col_
+            return highs.HighsStatus.kOk
+
+        def run(self):
+            return highs.HighsStatus.kWarning
+
+        def getModelStatus(self):
+            return getattr(highs.HighsModelStatus, limit)
+
+        def modelStatusToString(self, status):
+            return limit
+
+        def getInfo(self):
+            return SimpleNamespace(objective_function_value=objective,
+                                   mip_dual_bound=1.5, mip_node_count=7)
+
+        def getSolution(self):
+            return SimpleNamespace(col_value=[
+                1.0 if pos in incumbent else 0.0 for pos in range(self.n)])
+
+    solver = Stopped()
+    binding = SimpleNamespace(**vars(highs))
+    binding._Highs = lambda: solver
+    monkeypatch.setattr(solvers, "_highs", lambda: binding)
+    return solver
 
 
 def knapsack_trap():
@@ -257,12 +327,12 @@ class TestRelaxationIsExact:
             PlanTerm(internal_cost=15.0, slots=[twice]),
         ])]
         mats = _assemble(problem)
-        assert mats.a_eq.shape[0] == 2 + 1
+        assert mats.n_eq == 2 + 1
         assert len(mats.c) == 2 + 2 + 2 * 3
         for chosen in feasible_sets(problem):
             assert relaxation_value(problem, chosen) == pytest.approx(
                 problem.config_cost(chosen), rel=1e-9)
-        result = solve_bip(problem)
+        result = solve_bip_held(problem)
         assert result.chosen_positions == (0,)
         assert result.objective == solve_bip_all_integer(problem)[1] == 21.0
 
@@ -293,18 +363,18 @@ class TestRelaxationIsExact:
         assert any(len(queries) > 1 for queries in owners.values())
         n_queries = len(problem.queries)
         mats = _assemble(problem)
-        assert mats.a_eq.shape[0] == distinct + n_queries
+        assert mats.n_eq == distinct + n_queries
         assert len(mats.c) == problem.n_candidates + plans + options
         assert assemble_reference(problem).a_eq.shape[0] == pairs + n_queries
-        result = solve_bip(problem)
+        result = solve_bip_held(problem)
         assert result.n_variables == len(mats.c)
 
     def test_y_only_objective_equals_all_integer_on_the_fixture(self, problem):
-        assert solve_bip(problem).objective == solve_bip_all_integer(problem)[1]
+        assert solve_bip_held(problem).objective == solve_bip_all_integer(problem)[1]
 
     def test_y_only_objective_equals_all_integer_on_the_knapsack_trap(self):
         problem = knapsack_trap()
-        result = solve_bip(problem)
+        result = solve_bip_held(problem)
         assert result.objective == solve_bip_all_integer(problem)[1] == 190.0
         assert set(result.chosen_positions) == {1, 2}
 
@@ -314,7 +384,7 @@ class TestRelaxationIsExact:
         candidates = candidate_indexes(sdss_catalog, workload, max_candidates=14)
         for budget in (0, 5_000, 40_000):
             problem = build_bip(inum, workload, candidates, budget)
-            result = solve_bip(problem)
+            result = solve_bip_held(problem)
             check_milp_bound(result)
             assert result.objective == solve_bip_all_integer(problem)[1]
 
@@ -337,7 +407,7 @@ class TestRelaxationIsExact:
         problem = build_bip(
             WorkloadEvaluator(catalog), workload, candidates, total // 4
         )
-        result = solve_bip(problem)
+        result = solve_bip_held(problem)
         check_milp_bound(result)
         assert result.objective == solve_bip_all_integer(problem)[1]
 
@@ -373,7 +443,8 @@ class TestNoDeadWeightIndexes:
         assert problem.config_cost((0,)) == problem.config_cost((0, 1))
 
     @pytest.mark.parametrize(
-        "solver", [solve_bip, greedy_select, solve_branch_and_bound]
+        "solver", [pytest.param(solve_bip_held, id="solve_bip"),
+                   greedy_select, solve_branch_and_bound]
     )
     def test_every_solver_returns_only_used_indexes(self, solver):
         for problem in (self.dominated_pair(), knapsack_trap()):

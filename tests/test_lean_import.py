@@ -3,9 +3,13 @@
 What-if sessions, ``serve`` tenants and ``runner`` nodes live in
 processes that import ``repro`` and then wait for work.  Until one of
 them solves a MILP they load nothing beyond numpy and the standard
-library: scipy is imported by ``solve_bip``, ``http.server`` only with
-``serve --metrics-port``.  A fresh interpreter checks it, since this
-one has imported everything the other tests reach.
+library: ``http.server`` is imported only with ``serve --metrics-port``.
+A MILP solve then loads HiGHS's own binding,
+``scipy.optimize._highspy._core``, from its file, and nothing else of
+scipy: not ``scipy.optimize``, whose ``__init__`` would load
+``scipy.sparse``, ``scipy.linalg`` and some 300 more modules.  A fresh
+interpreter checks it, since this one has imported everything the other
+tests reach.
 """
 
 import json
@@ -32,9 +36,10 @@ def loaded():
     top = {name.partition(".")[0] for name in new if name[0] != "_"}
     return {
         "foreign": sorted(top - set(sys.stdlib_module_names)
-                          - {"numpy", "repro"}),
+                          - {"numpy", "repro", "scipy"}),
         "http.server": "http.server" in new,
-        "scipy": "scipy" in new,
+        "scipy": sorted(name for name in new
+                        if name.partition(".")[0] == "scipy"),
     }
 
 
@@ -56,8 +61,15 @@ for step in session.ingest_steps(("p0", workload[0][0])):
 report = {"lean": loaded()}
 designer.recommend(workload, 5_000, solver="milp", partitions=False)
 report["milp"] = loaded()
+# scipy.optimize, imported later, finds the binding already loaded.
+core = sys.modules["scipy.optimize._highspy._core"]
+from scipy.optimize._highspy import _core
+report["shared"] = _core is core
 print(json.dumps(report))
 """
+
+
+HIGHS = "scipy.optimize._highspy._core"
 
 
 def test_only_a_milp_solve_loads_scipy():
@@ -67,5 +79,13 @@ def test_only_a_milp_solve_loads_scipy():
     ).stdout
     report = json.loads(out.splitlines()[-1])
     assert report["lean"] == {
-        "foreign": [], "http.server": False, "scipy": False}
-    assert report["milp"]["scipy"]
+        "foreign": [], "http.server": False, "scipy": []}
+    milp = report["milp"]
+    assert milp["foreign"] == []
+    # The binding and the submodules pybind11 registers under it.
+    assert HIGHS in milp["scipy"]
+    assert [name for name in milp["scipy"]
+            if name != HIGHS and not name.startswith(HIGHS + ".")] == []
+    for package in ("scipy.optimize", "scipy.sparse", "scipy.linalg"):
+        assert package not in milp["scipy"], package
+    assert report["shared"]

@@ -280,19 +280,23 @@ def test_only_the_used_solvers_and_tenant_options_ship():
 
 def test_the_program_has_one_assembler():
     """``solvers._assemble`` is the one place ``src/`` writes the BIP as
-    matrices, and it keys a query's rows by slot object: a slot read by
-    several cached plans is one row.  The per-(plan, slot) form it
-    replaced is ``tests/oracle.py:assemble_reference``, which the
-    branch-and-bound and all-integer cross-checks run on."""
+    a matrix — HiGHS's column-wise one, built with numpy, no scipy
+    matrix or ``scipy.optimize`` object anywhere — and it keys a query's
+    rows by slot object: a slot read by several cached plans is one row.
+    The per-(plan, slot) form it replaced is
+    ``tests/oracle.py:assemble_reference``, which the branch-and-bound
+    and all-integer cross-checks run on."""
     from repro.cophy import solvers
 
     everything = "".join(_sources().values())
     assemble = inspect.getsource(solvers._assemble)
-    for built in ("csr_matrix(", "LinearConstraint("):
-        assert everything.count(built) == 2, built
-    assert assemble.count("csr_matrix(") == 2
+    for gone in ("import scipy", "from scipy", "csr_matrix(", "csc_array(",
+                 "LinearConstraint(", "def assemble_reference"):
+        assert gone not in everything, gone
+    for built in ("_Matrices(", "MatrixFormat.kColwise"):
+        assert everything.count(built) == 1, built
+    assert "_Matrices(" in assemble
     assert "id(slot)" in assemble
-    assert "def assemble_reference" not in everything
 
 
 DELETED_DELTA_HELPERS = {
