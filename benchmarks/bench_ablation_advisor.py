@@ -24,7 +24,7 @@ def recommend_compressed(advisor, workload, budget):
     ``(recommendation, seconds, compression stats)``, the seconds
     counting the compression as well as ``solve_seconds``."""
     started = time.perf_counter()
-    compressed, stats = compress_workload(advisor.catalog, workload)
+    compressed, stats = compress_workload(workload)
     recommendation = advisor.recommend(compressed, budget)
     return recommendation, time.perf_counter() - started, stats
 

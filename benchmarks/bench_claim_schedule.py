@@ -8,8 +8,8 @@ benefit-order schedule, the interaction-aware greedy schedule, and the
 exact DP optimum.
 
 Expected shape: optimal <= interaction-aware greedy <= naive, with a
-visible gap whenever the set contains interacting (e.g. mutually
-subsuming) indexes.
+gap of at least ``MIN_GAIN_PCT`` of the naive area whenever the set
+contains interacting (e.g. mutually subsuming) indexes.
 """
 
 from repro.catalog import Index
@@ -21,6 +21,8 @@ from repro.interaction import (
 )
 
 from conftest import print_table
+
+MIN_GAIN_PCT = 1.0  # optimal's area saved against the naive order
 
 
 def interacting_set():
@@ -66,6 +68,10 @@ def test_claim_schedule_quality(sdss_env, sdss_evaluator, benchmark):
     assert optimal.area <= naive.area + 1e-6
     gain_vs_naive = 100.0 * (naive.area - optimal.area) / naive.area
     print_table("CL-SCHED: optimal vs naive", ("area saved %",), [(gain_vs_naive,)])
+    # The claim itself: on an interacting set, scheduling for the
+    # interactions saves area (3.89 % here); a schedule that prices each
+    # index alone saves almost none.
+    assert gain_vs_naive >= MIN_GAIN_PCT
     # Final design is order-independent; only the path differs.
     assert naive.timeline[-1][1] == optimal.timeline[-1][1]
     # The cost curve of the optimal schedule is non-increasing over time.

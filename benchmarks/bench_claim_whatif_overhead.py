@@ -36,10 +36,11 @@ def test_claim_whatif_vs_build(sdss_env, benchmark):
     t0 = time.perf_counter()
     report = session.evaluate(workload, config)
     t_whatif = time.perf_counter() - t0
-    calls = session.optimizer_calls
+    calls = session.base_service.optimizer_calls
 
     build_cost_units = config.build_cost(catalog)
-    build_pages = config.size_pages(catalog)
+    build_pages = (config.apply(catalog).design_size_pages()
+                   - catalog.design_size_pages())
 
     print_table(
         "CL-WHATIF: evaluating a 3-index design on 20 queries",

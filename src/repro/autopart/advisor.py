@@ -38,10 +38,6 @@ class PartitionRecommendation:
         return {l.table_name: l for l in self.configuration.layouts}
 
     @property
-    def horizontals(self):
-        return {h.table_name: h for h in self.configuration.horizontals}
-
-    @property
     def benefit(self):
         return self.base_workload_cost - self.predicted_workload_cost
 
@@ -342,4 +338,3 @@ class AutoPartAdvisor:
         if hi <= lo:
             return ()
         return tuple(lo + (hi - lo) * k / parts for k in range(1, parts))
-

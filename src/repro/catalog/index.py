@@ -51,10 +51,6 @@ class Index:
     def __hash__(self):
         return self._hash
 
-    def __reduce__(self):
-        # Through the constructor: a string hash belongs to its process.
-        return type(self), self._astuple()
-
     # ------------------------------------------------------------------
 
     @property

@@ -46,14 +46,8 @@ class VerticalFragment:
     def __hash__(self):
         return self._hash
 
-    def __reduce__(self):
-        return type(self), (self.table_name, self.columns, self.name)
-
     def pages(self, table):
         return table.projection_pages(self.columns)
-
-    def row_width(self, table):
-        return table.row_width(self.columns) + 8  # row id
 
 
 @dataclass(frozen=True)
@@ -87,9 +81,6 @@ class VerticalLayout:
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        return type(self), (self.table_name, self.fragments)
 
     def cover(self, table, needed):
         """``(cover, (pages, fragment count))``: the fragments a scan of

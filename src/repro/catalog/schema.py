@@ -69,12 +69,6 @@ class Catalog:
         self._indexes[index.name] = index
         return index
 
-    def index(self, name):
-        try:
-            return self._indexes[name]
-        except KeyError:
-            raise CatalogError("no index named %r" % (name,)) from None
-
     def has_index(self, index):
         """True if an identical index definition already exists."""
         return any(ix == index for ix in self._indexes.values())

@@ -33,7 +33,7 @@ def static_oracle(catalog, stream, space_budget_pages):
         item[1] if isinstance(item, tuple) else item for item in stream
     ]
     workload = Workload((sql, 1.0) for sql in statements)
-    compressed, __ = compress_workload(catalog, workload)
+    compressed, __ = compress_workload(workload)
     evaluator = WorkloadEvaluator(catalog)
     advisor = CoPhyAdvisor(evaluator)
     recommendation = advisor.recommend(

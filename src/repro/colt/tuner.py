@@ -69,10 +69,6 @@ class EpochRecord:
     adopted: bool
     configuration: tuple[str, ...]  # index names materialized at epoch end
 
-    @property
-    def total_cost(self):
-        return self.observed_cost + self.build_cost
-
 
 @dataclass
 class OnlineReport:

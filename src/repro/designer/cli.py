@@ -132,8 +132,7 @@ def build_parser():
         "the text. Bounds the state derived from an entry - scan / plan / "
         "slot memos, compiled kernels and workloads - not what is kept per "
         "text (bound AST and plan terms: an evicted statement is decoded "
-        "from its terms, never re-planned; only clear_caches() reclaims "
-        "those)",
+        "from its terms, never re-planned)",
     )
     serve.add_argument("--phase-length", type=int, default=30)
     serve.add_argument("--epoch", type=int, default=25)

@@ -357,18 +357,6 @@ class WorkloadEvaluator:
                 owner = bq if row.reach is None else row.owner_in(self)
                 row.forget(getattr(owner, row.attr), sql)
 
-    def clear_caches(self):
-        """Empty the pool and every row :data:`~repro.evaluation.memos.
-        CLEAR` lists — the memory-reclaim hook, and the one that
-        re-reads statistics.  The pinned base service survives, so
-        sessions holding it stay valid."""
-        # Pool first, outside our lock: clear() calls _forget, which
-        # takes our lock under the pool's (pool → evaluator).
-        self.pool.clear()
-        with self._lock:
-            for row in memos.rows(memos.CLEAR):
-                getattr(row.owner_in(self), row.attr).clear()
-
     def warm_targets(self, workload):
         """The deduplicated statements a warm-up must build, as
         ``(bound_query, source_sql, locate)`` triples.
@@ -419,27 +407,6 @@ class WorkloadEvaluator:
     @property
     def precompute_calls(self):
         return self.pool.stats.optimizer_calls
-
-    @property
-    def stats(self):
-        """One merged statistics surface: pool + evaluation accounting.
-
-        Pool counters are lock-exact.  ``evaluations`` is exact for
-        batched calls; concurrent *per-call* costing from a library
-        caller's threads may undercount it (unsynchronized increments
-        on the per-call hot path) — treat it as advisory there.
-        """
-        merged = self.pool.stats.as_dict()
-        merged.update(
-            pool_size=len(self.pool),
-            evaluations=self.evaluations,
-            exact_optimizer_calls=self.exact_optimizer_calls,
-            exact_plan_hits=self.exact_plan_hits,
-            plan_term_decodes=self.plan_term_decodes,
-            recommend_memo_hits=self.recommend_memo_hits,
-            recommend_memo_misses=self.recommend_memo_misses,
-        )
-        return merged
 
     def recommendation(self, key, compute):
         """``compute()`` for the ``Designer.recommend`` arguments *key*,
@@ -720,15 +687,3 @@ class WorkloadEvaluator:
             svc = self._base_service.with_catalog(config.apply(self.catalog))
             memos.EXACT_SERVICES.store(self._exact_services, config, svc)
             return svc
-
-    @property
-    def exact_optimizer_calls(self):
-        """Full planner invocations of the exact services (they share
-        one counter); a plan-memo hit is not one."""
-        return self._base_service.optimizer_calls
-
-    @property
-    def exact_plan_hits(self):
-        """Exact-path plans a fresh service got from the bound queries'
-        plan memo instead of the planner."""
-        return self._base_service.plan_memo_hits

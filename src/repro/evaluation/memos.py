@@ -3,13 +3,13 @@ declared once: its owner, key, what an entry depends on, the hooks that
 drop entries and its bound.
 
 The hooks walk these rows: ``WorkloadEvaluator._forget`` (a pool entry
-left), ``WorkloadEvaluator.clear_caches`` (memory reclaim, and the one
-hook that re-reads statistics), ``paths.scan_context`` (drops what was
-keyed on a context it replaced) and ``paths.forget_indexes`` (one-shot
-indexes released).  The three evaluator LRUs insert through
-:meth:`Memo.store`, which reads the bound from the row.  Lookups stay
-plain dict probes on the owners.  ``tests/test_memo_inventory.py``
-holds the code to the table.
+left), ``paths.scan_context`` (drops what was keyed on a context it
+replaced) and ``paths.forget_indexes`` (one-shot indexes released).
+Nothing in ``src/`` re-reads statistics, so a row that depends on them
+and does not validate them lives as long as its owner.  The three
+evaluator LRUs insert through :meth:`Memo.store`, which reads the bound
+from the row.  Lookups stay plain dict probes on the owners.
+``tests/test_memo_inventory.py`` holds the code to the table.
 """
 
 import functools
@@ -22,11 +22,10 @@ INDEXES, SETTINGS, WORKLOAD = "index set", "settings", "workload"
 
 # The hooks that drop entries.
 EVICT = "WorkloadEvaluator._forget"
-CLEAR = "WorkloadEvaluator.clear_caches"
 STALE = "paths.scan_context"  # what is keyed on a replaced context
 RELEASE = "paths.forget_indexes"
 VALIDATE = "every lookup"  # checked against the statistics it read
-POOL = "InumCachePool.put/clear"  # past capacity, or cleared
+POOL = "InumCachePool.put"  # past capacity
 OWNER = "its owner"  # dies with the owning object
 
 
@@ -74,7 +73,7 @@ class Memo:
 
 
 STATEMENTS = Memo(
-    "CostService", "statements", "statement text", (TEXT, STATS), (CLEAR,),
+    "CostService", "statements", "statement text", (TEXT, STATS), (OWNER,),
     "statements seen: a record with its terms 0.7-1.2 kB, its binding "
     "(scan contexts and plan memo included) 3.5-5.2 kB more, on "
     "online_ingest", "One record per text: the "
@@ -85,7 +84,7 @@ STATEMENTS = Memo(
     reach="_base_service")
 TEMPLATES = Memo(
     "CostService", "templates", "token stream, each literal masked to its "
-    "kind", (SHAPE, STATS), (CLEAR,), "as STATEMENTS: at most one per "
+    "kind", (SHAPE, STATS), (OWNER,), "as STATEMENTS: at most one per "
     "statement seen", "One StatementTemplate per text shape (repro.sql."
     "template): bind_statement runs once per template and a record's "
     "binding points at its template.  A template holds what reads no "
@@ -97,7 +96,7 @@ TEMPLATES = Memo(
     "numbers pass, equal to binding its text afresh.", reach="_base_service")
 SLOT_MEMO = Memo(
     "WorkloadEvaluator", "_slot_memo", "entry text -> (slot, indexes, "
-    "cover, horizontal)", (ENTRY, INDEXES, STATS), (EVICT, CLEAR),
+    "cover, horizontal)", (ENTRY, INDEXES, STATS), (EVICT, OWNER),
     "resident entries' slots", "(cost, winner indexes) or None; one bucket "
     "per entry (a pricer racing an eviction may refill one).  The key's "
     "index set and the winner tuple are SHARED's objects, so an entry "
@@ -106,7 +105,7 @@ SLOT_MEMO = Memo(
     "kB when every key held a set of its own).", reach="", evict="text")
 SHARED = Memo(
     "WorkloadEvaluator", "_shared", "index set (frozenset) or winner tuple",
-    (INDEXES,), (CLEAR,), "distinct index sets and winners seen",
+    (INDEXES,), (OWNER,), "distinct index sets and winners seen",
     "Each value to itself: the one resident object equal to it, which "
     "the slot memo keeps as key projections and witnesses and the "
     "kernel's keys as design-signature sets.  Entries derive from "
@@ -116,20 +115,20 @@ SHARED = Memo(
     "--seconds 10 length.", reach="")
 COMPILED = Memo(
     "WorkloadEvaluator", "_compiled", "((text, weight), ...)",
-    (ENTRY, WORKLOAD), (EVICT, CLEAR), 16, "Fused workload kernels, kept "
+    (ENTRY, WORKLOAD), (EVICT, OWNER), 16, "Fused workload kernels, kept "
     "while every entry they read is resident.", reach="", evict="reads")
 RECOMMENDATIONS = Memo(
     "WorkloadEvaluator", "_recommendations", "Designer.recommend arguments",
-    (WORKLOAD, SETTINGS), (CLEAR,), 32, "Reproduced bit for bit by the "
+    (WORKLOAD, SETTINGS), (OWNER,), 32, "Reproduced bit for bit by the "
     "memos here, so eviction leaves it alone.", reach="")
 EXACT_SERVICES = Memo("WorkloadEvaluator", "_exact_services", "design",
-                      (INDEXES,), (CLEAR,), 128, "CostService.", reach="")
+                      (INDEXES,), (OWNER,), 128, "CostService.", reach="")
 BASE_SERVICE = Memo(
     "WorkloadEvaluator", "_base_service", "-", (), (), "one, pinned",
     "The empty design's CostService; sessions hold it.", reach="")
 PLAN_CACHE = Memo(
     "CostService", "_plan_cache", "statement text", (TEXT, INDEXES, STATS),
-    (CLEAR, OWNER), "statements planned", "Plan memo references for one "
+    (OWNER,), "statements planned", "Plan memo references for one "
     "design; nothing re-validates it.", reach="_base_service")
 ENTRIES = Memo(
     "InumCachePool", "_entries", "statement text",

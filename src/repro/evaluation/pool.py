@@ -111,14 +111,6 @@ class InumCachePool:
         """The owning evaluator (``None``: unattached, or collected)."""
         return self._owner() if self._owner is not None else None
 
-    def _dropped(self, dropped):
-        """Hand dropped ``(sql, cache)`` pairs to the owner's
-        ``_forget`` (callers hold the lock: pool → evaluator)."""
-        owner = self.owner()
-        if owner is not None:
-            for sql, cache in dropped:
-                owner._forget(sql, cache)
-
     def __len__(self):
         return len(self._entries)
 
@@ -160,7 +152,10 @@ class InumCachePool:
                 self._kernels.pop(dropped[0], None)
                 evicted.append(dropped)
                 self.stats.evictions += 1
-            self._dropped(evicted)
+            owner = self.owner()
+            if owner is not None:  # under our lock: pool → evaluator
+                for dropped_sql, dropped_cache in evicted:
+                    owner._forget(dropped_sql, dropped_cache)
             return evicted
 
     def kernel_for(self, sql):
@@ -216,14 +211,3 @@ class InumCachePool:
         so stats-based assertions never depend on thread timing."""
         with self._lock:
             return self.stats.copy()
-
-    def clear(self):
-        """Drop every entry, hand the drops to the owner's ``_forget``
-        and return them as ``(sql, cache)`` pairs.  Not counted as
-        evictions."""
-        with self._lock:
-            dropped = list(self._entries.items())
-            self._entries.clear()
-            self._kernels.clear()
-            self._dropped(dropped)
-            return dropped

@@ -123,15 +123,6 @@ class ShardedInumCachePool:
     # The perf ledger's wire replay (benchmarks/e2e) calls the old name.
     signatures = keys
 
-    def clear(self):
-        """Drop every entry on every shard; returns the concatenated
-        ``(sql, cache)`` pairs, each shard handing its drops to
-        the owner as it clears."""
-        dropped = []
-        for shard in self._shards:
-            dropped.extend(shard.clear())
-        return dropped
-
     # ------------------------------------------------------------------
     # Statistics.
     # ------------------------------------------------------------------

@@ -89,10 +89,6 @@ class QueryCache:
     build_optimizer_calls: int = 0
     _terms: tuple = field(default=None, repr=False, compare=False)
 
-    @property
-    def sql(self):
-        return self.bound_query.sql
-
     def plan_terms(self):
         """Every plan reduced to ``(internal_cost, slots)`` terms.
 
@@ -366,9 +362,6 @@ class _DesignView:
         self._layouts = {l.table_name: l for l in config.layouts}
         self._horizontals = {h.table_name: h for h in config.horizontals}
 
-    def table(self, name):
-        return self._base.table(name)
-
     def indexes_on(self, table_name):
         merged = list(self._base.indexes_on(table_name))
         seen = set(merged)
@@ -517,4 +510,3 @@ def _path_indexes(path):
     if single is not None:
         return (single,)
     return tuple(getattr(path, "indexes", ()) or ())
-

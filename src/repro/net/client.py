@@ -266,12 +266,6 @@ class FleetBackplane:
         while self._drainers:
             self._drainers.pop().join()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
     # ------------------------------------------------------------------
     # Transport: retry, death, the per-node drainers.
     # ------------------------------------------------------------------

@@ -144,12 +144,6 @@ class RunnerNode:
             self._accept_thread.join(timeout=5.0)
             self._accept_thread = None
 
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, *exc_info):
-        self.stop()
-
     def _dead(self):
         return (
             self.fail_after_tasks is not None

@@ -75,12 +75,6 @@ class MetricsServer:
         self._server = None
         self._thread = None
 
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, *exc_info):
-        self.stop()
-
     # ------------------------------------------------------------------
     # Request handling.
     # ------------------------------------------------------------------

@@ -242,17 +242,9 @@ class Sort(Plan):
         )
         return "by %s%s" % (keys, " (external)" if self.external else "")
 
-    def rescan_cost(self):
-        # A finished sort is rescanned from its result storage.
-        child = self.children[0]
-        return 0.01 * max(1.0, self.rows) if not self.external else self.total_cost - child.total_cost
-
 
 @dataclass(slots=True)
 class Materialize(Plan):
-    def rescan_cost(self):
-        return self.rescan_cost_of(self.rows)
-
     @staticmethod
     def rescan_cost_of(rows):
         """Re-reading *rows* stored rows: what join costing charges for

@@ -92,11 +92,6 @@ class _PathSet:
     def __len__(self):
         return len(self._paths)
 
-    def cheapest(self):
-        if not self._paths:
-            raise PlanningError("no path produced for a relation subset")
-        return self._paths[0]
-
 
 class _Planner:
     def __init__(self, bound_query, inputs, settings, subsets):

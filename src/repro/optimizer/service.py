@@ -37,12 +37,6 @@ class CostService:
         memo hit is not one)."""
         return self._counter.calls
 
-    @property
-    def plan_memo_hits(self):
-        """Plans answered from the bound queries' plan memo — requests
-        a design-blind service would have spent a planner call on."""
-        return self._counter.hits
-
     # ------------------------------------------------------------------
 
     def statement(self, sql):
@@ -103,8 +97,6 @@ class CostService:
                 plan = bq.plan_memo[key] = plan_query(
                     bq, self.catalog, self.settings, inputs
                 )
-            else:
-                self._counter.hits += 1
             self._plan_cache[bq.sql] = plan
         return plan
 
@@ -157,8 +149,7 @@ class _Statement:
 
 
 class _Counter:
-    __slots__ = ("calls", "hits")
+    __slots__ = ("calls",)
 
     def __init__(self):
-        self.calls = self.hits = 0
-
+        self.calls = 0

@@ -105,12 +105,6 @@ class _OffloadStepExecutor(StepExecutor):
             backplane.close()
         self._backplanes.clear()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
 
 # Ledger rows ``repro.runtime.executor:{Process,Remote}StepExecutor.
 # {refill,prepare,close}``: ``benchmarks/e2e/layers.py`` resolves each

@@ -93,14 +93,6 @@ class Scheduler:
         self._tasks[name] = task
         return task
 
-    @property
-    def tasks(self):
-        return list(self._tasks.values())
-
-    def queue_depths(self):
-        """Buffered-but-not-ingested event count per tenant."""
-        return {name: task.queue_depth for name, task in self._tasks.items()}
-
     def pending_events(self):
         """The buffered events themselves, per tenant — what a snapshot
         must carry: they have already left their stream, so no replay

@@ -166,10 +166,6 @@ class TuningService:
                 % (name, ", ".join(self._tenants) or "none")
             ) from None
 
-    @property
-    def tenants(self):
-        return list(self._tenants.values())
-
     # ------------------------------------------------------------------
     # Warm-up and ingest.
     # ------------------------------------------------------------------

@@ -117,16 +117,6 @@ class Configuration:
             overlay.set_horizontal_partitioning(horizontal)
         return overlay
 
-    def size_pages(self, catalog):
-        """Extra storage the configuration needs on top of *catalog*."""
-        pages = 0
-        for ix in self.indexes:
-            if not catalog.has_index(ix):
-                pages += ix.size_pages(catalog.table(ix.table_name))
-        for layout in self.layouts:
-            pages += layout.replication_pages(catalog.table(layout.table_name))
-        return pages
-
     def build_cost(self, catalog):
         """Total estimated materialization cost of all features."""
         cost = 0.0

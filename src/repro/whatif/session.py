@@ -39,10 +39,6 @@ class QueryBenefit:
         return self.base_cost - self.new_cost
 
     @property
-    def speedup(self):
-        return self.base_cost / self.new_cost if self.new_cost > 0 else float("inf")
-
-    @property
     def improvement_pct(self):
         return _improvement_pct(self.base_cost, self.new_cost)
 
@@ -116,10 +112,6 @@ class WhatIfSession:
 
     # ------------------------------------------------------------------
 
-    @property
-    def optimizer_calls(self):
-        return self.base_service.optimizer_calls
-
     def service_for(self, config):
         """CostService seeing *config* overlaid on the base catalog."""
         return self.evaluator.exact_service(config)
@@ -138,10 +130,6 @@ class WhatIfSession:
     def cost(self, query, config=None):
         config = config or Configuration.empty()
         return self.service_for(config).cost(query)
-
-    def plan(self, query, config=None):
-        config = config or Configuration.empty()
-        return self.service_for(config).plan(query)
 
     def workload_cost(self, workload, config=None):
         config = config or Configuration.empty()
@@ -162,8 +150,3 @@ class WhatIfSession:
                 )
             )
         return report
-
-    def benefit(self, workload, config):
-        """Workload benefit of *config* over the base design."""
-        return self.workload_cost(workload) - self.workload_cost(workload, config)
-

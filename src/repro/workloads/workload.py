@@ -33,26 +33,6 @@ class Workload:
     def __len__(self):
         return len(self._entries)
 
-    def __getitem__(self, idx):
-        return self._entries[idx]
-
-    @property
-    def statements(self):
-        return [sql for sql, __ in self._entries]
-
-    def subset(self, indices):
-        picked = Workload()
-        for i in indices:
-            sql, weight = self._entries[i]
-            picked.add(sql, weight)
-        return picked
-
-    def merged(self, other):
-        out = Workload(self._entries)
-        for sql, weight in other:
-            out.add(sql, weight)
-        return out
-
     def describe(self, limit=10):
         lines = ["Workload with %d statements:" % len(self)]
         for sql, weight in self._entries[:limit]:

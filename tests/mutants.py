@@ -1,15 +1,15 @@
-"""Declared mutants: small changes to ``src/repro`` that named tests
-must fail ("kill").
+"""Declared mutants: small changes to ``src/repro`` (or to the reach
+census recorder) that named tests must fail ("kill").
 
-Each entry of :data:`MUTANTS` names a file under ``src/``, the exact
-text to replace (a line or a few; it must occur there once), its
-replacement and the
-pytest ids that must kill it.  The runner copies ``src/`` to a temporary
-directory, checks that the named tests pass on the copy, then applies
-one mutant at a time and runs only that mutant's tests against it —
-seconds each, not a tier-1 run.  It fails when a mutant survives its
-tests, or when a mutant's old text no longer matches its file (the code
-drifted from the declaration).
+Each entry of :data:`MUTANTS` names a file (under ``src/``, or the
+census recorder under ``tests/``), the exact text to replace (a line or
+a few; it must occur there once), its replacement and the pytest ids
+that must kill it.  The runner copies ``src/``, ``tests/`` and
+``benchmarks/`` to a temporary directory, checks that the named tests
+pass in the copy, then applies one mutant at a time and runs only that
+mutant's tests there — seconds each, not a tier-1 run.  It fails when a
+mutant survives its tests, or when a mutant's old text no longer
+matches its file (the code drifted from the declaration).
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # only these
@@ -27,28 +27,52 @@ from collections import namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "benchmarks")  # what a mutant run gets a copy of
 
 Mutant = namedtuple("Mutant", "name path old new tests")
 
 MUTANTS = (
     Mutant(
         "greedy-schedule-ignores-interactions",
-        "repro/interaction/schedule.py",
+        "src/repro/interaction/schedule.py",
         "gain = current - cost_fn(built | {ix})",
         "gain = current - cost_fn({ix})",
         ("tests/test_interaction.py::TestScheduling::"
          "test_greedy_prices_each_index_on_what_is_built",),
     ),
     Mutant(
+        "optimal-schedule-ignores-interactions",
+        "src/repro/interaction/schedule.py",
+        "cost_of[mask] = cost_fn(frozenset(indexes[i] for i in combo))",
+        "cost_of[mask] = cost_fn(frozenset()) + sum(cost_fn(frozenset("
+        "{indexes[i]})) - cost_fn(frozenset()) for i in combo)",
+        ("benchmarks/bench_claim_schedule.py::test_claim_schedule_quality",),
+    ),
+    Mutant(
+        "compression-keys-on-text",
+        "src/repro/cophy/compression.py",
+        "key = template_key(Lexer(sql).tokens())",
+        "key = sql",
+        ("tests/test_compression.py::TestShapeKey",),
+    ),
+    Mutant(
+        "reach-hook-misses-threads",
+        "tests/reach_census.py",
+        "threading.setprofile(profile)\n    sys.setprofile(profile)",
+        "sys.setprofile(profile)",
+        ("tests/test_reach_census.py::"
+         "test_the_recorder_sees_every_process_and_thread",),
+    ),
+    Mutant(
         "metrics-label-quote-unescaped",
-        "repro/obs/metrics.py",
+        "src/repro/obs/metrics.py",
         """.replace('"', '\\\\"')""",
         """.replace('"', '"')""",
         ("tests/test_obs.py::TestRegistry::test_label_values_are_escaped",),
     ),
     Mutant(
         "remote-timeout-zero-accepted",
-        "repro/net/client.py",
+        "src/repro/net/client.py",
         "if not timeout > 0:",
         "if timeout < 0:",
         ("tests/test_cli.py::TestCommands::"
@@ -56,14 +80,14 @@ MUTANTS = (
     ),
     Mutant(
         "wire-accepts-any-version",
-        "repro/evaluation/wire.py",
+        "src/repro/evaluation/wire.py",
         "if version != WIRE_VERSION:",
         "if False:",
         ("tests/test_wire.py::TestVersionRejection",),
     ),
     Mutant(
         "recommendation-record-written-rounded",
-        "repro/service/tenant.py",
+        "src/repro/service/tenant.py",
         "[wire.record_to_wire(r)\n",
         "[dict(wire.record_to_wire(r), improvement_pct=round("
         "r.improvement_pct, 6))\n",
@@ -72,7 +96,7 @@ MUTANTS = (
     ),
     Mutant(
         "inum-internal-cost-one-and-a-half-percent-high",
-        "repro/inum/cache.py",
+        "src/repro/inum/cache.py",
         "internal = max(0.0, internal)",
         "internal = max(0.0, internal) * 1.015",
         ("tests/test_inum_exact.py::"
@@ -80,7 +104,7 @@ MUTANTS = (
     ),
     Mutant(
         "colt-adopt-threshold-tenfold",
-        "repro/colt/tuner.py",
+        "src/repro/colt/tuner.py",
         "ADOPT_THRESHOLD = 0.05",
         "ADOPT_THRESHOLD = 0.5",
         ("tests/test_colt.py::TestAlertingMode::"
@@ -88,35 +112,35 @@ MUTANTS = (
     ),
     Mutant(
         "evicted-statement-ships-again",
-        "repro/evaluation/evaluator.py",
+        "src/repro/evaluation/evaluator.py",
         "return record is not None and record.terms is not None",
         "return False",
         ("tests/test_net.py::TestEvictionDropsDerivedStateNotTheAnswer",),
     ),
     Mutant(
         "pool-miss-replans-a-seen-statement",
-        "repro/evaluation/evaluator.py",
+        "src/repro/evaluation/evaluator.py",
         "plans = self._base_service.statement(bq.sql).terms",
         "plans = None",
         ("tests/test_plan_term_memo.py",),
     ),
     Mutant(
         "write-sum-reassociated",
-        "repro/evaluation/evaluator.py",
+        "src/repro/evaluation/evaluator.py",
         "out[:, s] += reads[read]",
         "out[:, s] = heap + ((out[:, s] - heap) + reads[read])",
         ("tests/test_writes.py::TestWritesPricedOnTheKernel",),
     ),
     Mutant(
         "write-index-set-key-collapsed",
-        "repro/evaluation/evaluator.py",
+        "src/repro/evaluation/evaluator.py",
         "key = view.design_signature(table)[0]",
         "key = table",
         ("tests/test_writes.py::TestWritesPricedOnTheKernel",),
     ),
     Mutant(
         "layout-cover-key-collapsed",
-        "repro/catalog/partition.py",
+        "src/repro/catalog/partition.py",
         "cached = self._covers.get(needed)\n",
         "cached = self._covers.get(needed) or next(\n"
         "            iter(self._covers.values()), None)\n",
@@ -125,7 +149,7 @@ MUTANTS = (
     ),
     Mutant(
         "designer-accepts-a-foreign-evaluator",
-        "repro/designer/facade.py",
+        "src/repro/designer/facade.py",
         "elif evaluator.catalog is not catalog:",
         "elif False:",
         ("tests/test_designer.py::TestOneEvaluator::"
@@ -133,7 +157,7 @@ MUTANTS = (
     ),
     Mutant(
         "remote-backoff-cap-halved",
-        "repro/net/client.py",
+        "src/repro/net/client.py",
         "BACKOFF_CAP = 1.0",
         "BACKOFF_CAP = 0.5",
         ("tests/test_net.py::TestInterruptibleBackoff::"
@@ -141,14 +165,14 @@ MUTANTS = (
     ),
     Mutant(
         "template-key-drops-literal-kind",
-        "repro/sql/template.py",
+        "src/repro/sql/template.py",
         '''_MASKS = {"number": "0", "string": "\'\'"}''',
         '''_MASKS = {"number": "0", "string": "0"}''',
         ("tests/test_statement_templates.py",),
     ),
     Mutant(
         "instance-reuses-first-range-merge",
-        "repro/sql/template.py",
+        "src/repro/sql/template.py",
         "filters={alias: binder.merge_ranges(flist, alias)\n"
         "                         for alias, flist in filters.items()},",
         "filters=first.filters,",
@@ -156,7 +180,7 @@ MUTANTS = (
     ),
     Mutant(
         "pool-keys-by-template",
-        "repro/evaluation/evaluator.py",
+        "src/repro/evaluation/evaluator.py",
         "return self.pool.get_or_build(bq.sql, lambda: self._entry(bq))",
         "return self.pool.get_or_build(bq.template,\n"
         "                                      lambda: self._entry(bq))",
@@ -165,7 +189,7 @@ MUTANTS = (
     ),
     Mutant(
         "kernel-slot-costs-rounded",
-        "repro/evaluation/kernel.py",
+        "src/repro/evaluation/kernel.py",
         "costs.append(np.inf if choice is None else choice[0])",
         "costs.append(np.inf if choice is None\n"
         "                             else float(np.float32(choice[0])))",
@@ -173,7 +197,7 @@ MUTANTS = (
     ),
     Mutant(
         "delta-child-costs-rounded",
-        "repro/evaluation/kernel.py",
+        "src/repro/evaluation/kernel.py",
         "rows[footprint.slot_child, footprint.slots] = values",
         "rows[footprint.slot_child, footprint.slots] = values.astype(\n"
         "            np.float32)",
@@ -181,7 +205,7 @@ MUTANTS = (
     ),
     Mutant(
         "arena-sums-reassociated",
-        "repro/evaluation/kernel.py",
+        "src/repro/evaluation/kernel.py",
         "acc[...] = self.internal\n"
         "        for col in self.cols:\n"
         "            acc += rows[..., col]\n"
@@ -192,7 +216,7 @@ MUTANTS = (
     ),
     Mutant(
         "arena-delta-resum-reassociated",
-        "repro/evaluation/kernel.py",
+        "src/repro/evaluation/kernel.py",
         "vals = footprint.internal.copy()\n"
         "        for col in footprint.cols:\n"
         "            vals += rows[footprint.plan_child, col]",
@@ -203,7 +227,7 @@ MUTANTS = (
     ),
     Mutant(
         "fleet-installs-another-statement",
-        "repro/evaluation/wire.py",
+        "src/repro/evaluation/wire.py",
         "if key is not None and sql != key:",
         "if False:",
         ("tests/test_net.py::TestEvictionDropsDerivedStateNotTheAnswer::"
@@ -212,14 +236,14 @@ MUTANTS = (
     ),
     Mutant(
         "bip-witness-keeps-every-position",
-        "repro/cophy/bip.py",
+        "src/repro/cophy/bip.py",
         "return self._compiled().used_positions(chosen_positions)",
         "return list(chosen_positions)",
         ("tests/test_cophy.py::TestSolvers::test_zero_budget_selects_nothing",),
     ),
     Mutant(
         "plan-key-sorts-reaching-indexes",
-        "repro/optimizer/paths.py",
+        "src/repro/optimizer/paths.py",
         "inputs.append((ctx, reaching_indexes(\n"
         "            ctx, catalog.indexes_on(table.name), ctx.interesting\n"
         "        )))",
@@ -231,7 +255,7 @@ MUTANTS = (
     ),
     Mutant(
         "path-set-admits-stops-at-equal-cost",
-        "repro/optimizer/planner.py",
+        "src/repro/optimizer/planner.py",
         "if existing.total_cost > total_cost:",
         "if existing.total_cost >= total_cost:",
         ("tests/test_join_oracle.py::TestPathSet::"
@@ -239,7 +263,7 @@ MUTANTS = (
     ),
     Mutant(
         "scipy-imported-with-repro",
-        "repro/cophy/solvers.py",
+        "src/repro/cophy/solvers.py",
         "import numpy as np\n\nfrom repro import obs",
         "import numpy as np\nfrom scipy import optimize, sparse\n\n"
         "from repro import obs",
@@ -247,14 +271,14 @@ MUTANTS = (
     ),
     Mutant(
         "milp-imports-scipy-optimize",
-        "repro/cophy/solvers.py",
+        "src/repro/cophy/solvers.py",
         "    highs = _highs()\n",
         "    from scipy import optimize  # noqa: F401\n    highs = _highs()\n",
         ("tests/test_lean_import.py::test_only_a_milp_solve_loads_scipy",),
     ),
     Mutant(
         "ub-rows-without-their-offset",
-        "repro/cophy/solvers.py",
+        "src/repro/cophy/solvers.py",
         "[n_eq + row for row in ub_rows]",
         "ub_rows",
         ("tests/test_backward_and_solver_props.py::TestSolverProperties::"
@@ -262,7 +286,7 @@ MUTANTS = (
     ),
     Mutant(
         "ndtri-coefficient-digit",
-        "repro/util/maths.py",
+        "src/repro/util/maths.py",
         "-1.23916583867381258016E0)",
         "-1.23916583867381358016E0)",
         ("tests/test_catalog_schema.py::TestNormalQuantilesWithoutScipyStats::"
@@ -272,14 +296,14 @@ MUTANTS = (
     ),
     Mutant(
         "dominance-ignores-size",
-        "repro/cophy/solvers.py",
+        "src/repro/cophy/solvers.py",
         "return (sizes[i] <= sizes[j] and penalties[i] <= penalties[j]",
         "return (penalties[i] <= penalties[j]",
         ("tests/test_backward_and_solver_props.py::TestDominancePresolve",),
     ),
     Mutant(
         "slot-key-projection-copied",
-        "repro/inum/cache.py",
+        "src/repro/inum/cache.py",
         "indexes = shared.setdefault(indexes, indexes)",
         "indexes = frozenset(list(indexes))",
         ("tests/test_scan_memo.py::"
@@ -287,7 +311,7 @@ MUTANTS = (
     ),
     Mutant(
         "slot-key-ignores-reach",
-        "repro/inum/cache.py",
+        "src/repro/inum/cache.py",
         "indexes = frozenset(P.reaching_indexes(\n"
         "            ctx, indexes, _slot_interesting(slot), slot.param_columns\n"
         "        ))",
@@ -297,7 +321,7 @@ MUTANTS = (
     ),
     Mutant(
         "slot-key-drops-cover",
-        "repro/inum/cache.py",
+        "src/repro/inum/cache.py",
         "return (slot, indexes, layout, horizontal)",
         "return (slot, indexes, None, horizontal)",
         ("tests/test_scan_memo.py::"
@@ -305,7 +329,7 @@ MUTANTS = (
     ),
     Mutant(
         "slot-memo-witness-copied",
-        "repro/evaluation/evaluator.py",
+        "src/repro/evaluation/evaluator.py",
         "choice = bucket[key] = self._shared_choice(",
         "choice = bucket[key] = (",
         ("tests/test_scan_memo.py::"
@@ -313,7 +337,7 @@ MUTANTS = (
     ),
     Mutant(
         "kernel-signature-copied",
-        "repro/evaluation/evaluator.py",
+        "src/repro/evaluation/evaluator.py",
         "sigs[name] = (shared.setdefault(indexes, indexes), layout,",
         "sigs[name] = (frozenset(list(indexes)), layout,",
         ("tests/test_scan_memo.py::"
@@ -321,7 +345,7 @@ MUTANTS = (
     ),
     Mutant(
         "build-copies-slots",
-        "repro/inum/cache.py",
+        "src/repro/inum/cache.py",
         "return CachedPlan(internal_cost, one(tuple(map(one, slots))),",
         "return CachedPlan(internal_cost, tuple(slots),",
         ("tests/test_scan_memo.py::"
@@ -330,14 +354,15 @@ MUTANTS = (
 )
 
 
-def run_tests(src, tests):
-    """pytest's exit status for *tests* with *src* as the package root;
-    no bytecode is written, so a restored file is never served stale."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+def run_tests(root, tests):
+    """pytest's exit status for *tests* run in the copy *root*; no
+    bytecode is written, so a restored file is never served stale."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
          *tests],
-        cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+        cwd=root, env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     ).returncode
 
@@ -350,15 +375,20 @@ def main(names):
         return 2
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src,
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        root = Path(tmp)
+        for top in COPIED:
+            shutil.copytree(ROOT / top, root / top,
+                            ignore=shutil.ignore_patterns("__pycache__"))
         tests = sorted({t for m in chosen for t in m.tests})
-        if run_tests(src, tests) != 0:
-            print("the named tests fail on the unmutated source")
-            return 1
+        # tests/ and benchmarks/ each import their own ``conftest``
+        # module, so one pytest run per directory.
+        for top in sorted({t.split("/", 1)[0] for t in tests}):
+            if run_tests(root, [t for t in tests
+                                if t.startswith(top + "/")]) != 0:
+                print("the named tests fail on the unmutated source")
+                return 1
         for mutant in chosen:
-            path = src / mutant.path
+            path = root / mutant.path
             original = path.read_text()
             if original.count(mutant.old) != 1:
                 print("DRIFTED   %s: %r is not in %s once"
@@ -368,7 +398,7 @@ def main(names):
             path.write_text(original.replace(mutant.old, mutant.new))
             started = time.perf_counter()
             try:
-                killed = run_tests(src, mutant.tests) != 0
+                killed = run_tests(root, mutant.tests) != 0
             finally:
                 path.write_text(original)
             print("%-9s %s (%.1f s)" % ("killed" if killed else "SURVIVED",

@@ -526,17 +526,20 @@ def _where(callers):
 
 
 def problems(found, reasons):
-    """One line per disagreement between a census and its reasons."""
+    """One line per disagreement between a census and its reasons:
+    *found* maps each name to where it is used (empty: nowhere), as
+    ``{place: count}``; *reasons* maps a name used nowhere to why it
+    stays.  The reach census (``tests/reach_census.py``) shares it."""
     lines = []
-    for option, callers in sorted(found.items()):
-        if callers and option in reasons:
-            lines.append("%s: set in %s; drop its entry"
-                         % (option, _where(callers)))
-        elif not callers and not reasons.get(option, "").strip():
-            lines.append("%s: nothing sets it and no reason says why it "
-                         "stays" % option)
-    lines += ["%s: no such option; drop its entry" % option
-              for option in sorted(set(reasons) - set(found))]
+    for name, users in sorted(found.items()):
+        if users and name in reasons:
+            lines.append("%s: used in %s; drop its entry"
+                         % (name, _where(users)))
+        elif not users and not reasons.get(name, "").strip():
+            lines.append("%s: nothing uses it and no reason says why it "
+                         "stays" % name)
+    lines += ["%s: no longer exists; drop its entry" % name
+              for name in sorted(set(reasons) - set(found))]
     return lines
 
 

@@ -852,7 +852,8 @@ def materialize_reference(child, settings):
     )
 
 
-def nestloop_reference(outer, inner, join_clauses, rows_out, settings, admits):
+def nestloop_reference(outer, inner, join_clauses, rows_out, settings, admits,
+                       rescan=None):
     outer_rows = max(1.0, outer.rows)
     if inner.is_parameterized:
         run_cost = outer.total_cost + outer_rows * inner.total_cost
@@ -860,7 +861,8 @@ def nestloop_reference(outer, inner, join_clauses, rows_out, settings, admits):
     else:
         run_cost = (
             outer.total_cost + inner.total_cost
-            + (outer_rows - 1.0) * inner.rescan_cost()
+            + (outer_rows - 1.0) * (
+                inner.rescan_cost() if rescan is None else rescan)
         )
         pair_evals = outer_rows * max(1.0, inner.rows)
     clause_cpu = (
@@ -1030,7 +1032,8 @@ def join_pair_reference(self, sets, left, right, clauses, rows_out, pset):
             ))
             if materialized is not None:
                 pset.add(nestloop_reference(
-                    outer, materialized, clauses, rows_out, settings, admits
+                    outer, materialized, clauses, rows_out, settings, admits,
+                    rescan=Materialize.rescan_cost_of(materialized.rows),
                 ))
             if clauses:
                 pset.add(hashjoin_reference(

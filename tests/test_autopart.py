@@ -77,7 +77,8 @@ class TestVerticalRecommendation:
 class TestHorizontalRecommendation:
     def test_range_partitioning_suggested(self, advisor):
         rec = advisor.recommend(WORKLOAD, vertical=False, horizontal=True)
-        assert rec.horizontals  # predicates on ra/dec/z allow pruning
+        # Predicates on ra/dec/z allow pruning.
+        assert rec.configuration.horizontals
         for horizontal in rec.configuration.horizontals:
             assert horizontal.partition_count >= 2
 

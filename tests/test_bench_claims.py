@@ -84,7 +84,7 @@ class TestClaimWhatIfOverhead:
         config = Configuration(indexes=frozenset(CANDIDATES[:3]))
         before = {ix.name for ix in sdss_catalog.indexes}
         report = session.evaluate(WORKLOAD, config)
-        assert session.optimizer_calls <= 2 * len(WORKLOAD) + 5
+        assert session.base_service.optimizer_calls <= 2 * len(WORKLOAD) + 5
         assert report.average_improvement_pct > 0
         assert {ix.name for ix in sdss_catalog.indexes} == before
 

@@ -45,7 +45,8 @@ class TestStaticOracle:
 
     def test_oracle_configuration_within_budget(self, sdss_catalog):
         oracle = static_oracle(sdss_catalog, stream(30), space_budget_pages=50_000)
-        assert oracle.configuration.size_pages(sdss_catalog) <= 50_000
+        overlay = oracle.configuration.apply(sdss_catalog)
+        assert overlay.design_size_pages() <= 50_000
 
     def test_zero_budget_oracle_is_no_tuning(self, sdss_catalog):
         untuned = no_tuning_cost(sdss_catalog, stream(20))

@@ -3,41 +3,63 @@
 import pytest
 
 from repro.cophy import CoPhyAdvisor
-from repro.cophy.compression import compress_workload, query_signature
+from repro.cophy.compression import compress_workload
 from repro.evaluation import WorkloadEvaluator
-from repro.sql.binder import bind_sql
-from repro.workloads import Workload
+from repro.optimizer import CostService
+from repro.workloads import Workload, sdss_workload
 
 
-class TestSignature:
-    def test_literal_changes_share_signature(self, sdss_catalog):
-        a = bind_sql("SELECT ra FROM photoobj WHERE ra BETWEEN 1 AND 2", sdss_catalog)
-        b = bind_sql("SELECT ra FROM photoobj WHERE ra BETWEEN 7 AND 9", sdss_catalog)
-        assert query_signature(a) == query_signature(b)
+def clusters(*statements):
+    """How many clusters :func:`compress_workload` makes of *statements*."""
+    compressed, __ = compress_workload(
+        Workload((sql, 1.0) for sql in statements))
+    return len(compressed)
 
-    def test_different_columns_differ(self, sdss_catalog):
-        a = bind_sql("SELECT ra FROM photoobj WHERE ra < 2", sdss_catalog)
-        b = bind_sql("SELECT ra FROM photoobj WHERE dec < 2", sdss_catalog)
-        assert query_signature(a) != query_signature(b)
 
-    def test_predicate_kind_differs(self, sdss_catalog):
-        a = bind_sql("SELECT ra FROM photoobj WHERE type = 1", sdss_catalog)
-        b = bind_sql("SELECT ra FROM photoobj WHERE type < 1", sdss_catalog)
-        assert query_signature(a) != query_signature(b)
+class TestShapeKey:
+    """A cluster is a template key: the statement's tokens, literals
+    masked (:func:`repro.sql.template.template_key`), the key a
+    ``CostService`` files its statement templates under."""
 
-    def test_join_vs_single_table_differ(self, sdss_catalog):
-        a = bind_sql("SELECT p.ra FROM photoobj p WHERE p.ra < 2", sdss_catalog)
-        b = bind_sql(
+    def test_literal_changes_share_a_cluster(self):
+        assert clusters(
+            "SELECT ra FROM photoobj WHERE ra BETWEEN 1 AND 2",
+            "SELECT ra FROM photoobj WHERE ra BETWEEN 7.5 AND 9",
+            "SELECT ra FROM photoobj WHERE type = 'star'",
+            "SELECT ra FROM photoobj WHERE type = 'galaxy'",
+        ) == 2
+
+    def test_one_cluster_per_template_the_cost_service_files(self):
+        from repro.workloads import sdss_catalog  # the fixture's is smaller
+
+        workload = sdss_workload(n_queries=120, seed=3, write_fraction=0.2)
+        service = CostService(sdss_catalog(scale=0.01))
+        for sql, __ in workload:
+            service.bound(sql)
+        compressed, __ = compress_workload(workload)
+        assert len(compressed) == len(service.templates) == 24
+
+    def test_different_columns_differ(self):
+        assert clusters("SELECT ra FROM photoobj WHERE ra < 2",
+                        "SELECT ra FROM photoobj WHERE dec < 2") == 2
+
+    def test_predicate_kind_differs(self):
+        assert clusters("SELECT ra FROM photoobj WHERE type = 1",
+                        "SELECT ra FROM photoobj WHERE type < 1") == 2
+
+    def test_join_vs_single_table_differ(self):
+        assert clusters(
+            "SELECT p.ra FROM photoobj p WHERE p.ra < 2",
             "SELECT p.ra FROM photoobj p, specobj s "
-            "WHERE p.objid = s.objid AND p.ra < 2",
-            sdss_catalog,
-        )
-        assert query_signature(a) != query_signature(b)
+            "WHERE p.objid = s.objid AND p.ra < 2") == 2
 
-    def test_projection_matters(self, sdss_catalog):
-        a = bind_sql("SELECT ra FROM photoobj WHERE ra < 2", sdss_catalog)
-        b = bind_sql("SELECT ra, rmag FROM photoobj WHERE ra < 2", sdss_catalog)
-        assert query_signature(a) != query_signature(b)
+    def test_projection_matters(self):
+        assert clusters("SELECT ra FROM photoobj WHERE ra < 2",
+                        "SELECT ra, rmag FROM photoobj WHERE ra < 2") == 2
+
+    def test_a_negative_literal_keeps_its_sign(self):
+        assert clusters("SELECT ra FROM photoobj WHERE dec > 5",
+                        "SELECT ra FROM photoobj WHERE dec > -5") == 2
 
 
 class TestCompression:
@@ -51,15 +73,15 @@ class TestCompression:
             entries.append(("SELECT dec FROM photoobj WHERE dec > %d" % i, 2.0))
         return Workload(entries)
 
-    def test_clusters_by_shape(self, sdss_catalog):
-        compressed, stats = compress_workload(sdss_catalog, self.make_workload())
+    def test_clusters_by_shape(self):
+        compressed, stats = compress_workload(self.make_workload())
         assert stats.original_statements == 15
         assert stats.compressed_statements == 2
         assert stats.ratio == pytest.approx(7.5)
 
-    def test_weight_preserved(self, sdss_catalog):
+    def test_weight_preserved(self):
         workload = self.make_workload()
-        compressed, __ = compress_workload(sdss_catalog, workload)
+        compressed, __ = compress_workload(workload)
         assert sum(w for __, w in compressed) == pytest.approx(
             sum(w for __, w in workload))
 
@@ -67,16 +89,15 @@ class TestCompression:
         workload = self.make_workload()
         advisor = CoPhyAdvisor(WorkloadEvaluator(sdss_catalog))
         full = advisor.recommend(workload, budget_pages=50_000)
-        compressed_workload, stats = compress_workload(sdss_catalog, workload)
+        compressed_workload, stats = compress_workload(workload)
         compressed = advisor.recommend(compressed_workload, budget_pages=50_000)
         # The chosen index set should coincide for literal-only variation.
         assert set(full.indexes) == set(compressed.indexes)
         assert stats.ratio > 5
 
-    def test_empty_like_workload(self, sdss_catalog):
+    def test_empty_like_workload(self):
         compressed, stats = compress_workload(
-            sdss_catalog, Workload([("SELECT ra FROM photoobj", 1.0)])
-        )
+            Workload([("SELECT ra FROM photoobj", 1.0)]))
         assert len(compressed) == 1 and stats.ratio == 1.0
 
 

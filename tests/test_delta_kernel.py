@@ -198,18 +198,6 @@ class TestDeltaStateLifetime:
             short, parent, configs
         ).matrix == reference
 
-    def test_clear_caches_resets_delta_state(self):
-        catalog, workload, configs = make_env(2)
-        evaluator = WorkloadEvaluator(catalog)
-        parent = configs[0]
-        reference = evaluator.evaluate_deltas(workload, parent, configs)
-        evaluator.clear_caches()
-        with evaluator._lock:
-            assert not evaluator._compiled
-        again = evaluator.evaluate_deltas(workload, parent, configs)
-        assert again.matrix == reference.matrix
-
-
 # ----------------------------------------------------------------------
 # Concurrency fuzz: the evaluator cache-race fixes.
 # ----------------------------------------------------------------------
@@ -262,9 +250,9 @@ class TestEvaluatorConcurrency:
                 assert all(sql in pool for sql in compiled.reads)
 
     def test_exact_service_counter_under_concurrent_lookups(self):
-        """exact_optimizer_calls is read while tenant threads churn the
-        exact-service LRU; locked reads never crash or lose the pinned
-        base service."""
+        """The exact services' shared planner-call counter is read while
+        tenant threads churn the exact-service LRU; locked reads never
+        crash or lose the pinned base service."""
         catalog, workload, configs = make_env(1)
         evaluator = WorkloadEvaluator(catalog)
         sql = workload[0][0]
@@ -280,7 +268,7 @@ class TestEvaluatorConcurrency:
         def read():
             try:
                 for __ in range(200):
-                    assert evaluator.exact_optimizer_calls >= 0
+                    assert evaluator.exact_service().optimizer_calls >= 0
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -291,37 +279,5 @@ class TestEvaluatorConcurrency:
         for t in threads:
             t.join(timeout=120)
         assert not errors, errors
-        assert evaluator.exact_optimizer_calls > 0
+        assert evaluator.exact_service().optimizer_calls > 0
 
-    def test_clear_caches_races_with_evaluation(self):
-        """clear_caches takes the pool first (outside the evaluator
-        lock), so concurrent evaluations cannot deadlock against the
-        pool → evaluator eviction order — and results stay exact."""
-        catalog, workload, configs = make_env(2)
-        reference = WorkloadEvaluator(catalog)
-        expected = reference.evaluate_many(workload, configs).matrix
-        evaluator = WorkloadEvaluator(catalog)
-        errors = []
-
-        def evaluate():
-            try:
-                for __ in range(6):
-                    got = evaluator.evaluate_many(workload, configs).matrix
-                    assert got == expected
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        def clear():
-            try:
-                for __ in range(6):
-                    evaluator.clear_caches()
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=evaluate) for __ in range(3)]
-        threads.append(threading.Thread(target=clear))
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not errors, errors

@@ -174,53 +174,8 @@ class TestStatsExactness:
         assert evaluator.evaluations == 1
         assert stats.hit_rate == pytest.approx(0.75)
 
-    def test_stats_surface_merges_pool_and_evaluator(self, sdss_catalog):
-        evaluator = WorkloadEvaluator(sdss_catalog)
-        evaluator.cost(Q_RA, Configuration.empty())
-        merged = evaluator.stats
-        assert merged["pool_size"] == 1
-        assert merged["misses"] == 1
-        assert merged["evaluations"] == 1
-        assert merged["optimizer_calls"] == evaluator.precompute_calls
-        assert merged["exact_optimizer_calls"] == 0
-
     def test_empty_pool_hit_rate(self):
         assert InumCachePool().stats.hit_rate == 0.0
-
-
-class TestClearCaches:
-    def test_clear_resets_pool_and_memos(self, sdss_catalog):
-        evaluator = WorkloadEvaluator(sdss_catalog)
-        evaluator.cost(Q_RA, Configuration.empty())
-        workload = [(Q_RA, 1.0), (Q_RMAG, 1.0)]
-        evaluator.workload_costs(workload, [Configuration.empty()])
-        # The delta seam captures a parent state on the compiled kernel.
-        evaluator.evaluate_deltas(
-            workload, Configuration.empty(), [Configuration.empty()]
-        )
-        assert len(evaluator.pool) > 0
-        assert evaluator.pool.kernel_count > 0
-        assert evaluator._slot_memo
-        assert evaluator._compiled
-        (compiled,) = evaluator._compiled.values()
-        assert compiled.kernel._delta_states
-        before = evaluator.cost(Q_RA)
-
-        evaluator.clear_caches()
-        assert len(evaluator.pool) == 0
-        assert evaluator.pool.kernel_count == 0
-        assert not evaluator._slot_memo
-        assert not evaluator._compiled
-        # Costs are rebuilt identically after a clear.
-        assert evaluator.cost(Q_RA) == pytest.approx(before, rel=1e-12)
-
-    def test_pool_clear_returns_dropped_entries(self, sdss_catalog):
-        evaluator = WorkloadEvaluator(sdss_catalog)
-        evaluator.cache_for(Q_RA)
-        evaluator.cache_for(Q_RMAG)
-        dropped = evaluator.pool.clear()
-        assert len(dropped) == 2
-        assert evaluator.pool.stats.evictions == 0
 
 
 class TestPoolOwnership:
@@ -239,14 +194,13 @@ class TestPoolOwnership:
         assert owner.bound(Q_RA).sql in pool
 
     def test_ownerless_pool_serves_alone(self, sdss_catalog):
-        """A pool nobody attached (a wire replay's) evicts and clears
-        without an owner to tell."""
+        """A pool nobody attached (a wire replay's) evicts without an
+        owner to tell."""
         source = WorkloadEvaluator(sdss_catalog)
         pool = InumCachePool(capacity=1)
         pool.put("a", source.cache_for(Q_RA))
         pool.put("b", source.cache_for(Q_RMAG))
         assert pool.keys() == ["b"]
-        assert len(pool.clear()) == 1
 
     def test_pool_holds_its_owner_weakly(self, sdss_catalog):
         import gc
@@ -277,19 +231,8 @@ class TestExactServiceBound:
         assert len(evaluator._exact_services) == memos.EXACT_SERVICES.bound
         assert evaluator.exact_service() is base  # base never evicted
 
-    def test_clear_caches_keeps_base_service(self, sdss_catalog):
-        from repro.catalog import Index
-
-        evaluator = WorkloadEvaluator(sdss_catalog)
-        base = evaluator.exact_service()
-        evaluator.exact_service(Configuration.of(Index("photoobj", ("ra",))))
-        evaluator.clear_caches()
-        assert evaluator.exact_service() is base
-        assert not evaluator._exact_services
-
     def test_both_paths_share_one_record_per_statement(self):
-        """Per text one bound statement, whichever path binds it first;
-        ``clear_caches`` empties the records and keeps the service."""
+        """Per text one bound statement, whichever path binds it first."""
         import random
 
         from repro.catalog import Index
@@ -307,32 +250,6 @@ class TestExactServiceBound:
             assert evaluator.exact_service(design).bound(exact_first) is \
                 evaluator.bound(exact_first)
         assert base.statements
-        evaluator.clear_caches()
-        assert evaluator.exact_service() is base
-        assert not base.statements
-
-    def test_clear_caches_re_reads_statistics_on_the_exact_path(self):
-        """The pinned base service survives ``clear_caches`` but its
-        plan cache does not: after re-ANALYZE plus a clear, the exact
-        cost is a fresh evaluator's and the INUM cost."""
-        from repro.workloads import sdss_catalog
-
-        catalog = sdss_catalog(scale=0.05)
-        sql = ("SELECT objid, ra, dec, zmag, zerr FROM photoobj "
-               "WHERE zmag < 14.52 AND type = 5")
-        evaluator = WorkloadEvaluator(catalog)
-        base = evaluator.exact_service()
-        before = evaluator.exact_service().cost(sql)
-        assert before == evaluator.cost(sql)
-        table = catalog.table("photoobj")
-        table.row_count *= 10
-        table.build_stats()
-        evaluator.clear_caches()
-        after = evaluator.exact_service().cost(sql)
-        assert evaluator.exact_service() is base
-        assert after != before
-        assert after == WorkloadEvaluator(catalog).exact_service().cost(sql)
-        assert after == evaluator.cost(sql)
 
     def test_eviction_prunes_the_owners_memos(self, sdss_catalog):
         """An eviction reaches the owner's memos through the pool's
@@ -347,12 +264,3 @@ class TestExactServiceBound:
         assert evaluator.bound(Q_RA).sql not in pool
         assert sql not in evaluator._slot_memo
 
-    def test_pool_clear_prunes_the_owners_memos(self, sdss_catalog):
-        pool = InumCachePool()
-        evaluator = WorkloadEvaluator(sdss_catalog, pool=pool)
-        evaluator.cost(Q_RA)
-        sql = evaluator.cache_for(Q_RA).bound_query.sql
-        assert sql in evaluator._slot_memo
-        pool.clear()  # not through clear_caches
-        assert len(pool) == 0
-        assert sql not in evaluator._slot_memo

@@ -212,15 +212,6 @@ class TestKernelLifetime:
         assert fresh is not stale
         assert fresh.internal.tolist() == stale.internal.tolist()
 
-    def test_clear_drops_all_kernels(self):
-        catalog, workload, __ = make_env(3)
-        pool = InumCachePool()
-        evaluator = WorkloadEvaluator(catalog, pool=pool)
-        evaluator.warm_up([sql for sql, __ in workload])
-        assert pool.kernel_count > 0  # warm-up prewarms compiled kernels
-        pool.clear()
-        assert pool.kernel_count == 0
-
     def test_sharded_pool_routes_kernels(self):
         catalog, workload, __ = make_env(0)
         pool = ShardedInumCachePool(shards=3)

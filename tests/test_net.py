@@ -51,6 +51,7 @@ import socket
 import struct
 import sys
 import threading
+from contextlib import closing, contextmanager
 from dataclasses import fields
 
 import pytest
@@ -287,7 +288,7 @@ class TestRunnerLifecycle:
 
 class TestHandshake:
     def test_runner_rejects_foreign_version_hello(self):
-        with RunnerNode() as node:
+        with started(RunnerNode()) as node:
             sock = socket.create_connection((node.host, node.port), 5.0)
             try:
                 _send_raw(sock, {"kind": wire.KIND_HELLO,
@@ -327,7 +328,7 @@ class TestHandshake:
     def test_wire_errors_propagate_instead_of_retrying(self, astro_catalog):
         """The retry loop never retries an incompatible peer: a
         wire-error reply surfaces as WireFormatError immediately."""
-        with RunnerNode() as node:
+        with started(RunnerNode()) as node:
             evaluator = WorkloadEvaluator(astro_catalog)
             backplane = RemoteBackplane(evaluator, [node.address], retries=3)
             backplane._closing = SpiedSignal()
@@ -347,7 +348,7 @@ class TestHandshake:
 
 class TestRemoteEquivalence:
     def test_warm_up_matches_local(self, astro_catalog, queries):
-        with RunnerNode() as a, RunnerNode() as b:
+        with started(RunnerNode()) as a, started(RunnerNode()) as b:
             remote = WorkloadEvaluator(astro_catalog)
             backplane = RemoteBackplane(
                 remote, [a.address, b.address], retries=1,
@@ -365,7 +366,7 @@ class TestRemoteEquivalence:
             assert remote.pool.kernel_for(sql) is not None
 
     def test_second_warm_up_ships_nothing(self, astro_catalog, queries):
-        with RunnerNode() as node:
+        with started(RunnerNode()) as node:
             remote = WorkloadEvaluator(astro_catalog)
             backplane = RemoteBackplane(remote, [node.address], retries=1)
             backplane.warm_up(queries)
@@ -505,6 +506,16 @@ class PairConnection(RunnerConnection):
             target=self.node.serve_connection, args=(theirs,), daemon=True,
         ).start()
         return ours
+
+
+@contextmanager
+def started(node):
+    """*node* listening for the block, stopped after it."""
+    node.start()
+    try:
+        yield node
+    finally:
+        node.stop()
 
 
 def pair_backplane(evaluator, nodes, **kwargs):
@@ -840,25 +851,24 @@ class SpiedNode(RunnerNode):
 class TestConnectionIsACache:
     def test_resident_re_request_is_served_not_rebuilt(
             self, astro_catalog, queries):
-        """Three rounds of the same statements.  The parent's caches
-        are cleared after each (``clear_caches``: the pool *and* the
-        remembered plan terms — an emptied pool alone would be decoded
-        locally and ship nothing), so every ``warm_up`` re-ships every
-        task — the parent forgot; the connection did not, and builds
-        nothing it still holds."""
+        """Three rounds of the same task frames on one connection: its
+        evaluator builds each statement once and serves the re-requests
+        from what it holds."""
         node = SpiedNode()
-        evaluator = WorkloadEvaluator(astro_catalog)
-        grids, built = [], []
-        with pair_backplane(evaluator, [node]) as backplane:
+        conn = PairConnection(
+            "node-0", catalog_frame_for(WorkloadEvaluator(astro_catalog)),
+            node)
+        frames = [dict(TASK, sql=sql) for sql, __ in queries]
+        entries, built = [], []
+        try:
             for __ in range(3):
-                bounded(backplane.warm_up, queries)
-                grids.append(
-                    evaluator.evaluate_configurations(queries, [None]).matrix
-                )
+                entries.append([conn.request(frame)["entry"]
+                                for frame in frames])
                 built.append(node.evaluator.precompute_calls)
-                evaluator.clear_caches()
-        assert node.tasks_served == 3 * len(queries)
-        assert grids[0] == grids[1] == grids[2]
+        finally:
+            conn.close()
+        assert node.tasks_served == 3 * len(frames)
+        assert entries[0] == entries[1] == entries[2]
         assert built[0] > 0 and built == [built[0]] * 3
 
 
@@ -910,7 +920,7 @@ class TestEvictionDropsDerivedStateNotTheAnswer:
             return real(bq, catalog, settings)
 
         monkeypatch.setattr(evaluator_module, "build_cache", runner_only)
-        with pair_backplane(evaluator, [node]) as backplane:
+        with closing(pair_backplane(evaluator, [node])) as backplane:
             spent = bounded(backplane.warm_up, queries)
             assert spent == local.precompute_calls > 0
             assert len(evaluator.pool) == 2
@@ -935,7 +945,7 @@ class TestEvictionDropsDerivedStateNotTheAnswer:
         ) == len(queries)
         assert metric_value(registry, "repro_remote_fallback_total",
                             op="warm") == 0
-        assert evaluator.stats["plan_term_decodes"] >= len(evicted)
+        assert evaluator.plan_term_decodes >= len(evicted)
         assert evaluator.precompute_calls == spent
 
     @pytest.mark.parametrize("edit", [
@@ -954,7 +964,8 @@ class TestEvictionDropsDerivedStateNotTheAnswer:
     def test_malformed_entry_installs_and_remembers_nothing(
             self, astro_catalog, queries, edit):
         evaluator = WorkloadEvaluator(astro_catalog)
-        with pair_backplane(evaluator, [LyingNode(edit)]) as backplane:
+        with closing(pair_backplane(
+                evaluator, [LyingNode(edit)])) as backplane:
             with pytest.raises(WireFormatError):
                 bounded(backplane.warm_up, queries[:1])
         assert len(evaluator.pool) == 0 and evaluator.pool.kernel_count == 0
@@ -1147,7 +1158,7 @@ def _v5_entry_text(catalog, tmp_path):
     entry = dict(json.loads(RESULT["entry"]), wire_version=5,
                  signature=[[["photoobj", []]], None, False])
     evaluator = WorkloadEvaluator(catalog)
-    with FleetBackplane(evaluator, []) as backplane:
+    with closing(FleetBackplane(evaluator, [])) as backplane:
         before = telemetry()
         try:
             install(backplane, dict(RESULT, entry=json.dumps(entry)))
@@ -1195,7 +1206,7 @@ def _v5_service_file(catalog, tmp_path):
     try:
         reader.load_state(str(tmp_path))
     finally:
-        assert [s.name for s in reader.tenants] == ["bystander"]
+        assert list(reader._tenants) == ["bystander"]
         assert (reader.queue_depths(), reader.snapshot()) == before
         with open(path, "rb") as f:
             assert f.read() == written_bytes
@@ -1380,7 +1391,7 @@ def test_a_malformed_delta_merges_nothing(astro_catalog, delta):
     WireFormatError at install, and no counter, histogram or span of it
     lands — nor the entry it came with."""
     evaluator = WorkloadEvaluator(astro_catalog)
-    with FleetBackplane(evaluator, []) as backplane:
+    with closing(FleetBackplane(evaluator, [])) as backplane:
         before = telemetry()
         with pytest.raises(WireFormatError):
             install(backplane, dict(RESULT, obs=delta))
@@ -1457,7 +1468,7 @@ class TestFrameFuzz:
     def test_a_result_installs_whole_or_not_at_all(
             self, astro_catalog, reply):
         evaluator = WorkloadEvaluator(astro_catalog)
-        with FleetBackplane(evaluator, []) as backplane:
+        with closing(FleetBackplane(evaluator, [])) as backplane:
             before = telemetry()
             try:
                 install(backplane, reply)
@@ -1576,7 +1587,7 @@ class TestFrameFuzz:
     def test_a_result_carrying_a_nesting_bomb_installs_nothing(
             self, astro_catalog):
         evaluator = WorkloadEvaluator(astro_catalog)
-        with FleetBackplane(evaluator, []) as backplane:
+        with closing(FleetBackplane(evaluator, [])) as backplane:
             with pytest.raises(WireFormatError, match="not JSON"):
                 install(backplane, dict(RESULT, entry=self.BOMB))
         assert len(evaluator.pool) == 0
@@ -1641,7 +1652,7 @@ class TestFrameFuzz:
 class TestRemoteClose:
     def test_use_after_close_raises_design_error(
             self, astro_catalog, queries):
-        with RunnerNode() as node:
+        with started(RunnerNode()) as node:
             backplane = RemoteBackplane(
                 WorkloadEvaluator(astro_catalog), [node.address], retries=1,
             )
@@ -1653,7 +1664,7 @@ class TestRemoteClose:
 
     def test_close_is_idempotent_and_leaks_no_connections(
             self, astro_catalog, queries):
-        with RunnerNode() as node:
+        with started(RunnerNode()) as node:
             backplane = RemoteBackplane(
                 WorkloadEvaluator(astro_catalog), [node.address], retries=1,
             )
@@ -1670,7 +1681,7 @@ class TestRemoteClose:
             assert open_connections(node) == 0
 
     def test_executor_close_closes_backplanes(self, astro_catalog):
-        with RunnerNode() as node:
+        with started(RunnerNode()) as node:
             evaluator = WorkloadEvaluator(astro_catalog)
             executor = RemoteStepExecutor([node.address], retries=1)
             executor.refill(
@@ -1720,10 +1731,10 @@ class TestRemoteOffload:
             return {n: outcome(service.tenant(n)) for n in ("a", "b")}
 
         inline = run(StepExecutor())
-        with RunnerNode() as x, RunnerNode() as y:
-            with RemoteStepExecutor(
+        with started(RunnerNode()) as x, started(RunnerNode()) as y:
+            with closing(RemoteStepExecutor(
                 [x.address, y.address], retries=1
-            ) as executor:
+            )) as executor:
                 remote = run(executor)
         assert remote == inline
 
@@ -1742,9 +1753,9 @@ class TestRemoteOffload:
         dying = RunnerNode(fail_after_tasks=1).start()
         survivor = RunnerNode().start()
         try:
-            with RemoteStepExecutor(
+            with closing(RemoteStepExecutor(
                 [dying.address, survivor.address], retries=0,
-            ) as executor:
+            )) as executor:
                 remote = run(executor)
         finally:
             dying.stop()

@@ -13,6 +13,7 @@ merging, and the observability satellites the issue pins:
 import json
 import threading
 import urllib.request
+from contextlib import closing
 
 import pytest
 
@@ -355,9 +356,9 @@ class TestRecommendMemoTelemetry:
         hits = metric_value(reg, "repro_recommend_memo_total", result="hit")
         misses = metric_value(reg, "repro_recommend_memo_total", result="miss")
         assert hits == misses == refreshes // 2
-        stats = service.backplane("sdss").evaluator.stats
-        assert (stats["recommend_memo_hits"],
-                stats["recommend_memo_misses"]) == (hits, misses)
+        evaluator = service.backplane("sdss").evaluator
+        assert (evaluator.recommend_memo_hits,
+                evaluator.recommend_memo_misses) == (hits, misses)
         snapshot = reg.snapshot()
         by_trigger = snapshot["counters"]["repro_tenant_refreshes_total"]
         assert sum(s["value"] for s in by_trigger["samples"]) == refreshes
@@ -392,23 +393,26 @@ class TestSchedulerQueueDepth:
                 ["samples"]
             }
 
+        def depths():
+            return {name: tenant["queue_depth"] for name, tenant
+                    in scheduler.stats()["tenants"].items()}
+
         class Probe(StepExecutor):
             """Mid-run, the scrape-time gauge mirrors the live buffers."""
 
             def prepare(self, session, step):
-                seen.append((scheduler.queue_depths(), gauge()))
+                seen.append((depths(), gauge()))
 
         scheduler = Scheduler(executor=Probe(), lookahead=3)
         for name, seed in (("a", 2), ("b", 3)):
             scheduler.add(name, self._session(service, name),
                           drifting_stream(SDSS_PHASES, seed=seed))
-        assert scheduler.queue_depths() == {"a": 0, "b": 0}
+        assert depths() == {"a": 0, "b": 0}
         scheduler.run()
         assert seen and all(depths == scraped for depths, scraped in seen)
         assert any(sum(depths.values()) > 0 for depths, __ in seen)
         # Run drains the buffers; both surfaces drop to zero together.
-        assert scheduler.queue_depths() == gauge() == {"a": 0, "b": 0}
-        assert scheduler.stats()["tenants"]["a"]["queue_depth"] == 0
+        assert depths() == gauge() == {"a": 0, "b": 0}
 
     def test_steps_counter_matches_stats(self, astro_catalog,
                                          fresh_registry):
@@ -441,7 +445,7 @@ class TestFleetOverlapTelemetry:
         for name in ("a", "b"):
             service.add_tenant(name, "sdss", colt_settings=COLT,
                                recommend_every=4)
-        with ProcessStepExecutor(processes=2) as executor:
+        with closing(ProcessStepExecutor(processes=2)) as executor:
             service.run_scheduled(
                 {name: drifting_stream(SDSS_PHASES, seed=seed)
                  for name, seed in (("a", 2), ("b", 5))},

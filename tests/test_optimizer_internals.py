@@ -229,7 +229,7 @@ class TestPathSetPruning:
         ps.add(self.path(10.0))
         ps.add(self.path(20.0))  # same (empty) ordering, more expensive
         assert len(ps) == 1
-        assert ps.cheapest().total_cost == 10.0
+        assert next(iter(ps)).total_cost == 10.0
 
     def test_better_ordered_path_kept_despite_cost(self):
         ps = _PathSet()
@@ -242,7 +242,7 @@ class TestPathSetPruning:
         ps.add(self.path(50.0))
         ps.add(self.path(10.0, ordering=(("t", "a", True),)))
         assert len(ps) == 1
-        assert ps.cheapest().ordering
+        assert next(iter(ps)).ordering
 
     def test_capacity_cap(self):
         ps = _PathSet()

@@ -107,10 +107,10 @@ def test_a_new_option_nothing_sets_needs_a_reason(tmp_path):
     found = option_census.census(root)
     reasons = {"cli --scale": "a DBA knob", "repro.mod:f.flag": " "}
     assert option_census.problems(found, reasons) == [
-        "cli serve --tenants: nothing sets it and no reason says why it "
+        "cli serve --tenants: nothing uses it and no reason says why it "
         "stays",
-        "repro.mod:f.flag: nothing sets it and no reason says why it stays",
-        "repro.mod:f.knob: nothing sets it and no reason says why it stays",
+        "repro.mod:f.flag: nothing uses it and no reason says why it stays",
+        "repro.mod:f.knob: nothing uses it and no reason says why it stays",
     ]
 
 
@@ -119,8 +119,8 @@ def test_an_entry_is_stale_once_its_option_is_set_or_gone(tmp_path):
     reasons = {option: "kept" for option in found}
     reasons["repro.mod:gone.knob"] = "kept"
     assert option_census.problems(found, reasons) == [
-        "repro.mod:f.knob: set in benchmarks 1; drop its entry",
-        "repro.mod:gone.knob: no such option; drop its entry",
+        "repro.mod:f.knob: used in benchmarks 1; drop its entry",
+        "repro.mod:gone.knob: no longer exists; drop its entry",
     ]
 
 

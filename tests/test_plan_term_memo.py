@@ -13,7 +13,6 @@ the optimizer has already answered is *decoded*
 * the memo is keyed by statement text, as the pool is: two texts that
   differ in their aliases alone are two entries, each with its own
   terms;
-* ``clear_caches()`` empties it — the next request plans again;
 * a ``TuningService`` with ``pool_capacity=8`` emits what the unbounded
   run emits and calls ``build_cache`` once per distinct statement.
 
@@ -87,7 +86,7 @@ def test_an_evicted_statement_is_decoded_not_replanned(
         assert decoded.plans == cold[bq.sql].plans == list(first[bq.sql])
         assert decoded.plan_terms() == cold[bq.sql].plan_terms()
     assert stats.misses == 2 * len(targets) and stats.hits == 0
-    assert bounded.stats["plan_term_decodes"] == len(targets)
+    assert bounded.plan_term_decodes == len(targets)
 
     # Grids over a pool that evicts on every statement: bit-identical.
     assert bounded.evaluate_many(workload, configs).matrix == grid
@@ -113,24 +112,10 @@ def test_alias_variants_are_two_entries_with_their_own_terms(
     ).plans
     calls = len(planned)
     assert evaluator.cache_for(Q_JOIN).plans == original.plans  # decoded
-    assert len(planned) == calls and evaluator.stats["plan_term_decodes"] == 1
+    assert len(planned) == calls and evaluator.plan_term_decodes == 1
     config = Configuration.empty()
     assert evaluator.cost(Q_JOIN, config) == evaluator.cost(
         Q_JOIN_RENAMED, config)
-
-
-def test_clear_caches_empties_the_memo(sdss_catalog, planned):
-    evaluator = WorkloadEvaluator(sdss_catalog, pool=InumCachePool(capacity=1))
-    before = evaluator.cache_for(Q_JOIN).plans
-    evaluator.cache_for(Q_RA)
-    built = len(planned)
-    evaluator.cache_for(Q_JOIN)  # decoded
-    assert len(planned) == built
-    evaluator.clear_caches()
-    assert not evaluator.knows_terms(evaluator.bound(Q_JOIN))
-    spent = evaluator.precompute_calls
-    assert evaluator.cache_for(Q_JOIN).plans == before
-    assert len(planned) > built and evaluator.precompute_calls > spent
 
 
 def test_a_bounded_service_plans_each_statement_once(monkeypatch):
@@ -157,7 +142,7 @@ def test_a_bounded_service_plans_each_statement_once(monkeypatch):
     # One build per distinct statement; every other miss was a decode,
     # and the optimizer bill is the unbounded run's.
     assert len(builds) == len(set(builds)) == distinct
-    decodes = plane.evaluator.stats["plan_term_decodes"]
+    decodes = plane.evaluator.plan_term_decodes
     assert decodes > 0 and stats.misses == distinct + decodes
     assert stats.optimizer_calls \
         == unbounded.backplane("sdss").pool.stats.optimizer_calls

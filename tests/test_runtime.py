@@ -16,6 +16,7 @@ The ISSUE-4 acceptance pins live here:
 
 import itertools
 import time
+from contextlib import closing
 
 import pytest
 
@@ -454,7 +455,7 @@ class TestProcessOffload:
             return {n: outcome(service.tenant(n)) for n in ("a", "b")}
 
         inline = run(StepExecutor())
-        with ProcessStepExecutor(processes=2) as offload:
+        with closing(ProcessStepExecutor(processes=2)) as offload:
             pooled = run(offload)
         assert pooled == inline
 
@@ -473,7 +474,7 @@ class TestProcessOffload:
         pooled_service = TuningService(shards=1)
         pooled_service.add_backplane("sdss", catalog)
         pooled_service.add_tenant("t", "sdss", colt_settings=COLT)
-        with ProcessStepExecutor(processes=2) as executor:
+        with closing(ProcessStepExecutor(processes=2)) as executor:
             pooled_service.run_scheduled(
                 {"t": drifting_stream(SDSS_PHASES, seed=3)},
                 executor=executor, lookahead=6,
@@ -496,7 +497,7 @@ class TestProcessOffload:
             service.add_tenant(name, "sdss", **options())
         obs.reset()
         try:
-            with ProcessStepExecutor(processes=2) as executor:
+            with closing(ProcessStepExecutor(processes=2)) as executor:
                 service.run_scheduled(
                     {name: drifting_stream(SDSS_PHASES, seed=4)
                      for name in ("a", "twin")},
@@ -536,7 +537,7 @@ class TestProcessOffload:
         workload = list(sdss_workload(n_queries=10, seed=3))
         service = TuningService(shards=2)
         plane = service.add_backplane("sdss", catalog)
-        with ProcessStepExecutor(processes=2) as executor:
+        with closing(ProcessStepExecutor(processes=2)) as executor:
             assert service.warm_up("sdss", workload, executor=executor) == 0
             targets = plane.evaluator.warm_targets(workload)
             assert targets and all(

@@ -29,6 +29,7 @@ import random
 import signal
 import threading
 import time
+from contextlib import closing
 
 import pytest
 from hypothesis import event, given
@@ -370,7 +371,7 @@ class TestProcessPoolBackplane:
         single = WorkloadEvaluator(catalog)
         single_calls = single.warm_up(workload)
         pooled = WorkloadEvaluator(catalog)
-        with ProcessPoolBackplane(pooled, processes=2) as backplane:
+        with closing(ProcessPoolBackplane(pooled, processes=2)) as backplane:
             pooled_calls = backplane.warm_up(workload)
         assert pooled_calls == single_calls
         assert_same_entries(pooled, single)
@@ -476,10 +477,10 @@ class TestProcessPoolBackplane:
         for single, workload in zip(singles, workloads):
             single.warm_up(workload)
         first, second = (WorkloadEvaluator(catalog) for __ in workloads)
-        with ProcessPoolBackplane(first, processes=2) as early:
+        with closing(ProcessPoolBackplane(first, processes=2)) as early:
             wanted = early.submit(workloads[0])
             assert wanted and early._drainers
-            with ProcessPoolBackplane(second, processes=2) as late:
+            with closing(ProcessPoolBackplane(second, processes=2)) as late:
                 late.warm_up(workloads[1])
             early.collect(wanted)
         assert_same_entries(first, singles[0])
@@ -498,7 +499,8 @@ class TestProcessPoolBackplane:
         evaluator = WorkloadEvaluator(catalog)
         assert [bq.sql for bq, __, __ in evaluator.warm_targets(workload)] \
             == [evaluator.bound(sql).sql, evaluator.bound(renamed).sql]
-        with ProcessPoolBackplane(evaluator, processes=2) as backplane:
+        with closing(ProcessPoolBackplane(
+                evaluator, processes=2)) as backplane:
             backplane.warm_up(workload)
         assert len(evaluator.pool) == 2
         assert remote_counter("repro_remote_tasks_total") == 2
@@ -508,7 +510,8 @@ class TestProcessPoolBackplane:
         workload = [sdss.template("cone_search")(random.Random(4))]
         evaluator = WorkloadEvaluator(catalog)
         evaluator.warm_up(workload)
-        with ProcessPoolBackplane(evaluator, processes=2) as backplane:
+        with closing(ProcessPoolBackplane(
+                evaluator, processes=2)) as backplane:
             assert backplane.warm_up(workload) == 0
 
     def test_bounded_parent_pool_bounds_workers_too(self):
@@ -522,7 +525,8 @@ class TestProcessPoolBackplane:
         rng = random.Random(21)
         workload = [sdss.template("cone_search")(rng) for __ in range(6)]
         evaluator = WorkloadEvaluator(catalog, pool=InumCachePool(capacity=3))
-        with ProcessPoolBackplane(evaluator, processes=2) as backplane:
+        with closing(ProcessPoolBackplane(
+                evaluator, processes=2)) as backplane:
             calls = backplane.warm_up(workload)
         assert calls > 0
         assert len(evaluator.pool) <= 3
@@ -531,7 +535,8 @@ class TestProcessPoolBackplane:
         catalog = make_sdss(scale=0.01)
         workload = [sdss.template("cone_search")(random.Random(6))]
         evaluator = WorkloadEvaluator(catalog)
-        with ProcessPoolBackplane(evaluator, processes=1) as backplane:
+        with closing(ProcessPoolBackplane(
+                evaluator, processes=1)) as backplane:
             calls = backplane.warm_up(workload)
         assert calls > 0 and len(evaluator.pool) == 1
 
@@ -612,7 +617,7 @@ class TestServiceKillRestore:
         bare = TuningService(shards=2)  # no backplanes registered
         with pytest.raises(DesignError, match="backplane"):
             bare.load_state(tmp_path)
-        assert bare.tenants == []  # nothing half-restored
+        assert not bare._tenants  # nothing half-restored
         bare.add_backplane("sdss", make_sdss(scale=0.02))
         assert set(bare.load_state(tmp_path)) == {"t0"}
 
@@ -631,7 +636,7 @@ class TestServiceKillRestore:
         fresh = self.make_service()
         with pytest.raises(WireFormatError, match="epoch_probes"):
             fresh.load_state(tmp_path)
-        assert fresh.tenants == []  # t0 was not half-registered
+        assert not fresh._tenants  # t0 was not half-registered
 
     def _with_pending(self, tmp_path, pending):
         """A saved two-tenant state file whose scheduler buffers are
@@ -656,7 +661,7 @@ class TestServiceKillRestore:
         fresh = self.make_service()
         with pytest.raises(WireFormatError, match=r"pending\.t1\[1\]"):
             fresh.load_state(tmp_path)
-        assert fresh.tenants == []
+        assert not fresh._tenants
         self._with_pending(tmp_path, {})
         assert set(fresh.load_state(tmp_path)) == {"t0", "t1"}
 
@@ -668,7 +673,7 @@ class TestServiceKillRestore:
         fresh = self.make_service()
         with pytest.raises(WireFormatError, match="ghost"):
             fresh.load_state(tmp_path)
-        assert fresh.tenants == [] and fresh.queue_depths() == {}
+        assert not fresh._tenants and fresh.queue_depths() == {}
 
     def test_state_file_version_checked(self, tmp_path):
         service = self.make_service()
