@@ -129,10 +129,12 @@ def build_parser():
         "--pool-capacity", type=int, default=None,
         help="resident cache-pool entries per backplane (default unbounded), "
         "one per distinct statement text, routed to a shard by a hash of "
-        "the text. Bounds the state derived from an entry - scan / plan / "
-        "slot memos, compiled kernels and workloads - not what is kept per "
-        "text (bound AST and plan terms: an evicted statement is decoded "
-        "from its terms, never re-planned)",
+        "the text. A statement that leaves the working set (none of the "
+        "16 workloads priced most recently reads it) keeps only its bound "
+        "AST, plan terms and pool entry, about 2 kB: its scan / plan / "
+        "slot memos and kernel go, re-derived if it returns. A bound also "
+        "evicts entries: an evicted statement is decoded from its terms, "
+        "never re-planned",
     )
     serve.add_argument("--phase-length", type=int, default=30)
     serve.add_argument("--epoch", type=int, default=25)

@@ -124,21 +124,18 @@ class WorkloadEvaluator:
         self._slot_memo = {}
         # One object per index set and winner tuple the memos hold.
         self._shared = {}
-        self.evaluations = 0
         self.pool = pool if pool is not None else InumCachePool()
         self.pool.attach(self)
-        self.plan_term_decodes = 0  # pool misses answered from the memo
         self._compiled = OrderedDict()  # workload key -> _KernelWorkload
         self._exact_services = OrderedDict()  # Configuration -> CostService
         # The pinned empty-design CostService; its statement records
         # are this model's, and every exact service shares them.
         self._base_service = CostService(catalog, self.settings)
         self._recommendations = OrderedDict()
-        self.recommend_memo_hits = self.recommend_memo_misses = 0
-        # Guards the memos and their counters.  Shipped code drives an
-        # evaluator from one thread (the scheduler's, or a runner
-        # connection's); the lock keeps them exact for a library
-        # caller pricing from several threads at once.
+        # Guards the memos.  Shipped code drives an evaluator from one
+        # thread (the scheduler's, or a runner connection's); the lock
+        # keeps them exact for a library caller pricing from several
+        # threads at once.
         self._lock = threading.RLock()
         # (registry, {mode: bound metric handles}), rebuilt when the
         # active registry changes: per-batch telemetry is three calls.
@@ -166,7 +163,6 @@ class WorkloadEvaluator:
         config = config or Configuration.empty()
         view = _DesignView(self.catalog, config)
         bq = self.bound(query)
-        self.evaluations += 1
         if isinstance(bq, BoundWrite):
             return self._write_cost(bq, view, config)
         return self._evaluate(self.cache_for(bq), view)
@@ -177,7 +173,6 @@ class WorkloadEvaluator:
         total = 0.0
         for query, weight in workload_pairs(workload):
             bq = self.bound(query)
-            self.evaluations += 1
             if isinstance(bq, BoundWrite):
                 total += weight * self._write_cost(bq, view, config)
             else:
@@ -267,7 +262,6 @@ class WorkloadEvaluator:
         maybe_write = self.bound(query)
         if isinstance(maybe_write, BoundWrite):
             # The indexes a write maintains, plus its locate query's.
-            self.evaluations += 1
             cost = self._write_cost(maybe_write, view, config)
             used = frozenset(
                 ix for ix in config.indexes if maybe_write.touches_index(ix)
@@ -292,7 +286,6 @@ class WorkloadEvaluator:
             for index in winners
             if index in config.indexes
         )
-        self.evaluations += 1
         return best, best_used
 
     def workload_cost_with_usage(self, workload, config=None):
@@ -327,8 +320,6 @@ class WorkloadEvaluator:
             cache = build_cache(bq, self.catalog, self.settings)
             self.remember_terms(cache)
             return cache
-        with self._lock:  # a library caller's threads may build at once
-            self.plan_term_decodes += 1
         return QueryCache.from_plan_terms(bq, plans)
 
     def remember_terms(self, cache):
@@ -351,11 +342,34 @@ class WorkloadEvaluator:
         EVICT` lists), so a bounded pool bounds the memos too.  Called by
         the pool with its lock held; pool → evaluator is the one
         sanctioned lock order."""
-        bq = cache.bound_query
         with self._lock:
-            for row in memos.rows(memos.EVICT):
-                owner = bq if row.reach is None else row.owner_in(self)
-                row.forget(getattr(owner, row.attr), sql)
+            self._drop(memos.EVICT, [(sql, cache)])
+
+    def _release(self, entries):
+        """Drop what the memo table derives from each ``(sql, cache)``
+        pool entry that no resident compiled workload reads (the rows
+        :data:`~repro.evaluation.memos.COLD` lists) and return their
+        texts, whose kernels the pool then drops.  The entry and the
+        statement's record stay: a statement that comes back is
+        re-derived from them, never rebuilt.  Called by
+        :meth:`InumCachePool.release` with its lock held."""
+        with self._lock:
+            reads = [c.reads for c in self._compiled.values()]
+            cold = [(sql, cache) for sql, cache in entries
+                    if not any(sql in hot for hot in reads)]
+            self._drop(memos.COLD, cold)
+        return [sql for sql, __ in cold]
+
+    def _drop(self, hook, entries):
+        """Walk *hook*'s rows over the ``(sql, cache)`` pool entries'
+        statements.  Callers hold our lock."""
+        if not entries:
+            return
+        texts = {sql for sql, __ in entries}
+        bound = [cache.bound_query for __, cache in entries]
+        for row in memos.rows(hook):
+            for owner in row.owners(self, bound):
+                row.forget(getattr(owner, row.attr), texts)
 
     def warm_targets(self, workload):
         """The deduplicated statements a warm-up must build, as
@@ -417,10 +431,8 @@ class WorkloadEvaluator:
             found = self._recommendations.get(key)
             if found is None:
                 result = "miss"
-                self.recommend_memo_misses += 1
             else:
                 result = "hit"
-                self.recommend_memo_hits += 1
                 self._recommendations.move_to_end(key)
         obs.metrics().family(RECOMMEND_MEMO).labels(
             result=result).inc()
@@ -454,11 +466,16 @@ class WorkloadEvaluator:
         # through the pool); concurrent builders of the same workload
         # each produce an equivalent object and the last insert wins.
         compiled = self._compile_fresh(pairs)
+        left = ()
         with self._lock:
             # An entry evicted mid-build must not resurrect a workload
             # _forget already swept (this call may still use it).
             if all(sql in self.pool for sql in compiled.reads):
-                memos.COMPILED.store(self._compiled, key, compiled)
+                left = memos.COMPILED.store(self._compiled, key, compiled)
+        if left:
+            # What only the workloads that left read leaves the working
+            # set; the pool takes our lock inside (pool → evaluator).
+            self.pool.release(frozenset().union(*(c.reads for c in left)))
         return compiled
 
     def _compile_fresh(self, pairs):
@@ -523,7 +540,7 @@ class WorkloadEvaluator:
         time different things: the span and the latency timer open
         *before* the workload compiles (a cold call's ``pool.build``
         spans are children of the seam's span, and ``mode`` latencies
-        compare), the evaluation count and the telemetry close them.
+        compare), the telemetry closes them.
         Yields ``(compiled, configurations, views, table_sigs)``, a
         ``None`` configuration replaced by the empty one."""
         configurations = [c or Configuration.empty() for c in configurations]
@@ -532,11 +549,8 @@ class WorkloadEvaluator:
             compiled = self._compile(workload)
             views, table_sigs = self._kernel_views(compiled, configurations)
             yield compiled, configurations, views, table_sigs
-            n_statements = len(compiled.positions)
-            with self._lock:  # exact even when threads batch at once
-                self.evaluations += n_statements * len(configurations)
             self._observe_batch(mode, time.perf_counter() - t0,
-                                n_statements, len(configurations))
+                                len(compiled.positions), len(configurations))
 
     def _assemble_batch(self, compiled, configurations, views, reads):
         """Fold the kernel's read grid plus write costs into a

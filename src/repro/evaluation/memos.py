@@ -3,8 +3,10 @@ declared once: its owner, key, what an entry depends on, the hooks that
 drop entries and its bound.
 
 The hooks walk these rows: ``WorkloadEvaluator._forget`` (a pool entry
-left), ``paths.scan_context`` (drops what was keyed on a context it
-replaced) and ``paths.forget_indexes`` (one-shot indexes released).
+left), ``InumCachePool.release`` (a statement left the working set: no
+resident compiled workload reads it any more), ``paths.scan_context``
+(drops what was keyed on a context it replaced) and
+``paths.forget_indexes`` (one-shot indexes released).
 Nothing in ``src/`` re-reads statistics, so a row that depends on them
 and does not validate them lives as long as its owner.  The three
 evaluator LRUs insert through :meth:`Memo.store`, which reads the bound
@@ -22,6 +24,7 @@ INDEXES, SETTINGS, WORKLOAD = "index set", "settings", "workload"
 
 # The hooks that drop entries.
 EVICT = "WorkloadEvaluator._forget"
+COLD = "InumCachePool.release"  # the evaluator's _release walks the rows
 STALE = "paths.scan_context"  # what is keyed on a replaced context
 RELEASE = "paths.forget_indexes"
 VALIDATE = "every lookup"  # checked against the statistics it read
@@ -34,7 +37,7 @@ class Memo:
     """``owner.attr``: *key* -> a value derived from *depends*; an int
     *bound* is an LRU size.  ``reach``: the attribute path from the
     evaluator to the owner ("" itself, ``None`` none).  ``evict``: how
-    ``_forget`` drops an entry's part (see :meth:`forget`)."""
+    a hook's walk drops a statement's part (see :meth:`forget`)."""
 
     owner: str
     attr: str
@@ -48,21 +51,25 @@ class Memo:
 
     def store(self, memo, key, value):
         """Insert, evicting least recently used entries past the bound
-        (callers hold the owner's lock)."""
+        (callers hold the owner's lock); returns the evicted values."""
         memo[key] = value
+        evicted = []
         while len(memo) > self.bound:
-            memo.popitem(last=False)
+            evicted.append(memo.popitem(last=False)[1])
+        return evicted
 
-    def forget(self, memo, sql):
-        """Drop *memo*'s part derived from the pool entry filed under
-        *sql*: pop its text, empty all of a memo on its bound query, or
-        drop the values compiled from it."""
+    def forget(self, memo, texts):
+        """Drop *memo*'s part derived from the statements filed under
+        *texts* (a set): pop their texts, empty all of a memo on their
+        bound queries, or drop the values compiled from one of them."""
         if self.evict == "all":
             memo.clear()
         elif self.evict == "text":
-            memo.pop(sql, None)
+            for sql in texts:
+                memo.pop(sql, None)
         else:
-            for key in [k for k, v in memo.items() if sql in v.reads]:
+            for key in [k for k, v in memo.items()
+                        if not v.reads.isdisjoint(texts)]:
                 del memo[key]
 
     def owner_in(self, evaluator):
@@ -71,17 +78,32 @@ class Memo:
             return None
         return getattr(evaluator, self.reach) if self.reach else evaluator
 
+    def owners(self, evaluator, bound):
+        """Every object a walk drops this row's part for the statements
+        bound as *bound* from: those bound queries, each live service
+        for a service's row, else the one owner — none for the pool's
+        rows, which the pool drops under its own lock."""
+        if self.reach is None:
+            return bound
+        if self.reach == "pool":
+            return ()
+        if self.owner == "CostService":
+            return (evaluator._base_service,
+                    *evaluator._exact_services.values())
+        return (self.owner_in(evaluator),)
+
 
 STATEMENTS = Memo(
     "CostService", "statements", "statement text", (TEXT, STATS), (OWNER,),
-    "statements seen: a record with its terms 0.7-1.2 kB, its binding "
-    "(scan contexts and plan memo included) 3.5-5.2 kB more, on "
-    "online_ingest", "One record per text: the "
+    "statements seen: a record with its binding and terms 1.8 kB on "
+    "online_ingest once its scan contexts and plan memo are released",
+    "One record per text: the "
     "bound statement (every exact service binds through it, so both paths "
     "share its memos) and what build_cache answered, so a miss on a seen "
     "statement decodes instead of planning.  Its text is the statement's "
-    "one key: the pool and its kernels file it under the same.",
-    reach="_base_service")
+    "one key: the pool and its kernels file it under the same.  With its "
+    "pool entry (0.4 kB) it is all a statement that left the working set "
+    "keeps.", reach="_base_service")
 TEMPLATES = Memo(
     "CostService", "templates", "token stream, each literal masked to its "
     "kind", (SHAPE, STATS), (OWNER,), "as STATEMENTS: at most one per "
@@ -96,13 +118,17 @@ TEMPLATES = Memo(
     "numbers pass, equal to binding its text afresh.", reach="_base_service")
 SLOT_MEMO = Memo(
     "WorkloadEvaluator", "_slot_memo", "entry text -> (slot, indexes, "
-    "cover, horizontal)", (ENTRY, INDEXES, STATS), (EVICT, OWNER),
-    "resident entries' slots", "(cost, winner indexes) or None; one bucket "
-    "per entry (a pricer racing an eviction may refill one).  The key's "
+    "cover, horizontal)", (ENTRY, INDEXES, STATS), (EVICT, COLD, OWNER),
+    "statements read by a resident compiled workload, plus those priced "
+    "since no compiled workload that left read them", "(cost, winner "
+    "indexes) or None; one bucket per entry (a pricer racing an eviction "
+    "or a release may refill one).  The key's "
     "index set and the winner tuple are SHARED's objects, so an entry "
     "owns its key tuple and its (cost, winner) pair only: about 190 B a "
-    "key, 2.6-3.3 kB per resident statement on online_ingest (6.7-8.3 "
-    "kB when every key held a set of its own).", reach="", evict="text")
+    "key, 2.9-4.0 kB per statement holding a bucket on online_ingest "
+    "(6.7-8.3 kB when every key held a set of its own); after its "
+    "--seconds 10 run 414 of 2 031 entries hold one (all of them when "
+    "nothing was released).", reach="", evict="text")
 SHARED = Memo(
     "WorkloadEvaluator", "_shared", "index set (frozenset) or winner tuple",
     (INDEXES,), (OWNER,), "distinct index sets and winners seen",
@@ -128,23 +154,34 @@ BASE_SERVICE = Memo(
     "The empty design's CostService; sessions hold it.", reach="")
 PLAN_CACHE = Memo(
     "CostService", "_plan_cache", "statement text", (TEXT, INDEXES, STATS),
-    (OWNER,), "statements planned", "Plan memo references for one "
-    "design; nothing re-validates it.", reach="_base_service")
+    (COLD, OWNER), "statements planned, less those released", "Plan memo "
+    "references for one design, about 130 B a text; nothing re-validates "
+    "it.  A release pops the text from every live service's.",
+    reach="_base_service", evict="text")
 ENTRIES = Memo(
     "InumCachePool", "_entries", "statement text",
     (TEXT, STATS, SETTINGS), (POOL,), "capacity (LRU)", "INUM entries; one "
     "that leaves calls the owner's _forget.", reach="pool")
-KERNELS = Memo("InumCachePool", "_kernels", "statement text", (ENTRY,),
-               (POOL,), "resident entries", "Statement kernels.",
-               reach="pool")
+KERNELS = Memo(
+    "InumCachePool", "_kernels", "statement text", (ENTRY,), (POOL, COLD),
+    "resident entries compiled since their last release", "Statement "
+    "kernels, 0.35 kB each beyond what the fused workload kernels share "
+    "on online_ingest; the pool drops a released text's under its lock.",
+    reach="pool")
 SCAN_CONTEXTS = Memo(
     "BoundQuery", "scan_contexts", "(alias, layout cover, horizontal)",
-    (ENTRY, STATS), (VALIDATE, EVICT, OWNER), "covers x partitionings",
-    "ScanContext per reference; ScanContext.is_current.", evict="all")
+    (ENTRY, STATS), (VALIDATE, EVICT, COLD, OWNER),
+    "covers x partitionings, on statements as SLOT_MEMO", "ScanContext "
+    "per reference; ScanContext.is_current.  2.7-3.8 kB per statement "
+    "holding any on online_ingest, mostly path groups of indexes outside "
+    "the catalog.", evict="all")
 PLAN_MEMO = Memo(
     "BoundQuery", "plan_memo", "(settings, paths.plan_inputs(...))",
-    (ENTRY, STATS, INDEXES, SETTINGS), (STALE, EVICT, OWNER), "projected "
-    "designs", "Keys hold contexts by identity.", evict="all")
+    (ENTRY, STATS, INDEXES, SETTINGS), (STALE, EVICT, COLD, OWNER),
+    "projected designs, on statements as SLOT_MEMO", "Keys hold contexts "
+    "by identity.  1.8-5.4 kB per statement holding any on online_ingest "
+    "(COLT's what-if probe plans): 41 of 2 031 after its --seconds 10 "
+    "run, 729 when nothing was released.", evict="all")
 PRICED = Memo(
     "ScanContext", "_priced", "settings -> index | None | (index, probes)",
     (SETTINGS, INDEXES), (RELEASE, OWNER), "indexes priced", "Paths; bulk "

@@ -183,6 +183,17 @@ class InumCachePool:
                     elapsed)
             return kernel
 
+    def release(self, texts):
+        """Drop what the owner derives from the entries filed under
+        *texts* once no compiled workload of its reads them — the owner's
+        ``_release`` walks its rows under our lock (pool → evaluator) —
+        and the kernels of the texts it released.  The entries stay."""
+        with self._lock:
+            resident = [(sql, self._entries[sql]) for sql in texts
+                        if sql in self._entries]
+            for sql in self.owner()._release(resident):
+                self._kernels.pop(sql, None)
+
     @property
     def kernel_count(self):
         """How many resident entries currently have a compiled kernel."""

@@ -100,6 +100,15 @@ class ShardedInumCachePool:
         and invalidated by the owning shard; ``None`` when absent)."""
         return self.shard_for(sql).kernel_for(sql)
 
+    def release(self, texts):
+        """Release *texts* shard by shard, each under its shard's lock
+        (see :meth:`InumCachePool.release`)."""
+        by_shard = {}
+        for sql in texts:
+            by_shard.setdefault(self.shard_index(sql), []).append(sql)
+        for position in sorted(by_shard):
+            self._shards[position].release(by_shard[position])
+
     @property
     def kernel_count(self):
         """Resident compiled kernels across all shards."""

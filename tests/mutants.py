@@ -344,6 +344,23 @@ MUTANTS = (
          "test_memo_keys_witnesses_and_signatures_are_shared_objects",),
     ),
     Mutant(
+        "cold-release-disabled",
+        "src/repro/evaluation/evaluator.py",
+        "self.pool.release(frozenset().union(*(c.reads for c in left)))",
+        "pass",
+        ("tests/test_memo_inventory.py::"
+         "test_derived_state_levels_off_while_records_grow",),
+    ),
+    Mutant(
+        "cold-release-ignores-hot",
+        "src/repro/evaluation/evaluator.py",
+        "if not any(sql in hot for hot in reads)]",
+        "]",
+        ("tests/test_memo_inventory.py::"
+         "test_a_statement_no_compiled_workload_reads_keeps_its_record_and_"
+         "entry",),
+    ),
+    Mutant(
         "build-copies-slots",
         "src/repro/inum/cache.py",
         "return CachedPlan(internal_cost, one(tuple(map(one, slots))),",

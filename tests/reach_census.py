@@ -11,6 +11,7 @@ entry points are the shipped surfaces (:data:`ENTRY_POINTS`):
 
 * the perf ledger, ``benchmarks/e2e/run.py --smoke``;
 * every CLI subcommand, ``recommend`` under each solver, ``serve``
+  long enough that statements leave a backplane's working set, ``serve``
   stopped mid-stream and resumed on a ``--state-dir`` (also with
   ``--snapshot-interval``), with ``--offload 2``, against two ``runner
   --listen`` nodes, and with ``--metrics-port`` scraped once per page;
@@ -227,7 +228,10 @@ def cli_online(env):
     run(env, *CLI, *SMALL, "online", "--phase-length", "30", "--epoch", "15")
     run(env, *CLI, *SMALL, "stream", "--phase-length", "30", "--epoch", "15",
         "--refresh-every", "20", "--window", "20")
-    run(env, *CLI, *SERVE, "--refresh-every", "10")
+    # Eight times SERVE's phases (the later flag wins): a backplane then
+    # compiles more workloads than memos.COMPILED holds, and statements
+    # leave its working set (InumCachePool.release).
+    run(env, *CLI, *SERVE, "--refresh-every", "10", "--phase-length", "40")
 
 
 def cli_resume(env):

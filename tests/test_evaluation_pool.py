@@ -171,7 +171,6 @@ class TestStatsExactness:
         evaluator.cost(Q_RA)  # evaluation: one pool hit, zero new builds
         assert (stats.hits, stats.misses) == (3, 1)
         assert stats.optimizer_calls == build_calls
-        assert evaluator.evaluations == 1
         assert stats.hit_rate == pytest.approx(0.75)
 
     def test_empty_pool_hit_rate(self):

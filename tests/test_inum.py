@@ -143,6 +143,8 @@ class TestSlotCacheConsistency:
             assert inum.workload_cost(workload, config) == first
 
     def test_evaluation_counter(self, inum):
+        """Each evaluation is one pool probe, whatever the design."""
+        probes = inum.pool.stats.hits + inum.pool.stats.misses
         inum.cost(QUERIES[0])
         inum.cost(QUERIES[0], Configuration.of(CANDIDATES[0]))
-        assert inum.evaluations == 2
+        assert inum.pool.stats.hits + inum.pool.stats.misses == probes + 2

@@ -7,6 +7,9 @@ to the declaration.
 (b) After re-ANALYZE the self-validating rows miss.
 (c) A dict attribute on the objects a designer run reaches that the
     table does not list fails.
+(d) A statement that no resident compiled workload reads any more
+    keeps only its record and its pool entry, so what a stream leaves
+    behind levels off while the records and the pool grow.
 """
 
 import dataclasses
@@ -16,16 +19,24 @@ import sys
 import threading
 
 from repro.catalog import Index, VerticalFragment, VerticalLayout
+from repro.colt import ColtSettings
+from repro.cophy.bip import CandidatePricer
 from repro.designer import Designer
 from repro.evaluation import InumCachePool, WorkloadEvaluator, memos
 from repro.evaluation.kernel import WorkloadKernel
-from repro.inum.cache import build_cache
+from repro.inum.cache import _DesignView, build_cache
 from repro.optimizer import CostService
 from repro.optimizer import paths as P
 from repro.optimizer.paths import ScanContext
+from repro.service import TuningService
 from repro.sql.binder import BoundQuery
 from repro.whatif import Configuration
-from repro.workloads import sdss_catalog, sdss_workload
+from repro.workloads import (
+    default_phases,
+    drifting_stream,
+    sdss_catalog,
+    sdss_workload,
+)
 
 Q_JOIN = (
     "SELECT p.ra, s.z FROM photoobj p, specobj s "
@@ -306,3 +317,215 @@ def test_eviction_racing_pricing_stays_exact():
     for row in memos.MEMOS:
         if row.reach is not None and isinstance(row.bound, int):
             assert len(getattr(row.owner_in(evaluator), row.attr)) <= row.bound
+
+
+# ----------------------------------------------------------------------
+# (d) the working set: what a compiled workload that left read alone.
+# ----------------------------------------------------------------------
+
+
+def fill_compiled(evaluator, sql, configs):
+    """Compile as many workloads reading *sql* as ``COMPILED`` holds,
+    each its own key (a weight of its own), pricing each."""
+    for weight in range(2, 2 + memos.COMPILED.bound):
+        evaluator.evaluate_configurations([(sql, float(weight))], configs)
+
+
+def cold_parts(evaluator, sql):
+    """What the ``COLD`` rows hold for *sql*, row by row: its slot-memo
+    bucket, every live service's plan, its kernel, its contexts and its
+    plan memo — each as a dict of the entries a release would drop."""
+    bq = evaluator.bound(sql)
+    parts = {}
+    for row in memos.rows(memos.COLD):
+        if row is memos.KERNELS:
+            kernel = evaluator.pool._kernels.get(sql)
+            parts[row.attr] = {} if kernel is None else {sql: kernel}
+        elif row.evict == "all":
+            parts[row.attr] = dict(getattr(bq, row.attr))
+        else:
+            part = parts[row.attr] = {}
+            for owner in row.owners(evaluator, [bq]):
+                value = getattr(owner, row.attr).get(sql)
+                if isinstance(value, dict):  # a slot-memo bucket, by key
+                    part.update(((id(owner), key), choice)
+                                for key, choice in value.items())
+                elif value is not None:
+                    part[id(owner)] = value
+    return parts
+
+
+def test_a_statement_no_compiled_workload_reads_keeps_its_record_and_entry():
+    """The twin of (a) for the working set: once the compiled workloads
+    that read Q_JOIN have all left, its derived state goes and its
+    record and pool entry stay; Q_OTHER, which a resident compiled
+    workload still reads, keeps every entry it had."""
+    catalog = sdss_catalog(scale=0.05)
+    evaluator = WorkloadEvaluator(catalog)
+    __, configs = exercise(evaluator, [Q_JOIN, Q_OTHER])
+    rows = memos.rows(memos.COLD)
+    assert {row.attr for row in rows} == {
+        "_slot_memo", "_plan_cache", "_kernels", "scan_contexts", "plan_memo"}
+    cold, hot = cold_parts(evaluator, Q_JOIN), cold_parts(evaluator, Q_OTHER)
+    for parts in (cold, hot):
+        assert all(parts.values()), parts.keys()  # filled first
+    assert len(cold["_plan_cache"]) == len(configs)  # one per service
+    record = evaluator.exact_service().statements[Q_JOIN]
+    entry = evaluator.cache_for(Q_JOIN)
+
+    fill_compiled(evaluator, Q_OTHER, [configs[0]])  # Q_JOIN's workload left
+    assert all(Q_JOIN not in c.reads for c in evaluator._compiled.values())
+    assert not any(cold_parts(evaluator, Q_JOIN).values())
+    assert evaluator.exact_service().statements[Q_JOIN] is record
+    assert record.bound is evaluator.bound(Q_JOIN) and record.terms
+    assert evaluator.pool.get(Q_JOIN) is entry
+    kept = cold_parts(evaluator, Q_OTHER)
+    for attr, part in hot.items():
+        assert part.items() <= kept[attr].items(), attr
+
+    # It comes back: re-derived from the record, never rebuilt.
+    spent = evaluator.precompute_calls
+    reference = WorkloadEvaluator(catalog)
+    workload = [(Q_JOIN, 1.0), (Q_OTHER, 2.0)]
+    assert evaluator.evaluate_configurations(workload, configs).matrix == \
+        reference.evaluate_configurations(workload, configs).matrix
+    assert evaluator.precompute_calls == spent
+
+
+def derived(evaluator):
+    """How many statements hold a slot-memo bucket, non-empty scan
+    contexts and a kernel, and how many plan-memo entries they hold."""
+    bindings = [record.bound for record
+                in evaluator.exact_service().statements.values()]
+    bindings += [evaluator.pool.get(sql).bound_query
+                 for sql in evaluator.pool.keys()]
+    bound = {id(bq): bq for bq in bindings if isinstance(bq, BoundQuery)}
+    return {
+        "slot memo": sum(1 for bucket in evaluator._slot_memo.values()
+                         if bucket),
+        "scan contexts": sum(1 for bq in bound.values() if bq.scan_contexts),
+        "plan memo": sum(len(bq.plan_memo) for bq in bound.values()),
+        "kernels": evaluator.pool.kernel_count,
+    }
+
+
+def stream_through_service(catalog, events):
+    """A one-tenant, unbounded-pool service after *events* events of a
+    drifting stream; the backplane's evaluator."""
+    service = TuningService(shards=2)
+    service.add_backplane("sdss", catalog)
+    service.add_tenant(
+        "drift", "sdss", recommend_every=30, window=10,
+        colt_settings=ColtSettings(epoch_length=5,
+                                   space_budget_pages=50_000))
+    service.run_scheduled(
+        {"drift": drifting_stream(default_phases(events // 3), seed=3)})
+    return service.backplane("sdss").evaluator
+
+
+def test_derived_state_levels_off_while_records_grow(monkeypatch):
+    """ROADMAP 34(a): stream N, then 4N events through a service with the
+    unbounded pool.  Records and pool entries grow with the stream; what
+    is derived from them stays within N // 4 of its size after N — a
+    drifting stream's statements rarely come back, so they leave the
+    working set.  Derived state kept for good grows about fourfold here
+    (149 → 595 slot-memo buckets), far past the bound."""
+    compiles = []
+    real = WorkloadEvaluator._compile_fresh
+
+    def counting(self, pairs):
+        compiles.append(self)
+        return real(self, pairs)
+
+    monkeypatch.setattr(WorkloadEvaluator, "_compile_fresh", counting)
+    catalog = sdss_catalog(scale=0.01)
+    n = 150
+    short = stream_through_service(catalog, n)
+    assert compiles.count(short) > memos.COMPILED.bound
+    long = stream_through_service(catalog, 4 * n)
+    after_n, after_4n = derived(short), derived(long)
+    for name, count in after_4n.items():
+        assert count <= after_n[name] + n // 4, (name, after_n, after_4n)
+    assert len(long.exact_service().statements) \
+        > 3 * len(short.exact_service().statements)
+    assert len(long.pool) > 3 * len(short.pool)
+
+
+def test_releasing_racing_pricing_stays_exact():
+    """One thread compiles workloads past ``COMPILED``'s bound, so their
+    statements leave the working set over and over, while two more price
+    the same statements through ``slot_choice`` and a
+    ``CandidatePricer``: every answer ``==`` a single-threaded run's."""
+    catalog = sdss_catalog(scale=0.05)
+    statements = [Q_JOIN, Q_TWIN, Q_OTHER, Q_ZMAG]
+    configs = [Configuration.empty()] + designs(catalog)
+    candidates = [Index("photoobj", ("rmag",)), Index("photoobj", ("type",)),
+                  Index("specobj", ("z",)), Index("photoobj", ("zmag",))]
+    # Statement by statement, each more workloads than COMPILED holds:
+    # the next statement's push the last one's out whole.
+    workloads = [[(sql, float(weight))] for sql in statements
+                 for weight in range(1, 2 + memos.COMPILED.bound)]
+
+    def grids(evaluator):
+        return [evaluator.evaluate_configurations(w, configs).matrix
+                for w in workloads]
+
+    def prices(evaluator):
+        pricer = CandidatePricer(evaluator)
+        out = []
+        for sql in statements:
+            bq = evaluator.bound(sql)
+            for plan in evaluator.cache_for(bq).plans:
+                for slot in plan.slots:
+                    out.append(evaluator.slot_choice(bq, slot, _DesignView(
+                        catalog, configs[1])))
+                    out.extend(pricer.price(bq, slot, index)
+                               for index in candidates)
+        return out
+
+    reference = WorkloadEvaluator(catalog)
+    expected_grids, expected_prices = grids(reference), prices(reference)
+    evaluator = WorkloadEvaluator(catalog)
+    failures, released = [], []
+    real = evaluator._release
+
+    def counting(entries):
+        out = real(entries)
+        released.extend(out)
+        return out
+
+    evaluator._release = counting
+    barrier = threading.Barrier(3)
+
+    def compiler():
+        try:
+            barrier.wait(timeout=30)
+            for __ in range(5):
+                assert grids(evaluator) == expected_grids
+        except Exception as exc:  # pragma: no cover - failure path
+            failures.append(exc)
+
+    def pricer():
+        try:
+            barrier.wait(timeout=30)
+            for __ in range(10):
+                assert prices(evaluator) == expected_prices
+        except Exception as exc:  # pragma: no cover - failure path
+            failures.append(exc)
+
+    threads = [threading.Thread(target=compiler),
+               threading.Thread(target=pricer),
+               threading.Thread(target=pricer)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
+    assert released  # the race ran against releases
+    assert len(evaluator._compiled) <= memos.COMPILED.bound

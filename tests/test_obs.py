@@ -356,9 +356,6 @@ class TestRecommendMemoTelemetry:
         hits = metric_value(reg, "repro_recommend_memo_total", result="hit")
         misses = metric_value(reg, "repro_recommend_memo_total", result="miss")
         assert hits == misses == refreshes // 2
-        evaluator = service.backplane("sdss").evaluator
-        assert (evaluator.recommend_memo_hits,
-                evaluator.recommend_memo_misses) == (hits, misses)
         snapshot = reg.snapshot()
         by_trigger = snapshot["counters"]["repro_tenant_refreshes_total"]
         assert sum(s["value"] for s in by_trigger["samples"]) == refreshes

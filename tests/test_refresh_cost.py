@@ -24,11 +24,13 @@ import pytest
 
 import repro.cophy.advisor as advisor_module
 import repro.cophy.candidates as candidates_module
+from repro import obs
 from repro.catalog import Index
 from repro.colt import ColtSettings
 from repro.cophy import candidate_indexes
 from repro.designer import Designer
 from repro.evaluation import WorkloadEvaluator, memos
+from repro.obs.catalogue import RECOMMEND_MEMO
 from repro.service import TenantSession, TuningService
 from repro.sql import Lexer, binder
 from repro.sql.template import template_key
@@ -40,7 +42,7 @@ from repro.workloads import (
     sdss_workload,
 )
 
-from oracle import drain
+from oracle import drain, metric_value
 from test_colgen import TEMPLATE_ENVS, template_workload
 
 WORKLOAD = [
@@ -73,8 +75,20 @@ VARIATIONS = {
 }
 
 
-def memo_counts(evaluator):
-    return evaluator.recommend_memo_hits, evaluator.recommend_memo_misses
+@pytest.fixture(autouse=True)
+def fresh_registry():
+    """Each test counts the recommendation memo on an empty registry."""
+    obs.reset()
+    yield
+    obs.reset()
+
+
+def memo_counts():
+    """``(hits, misses)`` of the recommendation memo, as its metric
+    family counts them."""
+    registry = obs.metrics()
+    return tuple(metric_value(registry, RECOMMEND_MEMO.name, result=result)
+                 for result in ("hit", "miss"))
 
 
 def summary(rec):
@@ -111,13 +125,13 @@ class TestRecommendMemo:
         designer = Designer(sdss_catalog)
         first = designer.recommend(**BASE)
         assert designer.recommend(**BASE) is first
-        assert memo_counts(designer.evaluator) == (1, 1)
+        assert memo_counts() == (1, 1)
         results = [first]
         for name, values in VARIATIONS.items():
             for value in values:
-                __, misses = memo_counts(designer.evaluator)
+                __, misses = memo_counts()
                 other = designer.recommend(**{**BASE, name: value})
-                assert memo_counts(designer.evaluator) == (1, misses + 1), name
+                assert memo_counts() == (1, misses + 1), name
                 assert all(other is not seen for seen in results), name
                 results.append(other)
         # Nothing above displaced or aliased the first entry, and a
@@ -164,9 +178,9 @@ class TestRecommendMemo:
             assert len(memo) <= memos.RECOMMENDATIONS.bound
         assert len(memo) == memos.RECOMMENDATIONS.bound
         assert refresh(0) is first
-        __, misses = memo_counts(designer.evaluator)
+        __, misses = memo_counts()
         refresh(1)  # long evicted: recomputed
-        assert memo_counts(designer.evaluator)[1] == misses + 1
+        assert memo_counts()[1] == misses + 1
 
     def test_concurrent_tenants_never_lose_a_count_or_the_bound(
             self, sdss_catalog):
@@ -201,7 +215,7 @@ class TestRecommendMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not wrong and not oversize
-        hits, misses = memo_counts(evaluator)
+        hits, misses = memo_counts()
         assert hits + misses == 6 * calls_per_thread
         assert hits and misses >= keys
 
@@ -275,7 +289,7 @@ class TestTwinTenants:
             len(service.tenant(name).recommendations) for name in TENANTS
         )
         assert len(windows) == len(set(windows)) < refreshes
-        hits, misses = memo_counts(service.backplane("sdss").evaluator)
+        hits, misses = memo_counts()
         assert (hits + misses, misses) == (refreshes, len(windows))
         # "b" replays "a"'s stream: every one of its refreshes is shared.
         assert hits >= len(alone["b"].recommendations)
@@ -286,7 +300,7 @@ class TestTwinTenants:
         service = run_service(astro_catalog, shards=1, pool_capacity=8)
         plane = service.backplane("sdss")
         assert plane.pool.stats.evictions > 0
-        hits, __ = memo_counts(plane.evaluator)
+        hits, __ = memo_counts()
         assert hits >= len(alone["b"].recommendations)
         for name in TENANTS:
             assert outcome(service.tenant(name)) == outcome(alone[name]), name
