@@ -7,8 +7,6 @@ header.  Getting sizes right matters because every designer component
 reasons about storage budgets in these units.
 """
 
-from functools import lru_cache
-
 from repro.util import align8, ceil_div
 
 PAGE_SIZE = 8192
@@ -47,12 +45,11 @@ def btree_leaf_pages(row_count, key_width):
     return max(1, ceil_div(max(1, row_count), per_page))
 
 
-@lru_cache(maxsize=4096, typed=True)
 def btree_shape(row_count, key_width):
     """Return ``(total_pages, height, leaf_pages)`` of a btree.
 
     Height counts internal levels above the leaves (a one-leaf-page index
-    has height 0).  Memoized: every candidate ``Index`` minted asks again.
+    has height 0).  ``Table.index_shape`` memoizes it per table.
     """
     leaves = btree_leaf_pages(row_count, key_width)
     fanout = max(2, int(USABLE_PAGE * BTREE_FILL) // index_tuple_bytes(key_width))

@@ -88,16 +88,16 @@ class VerticalLayout:
         every column) stitches — :meth:`fragments_for` — and the two
         numbers of the cover that access costs read.  Memoized by
         *needed*, so the statements of one template share one set
-        cover, and validated against the table and its row count."""
+        cover, and checked against the table: a layout object can meet
+        two catalogs."""
         cached = self._covers.get(needed)
-        if cached is None or cached[0] is not table \
-                or cached[1] != table.row_count:
+        if cached is None or cached[0] is not table:
             cover = tuple(self.fragments_for(needed or table.column_names))
             pages = float(sum(f.pages(table) for f in cover))
             cached = self._covers[needed] = (
-                table, table.row_count, (cover, (pages, len(cover))),
+                table, (cover, (pages, len(cover))),
             )
-        return cached[2]
+        return cached[1]
 
     def validate_covers(self, table):
         covered = set()

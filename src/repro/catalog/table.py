@@ -9,7 +9,13 @@ from repro.util import CatalogError
 
 @dataclass
 class Table:
-    """A base table: columns plus cardinality, with derived page counts."""
+    """A base table: columns plus cardinality, with derived page counts.
+
+    A table's row count and column statistics are fixed once it is
+    built: every size and price derived from them is memoized without a
+    re-check, here and in :mod:`repro.evaluation.memos`.  A re-``ANALYZE``
+    builds a new catalog (new ``Table`` objects) and a new evaluator.
+    """
 
     name: str
     columns: list
@@ -17,12 +23,12 @@ class Table:
 
     _by_name: dict = field(default=None, repr=False, compare=False)
     _full_width: int = field(default=0, repr=False, compare=False)
-    _pages: tuple = field(default=None, repr=False, compare=False)  # (row_count, pages)
-    # projected column names -> (row_count, pages); a partition search
-    # asks for the same few fragments' sizes once per candidate layout.
+    pages: int = field(default=0, init=False, repr=False, compare=False)
+    # projected column names -> pages; a partition search asks for the
+    # same few fragments' sizes once per candidate layout.
     _projection_pages: dict = field(default=None, repr=False, compare=False)
-    # index columns -> (row_count, btree shape); an index's size reads
-    # nothing else, so indexes minted per probe share an entry.
+    # index columns -> btree shape; an index's size reads nothing else,
+    # so indexes minted per probe share an entry.
     _index_shapes: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -38,6 +44,7 @@ class Table:
                 raise CatalogError("duplicate column %r in table %r" % (col.name, self.name))
             self._by_name[col.name] = col
         self._full_width = sum(c.width for c in self.columns)
+        self.pages = pagemodel.heap_pages(self.row_count, self._full_width)
         self._projection_pages = {}
         self._index_shapes = {}
 
@@ -63,40 +70,28 @@ class Table:
             return self._full_width
         return sum(self.column(n).width for n in column_names)
 
-    @property
-    def pages(self):
-        cached = self._pages
-        if cached is None or cached[0] != self.row_count:
-            cached = self._pages = (
-                self.row_count,
-                pagemodel.heap_pages(self.row_count, self._full_width),
-            )
-        return cached[1]
-
     def projection_pages(self, column_names):
         """Heap pages a vertical fragment holding *column_names* would use
         (includes the 8-byte row id that stitches fragments back together)."""
         key = tuple(column_names)
-        cached = self._projection_pages.get(key)
-        if cached is None or cached[0] != self.row_count:
+        pages = self._projection_pages.get(key)
+        if pages is None:
             width = self.row_width(key) + 8
-            cached = self._projection_pages[key] = (
-                self.row_count,
-                pagemodel.heap_pages(self.row_count, width),
+            pages = self._projection_pages[key] = pagemodel.heap_pages(
+                self.row_count, width
             )
-        return cached[1]
+        return pages
 
     def index_shape(self, index):
         """``(total_pages, height, leaf_pages)`` of *index* on this
         table (``pagemodel.btree_shape`` of its key width)."""
         key = index.all_columns
-        cached = self._index_shapes.get(key)
-        if cached is None or cached[0] != self.row_count:
-            cached = self._index_shapes[key] = (
-                self.row_count,
-                pagemodel.btree_shape(self.row_count, index.key_width(self)),
+        shape = self._index_shapes.get(key)
+        if shape is None:
+            shape = self._index_shapes[key] = pagemodel.btree_shape(
+                self.row_count, index.key_width(self)
             )
-        return cached[1]
+        return shape
 
     # ------------------------------------------------------------------
 

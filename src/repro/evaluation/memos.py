@@ -4,11 +4,11 @@ drop entries and its bound.
 
 The hooks walk these rows: ``WorkloadEvaluator._forget`` (a pool entry
 left), ``InumCachePool.release`` (a statement left the working set: no
-resident compiled workload reads it any more), ``paths.scan_context``
-(drops what was keyed on a context it replaced) and
+resident compiled workload reads it any more) and
 ``paths.forget_indexes`` (one-shot indexes released).
-Nothing in ``src/`` re-reads statistics, so a row that depends on them
-and does not validate them lives as long as its owner.  The three
+No row re-checks statistics or row counts: they are fixed once a table
+is built (see :class:`~repro.catalog.table.Table`), so a row derived
+from them lives as long as its owner.  The three
 evaluator LRUs insert through :meth:`Memo.store`, which reads the bound
 from the row.  Lookups stay plain dict probes on the owners.
 ``tests/test_memo_inventory.py`` holds the code to the table.
@@ -18,16 +18,14 @@ import functools
 from dataclasses import dataclass
 
 # What an entry depends on.
-ENTRY, TEXT, STATS = "pool entry", "statement text", "statistics identity"
+ENTRY, TEXT = "pool entry", "statement text"
 SHAPE = "text shape"  # a statement's tokens, literals masked to their kind
 INDEXES, SETTINGS, WORKLOAD = "index set", "settings", "workload"
 
 # The hooks that drop entries.
 EVICT = "WorkloadEvaluator._forget"
 COLD = "InumCachePool.release"  # the evaluator's _release walks the rows
-STALE = "paths.scan_context"  # what is keyed on a replaced context
 RELEASE = "paths.forget_indexes"
-VALIDATE = "every lookup"  # checked against the statistics it read
 POOL = "InumCachePool.put"  # past capacity
 OWNER = "its owner"  # dies with the owning object
 
@@ -94,7 +92,7 @@ class Memo:
 
 
 STATEMENTS = Memo(
-    "CostService", "statements", "statement text", (TEXT, STATS), (OWNER,),
+    "CostService", "statements", "statement text", (TEXT,), (OWNER,),
     "statements seen: a record with its binding and terms 1.8 kB on "
     "online_ingest once its scan contexts and plan memo are released",
     "One record per text: the "
@@ -106,7 +104,7 @@ STATEMENTS = Memo(
     "keeps.", reach="_base_service")
 TEMPLATES = Memo(
     "CostService", "templates", "token stream, each literal masked to its "
-    "kind", (SHAPE, STATS), (OWNER,), "as STATEMENTS: at most one per "
+    "kind", (SHAPE,), (OWNER,), "as STATEMENTS: at most one per "
     "statement seen", "One StatementTemplate per text shape (repro.sql."
     "template): bind_statement runs once per template and a record's "
     "binding points at its template.  A template holds what reads no "
@@ -118,7 +116,7 @@ TEMPLATES = Memo(
     "numbers pass, equal to binding its text afresh.", reach="_base_service")
 SLOT_MEMO = Memo(
     "WorkloadEvaluator", "_slot_memo", "entry text -> (slot, indexes, "
-    "cover, horizontal)", (ENTRY, INDEXES, STATS), (EVICT, COLD, OWNER),
+    "cover, horizontal)", (ENTRY, INDEXES), (EVICT, COLD, OWNER),
     "statements read by a resident compiled workload, plus those priced "
     "since no compiled workload that left read them", "(cost, winner "
     "indexes) or None; one bucket per entry (a pricer racing an eviction "
@@ -153,14 +151,14 @@ BASE_SERVICE = Memo(
     "WorkloadEvaluator", "_base_service", "-", (), (), "one, pinned",
     "The empty design's CostService; sessions hold it.", reach="")
 PLAN_CACHE = Memo(
-    "CostService", "_plan_cache", "statement text", (TEXT, INDEXES, STATS),
+    "CostService", "_plan_cache", "statement text", (TEXT, INDEXES),
     (COLD, OWNER), "statements planned, less those released", "Plan memo "
     "references for one design, about 130 B a text; nothing re-validates "
     "it.  A release pops the text from every live service's.",
     reach="_base_service", evict="text")
 ENTRIES = Memo(
     "InumCachePool", "_entries", "statement text",
-    (TEXT, STATS, SETTINGS), (POOL,), "capacity (LRU)", "INUM entries; one "
+    (TEXT, SETTINGS), (POOL,), "capacity (LRU)", "INUM entries; one "
     "that leaves calls the owner's _forget.", reach="pool")
 KERNELS = Memo(
     "InumCachePool", "_kernels", "statement text", (ENTRY,), (POOL, COLD),
@@ -170,14 +168,14 @@ KERNELS = Memo(
     reach="pool")
 SCAN_CONTEXTS = Memo(
     "BoundQuery", "scan_contexts", "(alias, layout cover, horizontal)",
-    (ENTRY, STATS), (VALIDATE, EVICT, COLD, OWNER),
+    (ENTRY,), (EVICT, COLD, OWNER),
     "covers x partitionings, on statements as SLOT_MEMO", "ScanContext "
-    "per reference; ScanContext.is_current.  2.7-3.8 kB per statement "
-    "holding any on online_ingest, mostly path groups of indexes outside "
-    "the catalog.", evict="all")
+    "per reference.  2.7-3.8 kB per statement holding any on "
+    "online_ingest, mostly path groups of indexes outside the catalog.",
+    evict="all")
 PLAN_MEMO = Memo(
     "BoundQuery", "plan_memo", "(settings, paths.plan_inputs(...))",
-    (ENTRY, STATS, INDEXES, SETTINGS), (STALE, EVICT, COLD, OWNER),
+    (ENTRY, INDEXES, SETTINGS), (EVICT, COLD, OWNER),
     "projected designs, on statements as SLOT_MEMO", "Keys hold contexts "
     "by identity.  1.8-5.4 kB per statement holding any on online_ingest "
     "(COLT's what-if probe plans): 41 of 2 031 after its --seconds 10 "
@@ -186,36 +184,36 @@ PRICED = Memo(
     "ScanContext", "_priced", "settings -> index | None | (index, probes)",
     (SETTINGS, INDEXES), (RELEASE, OWNER), "indexes priced", "Paths; bulk "
     "pricers release one-shot indexes.")
-CONTEXT_STATS = Memo("ScanContext", "_stats", "column", (STATS,), (OWNER,),
-                     "columns read", "ColumnStats that prices read.")
 DESIGN_COLUMNS = Memo(
     "WorkloadKernel", "_columns", "(table, design signature)",
-    (INDEXES, STATS), (OWNER,), "kernel._MAX_DESIGN_COLUMNS, then reset",
+    (INDEXES,), (OWNER,), "kernel._MAX_DESIGN_COLUMNS, then reset",
     "Slot cost columns.")
 DELTA_STATES = Memo(
     "WorkloadKernel", "_delta_states", "sorted table signatures",
-    (INDEXES, STATS), (OWNER,), "kernel._MAX_DELTA_STATES, then reset",
+    (INDEXES,), (OWNER,), "kernel._MAX_DELTA_STATES, then reset",
     "Captured parent states.")
 SUBSETS = Memo(
     "build_cache", "subsets", "((alias, plan input), ...), proper subsets",
-    (INDEXES, STATS, SETTINGS), (OWNER,), "one build", "Path sets the "
+    (INDEXES, SETTINGS), (OWNER,), "one build", "Path sets the "
     "order vectors of one INUM build share (plan_query(subsets=)).")
 PROJECTION_PAGES = Memo(
-    "Table", "_projection_pages", "projected columns", (STATS,),
-    (VALIDATE, OWNER), "projections priced", "(row_count, pages).")
+    "Table", "_projection_pages", "projected columns", (), (OWNER,),
+    "projections priced", "Heap pages: a hit 0.2 us, a recompute 3.3 "
+    "(ROADMAP 26(b)).")
 LAYOUT_COVERS = Memo(
-    "VerticalLayout", "_covers", "referenced columns", (STATS,),
-    (VALIDATE, OWNER), "column sets read", "(table, row_count, "
-    "paths.layout_cover entry); a template's statements share one.")
+    "VerticalLayout", "_covers", "referenced columns", (), (OWNER,),
+    "column sets read", "(table, paths.layout_cover entry); a "
+    "template's statements share one.")
 INDEX_SHAPES = Memo(
-    "Table", "_index_shapes", "index columns", (STATS,), (VALIDATE, OWNER),
-    "column lists sized", "(row_count, Index.shape); no per-Index state.")
+    "Table", "_index_shapes", "index columns", (), (OWNER,),
+    "column lists sized", "Index.shape; no per-Index state.  A hit "
+    "0.3 us, a recompute 5.5 (ROADMAP 26(b)).")
 
 MEMOS = (
     STATEMENTS, TEMPLATES, SLOT_MEMO, SHARED, COMPILED, RECOMMENDATIONS,
     EXACT_SERVICES, BASE_SERVICE, PLAN_CACHE, ENTRIES, KERNELS,
-    SCAN_CONTEXTS, PLAN_MEMO, PRICED, CONTEXT_STATS, DESIGN_COLUMNS,
-    DELTA_STATES, SUBSETS, PROJECTION_PAGES, LAYOUT_COVERS, INDEX_SHAPES,
+    SCAN_CONTEXTS, PLAN_MEMO, PRICED, DESIGN_COLUMNS, DELTA_STATES,
+    SUBSETS, PROJECTION_PAGES, LAYOUT_COVERS, INDEX_SHAPES,
 )
 # Dicts on those owners holding what the object was built from.
 INPUTS = (("BoundQuery", "tables"), ("BoundQuery", "filters"))

@@ -295,10 +295,9 @@ class ScanContext:
     The context also memoizes what has been priced under it (pure
     per-index functions), so a fresh configuration only prices the
     indexes this (query, alias) has never seen; memoized plan nodes are
-    shared and never mutated.  :meth:`is_current` checks the statistics
-    it read — the alias's join and group-by columns too, which every
-    plan over it reads (``join_selectivity`` / ``group_count``).  Its
-    memos are rows of :mod:`repro.evaluation.memos`: extend those
+    shared and never mutated.  It is never re-validated: a table's
+    statistics are fixed once built (:class:`~repro.catalog.table.Table`).
+    Its memos are rows of :mod:`repro.evaluation.memos`: extend those
     rather than adding private path caches.
     """
 
@@ -315,31 +314,11 @@ class ScanContext:
     sel_all: float
     rows_out: float
     width: int
-    _stats: dict  # column -> the ColumnStats object prices derive from
     _priced: dict = field(default_factory=dict)  # settings -> path memo
 
     @property
     def table(self):
         return self.geometry.table
-
-    def is_current(self):
-        """False once any statistics this context priced from were
-        replaced (``build_stats`` or an ``ANALYZE`` makes new objects)."""
-        column = self.geometry.table.column
-        for name, stats in self._stats.items():
-            if column(name).stats is not stats:
-                return False
-        return True
-
-    def _track(self, columns):
-        missing = [c for c in columns if c not in self._stats]
-        if missing:
-            table = self.geometry.table
-            # Copy-on-write, so a concurrent is_current() never iterates
-            # a dict that is being resized.
-            self._stats = {
-                **self._stats, **{c: table.stats(c) for c in missing}
-            }
 
     def _memo(self, settings):
         memo = self._priced.get(settings)
@@ -370,18 +349,7 @@ def scan_context(bound_query, alias, catalog):
         catalog.horizontal_partitioning(table_name),
     )
     ctx = bound_query.scan_contexts.get(key)
-    if ctx is None or not ctx.is_current():
-        if ctx is not None:
-            from repro.evaluation import memos
-
-            # The STALE rows are keyed (settings, plan_inputs(...)): a
-            # plan keyed on the replaced context is never found again.
-            # list(...) snapshots, other threads may be planning.
-            for row in memos.rows(memos.STALE):
-                memo = getattr(bound_query, row.attr)
-                for plan_key in list(memo):
-                    if any(used is ctx for used, __ in plan_key[1]):
-                        memo.pop(plan_key, None)
+    if ctx is None:
         ctx = bound_query.scan_contexts[key] = _build_context(
             bound_query, alias, cover, key[2]
         )
@@ -421,7 +389,6 @@ class _ScanShape:
     boundary_columns: tuple
     interesting: frozenset
     width: int
-    tracked: tuple  # columns whose statistics every plan over it reads
     matches: dict  # (index columns, probed columns) -> _Match
     leads: dict  # (interesting columns, probed columns) -> lead columns
 
@@ -434,7 +401,6 @@ def _scan_shape(bound_query, alias):
     ]
     group_columns = [c for a, c in bound_query.group_by if a == alias]
     order_columns = [c for a, c, __ in bound_query.order_by if a == alias]
-    columns = [f.column for f in filters]
     return _ScanShape(
         needed=bound_query.referenced_columns(alias),
         filters=tuple((f.column, f.kind) for f in filters),
@@ -442,7 +408,6 @@ def _scan_shape(bound_query, alias):
         boundary_columns=tuple(f.column for f in filters if f.sargable),
         interesting=frozenset(join_columns + group_columns + order_columns),
         width=_output_width(bound_query, alias),
-        tracked=tuple(dict.fromkeys(columns + join_columns + group_columns)),
         matches={},
         leads={},
     )
@@ -462,7 +427,7 @@ def _build_context(bound_query, alias, cover, horizontal):
     sel_all = clamp(sel_all, 0.0, 1.0)
     # No reference back to the bound query: it owns this context, and a
     # cycle would leave dropped memos to the cyclic collector.
-    ctx = ScanContext(
+    return ScanContext(
         geometry=geometry,
         shape=shape,
         needed=shape.needed,
@@ -474,12 +439,7 @@ def _build_context(bound_query, alias, cover, horizontal):
         sel_all=sel_all,
         rows_out=max(1.0, geometry.rows * sel_all),
         width=shape.width,
-        _stats={},
     )
-    ctx._track(shape.tracked)
-    if horizontal is not None:
-        ctx._track((horizontal.column,))
-    return ctx
 
 
 def sequential_path(ctx, settings):
@@ -582,7 +542,6 @@ def index_path_group(ctx, index, settings, interesting_columns=()):
     memo = ctx._memo(settings)
     entry = memo.get(index)
     if entry is None:
-        ctx._track(index.columns)
         match = _match_index(ctx, index, ())
         entry = memo[index] = (
             tuple(_index_paths(ctx, index, match, settings)),
@@ -607,7 +566,6 @@ def parameterized_path_for(ctx, index, settings, param_columns):
 
 
 def _parameterized_path(ctx, index, settings, param_columns):
-    ctx._track(index.columns)
     match = _match_index(ctx, index, tuple(param_columns))
     if not match.param_columns:
         return None

@@ -8,8 +8,10 @@ that must kill it.  The runner copies ``src/``, ``tests/`` and
 ``benchmarks/`` to a temporary directory, checks that the named tests
 pass in the copy, then applies one mutant at a time and runs only that
 mutant's tests there — seconds each, not a tier-1 run.  It fails when a
-mutant survives its tests, or when a mutant's old text no longer
-matches its file (the code drifted from the declaration).
+mutant survives its tests, or, before running any, when a mutant's old
+text no longer matches its file or a named test file is gone (the code
+drifted from the declaration: :func:`drift`, which tier-1 runs as
+``tests/test_mutants.py``).
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # only these
@@ -368,6 +370,29 @@ MUTANTS = (
         ("tests/test_scan_memo.py::"
          "test_a_build_and_a_decoded_entry_share_their_slots",),
     ),
+    Mutant(
+        "layout-cover-ignores-table",
+        "src/repro/catalog/partition.py",
+        "if cached is None or cached[0] is not table:",
+        "if cached is None:",
+        ("tests/test_memo_inventory.py::"
+         "test_two_catalogs_one_layout_each_priced_from_its_own_statistics",),
+    ),
+    Mutant(
+        "advisor-recommends-empty-design",
+        "src/repro/cophy/advisor.py",
+        "chosen = [candidates[pos] for pos in result.chosen_positions]",
+        "chosen = []",
+        ("benchmarks/bench_claim_zero_size_whatif.py::"
+         "test_claim_zero_size_whatif_misleads",
+         "benchmarks/bench_ext_write_tradeoff.py::test_ext_write_weight_sweep",
+         "benchmarks/bench_ext_write_tradeoff.py::"
+         "test_ext_sweep_rejects_a_design_that_ignores_maintenance",
+         "benchmarks/bench_scenario2_recommend.py::"
+         "test_scenario2_full_recommendation_with_schedule",
+         "benchmarks/bench_scenario2_recommend.py::"
+         "test_scenario2_tpch_portability"),
+    ),
 )
 
 
@@ -384,12 +409,32 @@ def run_tests(root, tests):
     ).returncode
 
 
+def drift(mutants, root=ROOT):
+    """What no longer matches in *mutants* under *root*, one line each:
+    an old text that is not in its file exactly once, or a named test
+    file that does not exist.  Reads files only; runs nothing."""
+    problems = []
+    for mutant in mutants:
+        if (root / mutant.path).read_text().count(mutant.old) != 1:
+            problems.append("DRIFTED   %s: %r is not in %s once"
+                            % (mutant.name, mutant.old, mutant.path))
+        for test in mutant.tests:
+            if not (root / test.split("::")[0]).is_file():
+                problems.append("MISSING   %s: no test file %s"
+                                % (mutant.name, test.split("::")[0]))
+    return problems
+
+
 def main(names):
     chosen = [m for m in MUTANTS if not names or m.name in names]
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
         print("unknown mutant(s): %s" % ", ".join(sorted(unknown)))
         return 2
+    problems = drift(chosen)
+    if problems:
+        print("\n".join(problems))
+        return 1
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -407,11 +452,6 @@ def main(names):
         for mutant in chosen:
             path = root / mutant.path
             original = path.read_text()
-            if original.count(mutant.old) != 1:
-                print("DRIFTED   %s: %r is not in %s once"
-                      % (mutant.name, mutant.old, mutant.path))
-                failures += 1
-                continue
             path.write_text(original.replace(mutant.old, mutant.new))
             started = time.perf_counter()
             try:

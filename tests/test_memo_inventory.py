@@ -4,7 +4,9 @@ to the declaration.
 
 (a) After an eviction nothing derived from the evicted entry's bound
     query survives.
-(b) After re-ANALYZE the self-validating rows miss.
+(b) A table's statistics are fixed once built: a re-ANALYZE is a new
+    catalog, and two catalogs priced through one layout object each get
+    their own answers.
 (c) A dict attribute on the objects a designer run reaches that the
     table does not list fails.
 (d) A statement that no resident compiled workload reads any more
@@ -18,6 +20,8 @@ import random
 import sys
 import threading
 
+import pytest
+
 from repro.catalog import Index, VerticalFragment, VerticalLayout
 from repro.colt import ColtSettings
 from repro.cophy.bip import CandidatePricer
@@ -25,11 +29,10 @@ from repro.designer import Designer
 from repro.evaluation import InumCachePool, WorkloadEvaluator, memos
 from repro.evaluation.kernel import WorkloadKernel
 from repro.inum.cache import _DesignView, build_cache
-from repro.optimizer import CostService
-from repro.optimizer import paths as P
+from repro.optimizer import CostService, plan_query
 from repro.optimizer.paths import ScanContext
 from repro.service import TuningService
-from repro.sql.binder import BoundQuery
+from repro.sql.binder import BoundQuery, bind_statement
 from repro.whatif import Configuration
 from repro.workloads import (
     default_phases,
@@ -140,51 +143,49 @@ def test_an_alias_twin_is_its_own_entry_and_keeps_its_memos():
 
 
 # ----------------------------------------------------------------------
-# (b) statistics.
+# (b) statistics are fixed once built.
 # ----------------------------------------------------------------------
 
 
-def reanalyze(table):
-    table.row_count *= 10
-    table.build_stats()
+def cold_cost(sql, catalog, config):
+    """A cold plan's cost for *sql* under *config* on *catalog*: a fresh
+    binding, and fresh layout objects, so no memo of *config*'s own is
+    read."""
+    fresh = Configuration(indexes=config.indexes, layouts=tuple(
+        VerticalLayout(layout.table_name, layout.fragments)
+        for layout in config.layouts))
+    return plan_query(bind_statement(sql, catalog),
+                      fresh.apply(catalog)).total_cost
 
 
-def test_reanalyze_misses_every_self_validating_row():
-    catalog = sdss_catalog(scale=0.05)
-    evaluator = WorkloadEvaluator(catalog)
-    __, configs = exercise(evaluator, [Q_ZMAG])
-    bq = evaluator.bound(Q_ZMAG)
-    table = catalog.table("photoobj")
-    ctx = P.scan_context(bq, "photoobj", catalog)
-    plan_key = (evaluator.settings, P.plan_inputs(bq, catalog))
-    assert plan_key in bq.plan_memo
-    layout = configs[2].layouts[0]
-    fragment = layout.fragments[0]
-    pages = fragment.pages(table)
-    assert table._projection_pages
-    cover = P.layout_cover(bq, "photoobj", layout)
-    assert layout._covers
-    index = Index("photoobj", ("rmag",))
-    shape = index.shape(table)
-    assert table._index_shapes
+def test_two_catalogs_one_layout_each_priced_from_its_own_statistics():
+    """A table's statistics are fixed once built, so a re-ANALYZE is a
+    new catalog: one layout object and one index design priced on two
+    catalogs that differ only in statistics (new tables, another scale)
+    answer each as a cold plan on its own catalog, on the INUM path and
+    on the exact one, and pricing one leaves the other's answers."""
+    catalogs = [sdss_catalog(scale=0.05), sdss_catalog(scale=0.1)]
+    small, large = (c.table("photoobj") for c in catalogs)
+    assert small is not large and small.row_count != large.row_count
+    configs = designs(catalogs[0])
+    evaluators = [WorkloadEvaluator(catalog) for catalog in catalogs]
+    statements = [Q_ZMAG, Q_OTHER]
 
-    reanalyze(table)
+    def answers(evaluator):
+        return [(evaluator.cost(sql, config),
+                 evaluator.exact_service(config).cost(sql))
+                for config in configs for sql in statements]
 
-    probes = {
-        memos.SCAN_CONTEXTS:
-            lambda: P.scan_context(bq, "photoobj", catalog) is not ctx,
-        memos.PLAN_MEMO: lambda: plan_key not in bq.plan_memo,
-        memos.PROJECTION_PAGES: lambda: fragment.pages(table) != pages,
-        memos.LAYOUT_COVERS:
-            lambda: P.layout_cover(bq, "photoobj", layout) != cover,
-        memos.INDEX_SHAPES: lambda: index.shape(table) != shape,
-    }
-    declared = {row for row in memos.MEMOS
-                if memos.VALIDATE in row.hooks or memos.STALE in row.hooks}
-    assert declared == set(probes)
-    assert all(memos.STATS in row.depends for row in declared)
-    for row, missed in probes.items():
-        assert missed(), row.attr
+    first = [answers(evaluator) for evaluator in evaluators]
+    for catalog, got in zip(catalogs, first):
+        expected = [cold_cost(sql, catalog, config)
+                    for config in configs for sql in statements]
+        for (inum, exact), cold in zip(got, expected):
+            assert exact == cold
+            assert inum == pytest.approx(cold, rel=1e-12)
+    assert first[0] != first[1]
+    assert [answers(evaluator) for evaluator in reversed(evaluators)] \
+        == first[::-1]
 
 
 # ----------------------------------------------------------------------

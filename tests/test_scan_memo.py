@@ -10,8 +10,7 @@ cache, never a different cost model, so this suite pins
     fuzzed index sets, vertical layouts and horizontal partitionings —
     planner cost, INUM slot cost / slot choice, and colgen's
     ``CandidatePricer``;
-(b) staleness: new statistics re-price, different covers never share a
-    context;
+(b) different covers and partitionings never share a context;
 (b') a vertical layout reaches a table reference only through its
     *cover*: layouts with one cover share one context, covers of one
     weight share one slot-memo entry, and ``explain`` still names the
@@ -22,8 +21,7 @@ cache, never a different cost model, so this suite pins
     behind ``CostService.plan`` and INUM's slot memo — memoized == cold,
     an index that cannot reach a statement costs no planner call and
     returns the identical plan object, and everything a plan reads
-    (statistics of filter, join and group-by columns, planner settings,
-    the cover, index order) is in the key;
+    (planner settings, the cover, index order) is in the key;
 (e) the set cover of a table reference is memoized on the layout by
     the referenced columns: the statements of one template share one,
     and it is each statement's own ``fragments_for``;
@@ -278,42 +276,8 @@ def test_contexts_are_shared_across_index_only_designs(sdss_catalog):
 
 
 # ----------------------------------------------------------------------
-# (b) staleness.
+# (b) one context per cover and partitioning.
 # ----------------------------------------------------------------------
-
-
-def test_new_statistics_reprice(sdss_catalog):
-    sql = "SELECT objid FROM photoobj WHERE rmag < 18.3"
-    catalog = sdss_catalog.clone()
-    catalog.add_index(Index("photoobj", ("rmag",)))
-    bq = bind_statement(sql, catalog)
-    before = plan_query(bq, catalog)
-    ctx = P.scan_context(bq, "photoobj", catalog)
-    assert P.scan_context(bq, "photoobj", catalog) is ctx
-
-    catalog.table("photoobj").build_stats(n_buckets=3)
-    after = plan_query(bq, catalog)
-    fresh = P.scan_context(bq, "photoobj", catalog)
-    assert fresh is not ctx
-    assert fresh.sel_all != ctx.sel_all  # coarser histogram, new estimate
-    assert after.total_cost != before.total_cost
-    assert after.total_cost == plan_query(
-        bind_statement(sql, catalog), catalog
-    ).total_cost
-
-
-def test_replacing_an_index_columns_stats_reprices_its_paths(sdss_catalog):
-    """The context also tracks the statistics its *path groups* read (an
-    index's leading-column correlation), not just the filters'."""
-    sql = "SELECT objid FROM photoobj WHERE ra < 40.0"
-    catalog = sdss_catalog.clone()
-    catalog.add_index(Index("photoobj", ("ra",)))
-    bq = bind_statement(sql, catalog)
-    plan_query(bq, catalog)
-    ctx = P.scan_context(bq, "photoobj", catalog)
-    table = catalog.table("photoobj")
-    table.column("ra").build_stats(table.row_count)
-    assert P.scan_context(bq, "photoobj", catalog) is not ctx
 
 
 def test_different_covers_and_partitionings_never_share_a_context(sdss_catalog):
@@ -638,11 +602,10 @@ def test_concurrent_planning_forgetting_and_reanalyze_stay_exact():
     assert not failures, failures[:3]
     assert len(plans) == 6 and all(plans)
     assert evaluator.exact_service().optimizer_calls
-    # "The memo does hit" is asserted here, with the threads joined: in
-    # the race every statistics swap drops the plans keyed on the stale
-    # context, so whether a planner ever *saw* a hit was the scheduler's
-    # verdict, not the code's.  Two fresh services over one projected
-    # design: whatever the first costs, the second is a hit.
+    # "The memo does hit" is asserted here, with the threads joined, so
+    # that the scheduler does not decide whether a planner ever *saw* a
+    # hit.  Two fresh services over one projected design: whatever the
+    # first costs, the second is a hit.
     quiet = [
         evaluator.exact_service(configs[0].with_indexes(
             Index("neighbors", ("distance",), name="quiet_%d" % k)
@@ -659,12 +622,6 @@ def test_concurrent_planning_forgetting_and_reanalyze_stay_exact():
 # ----------------------------------------------------------------------
 # (d) the design-projected plan memo behind CostService.plan.
 # ----------------------------------------------------------------------
-
-GROUPED_JOIN_SQL = (
-    "SELECT s.class, COUNT(*) FROM photoobj p, specobj s "
-    "WHERE p.objid = s.objid AND p.rmag < 19.5 GROUP BY s.class"
-)
-
 
 @pytest.fixture
 def planner_calls(monkeypatch):
@@ -761,43 +718,6 @@ def test_catalog_order_of_reaching_indexes_is_part_of_the_key(
         assert plan.explain() == cold.explain()
     assert len(planner_calls) == 2
     assert fresh_service(base, second).plan(sql) is plan
-    assert len(planner_calls) == 2
-
-
-@pytest.mark.parametrize(
-    "table_name, column",
-    [("photoobj", "rmag"), ("photoobj", "objid"), ("specobj", "objid"),
-     ("specobj", "class")],
-    ids=["filter", "join-outer", "join-inner", "group-by"],
-)
-def test_reanalyze_of_any_column_a_plan_reads_replans(
-        sdss_catalog, planner_calls, table_name, column):
-    """``join_selectivity`` / ``group_count`` read statistics no scan
-    path reads; the context tracks them too, so the plan key moves."""
-    base = CostService(sdss_catalog)
-    bq = base.bound(GROUPED_JOIN_SQL)
-    alias = {"photoobj": "p", "specobj": "s"}[table_name]
-    first = fresh_service(base).plan(bq)
-    assert fresh_service(base).plan(bq) is first
-    assert len(planner_calls) == 1
-    ctx = P.scan_context(bq, alias, sdss_catalog)
-
-    table = sdss_catalog.table(table_name)
-    table.column(column).build_stats(table.row_count)  # new object
-    assert not ctx.is_current()
-    again = fresh_service(base).plan(bq)
-    assert len(planner_calls) == 2
-    assert again is not first
-    assert again.total_cost == plan_query(
-        bind_statement(GROUPED_JOIN_SQL, sdss_catalog), sdss_catalog
-    ).total_cost
-    assert P.scan_context(bq, alias, sdss_catalog) is not ctx
-    # Plans keyed on the replaced context are dropped with it.
-    assert not any(
-        used is ctx
-        for key in bq.plan_memo for used, __ in key[1]
-    )
-    assert fresh_service(base).plan(bq) is again
     assert len(planner_calls) == 2
 
 
