@@ -16,7 +16,7 @@ from repro.cophy.compression import compress_workload
 from repro.evaluation import WorkloadEvaluator
 from repro.workloads import sdss_workload
 
-from conftest import print_table
+from conftest import assert_recommends, print_table
 
 
 def recommend_compressed(advisor, workload, budget):
@@ -37,6 +37,7 @@ def test_ablation_candidate_cap(sdss_env, benchmark):
     rows = []
     for cap in (4, 8, 16, 32, 60):
         rec = advisor.recommend(workload, budget, max_candidates=cap)
+        assert_recommends(advisor.evaluator, workload, rec)
         rows.append(
             (cap, rec.predicted_workload_cost, rec.improvement_pct,
              rec.solve_seconds)
@@ -68,6 +69,7 @@ def test_ablation_candidate_classes(sdss_env):
     for label, kwargs in variants:
         candidates = candidate_indexes(catalog, workload, max_candidates=60, **kwargs)
         rec = advisor.recommend(workload, budget, candidates=candidates)
+        assert_recommends(advisor.evaluator, workload, rec)
         rows.append((label, len(candidates), rec.predicted_workload_cost,
                      rec.improvement_pct))
         costs.append(rec.predicted_workload_cost)
@@ -99,6 +101,8 @@ def test_ablation_workload_compression(sdss_env, benchmark):
              compressed_seconds, len(compressed.indexes)),
         ],
     )
+    assert_recommends(advisor.evaluator, big_workload, full)
+    assert_recommends(advisor.evaluator, big_workload, compressed)
     assert stats.ratio > 2.0
     assert compressed_seconds < full.solve_seconds
     # Quality check on the *full* workload: the compressed choice must be

@@ -40,7 +40,7 @@ from repro.catalog import Catalog, Column, DataType, Distribution, Table
 from repro.cophy import CoPhyAdvisor, candidate_indexes
 from repro.evaluation import WorkloadEvaluator
 
-from conftest import print_table
+from conftest import assert_recommends, print_table
 
 N_TABLES = 4
 N_COLUMNS = 48
@@ -109,7 +109,8 @@ def test_claim_colgen_scale():
     ) // 40
 
     t0 = time.perf_counter()
-    full = CoPhyAdvisor(WorkloadEvaluator(catalog)).recommend(
+    evaluator = WorkloadEvaluator(catalog)
+    full = CoPhyAdvisor(evaluator).recommend(
         workload, budget, candidates=candidates, solver="greedy",
     )
     t_full = time.perf_counter() - t0
@@ -141,6 +142,7 @@ def test_claim_colgen_scale():
           stats["priced"])],
     )
 
+    assert_recommends(evaluator, workload, full)
     # Decision-identical: same indexes in the same rank order, bit-equal
     # objective and base cost — column generation changes the wall
     # clock, never the recommendation.

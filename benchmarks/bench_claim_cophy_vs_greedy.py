@@ -20,7 +20,7 @@ from repro.cophy.solvers import MIP_REL_GAP
 from repro.evaluation import WorkloadEvaluator
 from repro.catalog import Index
 
-from conftest import print_table
+from conftest import assert_recommends, print_table
 
 
 def knapsack_trap():
@@ -84,6 +84,7 @@ def _sweep(catalog, workload, label, budgets):
     for budget in budgets:
         milp = advisor.recommend(workload, budget, solver="milp")
         greedy = advisor.recommend(workload, budget, solver="greedy")
+        assert_recommends(advisor.evaluator, workload, milp)
         gap = (
             100.0
             * (greedy.predicted_workload_cost - milp.predicted_workload_cost)

@@ -22,7 +22,7 @@ from repro.evaluation import WorkloadEvaluator
 from repro.whatif import Configuration
 from repro.workloads import sdss_catalog, sdss_workload
 
-from conftest import print_table
+from conftest import assert_recommends, print_table
 
 READS = 20
 SEED = 42
@@ -144,8 +144,10 @@ def test_ext_advisor_respects_maintenance(sdss_env):
     advisor = CoPhyAdvisor(inum)
     budget = sum(t.pages for t in catalog.tables)
 
-    mixed = mixed_workload(50_000.0)
-    read_design = advisor.recommend(mixed_workload(0.0), budget).configuration
+    mixed, reads = mixed_workload(50_000.0), mixed_workload(0.0)
+    read_only = advisor.recommend(reads, budget)
+    assert_recommends(inum, reads, read_only)
+    read_design = read_only.configuration
     mixed_design = advisor.recommend(mixed, budget).configuration
 
     cost_read_design = inum.workload_cost(mixed, read_design)

@@ -11,7 +11,7 @@ same machinery works on the TPC-H-style workload.
 
 from repro.designer import Designer
 
-from conftest import print_table
+from conftest import assert_recommends, print_table
 
 
 def test_scenario2_storage_sweep(sdss_env, benchmark):
@@ -41,6 +41,8 @@ def test_scenario2_storage_sweep(sdss_env, benchmark):
     )
     for (b, rec) in zip(budgets, recs):
         assert rec.index_recommendation.size_pages <= b
+        assert_recommends(designer.evaluator, workload,
+                          rec.index_recommendation)
     costs = [rec.combined_workload_cost for rec in recs]
     for tighter, looser in zip(costs, costs[1:]):
         assert looser <= tighter + 1e-6

@@ -31,6 +31,7 @@ sys.path.append(os.path.join(
 ))
 
 from repro.evaluation import WorkloadEvaluator
+from repro.whatif import Configuration
 from repro.workloads import sdss_catalog, sdss_workload, tpch_catalog, tpch_workload
 
 SDSS_SCALE = 0.1
@@ -82,6 +83,16 @@ def print_table(title, header, rows):
             else:
                 cells.append("%14s" % (value,))
         print("  " + "  ".join(cells))
+
+
+def assert_recommends(evaluator, workload, recommendation):
+    """*recommendation* names an index, and *evaluator* prices its design
+    strictly below the empty one on *workload*: an advisor recommending
+    nothing must fail a bench, not pass its comparisons vacuously."""
+    assert recommendation.indexes, "the advisor recommended no index"
+    assert evaluator.workload_cost(
+        workload, recommendation.configuration
+    ) < evaluator.workload_cost(workload, Configuration.empty())
 
 
 def pytest_addoption(parser):

@@ -592,7 +592,8 @@ class WorkloadEvaluator:
         batch/cell counters, all labeled by pricing mode.  Bound handles
         are cached per (registry, mode) so the steady-state cost is three
         method calls; the cache keys on registry identity so a swap via
-        ``obs.reset()``/``obs.disabled()`` takes effect immediately."""
+        ``obs.reset()`` (a forked worker's fresh registry) takes effect
+        immediately."""
         registry = obs.metrics()
         cached_registry, by_mode = self._obs_handles
         if cached_registry is not registry:

@@ -11,10 +11,6 @@ backplane — reports into the state this module owns:
 * :func:`tracer` — the current :class:`~repro.obs.trace.Tracer`
   (context-propagated spans with parent ids, stitched across process
   boundaries via the wire format);
-* :func:`disabled` — a context manager swapping both for shared no-op
-  twins: the uninstrumented baseline the overhead benchmark pins
-  against (``bench_claim_obs_overhead.py`` keeps instrumented kernel
-  evaluation and fleet ingest within a few percent of this);
 * :func:`drain_deltas` / :func:`ingest_deltas` — the worker shipment:
   counter/histogram movement since the last drain plus the finished
   spans, JSON-safe, carried as a versioned wire-format section
@@ -24,25 +20,23 @@ backplane — reports into the state this module owns:
   traces and the fleet's health (the ``repro_remote_*`` families)
   lands in one registry.
 
-Instrumentation always resolves the state *at call time*
-(``obs.metrics()`` / ``obs.tracer()``), never caches it at import, so
-:func:`disabled` and :func:`reset` take effect everywhere at once.
+Telemetry is always on; its cost is pinned as call counts
+(``tests/test_obs.py::TestTelemetryBudget``).  Instrumentation resolves
+the state *at call time* (``obs.metrics()`` / ``obs.tracer()``), never
+caches it at import, so :func:`reset` takes effect everywhere at once.
 Exports live in :mod:`repro.obs.export` (`/metrics` Prometheus text,
 ``/trace`` JSON; not imported here, so ``http.server`` loads only where
 a server is started) and in :meth:`TuningService.status`, which merges
 :meth:`MetricsRegistry.snapshot` into its payload.
 """
 
-from contextlib import contextmanager
-
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.trace import NULL_TRACER, Span, Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Span, Tracer
 
 __all__ = [
     "MetricsRegistry",
     "Span",
     "Tracer",
-    "disabled",
     "drain_deltas",
     "ingest_deltas",
     "metrics",
@@ -55,26 +49,13 @@ _tracer = Tracer()
 
 
 def metrics():
-    """The process-wide metrics registry (or its no-op twin)."""
+    """The process-wide metrics registry."""
     return _metrics
 
 
 def tracer():
-    """The process-wide tracer (or its no-op twin)."""
+    """The process-wide tracer."""
     return _tracer
-
-
-@contextmanager
-def disabled():
-    """Swap the registry and tracer for shared no-op objects for the
-    duration of the block — the uninstrumented baseline."""
-    global _metrics, _tracer
-    saved = (_metrics, _tracer)
-    _metrics, _tracer = NULL_REGISTRY, NULL_TRACER
-    try:
-        yield
-    finally:
-        _metrics, _tracer = saved
 
 
 def reset():

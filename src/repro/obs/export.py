@@ -15,7 +15,7 @@ into a live run, in the spirit of the paper's interactive designer:
 ``port=0`` binds an ephemeral port (tests); the bound port is on
 :attr:`MetricsServer.port` after :meth:`start`.  Registry and tracer
 are the process-wide :mod:`repro.obs` state, resolved per request so
-``obs.reset()`` / ``obs.disabled()`` take effect live.
+``obs.reset()`` takes effect live.
 """
 
 import json

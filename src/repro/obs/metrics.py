@@ -32,7 +32,7 @@ from bisect import bisect_left
 
 from repro.obs.catalogue import COUNTER, HISTOGRAM, Family
 
-__all__ = ["MetricsRegistry", "NULL_REGISTRY"]
+__all__ = ["MetricsRegistry"]
 
 
 class _Child:
@@ -420,57 +420,3 @@ def _sample(name, labels, value):
         )
         return "%s{%s} %s" % (name, body, _format_value(value))
     return "%s %s" % (name, _format_value(value))
-
-
-class _NullHandle:
-    """Shared no-op mutator: what `obs.disabled()` hands out."""
-
-    __slots__ = ()
-
-    def labels(self, **labels):
-        return self
-
-    def inc(self, amount=1):
-        pass
-
-    def dec(self, amount=1):
-        pass
-
-    def set(self, value):
-        pass
-
-    def observe(self, value):
-        pass
-
-
-_NULL_HANDLE = _NullHandle()
-
-
-class _NullRegistry:
-    """The disabled registry: same surface, no state, no locks."""
-
-    __slots__ = ()
-
-    def family(self, spec):
-        return _NULL_HANDLE
-
-    def add_collector(self, callback):
-        pass
-
-    def collect(self):
-        pass
-
-    def snapshot(self):
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def drain_deltas(self):
-        return {"counters": [], "histograms": []}
-
-    def apply_deltas(self, payload):
-        pass
-
-    def render_prometheus(self):
-        return ""
-
-
-NULL_REGISTRY = _NullRegistry()

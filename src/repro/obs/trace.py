@@ -25,7 +25,7 @@ import threading
 import time
 from collections import deque
 
-__all__ = ["Span", "Tracer", "NULL_TRACER"]
+__all__ = ["Span", "Tracer"]
 
 _DEFAULT_LIMIT = 4096
 
@@ -157,51 +157,3 @@ class Tracer:
         :meth:`drain`) to this buffer."""
         with self._lock:
             self._finished.extend(spans)
-
-
-class _NullSpan:
-    __slots__ = ()
-
-    def set_tag(self, key, value):
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _NullSpanContextManager:
-    __slots__ = ()
-
-    def __enter__(self):
-        return _NULL_SPAN
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-_NULL_CM = _NullSpanContextManager()
-
-
-class _NullTracer:
-    """The disabled tracer: spans cost one attribute lookup."""
-
-    __slots__ = ()
-    spans_recorded = 0
-
-    def span(self, name, remote_parent=None, **tags):
-        return _NULL_CM
-
-    def current_context(self):
-        return None
-
-    def export(self, limit=None):
-        return []
-
-    def drain(self):
-        return []
-
-    def ingest(self, spans):
-        pass
-
-
-NULL_TRACER = _NullTracer()

@@ -379,6 +379,17 @@ MUTANTS = (
          "test_two_catalogs_one_layout_each_priced_from_its_own_statistics",),
     ),
     Mutant(
+        "kernel-counts-each-design-column",
+        "src/repro/evaluation/kernel.py",
+        "column = self._columns.get((table, signature))",
+        "__import__('repro.obs').obs.metrics().family(__import__("
+        "'repro.obs.catalogue').obs.catalogue.EVALUATE_CELLS).labels("
+        "mode='column').inc()\n"
+        "        column = self._columns.get((table, signature))",
+        ("tests/test_obs.py::TestTelemetryBudget::"
+         "test_a_warm_batch_costs_the_same_on_any_grid",),
+    ),
+    Mutant(
         "advisor-recommends-empty-design",
         "src/repro/cophy/advisor.py",
         "chosen = [candidates[pos] for pos in result.chosen_positions]",
@@ -391,7 +402,21 @@ MUTANTS = (
          "benchmarks/bench_scenario2_recommend.py::"
          "test_scenario2_full_recommendation_with_schedule",
          "benchmarks/bench_scenario2_recommend.py::"
-         "test_scenario2_tpch_portability"),
+         "test_scenario2_tpch_portability",
+         "benchmarks/bench_ablation_advisor.py::test_ablation_candidate_cap",
+         "benchmarks/bench_ablation_advisor.py::"
+         "test_ablation_candidate_classes",
+         "benchmarks/bench_ablation_advisor.py::"
+         "test_ablation_workload_compression",
+         "benchmarks/bench_claim_cophy_vs_greedy.py::"
+         "test_claim_milp_dominates_on_sdss",
+         "benchmarks/bench_claim_cophy_vs_greedy.py::"
+         "test_claim_milp_dominates_on_tpch",
+         "benchmarks/bench_claim_colgen_scale.py::test_claim_colgen_scale",
+         "benchmarks/bench_scenario2_recommend.py::"
+         "test_scenario2_storage_sweep",
+         "benchmarks/bench_ext_write_tradeoff.py::"
+         "test_ext_advisor_respects_maintenance"),
     ),
 )
 

@@ -5,7 +5,9 @@
         --workload recommend_offline --workload online_ingest
 
 The base is the committed tree of a revision, exported with ``git
-archive`` into a temporary directory; the head is the working tree.
+archive`` into a temporary directory; the head is the working tree's
+files (tracked and untracked, not ignored), copied into a sibling one,
+so the two sides differ in their code only, not in where they run from.
 Each of :data:`PAIRS` pairs runs driver-mode ``benchmarks/e2e/run.py
 --workload W --seed 42 --seconds 10 --trace 0`` (the ledger's protocol)
 once on each side, one after the other, and the side that goes first
@@ -22,6 +24,7 @@ failed operations of both sides.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -42,6 +45,22 @@ def export(revision, directory):
         check=True, capture_output=True).stdout
     os.makedirs(directory)
     subprocess.run(["tar", "-x", "-C", directory], input=archive, check=True)
+    return directory
+
+
+def copy_working_tree(directory):
+    """The working tree's files that ``git ls-files`` lists (tracked and
+    untracked, not ignored) under *directory*."""
+    listed = subprocess.run(
+        ["git", "-C", ROOT, "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], check=True, capture_output=True).stdout
+    for name in filter(None, listed.split(b"\0")):
+        source = os.path.join(ROOT, os.fsdecode(name))
+        if not os.path.isfile(source):
+            continue  # deleted in the working tree, not yet staged
+        target = os.path.join(directory, os.fsdecode(name))
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(source, target)
     return directory
 
 
@@ -103,7 +122,7 @@ def main(argv=None):
                    for m in json.load(handle)["end_to_end"]]
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": export(args.base, os.path.join(tmp, "base")),
-                 "head": ROOT}
+                 "head": copy_working_tree(os.path.join(tmp, "head"))}
         report = []
         for workload in args.workload:
             runs = run_pairs(trees, workload)

@@ -24,10 +24,10 @@ import pytest
 
 from repro.catalog import Index, VerticalFragment, VerticalLayout
 from repro.colt import ColtSettings
-from repro.cophy.bip import CandidatePricer
+from repro.cophy.bip import CandidatePricer, build_bip
 from repro.designer import Designer
 from repro.evaluation import InumCachePool, WorkloadEvaluator, memos
-from repro.evaluation.kernel import WorkloadKernel
+from repro.evaluation.kernel import BipKernel, WorkloadKernel
 from repro.inum.cache import _DesignView, build_cache
 from repro.optimizer import CostService, plan_query
 from repro.optimizer.paths import ScanContext
@@ -241,7 +241,10 @@ def test_every_row_names_a_real_attribute():
     __, configs = exercise(evaluator, [Q_JOIN])
     bq = evaluator.bound(Q_JOIN)
     (compiled,) = evaluator._compiled.values()
+    problem = build_bip(evaluator, [(Q_JOIN, 1.0)],
+                        sorted(configs[0].indexes, key=str), 10 ** 6)
     samples = {
+        "BipKernel": problem._compiled(),
         "VerticalLayout": configs[2].layouts[0],
         "WorkloadEvaluator": evaluator,
         "InumCachePool": evaluator.pool,
@@ -250,6 +253,7 @@ def test_every_row_names_a_real_attribute():
         "WorkloadKernel": compiled.kernel, "Table": catalog.table("photoobj"),
     }
     assert isinstance(compiled.kernel, WorkloadKernel)
+    assert isinstance(samples["BipKernel"], BipKernel)
     for row in memos.MEMOS:
         if row.owner == "build_cache":  # a local handed to plan_query
             assert "subsets=subsets" in inspect.getsource(build_cache)

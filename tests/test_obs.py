@@ -1,7 +1,8 @@
-"""Tests for the telemetry backplane (ISSUE 7).
+"""Tests for the telemetry backplane.
 
 Covers the registry/tracer core, the Prometheus rendering, worker-delta
-merging, and the observability satellites the issue pins:
+merging, telemetry's cost as call counts (the budget), scrape
+exactness, and:
 
 * ``TuningService.status()`` / ``status_text()`` field-by-field;
 * scheduler queue-depth reporting (``queue_depths()`` and the scrape
@@ -10,7 +11,10 @@ merging, and the observability satellites the issue pins:
   (fuzz: a snapshot must never tear a histogram's sum/count pair).
 """
 
+import collections
 import json
+import random
+import re
 import threading
 import urllib.request
 from contextlib import closing
@@ -30,11 +34,11 @@ from repro.obs.catalogue import (
     Family,
 )
 from repro.obs.export import MetricsServer
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.metrics import _Handle
 from repro.runtime import Scheduler
 from repro.service import TuningService
 from repro.util import WireFormatError
-from repro.workloads import DriftPhase, drifting_stream, sdss
+from repro.workloads import DriftPhase, default_phases, drifting_stream, sdss
 from repro.workloads import sdss_catalog as make_sdss
 
 from oracle import metric_value
@@ -241,23 +245,120 @@ class TestTracer:
 
 
 # ----------------------------------------------------------------------
-# Disabled mode.
+# The telemetry budget: what instrumentation costs, as call counts.
 # ----------------------------------------------------------------------
 
 
-class TestDisabled:
-    def test_disabled_records_nothing_and_restores(self, fresh_registry):
-        reg = obs.metrics()
-        assert reg is not NULL_REGISTRY
-        with obs.disabled():
-            assert obs.metrics() is NULL_REGISTRY
-            obs.metrics().family(REMOTE_FALLBACK).labels(op="x").inc()
-            with obs.tracer().span("ghost") as span:
-                span.set_tag("k", 1)  # must be a no-op, not an error
-            assert obs.tracer().export() == []
-            assert obs.metrics().render_prometheus() == ""
-        assert obs.metrics() is reg
-        assert metric_value(reg, REMOTE_FALLBACK.name, op="x") == 0
+@pytest.fixture
+def telemetry_calls(monkeypatch):
+    """A reader of ``(metric mutations, spans opened)`` so far: the live
+    ``_Handle`` mutators and ``Tracer.span``, wrapped to count (``dec``
+    is ``inc``, so it counts once)."""
+    counts = collections.Counter()
+
+    def counted(kind, method):
+        def wrapper(*args, **kwargs):
+            counts[kind] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in ("inc", "set", "observe"):
+        monkeypatch.setattr(_Handle, name,
+                            counted("metric", getattr(_Handle, name)))
+    monkeypatch.setattr(Tracer, "span", counted("span", Tracer.span))
+    return lambda: (counts["metric"], counts["span"])
+
+
+def calls_of(telemetry_calls, fn, *args):
+    before = telemetry_calls()
+    fn(*args)
+    after = telemetry_calls()
+    return (after[0] - before[0], after[1] - before[1])
+
+
+class TestTelemetryBudget:
+    """Telemetry is always on, so its cost is pinned where a shared box
+    can check it: per operation, a fixed number of metric mutations and
+    spans that no grid size, design count or cache state moves."""
+
+    @pytest.fixture(scope="class")
+    def grid(self, astro_catalog):
+        from repro.cophy import candidate_indexes
+        from repro.evaluation import WorkloadEvaluator
+        from repro.whatif import Configuration
+        from repro.workloads import sdss_workload
+
+        workload = list(sdss_workload(n_queries=50, seed=11))
+        candidates = candidate_indexes(astro_catalog, workload,
+                                       max_candidates=16)
+        rng = random.Random(5)
+        configs = [
+            Configuration(indexes=frozenset(
+                rng.sample(candidates, rng.randint(0, 6))))
+            for __ in range(64)
+        ]
+        evaluator = WorkloadEvaluator(astro_catalog)
+        evaluator.warm_up(workload)
+        return evaluator, workload, configs
+
+    def test_a_warm_batch_costs_the_same_on_any_grid(self, grid,
+                                                     telemetry_calls):
+        """Three handle calls (batches, cells, latency) and one span per
+        batched call, on a 1 x 4 grid as on a 50 x 64 one, whether the
+        design columns are resolved afresh or read back."""
+        evaluator, workload, configs = grid
+        for queries, designs in ((workload[:1], configs[:4]),
+                                 (workload, configs)):
+            for __ in range(2):  # columns resolved, then memoized
+                assert calls_of(telemetry_calls, evaluator.evaluate_many,
+                                queries, designs) == (3, 1)
+            assert calls_of(telemetry_calls, evaluator.evaluate_deltas,
+                            queries, designs[1], designs) == (3, 1)
+
+    def test_a_resident_cache_for_hit_costs_nothing(self, grid,
+                                                    telemetry_calls):
+        evaluator, workload, __ = grid
+        for sql, __ in workload[:5]:
+            assert calls_of(telemetry_calls, evaluator.cache_for,
+                            sql) == (0, 0)
+
+    def test_a_scheduler_step_costs_a_fixed_number(self, astro_catalog,
+                                                   telemetry_calls,
+                                                   monkeypatch):
+        """An ingest step that runs no design pass: the scheduler's span,
+        step counter and latency, plus an observe step's event counter
+        — whichever query, however far into the stream.  The closing
+        flush and final review do design work and are not counted."""
+        phase = DriftPhase("mixed", 20, (
+            (sdss.template("cone_search"), 1.0),
+            (sdss.template("magnitude_cut"), 1.0),
+        ))
+        stream = list(drifting_stream((phase,), seed=2))
+        service = TuningService()
+        service.add_backplane("sdss", astro_catalog)
+        session = service.add_tenant(
+            "t", "sdss", recommend_every=0,
+            colt_settings=ColtSettings(epoch_length=len(stream) + 1,
+                                       space_budget_pages=50_000))
+        service.warm_up("sdss", [sql for __, sql in stream])
+        per_step = collections.defaultdict(set)
+        dispatch = Scheduler._dispatch
+
+        def counting_dispatch(scheduler, task):
+            before = telemetry_calls()
+            step = dispatch(scheduler, task)
+            after = telemetry_calls()
+            per_step[step.kind].add(
+                (after[0] - before[0], after[1] - before[1]))
+            return step
+
+        monkeypatch.setattr(Scheduler, "_dispatch", counting_dispatch)
+        scheduler = Scheduler()
+        scheduler.add("t", session, iter(stream))
+        stats = scheduler.run()
+        assert stats["events"] == len(stream)
+        assert per_step["drift"] == {(2, 1)}
+        assert per_step["observe"] == {(3, 1)}
 
 
 # ----------------------------------------------------------------------
@@ -673,3 +774,77 @@ class TestConcurrentSnapshots:
         thread.join()
         target.apply_deltas(source.drain_deltas())
         assert metric_value(target, "moved_total") == n_ops
+
+
+# ----------------------------------------------------------------------
+# Scrape exactness: counters are mirrors, not parallel bookkeeping.
+# ----------------------------------------------------------------------
+
+
+def _parse_prometheus(text):
+    """{(family, frozenset(label pairs)): value} for every sample line."""
+    out = {}
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        m = re.match(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})?\s+(\S+)$",
+                     line)
+        assert m, "unparseable exposition line: %r" % (line,)
+        name, raw_labels, value = m.groups()
+        labels = frozenset(
+            (key, val[1:-1])
+            for key, val in (
+                pair.split("=", 1) for pair in
+                re.findall(r'[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"',
+                           raw_labels or "")
+            )
+        )
+        out[(name, labels)] = float(value)
+    return out
+
+
+def test_claim_obs_scrape_exactness(fresh_registry):
+    """A scrape of the rendered exposition text reproduces the pool and
+    scheduler accounting to the unit: pool families are set from the
+    same lock-exact ``PoolStats`` that ``status()`` prints, and the
+    scheduler and tenant counters move with the dispatch itself."""
+    catalog = make_sdss(scale=0.05)
+    service = TuningService(shards=2)
+    service.add_backplane("sdss", catalog)
+    sessions = {
+        name: service.add_tenant(name, "sdss", recommend_every=0)
+        for name in ("alpha", "beta")
+    }
+    scheduler = Scheduler()
+    for i, name in enumerate(sessions):
+        scheduler.add(name, sessions[name],
+                      drifting_stream(default_phases(5), seed=21 + i))
+    stats = scheduler.run()
+
+    parsed = _parse_prometheus(obs.metrics().render_prometheus())
+
+    plane = service.backplane("sdss")
+    pool_stats = plane.pool.stats
+    label = frozenset([("backplane", "sdss")])
+    assert parsed[("repro_pool_hits_total", label)] == pool_stats.hits
+    assert parsed[("repro_pool_misses_total", label)] == pool_stats.misses
+    assert parsed[("repro_pool_evictions_total", label)] \
+        == pool_stats.evictions
+    assert parsed[("repro_pool_optimizer_calls_total", label)] \
+        == pool_stats.optimizer_calls
+    assert parsed[("repro_pool_entries", label)] == len(plane.pool)
+
+    steps_scraped = sum(
+        value for (name, __), value in parsed.items()
+        if name == "repro_scheduler_steps_total"
+    )
+    assert steps_scraped == stats["steps"]
+    assert parsed[("repro_scheduler_events_started", frozenset())] \
+        == stats["events"]
+
+    for name, session in sessions.items():
+        tenant = frozenset([("tenant", name)])
+        assert parsed[("repro_tenant_queries_total", tenant)] \
+            == session.queries
+        assert parsed[("repro_tenant_events_total", tenant)] \
+            == session.queries
