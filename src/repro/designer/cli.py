@@ -4,19 +4,22 @@
     python -m repro evaluate   --indexes photoobj:ra,dec specobj:z ...
     python -m repro recommend  [--budget-frac F] [--solver milp|greedy|colgen]
     python -m repro online     [--phase-length N] [--epoch N]
-    python -m repro stream     [--phase-length N] [--refresh-every N]
-    python -m repro serve      [--tenants N] [--shards N] [--state-dir DIR]
+    python -m repro serve      [--tenants N] [--refresh-every N]
+                               [--shards N] [--state-dir DIR]
                                [--snapshot-interval N]
                                [--offload N | --runners HOST:PORT,...]
     python -m repro runner     [--listen HOST:PORT]
     python -m repro explain    --sql "SELECT ..."
 
 Each subcommand prints the same panels the demo UI shows (benefit tables,
-interaction graphs, schedules, per-epoch traces).  ``stream`` runs one
-tenant's streaming session (ingest + drift detection + periodic design
-refreshes); ``serve`` simulates the multi-tenant service: a mixed
-SDSS/TPC-H tenant fleet advancing as resumable steps on the cooperative
-scheduler over sharded, shared cache pools — with periodic pause-point
+interaction graphs, schedules, per-epoch traces).  ``online`` runs
+COLT alone over a drifting stream; ``serve`` runs the multi-tenant
+service, each tenant a streaming session (ingest + drift detection +
+periodic design refreshes) whose per-epoch COLT panel and refreshes it
+prints: a tenant fleet alternating ``--workload`` and the other mix
+(``serve --tenants 1`` is one ``--workload`` session), advancing as
+resumable steps on the cooperative scheduler over sharded, shared cache
+pools — with periodic pause-point
 snapshots (``--snapshot-interval``) and optional offload of INUM cache
 builds through the one fan-out backplane, whose runners are either
 worker processes forked here (``--offload N``) or ``runner`` nodes on
@@ -103,26 +106,12 @@ def build_parser():
         help="alert only; leave adoption to the DBA",
     )
 
-    stream = sub.add_parser(
-        "stream", help="stream one tenant through a TuningService session"
-    )
-    stream.add_argument("--phase-length", type=int, default=50)
-    stream.add_argument("--epoch", type=int, default=25)
-    stream.add_argument(
-        "--refresh-every", type=int, default=50,
-        help="full-advisor recommendation refresh interval (queries)",
-    )
-    stream.add_argument(
-        "--window", type=int, default=50,
-        help="recent-query window priced by each refresh",
-    )
-
     serve = sub.add_parser(
         "serve", help="simulate the multi-tenant tuning service"
     )
     serve.add_argument(
         "--tenants", type=int, default=4,
-        help="tenant count, alternating SDSS and TPC-H streams",
+        help="tenant count, alternating --workload and the other mix",
     )
     serve.add_argument("--shards", type=int, default=4)
     serve.add_argument(
@@ -229,14 +218,17 @@ def parse_index_spec(spec):
     return Index(table.strip(), cols)
 
 
+# Each ``--workload``: its catalog, its query mix and its drift phases.
+_MIXES = {
+    "sdss": (sdss_catalog, sdss_workload, default_phases),
+    "tpch": (tpch_catalog, tpch_workload, tpch_phases),
+}
+
+
 def load_environment(args):
-    if args.workload == "sdss":
-        catalog = sdss_catalog(scale=args.scale)
-        workload = sdss_workload(n_queries=args.queries, seed=args.seed)
-    else:
-        catalog = tpch_catalog(scale=args.scale)
-        workload = tpch_workload(n_queries=args.queries, seed=args.seed)
-    return catalog, workload
+    make_catalog, make_workload, __ = _MIXES[args.workload]
+    return (make_catalog(scale=args.scale),
+            make_workload(n_queries=args.queries, seed=args.seed))
 
 
 def main(argv=None, out=sys.stdout):
@@ -309,40 +301,6 @@ def _dispatch(args, out):
         print("untuned: %.1f  -> %.1f%% saved" % (untuned, saved), file=out)
         return 0
 
-    if args.command == "stream":
-        service = TuningService()
-        service.add_backplane(args.workload, catalog)
-        session = service.add_tenant(
-            "tenant-0",
-            args.workload,
-            colt_settings=ColtSettings(
-                epoch_length=args.epoch,
-                space_budget_pages=int(
-                    sum(t.pages for t in catalog.tables) * 0.5
-                ),
-            ),
-            recommend_every=args.refresh_every,
-            window=args.window,
-        )
-        service.run_scheduled({"tenant-0": _stream(args)})
-        print(session.report.to_text(), file=out)
-        print("", file=out)
-        for rec in session.recommendations:
-            print(
-                "refresh@%d (%s, %s): %s (%.1f%% better)"
-                % (
-                    rec.at_query,
-                    rec.phase,
-                    rec.trigger,
-                    ",".join(rec.indexes) or "(none)",
-                    rec.improvement_pct,
-                ),
-                file=out,
-            )
-        print("", file=out)
-        print(service.status_text(), file=out)
-        return 0
-
     if args.command == "serve":
         if args.snapshot_interval and not args.state_dir:
             raise ReproError("--snapshot-interval requires --state-dir")
@@ -350,8 +308,11 @@ def _dispatch(args, out):
             shards=args.shards,
             pool_capacity=args.pool_capacity,
         )
-        service.add_backplane("sdss", sdss_catalog(scale=args.scale))
-        service.add_backplane("tpch", tpch_catalog(scale=args.scale))
+        # Tenant i streams keys[i % 2]: --workload, then the other mix.
+        # The --workload backplane is the catalog built above.
+        keys = (args.workload, "tpch" if args.workload == "sdss" else "sdss")
+        service.add_backplane(keys[0], catalog)
+        service.add_backplane(keys[1], _MIXES[keys[1]][0](scale=args.scale))
         metrics_server = None
         if args.metrics_port is not None:
             from repro.obs.export import MetricsServer
@@ -376,7 +337,7 @@ def _dispatch(args, out):
                 )
         streams = {}
         for i in range(args.tenants):
-            key = "sdss" if i % 2 == 0 else "tpch"
+            key = keys[i % 2]
             name = "%s-%d" % (key, i)
             plane = service.backplane(key)
             if name not in restored:
@@ -462,6 +423,23 @@ def _dispatch(args, out):
             print(json.dumps(service.status(), default=str), file=out,
                   flush=True)
         else:
+            for name in streams:
+                session = service.tenant(name)
+                print(session.report.to_text(), file=out)
+                print("", file=out)
+                for rec in session.recommendations:
+                    print(
+                        "refresh@%d (%s, %s): %s (%.1f%% better)"
+                        % (
+                            rec.at_query,
+                            rec.phase,
+                            rec.trigger,
+                            ",".join(rec.indexes) or "(none)",
+                            rec.improvement_pct,
+                        ),
+                        file=out,
+                    )
+                print("", file=out)
             print(service.status_text(), file=out, flush=True)
         if metrics_server is not None:
             if args.metrics_hold > 0:
@@ -494,9 +472,9 @@ def _dispatch(args, out):
 
 
 def _stream(args):
-    """The drifting stream ``online`` and ``stream`` replay: the phases
-    of ``--workload``."""
-    phases = default_phases if args.workload == "sdss" else tpch_phases
+    """The drifting stream ``online`` replays: the phases of
+    ``--workload``."""
+    phases = _MIXES[args.workload][2]
     return drifting_stream(phases(args.phase_length), seed=args.seed)
 
 

@@ -418,6 +418,24 @@ MUTANTS = (
          "benchmarks/bench_ext_write_tradeoff.py::"
          "test_ext_advisor_respects_maintenance"),
     ),
+    Mutant(
+        # Only the claim bench kills it: its drifting stream is long
+        # enough that the first epoch's cost dwarfs a later phase's.
+        "colt-projects-against-the-first-epoch",
+        "src/repro/colt/tuner.py",
+        "recent = self.report.epochs[-1].observed_cost",
+        "recent = self.report.epochs[0].observed_cost",
+        ("benchmarks/bench_scenario3_colt.py::"
+         "test_scenario3_drifting_stream",),
+    ),
+    Mutant(
+        "refresh-restores-colt-probe-budget",
+        "src/repro/service/tenant.py",
+        "        self.last_recommendation = rec\n",
+        "        self.last_recommendation = rec\n"
+        "        self.tuner.notify_workload_shift()\n",
+        ("tests/test_service.py::TestColtUnperturbed",),
+    ),
 )
 
 

@@ -15,10 +15,16 @@ alternates from pair to pair, so a drift of the machine over the run
 falls on both sides alike.
 
 Prints every run's metrics, then per workload and metric the two
-medians, the base's quartiles and the head's wins out of the pairs (a
+medians, the base's quartiles, the head's wins out of the pairs (a
 win is a strictly better value than the base's in the same pair, in
-the direction ``BENCHMARK.json`` declares), plus the attempted and
-failed operations of both sides.
+the direction ``BENCHMARK.json`` declares) and a verdict, plus the
+attempted and failed operations of both sides.  The verdict is
+``better`` or ``worse`` when the head's median is further than the
+floor from the base's, else ``within floor``; the floor is the larger
+of the base's quartile spread and the metric's ``BENCHMARK.json`` bound
+times the base's median, so a metric whose base runs barely spread
+(peak RSS often reads the same ten times) is not judged on a shift
+smaller than its bound.
 """
 
 import argparse
@@ -88,26 +94,40 @@ def run_pairs(trees, workload):
     return runs
 
 
+def verdict(base_median, head_median, spread, better, bound):
+    """``better``, ``worse`` or ``within floor``: whether the head's
+    median moved past the floor, ``max(spread, bound * |base_median|)``,
+    from the base's, and which way *better* reads that move."""
+    shift = head_median - base_median
+    if abs(shift) <= max(spread, bound * abs(base_median)):
+        return "within floor"
+    return "better" if (shift < 0) == (better == "lower") else "worse"
+
+
 def summary(workload, runs, metrics):
-    """One line per metric: medians, the base's quartiles, wins."""
+    """One line per ``(name, better, bound)`` of *metrics*: medians, the
+    base's quartiles, wins and the verdict."""
     lines = ["%s: attempted %s / %s, failed %s / %s (base / head)" % (
         workload,
         sum(r["attempted"] for r in runs["base"]),
         sum(r["attempted"] for r in runs["head"]),
         sum(r["failed"] for r in runs["base"]),
         sum(r["failed"] for r in runs["head"]))]
-    lines.append("  %-12s %12s %12s %25s %6s" % (
-        "metric", "base median", "head median", "base quartiles", "wins"))
-    for name, better in metrics:
+    lines.append("  %-12s %12s %12s %25s %6s  %s" % (
+        "metric", "base median", "head median", "base quartiles", "wins",
+        "verdict"))
+    for name, better, bound in metrics:
         base = [r["metrics"][name]["value"] for r in runs["base"]]
         head = [r["metrics"][name]["value"] for r in runs["head"]]
         sign = 1 if better == "lower" else -1
         wins = sum(sign * h < sign * b for b, h in zip(base, head))
         q1, __, q3 = (statistics.quantiles(base, n=4) if len(base) > 1
                       else (base[0],) * 3)
-        lines.append("  %-12s %12.4g %12.4g %12.4g .. %-10.4g %2d/%d" % (
-            name, statistics.median(base), statistics.median(head),
-            q1, q3, wins, len(base)))
+        base_median, head_median = (statistics.median(base),
+                                    statistics.median(head))
+        lines.append("  %-12s %12.4g %12.4g %12.4g .. %-10.4g %2d/%d  %s" % (
+            name, base_median, head_median, q1, q3, wins, len(base),
+            verdict(base_median, head_median, q3 - q1, better, bound)))
     return lines
 
 
@@ -118,7 +138,7 @@ def main(argv=None):
     parser.add_argument("--workload", action="append", required=True)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        metrics = [(m["name"], m["better"])
+        metrics = [(m["name"], m["better"], m["bound"])
                    for m in json.load(handle)["end_to_end"]]
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": export(args.base, os.path.join(tmp, "base")),

@@ -226,8 +226,8 @@ def cli_reads(env):
 
 def cli_online(env):
     run(env, *CLI, *SMALL, "online", "--phase-length", "30", "--epoch", "15")
-    run(env, *CLI, *SMALL, "stream", "--phase-length", "30", "--epoch", "15",
-        "--refresh-every", "20", "--window", "20")
+    run(env, *CLI, "--workload", "tpch", *SMALL, "serve", "--tenants", "1",
+        "--phase-length", "30", "--epoch", "15", "--refresh-every", "20")
     # Eight times SERVE's phases (the later flag wins): a backplane then
     # compiles more workloads than memos.COMPILED holds, and statements
     # leave its working set (InumCachePool.release).

@@ -28,6 +28,13 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
+def queries_of(text, tenant):
+    """The queries column of *tenant*'s row in ``serve``'s status table."""
+    (row,) = [line for line in text.splitlines()
+              if line.split()[:1] == [tenant]]
+    return int(row.split()[2])
+
+
 class TestIndexSpecParsing:
     def test_single_column(self):
         ix = parse_index_spec("photoobj:ra")
@@ -109,7 +116,8 @@ class TestCommands:
 
     def test_online_tpch(self):
         """``online`` replays the phases of ``--workload``, as
-        ``stream`` does: TPC-H statements on the TPC-H catalog."""
+        ``serve --tenants 1`` does: TPC-H statements on the TPC-H
+        catalog."""
         code, text = run_cli(
             ["--workload", "tpch"] + FAST
             + ["online", "--phase-length", "6", "--epoch", "5"]
@@ -132,10 +140,9 @@ class TestCommands:
         (["serve", "--runners", "127.0.0.1:9", "--remote-timeout", "0"],
          "timeout must be positive"),
         (["online", "--phase-length", "0"], "at least one query"),
-        (["stream", "--phase-length", "0"], "at least one query"),
-        (["stream", "--window", "0"], "window"),
+        (["serve", "--phase-length", "0"], "at least one query"),
     ], ids=["pool-capacity", "shards", "remote-timeout", "remote-timeout-0",
-            "online-phase", "stream-phase", "window"])
+            "online-phase", "serve-phase"])
     def test_out_of_range_input_is_reported(self, argv, message):
         """A value no run can use is an input error: ``error:`` and exit
         2, not a traceback."""
@@ -150,24 +157,28 @@ class TestCommands:
         )
         assert code == 0
 
-    def test_stream(self):
+    def test_serve_one_tenant(self):
         code, text = run_cli(
-            FAST + ["stream", "--phase-length", "8", "--epoch", "5",
-                    "--refresh-every", "10", "--window", "10"]
+            FAST + ["serve", "--tenants", "1", "--phase-length", "8",
+                    "--epoch", "5", "--refresh-every", "10"]
         )
         assert code == 0
         assert "epoch" in text  # the COLT panel
         assert "refresh@" in text  # recommendation refreshes
         assert "backplane sdss" in text  # pool status line
 
-    def test_stream_tpch(self):
+    def test_serve_one_tenant_runs_the_global_workload(self):
+        """``--workload tpch serve --tenants 1`` is one TPC-H tenant on
+        the TPC-H backplane."""
         code, text = run_cli(
             ["--workload", "tpch"] + FAST
-            + ["stream", "--phase-length", "6", "--epoch", "5",
-               "--refresh-every", "10"]
+            + ["serve", "--tenants", "1", "--phase-length", "6",
+               "--epoch", "5", "--refresh-every", "10"]
         )
         assert code == 0
-        assert "backplane tpch" in text
+        assert queries_of(text, "tpch-0") == 18  # three phases of six
+        assert "backplane tpch     tenants=1" in text
+        assert "sdss-" not in text
 
     def test_serve(self):
         code, text = run_cli(
@@ -190,11 +201,12 @@ class TestCommands:
         code, text = run_cli(args + ["--max-events", "8"])
         assert code == 0
         assert "state saved to" in text
-        assert "       8 " in text  # 8 of 15 events ingested
+        assert queries_of(text, "sdss-0") == 8  # 8 of 15 events ingested
         code, text = run_cli(args)
         assert code == 0
         assert "restored 1 tenant(s)" in text
-        assert "      15 " in text  # resumed to the end of the stream
+        # Resumed to the end of the stream.
+        assert queries_of(text, "sdss-0") == 15
 
     def test_serve_snapshot_interval_periodic_and_restorable(self, tmp_path):
         """--snapshot-interval writes consistent snapshots at scheduler
@@ -214,7 +226,7 @@ class TestCommands:
         code, text = run_cli(args)
         assert code == 0
         assert "restored 1 tenant(s)" in text
-        assert "      15 " in text
+        assert queries_of(text, "sdss-0") == 15
 
     def test_serve_corrupt_state_file_is_reported(self, tmp_path):
         """A state file that does not decode is an input error: serve

@@ -528,6 +528,62 @@ class TestSchedulerQueueDepth:
             == stats["events"]
 
 
+class TestFamiliesMatchTheRun:
+    def test_each_family_equals_a_count_the_run_exposes(
+            self, astro_catalog, fresh_registry):
+        """Kernels resident and compiled, step latency by kind, drift by
+        tenant and solves by backend: each family reads what the pool,
+        the scheduler, the sessions and the recommendation memo count
+        for themselves."""
+        service = TuningService(shards=2)
+        service.add_backplane("sdss", astro_catalog)
+        sessions = {
+            name: service.add_tenant(name, "sdss", colt_settings=COLT,
+                                     recommend_every=5)
+            for name in ("a", "b")
+        }
+        scheduler = Scheduler()
+        for seed, name in enumerate(sessions, start=2):
+            scheduler.add(name, sessions[name],
+                          drifting_stream(SDSS_PHASES, seed=seed))
+        stats = scheduler.run()
+        registry = obs.metrics()
+        snap = registry.snapshot()
+
+        def histogram_counts(name, label):
+            return {s["labels"][label]: s["count"]
+                    for s in snap["histograms"][name]["samples"]}
+
+        pool = service.backplane("sdss").pool
+        assert pool.kernel_count > 0
+        assert metric_value(registry, "repro_pool_kernels",
+                            backplane="sdss") == pool.kernel_count
+        (compiles,) = snap["histograms"][
+            "repro_kernel_compile_seconds"]["samples"]
+        assert compiles["count"] \
+            == metric_value(registry, "repro_kernel_compiles_total") > 0
+
+        steps = {s["labels"]["kind"]: s["value"] for s
+                 in snap["counters"]["repro_scheduler_steps_total"]["samples"]}
+        assert histogram_counts("repro_scheduler_step_seconds", "kind") \
+            == steps
+        assert sum(steps.values()) == stats["steps"]
+
+        for name, session in sessions.items():
+            assert session.drift_events
+            assert metric_value(registry, "repro_tenant_drift_total",
+                                tenant=name) == len(session.drift_events)
+
+        # A memo miss is one recommendation solved; a hit solves nothing.
+        misses = metric_value(registry, "repro_recommend_memo_total",
+                              result="miss")
+        solves = {s["labels"]["solver"]: s["value"] for s
+                  in snap["counters"]["repro_bip_solves_total"]["samples"]}
+        assert misses > 0 and sum(solves.values()) == misses
+        assert histogram_counts("repro_bip_solve_seconds", "solver") \
+            == solves
+
+
 # ----------------------------------------------------------------------
 # The fleet's overlap is shown, not inferred (ISSUE 19).
 # ----------------------------------------------------------------------

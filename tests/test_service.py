@@ -8,11 +8,12 @@ import stat
 
 import pytest
 
-from repro.colt import ColtSettings
+from repro.colt import ColtSettings, ColtTuner
 from repro.evaluation import WorkloadEvaluator
 from repro.service import TenantSession, TuningService
 from repro.util import DesignError
-from repro.workloads import DriftPhase, drifting_stream, sdss, tpch
+from repro.workloads import (DriftPhase, default_phases, drifting_stream,
+                             sdss, tpch, tpch_phases)
 
 from oracle import drain, finish, ingest, threaded_warm_up
 
@@ -248,6 +249,34 @@ class TestServiceEquivalence:
             }
 
         assert build_and_run() == build_and_run()
+
+
+class TestColtUnperturbed:
+    @pytest.mark.parametrize("adopt", [True, False], ids=["adopt", "alert"])
+    @pytest.mark.parametrize("key", ["sdss", "tpch"])
+    def test_a_served_tenant_without_drift_is_a_bare_tuner(
+            self, astro_catalog, dss_catalog, key, adopt):
+        """A one-tenant service fed plain SQL (no phase tags, so no drift
+        step) ends in the COLT state a bare ``ColtTuner`` reaches over the
+        same stream: scheduling, refreshes and the shared evaluator never
+        perturb COLT, so the drift signal is all that separates ``serve``
+        from ``online``."""
+        catalog, phases = {
+            "sdss": (astro_catalog, default_phases(12)),
+            "tpch": (dss_catalog, tpch_phases(12)),
+        }[key]
+        stream = [sql for __, sql in drifting_stream(phases, seed=3)]
+        settings = ColtSettings(epoch_length=5, space_budget_pages=50_000,
+                                auto_adopt=adopt)
+        service = TuningService(shards=2)
+        service.add_backplane(key, catalog)
+        session = service.add_tenant(key, key, colt_settings=settings,
+                                     recommend_every=7)
+        service.run_scheduled({key: iter(stream)})
+        assert session.recommendations and not session.drift_events
+        bare = ColtTuner(WorkloadEvaluator(catalog), settings)
+        bare.run(stream)
+        assert session.tuner.snapshot_state() == bare.snapshot_state()
 
 
 class TestServiceSurface:
