@@ -63,7 +63,9 @@ def build_parser():
         "--scale", type=float, default=0.1, help="dataset scale factor"
     )
     parser.add_argument(
-        "--queries", type=int, default=20, help="number of workload queries"
+        "--queries", type=int, default=20,
+        help="number of workload queries for describe, evaluate, recommend "
+             "and drops (online and serve stream their own)",
     )
     parser.add_argument("--seed", type=int, default=42, help="workload seed")
 
@@ -225,10 +227,18 @@ _MIXES = {
 }
 
 
+# The subcommands that read the ``--queries`` workload.
+_READ_WORKLOAD = ("describe", "evaluate", "recommend", "drops")
+
+
 def load_environment(args):
+    """``(catalog, workload)`` of ``--workload``; the workload is built
+    only for a subcommand that reads it, else ``None``."""
     make_catalog, make_workload, __ = _MIXES[args.workload]
-    return (make_catalog(scale=args.scale),
-            make_workload(n_queries=args.queries, seed=args.seed))
+    workload = None
+    if args.command in _READ_WORKLOAD:
+        workload = make_workload(n_queries=args.queries, seed=args.seed)
+    return make_catalog(scale=args.scale), workload
 
 
 def main(argv=None, out=sys.stdout):

@@ -21,9 +21,9 @@ off it.  It holds:
 * a **vectorized evaluate phase**, one implementation per job on the
   columnar plan-term kernel (:mod:`repro.evaluation.kernel`):
   :meth:`WorkloadEvaluator.evaluate_configurations` prices the whole
-  workload × configuration grid (statement kernels compiled once per
-  pool entry, fused into flat numpy arrays, slot costs resolved once
-  per distinct per-table design), and
+  workload × configuration grid (statement kernels compiled from the
+  pool's entries, fused into flat numpy arrays, slot costs resolved
+  once per distinct per-table design), and
   :meth:`WorkloadEvaluator.evaluate_deltas` prices a batch as deltas
   off a captured parent.  Which strategy runs is decided by the job,
   never by a caller's flag;
@@ -36,7 +36,6 @@ off it.  It holds:
 
 import threading
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -126,12 +125,14 @@ class WorkloadEvaluator:
         self._shared = {}
         self.pool = pool if pool is not None else InumCachePool()
         self.pool.attach(self)
-        self._compiled = OrderedDict()  # workload key -> _KernelWorkload
-        self._exact_services = OrderedDict()  # Configuration -> CostService
+        # The three LRUs are plain dicts in recency order: a walk over
+        # one hashes no key, where an OrderedDict's re-hashes each.
+        self._compiled = {}  # workload key -> _KernelWorkload
+        self._exact_services = {}  # Configuration -> CostService
         # The pinned empty-design CostService; its statement records
         # are this model's, and every exact service shares them.
         self._base_service = CostService(catalog, self.settings)
-        self._recommendations = OrderedDict()
+        self._recommendations = {}
         # Guards the memos.  Shipped code drives an evaluator from one
         # thread (the scheduler's, or a runner connection's); the lock
         # keeps them exact for a library caller pricing from several
@@ -348,8 +349,7 @@ class WorkloadEvaluator:
     def _release(self, entries):
         """Drop what the memo table derives from each ``(sql, cache)``
         pool entry that no resident compiled workload reads (the rows
-        :data:`~repro.evaluation.memos.COLD` lists) and return their
-        texts, whose kernels the pool then drops.  The entry and the
+        :data:`~repro.evaluation.memos.COLD` lists).  The entry and the
         statement's record stay: a statement that comes back is
         re-derived from them, never rebuilt.  Called by
         :meth:`InumCachePool.release` with its lock held."""
@@ -358,7 +358,6 @@ class WorkloadEvaluator:
             cold = [(sql, cache) for sql, cache in entries
                     if not any(sql in hot for hot in reads)]
             self._drop(memos.COLD, cold)
-        return [sql for sql, __ in cold]
 
     def _drop(self, hook, entries):
         """Walk *hook*'s rows over the ``(sql, cache)`` pool entries'
@@ -413,9 +412,6 @@ class WorkloadEvaluator:
                                statements=len(targets)):
             for bq in targets:
                 self.cache_for(bq)
-            # The first evaluate pays no build work: kernels too.
-            for bq in targets:
-                self.pool.kernel_for(bq.sql)
         return self.precompute_calls - before
 
     @property
@@ -428,12 +424,12 @@ class WorkloadEvaluator:
         (shared read-only).  Computed outside the lock: two threads
         racing on one key both compute the same thing."""
         with self._lock:
-            found = self._recommendations.get(key)
+            found = self._recommendations.pop(key, None)
             if found is None:
                 result = "miss"
             else:
                 result = "hit"
-                self._recommendations.move_to_end(key)
+                self._recommendations[key] = found
         obs.metrics().family(RECOMMEND_MEMO).labels(
             result=result).inc()
         if found is None:
@@ -458,9 +454,9 @@ class WorkloadEvaluator:
         pairs = [(self.bound(q), w) for q, w in workload_pairs(workload)]
         key = tuple((bq.sql, w) for bq, w in pairs)
         with self._lock:
-            compiled = self._compiled.get(key)
+            compiled = self._compiled.pop(key, None)
             if compiled is not None:
-                self._compiled.move_to_end(key)
+                self._compiled[key] = compiled
                 return compiled
         # Build outside the lock (compilation may issue optimizer calls
         # through the pool); concurrent builders of the same workload
@@ -479,23 +475,24 @@ class WorkloadEvaluator:
         return compiled
 
     def _compile_fresh(self, pairs):
-        """Compile a workload onto the columnar kernel: the pool's
-        statement kernels fuse into one
+        """Compile a workload onto the columnar kernel: a statement
+        kernel per read, compiled from its pool entry, fuses into one
         :class:`~repro.evaluation.kernel.WorkloadKernel` over a global
-        slot table."""
+        slot table, which keeps its terms and not the kernel."""
         from repro.evaluation.kernel import WorkloadKernel, compile_statement
 
         fused = WorkloadKernel()
         compiled = _KernelWorkload(kernel=fused)
-        reads = set()
 
         def fuse(bq):
             cache = self.cache_for(bq)
-            stmt_kernel = self.pool.kernel_for(bq.sql)
-            if stmt_kernel is None:  # evicted between calls: compile inline
-                stmt_kernel = compile_statement(cache)
-            reads.add(bq.sql)
-            return fused.add_statement(stmt_kernel)
+            read = fused.reads.get(bq.sql)  # a statement named twice
+            if read is None:
+                stmt_kernel = self.pool.kernel_for(bq.sql)
+                if stmt_kernel is None:  # evicted since: compile inline
+                    stmt_kernel = compile_statement(cache)
+                read = fused.add_statement(stmt_kernel)
+            return read
 
         for bq, weight in pairs:
             if not isinstance(bq, BoundWrite):
@@ -507,7 +504,7 @@ class WorkloadEvaluator:
                 read = fuse(locate_query(bq))
             compiled.positions.append((weight, bq.sql, bq, read))
         fused.seal()
-        compiled.reads = frozenset(reads)
+        compiled.reads = frozenset(fused.reads)
         return compiled
 
     def evaluate_many(self, workload, configurations):
@@ -695,9 +692,9 @@ class WorkloadEvaluator:
         if config is None or config.is_empty:
             return self._base_service
         with self._lock:
-            svc = self._exact_services.get(config)
+            svc = self._exact_services.pop(config, None)
             if svc is not None:
-                self._exact_services.move_to_end(config)
+                self._exact_services[config] = svc
                 return svc
             svc = self._base_service.with_catalog(config.apply(self.catalog))
             memos.EXACT_SERVICES.store(self._exact_services, config, svc)

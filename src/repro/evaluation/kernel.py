@@ -8,10 +8,9 @@ configuration grid.  The kernel compiles the terms once into flat
 numpy arrays and prices the grid as vectorized reductions.  Three
 public classes sit on one private core:
 
-* :class:`StatementKernel` — one cache entry's plan terms in columnar
-  form: a flat ``internal`` cost vector (one entry per cached plan) and
-  a padded ``slot_idx`` matrix mapping every plan to its (deduplicated)
-  access slots, in slot order;
+* :class:`StatementKernel` — one cache entry's plan terms over its
+  deduplicated access slots: per cached plan its internal cost and the
+  local ids of its slots, in slot order;
 
 * :class:`_PlanArena` — the core.  Every pricing job has one shape: a
   *row* gives each access slot a cost, a plan costs ``internal + Σ its
@@ -70,9 +69,10 @@ order-independent.  ``tests/test_kernel.py`` pins the equality with
 exact max/min witnesses over fuzzed catalogs, configurations, and
 weights, and the arena against a pure-Python walk sharing none of it.
 
-Kernels and their memos are rows of :mod:`repro.evaluation.memos`; the
-wire format rebuilds kernels from plan terms on load — they never
-cross the wire themselves.
+A statement kernel is compiled where a workload is fused and dropped
+once its terms are in the fused kernel; the fused kernels' memos are
+rows of :mod:`repro.evaluation.memos`.  Kernels never cross the wire:
+plan terms do.
 """
 
 from collections import namedtuple
@@ -94,41 +94,30 @@ __all__ = [
 _MAX_DESIGN_COLUMNS = 4096
 _MAX_DELTA_STATES = 8
 
-# Distinct extension batches whose footprints a BIP kernel memoizes
-# (sweeps re-price the same feasible sets round after round).
-_MAX_FOOTPRINTS = 256
-
 
 class StatementKernel:
-    """One cache entry's plan terms as flat arrays.
+    """One cache entry's plan terms over its distinct access slots.
 
     ``slots`` lists the entry's distinct access slots (first-appearance
-    order); ``internal`` is the per-plan internal cost vector; and
-    ``slot_idx[p, k]`` is the local id of plan ``p``'s ``k``-th slot in
-    *plan order*, padded with the sentinel id ``len(slots)`` (which
-    always prices as 0.0).  Keeping plan order — rather than, say, a
-    plan × slot membership matrix — is what makes the evaluation
-    bit-identical to the scalar walk: costs accumulate in exactly the
-    order ``internal + slot₀ + slot₁ + …``.
+    order); ``internal[p]`` is plan ``p``'s internal cost and
+    ``slot_ids[p]`` the local ids of its slots in *plan order*.  Keeping
+    plan order — rather than, say, a plan × slot membership matrix — is
+    what makes the evaluation bit-identical to the scalar walk: costs
+    accumulate in exactly the order ``internal + slot₀ + slot₁ + …``.
     """
 
-    __slots__ = ("bound_query", "slots", "internal", "slot_idx")
+    __slots__ = ("bound_query", "slots", "internal", "slot_ids")
 
-    def __init__(self, bound_query, slots, internal, slot_idx):
+    def __init__(self, bound_query, slots, internal, slot_ids):
         self.bound_query = bound_query
         self.slots = slots
         self.internal = internal
-        self.slot_idx = slot_idx
-
-    @property
-    def n_slots(self):
-        return len(self.slots)
+        self.slot_ids = slot_ids
 
 
 def compile_statement(cache):
     """Compile one :class:`~repro.inum.cache.QueryCache` to a
-    :class:`StatementKernel`.  Pure function of the entry's plan terms;
-    the pool memoizes the result per resident entry
+    :class:`StatementKernel`: a pure function of the entry's plan terms
     (:meth:`~repro.evaluation.pool.InumCachePool.kernel_for`)."""
     internal = []
     slots = []
@@ -145,17 +134,7 @@ def compile_statement(cache):
                 slots.append(slot)
             ids.append(sid)
         rows.append(ids)
-    width = max((len(row) for row in rows), default=0)
-    sentinel = len(slots)
-    slot_idx = np.full((len(rows), width), sentinel, dtype=np.intp)
-    for p, ids in enumerate(rows):
-        slot_idx[p, : len(ids)] = ids
-    return StatementKernel(
-        bound_query=cache.bound_query,
-        slots=tuple(slots),
-        internal=np.asarray(internal, dtype=np.float64),
-        slot_idx=slot_idx,
-    )
+    return StatementKernel(cache.bound_query, tuple(slots), internal, rows)
 
 
 # One batch's scatter targets (:meth:`_PlanArena.footprint`): the row
@@ -267,8 +246,7 @@ class _PlanArena:
     def footprint(self, children, units):
         """The scatter targets of a batch of ``(child, unit)`` pairs
         (parallel index arrays): one span gather over the unit CSRs,
-        whatever the batch size.  Static per batch, so owners that
-        re-price the same batch memoize it."""
+        whatever the batch size."""
         pair, at = _span_gather(self.unit_ptr, self.unit_sizes, units)
         reader, read = _span_gather(self.plan_ptr, self.plan_sizes, units)
         plans = self.unit_plans[read]
@@ -332,24 +310,25 @@ class WorkloadKernel:
 
     The global access-cost matrix has one column per distinct
     ``(statement, slot)`` pair (a statement named twice in a workload
-    shares one statement kernel and therefore one column block) plus the
+    is added once: :attr:`reads` files its read by text) plus the
     arena's sentinel column, last, that always prices 0.0 — the padding
     target for plans with fewer slots than the widest plan.
 
-    All statements' plans are flattened into *one* global plan arena at
-    :meth:`seal` time, so an evaluate call is a fixed handful of array
-    operations — one gathered add per slot position, one grouped min —
-    regardless of how many statements the workload holds.  What stays
-    here is slot bookkeeping: which table a slot belongs to, and the
-    memoized cost columns resolving a table's slots under one design.
+    A statement kernel's terms are copied in and the kernel itself is
+    not kept.  All statements' plans are flattened into *one* global
+    plan arena at :meth:`seal` time, so an evaluate call is a fixed
+    handful of array operations — one gathered add per slot position,
+    one grouped min — regardless of how many statements the workload
+    holds.  What stays here is slot bookkeeping: which table a slot
+    belongs to, and the memoized cost columns resolving a table's slots
+    under one design.
     """
 
     def __init__(self):
-        self.kernels = []  # StatementKernel per distinct read statement
         self.slots = []  # global: (slot, bound_query)
         self.slot_tables = []  # table name per global slot
         self.table_columns = {}  # table -> np.intp slot ids, unit order
-        self._read_by_sql = {}
+        self.reads = {}  # statement text -> read index
         self._plan_rows = []  # per plan: global slot ids, plan order
         self._plan_internal = []
         self._read_starts = []  # first plan index of each read statement
@@ -364,26 +343,18 @@ class WorkloadKernel:
         return tuple(sorted(self.table_columns))
 
     def add_statement(self, kernel):
-        """Register *kernel* (deduplicated by its bound query's SQL);
+        """Register *kernel*, of a statement not in :attr:`reads` yet;
         returns the read index its cost row lives at."""
-        sql = kernel.bound_query.sql
-        read = self._read_by_sql.get(sql)
-        if read is not None:
-            return read
         base = len(self.slots)
         for slot in kernel.slots:
             self.slots.append((slot, kernel.bound_query))
             self.slot_tables.append(slot.table_name)
-        read = len(self.kernels)
-        self.kernels.append(kernel)
+        read = len(self._read_starts)
         self._read_starts.append(len(self._plan_internal))
-        self._plan_internal.extend(kernel.internal.tolist())
-        # The statement's own padding is dropped; the arena pads anew.
-        for row in kernel.slot_idx.tolist():
-            self._plan_rows.append(
-                [base + local for local in row if local < kernel.n_slots]
-            )
-        self._read_by_sql[sql] = read
+        self._plan_internal.extend(kernel.internal)
+        for ids in kernel.slot_ids:
+            self._plan_rows.append([base + local for local in ids])
+        self.reads[kernel.bound_query.sql] = read
         return read
 
     def seal(self):
@@ -593,7 +564,6 @@ class BipKernel:
             np.searchsorted(cols[first], np.arange(n + 1)), slots[first],
             "BIP has an infeasible query term",
         )
-        self._footprints = {}  # positions tuple -> (footprint, minima)
         self._delta_state = None  # the last captured BipDeltaState
 
     def _resolve(self, batch):
@@ -712,20 +682,13 @@ class BipKernel:
         of *positions* (a tuple), as one arena pass.  A child's slot
         winners are ``min(parent winner, the position's own static
         option minima)`` — min decomposes exactly, so one scatter onto
-        the tiled parent row resolves every child.  The footprint is
-        memoized per positions tuple: sweeps re-price the same sets."""
-        memo = self._footprints.get(positions)
-        if memo is None:
-            if len(self._footprints) >= _MAX_FOOTPRINTS:
-                self._footprints.clear()
-            footprint = self.arena.footprint(
-                np.arange(len(positions), dtype=np.intp),
-                np.asarray(positions, dtype=np.intp),
-            )
-            memo = (footprint, self._unit_static[footprint.slot_at])
-            self._footprints[positions] = memo
-        footprint, static = memo
+        the tiled parent row resolves every child."""
+        footprint = self.arena.footprint(
+            np.arange(len(positions), dtype=np.intp),
+            np.asarray(positions, dtype=np.intp),
+        )
         return self.arena.price(
             state.row, state.acc, len(positions), footprint,
-            np.minimum(state.row[footprint.slots], static),
+            np.minimum(state.row[footprint.slots],
+                       self._unit_static[footprint.slot_at]),
         )

@@ -13,10 +13,17 @@ evaluator LRUs insert through :meth:`Memo.store`, which reads the bound
 from the row.  Lookups stay plain dict probes on the owners.
 ``tests/test_memo_inventory.py`` holds the code to the table.
 
-A row's "worth" is its knock-out (the lookup made always to miss) against
-the unchanged tree, in alternating pairs of ``run.py --seconds 10`` ledger
-runs: medians of 3 pairs, or of 10 from ``tests/pairs.py`` with the
-knock-out's wins; every run correct, on a shared 2-core box.
+A row's "worth" is what its declared knock-out (``tests/knockouts.py``:
+the lookup made always to miss, every answer unchanged) costs against
+the unchanged tree: the medians of n alternating pairs of ``run.py
+--seconds 10 --trace 0`` ledger runs (``tests/pairs.py --head``), with
+the knock-out's wins out of n where given; or, where a time is named,
+the seconds inside one function, and call counts, from one in-process
+run of the workload with that function wrapped.  Every run correct with
+no failed operation, on a shared 2-core box whose speed moves by up to
+50 %.  A memo whose knock-out costs under 2 % on every ledger row is
+deleted, and nothing replaces it.  ``SCAN_CONTEXTS``, ``ENTRIES`` and
+``BASE_SERVICE`` have no knock-out: their rows say why.
 """
 
 import functools
@@ -58,7 +65,7 @@ class Memo:
         memo[key] = value
         evicted = []
         while len(memo) > self.bound:
-            evicted.append(memo.popitem(last=False)[1])
+            evicted.append(memo.pop(next(iter(memo))))
         return evicted
 
     def forget(self, memo, texts):
@@ -84,12 +91,9 @@ class Memo:
     def owners(self, evaluator, bound):
         """Every object a walk drops this row's part for the statements
         bound as *bound* from: those bound queries, each live service
-        for a service's row, else the one owner — none for the pool's
-        rows, which the pool drops under its own lock."""
+        for a service's row, else the one owner."""
         if self.reach is None:
             return bound
-        if self.reach == "pool":
-            return ()
         if self.owner == "CostService":
             return (evaluator._base_service,
                     *evaluator._exact_services.values())
@@ -104,9 +108,10 @@ STATEMENTS = Memo(
     "bound statement (every exact service binds through it, so both paths "
     "share its memos) and what build_cache answered, so a miss on a seen "
     "statement decodes instead of planning.  Its text is the statement's "
-    "one key: the pool and its kernels file it under the same.  With its "
-    "pool entry (0.4 kB) it is all a statement that left the working set "
-    "keeps.", reach="_base_service")
+    "one key: the pool files it under the same.  With its pool entry "
+    "(0.4 kB) it is all a statement that left the working set keeps.  "
+    "Worth, terms always missed (n = 3): online_evict ops_per_s 1 908 -> "
+    "1 375, cpu_s +36 % (0/3).", reach="_base_service")
 TEMPLATES = Memo(
     "CostService", "templates", "token stream, each literal masked to its "
     "kind", (SHAPE,), (OWNER,), "as STATEMENTS: at most one per "
@@ -118,7 +123,9 @@ TEMPLATES = Memo(
     "vectors and covering indexes, CoPhy's vote keys and COLT's harvest "
     "— all dropped with it; every instance's "
     "binding, filter selectivities and selectivity products are its own "
-    "numbers pass, equal to binding its text afresh.", reach="_base_service")
+    "numbers pass, equal to binding its text afresh.  Worth (n = 3): "
+    "online_ingest ops_per_s -17.8 %, cpu_s +21.9 %, peak RSS 58.8 -> "
+    "81.5 MB.", reach="_base_service")
 SLOT_MEMO = Memo(
     "WorkloadEvaluator", "_slot_memo", "entry text -> (slot, indexes, "
     "cover, horizontal)", (ENTRY, INDEXES), (EVICT, COLD, OWNER),
@@ -131,7 +138,9 @@ SLOT_MEMO = Memo(
     "key, 2.9-4.0 kB per statement holding a bucket on online_ingest "
     "(6.7-8.3 kB when every key held a set of its own); after its "
     "--seconds 10 run 414 of 2 031 entries hold one (all of them when "
-    "nothing was released).", reach="", evict="text")
+    "nothing was released).  Worth (n = 3): recommend_offline ops_per_s "
+    "18.75 -> 14.81, cpu_s +27 % (0/3); online_ingest ops_per_s -17 %, "
+    "cpu_s +12 % (0/3).", reach="", evict="text")
 SHARED = Memo(
     "WorkloadEvaluator", "_shared", "index set (frozenset) or winner tuple",
     (INDEXES,), (OWNER,), "distinct index sets and winners seen",
@@ -141,11 +150,14 @@ SHARED = Memo(
     "indexes, not from one statement, so eviction leaves them; they "
     "level off at what the candidate indexes allow: 149 entries (27 kB) "
     "on online_ingest's busier backplane at 1x, 2x, 4x and 8x its "
-    "--seconds 10 length.", reach="")
+    "--seconds 10 length.  Worth (n = 3): online_ingest peak RSS "
+    "+4.9 %.", reach="")
 COMPILED = Memo(
     "WorkloadEvaluator", "_compiled", "((text, weight), ...)",
     (ENTRY, WORKLOAD), (EVICT, OWNER), 16, "Fused workload kernels, kept "
-    "while every entry they read is resident.", reach="", evict="reads")
+    "while every entry they read is resident.  Worth (n = 3): "
+    "whatif_session ops_per_s 920 -> 450, cpu_s +116 % (0/3); "
+    "online_ingest cpu_s +8 %.", reach="", evict="reads")
 RECOMMENDATIONS = Memo(
     "WorkloadEvaluator", "_recommendations", "Designer.recommend arguments",
     (WORKLOAD, SETTINGS), (OWNER,), 32, "Reproduced bit for bit by the "
@@ -157,7 +169,8 @@ EXACT_SERVICES = Memo(
     "+26 %.", reach="")
 BASE_SERVICE = Memo(
     "WorkloadEvaluator", "_base_service", "-", (), (), "one, pinned",
-    "The empty design's CostService; sessions hold it.", reach="")
+    "The empty design's CostService; sessions hold it.  No knock-out: "
+    "one pinned object, not a lookup.", reach="")
 PLAN_CACHE = Memo(
     "CostService", "_plan_cache", "statement text", (TEXT, INDEXES),
     (COLD, OWNER), "statements planned, less those released", "Plan memo "
@@ -169,31 +182,30 @@ PLAN_CACHE = Memo(
 ENTRIES = Memo(
     "InumCachePool", "_entries", "statement text",
     (TEXT, SETTINGS), (POOL,), "capacity (LRU)", "INUM entries; one "
-    "that leaves calls the owner's _forget.", reach="pool")
-KERNELS = Memo(
-    "InumCachePool", "_kernels", "statement text", (ENTRY,), (POOL, COLD),
-    "resident entries compiled since their last release", "Statement "
-    "kernels, 0.35 kB each beyond what the fused workload kernels share "
-    "on online_ingest; the pool drops a released text's under its lock.",
-    reach="pool")
+    "that leaves calls the owner's _forget.  No knock-out: it is the "
+    "pool.", reach="pool")
 SCAN_CONTEXTS = Memo(
     "BoundQuery", "scan_contexts", "(alias, layout cover, horizontal)",
     (ENTRY,), (EVICT, COLD, OWNER),
     "covers x partitionings, on statements as SLOT_MEMO", "ScanContext "
     "per reference.  2.7-3.8 kB per statement holding any on "
-    "online_ingest, mostly path groups of indexes outside the catalog.",
-    evict="all")
+    "online_ingest, mostly path groups of indexes outside the catalog.  "
+    "No knock-out: PLAN_MEMO's keys hold contexts by identity, so a "
+    "context made afresh empties that row too.", evict="all")
 PLAN_MEMO = Memo(
     "BoundQuery", "plan_memo", "(settings, paths.plan_inputs(...))",
     (ENTRY, INDEXES, SETTINGS), (EVICT, COLD, OWNER),
     "projected designs, on statements as SLOT_MEMO", "Keys hold contexts "
     "by identity.  1.8-5.4 kB per statement holding any on online_ingest "
     "(COLT's what-if probe plans): 41 of 2 031 after its --seconds 10 "
-    "run, 729 when nothing was released.", evict="all")
+    "run, 729 when nothing was released.  Worth: whatif_session exact "
+    "planner runs 5 279 -> 29 830 per timed run.", evict="all")
 PRICED = Memo(
     "ScanContext", "_priced", "settings -> index | None | (index, probes)",
     (SETTINGS, INDEXES), (RELEASE, OWNER), "indexes priced", "Paths; bulk "
-    "pricers release one-shot indexes.")
+    "pricers release one-shot indexes.  Worth (n = 3): whatif_session "
+    "cpu_s +9.7 %, op_p95_ms +12.6 %; index_path_group on online_ingest "
+    "0.42 -> 0.55 s.")
 DESIGN_COLUMNS = Memo(
     "WorkloadKernel", "_columns", "(table, design signature)",
     (INDEXES,), (OWNER,), "kernel._MAX_DESIGN_COLUMNS, then reset",
@@ -204,34 +216,36 @@ DELTA_STATES = Memo(
     (INDEXES,), (OWNER,), "kernel._MAX_DELTA_STATES, then reset",
     "Captured parent states.  Worth: online_ingest cpu_s +3.7 %, "
     "op_p50_ms +7.4 %.")
-FOOTPRINTS = Memo(
-    "BipKernel", "_footprints", "tuple of extension positions", (),
-    (OWNER,), "kernel._MAX_FOOTPRINTS, then reset", "(footprint, static "
-    "minima) per batch a greedy or colgen sweep extends by; CoPhy's, not "
-    "an evaluator's.  Worth, 10 pairs: online_ingest ops_per_s 2 099 -> "
-    "2 078, cpu_s 2.214 -> 2.238 (4/10 each), just outside the quartiles.")
 SUBSETS = Memo(
     "build_cache", "subsets", "((alias, plan input), ...), proper subsets",
     (INDEXES, SETTINGS), (OWNER,), "one build", "Path sets the "
-    "order vectors of one INUM build share (plan_query(subsets=)).")
+    "order vectors of one INUM build share (plan_query(subsets=)).  "
+    "Worth: fleet_offload, whose workers build three-alias cross_match, "
+    "cpu_s 1.452 -> 1.565 (worse in 7 of 8 rounds); on two-alias "
+    "statements base path sets only (access_paths 16 155 -> 20 394 on "
+    "online_ingest).")
 PROJECTION_PAGES = Memo(
     "Table", "_projection_pages", "projected columns", (), (OWNER,),
-    "projections priced", "Heap pages: a hit 0.2 us, a recompute 3.3 "
-    "(ROADMAP 26(b)).")
+    "projections priced", "Heap pages: a hit 0.2 us, a recompute 3.3.  "
+    "Worth: recommend_offline +44 ms in projection_pages and +34 ms in "
+    "VerticalLayout.cover, 1.5-2.7 % of its CPU; kept, as the upper "
+    "estimate clears the 2 % bar.")
 LAYOUT_COVERS = Memo(
     "VerticalLayout", "_covers", "referenced columns", (), (OWNER,),
     "column sets read", "(table, paths.layout_cover entry); a "
-    "template's statements share one.")
+    "template's statements share one.  Worth (n = 7): recommend_offline "
+    "cpu_s +9.6 %, VerticalLayout.cover 0.10 -> 0.35 s.")
 INDEX_SHAPES = Memo(
     "Table", "_index_shapes", "index columns", (), (OWNER,),
     "column lists sized", "Index.shape; no per-Index state.  A hit "
-    "0.3 us, a recompute 5.5 (ROADMAP 26(b)).")
+    "0.3 us, a recompute 5.5.  Worth (n = 7): online_ingest cpu_s "
+    "+5.2 %; Table.index_shape's 45 594 calls 0.04 -> 0.39 s.")
 
 MEMOS = (
     STATEMENTS, TEMPLATES, SLOT_MEMO, SHARED, COMPILED, RECOMMENDATIONS,
-    EXACT_SERVICES, BASE_SERVICE, PLAN_CACHE, ENTRIES, KERNELS,
-    SCAN_CONTEXTS, PLAN_MEMO, PRICED, DESIGN_COLUMNS, DELTA_STATES,
-    FOOTPRINTS, SUBSETS, PROJECTION_PAGES, LAYOUT_COVERS, INDEX_SHAPES,
+    EXACT_SERVICES, BASE_SERVICE, PLAN_CACHE, ENTRIES, SCAN_CONTEXTS,
+    PLAN_MEMO, PRICED, DESIGN_COLUMNS, DELTA_STATES, SUBSETS,
+    PROJECTION_PAGES, LAYOUT_COVERS, INDEX_SHAPES,
 )
 # Dicts on those owners holding what the object was built from.
 INPUTS = (("BoundQuery", "tables"), ("BoundQuery", "filters"))

@@ -77,9 +77,9 @@ class InumCachePool:
 
     One thread builds and installs: the scheduler's, or a runner
     connection's over its private pool.  The lock is for readers on
-    other threads — the metrics server scrapes :attr:`stats`, ``len``
-    and :attr:`kernel_count` while that thread installs.  What it holds
-    is declared in :mod:`repro.evaluation.memos`.
+    other threads — the metrics server scrapes :attr:`stats` and ``len``
+    while that thread installs.  What it holds is declared in
+    :mod:`repro.evaluation.memos`.
     """
 
     capacity: int = None
@@ -87,7 +87,6 @@ class InumCachePool:
     _entries: OrderedDict = field(default_factory=OrderedDict)
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
     _owner: weakref.ref = field(default=None, repr=False)  # the evaluator
-    _kernels: dict = field(default_factory=dict, repr=False)  # sql -> StatementKernel
 
     def __post_init__(self):
         if self.capacity is not None and self.capacity <= 0:
@@ -138,19 +137,15 @@ class InumCachePool:
     def put(self, sql, cache):
         """Insert a cache under *sql*; returns the ``(sql, cache)`` pairs
         evicted to make room, after handing them to the owner's
-        ``_forget``.  An overwritten or evicted entry's kernel goes with
-        it."""
+        ``_forget``."""
         with self._lock:
-            self._kernels.pop(sql, None)
             self._entries[sql] = cache
             self._entries.move_to_end(sql)
             self.stats.optimizer_calls += cache.build_optimizer_calls
             evicted = []
             while self.capacity is not None \
                     and len(self._entries) > self.capacity:
-                dropped = self._entries.popitem(last=False)
-                self._kernels.pop(dropped[0], None)
-                evicted.append(dropped)
+                evicted.append(self._entries.popitem(last=False))
                 self.stats.evictions += 1
             owner = self.owner()
             if owner is not None:  # under our lock: pool → evaluator
@@ -159,46 +154,33 @@ class InumCachePool:
             return evicted
 
     def kernel_for(self, sql):
-        """The compiled columnar kernel for a *resident* entry (``None``
-        when absent), built on first request under the pool lock — a
-        pure function of the entry's plan terms
-        (:func:`repro.evaluation.kernel.compile_statement`)."""
-        with self._lock:
-            cache = self._entries.get(sql)
-            if cache is None:
-                return None
-            kernel = self._kernels.get(sql)
-            if kernel is None:
-                from repro.evaluation.kernel import compile_statement
+        """A columnar kernel compiled from the *resident* entry's plan
+        terms (``None`` when absent) — a pure function of them
+        (:func:`repro.evaluation.kernel.compile_statement`), compiled
+        afresh on every call: the fused workload kernel keeps what it
+        reads, so the pool keeps none."""
+        cache = self._entries.get(sql)
+        if cache is None:
+            return None
+        from repro.evaluation.kernel import compile_statement
 
-                with obs.tracer().span(SPAN_KERNEL_COMPILE,
-                                       plans=len(cache.plans)):
-                    t0 = time.perf_counter()
-                    kernel = compile_statement(cache)
-                    elapsed = time.perf_counter() - t0
-                self._kernels[sql] = kernel
-                registry = obs.metrics()
-                registry.family(KERNEL_COMPILES).inc()
-                registry.family(KERNEL_COMPILE_SECONDS).observe(
-                    elapsed)
-            return kernel
+        with obs.tracer().span(SPAN_KERNEL_COMPILE, plans=len(cache.plans)):
+            t0 = time.perf_counter()
+            kernel = compile_statement(cache)
+            elapsed = time.perf_counter() - t0
+        registry = obs.metrics()
+        registry.family(KERNEL_COMPILES).inc()
+        registry.family(KERNEL_COMPILE_SECONDS).observe(elapsed)
+        return kernel
 
     def release(self, texts):
         """Drop what the owner derives from the entries filed under
         *texts* once no compiled workload of its reads them — the owner's
-        ``_release`` walks its rows under our lock (pool → evaluator) —
-        and the kernels of the texts it released.  The entries stay."""
+        ``_release`` walks its rows under our lock (pool → evaluator).
+        The entries stay."""
         with self._lock:
-            resident = [(sql, self._entries[sql]) for sql in texts
-                        if sql in self._entries]
-            for sql in self.owner()._release(resident):
-                self._kernels.pop(sql, None)
-
-    @property
-    def kernel_count(self):
-        """How many resident entries currently have a compiled kernel."""
-        with self._lock:
-            return len(self._kernels)
+            self.owner()._release([(sql, self._entries[sql]) for sql in texts
+                                   if sql in self._entries])
 
     def get_or_build(self, sql, builder):
         """The cache for *sql*: the resident entry (a hit), or

@@ -96,8 +96,8 @@ class ShardedInumCachePool:
         return self.shard_for(sql).get_or_build(sql, builder)
 
     def kernel_for(self, sql):
-        """Compiled columnar kernel for a resident entry (built, owned
-        and invalidated by the owning shard; ``None`` when absent)."""
+        """A columnar kernel compiled from a resident entry by its
+        shard (``None`` when absent)."""
         return self.shard_for(sql).kernel_for(sql)
 
     def release(self, texts):
@@ -108,11 +108,6 @@ class ShardedInumCachePool:
             by_shard.setdefault(self.shard_index(sql), []).append(sql)
         for position in sorted(by_shard):
             self._shards[position].release(by_shard[position])
-
-    @property
-    def kernel_count(self):
-        """Resident compiled kernels across all shards."""
-        return sum(shard.kernel_count for shard in self._shards)
 
     def __len__(self):
         return sum(len(shard) for shard in self._shards)

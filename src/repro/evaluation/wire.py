@@ -575,11 +575,10 @@ def loads(text, catalog=None, pool=None, key=None):
     and materialized by :meth:`TuningService.restore` and friends.
     With *pool* (an :class:`~repro.evaluation.InumCachePool` or its
     sharded twin) the payload must be a cache entry, and it is also
-    *installed*: put into the pool unless resident, and its columnar
-    kernel rebuilt from the just-loaded plan terms (kernels never cross
-    the wire).  A pool whose owner prices *catalog* binds the entry's
-    SQL through the owner's ``known_bound``: the statement the owner
-    already bound, never remembering one it did not.  With *key* (the
+    *installed*: put into the pool unless resident.  A pool whose owner
+    prices *catalog* binds the entry's SQL through the owner's
+    ``known_bound``: the statement the owner already bound, never
+    remembering one it did not.  With *key* (the
     text a fleet task asked for), an entry that re-binds to another
     text is refused before anything is put."""
     try:
@@ -603,7 +602,6 @@ def loads(text, catalog=None, pool=None, key=None):
         if pool is not None:
             if sql not in pool:
                 pool.put(sql, cache)
-            pool.kernel_for(sql)
         return sql, cache
     if pool is not None:
         raise WireFormatError("a %r payload is no cache entry" % (kind,))

@@ -404,10 +404,8 @@ class FleetBackplane:
         for key, conn, reply in replies:
             _answer(reply, wire.KIND_RESULT)
             delta = reply["obs"] and wire.obs_from_wire(reply["obs"])
-            # pool= installs the entry *and* rebuilds its columnar
-            # kernel from the shipped plan terms, so an offloaded
-            # warm-up prewarms compiled kernels, not just raw caches;
-            # key= refuses an entry of another statement than the task's.
+            # pool= installs the entry; key= refuses an entry of another
+            # statement than the task's.
             __, cache = wire.loads(reply["entry"], evaluator.catalog,
                                    pool=evaluator.pool, key=key)
             evaluator.remember_terms(cache)
@@ -417,10 +415,7 @@ class FleetBackplane:
         for __, task in leftovers:
             if self._connections:  # no workers by design is no fallback
                 self._m_fallback.labels(op="warm").inc()
-            sql, __ = perform_warm(
-                evaluator, task["sql"], task["locate"], task["ctx"]
-            )
-            evaluator.pool.kernel_for(sql)
+            perform_warm(evaluator, task["sql"], task["locate"], task["ctx"])
 
     def collect(self, texts):
         """Install what the fleet has built and block only while one of

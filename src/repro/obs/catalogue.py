@@ -66,8 +66,6 @@ POOL_OPTIMIZER_CALLS = _family(COUNTER, "repro_pool_optimizer_calls_total",
                                "backplane")
 POOL_ENTRIES = _family(GAUGE, "repro_pool_entries",
                        "Resident INUM cache entries", "backplane")
-POOL_KERNELS = _family(GAUGE, "repro_pool_kernels",
-                       "Compiled columnar kernels resident", "backplane")
 POOL_BUILD_SECONDS = _family(
     HISTOGRAM, "repro_pool_build_seconds",
     "INUM cache build latency (one per pool miss)")

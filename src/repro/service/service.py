@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.obs.catalogue import (
-    POOL_ENTRIES, POOL_EVICTIONS, POOL_HITS, POOL_KERNELS, POOL_MISSES,
+    POOL_ENTRIES, POOL_EVICTIONS, POOL_HITS, POOL_MISSES,
     POOL_OPTIMIZER_CALLS, SCHEDULER_SNAPSHOT_AGE, SCHEDULER_SNAPSHOTS,
     TENANT_QUERIES)
 from repro.evaluation import ShardedInumCachePool, WorkloadEvaluator, wire
@@ -74,7 +74,6 @@ class Backplane:
             shards=self.pool.n_shards,
             hit_rate=stats.hit_rate,
             shard_stats=self.pool.shard_stats(),
-            kernels=self.pool.kernel_count,
         )
         return snapshot
 
@@ -460,7 +459,6 @@ class TuningService:
         evictions = registry.family(POOL_EVICTIONS)
         builds = registry.family(POOL_OPTIMIZER_CALLS)
         entries = registry.family(POOL_ENTRIES)
-        kernels = registry.family(POOL_KERNELS)
         for key, plane in planes:
             stats = plane.pool.stats
             hits.labels(backplane=key).set(stats.hits)
@@ -468,7 +466,6 @@ class TuningService:
             evictions.labels(backplane=key).set(stats.evictions)
             builds.labels(backplane=key).set(stats.optimizer_calls)
             entries.labels(backplane=key).set(len(plane.pool))
-            kernels.labels(backplane=key).set(plane.pool.kernel_count)
         queries = registry.family(TENANT_QUERIES)
         for name, session in sessions:
             queries.labels(tenant=name).set(session.queries)
@@ -534,14 +531,12 @@ class TuningService:
         for key, plane in snapshot["backplanes"].items():
             lines.append(
                 "backplane %-8s tenants=%d shards=%d entries=%d "
-                "kernels=%d hits=%d misses=%d evictions=%d builds=%d "
-                "hit_rate=%.2f"
+                "hits=%d misses=%d evictions=%d builds=%d hit_rate=%.2f"
                 % (
                     key,
                     len(plane["tenants"]),
                     plane["shards"],
                     plane["pool_size"],
-                    plane["kernels"],
                     plane["hits"],
                     plane["misses"],
                     plane["evictions"],

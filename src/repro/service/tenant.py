@@ -41,7 +41,6 @@ from repro.util import DesignError
 # The refresh policy every tenant runs: a design review at every phase
 # boundary, index-only greedy selection within a quarter of the
 # catalog's pages.
-REFRESH_ON_DRIFT = True
 BUDGET_FRAC = 0.25
 SOLVER = "greedy"
 PARTITIONS = False

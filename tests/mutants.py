@@ -429,6 +429,15 @@ MUTANTS = (
          "test_scenario3_drifting_stream",),
     ),
     Mutant(
+        # A resident statement re-planned for every new design.
+        "plan-memo-always-misses",
+        "src/repro/optimizer/service.py",
+        "plan = bq.plan_memo.get(key)",
+        "plan = None",
+        ("tests/test_whatif_budget.py::"
+         "test_a_question_costs_no_more_than_its_budget",),
+    ),
+    Mutant(
         "refresh-restores-colt-probe-budget",
         "src/repro/service/tenant.py",
         "        self.last_recommendation = rec\n",

@@ -3,11 +3,14 @@
     python tests/pairs.py --base HEAD --workload recommend_offline
     python tests/pairs.py --base main \\
         --workload recommend_offline --workload online_ingest
+    python tests/pairs.py --base HEAD --head DIR --workload online_ingest
 
 The base is the committed tree of a revision, exported with ``git
 archive`` into a temporary directory; the head is the working tree's
 files (tracked and untracked, not ignored), copied into a sibling one,
 so the two sides differ in their code only, not in where they run from.
+``--head DIR`` runs the tree in DIR instead of the working tree (a
+knock-out's copy, ``tests/knockouts.py --apply``).
 Each of :data:`PAIRS` pairs runs driver-mode ``benchmarks/e2e/run.py
 --workload W --seed 42 --seconds 10 --trace 0`` (the ledger's protocol)
 once on each side, one after the other, and the side that goes first
@@ -135,6 +138,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", default="HEAD",
                         help="revision measured against (default HEAD)")
+    parser.add_argument("--head", metavar="DIR",
+                        help="the tree measured (default: a copy of the "
+                             "working tree)")
     parser.add_argument("--workload", action="append", required=True)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
@@ -142,7 +148,8 @@ def main(argv=None):
                    for m in json.load(handle)["end_to_end"]]
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": export(args.base, os.path.join(tmp, "base")),
-                 "head": copy_working_tree(os.path.join(tmp, "head"))}
+                 "head": (os.path.abspath(args.head) if args.head else
+                          copy_working_tree(os.path.join(tmp, "head")))}
         report = []
         for workload in args.workload:
             runs = run_pairs(trees, workload)

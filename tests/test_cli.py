@@ -167,6 +167,25 @@ class TestCommands:
         assert "refresh@" in text  # recommendation refreshes
         assert "backplane sdss" in text  # pool status line
 
+    @pytest.mark.parametrize("command", [
+        ["online", "--phase-length", "6", "--epoch", "5"],
+        ["serve", "--tenants", "2", "--phase-length", "6", "--epoch", "5",
+         "--refresh-every", "0"],
+    ], ids=["online", "serve"])
+    def test_a_streaming_command_builds_no_query_workload(
+            self, command, monkeypatch):
+        """``online`` and ``serve`` stream drifting phases and never read
+        the ``--queries`` workload, so they never build it."""
+        from repro.designer import cli
+
+        def unread(**kwargs):
+            raise AssertionError("built a workload nothing reads")
+
+        for name, (catalog, __, phases) in list(cli._MIXES.items()):
+            monkeypatch.setitem(cli._MIXES, name, (catalog, unread, phases))
+        code, text = run_cli(FAST + command)
+        assert code == 0, text
+
     def test_serve_one_tenant_runs_the_global_workload(self):
         """``--workload tpch serve --tenants 1`` is one TPC-H tenant on
         the TPC-H backplane."""

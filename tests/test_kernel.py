@@ -143,7 +143,7 @@ def test_kernel_respects_duplicate_statements():
     for row in grid.matrix:
         assert row[0] == row[1] == row[2]
     compiled = evaluator._compile(repeated)
-    assert len(compiled.kernel.kernels) == 1
+    assert {read for __, __, __, read in compiled.positions} == {0}
 
 
 def test_evaluate_terms_is_the_reference_walk():
@@ -168,12 +168,12 @@ def test_evaluate_terms_is_the_reference_walk():
 
 
 # ----------------------------------------------------------------------
-# Pool-owned kernel lifetime.
+# The pool compiles kernels and keeps none.
 # ----------------------------------------------------------------------
 
 
-class TestKernelLifetime:
-    def test_pool_compiles_once_and_serves_shared(self):
+class TestKernelFor:
+    def test_pool_compiles_each_request_from_the_resident_entry(self):
         catalog, workload, __ = make_env(0)
         pool = InumCachePool()
         evaluator = WorkloadEvaluator(catalog, pool=pool)
@@ -182,11 +182,12 @@ class TestKernelLifetime:
         assert pool.kernel_for(key) is None  # not resident yet
         evaluator.cache_for(sql)
         kernel = pool.kernel_for(key)
-        assert kernel is not None
-        assert pool.kernel_for(key) is kernel  # memoized
-        assert pool.kernel_count == 1
+        again = pool.kernel_for(key)
+        assert kernel is not None and again is not kernel  # nothing kept
+        assert (again.internal, again.slot_ids, again.slots) == \
+            (kernel.internal, kernel.slot_ids, kernel.slots)
 
-    def test_eviction_invalidates_kernel(self):
+    def test_an_evicted_entry_has_no_kernel(self):
         catalog, workload, __ = make_env(1)
         pool = InumCachePool(capacity=1)
         evaluator = WorkloadEvaluator(catalog, pool=pool)
@@ -197,20 +198,6 @@ class TestKernelLifetime:
         evaluator.cache_for(second)  # evicts the first entry
         assert first_key not in pool
         assert pool.kernel_for(first_key) is None
-        assert pool.kernel_count <= 1
-
-    def test_overwrite_drops_stale_kernel(self):
-        catalog, workload, __ = make_env(2)
-        pool = InumCachePool()
-        evaluator = WorkloadEvaluator(catalog, pool=pool)
-        sql = workload[0][0]
-        cache = evaluator.cache_for(sql)
-        key = evaluator.bound(sql).sql
-        stale = pool.kernel_for(key)
-        pool.put(key, cache)  # reinstall: compiled form must renew
-        fresh = pool.kernel_for(key)
-        assert fresh is not stale
-        assert fresh.internal.tolist() == stale.internal.tolist()
 
     def test_sharded_pool_routes_kernels(self):
         catalog, workload, __ = make_env(0)
@@ -220,16 +207,15 @@ class TestKernelLifetime:
         assert built > 0
         for sql, __ in workload:
             assert pool.kernel_for(evaluator.bound(sql).sql) is not None
-        assert pool.kernel_count == len(pool)
 
 
 # ----------------------------------------------------------------------
-# Wire: kernels rebuild from plan terms on load.
+# Wire: kernels compile from the plan terms a load installs.
 # ----------------------------------------------------------------------
 
 
 class TestWireRebuild:
-    def test_loads_with_pool_installs_and_compiles(self):
+    def test_loads_with_pool_installs_the_entry(self):
         catalog, workload, configs = make_env(1)
         source = WorkloadEvaluator(catalog)
         sql = workload[0][0]
@@ -270,8 +256,8 @@ class TestWireRebuild:
         __, loaded = wire.loads(text, catalog.clone())
         a = compile_statement(cache)
         b = compile_statement(loaded)
-        assert a.internal.tolist() == b.internal.tolist()
-        assert a.slot_idx.tolist() == b.slot_idx.tolist()
+        assert a.internal == b.internal
+        assert a.slot_ids == b.slot_ids
         assert a.slots == b.slots
 
 

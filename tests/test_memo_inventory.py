@@ -107,7 +107,6 @@ def test_eviction_drops_everything_derived_from_the_entry():
         assert memo_of(row, evaluator, bq), row.attr  # filled first
     evaluator.cost(Q_OTHER)  # evicts Q_JOIN's entry
     assert bq.sql not in evaluator.pool
-    assert bq.sql not in evaluator.pool._kernels
     for row in rows:
         memo = memo_of(row, evaluator, bq)
         assert bq.sql not in memo, row.attr
@@ -338,15 +337,12 @@ def fill_compiled(evaluator, sql, configs):
 
 def cold_parts(evaluator, sql):
     """What the ``COLD`` rows hold for *sql*, row by row: its slot-memo
-    bucket, every live service's plan, its kernel, its contexts and its
-    plan memo — each as a dict of the entries a release would drop."""
+    bucket, every live service's plan, its contexts and its plan memo —
+    each as a dict of the entries a release would drop."""
     bq = evaluator.bound(sql)
     parts = {}
     for row in memos.rows(memos.COLD):
-        if row is memos.KERNELS:
-            kernel = evaluator.pool._kernels.get(sql)
-            parts[row.attr] = {} if kernel is None else {sql: kernel}
-        elif row.evict == "all":
+        if row.evict == "all":
             parts[row.attr] = dict(getattr(bq, row.attr))
         else:
             part = parts[row.attr] = {}
@@ -370,7 +366,7 @@ def test_a_statement_no_compiled_workload_reads_keeps_its_record_and_entry():
     __, configs = exercise(evaluator, [Q_JOIN, Q_OTHER])
     rows = memos.rows(memos.COLD)
     assert {row.attr for row in rows} == {
-        "_slot_memo", "_plan_cache", "_kernels", "scan_contexts", "plan_memo"}
+        "_slot_memo", "_plan_cache", "scan_contexts", "plan_memo"}
     cold, hot = cold_parts(evaluator, Q_JOIN), cold_parts(evaluator, Q_OTHER)
     for parts in (cold, hot):
         assert all(parts.values()), parts.keys()  # filled first
@@ -397,9 +393,37 @@ def test_a_statement_no_compiled_workload_reads_keeps_its_record_and_entry():
     assert evaluator.precompute_calls == spent
 
 
+def test_a_release_hashes_no_service_key(monkeypatch):
+    """The evaluator's LRUs are plain dicts kept in recency order: a
+    release walks every live exact service, and walking a dict hashes no
+    key, where a C ``OrderedDict`` hashes each again (twice for
+    ``.values()``).  A release of a cold statement beside several
+    resident services calls no ``Configuration.__hash__``."""
+    catalog = sdss_catalog(scale=0.05)
+    evaluator = WorkloadEvaluator(catalog)
+    __, configs = exercise(evaluator, [Q_JOIN, Q_OTHER])
+    fill_compiled(evaluator, Q_OTHER, [configs[0]])  # Q_JOIN's workload left
+    configs += [Configuration.of(Index("photoobj", (column,)))
+                for column in ("ra", "dec", "type")]
+    for config in configs:  # Q_JOIN's plans back in every service
+        evaluator.exact_service(config).cost(Q_JOIN)
+    assert len(evaluator._exact_services) == len(configs) - 1
+    hashes = []
+    real = Configuration.__hash__
+
+    def counting(config):
+        hashes.append(config)
+        return real(config)
+
+    monkeypatch.setattr(Configuration, "__hash__", counting)
+    evaluator.pool.release([Q_JOIN])
+    assert not any(cold_parts(evaluator, Q_JOIN).values())  # released
+    assert hashes == []
+
+
 def derived(evaluator):
-    """How many statements hold a slot-memo bucket, non-empty scan
-    contexts and a kernel, and how many plan-memo entries they hold."""
+    """How many statements hold a slot-memo bucket and non-empty scan
+    contexts, and how many plan-memo entries they hold."""
     bindings = [record.bound for record
                 in evaluator.exact_service().statements.values()]
     bindings += [evaluator.pool.get(sql).bound_query
@@ -410,7 +434,6 @@ def derived(evaluator):
                          if bucket),
         "scan contexts": sum(1 for bq in bound.values() if bq.scan_contexts),
         "plan memo": sum(len(bq.plan_memo) for bq in bound.values()),
-        "kernels": evaluator.pool.kernel_count,
     }
 
 
@@ -492,14 +515,14 @@ def test_releasing_racing_pricing_stays_exact():
     expected_grids, expected_prices = grids(reference), prices(reference)
     evaluator = WorkloadEvaluator(catalog)
     failures, released = [], []
-    real = evaluator._release
+    real = evaluator._drop
 
-    def counting(entries):
-        out = real(entries)
-        released.extend(out)
-        return out
+    def counting(hook, entries):  # a COLD walk gets the cold entries only
+        if hook == memos.COLD:
+            released.extend(entries)
+        real(hook, entries)
 
-    evaluator._release = counting
+    evaluator._drop = counting
     barrier = threading.Barrier(3)
 
     def compiler():

@@ -299,6 +299,8 @@ class TestTelemetryBudget:
         ]
         evaluator = WorkloadEvaluator(astro_catalog)
         evaluator.warm_up(workload)
+        for queries in (workload[:1], workload):  # their kernels compiled
+            evaluator.evaluate_many(queries, configs[:1])
         return evaluator, workload, configs
 
     def test_a_warm_batch_costs_the_same_on_any_grid(self, grid,
@@ -531,7 +533,7 @@ class TestSchedulerQueueDepth:
 class TestFamiliesMatchTheRun:
     def test_each_family_equals_a_count_the_run_exposes(
             self, astro_catalog, fresh_registry):
-        """Kernels resident and compiled, step latency by kind, drift by
+        """Kernels compiled, step latency by kind, drift by
         tenant and solves by backend: each family reads what the pool,
         the scheduler, the sessions and the recommendation memo count
         for themselves."""
@@ -554,10 +556,6 @@ class TestFamiliesMatchTheRun:
             return {s["labels"][label]: s["count"]
                     for s in snap["histograms"][name]["samples"]}
 
-        pool = service.backplane("sdss").pool
-        assert pool.kernel_count > 0
-        assert metric_value(registry, "repro_pool_kernels",
-                            backplane="sdss") == pool.kernel_count
         (compiles,) = snap["histograms"][
             "repro_kernel_compile_seconds"]["samples"]
         assert compiles["count"] \
@@ -693,7 +691,6 @@ class TestServiceStatus:
         assert sorted(plane["tenants"]) == ["alpha", "beta"]
         assert plane["shards"] == 2
         assert plane["pool_size"] == len(pool)
-        assert plane["kernels"] == pool.kernel_count
         stats = pool.stats
         assert plane["hits"] == stats.hits
         assert plane["misses"] == stats.misses

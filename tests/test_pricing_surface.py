@@ -272,8 +272,8 @@ def test_only_the_used_solvers_and_tenant_options_ship():
 
     assert _parameters(TenantSession.__init__) == [
         "name", "evaluator", "colt_settings", "recommend_every", "window"]
-    assert (tenant.REFRESH_ON_DRIFT, tenant.BUDGET_FRAC, tenant.SOLVER,
-            tenant.PARTITIONS) == (True, 0.25, "greedy", False)
+    assert (tenant.BUDGET_FRAC, tenant.SOLVER, tenant.PARTITIONS) == (
+        0.25, "greedy", False)
     assert TenantSession.partitions is False
     assert "SOLVERS" not in vars(tenant)
 

@@ -466,6 +466,7 @@ class TestWritesPricedOnTheKernel:
         catalog, statements, __, __, __ = kernel_env()
         evaluator = WorkloadEvaluator(catalog)
         compiled = evaluator._compile([(sql, 1.0) for sql in statements])
+        texts = {read: sql for sql, read in compiled.kernel.reads.items()}
         kinds = set()
         for sql, (__, __, write, read) in zip(statements, compiled.positions):
             bq = evaluator.bound(sql)
@@ -474,7 +475,6 @@ class TestWritesPricedOnTheKernel:
             if bq.is_write and bq.kind == "insert":
                 assert read is None
                 continue
-            read_bq = compiled.kernel.kernels[read].bound_query
             expected = locate_query(bq).sql if bq.is_write else bq.sql
-            assert read_bq.sql == expected
+            assert texts[read] == expected
         assert kinds == {"select", "insert", "update", "delete"}
