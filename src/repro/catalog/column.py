@@ -25,25 +25,20 @@ class Column:
     distribution:
         Optional generative spec.  :meth:`build_stats` derives the
         column's ``stats`` from it, or guesses them without one.
-    width:
-        Average on-disk width override (defaults to the type's width).
-    nullable:
-        Whether NULLs may appear (informational; the null fraction itself
-        lives in the distribution / statistics).
+
+    ``width``, the average on-disk width, is the type's width.
     """
 
     name: str
     dtype: DataType
-    distribution: Distribution = None
-    width: int = 0
-    nullable: bool = True
+    distribution: Distribution | None = None
+    width: int = field(init=False)
     stats: ColumnStats = field(default=None, repr=False, init=False)
 
     def __post_init__(self):
         if not self.name or not self.name.islower():
             raise CatalogError("column names must be non-empty lower-case: %r" % (self.name,))
-        if self.width <= 0:
-            self.width = self.dtype.default_width
+        self.width = self.dtype.default_width
 
     def build_stats(self, row_count, n_buckets=100):
         """Materialize synthetic statistics from the distribution spec."""

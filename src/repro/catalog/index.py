@@ -22,9 +22,8 @@ class Index:
     """
 
     table_name: str
-    columns: tuple
-    include: tuple = ()
-    unique: bool = False
+    columns: tuple[str, ...]
+    include: tuple[str, ...] = ()
     name: str = ""
 
     def __post_init__(self):
@@ -45,8 +44,7 @@ class Index:
         object.__setattr__(self, "_hash", hash(self._astuple()))
 
     def _astuple(self):
-        return (self.table_name, self.columns, self.include, self.unique,
-                self.name)
+        return (self.table_name, self.columns, self.include, self.name)
 
     def __hash__(self):
         return self._hash
@@ -92,8 +90,7 @@ class Index:
 
     def sql(self):
         """CREATE INDEX statement for display in reports."""
-        stmt = "CREATE %sINDEX %s ON %s (%s)" % (
-            "UNIQUE " if self.unique else "",
+        stmt = "CREATE INDEX %s ON %s (%s)" % (
             self.name,
             self.table_name,
             ", ".join(self.columns),

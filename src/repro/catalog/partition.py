@@ -15,18 +15,19 @@ the dataclass's own.  Pickling goes through the constructor, because a
 string hash belongs to the process that computed it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.util import CatalogError
 
 
 @dataclass(frozen=True)
 class VerticalFragment:
-    """One column group of a vertically partitioned table."""
+    """One column group of a vertically partitioned table, named after
+    its table and columns."""
 
     table_name: str
-    columns: tuple
-    name: str = ""
+    columns: tuple[str, ...]
+    name: str = field(init=False)
 
     def __post_init__(self):
         if isinstance(self.columns, list):
@@ -35,10 +36,9 @@ class VerticalFragment:
             raise CatalogError("a fragment needs at least one column")
         if len(set(self.columns)) != len(self.columns):
             raise CatalogError("duplicate column in fragment of %r" % (self.table_name,))
-        if not self.name:
-            object.__setattr__(
-                self, "name", "%s__%s" % (self.table_name, "_".join(self.columns))
-            )
+        object.__setattr__(
+            self, "name", "%s__%s" % (self.table_name, "_".join(self.columns))
+        )
         object.__setattr__(
             self, "_hash", hash((self.table_name, self.columns, self.name))
         )
@@ -60,7 +60,7 @@ class VerticalLayout:
     """
 
     table_name: str
-    fragments: tuple
+    fragments: tuple[VerticalFragment, ...]
 
     def __post_init__(self):
         if isinstance(self.fragments, list):
@@ -173,7 +173,7 @@ class HorizontalPartitioning:
 
     table_name: str
     column: str
-    bounds: tuple
+    bounds: tuple[float | str, ...]
 
     def __post_init__(self):
         if isinstance(self.bounds, list):

@@ -45,8 +45,8 @@ class Distribution:
     s: float = 1.1
     mu: float = 0.0
     sigma: float = 1.0
-    values: tuple = ()
-    probs: tuple = ()
+    values: tuple[float | str, ...] = ()
+    probs: tuple[float, ...] = ()
     correlation: float = 0.0
     null_frac: float = 0.0
 

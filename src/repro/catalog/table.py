@@ -18,18 +18,18 @@ class Table:
     """
 
     name: str
-    columns: list
+    columns: list[Column]
     row_count: int = 0
 
-    _by_name: dict = field(default=None, repr=False, compare=False)
-    _full_width: int = field(default=0, repr=False, compare=False)
-    pages: int = field(default=0, init=False, repr=False, compare=False)
+    _by_name: dict = field(init=False, repr=False, compare=False)
+    _full_width: int = field(init=False, repr=False, compare=False)
+    pages: int = field(init=False, repr=False, compare=False)
     # projected column names -> pages; a partition search asks for the
     # same few fragments' sizes once per candidate layout.
-    _projection_pages: dict = field(default=None, repr=False, compare=False)
+    _projection_pages: dict = field(init=False, repr=False, compare=False)
     # index columns -> btree shape; an index's size reads nothing else,
     # so indexes minted per probe share an entry.
-    _index_shapes: dict = field(default=None, repr=False, compare=False)
+    _index_shapes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name or not self.name.islower():

@@ -1,8 +1,8 @@
 """Column data types and their physical widths.
 
-Widths follow PostgreSQL's on-disk sizes; variable-length types carry a
-default average width that :class:`~repro.catalog.column.Column` may
-override per column.
+Widths follow PostgreSQL's on-disk sizes; variable-length types carry an
+average width, which every :class:`~repro.catalog.column.Column` of the
+type has.
 """
 
 import enum
@@ -36,5 +36,5 @@ _WIDTHS = {
     DataType.BOOL: 1,
     DataType.DATE: 4,
     DataType.TIMESTAMP: 8,
-    DataType.TEXT: 32,  # average; override per column
+    DataType.TEXT: 32,  # average
 }

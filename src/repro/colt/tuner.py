@@ -281,26 +281,19 @@ class ColtTuner:
         open epoch's queries and probe spend, and the self-regulating
         budget.  Settings and catalog are the host's to re-provide —
         the snapshot is pure dynamic state."""
-        from repro.catalog.serialize import (
-            configuration_to_dict,
-            index_sort_key,
-            index_to_dict,
-        )
         from repro.evaluation import wire
 
         return {
-            "current": configuration_to_dict(self.current),
+            "current": wire.record_to_wire(self.current),
             "pending_alert": (
-                configuration_to_dict(self._pending_alert)
+                wire.record_to_wire(self._pending_alert)
                 if self._pending_alert is not None
                 else None
             ),
             "candidates": [
-                wire.record_to_wire(state, index=index_to_dict)
-                for state in sorted(
-                    self.candidates.values(),
-                    key=lambda s: index_sort_key(s.index),
-                )
+                wire.record_to_wire(state)
+                for state in sorted(self.candidates.values(),
+                                    key=lambda s: s.index.name)
             ],
             "report": wire.record_to_wire(self.report),
             "epoch_queries": list(self._epoch_queries),
@@ -316,10 +309,6 @@ class ColtTuner:
         settings); the subsequent stream continues exactly as if the
         process had never stopped.  A payload this tuner could not run
         on raises a :class:`~repro.util.ReproError`."""
-        from repro.catalog.serialize import (
-            configuration_from_dict,
-            index_from_dict,
-        )
         from repro.evaluation import wire
         from repro.sql.binder import bind_statement
 
@@ -328,15 +317,16 @@ class ColtTuner:
                      "tuner state")
         for sql in payload["epoch_queries"]:
             bind_statement(sql, self.catalog)  # re-priced at epoch end
-        self.current = configuration_from_dict(payload["current"])
+        self.current = wire.record_from_wire(Configuration,
+                                             payload["current"])
         pending = payload["pending_alert"]
         self._pending_alert = (
-            configuration_from_dict(pending) if pending is not None else None
+            wire.record_from_wire(Configuration, pending)
+            if pending is not None else None
         )
         self.candidates = {}
         for entry in payload["candidates"]:
-            state = wire.record_from_wire(_CandidateState, entry,
-                                          index=index_from_dict)
+            state = wire.record_from_wire(_CandidateState, entry)
             self.candidates[state.index] = state
         self.report = wire.record_from_wire(OnlineReport, payload["report"])
         self._epoch_queries = list(payload["epoch_queries"])
@@ -431,15 +421,7 @@ class ColtTuner:
         instead of one exact optimizer probe per observed query, so
         closing an epoch costs array reductions over caches the
         scheduler has typically prewarmed.  What-if *probes* (the gain
-        refinements driving adoption) stay on the exact path.
-
-        Scoring routes through the delta seam with the materialized
-        design as its own parent: the epoch's resolved state is
-        captured once and memoized, so the re-scoring
-        ``_projected_improvement`` does on a first epoch — same
-        workload, same design — answers from the captured state instead
-        of a second full pass.  Bit-identical to the full pass (the
-        delta seam is pinned against it)."""
+        refinements driving adoption) stay on the exact path."""
         if not queries:
             return 0.0
         return self.evaluator.evaluate_deltas(

@@ -122,8 +122,8 @@ def build_parser():
         "one per distinct statement text, routed to a shard by a hash of "
         "the text. A statement that leaves the working set (none of the "
         "16 workloads priced most recently reads it) keeps only its bound "
-        "AST, plan terms and pool entry, about 2 kB: its scan / plan / "
-        "slot memos and kernel go, re-derived if it returns. A bound also "
+        "AST, plan terms and pool entry, about 2 kB: its scan, plan and "
+        "slot memos go, re-derived if it returns. A bound also "
         "evicts entries: an evicted statement is decoded from its terms, "
         "never re-planned",
     )

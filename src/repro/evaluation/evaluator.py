@@ -614,17 +614,15 @@ class WorkloadEvaluator:
 
         The seminaïve seam greedy rounds, COLT epoch scoring, AutoPart
         merge rounds and doi prefetch route through: the parent's
-        resolved grid state is captured once (``memos.DELTA_STATES``),
-        and each child re-resolves only slots on tables whose design
-        differs from the parent's — O(delta) per child instead of
-        O(grid).  Results are bit-identical to
+        resolved grid state is captured once per call, and each child
+        re-resolves only slots on tables whose design differs from the
+        parent's — O(delta) per child instead of O(grid).  Results are bit-identical to
         :meth:`evaluate_configurations` on the same arguments, which the
         equivalence suite pins exactly.
         """
         with self._batch_seam(
             SPAN_EVALUATE_DELTAS, "delta", workload, configurations
         ) as (compiled, configurations, views, table_sigs):
-            # The parent's captured state is memoized on the kernel.
             (view,), (sigs,) = self._kernel_views(
                 compiled, [parent or Configuration.empty()]
             )

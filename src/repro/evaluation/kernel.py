@@ -88,11 +88,10 @@ __all__ = [
     "compile_statement",
 ]
 
-# Bounds of two WorkloadKernel memos (rows of evaluation/memos.py),
-# reset when full: a reset column is a handful of slot-memo lookups,
-# and greedy / doi sweeps revisit at most a couple of parents.
+# Bound of the WorkloadKernel's column memo (a row of
+# evaluation/memos.py), reset when full: a reset column is a handful of
+# slot-memo lookups.
 _MAX_DESIGN_COLUMNS = 4096
-_MAX_DELTA_STATES = 8
 
 
 class StatementKernel:
@@ -333,7 +332,6 @@ class WorkloadKernel:
         self._plan_internal = []
         self._read_starts = []  # first plan index of each read statement
         self._columns = {}  # (table, design signature) -> cost array
-        self._delta_states = {}  # sorted table-sig items -> delta state
         # Filled by seal():
         self.arena = None  # _PlanArena: reads are groups, tables units
 
@@ -437,25 +435,17 @@ class WorkloadKernel:
     # -- delta (seminaïve) evaluation ----------------------------------
 
     def delta_state(self, view, table_sigs, slot_choice):
-        """Capture (or fetch the memoized) parent state for *view*.
+        """Capture the parent state for *view*.
 
         The parent's slot cost row and per-plan sums are computed by
         exactly the element-wise operations one column of
         :meth:`evaluate_many` would run, so a captured state is
         bit-identical source material for delta pricing.
         """
-        key = tuple(sorted(table_sigs.items()))
-        state = self._delta_states.get(key)
-        if state is not None:
-            return state
         row = self._rows([view], [table_sigs], slot_choice)[0]
         acc = self.arena.sums(row)
         self.arena.minima(acc)  # an infeasible parent raises here
-        state = WorkloadDeltaState(dict(table_sigs), row, acc)
-        if len(self._delta_states) >= _MAX_DELTA_STATES:
-            self._delta_states.clear()
-        self._delta_states[key] = state
-        return state
+        return WorkloadDeltaState(dict(table_sigs), row, acc)
 
     def evaluate_deltas(self, state, views, table_sigs, slot_choice):
         """Delta counterpart of :meth:`evaluate_many`: price each

@@ -211,11 +211,6 @@ DESIGN_COLUMNS = Memo(
     (INDEXES,), (OWNER,), "kernel._MAX_DESIGN_COLUMNS, then reset",
     "Slot cost columns.  Worth: recommend_offline cpu_s +21.7 %, "
     "op_p95_ms 126 -> 323.")
-DELTA_STATES = Memo(
-    "WorkloadKernel", "_delta_states", "sorted table signatures",
-    (INDEXES,), (OWNER,), "kernel._MAX_DELTA_STATES, then reset",
-    "Captured parent states.  Worth: online_ingest cpu_s +3.7 %, "
-    "op_p50_ms +7.4 %.")
 SUBSETS = Memo(
     "build_cache", "subsets", "((alias, plan input), ...), proper subsets",
     (INDEXES, SETTINGS), (OWNER,), "one build", "Path sets the "
@@ -244,8 +239,8 @@ INDEX_SHAPES = Memo(
 MEMOS = (
     STATEMENTS, TEMPLATES, SLOT_MEMO, SHARED, COMPILED, RECOMMENDATIONS,
     EXACT_SERVICES, BASE_SERVICE, PLAN_CACHE, ENTRIES, SCAN_CONTEXTS,
-    PLAN_MEMO, PRICED, DESIGN_COLUMNS, DELTA_STATES, SUBSETS,
-    PROJECTION_PAGES, LAYOUT_COVERS, INDEX_SHAPES,
+    PLAN_MEMO, PRICED, DESIGN_COLUMNS, SUBSETS, PROJECTION_PAGES,
+    LAYOUT_COVERS, INDEX_SHAPES,
 )
 # Dicts on those owners holding what the object was built from.
 INPUTS = (("BoundQuery", "tables"), ("BoundQuery", "filters"))

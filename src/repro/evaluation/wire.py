@@ -14,36 +14,42 @@ and :func:`loads` rejects a mismatch instead of guessing.
 
 **One validation mechanism.**  :data:`SHAPES` declares, per payload
 kind, everything a receiver reads: the entry, tenant, service and
-telemetry kinds, the five frame kinds, a catalog and a design
-configuration.  Every decoder — here, in :mod:`repro.net`, in
-:mod:`repro.catalog.serialize` and on the restore paths — runs
-:func:`conform` against its kind's shape, then the cross-checks a shape
-cannot state because they need the receiving catalog or the telemetry
-catalogue (:func:`located`, :func:`_check_slots`,
-:func:`_check_registry`), then plain construction.
-Anything else is a :class:`~repro.util.WireFormatError`, and unknown
+telemetry kinds, the five frame kinds and a catalog.  Every decoder —
+here, in :mod:`repro.net`, in :mod:`repro.catalog.serialize` and on the
+restore paths — runs :func:`conform` against its kind's shape, then the
+cross-checks a shape cannot state because they need the receiving
+catalog or the telemetry catalogue (:func:`located`,
+:func:`_check_slots`, :func:`_check_registry`), then plain
+construction.  Anything else is a :class:`~repro.util.WireFormatError`, and unknown
 keys are ignored.  Peers and state files are of this build's version
 only: :func:`check_version` (and the runner's hello) refuses any other
 before a shape is read.
 
 **One record codec.**  A dataclass that crosses the wire — planner and
 COLT settings, COLT's candidate states and report, a tenant's drift
-events and recommendation records, a column's distribution — is
-written, read and shaped from its own fields: :func:`record_to_wire`,
-:func:`record_from_wire` and ``_record``.  Cache entries, indexes,
-layouts and catalogs keep codecs of their own: their payload keys are
-not their attribute names (``table``, not ``table_name``).
+events and recommendation records, an index, a vertical layout, a
+horizontal partitioning, a design configuration, and a catalog's tables
+with their columns and distributions — is written, read and shaped from
+its own constructor fields: :func:`record_to_wire`,
+:func:`record_from_wire` and ``_record``.  Cache entries are the one
+exception, with a codec of their own: they are the fleet's hot path,
+whose bytes the perf ledger measures, and a receiver files one under the
+statement *it* binds and checks every slot against that binding, so an
+entry is plan terms to cross-check, not a record to rebuild.
 """
 
 import json
 import math
 import sys
+import types
 import typing
 from collections import namedtuple
 from dataclasses import fields, is_dataclass
+from enum import Enum
 from functools import partial
 
-from repro.catalog.types import DataType
+from repro.catalog import (
+    Column, Distribution, HorizontalPartitioning, Table)
 from repro.colt.tuner import (
     ColtSettings, DriftEvent, OnlineReport, RecommendationRecord,
     _CandidateState)
@@ -53,22 +59,25 @@ from repro.optimizer.settings import PlannerSettings
 from repro.optimizer.writecost import LOCATE_PREFIX, locate_query
 from repro.sql.binder import BoundWrite, bind_statement
 from repro.util import WireFormatError
+from repro.whatif import Configuration
 
 __all__ = [
     "WIRE_VERSION", "KIND_ENTRY", "KIND_TENANT", "KIND_SERVICE", "KIND_OBS",
     "KIND_HELLO", "KIND_CATALOG", "KIND_TASK", "KIND_RESULT", "KIND_ERROR",
-    "CATALOG", "CONFIGURATION", "SHAPES", "Default", "number", "conform",
+    "CATALOG", "SHAPES", "Default", "number", "conform",
     "located", "record_to_wire", "record_from_wire", "obs_to_wire",
     "obs_from_wire", "entry_to_wire", "entry_from_wire",
     "event_to_wire", "event_from_wire", "dumps", "loads", "check_version",
 ]
 
-# Version 6: settings carry their dataclass's fields only, tenant
-# options no constant, and a catalog or design no stamp of its own; 5
-# made a ``warm`` result carry its entry as wire *text*, 4 added the
-# network frames, 3 telemetry deltas, 2 scheduler state in service
-# snapshots.
-WIRE_VERSION = 6
+# Version 7: indexes, layouts, designs and a catalog's tables are
+# records of the one codec (their fields' names, no ``unique``,
+# ``nullable``, column width or fragment name); 6: settings carry their
+# dataclass's fields only, tenant options no constant, and a catalog or
+# design no stamp of its own; 5 made a ``warm`` result carry its entry
+# as wire *text*, 4 added the network frames, 3 telemetry deltas, 2
+# scheduler state in service snapshots.
+WIRE_VERSION = 7
 
 KIND_ENTRY = "inum-cache-entry"
 KIND_TENANT = "tenant-session"
@@ -83,9 +92,8 @@ KIND_TASK = "net-task"
 KIND_RESULT = "net-result"
 KIND_ERROR = "net-error"
 
-# Plain-data payloads of :mod:`repro.catalog.serialize` (no envelope).
+# The plain-data payload of :mod:`repro.catalog.serialize` (no envelope).
 CATALOG = "catalog"
-CONFIGURATION = "configuration"
 
 
 # ----------------------------------------------------------------------
@@ -230,13 +238,14 @@ def conform(payload, shape, what):
 # ----------------------------------------------------------------------
 
 
-def record_to_wire(value, **nested):
-    """A record (a dataclass) as JSON data: each field under its own
-    name, nested records and lists recursed into, tuples written as
-    arrays.  *nested* maps a field name to the writer of a value with a
-    codec of its own (an index's payload keys are not its attributes)."""
-    return {f.name: (nested.get(f.name) or _to_wire)(getattr(value, f.name))
-            for f in fields(value)}
+def record_to_wire(value):
+    """A record (a dataclass) as JSON data: each constructor field under
+    its own name, nested records and lists recursed into, tuples written
+    as arrays, a frozenset as an array sorted by each item's JSON text
+    (so a dump is a function of the content, never of iteration order)
+    and an enum as its value."""
+    return {f.name: _to_wire(getattr(value, f.name))
+            for f in fields(value) if f.init}
 
 
 def _to_wire(value):
@@ -244,49 +253,61 @@ def _to_wire(value):
         return record_to_wire(value)
     if isinstance(value, (list, tuple)):
         return [_to_wire(item) for item in value]
+    if isinstance(value, frozenset):
+        return sorted(map(_to_wire, value),
+                      key=partial(json.dumps, sort_keys=True))
+    if isinstance(value, Enum):
+        return value.value
     return value
 
 
-def record_from_wire(cls, payload, **nested):
+def record_from_wire(cls, payload):
     """Build *cls* from its :func:`record_to_wire` form.  Exactly its
-    fields are read, other keys ignored; arrays become tuples where the
-    field is a tuple, and records where it holds records.  *nested*
-    maps a field name to the reader of a value with a codec of its own.
-    The object is built through the dataclass, so its ``__post_init__``
-    checks raise their typed errors."""
-    return cls(**{f.name: nested[f.name](payload[f.name]) if f.name in nested
-                  else _from_wire(f.type, payload[f.name])
-                  for f in fields(cls)})
+    constructor fields are read, other keys ignored; arrays become
+    tuples, lists or frozensets as the field's annotation says, values
+    enums where it names one and records where it holds records (an
+    ``X | None`` one too).  The object is built through the dataclass,
+    so its ``__post_init__`` checks raise their typed errors."""
+    return cls(**{f.name: _from_wire(f.type, payload[f.name])
+                  for f in fields(cls) if f.init})
 
 
 def _from_wire(hint, value):
     origin = typing.get_origin(hint) or hint
+    args = typing.get_args(hint)
+    if origin is types.UnionType:
+        inner = [arg for arg in args if arg is not type(None)]
+        return _from_wire(inner[0], value) \
+            if value is not None and len(inner) == 1 else value
     if is_dataclass(origin):
         return record_from_wire(origin, value)
-    if origin in (list, tuple):
-        args = typing.get_args(hint)
-        return origin(_from_wire(args[0], item) for item in value) \
-            if args else origin(value)
+    if origin in (list, tuple, frozenset):
+        return origin(_from_wire(args[0], item) for item in value)
+    if isinstance(origin, type) and issubclass(origin, Enum):
+        return origin(value)
     return value
 
 
 def _record(cls, **nested):
-    """The shape of *cls*'s wire form, read off its annotations:
-    ``tuple[str, ...]`` is ``[str]``, ``str | None`` is ``(str, None)``
-    and a record nests.  *nested* names the shape of a field whose value
-    has a codec of its own."""
+    """The shape of *cls*'s wire form, read off the annotations of its
+    constructor fields: ``tuple[str, ...]`` (or a list or frozenset of
+    str) is ``[str]``, ``str | None`` is ``(str, None)``, an enum the set
+    of its values and a record nests.  *nested* names the shape of a
+    field whose values are narrower than its annotation says."""
     return {f.name: nested[f.name] if f.name in nested else _shape(f.type)
-            for f in fields(cls)}
+            for f in fields(cls) if f.init}
 
 
 def _shape(hint):
     args = typing.get_args(hint)
-    if typing.get_origin(hint) in (list, tuple):
+    if typing.get_origin(hint) in (list, tuple, frozenset):
         return [_shape(args[0])]
     if args:  # a union
         return tuple(_shape(arg) for arg in args)
     if hint is type(None):
         return None
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return frozenset(member.value for member in hint)
     return _record(hint) if is_dataclass(hint) else hint
 
 
@@ -305,39 +326,27 @@ _SPAN = {"name": str, "trace_id": str, "span_id": str,
          "parent_id": (str, None), "start": float, "duration": float,
          "tags": {str: object}, "error": (None, str), "pid": int}
 
-_INDEX = {"table": str, "columns": [str], "include": Default([str], ()),
-          "unique": Default(bool, False), "name": Default(str, "")}
-_DESIGN = {
-    "indexes": Default([_INDEX], ()),
-    "vertical_layouts": Default([{"table": str, "fragments": [
-        {"columns": [str], "name": Default(str, "")}]}], ()),
-    "horizontal_partitionings": Default([{
-        "table": str, "column": str, "bounds": ([float], [str])}], ()),
-}
-_DISTRIBUTION = dict(
+_DISTRIBUTION = _record(
+    Distribution,
     kind=frozenset({"uniform", "uniform_int", "zipf", "normal", "sequence"}),
-    low=Default(float, 0.0), high=Default(float, 1.0),
-    n_values=Default(int, 0), s=Default(float, 1.1),
-    mu=Default(float, 0.0), sigma=Default(float, 1.0),
-    values=Default(([float], [str]), ()), probs=Default([_FRACTION], ()),
-    correlation=Default(number(-1.0, 1.0), 0.0),
-    null_frac=Default(number(0.0, math.nextafter(1.0, 0.0)), 0.0),
+    values=([float], [str]), probs=[_FRACTION],
+    correlation=number(-1.0, 1.0),
+    null_frac=number(0.0, math.nextafter(1.0, 0.0)),
 )
-_COLUMN = {
-    "name": str, "type": frozenset(t.value for t in DataType),
-    "width": Default(int, 0), "nullable": Default(bool, True),
-    "distribution": Default((None, _DISTRIBUTION, dict(
+_TABLE = _record(Table, columns=[_record(Column, distribution=(
+    None, _DISTRIBUTION, dict(
         # A categorical distribution *is* its values: min() needs one.
         _DISTRIBUTION, kind=frozenset({"categorical"}),
-        values=([float, ...], [str, ...]), probs=[_FRACTION, ...],
-    )), None),
-}
+        values=([float, ...], [str, ...]), probs=[_FRACTION, ...]),
+))])
+_DESIGN = _record(Configuration, horizontals=[_record(
+    HorizontalPartitioning, bounds=([float], [str]))])
 
-_COLT_DESIGN = dict(_DESIGN, vertical_layouts=[],  # COLT only ever builds
-                    horizontal_partitionings=[])  # indexes, no partitions
+# COLT only ever builds indexes, no partitions.
+_COLT_DESIGN = dict(_DESIGN, layouts=[], horizontals=[])
 _TUNER = {
     "current": _COLT_DESIGN, "pending_alert": (None, _COLT_DESIGN),
-    "candidates": [_record(_CandidateState, index=_INDEX)],
+    "candidates": [_record(_CandidateState)],
     "report": _record(OnlineReport),
     "epoch_queries": [str], "epoch_probes": int, "epoch_no": int,
     "stable_epochs": int, "budget": int,
@@ -380,8 +389,7 @@ SHAPES = {
                  "role": frozenset({"client", "runner"})},
     KIND_CATALOG: {
         "kind": frozenset({KIND_CATALOG}),
-        "catalog": dict(_DESIGN, tables=Default([{
-            "name": str, "row_count": int, "columns": [_COLUMN]}], ())),
+        "catalog": {"tables": [_TABLE], "design": _DESIGN},
         "settings": Default((None, _record(PlannerSettings)), None),
         "pool_capacity": Default((None, _POSITIVE), None),
     },
@@ -394,7 +402,6 @@ SHAPES = {
                   "obs": Default((None, {}), None)},  # obs_from_wire
     KIND_ERROR: {"kind": frozenset({KIND_ERROR}), "error": Default(str, ""),
                  "wire_error": Default(bool, False)},
-    CONFIGURATION: _DESIGN,
 }
 SHAPES[CATALOG] = SHAPES[KIND_CATALOG]["catalog"]
 

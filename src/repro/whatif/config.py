@@ -17,9 +17,9 @@ from repro.util import DesignError
 class Configuration:
     """An immutable set of design features (indexes + partitions)."""
 
-    indexes: frozenset = frozenset()
-    layouts: tuple = ()
-    horizontals: tuple = ()
+    indexes: frozenset[Index] = frozenset()
+    layouts: tuple[VerticalLayout, ...] = ()
+    horizontals: tuple[HorizontalPartitioning, ...] = ()
 
     def __post_init__(self):
         if not isinstance(self.indexes, frozenset):

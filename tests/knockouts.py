@@ -88,10 +88,6 @@ KNOCKOUTS = {
         "src/repro/evaluation/kernel.py",
         "column = self._columns.get((table, signature))",
         "column = None"),
-    "DELTA_STATES": KnockOut(
-        "src/repro/evaluation/kernel.py",
-        "state = self._delta_states.get(key)",
-        "state = None"),
     "SUBSETS": KnockOut(
         "src/repro/inum/cache.py",
         "plan = plan_query(bq, overlay, settings, subsets=subsets)",

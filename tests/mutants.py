@@ -94,7 +94,18 @@ MUTANTS = (
         "[dict(wire.record_to_wire(r), improvement_pct=round("
         "r.improvement_pct, 6))\n",
         ("tests/test_cli.py::"
-         "test_a_version_6_state_file_re_dumps_byte_identical_and_resumes",),
+         "test_a_version_7_state_file_re_dumps_byte_identical_and_resumes",),
+    ),
+    Mutant(
+        "frozenset-written-in-iteration-order",
+        "src/repro/evaluation/wire.py",
+        "return sorted(map(_to_wire, value),\n"
+        "                      key=partial(json.dumps, sort_keys=True))",
+        "return list(map(_to_wire, value))",
+        ("tests/test_serialize.py::TestCanonicalDump::"
+         "test_dump_is_insertion_order_invariant",
+         "tests/test_cli.py::"
+         "test_a_version_7_state_file_re_dumps_byte_identical_and_resumes"),
     ),
     Mutant(
         "inum-internal-cost-one-and-a-half-percent-high",

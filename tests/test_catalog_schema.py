@@ -229,7 +229,7 @@ class TestVerticalLayout:
         index = Index("t", ["a"], include=["b"])
         assert index == Index("t", ("a",), include=("b",))
         assert hash(index) == hash(
-            ("t", ("a",), ("b",), False, "ix_t_a_inc_b")
+            ("t", ("a",), ("b",), "ix_t_a_inc_b")
         )
         for thing in (layout, fragment, index):
             copy = pickle.loads(pickle.dumps(thing))
@@ -269,11 +269,7 @@ class TestVerticalLayout:
             for __ in range(rng.randint(0, 3)):  # replicas, some duplicated
                 groups.append(tuple(rng.sample(columns, rng.randint(1, 3))))
             layout = VerticalLayout(
-                "t",
-                tuple(
-                    VerticalFragment("t", cols, name="f%d" % i)
-                    for i, cols in enumerate(groups)
-                ),
+                "t", tuple(VerticalFragment("t", cols) for cols in groups)
             )
             needed = set(rng.sample(columns, rng.randint(1, len(columns))))
             assert layout.fragments_for(needed) == fragments_for_reference(

@@ -14,9 +14,12 @@ from repro.util import ReproError
 from repro.workloads import sdss_catalog, tpch_catalog
 
 FAST = ["--scale", "0.01", "--queries", "6", "--seed", "1"]
-# A version-6 state file as ``serve`` wrote it with these flags and
-# ``--max-events 8``: both tenants stopped mid-stream.
-GOLDEN_STATE = Path(__file__).parent / "data" / "service_v6.json"
+# A version-7 state file: what ``serve`` wrote with these flags and
+# ``--max-events 8`` at version 6 (both tenants stopped mid-stream),
+# its index and design keys renamed to their fields' names.
+GOLDEN_STATE = Path(__file__).parent / "data" / "service_v7.json"
+# That state file as the version-6 build wrote it.
+OLDER_STATE = Path(__file__).parent / "data" / "service_v6.json"
 GOLDEN_SERVE = FAST + ["serve", "--tenants", "2", "--shards", "2",
                        "--phase-length", "5", "--epoch", "5",
                        "--refresh-every", "0"]
@@ -270,31 +273,18 @@ class TestCommands:
         assert "error:" in text and "options" in text
 
     def test_serve_refuses_an_older_builds_state_file(self, tmp_path):
-        """A state file stamped with wire version 5 is refused loudly:
+        """A state file the version-6 build wrote is refused loudly:
         serve prints the version, exits 2, restores no tenant and
         leaves the file byte-for-byte as it was."""
-        import json
-        import os
-
-        state = str(tmp_path / "state")
-        args = FAST + ["serve", "--tenants", "1", "--shards", "2",
-                       "--phase-length", "5", "--epoch", "5",
-                       "--refresh-every", "0", "--state-dir", state]
-        code, __ = run_cli(args + ["--max-events", "8"])
-        assert code == 0
-        path = os.path.join(state, "service.json")
-        with open(path) as f:
-            payload = json.load(f)
-        with open(path, "w") as f:
-            json.dump(dict(payload, wire_version=5), f)
-        with open(path, "rb") as f:
-            written = f.read()
-        code, text = run_cli(args)
+        state = tmp_path / "state"
+        state.mkdir()
+        shutil.copy(OLDER_STATE, state / "service.json")
+        code, text = run_cli(GOLDEN_SERVE + ["--state-dir", str(state)])
         assert code == 2
-        assert "error: unsupported wire version 5" in text
+        assert "error: unsupported wire version 6" in text
         assert "restored" not in text
-        with open(path, "rb") as f:
-            assert f.read() == written
+        assert (state / "service.json").read_bytes() == \
+            OLDER_STATE.read_bytes()
 
     def test_serve_snapshot_interval_requires_state_dir(self):
         code, text = run_cli(
@@ -304,11 +294,10 @@ class TestCommands:
         assert "--state-dir" in text
 
 
-def test_a_version_6_state_file_re_dumps_byte_identical_and_resumes(
+def test_a_version_7_state_file_re_dumps_byte_identical_and_resumes(
         tmp_path):
-    """A state file an earlier version-6 build wrote restores and
-    re-dumps to the same bytes, and its tenants, resumed, finish as an
-    uninterrupted run does."""
+    """A version-7 state file restores and re-dumps to the same bytes,
+    and its tenants, resumed, finish as an uninterrupted run does."""
     text = GOLDEN_STATE.read_text()
     service = TuningService(shards=2)
     service.add_backplane("sdss", sdss_catalog(scale=0.01))

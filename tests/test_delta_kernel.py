@@ -152,21 +152,11 @@ class TestBipDelta:
 
 
 # ----------------------------------------------------------------------
-# Delta-state lifetime: pool-owned, dropped on eviction.
+# Compiled-workload lifetime: pool-owned, dropped on eviction.
 # ----------------------------------------------------------------------
 
 
 class TestDeltaStateLifetime:
-    def test_states_are_memoized_on_the_compiled_kernel(self):
-        catalog, workload, configs = make_env(1)
-        evaluator = WorkloadEvaluator(catalog)
-        parent = configs[1]
-        evaluator.evaluate_deltas(workload, parent, configs)
-        compiled = evaluator._compile(workload)
-        assert len(compiled.kernel._delta_states) == 1
-        evaluator.evaluate_deltas(workload, parent, configs)
-        assert len(compiled.kernel._delta_states) == 1  # memo hit
-
     def test_eviction_drops_compiled_workload_and_delta_state(self):
         catalog, workload, configs = make_env(1)
         pool = InumCachePool(capacity=2)
@@ -178,7 +168,7 @@ class TestDeltaStateLifetime:
         with evaluator._lock:
             assert evaluator._compiled
         # Evicting every member's entry sweeps the compiled workload
-        # (and the delta states captured on its kernel) transitively.
+        # transitively.
         for sql, __ in workload[2:]:
             evaluator.cache_for(sql)
         for sql, __ in short:

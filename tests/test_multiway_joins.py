@@ -240,11 +240,8 @@ class TestExecution:
 
 class TestConfigurationSerialization:
     def test_round_trip(self, sdss_catalog):
-        from repro.catalog.serialize import (
-            configuration_from_dict,
-            configuration_to_dict,
-        )
         from repro.catalog import VerticalFragment, VerticalLayout
+        from repro.evaluation import wire
         from repro.whatif import Configuration
 
         config = Configuration(
@@ -261,5 +258,6 @@ class TestConfigurationSerialization:
                 ),
             ),
         )
-        restored = configuration_from_dict(configuration_to_dict(config))
+        restored = wire.record_from_wire(Configuration,
+                                         wire.record_to_wire(config))
         assert restored == config

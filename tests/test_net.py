@@ -75,7 +75,7 @@ from repro.net import (
 )
 from repro.net.client import _answer, catalog_frame_for
 from repro.catalog import Index
-from repro.catalog.serialize import catalog_to_dict, configuration_to_dict
+from repro.catalog.serialize import catalog_to_dict
 from repro.obs.catalogue import (
     COLGEN_ROUNDS,
     FAMILIES,
@@ -1271,7 +1271,7 @@ def _catalog(catalog):
 def _design(catalog):
     design = Configuration(indexes=frozenset(
         [Index("photoobj", ("ra", "dec"))]))
-    return configuration_to_dict(design), wire.SHAPES[wire.CONFIGURATION]
+    return wire.record_to_wire(design), wire.SHAPES[wire.CATALOG]["design"]
 
 
 def _service_snapshot(catalog):

@@ -910,8 +910,6 @@ def test_memo_keys_witnesses_and_signatures_are_shared_objects(
     for compiled in model._compiled.values():
         kernel = compiled.kernel
         signatures += [sig for __, sig in kernel._columns]
-        signatures += [sig for key in kernel._delta_states
-                       for __, sig in key]
     sets = [key[1] for key in keys] + [sig[0] for sig in signatures]
     for values in (sets, witnesses):
         assert one_object_per_value(values)

@@ -5,6 +5,7 @@ catalog contents as a trust boundary (the catalog shape of
 import copy
 import json
 import math
+from functools import partial
 
 import pytest
 from hypothesis import event, given
@@ -57,12 +58,11 @@ MALFORMED_CATALOGS = [
     ("correlation-5", _DIST + ("correlation",), 5.0),
     ("low-nan", _DIST + ("low",), math.nan),
     ("null-frac-nan", _DIST + ("null_frac",), math.nan),
-    ("width-negative", ("tables", 0, "columns", 1, "width"), -3),
     ("row-count-bool", ("tables", 0, "row_count"), True),
     ("row-count-1e300", ("tables", 0, "row_count"), 1e300),
-    ("unknown-type", ("tables", 0, "columns", 1, "type"), "varchar2"),
-    ("string-bounds", ("horizontal_partitionings",),
-     [{"table": "photoobj", "column": "ra", "bounds": "abc"}]),
+    ("unknown-type", ("tables", 0, "columns", 1, "dtype"), "varchar2"),
+    ("string-bounds", ("design", "horizontals"),
+     [{"table_name": "photoobj", "column": "ra", "bounds": "abc"}]),
     ("not-an-object", (), [1]),
 ]
 
@@ -150,46 +150,55 @@ class TestCanonicalDump:
         assert first == second
 
     def test_dump_is_insertion_order_invariant(self):
+        """Catalogs given the same indexes in opposite orders dump alike,
+        listing them by their JSON text, whatever order their set
+        iterates in."""
         from repro.workloads import sdss_catalog as make_sdss
 
+        indexes = [Index(table, (column,)) for table, column in (
+            ("photoobj", "ra"), ("specobj", "z"), ("photoobj", "dec"),
+            ("photoobj", "type"), ("specobj", "zerr"), ("photoobj", "rmag"),
+            ("photoobj", "gmag"), ("photoobj", "zmag"))]
         a = make_sdss(scale=0.02)
         b = make_sdss(scale=0.02)
-        a.add_index(Index("photoobj", ("ra",)))
-        a.add_index(Index("specobj", ("z",)))
-        b.add_index(Index("specobj", ("z",)))
-        b.add_index(Index("photoobj", ("ra",)))
-        assert catalog_to_dict(a) == catalog_to_dict(b)
+        for index in indexes:
+            a.add_index(index)
+        for index in reversed(indexes):
+            b.add_index(index)
+        dump = catalog_to_dict(a)
+        assert dump == catalog_to_dict(b)
+        listed = dump["design"]["indexes"]
+        assert listed == sorted(listed, key=partial(json.dumps,
+                                                    sort_keys=True))
 
     def test_colliding_names_across_tables_round_trip(self):
         """Regression: a configuration may hold same-named indexes on
         different tables; the dump must keep both, deterministically."""
-        from repro.catalog.serialize import (
-            configuration_from_dict,
-            configuration_to_dict,
-        )
         from repro.whatif import Configuration
 
         collide_a = Index("photoobj", ("ra",), name="k")
         collide_b = Index("specobj", ("z",), name="k")
         config = Configuration.of(collide_a, collide_b)
-        payload = configuration_to_dict(config)
-        assert [entry["table"] for entry in payload["indexes"]] == \
+        payload = wire.record_to_wire(config)
+        assert [entry["table_name"] for entry in payload["indexes"]] == \
             ["photoobj", "specobj"]
-        restored = configuration_from_dict(payload)
+        restored = wire.record_from_wire(Configuration, payload)
         assert restored.indexes == config.indexes
-        assert configuration_to_dict(restored) == payload
+        assert wire.record_to_wire(restored) == payload
 
-    def test_a_dump_with_ids_still_loads(self):
-        """Files written when indexes and fragments carried an ``"id"``:
-        nothing reads it, and the catalog is the same."""
+    def test_keys_nothing_reads_are_ignored(self):
+        """An ``"id"`` on indexes and fragments, a column's ``width`` or
+        ``nullable``: nothing reads them, and the catalog is the same."""
         payload = catalog_to_dict(rich_catalog())
-        legacy = copy.deepcopy(payload)
-        for position, entry in enumerate(legacy["indexes"]):
+        extra = copy.deepcopy(payload)
+        for position, entry in enumerate(extra["design"]["indexes"]):
             entry["id"] = position
-        for layout in legacy["vertical_layouts"]:
+        for layout in extra["design"]["layouts"]:
             for position, fragment in enumerate(layout["fragments"]):
                 fragment["id"] = position
-        assert catalog_to_dict(catalog_from_dict(legacy)) == payload
+        for column in extra["tables"][0]["columns"]:
+            column.update(width=-3, nullable=False)
+        assert catalog_to_dict(catalog_from_dict(extra)) == payload
 
 
 RICH = catalog_to_dict(rich_catalog())

@@ -149,7 +149,7 @@ def test_a_nesting_bomb_state_file_is_refused_typed():
 # Found by this test: a restored candidate that clashes with the index
 # of the same name the tuner harvests later in the run.
 @example(payload=edited(BASE, ("tenants", 1, "session", "tuner",
-                               "candidates", 2, "index", "unique"), True))
+                               "candidates", 2, "index", "include"), ["x"]))
 def test_mangled_snapshot_fails_typed_or_runs_to_completion(payload):
     result = check(payload)
     event(result)

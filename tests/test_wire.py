@@ -20,6 +20,8 @@ The ISSUE-3 acceptance pins live here:
 """
 
 import copy
+import dataclasses
+import enum
 import itertools
 import json
 import math
@@ -29,14 +31,21 @@ import random
 import signal
 import threading
 import time
+import types
+import typing
 from contextlib import closing
 
 import pytest
-from hypothesis import event, given
+from hypothesis import event, given, reject
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.catalog import Index
+from repro.catalog import (
+    Distribution, HorizontalPartitioning, Index, Table, VerticalFragment,
+    VerticalLayout)
+from repro.colt.tuner import (
+    ColtSettings, DriftEvent, OnlineReport, RecommendationRecord,
+    _CandidateState)
 from repro.evaluation import (
     InumCachePool,
     ProcessPoolBackplane,
@@ -44,6 +53,7 @@ from repro.evaluation import (
     wire,
 )
 from repro.inum.cache import _DesignView
+from repro.optimizer import PlannerSettings
 from repro.optimizer.writecost import locate_query
 from repro.service import TuningService
 from repro.sql.binder import BoundWrite
@@ -696,3 +706,107 @@ class TestServiceKillRestore:
         payload = wire.loads(text)
         assert payload["kind"] == wire.KIND_SERVICE
         assert payload["tenants"][0]["session"]["queries"] == 5
+
+
+# ----------------------------------------------------------------------
+# The record codec: every record that crosses the wire, drawn.
+# ----------------------------------------------------------------------
+
+NAMES = st.text("abcdefghij", min_size=1, max_size=4)
+FLOATS = st.floats(0.0, 1e9) | st.integers(0, 10 ** 6)
+
+
+def values(hint):
+    """Values of the annotation *hint*: its own strategy when
+    :data:`NARROW` has one, else one read off the annotation."""
+    if hint in NARROW:
+        return NARROW[hint]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (list, tuple, frozenset):
+        return st.lists(values(args[0]), max_size=3).map(origin)
+    if origin is types.UnionType:
+        return st.one_of(*map(values, args))
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return st.sampled_from(hint)
+    if dataclasses.is_dataclass(hint):
+        return records(hint)
+    return {type(None): st.none(), bool: st.booleans(), str: NAMES,
+            int: st.integers(0, 2 ** 53 - 1), float: FLOATS}[hint]
+
+
+def records(cls, **narrow):
+    """Instances of the record *cls*, each constructor field drawn from
+    *narrow* or its annotation; a draw the constructor refuses (a
+    duplicate column, a floor above its budget) is discarded."""
+    def build(kwargs):
+        try:
+            return cls(**kwargs)
+        except (ReproError, ValueError):
+            reject()
+
+    return st.deferred(lambda: st.fixed_dictionaries({
+        f.name: narrow[f.name] if f.name in narrow else values(f.type)
+        for f in dataclasses.fields(cls) if f.init}).map(build))
+
+
+@st.composite
+def _layouts(draw):
+    table = draw(NAMES)
+    columns = st.lists(NAMES, min_size=1, max_size=3, unique=True)
+    return VerticalLayout(table, tuple(
+        VerticalFragment(table, tuple(group))
+        for group in draw(st.lists(columns, min_size=1, max_size=3))))
+
+
+def _homogeneous(min_size=0, unique=False):
+    """Tuples of all numbers or all strings."""
+    return st.one_of(*(st.lists(items, min_size=min_size, max_size=3,
+                                unique=unique) for items in (FLOATS, NAMES)))
+
+
+# Where a value is narrower than its annotation: a layout's fragments
+# are of its table, bounds are all numbers or all strings and increase,
+# and a distribution's values are all numbers or all strings, its
+# numbers lie in their ranges and a categorical one has values.
+NARROW = {
+    VerticalLayout: _layouts(),
+    HorizontalPartitioning: records(
+        HorizontalPartitioning,
+        bounds=_homogeneous(1, unique=True).map(sorted).map(tuple)),
+    Distribution: records(
+        Distribution, kind=st.sampled_from(
+            ["uniform", "uniform_int", "zipf", "normal", "sequence",
+             "categorical"]),
+        values=_homogeneous().map(tuple),
+        probs=st.lists(st.floats(0.0, 1.0), max_size=3).map(tuple),
+        correlation=st.floats(-1.0, 1.0), null_frac=st.floats(0.0, 0.99),
+    ).filter(lambda d: d.kind != "categorical" or d.values and d.probs),
+}
+
+_TENANT = wire.SHAPES[wire.KIND_TENANT]
+_DESIGN = wire.SHAPES[wire.CATALOG]["design"]
+# Each record class that crosses the wire, and where its shape sits.
+RECORD_SHAPES = {
+    Index: _DESIGN["indexes"][0],
+    VerticalLayout: _DESIGN["layouts"][0],
+    HorizontalPartitioning: _DESIGN["horizontals"][0],
+    Configuration: _DESIGN,
+    Table: wire.SHAPES[wire.CATALOG]["tables"][0],
+    PlannerSettings: wire.SHAPES[wire.KIND_CATALOG]["settings"].shape[1],
+    ColtSettings: _TENANT["options"]["colt_settings"],
+    _CandidateState: _TENANT["tuner"]["candidates"][0],
+    OnlineReport: _TENANT["tuner"]["report"],
+    DriftEvent: _TENANT["drift_events"][0],
+    RecommendationRecord: _TENANT["recommendations"][0],
+}
+
+
+@pytest.mark.parametrize("cls", RECORD_SHAPES, ids=lambda cls: cls.__name__)
+@given(data=st.data())
+def test_a_record_round_trips_through_its_wire_form_and_shape(cls, data):
+    """A drawn record, written and read back through JSON text, is
+    equal to itself, and its written form has its shape."""
+    record = data.draw(values(cls))
+    written = json.loads(json.dumps(wire.record_to_wire(record)))
+    wire.conform(written, RECORD_SHAPES[cls], cls.__name__)
+    assert wire.record_from_wire(cls, written) == record
