@@ -17,7 +17,7 @@ chosen configuration is stable the budget decays, and any workload shift
 (new candidate columns appearing) restores it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.catalog import Index
 from repro.util import DesignError, WireFormatError
@@ -75,8 +75,14 @@ class OnlineReport:
     """Stream-level outcome: per-epoch records plus totals."""
 
     epochs: list[EpochRecord]
-    alerts: int
-    adoptions: int
+
+    @property
+    def alerts(self):
+        return sum(e.alert for e in self.epochs)
+
+    @property
+    def adoptions(self):
+        return sum(e.adopted for e in self.epochs)
 
     @property
     def observed_cost(self):
@@ -168,7 +174,40 @@ class _CandidateState:
     ewma_maintenance: float = 0.0  # smoothed per-epoch write maintenance
     epoch_maintenance: float = 0.0
     probes: int = 0  # lifetime probe count
-    last_seen_epoch: int = 0
+
+
+@dataclass
+class ColtState:
+    """A tuner's dynamic state: everything a restart needs to continue
+    bit-identically.  Settings and catalog are the host's to re-provide."""
+
+    current: Configuration  # the materialized design
+    pending_alert: Configuration | None
+    candidates: tuple[_CandidateState, ...]  # sorted by index name
+    report: OnlineReport  # its epoch count is the next epoch's number
+    epoch_queries: tuple[str, ...]  # the open epoch's
+    epoch_probes: int  # what-if probes the open epoch spent
+    stable_epochs: int
+    budget: int  # the self-regulating probe budget
+
+
+@dataclass
+class TenantState:
+    """A tuning-service tenant's state: its construction options and
+    dynamic state, its tuner's included.  The tenant's current phase is
+    the last of ``phases_seen``; its refresh budget is the catalog's."""
+
+    name: str
+    colt_settings: ColtSettings
+    recommend_every: int
+    window: int  # the refresh window's length
+    queries: int
+    phases_seen: tuple[str, ...]
+    window_queries: tuple[str, ...]
+    finished: bool
+    drift_events: tuple[DriftEvent, ...]
+    recommendations: tuple[RecommendationRecord, ...]
+    tuner: ColtState
 
 
 def _harvest(bq):
@@ -206,10 +245,9 @@ class ColtTuner:
         self.session = WhatIfSession(evaluator)
         self.current = Configuration.empty()
         self.candidates = {}  # Index -> _CandidateState
-        self.report = OnlineReport([], 0, 0)
+        self.report = OnlineReport([])
         self._epoch_queries = []
         self._epoch_probes = 0
-        self._epoch_no = 0
         self._stable_epochs = 0
         self._budget = self.settings.whatif_budget
         self._pending_alert = None
@@ -273,76 +311,55 @@ class ColtTuner:
     # ------------------------------------------------------------------
 
     def snapshot_state(self):
-        """The tuner's full dynamic state as a JSON-compatible dict.
+        """The tuner's dynamic state as a :class:`ColtState` record.
 
-        Everything a restart needs to continue *bit-identically*: the
-        materialized configuration, per-candidate EWMAs (gain and write
-        maintenance) plus probe counters, the per-epoch report, the
-        open epoch's queries and probe spend, and the self-regulating
-        budget.  Settings and catalog are the host's to re-provide —
-        the snapshot is pure dynamic state."""
-        from repro.evaluation import wire
-
-        return {
-            "current": wire.record_to_wire(self.current),
-            "pending_alert": (
-                wire.record_to_wire(self._pending_alert)
-                if self._pending_alert is not None
-                else None
+        The record is a copy: it shares only immutable objects with the
+        tuner (designs, indexes, written epoch records), so it keeps
+        its value while the tuner runs on.  Its wire form is
+        :func:`~repro.evaluation.wire.record_to_wire`'s."""
+        return ColtState(
+            current=self.current,
+            pending_alert=self._pending_alert,
+            candidates=tuple(
+                replace(state) for state in sorted(
+                    self.candidates.values(), key=lambda s: s.index.name)
             ),
-            "candidates": [
-                wire.record_to_wire(state)
-                for state in sorted(self.candidates.values(),
-                                    key=lambda s: s.index.name)
-            ],
-            "report": wire.record_to_wire(self.report),
-            "epoch_queries": list(self._epoch_queries),
-            "epoch_probes": self._epoch_probes,
-            "epoch_no": self._epoch_no,
-            "stable_epochs": self._stable_epochs,
-            "budget": self._budget,
-        }
+            report=OnlineReport(list(self.report.epochs)),
+            epoch_queries=tuple(self._epoch_queries),
+            epoch_probes=self._epoch_probes,
+            stable_epochs=self._stable_epochs,
+            budget=self._budget,
+        )
 
-    def restore_state(self, payload):
-        """Overwrite the tuner's dynamic state from a
-        :meth:`snapshot_state` payload (built over the same catalog and
-        settings); the subsequent stream continues exactly as if the
-        process had never stopped.  A payload this tuner could not run
-        on raises a :class:`~repro.util.ReproError`."""
-        from repro.evaluation import wire
+    def restore_state(self, state):
+        """Overwrite the tuner's dynamic state from a :class:`ColtState`
+        (taken over this catalog and settings); the subsequent stream
+        continues exactly as if the process had never stopped.  The
+        tuner takes the record's candidate states and report over, so
+        restore each record once.  A state this tuner could not run on raises a
+        :class:`~repro.util.ReproError`."""
         from repro.sql.binder import bind_statement
 
-        # The tenant shape's tuner section: a snapshot is outside input.
-        wire.conform(payload, wire.SHAPES[wire.KIND_TENANT]["tuner"],
-                     "tuner state")
-        for sql in payload["epoch_queries"]:
+        for sql in state.epoch_queries:
             bind_statement(sql, self.catalog)  # re-priced at epoch end
-        self.current = wire.record_from_wire(Configuration,
-                                             payload["current"])
-        pending = payload["pending_alert"]
-        self._pending_alert = (
-            wire.record_from_wire(Configuration, pending)
-            if pending is not None else None
-        )
-        self.candidates = {}
-        for entry in payload["candidates"]:
-            state = wire.record_from_wire(_CandidateState, entry)
-            self.candidates[state.index] = state
-        self.report = wire.record_from_wire(OnlineReport, payload["report"])
-        self._epoch_queries = list(payload["epoch_queries"])
-        self._epoch_probes = payload["epoch_probes"]
-        self._epoch_no = payload["epoch_no"]
-        self._stable_epochs = payload["stable_epochs"]
-        self._budget = payload["budget"]
         # The tuner only ever holds indexes it harvests itself, each on
         # a column of this catalog (the overlay raises CatalogError):
         # any other would fail, or clash with a harvested namesake, once
         # the run prices it.
-        alert = self._pending_alert or Configuration.empty()
-        held = {*self.current.indexes, *alert.indexes, *self.candidates}
+        alert = state.pending_alert or Configuration.empty()
+        held = {*state.current.indexes, *alert.indexes,
+                *(s.index for s in state.candidates)}
         if any(ix != Index(ix.table_name, ix.columns[:1]) for ix in held):
             raise WireFormatError("tuner state holds a non-COLT index")
         Configuration(indexes=held).apply(self.catalog)
+        self.current = state.current
+        self._pending_alert = state.pending_alert
+        self.candidates = {s.index: s for s in state.candidates}
+        self.report = state.report
+        self._epoch_queries = list(state.epoch_queries)
+        self._epoch_probes = state.epoch_probes
+        self._stable_epochs = state.stable_epochs
+        self._budget = state.budget
 
     # ------------------------------------------------------------------
 
@@ -353,14 +370,9 @@ class ColtTuner:
             return
         fresh = False
         for index in bq.template.part(_harvest, bq):
-            state = self.candidates.get(index)
-            if state is None:
-                self.candidates[index] = _CandidateState(
-                    index=index, last_seen_epoch=self._epoch_no
-                )
+            if index not in self.candidates:
+                self.candidates[index] = _CandidateState(index=index)
                 fresh = True
-            else:
-                state.last_seen_epoch = self._epoch_no
         if fresh:
             # Workload shift detected: restore the full probing budget.
             self._budget = self.settings.whatif_budget
@@ -447,14 +459,12 @@ class ColtTuner:
             improvement = self._projected_improvement(proposal)
             if improvement > ADOPT_THRESHOLD:
                 alert = True
-                self.report.alerts += 1
                 self._pending_alert = proposal
                 if settings.auto_adopt:
                     build_cost = self._materialization_cost(proposal)
                     self.current = proposal
                     self._pending_alert = None
                     adopted = True
-                    self.report.adoptions += 1
 
         if adopted:
             self._stable_epochs = 0
@@ -466,7 +476,7 @@ class ColtTuner:
 
         self.report.epochs.append(
             EpochRecord(
-                epoch=self._epoch_no,
+                epoch=len(self.report.epochs),
                 queries=len(self._epoch_queries),
                 observed_cost=observed,
                 build_cost=build_cost,
@@ -480,7 +490,6 @@ class ColtTuner:
         )
         self._epoch_queries = []
         self._epoch_probes = 0
-        self._epoch_no += 1
 
     def _select_configuration(self):
         """Benefit-density knapsack over candidates with positive net value."""

@@ -39,6 +39,7 @@ from repro.designer.facade import Designer
 from repro.evaluation import WorkloadEvaluator
 from repro.optimizer import CostService
 from repro.service import TuningService
+from repro.service.tenant import colt_budget_pages
 from repro.util import ReproError
 from repro.whatif import WhatIfSession
 from repro.workloads import (
@@ -301,7 +302,7 @@ def _dispatch(args, out):
         designer = Designer(catalog)
         settings = ColtSettings(
             epoch_length=args.epoch,
-            space_budget_pages=int(sum(t.pages for t in catalog.tables) * 0.5),
+            space_budget_pages=colt_budget_pages(catalog),
             auto_adopt=not args.no_adopt,
         )
         report = designer.continuous(_stream(args), settings)
@@ -356,9 +357,7 @@ def _dispatch(args, out):
                     key,
                     colt_settings=ColtSettings(
                         epoch_length=args.epoch,
-                        space_budget_pages=int(
-                            sum(t.pages for t in plane.catalog.tables) * 0.5
-                        ),
+                        space_budget_pages=colt_budget_pages(plane.catalog),
                     ),
                     recommend_every=args.refresh_every,
                 )

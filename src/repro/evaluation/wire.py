@@ -7,14 +7,13 @@ cheap.  This module gives that state a canonical, versioned JSON form —
 INUM cache entries as *plan terms* (per-plan internal cost,
 :class:`~repro.inum.cache.AccessSlot` records and the order vector; the
 receiver re-binds the SQL, files the entry under the text it bound and
-prices bit-identically), tuner / tenant / service snapshots with the
-scheduler's buffered stream events, telemetry deltas, and the frames of
-:mod:`repro.net`.  Every payload is stamped with :data:`WIRE_VERSION`,
+prices bit-identically), service snapshots, telemetry deltas, and the
+frames of :mod:`repro.net`.  Every payload is stamped with :data:`WIRE_VERSION`,
 and :func:`loads` rejects a mismatch instead of guessing.
 
 **One validation mechanism.**  :data:`SHAPES` declares, per payload
-kind, everything a receiver reads: the entry, tenant, service and
-telemetry kinds, the five frame kinds and a catalog.  Every decoder —
+kind, everything a receiver reads: the entry, service and telemetry
+kinds, the five frame kinds and a catalog.  Every decoder —
 here, in :mod:`repro.net`, in :mod:`repro.catalog.serialize` and on the
 restore paths — runs :func:`conform` against its kind's shape, then the
 cross-checks a shape cannot state because they need the receiving
@@ -26,8 +25,9 @@ only: :func:`check_version` (and the runner's hello) refuses any other
 before a shape is read.
 
 **One record codec.**  A dataclass that crosses the wire — planner and
-COLT settings, COLT's candidate states and report, a tenant's drift
-events and recommendation records, an index, a vertical layout, a
+COLT settings, a tuner's and a tenant's state with the candidate
+states, report, drift events and recommendation records in them, an
+index, a vertical layout, a
 horizontal partitioning, a design configuration, and a catalog's tables
 with their columns and distributions — is written, read and shaped from
 its own constructor fields: :func:`record_to_wire`,
@@ -36,6 +36,19 @@ exception, with a codec of their own: they are the fleet's hot path,
 whose bytes the perf ledger measures, and a receiver files one under the
 statement *it* binds and checks every slot against that binding, so an
 entry is plan terms to cross-check, not a record to rebuild.
+
+**The snapshot format.**  A state file (``serve --state-dir``'s
+``service.json``) is one :data:`KIND_SERVICE` payload whose
+``tenants`` hold one ``{"backplane", "session", "pending"}`` each: the
+key of the backplane the tenant prices on, its
+:class:`~repro.colt.tuner.TenantState` record (its tuner's
+:class:`~repro.colt.tuner.ColtState` under ``tuner``) and its pending
+``[phase, sql]`` events, pulled from its stream but not yet ingested.
+No fact the code works out is written: a tenant's phase is the last of
+its ``phases_seen``, its refresh budget is the catalog's, the tuner's
+epoch number and its alerts and adoptions are counted off its report's
+epochs.  Catalogs and caches are not in it: the host re-registers the
+backplanes.
 """
 
 import json
@@ -50,9 +63,7 @@ from functools import partial
 
 from repro.catalog import (
     Column, Distribution, HorizontalPartitioning, Table)
-from repro.colt.tuner import (
-    ColtSettings, DriftEvent, OnlineReport, RecommendationRecord,
-    _CandidateState)
+from repro.colt.tuner import ColtState, TenantState
 from repro.inum.cache import AccessSlot, QueryCache, _shared_plan, _sharing
 from repro.obs.catalogue import FAMILIES
 from repro.optimizer.settings import PlannerSettings
@@ -62,7 +73,7 @@ from repro.util import WireFormatError
 from repro.whatif import Configuration
 
 __all__ = [
-    "WIRE_VERSION", "KIND_ENTRY", "KIND_TENANT", "KIND_SERVICE", "KIND_OBS",
+    "WIRE_VERSION", "KIND_ENTRY", "KIND_SERVICE", "KIND_OBS",
     "KIND_HELLO", "KIND_CATALOG", "KIND_TASK", "KIND_RESULT", "KIND_ERROR",
     "CATALOG", "SHAPES", "Default", "number", "conform",
     "located", "record_to_wire", "record_from_wire", "obs_to_wire",
@@ -70,17 +81,18 @@ __all__ = [
     "event_to_wire", "event_from_wire", "dumps", "loads", "check_version",
 ]
 
-# Version 7: indexes, layouts, designs and a catalog's tables are
-# records of the one codec (their fields' names, no ``unique``,
-# ``nullable``, column width or fragment name); 6: settings carry their
-# dataclass's fields only, tenant options no constant, and a catalog or
-# design no stamp of its own; 5 made a ``warm`` result carry its entry
-# as wire *text*, 4 added the network frames, 3 telemetry deltas, 2
-# scheduler state in service snapshots.
-WIRE_VERSION = 7
+# Version 8: tuner and tenant state are records with no field the code
+# works out, and each tenant entry carries its own pending events (the
+# snapshot format above); 7: indexes, layouts, designs and a catalog's
+# tables are records (their fields' names, no ``unique``, ``nullable``,
+# column width or fragment name); 6: settings
+# carry their dataclass's fields only, tenant options no constant, and
+# a catalog or design no stamp of its own; 5 made a ``warm`` result
+# carry its entry as wire *text*, 4 added the network frames, 3
+# telemetry deltas, 2 scheduler state in service snapshots.
+WIRE_VERSION = 8
 
 KIND_ENTRY = "inum-cache-entry"
-KIND_TENANT = "tenant-session"
 KIND_SERVICE = "tuning-service"
 KIND_OBS = "obs-delta"
 
@@ -344,24 +356,8 @@ _DESIGN = _record(Configuration, horizontals=[_record(
 
 # COLT only ever builds indexes, no partitions.
 _COLT_DESIGN = dict(_DESIGN, layouts=[], horizontals=[])
-_TUNER = {
-    "current": _COLT_DESIGN, "pending_alert": (None, _COLT_DESIGN),
-    "candidates": [_record(_CandidateState)],
-    "report": _record(OnlineReport),
-    "epoch_queries": [str], "epoch_probes": int, "epoch_no": int,
-    "stable_epochs": int, "budget": int,
-}
-_TENANT = {
-    "kind": frozenset({KIND_TENANT}), "name": str, "queries": int,
-    "phase": (None, str), "phases_seen": [str], "window_queries": [str],
-    "finished": bool, "tuner": _TUNER,
-    "options": dict(
-        colt_settings=_record(ColtSettings),
-        recommend_every=int, window=_POSITIVE, budget_pages=int,
-    ),
-    "drift_events": [_record(DriftEvent)],
-    "recommendations": [_record(RecommendationRecord)],
-}
+_TENANT = _record(TenantState, window=_POSITIVE, tuner=_record(
+    ColtState, current=_COLT_DESIGN, pending_alert=(None, _COLT_DESIGN)))
 _EVENT = [(None, str), str]  # a buffered stream event: [phase, sql]
 
 SHAPES = {
@@ -372,11 +368,10 @@ SHAPES = {
         "locate": Default(bool, False),
         "build_optimizer_calls": Default(int, 0), "plans": [_PLAN, ...],
     },
-    KIND_TENANT: _TENANT,
     KIND_SERVICE: {
         "kind": frozenset({KIND_SERVICE}),
-        "tenants": [{"backplane": str, "session": _TENANT}],
-        "scheduler": {"pending": {str: [_EVENT]}},
+        "tenants": [{"backplane": str, "session": _TENANT,
+                     "pending": [_EVENT]}],
     },
     KIND_OBS: {  # cross-checked by _check_registry
         "kind": frozenset({KIND_OBS}),
@@ -554,7 +549,7 @@ def obs_from_wire(payload):
 
 
 def dumps(payload, indent=None):
-    """Serialize a wire payload (entry/tenant/service dict) to JSON with
+    """Serialize a wire payload (entry/service dict) to JSON with
     the version stamped into the envelope."""
     body = dict(payload)
     body["wire_version"] = WIRE_VERSION
@@ -578,8 +573,8 @@ def loads(text, catalog=None, pool=None, key=None):
     """Parse a wire-format JSON string.
 
     Cache-entry payloads need *catalog* and return ``(sql,
-    QueryCache)``; tenant/service payloads return the dict, validated
-    and materialized by :meth:`TuningService.restore` and friends.
+    QueryCache)``; service payloads return the dict, validated and
+    materialized by :meth:`TuningService.restore`.
     With *pool* (an :class:`~repro.evaluation.InumCachePool` or its
     sharded twin) the payload must be a cache entry, and it is also
     *installed*: put into the pool unless resident.  A pool whose owner
@@ -614,6 +609,6 @@ def loads(text, catalog=None, pool=None, key=None):
         raise WireFormatError("a %r payload is no cache entry" % (kind,))
     if kind == KIND_OBS:
         return obs_from_wire(payload)
-    if kind in (KIND_TENANT, KIND_SERVICE):
+    if kind == KIND_SERVICE:
         return payload
     raise WireFormatError("unknown wire payload kind %r" % (kind,))

@@ -41,10 +41,11 @@ from repro.obs.catalogue import (
     POOL_ENTRIES, POOL_EVICTIONS, POOL_HITS, POOL_MISSES,
     POOL_OPTIMIZER_CALLS, SCHEDULER_SNAPSHOT_AGE, SCHEDULER_SNAPSHOTS,
     TENANT_QUERIES)
+from repro.colt.tuner import TenantState
 from repro.evaluation import ShardedInumCachePool, WorkloadEvaluator, wire
 from repro.runtime import Scheduler, Step, StepExecutor
 from repro.service.tenant import TenantSession
-from repro.util import DesignError, WireFormatError
+from repro.util import DesignError
 
 STATE_FILENAME = "service.json"
 
@@ -210,8 +211,8 @@ class TuningService:
         ``snapshot_interval`` ingested events the scheduler pauses at a
         consistent event boundary and takes :meth:`snapshot` — written
         to ``state_dir`` when given, and passed to ``on_snapshot`` when
-        given.  Events restored with a snapshot's scheduler state are
-        re-queued ahead of each tenant's stream automatically.
+        given.  A tenant's events restored with its snapshot entry are
+        re-queued ahead of its stream automatically.
 
         If the run raises, events still buffered are re-captured into
         the service's pending state so a later :meth:`snapshot` keeps
@@ -274,8 +275,8 @@ class TuningService:
 
     def stream_offset(self, name):
         """How many events of *name*'s original stream are accounted for
-        — ingested by the session plus restored-but-pending in the
-        scheduler state.  A host replaying a deterministic stream after
+        — ingested by the session plus restored with its snapshot entry
+        but not yet ingested.  A host replaying a deterministic stream after
         :meth:`restore` resumes it from this offset."""
         return self.tenant(name).queries + len(self._pending.get(name, ()))
 
@@ -295,12 +296,12 @@ class TuningService:
         so a restored service plans each statement once more, with the
         same results.
 
-        When a scheduler run is active the snapshot also carries the
-        scheduler's per-tenant pending buffers (events pulled from the
-        stream but not yet ingested) — taken at a pause point, this
-        makes a mid-ingest snapshot complete: sessions reflect exactly
-        the ingested prefix, and the buffered events ride along so
-        nothing is lost even when the stream cannot be replayed.
+        Each tenant's entry also carries its pending events (pulled
+        from its stream, not yet ingested) — taken at a pause point,
+        this makes a mid-ingest snapshot complete: sessions reflect
+        exactly the ingested prefix, and nothing is lost even when the
+        stream cannot be replayed.  :mod:`repro.evaluation.wire` states
+        the format.
 
         During an active run, only the scheduler itself may snapshot
         (via ``run_scheduled(snapshot_interval=…)``), because it first
@@ -322,25 +323,18 @@ class TuningService:
             }
             pending = dict(self._pending)
             if self._runtime is not None:
-                for name, events in self._runtime.pending_events().items():
-                    if events:
-                        pending[name] = events
+                pending.update(self._runtime.pending_events())
             return {
                 "kind": wire.KIND_SERVICE,
                 "tenants": [
                     {
                         "backplane": tenant_keys[name],
-                        "session": session.snapshot(),
+                        "session": wire.record_to_wire(session.snapshot()),
+                        "pending": [wire.event_to_wire(e)
+                                    for e in pending.get(name, ())],
                     }
                     for name, session in self._tenants.items()
                 ],
-                "scheduler": {
-                    "pending": {
-                        name: [wire.event_to_wire(e) for e in events]
-                        for name, events in pending.items()
-                        if events
-                    },
-                },
             }
 
     def restore(self, payload):
@@ -370,20 +364,15 @@ class TuningService:
                         "tenant %r already registered" % (name,)
                     )
                 planes[name] = plane
-            pending = {}
-            for name, events in payload["scheduler"]["pending"].items():
-                if name not in planes:
-                    raise WireFormatError(
-                        "pending events for %r, a tenant the snapshot "
-                        "does not restore" % (name,)
-                    )
-                pending[name] = [
-                    wire.event_from_wire(e, planes[name].catalog)
-                    for e in events
-                ]
+            pending = {
+                name: [wire.event_from_wire(e, planes[name].catalog)
+                       for e in entry["pending"]]
+                for name, entry in zip(planes, payload["tenants"])
+            }
             restored = {
                 name: TenantSession.from_snapshot(
-                    entry["session"], planes[name].evaluator
+                    wire.record_from_wire(TenantState, entry["session"]),
+                    planes[name].evaluator,
                 )
                 for name, entry in zip(planes, payload["tenants"])
             }

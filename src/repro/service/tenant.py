@@ -31,9 +31,9 @@ from repro import obs
 from repro.obs.catalogue import (
     SPAN_TENANT_REFRESH, TENANT_DRIFT, TENANT_EVENTS, TENANT_REFRESHES,
     TENANT_REFRESH_SECONDS)
-from repro.colt.tuner import ColtSettings, DriftEvent, RecommendationRecord
+from repro.colt.tuner import (
+    ColtSettings, DriftEvent, RecommendationRecord, TenantState)
 from repro.designer.facade import Designer
-from repro.evaluation import wire
 from repro.runtime.steps import Step
 from repro.sql.binder import bind_statement
 from repro.util import DesignError
@@ -44,6 +44,12 @@ from repro.util import DesignError
 BUDGET_FRAC = 0.25
 SOLVER = "greedy"
 PARTITIONS = False
+
+
+def colt_budget_pages(catalog):
+    """COLT's space budget when none is given: half the catalog's
+    pages, twice a refresh's."""
+    return int(sum(t.pages for t in catalog.tables) * 0.5)
 
 
 class TenantSession:
@@ -74,10 +80,7 @@ class TenantSession:
         self.designer = Designer(catalog, evaluator)
         if colt_settings is None:
             colt_settings = ColtSettings(
-                space_budget_pages=int(
-                    sum(t.pages for t in catalog.tables) * 0.5
-                )
-            )
+                space_budget_pages=colt_budget_pages(catalog))
         self.tuner = self.designer.continuous_tuner(colt_settings)
         self.recommend_every = recommend_every
         self.window = deque(maxlen=window)
@@ -88,9 +91,13 @@ class TenantSession:
         self.drift_events = []
         self.recommendations = []
         self.last_recommendation = None  # full FullRecommendation object
-        self._phase = None
         self._phases_seen = []
         self._finished = False
+
+    @property
+    def _phase(self):
+        """The phase of the last tagged event (``None`` before one)."""
+        return self._phases_seen[-1] if self._phases_seen else None
 
     # ------------------------------------------------------------------
     # Streaming ingest, decomposed into resumable steps.
@@ -145,7 +152,6 @@ class TenantSession:
 
     def _drift_step(self, phase):
         previous = self._phase
-        self._phase = phase
         self._phases_seen.append(phase)
         if previous is not None:
             obs.metrics().family(TENANT_DRIFT).labels(
@@ -233,72 +239,52 @@ class TenantSession:
     # ------------------------------------------------------------------
 
     def snapshot(self):
-        """The session's full state as a wire-format payload.
-
-        Captures the construction knobs (COLT settings, refresh interval,
-        window size, budget) plus every piece of dynamic state — epoch
-        counters and candidate EWMAs (via
-        :meth:`~repro.colt.ColtTuner.snapshot_state`), the sliding
-        query window, the drift phase, drift events and recommendation
-        records — so :meth:`from_snapshot` over the same catalog and
-        evaluator continues the stream exactly where it stopped.
+        """The session's full state as a
+        :class:`~repro.colt.tuner.TenantState` — a copy, as the tuner's
+        is: the construction knobs, the window, the phases seen, drift
+        events, recommendation records and the tuner's state, so
+        :meth:`from_snapshot` over the same catalog and evaluator
+        continues the stream exactly where it stopped.
         ``last_recommendation`` (a live object graph) is summarized by
-        its record; only the full object is dropped."""
-        return {
-            "kind": wire.KIND_TENANT,
-            "name": self.name,
-            "options": {
-                "colt_settings": wire.record_to_wire(self.tuner.settings),
-                "recommend_every": self.recommend_every,
-                "window": self.window.maxlen,
-                "budget_pages": self.budget_pages,
-            },
-            "queries": self.queries,
-            "phase": self._phase,
-            "phases_seen": list(self._phases_seen),
-            "window_queries": list(self.window),
-            "finished": self._finished,
-            "drift_events": [wire.record_to_wire(e)
-                             for e in self.drift_events],
-            "recommendations": [wire.record_to_wire(r)
-                                for r in self.recommendations],
-            "tuner": self.tuner.snapshot_state(),
-        }
+        its record."""
+        return TenantState(
+            name=self.name,
+            colt_settings=self.tuner.settings,
+            recommend_every=self.recommend_every,
+            window=self.window.maxlen,
+            queries=self.queries,
+            phases_seen=tuple(self._phases_seen),
+            window_queries=tuple(self.window),
+            finished=self._finished,
+            drift_events=tuple(self.drift_events),
+            recommendations=tuple(self.recommendations),
+            tuner=self.tuner.snapshot_state(),
+        )
 
     @classmethod
-    def from_snapshot(cls, payload, evaluator):
-        """Rebuild a session from a :meth:`snapshot` payload over the
+    def from_snapshot(cls, state, evaluator):
+        """Rebuild a session from a :meth:`snapshot` record over the
         host-provided *evaluator* and its catalog (state is portable, the
         costing substrate is re-provided — exactly like the INUM cache
-        entries themselves).  A payload the session could not run on
+        entries themselves).  A state the session could not run on
         raises a :class:`~repro.util.ReproError`."""
-        wire.conform(payload, wire.SHAPES[wire.KIND_TENANT],
-                     "tenant snapshot")
-        options = payload["options"]
-        for sql in payload["window_queries"]:
+        for sql in state.window_queries:
             # Checked now: every refresh re-prices them.
             bind_statement(sql, evaluator.catalog)
         session = cls(
-            payload["name"],
+            state.name,
             evaluator,
-            colt_settings=wire.record_from_wire(ColtSettings,
-                                                options["colt_settings"]),
-            recommend_every=options["recommend_every"],
-            window=options["window"],
+            colt_settings=state.colt_settings,
+            recommend_every=state.recommend_every,
+            window=state.window,
         )
-        session.budget_pages = options["budget_pages"]
-        session.queries = payload["queries"]
-        session._phase = payload["phase"]
-        session._phases_seen = list(payload["phases_seen"])
-        session.window.extend(payload["window_queries"])
-        session._finished = payload["finished"]
-        session.drift_events = [wire.record_from_wire(DriftEvent, e)
-                                for e in payload["drift_events"]]
-        session.recommendations = [
-            wire.record_from_wire(RecommendationRecord, r)
-            for r in payload["recommendations"]
-        ]
-        session.tuner.restore_state(payload["tuner"])
+        session.queries = state.queries
+        session._phases_seen = list(state.phases_seen)
+        session.window.extend(state.window_queries)
+        session._finished = state.finished
+        session.drift_events = list(state.drift_events)
+        session.recommendations = list(state.recommendations)
+        session.tuner.restore_state(state.tuner)
         return session
 
     # ------------------------------------------------------------------

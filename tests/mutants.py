@@ -90,11 +90,22 @@ MUTANTS = (
     Mutant(
         "recommendation-record-written-rounded",
         "src/repro/service/tenant.py",
-        "[wire.record_to_wire(r)\n",
-        "[dict(wire.record_to_wire(r), improvement_pct=round("
-        "r.improvement_pct, 6))\n",
+        "recommendations=tuple(self.recommendations),",
+        "recommendations=tuple(__import__('dataclasses').replace("
+        "r, improvement_pct=round(r.improvement_pct, 6)) "
+        "for r in self.recommendations),",
         ("tests/test_cli.py::"
-         "test_a_version_7_state_file_re_dumps_byte_identical_and_resumes",),
+         "test_a_version_8_state_file_re_dumps_byte_identical_and_resumes",),
+    ),
+    Mutant(
+        # A restored tenant whose buffered events are lost: its stream
+        # resumes past events nobody ingests.
+        "restore-drops-a-tenants-pending-events",
+        "src/repro/service/service.py",
+        "for e in entry[\"pending\"]]",
+        "for e in entry[\"pending\"][:0]]",
+        ("tests/test_runtime.py::TestPausePointSnapshots::"
+         "test_mid_ingest_snapshot_restores_identically",),
     ),
     Mutant(
         "frozenset-written-in-iteration-order",
@@ -105,7 +116,7 @@ MUTANTS = (
         ("tests/test_serialize.py::TestCanonicalDump::"
          "test_dump_is_insertion_order_invariant",
          "tests/test_cli.py::"
-         "test_a_version_7_state_file_re_dumps_byte_identical_and_resumes"),
+         "test_a_version_8_state_file_re_dumps_byte_identical_and_resumes"),
     ),
     Mutant(
         "inum-internal-cost-one-and-a-half-percent-high",
@@ -455,6 +466,16 @@ MUTANTS = (
         "        self.last_recommendation = rec\n"
         "        self.tuner.notify_workload_shift()\n",
         ("tests/test_service.py::TestColtUnperturbed",),
+    ),
+    Mutant(
+        # Stable partitions that never join an interacting pair: every
+        # index its own group.  Tier-1's test_interaction kills it too.
+        "stable-partition-never-joins",
+        "src/repro/interaction/doi.py",
+        "parent[root(b)] = root(a)",
+        "parent[root(b)] = root(b)",
+        ("benchmarks/bench_fig2_interaction_graph.py::"
+         "test_fig2_stable_partition",),
     ),
 )
 

@@ -14,12 +14,14 @@ from repro.util import ReproError
 from repro.workloads import sdss_catalog, tpch_catalog
 
 FAST = ["--scale", "0.01", "--queries", "6", "--seed", "1"]
-# A version-7 state file: what ``serve`` wrote with these flags and
+# A version-8 state file: what ``serve`` wrote with these flags and
 # ``--max-events 8`` at version 6 (both tenants stopped mid-stream),
-# its index and design keys renamed to their fields' names.
-GOLDEN_STATE = Path(__file__).parent / "data" / "service_v7.json"
-# That state file as the version-6 build wrote it.
-OLDER_STATE = Path(__file__).parent / "data" / "service_v6.json"
+# its keys converted since (index and design keys renamed to their
+# fields' names at 7; derived fields dropped, tenant options lifted
+# and pending events moved into their tenant's entry at 8).
+GOLDEN_STATE = Path(__file__).parent / "data" / "service_v8.json"
+# That state file as the version-7 build wrote it.
+OLDER_STATE = Path(__file__).parent / "data" / "service_v7.json"
 GOLDEN_SERVE = FAST + ["serve", "--tenants", "2", "--shards", "2",
                        "--phase-length", "5", "--epoch", "5",
                        "--refresh-every", "0"]
@@ -265,15 +267,15 @@ class TestCommands:
         path = os.path.join(state, "service.json")
         with open(path) as f:
             payload = json.load(f)
-        del payload["tenants"][0]["session"]["options"]
+        del payload["tenants"][0]["session"]["colt_settings"]
         with open(path, "w") as f:
             json.dump(payload, f)
         code, text = run_cli(args)
         assert code == 2
-        assert "error:" in text and "options" in text
+        assert "error:" in text and "colt_settings" in text
 
     def test_serve_refuses_an_older_builds_state_file(self, tmp_path):
-        """A state file the version-6 build wrote is refused loudly:
+        """A state file the version-7 build wrote is refused loudly:
         serve prints the version, exits 2, restores no tenant and
         leaves the file byte-for-byte as it was."""
         state = tmp_path / "state"
@@ -281,7 +283,7 @@ class TestCommands:
         shutil.copy(OLDER_STATE, state / "service.json")
         code, text = run_cli(GOLDEN_SERVE + ["--state-dir", str(state)])
         assert code == 2
-        assert "error: unsupported wire version 6" in text
+        assert "error: unsupported wire version 7" in text
         assert "restored" not in text
         assert (state / "service.json").read_bytes() == \
             OLDER_STATE.read_bytes()
@@ -294,9 +296,9 @@ class TestCommands:
         assert "--state-dir" in text
 
 
-def test_a_version_7_state_file_re_dumps_byte_identical_and_resumes(
+def test_a_version_8_state_file_re_dumps_byte_identical_and_resumes(
         tmp_path):
-    """A version-7 state file restores and re-dumps to the same bytes,
+    """A version-8 state file restores and re-dumps to the same bytes,
     and its tenants, resumed, finish as an uninterrupted run does."""
     text = GOLDEN_STATE.read_text()
     service = TuningService(shards=2)

@@ -75,4 +75,4 @@ class TestSparkline:
     def test_empty_report_sparkline(self):
         from repro.colt import OnlineReport
 
-        assert OnlineReport([], 0, 0).sparkline() == ""
+        assert OnlineReport([]).sparkline() == ""

@@ -1184,7 +1184,7 @@ def _v5_service_payload(catalog):
     payload = json.loads(wire.dumps(written.snapshot()))
     for entry in payload["tenants"]:
         session = entry["session"]
-        session["options"]["colt_settings"].update(V5_COLT)
+        session["colt_settings"].update(V5_COLT)
         tuner = session["tuner"]
         for design in (tuner["current"], tuner["pending_alert"]):
             if design is not None:
@@ -1254,14 +1254,10 @@ def _planner_settings(catalog):
     return frame["settings"], _fields(PlannerSettings)
 
 
-def _tenant_options(catalog):
-    options = _service(catalog, "t0").tenant("t0").snapshot()["options"]
-    return options, wire.SHAPES[wire.KIND_TENANT]["options"]
-
-
 def _colt_settings(catalog):
-    options, __ = _tenant_options(catalog)
-    return options["colt_settings"], _fields(ColtSettings)
+    session = _service(catalog, "t0").tenant("t0").snapshot()
+    return (wire.record_to_wire(session.colt_settings),
+            _fields(ColtSettings))
 
 
 def _catalog(catalog):
@@ -1296,7 +1292,8 @@ def _service_payload(catalog):
 
 def _tenant(catalog):
     (entry,) = _service_snapshot(catalog)["tenants"]
-    return entry["session"], wire.SHAPES[wire.KIND_TENANT]
+    return (entry["session"],
+            wire.SHAPES[wire.KIND_SERVICE]["tenants"][0]["session"])
 
 
 def _tuner(catalog):
@@ -1305,8 +1302,8 @@ def _tuner(catalog):
 
 
 WRITTEN = {
-    "planner-settings": _planner_settings, "tenant-options": _tenant_options,
-    "colt-settings": _colt_settings, "catalog": _catalog, "design": _design,
+    "planner-settings": _planner_settings, "colt-settings": _colt_settings,
+    "catalog": _catalog, "design": _design,
     "service": _service_payload, "tenant": _tenant, "tuner": _tuner,
 }
 
@@ -1315,9 +1312,9 @@ WRITTEN = {
 def test_a_payload_names_exactly_the_fields_its_reader_reads(
         astro_catalog, write):
     """Every object a writer emits has exactly its shape's keys: a
-    settings payload is its dataclass's fields, tenant options are the
-    options a session has, a catalog or design is its shape, and so is
-    each node of a service, tenant or tuner snapshot — no retired
+    settings payload is its dataclass's fields, a catalog or design is
+    its shape, and so is each node of a service, tenant or tuner
+    snapshot — no retired
     setting or option, no format stamp of its own, and no key that
     nothing reads."""
     written, shape = write(astro_catalog)

@@ -101,7 +101,7 @@ def test_every_component_takes_the_one_evaluator():
         (InteractionAnalyzer.__init__, ["evaluator", "workload"]),
         (TenantSession.__init__,
          ["name", "evaluator", "colt_settings", "recommend_every", "window"]),
-        (TenantSession.from_snapshot, ["payload", "evaluator"]),
+        (TenantSession.from_snapshot, ["state", "evaluator"]),
     ):
         names = _parameters(function)
         assert names == expected, function.__qualname__

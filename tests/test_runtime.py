@@ -259,10 +259,10 @@ class TestPausePointSnapshots:
         )
         assert len(captured) >= 3
         # Pick a payload from the middle of the stream, and prefer one
-        # whose scheduler buffers were non-empty — the interesting case.
+        # whose tenant had events pending — the interesting case.
         with_pending = [
             p for p in captured
-            if p["scheduler"]["pending"].get("t0")
+            if p["tenants"][0]["pending"]
         ]
         assert with_pending, "lookahead never left events buffered"
         payload = with_pending[0]
@@ -273,7 +273,7 @@ class TestPausePointSnapshots:
         assert set(restored) == {"t0"}
         session = resumed.tenant("t0")
         ingested = payload["tenants"][0]["session"]["queries"]
-        buffered = len(payload["scheduler"]["pending"]["t0"])
+        buffered = len(payload["tenants"][0]["pending"])
         assert session.queries == ingested
         assert resumed.stream_offset("t0") == ingested + buffered
         resumed.run_scheduled(
@@ -297,12 +297,12 @@ class TestPausePointSnapshots:
         resumed = self.make_service()
         resumed.restore(captured[0])
         offset = resumed.stream_offset("t0")
-        pending = resumed.snapshot()["scheduler"]["pending"]
-        assert pending["t0"] and offset > resumed.tenant("t0").queries
+        pending = resumed.snapshot()["tenants"][0]["pending"]
+        assert pending and offset > resumed.tenant("t0").queries
         with pytest.raises(DesignError, match="ghost"):
             resumed.run_scheduled({"t0": [], "ghost": []})
         assert resumed.stream_offset("t0") == offset
-        assert resumed.snapshot()["scheduler"]["pending"] == pending
+        assert resumed.snapshot()["tenants"][0]["pending"] == pending
 
     def test_snapshot_pauses_at_event_boundaries(self):
         """Every periodic snapshot sees whole events only: a session
@@ -313,7 +313,7 @@ class TestPausePointSnapshots:
 
         def check(payload):
             session_payload = payload["tenants"][0]["session"]
-            buffered = payload["scheduler"]["pending"].get("t0", ())
+            buffered = payload["tenants"][0]["pending"]
             # queries counts only fully ingested events; window and
             # epoch state can never disagree with it at a pause point.
             seen.append(
@@ -373,7 +373,7 @@ class TestPausePointSnapshots:
         buffered = service.queue_depths()["t0"]
         assert buffered > 0
         payload = service.snapshot()
-        assert len(payload["scheduler"]["pending"]["t0"]) == buffered
+        assert len(payload["tenants"][0]["pending"]) == buffered
         assert service.stream_offset("t0") == \
             service.tenant("t0").queries + buffered
 

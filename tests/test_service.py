@@ -3,13 +3,15 @@ ingest, drift detection, status snapshots, and the load-bearing
 equivalence — shared backplanes dedupe work but never change any
 tenant's outcome."""
 
+import json
 import os
 import stat
 
 import pytest
 
 from repro.colt import ColtSettings, ColtTuner
-from repro.evaluation import WorkloadEvaluator
+from repro.colt.tuner import TenantState
+from repro.evaluation import WorkloadEvaluator, wire
 from repro.service import TenantSession, TuningService
 from repro.util import DesignError
 from repro.workloads import (DriftPhase, default_phases, drifting_stream,
@@ -158,7 +160,10 @@ class TestTenantSession:
         evaluator = WorkloadEvaluator(astro_catalog)
         session = TenantSession("t", evaluator, **dict(options(), window=1))
         drain(session, drifting_stream((SDSS_PHASES[0],), seed=2))
-        restored = TenantSession.from_snapshot(session.snapshot(), evaluator)
+        written = json.dumps(wire.record_to_wire(session.snapshot()))
+        restored = TenantSession.from_snapshot(
+            wire.record_from_wire(TenantState, json.loads(written)),
+            evaluator)
         assert restored.snapshot() == session.snapshot()
         assert list(restored.window) == list(session.window)
         assert len(restored.window) == 1

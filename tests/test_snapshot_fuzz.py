@@ -4,8 +4,8 @@
 is in that file reaches :meth:`TuningService.restore`,
 :meth:`TenantSession.from_snapshot`, :meth:`ColtTuner.restore_state`
 and :func:`wire.event_from_wire`.  Hypothesis takes a real mid-run
-snapshot of two tenants — one with events still buffered in the
-scheduler — and draws its one-mutation neighbours from the service
+snapshot of two tenants — one with events still pending in its
+entry — and draws its one-mutation neighbours from the service
 shape of ``wire.SHAPES`` (``tests/shapes.py``): a key dropped, a node
 swapped for a value its shape rejects or a leaf for one lifted from
 elsewhere in the file, an unknown key added.  Through ``load_state``
@@ -68,7 +68,7 @@ def make_service():
 def _mid_run_snapshot():
     """A pause-point snapshot taken mid-stream, with every section the
     restore path reads non-empty: candidates, epochs, drift events,
-    recommendations and a scheduler buffer."""
+    recommendations and a tenant's pending events."""
     service = make_service()
     for name in SEEDS:
         service.add_tenant(name, "sdss", **OPTIONS)
@@ -79,7 +79,7 @@ def _mid_run_snapshot():
     )
     payload = next(
         p for p in captured
-        if p["scheduler"]["pending"]
+        if p["tenants"][0]["pending"]
         and all(t["session"]["recommendations"] for t in p["tenants"])
     )
     return json.loads(wire.dumps(payload))
@@ -97,7 +97,7 @@ def _at(node, path):
 SHAPE = wire.SHAPES[wire.KIND_SERVICE]
 
 
-OPTIONS_PATH = ("tenants", 0, "session", "options")
+SETTINGS_PATH = ("tenants", 0, "session", "colt_settings")
 
 
 def check(payload, dump=json.dumps):
@@ -127,7 +127,7 @@ def check(payload, dump=json.dumps):
 
 def test_base_snapshot_restores_and_finishes():
     """The unmangled file is the property's second branch."""
-    assert BASE["scheduler"]["pending"]["t0"]  # the examples' paths
+    assert BASE["tenants"][0]["pending"]  # the examples' paths
     assert len(BASE["tenants"][1]["session"]["tuner"]["candidates"]) > 2
     assert check(copy.deepcopy(BASE)) == "restored"
 
@@ -141,9 +141,9 @@ def test_a_nesting_bomb_state_file_is_refused_typed():
 @given(payload=neighbours(BASE, SHAPE))
 # The cases found before the restore path checked its input: an
 # untyped error after a tenant was registered, or a traceback.
-@example(payload=edited(BASE, ("scheduler", "pending", "t0", 0), ["x"]))
-@example(payload=edited(BASE, ("scheduler", "pending", "t0"), "ab"))
-@example(payload=edited(BASE, ("tenants", 0, "session", "options"), DROP))
+@example(payload=edited(BASE, ("tenants", 0, "pending", 0), ["x"]))
+@example(payload=edited(BASE, ("tenants", 0, "pending"), "ab"))
+@example(payload=edited(BASE, SETTINGS_PATH, DROP))
 @example(payload=edited(BASE, ("tenants", 1), "x"))
 @example(payload=edited(BASE, ("tenants", 0, "session", "queries"), "7"))
 # Found by this test: a restored candidate that clashes with the index
@@ -189,7 +189,7 @@ def test_colt_settings_the_tuner_cannot_run_on_are_refused(change, error):
     """COLT settings outside their bounds (``whatif_budget`` is 40): a
     typed error, nothing registered."""
     payload = copy.deepcopy(BASE)
-    settings = _at(payload, OPTIONS_PATH)["colt_settings"]
+    settings = _at(payload, SETTINGS_PATH)
     assert settings["whatif_budget"] == 40
     settings.update(change)
     assert check(payload) == "refused: " + error

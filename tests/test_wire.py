@@ -44,8 +44,8 @@ from repro.catalog import (
     Distribution, HorizontalPartitioning, Index, Table, VerticalFragment,
     VerticalLayout)
 from repro.colt.tuner import (
-    ColtSettings, DriftEvent, OnlineReport, RecommendationRecord,
-    _CandidateState)
+    ColtSettings, ColtState, DriftEvent, OnlineReport, RecommendationRecord,
+    TenantState, _CandidateState)
 from repro.evaluation import (
     InumCachePool,
     ProcessPoolBackplane,
@@ -649,14 +649,14 @@ class TestServiceKillRestore:
         assert not fresh._tenants  # t0 was not half-registered
 
     def _with_pending(self, tmp_path, pending):
-        """A saved two-tenant state file whose scheduler buffers are
-        replaced by *pending*."""
+        """A saved two-tenant state file whose second tenant's pending
+        events are *pending*."""
         service = self.make_service()
         service.add_tenant("t0", "sdss", **self.OPTIONS)
         service.add_tenant("t1", "sdss", **self.OPTIONS)
         path = service.save_state(tmp_path)
         payload = json.loads(open(path).read())
-        payload["scheduler"]["pending"] = pending
+        payload["tenants"][1]["pending"] = pending
         with open(path, "w") as f:
             json.dump(payload, f)
         return path
@@ -666,24 +666,15 @@ class TestServiceKillRestore:
         """Pending events are parsed before any session is registered: a
         malformed one raises a typed error with nothing registered, and
         the retry with a fixed file restores every tenant."""
-        self._with_pending(tmp_path, {"t1": [[None, "SELECT ra FROM "
-                                                    "photoobj"], ["x"]]})
+        self._with_pending(tmp_path, [[None, "SELECT ra FROM photoobj"],
+                                      ["x"]])
         fresh = self.make_service()
-        with pytest.raises(WireFormatError, match=r"pending\.t1\[1\]"):
+        with pytest.raises(WireFormatError,
+                           match=r"tenants\[1\]\.pending\[1\]"):
             fresh.load_state(tmp_path)
         assert not fresh._tenants
-        self._with_pending(tmp_path, {})
+        self._with_pending(tmp_path, [])
         assert set(fresh.load_state(tmp_path)) == {"t0", "t1"}
-
-    def test_restore_refuses_pending_for_unrestored_tenant(self, tmp_path):
-        """Buffered events for a tenant the file does not restore would
-        otherwise sit in the service unseen until the next snapshot."""
-        self._with_pending(tmp_path, {"ghost": [[None, "SELECT ra FROM "
-                                                       "photoobj"]]})
-        fresh = self.make_service()
-        with pytest.raises(WireFormatError, match="ghost"):
-            fresh.load_state(tmp_path)
-        assert not fresh._tenants and fresh.queue_depths() == {}
 
     def test_state_file_version_checked(self, tmp_path):
         service = self.make_service()
@@ -764,10 +755,14 @@ def _homogeneous(min_size=0, unique=False):
                                 unique=unique) for items in (FLOATS, NAMES)))
 
 
+_COLT_DESIGNS = records(Configuration, layouts=st.just(()),
+                        horizontals=st.just(()))
+
 # Where a value is narrower than its annotation: a layout's fragments
 # are of its table, bounds are all numbers or all strings and increase,
-# and a distribution's values are all numbers or all strings, its
-# numbers lie in their ranges and a categorical one has values.
+# a distribution's values are all numbers or all strings, its numbers
+# lie in their ranges and a categorical one has values, a tuner's
+# designs are of indexes only and a tenant's window holds a query.
 NARROW = {
     VerticalLayout: _layouts(),
     HorizontalPartitioning: records(
@@ -781,9 +776,12 @@ NARROW = {
         probs=st.lists(st.floats(0.0, 1.0), max_size=3).map(tuple),
         correlation=st.floats(-1.0, 1.0), null_frac=st.floats(0.0, 0.99),
     ).filter(lambda d: d.kind != "categorical" or d.values and d.probs),
+    ColtState: records(ColtState, current=_COLT_DESIGNS,
+                       pending_alert=st.none() | _COLT_DESIGNS),
+    TenantState: records(TenantState, window=st.integers(1, 2 ** 53 - 1)),
 }
 
-_TENANT = wire.SHAPES[wire.KIND_TENANT]
+_TENANT = wire.SHAPES[wire.KIND_SERVICE]["tenants"][0]["session"]
 _DESIGN = wire.SHAPES[wire.CATALOG]["design"]
 # Each record class that crosses the wire, and where its shape sits.
 RECORD_SHAPES = {
@@ -793,11 +791,13 @@ RECORD_SHAPES = {
     Configuration: _DESIGN,
     Table: wire.SHAPES[wire.CATALOG]["tables"][0],
     PlannerSettings: wire.SHAPES[wire.KIND_CATALOG]["settings"].shape[1],
-    ColtSettings: _TENANT["options"]["colt_settings"],
+    ColtSettings: _TENANT["colt_settings"],
     _CandidateState: _TENANT["tuner"]["candidates"][0],
     OnlineReport: _TENANT["tuner"]["report"],
     DriftEvent: _TENANT["drift_events"][0],
     RecommendationRecord: _TENANT["recommendations"][0],
+    ColtState: _TENANT["tuner"],
+    TenantState: _TENANT,
 }
 
 
