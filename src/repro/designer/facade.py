@@ -1,5 +1,6 @@
 """The Designer facade: Figure 1 wired together."""
 
+import itertools
 from dataclasses import dataclass, field
 
 from repro.autopart import AutoPartAdvisor, rewrite_for_layout
@@ -12,6 +13,7 @@ from repro.interaction import (
     schedule_naive,
     schedule_optimal,
 )
+from repro.interaction.schedule import MAX_EXACT
 from repro.util import DesignError, workload_pairs
 from repro.whatif import Configuration, WhatIfSession
 
@@ -220,6 +222,12 @@ class Designer:
             analyzer = InteractionAnalyzer(self.evaluator, workload)
             graph = analyzer.interaction_graph(index_rec.indexes)
             if schedule:
+                if len(index_rec.indexes) <= MAX_EXACT:
+                    # The exact DP reads every subset: one lattice pass
+                    # prices those the graph's contexts did not.
+                    analyzer.prefetch(itertools.chain.from_iterable(
+                        itertools.combinations(index_rec.indexes, r)
+                        for r in range(len(index_rec.indexes) + 1)))
                 sched = schedule_optimal(index_rec.indexes, analyzer.cost, self.catalog)
                 naive = schedule_naive(index_rec.indexes, analyzer.cost, self.catalog)
         elif schedule and index_rec.indexes:

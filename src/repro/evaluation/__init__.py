@@ -30,7 +30,7 @@ interaction analyzer) obtains configuration costs through a
   on a socketpair, exchanging wire entries instead of shared memory.
 """
 
-from repro.evaluation.evaluator import BatchEvaluation, WorkloadEvaluator
+from repro.evaluation.evaluator import BatchEvaluation, Lattice, WorkloadEvaluator
 from repro.evaluation.kernel import (
     BipDeltaState,
     BipKernel,
@@ -45,6 +45,7 @@ from repro.evaluation.sharded import ShardedInumCachePool
 
 __all__ = [
     "BatchEvaluation",
+    "Lattice",
     "WorkloadEvaluator",
     "BipDeltaState",
     "BipKernel",

@@ -68,32 +68,60 @@ from repro.sql.binder import BoundWrite, bind_statement
 from repro.util import workload_pairs
 from repro.whatif import Configuration
 
-__all__ = ["BatchEvaluation", "WorkloadEvaluator"]
+__all__ = ["BatchEvaluation", "Lattice", "WorkloadEvaluator"]
 
 
 @dataclass
 class BatchEvaluation:
-    """Costs of a workload under a batch of configurations."""
+    """Costs of a workload under a batch of designs: a list of
+    configurations, or a :class:`Lattice`."""
 
-    configurations: list
+    configurations: object  # the configurations, or the Lattice
     weights: list  # one weight per workload statement
-    matrix: list  # matrix[c][s]: unweighted cost of statement s under config c
+    # matrix[c][s]: unweighted cost of statement s under configuration c;
+    # None for a lattice, whose chunks' matrices are dropped once summed.
+    matrix: list
+    # Weighted workload cost per design, accumulated left to right onto
+    # 0.0 exactly like WorkloadEvaluator.workload_cost (_totals).
+    totals: list
 
-    @property
-    def totals(self):
-        """Weighted workload cost per configuration, accumulated left to
-        right onto 0.0 exactly like
-        :meth:`WorkloadEvaluator.workload_cost` — builtin
-        ``sum`` is compensated from CPython 3.12 on and would differ in
-        the last bits, and AutoPart's accept/reject decisions compare
-        these totals."""
-        totals = []
-        for row in self.matrix:
-            total = 0.0
-            for weight, cost in zip(self.weights, row):
-                total += weight * cost
-            totals.append(total)
-        return totals
+
+class Lattice:
+    """Index-only designs named by bitmask over one index tuple: design
+    ``d`` holds ``indexes[i]`` iff bit ``i`` of ``masks[d]`` is set.
+    Masks are int64 up to 62 indexes and Python ints (an object array)
+    beyond — :meth:`bits` gives the one-bit masks in that type.  The
+    evaluator prices a lattice without building a configuration or a
+    design view per design: each mask is projected onto each table's
+    indexes, and a design view is built per distinct projection only
+    when its cost column is resolved."""
+
+    __slots__ = ("indexes", "masks")
+
+    def __init__(self, indexes, masks):
+        self.indexes = tuple(indexes)
+        self.masks = np.asarray(masks, dtype=self.bits(len(indexes)).dtype)
+
+    @staticmethod
+    def bits(n):
+        """``1 << i`` for each of *n* indexes, in the mask type."""
+        return np.asarray([1 << i for i in range(n)],
+                          dtype=np.int64 if n < 63 else object)
+
+    def __len__(self):
+        return len(self.masks)
+
+
+def _totals(costs, weights):
+    """Weighted totals of a ``designs × positions`` cost matrix: products
+    first (each elementwise, exact), then a strictly sequential running
+    sum onto 0.0 — ``np.cumsum`` has no pairwise regrouping, so every
+    row adds ``0.0 + w0*c0 + w1*c1 + ...`` in :meth:`WorkloadEvaluator.
+    workload_cost`'s order (builtin ``sum`` is compensated from CPython
+    3.12 on, and AutoPart's accept/reject decisions compare totals)."""
+    running = np.zeros((costs.shape[0], costs.shape[1] + 1))
+    np.multiply(costs, weights, out=running[:, 1:])
+    return np.cumsum(running, axis=1)[:, -1]
 
 
 @dataclass
@@ -107,6 +135,9 @@ class _KernelWorkload:
     positions: list = field(default_factory=list)  # (weight, sql, write, read)
     kernel: object = None  # WorkloadKernel
     reads: frozenset = frozenset()  # pool keys (texts) of the fused reads
+    tables: tuple = ()  # the kernel's tables and the written ones, sorted
+    read_at: object = None  # np.intp: the positions that read the grid
+    read_of: object = None  # np.intp: the read index of each of those
 
 
 class WorkloadEvaluator:
@@ -505,31 +536,79 @@ class WorkloadEvaluator:
             compiled.positions.append((weight, bq.sql, bq, read))
         fused.seal()
         compiled.reads = frozenset(fused.reads)
+        compiled.tables = tuple(sorted(set(fused.tables).union(
+            write.table.name for __, __, write, __ in compiled.positions
+            if write is not None)))
+        at = [s for s, position in enumerate(compiled.positions)
+              if position[3] is not None]
+        compiled.read_at = np.asarray(at, dtype=np.intp)
+        compiled.read_of = np.asarray(
+            [compiled.positions[s][3] for s in at], dtype=np.intp)
         return compiled
 
     def evaluate_many(self, workload, configurations):
-        """Price the whole workload × configuration grid on the
-        columnar kernel: the in-process consumers' (AutoPart reports,
-        doi prefetch) name for :meth:`evaluate_configurations`, the
-        name every backplane shares, which it delegates to."""
+        """Price the whole workload × design grid on the columnar
+        kernel: the in-process consumers' (AutoPart reports, the
+        interaction analyzer's lattices) name for
+        :meth:`evaluate_configurations`, the name every backplane
+        shares, which it delegates to."""
         return self.evaluate_configurations(workload, configurations)
 
-    def _kernel_views(self, compiled, configurations):
-        """Per-configuration design views and per-table signatures for
-        the fused kernel's tables, each index set the sharing table's
-        object: the kernel's column and delta-state keys hold that one
-        object, not a copy each."""
-        views = [_DesignView(self.catalog, c) for c in configurations]
+    def _designs(self, compiled, configurations):
+        """*configurations* — a list, or a :class:`Lattice` — as the
+        per-table signature ids of a
+        :class:`~repro.evaluation.kernel.Designs` over the compiled
+        workload's tables, each index set the sharing table's object:
+        the kernel's column and delta-state keys hold that one object,
+        not a copy each."""
+        from repro.evaluation.kernel import Designs
+
         shared = self._shared
-        table_sigs = []
-        for view in views:
-            sigs = {}
-            for name in compiled.kernel.tables:
-                indexes, layout, horizontal = view.design_signature(name)
-                sigs[name] = (shared.setdefault(indexes, indexes), layout,
-                              horizontal)
-            table_sigs.append(sigs)
-        return views, table_sigs
+        empty = (shared.setdefault(frozenset(), frozenset()), None, None)
+        views = {}  # (table, signature) -> a design view holding it
+        signatures, ids = {}, {}
+        if isinstance(configurations, Lattice):
+            indexes, masks = configurations.indexes, configurations.masks
+            by_table = {}
+            for i, ix in enumerate(indexes):
+                by_table.setdefault(ix.table_name, []).append(i)
+            for table in compiled.tables:
+                on_table = by_table.get(table)
+                if on_table is None:  # every design is the empty one here
+                    signatures[table] = [empty]
+                    ids[table] = np.zeros(len(masks), dtype=np.intp)
+                    continue
+                keys, ids[table] = np.unique(
+                    masks & sum(1 << i for i in on_table), return_inverse=True)
+                signatures[table] = []
+                for key in keys.tolist():
+                    subset = frozenset(
+                        indexes[i] for i in on_table if key >> i & 1)
+                    signatures[table].append(
+                        (shared.setdefault(subset, subset), None, None))
+        else:
+            distinct = {table: {} for table in compiled.tables}
+            for config in configurations:
+                view = _DesignView(self.catalog, config)
+                for table, row in distinct.items():
+                    indexes, layout, horizontal = view.design_signature(table)
+                    sig = (shared.setdefault(indexes, indexes), layout,
+                           horizontal)
+                    views.setdefault((table, sig), view)
+                    ids.setdefault(table, []).append(
+                        row.setdefault(sig, len(row)))
+            signatures = {table: list(row) for table, row in distinct.items()}
+            ids = {table: np.asarray(ids.get(table, ()), dtype=np.intp)
+                   for table in distinct}
+
+        def view(table, signature):
+            found = views.get((table, signature))
+            if found is None:
+                found = views[table, signature] = _DesignView(
+                    self.catalog, Configuration(indexes=signature[0]))
+            return found
+
+        return Designs(signatures, ids, empty, view, len(configurations))
 
     @contextmanager
     def _batch_seam(self, span, mode, workload, configurations):
@@ -538,50 +617,58 @@ class WorkloadEvaluator:
         *before* the workload compiles (a cold call's ``pool.build``
         spans are children of the seam's span, and ``mode`` latencies
         compare), the telemetry closes them.
-        Yields ``(compiled, configurations, views, table_sigs)``, a
-        ``None`` configuration replaced by the empty one."""
-        configurations = [c or Configuration.empty() for c in configurations]
+        Yields ``(compiled, configurations, designs)``, a ``None``
+        configuration replaced by the empty one."""
+        if not isinstance(configurations, Lattice):
+            configurations = [c or Configuration.empty()
+                              for c in configurations]
         with obs.tracer().span(span, configurations=len(configurations)):
             t0 = time.perf_counter()
             compiled = self._compile(workload)
-            views, table_sigs = self._kernel_views(compiled, configurations)
-            yield compiled, configurations, views, table_sigs
+            designs = self._designs(compiled, configurations)
+            yield compiled, configurations, designs
             self._observe_batch(mode, time.perf_counter() - t0,
-                                len(compiled.positions), len(configurations))
+                                len(compiled.positions), designs.size)
 
-    def _assemble_batch(self, compiled, configurations, views, reads):
+    def _assemble_batch(self, compiled, configurations, designs, chunks):
         """Fold the kernel's read grid plus write costs into a
-        :class:`BatchEvaluation` (shared by the full and delta paths).
+        :class:`BatchEvaluation` (shared by the full and delta paths),
+        chunk by chunk: *chunks* yields ``(start, stop, reads)``, the
+        read minima of designs ``start:stop``.  Only the totals of a
+        lattice are kept.
 
         A write costs what :meth:`_write_cost` adds up, in its order:
-        heap, plus maintenance — once per distinct index set of the
+        heap, plus maintenance — once per distinct design of the
         written table — plus its locate query's grid row."""
-        out = np.empty((len(views), len(compiled.positions)),
-                       dtype=np.float64)
-        for s, (weight, __, write, read) in enumerate(compiled.positions):
-            if write is None:
-                out[:, s] = reads[read]
-                continue
-            table = write.table.name
-            heap = heap_write_cost(write, self.settings)
-            fixed = {}  # index set on the table -> heap + maintenance
-            for pos, view in enumerate(views):
-                key = view.design_signature(table)[0]
-                cost = fixed.get(key)
-                if cost is None:
-                    cost = fixed[key] = heap + maintenance_cost(
-                        write, view.indexes_on(table), self.settings
-                    )
-                out[pos, s] = cost
-            if read is not None:
-                out[:, s] += reads[read]
+        positions = compiled.positions
+        weights = [weight for weight, __, __, __ in positions]
+        writes = {}  # write position -> (table, heap, maintenance per design)
+        for s, (__, __, write, __) in enumerate(positions):
+            if write is not None:
+                table = write.table.name
+                writes[s] = table, heap_write_cost(write, self.settings), \
+                    np.asarray([maintenance_cost(
+                        write, designs.view(table, sig).indexes_on(table),
+                        self.settings) for sig in designs.signatures[table]])
+        keep = not isinstance(configurations, Lattice)
+        totals, rows = [], []
+        for start, stop, reads in chunks:
+            out = np.zeros((stop - start, len(positions)))
+            out[:, compiled.read_at] = reads[compiled.read_of].T
+            for s, (table, heap, maintenance) in writes.items():
+                # The walk's order: locate + (heap + maintenance).
+                out[:, s] += heap + maintenance[designs.ids[table][start:stop]]
+            totals.append(_totals(out, weights))
+            if keep:
+                rows.append(out)
         # ndarray.tolist() yields the exact same Python floats the
         # per-call walk produces — float64 round-trips losslessly.
-        matrix = out.tolist()
         return BatchEvaluation(
-            configurations=list(configurations),
-            weights=[weight for weight, __, __, __ in compiled.positions],
-            matrix=matrix,
+            configurations=configurations,
+            weights=weights,
+            matrix=[row for out in rows for row in out.tolist()]
+            if keep else None,
+            totals=[total for chunk in totals for total in chunk.tolist()],
         )
 
     def _observe_batch(self, mode, elapsed, statements, configurations):
@@ -613,52 +700,56 @@ class WorkloadEvaluator:
         """Price *configurations* as single-design deltas off *parent*.
 
         The seminaïve seam greedy rounds, COLT epoch scoring, AutoPart
-        merge rounds and doi prefetch route through: the parent's
-        resolved grid state is captured once per call, and each child
-        re-resolves only slots on tables whose design differs from the
-        parent's — O(delta) per child instead of O(grid).  Results are bit-identical to
-        :meth:`evaluate_configurations` on the same arguments, which the
-        equivalence suite pins exactly.
+        merge rounds and the interaction analyzer route through: the
+        parent's resolved grid state is captured once per call, and
+        each child re-resolves only slots on tables whose design
+        differs from the parent's — O(delta) per child instead of
+        O(grid).  A :class:`Lattice` has no parent state worth
+        capturing — its designs are every subset of an index set, one
+        chunked grid pass prices them — so it is handed to
+        :meth:`evaluate_many`.  Results are bit-identical to
+        :meth:`evaluate_configurations` on the same arguments, which
+        the equivalence suite pins exactly.
         """
+        if isinstance(configurations, Lattice):
+            return self.evaluate_many(workload, configurations)
         with self._batch_seam(
             SPAN_EVALUATE_DELTAS, "delta", workload, configurations
-        ) as (compiled, configurations, views, table_sigs):
-            (view,), (sigs,) = self._kernel_views(
-                compiled, [parent or Configuration.empty()]
-            )
-            reads = compiled.kernel.evaluate_deltas(
-                compiled.kernel.delta_state(view, sigs, self.slot_choice),
-                views, table_sigs, self.slot_choice,
-            )
-            return self._assemble_batch(compiled, configurations, views,
-                                        reads)
+        ) as (compiled, configurations, designs):
+            kernel = compiled.kernel
+            state = kernel.delta_state(
+                self._designs(compiled, [parent or Configuration.empty()]),
+                self.slot_choice)
+            reads = kernel.evaluate_deltas(state, designs, self.slot_choice)
+            return self._assemble_batch(
+                compiled, configurations, designs,
+                [(0, designs.size, reads)])
 
     def evaluate_configurations(self, workload, configurations):
-        """Price all *configurations* against all of *workload* in one pass.
+        """Price all *configurations* — a list, or a :class:`Lattice` —
+        against all of *workload* in one pass.
 
         The evaluate phase issues zero optimizer calls (beyond cache
-        warm-up for statements seen for the first time): one
-        ``configurations × slots`` access-cost matrix on the columnar
-        kernel (:mod:`repro.evaluation.kernel`), slot cost columns
-        resolved once per distinct per-table design and per-table
-        design signatures once per configuration, then per-statement
-        numpy reductions; a write adds its analytic heap and
-        maintenance cost, once per index set of its table, to its
-        locate query's row.  The kernel accumulates in scalar order, so the
-        grid is bit-identical to per-call :meth:`cost`, which
-        ``tests/test_kernel.py`` pins exactly.  This is the batch seam
-        what-if sweeps, AutoPart reports and doi prefetch route
-        through, and the one signature every backplane (in-process,
-        process pool, remote) shares.
+        warm-up for statements seen for the first time): each design
+        becomes per-table signature ids, one slot cost column is
+        resolved per distinct per-table design on the columnar kernel
+        (:mod:`repro.evaluation.kernel`), and each chunk of designs is a
+        gathered ``designs × slots`` matrix priced by numpy reductions;
+        a write adds its analytic heap and maintenance cost, once per
+        design of its table, to its locate query's row.  The kernel
+        accumulates in scalar order, so the grid is bit-identical to
+        per-call :meth:`cost`, which ``tests/test_kernel.py`` pins
+        exactly.  This is the batch seam what-if sweeps, AutoPart
+        reports and interaction lattices route through, and the one
+        signature every backplane (in-process, process pool, remote)
+        shares.
         """
         with self._batch_seam(
             SPAN_EVALUATE_BATCH, "kernel", workload, configurations
-        ) as (compiled, configurations, views, table_sigs):
-            reads = compiled.kernel.evaluate_many(
-                views, table_sigs, self.slot_choice
-            )
-            return self._assemble_batch(compiled, configurations, views,
-                                        reads)
+        ) as (compiled, configurations, designs):
+            return self._assemble_batch(
+                compiled, configurations, designs,
+                compiled.kernel.evaluate_many(designs, self.slot_choice))
 
     def workload_costs(self, workload, configurations):
         """Convenience: just the weighted totals, one per configuration."""

@@ -26,11 +26,15 @@ public classes sit on one private core:
   its two owners travels as data — unit lists and a ``values`` array;
 
 * :class:`WorkloadKernel` — many statement kernels fused over one
-  global slot table.  It resolves a slot by its table's *design*: one
-  cost column per (table, design) is memoized, a ``configurations ×
-  slots`` matrix is filled per distinct per-table design, and
-  :meth:`~WorkloadKernel.evaluate_many` is ``minima(sums(matrix))``.
-  Its unit is a table: a child's values are the cost columns of the
+  global slot table.  It resolves a slot by its table's *design*: a
+  batch arrives as per-table signature ids (:class:`Designs` — what a
+  list of configurations and a lattice of index subsets both become),
+  one cost column per (table, design) is memoized — a design of
+  indexes alone copies the empty design's and re-resolves only the
+  slots its indexes reach — a ``designs × slots`` matrix is gathered
+  from them, and :meth:`~WorkloadKernel.evaluate_many` is
+  ``minima(sums(matrix))``, a fixed number of designs per pass.  Its
+  unit is a table: a child's values are the cost columns of the
   tables whose design differs from the parent's;
 
 * :class:`BipKernel` — CoPhy's pricing surface
@@ -79,7 +83,11 @@ from collections import namedtuple
 
 import numpy as np
 
+from repro.inum.cache import _slot_interesting
+from repro.optimizer import paths as P
+
 __all__ = [
+    "Designs",
     "StatementKernel",
     "WorkloadKernel",
     "WorkloadDeltaState",
@@ -92,6 +100,9 @@ __all__ = [
 # evaluation/memos.py), reset when full: a reset column is a handful of
 # slot-memo lookups.
 _MAX_DESIGN_COLUMNS = 4096
+# Designs per arena pass of WorkloadKernel.evaluate_many: a lattice of
+# thousands holds one chunk's matrices at a time.
+_CHUNK = 256
 
 
 class StatementKernel:
@@ -288,6 +299,18 @@ def _span_gather(offsets, sizes, which):
     return entry, idx
 
 
+# One batch's designs as per-table signature ids — what a list of
+# configurations and a lattice of index subsets both become before the
+# kernel sees them.  ``signatures[table]`` lists the batch's distinct
+# per-table design signatures ``(indexes, layout, horizontal)``, each
+# index set the evaluator's sharing table's object; ``ids[table][d]``
+# (np.intp) is design ``d``'s position in that list.  ``empty`` is the
+# empty design's signature and ``view(table, signature)`` a design view
+# holding that signature on *table*, asked for only when a column is
+# resolved.  ``size`` is the number of designs.
+Designs = namedtuple("Designs", "signatures ids empty view size")
+
+
 class WorkloadDeltaState:
     """One parent configuration's fully-resolved grid state.
 
@@ -319,8 +342,8 @@ class WorkloadKernel:
     handful of array operations — one gathered add per slot position,
     one grouped min — regardless of how many statements the workload
     holds.  What stays here is slot bookkeeping: which table a slot
-    belongs to, and the memoized cost columns resolving a table's slots
-    under one design.
+    belongs to, which index lead columns reach it, and the memoized
+    cost columns resolving a table's slots under one design.
     """
 
     def __init__(self):
@@ -332,6 +355,10 @@ class WorkloadKernel:
         self._plan_internal = []
         self._read_starts = []  # first plan index of each read statement
         self._columns = {}  # (table, design signature) -> cost array
+        # table -> {lead column: positions in the table's column of the
+        # slots an index leading with it reaches}, on a table's first
+        # sparse column: bookkeeping of the template shapes, not a memo.
+        self._reach = {}
         # Filled by seal():
         self.arena = None  # _PlanArena: reads are groups, tables units
 
@@ -375,104 +402,154 @@ class WorkloadKernel:
 
     # ------------------------------------------------------------------
 
-    def _design_column(self, table, signature, view, slot_choice):
+    def _design_column(self, table, signature, designs, slot_choice):
         """The costs of *table*'s slots under one per-table design, as
-        an array — memoized across configurations and across evaluate
-        calls.  An infeasible slot prices +inf (its plans never win)."""
+        an array — memoized across designs and across evaluate calls.
+        An infeasible slot prices +inf (its plans never win).
+
+        A design of indexes alone is *sparse*: it copies the empty
+        design's column and re-resolves only the slots one of its
+        indexes reaches by lead column — every other slot's memo key
+        (``inum/cache.py:_slot_key``) projects the design to the empty
+        one, so its entry is the empty design's."""
         column = self._columns.get((table, signature))
         if column is None:
-            costs = []
-            for g in self.table_columns[table]:
-                slot, bq = self.slots[g]
+            indexes, layout, horizontal = signature
+            if indexes and layout is None and horizontal is None:
+                column = self._design_column(
+                    table, designs.empty, designs, slot_choice).copy()
+                where = self._reached(table, indexes, designs)
+            else:
+                column = np.empty(len(self.table_columns[table]))
+                where = range(column.size)
+            view = designs.view(table, signature)
+            cols = self.table_columns[table]
+            for local in where:
+                slot, bq = self.slots[cols[local]]
                 choice = slot_choice(bq, slot, view, signature)
-                costs.append(np.inf if choice is None else choice[0])
-            column = np.asarray(costs, dtype=np.float64)
+                column[local] = np.inf if choice is None else choice[0]
             if len(self._columns) >= _MAX_DESIGN_COLUMNS:
                 self._columns.clear()
             self._columns[(table, signature)] = column
         return column
 
-    def _rows(self, views, table_sigs, slot_choice):
-        """The ``configurations × slots`` access-cost matrix (sentinel
-        column last).  Work scales with *distinct designs*, not
-        configurations: each table's designs are factorized across the
-        batch, one cost column is resolved per distinct design, and the
-        full matrix is a gather."""
-        matrix = np.zeros((len(views), len(self.slots) + 1), dtype=np.float64)
+    def _reached(self, table, indexes, designs):
+        """Positions in *table*'s column of the slots some of *indexes*
+        reaches (:func:`~repro.optimizer.paths.reach_columns`: the probe
+        form for a nested-loop inner, the scan form otherwise), sorted."""
+        by_lead = self._reach.get(table)
+        if by_lead is None:
+            view = designs.view(table, designs.empty)
+            lists = {}
+            for local, g in enumerate(self.table_columns[table]):
+                slot, bq = self.slots[g]
+                for lead in P.reach_columns(
+                        P.scan_context(bq, slot.alias, view),
+                        _slot_interesting(slot), slot.param_columns):
+                    lists.setdefault(lead, []).append(local)
+            by_lead = self._reach[table] = {
+                lead: np.asarray(at, dtype=np.intp)
+                for lead, at in lists.items()
+            }
+        hits = [by_lead[ix.columns[0]] for ix in indexes
+                if ix.columns[0] in by_lead]
+        if not hits:
+            return ()
+        return np.unique(np.concatenate(hits))
+
+    def _blocks(self, designs, slot_choice):
+        """Per table, the stacked cost columns of the batch's distinct
+        designs there: row ``u`` prices ``designs.signatures[table][u]``."""
+        blocks = {}
         for table, cols in self.table_columns.items():
-            distinct = {}  # signature -> (block row, first view with it)
-            inverse = [
-                distinct.setdefault(sigs[table], (len(distinct), view))[0]
-                for sigs, view in zip(table_sigs, views)
-            ]
-            block = np.empty((len(distinct), len(cols)), dtype=np.float64)
-            for signature, (u, view) in distinct.items():
+            signatures = designs.signatures[table]
+            block = np.empty((len(signatures), len(cols)))
+            for u, signature in enumerate(signatures):
                 block[u] = self._design_column(
-                    table, signature, view, slot_choice
-                )
-            matrix[:, cols] = block[inverse]
-        return matrix
+                    table, signature, designs, slot_choice)
+            blocks[table] = block
+        return blocks
 
-    def evaluate_many(self, views, table_sigs, slot_choice):
-        """Price every read statement under every configuration.
+    def _rows(self, blocks, designs, start, stop):
+        """The ``designs × slots`` access-cost matrix of designs
+        ``start:stop`` (sentinel column last): a gather of each table's
+        block by the designs' ids there."""
+        rows = np.zeros((stop - start, len(self.slots) + 1))
+        for table, cols in self.table_columns.items():
+            rows[:, cols] = blocks[table][designs.ids[table][start:stop]]
+        return rows
 
-        ``views`` are the per-configuration
-        :class:`~repro.inum.cache._DesignView` facades, ``table_sigs``
-        the per-configuration ``{table: design signature}`` dicts, and
-        ``slot_choice(bq, slot, view, signature)`` the scalar slot
+    def evaluate_many(self, designs, slot_choice):
+        """Price every read statement under every design of *designs*
+        (a :class:`Designs`), ``_CHUNK`` designs per arena pass so a
+        lattice of thousands holds one chunk's matrices at a time:
+        yields ``(start, stop, minima)`` per chunk, ``minima`` of shape
+        ``(n_reads, stop - start)``.
+
+        ``slot_choice(bq, slot, view, signature)`` is the scalar slot
         pricer — a memo over the pure function the serial reference
         calls: the winning ``(cost, payload indexes)`` pair, of which
-        the kernel reads the cost, or ``None`` if infeasible.  Returns
-        an array of shape ``(n_reads, n_configurations)``.
+        the kernel reads the cost, or ``None`` if infeasible.  Work
+        scales with *distinct designs* per table, not designs: one cost
+        column is resolved per distinct signature, and each chunk's
+        matrix is a gather.
 
         Statement pricing is pure array arithmetic in scalar
         accumulation order: the arena's sums over the resolved matrix,
         then its grouped minima.
         """
-        rows = self._rows(views, table_sigs, slot_choice)
-        return self.arena.minima(self.arena.sums(rows)).T.copy()
+        blocks = self._blocks(designs, slot_choice)
+        for start in range(0, designs.size, _CHUNK):
+            stop = min(start + _CHUNK, designs.size)
+            rows = self._rows(blocks, designs, start, stop)
+            yield start, stop, self.arena.minima(self.arena.sums(rows)).T
 
     # -- delta (seminaïve) evaluation ----------------------------------
 
-    def delta_state(self, view, table_sigs, slot_choice):
-        """Capture the parent state for *view*.
+    def delta_state(self, parent, slot_choice):
+        """Capture the parent state for *parent*, a one-design
+        :class:`Designs`.
 
         The parent's slot cost row and per-plan sums are computed by
         exactly the element-wise operations one column of
         :meth:`evaluate_many` would run, so a captured state is
         bit-identical source material for delta pricing.
         """
-        row = self._rows([view], [table_sigs], slot_choice)[0]
+        row = self._rows(self._blocks(parent, slot_choice), parent, 0, 1)[0]
         acc = self.arena.sums(row)
         self.arena.minima(acc)  # an infeasible parent raises here
-        return WorkloadDeltaState(dict(table_sigs), row, acc)
+        sigs = {table: parent.signatures[table][0]
+                for table in self.table_columns}
+        return WorkloadDeltaState(sigs, row, acc)
 
-    def evaluate_deltas(self, state, views, table_sigs, slot_choice):
-        """Delta counterpart of :meth:`evaluate_many`: price each
-        configuration as a diff against *state*'s parent, in one batched
-        arena pass — a child changes the unit of each table whose design
-        differs from the parent's, its new values that design's cost
-        column — re-summing only the plans that read them.  Untouched
-        reads inherit the parent minimum verbatim: every input to their
-        plan sums is unchanged."""
-        children, units, values = [], [], [np.empty(0, dtype=np.float64)]
-        for c, sigs in enumerate(table_sigs):
-            for unit, table in enumerate(self.table_columns):
-                if sigs[table] != state.table_sigs[table]:
-                    children.append(c)
-                    units.append(unit)
-                    values.append(self._design_column(
-                        table, sigs[table], views[c], slot_choice
-                    ))
+    def evaluate_deltas(self, state, designs, slot_choice):
+        """Delta counterpart of :meth:`evaluate_many`: price each design
+        as a diff against *state*'s parent, in one batched arena pass —
+        a child changes the unit of each table whose design differs
+        from the parent's, its new values that design's cost column —
+        re-summing only the plans that read them.  Untouched reads
+        inherit the parent minimum verbatim: every input to their plan
+        sums is unchanged.  Returns ``(n_reads, n_designs)`` minima."""
+        blocks = self._blocks(designs, slot_choice)
+        children = [np.empty(0, dtype=np.intp)]
+        units = [np.empty(0, dtype=np.intp)]
+        values = [np.empty(0, dtype=np.float64)]
+        for unit, table in enumerate(self.table_columns):
+            signatures, ids = designs.signatures[table], designs.ids[table]
+            same = [u for u, sig in enumerate(signatures)
+                    if sig == state.table_sigs[table]]
+            changed = np.flatnonzero(ids != same[0]) if same \
+                else np.arange(designs.size)
+            children.append(changed)
+            units.append(np.full(changed.size, unit, dtype=np.intp))
+            values.append(blocks[table][ids[changed]].ravel())
         footprint = self.arena.footprint(
-            np.asarray(children, dtype=np.intp),
-            np.asarray(units, dtype=np.intp),
-        )
+            np.concatenate(children), np.concatenate(units))
         __, __, best = self.arena.price(
-            state.row, state.acc, len(views), footprint,
+            state.row, state.acc, designs.size, footprint,
             np.concatenate(values),
         )
-        return best.T.copy()
+        return best.T
 
 
 class BipDeltaState:

@@ -12,13 +12,18 @@ cost.  The subset maximization is exponential, so we enumerate exactly up
 to ``EXACT_LIMIT`` context indexes and fall back to seeded random subset
 sampling beyond that.  Costs come from INUM, so each subset evaluation is
 analytic — this is precisely why the demo can visualize interactions
-interactively.
+interactively: a whole graph is one kernel batch over the index subsets
+its pairs' contexts read, named by bitmask, and every pair's doi is an
+array reduction over that batch's totals.
 """
 
 import itertools
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.evaluation.evaluator import Lattice
 from repro.whatif import Configuration
 
 # Context sets of up to EXACT_LIMIT other indexes (2^8 subsets) are
@@ -30,26 +35,43 @@ SAMPLE_SEED = 17
 
 
 class InteractionAnalyzer:
-    """Computes doi values and interaction graphs over one workload.
+    """Computes interaction graphs and subset costs over one workload.
 
-    Subset costs are batch-priced on the
+    Every index set it prices is named by a bitmask over the indexes it
+    has seen (bit ``i`` names the ``i``-th, in first-seen order), its
+    cost cache is keyed by mask, and subsets are batch-priced as a
+    :class:`~repro.evaluation.evaluator.Lattice` on the
     :class:`~repro.evaluation.WorkloadEvaluator` it is given.
     """
 
     def __init__(self, evaluator, workload):
         self.evaluator = evaluator
         self.workload = list(workload)
-        self._cost_cache = {}
+        self._indexes = []  # bit i names self._indexes[i]
+        self._position = {}  # index -> i
+        self._cost_cache = {}  # mask -> workload cost
 
     # ------------------------------------------------------------------
 
+    def _mask(self, index_set):
+        """The mask of *index_set*, naming the indexes not seen yet."""
+        mask = 0
+        for ix in index_set:
+            i = self._position.get(ix)
+            if i is None:
+                i = self._position[ix] = len(self._indexes)
+                self._indexes.append(ix)
+            mask |= 1 << i
+        return mask
+
     def cost(self, index_set):
         """Workload cost under exactly *index_set* (cached)."""
-        key = frozenset(index_set)
+        index_set = frozenset(index_set)
+        key = self._mask(index_set)
         cached = self._cost_cache.get(key)
         if cached is None:
             cached = self.evaluator.workload_cost(
-                self.workload, Configuration(indexes=key)
+                self.workload, Configuration(indexes=index_set)
             )
             self._cost_cache[key] = cached
         return cached
@@ -59,88 +81,98 @@ class InteractionAnalyzer:
         context = frozenset(context) - {index}
         return self.cost(context) - self.cost(context | {index})
 
-    def prefetch(self, subsets, parent=None):
-        """Batch-price index subsets into the cost cache, in one
-        columnar-kernel pass
-        (:meth:`~repro.evaluation.WorkloadEvaluator.evaluate_many`) —
-        the same numbers :meth:`cost` would compute one by one.
+    def _price(self, masks):
+        """Totals of the designs *masks* names, as an array, and into the
+        cost cache: edits of the empty design, priced as one lattice in
+        one kernel batch through the seminaïve seam, which prices a
+        lattice on the grid."""
+        lattice = Lattice(self._indexes, masks)
+        totals = self.evaluator.evaluate_deltas(
+            self.workload, None, lattice).totals
+        self._cost_cache.update(zip(lattice.masks.tolist(), totals))
+        return np.asarray(totals)
 
-        With *parent* (an index set the batch's subsets are small edits
-        of) the batch prices through the seminaïve seam
-        (:meth:`~repro.evaluation.WorkloadEvaluator.evaluate_deltas`)
-        instead — same numbers, captured-parent state reused.
-        """
-        missing = [
-            key
-            for key in dict.fromkeys(frozenset(s) for s in subsets)
-            if key not in self._cost_cache
-        ]
-        if not missing:
-            return
-        configs = [Configuration(indexes=key) for key in missing]
-        if parent is not None:
-            totals = self.evaluator.evaluate_deltas(
-                self.workload, Configuration(indexes=frozenset(parent)),
-                configs,
-            ).totals
-        else:
-            totals = self.evaluator.evaluate_many(self.workload, configs).totals
-        for key, total in zip(missing, totals):
-            self._cost_cache[key] = total
+    def prefetch(self, subsets):
+        """Batch-price index subsets into the cost cache, as one lattice
+        on the kernel — the same numbers :meth:`cost` would compute one
+        by one."""
+        missing = [mask for mask in dict.fromkeys(map(self._mask, subsets))
+                   if mask not in self._cost_cache]
+        if missing:
+            self._price(missing)
 
-    def doi(self, a, b, candidate_set):
-        """Degree of interaction between *a* and *b* within *candidate_set*."""
-        if a == b:
-            return 0.0
-        others = sorted(
-            (ix for ix in candidate_set if ix not in (a, b)), key=lambda i: i.name
-        )
-        contexts = list(self._contexts(others))
-        self.prefetch(
-            frozenset(context) | extra
-            for context in contexts
-            for extra in (frozenset(), {a}, {b}, {a, b})
-        )
-        best = 0.0
-        for context in contexts:
-            with_b = frozenset(context) | {b}
-            denom = self.cost(with_b | {a})
-            if denom <= 0:
-                continue
-            delta = abs(self.benefit(a, context) - self.benefit(a, with_b))
-            best = max(best, delta / denom)
-        return best
-
-    def _contexts(self, others):
-        if len(others) <= EXACT_LIMIT:
-            for r in range(len(others) + 1):
-                yield from itertools.combinations(others, r)
-            return
+    @staticmethod
+    def _contexts(m):
+        """The contexts of a pair with *m* other indexes, as a bool
+        matrix over their positions: every subset up to
+        :data:`EXACT_LIMIT`, else the empty and full ones plus
+        :data:`SAMPLES` seeded draws.  Draws depend on *m* alone, so
+        every pair of one graph reads the same positions."""
+        if m <= EXACT_LIMIT:
+            return (np.arange(1 << m)[:, None] >> np.arange(m) & 1) \
+                .astype(bool)
         rng = random.Random(SAMPLE_SEED)
-        yield ()
-        yield tuple(others)
-        for __ in range(SAMPLES):
-            r = rng.randint(0, len(others))
-            yield tuple(rng.sample(others, r))
+        drawn = [(), range(m)] + [
+            rng.sample(range(m), rng.randint(0, m)) for __ in range(SAMPLES)
+        ]
+        contexts = np.zeros((len(drawn), m), dtype=bool)
+        for k, positions in enumerate(drawn):
+            contexts[k, list(positions)] = True
+        return contexts
 
     # ------------------------------------------------------------------
 
     def interaction_graph(self, candidate_set, min_doi=1e-9):
-        """The Figure-2 graph: one vertex per index, edges weighted by doi."""
+        """The Figure-2 graph: one vertex per index, edges weighted by
+        doi, for each pair ``(a, b)`` with *a* first by name.
+
+        One kernel batch prices every subset the graph reads — the
+        empty design, each index alone, and for each pair and context
+        ``X`` the designs ``X``, ``X+a``, ``X+b`` and ``X+a+b`` — and
+        the doi of every pair is a reduction over its contexts'
+        totals."""
         candidate_set = sorted(set(candidate_set), key=lambda i: i.name)
-        # Singles are one-index edits of the empty design: delta-priced
-        # off the empty parent.
-        self.prefetch(
-            [frozenset()] + [frozenset((ix,)) for ix in candidate_set],
-            parent=frozenset(),
-        )
-        benefits = {ix.name: self.benefit(ix, ()) for ix in candidate_set}
+        n = len(candidate_set)
+        self._mask(candidate_set)
+        bits = Lattice.bits(len(self._indexes))[
+            [self._position[ix] for ix in candidate_set]]
+        pairs = np.asarray(list(itertools.combinations(range(n), 2)),
+                           dtype=np.intp).reshape(-1, 2)
+        quads = self._pair_designs(bits, pairs)
+        masks = np.concatenate([np.zeros(1, bits.dtype), bits,
+                                quads.ravel()])
+        distinct, inverse = np.unique(masks, return_inverse=True)
+        totals = self._price(distinct)[inverse]
+        empty, singles = totals[0], totals[1:n + 1]
+        benefits = dict(zip((ix.name for ix in candidate_set),
+                            (empty - singles).tolist()))
+        c = totals[n + 1:].reshape(quads.shape)
+        delta = np.abs((c[..., 0] - c[..., 1]) - (c[..., 2] - c[..., 3]))
+        ratio = np.divide(delta, c[..., 3], out=np.zeros_like(delta),
+                          where=c[..., 3] > 0)
         dois = {}
-        for a, b in itertools.combinations(candidate_set, 2):
-            weight = self.doi(a, b, candidate_set)
+        for (a, b), weight in zip(pairs.tolist(),
+                                  ratio.max(axis=1, initial=0.0).tolist()):
             if weight > min_doi:
-                dois[a.name, b.name] = weight
+                dois[candidate_set[a].name, candidate_set[b].name] = weight
         return InteractionGraph(benefits, dois)
+
+    def _pair_designs(self, bits, pairs):
+        """For each pair ``(a, b)`` and each of its contexts ``X`` (over
+        the other indexes in name order), the masks of ``X``, ``X+a``,
+        ``X+b`` and ``X+a+b``: shape ``(pairs, contexts, 4)``."""
+        if not len(pairs):
+            return np.zeros((0, 0, 4), dtype=bits.dtype)
+        a, b = pairs[:, :1], pairs[:, 1:]  # a < b
+        others = np.arange(len(bits) - 2)
+        others = others + (others >= a)
+        others += others >= b
+        contexts = bits[others] @ self._contexts(len(bits) - 2).T.astype(
+            bits.dtype)
+        extras = np.zeros((len(pairs), 4), dtype=bits.dtype)
+        extras[:, 1], extras[:, 2] = bits[a[:, 0]], bits[b[:, 0]]
+        extras[:, 3] = extras[:, 1] | extras[:, 2]
+        return contexts[:, :, None] | extras[:, None, :]
 
     def stable_partition(self, candidate_set, threshold=0.01):
         """Partition indexes into groups with no cross-group interaction

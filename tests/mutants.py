@@ -151,15 +151,16 @@ MUTANTS = (
     Mutant(
         "write-sum-reassociated",
         "src/repro/evaluation/evaluator.py",
-        "out[:, s] += reads[read]",
-        "out[:, s] = heap + ((out[:, s] - heap) + reads[read])",
+        "out[:, s] += heap + maintenance[designs.ids[table][start:stop]]",
+        "out[:, s] = (out[:, s] + heap) + maintenance[\n"
+        "                    designs.ids[table][start:stop]]",
         ("tests/test_writes.py::TestWritesPricedOnTheKernel",),
     ),
     Mutant(
         "write-index-set-key-collapsed",
         "src/repro/evaluation/evaluator.py",
-        "key = view.design_signature(table)[0]",
-        "key = table",
+        "out[:, s] += heap + maintenance[designs.ids[table][start:stop]]",
+        "out[:, s] += heap + maintenance[0]",
         ("tests/test_writes.py::TestWritesPricedOnTheKernel",),
     ),
     Mutant(
@@ -214,9 +215,9 @@ MUTANTS = (
     Mutant(
         "kernel-slot-costs-rounded",
         "src/repro/evaluation/kernel.py",
-        "costs.append(np.inf if choice is None else choice[0])",
-        "costs.append(np.inf if choice is None\n"
-        "                             else float(np.float32(choice[0])))",
+        "column[local] = np.inf if choice is None else choice[0]",
+        "column[local] = np.inf if choice is None \\\n"
+        "                    else float(np.float32(choice[0]))",
         ("tests/test_kernel.py::test_kernel_equals_per_call",),
     ),
     Mutant(
@@ -248,6 +249,29 @@ MUTANTS = (
         "            footprint.plan_child, footprint.cols].sum(axis=0)",
         ("tests/test_kernel.py::"
          "test_arena_price_equals_dense_equals_python_walk",),
+    ),
+    Mutant(
+        "lattice-totals-reassociated",
+        "src/repro/evaluation/evaluator.py",
+        "return np.cumsum(running, axis=1)[:, -1]",
+        "return running.sum(axis=1)",
+        ("tests/test_lattice.py::test_lattice_totals_add_in_the_walks_order",),
+    ),
+    Mutant(
+        "sparse-column-skips-reached-probes",
+        "src/repro/evaluation/kernel.py",
+        "_slot_interesting(slot), slot.param_columns):",
+        "_slot_interesting(slot)):",
+        ("tests/test_lattice.py::"
+         "test_each_candidate_alone_reaches_the_slots_it_changes",),
+    ),
+    Mutant(
+        "doi-drops-a-context",
+        "src/repro/interaction/doi.py",
+        "ratio.max(axis=1, initial=0.0).tolist()):",
+        "ratio[:, 1:].max(axis=1, initial=0.0).tolist()):",
+        ("tests/test_ibg.py::test_the_interaction_graph_has_the_oracles_edges",
+         "tests/test_ibg.py::test_enumerated_doi_is_bit_equal_to_the_oracle"),
     ),
     Mutant(
         "fleet-installs-another-statement",
@@ -362,8 +386,8 @@ MUTANTS = (
     Mutant(
         "kernel-signature-copied",
         "src/repro/evaluation/evaluator.py",
-        "sigs[name] = (shared.setdefault(indexes, indexes), layout,",
-        "sigs[name] = (frozenset(list(indexes)), layout,",
+        "sig = (shared.setdefault(indexes, indexes), layout,",
+        "sig = (frozenset(list(indexes)), layout,",
         ("tests/test_scan_memo.py::"
          "test_memo_keys_witnesses_and_signatures_are_shared_objects",),
     ),

@@ -85,8 +85,8 @@ class TestSynergyInteraction:
         analyzer = InteractionAnalyzer(WorkloadEvaluator(sdss_catalog), workload)
         dec_ix = Index("photoobj", ("dec",))
         rmag_ix = Index("photoobj", ("rmag",))
-        doi = analyzer.doi(dec_ix, rmag_ix, [dec_ix, rmag_ix])
-        assert doi > 0.01
+        graph = analyzer.interaction_graph([dec_ix, rmag_ix], min_doi=-1.0)
+        assert graph.dois[dec_ix.name, rmag_ix.name] > 0.01
 
 
 class TestExecutorBitmapAnd:

@@ -10,10 +10,12 @@ and are bit-identical with thread fan-out on and off.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.catalog import Catalog, Column, DataType, Distribution, Index, Table
-from repro.evaluation import BatchEvaluation, WorkloadEvaluator
+from repro.evaluation import WorkloadEvaluator
+from repro.evaluation.evaluator import _totals
 from repro.optimizer import CostService
 from repro.whatif import Configuration
 
@@ -195,12 +197,8 @@ def test_totals_accumulate_left_to_right_without_compensation():
     """Builtin ``sum`` is Neumaier-compensated from CPython 3.12 on and
     would answer 1.0 here; ``total += w * c`` loses the 1.0, and so must
     ``totals`` to stay equal to ``workload_cost``."""
-    batch = BatchEvaluation(
-        configurations=[None],
-        weights=[1.0, 1.0, 1.0],
-        matrix=[[1e16, 1.0, -1e16]],
-    )
-    assert batch.totals == [0.0]
+    costs = np.asarray([[1e16, 1.0, -1e16]])
+    assert _totals(costs, [1.0, 1.0, 1.0]).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

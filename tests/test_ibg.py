@@ -1,7 +1,7 @@
 """The shipped degree of interaction against the Index Benefit Graph.
 
-``InteractionAnalyzer.doi`` enumerates every context of up to
-``doi.EXACT_LIMIT`` other indexes and samples beyond that;
+``InteractionAnalyzer.interaction_graph`` enumerates every context of
+up to ``doi.EXACT_LIMIT`` other indexes and samples beyond that;
 ``tests/oracle.py:IndexBenefitGraph`` is the interaction paper's exact
 doi over the serial usage walk.  On sets small enough to enumerate the
 two are bit-equal; above, sampling can only fall short of the oracle;
@@ -170,24 +170,38 @@ def drawn_sets(draw, min_size, max_size):
     return evaluator, workload, members
 
 
+def graph_edges(evaluator, workload, members):
+    """``{(a, b): doi}`` of the shipped graph over *members*, every pair
+    kept (``min_doi`` below 0), keyed by index with *a* first by name."""
+    graph = InteractionAnalyzer(evaluator, workload).interaction_graph(
+        members, min_doi=-1.0)
+    by_name = {ix.name: ix for ix in members}
+    return {(by_name[a], by_name[b]): w for (a, b), w in graph.dois.items()}
+
+
 @hsettings(max_examples=share(0.1))
 @given(drawn=drawn_sets(2, EXACT_LIMIT + 2))
 def test_enumerated_doi_is_bit_equal_to_the_oracle(drawn):
+    """Every edge of a graph whose pairs' contexts are enumerated is the
+    oracle's doi of that pair, bit for bit."""
     evaluator, workload, members = drawn
-    analyzer = InteractionAnalyzer(evaluator, workload)
+    edges = graph_edges(evaluator, workload, members)
     oracle = IndexBenefitGraph(evaluator, workload, members)
-    for a, b in itertools.permutations(members, 2):
-        assert analyzer.doi(a, b, members) == oracle.doi(a, b), (a, b)
+    assert len(edges) == len(members) * (len(members) - 1) // 2
+    for (a, b), value in edges.items():
+        assert value == oracle.doi(a, b), (a, b)
 
 
 @hsettings(max_examples=share(0.02))
 @given(drawn=drawn_sets(EXACT_LIMIT + 3, EXACT_LIMIT + 4))
 def test_sampled_doi_never_exceeds_the_oracle(drawn):
+    """Above the limit the graph samples contexts: each edge can only
+    fall short of the oracle's doi."""
     evaluator, workload, members = drawn
-    a, b = members[:2]  # the draw's own order: any pair
-    analyzer = InteractionAnalyzer(evaluator, workload)
+    edges = graph_edges(evaluator, workload, members)
     oracle = IndexBenefitGraph(evaluator, workload, members)
-    assert analyzer.doi(a, b, members) <= oracle.doi(a, b)
+    for (a, b), value in edges.items():
+        assert value <= oracle.doi(a, b), (a, b)
 
 
 def brute_force_doi(evaluator, workload, members):

@@ -12,6 +12,8 @@ from repro.interaction import (
     schedule_optimal,
 )
 
+from oracle import IndexBenefitGraph
+
 WORKLOAD = [
     ("SELECT ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 12", 1.0),
     ("SELECT ra, dec, rmag FROM photoobj WHERE ra BETWEEN 50 AND 51 AND dec > 0", 1.0),
@@ -30,43 +32,61 @@ def analyzer(sdss_catalog):
     return InteractionAnalyzer(WorkloadEvaluator(sdss_catalog), WORKLOAD)
 
 
+def doi(analyzer, a, b, candidate_set):
+    """The graph's edge between *a* and *b* (``min_doi`` below 0 keeps
+    every pair), read in either order."""
+    graph = analyzer.interaction_graph(candidate_set, min_doi=-1.0)
+    return graph.dois.get((a.name, b.name), graph.dois.get((b.name, a.name)))
+
+
 class TestDegreeOfInteraction:
     def test_self_interaction_is_zero(self, analyzer):
-        assert analyzer.doi(RA, RA, [RA, Z]) == 0.0
+        """An index named twice is one vertex: no edge to itself."""
+        graph = analyzer.interaction_graph([RA, RA, Z], min_doi=-1.0)
+        assert list(graph.dois) == [tuple(sorted((RA.name, Z.name)))]
+
+    def test_every_pair_is_an_edge_below_zero(self, analyzer):
+        graph = analyzer.interaction_graph([RA, Z, RA_DEC], min_doi=-1.0)
+        assert set(graph.dois) == {
+            tuple(sorted((x.name, y.name))) for x, y in
+            [(RA, Z), (RA, RA_DEC), (Z, RA_DEC)]}
 
     def test_doi_nonnegative(self, analyzer):
-        assert analyzer.doi(RA, Z, [RA, Z, RA_DEC]) >= 0.0
+        assert doi(analyzer, RA, Z, [RA, Z, RA_DEC]) >= 0.0
 
     def test_subsuming_indexes_interact(self, analyzer):
         """ra and (ra,dec) serve the same queries: strong interaction."""
-        doi = analyzer.doi(RA, RA_DEC, [RA, RA_DEC])
-        assert doi > 0.05
+        assert doi(analyzer, RA, RA_DEC, [RA, RA_DEC]) > 0.05
 
     def test_unrelated_indexes_do_not_interact(self, analyzer):
         """Indexes serving disjoint queries have ~zero interaction."""
-        doi = analyzer.doi(RA, Z, [RA, Z])
-        assert doi < 0.01
+        assert doi(analyzer, RA, Z, [RA, Z]) < 0.01
 
     def test_doi_symmetric_enough(self, analyzer):
-        ab = analyzer.doi(RA, RA_DEC, [RA, RA_DEC])
-        ba = analyzer.doi(RA_DEC, RA, [RA, RA_DEC])
-        assert ab == pytest.approx(ba, rel=0.5)  # same order of magnitude
+        """The graph's edge reads the benefit of its first index by
+        name; the other orientation (the Index Benefit Graph's) is of
+        the same order of magnitude."""
+        ab = doi(analyzer, RA, RA_DEC, [RA, RA_DEC])
+        first, second = sorted((RA, RA_DEC), key=lambda ix: ix.name)
+        ba = IndexBenefitGraph(analyzer.evaluator, WORKLOAD,
+                               [RA, RA_DEC]).doi(second, first)
+        assert ab == pytest.approx(ba, rel=0.5)
 
     def test_benefit_definition(self, analyzer):
         empty_cost = analyzer.cost(frozenset())
         with_ra = analyzer.cost(frozenset([RA]))
         assert analyzer.benefit(RA, ()) == pytest.approx(empty_cost - with_ra)
+        graph = analyzer.interaction_graph([RA, Z])
+        assert graph.benefits[RA.name] == analyzer.benefit(RA, ())
 
-    @pytest.mark.parametrize("parent", [None, frozenset()],
-                             ids=["batch", "delta"])
-    def test_prefetch_prices_what_cost_does(self, sdss_catalog, parent):
+    def test_prefetch_prices_what_cost_does(self, sdss_catalog):
         """A prefetched subset costs exactly what :meth:`cost` computes
-        for it alone, through either batch seam."""
+        for it alone, through the one lattice seam."""
         subsets = [frozenset(), frozenset([RA]), frozenset([RA, Z]),
                    frozenset([RA_DEC, OBJID])]
         batched = InteractionAnalyzer(WorkloadEvaluator(sdss_catalog), WORKLOAD)
-        batched.prefetch(subsets, parent=parent)
-        assert set(batched._cost_cache) == set(subsets)
+        batched.prefetch(subsets)
+        assert set(batched._cost_cache) == set(map(batched._mask, subsets))
         lazy = InteractionAnalyzer(WorkloadEvaluator(sdss_catalog), WORKLOAD)
         assert [batched.cost(s) for s in subsets] \
             == [lazy.cost(s) for s in subsets]

@@ -58,9 +58,8 @@ SURFACE = BOUNDARY_SURFACE + [
     (CandidatePricer.__init__, ["model"]),
     (BipProblem.config_cost, ["chosen_positions"]),
     (greedy_select, ["problem"]),
-    (WorkloadKernel.evaluate_many, ["views", "table_sigs", "slot_choice"]),
-    (WorkloadKernel.evaluate_deltas,
-     ["state", "views", "table_sigs", "slot_choice"]),
+    (WorkloadKernel.evaluate_many, ["designs", "slot_choice"]),
+    (WorkloadKernel.evaluate_deltas, ["state", "designs", "slot_choice"]),
     (BipKernel.evaluate, ["batch"]),
 ]
 

@@ -12,7 +12,11 @@ counts:
 * ``builds``: INUM builds (``build_cache``);
 * ``slots``: slot resolutions (``_access_cost`` on the evaluator's
   slot memo misses);
-* ``compiles``: statement kernels compiled.
+* ``lookups``: slot-memo lookups (``slot_choice`` calls) — a design
+  column of indexes alone looks up only the slots its indexes reach;
+* ``compiles``: statement kernels compiled;
+* ``batches``: kernel batches (``WorkloadKernel.evaluate_many`` and
+  ``evaluate_deltas`` calls) — an interaction graph is one.
 
 ``tests/data/whatif_budget.json`` holds each count with one reason per
 question; a count above it fails.  A change that lowers one rewrites
@@ -40,7 +44,7 @@ from repro.workloads import (
 )
 
 BUDGET = Path(__file__).parent / "data" / "whatif_budget.json"
-COUNTS = ("exact", "builds", "slots", "compiles")
+COUNTS = ("exact", "builds", "slots", "lookups", "compiles", "batches")
 
 
 def split(catalog, table, hot):
@@ -86,7 +90,10 @@ def counting(patch, counts):
             ("exact", service_module, "plan_query"),
             ("builds", evaluator_module, "build_cache"),
             ("slots", evaluator_module, "_access_cost"),
-            ("compiles", kernel_module, "compile_statement")):
+            ("lookups", evaluator_module.WorkloadEvaluator, "slot_choice"),
+            ("compiles", kernel_module, "compile_statement"),
+            ("batches", kernel_module.WorkloadKernel, "evaluate_many"),
+            ("batches", kernel_module.WorkloadKernel, "evaluate_deltas")):
         real = getattr(module, attr)
 
         def counted(*args, _real=real, _name=name, **kwargs):
@@ -133,11 +140,11 @@ def test_a_question_costs_no_more_than_its_budget(name, monkeypatch):
 
 def test_a_repeated_question_is_answered_from_memory():
     """The fourth question is the first again: no planner run, no
-    build, no slot resolved and no kernel compiled."""
+    build, no slot resolved or looked up, no kernel compiled or run."""
     for name, questions in budget().items():
         assert questions["repeat"] == dict(
-            questions["repeat"], exact=0, builds=0, slots=0,
-            compiles=0), name
+            questions["repeat"], exact=0, builds=0, slots=0, lookups=0,
+            compiles=0, batches=0), name
 
 
 if __name__ == "__main__":

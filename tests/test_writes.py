@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.catalog import Index, VerticalFragment, VerticalLayout
 from repro.cophy import CoPhyAdvisor
-from repro.evaluation import WorkloadEvaluator
+from repro.evaluation import Lattice, WorkloadEvaluator
 from repro.optimizer import CostService
 from repro.optimizer.writecost import (
     affected_rows,
@@ -424,11 +424,63 @@ def kernel_cases(draw):
     return workload, configs
 
 
+@st.composite
+def lattice_cases(draw):
+    """A drawn workload, an index tuple from the pool and masks over it
+    (repeats allowed)."""
+    __, statements, pool, __, __ = kernel_env()
+    workload = draw(st.lists(
+        st.tuples(st.sampled_from(statements),
+                  st.sampled_from([1.0, 0.5, 3.0, 1000.0, 1e-3])),
+        min_size=1, max_size=8,
+    ))
+    indexes = draw(st.lists(st.sampled_from(pool), unique=True, max_size=6))
+    masks = draw(st.lists(st.integers(0, 2 ** len(indexes) - 1),
+                          min_size=1, max_size=12))
+    return workload, indexes, masks
+
+
+def lattice_configurations(indexes, masks):
+    """The configuration each mask of a lattice names."""
+    return [Configuration(indexes=frozenset(
+        ix for i, ix in enumerate(indexes) if mask >> i & 1))
+        for mask in masks]
+
+
 class TestWritesPricedOnTheKernel:
     """``evaluate_many`` and ``evaluate_deltas`` price a write as heap,
     plus maintenance per index set of the written table, plus its
     locate query's kernel row — in ``_write_cost``'s addition order, so
-    every cell and total equals the per-call walk bit for bit."""
+    every cell and total equals the per-call walk bit for bit; and a
+    lattice of index subsets named by bitmask totals what its
+    configurations do."""
+
+    @given(case=lattice_cases())
+    def test_a_lattice_totals_what_its_configurations_do(self, case):
+        workload, indexes, masks = case
+        __, __, __, evaluator, reference = kernel_env()
+        configs = lattice_configurations(indexes, masks)
+        totals = [reference.workload_cost(workload, config)
+                  for config in configs]
+        lattice = Lattice(indexes, masks)
+        assert evaluator.evaluate_configurations(
+            workload, configs).totals == totals
+        assert evaluator.evaluate_many(workload, lattice).totals == totals
+        assert evaluator.evaluate_deltas(
+            workload, None, lattice).totals == totals
+
+    def test_a_lattice_larger_than_a_chunk(self):
+        """Every subset of nine pool indexes, 512 designs, is priced two
+        chunks at a time; each total is the walk's."""
+        __, statements, pool, evaluator, reference = kernel_env()
+        workload = [(sql, 1.0 + i % 3) for i, sql in enumerate(statements)]
+        masks = range(2 ** 9)
+        configs = lattice_configurations(pool[:9], masks)
+        batch = evaluator.evaluate_many(workload, Lattice(pool[:9], masks))
+        assert batch.matrix is None
+        assert batch.totals == evaluator.evaluate_configurations(
+            workload, configs).totals == [
+            reference.workload_cost(workload, config) for config in configs]
 
     @given(case=kernel_cases())
     def test_batches_equal_the_per_call_walk(self, case):
